@@ -33,11 +33,7 @@ STAGES=(
   trace-smoke
   gate-trace
   bench-build
-  bench-physical
-  bench-cache
-  gate-cache
-  bench-vectorized
-  gate-vectorized
+  bench-e2e-check
 )
 
 stage_fmt() { # formatting (cargo fmt --check)
@@ -221,65 +217,13 @@ stage_bench_build() { # bench workspace builds (offline, detached)
   ( cd crates/bench && cargo build --offline && cargo test -q --offline )
 }
 
-stage_bench_physical() { # physical planning bench export (results/physical_planning.json)
-  # The bench asserts logical/physical bit-identity, β-gated audit
-  # parity, and that the low-β workload actually skips exact expansions,
-  # then exports its measurements; the in-repo parser validates the
-  # document.
-  mkdir -p results
-  ( cd crates/bench \
-    && cargo bench -q --offline --bench physical_planning -- \
-      ../../results/physical_planning.json )
-  cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- \
-    results/physical_planning.json
-}
-
-stage_bench_cache() { # circuit-cache bench export (results/confidence_cache.json)
-  # The bench asserts cache-on/cache-off bit-identity over the repeated
-  # what-if workload, nonzero memo hits and invalidations, and the ≥5x
-  # speedup contract, then exports its measurements.
-  mkdir -p results
-  ( cd crates/bench \
-    && cargo bench -q --offline --bench confidence_cache -- \
-      ../../results/confidence_cache.json )
-  cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- \
-    results/confidence_cache.json
-}
-
-stage_gate_cache() { # bench-regression gate (confidence_cache vs checked-in baseline)
-  # Every counter and gauge named in the baseline is a floor the fresh
-  # export must clear: cache hit counts, invalidations and the cache-on
-  # speedup may only regress by failing CI.
-  if [ ! -f results/confidence_cache.json ]; then
-    echo "gate-cache: results/confidence_cache.json missing; run the bench-cache stage first" >&2
-    return 1
-  fi
-  cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- \
-    --gate results/baseline_confidence_cache.json results/confidence_cache.json
-}
-
-stage_bench_vectorized() { # vectorized-execution bench export (results/vectorized_exec.json)
-  # The bench asserts vectorized/tuple bit-identity on every workload at
-  # 1, 2 and 4 worker threads and the ≥2x scan-workload speedup
-  # contract, then exports the full thread-count curve.
-  mkdir -p results
-  ( cd crates/bench \
-    && cargo bench -q --offline --bench vectorized_exec -- \
-      ../../results/vectorized_exec.json )
-  cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- \
-    results/vectorized_exec.json
-}
-
-stage_gate_vectorized() { # bench-regression gate (vectorized_exec vs checked-in baseline)
-  # The baseline pins the deterministic workload row counts and a 2.0
-  # floor on the scan-workload vectorized-vs-tuple speedup (measured at
-  # the same thread count, so the bar holds on single-core runners).
-  if [ ! -f results/vectorized_exec.json ]; then
-    echo "gate-vectorized: results/vectorized_exec.json missing; run the bench-vectorized stage first" >&2
-    return 1
-  fi
-  cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- \
-    --gate results/baseline_vectorized.json results/vectorized_exec.json
+stage_bench_e2e_check() { # end-to-end benchmark builds and its checks hold (run.sh --check)
+  # The e2e benchmark is a detached package nothing else compiles, and
+  # its adapter.rs names engine symbols stage by stage: a rename of any
+  # of them would otherwise break the benchmark silently. --check builds
+  # it and runs tiny op counts with every reply check on — the staged
+  # replay's digests must equal `Database`'s on all four workloads.
+  crates/bench/benches/e2e/run.sh --check
 }
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-//! Plan execution with lineage propagation.
+//! The logical reference executor, plus the row-native helpers and
+//! profile types the vectorized executor shares with it.
 
 use crate::expr::ScalarExpr;
 use crate::plan::{Plan, ProjItem};
@@ -11,12 +12,13 @@ use std::collections::BTreeMap;
 
 /// Per-operator counters from a profiled execution (`EXPLAIN ANALYZE`).
 ///
-/// `operator` is exactly [`Plan::node_label`], and profiles are collected
-/// in the same pre-order as [`Plan`]'s `Display` rendering — one entry per
-/// plan line, so annotated output can zip the two.
+/// `operator` is exactly [`crate::physical::PhysicalPlan::node_label`],
+/// and profiles are collected in the same pre-order as the physical
+/// plan's `Display` rendering — one entry per plan line, so annotated
+/// output can zip the two.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperatorProfile {
-    /// The operator's one-line label (`"Scan Proposal"`, `"Join"`, …).
+    /// The operator's one-line label (`"TableScan Proposal"`, `"HashJoin"`, …).
     pub operator: String,
     /// Depth in the plan tree (root = 0); matches `Display` indentation.
     pub depth: usize,
@@ -29,7 +31,7 @@ pub struct OperatorProfile {
     /// quantity that drives downstream confidence-evaluation cost.
     pub lineage_nodes: u64,
     /// Columnar batches produced (0 = the operator ran row-at-a-time,
-    /// as the tuple executor and the vectorized pipeline breakers do).
+    /// as the vectorized pipeline breakers do).
     pub batches: u64,
 }
 
@@ -65,11 +67,10 @@ impl ExecProfile {
     }
 }
 
-/// Pre-order profile collector; a disabled profiler is a no-op.
-///
-/// Shared between the logical executor (labels from [`Plan::node_label`])
-/// and the physical executor (labels from
-/// [`crate::physical::PhysicalPlan::node_label`]).
+/// Pre-order profile collector for the vectorized executor
+/// ([`crate::physical::vexec`], labels from
+/// [`crate::physical::PhysicalPlan::node_label`]); a disabled profiler is
+/// a no-op.
 pub(crate) struct Profiler {
     slots: Option<Vec<OperatorProfile>>,
 }
@@ -106,21 +107,8 @@ impl Profiler {
         }
     }
 
-    /// Fill the reserved slot once the operator's output exists.
-    pub(crate) fn exit(&mut self, slot: usize, rows_in: usize, out: &[DerivedTuple]) {
-        if let Some(v) = &mut self.slots {
-            if let Some(p) = v.get_mut(slot) {
-                p.rows_in = rows_in as u64;
-                p.rows_out = out.len() as u64;
-                p.lineage_nodes = out
-                    .iter()
-                    .fold(0u64, |acc, r| acc.saturating_add(r.lineage.size() as u64));
-            }
-        }
-    }
-
-    /// Fill the reserved slot from precomputed counters — the vectorized
-    /// executor's exit, where output may still be columnar.
+    /// Fill the reserved slot once the operator's output exists (which
+    /// may still be columnar, hence counters rather than rows).
     pub(crate) fn exit_counts(
         &mut self,
         slot: usize,
@@ -146,8 +134,7 @@ impl Profiler {
     }
 }
 
-/// Everything an operator needs besides the plan node itself. Shared with
-/// the physical executor ([`crate::physical`]).
+/// Everything a vectorized operator needs besides the plan node itself.
 pub(crate) struct Ctx<'a> {
     pub(crate) catalog: &'a Catalog,
     pub(crate) par: &'a Parallelism,
@@ -158,168 +145,68 @@ pub(crate) struct Ctx<'a> {
     pub(crate) trace: Option<&'a dyn TraceSink>,
 }
 
-/// Execute a plan against a catalog, producing derived tuples with lineage.
+/// Execute a logical plan against a catalog, producing derived tuples
+/// with lineage — the sequential, tuple-at-a-time **reference** walker.
+/// Production queries run the lowered plan on the vectorized executor
+/// ([`crate::physical::vexec`]), whose contract is bit-identity with this
+/// function; the equivalence suites under `tests/` compare the two.
 ///
 /// Confidence values are *not* consulted here — lineage is purely symbolic
 /// and scoring happens afterwards via [`crate::ResultSet::score`]. This
 /// split is what lets the strategy-finding algorithms re-score the same
 /// results under hypothetical confidence increments without re-running the
 /// query.
-///
-/// Runs sequentially; [`execute_with`] adds morsel parallelism.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<ResultSet> {
-    execute_with(plan, catalog, &Parallelism::sequential())
-}
-
-/// [`execute`] with a parallelism policy: large `Select`/`Project` inputs,
-/// join probe phases and cross products are split into morsels and
-/// evaluated on worker threads.
-///
-/// The output is byte-identical to [`execute`] for any policy — each
-/// operator's per-row work is pure, morsel outputs are reassembled in
-/// input order, and errors surface as the first failure in input order.
-pub fn execute_with(plan: &Plan, catalog: &Catalog, par: &Parallelism) -> Result<ResultSet> {
     let schema = plan.schema(catalog)?;
-    let ctx = Ctx {
-        catalog,
-        par,
-        observer: None,
-        trace: None,
-    };
-    let rows = run(plan, &ctx, 0, &mut Profiler::off())?;
-    Ok(ResultSet::new(schema, rows))
+    Ok(ResultSet::new(schema, run(plan, catalog)?))
 }
 
-/// [`execute_with`], additionally collecting a per-operator [`ExecProfile`]
-/// and (optionally) feeding scheduler telemetry to a [`ParObserver`].
-///
-/// The result set is byte-identical to [`execute_with`]'s for the same
-/// plan/catalog/policy: profiling only counts rows and lineage nodes that
-/// the unprofiled path computes anyway, and the observer is write-only.
-pub fn execute_profiled(
-    plan: &Plan,
-    catalog: &Catalog,
-    par: &Parallelism,
-    observer: Option<&dyn ParObserver>,
-) -> Result<(ResultSet, ExecProfile)> {
-    execute_traced(plan, catalog, par, observer, None)
-}
-
-/// [`execute_profiled`] with an optional causal [`TraceSink`]: every
-/// operator wraps its execution in an `op:<label>` span, nested to mirror
-/// the plan tree. The sink is write-only — the result set and profile are
-/// byte-identical to [`execute_profiled`]'s.
-pub fn execute_traced(
-    plan: &Plan,
-    catalog: &Catalog,
-    par: &Parallelism,
-    observer: Option<&dyn ParObserver>,
-    trace: Option<&dyn TraceSink>,
-) -> Result<(ResultSet, ExecProfile)> {
-    let schema = plan.schema(catalog)?;
-    let ctx = Ctx {
-        catalog,
-        par,
-        observer,
-        trace,
-    };
-    let mut prof = Profiler::on();
-    let rows = run(plan, &ctx, 0, &mut prof)?;
-    Ok((ResultSet::new(schema, rows), prof.finish()))
-}
-
-fn run(plan: &Plan, ctx: &Ctx<'_>, depth: usize, prof: &mut Profiler) -> Result<Vec<DerivedTuple>> {
-    let slot = prof.enter(depth, || plan.node_label());
-    let span = ctx
-        .trace
-        .map(|t| t.span_begin(&format!("op:{}", plan.node_label())));
-    let (rows_in, out) = run_node(plan, ctx, depth, prof)?;
-    if let (Some(t), Some(id)) = (ctx.trace, span) {
-        t.span_end(id);
-    }
-    prof.exit(slot, rows_in, &out);
-    Ok(out)
-}
-
-/// Execute one node; returns `(rows consumed from direct inputs, output)`.
-fn run_node(
-    plan: &Plan,
-    ctx: &Ctx<'_>,
-    depth: usize,
-    prof: &mut Profiler,
-) -> Result<(usize, Vec<DerivedTuple>)> {
-    let catalog = ctx.catalog;
-    let par = ctx.par;
+fn run(plan: &Plan, catalog: &Catalog) -> Result<Vec<DerivedTuple>> {
     match plan {
         Plan::Scan { table, .. } => {
             let t = catalog.table(table)?;
-            let out: Vec<DerivedTuple> = t
-                .rows()
+            Ok(t.rows()
                 .iter()
                 .map(|r| DerivedTuple {
                     tuple: r.tuple.clone(),
                     lineage: Lineage::var(r.id.0),
                 })
-                .collect();
-            Ok((out.len(), out))
+                .collect())
         }
         Plan::Select { input, predicate } => {
-            let rows = run(input, ctx, depth + 1, prof)?;
-            let rows_in = rows.len();
-            // Morsel-parallel predicate evaluation; the filter itself is a
-            // cheap sequential pass over the boolean mask, so output order
-            // (and the first error reported) match the sequential loop.
-            let keep = pcqe_par::try_map_observed(
-                par,
-                &rows,
-                |row| predicate.eval_predicate(row.tuple.values()),
-                ctx.observer,
-            )?;
-            let out: Vec<DerivedTuple> = rows
-                .into_iter()
-                .zip(keep)
-                .filter_map(|(row, k)| k.then_some(row))
-                .collect();
-            Ok((rows_in, out))
+            let mut out = Vec::new();
+            for row in run(input, catalog)? {
+                if predicate.eval_predicate(row.tuple.values())? {
+                    out.push(row);
+                }
+            }
+            Ok(out)
         }
         Plan::Project {
             input,
             items,
             distinct,
         } => {
-            let rows = run(input, ctx, depth + 1, prof)?;
-            let rows_in = rows.len();
-            // Morsel-parallel expression evaluation, one output row per
-            // input row in input order.
-            let values = pcqe_par::try_map_observed(
-                par,
-                &rows,
-                |row| eval_items(items, row.tuple.values()),
-                ctx.observer,
-            )?;
-            let projected: Vec<DerivedTuple> = rows
-                .into_iter()
-                .zip(values)
-                .map(|(row, values)| DerivedTuple {
-                    tuple: Tuple::new(values),
+            let mut projected = Vec::new();
+            for row in run(input, catalog)? {
+                projected.push(DerivedTuple {
+                    tuple: Tuple::new(eval_items(items, row.tuple.values())?),
                     lineage: row.lineage,
-                })
-                .collect();
-            let out = if *distinct {
+                });
+            }
+            Ok(if *distinct {
                 or_merge(projected)
             } else {
                 projected
-            };
-            Ok((rows_in, out))
+            })
         }
         Plan::Join {
             left,
             right,
             predicate,
         } => {
-            let l = run(left, ctx, depth + 1, prof)?;
-            let r = run(right, ctx, depth + 1, prof)?;
-            let rows_in = l.len() + r.len();
+            let l = run(left, catalog)?;
+            let r = run(right, catalog)?;
             let left_schema = left.schema(catalog)?;
             let right_schema = right.schema(catalog)?;
             let left_arity = left_schema.arity();
@@ -337,33 +224,18 @@ fn run_node(
                 lt.is_some() && lt == rt
             };
             let (equi, residual) = split_equi_conjuncts(predicate, left_arity, hashable);
+            let mut out = Vec::new();
             if equi.is_empty() {
-                // Nested-loop fallback, morsel-parallel over left rows:
-                // each left row independently produces its ordered match
-                // list; flattening the per-row lists in input order is
-                // exactly the sequential nested loop's output.
-                let per_left = pcqe_par::try_map_observed(
-                    par,
-                    &l,
-                    |lr| -> Result<Vec<DerivedTuple>> {
-                        let mut matches = Vec::new();
-                        for rr in &r {
-                            let combined = lr.tuple.concat(&rr.tuple);
-                            if predicate.eval_predicate(combined.values())? {
-                                matches.push(DerivedTuple {
-                                    tuple: combined,
-                                    lineage: Lineage::and(vec![
-                                        lr.lineage.clone(),
-                                        rr.lineage.clone(),
-                                    ]),
-                                });
-                            }
+                // Nested-loop fallback.
+                for lr in &l {
+                    for rr in &r {
+                        let combined = lr.tuple.concat(&rr.tuple);
+                        if predicate.eval_predicate(combined.values())? {
+                            out.push(joined(combined, lr, rr));
                         }
-                        Ok(matches)
-                    },
-                    ctx.observer,
-                )?;
-                return Ok((rows_in, per_left.into_iter().flatten().collect()));
+                    }
+                }
+                return Ok(out);
             }
             // Build on the right side. An ordered map keeps the operator
             // deterministic-by-construction (lint rule PCQE-D001): even
@@ -385,97 +257,71 @@ fn run_node(
                 }
                 table.entry(key).or_default().push(i);
             }
-            // Probe phase, morsel-parallel over left rows: the hash table
-            // is read-only during probing, each left row's match list
-            // preserves build order, and flattening per-row lists in
-            // input order reproduces the sequential probe loop exactly.
-            let per_left = pcqe_par::try_map_observed(
-                par,
-                &l,
-                |lr| -> Result<Vec<DerivedTuple>> {
-                    let mut key = Vec::with_capacity(equi.len());
-                    for &(lc, _) in &equi {
-                        let v = lr.tuple.get(lc).cloned().ok_or_else(|| {
-                            crate::error::AlgebraError::Type(format!(
-                                "join key column {lc} out of range"
-                            ))
-                        })?;
-                        if v.is_null() {
-                            return Ok(Vec::new()); // NULL never equi-joins
-                        }
-                        key.push(v);
+            // Probe in left-row order; each match list preserves build
+            // order.
+            'probe: for lr in &l {
+                let mut key = Vec::with_capacity(equi.len());
+                for &(lc, _) in &equi {
+                    let v = lr.tuple.get(lc).cloned().ok_or_else(|| {
+                        crate::error::AlgebraError::Type(format!(
+                            "join key column {lc} out of range"
+                        ))
+                    })?;
+                    if v.is_null() {
+                        continue 'probe; // NULL never equi-joins
                     }
-                    let Some(matches) = table.get(&key) else {
-                        return Ok(Vec::new());
+                    key.push(v);
+                }
+                let Some(matches) = table.get(&key) else {
+                    continue;
+                };
+                for &ri in matches {
+                    let rr = &r[ri];
+                    let combined = lr.tuple.concat(&rr.tuple);
+                    let keep = match &residual {
+                        Some(res) => res.eval_predicate(combined.values())?,
+                        None => true,
                     };
-                    let mut out = Vec::with_capacity(matches.len());
-                    for &ri in matches {
-                        let rr = &r[ri];
-                        let combined = lr.tuple.concat(&rr.tuple);
-                        let keep = match &residual {
-                            Some(res) => res.eval_predicate(combined.values())?,
-                            None => true,
-                        };
-                        if keep {
-                            out.push(DerivedTuple {
-                                tuple: combined,
-                                lineage: Lineage::and(vec![lr.lineage.clone(), rr.lineage.clone()]),
-                            });
-                        }
+                    if keep {
+                        out.push(joined(combined, lr, rr));
                     }
-                    Ok(out)
-                },
-                ctx.observer,
-            )?;
-            Ok((rows_in, per_left.into_iter().flatten().collect()))
+                }
+            }
+            Ok(out)
         }
         Plan::Product { left, right } => {
-            let l = run(left, ctx, depth + 1, prof)?;
-            let r = run(right, ctx, depth + 1, prof)?;
-            let rows_in = l.len() + r.len();
-            // Morsel-parallel over left rows; flattened in input order.
-            let per_left = pcqe_par::map_observed(
-                par,
-                &l,
-                |lr| {
+            let l = run(left, catalog)?;
+            let r = run(right, catalog)?;
+            Ok(l.iter()
+                .flat_map(|lr| {
                     r.iter()
-                        .map(|rr| DerivedTuple {
-                            tuple: lr.tuple.concat(&rr.tuple),
-                            lineage: Lineage::and(vec![lr.lineage.clone(), rr.lineage.clone()]),
-                        })
-                        .collect::<Vec<_>>()
-                },
-                ctx.observer,
-            );
-            Ok((rows_in, per_left.into_iter().flatten().collect()))
+                        .map(move |rr| joined(lr.tuple.concat(&rr.tuple), lr, rr))
+                })
+                .collect())
         }
         Plan::Union { left, right } => {
             // Schema compatibility is checked by Plan::schema.
             plan.schema(catalog)?;
-            let mut rows = run(left, ctx, depth + 1, prof)?;
-            rows.extend(run(right, ctx, depth + 1, prof)?);
-            let rows_in = rows.len();
-            Ok((rows_in, or_merge(rows)))
+            let mut rows = run(left, catalog)?;
+            rows.extend(run(right, catalog)?);
+            Ok(or_merge(rows))
         }
         Plan::Sort { input, keys } => {
-            let mut rows = run(input, ctx, depth + 1, prof)?;
-            let rows_in = rows.len();
+            let mut rows = run(input, catalog)?;
             sort_rows(&mut rows, keys)?;
-            Ok((rows_in, rows))
+            Ok(rows)
         }
         Plan::Limit { input, count } => {
-            let mut rows = run(input, ctx, depth + 1, prof)?;
-            let rows_in = rows.len();
+            let mut rows = run(input, catalog)?;
             rows.truncate(*count);
-            Ok((rows_in, rows))
+            Ok(rows)
         }
         Plan::Aggregate {
             input,
             group_by,
             aggregates,
         } => {
-            let rows = run(input, ctx, depth + 1, prof)?;
-            let rows_in = rows.len();
+            let rows = run(input, catalog)?;
             // Group rows by their key values, preserving first-seen order.
             let mut index: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
             let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
@@ -514,13 +360,12 @@ fn run_node(
                     lineage,
                 });
             }
-            Ok((rows_in, out))
+            Ok(out)
         }
         Plan::Difference { left, right } => {
             plan.schema(catalog)?;
-            let l = or_merge(run(left, ctx, depth + 1, prof)?);
-            let r = or_merge(run(right, ctx, depth + 1, prof)?);
-            let rows_in = l.len() + r.len();
+            let l = or_merge(run(left, catalog)?);
+            let r = or_merge(run(right, catalog)?);
             let right_by_value: BTreeMap<&Tuple, &Lineage> =
                 r.iter().map(|d| (&d.tuple, &d.lineage)).collect();
             let mut out = Vec::new();
@@ -538,8 +383,17 @@ fn run_node(
                     });
                 }
             }
-            Ok((rows_in, out))
+            Ok(out)
         }
+    }
+}
+
+/// One join output row: the concatenated values under the conjunction of
+/// both inputs' lineage.
+fn joined(tuple: Tuple, left: &DerivedTuple, right: &DerivedTuple) -> DerivedTuple {
+    DerivedTuple {
+        tuple,
+        lineage: Lineage::and(vec![left.lineage.clone(), right.lineage.clone()]),
     }
 }
 
@@ -1186,109 +1040,6 @@ mod tests {
         assert_eq!(all.len(), 3);
         let none = execute(&Plan::scan("Proposal").limit(0), &catalog).unwrap();
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn parallel_execution_is_byte_identical_to_sequential() {
-        // A wider catalog than the paper example so morsels actually split:
-        // join + select + project over a few hundred rows.
-        let mut c = Catalog::new();
-        c.create_table(
-            "a",
-            Schema::new(vec![
-                Column::new("k", DataType::Int),
-                Column::new("x", DataType::Int),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        c.create_table(
-            "b",
-            Schema::new(vec![
-                Column::new("k", DataType::Int),
-                Column::new("y", DataType::Int),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        for i in 0..300i64 {
-            c.insert("a", vec![Value::Int(i % 37), Value::Int(i)], 0.5)
-                .unwrap();
-            c.insert("b", vec![Value::Int(i % 23), Value::Int(i * 2)], 0.5)
-                .unwrap();
-        }
-        let join = Plan::scan("a").join(
-            Plan::scan("b"),
-            ScalarExpr::column(0).eq(ScalarExpr::column(2)),
-        );
-        let plan = join
-            .select(ScalarExpr::column(3).lt(ScalarExpr::literal(Value::Int(400))))
-            .project(vec![
-                ProjItem::new(ScalarExpr::column(0), "k"),
-                ProjItem::new(ScalarExpr::column(1), "x"),
-            ]);
-        let sequential = execute(&plan, &c).unwrap();
-        for workers in [1usize, 2, 8] {
-            let par = Parallelism {
-                worker_threads: Some(workers),
-                parallel_threshold: 1,
-            };
-            let parallel = execute_with(&plan, &c, &par).unwrap();
-            assert_eq!(parallel.rows(), sequential.rows(), "workers={workers}");
-        }
-        // The cross-product and nested-loop paths too.
-        let nl = Plan::scan("a").join(
-            Plan::scan("b"),
-            ScalarExpr::column(1).lt(ScalarExpr::column(3)),
-        );
-        let prod = Plan::scan("a").product(Plan::scan("b")).limit(5000);
-        for plan in [nl, prod] {
-            let sequential = execute(&plan, &c).unwrap();
-            let par = Parallelism {
-                worker_threads: Some(4),
-                parallel_threshold: 1,
-            };
-            let parallel = execute_with(&plan, &c, &par).unwrap();
-            assert_eq!(parallel.rows(), sequential.rows());
-        }
-    }
-
-    #[test]
-    fn profiled_execution_matches_paper_example_counts() {
-        let (catalog, _) = paper_db();
-        let plan = paper_plan(&catalog);
-        let (rs, profile) =
-            execute_profiled(&plan, &catalog, &Parallelism::sequential(), None).unwrap();
-        // Result-neutral: same rows as the unprofiled executor.
-        let plain = execute(&plan, &catalog).unwrap();
-        assert_eq!(rs.rows(), plain.rows());
-        // Pre-order, one profile per plan line, with the paper's counts:
-        // Π (2→1 merged), ⋈ (2+1→2), σ (3→2), the two scans.
-        let got: Vec<(&str, usize, u64, u64)> = profile
-            .operators
-            .iter()
-            .map(|o| (o.operator.as_str(), o.depth, o.rows_in, o.rows_out))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                ("Project DISTINCT [company, income]", 0, 2, 1),
-                ("Join", 1, 3, 2),
-                ("Select", 2, 3, 2),
-                ("Scan Proposal", 3, 3, 3),
-                ("Scan CompanyInfo", 2, 1, 1),
-            ]
-        );
-        // Profile order zips with the Display rendering line-for-line.
-        let lines: Vec<String> = plan.to_string().lines().map(str::to_owned).collect();
-        assert_eq!(lines.len(), profile.operators.len());
-        for (line, op) in lines.iter().zip(&profile.operators) {
-            assert_eq!(line.trim_start(), op.operator);
-        }
-        // Every operator carries lineage.
-        assert!(profile.operators.iter().all(|o| o.lineage_nodes > 0));
-        // The rendered EXPLAIN ANALYZE mentions the counts.
-        assert!(profile.render().contains("Select (rows_in=3 rows_out=2"));
     }
 
     #[test]

@@ -44,18 +44,15 @@ pub mod plan;
 pub mod result;
 
 pub use error::AlgebraError;
-pub use exec::{
-    execute, execute_profiled, execute_traced, execute_with, ExecProfile, OperatorProfile,
-};
+pub use exec::{execute, ExecProfile, OperatorProfile};
 pub use expr::{BinaryOp, ColumnarRow, RowView, ScalarExpr, UnaryOp};
 pub use optimize::optimize;
 pub use physical::{
-    execute_physical, execute_physical_profiled, execute_physical_traced, execute_physical_with,
-    execute_vectorized, execute_vectorized_profiled, execute_vectorized_traced,
-    execute_vectorized_with, lower, render_side_by_side, PhysicalPlan,
+    execute_vectorized_profiled, execute_vectorized_traced, execute_vectorized_with, lower,
+    render_side_by_side, PhysicalPlan,
 };
 pub use plan::{Plan, ProjItem};
-pub use result::{DerivedTuple, GatedScore, ResultSet, ScoredTuple};
+pub use result::{DerivedTuple, GatedScore, ResultSet, ScoreOptions, ScoredTuple};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AlgebraError>;

@@ -6,7 +6,7 @@
 //! vs nested loop, chosen by deterministic cardinality estimates over
 //! [`pcqe_storage::TableStats`]) and pushed-down predicates — and then
 //! executes that tree with the same lineage semantics as the logical
-//! executor.
+//! reference walker.
 //!
 //! Layering:
 //!
@@ -15,8 +15,9 @@
 //!   `.plan` command;
 //! * [`planner`] — [`lower`], the cost-based lowering, plus the
 //!   [`estimate`] cardinality model that drives it;
-//! * [`exec`] — [`execute_physical`] and friends, bit-identical to the
-//!   logical [`crate::execute`] for any lowered plan.
+//! * [`vexec`] — [`execute_vectorized_with`] and its profiled/traced
+//!   variants, the one production executor, bit-identical to the logical
+//!   [`crate::execute`] for any lowered plan.
 //!
 //! The invariant tying the three together: **planning is a pure
 //! performance decision**. Every physical plan produced by [`lower`]
@@ -25,20 +26,13 @@
 //! (Section 3 of the paper) see exactly the same tuples regardless of
 //! which strategies the planner picked.
 
-pub mod exec;
 pub mod plan;
 pub mod planner;
 pub mod vexec;
 
-pub use exec::{
-    execute_physical, execute_physical_profiled, execute_physical_traced, execute_physical_with,
-};
 pub use plan::{render_side_by_side, PhysicalPlan};
 pub use planner::{estimate, lower};
-pub use vexec::{
-    execute_vectorized, execute_vectorized_profiled, execute_vectorized_traced,
-    execute_vectorized_with,
-};
+pub use vexec::{execute_vectorized_profiled, execute_vectorized_traced, execute_vectorized_with};
 
 #[cfg(test)]
 mod tests {
@@ -46,9 +40,15 @@ mod tests {
     use crate::exec::eq_columns;
     use crate::expr::ScalarExpr;
     use crate::plan::{Plan, ProjItem};
-    use crate::{execute, execute_profiled, optimize};
+    use crate::result::ResultSet;
+    use crate::{execute, optimize};
     use pcqe_par::Parallelism;
     use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
+
+    /// Run a lowered plan on the vectorized executor, one worker.
+    fn vexec(phys: &PhysicalPlan, catalog: &Catalog) -> ResultSet {
+        execute_vectorized_with(phys, catalog, &Parallelism::sequential()).unwrap()
+    }
 
     /// The paper's running-example database (Tables 1 and 2).
     fn paper_db() -> Catalog {
@@ -168,7 +168,7 @@ mod tests {
         ] {
             let logical = execute(&plan, &catalog).unwrap();
             let phys = lower(&optimize(&plan, &catalog).unwrap(), &catalog).unwrap();
-            let physical = execute_physical(&phys, &catalog).unwrap();
+            let physical = vexec(&phys, &catalog);
             assert_eq!(logical.schema(), physical.schema());
             assert_eq!(logical.rows(), physical.rows());
         }
@@ -199,11 +199,11 @@ mod tests {
             "got:\n{text}"
         );
         let logical = execute(&plan, &catalog).unwrap();
-        let physical = execute_physical(&phys, &catalog).unwrap();
+        let physical = vexec(&phys, &catalog);
         assert_eq!(logical.rows(), physical.rows());
         // The index scan reads only the 2 SkyCam rows, not all 3.
         let (_, profile) =
-            execute_physical_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
+            execute_vectorized_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
         assert_eq!(profile.operators.len(), 1);
         assert_eq!(profile.operators[0].rows_in, 2);
         assert_eq!(profile.operators[0].rows_out, 1);
@@ -226,7 +226,7 @@ mod tests {
             Plan::scan("t").select(ScalarExpr::column(0).eq(ScalarExpr::literal(Value::Real(2.0))));
         let phys = lower(&plan, &catalog).unwrap();
         assert!(phys.to_string().contains("TableScan"), "got:\n{phys}");
-        assert_eq!(execute_physical(&phys, &catalog).unwrap().len(), 1);
+        assert_eq!(vexec(&phys, &catalog).len(), 1);
     }
 
     #[test]
@@ -249,11 +249,11 @@ mod tests {
             ScalarExpr::column(0).eq(ScalarExpr::column(1)),
         );
         // Even though 1×1 rows would favour a nested loop, REAL keys must
-        // keep the hash strategy the logical executor uses.
+        // keep the hash strategy the logical reference uses.
         let phys = lower(&plan, &c).unwrap();
         assert!(phys.to_string().contains("HashJoin"), "got:\n{phys}");
         let logical = execute(&plan, &c).unwrap();
-        let physical = execute_physical(&phys, &c).unwrap();
+        let physical = vexec(&phys, &c);
         assert_eq!(logical.rows(), physical.rows());
     }
 
@@ -299,7 +299,7 @@ mod tests {
                 worker_threads: Some(workers),
                 parallel_threshold: 1,
             };
-            let physical = execute_physical_with(&phys, &c, &par).unwrap();
+            let physical = execute_vectorized_with(&phys, &c, &par).unwrap();
             assert_eq!(logical.rows(), physical.rows(), "workers={workers}");
         }
     }
@@ -310,9 +310,9 @@ mod tests {
         let plan = optimize(&paper_plan(&catalog), &catalog).unwrap();
         let phys = lower(&plan, &catalog).unwrap();
         let (rs, profile) =
-            execute_physical_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
-        let plain = execute_physical(&phys, &catalog).unwrap();
-        assert_eq!(rs.rows(), plain.rows());
+            execute_vectorized_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
+        // Result-neutral: profiling yields the reference's rows.
+        assert_eq!(rs.rows(), execute(&plan, &catalog).unwrap().rows());
         let lines: Vec<String> = phys.to_string().lines().map(str::to_owned).collect();
         assert_eq!(lines.len(), profile.operators.len());
         for (line, op) in lines.iter().zip(&profile.operators) {
@@ -358,20 +358,8 @@ mod tests {
         for plan in [union, diff, sorted, agg] {
             let logical = execute(&plan, &c).unwrap();
             let phys = lower(&plan, &c).unwrap();
-            let physical = execute_physical(&phys, &c).unwrap();
+            let physical = vexec(&phys, &c);
             assert_eq!(logical.rows(), physical.rows(), "plan:\n{plan}");
         }
-    }
-
-    #[test]
-    fn profiled_physical_matches_logical_profiled_rows() {
-        let catalog = paper_db();
-        let plan = optimize(&paper_plan(&catalog), &catalog).unwrap();
-        let (logical, _) =
-            execute_profiled(&plan, &catalog, &Parallelism::sequential(), None).unwrap();
-        let phys = lower(&plan, &catalog).unwrap();
-        let (physical, _) =
-            execute_physical_profiled(&phys, &catalog, &Parallelism::sequential(), None).unwrap();
-        assert_eq!(logical.rows(), physical.rows());
     }
 }

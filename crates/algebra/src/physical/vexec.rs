@@ -1,45 +1,45 @@
-//! Vectorized, morsel-driven physical plan execution.
+//! Vectorized, morsel-driven physical plan execution — the engine's one
+//! production executor.
 //!
-//! This is the columnar twin of [`crate::physical::exec`]: the same
-//! physical operators, the same lineage rules, the same ordered-map
-//! determinism — but data flows as columnar batches ([`VBatch`]:
-//! per-column value vectors plus a per-row lineage vector, seeded from
-//! [`pcqe_storage::Batch`] at the scans) and work is dispatched as
-//! whole morsels across `pcqe-par` workers via
-//! [`pcqe_par::morsel::map_morsels`], with a deterministic in-order
-//! merge.
+//! Data flows as columnar batches ([`VBatch`]: per-column value vectors
+//! plus a per-row lineage vector, seeded from [`pcqe_storage::Batch`] at
+//! the scans) and work is dispatched as whole morsels across `pcqe-par`
+//! workers via [`pcqe_par::morsel::map_morsels`], with a deterministic
+//! in-order merge.
 //!
 //! ## The identity contract
 //!
-//! For any physical plan `p`, `execute_vectorized(&p, c)` produces a
-//! result set **bit-identical** to `execute_physical(&p, c)` — same
-//! rows, same order, same lineage expressions, and the same first error
-//! on failing inputs — at any thread count. Three rules enforce it:
+//! For any logical plan `q` and `p = lower(&q, c)`,
+//! `execute_vectorized_with(&p, c, par)` produces a result set
+//! **bit-identical** to the sequential reference walker
+//! [`crate::execute`]`(&q, c)` — same rows, same order, same lineage
+//! expressions, and the same first error on failing inputs — at any
+//! thread count. Three rules enforce it:
 //!
 //! 1. **Expressions evaluate row-wise, in row order.** Batches change
 //!    *data movement*, never evaluation order: predicates and
 //!    projections run through [`ScalarExpr::eval_view`] over a
-//!    [`ColumnarRow`], the same monomorphized body the tuple executor
-//!    runs over row slices, so the first error surfaced is the same row's
+//!    [`ColumnarRow`], the same monomorphized body the reference runs
+//!    over row slices, so the first error surfaced is the same row's
 //!    error. Column-wise evaluation would be faster still but could
 //!    reorder which error wins — it is deliberately off the table.
 //! 2. **Pipeline breakers reuse the row-native helpers.** Sort,
 //!    Aggregate, Union, Difference, distinct-merge and the join kernels
 //!    convert batches to rows (a move, not a clone) and run literally
-//!    the same `or_merge`/`sort_rows`/`eval_aggregate` code as the tuple
-//!    executor.
+//!    the same `or_merge`/`sort_rows`/`eval_aggregate` code as the
+//!    reference.
 //! 3. **Partitioned hash state stays ordered.** The hash-join build side
 //!    is hash-partitioned by [`pcqe_storage::partition`]'s deterministic
 //!    FNV-1a (partition count capped by the build table's NDV when the
 //!    catalog knows it); each partition is a `BTreeMap` filled with
 //!    ascending global row indexes, so a key's match list is identical
-//!    to the single global map the tuple executor builds.
+//!    to the single global map the reference builds.
 //!
 //! Where the speed comes from: scans fuse their residual predicate
-//! *before* materialising — the tuple executor clones every stored row
-//! and then filters, the vectorized scan evaluates on borrowed storage
-//! and clones only survivors — and all later movement (filter, project,
-//! batch-to-row conversion) moves values instead of cloning them.
+//! *before* materialising — the predicate is evaluated on borrowed
+//! storage and only survivors are cloned — and all later movement
+//! (filter, project, batch-to-row conversion) moves values instead of
+//! cloning them.
 //!
 //! All observer and trace emission happens post-batch on the calling
 //! thread (the morsel dispatcher reports once, after its scope joins),
@@ -59,28 +59,14 @@ use pcqe_storage::{
 };
 use std::collections::BTreeMap;
 
-/// Execute a physical plan on the vectorized path, sequentially.
-pub fn execute_vectorized(plan: &PhysicalPlan, catalog: &Catalog) -> Result<ResultSet> {
-    execute_vectorized_with(plan, catalog, &Parallelism::sequential())
-}
-
-/// [`execute_vectorized`] with a parallelism policy. Output is
-/// byte-identical for any policy — and byte-identical to
-/// [`crate::physical::execute_physical_with`] on the same plan.
+/// Execute a physical plan under a parallelism policy. Output is
+/// byte-identical for any policy.
 pub fn execute_vectorized_with(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     par: &Parallelism,
 ) -> Result<ResultSet> {
-    let schema = plan.schema(catalog)?;
-    let ctx = Ctx {
-        catalog,
-        par,
-        observer: None,
-        trace: None,
-    };
-    let out = run_v(plan, &ctx, 0, &mut Profiler::off())?;
-    Ok(ResultSet::new(schema, out.into_rows()))
+    run_root(plan, catalog, par, None, None, Profiler::off()).map(|(result_set, _)| result_set)
 }
 
 /// [`execute_vectorized_with`], additionally collecting a per-operator
@@ -96,15 +82,27 @@ pub fn execute_vectorized_profiled(
 }
 
 /// [`execute_vectorized_profiled`] with an optional causal
-/// [`TraceSink`]: operators wrap execution in `op:<label>` spans exactly
-/// like the tuple executor, and morsel batches surface as the existing
-/// `par.batch`/`par.lane` instants via the observer.
+/// [`TraceSink`]: operators wrap execution in `op:<label>` spans nested
+/// to mirror the plan tree, and morsel batches surface as the
+/// `par.batch`/`par.lane` instants via the observer. Both sinks are
+/// write-only — the result set is byte-identical with or without them.
 pub fn execute_vectorized_traced(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     par: &Parallelism,
     observer: Option<&dyn ParObserver>,
     trace: Option<&dyn TraceSink>,
+) -> Result<(ResultSet, ExecProfile)> {
+    run_root(plan, catalog, par, observer, trace, Profiler::on())
+}
+
+fn run_root(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    par: &Parallelism,
+    observer: Option<&dyn ParObserver>,
+    trace: Option<&dyn TraceSink>,
+    mut prof: Profiler,
 ) -> Result<(ResultSet, ExecProfile)> {
     let schema = plan.schema(catalog)?;
     let ctx = Ctx {
@@ -113,7 +111,6 @@ pub fn execute_vectorized_traced(
         observer,
         trace,
     };
-    let mut prof = Profiler::on();
     let out = run_v(plan, &ctx, 0, &mut prof)?;
     Ok((ResultSet::new(schema, out.into_rows()), prof.finish()))
 }
@@ -192,8 +189,8 @@ impl VBatch {
 
 /// An operator's output: still columnar, or already row-native (after a
 /// pipeline breaker). Row-native output flows through the exact same
-/// helper code as the tuple executor, which is what keeps the two
-/// executors bit-identical by construction.
+/// helper code as the reference walker, which is what keeps the two
+/// bit-identical by construction.
 pub(crate) enum VOut {
     /// Columnar batches, in row order across the vector.
     Batches(Vec<VBatch>),
@@ -331,7 +328,7 @@ fn build_side_ndv(
 }
 
 /// Execute one node; returns `(rows consumed from direct inputs, output)`
-/// with the same `rows_in` accounting as the tuple executor.
+/// where `rows_in` for a scan is the rows read from storage.
 fn run_v_node(
     plan: &PhysicalPlan,
     ctx: &Ctx<'_>,
@@ -385,8 +382,7 @@ fn run_v_node(
                 VOut::Batches(batches) => {
                     let rows_in: usize = batches.iter().map(VBatch::len).sum();
                     // Parallel row-wise masks over borrowed batches, then
-                    // a move-gather of survivors — the columnar analogue
-                    // of mask-then-filter in the tuple executor.
+                    // a move-gather of survivors.
                     let masks = try_map_morsels(
                         par,
                         &batches,
@@ -490,7 +486,7 @@ fn run_v_node(
             };
             if *distinct {
                 // Duplicate merging is a pipeline breaker: go row-native
-                // and reuse the tuple executor's or_merge verbatim.
+                // and reuse the reference walker's or_merge verbatim.
                 Ok((rows_in, VOut::Rows(or_merge(projected.into_rows()))))
             } else {
                 Ok((rows_in, projected))
@@ -507,9 +503,9 @@ fn run_v_node(
             let r = run_v(right, ctx, depth + 1, prof)?.into_rows();
             let rows_in = l.len() + r.len();
             // Key extraction over the build side, morsel-parallel with
-            // first-error-in-row-order — the same error the tuple
-            // executor's sequential build loop reports. Each key is
-            // tagged with its partition up front.
+            // first-error-in-row-order — the same error the reference's
+            // sequential build loop reports. Each key is tagged with its
+            // partition up front.
             let parts = partition_count(r.len(), build_side_ndv(right, keys, left_arity, catalog));
             let rkeys: Vec<Option<(usize, Vec<Value>)>> = pcqe_par::try_map_observed(
                 par,
@@ -535,7 +531,7 @@ fn run_v_node(
             // Build the partitions in parallel: each partition scans the
             // tagged keys and keeps its own, inserting ascending global
             // row indexes — so any key's match list is identical to the
-            // single ordered map the tuple executor builds (PCQE-D001:
+            // single ordered map the reference builds (PCQE-D001:
             // BTreeMap, never a seeded hash map).
             let part_ids: Vec<usize> = (0..parts).collect();
             let tables: Vec<BTreeMap<&[Value], Vec<usize>>> = map_morsels(
@@ -745,7 +741,7 @@ fn run_v_node(
             let rows = run_v(input, ctx, depth + 1, prof)?.into_rows();
             let rows_in = rows.len();
             // Group rows by key values, preserving first-seen order —
-            // identical to the tuple executor's Aggregate.
+            // identical to the reference walker's Aggregate.
             let mut index: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
             let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
             for (i, row) in rows.iter().enumerate() {

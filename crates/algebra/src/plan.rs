@@ -350,11 +350,7 @@ impl Plan {
 impl Plan {
     /// The one-line label this node renders in [`fmt::Display`], without
     /// indentation: `"Scan Proposal"`, `"Project DISTINCT [company,
-    /// income]"`, … The profiled executor
-    /// ([`crate::exec::execute_profiled`]) tags each
-    /// [`OperatorProfile`](crate::exec::OperatorProfile) with exactly this
-    /// string, so `EXPLAIN ANALYZE` output lines up with `EXPLAIN` output
-    /// by construction.
+    /// income]"`, …
     pub fn node_label(&self) -> String {
         match self {
             Plan::Scan { table, alias } => match alias {

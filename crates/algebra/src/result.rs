@@ -65,7 +65,9 @@ impl ResultSet {
         self.rows
     }
 
-    /// Compute every row's confidence from base-tuple probabilities.
+    /// Compute every row's confidence from base-tuple probabilities,
+    /// uncached — the reference the equivalence suites hold
+    /// [`Self::score_with`] to, bit for bit.
     pub fn score<P: ProbSource>(
         &self,
         probs: &P,
@@ -86,328 +88,84 @@ impl ResultSet {
             .collect()
     }
 
-    /// [`Self::score`] with the confidence computation fanned out across
-    /// worker threads via [`pcqe_lineage::score_batch`].
+    /// Score every row through a shared [`CircuitCache`] — the engine's
+    /// one scoring implementation; what varies between callers is data in
+    /// [`ScoreOptions`].
     ///
-    /// Byte-identical to the sequential [`Self::score`] for any
-    /// [`Parallelism`](pcqe_par::Parallelism): row order is preserved and
-    /// each row's confidence depends only on its lineage, `probs`, and the
-    /// evaluator's (fixed) Monte-Carlo seed.
-    pub fn score_par<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        par: &pcqe_par::Parallelism,
-    ) -> Result<Vec<ScoredTuple>> {
-        self.score_par_observed(probs, evaluator, par, None)
-    }
-
-    /// [`ResultSet::score_par`] with an optional scheduler observer:
-    /// identical scores for any observer and thread count.
-    pub fn score_par_observed<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        par: &pcqe_par::Parallelism,
-        observer: Option<&dyn pcqe_par::ParObserver>,
-    ) -> Result<Vec<ScoredTuple>> {
-        let confidences = pcqe_par::try_map_observed(
-            par,
-            &self.rows,
-            |row| {
-                evaluator
-                    .probability(&row.lineage, probs)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))
-            },
-            observer,
-        )?;
-        Ok(self
-            .rows
-            .iter()
-            .zip(confidences)
-            .map(|(row, confidence)| ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            })
-            .collect())
-    }
-
-    /// β-gated scoring: skip exact confidence computation for rows whose
-    /// cheap monotone upper bound ([`pcqe_lineage::upper_bound`], linear in
-    /// lineage size) already proves the row cannot pass the policy
-    /// threshold `beta`.
+    /// Rows with equal or overlapping lineage share compiled subcircuits
+    /// and memoized probabilities. Exact confidences are bit-identical to
+    /// [`Self::score`] whenever `cache.probs()` agrees with the probability
+    /// source that was given — the cache replays the interpreter's float
+    /// operations in the same order, and memo hits return the identical
+    /// f64. The pass is sequential by construction (memoized evaluation is
+    /// a shared-state walk), which is what makes it thread-count
+    /// independent: there is no scheduling to vary.
     ///
-    /// A policy admits a row iff its confidence is **strictly** greater
-    /// than β. The Fréchet upper bound is sound under any dependence
-    /// structure, so `upper ≤ β` implies `exact ≤ β` — the row is withheld
-    /// either way, and the released-tuple set is provably identical to
-    /// exact scoring. Skipped rows carry their upper bound as `confidence`
-    /// (a labelled over-estimate, never an admit) and are flagged in
+    /// **β-gating** (`gate: Some(β)`): a policy admits a row iff its
+    /// confidence is *strictly* greater than β. The Fréchet upper bound
+    /// ([`pcqe_lineage::upper_bound`], linear in lineage size) is sound
+    /// under any dependence structure, so `upper ≤ β` implies `exact ≤ β` —
+    /// the row is withheld either way and exact evaluation is skipped.
+    /// Skipped rows carry their upper bound as `confidence` (a labelled
+    /// over-estimate, never an admit) and are flagged in
     /// [`GatedScore::skipped`] so callers that later need exact values
-    /// (e.g. strategy finding over withheld rows) can re-score just those
-    /// rows via [`ResultSet::rescore_exact`].
-    pub fn score_gated<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        beta: f64,
-        par: &pcqe_par::Parallelism,
-        observer: Option<&dyn pcqe_par::ParObserver>,
-    ) -> Result<GatedScore> {
-        let outcomes = pcqe_par::try_map_observed(
-            par,
-            &self.rows,
-            |row| -> Result<(f64, bool)> {
-                let upper = pcqe_lineage::upper_bound(&row.lineage, probs)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                if upper <= beta {
-                    return Ok((upper, true));
-                }
-                let exact = evaluator
-                    .probability(&row.lineage, probs)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                Ok((exact, false))
-            },
-            observer,
-        )?;
-        let mut scored = Vec::with_capacity(self.rows.len());
-        let mut skipped = Vec::with_capacity(self.rows.len());
-        let mut exact_skipped = 0usize;
-        for (row, (confidence, was_skipped)) in self.rows.iter().zip(outcomes) {
-            scored.push(ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            });
-            skipped.push(was_skipped);
-            if was_skipped {
-                exact_skipped += 1;
-            }
-        }
-        Ok(GatedScore {
-            scored,
-            skipped,
-            exact_skipped,
-        })
-    }
-
-    /// [`Self::score_gated`] with a causal-trace sink: one `beta.skip`
-    /// or `score.exact` instant per row, emitted **after** the batch in
-    /// row order (never from inside the parallel closure), so the trace
-    /// is deterministic at any thread count. Scores are byte-identical
-    /// to the untraced call for any sink.
-    pub fn score_gated_traced<P: ProbSource + Sync>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-        beta: f64,
-        par: &pcqe_par::Parallelism,
-        observer: Option<&dyn pcqe_par::ParObserver>,
-        trace: Option<&dyn TraceSink>,
-    ) -> Result<GatedScore> {
-        let gated = self.score_gated(probs, evaluator, beta, par, observer)?;
-        if let Some(sink) = trace {
-            emit_gate_instants(sink, &gated, beta);
-        }
-        Ok(gated)
-    }
-
-    /// Replace bound-valued confidences with exact ones for the rows
-    /// flagged in `skipped` (in place over a [`GatedScore::scored`]
-    /// vector). Used by callers that decided to skip exact evaluation for
-    /// β-failing rows but later need true confidences — e.g. before
-    /// computing improvement strategies over withheld tuples.
-    pub fn rescore_exact<P: ProbSource + Sync>(
-        scored: &mut [ScoredTuple],
-        skipped: &[bool],
-        probs: &P,
-        evaluator: &Evaluator,
-        par: &pcqe_par::Parallelism,
-    ) -> Result<usize> {
-        let targets: Vec<usize> = skipped
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &s)| (s && i < scored.len()).then_some(i))
-            .collect();
-        let lineages: Vec<Lineage> = targets
-            .iter()
-            .filter_map(|&i| scored.get(i).map(|s| s.lineage.clone()))
-            .collect();
-        let exact = pcqe_par::try_map(par, &lineages, |l| {
-            evaluator
-                .probability(l, probs)
-                .map_err(|e| AlgebraError::Lineage(e.to_string()))
-        })?;
-        let n = targets.len();
-        for (i, confidence) in targets.into_iter().zip(exact) {
-            if let Some(s) = scored.get_mut(i) {
-                s.confidence = confidence;
-            }
-        }
-        Ok(n)
-    }
-
-    /// [`Self::score`] through a shared [`CircuitCache`]: rows with equal
-    /// or overlapping lineage share compiled subcircuits and memoized
-    /// probabilities. Bit-identical to [`Self::score`]/[`Self::score_par`]
-    /// whenever `cache.probs()` agrees with the probability source those
-    /// were given — the cache replays the interpreter's float operations in
-    /// the same order, and memo hits return the identical f64.
+    /// (strategy finding over withheld rows) can re-score just those rows
+    /// via [`Self::rescore_exact_cached`]. With `gate: None` no bound is
+    /// computed and no row is flagged.
     ///
-    /// The pass is sequential by construction (memoized evaluation is a
-    /// shared-state walk), which is what makes it thread-count independent:
-    /// there is no scheduling to vary.
-    pub fn score_cached(
+    /// The per-row [`ConfidencePath`] report says how each gate-facing
+    /// confidence was obtained: `BetaSkipped` for gated rows, `CacheHit`
+    /// when the whole circuit came from the root memo, `Exact` when
+    /// compilation (or the Monte-Carlo fallback) ran. The pass is chunked
+    /// by morsel so each chunk surfaces one single-worker
+    /// [`pcqe_par::BatchReport`] to the observer; gate instants
+    /// (`beta.skip` / `score.exact`) go to the trace sink **after** the
+    /// pass, in row order. Chunking and both sinks change *reporting*,
+    /// never evaluation: scores, flags, paths and cache transitions are
+    /// identical for any options that agree on `gate`.
+    pub fn score_with(
         &self,
         cache: &mut CircuitCache,
         evaluator: &Evaluator,
-    ) -> Result<Vec<ScoredTuple>> {
-        self.score_cached_traced(cache, evaluator)
-            .map(|(scored, _)| scored)
-    }
-
-    /// [`Self::score_cached`] with a per-row [`ConfidencePath`] report
-    /// (`CacheHit` when the root memo answered, `Exact` otherwise).
-    /// Identical scores and cache transitions to the plain call.
-    pub fn score_cached_traced(
-        &self,
-        cache: &mut CircuitCache,
-        evaluator: &Evaluator,
-    ) -> Result<(Vec<ScoredTuple>, Vec<ConfidencePath>)> {
-        let mut scored = Vec::with_capacity(self.rows.len());
-        let mut paths = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            let before = cache.stats();
-            let confidence = cache
-                .score_lineage(&row.lineage, evaluator)
-                .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-            paths.push(classify_cached(before, cache.stats()));
-            scored.push(ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            });
-        }
-        Ok((scored, paths))
-    }
-
-    /// [`Self::score_gated`] through a shared [`CircuitCache`]: the same
-    /// Fréchet-bound gate (rows with `upper ≤ β` skip exact evaluation and
-    /// carry the bound), with exact scores served from the cache. Skip
-    /// decisions and confidences are bit-identical to the uncached gated
-    /// path under the same probabilities.
-    pub fn score_gated_cached(
-        &self,
-        cache: &mut CircuitCache,
-        evaluator: &Evaluator,
-        beta: f64,
-    ) -> Result<GatedScore> {
-        self.score_gated_cached_traced(cache, evaluator, beta, None)
-            .map(|(gated, _)| gated)
-    }
-
-    /// [`Self::score_gated_cached`] with a causal-trace sink and a
-    /// per-row [`ConfidencePath`] report: `BetaSkipped` for gated rows,
-    /// `CacheHit` when the whole circuit came from the root memo,
-    /// `Exact` when compilation (or the Monte-Carlo fallback) ran.
-    /// Scores, skip flags and cache state transitions are byte-identical
-    /// to the untraced call — the path classification only *reads* the
-    /// stats counters the cache was already keeping.
-    pub fn score_gated_cached_traced(
-        &self,
-        cache: &mut CircuitCache,
-        evaluator: &Evaluator,
-        beta: f64,
-        trace: Option<&dyn TraceSink>,
+        options: &ScoreOptions<'_>,
     ) -> Result<(GatedScore, Vec<ConfidencePath>)> {
-        let mut scored = Vec::with_capacity(self.rows.len());
-        let mut skipped = Vec::with_capacity(self.rows.len());
-        let mut paths = Vec::with_capacity(self.rows.len());
+        let lineage_err = |e: pcqe_lineage::LineageError| AlgebraError::Lineage(e.to_string());
+        let n = self.rows.len();
+        let mut scored = Vec::with_capacity(n);
+        let mut skipped = Vec::with_capacity(n);
+        let mut paths = Vec::with_capacity(n);
         let mut exact_skipped = 0usize;
-        for row in &self.rows {
-            let upper = pcqe_lineage::upper_bound(&row.lineage, cache.probs())
-                .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-            let (confidence, was_skipped, path) = if upper <= beta {
-                (upper, true, ConfidencePath::BetaSkipped)
-            } else {
-                let before = cache.stats();
-                let exact = cache
-                    .score_lineage(&row.lineage, evaluator)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                (exact, false, classify_cached(before, cache.stats()))
-            };
-            scored.push(ScoredTuple {
-                tuple: row.tuple.clone(),
-                lineage: row.lineage.clone(),
-                confidence,
-            });
-            skipped.push(was_skipped);
-            paths.push(path);
-            if was_skipped {
-                exact_skipped += 1;
-            }
-        }
-        let gated = GatedScore {
-            scored,
-            skipped,
-            exact_skipped,
-        };
-        if let Some(sink) = trace {
-            emit_gate_instants(sink, &gated, beta);
-        }
-        Ok((gated, paths))
-    }
-
-    /// [`Self::score_gated_cached_traced`], driven morsel-by-morsel for
-    /// the vectorized pipeline: rows are scored in the same sequential
-    /// order through the same shared cache (memoized evaluation is a
-    /// shared-state walk — chunking changes *reporting*, never
-    /// evaluation), and each morsel surfaces one single-worker
-    /// [`pcqe_par::BatchReport`] to the observer so `.trace` files show
-    /// the scoring pass's batch structure alongside the executor's.
-    /// Scores, skip flags, paths and cache transitions are bit-identical
-    /// to [`Self::score_gated_cached_traced`]; gate instants are emitted
-    /// post-pass in row order, exactly as there.
-    pub fn score_gated_cached_morsels_traced(
-        &self,
-        cache: &mut CircuitCache,
-        evaluator: &Evaluator,
-        beta: f64,
-        observer: Option<&dyn pcqe_par::ParObserver>,
-        trace: Option<&dyn TraceSink>,
-    ) -> Result<(GatedScore, Vec<ConfidencePath>)> {
-        let mut scored = Vec::with_capacity(self.rows.len());
-        let mut skipped = Vec::with_capacity(self.rows.len());
-        let mut paths = Vec::with_capacity(self.rows.len());
-        let mut exact_skipped = 0usize;
-        let morsel = pcqe_storage::morsel_rows(self.rows.len());
-        for chunk in self.rows.chunks(morsel.max(1)) {
-            let started = observer.map(|o| o.now_nanos());
+        for chunk in self.rows.chunks(pcqe_storage::morsel_rows(n).max(1)) {
+            let started = options.observer.map(|o| o.now_nanos());
             for row in chunk {
-                let upper = pcqe_lineage::upper_bound(&row.lineage, cache.probs())
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                let (confidence, was_skipped, path) = if upper <= beta {
-                    (upper, true, ConfidencePath::BetaSkipped)
-                } else {
-                    let before = cache.stats();
-                    let exact = cache
-                        .score_lineage(&row.lineage, evaluator)
-                        .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
-                    (exact, false, classify_cached(before, cache.stats()))
+                let bound = match options.gate {
+                    Some(beta) => Some(
+                        pcqe_lineage::upper_bound(&row.lineage, cache.probs())
+                            .map_err(lineage_err)?,
+                    )
+                    .filter(|upper| *upper <= beta),
+                    None => None,
+                };
+                let (confidence, path) = match bound {
+                    Some(upper) => (upper, ConfidencePath::BetaSkipped),
+                    None => {
+                        let before = cache.stats();
+                        let exact = cache
+                            .score_lineage(&row.lineage, evaluator)
+                            .map_err(lineage_err)?;
+                        (exact, classify_cached(before, cache.stats()))
+                    }
                 };
                 scored.push(ScoredTuple {
                     tuple: row.tuple.clone(),
                     lineage: row.lineage.clone(),
                     confidence,
                 });
-                skipped.push(was_skipped);
+                skipped.push(bound.is_some());
                 paths.push(path);
-                if was_skipped {
-                    exact_skipped += 1;
-                }
+                exact_skipped += usize::from(bound.is_some());
             }
-            if let (Some(obs), Some(t0)) = (observer, started) {
+            if let (Some(obs), Some(t0)) = (options.observer, started) {
                 obs.batch(&pcqe_par::BatchReport {
                     items: chunk.len(),
                     workers: 1,
@@ -423,15 +181,43 @@ impl ResultSet {
             skipped,
             exact_skipped,
         };
-        if let Some(sink) = trace {
-            emit_gate_instants(sink, &gated, beta);
+        if let Some(sink) = options.trace {
+            emit_gate_instants(sink, &gated);
         }
         Ok((gated, paths))
     }
 
-    /// [`Self::rescore_exact`] through a shared [`CircuitCache`]; same
-    /// in-place contract, with the flagged rows' exact confidences served
-    /// from (and memoized into) the pool.
+    /// [`Self::score_with`], exact and unobserved: every row's confidence
+    /// through the cache.
+    pub fn score_cached(
+        &self,
+        cache: &mut CircuitCache,
+        evaluator: &Evaluator,
+    ) -> Result<Vec<ScoredTuple>> {
+        self.score_with(cache, evaluator, &ScoreOptions::default())
+            .map(|(gated, _)| gated.scored)
+    }
+
+    /// [`Self::score_with`], gated at `beta` and unobserved.
+    pub fn score_gated_cached(
+        &self,
+        cache: &mut CircuitCache,
+        evaluator: &Evaluator,
+        beta: f64,
+    ) -> Result<GatedScore> {
+        let options = ScoreOptions {
+            gate: Some(beta),
+            ..ScoreOptions::default()
+        };
+        self.score_with(cache, evaluator, &options)
+            .map(|(gated, _)| gated)
+    }
+
+    /// Replace bound-valued confidences with exact ones for the rows
+    /// flagged in `skipped` (in place over a [`GatedScore::scored`]
+    /// vector), served from (and memoized into) the pool. Used before
+    /// computing improvement strategies over withheld tuples, which need
+    /// true confidences. Returns the number of rows re-scored.
     pub fn rescore_exact_cached(
         scored: &mut [ScoredTuple],
         skipped: &[bool],
@@ -454,7 +240,20 @@ impl ResultSet {
     }
 }
 
-/// The outcome of [`ResultSet::score_gated`].
+/// What varies between callers of [`ResultSet::score_with`]. The default
+/// is exact, unobserved scoring.
+#[derive(Clone, Copy, Default)]
+pub struct ScoreOptions<'a> {
+    /// The policy threshold β to gate at; `None` scores every row exactly
+    /// and never computes the Fréchet bound.
+    pub gate: Option<f64>,
+    /// Scheduler observer: receives one batch report per scored morsel.
+    pub observer: Option<&'a dyn pcqe_par::ParObserver>,
+    /// Causal-trace sink: receives one gate instant per row.
+    pub trace: Option<&'a dyn TraceSink>,
+}
+
+/// The outcome of [`ResultSet::score_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatedScore {
     /// One scored tuple per result row, in row order. Rows with
@@ -489,7 +288,7 @@ fn classify_cached(
 /// bound and the β it lost to are deliberately not rendered — trace
 /// files travel further than the audit log, and the Decision record is
 /// the designed outlet for those values (PCQE-F002, PCQE-F003).
-fn emit_gate_instants(sink: &dyn TraceSink, gated: &GatedScore, _beta: f64) {
+fn emit_gate_instants(sink: &dyn TraceSink, gated: &GatedScore) {
     for (i, &was_skipped) in gated.skipped.iter().enumerate() {
         if was_skipped {
             sink.instant("beta.skip", &format!("row={i}"));
@@ -552,21 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scoring_matches_sequential() {
-        let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let sequential = rs.score(&probs, &Evaluator::default()).unwrap();
-        for workers in [1usize, 2, 8] {
-            let par = pcqe_par::Parallelism {
-                worker_threads: Some(workers),
-                parallel_threshold: 1,
-            };
-            let parallel = rs.score_par(&probs, &Evaluator::default(), &par).unwrap();
-            assert_eq!(parallel, sequential, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn scoring_fails_on_unknown_base_tuple() {
         let rs = simple();
         let probs: HashMap<VarId, f64> = [(VarId(0), 0.5)].into_iter().collect();
@@ -581,44 +365,6 @@ mod tests {
         let text = simple().to_string();
         assert!(text.starts_with("x\n"));
         assert!(text.contains('2'));
-    }
-
-    #[test]
-    fn gated_scoring_skips_only_provably_failing_rows() {
-        let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
-        // Row 0: exact 0.5; row 1 (AND): exact 0.2, upper bound
-        // min(0.5, 0.4) = 0.4.
-        let gated = rs
-            .score_gated(&probs, &Evaluator::default(), 0.45, &par, None)
-            .unwrap();
-        assert_eq!(gated.exact_skipped, 1);
-        assert_eq!(gated.skipped, vec![false, true]);
-        // Unskipped rows carry exact confidence; skipped rows carry the
-        // (≤ β) upper bound.
-        assert!((gated.scored[0].confidence - 0.5).abs() < 1e-12);
-        assert!((gated.scored[1].confidence - 0.4).abs() < 1e-12);
-        // Classification against β is identical to exact scoring.
-        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
-        for (g, e) in gated.scored.iter().zip(&exact) {
-            assert_eq!(g.confidence > 0.45, e.confidence > 0.45);
-        }
-    }
-
-    #[test]
-    fn gated_scoring_with_high_bound_matches_exact() {
-        let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
-        // β = 0.1: no row's bound proves failure, so nothing is skipped
-        // and every confidence is exact.
-        let gated = rs
-            .score_gated(&probs, &Evaluator::default(), 0.1, &par, None)
-            .unwrap();
-        assert_eq!(gated.exact_skipped, 0);
-        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
-        assert_eq!(gated.scored, exact);
     }
 
     fn seeded_cache(probs: &HashMap<VarId, f64>) -> CircuitCache {
@@ -654,28 +400,38 @@ mod tests {
     }
 
     #[test]
-    fn cached_gating_matches_plain_gating_bitwise() {
+    fn gated_scoring_skips_exactly_the_rows_the_bound_proves_failing() {
         let rs = simple();
         let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
-        for beta in [0.1, 0.45] {
-            let plain = rs
-                .score_gated(&probs, &Evaluator::default(), beta, &par, None)
-                .unwrap();
+        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
+        // Row 0: exact 0.5; row 1 (AND): exact 0.2, upper bound
+        // min(0.5, 0.4) = 0.4. β = 0.45 skips row 1 only; β = 0.1 skips
+        // nothing.
+        for (beta, expect_skipped) in [(0.45, vec![false, true]), (0.1, vec![false, false])] {
             let mut cache = seeded_cache(&probs);
-            let cached = rs
+            let gated = rs
                 .score_gated_cached(&mut cache, &Evaluator::default(), beta)
                 .unwrap();
-            assert_eq!(cached.skipped, plain.skipped, "beta={beta}");
-            assert_eq!(cached.exact_skipped, plain.exact_skipped);
-            for (c, p) in cached.scored.iter().zip(&plain.scored) {
-                assert_eq!(c.confidence.to_bits(), p.confidence.to_bits());
+            assert_eq!(gated.skipped, expect_skipped, "beta={beta}");
+            assert_eq!(
+                gated.exact_skipped,
+                expect_skipped.iter().filter(|s| **s).count()
+            );
+            for ((g, e), row) in gated.scored.iter().zip(&exact).zip(rs.rows()) {
+                // The reference: a row is skipped iff its Fréchet bound
+                // is ≤ β, and then carries that bound; every other row
+                // carries the uncached exact confidence, bit for bit.
+                let upper = pcqe_lineage::upper_bound(&row.lineage, &probs).unwrap();
+                let expected = if upper <= beta { upper } else { e.confidence };
+                assert_eq!(g.confidence.to_bits(), expected.to_bits(), "beta={beta}");
+                // Classification against β is identical to exact scoring.
+                assert_eq!(g.confidence > beta, e.confidence > beta);
             }
         }
     }
 
     #[test]
-    fn cached_rescore_matches_plain_rescore() {
+    fn cached_rescore_restores_exact_confidences() {
         let rs = simple();
         let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
         let mut cache = seeded_cache(&probs);
@@ -694,26 +450,5 @@ mod tests {
         for (c, p) in cached.scored.iter().zip(&exact) {
             assert_eq!(c.confidence.to_bits(), p.confidence.to_bits());
         }
-    }
-
-    #[test]
-    fn rescore_exact_restores_true_confidences() {
-        let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let par = pcqe_par::Parallelism::sequential();
-        let mut gated = rs
-            .score_gated(&probs, &Evaluator::default(), 0.45, &par, None)
-            .unwrap();
-        let n = ResultSet::rescore_exact(
-            &mut gated.scored,
-            &gated.skipped,
-            &probs,
-            &Evaluator::default(),
-            &par,
-        )
-        .unwrap();
-        assert_eq!(n, 1);
-        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
-        assert_eq!(gated.scored, exact);
     }
 }

@@ -6,14 +6,13 @@ use crate::improve::{self, ProposeOutcome};
 use crate::response::{NoProposal, QueryResponse, ReleasedTuple};
 use crate::Result;
 use pcqe_algebra::{
-    execute_physical_profiled, execute_physical_traced, execute_physical_with, execute_profiled,
-    execute_traced, execute_vectorized_profiled, execute_vectorized_traced,
-    execute_vectorized_with, execute_with, ExecProfile,
+    execute_vectorized_traced, execute_vectorized_with, ExecProfile, GatedScore, ResultSet,
+    ScoreOptions, ScoredTuple,
 };
 use pcqe_core::clock::{Clock, SystemClock};
 use pcqe_core::estimator::RuntimeEstimator;
 use pcqe_cost::CostFn;
-use pcqe_par::{ConfidencePath, Decision, ParObserver, TraceSink};
+use pcqe_par::{Decision, ParObserver, TraceSink};
 use pcqe_policy::{evaluate_results, ConfidencePolicy, PolicyStore, Purpose, Role};
 use pcqe_provenance::{Assigner, ProvenanceRecord};
 use pcqe_sql::parse_and_plan;
@@ -89,17 +88,19 @@ pub struct Database {
     estimator: RuntimeEstimator,
     assigner: Assigner,
     audit: Vec<crate::audit::AuditEntry>,
-    recorder: pcqe_obs::Recorder,
+    /// Shared so [`Database::query`] can hold its lifecycle spans across
+    /// `&mut self` pipeline calls.
+    recorder: Arc<pcqe_obs::Recorder>,
     /// Causal tracer for [`Database::trace_query`]. Disabled at rest —
     /// every instrumentation point then costs one relaxed atomic load —
     /// and shares the recorder's clock so span timestamps and metric
     /// timings never drift apart.
     tracer: Arc<pcqe_obs::Tracer>,
     version: u64,
-    /// Query-scoped circuit pool (see [`EngineConfig::circuit_cache`]).
-    /// Probabilities are re-synced from the catalog (or what-if overrides)
-    /// before every cached scoring pass, so the pool survives across
-    /// queries and `apply` calls without going stale.
+    /// The shared circuit pool every scoring pass and strategy-problem
+    /// build goes through (DESIGN.md §10). Probabilities are re-synced from
+    /// the catalog (or what-if overrides) before every scoring pass, so the
+    /// pool survives across queries and `apply` calls without going stale.
     cache: pcqe_lineage::CircuitCache,
 }
 
@@ -114,12 +115,19 @@ impl Database {
     /// metric timings and trace timestamps are fully scripted — the
     /// byte-stable trace goldens in `tests/golden/` depend on it.
     pub fn with_clock(config: EngineConfig, clock: Arc<dyn Clock + Send + Sync>) -> Database {
-        let recorder = pcqe_obs::Recorder::with_clock(clock.clone());
+        Database::with_tracer(
+            config,
+            pcqe_obs::Tracer::with_clock(clock, pcqe_obs::trace::DEFAULT_TRACE_CAPACITY),
+        )
+    }
+
+    /// Create an empty database around a caller-built tracer (left
+    /// disabled at rest); the recorder shares its clock. For callers whose
+    /// traced result sets outgrow the default event buffer.
+    pub fn with_tracer(config: EngineConfig, tracer: pcqe_obs::Tracer) -> Database {
+        let recorder = pcqe_obs::Recorder::with_clock(tracer.clock().clone());
         recorder.set_enabled(config.record_metrics);
-        let tracer = Arc::new(pcqe_obs::Tracer::with_clock(
-            clock,
-            pcqe_obs::trace::DEFAULT_TRACE_CAPACITY,
-        ));
+        let tracer = Arc::new(tracer);
         tracer.set_enabled(false);
         let mut cache = pcqe_lineage::CircuitCache::new();
         cache.set_trace(Some(tracer.clone()));
@@ -131,7 +139,7 @@ impl Database {
             estimator: RuntimeEstimator::new(),
             assigner: Assigner::default(),
             audit: Vec::new(),
-            recorder,
+            recorder: Arc::new(recorder),
             tracer,
             version: 0,
             cache,
@@ -267,12 +275,11 @@ impl Database {
         &mut self,
         user: &User,
         request: &QueryRequest,
-        threshold: f64,
-        released: usize,
-        withheld: usize,
-        proposed: bool,
+        response: &QueryResponse,
     ) {
         self.record_cache_activity();
+        let (released, withheld) = (response.released.len(), response.withheld);
+        let proposed = response.proposal.is_some();
         if self.recording() {
             self.recorder.counter_add("query.total", 1);
             self.recorder
@@ -287,7 +294,7 @@ impl Database {
             user: user.name.clone(),
             role: user.role.name().to_owned(),
             purpose: request.purpose.name().to_owned(),
-            threshold,
+            threshold: response.threshold,
             released,
             withheld,
             proposed,
@@ -300,8 +307,8 @@ impl Database {
     /// attributed to the decision that caused it. Draining happens even
     /// with recording off — the deltas are simply discarded — so toggling
     /// metrics never changes what a later snapshot attributes to a query.
-    /// Zero deltas are not emitted, so an engine that never touched the
-    /// pool (cache off, or no scoring) records no `lineage.*` counters.
+    /// Zero deltas are not emitted, so an engine that never scored a row
+    /// records no `lineage.*` counters.
     fn record_cache_activity(&mut self) {
         let stats = self.cache.take_stats();
         if !self.recording() {
@@ -390,28 +397,15 @@ impl Database {
         Ok(pcqe_algebra::render_side_by_side(&plan, &phys))
     }
 
-    /// Execute a query and render its plan annotated with observed
-    /// per-operator `rows_in` / `rows_out` / `lineage_nodes` counts — an
-    /// `EXPLAIN ANALYZE` facility. Runs the plan for real (read-only) but
-    /// skips scoring and policy checking. With
-    /// [`EngineConfig::physical_planning`] enabled (the default) the
-    /// annotated operators are the *physical* ones, so index-scan savings
-    /// and join-strategy fan-out are directly visible.
+    /// Execute a query and render its physical plan annotated with
+    /// observed per-operator `rows_in` / `rows_out` / `lineage_nodes` /
+    /// `batches` counts — an `EXPLAIN ANALYZE` facility, so index-scan
+    /// savings and join-strategy fan-out are directly visible. Runs the
+    /// plan for real (read-only) but skips scoring and policy checking.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let par = self.config.parallelism();
         let plan = self.plan_sql(sql)?;
-        if self.config.physical_planning {
-            let phys = pcqe_algebra::lower(&plan, &self.catalog)?;
-            let (_result, profile) = if self.config.vectorized_execution {
-                execute_vectorized_profiled(&phys, &self.catalog, &par, None)?
-            } else {
-                execute_physical_profiled(&phys, &self.catalog, &par, None)?
-            };
-            Ok(profile.render())
-        } else {
-            let (_result, profile) = execute_profiled(&plan, &self.catalog, &par, None)?;
-            Ok(profile.render())
-        }
+        let (_result, profile) = self.run_plan(&plan, None, None, true)?;
+        Ok(profile.render())
     }
 
     /// Parse and plan a SQL query, running the optimiser when enabled.
@@ -424,17 +418,40 @@ impl Database {
         }
     }
 
-    /// Execute a planned query — physically when
-    /// [`EngineConfig::physical_planning`] is set — recording an execution
-    /// profile when metrics are on. The two paths produce bit-identical
-    /// result sets for every query (see [`pcqe_algebra::physical`]), so
-    /// the flag never changes which tuples a policy sees.
+    /// Lower a planned query and run it on the vectorized executor. The
+    /// per-operator profile is collected (and the sinks fed) only when
+    /// `profiled`; otherwise the profile comes back empty.
     fn run_plan(
         &self,
         plan: &pcqe_algebra::Plan,
-        par: &pcqe_par::Parallelism,
-        recording: bool,
-    ) -> Result<pcqe_algebra::ResultSet> {
+        observer: Option<&dyn ParObserver>,
+        trace: Option<&dyn TraceSink>,
+        profiled: bool,
+    ) -> Result<(ResultSet, ExecProfile)> {
+        let par = self.config.parallelism();
+        let phys = pcqe_algebra::lower(plan, &self.catalog)?;
+        Ok(if profiled {
+            execute_vectorized_traced(&phys, &self.catalog, &par, observer, trace)?
+        } else {
+            let result_set = execute_vectorized_with(&phys, &self.catalog, &par)?;
+            (result_set, ExecProfile::default())
+        })
+    }
+
+    /// The one query pipeline (Figure 1, steps 1–4): select the policy,
+    /// plan, execute, sync probabilities into the circuit pool, score,
+    /// gate, and materialise the released rows. [`Database::query`],
+    /// [`Database::query_batch`] and [`Database::what_if`] all evaluate
+    /// through here; `stage` carries what differs between them.
+    fn evaluate(
+        &mut self,
+        user: &User,
+        request: &QueryRequest,
+        stage: &Stage<'_>,
+    ) -> Result<Evaluated> {
+        // Select the policy before scoring: β-gated scoring needs the
+        // threshold up front, and selection is independent of the rows.
+        let policy = self.policies.select(&user.role, &request.purpose)?.clone();
         let tracing = self.tracer.is_enabled();
         let trace: Option<&dyn TraceSink> = if tracing {
             Some(self.tracer.as_ref())
@@ -446,214 +463,147 @@ impl Database {
         // tracer records per-batch worker-lane events.
         let pair;
         let observer: Option<&dyn ParObserver> = if tracing {
-            pair = pcqe_obs::trace::ObserverPair::new(&self.recorder, self.tracer.as_ref());
+            pair = pcqe_obs::trace::ObserverPair::new(self.recorder.as_ref(), self.tracer.as_ref());
             Some(&pair)
-        } else if recording {
-            Some(&self.recorder)
+        } else if stage.record {
+            Some(self.recorder.as_ref())
         } else {
             None
         };
-        if self.config.physical_planning {
-            let phys = pcqe_algebra::lower(plan, &self.catalog)?;
-            let vectorized = self.config.vectorized_execution;
-            if recording || tracing {
-                let (result_set, profile) = if vectorized {
-                    execute_vectorized_traced(&phys, &self.catalog, par, observer, trace)?
-                } else {
-                    execute_physical_traced(&phys, &self.catalog, par, observer, trace)?
-                };
-                if recording {
-                    self.record_exec_profile(&profile);
-                }
-                Ok(result_set)
-            } else if vectorized {
-                Ok(execute_vectorized_with(&phys, &self.catalog, par)?)
-            } else {
-                Ok(execute_physical_with(&phys, &self.catalog, par)?)
+        let phase = |name: &str| stage.lifecycle.map(|lifecycle| lifecycle.child(name));
+
+        let plan = {
+            let _phase = phase("plan");
+            if stage.lifecycle.is_some() {
+                self.tracer.instant("parse", &request.sql);
             }
-        } else if recording || tracing {
-            let (result_set, profile) = execute_traced(plan, &self.catalog, par, observer, trace)?;
-            if recording {
+            self.plan_sql(&request.sql)?
+        };
+        let result_set = {
+            let _phase = phase("execute");
+            let (result_set, profile) =
+                self.run_plan(&plan, observer, trace, stage.record || tracing)?;
+            if stage.record {
                 self.record_exec_profile(&profile);
             }
-            Ok(result_set)
-        } else {
-            Ok(execute_with(plan, &self.catalog, par)?)
-        }
+            result_set
+        };
+        // `paths` tags every row with how its gate-facing confidence was
+        // obtained — the causal record behind each trace `Decision`.
+        let (gated, paths) = {
+            let _phase = phase("score");
+            let catalog = &self.catalog;
+            let probs = |v: pcqe_lineage::VarId| {
+                let id = TupleId(v.0);
+                stage
+                    .overrides
+                    .get(&id)
+                    .copied()
+                    .or_else(|| catalog.confidence(id))
+            };
+            sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
+            // Only `query` gates at β (rows whose confidence upper bound is
+            // already ≤ β are withheld without exact evaluation) and feeds
+            // the scoring pass to the scheduler observer and the trace.
+            // Batch and what-if evaluation stay exact and unobserved: every
+            // withheld row may feed an improvement instance, so gating
+            // would only add a re-scoring pass.
+            let options = match stage.lifecycle {
+                Some(_) => ScoreOptions {
+                    gate: Some(policy.threshold),
+                    observer,
+                    trace,
+                },
+                None => ScoreOptions::default(),
+            };
+            result_set.score_with(&mut self.cache, &self.config.evaluator, &options)?
+        };
+
+        let confidences: Vec<f64> = gated.scored.iter().map(|s| s.confidence).collect();
+        let decision = {
+            // The gate is a trace-only phase: the recorder has no
+            // `query/gate` span.
+            let _phase = stage
+                .lifecycle
+                .map(|lifecycle| lifecycle.trace_only("gate"));
+            let decision = evaluate_results(&policy, &confidences);
+            if tracing && stage.lifecycle.is_some() {
+                // One Decision per scored row, in row order (deterministic):
+                // the released flags partition exactly as the audit entry's
+                // released/withheld counts. `decision.released` is
+                // ascending, so one cursor walks it alongside the rows.
+                let mut released = decision.released.iter().peekable();
+                for (i, (s, path)) in gated.scored.iter().zip(&paths).enumerate() {
+                    self.tracer.decision(&Decision {
+                        tuple: i as u64,
+                        released: released.next_if_eq(&&i).is_some(),
+                        path: *path,
+                        beta: policy.threshold,
+                        confidence: s.confidence,
+                        lineage_size: s.lineage.size(),
+                    });
+                }
+            }
+            decision
+        };
+
+        // `PolicyDecision` indices are in-bounds by construction, but the
+        // query path must stay panic-free (PCQE-P002), so materialisation
+        // goes through checked `get` — an impossible out-of-range index is
+        // dropped instead of unwinding mid-release.
+        let released: Vec<ReleasedTuple> = decision
+            .released
+            .iter()
+            .filter_map(|&i| gated.scored.get(i))
+            .map(|s| ReleasedTuple {
+                tuple: s.tuple.clone(),
+                lineage: s.lineage.clone(),
+                confidence: s.confidence,
+            })
+            .collect();
+        let requested = (request.min_fraction * gated.scored.len() as f64).ceil() as usize;
+        Ok(Evaluated {
+            shortfall: requested.saturating_sub(released.len()),
+            requested,
+            response: QueryResponse {
+                schema: result_set.schema().clone(),
+                released,
+                withheld: decision.withheld.len(),
+                threshold: policy.threshold,
+                proposal: None,
+                no_proposal: None,
+            },
+            gated,
+            withheld: decision.withheld,
+        })
     }
 
     /// Run the full pipeline: evaluate, score, policy-check, and — when
     /// fewer than `perc` of the results survive — find the cheapest
     /// confidence-increment strategy and attach it as a proposal.
     pub fn query(&mut self, user: &User, request: &QueryRequest) -> Result<QueryResponse> {
-        let par = self.config.parallelism();
         let recording = self.recording();
-        let tracing = self.tracer.is_enabled();
-        // Select the policy before scoring: β-gated scoring needs the
-        // threshold up front, and selection is independent of the rows.
-        let policy = self.policies.select(&user.role, &request.purpose)?.clone();
-        let span = self.recorder.span("query");
-        let t_query = self.tracer.span_begin("query");
-        let plan = {
-            let _plan_span = span.child("plan");
-            let t_plan = self.tracer.span_begin("plan");
-            self.tracer.instant("parse", &request.sql);
-            let plan = self.plan_sql(&request.sql)?;
-            self.tracer.span_end(t_plan);
-            plan
+        let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
+        let lifecycle = Phase::root(&recorder, &tracer, "query");
+        let stage = Stage {
+            lifecycle: Some(&lifecycle),
+            record: recording,
+            overrides: &BTreeMap::new(),
         };
-        let result_set = {
-            let _exec_span = span.child("execute");
-            let t_exec = self.tracer.span_begin("execute");
-            let result_set = self.run_plan(&plan, &par, recording)?;
-            self.tracer.span_end(t_exec);
-            result_set
-        };
-        let probs = |v: pcqe_lineage::VarId| self.catalog.confidence(TupleId(v.0));
-        let pair;
-        let observer: Option<&dyn ParObserver> = if tracing {
-            pair = pcqe_obs::trace::ObserverPair::new(&self.recorder, self.tracer.as_ref());
-            Some(&pair)
-        } else if recording {
-            Some(&self.recorder)
-        } else {
-            None
-        };
-        let trace_sink: Option<&dyn TraceSink> = if tracing {
-            Some(self.tracer.as_ref())
-        } else {
-            None
-        };
-        // β-aware short-circuit: rows whose confidence upper bound is
-        // already ≤ β are withheld without exact Shannon/Monte-Carlo
-        // evaluation. `skipped` remembers which rows carry a bound so the
-        // strategy-finding path below can restore exact values first.
-        // `paths` tags every row with how its gate-facing confidence was
-        // obtained — the causal record behind each trace `Decision`.
-        let use_cache = self.config.circuit_cache;
-        let (mut scored, skipped, paths) = {
-            let _score_span = span.child("score");
-            let t_score = self.tracer.span_begin("score");
-            let out = if use_cache {
-                // Cached scoring: one sequential memoized pass over the
-                // shared circuit pool, bit-identical to the parallel
-                // uncached pass at any thread count (DESIGN.md §10).
-                sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
-                if self.config.beta_short_circuit {
-                    // With vectorized execution the scoring pass is chunked
-                    // by morsel so scheduler telemetry (`par.batch`) covers
-                    // scoring too; the scored values are bit-identical.
-                    let (gated, paths) =
-                        if self.config.vectorized_execution && self.config.physical_planning {
-                            result_set.score_gated_cached_morsels_traced(
-                                &mut self.cache,
-                                &self.config.evaluator,
-                                policy.threshold,
-                                observer,
-                                trace_sink,
-                            )?
-                        } else {
-                            result_set.score_gated_cached_traced(
-                                &mut self.cache,
-                                &self.config.evaluator,
-                                policy.threshold,
-                                trace_sink,
-                            )?
-                        };
-                    if recording {
-                        self.recorder
-                            .counter_add("lineage.exact_skipped", gated.exact_skipped as u64);
-                    }
-                    (gated.scored, Some(gated.skipped), paths)
-                } else {
-                    let (scored, paths) =
-                        result_set.score_cached_traced(&mut self.cache, &self.config.evaluator)?;
-                    (scored, None, paths)
-                }
-            } else if self.config.beta_short_circuit {
-                let gated = result_set.score_gated_traced(
-                    &probs,
-                    &self.config.evaluator,
-                    policy.threshold,
-                    &par,
-                    observer,
-                    trace_sink,
-                )?;
-                if recording {
-                    self.recorder
-                        .counter_add("lineage.exact_skipped", gated.exact_skipped as u64);
-                }
-                let paths: Vec<ConfidencePath> = gated
-                    .skipped
-                    .iter()
-                    .map(|&s| {
-                        if s {
-                            ConfidencePath::BetaSkipped
-                        } else {
-                            ConfidencePath::Exact
-                        }
-                    })
-                    .collect();
-                (gated.scored, Some(gated.skipped), paths)
-            } else {
-                let scored = result_set.score_par_observed(
-                    &probs,
-                    &self.config.evaluator,
-                    &par,
-                    observer,
-                )?;
-                let paths = vec![ConfidencePath::Exact; scored.len()];
-                (scored, None, paths)
-            };
-            self.tracer.span_end(t_score);
-            out
-        };
-
-        let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
-        let t_gate = self.tracer.span_begin("gate");
-        let decision = evaluate_results(&policy, &confidences);
-        if tracing {
-            // One Decision per scored row, in row order (deterministic):
-            // the released flags partition exactly as the audit entry's
-            // released/withheld counts.
-            for (i, s) in scored.iter().enumerate() {
-                self.tracer.decision(&Decision {
-                    tuple: i as u64,
-                    released: decision.released.contains(&i),
-                    path: paths.get(i).copied().unwrap_or(ConfidencePath::Exact),
-                    beta: policy.threshold,
-                    confidence: s.confidence,
-                    lineage_size: s.lineage.size(),
-                });
-            }
+        let Evaluated {
+            mut response,
+            mut gated,
+            withheld,
+            requested,
+            shortfall,
+        } = self.evaluate(user, request, &stage)?;
+        if recording {
+            recorder.counter_add("lineage.exact_skipped", gated.exact_skipped as u64);
         }
-        self.tracer.span_end(t_gate);
-
-        let released = released_tuples(&scored, &decision.released);
-        let n = scored.len();
-        let requested = (request.min_fraction * n as f64).ceil() as usize;
-
-        let mut response = QueryResponse {
-            schema: result_set.schema().clone(),
-            released,
-            withheld: decision.withheld.len(),
-            threshold: policy.threshold,
-            proposal: None,
-            no_proposal: None,
-        };
-
-        if response.released.len() >= requested {
+        if shortfall == 0 {
             response.no_proposal = Some(NoProposal::NotNeeded);
-            drop(span);
-            self.tracer.span_end(t_query);
-            self.record_query_decision(
-                user,
-                request,
-                response.threshold,
-                response.released.len(),
-                response.withheld,
-                false,
-            );
+            drop(lifecycle);
+            self.record_query_decision(user, request, &response);
             return Ok(response);
         }
 
@@ -662,53 +612,33 @@ impl Database {
         // so any short-circuited rows are re-scored first. (Released rows
         // are never skipped — a skipped row's bound is ≤ β, which can
         // never admit — so only withheld rows are touched here.)
-        if let Some(skipped) = &skipped {
-            let rescored = if use_cache {
-                // Probabilities were synced before gating and nothing has
-                // changed them since, so the memoized exact values are
-                // still current.
-                pcqe_algebra::ResultSet::rescore_exact_cached(
-                    &mut scored,
-                    skipped,
-                    &mut self.cache,
-                    &self.config.evaluator,
-                )?
-            } else {
-                pcqe_algebra::ResultSet::rescore_exact(
-                    &mut scored,
-                    skipped,
-                    &probs,
-                    &self.config.evaluator,
-                    &par,
-                )?
-            };
-            if recording {
-                self.recorder
-                    .counter_add("lineage.exact_rescored", rescored as u64);
-            }
+        // Probabilities were synced before gating and nothing has changed
+        // them since, so the memoized exact values are still current.
+        let rescored = ResultSet::rescore_exact_cached(
+            &mut gated.scored,
+            &gated.skipped,
+            &mut self.cache,
+            &self.config.evaluator,
+        )?;
+        if recording {
+            recorder.counter_add("lineage.exact_rescored", rescored as u64);
         }
-        let withheld = withheld_tuples(&scored, &decision.withheld);
-        let needed = requested - response.released.len();
+        let withheld = withheld_tuples(&gated.scored, &withheld);
         let ctx = improve::ProposeContext {
             catalog: &self.catalog,
             costs: &self.costs,
             config: &self.config,
-            beta: policy.threshold,
-            needed,
+            beta: response.threshold,
+            needed: shortfall,
             already_released: response.released.len(),
             requested,
             version: self.version,
         };
         let (outcome, stats) = {
-            let _propose_span = span.child("propose");
-            let t_propose = self.tracer.span_begin("propose");
-            let cache = use_cache.then_some(&mut self.cache);
-            let out = improve::propose(&ctx, &withheld, &self.recorder, cache)?;
-            self.tracer.span_end(t_propose);
-            out
+            let _phase = lifecycle.child("propose");
+            improve::propose(&ctx, &withheld, recorder.as_ref(), &mut self.cache)?
         };
-        drop(span);
-        self.tracer.span_end(t_query);
+        drop(lifecycle);
         if let Some(s) = stats {
             self.estimator.record(s.problem_size, s.elapsed);
         }
@@ -716,14 +646,7 @@ impl Database {
             ProposeOutcome::Proposal(p) => response.proposal = Some(p),
             ProposeOutcome::No(reason) => response.no_proposal = Some(reason),
         }
-        self.record_query_decision(
-            user,
-            request,
-            response.threshold,
-            response.released.len(),
-            response.withheld,
-            response.proposal.is_some(),
-        );
+        self.record_query_decision(user, request, &response);
         Ok(response)
     }
 
@@ -764,49 +687,28 @@ impl Database {
         use pcqe_core::greedy::GreedyOptions;
         use pcqe_core::multi::{solve_greedy, MultiQueryProblem};
 
-        let par = self.config.parallelism();
         let recording = self.recording();
         let mut responses = Vec::with_capacity(requests.len());
         let mut instances = Vec::new();
         let mut non_monotone = false;
         for request in requests {
             // Evaluate without per-query proposals (done jointly below).
-            // Scoring stays exact here: every withheld row may feed the
-            // combined improvement instance, so β-gating would only add a
-            // re-scoring pass.
-            let plan = self.plan_sql(&request.sql)?;
-            let result_set = self.run_plan(&plan, &par, recording)?;
-            let probs = |v: pcqe_lineage::VarId| self.catalog.confidence(TupleId(v.0));
-            let scored = if self.config.circuit_cache {
-                sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
-                result_set.score_cached(&mut self.cache, &self.config.evaluator)?
-            } else if recording {
-                result_set.score_par_observed(
-                    &probs,
-                    &self.config.evaluator,
-                    &par,
-                    Some(&self.recorder),
-                )?
-            } else {
-                result_set.score_par(&probs, &self.config.evaluator, &par)?
+            let stage = Stage {
+                lifecycle: None,
+                record: recording,
+                overrides: &BTreeMap::new(),
             };
-            let policy = self.policies.select(&user.role, &request.purpose)?.clone();
-            let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
-            let decision = evaluate_results(&policy, &confidences);
-            let released = released_tuples(&scored, &decision.released);
-            let requested = (request.min_fraction * scored.len() as f64).ceil() as usize;
-            let shortfall = requested.saturating_sub(released.len());
-            if shortfall > 0 {
-                let withheld = withheld_tuples(&scored, &decision.withheld);
-                let cache = self.config.circuit_cache.then_some(&mut self.cache);
+            let evaluated = self.evaluate(user, request, &stage)?;
+            if evaluated.shortfall > 0 {
+                let withheld = withheld_tuples(&evaluated.gated.scored, &evaluated.withheld);
                 match improve::build_instance(
                     &self.catalog,
                     &self.costs,
                     &self.config,
                     &withheld,
-                    policy.threshold,
-                    shortfall,
-                    cache,
+                    evaluated.response.threshold,
+                    evaluated.shortfall,
+                    &mut self.cache,
                 )? {
                     Some(instance) => instances.push(instance),
                     None => non_monotone = true,
@@ -815,22 +717,8 @@ impl Database {
             // Audit each query's policy decision, exactly as single-query
             // evaluation does (the combined proposal is audited when it is
             // applied; per-query `proposed` is therefore always false).
-            self.record_query_decision(
-                user,
-                request,
-                policy.threshold,
-                released.len(),
-                decision.withheld.len(),
-                false,
-            );
-            responses.push(QueryResponse {
-                schema: result_set.schema().clone(),
-                released,
-                withheld: decision.withheld.len(),
-                threshold: policy.threshold,
-                proposal: None,
-                no_proposal: None,
-            });
+            self.record_query_decision(user, request, &evaluated.response);
+            responses.push(evaluated.response);
         }
 
         let mut batch = crate::response::BatchResponse {
@@ -854,7 +742,7 @@ impl Database {
         match solve_greedy(&multi, &greedy_opts) {
             Ok(out) => {
                 if recording {
-                    out.stats.emit_as("solver.multi", &self.recorder);
+                    out.stats.emit_as("solver.multi", self.recorder.as_ref());
                 }
                 let mut increments: Vec<crate::response::ProposedIncrement> = out
                     .solution
@@ -905,10 +793,10 @@ impl Database {
     /// the proposal's confidences substituted in, returning what the user
     /// *would* see after accepting. Nothing observable in the database
     /// changes — this is the "report the cost and the data to the manager"
-    /// step of Section 3.1, with the outcome made inspectable. (With the
-    /// circuit cache enabled the preview warms/invalidates pool memos,
-    /// which is why the receiver is `&mut`; the next scoring pass re-syncs
-    /// probabilities from the catalog, so answers are unaffected.)
+    /// step of Section 3.1, with the outcome made inspectable. (The preview
+    /// warms/invalidates circuit-pool memos, which is why the receiver is
+    /// `&mut`; the next scoring pass re-syncs probabilities from the
+    /// catalog, so answers are unaffected.)
     ///
     /// This is the incremental-re-scoring fast path: overriding one base
     /// tuple's confidence invalidates only the pool nodes whose var-set
@@ -920,40 +808,21 @@ impl Database {
         request: &QueryRequest,
         proposal: &crate::response::ImprovementProposal,
     ) -> Result<QueryResponse> {
-        let par = self.config.parallelism();
-        let plan = self.plan_sql(&request.sql)?;
-        let result_set = self.run_plan(&plan, &par, false)?;
         let overrides: BTreeMap<TupleId, f64> = proposal
             .increments
             .iter()
             .map(|i| (i.tuple_id, i.to))
             .collect();
-        let probs = |v: pcqe_lineage::VarId| {
-            let id = TupleId(v.0);
-            overrides
-                .get(&id)
-                .copied()
-                .or_else(|| self.catalog.confidence(id))
+        // A preview leaves no execution metrics and no audit entry.
+        let stage = Stage {
+            lifecycle: None,
+            record: false,
+            overrides: &overrides,
         };
-        let scored = if self.config.circuit_cache {
-            sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
-            let scored = result_set.score_cached(&mut self.cache, &self.config.evaluator)?;
-            self.record_cache_activity();
-            scored
-        } else {
-            result_set.score_par(&probs, &self.config.evaluator, &par)?
-        };
-        let policy = self.policies.select(&user.role, &request.purpose)?;
-        let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
-        let decision = evaluate_results(policy, &confidences);
-        Ok(QueryResponse {
-            schema: result_set.schema().clone(),
-            released: released_tuples(&scored, &decision.released),
-            withheld: decision.withheld.len(),
-            threshold: policy.threshold,
-            proposal: None,
-            no_proposal: Some(NoProposal::NotNeeded),
-        })
+        let mut response = self.evaluate(user, request, &stage)?.response;
+        self.record_cache_activity();
+        response.no_proposal = Some(NoProposal::NotNeeded);
+        Ok(response)
     }
 
     /// Accept a proposal: apply its increments to the database (Figure 1,
@@ -990,39 +859,90 @@ impl Database {
     }
 }
 
-/// Materialize the released-tuple payload for the indices a policy
-/// decision selected. `PolicyDecision` indices are in-bounds by
-/// construction, but the query path must stay panic-free (PCQE-P002), so
-/// this goes through checked `get` — an impossible out-of-range index is
-/// dropped instead of unwinding mid-release.
-fn released_tuples(scored: &[pcqe_algebra::ScoredTuple], indices: &[usize]) -> Vec<ReleasedTuple> {
-    indices
-        .iter()
-        .filter_map(|&i| scored.get(i))
-        .map(|s| ReleasedTuple {
-            tuple: s.tuple.clone(),
-            lineage: s.lineage.clone(),
-            confidence: s.confidence,
-        })
-        .collect()
+/// One phase of [`Database::query`]'s lifecycle: a recorder span (absent
+/// for trace-only phases) and the tracer span of the same name, opened
+/// together and closed together when the phase drops.
+struct Phase<'a> {
+    span: Option<pcqe_obs::SpanGuard<'a>>,
+    tracer: &'a pcqe_obs::Tracer,
+    id: u64,
 }
 
-/// Borrow the withheld scored tuples for strategy finding, with the same
-/// checked-indexing discipline as [`released_tuples`].
-fn withheld_tuples<'a>(
-    scored: &'a [pcqe_algebra::ScoredTuple],
-    indices: &[usize],
-) -> Vec<&'a pcqe_algebra::ScoredTuple> {
+impl<'a> Phase<'a> {
+    fn root(recorder: &'a pcqe_obs::Recorder, tracer: &'a pcqe_obs::Tracer, name: &str) -> Self {
+        Phase {
+            span: Some(recorder.span(name)),
+            tracer,
+            id: tracer.span_begin(name),
+        }
+    }
+
+    fn child(&self, name: &str) -> Phase<'a> {
+        Phase {
+            span: self.span.as_ref().map(|span| span.child(name)),
+            tracer: self.tracer,
+            id: self.tracer.span_begin(name),
+        }
+    }
+
+    /// A child phase the recorder keeps no span for.
+    fn trace_only(&self, name: &str) -> Phase<'a> {
+        Phase {
+            span: None,
+            tracer: self.tracer,
+            id: self.tracer.span_begin(name),
+        }
+    }
+}
+
+impl Drop for Phase<'_> {
+    fn drop(&mut self) {
+        self.tracer.span_end(self.id);
+    }
+}
+
+/// What differs between the three callers of [`Database::evaluate`].
+struct Stage<'a> {
+    /// [`Database::query`]'s lifecycle: the pipeline's phases nest under
+    /// it, scoring is β-gated and observed, and every row's decision is
+    /// traced. `None` (batch, what-if) scores exactly, outside any span.
+    lifecycle: Option<&'a Phase<'a>>,
+    /// Fold the execution profile and scheduler telemetry into the
+    /// recorder.
+    record: bool,
+    /// Confidences that stand in for the catalog's (what-if previews).
+    overrides: &'a BTreeMap<TupleId, f64>,
+}
+
+/// What [`Database::evaluate`] hands back: the gated response, plus the
+/// scored rows behind it for callers that go on to strategy finding.
+struct Evaluated {
+    /// The response so far: released rows, no proposal yet.
+    response: QueryResponse,
+    /// Every scored row, with the β-skip flags of the scoring pass.
+    gated: GatedScore,
+    /// Indices into `gated.scored` of the rows the policy withheld.
+    withheld: Vec<usize>,
+    /// Results the user asked for (⌈perc · n⌉).
+    requested: usize,
+    /// How many more results must pass to reach `requested`.
+    shortfall: usize,
+}
+
+/// Borrow the withheld scored tuples for strategy finding. `PolicyDecision`
+/// indices are in-bounds by construction, but the query path must stay
+/// panic-free (PCQE-P002), so this goes through checked `get`.
+fn withheld_tuples<'a>(scored: &'a [ScoredTuple], indices: &[usize]) -> Vec<&'a ScoredTuple> {
     indices.iter().filter_map(|&i| scored.get(i)).collect()
 }
 
 /// Push the current probability of every variable the result set reads
-/// into the circuit cache before a cached scoring pass. `set_prob` is a
+/// into the circuit cache before a scoring pass. `set_prob` is a
 /// bitwise-compared no-op for unchanged values, so this only invalidates
 /// memos for tuples whose confidence actually moved (an `apply`, or a
 /// what-if override) — the incremental-re-scoring entry point. Variables
-/// the source does not know are left unset so cached scoring fails with
-/// the same `UnknownVar` the uncached evaluator reports.
+/// the source does not know are left unset so scoring fails with the
+/// same `UnknownVar` the uncached reference evaluator reports.
 fn sync_cache_probs<F: Fn(pcqe_lineage::VarId) -> Option<f64>>(
     cache: &mut pcqe_lineage::CircuitCache,
     rows: &[pcqe_algebra::DerivedTuple],
@@ -1040,6 +960,7 @@ fn sync_cache_probs<F: Fn(pcqe_lineage::VarId) -> Option<f64>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditEntry;
     use pcqe_storage::{Column, DataType};
 
     /// The paper's running example, end to end.
@@ -1288,7 +1209,6 @@ mod tests {
 
     #[test]
     fn audit_log_records_queries_and_improvements() {
-        use crate::audit::AuditEntry;
         let mut db = paper_db();
         let user = User::new("mark", "Manager");
         let request = QueryRequest::new(QUERY, "investment");
@@ -1318,7 +1238,6 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_mirrors_the_audit_log() {
-        use crate::audit::AuditEntry;
         let mut db = paper_db();
         let user = User::new("mark", "Manager");
         let request = QueryRequest::new(QUERY, "investment");
@@ -1361,12 +1280,22 @@ mod tests {
         assert_eq!(snap.counter("query.proposals"), 1);
         assert!(snap.counter("exec.operators") > 0);
         assert!(snap.counter("solver.quota.required") > 0);
-        assert!(!snap.spans.is_empty(), "query spans were recorded");
+        // One recorder span per lifecycle phase (the gate is trace-only).
+        let spans: Vec<&str> = snap.spans.keys().map(String::as_str).collect();
+        assert_eq!(
+            spans,
+            [
+                "query",
+                "query/execute",
+                "query/plan",
+                "query/propose",
+                "query/score"
+            ]
+        );
     }
 
     #[test]
     fn batch_queries_are_audited_like_single_queries() {
-        use crate::audit::AuditEntry;
         let mut db = paper_db();
         let user = User::new("sue", "Secretary");
         let requests = [
@@ -1437,36 +1366,11 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_surfaces_batch_counts_only_when_vectorized() {
-        // The default (vectorized) profile annotates batch-producing
-        // operators; scans materialise one morsel batch here.
-        let db = paper_db();
-        let text = db.explain_analyze(QUERY).unwrap();
+    fn explain_analyze_surfaces_batch_counts() {
+        // Batch-producing operators are annotated; scans materialise one
+        // morsel batch here.
+        let text = paper_db().explain_analyze(QUERY).unwrap();
         assert!(text.contains("batches=1"), "got:\n{text}");
-        // Tuple-at-a-time execution never mentions batches — the
-        // rendering is unchanged from before the vectorized executor.
-        let db = paper_db_with(EngineConfig {
-            vectorized_execution: false,
-            ..EngineConfig::default()
-        });
-        let text = db.explain_analyze(QUERY).unwrap();
-        assert!(!text.contains("batches="), "got:\n{text}");
-    }
-
-    #[test]
-    fn explain_analyze_logical_fallback_keeps_logical_labels() {
-        let db = paper_db_with(EngineConfig {
-            physical_planning: false,
-            ..EngineConfig::default()
-        });
-        let text = db.explain_analyze(QUERY).unwrap();
-        assert!(
-            text.contains("Select (rows_in=2 rows_out=2"),
-            "got:\n{text}"
-        );
-        assert!(text.contains("Scan Proposal (rows_in=2 rows_out=2"));
-        assert!(text.contains("Scan CompanyInfo (rows_in=1 rows_out=1"));
-        assert!(text.contains("Join (rows_in=3 rows_out=2"));
     }
 
     #[test]
@@ -1479,66 +1383,60 @@ mod tests {
         assert!(text.contains("TableScan Proposal [filter:"), "got:\n{text}");
     }
 
+    /// The reference the engine is held to: logical plan → sequential
+    /// `execute` → uncached `score` → `evaluate_results`.
+    fn reference(
+        db: &Database,
+        user: &User,
+        request: &QueryRequest,
+    ) -> (Vec<ReleasedTuple>, usize) {
+        let plan = parse_and_plan(&request.sql, db.catalog()).unwrap();
+        let rows = pcqe_algebra::execute(&plan, db.catalog()).unwrap();
+        let probs = |v: pcqe_lineage::VarId| db.confidence(TupleId(v.0));
+        let scored = rows.score(&probs, &db.config.evaluator).unwrap();
+        let policy = db.policies.select(&user.role, &request.purpose).unwrap();
+        let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
+        let decision = evaluate_results(policy, &confidences);
+        let released = decision
+            .released
+            .iter()
+            .map(|&i| ReleasedTuple {
+                tuple: scored[i].tuple.clone(),
+                lineage: scored[i].lineage.clone(),
+                confidence: scored[i].confidence,
+            })
+            .collect();
+        (released, decision.withheld.len())
+    }
+
     #[test]
-    fn physical_planning_off_is_result_identical() {
-        let mut physical = paper_db();
-        let mut logical = paper_db_with(EngineConfig {
-            physical_planning: false,
-            ..EngineConfig::default()
-        });
+    fn query_matches_the_reference_pipeline() {
+        let mut db = paper_db();
         for (user, purpose) in [
             (User::new("sue", "Secretary"), "analysis"),
             (User::new("mark", "Manager"), "investment"),
         ] {
             let request = QueryRequest::new(QUERY, purpose);
-            let a = physical.query(&user, &request).unwrap();
-            let b = logical.query(&user, &request).unwrap();
-            assert_eq!(a.released, b.released);
-            assert_eq!(a.withheld, b.withheld);
-            assert_eq!(a.proposal, b.proposal);
+            let (released, withheld) = reference(&db, &user, &request);
+            let resp = db.query(&user, &request).unwrap();
+            assert_eq!(resp.released, released);
+            assert_eq!(resp.withheld, withheld);
         }
-        assert_eq!(physical.audit_log(), logical.audit_log());
-    }
-
-    #[test]
-    fn beta_short_circuit_preserves_release_and_audit() {
-        let mut gated = paper_db();
-        let mut exact = paper_db_with(EngineConfig {
-            beta_short_circuit: false,
-            ..EngineConfig::default()
-        });
-        let secretary = User::new("sue", "Secretary");
-        let manager = User::new("mark", "Manager");
-        for db in [&mut gated, &mut exact] {
-            let s = db
-                .query(&secretary, &QueryRequest::new(QUERY, "analysis"))
-                .unwrap();
-            assert_eq!(s.released.len(), 1);
-            let m = db
-                .query(&manager, &QueryRequest::new(QUERY, "investment"))
-                .unwrap();
-            assert!(m.released.is_empty());
-            // The θ path is exempt from gating: the proposal is built
-            // from exact confidences either way.
-            let p = m.proposal.expect("a strategy exists");
-            assert!((p.cost - 10.0).abs() < 1e-9);
-        }
-        // Released/withheld counters and audit entries are identical.
-        assert_eq!(gated.audit_log(), exact.audit_log());
-        let gs = gated.metrics_snapshot();
-        let es = exact.metrics_snapshot();
-        assert_eq!(gs.counter("policy.released"), es.counter("policy.released"));
-        assert_eq!(gs.counter("policy.withheld"), es.counter("policy.withheld"));
+        // The Manager's θ path is exempt from gating: the proposal is
+        // built from exact confidences.
+        let AuditEntry::Query { proposed, .. } = &db.audit_log()[1] else {
+            panic!("expected a query entry");
+        };
+        assert!(proposed);
         // On the paper example the union bound (0.2) exceeds both β
-        // values, so the gated run skips nothing — and must say so.
-        assert_eq!(gs.counter("lineage.exact_skipped"), 0);
-        assert_eq!(es.counter("lineage.exact_skipped"), 0);
+        // values, so gating skips nothing — and must say so.
+        assert_eq!(db.metrics_snapshot().counter("lineage.exact_skipped"), 0);
     }
 
     #[test]
     fn beta_gating_skips_exact_evaluation_for_hopeless_rows() {
-        fn build(config: EngineConfig) -> Database {
-            let mut db = Database::new(config);
+        fn build() -> Database {
+            let mut db = Database::new(EngineConfig::default());
             db.create_table(
                 "a",
                 Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
@@ -1562,7 +1460,7 @@ mod tests {
         let sql = "SELECT a.x FROM a JOIN b ON a.x = b.x";
         let user = User::new("u", "r");
 
-        let mut db = build(EngineConfig::default());
+        let mut db = build();
         // θ = 0.5 is met by the released row: the hopeless row's exact
         // confidence is never computed.
         let resp = db
@@ -1582,17 +1480,18 @@ mod tests {
         assert_eq!(snap.counter("lineage.exact_rescored"), 1);
         let proposal = resp.proposal.expect("a strategy exists");
 
-        // The proposal is identical to a never-gated engine's.
-        let mut exact = build(EngineConfig {
-            beta_short_circuit: false,
-            ..EngineConfig::default()
-        });
-        let expected = exact
-            .query(&user, &QueryRequest::new(sql, "p"))
-            .unwrap()
-            .proposal
-            .expect("a strategy exists");
-        assert_eq!(proposal, expected);
+        // The proposal was built from the hopeless row's exact confidence
+        // (0.18), not its bound: raising a.x=1 from 0.2 to 0.6 lifts the
+        // row to 0.54 > β, and previewing it releases both rows.
+        assert_eq!(proposal.increments.len(), 1);
+        assert!((proposal.increments[0].to - 0.6).abs() < 1e-12);
+        let request = QueryRequest::new(sql, "p");
+        let preview = db.what_if(&user, &request, &proposal).unwrap();
+        assert_eq!(preview.released.len(), 2);
+        db.apply(&proposal).unwrap();
+        let (released, withheld) = reference(&db, &user, &request);
+        assert_eq!(preview.released, released);
+        assert_eq!(withheld, 0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub(crate) fn propose(
     ctx: &ProposeContext<'_>,
     withheld: &[&ScoredTuple],
     sink: &dyn SolverSink,
-    cache: Option<&mut pcqe_lineage::CircuitCache>,
+    cache: &mut pcqe_lineage::CircuitCache,
 ) -> Result<(ProposeOutcome, Option<ProposeStats>)> {
     let ProposeContext {
         catalog,
@@ -131,14 +131,12 @@ pub(crate) fn propose(
 /// Build one query's confidence-increment instance from its withheld
 /// results; `None` when too few of them are improvable (negated lineage).
 ///
-/// With a [`pcqe_lineage::CircuitCache`] supplied, result circuits are
-/// compiled through the shared pool: formulas (and subformulas) already
+/// Result circuits are compiled through the shared
+/// [`pcqe_lineage::CircuitCache`] pool: formulas (and subformulas) already
 /// expanded while scoring this query are reused via their `Arc` instead of
 /// re-running Shannon expansion. The greedy/anneal/exhaustive/heuristic/
 /// dnc/multi solvers all evaluate [`pcqe_core::problem::ConfFn::Compiled`]
-/// circuits, so every one of them routes through the pooled circuits — and
-/// the compiled arithmetic is identical either way, so solver outcomes are
-/// bit-identical.
+/// circuits, so every one of them routes through the pooled circuits.
 pub(crate) fn build_instance(
     catalog: &Catalog,
     costs: &BTreeMap<TupleId, CostFn>,
@@ -146,7 +144,7 @@ pub(crate) fn build_instance(
     withheld: &[&ScoredTuple],
     beta: f64,
     needed: usize,
-    cache: Option<&mut pcqe_lineage::CircuitCache>,
+    cache: &mut pcqe_lineage::CircuitCache,
 ) -> Result<Option<ProblemInstance>> {
     let improvable: Vec<&&ScoredTuple> = withheld
         .iter()
@@ -172,17 +170,8 @@ pub(crate) fn build_instance(
             }
         }
     }
-    match cache {
-        Some(cache) => {
-            for s in &improvable {
-                builder.result_from_lineage_cached(&s.lineage, cache)?;
-            }
-        }
-        None => {
-            for s in &improvable {
-                builder.result_from_lineage(&s.lineage)?;
-            }
-        }
+    for s in &improvable {
+        builder.result_from_lineage_cached(&s.lineage, cache)?;
     }
     Ok(Some(builder.require(needed).build()?))
 }

@@ -323,8 +323,10 @@ const RESULT_AFFECTING: [&str; 10] = [
 /// panicking (rule P001). `pcqe-obs` is included: instrumentation runs
 /// inside every query and must never abort one. `algebra::physical` is
 /// held to the same standard even though the rest of `pcqe-algebra` is
-/// not: the physical executor and planner sit on the hot path of every
-/// engine query, so they must surface typed errors, not panics. The
+/// not: the planner and the vectorized executor are the one execution
+/// path of every engine query, so they must surface typed errors, not
+/// panics (the logical walker in `algebra::exec` is the sequential test
+/// reference, outside the engine's call graph). The
 /// lineage circuit cache is guarded file-by-file for the same reason:
 /// cached scoring runs inside `Database::query`/`what_if`, so a panic
 /// there aborts a query that the uncached path would have answered.

@@ -7,7 +7,11 @@
 
 #![allow(dead_code)]
 
-use pcqe::lineage::{Lineage, Rng64};
+use pcqe::algebra::{ResultSet, ScoredTuple};
+use pcqe::engine::{AuditEntry, Database, QueryResponse};
+use pcqe::lineage::{Evaluator, Lineage, Rng64, VarId};
+use pcqe::policy::{evaluate_results, ConfidencePolicy};
+use pcqe::storage::{Catalog, TupleId};
 use std::panic::AssertUnwindSafe;
 
 /// Run `f` once per case with an independently seeded generator.
@@ -93,4 +97,127 @@ pub fn random_char(rng: &mut Rng64) -> char {
             return c;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The reference pipeline.
+//
+// The engine has one production path (lower → vectorized execution →
+// cached, β-gated scoring). The suites hold it to the simplest code that
+// computes the same answers: the logical plan as `pcqe_sql` built it, the
+// sequential walker `execute`, the uncached interpreter `ResultSet::score`
+// and the policy gate — no optimiser, no planner, no batches, no circuit
+// pool, no threads.
+
+/// One query's reference answer.
+pub struct Reference {
+    /// Every result row with its exact confidence, in row order.
+    pub scored: Vec<ScoredTuple>,
+    /// Indices into `scored` the policy releases, ascending.
+    pub released: Vec<usize>,
+    /// How many rows the policy withholds.
+    pub withheld: usize,
+    /// How many rows β-gated scoring may skip: those whose Fréchet upper
+    /// bound is already ≤ β.
+    pub skippable: usize,
+}
+
+/// `pcqe_sql` parse + plan → logical `execute`.
+pub fn reference_rows(sql: &str, catalog: &Catalog) -> ResultSet {
+    let plan = pcqe::sql::parse_and_plan(sql, catalog).expect("reference plans");
+    pcqe::algebra::execute(&plan, catalog).expect("reference executes")
+}
+
+/// [`reference_rows`] → uncached `ResultSet::score` → `evaluate_results`.
+pub fn reference(sql: &str, catalog: &Catalog, policy: &ConfidencePolicy) -> Reference {
+    let rows = reference_rows(sql, catalog);
+    let probs = |v: VarId| catalog.confidence(TupleId(v.0));
+    let scored = rows
+        .score(&probs, &Evaluator::default())
+        .expect("reference scores");
+    let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
+    let decision = evaluate_results(policy, &confidences);
+    let skippable = rows
+        .rows()
+        .iter()
+        .filter(|r| {
+            pcqe::lineage::upper_bound(&r.lineage, &probs).expect("reference bounds")
+                <= policy.threshold
+        })
+        .count();
+    Reference {
+        scored,
+        released: decision.released,
+        withheld: decision.withheld.len(),
+        skippable,
+    }
+}
+
+/// Assert two result sets agree bit for bit: schema, rows, order, lineage.
+pub fn assert_rows_identical(expected: &ResultSet, got: &ResultSet, context: &str) {
+    assert_eq!(
+        expected.schema(),
+        got.schema(),
+        "schema diverged for {context}"
+    );
+    assert_eq!(
+        expected.rows().len(),
+        got.rows().len(),
+        "row count diverged for {context}"
+    );
+    for (i, (x, y)) in expected.rows().iter().zip(got.rows()).enumerate() {
+        assert_eq!(x, y, "row {i} diverged for {context}");
+    }
+}
+
+/// Assert a `Database` response releases exactly what the reference
+/// releases: same rows in the same order, same lineage, same confidence
+/// bits, same withheld count, gated at the same β.
+pub fn assert_matches_reference(
+    response: &QueryResponse,
+    expected: &Reference,
+    policy: &ConfidencePolicy,
+    context: &str,
+) {
+    assert_eq!(
+        response.threshold.to_bits(),
+        policy.threshold.to_bits(),
+        "threshold diverged for {context}"
+    );
+    assert_eq!(
+        response.withheld, expected.withheld,
+        "withheld count diverged for {context}"
+    );
+    assert_eq!(
+        response.released.len(),
+        expected.released.len(),
+        "released count diverged for {context}"
+    );
+    for (got, &i) in response.released.iter().zip(&expected.released) {
+        let want = &expected.scored[i];
+        assert_eq!(got.tuple, want.tuple, "row {i} diverged for {context}");
+        assert_eq!(
+            got.lineage, want.lineage,
+            "lineage {i} diverged for {context}"
+        );
+        assert_eq!(
+            got.confidence.to_bits(),
+            want.confidence.to_bits(),
+            "confidence bits {i} diverged for {context}"
+        );
+    }
+}
+
+/// The `(released, withheld)` counts of every query entry in the audit
+/// log, in order.
+pub fn audited_counts(db: &Database) -> Vec<(usize, usize)> {
+    db.audit_log()
+        .iter()
+        .filter_map(|e| match e {
+            AuditEntry::Query {
+                released, withheld, ..
+            } => Some((*released, *withheld)),
+            AuditEntry::Improvement { .. } => None,
+        })
+        .collect()
 }

@@ -1,18 +1,24 @@
 //! Circuit-cache acceptance suite.
 //!
-//! The contract of `lineage::cache` (DESIGN.md §10) is that the
-//! query-scoped circuit cache is a pure performance decision: for every
-//! query in the grid below, over randomised databases, an engine running
-//! with `EngineConfig::circuit_cache` on must produce **bit-identical**
-//! responses — same released rows in the same order, same lineage, same
-//! confidence bits, same withheld counts, same improvement proposals,
-//! same audit log — as the uncached engine, at any worker-thread count.
-//! Repeated what-if previews (the memo-warming, incrementally-invalidated
-//! fast path) must preview the same futures bit for bit.
+//! The contract of `lineage::cache` (DESIGN.md §10) is that scoring
+//! through the shared circuit pool, β-gated, is a pure performance
+//! decision: for every query in the grid below, over randomised
+//! databases, `Database::query` must release **bit-identically** what the
+//! reference pipeline in `tests/common` releases (uncached interpreter,
+//! no gate) — same rows in the same order, same lineage, same confidence
+//! bits, same withheld counts, the same audit trail — at any
+//! worker-thread count, with or without equality indexes. Repeated
+//! what-if previews (the memo-warming, incrementally-invalidated fast
+//! path) must preview the applied future bit for bit.
+//!
+//! The last section states two laws over the same grid that hold because
+//! `query`, `query_batch` and `what_if` are three callers of one
+//! pipeline: a preview is the applied future, and a batch releases what
+//! its queries release one by one.
 
 mod common;
 
-use common::for_each_case;
+use common::{assert_matches_reference, audited_counts, for_each_case, reference};
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, QueryResponse, User};
 use pcqe::lineage::Rng64;
@@ -39,6 +45,7 @@ fn build_db(
     beta: f64,
     orders: &[(i64, i64, f64)],
     customers: &[(i64, f64, f64)],
+    indexed: bool,
 ) -> Database {
     let mut db = Database::new(config);
     db.create_table(
@@ -66,6 +73,10 @@ fn build_db(
     for &(id, score, conf) in customers {
         db.insert("customers", vec![Value::Int(id), Value::Real(score)], conf)
             .unwrap();
+    }
+    if indexed {
+        db.create_index("orders", "cust").unwrap();
+        db.create_index("customers", "id").unwrap();
     }
     db.add_policy(ConfidencePolicy::new("analyst", "research", beta).unwrap());
     db
@@ -97,45 +108,9 @@ fn random_customers(rng: &mut Rng64) -> Vec<(i64, f64, f64)> {
         .collect()
 }
 
-/// Assert two responses agree bit for bit: rows, order, lineage,
-/// confidence bits, withheld counts, proposals and their absence reasons.
-fn assert_responses_identical(a: &QueryResponse, b: &QueryResponse, context: &str) {
-    assert_eq!(a.schema, b.schema, "schema diverged for {context}");
-    assert_eq!(
-        a.threshold.to_bits(),
-        b.threshold.to_bits(),
-        "threshold diverged for {context}"
-    );
-    assert_eq!(
-        a.withheld, b.withheld,
-        "withheld count diverged for {context}"
-    );
-    assert_eq!(
-        a.released.len(),
-        b.released.len(),
-        "released count diverged for {context}"
-    );
-    for (i, (x, y)) in a.released.iter().zip(&b.released).enumerate() {
-        assert_eq!(x.tuple, y.tuple, "released row {i} diverged for {context}");
-        assert_eq!(
-            x.lineage, y.lineage,
-            "released lineage {i} diverged for {context}"
-        );
-        assert_eq!(
-            x.confidence.to_bits(),
-            y.confidence.to_bits(),
-            "confidence bits {i} diverged for {context}"
-        );
-    }
-    assert_eq!(a.proposal, b.proposal, "proposal diverged for {context}");
-    assert_eq!(
-        a.no_proposal, b.no_proposal,
-        "no-proposal reason diverged for {context}"
-    );
-}
-
-/// Cache on vs cache off over the randomised grid, sequential and
-/// 4-thread: responses and audit logs must be identical.
+/// The engine vs the reference over the randomised grid, {plain,
+/// indexed} × {1, 4, host} threads: released rows, withheld counts, the
+/// audit trail and the β-skip count must all be the reference's.
 #[test]
 fn cached_engine_is_bit_identical_to_uncached() {
     for_each_case(CASES, 0x00CA_0001, |rng| {
@@ -143,33 +118,41 @@ fn cached_engine_is_bit_identical_to_uncached() {
         let customers = random_customers(rng);
         let user = User::new("ada", "analyst");
         for beta in [0.1, 0.45] {
-            for threads in [Some(1), Some(4)] {
+            let policy = ConfidencePolicy::new("analyst", "research", beta).unwrap();
+            for (threads, indexed) in [
+                (Some(1), false),
+                (Some(1), true),
+                (Some(4), false),
+                (Some(4), true),
+                (None, false),
+                (None, true),
+            ] {
                 let config = EngineConfig {
                     worker_threads: threads,
                     parallel_threshold: 1,
                     ..EngineConfig::default()
                 };
-                let cached = EngineConfig {
-                    circuit_cache: true,
-                    ..config.clone()
-                };
-                let uncached = EngineConfig {
-                    circuit_cache: false,
-                    ..config
-                };
-                let mut db_on = build_db(cached, beta, &orders, &customers);
-                let mut db_off = build_db(uncached, beta, &orders, &customers);
+                let mut db = build_db(config, beta, &orders, &customers, indexed);
+                let (mut counts, mut skippable) = (Vec::new(), 0);
                 for sql in QUERIES {
+                    let expected = reference(sql, db.catalog(), &policy);
                     let request = QueryRequest::new(*sql, "research");
-                    let a = db_on.query(&user, &request).expect("cached query");
-                    let b = db_off.query(&user, &request).expect("uncached query");
-                    let context = format!("{sql} (beta={beta}, threads={threads:?})");
-                    assert_responses_identical(&a, &b, &context);
+                    let got = db.query(&user, &request).expect("engine query");
+                    let context =
+                        format!("{sql} (beta={beta}, threads={threads:?}, indexed={indexed})");
+                    assert_matches_reference(&got, &expected, &policy, &context);
+                    counts.push((expected.released.len(), expected.withheld));
+                    skippable += expected.skippable as u64;
                 }
                 assert_eq!(
-                    db_on.audit_log(),
-                    db_off.audit_log(),
-                    "audit logs diverged (beta={beta}, threads={threads:?})"
+                    audited_counts(&db),
+                    counts,
+                    "audit log diverged (beta={beta}, threads={threads:?}, indexed={indexed})"
+                );
+                assert_eq!(
+                    db.metrics_snapshot().counter("lineage.exact_skipped"),
+                    skippable,
+                    "β-gate skipped other rows than the bound proves failing"
                 );
             }
         }
@@ -241,61 +224,161 @@ fn paper_db(config: EngineConfig) -> Database {
     db
 }
 
-/// Query → proposal → repeated what-if previews, cached vs uncached:
-/// every preview must agree bit for bit, and the repeated probes must
-/// actually hit the cache's memoised subcircuits.
+/// Query → proposal → repeated what-if previews: every preview must be
+/// the reference's answer over the *applied* database, bit for bit, and
+/// the repeated probes must actually hit the cache's memoised
+/// subcircuits.
 #[test]
 fn what_if_previews_are_bit_identical_and_hit_the_cache() {
-    let mut on = EngineConfig::default().sequential();
-    on.circuit_cache = true;
-    let mut off = EngineConfig::default().sequential();
-    off.circuit_cache = false;
-    let mut db_on = paper_db(on);
-    let mut db_off = paper_db(off);
+    let mut db = paper_db(EngineConfig::default().sequential());
     let user = User::new("mark", "Manager");
     let request = QueryRequest::new(PAPER_QUERY, "investment");
+    let policy = ConfidencePolicy::new("Manager", "investment", 0.06).unwrap();
 
-    let a = db_on.query(&user, &request).expect("cached query");
-    let b = db_off.query(&user, &request).expect("uncached query");
-    assert_responses_identical(&a, &b, "paper query");
-    let proposal = a.proposal.expect("the paper example yields a strategy");
+    let expected = reference(PAPER_QUERY, db.catalog(), &policy);
+    let first = db.query(&user, &request).expect("engine query");
+    assert_matches_reference(&first, &expected, &policy, "paper query");
+    let proposal = first.proposal.expect("the paper example yields a strategy");
 
-    // Probe the same future repeatedly: the cached engine warms its memo
-    // on the first preview and answers the rest from it; the invalidation
-    // walk between catalog-backed and override-backed probabilities must
-    // not change a single bit.
+    // The future the previews must show: a twin database with the
+    // proposal really applied, answered by the reference.
+    let mut applied = paper_db(EngineConfig::default().sequential());
+    let twin = applied.query(&user, &request).expect("twin query");
+    applied
+        .apply(&twin.proposal.expect("same strategy"))
+        .expect("applies");
+    let future = reference(PAPER_QUERY, applied.catalog(), &policy);
+
+    // Probe the same future repeatedly: the engine warms its memo on the
+    // first preview and answers the rest from it; the invalidation walk
+    // between catalog-backed and override-backed probabilities must not
+    // change a single bit.
     for probe in 0..3 {
-        let wa = db_on.what_if(&user, &request, &proposal).expect("cached");
-        let wb = db_off
-            .what_if(&user, &request, &proposal)
-            .expect("uncached");
-        assert_responses_identical(&wa, &wb, &format!("what-if probe {probe}"));
-        assert_eq!(wa.released.len(), 1, "the fixed t03 releases the row");
-        assert!((wa.released[0].confidence - 0.065).abs() < 1e-12);
+        let preview = db.what_if(&user, &request, &proposal).expect("preview");
+        assert_matches_reference(
+            &preview,
+            &future,
+            &policy,
+            &format!("what-if probe {probe}"),
+        );
+        assert_eq!(preview.released.len(), 1, "the fixed t03 releases the row");
+        assert!((preview.released[0].confidence - 0.065).abs() < 1e-12);
+        // Previews are not audited, and the catalog still answers as before.
+        assert_eq!(audited_counts(&db).len(), 1 + probe);
+        let again = db.query(&user, &request).expect("engine query");
+        assert_matches_reference(&again, &expected, &policy, "query after preview");
     }
-    assert_eq!(db_on.audit_log(), db_off.audit_log());
 
-    let snapshot = db_on.metrics_snapshot();
-    let compiled = snapshot.counters.get("lineage.circuit_compiled").copied();
-    let hits = snapshot.counters.get("lineage.cache_hit").copied();
-    let invalidated = snapshot.counters.get("lineage.cache_invalidated").copied();
-    assert!(
-        compiled.unwrap_or(0) > 0,
-        "cached engine never compiled into the pool: {compiled:?}"
-    );
-    assert!(
-        hits.unwrap_or(0) > 0,
-        "repeated what-if probes never hit the cache: {hits:?}"
-    );
-    assert!(
-        invalidated.unwrap_or(0) > 0,
-        "override/restore probes never invalidated a memo: {invalidated:?}"
-    );
-    // The uncached engine must never touch those counters.
-    let off_snapshot = db_off.metrics_snapshot();
-    assert_eq!(
-        off_snapshot.counters.get("lineage.circuit_compiled"),
-        None,
-        "uncached engine recorded pool activity"
-    );
+    let snapshot = db.metrics_snapshot();
+    for name in [
+        "lineage.circuit_compiled",
+        "lineage.cache_hit",
+        "lineage.cache_invalidated",
+    ] {
+        assert!(
+            snapshot.counter(name) > 0,
+            "the what-if probes never moved {name}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pipeline laws: three callers, one pipeline.
+
+/// Assert two responses release the same rows bit for bit.
+fn assert_same_release(a: &QueryResponse, b: &QueryResponse, context: &str) {
+    assert_eq!(a.schema, b.schema, "schema diverged for {context}");
+    assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
+    assert_eq!(a.withheld, b.withheld, "withheld diverged for {context}");
+    assert_eq!(a.released.len(), b.released.len(), "{context}");
+    for (x, y) in a.released.iter().zip(&b.released) {
+        assert_eq!(x.tuple, y.tuple, "row diverged for {context}");
+        assert_eq!(x.lineage, y.lineage, "lineage diverged for {context}");
+        assert_eq!(
+            x.confidence.to_bits(),
+            y.confidence.to_bits(),
+            "confidence bits diverged for {context}"
+        );
+    }
+}
+
+/// Every base tuple's confidence, bit for bit, in storage order.
+fn confidence_bits(db: &Database) -> Vec<u64> {
+    ["orders", "customers"]
+        .iter()
+        .flat_map(|t| db.catalog().table(t).unwrap().rows())
+        .map(|r| db.confidence(r.id).unwrap().to_bits())
+        .collect()
+}
+
+fn four_threads() -> EngineConfig {
+    EngineConfig {
+        worker_threads: Some(4),
+        parallel_threshold: 1,
+        ..EngineConfig::default()
+    }
+}
+
+/// `what_if(proposal)` is `apply(proposal)` followed by the same `query`,
+/// and the preview itself leaves the audit log and the catalog untouched.
+#[test]
+fn what_if_is_apply_then_query() {
+    let mut proposals = 0;
+    for_each_case(CASES, 0x00CA_0002, |rng| {
+        let orders = random_orders(rng);
+        let customers = random_customers(rng);
+        let user = User::new("ada", "analyst");
+        for beta in [0.1, 0.45] {
+            for sql in QUERIES {
+                let mut db = build_db(four_threads(), beta, &orders, &customers, false);
+                let request = QueryRequest::new(*sql, "research");
+                let Some(proposal) = db.query(&user, &request).expect("query").proposal else {
+                    continue;
+                };
+                proposals += 1;
+                let (audit, catalog) = (db.audit_log().to_vec(), confidence_bits(&db));
+                let preview = db.what_if(&user, &request, &proposal).expect("preview");
+                assert_eq!(db.audit_log(), audit, "a preview was audited");
+                assert_eq!(
+                    confidence_bits(&db),
+                    catalog,
+                    "a preview moved a confidence"
+                );
+                db.apply(&proposal).expect("applies");
+                let after = db.query(&user, &request).expect("re-query");
+                assert_same_release(&preview, &after, &format!("{sql} (beta={beta})"));
+            }
+        }
+    });
+    assert!(proposals > 0, "the grid never produced a proposal");
+}
+
+/// `query_batch(reqs).responses[i]` releases exactly what `query(reqs[i])`
+/// releases, and audits the same counts.
+#[test]
+fn batch_responses_are_the_single_query_responses() {
+    for_each_case(CASES, 0x00CA_0003, |rng| {
+        let orders = random_orders(rng);
+        let customers = random_customers(rng);
+        let user = User::new("ada", "analyst");
+        let requests: Vec<QueryRequest> = QUERIES
+            .iter()
+            .map(|sql| QueryRequest::new(*sql, "research"))
+            .collect();
+        for beta in [0.1, 0.45] {
+            let mut batched = build_db(four_threads(), beta, &orders, &customers, false);
+            let mut single = build_db(four_threads(), beta, &orders, &customers, false);
+            let batch = batched.query_batch(&user, &requests).expect("batch");
+            assert_eq!(batch.responses.len(), requests.len());
+            for (request, from_batch) in requests.iter().zip(&batch.responses) {
+                let alone = single.query(&user, request).expect("query");
+                assert_same_release(
+                    from_batch,
+                    &alone,
+                    &format!("{} (beta={beta})", request.sql),
+                );
+            }
+            assert_eq!(audited_counts(&batched), audited_counts(&single));
+        }
+    });
 }

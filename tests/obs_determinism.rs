@@ -26,17 +26,12 @@ const QUERY: &str = "SELECT DISTINCT CompanyInfo.company, income \
 /// The paper's Section 3.1 database under an explicit parallelism and
 /// recording configuration.
 fn paper_db(worker_threads: Option<usize>, record_metrics: bool) -> Database {
-    paper_db_config(EngineConfig {
+    let mut db = Database::new(EngineConfig {
         worker_threads,
         parallel_threshold: 1,
         record_metrics,
         ..EngineConfig::default()
-    })
-}
-
-/// [`paper_db`] under an arbitrary engine configuration.
-fn paper_db_config(config: EngineConfig) -> Database {
-    let mut db = Database::new(config);
+    });
     db.create_table(
         "Proposal",
         Schema::new(vec![
@@ -289,41 +284,4 @@ fn explain_analyze_counts_match_actual_operator_sizes() {
         text.contains("Project DISTINCT [company, income] (rows_in=2 rows_out=1"),
         "{text}"
     );
-}
-
-#[test]
-fn logical_explain_analyze_keeps_logical_shape_and_sizes() {
-    // With physical planning off, EXPLAIN ANALYZE annotates the logical
-    // plan and must keep exactly the shape of plain EXPLAIN.
-    let db = paper_db_config(EngineConfig {
-        worker_threads: Some(1),
-        parallel_threshold: 1,
-        record_metrics: true,
-        physical_planning: false,
-        ..EngineConfig::default()
-    });
-    let text = db.explain_analyze(QUERY).unwrap();
-    for line in text.lines() {
-        assert!(line.contains("(rows_in="), "unannotated line: {line}");
-    }
-    assert!(
-        text.contains("Scan Proposal (rows_in=2 rows_out=2"),
-        "{text}"
-    );
-    assert!(
-        text.contains("Scan CompanyInfo (rows_in=1 rows_out=1"),
-        "{text}"
-    );
-    assert!(text.contains("Select (rows_in=2 rows_out=2"), "{text}");
-    assert!(text.contains("Join (rows_in=3 rows_out=2"), "{text}");
-    assert!(
-        text.contains("Project DISTINCT [company, income] (rows_in=2 rows_out=1"),
-        "{text}"
-    );
-    // The annotated plan has the same shape as EXPLAIN.
-    let plain = db.explain(QUERY).unwrap();
-    assert_eq!(plain.lines().count(), text.lines().count());
-    for (p, a) in plain.lines().zip(text.lines()) {
-        assert!(a.starts_with(p), "line mismatch: {p:?} vs {a:?}");
-    }
 }

@@ -153,37 +153,28 @@ fn sequential_config_helper_pins_one_worker() {
     assert_eq!(c.worker_threads, Some(1));
 }
 
-/// Vectorized execution is a pure performance switch: the released set,
-/// confidence bits, proposals and the rendered audit log are identical
-/// with it on or off, at one worker and at eight.
+/// Vectorized execution is a pure performance decision: at one worker
+/// and at eight, the engine releases exactly what the reference pipeline
+/// (the tuple-at-a-time logical walker, uncached scoring) releases, and
+/// audits the same counts.
 #[test]
-fn vectorized_execution_identical_to_tuple_at_a_time() {
+fn vectorized_engine_matches_the_tuple_at_a_time_reference() {
     let sql = "SELECT DISTINCT r.sensor FROM readings r JOIN sensors s \
                ON r.sensor = s.id WHERE r.value < 500";
     let user = User::new("ana", "analyst");
     let request = QueryRequest::new(sql, "report");
+    let policy = pcqe::policy::ConfidencePolicy::new("analyst", "report", 0.55).unwrap();
 
-    let run = |vectorized: bool, workers: usize| {
-        let cfg = EngineConfig {
-            vectorized_execution: vectorized,
-            ..config(workers)
-        };
-        let mut db = populated(cfg, 600);
-        let resp = db.query(&user, &request).unwrap();
-        let audit: Vec<String> = db.audit_log().iter().map(|e| e.to_string()).collect();
-        (transcript(&resp), audit)
-    };
-
-    let (ref_transcript, ref_audit) = run(false, 1);
     for workers in [1usize, 8] {
-        let (t, audit) = run(true, workers);
+        let mut db = populated(config(workers), 600);
+        let expected = common::reference(sql, db.catalog(), &policy);
+        assert!(expected.withheld > 0, "some results must be withheld");
+        let got = db.query(&user, &request).unwrap();
+        common::assert_matches_reference(&got, &expected, &policy, &format!("{workers} workers"));
         assert_eq!(
-            ref_transcript, t,
-            "vectorized run diverged from tuple-at-a-time at {workers} workers"
-        );
-        assert_eq!(
-            ref_audit, audit,
-            "audit log diverged with vectorized execution at {workers} workers"
+            common::audited_counts(&db),
+            vec![(expected.released.len(), expected.withheld)],
+            "audit log diverged from the reference at {workers} workers"
         );
     }
 }

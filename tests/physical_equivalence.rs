@@ -1,11 +1,13 @@
-//! Physical-planner acceptance suite.
+//! Physical-execution acceptance suite.
 //!
-//! The contract of `algebra::physical` is that planning is a pure
-//! performance decision: for every query in the grid below, over
-//! randomised databases (NULL keys included), the lowered physical plan
-//! must produce a **bit-identical** `ResultSet` — same rows, same order,
-//! same lineage, same scored confidence bits — as the logical executor,
-//! at any worker-thread count, with or without equality indexes.
+//! The contract of `algebra::physical` is that planning and vectorized
+//! execution are pure performance decisions: for every query in the grid
+//! below, over randomised databases (NULL keys included), the optimised,
+//! lowered plan run on the vectorized executor must produce a
+//! **bit-identical** `ResultSet` — same rows, same order, same lineage,
+//! same scored confidence bits — as the reference pipeline in
+//! `tests/common` (the logical plan on the sequential walker), at any
+//! worker-thread count, with or without equality indexes.
 //!
 //! A golden snapshot of the `.plan` rendering (logical and physical plan
 //! side by side) for the paper's Section 3.1 running example pins the
@@ -14,13 +16,11 @@
 
 mod common;
 
-use common::for_each_case;
-use pcqe::algebra::{
-    execute_physical_with, execute_vectorized_with, execute_with, lower, optimize,
-};
+use common::{assert_rows_identical, for_each_case, reference_rows};
+use pcqe::algebra::{execute_vectorized_with, lower, optimize};
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig};
-use pcqe::lineage::{Evaluator, Rng64, VarId};
+use pcqe::lineage::{CircuitCache, Evaluator, Rng64, VarId};
 use pcqe::par::Parallelism;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::sql::parse_and_plan;
@@ -92,7 +92,7 @@ fn random_orders(rng: &mut Rng64) -> Vec<(Option<i64>, i64, f64)> {
     (0..n)
         .map(|_| {
             let key = if rng.chance(0.15) {
-                None // NULL keys must behave identically on both paths.
+                None // NULL keys must behave identically on both sides.
             } else {
                 Some(rng.below_u64(4) as i64)
             };
@@ -114,52 +114,35 @@ fn random_customers(rng: &mut Rng64) -> Vec<(i64, f64, f64)> {
         .collect()
 }
 
-/// Execute one query logically, physically (tuple-at-a-time), and on the
-/// vectorized morsel-driven path under `par`; assert all three result
-/// sets are bit-identical (rows, order, lineage, score bits).
+/// Run one query through the reference pipeline and through optimise →
+/// lower → vectorized execution under `par`; assert the two result sets
+/// are bit-identical (rows, order, lineage) and that cached scoring of
+/// the vectorized rows reproduces the reference's score bits.
 fn assert_bit_identical(sql: &str, catalog: &Catalog, par: &Parallelism, label: &str) {
+    let expected = reference_rows(sql, catalog);
     let plan = parse_and_plan(sql, catalog).expect("plans");
     let logical = optimize(&plan, catalog).expect("optimises");
     let physical = lower(&logical, catalog).expect("lowers");
-    let a = execute_with(&logical, catalog, par).expect("logical");
-    for (b, engine) in [
-        (
-            execute_physical_with(&physical, catalog, par).expect("physical"),
-            "tuple",
-        ),
-        (
-            execute_vectorized_with(&physical, catalog, par).expect("vectorized"),
-            "vectorized",
-        ),
-    ] {
-        assert_eq!(
-            a.schema(),
-            b.schema(),
-            "schema diverged for {sql} ({label}, {engine})"
-        );
-        assert_eq!(
-            a.rows().len(),
-            b.rows().len(),
-            "row count diverged for {sql} ({label}, {engine})\nphysical plan:\n{physical}"
-        );
-        for (i, (x, y)) in a.rows().iter().zip(b.rows()).enumerate() {
-            assert_eq!(
-                x, y,
-                "row {i} diverged for {sql} ({label}, {engine})\nphysical plan:\n{physical}"
-            );
+    let got = execute_vectorized_with(&physical, catalog, par).expect("vectorized");
+    let context = format!("{sql} ({label})\nphysical plan:\n{physical}");
+    assert_rows_identical(&expected, &got, &context);
+
+    let probs = |v: VarId| catalog.confidence(TupleId(v.0));
+    let ev = Evaluator::default();
+    let mut cache = CircuitCache::new();
+    for row in got.rows() {
+        for v in row.lineage.vars() {
+            cache.set_prob(v, probs(v).expect("known tuple"));
         }
-        // Confidence scoring over identical lineage must agree bit for bit.
-        let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-        let ev = Evaluator::default();
-        let sa = a.score(&probs, &ev).expect("scores");
-        let sb = b.score(&probs, &ev).expect("scores");
-        for (x, y) in sa.iter().zip(&sb) {
-            assert_eq!(
-                x.confidence.to_bits(),
-                y.confidence.to_bits(),
-                "confidence bits diverged for {sql} ({label}, {engine})"
-            );
-        }
+    }
+    let reference = expected.score(&probs, &ev).expect("scores");
+    let cached = got.score_cached(&mut cache, &ev).expect("scores");
+    for (x, y) in reference.iter().zip(&cached) {
+        assert_eq!(
+            x.confidence.to_bits(),
+            y.confidence.to_bits(),
+            "confidence bits diverged for {context}"
+        );
     }
 }
 

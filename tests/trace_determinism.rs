@@ -17,7 +17,7 @@ use pcqe::core::clock::ManualClock;
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::obs::trace_export::{to_chrome_json, to_folded};
-use pcqe::obs::QueryTrace;
+use pcqe::obs::{QueryTrace, Tracer};
 use pcqe::par::ConfidencePath;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Column, DataType, Schema, Value};
@@ -287,4 +287,58 @@ fn trace_spans_cover_the_query_lifecycle() {
         "missing operator spans: {names:?}"
     );
     assert_eq!(trace.dropped, 0, "ring buffer must not overflow here");
+}
+
+/// Decisions are emitted in one walk alongside the rows: one per row
+/// however large the released set, each agreeing with the gate's verdict
+/// and the audit entry — all released, and interleaved with withheld rows.
+#[test]
+fn large_results_have_one_decision_per_row_matching_the_audit_log() {
+    const ROWS: usize = 2_400;
+    // Three events per row (cache, gate instant, decision) outgrow the
+    // default buffer; a dropped event would hide exactly what is checked.
+    let tracer = Tracer::with_clock(Arc::new(ManualClock::new()), 4 * ROWS);
+    let mut db = Database::with_tracer(EngineConfig::default().sequential(), tracer);
+    db.create_table(
+        "t",
+        Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
+    )
+    .unwrap();
+    for i in 0..ROWS {
+        let confidence = if i % 2 == 0 { 0.9 } else { 0.6 };
+        db.insert("t", vec![Value::Int(i as i64)], confidence)
+            .unwrap();
+    }
+    db.add_policy(ConfidencePolicy::new("reader", "all", 0.5).unwrap());
+    db.add_policy(ConfidencePolicy::new("reader", "half", 0.7).unwrap());
+    let user = User::new("rae", "reader");
+
+    for (purpose, expect_released) in [("all", ROWS), ("half", ROWS / 2)] {
+        let request = QueryRequest::new("SELECT x FROM t", purpose).expecting(0.0);
+        let (resp, trace) = db.trace_query(&user, &request).unwrap();
+        assert_eq!(trace.dropped, 0);
+        assert_eq!(resp.released.len(), expect_released);
+        assert_eq!(resp.released.len() + resp.withheld, ROWS);
+
+        let decisions = trace.decisions();
+        assert_eq!(decisions.len(), ROWS, "one decision per row ({purpose})");
+        let mut released = resp.released.iter();
+        for (i, d) in decisions.iter().enumerate() {
+            assert_eq!(d.tuple, i as u64);
+            assert_eq!(d.released, d.confidence > d.beta, "row {i} ({purpose})");
+            if d.released {
+                let r = released.next().expect("a released row per verdict");
+                assert_eq!(d.confidence.to_bits(), r.confidence.to_bits());
+            }
+        }
+        assert!(released.next().is_none());
+        let Some(pcqe::engine::AuditEntry::Query {
+            released, withheld, ..
+        }) = db.audit_log().last()
+        else {
+            panic!("the query was not audited");
+        };
+        assert_eq!(*released, decisions.iter().filter(|d| d.released).count());
+        assert_eq!(*withheld, decisions.iter().filter(|d| !d.released).count());
+    }
 }
