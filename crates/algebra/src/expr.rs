@@ -525,7 +525,7 @@ fn eval_arith(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         BinaryOp::Sub => a - b,
         BinaryOp::Mul => a * b,
         BinaryOp::Div => {
-            // Exact-zero check on purpose (see lint-allow.toml, PCQE-D004).
+            // Exact-zero check on purpose (see lint.toml, PCQE-D004).
             #[allow(clippy::float_cmp)]
             if b == 0.0 {
                 return Err(AlgebraError::Type("division by zero".into()));

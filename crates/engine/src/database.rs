@@ -660,7 +660,10 @@ impl Database {
     /// Tracing is write-only: the response (and any audit entry) is
     /// bit-identical to an untraced [`Database::query`] of the same
     /// request. On error the buffered events are discarded so the next
-    /// trace starts clean.
+    /// trace starts clean. Events the tracer's bounded buffer had to drop
+    /// are counted in the trace *and* added to the recorder's
+    /// `trace.dropped` counter (non-zero only, like the other drained
+    /// counters), so a truncated timeline shows up in the metrics too.
     pub fn trace_query(
         &mut self,
         user: &User,
@@ -670,6 +673,9 @@ impl Database {
         let result = self.query(user, request);
         self.tracer.set_enabled(false);
         let trace = self.tracer.drain();
+        if trace.dropped > 0 && self.recording() {
+            self.recorder.counter_add("trace.dropped", trace.dropped);
+        }
         Ok((result?, trace))
     }
 

@@ -44,7 +44,7 @@ pub use error::LineageError;
 pub use expr::{Lineage, VarId};
 pub use factor::factor;
 pub use mc::MonteCarlo;
-pub use prob::{score_batch, Evaluator, ProbSource};
+pub use prob::{Evaluator, ProbSource};
 pub use rng::{Rng64, SplitMix64};
 
 /// Crate-wide result alias.

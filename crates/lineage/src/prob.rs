@@ -96,39 +96,6 @@ impl Evaluator {
         let mut budget = self.budget;
         exact(&lineage.simplify(), probs, &mut budget)
     }
-
-    /// Score a batch of lineages in parallel. See [`score_batch`].
-    pub fn score_batch<P: ProbSource + Sync>(
-        &self,
-        lineages: &[Lineage],
-        probs: &P,
-        par: &pcqe_par::Parallelism,
-    ) -> Result<Vec<f64>> {
-        score_batch(self, lineages, probs, par)
-    }
-}
-
-/// Score a batch of lineages, one confidence per input, in input order.
-///
-/// The per-result confidence computation is the engine's exponential
-/// bottleneck (each score may Shannon-expand or Monte-Carlo-sample its
-/// formula) and is embarrassingly parallel across result tuples: every
-/// lineage is scored independently against the same probability source.
-/// Work is fanned out with [`pcqe_par::try_map`] under the given policy.
-///
-/// **Determinism:** the output is byte-identical for any thread count.
-/// Each lineage's evaluation — including the seeded Monte-Carlo fallback,
-/// which derives its stream from `evaluator.mc_seed` alone — depends only
-/// on the lineage and `probs`, never on scheduling; and results are
-/// reassembled in input order. On error, the first failing lineage in
-/// input order is reported, matching the sequential loop.
-pub fn score_batch<P: ProbSource + Sync>(
-    evaluator: &Evaluator,
-    lineages: &[Lineage],
-    probs: &P,
-    par: &pcqe_par::Parallelism,
-) -> Result<Vec<f64>> {
-    pcqe_par::try_map(par, lineages, |l| evaluator.probability(l, probs))
 }
 
 /// Recursive exact evaluation with independence decomposition and Shannon
@@ -314,54 +281,6 @@ mod tests {
             (exact - approx).abs() < 0.01,
             "exact {exact} vs approx {approx}"
         );
-    }
-
-    #[test]
-    fn score_batch_matches_sequential_for_any_thread_count() {
-        // A mixed batch: read-once, shared-variable, and negated formulas.
-        let mut lineages = Vec::new();
-        for i in 0..200u64 {
-            lineages.push(Lineage::and(vec![
-                Lineage::or(vec![Lineage::var(i % 7), Lineage::var((i + 1) % 7)]),
-                Lineage::var((i + 2) % 7),
-            ]));
-            lineages.push(Lineage::Or(vec![
-                Lineage::And(vec![Lineage::var(i % 7), Lineage::var((i + 3) % 7)]),
-                Lineage::And(vec![Lineage::var(i % 7), Lineage::var((i + 5) % 7)]),
-            ]));
-        }
-        let pr: HashMap<VarId, f64> = (0..7).map(|i| (VarId(i), 0.1 + 0.1 * i as f64)).collect();
-        let ev = Evaluator::default();
-        let sequential: Vec<f64> = lineages
-            .iter()
-            .map(|l| ev.probability(l, &pr).unwrap())
-            .collect();
-        for workers in [1usize, 2, 8] {
-            let par = pcqe_par::Parallelism {
-                worker_threads: Some(workers),
-                parallel_threshold: 1,
-            };
-            let batch = ev.score_batch(&lineages, &pr, &par).unwrap();
-            assert_eq!(batch, sequential, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn score_batch_reports_first_error_in_input_order() {
-        let lineages = vec![
-            Lineage::var(0),
-            Lineage::var(99), // unknown
-            Lineage::var(98), // also unknown, but later
-        ];
-        let pr = probs(&[(0, 0.5)]);
-        let par = pcqe_par::Parallelism {
-            worker_threads: Some(4),
-            parallel_threshold: 1,
-        };
-        let err = Evaluator::default()
-            .score_batch(&lineages, &pr, &par)
-            .unwrap_err();
-        assert_eq!(err, LineageError::UnknownVar(VarId(99)));
     }
 
     #[test]

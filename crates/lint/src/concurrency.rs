@@ -2,7 +2,7 @@
 //! workspace call graph.
 //!
 //! Where layer 1 asks *"may this crate use synchronization at all?"*
-//! (capability manifests, rules C001/C002/A003), this layer asks *"is
+//! (capability grants, rules C002/A003), this layer asks *"is
 //! the synchronization it does use compatible with deterministic,
 //! bit-identical results?"* Three analyses run over the
 //! [`CallGraph`](crate::graph::CallGraph), all conservative in the same
@@ -47,10 +47,10 @@
 //!   roots, but runs the BFS *through* the policy gate: gating filters
 //!   rows, it does not serialize memory.
 
-use crate::capability::{Cap, Capabilities};
 use crate::graph::{query_entry_roots, witness_path, CallGraph, RELEASED_TYPE};
 use crate::item::CallKind;
 use crate::rules::{is_result_affecting, Finding, Rule};
+use crate::spec::{Cap, Spec};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Deterministic witness for one lock-order edge `from → to`.
@@ -255,10 +255,10 @@ fn reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool {
 
 /// Rule C005: interior-mutable shared state escaping a
 /// capability-granted crate into the result-affecting set.
-pub fn escapes(graph: &CallGraph, caps: &Capabilities, out: &mut Vec<Finding>) {
+pub fn escapes(graph: &CallGraph, caps: &Spec, out: &mut Vec<Finding>) {
     // Providers: public fns handing out `Arc`-shared interior
     // mutability, and interior-mutable statics — in granted files only
-    // (ungranted uses are already C001/C002 at the token layer).
+    // (ungranted uses are already C002 at the token layer).
     let providers: BTreeMap<usize, Cap> = graph
         .fns
         .iter()
@@ -388,7 +388,6 @@ pub fn relaxed_reads(graph: &CallGraph, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::Grant;
     use crate::item::collect;
     use crate::item::FileItems;
     use crate::lexer::lex;
@@ -513,13 +512,11 @@ mod tests {
                  pub fn poke() { let v = SHARED; }\n",
             ),
         ];
-        let caps = Capabilities::from_grants(vec![Grant {
-            crate_name: "pcqe-par".to_owned(),
-            scope: None,
-            caps: [Cap::Locks].into_iter().collect(),
-            reason: "test".to_owned(),
-            declared_at: 1,
-        }]);
+        let grants = |text: &str| crate::spec::parse(text, "f").unwrap();
+        let par = "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"locks\"]\nreason = \"r\"\n";
+        let engine =
+            "[[grant]]\ncrate = \"pcqe-engine\"\ncapabilities = [\"locks\"]\nreason = \"r\"\n";
+        let caps = grants(par);
         let g = CallGraph::build(&files);
         let mut out = Vec::new();
         escapes(&g, &caps, &mut out);
@@ -532,22 +529,7 @@ mod tests {
             .any(|f| f.line == 2 && f.message.contains("static `SHARED`")));
 
         // The same consumers inside a granted crate are fine.
-        let wide = Capabilities::from_grants(vec![
-            Grant {
-                crate_name: "pcqe-par".to_owned(),
-                scope: None,
-                caps: [Cap::Locks].into_iter().collect(),
-                reason: "test".to_owned(),
-                declared_at: 1,
-            },
-            Grant {
-                crate_name: "pcqe-engine".to_owned(),
-                scope: None,
-                caps: [Cap::Locks].into_iter().collect(),
-                reason: "test".to_owned(),
-                declared_at: 2,
-            },
-        ]);
+        let wide = grants(&format!("{par}{engine}"));
         let mut out = Vec::new();
         escapes(&g, &wide, &mut out);
         assert!(out.is_empty(), "granted consumer is allowed: {out:#?}");

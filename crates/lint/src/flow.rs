@@ -1,5 +1,5 @@
 //! Layer 4 of the analyzer: confidentiality dataflow. Taint from the
-//! declared sources in `lint-flows.toml` ([`crate::flowspec`]) is
+//! `[[source]]`s declared in `lint.toml` ([`crate::spec`]) is
 //! propagated through per-function def-use chains (`let` bindings,
 //! format captures, return values — recorded by [`crate::item`]) and
 //! across the workspace call graph ([`crate::graph`]) by argument
@@ -50,14 +50,15 @@
 //!
 //! A `[[sanction]]` entry covering (rule, file, sink callee) moves the
 //! finding to the suppressed list with its reason — the audit log and
-//! the `Decision`-record constructor are the canonical channels — and a
-//! sanction nothing exercises is **PCQE-F004**. Manifest reason hygiene
-//! (**PCQE-F005**) lives in [`crate::flowspec::FlowSpec::hygiene`].
+//! the `Decision`-record constructor are the canonical channels. Which
+//! sanctions were exercised is handed back to the caller: one nothing
+//! exercises is **PCQE-F004**, reported with the rest of the manifest
+//! hygiene by [`crate::spec::Spec::hygiene`].
 
-use crate::flowspec::{FlowSpec, SinkKind, TaintKind, DEFAULT_FLOWS};
 use crate::graph::CallGraph;
 use crate::item::CallKind;
 use crate::rules::{Finding, Rule};
+use crate::spec::{SinkKind, Spec, TaintKind, MANIFEST};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One hop of a taint-flow witness: the function carrying the taint.
@@ -134,60 +135,27 @@ struct SinkSite {
     calls: BTreeSet<String>,
 }
 
-/// Run the dataflow rules F001–F005 over the graph.
+/// Run the dataflow rules F001–F003 over the graph, marking in
+/// `exercised` every `[[sanction]]` that covered a flow. With no declared
+/// sources nothing is secret and the layer is inert.
 pub fn dataflow(
     graph: &CallGraph,
-    spec: &FlowSpec,
+    spec: &Spec,
+    exercised: &mut [bool],
     out: &mut Vec<Finding>,
     suppressed: &mut Vec<(Finding, String)>,
     witnesses: &mut Witnesses,
 ) {
-    if !spec.from_manifest {
-        return; // no manifest: nothing is declared secret
-    }
-    spec.hygiene(DEFAULT_FLOWS, out);
-
     let sinks = collect_sinks(graph, spec);
-    let mut exercised = vec![false; spec.sanctions.len()];
     for kind in TaintKind::all() {
         check_kind(
-            graph,
-            spec,
-            kind,
-            &sinks,
-            &mut exercised,
-            out,
-            suppressed,
-            witnesses,
+            graph, spec, kind, &sinks, exercised, out, suppressed, witnesses,
         );
-    }
-
-    // F004: a sanction nothing exercises is a stale architecture
-    // statement, exactly like an A003 capability grant.
-    for (idx, s) in spec.sanctions.iter().enumerate() {
-        if !exercised[idx] {
-            out.push(Finding {
-                rule: Rule::F004,
-                path: DEFAULT_FLOWS.to_owned(),
-                line: s.declared_at,
-                message: format!(
-                    "stale sanction: no {} flow reaches {}`{}` — delete the entry \
-                     (reason was: {})",
-                    s.rule,
-                    s.sink
-                        .as_deref()
-                        .map(|k| format!("sink `{k}` in "))
-                        .unwrap_or_default(),
-                    s.path,
-                    s.reason
-                ),
-            });
-        }
     }
 }
 
 /// Enumerate every sink site of every function, in node order.
-fn collect_sinks(graph: &CallGraph, spec: &FlowSpec) -> Vec<Vec<SinkSite>> {
+fn collect_sinks(graph: &CallGraph, spec: &Spec) -> Vec<Vec<SinkSite>> {
     let extra_error = spec.sink_functions_of(SinkKind::Error);
     let extra_trace = spec.sink_functions_of(SinkKind::Trace);
     let extra_shell = spec.sink_functions_of(SinkKind::Shell);
@@ -285,7 +253,7 @@ fn collect_sinks(graph: &CallGraph, spec: &FlowSpec) -> Vec<Vec<SinkSite>> {
 #[allow(clippy::too_many_arguments)]
 fn check_kind(
     graph: &CallGraph,
-    spec: &FlowSpec,
+    spec: &Spec,
     kind: TaintKind,
     sinks: &[Vec<SinkSite>],
     exercised: &mut [bool],
@@ -464,7 +432,7 @@ fn check_kind(
                 line: site.line,
                 message: format!(
                     "{} (`{}`) reaches {} via {via}: redact the value or declare the \
-                     channel in {DEFAULT_FLOWS}",
+                     channel in {MANIFEST}",
                     describe(kind),
                     hits.join("`, `"),
                     site.desc,
@@ -525,7 +493,6 @@ fn witness_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowspec;
     use crate::item::collect;
     use crate::lexer::lex;
     use crate::rules::test_region_mask;
@@ -547,11 +514,21 @@ mod tests {
         manifest: &str,
     ) -> (Vec<Finding>, Vec<(Finding, String)>, Witnesses) {
         let graph = graph_of(files);
-        let spec = flowspec::parse(manifest, "lint-flows.toml").unwrap();
+        let spec = crate::spec::parse(manifest, MANIFEST).unwrap();
+        let mut exercised = spec.usage().sanctions_hit;
         let mut out = Vec::new();
         let mut suppressed = Vec::new();
         let mut witnesses = Witnesses::new();
-        dataflow(&graph, &spec, &mut out, &mut suppressed, &mut witnesses);
+        dataflow(
+            &graph,
+            &spec,
+            &mut exercised,
+            &mut out,
+            &mut suppressed,
+            &mut witnesses,
+        );
+        // An exercised sanction is exactly one that suppressed a flow.
+        assert_eq!(exercised.contains(&true), !suppressed.is_empty());
         (out, suppressed, witnesses)
     }
 
@@ -677,8 +654,7 @@ mod tests {
         assert_eq!(suppressed[0].0.rule, Rule::F003);
         assert!(suppressed[0].1.contains("Decision records"));
 
-        // Without the sanction the same flow is a finding — and the
-        // now-unexercised sanction pattern is what F004 guards.
+        // Without the sanction the same flow is a finding.
         let bare = "[[source]]\nkind = \"confidence\"\nnames = [\"confidence\"]\n\
                     reason = \"pre-gate scores\"\n\
                     [[sink]]\nkind = \"trace\"\nfunctions = [\"decision\"]\n\
@@ -731,21 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn f004_reports_unexercised_sanctions() {
-        let manifest = "[[source]]\nkind = \"policy\"\nnames = [\"beta\"]\nreason = \"r\"\n\
-                        [[sanction]]\nrule = \"PCQE-F002\"\npath = \"crates/policy/src/x.rs\"\n\
-                        reason = \"nothing flows here anymore\"\n";
-        let (out, _, _) = run(
-            &[("crates/policy/src/y.rs", "pub fn quiet() {}\n")],
-            manifest,
-        );
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].rule, Rule::F004);
-        assert_eq!(out[0].path, DEFAULT_FLOWS);
-        assert!(out[0].message.contains("stale sanction"));
-    }
-
-    #[test]
     fn display_impl_writes_are_error_sinks() {
         let (out, _, _) = run(
             &[(
@@ -769,11 +730,17 @@ mod tests {
             "crates/policy/src/policy.rs",
             "pub fn check(beta: f64) { println!(\"{beta}\"); }\n",
         )]);
-        let spec = FlowSpec::default();
         let mut out = Vec::new();
         let mut suppressed = Vec::new();
         let mut witnesses = Witnesses::new();
-        dataflow(&graph, &spec, &mut out, &mut suppressed, &mut witnesses);
+        dataflow(
+            &graph,
+            &Spec::default(),
+            &mut [],
+            &mut out,
+            &mut suppressed,
+            &mut witnesses,
+        );
         assert!(out.is_empty() && suppressed.is_empty() && witnesses.is_empty());
     }
 }

@@ -45,9 +45,9 @@
 //!
 //! [`ReleasedTuple`]: https://en.wikipedia.org/wiki/Access_control
 
-use crate::capability::Cap;
 use crate::item::{Bind, CallKind, FileItems, FmtSite, LoadSite, LockSite, PanicKind};
 use crate::rules::{FileClass, Finding, Rule};
+use crate::spec::Cap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Crates whose `pub` functions seed the P002 reachability scan — the

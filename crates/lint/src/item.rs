@@ -32,8 +32,8 @@
 //! (`collect::<Vec<_>>()`), calls inside `const`/`static` initializers,
 //! and `macro_rules!` bodies (skipped wholesale).
 
-use crate::capability::Cap;
 use crate::lexer::{Tok, Token};
+use crate::spec::Cap;
 use std::collections::BTreeSet;
 
 /// A panicking construct inside a function body.

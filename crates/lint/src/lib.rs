@@ -13,10 +13,8 @@
 //! 1. **Token layer.** Every Rust source is tokenized by a hand-rolled
 //!    lexer ([`lexer`]) and matched against small token-window patterns
 //!    ([`rules`]). Concurrency tokens are checked against per-crate
-//!    **capability manifests** ([`capability`]): a checked-in
-//!    `lint-capabilities.toml` grants `threads`/`locks`/`atomics`/
-//!    `channels` with a reason; without one, a built-in legacy table
-//!    reproduces the old crate-name containment (PCQE-C001).
+//!    capability `[[grant]]`s (`threads`/`locks`/`atomics`/`channels`,
+//!    each with a reason).
 //! 2. **Graph layer.** The same token streams feed a lightweight item
 //!    parser ([`item`]: fns, impls, `use` trees, visibility, per-fn call
 //!    and panic sites), whose output links into a workspace-wide
@@ -32,49 +30,24 @@
 //! 4. **Dataflow layer.** Per-function def-use chains (`let` bindings,
 //!    format captures, return-value identifiers) plus per-argument call
 //!    windows feed a name-based taint analysis ([`flow`]): sources and
-//!    sanctioned disclosure channels are declared in `lint-flows.toml`
-//!    ([`flowspec`]), and suppressed-tuple data, β/θ thresholds and
-//!    pre-gate confidence values are proven not to reach error-message,
-//!    trace/metrics or shell sinks outside the declared channels.
+//!    sanctioned disclosure channels are declared, and suppressed-tuple
+//!    data, β/θ thresholds and pre-gate confidence values are proven not
+//!    to reach error-message, trace/metrics or shell sinks outside the
+//!    declared channels.
 //!
-//! | rule | layer | protects | statement |
-//! |------|-------|----------|-----------|
-//! | `PCQE-D001` | token | determinism | no `HashMap`/`HashSet` in result-affecting crates |
-//! | `PCQE-D002` | token | determinism | no RNG construction outside `pcqe-lineage::rng` |
-//! | `PCQE-D003` | token | determinism | no `std::thread` without the `threads` capability |
-//! | `PCQE-D004` | token | determinism | float compare/order through `pcqe_core::ord` only |
-//! | `PCQE-C001` | token | determinism | legacy containment: concurrency tokens outside the built-in crate list (no manifest) |
-//! | `PCQE-C002` | token | determinism | concurrency tokens need a covering capability grant (manifest mode) |
-//! | `PCQE-C003` | concurrency | determinism | the workspace lock-order graph stays acyclic |
-//! | `PCQE-C004` | concurrency | determinism | no lock held across a call into a result-affecting crate |
-//! | `PCQE-C005` | concurrency | determinism | interior-mutable shared state must not escape a granted crate into the result-affecting set |
-//! | `PCQE-C006` | concurrency | determinism | no `Relaxed`/`Acquire` load feeding `ReleasedTuple` on a query path |
-//! | `PCQE-G001` | graph | compliance | query entry points release rows only below the policy gate |
-//! | `PCQE-H001` | manifest | hermeticity | only path deps in default-workspace manifests |
-//! | `PCQE-P001` | token | panic-safety | no `unwrap`/`expect`/`panic!` in guarded library code |
-//! | `PCQE-P002` | graph | panic-safety | no panic construct *reachable* from guarded public API |
-//! | `PCQE-T001` | token | determinism | wall clock only in `crates/bench` + `core::clock` |
-//! | `PCQE-F001` | dataflow | confidentiality | suppressed-tuple data never reaches an error/panic sink |
-//! | `PCQE-F002` | dataflow | confidentiality | β/θ thresholds flow only to sanctioned audit/Decision channels |
-//! | `PCQE-F003` | dataflow | confidentiality | pre-gate confidence stays out of trace/metrics exports |
-//! | `PCQE-F004` | hygiene | hygiene | sanctioned sinks must be exercised (no stale sanctions) |
-//! | `PCQE-F005` | hygiene | hygiene | flow-manifest entries carry reasons citing live rule ids |
-//! | `PCQE-A001` | hygiene | hygiene | allowlist entries must suppress something |
-//! | `PCQE-A002` | hygiene | hygiene | allowlist entries must carry a reason naming the rule they suppress |
-//! | `PCQE-A003` | hygiene | hygiene | granted capabilities must be exercised (no stale grants) |
-//!
-//! Justified exceptions live in `lint-allow.toml` ([`allowlist`]) with a
-//! required reason; stale entries are themselves errors. Reports come in
+//! Everything declared rather than coded — exceptions, capability
+//! grants, flow sources/sinks/sanctions — lives in one `lint.toml` at
+//! the scan root ([`spec`]), every entry with a required reason; entries
+//! that no longer do anything are themselves errors. `pcqe-lint
+//! --list-rules` prints the rule registry ([`rules::RULES`]); DESIGN.md
+//! § "Static invariants" says what each rule protects. Reports come in
 //! human, JSON and SARIF form ([`report`], [`sarif`]). Run it as
 //! `cargo run -p pcqe-lint`, via `ci.sh`, or through the tier-1 tests
 //! `tests/lint_guard.rs`, `tests/concurrency_lint_guard.rs` and
 //! `tests/flow_lint_guard.rs`.
 
-pub mod allowlist;
-pub mod capability;
 pub mod concurrency;
 pub mod flow;
-pub mod flowspec;
 pub mod graph;
 pub mod item;
 pub mod lexer;
@@ -82,12 +55,10 @@ pub mod manifest;
 pub mod report;
 pub mod rules;
 pub mod sarif;
+pub mod spec;
 pub mod walk;
 
-use allowlist::AllowEntry;
-use capability::{Cap, Capabilities};
 use rules::{Finding, Rule};
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
@@ -95,10 +66,10 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct Analysis {
     /// Unsuppressed findings, sorted by (path, line, rule code). Includes
-    /// `PCQE-A001` findings for stale allowlist entries.
+    /// the manifest-hygiene findings (stale or unreasoned entries).
     pub findings: Vec<Finding>,
-    /// Findings silenced by an allowlist entry or a flow sanction, with
-    /// the entry's reason.
+    /// Findings silenced by an `[[allow]]` entry or a `[[sanction]]`,
+    /// with the entry's reason.
     pub suppressed: Vec<(Finding, String)>,
     /// `.rs` files scanned.
     pub files_scanned: usize,
@@ -131,83 +102,35 @@ impl Analysis {
 pub enum LintError {
     /// Filesystem problems reading the tree.
     Io(String),
-    /// The allowlist file failed to parse or was explicitly requested but
-    /// missing.
-    Allowlist(String),
-    /// The capability manifest failed to parse.
-    Capabilities(String),
-    /// The flow manifest failed to parse.
-    Flows(String),
+    /// `lint.toml` failed to parse.
+    Manifest(String),
 }
 
 impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io(m) => write!(f, "io error: {m}"),
-            LintError::Allowlist(m) => write!(f, "allowlist error: {m}"),
-            LintError::Capabilities(m) => write!(f, "capability manifest error: {m}"),
-            LintError::Flows(m) => write!(f, "flow manifest error: {m}"),
+            LintError::Manifest(m) => write!(f, "manifest error: {m}"),
         }
     }
 }
 
 impl std::error::Error for LintError {}
 
-/// Name of the allowlist file looked up at the scan root by default.
-pub const DEFAULT_ALLOWLIST: &str = "lint-allow.toml";
-
-/// Analyze the tree at `root`.
-///
-/// `allowlist_path`: `None` uses `<root>/lint-allow.toml` when present
-/// (absence means an empty allowlist); `Some(path)` must exist.
-pub fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Analysis, LintError> {
+/// Analyze the tree at `root`, under `<root>/lint.toml` when present
+/// (absence means the empty manifest: nothing excused, granted or
+/// declared secret).
+pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
     let io = |e: std::io::Error, what: &str| LintError::Io(format!("{what}: {e}"));
 
-    // --- Allowlist -----------------------------------------------------
-    let entries: Vec<AllowEntry> = match allowlist_path {
-        Some(p) => {
-            let text = fs::read_to_string(p)
-                .map_err(|e| LintError::Allowlist(format!("{}: {e}", p.display())))?;
-            allowlist::parse(&text, &p.display().to_string()).map_err(LintError::Allowlist)?
-        }
-        None => {
-            let p = root.join(DEFAULT_ALLOWLIST);
-            if p.is_file() {
-                let text = fs::read_to_string(&p).map_err(|e| io(e, DEFAULT_ALLOWLIST))?;
-                allowlist::parse(&text, DEFAULT_ALLOWLIST).map_err(LintError::Allowlist)?
-            } else {
-                Vec::new()
-            }
-        }
-    };
-
-    // --- Capability manifest -------------------------------------------
-    // Present: manifest mode — uncovered concurrency tokens are C002,
-    // stale grants A003. Absent: the built-in legacy table reproduces
-    // the historical C001 containment.
-    let caps_path = root.join(capability::DEFAULT_CAPABILITIES);
-    let caps = if caps_path.is_file() {
-        let text =
-            fs::read_to_string(&caps_path).map_err(|e| io(e, capability::DEFAULT_CAPABILITIES))?;
-        let grants = capability::parse(&text, capability::DEFAULT_CAPABILITIES)
-            .map_err(LintError::Capabilities)?;
-        Capabilities::from_grants(grants)
+    let manifest_path = root.join(spec::MANIFEST);
+    let spec = if manifest_path.is_file() {
+        let text = fs::read_to_string(&manifest_path).map_err(|e| io(e, spec::MANIFEST))?;
+        spec::parse(&text, spec::MANIFEST).map_err(LintError::Manifest)?
     } else {
-        Capabilities::legacy()
+        spec::Spec::default()
     };
-    let mut cap_used: Vec<BTreeSet<Cap>> = vec![BTreeSet::new(); caps.grants.len()];
-
-    // --- Flow manifest -------------------------------------------------
-    // Present: the dataflow layer (F001–F005) runs with the declared
-    // sources/sinks/sanctions. Absent: nothing is declared secret and
-    // the layer is inert (fixture trees predating it are unaffected).
-    let flows_path = root.join(flowspec::DEFAULT_FLOWS);
-    let flows = if flows_path.is_file() {
-        let text = fs::read_to_string(&flows_path).map_err(|e| io(e, flowspec::DEFAULT_FLOWS))?;
-        flowspec::parse(&text, flowspec::DEFAULT_FLOWS).map_err(LintError::Flows)?
-    } else {
-        flowspec::FlowSpec::default()
-    };
+    let mut usage = spec.usage();
 
     // --- Scan ----------------------------------------------------------
     // Each file is lexed once; the token stream feeds both the token
@@ -224,7 +147,7 @@ pub fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Analysis, L
         let text = fs::read_to_string(root.join(rel)).map_err(|e| io(e, rel))?;
         let toks = lexer::lex(&text);
         let mask = rules::test_region_mask(&toks);
-        rules::check_tokens(rel, &toks, &mask, &caps, &mut cap_used, &mut raw);
+        rules::check_tokens(rel, &toks, &mask, &spec, &mut usage.caps_used, &mut raw);
         // The analyzer itself and the detached bench workspace stay out
         // of the call graph: no guarded product crate can depend on the
         // dev tooling (H001 enforces path-only deps), so a name-collision
@@ -237,7 +160,7 @@ pub fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Analysis, L
     graph::panic_reachability(&call_graph, &mut raw);
     graph::policy_gating(&call_graph, &mut raw);
     concurrency::lock_order(&call_graph, &mut raw);
-    concurrency::escapes(&call_graph, &caps, &mut raw);
+    concurrency::escapes(&call_graph, &spec, &mut raw);
     concurrency::relaxed_reads(&call_graph, &mut raw);
     // Layer 4: sanctioned flows land directly in the suppressed list
     // with the sanction's reason; unsanctioned ones are findings like
@@ -246,7 +169,8 @@ pub fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Analysis, L
     let mut witnesses = flow::Witnesses::new();
     flow::dataflow(
         &call_graph,
-        &flows,
+        &spec,
+        &mut usage.sanctions_hit,
         &mut raw,
         &mut suppressed,
         &mut witnesses,
@@ -257,123 +181,25 @@ pub fn analyze(root: &Path, allowlist_path: Option<&Path>) -> Result<Analysis, L
         manifest::check_manifest(rel, &text, &mut raw);
     }
 
-    // --- Capability hygiene (A003 stale grants, manifest mode only) ----
-    if caps.from_manifest {
-        for (idx, grant) in caps.grants.iter().enumerate() {
-            for &cap in &grant.caps {
-                if !cap_used[idx].contains(&cap) {
-                    raw.push(Finding {
-                        rule: Rule::A003,
-                        path: capability::DEFAULT_CAPABILITIES.to_owned(),
-                        line: grant.declared_at,
-                        message: format!(
-                            "stale capability: `{}` grants `{}`{} but no such token is \
-                             used there — drop it from the grant (reason was: {})",
-                            grant.crate_name,
-                            cap.label(),
-                            grant
-                                .scope
-                                .as_deref()
-                                .map(|s| format!(" (scope `{s}`)"))
-                                .unwrap_or_default(),
-                            grant.reason
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
     // --- Suppress ------------------------------------------------------
-    let mut used = vec![0usize; entries.len()];
     let mut findings: Vec<Finding> = Vec::new();
     for f in raw {
-        let hit = entries.iter().position(|e| {
+        let hit = spec.allow.iter().position(|e| {
             e.rule == f.rule && e.path == f.path && e.line.is_none_or(|l| l == f.line)
         });
         match hit {
             Some(idx) => {
-                used[idx] += 1;
-                suppressed.push((f, entries[idx].reason.clone()));
+                usage.allow_hits[idx] += 1;
+                suppressed.push((f, spec.allow[idx].reason.clone()));
             }
             None => findings.push(f),
         }
     }
 
-    // --- Allowlist hygiene (A001 stale, A002 unreasoned) ---------------
-    let allow_name = allowlist_path
-        .map(|p| p.display().to_string())
-        .unwrap_or_else(|| DEFAULT_ALLOWLIST.to_owned());
-    for entry in &entries {
-        if entry.reason.trim().is_empty() {
-            findings.push(Finding {
-                rule: Rule::A002,
-                path: allow_name.clone(),
-                line: entry.declared_at,
-                message: format!(
-                    "allowlist entry for {} at `{}`{} has no `reason`; every \
-                     exception must say why it is sound",
-                    entry.rule.code(),
-                    entry.path,
-                    entry.line.map(|l| format!(" line {l}")).unwrap_or_default(),
-                ),
-            });
-            continue;
-        }
-        // File-wide suppressions are the blunt instrument: their reason
-        // must name the rule they blanket (`P002: …`), so a reader —
-        // and this check — can tell a deliberate waiver from a typo.
-        let short = entry.rule.code().trim_start_matches("PCQE-");
-        if entry.line.is_none() && !entry.reason.contains(short) {
-            findings.push(Finding {
-                rule: Rule::A002,
-                path: allow_name.clone(),
-                line: entry.declared_at,
-                message: format!(
-                    "file-wide allowlist entry at `{}` suppresses {} but its reason \
-                     never states that rule id; prefix the reason with `{short}: `",
-                    entry.path,
-                    entry.rule.code(),
-                ),
-            });
-        }
-        // A rule id cited in a reason must exist: a stale id means the
-        // justification no longer matches what is being waived.
-        for token in entry
-            .reason
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-        {
-            if token.starts_with("PCQE-") && Rule::parse(token).is_none() {
-                findings.push(Finding {
-                    rule: Rule::A002,
-                    path: allow_name.clone(),
-                    line: entry.declared_at,
-                    message: format!(
-                        "allowlist reason at `{}` cites unknown rule id `{token}`: \
-                         fix the id or drop the citation",
-                        entry.path,
-                    ),
-                });
-            }
-        }
-    }
-    for (idx, entry) in entries.iter().enumerate() {
-        if used[idx] == 0 {
-            findings.push(Finding {
-                rule: Rule::A001,
-                path: allow_name.clone(),
-                line: entry.declared_at,
-                message: format!(
-                    "stale allowlist entry: no {} finding at `{}`{} — delete the \
-                     entry (reason was: {})",
-                    entry.rule.code(),
-                    entry.path,
-                    entry.line.map(|l| format!(" line {l}")).unwrap_or_default(),
-                    entry.reason
-                ),
-            });
-        }
-    }
+    // --- Manifest hygiene (A001–A003, F004, F005) ----------------------
+    // After suppression, so it sees what every entry did — and so no
+    // `[[allow]]` can waive a finding about the manifest itself.
+    spec.hygiene(&usage, &mut findings);
 
     findings.sort_by(|a, b| {
         a.path

@@ -1,7 +1,7 @@
 //! `pcqe-lint` CLI.
 //!
 //! ```text
-//! pcqe-lint [--root DIR] [--format human|json|sarif] [--allowlist FILE] [--rule ID] [--list-rules]
+//! pcqe-lint [--root DIR] [--format human|json|sarif] [--rule ID] [--list-rules]
 //! ```
 //!
 //! Exit status: `0` clean, `1` unsuppressed error findings, `2` usage or
@@ -18,7 +18,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Human;
-    let mut allowlist: Option<PathBuf> = None;
     let mut rule: Option<pcqe_lint::rules::Rule> = None;
 
     let mut args = std::env::args().skip(1);
@@ -27,10 +26,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage("--root needs a directory"),
-            },
-            "--allowlist" => match args.next() {
-                Some(v) => allowlist = Some(PathBuf::from(v)),
-                None => return usage("--allowlist needs a file"),
             },
             "--rule" => match args
                 .next()
@@ -68,7 +63,7 @@ fn main() -> ExitCode {
             "-h" | "--help" => {
                 println!(
                     "pcqe-lint: static invariant analyzer (determinism, hermeticity, panic-safety)\n\n\
-                     usage: pcqe-lint [--root DIR] [--format human|json|sarif] [--allowlist FILE] [--rule ID] [--list-rules]\n\n\
+                     usage: pcqe-lint [--root DIR] [--format human|json|sarif] [--rule ID] [--list-rules]\n\n\
                      --rule ID narrows the displayed report to one rule; the exit status\n\
                      still reflects the full analysis\n\n\
                      exit status: 0 clean, 1 findings, 2 usage/io error"
@@ -92,7 +87,7 @@ fn main() -> ExitCode {
         },
     };
 
-    match pcqe_lint::analyze(&root, allowlist.as_deref()) {
+    match pcqe_lint::analyze(&root) {
         Ok(analysis) => {
             // Exit semantics come from the FULL analysis; `--rule` only
             // narrows what is printed.

@@ -40,8 +40,9 @@ pub fn human(analysis: &Analysis) -> String {
 /// [`Rule::all`] order with that rule's unsuppressed-error and
 /// suppressed counts. CI gates on it (`pcqe-obs-validate --schema lint
 /// --gate`): per-rule ceilings make a regression in *any* rule visible
-/// even while the totals stay flat. Format version 3 widens the section
-/// to the dataflow rules (PCQE-F001–F005); the shape is unchanged.
+/// even while the totals stay flat. Format version 3 widened the section
+/// to the dataflow rules (PCQE-F001–F005); the shape is unchanged, and a
+/// retired rule id simply stops appearing.
 pub fn json(analysis: &Analysis) -> String {
     let mut out =
         String::from("{\n  \"tool\": \"pcqe-lint\",\n  \"format_version\": 3,\n  \"findings\": [");
@@ -108,7 +109,7 @@ impl Analysis {
 }
 
 /// Minimal JSON string escaping: quotes, backslashes, control chars.
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -182,6 +183,6 @@ mod tests {
         let mut sorted = codes.clone();
         sorted.sort_unstable();
         assert_eq!(codes, sorted, "rules section must follow Rule::all order");
-        assert_eq!(codes.len(), 23);
+        assert_eq!(codes.len(), 21);
     }
 }

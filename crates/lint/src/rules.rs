@@ -4,30 +4,25 @@
 //! invariant it protects — the lexer sees tokens, not types, so rules are
 //! written to over-approximate (ban the construct outright) rather than
 //! under-approximate (miss violations). Justified exceptions go in
-//! `lint-allow.toml` with a reason; see `DESIGN.md` § "Static invariants".
+//! `lint.toml` with a reason; see `DESIGN.md` § "Static invariants".
 
-use crate::capability::{Cap, Capabilities};
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{Tok, Token};
+use crate::spec::{Cap, Spec};
 use std::collections::BTreeSet;
 
 /// Stable rule identifiers. Codes are part of the tool's contract: CI
-/// logs, allowlist entries and docs all refer to them.
+/// logs, `lint.toml` entries and docs all refer to them. The code and
+/// summary of each rule live in [`RULES`], in declaration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Unordered `HashMap`/`HashSet` in a result-affecting crate.
     D001,
     /// Ad-hoc randomness outside `pcqe-lineage::rng`.
     D002,
-    /// Direct `std::thread` use without the `threads` capability.
-    D003,
     /// Float comparison/ordering outside the `pcqe_core::ord` wrapper.
     D004,
-    /// Concurrency primitives outside the built-in legacy containment
-    /// list (fires only when the scanned root has no
-    /// `lint-capabilities.toml`; the manifest form is [`Rule::C002`]).
-    C001,
-    /// Concurrency token in a crate without the matching capability
-    /// grant (the manifest-mode successor of C001).
+    /// Concurrency token (`std::thread`, lock, atomic, channel) in a
+    /// crate without the matching capability grant.
     C002,
     /// Deadlock risk: the workspace lock-order graph has a cycle
     /// (call-graph rule, see [`crate::concurrency`]).
@@ -63,20 +58,154 @@ pub enum Rule {
     /// Pre-gate confidence value escaping to trace/metrics outside the
     /// `Decision`-record constructors (see [`crate::flow`]).
     F003,
-    /// Sanctioned-sink declaration in `lint-flows.toml` that nothing
-    /// exercises (hygiene, like [`Rule::A003`]).
+    /// `[[sanction]]` that nothing exercises (hygiene, like
+    /// [`Rule::A003`]).
     F004,
-    /// Flow-manifest entry missing a reason or citing a stale rule id
-    /// (hygiene, extending the A002 discipline).
+    /// `[[source]]`/`[[sink]]`/`[[sanction]]` entry missing a reason or
+    /// citing a dead rule id (hygiene, the flow-table twin of
+    /// [`Rule::A002`]).
     F005,
-    /// Stale allowlist entry (suppresses nothing).
+    /// Stale `[[allow]]` entry (suppresses nothing).
     A001,
-    /// Allowlist entry without a non-empty reason, or whose reason names
-    /// a wrong/unknown rule id.
+    /// `[[allow]]`/`[[grant]]` entry without a non-empty reason, or whose
+    /// reason names a wrong/unknown rule id.
     A002,
-    /// Granted-but-unused capability in `lint-capabilities.toml`.
+    /// Granted-but-unused capability in a `[[grant]]`.
     A003,
 }
+
+/// The rule registry, in report order: each rule with its full stable
+/// code (e.g. `PCQE-D001`) and what it protects (for `--list-rules` and
+/// reports). Indexed by discriminant — the check below keeps the two
+/// orders identical.
+pub const RULES: [(Rule, &str, &str); 21] = [
+    (
+        Rule::D001,
+        "PCQE-D001",
+        "determinism: no HashMap/HashSet in result-affecting crates",
+    ),
+    (
+        Rule::D002,
+        "PCQE-D002",
+        "determinism: no RNG construction outside pcqe-lineage::rng",
+    ),
+    (
+        Rule::D004,
+        "PCQE-D004",
+        "determinism: float compare/order through pcqe_core::ord only (no ==/!=, \
+         partial_cmp/total_cmp, f32) in result-affecting crates",
+    ),
+    (
+        Rule::C002,
+        "PCQE-C002",
+        "concurrency: every std::thread/Mutex/RwLock/Condvar/Atomic*/mpsc token needs a \
+         matching capability [[grant]] in lint.toml",
+    ),
+    (
+        Rule::C003,
+        "PCQE-C003",
+        "concurrency: the workspace lock-order graph must be acyclic (deadlock \
+         risks reported with a deterministic cycle witness)",
+    ),
+    (
+        Rule::C004,
+        "PCQE-C004",
+        "concurrency: no lock held across a call into a result-affecting crate",
+    ),
+    (
+        Rule::C005,
+        "PCQE-C005",
+        "concurrency: interior-mutable shared state (Arc<Mutex<_>>, statics) \
+         must not escape a capability-granted crate into the result-affecting set",
+    ),
+    (
+        Rule::C006,
+        "PCQE-C006",
+        "concurrency: no Relaxed/Acquire atomic read feeding a ReleasedTuple \
+         constructor on a query path (bit-identity of released rows)",
+    ),
+    (
+        Rule::G001,
+        "PCQE-G001",
+        "policy: every call path from a query entry point to a row-emitting fn \
+         passes the policy gate",
+    ),
+    (
+        Rule::H001,
+        "PCQE-H001",
+        "hermeticity: only path dependencies in default-workspace manifests",
+    ),
+    (
+        Rule::P001,
+        "PCQE-P001",
+        "panic-safety: no unwrap/expect/panic! in guarded library code",
+    ),
+    (
+        Rule::P002,
+        "PCQE-P002",
+        "panic-safety: no panic construct reachable from guarded public API \
+         (witness call path reported)",
+    ),
+    (
+        Rule::T001,
+        "PCQE-T001",
+        "determinism: wall-clock access only in bench and core::clock",
+    ),
+    (
+        Rule::F001,
+        "PCQE-F001",
+        "confidentiality: suppressed-tuple data must not reach an error-message \
+         or panic-payload sink (witness flow path reported)",
+    ),
+    (
+        Rule::F002,
+        "PCQE-F002",
+        "confidentiality: β/θ policy thresholds flow only to the sanctioned \
+         audit/Decision channels declared in lint.toml",
+    ),
+    (
+        Rule::F003,
+        "PCQE-F003",
+        "confidentiality: pre-gate confidence values must not escape to \
+         trace/metrics outside the Decision-record constructors",
+    ),
+    (
+        Rule::F004,
+        "PCQE-F004",
+        "hygiene: [[sanction]] entries must be exercised (no stale sanctions)",
+    ),
+    (
+        Rule::F005,
+        "PCQE-F005",
+        "hygiene: [[source]]/[[sink]]/[[sanction]] entries must carry a reason and \
+         cite only live rule ids",
+    ),
+    (
+        Rule::A001,
+        "PCQE-A001",
+        "hygiene: [[allow]] entries must suppress at least one finding",
+    ),
+    (
+        Rule::A002,
+        "PCQE-A002",
+        "hygiene: [[allow]] and [[grant]] entries must carry a non-empty reason citing \
+         only live rule ids; file-wide [[allow]] entries must state the rule id they \
+         suppress",
+    ),
+    (
+        Rule::A003,
+        "PCQE-A003",
+        "hygiene: granted capabilities must be exercised (no stale grants)",
+    ),
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < RULES.len() {
+        assert!(RULES[i].0 as usize == i, "RULES must follow enum order");
+        i += 1;
+    }
+};
 
 /// How a finding affects the exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,31 +229,7 @@ impl Severity {
 impl Rule {
     /// The full stable code, e.g. `PCQE-D001`.
     pub fn code(self) -> &'static str {
-        match self {
-            Rule::D001 => "PCQE-D001",
-            Rule::D002 => "PCQE-D002",
-            Rule::D003 => "PCQE-D003",
-            Rule::D004 => "PCQE-D004",
-            Rule::C001 => "PCQE-C001",
-            Rule::C002 => "PCQE-C002",
-            Rule::C003 => "PCQE-C003",
-            Rule::C004 => "PCQE-C004",
-            Rule::C005 => "PCQE-C005",
-            Rule::C006 => "PCQE-C006",
-            Rule::G001 => "PCQE-G001",
-            Rule::H001 => "PCQE-H001",
-            Rule::P001 => "PCQE-P001",
-            Rule::P002 => "PCQE-P002",
-            Rule::T001 => "PCQE-T001",
-            Rule::F001 => "PCQE-F001",
-            Rule::F002 => "PCQE-F002",
-            Rule::F003 => "PCQE-F003",
-            Rule::F004 => "PCQE-F004",
-            Rule::F005 => "PCQE-F005",
-            Rule::A001 => "PCQE-A001",
-            Rule::A002 => "PCQE-A002",
-            Rule::A003 => "PCQE-A003",
-        }
+        RULES[self as usize].1
     }
 
     /// Per-rule severity. Everything that protects a shipped invariant is
@@ -135,134 +240,21 @@ impl Rule {
 
     /// What the rule protects, for `--list-rules` and reports.
     pub fn summary(self) -> &'static str {
-        match self {
-            Rule::D001 => "determinism: no HashMap/HashSet in result-affecting crates",
-            Rule::D002 => "determinism: no RNG construction outside pcqe-lineage::rng",
-            Rule::D003 => "determinism: no std::thread without the `threads` capability",
-            Rule::D004 => {
-                "determinism: float compare/order through pcqe_core::ord only (no ==/!=, \
-                 partial_cmp/total_cmp, f32) in result-affecting crates"
-            }
-            Rule::C001 => {
-                "concurrency: Mutex/RwLock/Atomic*/mpsc contained to pcqe-par, pcqe-obs \
-                 and core::clock (legacy mode — no lint-capabilities.toml at the root)"
-            }
-            Rule::C002 => {
-                "concurrency: every Mutex/RwLock/Condvar/Atomic*/mpsc token needs a \
-                 matching capability grant in lint-capabilities.toml"
-            }
-            Rule::C003 => {
-                "concurrency: the workspace lock-order graph must be acyclic (deadlock \
-                 risks reported with a deterministic cycle witness)"
-            }
-            Rule::C004 => "concurrency: no lock held across a call into a result-affecting crate",
-            Rule::C005 => {
-                "concurrency: interior-mutable shared state (Arc<Mutex<_>>, statics) \
-                 must not escape a capability-granted crate into the result-affecting set"
-            }
-            Rule::C006 => {
-                "concurrency: no Relaxed/Acquire atomic read feeding a ReleasedTuple \
-                 constructor on a query path (bit-identity of released rows)"
-            }
-            Rule::G001 => {
-                "policy: every call path from a query entry point to a row-emitting fn \
-                 passes the policy gate"
-            }
-            Rule::H001 => "hermeticity: only path dependencies in default-workspace manifests",
-            Rule::P001 => "panic-safety: no unwrap/expect/panic! in guarded library code",
-            Rule::P002 => {
-                "panic-safety: no panic construct reachable from guarded public API \
-                 (witness call path reported)"
-            }
-            Rule::T001 => "determinism: wall-clock access only in bench and core::clock",
-            Rule::F001 => {
-                "confidentiality: suppressed-tuple data must not reach an error-message \
-                 or panic-payload sink (witness flow path reported)"
-            }
-            Rule::F002 => {
-                "confidentiality: β/θ policy thresholds flow only to the sanctioned \
-                 audit/Decision channels declared in lint-flows.toml"
-            }
-            Rule::F003 => {
-                "confidentiality: pre-gate confidence values must not escape to \
-                 trace/metrics outside the Decision-record constructors"
-            }
-            Rule::F004 => {
-                "hygiene: sanctioned-sink declarations in lint-flows.toml must be \
-                 exercised (no stale sanctions)"
-            }
-            Rule::F005 => {
-                "hygiene: flow-manifest entries must carry a reason and cite only \
-                 live rule ids"
-            }
-            Rule::A001 => "hygiene: allowlist entries must suppress at least one finding",
-            Rule::A002 => {
-                "hygiene: allowlist entries must carry a non-empty reason; file-wide \
-                 entries must state the rule id they suppress"
-            }
-            Rule::A003 => "hygiene: granted capabilities must be exercised (no stale grants)",
-        }
+        RULES[self as usize].2
     }
 
     /// Resolve a rule from either its full code (`PCQE-D001`) or its
     /// short form (`D001`).
     pub fn parse(s: &str) -> Option<Rule> {
-        let short = s.strip_prefix("PCQE-").unwrap_or(s);
-        match short {
-            "D001" => Some(Rule::D001),
-            "D002" => Some(Rule::D002),
-            "D003" => Some(Rule::D003),
-            "D004" => Some(Rule::D004),
-            "C001" => Some(Rule::C001),
-            "C002" => Some(Rule::C002),
-            "C003" => Some(Rule::C003),
-            "C004" => Some(Rule::C004),
-            "C005" => Some(Rule::C005),
-            "C006" => Some(Rule::C006),
-            "G001" => Some(Rule::G001),
-            "H001" => Some(Rule::H001),
-            "P001" => Some(Rule::P001),
-            "P002" => Some(Rule::P002),
-            "T001" => Some(Rule::T001),
-            "F001" => Some(Rule::F001),
-            "F002" => Some(Rule::F002),
-            "F003" => Some(Rule::F003),
-            "F004" => Some(Rule::F004),
-            "F005" => Some(Rule::F005),
-            "A001" => Some(Rule::A001),
-            "A002" => Some(Rule::A002),
-            "A003" => Some(Rule::A003),
-            _ => None,
-        }
+        RULES
+            .iter()
+            .find(|(_, code, _)| *code == s || code.strip_prefix("PCQE-") == Some(s))
+            .map(|(rule, _, _)| *rule)
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 23] {
-        [
-            Rule::D001,
-            Rule::D002,
-            Rule::D003,
-            Rule::D004,
-            Rule::C001,
-            Rule::C002,
-            Rule::C003,
-            Rule::C004,
-            Rule::C005,
-            Rule::C006,
-            Rule::G001,
-            Rule::H001,
-            Rule::P001,
-            Rule::P002,
-            Rule::T001,
-            Rule::F001,
-            Rule::F002,
-            Rule::F003,
-            Rule::F004,
-            Rule::F005,
-            Rule::A001,
-            Rule::A002,
-            Rule::A003,
-        ]
+    pub fn all() -> [Rule; RULES.len()] {
+        RULES.map(|(rule, _, _)| rule)
     }
 }
 
@@ -383,32 +375,17 @@ pub fn is_result_affecting(path: &str) -> bool {
     RESULT_AFFECTING.iter().any(|p| path.starts_with(p))
 }
 
-/// Run every token-level rule over one source file under the built-in
-/// legacy capability table. Convenience wrapper over [`check_tokens`]
-/// for callers (and unit tests) that have not lexed yet.
-pub fn check_source(path: &str, src: &str, out: &mut Vec<Finding>) {
-    let class = FileClass::classify(path);
-    if class.is_test_code {
-        return;
-    }
-    let toks = lex(src);
-    let skip = test_region_mask(&toks);
-    let caps = Capabilities::legacy();
-    let mut cap_used = vec![BTreeSet::new(); caps.grants.len()];
-    check_tokens(path, &toks, &skip, &caps, &mut cap_used, out);
-}
-
 /// Run every token-level rule over one pre-lexed source file. `skip` is
-/// the [`test_region_mask`] of `toks`; `caps` is the capability table in
-/// force and `cap_used[g]` accumulates which of grant `g`'s capabilities
-/// were exercised (the input to rule A003). The caller is responsible
-/// for exempting test-code paths ([`FileClass::classify`]).
+/// the [`test_region_mask`] of `toks`; `spec` carries the capability
+/// grants in force and `caps_used[g]` accumulates which of grant `g`'s
+/// capabilities were exercised (the input to rule A003). The caller is
+/// responsible for exempting test-code paths ([`FileClass::classify`]).
 pub fn check_tokens(
     path: &str,
     toks: &[Token],
     skip: &[bool],
-    caps: &Capabilities,
-    cap_used: &mut [BTreeSet<Cap>],
+    spec: &Spec,
+    caps_used: &mut [BTreeSet<Cap>],
     out: &mut Vec<Finding>,
 ) {
     let class = FileClass::classify(path);
@@ -486,28 +463,6 @@ pub fn check_tokens(
             );
         }
 
-        // D003: raw threading without the `threads` capability. Match
-        // `thread` only when it is used as a path segment (`std::thread`,
-        // `thread::spawn`, …) so a local named `thread` is not flagged.
-        // The rule keeps its historical id in both capability modes; the
-        // exemption is now a declared grant, not a hardcoded crate name.
-        if name == "thread" && (path_sep_before(toks, i) || path_sep_after(toks, i)) {
-            match caps.grant_for(path, Cap::Threads) {
-                Some(g) => {
-                    cap_used[g].insert(Cap::Threads);
-                }
-                None => emit(
-                    out,
-                    Rule::D003,
-                    t.line,
-                    "`std::thread` without the `threads` capability: all parallelism \
-                     must go through the deterministic chunked scheduler (or declare \
-                     the capability in lint-capabilities.toml with a reason)"
-                        .to_owned(),
-                ),
-            }
-        }
-
         // D004 (ident forms): float ordering and narrowing must go
         // through the `pcqe_core::ord` wrapper. Confidence math is
         // `f64`-only by design, so a bare `f32` (including `as f32`
@@ -539,34 +494,26 @@ pub fn check_tokens(
             }
         }
 
-        // C001 (legacy) / C002 (manifest): concurrency primitives need a
-        // covering capability grant. The same check backs both rules —
-        // C001 is now a thin wrapper that runs it against the built-in
-        // legacy grant table when the root has no manifest.
-        if let Some(cap) = Cap::of_token(name) {
-            match caps.grant_for(path, cap) {
+        // C002: concurrency primitives need a covering capability
+        // grant. `thread` counts only as a path segment (`std::thread`,
+        // `thread::spawn`, …) so a local named `thread` is not flagged.
+        let cap = Cap::of_token(name).filter(|&cap| {
+            cap != Cap::Threads || path_sep_before(toks, i) || path_sep_after(toks, i)
+        });
+        if let Some(cap) = cap {
+            match spec.grant_for(path, cap) {
                 Some(g) => {
-                    cap_used[g].insert(cap);
+                    caps_used[g].insert(cap);
                 }
-                None if caps.from_manifest => emit(
+                None => emit(
                     out,
                     Rule::C002,
                     t.line,
                     format!(
                         "`{name}` needs the `{}` capability: the crate has no covering \
-                         grant in lint-capabilities.toml; declare one with a reason or \
-                         route parallelism through `pcqe-par`",
+                         `[[grant]]` in lint.toml; declare one with a reason or route \
+                         parallelism through `pcqe-par`",
                         cap.label()
-                    ),
-                ),
-                None => emit(
-                    out,
-                    Rule::C001,
-                    t.line,
-                    format!(
-                        "`{name}` outside `pcqe-par`/`pcqe-obs`/`core::clock`: shared-state \
-                         primitives undermine the deterministic scheduler's containment; \
-                         route parallelism through `pcqe-par`"
                     ),
                 ),
             }
@@ -774,11 +721,23 @@ fn end_of_item(toks: &[Token], mut start: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+    use crate::spec;
 
-    fn findings(path: &str, src: &str) -> Vec<(Rule, u32)> {
+    /// Token findings for one file under `spec`, plus what each grant
+    /// saw exercised.
+    fn check(spec: &Spec, path: &str, src: &str) -> (Vec<(Rule, u32)>, Vec<BTreeSet<Cap>>) {
+        let toks = lex(src);
+        let skip = test_region_mask(&toks);
+        let mut used = spec.usage().caps_used;
         let mut out = Vec::new();
-        check_source(path, src, &mut out);
-        out.into_iter().map(|f| (f.rule, f.line)).collect()
+        check_tokens(path, &toks, &skip, spec, &mut used, &mut out);
+        (out.into_iter().map(|f| (f.rule, f.line)).collect(), used)
+    }
+
+    /// Token findings with no manifest: nothing granted.
+    fn findings(path: &str, src: &str) -> Vec<(Rule, u32)> {
+        check(&Spec::default(), path, src).0
     }
 
     #[test]
@@ -805,29 +764,6 @@ mod tests {
         assert_eq!(hits.len(), 3, "{hits:?}");
         // The sanctioned module may define what it likes.
         assert!(findings("crates/lineage/src/rng.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d003_flags_thread_paths_not_variables() {
-        assert_eq!(
-            findings("crates/engine/src/database.rs", "use std::thread;"),
-            vec![(Rule::D003, 1)]
-        );
-        assert_eq!(
-            findings(
-                "crates/storage/src/table.rs",
-                "fn f() { thread::spawn(|| {}); }"
-            ),
-            vec![(Rule::D003, 1)]
-        );
-        // A local variable named `thread` is fine.
-        assert!(findings(
-            "crates/storage/src/table.rs",
-            "fn f(thread: u32) -> u32 { thread }"
-        )
-        .is_empty());
-        // The scheduler crate is sanctioned.
-        assert!(findings("crates/par/src/lib.rs", "use std::thread;").is_empty());
     }
 
     #[test]
@@ -956,70 +892,76 @@ mod tests {
     }
 
     #[test]
-    fn c001_contains_concurrency_primitives() {
+    fn c002_flags_ungranted_tokens_and_grants_mark_usage() {
+        let spec = spec::parse(
+            "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"locks\", \"threads\"]\n\
+             reason = \"r\"\n",
+            "f",
+        )
+        .unwrap();
+        // A covered token is silent and marks the grant as exercised.
+        let (out, used) = check(&spec, "crates/par/src/lib.rs", "use std::sync::Mutex;");
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(used[0], BTreeSet::from([Cap::Locks]));
+        // An uncovered capability class in the same crate fires C002 —
+        // grants are per-class, not per-crate blanket exemptions.
+        let atomics = "use std::sync::atomic::AtomicU64;";
+        assert_eq!(
+            check(&spec, "crates/par/src/lib.rs", atomics).0,
+            vec![(Rule::C002, 1)]
+        );
+        // An ungranted crate fires once per token; channels count too,
+        // and `Ordering` alone is not a primitive.
         let src =
             "use std::sync::{Mutex, atomic::AtomicU64};\nfn f() { let _m = Mutex::new(0u32); }\n";
-        let hits = findings("crates/engine/src/database.rs", src);
         assert_eq!(
-            hits,
-            vec![(Rule::C001, 1), (Rule::C001, 1), (Rule::C001, 2)]
+            check(&spec, "crates/engine/src/database.rs", src).0,
+            vec![(Rule::C002, 1), (Rule::C002, 1), (Rule::C002, 2)]
         );
-        // The sanctioned homes stay silent.
-        assert!(findings("crates/par/src/lib.rs", src).is_empty());
-        assert!(findings("crates/obs/src/recorder.rs", src).is_empty());
-        assert!(findings(
-            "crates/core/src/clock.rs",
-            "use std::sync::atomic::AtomicU64;"
+        assert_eq!(
+            check(&spec, "crates/sql/src/parser.rs", "use std::sync::mpsc;").0,
+            vec![(Rule::C002, 1)]
+        );
+        assert!(check(
+            &spec,
+            "crates/engine/src/database.rs",
+            "use std::cmp::Ordering;"
         )
+        .0
         .is_empty());
-        // Channels are contained too; `Ordering` alone is not a primitive.
-        assert_eq!(
-            findings("crates/sql/src/parser.rs", "use std::sync::mpsc;"),
-            vec![(Rule::C001, 1)]
-        );
-        assert!(findings("crates/engine/src/database.rs", "use std::cmp::Ordering;").is_empty());
     }
 
     #[test]
-    fn c002_fires_in_manifest_mode_and_grants_mark_usage() {
-        use crate::capability::{self, Cap, Capabilities};
-        let caps = Capabilities::from_grants(
-            capability::parse(
-                "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"locks\"]\nreason = \"r\"\n",
-                "f",
-            )
-            .unwrap(),
+    fn c002_counts_thread_paths_not_variables() {
+        assert_eq!(
+            findings("crates/engine/src/database.rs", "use std::thread;"),
+            vec![(Rule::C002, 1)]
         );
-        let check = |path: &str, src: &str| {
-            let toks = lex(src);
-            let skip = test_region_mask(&toks);
-            let mut used = vec![BTreeSet::new(); caps.grants.len()];
-            let mut out = Vec::new();
-            check_tokens(path, &toks, &skip, &caps, &mut used, &mut out);
-            (out, used)
-        };
-        // A covered token is silent and marks the grant as exercised.
-        let (out, used) = check("crates/par/src/lib.rs", "use std::sync::Mutex;");
+        assert_eq!(
+            findings(
+                "crates/storage/src/table.rs",
+                "fn f() { thread::spawn(|| {}); }"
+            ),
+            vec![(Rule::C002, 1)]
+        );
+        // A local variable named `thread` is fine.
+        assert!(findings(
+            "crates/storage/src/table.rs",
+            "fn f(thread: u32) -> u32 { thread }"
+        )
+        .is_empty());
+        // The `threads` grant covers the scheduler crate — and only it.
+        let spec = spec::parse(
+            "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"threads\"]\nreason = \"r\"\n",
+            "f",
+        )
+        .unwrap();
+        let (out, used) = check(&spec, "crates/par/src/lib.rs", "use std::thread;");
         assert!(out.is_empty(), "{out:?}");
-        assert!(used[0].contains(&Cap::Locks));
-        // An uncovered capability class in the same crate fires C002 —
-        // grants are per-class, not per-crate blanket exemptions.
-        let (out, _) = check("crates/par/src/lib.rs", "use std::sync::atomic::AtomicU64;");
+        assert_eq!(used[0], BTreeSet::from([Cap::Threads]));
         assert_eq!(
-            out.iter().map(|f| f.rule).collect::<Vec<_>>(),
-            vec![Rule::C002]
-        );
-        // An ungranted crate fires C002 (not the legacy C001).
-        let (out, _) = check("crates/engine/src/db.rs", "use std::sync::Mutex;");
-        assert_eq!(
-            out.iter().map(|f| f.rule).collect::<Vec<_>>(),
-            vec![Rule::C002]
-        );
-        // Thread tokens keep their historical D003 id in manifest mode.
-        let (out, _) = check("crates/engine/src/db.rs", "use std::thread;");
-        assert_eq!(
-            out.iter().map(|f| f.rule).collect::<Vec<_>>(),
-            vec![Rule::D003]
+            check(&spec, "crates/obs/src/recorder.rs", "use std::thread;").0,
+            vec![(Rule::C002, 1)]
         );
     }
 

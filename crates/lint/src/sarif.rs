@@ -12,9 +12,10 @@
 //! (ruleId, level, message, physical location), and — for the dataflow
 //! findings that carry a taint witness — a `codeFlows` entry whose
 //! thread-flow locations walk the taint path from source function to
-//! sink site. `pcqe-obs-validate --schema sarif` checks the shape and
-//! gates per-ruleId result counts against a checked-in baseline.
+//! sink site. `tests/lint_guard.rs` round-trips the workspace's export
+//! through the in-repo JSON parser.
 
+use crate::report::escape;
 use crate::rules::{Rule, Severity};
 use crate::Analysis;
 
@@ -99,23 +100,6 @@ fn location(path: &str, line: u32, indent: usize) -> String {
         " ".repeat(indent),
         escape(path)
     )
-}
-
-/// Minimal JSON string escaping: quotes, backslashes, control chars.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,23 +1,24 @@
 //! End-to-end analyzer tests over the fixture trees in `tests/fixtures/`.
 //!
-//! Each fixture is a miniature workspace: `tree/` seeds one violation per
-//! token/manifest rule in legacy mode (no capability manifest, so the
-//! Mutex in mutexy.rs keeps the historical C001 id), `graph/` seeds the
-//! graph-layer rules (P002 panic-reachability, G001 policy-gating) and —
-//! carrying its own `lint-capabilities.toml` — the manifest-mode C002
-//! form of the old locky.rs C001 sites, `conc/` seeds the concurrency
+//! Each fixture is a miniature workspace with (at most) one `lint.toml`:
+//! `tree/` seeds one violation per token/manifest rule and has no
+//! manifest at all, so nothing is granted and every concurrency token in
+//! it — even `crates/par`'s threads — is C002; `graph/` seeds the
+//! graph-layer rules (P002 panic-reachability, G001 policy-gating) and
+//! a granted-vs-ungranted C002 pair, `conc/` seeds the concurrency
 //! layer (C003 cycle + clean twin, C004 held-across-boundary, C005
 //! escapes, C006 relaxed release reads, A003 stale grant), `gated/` is
 //! the G001 negative (the gate dominates the row constructor),
 //! `noreason/` trips the A002 hygiene rule, `allow/` pairs a violation
-//! with a reasoned suppression, `stale/` carries an allowlist entry that
-//! excuses nothing, `flows/` seeds the confidentiality-dataflow layer
-//! (F001 two-hop error leak, F002 β-to-shell, sanctioned F003 Decision
-//! flow, F004 unused sanction, F005 stale citation), and `clean/` has no
-//! findings at all. The golden files `tree.expected.json`/
-//! `graph.expected.json`/`conc.expected.json`/`flows.expected.json` pin
-//! the machine-readable report byte-for-byte — the JSON output is a CI
-//! contract.
+//! with a reasoned suppression, `stale/` carries an `[[allow]]` entry
+//! that excuses nothing, `flows/` seeds the confidentiality-dataflow
+//! layer (F001 two-hop error leak, F002 β-to-shell and θ-in-error, F003
+//! sanctioned Decision flow and bare trace instant, F004 unused
+//! sanction, F005 stale citation), `badmanifest/` has a `lint.toml` the
+//! reader rejects, and `clean/` has no findings at all. The golden
+//! files `tree.expected.json`/`graph.expected.json`/
+//! `conc.expected.json`/`flows.expected.json` pin the machine-readable
+//! report byte-for-byte — the JSON output is a CI contract.
 
 use pcqe_lint::rules::Rule;
 use pcqe_lint::{analyze, report, Analysis};
@@ -31,7 +32,7 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 fn run(name: &str) -> Analysis {
-    analyze(&fixture(name), None).expect("fixture analysis must not fail")
+    analyze(&fixture(name)).expect("fixture analysis must not fail")
 }
 
 #[test]
@@ -46,25 +47,27 @@ fn tree_fixture_seeds_every_token_and_manifest_rule() {
         (Rule::D001, "crates/algebra/src/bad_map.rs", 3),
         (Rule::D001, "crates/algebra/src/bad_map.rs", 5),
         (Rule::D001, "crates/algebra/src/bad_map.rs", 6),
-        (Rule::C001, "crates/algebra/src/mutexy.rs", 5),
-        (Rule::C001, "crates/algebra/src/mutexy.rs", 7),
-        (Rule::C001, "crates/algebra/src/mutexy.rs", 8),
+        (Rule::C002, "crates/algebra/src/mutexy.rs", 5),
+        (Rule::C002, "crates/algebra/src/mutexy.rs", 7),
+        (Rule::C002, "crates/algebra/src/mutexy.rs", 8),
         (Rule::H001, "crates/badcrate/Cargo.toml", 7),
         (Rule::P001, "crates/engine/src/panicky.rs", 4),
         (Rule::P001, "crates/engine/src/panicky.rs", 5),
         (Rule::P001, "crates/engine/src/panicky.rs", 7),
         (Rule::D002, "crates/lineage/src/entropy.rs", 4),
         (Rule::T001, "crates/obs/src/raw_clock.rs", 5),
+        // No `lint.toml`, no grants: not even the scheduler may thread.
+        (Rule::C002, "crates/par/src/lib.rs", 3),
+        (Rule::C002, "crates/par/src/lib.rs", 6),
         (Rule::T001, "crates/sql/src/timing.rs", 4),
         (Rule::T001, "crates/sql/src/timing.rs", 5),
-        (Rule::D003, "crates/storage/src/spawny.rs", 4),
+        (Rule::C002, "crates/storage/src/spawny.rs", 4),
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
     assert!(!analysis.is_clean());
-    assert_eq!(analysis.error_count(), 15);
-    // The exempt cases stayed silent: `crates/par` may thread, and the
-    // `#[cfg(test)]` module in covered.rs may use HashMap and unwrap.
-    assert!(!got.iter().any(|(_, p, _)| p.contains("par/")));
+    assert_eq!(analysis.error_count(), 17);
+    // The exempt case stayed silent: the `#[cfg(test)]` module in
+    // covered.rs may use HashMap and unwrap.
     assert!(!got.iter().any(|(_, p, _)| p.contains("covered.rs")));
 }
 
@@ -76,8 +79,6 @@ fn graph_fixture_seeds_the_graph_layer_and_new_token_rules() {
         .iter()
         .map(|f| (f.rule, f.path.as_str(), f.line))
         .collect();
-    // The graph fixture carries a lint-capabilities.toml, so the old
-    // C001 sites in locky.rs migrated to the manifest-mode C002 id.
     let want = vec![
         (Rule::C002, "crates/algebra/src/locky.rs", 3),
         (Rule::C002, "crates/algebra/src/locky.rs", 5),
@@ -86,13 +87,15 @@ fn graph_fixture_seeds_the_graph_layer_and_new_token_rules() {
         (Rule::D004, "crates/core/src/floaty.rs", 4), // x != 1.0
         (Rule::D004, "crates/core/src/floaty.rs", 8), // as f32
         (Rule::D004, "crates/core/src/floaty.rs", 12), // .partial_cmp(
-        (Rule::P002, "crates/core/src/pick.rs", 5),
+        (Rule::P002, "crates/core/src/pick.rs", 5),   // .unwrap()
+        (Rule::P002, "crates/core/src/pick.rs", 15),  // v[i]
         (Rule::G001, "crates/engine/src/database.rs", 24), // release_all
         (Rule::G001, "crates/engine/src/database.rs", 35), // release_physical
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
     // The exempt cases stayed silent: `core/src/ord.rs` is the sanctioned
-    // home for raw float ordering, and `crates/par` may hold atomics.
+    // home for raw float ordering, and `crates/par` holds its atomics
+    // under the tree's `[[grant]]`.
     assert!(!got.iter().any(|(_, p, _)| p.ends_with("ord.rs")));
     assert!(!got.iter().any(|(_, p, _)| p.contains("par/")));
 }
@@ -120,7 +123,7 @@ fn p002_witness_names_the_full_call_path() {
         !analysis
             .findings
             .iter()
-            .any(|f| f.rule == Rule::P002 && f.line > 5),
+            .any(|f| f.rule == Rule::P002 && f.line == 9),
         "{:#?}",
         analysis.findings
     );
@@ -172,7 +175,7 @@ fn unreasoned_allowlist_entry_is_an_error_but_still_suppresses() {
     assert_eq!(analysis.findings.len(), 1, "{:#?}", analysis.findings);
     let f = &analysis.findings[0];
     assert_eq!(f.rule, Rule::A002);
-    assert_eq!(f.path, "lint-allow.toml");
+    assert_eq!(f.path, "lint.toml");
     assert_eq!(f.line, 3);
     assert!(f.message.contains("has no `reason`"));
     // The entry is not stale — it really suppresses the P001 — so A001
@@ -199,6 +202,87 @@ fn every_rule_id_fires_somewhere_in_the_fixture_suite() {
     }
 }
 
+/// The analyzer earns its lines by what it has caught in the *real*
+/// workspace (CHANGES.md records each find with the PR that fixed it).
+/// Every one of those must stay reproduced by a fixture, at a pinned
+/// site, so deleting or loosening the rule that made the find fails
+/// here by name.
+#[test]
+fn every_recorded_workspace_find_is_still_reproduced_by_a_fixture() {
+    // (the find, fixture, rule, path, line, what the message must name)
+    let finds = [
+        (
+            "PR 2: HashMap iteration feeding result order",
+            "tree",
+            Rule::D001,
+            "crates/algebra/src/bad_map.rs",
+            6,
+            "iteration order is unspecified",
+        ),
+        (
+            "PR 4: ~60 index panics reachable from guarded public API",
+            "graph",
+            Rule::P002,
+            "crates/core/src/pick.rs",
+            15,
+            "slice/array index reachable from guarded public API via \
+             pcqe_engine::lookup → pcqe_core::nth",
+        ),
+        (
+            "PR 4: a release path that bypasses the policy gate",
+            "graph",
+            Rule::G001,
+            "crates/engine/src/database.rs",
+            24,
+            "pcqe_engine::Database::query → pcqe_engine::release_all",
+        ),
+        (
+            "PR 9: InvalidThreshold echoed the rejected θ in its error",
+            "flows",
+            Rule::F002,
+            "crates/engine/src/reject.rs",
+            21,
+            "reaches error constructor `PolicyError::InvalidThreshold`",
+        ),
+        (
+            "PR 9: gate instants carried the pre-gate confidence into traces",
+            "flows",
+            Rule::F003,
+            "crates/engine/src/reject.rs",
+            28,
+            "reaches declared trace sink `tracer::instant`",
+        ),
+        (
+            "PR 9: the lexer swallowed the token after a `'\\''` literal",
+            "lexhard",
+            Rule::C002,
+            "crates/engine/src/real.rs",
+            23,
+            "`Mutex` needs the `locks` capability",
+        ),
+    ];
+    for (find, tree, rule, path, line, names) in finds {
+        let analysis = run(tree);
+        let hit = analysis
+            .findings
+            .iter()
+            .find(|f| f.rule == rule && f.path == path && f.line == line);
+        let Some(hit) = hit else {
+            panic!(
+                "{find}: no {} at {tree}/{path}:{line} any more:\n{}",
+                rule.code(),
+                report::human(&analysis)
+            );
+        };
+        assert!(
+            hit.message.contains(names),
+            "{find}: {} at {path}:{line} no longer names `{names}`: {}",
+            rule.code(),
+            hit.message
+        );
+    }
+}
+
 #[test]
 fn conc_fixture_seeds_the_concurrency_layer() {
     let analysis = run("conc");
@@ -217,7 +301,7 @@ fn conc_fixture_seeds_the_concurrency_layer() {
         (Rule::C003, "crates/par/src/cycle.rs", 15), // left → right edge
         (Rule::C003, "crates/par/src/cycle.rs", 20), // right → left edge
         (Rule::C004, "crates/par/src/held.rs", 9),
-        (Rule::A003, "lint-capabilities.toml", 12), // stale channels grant
+        (Rule::A003, "lint.toml", 12), // stale channels grant
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
     // The hierarchical-locking twin stayed silent, and `held::fine`
@@ -282,14 +366,16 @@ fn flows_fixture_seeds_the_dataflow_layer() {
         .map(|f| (f.rule, f.path.as_str(), f.line))
         .collect();
     let want = vec![
+        (Rule::F002, "crates/engine/src/reject.rs", 21), // β in an error
+        (Rule::F003, "crates/engine/src/reject.rs", 28), // bare instant
         (Rule::F002, "crates/engine/src/shellout.rs", 6), // β to println!
         (Rule::F001, "crates/engine/src/suppress.rs", 23), // two-hop leak
-        (Rule::F005, "lint-flows.toml", 32),              // stale citation
-        (Rule::F004, "lint-flows.toml", 44),              // unused sanction
+        (Rule::F005, "lint.toml", 32),                   // stale citation
+        (Rule::F004, "lint.toml", 44),                   // unused sanction
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
-    // The Decision-record flow is the sanctioned negative: F003 lands in
-    // the suppressed list with the manifest's reason, not in findings.
+    // The Decision-record flow is the sanctioned negative: that F003
+    // lands in the suppressed list with the manifest's reason.
     assert_eq!(analysis.suppressed.len(), 1);
     let (finding, reason) = &analysis.suppressed[0];
     assert_eq!(finding.rule, Rule::F003);
@@ -374,8 +460,8 @@ fn stale_allowlist_entry_is_an_error() {
     assert_eq!(analysis.findings.len(), 1, "{:#?}", analysis.findings);
     let f = &analysis.findings[0];
     assert_eq!(f.rule, Rule::A001);
-    // The finding points into the allowlist file itself, at the entry.
-    assert_eq!(f.path, "lint-allow.toml");
+    // The finding points into the manifest itself, at the entry.
+    assert_eq!(f.path, "lint.toml");
     assert_eq!(f.line, 3);
     assert!(f.message.contains("stale allowlist entry"));
     assert!(f.message.contains("crates/engine/src/fine.rs"));
@@ -421,10 +507,9 @@ fn cli_exits_one_on_findings_and_names_them() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     // Every rule code surfaces with a file:line span.
     for code in [
-        "PCQE-C001",
+        "PCQE-C002",
         "PCQE-D001",
         "PCQE-D002",
-        "PCQE-D003",
         "PCQE-H001",
         "PCQE-P001",
         "PCQE-T001",
@@ -433,7 +518,7 @@ fn cli_exits_one_on_findings_and_names_them() {
     }
     assert!(stdout.contains("crates/engine/src/panicky.rs:4:"));
     assert!(stdout.contains("crates/obs/src/raw_clock.rs:5:"));
-    assert!(stdout.contains("15 error(s)"));
+    assert!(stdout.contains("17 error(s)"));
 }
 
 #[test]
@@ -529,26 +614,33 @@ fn cli_rule_flag_filters_display_but_not_exit_code() {
 }
 
 #[test]
-fn cli_exits_two_on_usage_and_io_errors() {
+fn cli_exits_two_on_usage_errors_and_unreadable_manifests() {
     let out = cli().args(["--bogus-flag"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
+    // The manifest is the one file the analyzer reads by fixed name;
+    // there is no flag to point it elsewhere.
     let out = cli()
-        .args(["--root"])
-        .arg(fixture("clean"))
-        .args(["--allowlist", "/nonexistent/allow.toml"])
+        .args(["--allowlist", "lint.toml"])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn explicit_allowlist_flag_overrides_default_lookup() {
-    // Point the stale fixture's code at the allow fixture's list: the
-    // entry matches nothing there either, so A001 still fires, but under
-    // the explicit path name.
-    let allow_path = fixture("stale").join("lint-allow.toml");
-    let analysis = analyze(&fixture("clean"), Some(&allow_path)).expect("analysis runs");
-    assert_eq!(analysis.findings.len(), 1);
-    assert_eq!(analysis.findings[0].rule, Rule::A001);
-    assert!(analysis.findings[0].path.ends_with("lint-allow.toml"));
+    let help = cli().arg("--help").output().expect("binary runs");
+    assert!(!String::from_utf8_lossy(&help.stdout).contains("--allowlist"));
+    // A manifest the reader rejects stops the run before any analysis.
+    let out = cli()
+        .args(["--root"])
+        .arg(fixture("badmanifest"))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(
+        stderr.contains("lint.toml:4: unknown table `[[exemption]]`"),
+        "{stderr}"
+    );
+    // The two retired ids are unknown like any other.
+    for retired in ["PCQE-C001", "PCQE-D003"] {
+        let out = cli().args(["--rule", retired]).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{retired}");
+    }
 }

@@ -1,5 +1,5 @@
 //! Fixture: C002 — concurrency tokens in a crate with no covering
-//! grant in the tree's lint-capabilities.toml (manifest mode).
+//! grant in the tree's lint.toml.
 
 use std::sync::Mutex;
 

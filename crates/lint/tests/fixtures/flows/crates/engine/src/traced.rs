@@ -1,5 +1,5 @@
 //! Fixture: a Decision record carries the pre-gate confidence through a
-//! declared trace sink. The flow is sanctioned in lint-flows.toml, so
+//! declared trace sink. The flow is sanctioned in lint.toml, so
 //! the finding lands in the suppressed list — PCQE-F003's negative
 //! case, and the entry that keeps the F004 check honest.
 

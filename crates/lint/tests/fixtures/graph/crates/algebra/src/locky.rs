@@ -1,4 +1,4 @@
-//! Fixture: C001 — a lock outside `pcqe-par`/`pcqe-obs`.
+//! Fixture: C002 — a lock in a crate with no `locks` grant.
 
 use std::sync::Mutex;
 

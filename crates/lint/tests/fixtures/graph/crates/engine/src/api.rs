@@ -8,3 +8,7 @@ pub fn run(x: Option<u32>) -> u32 {
 fn step(x: Option<u32>) -> u32 {
     pcqe_core::pick(x)
 }
+
+pub fn lookup(v: &[u32], i: usize) -> u32 {
+    pcqe_core::nth(v, i)
+}

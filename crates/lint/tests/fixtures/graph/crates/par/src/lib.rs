@@ -1,5 +1,5 @@
 //! Fixture: `crates/par` owns work distribution — atomics here are
-//! C001-exempt and must stay silent.
+//! granted in the tree's lint.toml and must stay silent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -16,3 +16,9 @@ use std::sync::Mutex;
 pub fn real() -> Mutex<u32> {
     Mutex::new(7)
 }
+
+/// The lexer bug the gauntlet found: `'\''` used to swallow the token
+/// after it, so the lock on the same line went unseen.
+pub fn after_quote(c: char) -> Option<u32> {
+    (c == '\'').then(|| *Mutex::new(1).lock().ok()?)
+}

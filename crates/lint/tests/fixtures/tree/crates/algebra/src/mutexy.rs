@@ -1,6 +1,6 @@
-//! Fixture: C001 — concurrency tokens outside the built-in legacy
-//! crate list. This tree has no `lint-capabilities.toml`, so the
-//! analyzer runs in legacy mode and keeps the historical rule id.
+//! Fixture: C002 — concurrency tokens with no covering grant. This
+//! tree has no `lint.toml` at all, so nothing is granted to any crate
+//! and every concurrency token in it is reported.
 
 use std::sync::Mutex;
 

@@ -1,4 +1,4 @@
-//! Fixture: `crates/par` is the sanctioned home for threads (D003-exempt).
+//! Fixture: C002 — no `lint.toml` here, so not even `crates/par` may thread.
 
 use std::thread;
 

@@ -1,4 +1,4 @@
-//! Fixture: D003 — raw threads outside the deterministic scheduler.
+//! Fixture: C002 — raw threads outside the deterministic scheduler.
 
 pub fn race() -> u32 {
     let h = std::thread::spawn(|| 3);

@@ -18,8 +18,8 @@ fn rule_codes_are_unique_and_well_formed() {
             "duplicate rule code {code} in the registry"
         );
         seen.push(code);
-        // Codes follow the PCQE-<layer letter><3 digits> shape the
-        // allowlist and flow manifests parse.
+        // Codes follow the PCQE-<layer letter><3 digits> shape that
+        // `lint.toml` entries name rules by.
         let rest = code
             .strip_prefix("PCQE-")
             .unwrap_or_else(|| panic!("{code} missing the PCQE- prefix"));
@@ -28,7 +28,7 @@ fn rule_codes_are_unique_and_well_formed() {
         assert!(rest[1..].chars().all(|c| c.is_ascii_digit()));
         assert!(!rule.summary().is_empty(), "{code} has no summary");
     }
-    assert_eq!(seen.len(), 23, "registry size drifted: {seen:?}");
+    assert_eq!(seen.len(), 21, "registry size drifted: {seen:?}");
 }
 
 #[test]
@@ -38,7 +38,7 @@ fn every_code_parses_back_to_its_rule() {
             Rule::parse(rule.code()),
             Some(rule),
             "{} does not round-trip through Rule::parse — `--rule` and \
-             `.lint`/allowlist entries cannot name it",
+             `.lint`/`lint.toml` entries cannot name it",
             rule.code()
         );
     }

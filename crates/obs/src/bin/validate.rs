@@ -1,6 +1,6 @@
 //! `pcqe-obs-validate` — validate an exported JSON artifact.
 //!
-//! Usage: `pcqe-obs-validate [--schema metrics|lint|trace|sarif] [--gate <baseline.json>] <file.json>`
+//! Usage: `pcqe-obs-validate [--schema metrics|lint|trace] [--gate <baseline.json>] <file.json>`
 //!
 //! Schemas:
 //!
@@ -11,42 +11,21 @@
 //!   rule/severity/path/line/message records, and a `summary` object);
 //! * `trace` — the document has the Chrome trace-event shape emitted by
 //!   `pcqe_obs::trace_export::to_chrome_json` (`traceEvents` array of
-//!   name/ph/ts/pid/tid records plus `dropped`/`capacity` accounting);
-//! * `sarif` — the document has the SARIF 2.1.0 shape emitted by
-//!   `pcqe-lint --format sarif` (a `runs` array whose single run names
-//!   the `pcqe-lint` driver, declares its rule ids, and carries
-//!   `results` whose `ruleId`/`level`/`message`/`locations` members are
-//!   well-formed and whose every `ruleId` is a declared rule).
+//!   name/ph/ts/pid/tid records plus `dropped`/`capacity` accounting).
 //!
 //! Every check reports **all** violations it finds, in document order
 //! (array index order, then fixed key order), before exiting — a CI run
 //! never plays whack-a-mole with one error at a time. Only an unparsable
 //! document short-circuits, since nothing structural can be checked.
 //!
-//! `--gate <baseline.json>` compares the checked file against a
-//! checked-in baseline; the direction depends on the schema:
-//!
-//! * `metrics` — the baseline is a *floor*: every counter and gauge
-//!   named in the baseline must be present in the checked file with a
-//!   value ≥ the baseline's. This is `ci.sh`'s bench-regression gate —
-//!   the baseline pins minimum cache hit counts and speedups, and a run
-//!   that falls below any of them fails.
-//! * `lint` — the baseline is a *ceiling*: the summary's `errors` and
-//!   `suppressed` totals, and each per-rule `errors`/`suppressed` count
-//!   in the baseline's `rules` section, must not be exceeded (a rule
-//!   absent from the checked report counts as zero). This is `ci.sh`'s
-//!   lint-regression gate — new violations and new suppressions both
-//!   fail even when they hide inside an individually-waived rule.
-//! * `trace` — the baseline is a *floor on event counts*: for every
-//!   distinct event name in the baseline's `traceEvents`, the checked
-//!   trace must contain at least as many events of that name. This is
-//!   `ci.sh`'s trace-regression gate — a refactor that silently drops a
-//!   lifecycle span, a cache event, or a per-tuple decision fails.
-//! * `sarif` — the baseline is a *ceiling on result counts*: the total
-//!   number of `results` and the per-`ruleId` counts in the baseline
-//!   must not be exceeded (a rule absent from the checked report counts
-//!   as zero). This is `ci.sh`'s SARIF-regression gate, the machine
-//!   interchange twin of the `lint` gate.
+//! `--gate <baseline.json>` (with `--schema lint` only) compares the
+//! checked report against a checked-in baseline that acts as a
+//! *ceiling*: the summary's `errors` and `suppressed` totals, and each
+//! per-rule `errors`/`suppressed` count in the baseline's `rules`
+//! section, must not be exceeded (a rule absent from the checked report
+//! counts as zero). This is `ci.sh`'s lint-regression gate — new
+//! violations and new suppressions both fail even when they hide inside
+//! an individually-waived rule.
 //!
 //! Exit codes: `0` the document parses, matches the schema and clears
 //! the gate, `1` the document is malformed or regresses against the
@@ -54,7 +33,6 @@
 //! on `results/*.json` — hermetically, with the crate's own parser.
 
 use pcqe_obs::json::{self, Value};
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -64,7 +42,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let usage = || {
         eprintln!(
-            "usage: pcqe-obs-validate [--schema metrics|lint|trace|sarif] \
+            "usage: pcqe-obs-validate [--schema metrics|lint|trace] \
              [--gate <baseline.json>] <file.json>"
         );
         ExitCode::from(2)
@@ -75,7 +53,6 @@ fn main() -> ExitCode {
                 Some("metrics") => schema = Schema::Metrics,
                 Some("lint") => schema = Schema::Lint,
                 Some("trace") => schema = Schema::Trace,
-                Some("sarif") => schema = Schema::Sarif,
                 _ => return usage(),
             },
             "--gate" => match args.next() {
@@ -88,6 +65,10 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else { return usage() };
+    // Only lint reports have a baseline to gate against.
+    if gate.is_some() && !matches!(schema, Schema::Lint) {
+        return usage();
+    }
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -119,12 +100,9 @@ fn main() -> ExitCode {
             report(&gate_path, &errors);
             return ExitCode::from(1);
         }
-        match schema.gate(&baseline, &text) {
+        match gate_lint(&baseline, &text) {
             Ok(n) => {
-                println!(
-                    "{path}: ok ({summary}; gate {gate_path}: {n} {})",
-                    schema.gate_noun()
-                );
+                println!("{path}: ok ({summary}; gate {gate_path}: {n} ceiling(s) respected)");
                 ExitCode::SUCCESS
             }
             Err(errors) => {
@@ -146,7 +124,6 @@ enum Schema {
     Metrics,
     Lint,
     Trace,
-    Sarif,
 }
 
 impl Schema {
@@ -155,25 +132,6 @@ impl Schema {
             Schema::Metrics => validate_metrics(text),
             Schema::Lint => validate_lint(text),
             Schema::Trace => validate_trace(text),
-            Schema::Sarif => validate_sarif(text),
-        }
-    }
-
-    fn gate(self, baseline: &str, actual: &str) -> Result<usize, Vec<String>> {
-        match self {
-            Schema::Metrics => gate_metrics(baseline, actual),
-            Schema::Lint => gate_lint(baseline, actual),
-            Schema::Trace => gate_trace(baseline, actual),
-            Schema::Sarif => gate_sarif(baseline, actual),
-        }
-    }
-
-    fn gate_noun(self) -> &'static str {
-        match self {
-            Schema::Metrics => "floor(s) cleared",
-            Schema::Lint => "ceiling(s) respected",
-            Schema::Trace => "event floor(s) cleared",
-            Schema::Sarif => "result ceiling(s) respected",
         }
     }
 }
@@ -203,46 +161,6 @@ fn validate_metrics(text: &str) -> Result<String, Vec<String>> {
     }
     if errors.is_empty() {
         Ok(sizes.join(" "))
-    } else {
-        Err(errors)
-    }
-}
-
-/// Enforce `baseline` as a floor on `actual` (both already known to be
-/// valid metrics documents): every counter and gauge named in the
-/// baseline must exist in `actual` with a value ≥ the baseline's.
-/// Returns the number of floors checked, or every regressing metric in
-/// name order.
-fn gate_metrics(baseline: &str, actual: &str) -> Result<usize, Vec<String>> {
-    let base = parse_doc(baseline)?;
-    let act = parse_doc(actual)?;
-    let section = |doc: &Value, key: &str| -> Vec<(String, f64)> {
-        doc.as_object()
-            .and_then(|o| o.get(key).and_then(Value::as_object).cloned())
-            .map(|members| {
-                members
-                    .iter()
-                    .filter_map(|(name, v)| v.as_f64().map(|x| (name.clone(), x)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let mut floors = 0;
-    let mut errors = Vec::new();
-    for key in ["counters", "gauges"] {
-        let actual_values: BTreeMap<String, f64> = section(&act, key).into_iter().collect();
-        for (name, floor) in section(&base, key) {
-            match actual_values.get(&name) {
-                None => errors.push(format!("{key} `{name}` (floor {floor}) is missing")),
-                Some(&value) if value < floor => {
-                    errors.push(format!("{key} `{name}` = {value}, below the floor {floor}"));
-                }
-                Some(_) => floors += 1,
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(floors)
     } else {
         Err(errors)
     }
@@ -371,212 +289,6 @@ fn validate_lint(text: &str) -> Result<String, Vec<String>> {
     }
 }
 
-/// Check that `text` is a SARIF 2.1.0 document as emitted by
-/// `pcqe-lint --format sarif`; return a summary or every violation in
-/// document order. Beyond shape, this checks the one cross-reference
-/// SARIF consumers rely on: every result's `ruleId` must be declared in
-/// the driver's `rules` array.
-fn validate_sarif(text: &str) -> Result<String, Vec<String>> {
-    let doc = parse_doc(text)?;
-    let Some(obj) = doc.as_object() else {
-        return Err(vec!["top level must be an object".to_owned()]);
-    };
-    let mut errors = Vec::new();
-    match obj.get("version").and_then(Value::as_str) {
-        Some("2.1.0") => {}
-        Some(v) => errors.push(format!("`version` is `{v}`, expected `2.1.0`")),
-        None => errors.push("missing string `version` member".to_owned()),
-    }
-    if obj.get("$schema").and_then(Value::as_str).is_none() {
-        errors.push("missing string `$schema` member".to_owned());
-    }
-    let mut rule_count = 0;
-    let mut result_count = 0;
-    let mut run_count = 0;
-    match obj.get("runs").and_then(Value::as_array) {
-        None => errors.push("missing `runs` array".to_owned()),
-        Some([]) => errors.push("`runs` must not be empty".to_owned()),
-        Some(runs) => {
-            run_count = runs.len();
-            for (r, run) in runs.iter().enumerate() {
-                let Some(run) = run.as_object() else {
-                    errors.push(format!("runs[{r}] must be an object"));
-                    continue;
-                };
-                let driver = run
-                    .get("tool")
-                    .and_then(Value::as_object)
-                    .and_then(|t| t.get("driver").and_then(Value::as_object));
-                let mut declared: Vec<&str> = Vec::new();
-                match driver {
-                    None => errors.push(format!("runs[{r}] missing `tool.driver` object")),
-                    Some(driver) => {
-                        match driver.get("name").and_then(Value::as_str) {
-                            Some("pcqe-lint") => {}
-                            Some(name) => errors.push(format!(
-                                "runs[{r}] driver name is `{name}`, expected `pcqe-lint`"
-                            )),
-                            None => errors.push(format!("runs[{r}] driver missing string `name`")),
-                        }
-                        match driver.get("rules").and_then(Value::as_array) {
-                            None => errors.push(format!("runs[{r}] driver missing `rules` array")),
-                            Some(rules) => {
-                                rule_count += rules.len();
-                                for (i, rule) in rules.iter().enumerate() {
-                                    match rule
-                                        .as_object()
-                                        .and_then(|o| o.get("id").and_then(Value::as_str))
-                                    {
-                                        Some(id) => declared.push(id),
-                                        None => errors.push(format!(
-                                            "runs[{r}] rules[{i}] missing string `id`"
-                                        )),
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                match run.get("results").and_then(Value::as_array) {
-                    None => errors.push(format!("runs[{r}] missing `results` array")),
-                    Some(results) => {
-                        result_count += results.len();
-                        for (i, result) in results.iter().enumerate() {
-                            let Some(result) = result.as_object() else {
-                                errors.push(format!("runs[{r}] results[{i}] must be an object"));
-                                continue;
-                            };
-                            match result.get("ruleId").and_then(Value::as_str) {
-                                None => errors.push(format!(
-                                    "runs[{r}] results[{i}] missing string `ruleId`"
-                                )),
-                                Some(id) if !declared.contains(&id) => errors.push(format!(
-                                    "runs[{r}] results[{i}] ruleId `{id}` is not declared \
-                                     in the driver's rules"
-                                )),
-                                Some(_) => {}
-                            }
-                            match result.get("level").and_then(Value::as_str) {
-                                Some("error" | "warning" | "note") => {}
-                                Some(level) => errors.push(format!(
-                                    "runs[{r}] results[{i}] `level` is `{level}`, \
-                                     expected error, warning or note"
-                                )),
-                                None => errors
-                                    .push(format!("runs[{r}] results[{i}] missing string `level`")),
-                            }
-                            if result
-                                .get("message")
-                                .and_then(Value::as_object)
-                                .and_then(|m| m.get("text").and_then(Value::as_str))
-                                .is_none()
-                            {
-                                errors
-                                    .push(format!("runs[{r}] results[{i}] missing `message.text`"));
-                            }
-                            match result.get("locations").and_then(Value::as_array) {
-                                None => errors.push(format!(
-                                    "runs[{r}] results[{i}] missing `locations` array"
-                                )),
-                                Some([]) => errors.push(format!(
-                                    "runs[{r}] results[{i}] `locations` must not be empty"
-                                )),
-                                Some(locs) => {
-                                    for (l, loc) in locs.iter().enumerate() {
-                                        let uri = loc
-                                            .as_object()
-                                            .and_then(|o| {
-                                                o.get("physicalLocation").and_then(Value::as_object)
-                                            })
-                                            .and_then(|p| {
-                                                p.get("artifactLocation").and_then(Value::as_object)
-                                            })
-                                            .and_then(|a| a.get("uri").and_then(Value::as_str));
-                                        if uri.is_none() {
-                                            errors.push(format!(
-                                                "runs[{r}] results[{i}] locations[{l}] missing \
-                                                 `physicalLocation.artifactLocation.uri`"
-                                            ));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(format!(
-            "runs={run_count} rules={rule_count} results={result_count}"
-        ))
-    } else {
-        Err(errors)
-    }
-}
-
-/// Ceiling gate for SARIF reports: total results and per-`ruleId` result
-/// counts must not exceed the baseline's (absent rules count as zero) —
-/// the interchange-format twin of [`gate_lint`].
-fn gate_sarif(baseline: &str, actual: &str) -> Result<usize, Vec<String>> {
-    let counts = |text: &str| -> Result<BTreeMap<String, u64>, Vec<String>> {
-        let doc = parse_doc(text)?;
-        let mut out = BTreeMap::new();
-        let runs = doc
-            .as_object()
-            .and_then(|o| o.get("runs").and_then(Value::as_array));
-        for run in runs.unwrap_or_default() {
-            let results = run
-                .as_object()
-                .and_then(|o| o.get("results").and_then(Value::as_array));
-            for result in results.unwrap_or_default() {
-                if let Some(id) = result
-                    .as_object()
-                    .and_then(|o| o.get("ruleId").and_then(Value::as_str))
-                {
-                    *out.entry(id.to_owned()).or_insert(0) += 1;
-                }
-            }
-        }
-        Ok(out)
-    };
-    let base = counts(baseline)?;
-    let act = counts(actual)?;
-    let mut ceilings = 0;
-    let mut errors = Vec::new();
-    let base_total: u64 = base.values().sum();
-    let act_total: u64 = act.values().sum();
-    if act_total > base_total {
-        errors.push(format!(
-            "total results = {act_total}, above the ceiling {base_total}"
-        ));
-    } else {
-        ceilings += 1;
-    }
-    // Every rule named by either side gets a ceiling: the baseline's
-    // count, or zero for a rule the baseline never saw.
-    let mut rules: Vec<&String> = base.keys().chain(act.keys()).collect();
-    rules.sort();
-    rules.dedup();
-    for rule in rules {
-        let ceiling = base.get(rule).copied().unwrap_or(0);
-        let value = act.get(rule).copied().unwrap_or(0);
-        if value > ceiling {
-            errors.push(format!(
-                "rule `{rule}` results = {value}, above the ceiling {ceiling}"
-            ));
-        } else {
-            ceilings += 1;
-        }
-    }
-    if errors.is_empty() {
-        Ok(ceilings)
-    } else {
-        Err(errors)
-    }
-}
-
 /// Check that `text` is a Chrome trace-event document as emitted by
 /// `pcqe_obs::trace_export::to_chrome_json`; return a summary or every
 /// violation in document order.
@@ -632,138 +344,9 @@ fn validate_trace(text: &str) -> Result<String, Vec<String>> {
     }
 }
 
-/// Count `traceEvents` entries by name.
-fn event_counts(doc: &Value) -> BTreeMap<String, u64> {
-    let mut counts = BTreeMap::new();
-    if let Some(events) = doc
-        .as_object()
-        .and_then(|o| o.get("traceEvents").and_then(Value::as_array))
-    {
-        for e in events {
-            if let Some(name) = e
-                .as_object()
-                .and_then(|e| e.get("name").and_then(Value::as_str))
-            {
-                *counts.entry(name.to_owned()).or_insert(0) += 1;
-            }
-        }
-    }
-    counts
-}
-
-/// Enforce `baseline` as a floor on `actual`'s per-name event counts
-/// (both already known to be valid trace documents): every event name in
-/// the baseline must appear in `actual` at least as many times. Returns
-/// the number of floors checked, or every under-represented name in
-/// name order.
-fn gate_trace(baseline: &str, actual: &str) -> Result<usize, Vec<String>> {
-    let base = parse_doc(baseline)?;
-    let act = parse_doc(actual)?;
-    let actual_counts = event_counts(&act);
-    let mut floors = 0;
-    let mut errors = Vec::new();
-    for (name, floor) in event_counts(&base) {
-        let count = actual_counts.get(&name).copied().unwrap_or(0);
-        if count < floor {
-            errors.push(format!(
-                "event `{name}` appears {count} time(s), below the floor {floor}"
-            ));
-        } else {
-            floors += 1;
-        }
-    }
-    if errors.is_empty() {
-        Ok(floors)
-    } else {
-        Err(errors)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{
-        gate_lint, gate_metrics, gate_trace, validate_lint, validate_metrics, validate_trace,
-    };
-
-    const fn empty_sections() -> &'static str {
-        "\"histograms\": {}, \"spans\": {}"
-    }
-
-    #[test]
-    fn gate_passes_when_every_floor_is_met() {
-        let baseline = format!(
-            "{{\"counters\": {{\"bench.cache.hits\": 100}}, \
-              \"gauges\": {{\"bench.cache.speedup\": 5.0}}, {}}}",
-            empty_sections()
-        );
-        let actual = format!(
-            "{{\"counters\": {{\"bench.cache.hits\": 250, \"extra\": 1}}, \
-              \"gauges\": {{\"bench.cache.speedup\": 11.5}}, {}}}",
-            empty_sections()
-        );
-        assert_eq!(gate_metrics(&baseline, &actual), Ok(2));
-    }
-
-    #[test]
-    fn gate_fails_on_a_value_below_the_floor() {
-        let baseline = format!(
-            "{{\"counters\": {{}}, \"gauges\": {{\"bench.cache.speedup\": 5.0}}, {}}}",
-            empty_sections()
-        );
-        let actual = format!(
-            "{{\"counters\": {{}}, \"gauges\": {{\"bench.cache.speedup\": 3.2}}, {}}}",
-            empty_sections()
-        );
-        let errors = gate_metrics(&baseline, &actual).unwrap_err();
-        assert_eq!(errors.len(), 1);
-        assert!(errors[0].contains("bench.cache.speedup"), "{errors:?}");
-        assert!(errors[0].contains("below the floor"), "{errors:?}");
-    }
-
-    #[test]
-    fn gate_reports_every_regression_not_just_the_first() {
-        let baseline = format!(
-            "{{\"counters\": {{\"a\": 5, \"b\": 5}}, \"gauges\": {{\"c\": 1.0}}, {}}}",
-            empty_sections()
-        );
-        let actual = format!(
-            "{{\"counters\": {{\"a\": 1, \"b\": 2}}, \"gauges\": {{}}, {}}}",
-            empty_sections()
-        );
-        let errors = gate_metrics(&baseline, &actual).unwrap_err();
-        // Two counters below floor plus one missing gauge, name order.
-        assert_eq!(errors.len(), 3, "{errors:?}");
-        assert!(errors[0].contains("`a`"), "{errors:?}");
-        assert!(errors[1].contains("`b`"), "{errors:?}");
-        assert!(errors[2].contains("`c`") && errors[2].contains("missing"));
-    }
-
-    #[test]
-    fn gate_fails_on_a_missing_metric() {
-        let baseline = format!(
-            "{{\"counters\": {{\"bench.cache.hits\": 100}}, \"gauges\": {{}}, {}}}",
-            empty_sections()
-        );
-        let actual = format!(
-            "{{\"counters\": {{}}, \"gauges\": {{}}, {}}}",
-            empty_sections()
-        );
-        let errors = gate_metrics(&baseline, &actual).unwrap_err();
-        assert!(errors[0].contains("is missing"), "{errors:?}");
-    }
-
-    #[test]
-    fn gate_ignores_metrics_absent_from_the_baseline() {
-        let baseline = format!(
-            "{{\"counters\": {{}}, \"gauges\": {{}}, {}}}",
-            empty_sections()
-        );
-        let actual = format!(
-            "{{\"counters\": {{\"anything\": 7}}, \"gauges\": {{\"x\": 0.1}}, {}}}",
-            empty_sections()
-        );
-        assert_eq!(gate_metrics(&baseline, &actual), Ok(0));
-    }
+    use super::{gate_lint, validate_lint, validate_metrics, validate_trace};
 
     #[test]
     fn accepts_a_minimal_metrics_document() {
@@ -952,25 +535,5 @@ mod tests {
         assert!(errors[1].contains("traceEvents[0] `ph` is `X`"));
         assert!(errors[2].contains("traceEvents[1] missing string `name`"));
         assert!(errors[3].contains("traceEvents[1] missing `args` object"));
-    }
-
-    #[test]
-    fn trace_gate_floors_per_name_event_counts() {
-        let baseline = trace_doc(&[("query", "B"), ("query", "E"), ("decision", "i")]);
-        let ok = trace_doc(&[
-            ("query", "B"),
-            ("query", "E"),
-            ("decision", "i"),
-            ("extra", "i"),
-        ]);
-        // Two distinct names floored: query (×2) and decision (×1).
-        assert_eq!(gate_trace(&baseline, &ok), Ok(2));
-        let missing = trace_doc(&[("query", "B"), ("query", "E")]);
-        let errors = gate_trace(&baseline, &missing).unwrap_err();
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(
-            errors[0].contains("event `decision` appears 0 time(s), below the floor 1"),
-            "{errors:?}"
-        );
     }
 }

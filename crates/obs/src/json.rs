@@ -54,7 +54,7 @@ impl Value {
     /// The number as an exact `u64`, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        // Exact integer detection on purpose (lint-allow.toml, PCQE-D004).
+        // Exact integer detection on purpose (lint.toml, PCQE-D004).
         #[allow(clippy::float_cmp)]
         if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
             Some(n as u64)

@@ -3,9 +3,10 @@
 //! `ci.sh` keys stage pass/fail off the validator's exit status, so the
 //! codes are part of the tool's public interface: `0` valid (and gate
 //! cleared), `1` malformed or regressed, `2` usage or I/O error. One
-//! test per `--schema` mode exercises the real binary end to end, and a
-//! further test pins the all-violations behaviour: a document with
-//! several problems reports every one of them in a single run.
+//! test per `--schema` mode and one for the lint `--gate` exercise the
+//! real binary end to end, and a further test pins the all-violations
+//! behaviour: a document with several problems reports every one of
+//! them in a single run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -92,34 +93,55 @@ fn trace_schema_exit_codes() {
 }
 
 #[test]
-fn trace_gate_exit_codes() {
-    let baseline = fixture("trace-baseline", TRACE_OK);
-    let actual = fixture("trace-actual", TRACE_OK);
-    let out = run(&[
-        "--schema",
-        "trace",
-        "--gate",
-        baseline.to_str().unwrap(),
-        actual.to_str().unwrap(),
-    ]);
+fn lint_gate_exit_codes() {
+    let report = |suppressed: u64| {
+        format!(
+            "{{\"tool\": \"pcqe-lint\", \"format_version\": 3, \"findings\": [], \
+             \"rules\": {{\"PCQE-P002\": {{\"errors\": 0, \"suppressed\": {suppressed}}}}}, \
+             \"summary\": {{\"files\": 1, \"manifests\": 1, \"errors\": 0, \
+             \"warnings\": 0, \"suppressed\": {suppressed}}}}}"
+        )
+    };
+    let baseline = fixture("lint-baseline", &report(2));
+    let same = fixture("lint-same", &report(2));
+    let gate = |actual: &PathBuf| {
+        run(&[
+            "--schema",
+            "lint",
+            "--gate",
+            baseline.to_str().unwrap(),
+            actual.to_str().unwrap(),
+        ])
+    };
+    let out = gate(&same);
     assert_eq!(exit_code(&out), 0, "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("1 event floor(s) cleared"), "{stdout}");
+    assert!(stdout.contains("4 ceiling(s) respected"), "{stdout}");
 
-    let empty = fixture(
-        "trace-empty",
-        "{\"dropped\": 0, \"capacity\": 0, \"traceEvents\": []}",
-    );
-    let out = run(&[
-        "--schema",
-        "trace",
-        "--gate",
-        baseline.to_str().unwrap(),
-        empty.to_str().unwrap(),
-    ]);
+    let out = gate(&fixture("lint-grown", &report(3)));
     assert_eq!(exit_code(&out), 1, "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("below the floor"), "{stderr}");
+    assert!(stderr.contains("above the ceiling 2"), "{stderr}");
+}
+
+#[test]
+fn retired_modes_are_usage_errors() {
+    // The lint ceiling is the only gate, and SARIF is exported but not
+    // validated here: the old spellings fail loudly instead of passing
+    // vacuously.
+    let metrics = fixture("retired-metrics", METRICS_OK);
+    let metrics = metrics.to_str().unwrap();
+    let trace = fixture("retired-trace", TRACE_OK);
+    let trace = trace.to_str().unwrap();
+    for args in [
+        vec!["--schema", "sarif", metrics],
+        vec!["--gate", metrics, metrics],
+        vec!["--schema", "metrics", "--gate", metrics, metrics],
+        vec!["--schema", "trace", "--gate", trace, trace],
+    ] {
+        let out = run(&args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+    }
 }
 
 #[test]

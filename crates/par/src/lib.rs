@@ -23,8 +23,8 @@
 //! fixed by input order, scoring a batch over pooled circuits is
 //! bit-identical at any thread count. (Mutable cache state — probability
 //! memos, invalidation — never crosses into a parallel batch; the engine
-//! drives memoized scoring sequentially and uses `map`/`try_map` only
-//! with immutable circuit views.)
+//! drives memoized scoring sequentially and uses `map`/`try_map_observed`
+//! only with immutable circuit views.)
 //!
 //! ## Panic propagation
 //!
@@ -351,21 +351,11 @@ where
     out
 }
 
-/// Fallible [`map`]: apply `f` to every item in parallel and return either
-/// all results in input order or the **first error in input order** —
-/// matching what a sequential `collect::<Result<Vec<_>, _>>()` would
-/// report (later items may still have been evaluated).
-pub fn try_map<T, R, E, F>(par: &Parallelism, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    try_map_observed(par, items, f, None)
-}
-
-/// [`try_map`] with an optional [`ParObserver`].
+/// Fallible [`map_observed`]: apply `f` to every item in parallel and
+/// return either all results in input order or the **first error in
+/// input order** — matching what a sequential
+/// `collect::<Result<Vec<_>, _>>()` would report (later items may still
+/// have been evaluated).
 pub fn try_map_observed<T, R, E, F>(
     par: &Parallelism,
     items: &[T],
@@ -474,22 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn try_map_returns_first_error_in_input_order() {
-        let items: Vec<u32> = (0..10_000).collect();
-        let err = try_map(&eight(), &items, |&x| {
-            if x % 3000 == 2999 {
-                Err(format!("bad {x}"))
-            } else {
-                Ok(x)
-            }
-        })
-        .unwrap_err();
-        assert_eq!(err, "bad 2999", "must match sequential collect semantics");
-        let ok: Vec<u32> = try_map(&eight(), &items, |&x| Ok::<_, ()>(x)).unwrap();
-        assert_eq!(ok, items);
-    }
-
-    #[test]
     fn workers_for_respects_threshold_and_caps() {
         let par = Parallelism {
             worker_threads: Some(4),
@@ -588,7 +562,9 @@ mod tests {
             Some(&Null),
         )
         .unwrap_err();
-        assert_eq!(err, "bad 2999");
+        assert_eq!(err, "bad 2999", "must match sequential collect semantics");
+        let ok: Vec<u32> = try_map_observed(&eight(), &items, |&x| Ok::<_, ()>(x), None).unwrap();
+        assert_eq!(ok, items);
     }
 
     #[test]

@@ -284,7 +284,7 @@ impl Shell {
                     println!("unknown rule id `{arg}` (usage: .lint [json] [RULE-ID])");
                 } else {
                     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-                    let analysis = pcqe_lint::analyze(root, None)?;
+                    let analysis = pcqe_lint::analyze(root)?;
                     let display = match rule {
                         Some(r) => analysis.filtered(r),
                         None => analysis,

@@ -22,7 +22,7 @@ use std::path::Path;
 #[test]
 fn concurrency_rules_are_live_on_the_seeded_fixture() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let conc = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/conc"), None)
+    let conc = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/conc"))
         .expect("conc fixture analysis runs");
     for rule in [
         Rule::C002,
@@ -54,42 +54,42 @@ fn concurrency_rules_are_live_on_the_seeded_fixture() {
     );
 }
 
-/// Legacy mode stays live: a tree *without* a capability manifest still
-/// gets the built-in containment table, reported under the original
-/// PCQE-C001 id. The real workspace ships `lint-capabilities.toml`, so
-/// this only ever fires on fixture trees.
+/// There is no built-in exemption list: a tree *without* a `lint.toml`
+/// has no grants at all, so every concurrency token in it — locks in
+/// `crates/algebra`, raw threads in `crates/storage`, and even the
+/// threads in `crates/par` — is PCQE-C002.
 #[test]
-fn legacy_containment_rule_is_live_without_a_manifest() {
+fn a_tree_without_a_manifest_reports_ungranted_tokens_as_c002() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let tree = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/tree"), None)
+    let tree = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/tree"))
         .expect("tree fixture analysis runs");
-    assert!(
-        tree.findings.iter().any(|f| f.rule == Rule::C001),
-        "PCQE-C001 must fire on the manifest-less tree fixture:\n{}",
-        pcqe_lint::report::human(&tree)
-    );
-    assert!(
-        !tree.findings.iter().any(|f| f.rule == Rule::C002),
-        "C002 is manifest-mode only; the tree fixture has no manifest"
-    );
+    for path in [
+        "crates/algebra/src/mutexy.rs",
+        "crates/storage/src/spawny.rs",
+        "crates/par/src/lib.rs",
+    ] {
+        assert!(
+            tree.findings
+                .iter()
+                .any(|f| f.rule == Rule::C002 && f.path == path),
+            "PCQE-C002 must fire in {path} on the manifest-less tree fixture:\n{}",
+            pcqe_lint::report::human(&tree)
+        );
+    }
 }
 
 /// The negative direction: the real workspace is concurrency-clean.
 /// `pcqe-par`'s scheduler — scoped worker threads, an atomic work
 /// cursor, and an index-ordered merge behind a single `Mutex` — must
 /// pass the lock-order, escape, and atomics analyses without findings
-/// and without suppressions; its capability grant in
-/// `lint-capabilities.toml` covers the tokens, and everything past that
-/// is proven, not waived.
+/// and without suppressions; its capability `[[grant]]`s in `lint.toml`
+/// cover the tokens, and everything past that is proven, not waived.
 #[test]
 fn real_workspace_concurrency_is_clean_without_suppressions() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let analysis = pcqe_lint::analyze(root, None).expect("workspace analysis runs");
+    let analysis = pcqe_lint::analyze(root).expect("workspace analysis runs");
 
-    // Manifest mode is active (the root ships lint-capabilities.toml),
-    // so legacy C001 must not appear at all — subsumed by C002.
     for rule in [
-        Rule::C001,
         Rule::C002,
         Rule::C003,
         Rule::C004,

@@ -8,21 +8,21 @@
 //! fixture tree that seeds exactly those flows — otherwise the
 //! clean-workspace assertions below would be vacuous. The second half
 //! is the negative direction: the real workspace must carry **no
-//! unsanctioned flow**, and every `[[sanction]]` in `lint-flows.toml`
+//! unsanctioned flow**, and every `[[sanction]]` in `lint.toml`
 //! must be exercised (a stale one would itself fire F004).
 
 use pcqe_lint::rules::Rule;
 use std::path::Path;
 
-/// Every layer-4 rule fires on the `flows` fixture tree — F003 in its
-/// sanctioned form, which is the rule's designed negative (Decision
-/// records are the canonical channel for confidence values).
+/// Every layer-4 rule fires on the `flows` fixture tree — F003 both as
+/// a finding and in its sanctioned form, the rule's designed negative
+/// (Decision records are the canonical channel for confidence values).
 #[test]
 fn flow_rules_are_live_on_the_seeded_fixture() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let flows = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/flows"), None)
+    let flows = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/flows"))
         .expect("flows fixture analysis runs");
-    for rule in [Rule::F001, Rule::F002, Rule::F004, Rule::F005] {
+    for rule in [Rule::F001, Rule::F002, Rule::F003, Rule::F004, Rule::F005] {
         assert!(
             flows.findings.iter().any(|f| f.rule == rule),
             "{} must fire on the flows fixture:\n{}",
@@ -67,7 +67,7 @@ fn flow_rules_are_live_on_the_seeded_fixture() {
 #[test]
 fn real_workspace_has_no_unsanctioned_flows() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let analysis = pcqe_lint::analyze(root, None).expect("workspace analysis runs");
+    let analysis = pcqe_lint::analyze(root).expect("workspace analysis runs");
 
     for rule in [Rule::F001, Rule::F002, Rule::F003, Rule::F004, Rule::F005] {
         assert!(
@@ -79,12 +79,12 @@ fn real_workspace_has_no_unsanctioned_flows() {
     }
 
     // The sanctions are working declarations, not dead weight: each of
-    // the designed channels in lint-flows.toml suppressed at least one
+    // the designed channels in lint.toml suppressed at least one
     // real flow this run (an unexercised one would have fired F004).
     for rule in [Rule::F001, Rule::F002, Rule::F003] {
         assert!(
             analysis.suppressed.iter().any(|(f, _)| f.rule == rule),
-            "{} sanctions declared in lint-flows.toml but no flow was suppressed — \
+            "{} sanctions declared in lint.toml but no flow was suppressed — \
              the manifest and the workspace drifted apart",
             rule.code()
         );

@@ -1,8 +1,8 @@
 //! Tier-1 gate: the repository must satisfy its own static invariants.
 //!
 //! Runs `pcqe-lint` in-process over the workspace root with the checked-in
-//! `lint-allow.toml`. Any unsuppressed finding — including a stale
-//! allowlist entry (PCQE-A001) — fails the build, so a violating pattern
+//! `lint.toml`. Any unsuppressed finding — including a stale
+//! `[[allow]]` entry (PCQE-A001) — fails the build, so a violating pattern
 //! cannot merge even if the author never ran the CLI. This is the same
 //! analysis `ci.sh` runs as a dedicated step; the test form makes it part
 //! of the plain `cargo test` contract.
@@ -13,7 +13,7 @@ use std::path::Path;
 #[test]
 fn workspace_passes_its_own_static_analysis() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let analysis = pcqe_lint::analyze(root, None).expect("lint analysis runs");
+    let analysis = pcqe_lint::analyze(root).expect("lint analysis runs");
 
     // The walk must actually have covered the tree; a silently empty scan
     // would make this guard vacuous.
@@ -48,18 +48,16 @@ fn workspace_passes_its_own_static_analysis() {
 }
 
 /// The graph-layer rules (P002 panic-reachability, G001 policy-gating),
-/// the new token rules (D004 float-determinism, C002 capability
-/// coverage — the graph fixture ships a capability manifest, so its
-/// concurrency findings report under the manifest-mode id), and the
-/// hygiene rule A002 must all be live — i.e. they fire on the fixture
-/// trees that plant exactly one violation each. A rule that silently
-/// stopped firing would turn the clean workspace gate above into a
-/// vacuous check. (Legacy C001 and the layer-3 rules C003–C006 are
+/// the token rules D004 (float determinism) and C002 (capability
+/// coverage), and the hygiene rule A002 must all be live — i.e. they
+/// fire on the fixture trees that plant exactly one violation each. A
+/// rule that silently stopped firing would turn the clean workspace
+/// gate above into a vacuous check. (The layer-3 rules C003–C006 are
 /// covered by `tests/concurrency_lint_guard.rs`.)
 #[test]
 fn reachability_and_hygiene_rules_are_live() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let graph = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/graph"), None)
+    let graph = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/graph"))
         .expect("graph fixture analysis runs");
     for rule in [Rule::P002, Rule::D004, Rule::C002, Rule::G001] {
         assert!(
@@ -84,7 +82,7 @@ fn reachability_and_hygiene_rules_are_live() {
         p002.message
     );
 
-    let noreason = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/noreason"), None)
+    let noreason = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/noreason"))
         .expect("noreason fixture analysis runs");
     assert!(
         noreason.findings.iter().any(|f| f.rule == Rule::A002),
@@ -93,15 +91,16 @@ fn reachability_and_hygiene_rules_are_live() {
     );
 }
 
-/// The JSON report is a CI artifact (`ci.sh` writes `results/lint.json`):
-/// it must be byte-identical across runs and parseable by the in-repo
-/// JSON reader that `obs-validate` uses, with summary counts that agree
-/// with the analysis itself.
+/// The JSON and SARIF reports are CI artifacts (`ci.sh` writes
+/// `results/lint.json` and `results/lint.sarif`): each must be
+/// byte-identical across runs and parseable by the in-repo JSON reader
+/// that `obs-validate` uses, with counts that agree with the analysis
+/// itself.
 #[test]
 fn json_report_is_byte_stable_and_round_trips_through_the_obs_parser() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let a = pcqe_lint::analyze(root, None).expect("first analysis runs");
-    let b = pcqe_lint::analyze(root, None).expect("second analysis runs");
+    let a = pcqe_lint::analyze(root).expect("first analysis runs");
+    let b = pcqe_lint::analyze(root).expect("second analysis runs");
     let ja = pcqe_lint::report::json(&a);
     let jb = pcqe_lint::report::json(&b);
     assert_eq!(ja, jb, "JSON report drifted between two identical runs");
@@ -136,4 +135,23 @@ fn json_report_is_byte_stable_and_round_trips_through_the_obs_parser() {
     }
     assert_eq!(errors, a.error_count() as u64);
     assert_eq!(suppressed, a.suppressed.len() as u64);
+
+    // The SARIF render of the same analysis: one run by the `pcqe-lint`
+    // driver, every rule declared, one result per unsuppressed finding.
+    let sa = pcqe_lint::sarif::sarif(&a);
+    assert_eq!(sa, pcqe_lint::sarif::sarif(&b), "SARIF export drifted");
+    let value = pcqe_obs::json::parse(&sa).expect("SARIF parses with pcqe_obs::json");
+    let obj = value.as_object().expect("top level is an object");
+    assert_eq!(obj["version"].as_str(), Some("2.1.0"));
+    let runs = obj["runs"].as_array().expect("runs array");
+    assert_eq!(runs.len(), 1);
+    let run = runs[0].as_object().expect("run object");
+    let driver = run["tool"].as_object().expect("tool")["driver"]
+        .as_object()
+        .expect("driver object");
+    assert_eq!(driver["name"].as_str(), Some("pcqe-lint"));
+    let declared = driver["rules"].as_array().expect("driver rules");
+    assert_eq!(declared.len(), Rule::all().len());
+    let results = run["results"].as_array().expect("results array");
+    assert_eq!(results.len(), a.findings.len());
 }

@@ -289,6 +289,27 @@ fn trace_spans_cover_the_query_lifecycle() {
     assert_eq!(trace.dropped, 0, "ring buffer must not overflow here");
 }
 
+/// `rows` single-column rows at alternating confidence 0.9 / 0.6 behind
+/// a tracer with room for `capacity` events; role `reader` sees all of
+/// them for purpose `all` (β = 0.5) and every other one for `half`.
+fn single_column_db(rows: usize, capacity: usize) -> Database {
+    let tracer = Tracer::with_clock(Arc::new(ManualClock::new()), capacity);
+    let mut db = Database::with_tracer(EngineConfig::default().sequential(), tracer);
+    db.create_table(
+        "t",
+        Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
+    )
+    .unwrap();
+    for i in 0..rows {
+        let confidence = if i % 2 == 0 { 0.9 } else { 0.6 };
+        db.insert("t", vec![Value::Int(i as i64)], confidence)
+            .unwrap();
+    }
+    db.add_policy(ConfidencePolicy::new("reader", "all", 0.5).unwrap());
+    db.add_policy(ConfidencePolicy::new("reader", "half", 0.7).unwrap());
+    db
+}
+
 /// Decisions are emitted in one walk alongside the rows: one per row
 /// however large the released set, each agreeing with the gate's verdict
 /// and the audit entry — all released, and interleaved with withheld rows.
@@ -297,20 +318,7 @@ fn large_results_have_one_decision_per_row_matching_the_audit_log() {
     const ROWS: usize = 2_400;
     // Three events per row (cache, gate instant, decision) outgrow the
     // default buffer; a dropped event would hide exactly what is checked.
-    let tracer = Tracer::with_clock(Arc::new(ManualClock::new()), 4 * ROWS);
-    let mut db = Database::with_tracer(EngineConfig::default().sequential(), tracer);
-    db.create_table(
-        "t",
-        Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
-    )
-    .unwrap();
-    for i in 0..ROWS {
-        let confidence = if i % 2 == 0 { 0.9 } else { 0.6 };
-        db.insert("t", vec![Value::Int(i as i64)], confidence)
-            .unwrap();
-    }
-    db.add_policy(ConfidencePolicy::new("reader", "all", 0.5).unwrap());
-    db.add_policy(ConfidencePolicy::new("reader", "half", 0.7).unwrap());
+    let mut db = single_column_db(ROWS, 4 * ROWS);
     let user = User::new("rae", "reader");
 
     for (purpose, expect_released) in [("all", ROWS), ("half", ROWS / 2)] {
@@ -341,4 +349,30 @@ fn large_results_have_one_decision_per_row_matching_the_audit_log() {
         assert_eq!(*released, decisions.iter().filter(|d| d.released).count());
         assert_eq!(*withheld, decisions.iter().filter(|d| !d.released).count());
     }
+    // Nothing was dropped, so the recorder has no loss to report.
+    assert_eq!(db.metrics_snapshot().counter("trace.dropped"), 0);
+}
+
+/// A trace that outgrows its buffer reports the loss twice: in the
+/// drained trace's own `dropped` count, and — summed over traced
+/// queries — in the recorder's `trace.dropped` counter, so an operator
+/// reading metrics alone learns their timelines are truncated.
+#[test]
+fn dropped_events_are_counted_in_the_trace_and_the_recorder() {
+    let mut db = single_column_db(40, 16);
+    let user = User::new("rae", "reader");
+    let request = QueryRequest::new("SELECT x FROM t", "all").expecting(0.0);
+    let (resp, first) = db.trace_query(&user, &request).unwrap();
+    assert_eq!(resp.released.len(), 40, "dropping events never drops rows");
+    assert_eq!(first.events.len(), 16);
+    assert!(first.dropped > 0);
+    assert_eq!(
+        db.metrics_snapshot().counter("trace.dropped"),
+        first.dropped
+    );
+    let (_, second) = db.trace_query(&user, &request).unwrap();
+    assert_eq!(
+        db.metrics_snapshot().counter("trace.dropped"),
+        first.dropped + second.dropped
+    );
 }
