@@ -5,7 +5,9 @@
 //! 2. **Solve** each group independently with the greedy algorithm; for
 //!    groups with fewer than τ base tuples additionally run the heuristic
 //!    branch-and-bound, seeded with the group's greedy solution as the
-//!    initial cost upper bound.
+//!    initial cost upper bound. The groups share nothing, so they are
+//!    dispatched as morsels over the caller's [`pcqe_par::Parallelism`]
+//!    and folded back in group order.
 //! 3. **Combine**: overlapping base tuples take the maximum confidence
 //!    across group solutions (never reducing any group's results).
 //! 4. **Refine**: a phase-2-style roll-back, starting from the base tuple
@@ -18,7 +20,7 @@ use crate::greedy::{self, GreedyOptions, GreedyStats};
 use crate::heuristic::{self, HeuristicOptions};
 use crate::ord::OrdF64;
 use crate::partition::{partition, PartitionOptions};
-use crate::problem::{ProblemInstance, ResultSpec};
+use crate::problem::ProblemInstance;
 use crate::solution::SolveOutcome;
 use crate::state::EvalState;
 use crate::Result;
@@ -70,6 +72,11 @@ pub struct DncStats {
     pub refinement_reductions: u64,
     /// Time spent partitioning.
     pub partition_elapsed: Duration,
+    /// Wall-clock time of the group-solving section (all workers).
+    pub groups_elapsed: Duration,
+    /// Branch-and-bound time summed over the groups, so it exceeds
+    /// [`Self::groups_elapsed`] when groups ran side by side.
+    pub bb_elapsed: Duration,
     /// Total wall-clock time.
     pub elapsed: Duration,
 }
@@ -94,33 +101,40 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     stats.groups = groups.len();
 
     // --- Solve each group --------------------------------------------
+    // One morsel per group. Whether spawning pays is decided by the grid
+    // points the groups' searches range over (one grid per result–base
+    // reference), against the same threshold as every other batch. The
+    // fold below runs after the join, in group order, so statistics and
+    // the per-base maximum come out as the sequential loop's would at any
+    // worker count; so does the error, which is the first in group order.
+    let weight: usize = groups
+        .iter()
+        .flatten()
+        .flat_map(|&ri| &problem.results[ri].bases)
+        .map(|&b| state.max_steps(b) as usize + 1)
+        .sum();
+    let groups_watch = Stopwatch::start();
+    let outcomes = pcqe_par::morsel::try_map_morsels(
+        &options.greedy.parallelism,
+        &groups,
+        weight,
+        |_, group| solve_group(problem, group, options),
+        None,
+    )?;
+    stats.groups_elapsed = groups_watch.elapsed();
     // Final step counts per global base index (max across groups).
     let mut combined_steps: Vec<u32> = vec![0; problem.bases.len()];
-    for group in &groups {
-        let (sub, base_map) = sub_problem(problem, group);
-        stats.largest_group_bases = stats.largest_group_bases.max(sub.bases.len());
-        if sub.required == 0 {
-            continue;
-        }
-        let g = greedy::solve(&sub, &options.greedy)?;
-        stats.greedy.iterations += g.stats.iterations;
-        stats.greedy.reductions += g.stats.reductions;
-        stats.greedy.evals += g.stats.evals;
-        let solution = if sub.bases.len() < options.tau {
+    for outcome in outcomes {
+        stats.largest_group_bases = stats.largest_group_bases.max(outcome.bases);
+        stats.greedy.iterations += outcome.greedy.iterations;
+        stats.greedy.reductions += outcome.greedy.reductions;
+        stats.greedy.evals += outcome.greedy.evals;
+        if let Some((nodes, elapsed)) = outcome.bb {
             stats.bb_groups += 1;
-            let opts = HeuristicOptions {
-                node_limit: Some(options.bb_node_budget),
-                ..HeuristicOptions::all().with_seed(g.solution.clone())
-            };
-            let h = heuristic::solve(&sub, &opts)?;
-            stats.bb_nodes += h.stats.nodes;
-            h.solution
-        } else {
-            g.solution
-        };
-        for (sub_idx, &global_idx) in base_map.iter().enumerate() {
-            let steps = ((solution.levels[sub_idx] - sub.bases[sub_idx].initial) / sub.delta)
-                .round() as u32;
+            stats.bb_nodes += nodes;
+            stats.bb_elapsed += elapsed;
+        }
+        for (global_idx, steps) in outcome.steps {
             combined_steps[global_idx] = combined_steps[global_idx].max(steps);
         }
     }
@@ -159,11 +173,11 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
         if steps == 0 {
             continue;
         }
-        let refund = problem.cost_at(i, steps);
-        let results: Vec<usize> = problem.results_of_base(i).to_vec();
-        let now = state.confidences_snapshot(&results);
+        let refund = state.cost_at(i, steps);
+        let results = problem.results_of_base(i);
+        let now = state.confidences_snapshot(results);
         state.set_steps(i, 0);
-        let then = state.confidences_snapshot(&results);
+        let then = state.confidences_snapshot(results);
         state.set_steps(i, steps);
         let loss: f64 = now.iter().zip(&then).map(|(a, b)| (a - b).max(0.0)).sum();
         let gain = if refund > 0.0 {
@@ -188,9 +202,66 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     Ok(SolveOutcome { solution, stats })
 }
 
+/// What one group hands to the combination.
+struct GroupOutcome {
+    /// Base tuples in the group.
+    bases: usize,
+    /// The group's greedy run (all zero when the group needed nothing).
+    greedy: GreedyStats,
+    /// Nodes and time of the group's branch-and-bound, if it ran.
+    bb: Option<(u64, Duration)>,
+    /// `(global base index, grid steps)` of the group's solution.
+    steps: Vec<(usize, u32)>,
+}
+
+/// Solve one group: greedy, then branch-and-bound seeded with the greedy
+/// answer when the group has fewer than τ base tuples.
+fn solve_group(
+    problem: &ProblemInstance,
+    group: &[usize],
+    options: &DncOptions,
+) -> Result<GroupOutcome> {
+    let (sub, base_map) = sub_problem(problem, group)?;
+    let mut outcome = GroupOutcome {
+        bases: sub.bases.len(),
+        greedy: GreedyStats::default(),
+        bb: None,
+        steps: Vec::new(),
+    };
+    if sub.required == 0 {
+        return Ok(outcome);
+    }
+    let g = greedy::solve(&sub, &options.greedy)?;
+    outcome.greedy = g.stats;
+    let solution = if sub.bases.len() < options.tau {
+        let opts = HeuristicOptions {
+            node_limit: Some(options.bb_node_budget),
+            ..HeuristicOptions::all().with_seed(g.solution)
+        };
+        let h = heuristic::solve(&sub, &opts)?;
+        outcome.bb = Some((h.stats.nodes, h.stats.elapsed));
+        h.solution
+    } else {
+        g.solution
+    };
+    outcome.steps = base_map
+        .iter()
+        .enumerate()
+        .map(|(sub_idx, &global_idx)| {
+            let steps = ((solution.levels[sub_idx] - sub.bases[sub_idx].initial) / sub.delta)
+                .round() as u32;
+            (global_idx, steps)
+        })
+        .collect();
+    Ok(outcome)
+}
+
 /// Build the sub-problem for one group of result indexes. Returns the
 /// instance plus the mapping from sub-base index to global base index.
-fn sub_problem(problem: &ProblemInstance, group: &[usize]) -> (ProblemInstance, Vec<usize>) {
+fn sub_problem(
+    problem: &ProblemInstance,
+    group: &[usize],
+) -> Result<(ProblemInstance, Vec<usize>)> {
     let mut base_map: Vec<usize> = Vec::new();
     let mut global_to_sub: BTreeMap<usize, usize> = BTreeMap::new();
     for &ri in group {
@@ -201,44 +272,29 @@ fn sub_problem(problem: &ProblemInstance, group: &[usize]) -> (ProblemInstance, 
             });
         }
     }
-    let bases = base_map
-        .iter()
-        .map(|&g| problem.bases[g].clone())
-        .collect::<Vec<_>>();
-    let results: Vec<ResultSpec> = group
-        .iter()
-        .map(|&ri| {
-            let r = &problem.results[ri];
-            ResultSpec {
-                bases: r.bases.iter().map(|&b| global_to_sub[&b]).collect(),
-                conf: r.conf.clone(),
-            }
-        })
-        .collect();
+    let mut builder = crate::problem::ProblemBuilder::new(problem.beta, problem.delta);
+    for &g in &base_map {
+        let b = &problem.bases[g];
+        builder.base_capped(b.id, b.initial, b.max, b.cost.clone());
+    }
+    for &ri in group {
+        let r = &problem.results[ri];
+        builder.result_with(
+            r.bases.iter().map(|&b| global_to_sub[&b]).collect(),
+            r.conf.clone(),
+        );
+    }
+    let mut sub = builder.build()?;
     // Paper: a group with x results targets min(x, y) where y is the whole
     // query's requirement — further capped by what the group can actually
     // achieve, so per-group solving never reports a spurious Infeasible.
-    let mut builder = crate::problem::ProblemBuilder::new(problem.beta, problem.delta);
-    for b in &bases {
-        builder.base_capped(b.id, b.initial, b.max, b.cost.clone());
-    }
-    for r in &results {
-        let conf = r.conf.clone();
-        let bases_idx = r.bases.clone();
-        builder.result_custom(bases_idx, move |p| conf.eval(p));
-    }
-    let probe = builder
-        .build()
-        .expect("sub-problem inherits a validated problem");
     let achievable = {
-        let mut s = EvalState::new(&probe);
-        let all: Vec<usize> = (0..probe.bases.len()).collect();
+        let mut s = EvalState::new(&sub);
+        let all: Vec<usize> = (0..sub.bases.len()).collect();
         s.optimistic_satisfied(&all)
     };
-    let required = group.len().min(problem.required).min(achievable);
-    let mut sub = probe;
-    sub.required = required;
-    (sub, base_map)
+    sub.required = group.len().min(problem.required).min(achievable);
+    Ok((sub, base_map))
 }
 
 #[cfg(test)]

@@ -228,8 +228,9 @@ pub(crate) fn phase1(
         }
         // On a flat gain plateau (every probe gave ΔF = 0, e.g. a conjunct
         // still at zero), fall back to the cheapest step that touches an
-        // unsatisfied result so progress is still possible.
-        let (gain, pick) = match best.or(cheapest_fallback) {
+        // unsatisfied result so progress is still possible. Such a step has
+        // ΔF = 0, so 0 — not its cost — is the gain* phase 2 sorts it by.
+        let (gain, pick) = match best.or(cheapest_fallback.map(|(_, i)| (0.0, i))) {
             Some(x) => x,
             None => {
                 return Err(CoreError::GaveUp(

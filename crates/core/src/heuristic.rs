@@ -242,8 +242,7 @@ impl Search<'_, '_> {
             return;
         }
         let base = self.order[depth];
-        let max_steps = self.problem.max_steps(base);
-        for steps in 0..=max_steps {
+        for steps in 0..=state.max_steps(base) {
             state.set_steps(base, steps);
             if state.total_cost() >= self.best_cost {
                 // Higher values of this base only cost more.
@@ -280,7 +279,7 @@ fn cost_beta_order(problem: &ProblemInstance, state: &mut EvalState<'_>) -> Vec<
 }
 
 fn cost_beta(problem: &ProblemInstance, state: &mut EvalState<'_>, i: usize) -> f64 {
-    let max_steps = problem.max_steps(i);
+    let max_steps = state.max_steps(i);
     let mut best = f64::INFINITY;
     let mut best_unreachable = f64::INFINITY;
     for &ri in problem.results_of_base(i) {
@@ -291,7 +290,7 @@ fn cost_beta(problem: &ProblemInstance, state: &mut EvalState<'_>, i: usize) -> 
             let f = state.confidence(ri);
             f_max = f;
             if f > problem.beta {
-                reached = Some(problem.cost_at(i, s));
+                reached = Some(state.cost_at(i, s));
                 break;
             }
         }
@@ -302,7 +301,7 @@ fn cost_beta(problem: &ProblemInstance, state: &mut EvalState<'_>, i: usize) -> 
                 // Paper: adjust to cost / (F_max / β) when even the maximum
                 // cannot reach β.
                 if f_max > 0.0 {
-                    let adjusted = problem.cost_at(i, max_steps) / (f_max / problem.beta);
+                    let adjusted = state.cost_at(i, max_steps) / (f_max / problem.beta);
                     best_unreachable = best_unreachable.min(adjusted);
                 }
             }

@@ -108,8 +108,7 @@ impl MultiQueryProblem {
             builder.base_capped(b.id, b.initial, b.max, b.cost.clone());
         }
         for r in &self.results {
-            let conf = r.conf.clone();
-            builder.result_custom(r.bases.clone(), move |p| conf.eval(p));
+            builder.result_with(r.bases.clone(), r.conf.clone());
         }
         builder.build()
     }

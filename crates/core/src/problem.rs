@@ -238,10 +238,13 @@ impl ProblemBuilder {
     where
         F: Fn(&[f64]) -> f64 + Send + Sync + 'static,
     {
-        self.results.push(ResultSpec {
-            bases,
-            conf: ConfFn::Custom(Arc::new(f)),
-        });
+        self.result_with(bases, ConfFn::Custom(Arc::new(f)))
+    }
+
+    /// Add a result with an existing confidence function over the given
+    /// base indexes (how a derived problem reuses its parent's circuits).
+    pub fn result_with(&mut self, bases: Vec<usize>, conf: ConfFn) -> usize {
+        self.results.push(ResultSpec { bases, conf });
         self.results.len() - 1
     }
 

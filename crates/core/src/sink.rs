@@ -89,6 +89,8 @@ impl DncStats {
             self.refinement_reductions,
         );
         sink.duration("solver.dnc.partition_elapsed", self.partition_elapsed);
+        sink.duration("solver.dnc.groups_elapsed", self.groups_elapsed);
+        sink.duration("solver.dnc.bb_elapsed", self.bb_elapsed);
         sink.duration("solver.dnc.elapsed", self.elapsed);
         self.greedy.emit_as("solver.dnc.greedy", sink);
     }
@@ -170,6 +172,8 @@ mod tests {
                 iterations: 11,
                 ..GreedyStats::default()
             },
+            groups_elapsed: Duration::from_millis(5),
+            bb_elapsed: Duration::from_millis(8),
             ..DncStats::default()
         };
         let sink = CaptureSink::default();
@@ -177,6 +181,14 @@ mod tests {
         let counts = sink.counts.borrow();
         assert!(counts.contains(&("solver.dnc.groups".to_owned(), 3)));
         assert!(counts.contains(&("solver.dnc.greedy.iterations".to_owned(), 11)));
+        // Where a D&C solve's time went: the group section's wall time and
+        // the branch-and-bound time inside it (summed over workers).
+        let durations = sink.durations.borrow();
+        assert!(durations.contains(&(
+            "solver.dnc.groups_elapsed".to_owned(),
+            Duration::from_millis(5)
+        )));
+        assert!(durations.contains(&("solver.dnc.bb_elapsed".to_owned(), Duration::from_millis(8))));
     }
 
     #[test]

@@ -21,6 +21,15 @@ pub struct EvalState<'p> {
     total_cost: f64,
     /// Scratch buffer for confidence-function arguments.
     scratch: Vec<f64>,
+    /// Scratch buffer for the levels [`Self::optimistic_satisfied`] saves.
+    saved_levels: Vec<f64>,
+    /// Base `i`'s grid occupies `grid_start[i]..grid_start[i + 1]` of the
+    /// two tables below, one entry per step `0..=max_steps(i)`.
+    grid_start: Vec<usize>,
+    /// [`ProblemInstance::level_at`] for every grid point.
+    grid_levels: Vec<f64>,
+    /// [`ProblemInstance::cost_at`] for every grid point.
+    grid_costs: Vec<f64>,
     /// Count of confidence-function evaluations (for statistics).
     pub evals: u64,
 }
@@ -36,7 +45,23 @@ impl<'p> EvalState<'p> {
     /// construction for any policy: each result's confidence is a pure
     /// function of the (fixed) initial levels, and results are written
     /// back in index order.
+    ///
+    /// Each base's grid is tabulated here once, with the expressions of
+    /// [`ProblemInstance::level_at`] and [`ProblemInstance::cost_at`]
+    /// themselves, so a search node reads the very bits those calls would
+    /// return without redoing the division, `ceil` and cost potentials.
     pub fn new_par(problem: &'p ProblemInstance, par: &pcqe_par::Parallelism) -> EvalState<'p> {
+        let mut grid_start = Vec::with_capacity(problem.bases.len() + 1);
+        let mut grid_levels = Vec::new();
+        let mut grid_costs = Vec::new();
+        for i in 0..problem.bases.len() {
+            grid_start.push(grid_levels.len());
+            for s in 0..=problem.max_steps(i) {
+                grid_levels.push(problem.level_at(i, s));
+                grid_costs.push(problem.cost_at(i, s));
+            }
+        }
+        grid_start.push(grid_levels.len());
         let levels: Vec<f64> = problem.bases.iter().map(|b| b.initial).collect();
         let confidences = pcqe_par::map(par, &problem.results, |r| {
             let args: Vec<f64> = r.bases.iter().map(|&b| levels[b]).collect();
@@ -53,6 +78,10 @@ impl<'p> EvalState<'p> {
             satisfied,
             total_cost: 0.0,
             scratch: Vec::new(),
+            saved_levels: Vec::new(),
+            grid_start,
+            grid_levels,
+            grid_costs,
         }
     }
 
@@ -69,6 +98,30 @@ impl<'p> EvalState<'p> {
     /// Current grid steps of base `i`.
     pub fn steps_of(&self, i: usize) -> u32 {
         self.steps[i]
+    }
+
+    /// Grid steps available to base `i` — [`ProblemInstance::max_steps`]
+    /// read off the table.
+    pub(crate) fn max_steps(&self, i: usize) -> u32 {
+        (self.grid_start[i + 1] - self.grid_start[i] - 1) as u32
+    }
+
+    /// [`ProblemInstance::level_at`] on the grid (`steps <= max_steps(i)`).
+    pub(crate) fn level_at(&self, i: usize, steps: u32) -> f64 {
+        debug_assert!(
+            steps <= self.max_steps(i),
+            "step {steps} off base {i}'s grid"
+        );
+        self.grid_levels[self.grid_start[i] + steps as usize]
+    }
+
+    /// [`ProblemInstance::cost_at`] on the grid (`steps <= max_steps(i)`).
+    pub(crate) fn cost_at(&self, i: usize, steps: u32) -> f64 {
+        debug_assert!(
+            steps <= self.max_steps(i),
+            "step {steps} off base {i}'s grid"
+        );
+        self.grid_costs[self.grid_start[i] + steps as usize]
     }
 
     /// Current confidence of result `ri`.
@@ -107,22 +160,22 @@ impl<'p> EvalState<'p> {
     /// Set base `i` to `steps` grid steps, updating affected results,
     /// satisfied count, and cost. Returns the change in satisfied count.
     pub fn set_steps(&mut self, i: usize, steps: u32) -> i64 {
-        let steps = steps.min(self.problem.max_steps(i));
+        let steps = steps.min(self.max_steps(i));
         if steps == self.steps[i] {
             return 0;
         }
         self.steps[i] = steps;
-        self.levels[i] = self.problem.level_at(i, steps);
-        let new_cost = self.problem.cost_at(i, steps);
+        self.levels[i] = self.level_at(i, steps);
+        let new_cost = self.cost_at(i, steps);
         self.total_cost += new_cost - self.costs[i];
         self.costs[i] = new_cost;
         let mut delta = 0i64;
-        let affected = self.problem.results_of_base(i).to_vec();
-        for ri in affected {
-            let was = self.confidences[ri] > self.problem.beta;
+        let problem = self.problem;
+        for &ri in problem.results_of_base(i) {
+            let was = self.confidences[ri] > problem.beta;
             let c = self.eval_result(ri);
             self.confidences[ri] = c;
-            let now = c > self.problem.beta;
+            let now = c > problem.beta;
             match (was, now) {
                 (false, true) => {
                     self.satisfied += 1;
@@ -142,7 +195,7 @@ impl<'p> EvalState<'p> {
     /// was taken.
     pub fn step_up(&mut self, i: usize) -> bool {
         let s = self.steps[i];
-        if s >= self.problem.max_steps(i) {
+        if s >= self.max_steps(i) {
             return false;
         }
         self.set_steps(i, s + 1);
@@ -163,10 +216,10 @@ impl<'p> EvalState<'p> {
     /// Marginal cost of the next δ step on base `i` (∞ at max).
     pub fn next_step_cost(&self, i: usize) -> f64 {
         let s = self.steps[i];
-        if s >= self.problem.max_steps(i) {
+        if s >= self.max_steps(i) {
             return f64::INFINITY;
         }
-        self.problem.cost_at(i, s + 1) - self.problem.cost_at(i, s)
+        self.cost_at(i, s + 1) - self.cost_at(i, s)
     }
 
     /// Sum of confidence gains over `i`'s results if it took one δ step —
@@ -175,25 +228,18 @@ impl<'p> EvalState<'p> {
     /// quota).
     pub fn probe_step_gain(&mut self, i: usize, useful_only: bool) -> f64 {
         let s = self.steps[i];
-        if s >= self.problem.max_steps(i) {
+        if s >= self.max_steps(i) {
             return 0.0;
         }
         let old_level = self.levels[i];
-        self.levels[i] = self.problem.level_at(i, s + 1);
+        self.levels[i] = self.level_at(i, s + 1);
         let mut gain = 0.0;
-        let beta = self.problem.beta;
-        for idx in 0..self.problem.results_of_base(i).len() {
-            let ri = self.problem.results_of_base(i)[idx];
-            if useful_only && self.confidences[ri] > beta {
+        let problem = self.problem;
+        for &ri in problem.results_of_base(i) {
+            if useful_only && self.confidences[ri] > problem.beta {
                 continue;
             }
-            let c = {
-                let r = &self.problem.results[ri];
-                self.scratch.clear();
-                self.scratch.extend(r.bases.iter().map(|&b| self.levels[b]));
-                self.evals += 1;
-                r.conf.eval(&self.scratch)
-            };
+            let c = self.eval_result(ri);
             gain += (c - self.confidences[ri]).max(0.0);
         }
         self.levels[i] = old_level;
@@ -208,10 +254,10 @@ impl<'p> EvalState<'p> {
     /// responsible for adding the evaluation count to [`Self::evals`].
     pub fn probe_step_gain_readonly(&self, i: usize, useful_only: bool) -> (f64, u64) {
         let s = self.steps[i];
-        if s >= self.problem.max_steps(i) {
+        if s >= self.max_steps(i) {
             return (0.0, 0);
         }
-        let stepped = self.problem.level_at(i, s + 1);
+        let stepped = self.level_at(i, s + 1);
         let beta = self.problem.beta;
         let mut gain = 0.0;
         let mut evals = 0u64;
@@ -255,30 +301,23 @@ impl<'p> EvalState<'p> {
     /// raised to its maximum while others keep their current level — the
     /// optimistic bound used by heuristic H3.
     pub fn optimistic_satisfied(&mut self, rest: &[usize]) -> usize {
-        let saved: Vec<(usize, f64)> = rest.iter().map(|&i| (i, self.levels[i])).collect();
+        let mut saved = std::mem::take(&mut self.saved_levels);
+        saved.clear();
+        saved.extend(rest.iter().map(|&i| self.levels[i]));
         for &i in rest {
             self.levels[i] = self.problem.bases[i].max;
         }
         let mut count = 0;
         for ri in 0..self.problem.results.len() {
-            if self.confidences[ri] > self.problem.beta {
-                count += 1;
-                continue;
-            }
-            let c = {
-                let r = &self.problem.results[ri];
-                self.scratch.clear();
-                self.scratch.extend(r.bases.iter().map(|&b| self.levels[b]));
-                self.evals += 1;
-                r.conf.eval(&self.scratch)
-            };
-            if c > self.problem.beta {
+            if self.confidences[ri] > self.problem.beta || self.eval_result(ri) > self.problem.beta
+            {
                 count += 1;
             }
         }
-        for (i, l) in saved {
+        for (&i, &l) in rest.iter().zip(&saved) {
             self.levels[i] = l;
         }
+        self.saved_levels = saved;
         count
     }
 }

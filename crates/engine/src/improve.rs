@@ -187,7 +187,10 @@ fn dispatch(
     par: &pcqe_par::Parallelism,
     sink: &dyn SolverSink,
 ) -> std::result::Result<(Solution, Duration), CoreError> {
+    // The lazy heap makes the rescan's picks bit for bit; the O(k·l₁)
+    // rescan itself is kept for the figure reproductions.
     let greedy_opts = GreedyOptions {
+        incremental: true,
         parallelism: par.clone(),
         ..GreedyOptions::default()
     };

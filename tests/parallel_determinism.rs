@@ -2,12 +2,19 @@
 //! queried with one worker thread and with eight must produce
 //! byte-identical answers — released rows, withheld counts, confidence
 //! bits, and improvement proposals. Threads may only change speed, never
-//! results.
+//! results. The same holds one layer down for divide-and-conquer, whose
+//! groups are solved side by side.
 
 mod common;
 
+use pcqe::core::dnc::{self, DncOptions};
+use pcqe::core::greedy::GreedyOptions;
+use pcqe::core::problem::{ProblemBuilder, ProblemInstance};
+use pcqe::core::CoreError;
+use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
-use pcqe::lineage::Rng64;
+use pcqe::lineage::{Lineage, Rng64};
+use pcqe::par::Parallelism;
 use pcqe::storage::{Column, DataType, Schema, Value};
 
 /// Populate a database identically regardless of configuration: 10,000
@@ -175,6 +182,194 @@ fn vectorized_engine_matches_the_tuple_at_a_time_reference() {
             common::audited_counts(&db),
             vec![(expected.released.len(), expected.withheld)],
             "audit log diverged from the reference at {workers} workers"
+        );
+    }
+}
+
+/// Worker counts every D&C comparison runs at; `None` is the host's.
+const WORKERS: [Option<usize>; 4] = [Some(1), Some(2), Some(4), None];
+
+/// D&C options whose groups fan out even on a small instance.
+fn dnc_options(worker_threads: Option<usize>, greedy: GreedyOptions) -> DncOptions {
+    DncOptions {
+        greedy: GreedyOptions {
+            parallelism: Parallelism {
+                worker_threads,
+                parallel_threshold: 1,
+            },
+            ..greedy
+        },
+        ..DncOptions::default()
+    }
+}
+
+/// 72 results in 36 clusters of two. The results of a cluster share two
+/// base tuples (weight 2 > γ, so they merge); neighbouring clusters share
+/// one (weight 1, so they stay apart and the combination has to take the
+/// per-base maximum across groups).
+fn overlapping_instance() -> ProblemInstance {
+    let clusters = 36u64;
+    let mut b = ProblemBuilder::new(0.5, 0.1);
+    for i in 0..=4 * clusters {
+        b.base(
+            i,
+            0.05 + 0.01 * (i % 23) as f64,
+            CostFn::linear(10.0 + 7.0 * (i % 11) as f64).unwrap(),
+        );
+    }
+    for c in 0..clusters {
+        let o = 4 * c;
+        b.result_from_lineage(&Lineage::or(vec![
+            Lineage::var(o),
+            Lineage::and(vec![Lineage::var(o + 1), Lineage::var(o + 2)]),
+        ]))
+        .unwrap();
+        b.result_from_lineage(&Lineage::or(vec![
+            Lineage::and(vec![Lineage::var(o + 1), Lineage::var(o + 3)]),
+            Lineage::and(vec![Lineage::var(o + 2), Lineage::var(o + 4)]),
+        ]))
+        .unwrap();
+    }
+    b.require(50).build().unwrap()
+}
+
+#[test]
+fn dnc_groups_solved_side_by_side_match_the_sequential_solve() {
+    let problem = overlapping_instance();
+    let reference = dnc::solve(&problem, &dnc_options(Some(1), GreedyOptions::default())).unwrap();
+    reference.solution.validate(&problem).unwrap();
+    assert_eq!(reference.stats.groups, 36, "one group per cluster");
+    assert_eq!(reference.stats.bb_groups, 36, "every group is below τ");
+    for workers in WORKERS {
+        let got = dnc::solve(&problem, &dnc_options(workers, GreedyOptions::default())).unwrap();
+        let bits = |levels: &[f64]| levels.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&reference.solution.levels),
+            bits(&got.solution.levels),
+            "levels at {workers:?} workers"
+        );
+        assert_eq!(
+            reference.solution.cost.to_bits(),
+            got.solution.cost.to_bits()
+        );
+        assert_eq!(reference.solution.satisfied, got.solution.satisfied);
+        let counters = |s: &dnc::DncStats| {
+            (
+                (s.groups, s.largest_group_bases, s.bb_groups, s.bb_nodes),
+                (s.greedy.iterations, s.greedy.reductions, s.greedy.evals),
+                s.refinement_reductions,
+            )
+        };
+        assert_eq!(
+            counters(&reference.stats),
+            counters(&got.stats),
+            "statistics at {workers:?} workers"
+        );
+    }
+}
+
+/// Groups cannot be infeasible — each one's quota is capped by what it can
+/// reach — so the error a group can raise is the greedy iteration cap.
+/// Five singleton groups; only the middle one, starting on a zero-gain
+/// plateau, needs more steps than the cap allows.
+#[test]
+fn a_group_that_gives_up_fails_the_same_way_at_any_worker_count() {
+    let mut b = ProblemBuilder::new(0.5, 0.1);
+    for j in 0..5u64 {
+        let initial = if j == 2 { 0.0 } else { 0.6 };
+        b.base(2 * j, initial, CostFn::linear(10.0).unwrap());
+        b.base(2 * j + 1, initial, CostFn::linear(20.0).unwrap());
+        b.result_from_lineage(&Lineage::and(vec![
+            Lineage::var(2 * j),
+            Lineage::var(2 * j + 1),
+        ]))
+        .unwrap();
+    }
+    let problem = b.require(5).build().unwrap();
+    let capped = GreedyOptions {
+        max_iterations: 8,
+        ..GreedyOptions::default()
+    };
+    let reference = dnc::solve(&problem, &dnc_options(Some(1), capped.clone())).unwrap_err();
+    assert!(matches!(reference, CoreError::GaveUp(_)), "{reference}");
+    for workers in WORKERS {
+        let got = dnc::solve(&problem, &dnc_options(workers, capped.clone())).unwrap_err();
+        assert_eq!(reference, got, "error at {workers:?} workers");
+    }
+    // Without the cap the same instance solves: the error was the group's.
+    dnc::solve(&problem, &dnc_options(None, GreedyOptions::default())).unwrap();
+}
+
+/// 72 withheld `DISTINCT` results, each an OR of three claim ∧ evidence
+/// pairs; neighbouring groups share one evidence tuple. More than 64
+/// results, so the engine's `Auto` choice is divide-and-conquer.
+fn claims_database(config: EngineConfig) -> Database {
+    let mut db = Database::new(config);
+    db.create_table(
+        "claims",
+        Schema::new(vec![
+            Column::new("grp", DataType::Int),
+            Column::new("k", DataType::Int),
+        ])
+        .unwrap(),
+    )
+    .unwrap();
+    db.create_table(
+        "evidence",
+        Schema::new(vec![Column::new("k", DataType::Int)]).unwrap(),
+    )
+    .unwrap();
+    let mut rng = Rng64::seed_from_u64(20_260_930);
+    let groups = 72i64;
+    for g in 0..groups {
+        for k in 2 * g..=2 * g + 2 {
+            let conf = rng.range_f64(0.05, 0.3);
+            db.insert("claims", vec![Value::Int(g), Value::Int(k)], conf)
+                .unwrap();
+        }
+    }
+    for k in 0..=2 * groups {
+        let conf = rng.range_f64(0.05, 0.3);
+        db.insert("evidence", vec![Value::Int(k)], conf).unwrap();
+    }
+    db.add_policy(pcqe::policy::ConfidencePolicy::new("analyst", "report", 0.6).unwrap());
+    db
+}
+
+#[test]
+fn dnc_proposals_identical_across_thread_counts() {
+    let sql = "SELECT DISTINCT c.grp FROM claims c JOIN evidence e ON c.k = e.k";
+    let user = User::new("ana", "analyst");
+    let request = QueryRequest::new(sql, "report").expecting(0.5);
+    let forced = |worker_threads| EngineConfig {
+        worker_threads,
+        ..config(1)
+    };
+
+    let mut sequential = claims_database(forced(Some(1)));
+    let reference = sequential.query(&user, &request).unwrap();
+    assert_eq!(reference.withheld, 72);
+    assert!(reference.proposal.is_some(), "a strategy must be found");
+    assert_eq!(
+        sequential
+            .metrics_snapshot()
+            .counter("solver.dnc.bb_groups"),
+        72,
+        "the solve must have gone through divide-and-conquer"
+    );
+
+    for workers in WORKERS {
+        let mut parallel = claims_database(forced(workers));
+        let got = parallel.query(&user, &request).unwrap();
+        assert_eq!(
+            transcript(&reference),
+            transcript(&got),
+            "proposal at {workers:?} workers diverged from sequential"
+        );
+        assert_eq!(
+            sequential.audit_log(),
+            parallel.audit_log(),
+            "audit log at {workers:?} workers"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Seeded property tests over the strategy-finding algorithms: on random
 //! feasible instances, every solver's answer validates, the exact search
-//! is never beaten, phase 2 never hurts, and pruning never changes the
-//! optimum.
+//! is never beaten, phase 2 never hurts, pruning never changes the
+//! optimum, and the two greedy phase-1 loops are one algorithm.
 
 mod common;
 
@@ -10,6 +10,7 @@ use pcqe::core::dnc::{self, DncOptions};
 use pcqe::core::greedy::{self, GreedyOptions};
 use pcqe::core::heuristic::{self, HeuristicOptions};
 use pcqe::core::problem::{ProblemBuilder, ProblemInstance};
+use pcqe::core::state::EvalState;
 use pcqe::cost::CostFn;
 use pcqe::lineage::{Lineage, Rng64};
 
@@ -41,13 +42,27 @@ fn random_lineage(rng: &mut Rng64, n_bases: u64) -> Lineage {
 
 /// A random feasible problem: 3–6 bases, 2–4 results, β = 0.5, δ = 0.1.
 fn random_problem(rng: &mut Rng64) -> ProblemInstance {
+    random_problem_with(rng, 0.0)
+}
+
+/// [`random_problem`] where each base starts at confidence 0 with
+/// probability `zero_chance`: an AND over such bases gains nothing from
+/// any single step, which is the plateau greedy has to fall back on.
+fn random_problem_with(rng: &mut Rng64, zero_chance: f64) -> ProblemInstance {
     let n_bases = 3 + rng.below_u64(4);
     let mut b = ProblemBuilder::new(0.5, 0.1);
     for i in 0..n_bases {
+        let initial = rng.range_f64(0.05, 0.3);
+        let rate = rng.range_f64(1.0, 100.0);
         b.base(
             i,
-            rng.range_f64(0.05, 0.3),
-            CostFn::linear(rng.range_f64(1.0, 100.0)).expect("positive rate"),
+            // No draw at chance 0, so `random_problem`'s stream is as it was.
+            if zero_chance > 0.0 && rng.chance(zero_chance) {
+                0.0
+            } else {
+                initial
+            },
+            CostFn::linear(rate).expect("positive rate"),
         );
     }
     let n_results = rng.range_usize(2, 5);
@@ -223,5 +238,78 @@ fn regression_shrunk_instance_all_groupings() {
             let one = greedy::solve(&problem, &GreedyOptions::one_phase()).unwrap();
             assert!(g.solution.cost <= one.solution.cost + 1e-6);
         }
+    }
+}
+
+/// The lazy heap is the rescan with less work, not another algorithm:
+/// same picks, so same levels, cost and step counts to the last bit —
+/// also across zero-gain plateaus, where both take the cheapest step that
+/// touches an unsatisfied result and record it with gain* = 0.
+#[test]
+fn lazy_heap_and_rescan_are_bit_identical() {
+    let mut plateaus = 0;
+    for_each_case(4 * CASES, 0x501E_0007, |rng| {
+        let problem = random_problem_with(rng, 0.4);
+        let st = EvalState::new(&problem);
+        if (0..problem.results.len()).any(|ri| st.confidence(ri) == 0.0) {
+            plateaus += 1;
+        }
+        let rescan = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
+        let heap = greedy::solve(&problem, &GreedyOptions::incremental()).unwrap();
+        heap.solution.validate(&problem).unwrap();
+        let bits = |levels: &[f64]| levels.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rescan.solution.levels), bits(&heap.solution.levels));
+        assert_eq!(rescan.solution.cost.to_bits(), heap.solution.cost.to_bits());
+        assert_eq!(rescan.solution.satisfied, heap.solution.satisfied);
+        assert_eq!(rescan.stats.iterations, heap.stats.iterations);
+        assert_eq!(rescan.stats.reductions, heap.stats.reductions);
+    });
+    assert!(plateaus >= 20, "only {plateaus} instances had a plateau");
+}
+
+/// The grid tables of [`EvalState`] hold what `level_at` / `cost_at`
+/// compute, bit for bit, for every cost family — including a base whose
+/// cap falls between two grid points, where the last step is clamped.
+#[test]
+fn grid_tables_hold_the_problem_s_own_arithmetic() {
+    let families = [
+        CostFn::linear(37.0).unwrap(),
+        CostFn::polynomial(80.0, 3.0).unwrap(),
+        CostFn::binomial(120.0).unwrap(),
+        CostFn::exponential(5.0, 2.5).unwrap(),
+        CostFn::logarithmic(40.0, 9.0).unwrap(),
+        CostFn::piecewise(vec![(0.0, 0.0), (0.35, 10.0), (0.8, 90.0), (1.0, 400.0)]).unwrap(),
+    ];
+    let mut b = ProblemBuilder::new(0.5, 0.1);
+    for (i, cost) in families.iter().enumerate() {
+        b.base(2 * i as u64, 0.07 + 0.031 * i as f64, cost.clone());
+        b.base_capped(2 * i as u64 + 1, 0.13, 0.77, cost.clone());
+    }
+    let all: Vec<Lineage> = (0..2 * families.len() as u64).map(Lineage::var).collect();
+    b.result_from_lineage(&Lineage::or(all)).unwrap();
+    let problem = b.require(1).build().unwrap();
+    let mut state = EvalState::new(&problem);
+    for i in 0..problem.bases.len() {
+        for s in 0..=problem.max_steps(i) {
+            state.set_steps(i, s);
+            assert_eq!(
+                state.level(i).to_bits(),
+                problem.level_at(i, s).to_bits(),
+                "base {i} step {s}"
+            );
+            assert_eq!(
+                state.total_cost().to_bits(),
+                problem.cost_at(i, s).to_bits(),
+                "base {i} step {s}"
+            );
+            // Back to zero: `c + (0 − c)` is exactly 0, so the next step
+            // starts from a clean total again.
+            state.set_steps(i, 0);
+            assert_eq!(state.total_cost().to_bits(), 0.0f64.to_bits());
+        }
+        // Asking beyond the grid clamps to its last point.
+        state.set_steps(i, u32::MAX);
+        assert_eq!(state.steps_of(i), problem.max_steps(i));
+        state.set_steps(i, 0);
     }
 }
