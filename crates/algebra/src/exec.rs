@@ -3,7 +3,7 @@
 
 use crate::expr::ScalarExpr;
 use crate::plan::{Plan, ProjItem};
-use crate::result::{DerivedTuple, ResultSet};
+use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
 use pcqe_par::{ParObserver, Parallelism, TraceSink};
@@ -30,8 +30,8 @@ pub struct OperatorProfile {
     /// Total lineage-expression nodes across the produced rows — the
     /// quantity that drives downstream confidence-evaluation cost.
     pub lineage_nodes: u64,
-    /// Columnar batches produced (0 = the operator ran row-at-a-time,
-    /// as the vectorized pipeline breakers do).
+    /// Morsels of stored rows a scan emitted (those with a survivor);
+    /// 0 for every other operator.
     pub batches: u64,
 }
 
@@ -108,20 +108,22 @@ impl Profiler {
     }
 
     /// Fill the reserved slot once the operator's output exists (which
-    /// may still be columnar, hence counters rather than rows).
+    /// may still be borrowed from storage, hence counters rather than
+    /// rows). `lineage_nodes` walks the output, so it only runs when
+    /// profiling is enabled.
     pub(crate) fn exit_counts(
         &mut self,
         slot: usize,
         rows_in: usize,
         rows_out: usize,
-        lineage_nodes: u64,
+        lineage_nodes: impl FnOnce() -> u64,
         batches: u64,
     ) {
         if let Some(v) = &mut self.slots {
             if let Some(p) = v.get_mut(slot) {
                 p.rows_in = rows_in as u64;
                 p.rows_out = rows_out as u64;
-                p.lineage_nodes = lineage_nodes;
+                p.lineage_nodes = lineage_nodes();
                 p.batches = batches;
             }
         }
@@ -390,10 +392,10 @@ fn run(plan: &Plan, catalog: &Catalog) -> Result<Vec<DerivedTuple>> {
 
 /// One join output row: the concatenated values under the conjunction of
 /// both inputs' lineage.
-fn joined(tuple: Tuple, left: &DerivedTuple, right: &DerivedTuple) -> DerivedTuple {
+pub(crate) fn joined(tuple: Tuple, left: &impl Row, right: &impl Row) -> DerivedTuple {
     DerivedTuple {
         tuple,
-        lineage: Lineage::and(vec![left.lineage.clone(), right.lineage.clone()]),
+        lineage: Lineage::and(vec![left.lineage(), right.lineage()]),
     }
 }
 
@@ -478,11 +480,11 @@ pub(crate) fn sort_rows(rows: &mut [DerivedTuple], keys: &[crate::plan::SortKey]
     Ok(())
 }
 
-/// Evaluate one aggregate over a group's member rows.
-pub(crate) fn eval_aggregate(
+/// Evaluate one aggregate over a group's member rows, read in place.
+pub(crate) fn eval_aggregate<R: Row>(
     agg: &crate::plan::AggItem,
     members: &[usize],
-    rows: &[DerivedTuple],
+    rows: &[R],
 ) -> Result<Value> {
     use crate::plan::AggFunc;
     // Collect the argument values, skipping NULLs (SQL semantics).
@@ -490,7 +492,7 @@ pub(crate) fn eval_aggregate(
     let mut args: Vec<Value> = Vec::with_capacity(members.len());
     if let Some(arg) = &agg.arg {
         for &i in members {
-            let v = arg.eval(rows[i].tuple.values())?;
+            let v = arg.eval(rows[i].values())?;
             if !v.is_null() {
                 args.push(v);
             }

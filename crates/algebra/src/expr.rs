@@ -3,6 +3,7 @@
 use crate::error::AlgebraError;
 use crate::Result;
 use pcqe_storage::{DataType, Schema, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -283,18 +284,9 @@ impl ScalarExpr {
 
     /// Evaluate the expression on a row of values.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
-        self.eval_view(&row)
-    }
-
-    /// Evaluate the expression against any [`RowView`] — a row-major
-    /// slice or one logical row of a columnar batch. Monomorphization
-    /// makes the slice instantiation exactly the old [`ScalarExpr::eval`]
-    /// body, so both executors run the same evaluation order and surface
-    /// the same first error.
-    pub fn eval_view<V: RowView>(&self, row: &V) -> Result<Value> {
         match self {
             ScalarExpr::Column(i) => row
-                .col(*i)
+                .get(*i)
                 .cloned()
                 .ok_or_else(|| AlgebraError::Type(format!("column index {i} out of range"))),
             ScalarExpr::Literal(v) => Ok(v.clone()),
@@ -302,25 +294,25 @@ impl ScalarExpr {
                 // Logical connectives get SQL-ish short-circuit treatment.
                 match op {
                     BinaryOp::And => {
-                        let l = left.eval_view(row)?;
+                        let l = left.eval(row)?;
                         if l == Value::Bool(false) {
                             return Ok(Value::Bool(false));
                         }
-                        let r = right.eval_view(row)?;
+                        let r = right.eval(row)?;
                         return eval_logic(BinaryOp::And, &l, &r);
                     }
                     BinaryOp::Or => {
-                        let l = left.eval_view(row)?;
+                        let l = left.eval(row)?;
                         if l == Value::Bool(true) {
                             return Ok(Value::Bool(true));
                         }
-                        let r = right.eval_view(row)?;
+                        let r = right.eval(row)?;
                         return eval_logic(BinaryOp::Or, &l, &r);
                     }
                     _ => {}
                 }
-                let l = left.eval_view(row)?;
-                let r = right.eval_view(row)?;
+                let l = left.eval(row)?;
+                let r = right.eval(row)?;
                 match op {
                     BinaryOp::Eq
                     | BinaryOp::Ne
@@ -339,7 +331,7 @@ impl ScalarExpr {
                 }
             }
             ScalarExpr::Unary { op, expr } => {
-                let v = expr.eval_view(row)?;
+                let v = expr.eval(row)?;
                 match op {
                     UnaryOp::Not => match v {
                         Value::Bool(b) => Ok(Value::Bool(!b)),
@@ -347,7 +339,10 @@ impl ScalarExpr {
                         other => Err(AlgebraError::Type(format!("NOT applied to {other}"))),
                     },
                     UnaryOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Int(i) => i
+                            .checked_neg()
+                            .map(Value::Int)
+                            .ok_or_else(|| AlgebraError::Type("integer overflow".into())),
                         Value::Real(r) => Ok(Value::Real(-r)),
                         Value::Null => Ok(Value::Null),
                         other => Err(AlgebraError::Type(format!("negation of {other}"))),
@@ -360,14 +355,11 @@ impl ScalarExpr {
     }
 
     /// Evaluate the expression as a predicate: `true` only when the result
-    /// is boolean true (NULL counts as false, SQL-style).
+    /// is boolean true (NULL counts as false, SQL-style). This tree walk
+    /// is the reference; the vectorized executor tests rows through
+    /// [`ScalarExpr::compile`], which is held to it result for result.
     pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
-        self.eval_predicate_view(&row)
-    }
-
-    /// [`ScalarExpr::eval_predicate`] over any [`RowView`].
-    pub fn eval_predicate_view<V: RowView>(&self, row: &V) -> Result<bool> {
-        match self.eval_view(row)? {
+        match self.eval(row)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),
             other => Err(AlgebraError::Type(format!(
@@ -375,34 +367,156 @@ impl ScalarExpr {
             ))),
         }
     }
-}
 
-/// Row access for expression evaluation: implemented by row-major value
-/// slices and by one logical row of a columnar batch, so the tuple and
-/// vectorized executors share a single evaluation body.
-pub trait RowView {
-    /// The value in column `i`, if in range.
-    fn col(&self, i: usize) -> Option<&Value>;
-}
+    /// [`ScalarExpr::eval`] without the clone where the value already
+    /// exists: a column is borrowed from the row, a literal from the
+    /// expression; anything else is computed.
+    pub(crate) fn eval_ref<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
+        match self {
+            ScalarExpr::Column(i) => row
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| AlgebraError::Type(format!("column index {i} out of range"))),
+            ScalarExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            computed => computed.eval(row).map(Cow::Owned),
+        }
+    }
 
-impl RowView for &[Value] {
-    fn col(&self, i: usize) -> Option<&Value> {
-        self.get(i)
+    /// Compile the expression into a [`Predicate`]: once per operator,
+    /// then [`Predicate::test`] per row.
+    pub fn compile(&self) -> Predicate<'_> {
+        Predicate(Node::compile(self))
     }
 }
 
-/// One logical row of a columnar batch: borrowed column vectors plus a
-/// row index, evaluated without gathering the row into a scratch buffer.
-pub struct ColumnarRow<'a> {
-    /// The batch's column vectors (all the same length).
-    pub cols: &'a [Vec<Value>],
-    /// The row index within each column.
-    pub row: usize,
+/// A predicate compiled for repeated testing: the connectives and
+/// comparisons of the tree become nodes that yield a three-valued truth
+/// without building a [`Value`], over column and literal operands
+/// borrowed from the row and the expression. Everything else (arithmetic,
+/// `LIKE`, unary operators) is an operand run through
+/// [`ScalarExpr::eval`]. Observably identical to
+/// [`ScalarExpr::eval_predicate`]: same result, same evaluation order,
+/// same error for the same row.
+#[derive(Debug)]
+pub struct Predicate<'e>(Node<'e>);
+
+impl Predicate<'_> {
+    /// `true` only when the predicate is boolean true on `row`.
+    pub fn test(&self, row: &[Value]) -> Result<bool> {
+        match self.0.eval(row) {
+            Ok(truth) => Ok(truth == Some(true)),
+            Err(Fault::NotBool(v)) => Err(AlgebraError::Type(format!(
+                "predicate evaluated to non-boolean {v}"
+            ))),
+            Err(Fault::Error(e)) => Err(e),
+        }
+    }
 }
 
-impl RowView for ColumnarRow<'_> {
-    fn col(&self, i: usize) -> Option<&Value> {
-        self.cols.get(i).and_then(|c| c.get(self.row))
+/// What a boolean position evaluates to: a three-valued truth (`None` is
+/// NULL), or why it has none.
+type Truth = std::result::Result<Option<bool>, Fault>;
+
+/// Why a boolean position has no truth value.
+enum Fault {
+    /// It holds a non-boolean value (rendered). Not yet an error: the
+    /// position above decides whose error is reported, and words it.
+    NotBool(String),
+    /// Evaluation failed.
+    Error(AlgebraError),
+}
+
+impl From<AlgebraError> for Fault {
+    fn from(e: AlgebraError) -> Fault {
+        Fault::Error(e)
+    }
+}
+
+#[derive(Debug)]
+enum Node<'e> {
+    And(Box<Node<'e>>, Box<Node<'e>>),
+    Or(Box<Node<'e>>, Box<Node<'e>>),
+    /// One of the six comparisons over two operands.
+    Cmp(BinaryOp, &'e ScalarExpr, &'e ScalarExpr),
+    /// Any other expression in a boolean position.
+    Value(&'e ScalarExpr),
+}
+
+impl<'e> Node<'e> {
+    fn compile(e: &'e ScalarExpr) -> Node<'e> {
+        let ScalarExpr::Binary { op, left, right } = e else {
+            return Node::Value(e);
+        };
+        match op {
+            BinaryOp::And => Node::And(
+                Box::new(Node::compile(left)),
+                Box::new(Node::compile(right)),
+            ),
+            BinaryOp::Or => Node::Or(
+                Box::new(Node::compile(left)),
+                Box::new(Node::compile(right)),
+            ),
+            BinaryOp::Eq
+            | BinaryOp::Ne
+            | BinaryOp::Lt
+            | BinaryOp::Le
+            | BinaryOp::Gt
+            | BinaryOp::Ge => Node::Cmp(*op, left, right),
+            _ => Node::Value(e),
+        }
+    }
+
+    fn eval(&self, row: &[Value]) -> Truth {
+        match self {
+            Node::Value(e) => match &*e.eval_ref(row)? {
+                Value::Bool(b) => Ok(Some(*b)),
+                Value::Null => Ok(None),
+                other => Err(Fault::NotBool(other.to_string())),
+            },
+            Node::Cmp(op, left, right) => {
+                let (l, r) = (left.eval_ref(row)?, right.eval_ref(row)?);
+                let Some(ord) = l.sql_cmp(&r) else {
+                    if l.is_null() || r.is_null() {
+                        return Ok(None);
+                    }
+                    return Err(AlgebraError::Type(format!("cannot compare {l} with {r}")).into());
+                };
+                Ok(Some(match op {
+                    BinaryOp::Eq => ord == Ordering::Equal,
+                    BinaryOp::Ne => ord != Ordering::Equal,
+                    BinaryOp::Lt => ord == Ordering::Less,
+                    BinaryOp::Le => ord != Ordering::Greater,
+                    BinaryOp::Gt => ord == Ordering::Greater,
+                    // `compile` builds `Cmp` from the six comparisons only.
+                    _ => ord != Ordering::Less,
+                }))
+            }
+            // Only a definite left `false` (`AND`) or `true` (`OR`) stops a
+            // connective: a NULL or non-boolean left still runs the right
+            // side, whose error wins over the left's non-boolean value.
+            Node::And(left, right) => match left.eval(row) {
+                l @ (Ok(Some(false)) | Err(Fault::Error(_))) => l,
+                l => connect(l, right.eval(row), false),
+            },
+            Node::Or(left, right) => match left.eval(row) {
+                l @ (Ok(Some(true)) | Err(Fault::Error(_))) => l,
+                l => connect(l, right.eval(row), true),
+            },
+        }
+    }
+}
+
+/// Kleene `AND` (`absorbing = false`) or `OR` (`absorbing = true`) of a
+/// left side that did not stop the connective and the right side.
+fn connect(l: Truth, r: Truth, absorbing: bool) -> Truth {
+    match (l, r) {
+        (Err(Fault::Error(e)), _) | (_, Err(Fault::Error(e))) => Err(Fault::Error(e)),
+        (Err(Fault::NotBool(v)), _) | (_, Err(Fault::NotBool(v))) => {
+            Err(AlgebraError::Type(format!("logic applied to {v}")).into())
+        }
+        (Ok(a), Ok(b)) if a == Some(absorbing) || b == Some(absorbing) => Ok(Some(absorbing)),
+        (Ok(Some(_)), Ok(Some(_))) => Ok(Some(!absorbing)),
+        _ => Ok(None),
     }
 }
 

@@ -45,7 +45,7 @@ pub mod result;
 
 pub use error::AlgebraError;
 pub use exec::{execute, ExecProfile, OperatorProfile};
-pub use expr::{BinaryOp, ColumnarRow, RowView, ScalarExpr, UnaryOp};
+pub use expr::{BinaryOp, Predicate, ScalarExpr, UnaryOp};
 pub use optimize::optimize;
 pub use physical::{
     execute_vectorized_profiled, execute_vectorized_traced, execute_vectorized_with, lower,

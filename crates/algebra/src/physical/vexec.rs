@@ -1,11 +1,15 @@
 //! Vectorized, morsel-driven physical plan execution — the engine's one
 //! production executor.
 //!
-//! Data flows as columnar batches ([`VBatch`]: per-column value vectors
-//! plus a per-row lineage vector, seeded from [`pcqe_storage::Batch`] at
-//! the scans) and work is dispatched as whole morsels across `pcqe-par`
-//! workers via [`pcqe_par::morsel::map_morsels`], with a deterministic
-//! in-order merge.
+//! Work is dispatched as whole morsels across `pcqe-par` workers via
+//! [`pcqe_par::morsel::map_morsels`], with a deterministic in-order
+//! merge, and rows are **borrowed until an operator must own them**: a
+//! scan emits, per morsel, references to the stored rows that survive its
+//! residual ([`VOut::Stored`], a selection over storage); operators that
+//! only read their input — filter, projection, join build and probe,
+//! aggregate grouping and folding — read either those or derived tuples
+//! in place through [`Row`] (a values slice and a lineage); and a value
+//! is cloned once, when it enters an operator's output.
 //!
 //! ## The identity contract
 //!
@@ -16,47 +20,50 @@
 //! expressions, and the same first error on failing inputs — at any
 //! thread count. Three rules enforce it:
 //!
-//! 1. **Expressions evaluate row-wise, in row order.** Batches change
-//!    *data movement*, never evaluation order: predicates and
-//!    projections run through [`ScalarExpr::eval_view`] over a
-//!    [`ColumnarRow`], the same monomorphized body the reference runs
-//!    over row slices, so the first error surfaced is the same row's
-//!    error. Column-wise evaluation would be faster still but could
-//!    reorder which error wins — it is deliberately off the table.
-//! 2. **Pipeline breakers reuse the row-native helpers.** Sort,
-//!    Aggregate, Union, Difference, distinct-merge and the join kernels
-//!    convert batches to rows (a move, not a clone) and run literally
-//!    the same `or_merge`/`sort_rows`/`eval_aggregate` code as the
-//!    reference.
+//! 1. **Expressions evaluate row-wise, in row order.** Morsels change
+//!    *who* evaluates a row, never the order errors are reported in:
+//!    the first error surfaced is the first failing row's. Predicates
+//!    are compiled once per operator ([`ScalarExpr::compile`]) into a
+//!    program held, result for result and error for error, to the tree
+//!    walk [`ScalarExpr::eval_predicate`] the reference runs; projections,
+//!    group keys and aggregate arguments run that walk itself.
+//!    Column-wise evaluation would be faster still but could reorder
+//!    which error wins — it is deliberately off the table.
+//! 2. **Pipeline breakers reuse the row-native helpers.** Sort, Union,
+//!    Difference and distinct-merge own their rows and run literally the
+//!    same `or_merge`/`sort_rows` code as the reference; aggregates and
+//!    joins share `eval_aggregate`/`eval_items`/`joined`, generic over
+//!    [`Row`].
 //! 3. **Partitioned hash state stays ordered.** The hash-join build side
 //!    is hash-partitioned by [`pcqe_storage::partition`]'s deterministic
 //!    FNV-1a (partition count capped by the build table's NDV when the
-//!    catalog knows it); each partition is a `BTreeMap` filled with
-//!    ascending global row indexes, so a key's match list is identical
-//!    to the single global map the reference builds.
-//!
-//! Where the speed comes from: scans fuse their residual predicate
-//! *before* materialising — the predicate is evaluated on borrowed
-//! storage and only survivors are cloned — and all later movement
-//! (filter, project, batch-to-row conversion) moves values instead of
-//! cloning them.
+//!    catalog knows it); each partition is the run of its build-row
+//!    indexes stable-sorted by key — keys are compared where they lie,
+//!    never copied — so the rows of one key come in ascending row
+//!    order: the match list of the single ordered map the reference
+//!    builds.
 //!
 //! All observer and trace emission happens post-batch on the calling
 //! thread (the morsel dispatcher reports once, after its scope joins),
 //! never inside worker closures, so traces stay deterministic in
 //! structure.
 
-use crate::exec::{eval_aggregate, eval_items, or_merge, sort_rows, Ctx, ExecProfile, Profiler};
-use crate::expr::{ColumnarRow, ScalarExpr};
+use crate::error::AlgebraError;
+use crate::exec::{
+    eval_aggregate, eval_items, joined, or_merge, sort_rows, Ctx, ExecProfile, Profiler,
+};
+use crate::expr::{Predicate, ScalarExpr};
 use crate::physical::plan::PhysicalPlan;
-use crate::result::{DerivedTuple, ResultSet};
+use crate::plan::{AggItem, ProjItem};
+use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
 use pcqe_par::morsel::{map_morsels, try_map_morsels};
 use pcqe_par::{ParObserver, Parallelism, TraceSink};
 use pcqe_storage::{
-    morsel_rows, partition_count, partition_of, Batch, Catalog, StoredTuple, Tuple, Value,
+    morsel_rows, partition_count, partition_of, Catalog, StoredTuple, Tuple, Value,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Execute a physical plan under a parallelism policy. Output is
@@ -70,8 +77,7 @@ pub fn execute_vectorized_with(
 }
 
 /// [`execute_vectorized_with`], additionally collecting a per-operator
-/// [`ExecProfile`] whose `batches` field counts columnar batches
-/// produced, and optionally feeding a [`ParObserver`].
+/// [`ExecProfile`] and optionally feeding a [`ParObserver`].
 pub fn execute_vectorized_profiled(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -115,133 +121,67 @@ fn run_root(
     Ok((ResultSet::new(schema, out.into_rows()), prof.finish()))
 }
 
-/// A columnar batch inside the executor: per-column value vectors plus a
-/// per-row symbolic lineage vector (seeded from the storage batch's
-/// lineage-id column at the scans, combined by the operators above).
-#[derive(Debug)]
-pub(crate) struct VBatch {
-    /// One vector per output column; all `lineage.len()` long.
-    cols: Vec<Vec<Value>>,
-    /// Per-row lineage, aligned with the column vectors.
-    lineage: Vec<Lineage>,
-}
-
-impl VBatch {
-    fn from_storage(batch: Batch) -> VBatch {
-        let (cols, _confidence, ids) = batch.into_parts();
-        VBatch {
-            cols,
-            lineage: ids.into_iter().map(Lineage::var).collect(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lineage.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.lineage.is_empty()
-    }
-
-    /// Keep only rows whose mask entry is `true`, moving (not cloning)
-    /// the surviving values.
-    fn retain_mask(self, mask: &[bool]) -> VBatch {
-        let keep = |i: usize| mask.get(i).copied().unwrap_or(false);
-        VBatch {
-            cols: self
-                .cols
-                .into_iter()
-                .map(|col| {
-                    col.into_iter()
-                        .enumerate()
-                        .filter_map(|(i, v)| keep(i).then_some(v))
-                        .collect()
-                })
-                .collect(),
-            lineage: self
-                .lineage
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, l)| keep(i).then_some(l))
-                .collect(),
-        }
-    }
-
-    /// Transpose into row-major derived tuples, moving every value.
-    fn into_rows(self) -> Vec<DerivedTuple> {
-        let arity = self.cols.len();
-        let mut rows: Vec<Vec<Value>> =
-            (0..self.len()).map(|_| Vec::with_capacity(arity)).collect();
-        for col in self.cols {
-            for (row, v) in rows.iter_mut().zip(col) {
-                row.push(v);
-            }
-        }
-        rows.into_iter()
-            .zip(self.lineage)
-            .map(|(values, lineage)| DerivedTuple {
-                tuple: Tuple::new(values),
-                lineage,
-            })
-            .collect()
-    }
-}
-
-/// An operator's output: still columnar, or already row-native (after a
-/// pipeline breaker). Row-native output flows through the exact same
-/// helper code as the reference walker, which is what keeps the two
-/// bit-identical by construction.
-pub(crate) enum VOut {
-    /// Columnar batches, in row order across the vector.
-    Batches(Vec<VBatch>),
-    /// Row-native output (joins, sorts, aggregates, set operations).
+/// An operator's output. Rows stay borrowed from storage until an
+/// operator has to own them: scans, and the filters and limits directly
+/// above them, emit a selection over the stored rows; everything that
+/// computes new values emits derived tuples. Readers take either form
+/// through [`Row`].
+pub(crate) enum VOut<'c> {
+    /// Surviving stored rows, in storage order.
+    Stored(Vec<&'c StoredTuple>),
+    /// Owned rows.
     Rows(Vec<DerivedTuple>),
 }
 
-impl VOut {
-    fn row_count(&self) -> usize {
-        match self {
-            VOut::Batches(bs) => bs.iter().map(VBatch::len).sum(),
-            VOut::Rows(rows) => rows.len(),
+/// Run `$body` over an operator output's rows, whichever form they are in.
+macro_rules! read_rows {
+    ($out:expr, $rows:ident => $body:expr) => {
+        match $out {
+            VOut::Stored($rows) => $body,
+            VOut::Rows($rows) => $body,
         }
+    };
+}
+
+impl VOut<'_> {
+    fn row_count(&self) -> usize {
+        read_rows!(self, rows => rows.len())
     }
 
     fn lineage_nodes(&self) -> u64 {
-        let fold = |acc: u64, l: &Lineage| acc.saturating_add(l.size() as u64);
+        let nodes = |l: &Lineage| l.size() as u64;
         match self {
-            VOut::Batches(bs) => bs.iter().flat_map(|b| b.lineage.iter()).fold(0u64, fold),
-            VOut::Rows(rows) => rows.iter().map(|r| &r.lineage).fold(0u64, fold),
+            VOut::Stored(rows) => rows.iter().map(|r| nodes(&r.lineage())).sum(),
+            VOut::Rows(rows) => rows.iter().map(|r| nodes(&r.lineage)).sum(),
         }
     }
 
-    fn batch_count(&self) -> u64 {
-        match self {
-            VOut::Batches(bs) => bs.len() as u64,
-            VOut::Rows(_) => 0,
-        }
-    }
-
-    /// Materialise as row-native derived tuples (moves, no clones).
+    /// Own the rows: a stored row's values are cloned here, once.
     fn into_rows(self) -> Vec<DerivedTuple> {
         match self {
-            VOut::Batches(bs) => {
-                let mut rows = Vec::with_capacity(bs.iter().map(VBatch::len).sum());
-                for b in bs {
-                    rows.append(&mut b.into_rows());
-                }
-                rows
-            }
+            VOut::Stored(rows) => rows
+                .into_iter()
+                .map(|r| DerivedTuple {
+                    tuple: r.tuple.clone(),
+                    lineage: r.into_lineage(),
+                })
+                .collect(),
             VOut::Rows(rows) => rows,
         }
     }
 }
 
-fn run_v(plan: &PhysicalPlan, ctx: &Ctx<'_>, depth: usize, prof: &mut Profiler) -> Result<VOut> {
+fn run_v<'c>(
+    plan: &PhysicalPlan,
+    ctx: &Ctx<'c>,
+    depth: usize,
+    prof: &mut Profiler,
+) -> Result<VOut<'c>> {
     let slot = prof.enter(depth, || plan.node_label());
     let span = ctx
         .trace
         .map(|t| t.span_begin(&format!("op:{}", plan.node_label())));
-    let (rows_in, out) = run_v_node(plan, ctx, depth, prof)?;
+    let (rows_in, batches, out) = run_v_node(plan, ctx, depth, prof)?;
     if let (Some(t), Some(id)) = (ctx.trace, span) {
         t.span_end(id);
     }
@@ -249,57 +189,298 @@ fn run_v(plan: &PhysicalPlan, ctx: &Ctx<'_>, depth: usize, prof: &mut Profiler) 
         slot,
         rows_in,
         out.row_count(),
-        out.lineage_nodes(),
-        out.batch_count(),
+        || out.lineage_nodes(),
+        batches,
     );
     Ok(out)
 }
 
-/// Scan-fused residual: evaluate the predicate on *borrowed* stored rows
-/// and materialise only survivors into a columnar batch. One morsel in,
-/// one batch out; evaluation is row-wise in row order.
-fn scan_morsel(
-    arity: usize,
-    chunk: &[&StoredTuple],
+/// Morsel-parallel scan over stored rows (`get` reaches one from a slice
+/// element): the compiled residual tests each row in place, row-wise in
+/// row order, and a morsel returns references to its survivors. Yields
+/// the number of morsels that had any, and the survivors in storage order.
+fn scan<'a, 'c, T: Sync>(
+    rows: &'a [T],
+    get: impl Fn(&'a T) -> &'c StoredTuple + Sync,
     residual: &Option<ScalarExpr>,
-) -> Result<VBatch> {
-    let mut batch = Batch::empty(arity);
-    match residual {
-        None => {
-            batch.reserve(chunk.len());
-            for r in chunk {
-                batch.push_stored(r)?;
-            }
-        }
-        Some(p) => {
-            for r in chunk {
-                if p.eval_predicate(r.tuple.values())? {
-                    batch.push_stored(r)?;
+    ctx: &Ctx<'_>,
+) -> Result<(u64, Vec<&'c StoredTuple>)> {
+    let residual = residual.as_ref().map(ScalarExpr::compile);
+    let units: Vec<&[T]> = rows.chunks(morsel_rows(rows.len())).collect();
+    let morsels = try_map_morsels(
+        ctx.par,
+        &units,
+        rows.len(),
+        |_, chunk| -> Result<Vec<&'c StoredTuple>> {
+            let Some(test) = &residual else {
+                return Ok(chunk.iter().map(&get).collect());
+            };
+            let mut survivors = Vec::new();
+            for r in chunk.iter().map(&get) {
+                if test.test(r.tuple.values())? {
+                    survivors.push(r);
                 }
+            }
+            Ok(survivors)
+        },
+        ctx.observer,
+    )?;
+    let batches = morsels.iter().filter(|m| !m.is_empty()).count() as u64;
+    let mut survivors = Vec::with_capacity(morsels.iter().map(Vec::len).sum());
+    survivors.extend(morsels.into_iter().flatten());
+    Ok((batches, survivors))
+}
+
+/// Keep the rows the predicate holds on, tested in place.
+fn filter<R: Row>(rows: Vec<R>, predicate: &ScalarExpr, ctx: &Ctx<'_>) -> Result<Vec<R>> {
+    let test = predicate.compile();
+    let keep =
+        pcqe_par::try_map_observed(ctx.par, &rows, |row| test.test(row.values()), ctx.observer)?;
+    Ok(rows
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(row, k)| k.then_some(row))
+        .collect())
+}
+
+/// Compute the output columns from rows read in place; lineage moves across.
+fn project<R: Row>(rows: Vec<R>, items: &[ProjItem], ctx: &Ctx<'_>) -> Result<Vec<DerivedTuple>> {
+    let values = pcqe_par::try_map_observed(
+        ctx.par,
+        &rows,
+        |row| eval_items(items, row.values()),
+        ctx.observer,
+    )?;
+    Ok(rows
+        .into_iter()
+        .zip(values)
+        .map(|(row, values)| DerivedTuple {
+            tuple: Tuple::new(values),
+            lineage: row.into_lineage(),
+        })
+        .collect())
+}
+
+/// One side's key columns: each column's position in that side's rows,
+/// with its number in the plan (for the error).
+type KeyCols = [(usize, usize)];
+
+/// Whether a row can equi-join: every key column in range (else the typed
+/// error, as the reference's build and probe loops raise it) and none NULL.
+fn joinable(values: &[Value], cols: &KeyCols) -> Result<bool> {
+    for &(c, named) in cols {
+        let v = values.get(c).ok_or_else(|| key_out_of_range(named))?;
+        if v.is_null() {
+            return Ok(false); // NULL never equi-joins
+        }
+    }
+    Ok(true)
+}
+
+fn key_out_of_range(named: usize) -> AlgebraError {
+    AlgebraError::Type(format!("join key column {named} out of range"))
+}
+
+/// The key of a [`joinable`] row, read in place.
+fn key_of<'r>(values: &'r [Value], cols: &'r KeyCols) -> impl Iterator<Item = &'r Value> {
+    cols.iter().filter_map(move |&(c, _)| values.get(c))
+}
+
+/// The output row of a pair, if it passes `test`: the two rows' values
+/// are cloned once, side by side, for the test and the output alike.
+fn join_pair(
+    left: &impl Row,
+    right: &impl Row,
+    test: &Option<Predicate<'_>>,
+) -> Result<Option<DerivedTuple>> {
+    let values = [left.values(), right.values()].concat();
+    let keep = match test {
+        Some(test) => test.test(&values)?,
+        None => true,
+    };
+    Ok(keep.then(|| joined(Tuple::new(values), left, right)))
+}
+
+/// Hash join over rows read in place: no row or key is copied to build or
+/// to probe, and only matches are cloned, into the output. `keys` pairs a
+/// left column with a right column numbered in the combined schema.
+fn hash_join<L: Row, R: Row>(
+    l: &[L],
+    r: &[R],
+    keys: &[(usize, usize)],
+    left_arity: usize,
+    parts: usize,
+    residual: &Option<ScalarExpr>,
+    ctx: &Ctx<'_>,
+) -> Result<Vec<DerivedTuple>> {
+    let lcols: Vec<(usize, usize)> = keys.iter().map(|&(lc, _)| (lc, lc)).collect();
+    // A right column numbered inside the left input is a malformed plan.
+    let rcols = keys
+        .iter()
+        .map(|&(_, rc)| {
+            let position = rc.checked_sub(left_arity);
+            position
+                .map(|c| (c, rc))
+                .ok_or_else(|| key_out_of_range(rc))
+        })
+        .collect::<Result<Vec<(usize, usize)>>>()?;
+    let rkey = |i: usize| {
+        r.get(i)
+            .into_iter()
+            .flat_map(|row| key_of(row.values(), &rcols))
+    };
+    // Tag every build row with its partition (`None`: a NULL key),
+    // morsel-parallel with first-error-in-row-order — the same error the
+    // reference's sequential build loop reports. A partition id fits a
+    // byte: `partition_count` stops at `MAX_PARTITIONS`.
+    let tags: Vec<Option<u8>> = pcqe_par::try_map_observed(
+        ctx.par,
+        r,
+        |rr| -> Result<Option<u8>> {
+            let values = rr.values();
+            if !joinable(values, &rcols)? {
+                return Ok(None);
+            }
+            u8::try_from(partition_of(key_of(values, &rcols), parts))
+                .map(Some)
+                .map_err(|_| AlgebraError::Plan(format!("{parts} join partitions exceed a byte")))
+        },
+        ctx.observer,
+    )?;
+    // Build the partitions in parallel: each takes its own rows' indexes
+    // in ascending order and stable-sorts them by key, so the run of any
+    // key is identical to the match list of the single ordered map the
+    // reference builds (PCQE-D001: ordered, never a seeded hash map).
+    let part_ids: Vec<usize> = (0..parts).collect();
+    let tables: Vec<Vec<usize>> = map_morsels(
+        ctx.par,
+        &part_ids,
+        r.len(),
+        |_, &p| {
+            let mut table: Vec<usize> = tags
+                .iter()
+                .enumerate()
+                .filter_map(|(i, tag)| (tag.map(usize::from) == Some(p)).then_some(i))
+                .collect();
+            table.sort_by(|&a, &b| rkey(a).cmp(rkey(b)));
+            table
+        },
+        ctx.observer,
+    );
+    // Probe morsel-parallel over left rows; per-left match lists
+    // flattened in input order reproduce the sequential loop.
+    let residual = residual.as_ref().map(ScalarExpr::compile);
+    let units: Vec<&[L]> = l.chunks(morsel_rows(l.len())).collect();
+    let per_chunk = try_map_morsels(
+        ctx.par,
+        &units,
+        l.len(),
+        |_, chunk| -> Result<Vec<DerivedTuple>> {
+            let mut out = Vec::new();
+            for lr in *chunk {
+                if !joinable(lr.values(), &lcols)? {
+                    continue;
+                }
+                let lkey = || key_of(lr.values(), &lcols);
+                let Some(table) = tables.get(partition_of(lkey(), parts)) else {
+                    continue;
+                };
+                let first = table.partition_point(|&ri| rkey(ri).lt(lkey()));
+                for &ri in table.iter().skip(first) {
+                    if rkey(ri).ne(lkey()) {
+                        break;
+                    }
+                    let rr = r.get(ri).ok_or_else(|| {
+                        AlgebraError::Plan("hash table entry out of range".into())
+                    })?;
+                    out.extend(join_pair(lr, rr, &residual)?);
+                }
+            }
+            Ok(out)
+        },
+        ctx.observer,
+    )?;
+    Ok(per_chunk.into_iter().flatten().collect())
+}
+
+/// Nested-loop join over rows read in place; `predicate: None` is the
+/// cross product. Morsel-parallel over left rows.
+fn nested_loop_join<L: Row, R: Row>(
+    l: &[L],
+    r: &[R],
+    predicate: &Option<ScalarExpr>,
+    ctx: &Ctx<'_>,
+) -> Result<Vec<DerivedTuple>> {
+    let predicate = predicate.as_ref().map(ScalarExpr::compile);
+    let per_left = pcqe_par::try_map_observed(
+        ctx.par,
+        l,
+        |lr| -> Result<Vec<DerivedTuple>> {
+            let mut matches = Vec::new();
+            for rr in r {
+                matches.extend(join_pair(lr, rr, &predicate)?);
+            }
+            Ok(matches)
+        },
+        ctx.observer,
+    )?;
+    Ok(per_left.into_iter().flatten().collect())
+}
+
+/// Group rows read in place by key values, preserving first-seen order,
+/// and fold each group — the reference walker's Aggregate, except that a
+/// key that is a plain column stays borrowed from its row until the group
+/// is emitted.
+fn aggregate<R: Row>(
+    rows: &[R],
+    group_by: &[ProjItem],
+    aggregates: &[AggItem],
+) -> Result<Vec<DerivedTuple>> {
+    let mut index: BTreeMap<Vec<Cow<Value>>, usize> = BTreeMap::new();
+    let mut groups: Vec<(Vec<Cow<Value>>, Vec<usize>)> = Vec::new();
+    let mut key = Vec::with_capacity(group_by.len());
+    for (i, row) in rows.iter().enumerate() {
+        key.clear();
+        for g in group_by {
+            key.push(g.expr.eval_ref(row.values())?);
+        }
+        match index.get(key.as_slice()) {
+            Some(&gi) => {
+                if let Some(group) = groups.get_mut(gi) {
+                    group.1.push(i);
+                }
+            }
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push((key.clone(), vec![i]));
             }
         }
     }
-    Ok(VBatch::from_storage(batch))
-}
-
-/// Morsel-parallel scan over already-fetched stored rows: cut into
-/// morsels, fuse the residual, drop empty batches.
-fn scan_batches(
-    arity: usize,
-    rows: Vec<&StoredTuple>,
-    residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
-) -> Result<Vec<VBatch>> {
-    let weight = rows.len();
-    let units: Vec<&[&StoredTuple]> = rows.chunks(morsel_rows(weight)).collect();
-    let batches = try_map_morsels(
-        ctx.par,
-        &units,
-        weight,
-        |_, chunk| scan_morsel(arity, chunk, residual),
-        ctx.observer,
-    )?;
-    Ok(batches.into_iter().filter(|b| !b.is_empty()).collect())
+    if group_by.is_empty() && groups.is_empty() {
+        groups.push((Vec::new(), Vec::new()));
+    }
+    let mut out = Vec::with_capacity(groups.len());
+    for (key, members) in groups {
+        let mut values: Vec<Value> = key.into_iter().map(Cow::into_owned).collect();
+        for agg in aggregates {
+            values.push(eval_aggregate(agg, &members, rows)?);
+        }
+        let lineage = if members.is_empty() {
+            Lineage::certain()
+        } else {
+            Lineage::or(
+                members
+                    .iter()
+                    .filter_map(|&i| rows.get(i).map(Row::lineage))
+                    .collect(),
+            )
+        };
+        out.push(DerivedTuple {
+            tuple: Tuple::new(values),
+            lineage,
+        });
+    }
+    Ok(out)
 }
 
 /// Single-key NDV of the hash-join build side, when the catalog knows
@@ -327,26 +508,23 @@ fn build_side_ndv(
     }
 }
 
-/// Execute one node; returns `(rows consumed from direct inputs, output)`
-/// where `rows_in` for a scan is the rows read from storage.
-fn run_v_node(
+/// Execute one node; returns `(rows consumed from direct inputs, morsels
+/// of stored rows emitted, output)` where `rows_in` for a scan is the rows
+/// read from storage.
+fn run_v_node<'c>(
     plan: &PhysicalPlan,
-    ctx: &Ctx<'_>,
+    ctx: &Ctx<'c>,
     depth: usize,
     prof: &mut Profiler,
-) -> Result<(usize, VOut)> {
+) -> Result<(usize, u64, VOut<'c>)> {
     let catalog = ctx.catalog;
-    let par = ctx.par;
-    match plan {
+    let (rows_in, out) = match plan {
         PhysicalPlan::TableScan {
             table, residual, ..
         } => {
-            let t = catalog.table(table)?;
-            let arity = t.schema().arity();
-            let rows: Vec<&StoredTuple> = t.rows().iter().collect();
-            let rows_in = rows.len();
-            let batches = scan_batches(arity, rows, residual, ctx)?;
-            Ok((rows_in, VOut::Batches(batches)))
+            let stored = catalog.table(table)?.rows();
+            let (batches, rows) = scan(stored, |r| r, residual, ctx)?;
+            return Ok((stored.len(), batches, VOut::Stored(rows)));
         }
         PhysicalPlan::IndexScan {
             table,
@@ -357,71 +535,30 @@ fn run_v_node(
         } => {
             let t = catalog.table(table)?;
             let index = t.index_on(*column).ok_or_else(|| {
-                crate::error::AlgebraError::Plan(format!(
+                AlgebraError::Plan(format!(
                     "physical plan requires an index on column {column} of `{table}`, \
                      but the catalog has none"
                 ))
             })?;
             let stored = t.rows();
             let positions = index.lookup(key);
-            let mut rows = Vec::with_capacity(positions.len());
+            let mut fetched = Vec::with_capacity(positions.len());
             for &pos in positions {
-                rows.push(stored.get(pos).ok_or_else(|| {
-                    crate::error::AlgebraError::Plan(format!(
+                fetched.push(stored.get(pos).ok_or_else(|| {
+                    AlgebraError::Plan(format!(
                         "index on `{table}` points at row {pos} beyond table length {}",
                         stored.len()
                     ))
                 })?);
             }
-            let rows_in = rows.len();
-            let batches = scan_batches(t.schema().arity(), rows, residual, ctx)?;
-            Ok((rows_in, VOut::Batches(batches)))
+            let (batches, rows) = scan(&fetched, |r| *r, residual, ctx)?;
+            return Ok((fetched.len(), batches, VOut::Stored(rows)));
         }
         PhysicalPlan::Filter { input, predicate } => {
+            // A filtered selection over storage is still one.
             match run_v(input, ctx, depth + 1, prof)? {
-                VOut::Batches(batches) => {
-                    let rows_in: usize = batches.iter().map(VBatch::len).sum();
-                    // Parallel row-wise masks over borrowed batches, then
-                    // a move-gather of survivors.
-                    let masks = try_map_morsels(
-                        par,
-                        &batches,
-                        rows_in,
-                        |_, b| -> Result<Vec<bool>> {
-                            (0..b.len())
-                                .map(|i| {
-                                    predicate.eval_predicate_view(&ColumnarRow {
-                                        cols: &b.cols,
-                                        row: i,
-                                    })
-                                })
-                                .collect()
-                        },
-                        ctx.observer,
-                    )?;
-                    let out: Vec<VBatch> = batches
-                        .into_iter()
-                        .zip(masks)
-                        .map(|(b, mask)| b.retain_mask(&mask))
-                        .filter(|b| !b.is_empty())
-                        .collect();
-                    Ok((rows_in, VOut::Batches(out)))
-                }
-                VOut::Rows(rows) => {
-                    let rows_in = rows.len();
-                    let keep = pcqe_par::try_map_observed(
-                        par,
-                        &rows,
-                        |row| predicate.eval_predicate(row.tuple.values()),
-                        ctx.observer,
-                    )?;
-                    let out: Vec<DerivedTuple> = rows
-                        .into_iter()
-                        .zip(keep)
-                        .filter_map(|(row, k)| k.then_some(row))
-                        .collect();
-                    Ok((rows_in, VOut::Rows(out)))
-                }
+                VOut::Stored(rows) => (rows.len(), VOut::Stored(filter(rows, predicate, ctx)?)),
+                VOut::Rows(rows) => (rows.len(), VOut::Rows(filter(rows, predicate, ctx)?)),
             }
         }
         PhysicalPlan::Project {
@@ -429,68 +566,17 @@ fn run_v_node(
             items,
             distinct,
         } => {
-            let v = run_v(input, ctx, depth + 1, prof)?;
-            let rows_in = v.row_count();
-            let projected: VOut = match v {
-                VOut::Batches(batches) => {
-                    // Parallel per-batch projection into fresh columns;
-                    // lineage vectors are then moved across, never cloned.
-                    let new_cols = try_map_morsels(
-                        par,
-                        &batches,
-                        rows_in,
-                        |_, b| -> Result<Vec<Vec<Value>>> {
-                            let mut cols: Vec<Vec<Value>> =
-                                items.iter().map(|_| Vec::with_capacity(b.len())).collect();
-                            for i in 0..b.len() {
-                                let view = ColumnarRow {
-                                    cols: &b.cols,
-                                    row: i,
-                                };
-                                for (item, col) in items.iter().zip(cols.iter_mut()) {
-                                    col.push(item.expr.eval_view(&view)?);
-                                }
-                            }
-                            Ok(cols)
-                        },
-                        ctx.observer,
-                    )?;
-                    VOut::Batches(
-                        batches
-                            .into_iter()
-                            .zip(new_cols)
-                            .map(|(b, cols)| VBatch {
-                                cols,
-                                lineage: b.lineage,
-                            })
-                            .collect(),
-                    )
-                }
-                VOut::Rows(rows) => {
-                    let values = pcqe_par::try_map_observed(
-                        par,
-                        &rows,
-                        |row| eval_items(items, row.tuple.values()),
-                        ctx.observer,
-                    )?;
-                    VOut::Rows(
-                        rows.into_iter()
-                            .zip(values)
-                            .map(|(row, values)| DerivedTuple {
-                                tuple: Tuple::new(values),
-                                lineage: row.lineage,
-                            })
-                            .collect(),
-                    )
-                }
-            };
-            if *distinct {
-                // Duplicate merging is a pipeline breaker: go row-native
-                // and reuse the reference walker's or_merge verbatim.
-                Ok((rows_in, VOut::Rows(or_merge(projected.into_rows()))))
+            let input = run_v(input, ctx, depth + 1, prof)?;
+            let rows_in = input.row_count();
+            let projected = read_rows!(input, rows => project(rows, items, ctx)?);
+            // Duplicate merging is a pipeline breaker: reuse the
+            // reference walker's or_merge verbatim.
+            let rows = if *distinct {
+                or_merge(projected)
             } else {
-                Ok((rows_in, projected))
-            }
+                projected
+            };
+            (rows_in, VOut::Rows(rows))
         }
         PhysicalPlan::HashJoin {
             left,
@@ -499,184 +585,40 @@ fn run_v_node(
             residual,
         } => {
             let left_arity = left.schema(catalog)?.arity();
-            let l = run_v(left, ctx, depth + 1, prof)?.into_rows();
-            let r = run_v(right, ctx, depth + 1, prof)?.into_rows();
-            let rows_in = l.len() + r.len();
-            // Key extraction over the build side, morsel-parallel with
-            // first-error-in-row-order — the same error the reference's
-            // sequential build loop reports. Each key is tagged with its
-            // partition up front.
-            let parts = partition_count(r.len(), build_side_ndv(right, keys, left_arity, catalog));
-            let rkeys: Vec<Option<(usize, Vec<Value>)>> = pcqe_par::try_map_observed(
-                par,
-                &r,
-                |rr| -> Result<Option<(usize, Vec<Value>)>> {
-                    let mut key = Vec::with_capacity(keys.len());
-                    for &(_, rc) in keys {
-                        let v = rr.tuple.get(rc - left_arity).cloned().ok_or_else(|| {
-                            crate::error::AlgebraError::Type(format!(
-                                "join key column {rc} out of range"
-                            ))
-                        })?;
-                        if v.is_null() {
-                            return Ok(None); // NULL never equi-joins
-                        }
-                        key.push(v);
-                    }
-                    let p = partition_of(&key, parts);
-                    Ok(Some((p, key)))
-                },
-                ctx.observer,
-            )?;
-            // Build the partitions in parallel: each partition scans the
-            // tagged keys and keeps its own, inserting ascending global
-            // row indexes — so any key's match list is identical to the
-            // single ordered map the reference builds (PCQE-D001:
-            // BTreeMap, never a seeded hash map).
-            let part_ids: Vec<usize> = (0..parts).collect();
-            let tables: Vec<BTreeMap<&[Value], Vec<usize>>> = map_morsels(
-                par,
-                &part_ids,
-                r.len(),
-                |_, &p| {
-                    let mut table: BTreeMap<&[Value], Vec<usize>> = BTreeMap::new();
-                    for (i, tagged) in rkeys.iter().enumerate() {
-                        if let Some((kp, key)) = tagged {
-                            if *kp == p {
-                                table.entry(key.as_slice()).or_default().push(i);
-                            }
-                        }
-                    }
-                    table
-                },
-                ctx.observer,
+            let l = run_v(left, ctx, depth + 1, prof)?;
+            let r = run_v(right, ctx, depth + 1, prof)?;
+            let parts = partition_count(
+                r.row_count(),
+                build_side_ndv(right, keys, left_arity, catalog),
             );
-            // Probe morsel-parallel over left rows; per-left match lists
-            // flattened in input order reproduce the sequential loop.
-            let weight = l.len();
-            let units: Vec<&[DerivedTuple]> = l.chunks(morsel_rows(weight).max(1)).collect();
-            let per_chunk = try_map_morsels(
-                par,
-                &units,
-                weight,
-                |_, chunk| -> Result<Vec<DerivedTuple>> {
-                    let mut out = Vec::new();
-                    for lr in *chunk {
-                        let mut key = Vec::with_capacity(keys.len());
-                        let mut null_key = false;
-                        for &(lc, _) in keys {
-                            let v = lr.tuple.get(lc).cloned().ok_or_else(|| {
-                                crate::error::AlgebraError::Type(format!(
-                                    "join key column {lc} out of range"
-                                ))
-                            })?;
-                            if v.is_null() {
-                                null_key = true; // NULL never equi-joins
-                                break;
-                            }
-                            key.push(v);
-                        }
-                        if null_key {
-                            continue;
-                        }
-                        let matches = tables
-                            .get(partition_of(&key, parts))
-                            .and_then(|t| t.get(key.as_slice()));
-                        let Some(matches) = matches else {
-                            continue;
-                        };
-                        for &ri in matches {
-                            let rr = r.get(ri).ok_or_else(|| {
-                                crate::error::AlgebraError::Plan(
-                                    "hash table entry out of range".into(),
-                                )
-                            })?;
-                            let combined = lr.tuple.concat(&rr.tuple);
-                            let keep = match residual {
-                                Some(res) => res.eval_predicate(combined.values())?,
-                                None => true,
-                            };
-                            if keep {
-                                out.push(DerivedTuple {
-                                    tuple: combined,
-                                    lineage: Lineage::and(vec![
-                                        lr.lineage.clone(),
-                                        rr.lineage.clone(),
-                                    ]),
-                                });
-                            }
-                        }
-                    }
-                    Ok(out)
-                },
-                ctx.observer,
-            )?;
-            Ok((
-                rows_in,
-                VOut::Rows(per_chunk.into_iter().flatten().collect()),
-            ))
+            let rows = read_rows!(&l, l => read_rows!(&r, r => {
+                hash_join(l, r, keys, left_arity, parts, residual, ctx)?
+            }));
+            (l.row_count() + r.row_count(), VOut::Rows(rows))
         }
         PhysicalPlan::NestedLoopJoin {
             left,
             right,
             predicate,
         } => {
-            let l = run_v(left, ctx, depth + 1, prof)?.into_rows();
-            let r = run_v(right, ctx, depth + 1, prof)?.into_rows();
-            let rows_in = l.len() + r.len();
-            let out: Vec<Vec<DerivedTuple>> = match predicate {
-                // Pure cross product: infallible per-row work.
-                None => pcqe_par::map_observed(
-                    par,
-                    &l,
-                    |lr| {
-                        r.iter()
-                            .map(|rr| DerivedTuple {
-                                tuple: lr.tuple.concat(&rr.tuple),
-                                lineage: Lineage::and(vec![lr.lineage.clone(), rr.lineage.clone()]),
-                            })
-                            .collect::<Vec<_>>()
-                    },
-                    ctx.observer,
-                ),
-                // Predicated nested loop, morsel-parallel over left rows.
-                Some(p) => pcqe_par::try_map_observed(
-                    par,
-                    &l,
-                    |lr| -> Result<Vec<DerivedTuple>> {
-                        let mut matches = Vec::new();
-                        for rr in &r {
-                            let combined = lr.tuple.concat(&rr.tuple);
-                            if p.eval_predicate(combined.values())? {
-                                matches.push(DerivedTuple {
-                                    tuple: combined,
-                                    lineage: Lineage::and(vec![
-                                        lr.lineage.clone(),
-                                        rr.lineage.clone(),
-                                    ]),
-                                });
-                            }
-                        }
-                        Ok(matches)
-                    },
-                    ctx.observer,
-                )?,
-            };
-            Ok((rows_in, VOut::Rows(out.into_iter().flatten().collect())))
+            let l = run_v(left, ctx, depth + 1, prof)?;
+            let r = run_v(right, ctx, depth + 1, prof)?;
+            let rows = read_rows!(&l, l => read_rows!(&r, r => {
+                nested_loop_join(l, r, predicate, ctx)?
+            }));
+            (l.row_count() + r.row_count(), VOut::Rows(rows))
         }
         PhysicalPlan::Union { left, right } => {
             // Schema compatibility is checked by PhysicalPlan::schema.
             plan.schema(catalog)?;
             let mut rows = run_v(left, ctx, depth + 1, prof)?.into_rows();
             rows.extend(run_v(right, ctx, depth + 1, prof)?.into_rows());
-            let rows_in = rows.len();
-            Ok((rows_in, VOut::Rows(or_merge(rows))))
+            (rows.len(), VOut::Rows(or_merge(rows)))
         }
         PhysicalPlan::Difference { left, right } => {
             plan.schema(catalog)?;
             let l = or_merge(run_v(left, ctx, depth + 1, prof)?.into_rows());
             let r = or_merge(run_v(right, ctx, depth + 1, prof)?.into_rows());
-            let rows_in = l.len() + r.len();
             let right_by_value: BTreeMap<&Tuple, &Lineage> =
                 r.iter().map(|d| (&d.tuple, &d.lineage)).collect();
             let mut out = Vec::new();
@@ -694,98 +636,28 @@ fn run_v_node(
                     });
                 }
             }
-            Ok((rows_in, VOut::Rows(out)))
+            (l.len() + r.len(), VOut::Rows(out))
         }
         PhysicalPlan::Sort { input, keys } => {
             let mut rows = run_v(input, ctx, depth + 1, prof)?.into_rows();
-            let rows_in = rows.len();
             sort_rows(&mut rows, keys)?;
-            Ok((rows_in, VOut::Rows(rows)))
+            (rows.len(), VOut::Rows(rows))
         }
         PhysicalPlan::Limit { input, count } => {
-            match run_v(input, ctx, depth + 1, prof)? {
-                VOut::Batches(batches) => {
-                    let rows_in: usize = batches.iter().map(VBatch::len).sum();
-                    // Keep whole batches until the limit, then cut the
-                    // boundary batch — no row materialisation needed.
-                    let mut taken = 0usize;
-                    let mut out = Vec::new();
-                    for b in batches {
-                        if taken >= *count {
-                            break;
-                        }
-                        let remaining = *count - taken;
-                        if b.len() <= remaining {
-                            taken += b.len();
-                            out.push(b);
-                        } else {
-                            let mask: Vec<bool> = (0..b.len()).map(|i| i < remaining).collect();
-                            out.push(b.retain_mask(&mask));
-                            taken = *count;
-                        }
-                    }
-                    Ok((rows_in, VOut::Batches(out)))
-                }
-                VOut::Rows(mut rows) => {
-                    let rows_in = rows.len();
-                    rows.truncate(*count);
-                    Ok((rows_in, VOut::Rows(rows)))
-                }
-            }
+            let mut out = run_v(input, ctx, depth + 1, prof)?;
+            let rows_in = out.row_count();
+            read_rows!(&mut out, rows => rows.truncate(*count));
+            (rows_in, out)
         }
         PhysicalPlan::Aggregate {
             input,
             group_by,
             aggregates,
         } => {
-            let rows = run_v(input, ctx, depth + 1, prof)?.into_rows();
-            let rows_in = rows.len();
-            // Group rows by key values, preserving first-seen order —
-            // identical to the reference walker's Aggregate.
-            let mut index: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
-            let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-            for (i, row) in rows.iter().enumerate() {
-                let mut key = Vec::with_capacity(group_by.len());
-                for g in group_by {
-                    key.push(g.expr.eval(row.tuple.values())?);
-                }
-                match index.get(&key) {
-                    Some(&gi) => {
-                        if let Some(group) = groups.get_mut(gi) {
-                            group.1.push(i);
-                        }
-                    }
-                    None => {
-                        index.insert(key.clone(), groups.len());
-                        groups.push((key, vec![i]));
-                    }
-                }
-            }
-            if group_by.is_empty() && groups.is_empty() {
-                groups.push((Vec::new(), Vec::new()));
-            }
-            let mut out = Vec::with_capacity(groups.len());
-            for (key, members) in groups {
-                let mut values = key;
-                for agg in aggregates {
-                    values.push(eval_aggregate(agg, &members, &rows)?);
-                }
-                let lineage = if members.is_empty() {
-                    Lineage::certain()
-                } else {
-                    Lineage::or(
-                        members
-                            .iter()
-                            .filter_map(|&i| rows.get(i).map(|r| r.lineage.clone()))
-                            .collect(),
-                    )
-                };
-                out.push(DerivedTuple {
-                    tuple: Tuple::new(values),
-                    lineage,
-                });
-            }
-            Ok((rows_in, VOut::Rows(out)))
+            let input = run_v(input, ctx, depth + 1, prof)?;
+            let rows = read_rows!(&input, rows => aggregate(rows, group_by, aggregates)?);
+            (input.row_count(), VOut::Rows(rows))
         }
-    }
+    };
+    Ok((rows_in, 0, out))
 }

@@ -4,7 +4,7 @@ use crate::error::AlgebraError;
 use crate::Result;
 use pcqe_lineage::{CircuitCache, Evaluator, Lineage, ProbSource};
 use pcqe_par::{ConfidencePath, TraceSink};
-use pcqe_storage::{Schema, Tuple};
+use pcqe_storage::{Schema, StoredTuple, Tuple, Value};
 use std::fmt;
 
 /// One derived tuple: values plus the boolean lineage deriving it.
@@ -14,6 +14,47 @@ pub struct DerivedTuple {
     pub tuple: Tuple,
     /// Lineage over base-tuple variables.
     pub lineage: Lineage,
+}
+
+/// Read access to one operator-input row — a derived tuple, or a stored
+/// base tuple still borrowed from its table — so operators that only
+/// read their input need not own it.
+pub(crate) trait Row: Sync {
+    /// The row's values in column order.
+    fn values(&self) -> &[Value];
+    /// The row's lineage, for an output row that outlives this one.
+    fn lineage(&self) -> Lineage;
+    /// The row's lineage, giving the row up.
+    fn into_lineage(self) -> Lineage;
+}
+
+impl Row for DerivedTuple {
+    fn values(&self) -> &[Value] {
+        self.tuple.values()
+    }
+
+    fn lineage(&self) -> Lineage {
+        self.lineage.clone()
+    }
+
+    fn into_lineage(self) -> Lineage {
+        self.lineage
+    }
+}
+
+/// A base tuple's lineage is its own variable.
+impl Row for &StoredTuple {
+    fn values(&self) -> &[Value] {
+        self.tuple.values()
+    }
+
+    fn lineage(&self) -> Lineage {
+        Lineage::var(self.id.0)
+    }
+
+    fn into_lineage(self) -> Lineage {
+        Lineage::var(self.id.0)
+    }
 }
 
 /// A derived tuple with its computed confidence.

@@ -294,11 +294,10 @@ pub struct FileClass {
 /// modules are listed individually: equality-index postings order and
 /// cardinality estimates both feed physical plan choice and row order,
 /// so hash iteration there would silently change plans or results. The
-/// columnar batch and partitioning modules join them: batch layout
-/// carries result rows directly, and the partition hash decides which
+/// partitioning module joins them: the partition hash decides which
 /// build table every join key lands in — hashing or float drift there
 /// changes join output.
-const RESULT_AFFECTING: [&str; 10] = [
+const RESULT_AFFECTING: [&str; 9] = [
     "crates/algebra/src/",
     "crates/lineage/src/",
     "crates/core/src/",
@@ -307,7 +306,6 @@ const RESULT_AFFECTING: [&str; 10] = [
     "crates/obs/src/",
     "crates/storage/src/index.rs",
     "crates/storage/src/stats.rs",
-    "crates/storage/src/batch.rs",
     "crates/storage/src/partition.rs",
 ];
 

@@ -3,7 +3,7 @@
 //! The chunked [`crate::map`] scheduler cuts a *homogeneous item slice*
 //! into equal chunks. Vectorized execution needs one level up from that:
 //! the work arrives already cut into **morsels** — variable-weight units
-//! such as "one columnar batch of ~1024 rows" or "one hash-join
+//! such as "one run of ~1024 stored rows" or "one hash-join
 //! partition" — and each unit wants exactly one `f` application, not one
 //! per row. This module dispatches whole units across worker threads:
 //!

@@ -27,7 +27,6 @@
 //! assert_eq!(catalog.confidence(id), Some(0.7));
 //! ```
 
-pub mod batch;
 pub mod catalog;
 pub mod csv;
 pub mod error;
@@ -39,7 +38,6 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
-pub use batch::Batch;
 pub use catalog::Catalog;
 pub use error::StorageError;
 pub use index::EqualityIndex;

@@ -117,6 +117,10 @@ fn hash_value(h: &mut Fnv1a, v: &Value) {
 /// Deterministic hash of a composite key: the same value sequence always
 /// hashes the same, across runs, threads and platforms.
 pub fn stable_hash(values: &[Value]) -> u64 {
+    hash_key(values)
+}
+
+fn hash_key<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut h = Fnv1a::new();
     for v in values {
         hash_value(&mut h, v);
@@ -125,12 +129,14 @@ pub fn stable_hash(values: &[Value]) -> u64 {
 }
 
 /// Partition index for a composite key under `partitions` partitions
-/// (which must be a power of two, as [`partition_count`] returns).
-pub fn partition_of(values: &[Value], partitions: usize) -> usize {
+/// (which must be a power of two, as [`partition_count`] returns). The
+/// key's values may be borrowed from wherever they live; a slice hashes
+/// as [`stable_hash`] does.
+pub fn partition_of<'a>(values: impl IntoIterator<Item = &'a Value>, partitions: usize) -> usize {
     if partitions <= 1 {
         return 0;
     }
-    (stable_hash(values) as usize) & (partitions - 1)
+    (hash_key(values) as usize) & (partitions - 1)
 }
 
 #[cfg(test)]

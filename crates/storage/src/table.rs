@@ -1,6 +1,5 @@
 //! Confidence-carrying tables.
 
-use crate::batch::Batch;
 use crate::error::StorageError;
 use crate::index::{check_indexable, EqualityIndex};
 use crate::schema::Schema;
@@ -218,21 +217,6 @@ impl Table {
     /// All rows in insertion order.
     pub fn rows(&self) -> &[StoredTuple] {
         &self.rows
-    }
-
-    /// The table as columnar [`Batch`]es of at most `rows_per_morsel`
-    /// rows each, in insertion order (the vectorized scan's morsels).
-    /// Pass `0` to let [`crate::partition::morsel_rows`] pick a size.
-    pub fn batches(&self, rows_per_morsel: usize) -> Result<Vec<Batch>> {
-        let step = if rows_per_morsel == 0 {
-            crate::partition::morsel_rows(self.rows.len())
-        } else {
-            rows_per_morsel
-        };
-        self.rows
-            .chunks(step.max(1))
-            .map(|chunk| Batch::from_rows(self.schema.arity(), chunk))
-            .collect()
     }
 
     /// Look up a row by id.
