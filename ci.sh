@@ -170,8 +170,11 @@ EOF
   echo "trace smoke OK (Chrome trace validated, decision event present, nothing dropped)"
 }
 
-stage_bench_build() { # bench workspace builds (offline, detached)
-  ( cd crates/bench && cargo build --offline && cargo test -q --offline )
+stage_bench_build() { # bench workspace builds, bench targets included (offline, detached)
+  # --all-targets: the five `harness = false` [[bench]] targets name
+  # engine types (CompiledLineage, the solver modules) that neither
+  # `cargo build` nor `cargo test` compiles.
+  ( cd crates/bench && cargo build --offline --all-targets && cargo test -q --offline )
 }
 
 stage_bench_e2e_check() { # end-to-end benchmark builds and its checks hold (run.sh --check)

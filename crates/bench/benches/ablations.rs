@@ -3,7 +3,6 @@
 //! and the greedy gain definition (Useful vs Raw).
 
 use pcqe_bench::timing::{bench, group};
-use pcqe_core::anneal::{self, AnnealOptions};
 use pcqe_core::dnc::{self, DncOptions};
 use pcqe_core::greedy::{self, GainMode, GreedyOptions};
 use pcqe_core::multi::solve_greedy;
@@ -66,21 +65,6 @@ fn bench_incremental_greedy() {
     }
 }
 
-fn bench_anneal_baseline() {
-    let problem = generate(&WorkloadParams::scalability_point(500).with_seed(42)).expect("valid");
-    group("ablation_anneal_baseline");
-    bench("greedy", 10, || {
-        greedy::solve(&problem, &GreedyOptions::default()).expect("feasible")
-    });
-    let opts = AnnealOptions {
-        moves_per_temperature: 100,
-        ..AnnealOptions::default()
-    };
-    bench("anneal", 10, || {
-        anneal::solve(&problem, &opts).expect("feasible")
-    });
-}
-
 fn bench_multi_query() {
     group("multi_query_batches");
     for n_queries in [1usize, 2, 4] {
@@ -101,6 +85,5 @@ fn main() {
     bench_tau();
     bench_gain_mode();
     bench_incremental_greedy();
-    bench_anneal_baseline();
     bench_multi_query();
 }

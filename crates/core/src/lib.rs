@@ -39,7 +39,6 @@
 //! assert_eq!(out.solution.levels[t0], 0.1, "expensive tuple untouched");
 //! ```
 
-pub mod anneal;
 pub mod clock;
 pub mod dnc;
 pub mod error;

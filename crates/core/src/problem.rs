@@ -4,7 +4,7 @@
 use crate::error::CoreError;
 use crate::Result;
 use pcqe_cost::CostFn;
-use pcqe_lineage::{CompiledLineage, Lineage};
+use pcqe_lineage::{CircuitCache, CompiledLineage, Lineage};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -142,6 +142,8 @@ pub struct ProblemBuilder {
     required: usize,
     id_to_index: BTreeMap<u64, usize>,
     lineage_budget: usize,
+    /// The pool [`ProblemBuilder::result_from_lineage`] compiles through.
+    pool: CircuitCache,
 }
 
 impl ProblemBuilder {
@@ -155,6 +157,7 @@ impl ProblemBuilder {
             required: 0,
             id_to_index: BTreeMap::new(),
             lineage_budget: 4096,
+            pool: CircuitCache::new(),
         }
     }
 
@@ -183,34 +186,25 @@ impl ProblemBuilder {
     }
 
     /// Add a result whose confidence function is a lineage formula over
-    /// base *ids* previously registered with [`ProblemBuilder::base`].
+    /// base *ids* previously registered with [`ProblemBuilder::base`],
+    /// compiled through a pool the builder owns.
     pub fn result_from_lineage(&mut self, lineage: &Lineage) -> Result<usize> {
-        let compiled = CompiledLineage::compile(lineage, self.lineage_budget)
-            .map_err(|e| CoreError::Lineage(e.to_string()))?;
-        let mut bases = Vec::with_capacity(compiled.vars().len());
-        for v in compiled.vars() {
-            let idx = self.id_to_index.get(&v.0).copied().ok_or_else(|| {
-                CoreError::InvalidProblem(format!("lineage references unknown base id {}", v.0))
-            })?;
-            bases.push(idx);
-        }
-        self.results.push(ResultSpec {
-            bases,
-            conf: ConfFn::Compiled(Arc::new(compiled)),
-        });
-        Ok(self.results.len() - 1)
+        let mut pool = std::mem::take(&mut self.pool);
+        let added = self.result_from_lineage_cached(lineage, &mut pool);
+        self.pool = pool;
+        added
     }
 
     /// Like [`ProblemBuilder::result_from_lineage`], but compiling through
-    /// a shared [`CircuitCache`] pool: results whose lineage (or
+    /// the caller's [`CircuitCache`]: results whose lineage (or
     /// subformulas thereof) were already compiled for this query reuse the
-    /// pooled circuit via its `Arc` instead of re-expanding. Budget
-    /// success/failure and the compiled circuit's variables and arithmetic
-    /// are identical to the uncached path.
+    /// pooled circuit instead of re-expanding. Budget success/failure and
+    /// the compiled circuit's variables and arithmetic do not depend on
+    /// what the pool already holds.
     pub fn result_from_lineage_cached(
         &mut self,
         lineage: &Lineage,
-        cache: &mut pcqe_lineage::CircuitCache,
+        cache: &mut CircuitCache,
     ) -> Result<usize> {
         let id = cache
             .compile(lineage, self.lineage_budget)

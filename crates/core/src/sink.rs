@@ -15,7 +15,6 @@
 //! [`HeuristicStats`]: crate::heuristic::HeuristicStats
 //! [`GreedyStats`]: crate::greedy::GreedyStats
 
-use crate::anneal::AnnealStats;
 use crate::dnc::DncStats;
 use crate::exhaustive::ExhaustiveStats;
 use crate::greedy::GreedyStats;
@@ -93,16 +92,6 @@ impl DncStats {
         sink.duration("solver.dnc.bb_elapsed", self.bb_elapsed);
         sink.duration("solver.dnc.elapsed", self.elapsed);
         self.greedy.emit_as("solver.dnc.greedy", sink);
-    }
-}
-
-impl AnnealStats {
-    /// Pour this run's statistics into `sink` under `solver.anneal.*`.
-    pub fn emit(&self, sink: &dyn SolverSink) {
-        sink.count("solver.anneal.moves", self.moves);
-        sink.count("solver.anneal.accepted", self.accepted);
-        sink.count("solver.anneal.repaired", u64::from(self.repaired));
-        sink.duration("solver.anneal.elapsed", self.elapsed);
     }
 }
 
@@ -196,7 +185,6 @@ mod tests {
         HeuristicStats::default().emit(&NullSink);
         GreedyStats::default().emit(&NullSink);
         DncStats::default().emit(&NullSink);
-        AnnealStats::default().emit(&NullSink);
         ExhaustiveStats::default().emit(&NullSink);
     }
 }

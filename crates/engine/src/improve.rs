@@ -133,10 +133,10 @@ pub(crate) fn propose(
 ///
 /// Result circuits are compiled through the shared
 /// [`pcqe_lineage::CircuitCache`] pool: formulas (and subformulas) already
-/// expanded while scoring this query are reused via their `Arc` instead of
-/// re-running Shannon expansion. The greedy/anneal/exhaustive/heuristic/
-/// dnc/multi solvers all evaluate [`pcqe_core::problem::ConfFn::Compiled`]
-/// circuits, so every one of them routes through the pooled circuits.
+/// expanded while scoring this query are reused instead of re-running
+/// Shannon expansion, and each result's flat circuit is extracted from
+/// the pool once. The greedy/exhaustive/heuristic/dnc/multi solvers all
+/// evaluate [`pcqe_core::problem::ConfFn::Compiled`] circuits.
 pub(crate) fn build_instance(
     catalog: &Catalog,
     costs: &BTreeMap<TupleId, CostFn>,

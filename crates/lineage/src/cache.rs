@@ -10,7 +10,9 @@
 //!    structurally equal subcircuits — across results of one query, and
 //!    across the hi/lo cofactors of one expansion — become a single node,
 //!    found via a structural [`BTreeMap`] key and addressed by a
-//!    deterministic, insertion-ordered id.
+//!    deterministic, insertion-ordered id. A node *is* its key (an
+//!    operator over child ids) plus a memo and reverse edges; there is no
+//!    second representation beside it.
 //! 2. **Memoizes compilation** per (sub)formula, so the second result that
 //!    contains an already-compiled subformula pays a map lookup instead of
 //!    a fresh expansion.
@@ -20,6 +22,14 @@
 //!    variable's reader nodes, dropping exactly the memos whose value
 //!    depends on it — circuits whose var-set does not intersect the change
 //!    keep their memoized probabilities untouched.
+//!
+//! The pool is also the crate's only compiler: the Shannon/independence
+//! recursion exists once, in [`CircuitCache::compile`]'s private helper
+//! (and once more in the interpreter of [`crate::prob`], the reference the
+//! equivalence suites compare against). A solver that needs a standalone
+//! `F(p₁ … p_k)` asks for [`CircuitCache::compiled`], which flattens the
+//! nodes under one root into a [`CompiledLineage`] on first request and
+//! memoizes the `Arc`; roots that are only ever scored never pay for one.
 //!
 //! # Determinism
 //!
@@ -44,11 +54,12 @@
 //! insertion order (PCQE-D001): iteration order, node ids and therefore
 //! every emitted statistic are independent of hash seeds and thread count.
 
-use crate::compile::{Arith, CompiledLineage};
+use crate::compile::{CompiledLineage, Op};
 use crate::error::LineageError;
 use crate::expr::{Lineage, VarId};
+use crate::factor::normalize;
 use crate::mc::MonteCarlo;
-use crate::prob::Evaluator;
+use crate::prob::{most_shared_var, Evaluator};
 use crate::Result;
 use pcqe_par::TraceSink;
 use std::collections::BTreeMap;
@@ -111,10 +122,6 @@ enum NodeKey {
 #[derive(Debug)]
 struct Node {
     key: NodeKey,
-    /// The shared compiled form of this subcircuit; roots wrap it into a
-    /// [`CompiledLineage`] for the solvers, so the whole pool is one DAG of
-    /// `Arc`s.
-    arith: Arc<Arith>,
     /// Memoized probability under the cache's current assignment; `None`
     /// when unevaluated or invalidated. Invariant: if a node's memo is
     /// `Some`, every descendant's memo is `Some` (parents are filled after
@@ -144,7 +151,13 @@ struct RootEntry {
     /// Shannon expansions a fresh compile of this formula consumes; a
     /// compile-memo hit re-charges this against the caller's budget.
     cost: usize,
-    compiled: Arc<CompiledLineage>,
+    /// Sorted variables of the simplified/factored formula: the slot order
+    /// of the extracted circuit. Kept because conditioning can cancel a
+    /// variable out of the circuit while the solvers still list it as a
+    /// base of the result.
+    vars: Vec<VarId>,
+    /// The flat form, extracted on the first [`CircuitCache::compiled`].
+    compiled: Option<Arc<CompiledLineage>>,
 }
 
 /// The cache itself. See the module docs for the design; typical use:
@@ -201,11 +214,6 @@ impl CircuitCache {
         self.nodes.len()
     }
 
-    /// Number of distinct root circuits compiled so far.
-    pub fn circuit_count(&self) -> usize {
-        self.roots.len()
-    }
-
     /// Counters accumulated since the last [`CircuitCache::take_stats`].
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -229,9 +237,11 @@ impl CircuitCache {
         self.trace = TraceSlot(sink);
     }
 
-    fn emit(&self, name: &str, detail: &str) {
-        if let Some(sink) = &self.trace.0 {
-            sink.instant(name, detail);
+    /// Send one instant to the attached sink. `detail` runs only when the
+    /// sink will record it, so an untraced query formats nothing.
+    fn emit(&self, name: &str, detail: impl FnOnce() -> String) {
+        if let Some(sink) = self.trace.0.as_ref().filter(|s| s.enabled()) {
+            sink.instant(name, &detail());
         }
     }
 
@@ -250,10 +260,9 @@ impl CircuitCache {
         self.probs.insert(var, p);
         let dropped = self.invalidate_readers(var);
         if dropped > 0 {
-            self.emit(
-                "cache.invalidate",
-                &format!("var={} dropped={dropped}", var.0),
-            );
+            self.emit("cache.invalidate", || {
+                format!("var={} dropped={dropped}", var.0)
+            });
         }
     }
 
@@ -274,26 +283,10 @@ impl CircuitCache {
         dropped
     }
 
-    /// Drop `var`'s probability entirely (subsequent scores of circuits
-    /// reading it fail with [`LineageError::UnknownVar`], like the
-    /// uncached evaluator).
-    pub fn remove_prob(&mut self, var: VarId) {
-        if self.probs.remove(&var).is_none() {
-            return;
-        }
-        let dropped = self.invalidate_readers(var);
-        if dropped > 0 {
-            self.emit(
-                "cache.invalidate",
-                &format!("var={} dropped={dropped}", var.0),
-            );
-        }
-    }
-
     /// Compile `lineage` into the pool, spending at most `budget` Shannon
     /// expansions. Repeat compiles of the same formula are memo hits that
     /// charge the recorded cost against `budget` — succeeding and failing
-    /// exactly when a fresh [`CompiledLineage::compile`] would.
+    /// exactly when a compile into an empty pool would.
     pub fn compile(&mut self, lineage: &Lineage, budget: usize) -> Result<CircuitId> {
         if let Some(&id) = self.circuits.get(lineage) {
             let cost = self.roots.get(id.0).map(|r| r.cost).unwrap_or(0);
@@ -303,40 +296,98 @@ impl CircuitCache {
                 return Err(LineageError::BudgetExceeded { budget: 0 });
             }
             self.stats.compile_hits = self.stats.compile_hits.saturating_add(1);
-            self.emit("cache.hit", &format!("circuit={} cost={cost}", id.0));
+            self.emit("cache.hit", || format!("circuit={} cost={cost}", id.0));
             return Ok(id);
         }
-        let mut simplified = lineage.simplify();
-        if !simplified.is_read_once() {
-            simplified = crate::factor::factor(&simplified);
-        }
-        let vars = simplified.vars();
+        let normal = normalize(lineage);
         let mut remaining = budget;
-        let root = self.compile_sub(&simplified, &mut remaining)?;
+        let root = self.compile_sub(&normal, &mut remaining)?;
         let cost = budget - remaining;
-        let arith = match self.nodes.get(root) {
-            Some(node) => node.arith.clone(),
-            None => Arc::new(Arith::Const(0.0)), // unreachable: root was just interned
-        };
         let id = CircuitId(self.roots.len());
         self.roots.push(RootEntry {
             root,
             cost,
-            compiled: Arc::new(CompiledLineage::from_parts(vars, arith)),
+            vars: normal.vars(),
+            compiled: None,
         });
         self.circuits.insert(lineage.clone(), id);
         self.stats.compiled = self.stats.compiled.saturating_add(1);
-        self.emit(
-            "cache.compile",
-            &format!("circuit={} cost={cost} pool={}", id.0, self.nodes.len()),
-        );
+        let pool = self.nodes.len();
+        self.emit("cache.compile", || {
+            format!("circuit={} cost={cost} pool={pool}", id.0)
+        });
         Ok(id)
     }
 
-    /// The pooled [`CompiledLineage`] for a circuit, shareable across
-    /// solvers via its `Arc`.
-    pub fn compiled(&self, id: CircuitId) -> Option<&Arc<CompiledLineage>> {
-        self.roots.get(id.0).map(|r| &r.compiled)
+    /// The flat [`CompiledLineage`] of a circuit, shareable across solvers
+    /// via its `Arc`: extracted from the pool on the first request for
+    /// `id`, memoized afterwards. `None` for a handle of another cache.
+    pub fn compiled(&mut self, id: CircuitId) -> Option<&Arc<CompiledLineage>> {
+        if self.roots.get(id.0)?.compiled.is_none() {
+            let flat = Arc::new(self.extract(id).ok()?);
+            self.roots.get_mut(id.0)?.compiled = Some(flat);
+        }
+        self.roots.get(id.0)?.compiled.as_ref()
+    }
+
+    /// Flatten the nodes under `id`'s root into a [`CompiledLineage`]:
+    /// post-order, each pool node placed once, variables resolved to their
+    /// slot in the root's sorted variable list.
+    pub(crate) fn extract(&self, id: CircuitId) -> Result<CompiledLineage> {
+        let entry = self
+            .roots
+            .get(id.0)
+            .ok_or(LineageError::UnknownCircuit(id.0))?;
+        let mut flat = CompiledLineage {
+            vars: entry.vars.clone(),
+            nodes: Vec::new(),
+            args: Vec::new(),
+        };
+        self.flatten(entry.root, &mut flat, &mut BTreeMap::new())?;
+        Ok(flat)
+    }
+
+    fn flatten(
+        &self,
+        id: NodeId,
+        flat: &mut CompiledLineage,
+        placed: &mut BTreeMap<NodeId, u32>,
+    ) -> Result<u32> {
+        if let Some(&at) = placed.get(&id) {
+            return Ok(at);
+        }
+        // A variable outside the root's list cannot occur (conditioning
+        // and factoring only remove variables); it would get a slot past
+        // every probability slice and so evaluate as probability 0.
+        let slot = |vars: &[VarId], v: &VarId| vars.binary_search(v).unwrap_or(usize::MAX) as u32;
+        let node = self.nodes.get(id).ok_or(LineageError::UnknownCircuit(id))?;
+        let op = match &node.key {
+            NodeKey::Const(bits) => Op::Const(f64::from_bits(*bits)),
+            NodeKey::Var(v) => Op::Var(slot(&flat.vars, v)),
+            NodeKey::Complement(c) => Op::Complement(self.flatten(*c, flat, placed)?),
+            NodeKey::Product(cs) | NodeKey::DisjProduct(cs) => {
+                let mut children = Vec::with_capacity(cs.len());
+                for &c in cs {
+                    children.push(self.flatten(c, flat, placed)?);
+                }
+                let start = flat.args.len() as u32;
+                flat.args.extend(children);
+                let end = flat.args.len() as u32;
+                match node.key {
+                    NodeKey::Product(_) => Op::Product { start, end },
+                    _ => Op::DisjProduct { start, end },
+                }
+            }
+            NodeKey::Mix { var, hi, lo } => Op::Mix {
+                slot: slot(&flat.vars, var),
+                hi: self.flatten(*hi, flat, placed)?,
+                lo: self.flatten(*lo, flat, placed)?,
+            },
+        };
+        let at = flat.nodes.len() as u32;
+        flat.nodes.push(op);
+        placed.insert(id, at);
+        Ok(at)
     }
 
     /// Memoized probability of a compiled circuit under the current
@@ -359,21 +410,17 @@ impl CircuitCache {
             Err(LineageError::BudgetExceeded { .. }) if evaluator.mc_samples > 0 => {
                 // Same fallback as the uncached path: seeded Monte-Carlo
                 // over the same simplified/factored formula.
-                let mut simplified = lineage.simplify();
-                if !simplified.is_read_once() {
-                    simplified = crate::factor::factor(&simplified);
-                }
                 MonteCarlo::new(evaluator.mc_samples, evaluator.mc_seed)
-                    .estimate(&simplified, &self.probs)
+                    .estimate(&normalize(lineage), &self.probs)
             }
             Err(e) => Err(e),
         }
     }
 
-    /// Compile memo + hash-consing recursion. Mirrors
-    /// [`crate::compile::compile_rec`]'s structure and budget accounting
-    /// exactly; on a memo hit the recorded cost is charged up front (see
-    /// the module docs for the parity argument).
+    /// Compile memo + hash-consing recursion, with the structure and
+    /// budget accounting of the interpreter's `exact`; on a memo hit the
+    /// recorded cost is charged up front (see the module docs for the
+    /// parity argument).
     fn compile_sub(&mut self, l: &Lineage, budget: &mut usize) -> Result<NodeId> {
         if let Some(&(id, cost)) = self.subformulas.get(l) {
             if *budget < cost {
@@ -394,26 +441,18 @@ impl CircuitCache {
                 let child = self.compile_sub(e, budget)?;
                 self.intern(NodeKey::Complement(child))
             }
-            Lineage::And(es) => {
-                if let Some(pivot) = crate::prob::most_shared_var_pub(es) {
+            Lineage::And(es) | Lineage::Or(es) => {
+                if let Some(pivot) = most_shared_var(es) {
                     self.compile_mix(l, pivot, budget)?
                 } else {
                     let mut children = Vec::with_capacity(es.len());
                     for e in es {
                         children.push(self.compile_sub(e, budget)?);
                     }
-                    self.intern(NodeKey::Product(children))
-                }
-            }
-            Lineage::Or(es) => {
-                if let Some(pivot) = crate::prob::most_shared_var_pub(es) {
-                    self.compile_mix(l, pivot, budget)?
-                } else {
-                    let mut children = Vec::with_capacity(es.len());
-                    for e in es {
-                        children.push(self.compile_sub(e, budget)?);
-                    }
-                    self.intern(NodeKey::DisjProduct(children))
+                    self.intern(match l {
+                        Lineage::And(_) => NodeKey::Product(children),
+                        _ => NodeKey::DisjProduct(children),
+                    })
                 }
             }
         };
@@ -423,7 +462,7 @@ impl CircuitCache {
     }
 
     /// Shannon expansion on `pivot`, with the same check-then-decrement
-    /// budget step as the uncached compiler.
+    /// budget step as the interpreter.
     fn compile_mix(&mut self, l: &Lineage, pivot: VarId, budget: &mut usize) -> Result<NodeId> {
         if *budget == 0 {
             return Err(LineageError::BudgetExceeded { budget: 0 });
@@ -441,7 +480,6 @@ impl CircuitCache {
             return id;
         }
         let id = self.nodes.len();
-        let arith = self.materialize(&key);
         match &key {
             NodeKey::Const(_) => {}
             NodeKey::Var(v) => self.readers.entry(*v).or_default().push(id),
@@ -460,7 +498,6 @@ impl CircuitCache {
         self.dedup.insert(key.clone(), id);
         self.nodes.push(Node {
             key,
-            arith,
             memo: None,
             parents: Vec::new(),
         });
@@ -472,31 +509,6 @@ impl CircuitCache {
             if !node.parents.contains(&parent) {
                 node.parents.push(parent);
             }
-        }
-    }
-
-    /// Build the shared [`Arith`] for a key from its children's shared
-    /// `Arc`s — this is where structural sharing becomes pointer sharing.
-    fn materialize(&self, key: &NodeKey) -> Arc<Arith> {
-        let child = |id: &NodeId| -> Arc<Arith> {
-            match self.nodes.get(*id) {
-                Some(n) => n.arith.clone(),
-                None => Arc::new(Arith::Const(0.0)), // unreachable: children precede parents
-            }
-        };
-        match key {
-            NodeKey::Const(bits) => Arc::new(Arith::Const(f64::from_bits(*bits))),
-            NodeKey::Var(v) => Arc::new(Arith::Var(*v)),
-            NodeKey::Complement(c) => Arc::new(Arith::Complement(child(c))),
-            NodeKey::Product(cs) => Arc::new(Arith::Product(cs.iter().map(child).collect())),
-            NodeKey::DisjProduct(cs) => {
-                Arc::new(Arith::DisjProduct(cs.iter().map(child).collect()))
-            }
-            NodeKey::Mix { var, hi, lo } => Arc::new(Arith::Mix {
-                var: *var,
-                hi: child(hi),
-                lo: child(lo),
-            }),
         }
     }
 
@@ -670,22 +682,28 @@ mod tests {
 
     #[test]
     fn budget_parity_with_fresh_compiles() {
-        // For every budget, cache compile (fresh and memo-hit) must agree
-        // with CompiledLineage::compile on success/failure and error value.
+        // For every budget, the pool (cold and memo-hit) and the standalone
+        // compile that wraps it must agree with the interpreter's stepwise
+        // recursion on success/failure and on the error value.
         let mut children = Vec::new();
         for i in 0..8u64 {
             children.push(Lineage::And(vec![Lineage::var(i), Lineage::var(i + 1)]));
         }
         let l = Lineage::Or(children);
+        let pr: BTreeMap<VarId, f64> = (0..9u64).map(|v| (VarId(v), 0.5)).collect();
         for budget in 0..64usize {
-            let fresh = CompiledLineage::compile(&l, budget).map(|_| ());
+            let oracle = Evaluator::exact_only(budget)
+                .probability(&l, &pr)
+                .map(|_| ());
+            let standalone = CompiledLineage::compile(&l, budget).map(|_| ());
             let mut warmed = CircuitCache::new();
             let _ = warmed.compile(&l, 1 << 16); // warm the memo
             let hit = warmed.compile(&l, budget).map(|_| ());
             let mut cold = CircuitCache::new();
             let miss = cold.compile(&l, budget).map(|_| ());
-            assert_eq!(fresh.is_ok(), hit.is_ok(), "budget {budget} (memo hit)");
-            assert_eq!(fresh, miss, "budget {budget} (cold)");
+            assert_eq!(oracle, hit, "budget {budget} (memo hit)");
+            assert_eq!(oracle, miss, "budget {budget} (cold)");
+            assert_eq!(oracle, standalone, "budget {budget} (standalone)");
         }
     }
 
@@ -729,20 +747,30 @@ mod tests {
 
     #[test]
     fn pooled_compiled_lineage_matches_standalone() {
+        // Warm the pool with a formula sharing subcircuits with `l`, so
+        // `l`'s extraction walks nodes it did not intern itself.
         let mut cache = CircuitCache::new();
         let l = Lineage::Or(vec![
             Lineage::And(vec![Lineage::var(0), Lineage::var(1)]),
             Lineage::And(vec![Lineage::var(0), Lineage::var(2)]),
         ]);
+        cache
+            .compile(&Lineage::or(vec![Lineage::var(1), Lineage::var(2)]), 8)
+            .unwrap();
         let id = cache.compile(&l, 1 << 12).unwrap();
         let pooled = cache.compiled(id).unwrap().clone();
+        assert!(
+            Arc::ptr_eq(&pooled, cache.compiled(id).unwrap()),
+            "extracted once, then memoized"
+        );
         let standalone = CompiledLineage::compile(&l, 1 << 12).unwrap();
         assert_eq!(pooled.vars(), standalone.vars());
-        let lookup = |v: VarId| 0.1 + 0.2 * v.0 as f64;
-        assert_eq!(
-            pooled.eval_with(lookup).to_bits(),
-            standalone.eval_with(lookup).to_bits()
-        );
+        let pr: BTreeMap<VarId, f64> = (0..3u64)
+            .map(|v| (VarId(v), 0.1 + 0.2 * v as f64))
+            .collect();
+        let interp = Evaluator::exact_only(1 << 12).probability(&l, &pr).unwrap();
+        assert_eq!(pooled.eval_with(|v| pr[&v]).to_bits(), interp.to_bits());
+        assert_eq!(standalone.eval_with(|v| pr[&v]).to_bits(), interp.to_bits());
     }
 
     #[test]

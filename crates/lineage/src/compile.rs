@@ -2,78 +2,60 @@
 //!
 //! The strategy-finding algorithms evaluate a result's confidence function
 //! `F(p₁ … p_k)` millions of times with changing probabilities. Rather than
-//! re-running Shannon expansion on every call, [`CompiledLineage`] performs
-//! the expansion once at compile time, producing an arithmetic expression
-//! whose structure depends only on the formula — evaluation is then a plain
-//! tree walk over floats.
+//! re-running Shannon expansion on every call, the expansion is performed
+//! once — by the one compiler in the crate, the hash-consed pool of
+//! [`crate::cache::CircuitCache`] — and the circuit under one root is then
+//! *extracted* into a [`CompiledLineage`]: a flat array of nodes that name
+//! their children by index and their variables by slot, so evaluation is a
+//! walk over one allocation with no map, no search and no pointer chase.
 //!
-//! Subtrees are held behind [`Arc`] so the query-scoped
-//! [`crate::cache::CircuitCache`] can hash-cons structurally equal
-//! subcircuits into one shared node pool: circuits for the results of one
-//! query then point into the same compiled subtrees instead of owning
-//! copies. A standalone [`CompiledLineage::compile`] still works without any
-//! pool — the `Arc`s are simply unshared then.
+//! Pool nodes carry [`VarId`]s, because a structurally equal subcircuit
+//! must mean the same function whichever formula it was compiled for. A
+//! slot is a variable's position in *one* formula's sorted variable list,
+//! so slots are resolved once, at extraction, and never at evaluation.
 
-use crate::error::LineageError;
+use crate::cache::CircuitCache;
 use crate::expr::{Lineage, VarId};
 use crate::Result;
-use std::sync::Arc;
 
 /// The compiled arithmetic form of a lineage formula.
 #[derive(Debug, Clone)]
 pub struct CompiledLineage {
-    vars: Vec<VarId>,
-    arith: Arc<Arith>,
+    pub(crate) vars: Vec<VarId>,
+    /// Children precede parents; the root is the last node.
+    pub(crate) nodes: Vec<Op>,
+    /// The child lists of every `Product`/`DisjProduct`, back to back.
+    pub(crate) args: Vec<u32>,
 }
 
-/// Arithmetic expression over per-variable probabilities.
-///
-/// Leaves carry [`VarId`]s (not slot indices) so that a structurally equal
-/// subtree means the same function regardless of which formula it was
-/// compiled for — the property the hash-consing pool relies on. Evaluation
-/// against a slice resolves ids through the circuit's sorted `vars` by
-/// binary search, which lands on the same index the old slot scheme used.
-#[derive(Debug)]
-pub(crate) enum Arith {
+/// One arithmetic node. Children are indexes into
+/// [`CompiledLineage::nodes`], `slot`s are indexes into the probability
+/// slice (positions in [`CompiledLineage::vars`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
     /// A constant probability.
     Const(f64),
-    /// The probability of a variable.
-    Var(VarId),
+    /// The probability of the variable in this slot.
+    Var(u32),
     /// `1 - child` (negation).
-    Complement(Arc<Arith>),
-    /// `Π children` (independent conjunction).
-    Product(Vec<Arc<Arith>>),
-    /// `1 - Π (1 - child)` (independent disjunction).
-    DisjProduct(Vec<Arc<Arith>>),
-    /// Shannon mix: `p_var · hi + (1 - p_var) · lo`.
-    Mix {
-        var: VarId,
-        hi: Arc<Arith>,
-        lo: Arc<Arith>,
-    },
+    Complement(u32),
+    /// `Π args[start..end]` (independent conjunction).
+    Product { start: u32, end: u32 },
+    /// `1 - Π (1 - args[start..end])` (independent disjunction).
+    DisjProduct { start: u32, end: u32 },
+    /// Shannon mix: `p_slot · hi + (1 - p_slot) · lo`.
+    Mix { slot: u32, hi: u32, lo: u32 },
 }
 
 impl CompiledLineage {
-    /// Compile a formula, spending at most `budget` Shannon expansions.
-    /// Non-read-once formulas are factored first (see
-    /// [`crate::factor::factor`]) to shrink the expansion tree.
+    /// Compile a formula, spending at most `budget` Shannon expansions:
+    /// compile it into a fresh pool and extract the root. Non-read-once
+    /// formulas are factored first (see [`crate::factor::factor`]) to
+    /// shrink the expansion tree.
     pub fn compile(lineage: &Lineage, budget: usize) -> Result<CompiledLineage> {
-        let mut simplified = lineage.simplify();
-        if !simplified.is_read_once() {
-            simplified = crate::factor::factor(&simplified);
-        }
-        let vars = simplified.vars();
-        let mut remaining = budget;
-        let arith = compile_rec(&simplified, &mut remaining)?;
-        Ok(CompiledLineage { vars, arith })
-    }
-
-    /// Assemble a circuit from an already-compiled arithmetic tree (the
-    /// cache pool path). `vars` must be the sorted variable set of the
-    /// source formula — exactly what [`CompiledLineage::compile`] would
-    /// have recorded — so the slice-eval slot contract is preserved.
-    pub(crate) fn from_parts(vars: Vec<VarId>, arith: Arc<Arith>) -> CompiledLineage {
-        CompiledLineage { vars, arith }
+        let mut pool = CircuitCache::new();
+        let id = pool.compile(lineage, budget)?;
+        pool.extract(id)
     }
 
     /// The formula's variables in slot order; `probs[i]` in [`Self::eval`]
@@ -82,7 +64,7 @@ impl CompiledLineage {
         &self.vars
     }
 
-    /// Evaluate with probabilities given per slot.
+    /// Evaluate with probabilities given per slot. Allocates nothing.
     ///
     /// # Panics
     ///
@@ -93,82 +75,50 @@ impl CompiledLineage {
             self.vars.len(),
             "expected one probability per variable"
         );
-        eval_rec(&self.arith, &self.vars, probs)
+        self.eval_at(self.nodes.len().saturating_sub(1) as u32, probs)
     }
 
     /// Evaluate with a probability lookup keyed by variable id.
     pub fn eval_with<F: Fn(VarId) -> f64>(&self, lookup: F) -> f64 {
         let probs: Vec<f64> = self.vars.iter().map(|&v| lookup(v)).collect();
-        eval_rec(&self.arith, &self.vars, &probs)
+        self.eval(&probs)
     }
-}
 
-pub(crate) fn compile_rec(l: &Lineage, budget: &mut usize) -> Result<Arc<Arith>> {
-    match l {
-        Lineage::Const(b) => Ok(Arc::new(Arith::Const(if *b { 1.0 } else { 0.0 }))),
-        Lineage::Var(v) => Ok(Arc::new(Arith::Var(*v))),
-        Lineage::Not(e) => Ok(Arc::new(Arith::Complement(compile_rec(e, budget)?))),
-        Lineage::And(es) => {
-            if let Some(pivot) = crate::prob::most_shared_var_pub(es) {
-                compile_shannon(l, pivot, budget)
-            } else {
-                let children = es
-                    .iter()
-                    .map(|e| compile_rec(e, budget))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Arc::new(Arith::Product(children)))
+    /// The float operations, in the order, of the pool's memoized
+    /// evaluation and of the interpreter's `exact` recursion. Extraction
+    /// only writes in-range indexes and slots, so the `get` fallbacks
+    /// (the neutral probability 0) are never taken; they keep the walk
+    /// panic-free (PCQE-P002).
+    fn eval_at(&self, node: u32, probs: &[f64]) -> f64 {
+        let prob = |slot: u32| probs.get(slot as usize).copied().unwrap_or(0.0);
+        let args = |start: u32, end: u32| {
+            self.args
+                .get(start as usize..end as usize)
+                .unwrap_or_default()
+        };
+        match self.nodes.get(node as usize).copied() {
+            None => 0.0,
+            Some(Op::Const(c)) => c,
+            Some(Op::Var(slot)) => prob(slot),
+            Some(Op::Complement(c)) => 1.0 - self.eval_at(c, probs),
+            Some(Op::Product { start, end }) => {
+                let mut p = 1.0;
+                for &c in args(start, end) {
+                    p *= self.eval_at(c, probs);
+                }
+                p
             }
-        }
-        Lineage::Or(es) => {
-            if let Some(pivot) = crate::prob::most_shared_var_pub(es) {
-                compile_shannon(l, pivot, budget)
-            } else {
-                let children = es
-                    .iter()
-                    .map(|e| compile_rec(e, budget))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Arc::new(Arith::DisjProduct(children)))
+            Some(Op::DisjProduct { start, end }) => {
+                let mut q = 1.0;
+                for &c in args(start, end) {
+                    q *= 1.0 - self.eval_at(c, probs);
+                }
+                1.0 - q
             }
-        }
-    }
-}
-
-fn compile_shannon(l: &Lineage, pivot: VarId, budget: &mut usize) -> Result<Arc<Arith>> {
-    if *budget == 0 {
-        return Err(LineageError::BudgetExceeded { budget: 0 });
-    }
-    *budget -= 1;
-    let hi = compile_rec(&l.condition(pivot, true), budget)?;
-    let lo = compile_rec(&l.condition(pivot, false), budget)?;
-    Ok(Arc::new(Arith::Mix { var: pivot, hi, lo }))
-}
-
-/// Resolve a variable to its probability through the circuit's sorted var
-/// list. A miss is impossible for circuits built by this module (every leaf
-/// var is in the formula's var set); the panic-free fallback is the neutral
-/// probability 0 (PCQE-P002), mirroring the old out-of-range-slot fallback.
-fn lookup(vars: &[VarId], probs: &[f64], v: VarId) -> f64 {
-    match vars.binary_search(&v) {
-        Ok(i) => probs.get(i).copied().unwrap_or(0.0),
-        Err(_) => 0.0,
-    }
-}
-
-fn eval_rec(a: &Arith, vars: &[VarId], probs: &[f64]) -> f64 {
-    match a {
-        Arith::Const(c) => *c,
-        Arith::Var(v) => lookup(vars, probs, *v),
-        Arith::Complement(c) => 1.0 - eval_rec(c, vars, probs),
-        Arith::Product(cs) => cs.iter().map(|c| eval_rec(c, vars, probs)).product(),
-        Arith::DisjProduct(cs) => {
-            1.0 - cs
-                .iter()
-                .map(|c| 1.0 - eval_rec(c, vars, probs))
-                .product::<f64>()
-        }
-        Arith::Mix { var, hi, lo } => {
-            let p = lookup(vars, probs, *var);
-            p * eval_rec(hi, vars, probs) + (1.0 - p) * eval_rec(lo, vars, probs)
+            Some(Op::Mix { slot, hi, lo }) => {
+                let p = prob(slot);
+                p * self.eval_at(hi, probs) + (1.0 - p) * self.eval_at(lo, probs)
+            }
         }
     }
 }
@@ -177,6 +127,7 @@ fn eval_rec(a: &Arith, vars: &[VarId], probs: &[f64]) -> f64 {
 #[allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 mod tests {
     use super::*;
+    use crate::error::LineageError;
     use crate::prob::Evaluator;
     use std::collections::HashMap;
 

@@ -33,6 +33,20 @@ pub fn factor(lineage: &Lineage) -> Lineage {
     }
 }
 
+/// The form every confidence computation in the crate starts from —
+/// interpreter, pool compiler and Monte-Carlo fallback alike: simplified,
+/// then factored unless already read-once. Factoring shared conjuncts out
+/// of OR branches removes repeated variables, saving Shannon expansions
+/// (and often reaching a read-once form, which needs none at all).
+pub(crate) fn normalize(lineage: &Lineage) -> Lineage {
+    let simplified = lineage.simplify();
+    if simplified.is_read_once() {
+        simplified
+    } else {
+        factor(&simplified)
+    }
+}
+
 const MAX_DEPTH: usize = 32;
 
 fn factor_rec(l: &Lineage, depth: usize) -> Lineage {

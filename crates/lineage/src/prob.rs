@@ -74,13 +74,7 @@ impl Evaluator {
 
     /// Probability that `lineage` is true under independent variables.
     pub fn probability<P: ProbSource>(&self, lineage: &Lineage, probs: &P) -> Result<f64> {
-        let mut simplified = lineage.simplify();
-        if !simplified.is_read_once() {
-            // Factoring shared conjuncts out of OR branches removes
-            // repeated variables, saving Shannon expansions (and often
-            // reaching a read-once form, which needs none at all).
-            simplified = crate::factor::factor(&simplified);
-        }
+        let simplified = crate::factor::normalize(lineage);
         let mut budget = self.budget;
         match exact(&simplified, probs, &mut budget) {
             Ok(p) => Ok(p),
@@ -89,12 +83,6 @@ impl Evaluator {
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// Exact probability, or an error if the budget is exceeded.
-    pub fn probability_exact<P: ProbSource>(&self, lineage: &Lineage, probs: &P) -> Result<f64> {
-        let mut budget = self.budget;
-        exact(&lineage.simplify(), probs, &mut budget)
     }
 }
 
@@ -130,14 +118,10 @@ fn exact<P: ProbSource>(l: &Lineage, probs: &P, budget: &mut usize) -> Result<f6
     }
 }
 
-/// Crate-internal alias so the compiler module reuses the same pivot rule.
-pub(crate) fn most_shared_var_pub(children: &[Lineage]) -> Option<VarId> {
-    most_shared_var(children)
-}
-
 /// If the children share variables, return the variable occurring in the
-/// most children (the best Shannon pivot); otherwise `None`.
-fn most_shared_var(children: &[Lineage]) -> Option<VarId> {
+/// most children (the best Shannon pivot); otherwise `None`. The pool
+/// compiler in [`crate::cache`] pivots by this same rule.
+pub(crate) fn most_shared_var(children: &[Lineage]) -> Option<VarId> {
     let mut seen: BTreeMap<VarId, usize> = BTreeMap::new();
     for child in children {
         // Count each variable once per child: sharing *within* one child is

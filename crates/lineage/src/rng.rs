@@ -9,8 +9,7 @@
 //!
 //! Determinism contract: for a fixed seed, the stream of values produced
 //! by each method is stable across platforms and releases. Seeded
-//! Monte-Carlo estimates, synthetic workloads and the annealing baseline
-//! all rely on this.
+//! Monte-Carlo estimates and synthetic workloads rely on this.
 
 /// SplitMix64: used to expand a 64-bit seed into xoshiro's 256-bit state.
 #[derive(Debug, Clone)]

@@ -7,8 +7,9 @@
 //!   probability lies inside `[lower, upper]`, whatever dependence the
 //!   shared variables induce.
 //! * Running out of Shannon budget is an error value, never a panic:
-//!   `CompiledLineage::compile` and `CircuitCache::compile` both report
-//!   `LineageError::BudgetExceeded`, and they agree formula-by-formula on
+//!   `CompiledLineage::compile` and `CircuitCache::compile` (cold or
+//!   warmed) both report `LineageError::BudgetExceeded`, and they agree
+//!   formula-by-formula with the interpreter's stepwise recursion on
 //!   whether a given budget suffices (the cache's budget-parity contract).
 //!
 //! A third suite pins the parallel-scoring contract for *pooled* circuits:
@@ -86,29 +87,49 @@ fn exhausted_budgets_are_typed_errors_and_cache_agrees() {
     let mut exhausted = 0u32;
     for case in 0..200 {
         let l = random_lineage(&mut rng, MAX_VARS, 4);
+        let probs = random_probs(&mut rng);
         for budget in [0usize, 1, 2, 4, 8] {
-            // A fresh standalone compile and a cold cache must agree on
-            // success, and both must surface exhaustion as the typed
-            // BudgetExceeded error — never a panic, never a wrong circuit.
-            let fresh = CompiledLineage::compile(&l, budget);
-            let mut cache = CircuitCache::new();
-            let pooled = cache.compile(&l, budget);
-            match (&fresh, &pooled) {
-                (Ok(circuit), Ok(id)) => {
-                    let compiled = cache.compiled(*id).expect("id just issued");
+            // The interpreter's stepwise recursion is the oracle. A cold
+            // pool, a warmed pool and the standalone compile must succeed
+            // exactly when it does, reproduce its value bit for bit, and
+            // surface exhaustion as its typed BudgetExceeded error — never
+            // a panic, never a wrong circuit.
+            let oracle = Evaluator::exact_only(budget).probability(&l, &probs);
+            let standalone = CompiledLineage::compile(&l, budget);
+            let mut cold = CircuitCache::new();
+            let cold_id = cold.compile(&l, budget);
+            let mut warm = CircuitCache::new();
+            let _ = warm.compile(&l, 1 << 20);
+            let warm_id = warm.compile(&l, budget);
+            match (&oracle, &standalone, &cold_id, &warm_id) {
+                (Ok(p), Ok(circuit), Ok(c), Ok(w)) => {
+                    let lookup = |v: VarId| probs[&v];
                     assert_eq!(
-                        circuit.vars(),
-                        compiled.vars(),
-                        "case {case}: var lists diverged at budget {budget} for {l:?}"
+                        circuit.eval_with(lookup).to_bits(),
+                        p.to_bits(),
+                        "case {case}: standalone value at budget {budget} for {l:?}"
                     );
+                    for (name, pool, id) in [("cold", &mut cold, *c), ("warm", &mut warm, *w)] {
+                        let compiled = pool.compiled(id).expect("id just issued");
+                        assert_eq!(
+                            circuit.vars(),
+                            compiled.vars(),
+                            "case {case}: {name} var list at budget {budget} for {l:?}"
+                        );
+                        assert_eq!(
+                            compiled.eval_with(lookup).to_bits(),
+                            p.to_bits(),
+                            "case {case}: {name} value at budget {budget} for {l:?}"
+                        );
+                    }
                 }
-                (
-                    Err(LineageError::BudgetExceeded { .. }),
-                    Err(LineageError::BudgetExceeded { .. }),
-                ) => exhausted += 1,
-                (f, p) => panic!(
+                (Err(e @ LineageError::BudgetExceeded { .. }), Err(s), Err(c), Err(w)) => {
+                    assert_eq!((e, e, e), (s, c, w), "case {case}: error payloads");
+                    exhausted += 1;
+                }
+                outcomes => panic!(
                     "case {case}: compile outcomes diverged at budget {budget} for {l:?}: \
-                     fresh {f:?} vs pooled {p:?}"
+                     (interpreter, standalone, cold, warm) = {outcomes:?}"
                 ),
             }
         }

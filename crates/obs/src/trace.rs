@@ -243,6 +243,10 @@ impl Tracer {
 }
 
 impl TraceSink for Tracer {
+    fn enabled(&self) -> bool {
+        self.is_enabled()
+    }
+
     fn span_begin(&self, name: &str) -> u64 {
         if !self.is_enabled() {
             return 0;

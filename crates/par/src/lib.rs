@@ -129,6 +129,12 @@ pub trait TraceSink: Sync {
     fn span_begin(&self, name: &str) -> u64;
     /// Close the span previously opened as `id`.
     fn span_end(&self, id: u64);
+    /// Whether events sent now would be recorded. A caller that has to
+    /// *build* an event's detail string asks first, so a disabled sink
+    /// costs no formatting; sinks that always record keep the default.
+    fn enabled(&self) -> bool {
+        true
+    }
     /// A point-in-time event with a free-form detail string.
     fn instant(&self, name: &str, detail: &str);
     /// One per-tuple policy decision.

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{for_each_case, random_lineage, random_positive_lineage, random_probs};
-use pcqe::lineage::{CompiledLineage, Evaluator, Lineage, MonteCarlo, Rng64, VarId};
+use pcqe::lineage::{CircuitCache, CompiledLineage, Evaluator, Lineage, MonteCarlo, Rng64, VarId};
 use std::collections::HashMap;
 
 const MAX_VARS: u64 = 5;
@@ -88,18 +88,58 @@ fn exact_probability_matches_brute_force() {
 #[test]
 fn compiled_matches_interpreter() {
     for_each_case(CASES, 0x11AE_0004, |rng| {
+        // Not, constants and shared variables all occur in this shape
+        // space; the flat circuit must repeat the interpreter's float
+        // operations in its order, so equality is on the bits.
         let l = lineage(rng);
         let (_, map) = prob_map(rng);
         let exact = Evaluator::exact_only(1 << 16)
             .probability(&l, &map)
             .unwrap();
         let compiled = CompiledLineage::compile(&l, 1 << 16).unwrap();
-        let fast = compiled.eval_with(|v| map[&v]);
-        assert!(
-            (exact - fast).abs() < 1e-9,
-            "exact {exact} vs compiled {fast} for {l}"
-        );
+        let by_lookup = compiled.eval_with(|v| map[&v]);
+        let slots: Vec<f64> = compiled.vars().iter().map(|v| map[v]).collect();
+        let by_slot = compiled.eval(&slots);
+        assert_eq!(exact.to_bits(), by_lookup.to_bits(), "eval_with for {l}");
+        assert_eq!(exact.to_bits(), by_slot.to_bits(), "eval for {l}");
     });
+}
+
+#[test]
+fn tight_budgets_fail_and_succeed_where_the_interpreter_does() {
+    let mut exhausted = 0u32;
+    for_each_case(CASES, 0x11AE_0009, |rng| {
+        let l = lineage(rng);
+        let (_, map) = prob_map(rng);
+        for budget in [0usize, 1, 2, 4, 8] {
+            // The interpreter is the oracle for the standalone compile, a
+            // cold pool and a pool that has seen the formula before: same
+            // success, same value bits, same typed error.
+            let oracle = Evaluator::exact_only(budget).probability(&l, &map);
+            let standalone = CompiledLineage::compile(&l, budget).map(|c| c.eval_with(|v| map[&v]));
+            let mut cold = CircuitCache::new();
+            let mut warm = CircuitCache::new();
+            let _ = warm.compile(&l, 1 << 16);
+            let pooled = [&mut cold, &mut warm].map(|pool| {
+                let id = pool.compile(&l, budget)?;
+                let circuit = pool.compiled(id).expect("id just issued");
+                Ok(circuit.eval_with(|v| map[&v]))
+            });
+            for (name, got) in [
+                ("standalone", &standalone),
+                ("cold", &pooled[0]),
+                ("warm", &pooled[1]),
+            ] {
+                assert_eq!(
+                    oracle.as_ref().map(|p| p.to_bits()),
+                    got.as_ref().map(|p| p.to_bits()),
+                    "{name} at budget {budget} for {l}"
+                );
+            }
+            exhausted += u32::from(oracle.is_err());
+        }
+    });
+    assert!(exhausted > 0, "no budget was ever exhausted");
 }
 
 #[test]

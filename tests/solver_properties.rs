@@ -7,10 +7,12 @@ mod common;
 
 use common::for_each_case;
 use pcqe::core::dnc::{self, DncOptions};
+use pcqe::core::exhaustive::{self, ExhaustiveOptions};
 use pcqe::core::greedy::{self, GreedyOptions};
 use pcqe::core::heuristic::{self, HeuristicOptions};
 use pcqe::core::problem::{ProblemBuilder, ProblemInstance};
 use pcqe::core::state::EvalState;
+use pcqe::core::CoreError;
 use pcqe::cost::CostFn;
 use pcqe::lineage::{Lineage, Rng64};
 
@@ -113,10 +115,45 @@ fn exact_search_is_never_beaten() {
 
 #[test]
 fn pruning_preserves_the_optimum() {
+    let mut enumerated = 0;
     for_each_case(CASES, 0x501E_0003, |rng| {
         let problem = random_problem(rng);
         check_pruning(&problem);
+        enumerated += u64::from(search_finds_the_enumerated_optimum(&problem));
     });
+    assert!(
+        enumerated >= CASES / 4,
+        "only {enumerated} instances were small enough to enumerate"
+    );
+}
+
+/// `check_pruning` holds branch-and-bound against branch-and-bound. This
+/// is the third party: where the grid has at most 10⁵ assignments, walk
+/// all of them — no ordering, no bound, no incumbent, nothing shared with
+/// the search but the confidence functions — and require the same
+/// optimal cost. Returns whether the instance was small enough.
+fn search_finds_the_enumerated_optimum(problem: &ProblemInstance) -> bool {
+    let small = ExhaustiveOptions {
+        max_assignments: 100_000,
+    };
+    let truth = match exhaustive::solve(problem, &small) {
+        Ok(out) => out.solution,
+        Err(CoreError::GaveUp(_)) => return false,
+        Err(e) => panic!("a feasible instance failed to enumerate: {e}"),
+    };
+    truth.validate(problem).unwrap();
+    for config in [HeuristicOptions::naive(), HeuristicOptions::all()] {
+        let found = heuristic::solve(problem, &config).unwrap().solution;
+        found.validate(problem).unwrap();
+        assert!(
+            (found.cost - truth.cost).abs() < 1e-6,
+            "config {:?}: search {} vs enumeration {}",
+            config,
+            found.cost,
+            truth.cost
+        );
+    }
+    true
 }
 
 fn check_pruning(problem: &ProblemInstance) {
