@@ -51,20 +51,6 @@ fn bench_gain_mode() {
     }
 }
 
-fn bench_incremental_greedy() {
-    group("ablation_incremental_greedy");
-    for size in [1_000usize, 5_000] {
-        let problem =
-            generate(&WorkloadParams::scalability_point(size).with_seed(42)).expect("valid");
-        bench(&format!("faithful/{size}"), 10, || {
-            greedy::solve(&problem, &GreedyOptions::default()).expect("feasible")
-        });
-        bench(&format!("lazy_heap/{size}"), 10, || {
-            greedy::solve(&problem, &GreedyOptions::incremental()).expect("feasible")
-        });
-    }
-}
-
 fn bench_multi_query() {
     group("multi_query_batches");
     for n_queries in [1usize, 2, 4] {
@@ -84,6 +70,5 @@ fn main() {
     bench_gamma();
     bench_tau();
     bench_gain_mode();
-    bench_incremental_greedy();
     bench_multi_query();
 }

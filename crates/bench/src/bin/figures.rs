@@ -10,7 +10,7 @@
 //! * `fig11c` — Figure 11(c) and 11(f): scalability of all three solvers.
 //! * `all` (default) — everything above.
 //! * `--full` — extend the sweeps to the paper's largest sizes (50K/100K);
-//!   expect several minutes for the faithful O(k·l1) greedy.
+//!   expect minutes at the top sizes.
 //! * `--json PATH` — also dump all series as JSON. The document embeds a
 //!   `metrics` block: the run's `pcqe-obs` snapshot (per-figure node and
 //!   timing tallies).

@@ -85,7 +85,7 @@ pub struct DncStats {
 pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOutcome<DncStats>> {
     let watch = Stopwatch::start();
     let mut state = EvalState::new_par(problem, &options.greedy.parallelism);
-    greedy::check_feasible(&mut state)?;
+    state.check_feasible()?;
     let mut stats = DncStats::default();
 
     // --- Partition ---------------------------------------------------
@@ -149,15 +149,7 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     // always meets the quota, but non-monotone custom functions could
     // regress; finish the job with greedy steps if needed.
     if !state.meets_quota() {
-        let mut last_gain = vec![f64::NAN; problem.bases.len()];
-        let mut raised = Vec::new();
-        greedy::phase1(
-            &mut state,
-            &options.greedy,
-            &mut stats.greedy,
-            &mut last_gain,
-            &mut raised,
-        )?;
+        greedy::run(&mut state, &options.greedy, &mut stats.greedy)?;
     }
 
     // --- Refine ---------------------------------------------------------
@@ -168,6 +160,7 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     // cost refunded — bases delivering the least confidence per cost are
     // rolled back first.
     let mut candidates: Vec<(f64, usize)> = Vec::new();
+    let mut now: Vec<f64> = Vec::new();
     for i in 0..problem.bases.len() {
         let steps = state.steps_of(i);
         if steps == 0 {
@@ -175,11 +168,15 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
         }
         let refund = state.cost_at(i, steps);
         let results = problem.results_of_base(i);
-        let now = state.confidences_snapshot(results);
+        now.clear();
+        now.extend(results.iter().map(|&ri| state.confidence(ri)));
         state.set_steps(i, 0);
-        let then = state.confidences_snapshot(results);
+        let loss: f64 = now
+            .iter()
+            .zip(results)
+            .map(|(a, &ri)| (a - state.confidence(ri)).max(0.0))
+            .sum();
         state.set_steps(i, steps);
-        let loss: f64 = now.iter().zip(&then).map(|(a, b)| (a - b).max(0.0)).sum();
         let gain = if refund > 0.0 {
             loss / refund
         } else {

@@ -134,7 +134,7 @@ pub fn solve(
 ) -> Result<SolveOutcome<HeuristicStats>> {
     let watch = Stopwatch::start();
     let mut state = EvalState::new(problem);
-    crate::greedy::check_feasible(&mut state)?;
+    state.check_feasible()?;
 
     let order: Vec<usize> = if options.h1_ordering {
         cost_beta_order(problem, &mut state)

@@ -11,15 +11,18 @@
 //!   individually-toggleable pruning heuristics H1–H4 (Section 4.1);
 //! * [`greedy`] — the two-phase greedy algorithm (Section 4.2): an
 //!   aggressive gain-per-cost increment phase followed by a roll-back
-//!   phase removing unnecessary increments;
+//!   phase removing unnecessary increments — one loop over an
+//!   [`state::EvalState`], which owns every threshold and quota;
 //! * [`dnc`] — the divide-and-conquer algorithm (Section 4.3): partition
 //!   the results into weakly-coupled groups by merge-clustering a shared
 //!   base-tuple graph, solve each group (greedy, plus branch-and-bound for
 //!   small groups), then combine and refine.
 //!
-//! Extensions beyond the paper's core: [`multi`] implements the
-//! multiple-query variant sketched at the end of Section 4, and
-//! [`estimator`] the advance-time statistics sketched in Section 6.
+//! Extensions beyond the paper's core: [`multi`] is the multiple-query
+//! variant sketched at the end of Section 4 — several queries merged over
+//! one base-tuple pool and handed to that same greedy as one problem with
+//! a quota per query — and [`estimator`] the advance-time statistics
+//! sketched in Section 6.
 //!
 //! ```
 //! use pcqe_core::{greedy, problem::ProblemBuilder, greedy::GreedyOptions};

@@ -2,16 +2,19 @@
 //! Section 4: "the search space has to be extended to include all distinct
 //! base tuples associated with all queries … we need to check whether a
 //! solution is found for all queries").
+//!
+//! A batch is a query with several quotas: [`MultiQueryProblem::merge`]
+//! widens the base-tuple pool, and the stopping test over all queries is
+//! [`crate::state::EvalState`]'s. The algorithm is [`crate::greedy`]'s.
 
-use crate::clock::Stopwatch;
 use crate::error::CoreError;
-use crate::greedy::{GainMode, GreedyOptions, GreedyStats};
-use crate::ord::OrdF64;
-use crate::problem::{BaseVar, ProblemInstance, ResultSpec};
-use crate::solution::{Solution, SolveOutcome};
-use crate::state::EvalState;
+use crate::greedy::{self, GreedyOptions, GreedyStats};
+use crate::problem::{ProblemBuilder, ProblemInstance};
+use crate::solution::SolveOutcome;
 use crate::Result;
 use std::collections::BTreeMap;
+
+pub use crate::state::QuerySlice;
 
 /// A batch of confidence-increment problems that share base tuples (the
 /// same user issuing several queries within a short time period).
@@ -19,28 +22,8 @@ use std::collections::BTreeMap;
 /// All queries must agree on δ; each keeps its own threshold β and quota.
 #[derive(Debug, Clone)]
 pub struct MultiQueryProblem {
-    /// The merged base-tuple pool (deduplicated by external id).
-    pub bases: Vec<BaseVar>,
-    /// Every result across all queries, remapped onto the merged pool.
-    pub results: Vec<ResultSpec>,
-    /// `(first result index, result count, β, required)` per query.
-    pub queries: Vec<QuerySlice>,
-    /// Shared increment granularity δ.
-    pub delta: f64,
-}
-
-/// One query's slice of the merged result list, with its own threshold and
-/// quota.
-#[derive(Debug, Clone, Copy)]
-pub struct QuerySlice {
-    /// Index of the query's first result in [`MultiQueryProblem::results`].
-    pub start: usize,
-    /// Number of results belonging to the query.
-    pub len: usize,
-    /// The query's threshold β.
-    pub beta: f64,
-    /// Results that must exceed β.
-    pub required: usize,
+    flat: ProblemInstance,
+    queries: Vec<QuerySlice>,
 }
 
 impl MultiQueryProblem {
@@ -61,27 +44,28 @@ impl MultiQueryProblem {
                 )));
             }
         }
-        let mut bases: Vec<BaseVar> = Vec::new();
+        let beta_max = instances.iter().map(|p| p.beta).fold(0.0f64, f64::max);
+        let mut builder = ProblemBuilder::new(beta_max, delta);
         let mut by_id: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut results = Vec::new();
-        let mut queries = Vec::new();
+        let mut queries = Vec::with_capacity(instances.len());
+        let mut start = 0;
         for p in instances {
             let local: Vec<usize> = p
                 .bases
                 .iter()
                 .map(|b| {
                     *by_id.entry(b.id).or_insert_with(|| {
-                        bases.push(b.clone());
-                        bases.len() - 1
+                        builder.base_capped(b.id, b.initial, b.max, b.cost.clone())
                     })
                 })
                 .collect();
-            let start = results.len();
             for r in &p.results {
-                results.push(ResultSpec {
-                    bases: r.bases.iter().map(|&b| local[b]).collect(),
-                    conf: r.conf.clone(),
-                });
+                let bases: Option<Vec<usize>> =
+                    r.bases.iter().map(|&b| local.get(b).copied()).collect();
+                let bases = bases.ok_or_else(|| {
+                    CoreError::InvalidProblem("a result names a base its query lacks".into())
+                })?;
+                builder.result_with(bases, r.conf.clone());
             }
             queries.push(QuerySlice {
                 start,
@@ -89,210 +73,43 @@ impl MultiQueryProblem {
                 beta: p.beta,
                 required: p.required,
             });
+            start += p.results.len();
         }
         Ok(MultiQueryProblem {
-            bases,
-            results,
+            flat: builder.build()?,
             queries,
-            delta,
         })
     }
 
-    /// Flatten into a single [`ProblemInstance`] whose β is the *maximum*
-    /// across queries — only usable for feasibility probing, since each
-    /// query keeps its own threshold in the real solve.
-    fn as_flat_instance(&self) -> Result<ProblemInstance> {
-        let beta_max = self.queries.iter().map(|q| q.beta).fold(0.0f64, f64::max);
-        let mut builder = crate::problem::ProblemBuilder::new(beta_max, self.delta);
-        for b in &self.bases {
-            builder.base_capped(b.id, b.initial, b.max, b.cost.clone());
-        }
-        for r in &self.results {
-            builder.result_with(r.bases.clone(), r.conf.clone());
-        }
-        builder.build()
+    /// The merged instance: the base-tuple pool deduplicated by external
+    /// id, and every query's results remapped onto it, query after query.
+    /// Thresholds and quotas are per query ([`Self::queries`]); the
+    /// instance's own `beta` and `required` stand for none of them.
+    pub fn problem(&self) -> &ProblemInstance {
+        &self.flat
+    }
+
+    /// Each query's slice of the merged result list, with its threshold
+    /// and quota.
+    pub fn queries(&self) -> &[QuerySlice] {
+        &self.queries
     }
 }
 
 /// Solve a multi-query problem greedily: phase 1 raises the base tuple
 /// with the best summed gain over *all* queries' unsatisfied results until
-/// every query's quota holds; phase 2 rolls increments back while every
+/// every query's quota holds; phase 2 rolls increments back as long as every
 /// quota survives.
 pub fn solve_greedy(
     multi: &MultiQueryProblem,
     options: &GreedyOptions,
 ) -> Result<SolveOutcome<GreedyStats>> {
-    let watch = Stopwatch::start();
-    let flat = multi.as_flat_instance()?;
-    let mut state = EvalState::new_par(&flat, &options.parallelism);
-    let mut stats = GreedyStats::default();
-
-    // Feasibility: every query must be satisfiable at max confidence.
-    {
-        let all: Vec<usize> = (0..flat.bases.len()).collect();
-        for (qi, q) in multi.queries.iter().enumerate() {
-            let achievable = optimistic_for_query(&mut state, multi, qi, &all);
-            if achievable < q.required {
-                return Err(CoreError::Infeasible {
-                    achievable,
-                    required: q.required,
-                });
-            }
-        }
-    }
-
-    let useful = options.gain == GainMode::Useful;
-    let quotas_met = |state: &EvalState<'_>| {
-        multi
-            .queries
-            .iter()
-            .enumerate()
-            .all(|(qi, q)| satisfied_for_query(state, multi, qi) >= q.required)
-    };
-
-    let mut last_gain = vec![f64::NAN; multi.bases.len()];
-    let mut raised: Vec<usize> = Vec::new();
-    while !quotas_met(&state) {
-        if stats.iterations >= options.max_iterations {
-            return Err(CoreError::GaveUp("multi-query greedy iteration cap".into()));
-        }
-        let mut best: Option<(f64, usize)> = None;
-        let mut fallback: Option<(f64, usize)> = None;
-        for i in 0..multi.bases.len() {
-            let step_cost = state.next_step_cost(i);
-            if !step_cost.is_finite() {
-                continue;
-            }
-            let gain_num = gain_for(&mut state, multi, i, useful);
-            let touches = gain_num > 0.0
-                || flat.results_of_base(i).iter().any(|&ri| {
-                    let (qi, q) = query_of(multi, ri);
-                    state.confidence(ri) <= q.beta
-                        && satisfied_for_query(&state, multi, qi) < q.required
-                });
-            let gain = if step_cost > 0.0 {
-                gain_num / step_cost
-            } else if gain_num > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            if gain > 0.0 && best.is_none_or(|(g, _)| gain > g) {
-                best = Some((gain, i));
-            }
-            if touches && fallback.is_none_or(|(c, _)| step_cost < c) {
-                fallback = Some((step_cost, i));
-            }
-        }
-        let (gain, pick) = best.or(fallback).ok_or_else(|| {
-            CoreError::GaveUp("no base tuple can help any unsatisfied query".into())
-        })?;
-        state.step_up(pick);
-        if last_gain[pick].is_nan() {
-            raised.push(pick);
-        }
-        last_gain[pick] = gain;
-        stats.iterations += 1;
-    }
-
-    if options.two_phase {
-        raised.sort_by_key(|&a| (OrdF64(last_gain[a]), a));
-        for &i in &raised {
-            loop {
-                if state.steps_of(i) == 0 {
-                    break;
-                }
-                state.step_down(i);
-                if quotas_met(&state) {
-                    stats.reductions += 1;
-                } else {
-                    state.step_up(i);
-                    break;
-                }
-            }
-        }
-    }
-
-    stats.evals = state.evals;
-    stats.elapsed = watch.elapsed();
-    // Satisfied set: results above their own query's β.
-    let satisfied: Vec<usize> = (0..multi.results.len())
-        .filter(|&ri| {
-            let (_, q) = query_of(multi, ri);
-            state.confidence(ri) > q.beta
-        })
-        .collect();
-    let solution = Solution {
-        levels: (0..multi.bases.len()).map(|i| state.level(i)).collect(),
-        cost: state.total_cost(),
-        satisfied,
-    };
-    Ok(SolveOutcome { solution, stats })
-}
-
-fn query_of(multi: &MultiQueryProblem, ri: usize) -> (usize, &QuerySlice) {
-    for (qi, q) in multi.queries.iter().enumerate() {
-        if ri >= q.start && ri < q.start + q.len {
-            return (qi, q);
-        }
-    }
-    unreachable!("result index {ri} outside every query slice")
-}
-
-fn satisfied_for_query(state: &EvalState<'_>, multi: &MultiQueryProblem, qi: usize) -> usize {
-    let q = &multi.queries[qi];
-    (q.start..q.start + q.len)
-        .filter(|&ri| state.confidence(ri) > q.beta)
-        .count()
-}
-
-fn optimistic_for_query(
-    state: &mut EvalState<'_>,
-    multi: &MultiQueryProblem,
-    qi: usize,
-    all: &[usize],
-) -> usize {
-    // Raise everything to max, count this query's passing results, restore.
-    let saved: Vec<u32> = (0..multi.bases.len()).map(|i| state.steps_of(i)).collect();
-    for &i in all {
-        let max = state.problem().max_steps(i);
-        state.set_steps(i, max);
-    }
-    let count = satisfied_for_query(state, multi, qi);
-    for (i, &s) in saved.iter().enumerate() {
-        state.set_steps(i, s);
-    }
-    count
-}
-
-/// Summed ΔF of one δ step on base `i` over unsatisfied results of
-/// unsatisfied queries.
-fn gain_for(state: &mut EvalState<'_>, multi: &MultiQueryProblem, i: usize, useful: bool) -> f64 {
-    let flat = state.problem();
-    let s = state.steps_of(i);
-    if s >= flat.max_steps(i) {
-        return 0.0;
-    }
-    let mut gain = 0.0;
-    let results: Vec<usize> = flat.results_of_base(i).to_vec();
-    let old = state.confidences_snapshot(&results);
-    // Probe by temporarily committing the step (cheap and exact).
-    state.set_steps(i, s + 1);
-    for (k, &ri) in results.iter().enumerate() {
-        let (_, q) = query_of(multi, ri);
-        if useful && old[k] > q.beta {
-            continue;
-        }
-        gain += (state.confidence(ri) - old[k]).max(0.0);
-    }
-    state.set_steps(i, s);
-    gain
+    greedy::solve_queries(&multi.flat, &multi.queries, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::ProblemBuilder;
     use pcqe_cost::CostFn;
     use pcqe_lineage::Lineage;
 
@@ -316,9 +133,9 @@ mod tests {
         let q1 = query(0.5, &[0, 1], 1);
         let q2 = query(0.6, &[1, 2], 1);
         let m = MultiQueryProblem::merge(&[q1, q2]).unwrap();
-        assert_eq!(m.bases.len(), 3, "base 1 is shared");
-        assert_eq!(m.results.len(), 4);
-        assert_eq!(m.queries[1].start, 2);
+        assert_eq!(m.problem().bases.len(), 3, "base 1 is shared");
+        assert_eq!(m.problem().results.len(), 4);
+        assert_eq!(m.queries()[1].start, 2);
     }
 
     #[test]

@@ -1,11 +1,60 @@
-//! Incremental evaluation state shared by the solvers.
+//! Incremental evaluation state shared by the solvers, and the one place
+//! that knows what "satisfied", "quota met" and "useful gain" mean.
+//!
+//! A state serves one or several queries over one base-tuple pool (the
+//! multiple-query remark at the end of Section 4): every result carries
+//! its own query's threshold, every query its own quota, and the state is
+//! done when no query is left unmet. A [`ProblemInstance`] is the
+//! one-query case.
 
+use crate::error::CoreError;
 use crate::problem::ProblemInstance;
 use crate::solution::Solution;
+use crate::Result;
+
+/// One query's slice of a problem's result list, with its own threshold
+/// and quota.
+#[derive(Debug, Clone, Copy)]
+pub struct QuerySlice {
+    /// Index of the query's first result.
+    pub start: usize,
+    /// Number of results belonging to the query.
+    pub len: usize,
+    /// The query's threshold β.
+    pub beta: f64,
+    /// Results that must exceed β.
+    pub required: usize,
+}
+
+impl QuerySlice {
+    /// `problem` as the one query it is.
+    pub(crate) fn whole(problem: &ProblemInstance) -> QuerySlice {
+        QuerySlice {
+            start: 0,
+            len: problem.results.len(),
+            beta: problem.beta,
+            required: problem.required,
+        }
+    }
+}
+
+/// One query's quota and how much of it the current levels fill.
+#[derive(Debug, Clone, Copy)]
+struct Quota {
+    required: usize,
+    satisfied: usize,
+}
+
+impl Quota {
+    fn met(&self) -> bool {
+        self.satisfied >= self.required
+    }
+}
 
 /// Mutable solver state: per-base grid positions, per-result confidences,
-/// and the running satisfied-count and cost — all maintained incrementally
-/// so one base-level change only re-evaluates the results it touches.
+/// per-query satisfied counts and the running cost — all maintained
+/// incrementally so one base-level change only re-evaluates the results it
+/// touches.
 #[derive(Debug, Clone)]
 pub struct EvalState<'p> {
     problem: &'p ProblemInstance,
@@ -17,7 +66,14 @@ pub struct EvalState<'p> {
     costs: Vec<f64>,
     /// Cached confidence per result.
     confidences: Vec<f64>,
-    satisfied: usize,
+    /// Per result: the threshold of the query it belongs to.
+    thresholds: Vec<f64>,
+    /// Per result: the index of its query in `quotas`.
+    query_of: Vec<usize>,
+    /// Per query: its quota and its currently satisfied results.
+    quotas: Vec<Quota>,
+    /// Queries whose quota the current levels do not meet.
+    unmet: usize,
     total_cost: f64,
     /// Scratch buffer for confidence-function arguments.
     scratch: Vec<f64>,
@@ -45,12 +101,23 @@ impl<'p> EvalState<'p> {
     /// construction for any policy: each result's confidence is a pure
     /// function of the (fixed) initial levels, and results are written
     /// back in index order.
+    pub fn new_par(problem: &'p ProblemInstance, par: &pcqe_par::Parallelism) -> EvalState<'p> {
+        Self::for_queries(problem, &[QuerySlice::whole(problem)], par)
+    }
+
+    /// [`Self::new_par`] for several queries over one pool: `queries` tile
+    /// `problem.results` in order, each with its own threshold and quota
+    /// (`problem.beta` and `problem.required` are not read).
     ///
     /// Each base's grid is tabulated here once, with the expressions of
     /// [`ProblemInstance::level_at`] and [`ProblemInstance::cost_at`]
     /// themselves, so a search node reads the very bits those calls would
     /// return without redoing the division, `ceil` and cost potentials.
-    pub fn new_par(problem: &'p ProblemInstance, par: &pcqe_par::Parallelism) -> EvalState<'p> {
+    pub(crate) fn for_queries(
+        problem: &'p ProblemInstance,
+        queries: &[QuerySlice],
+        par: &pcqe_par::Parallelism,
+    ) -> EvalState<'p> {
         let mut grid_start = Vec::with_capacity(problem.bases.len() + 1);
         let mut grid_levels = Vec::new();
         let mut grid_costs = Vec::new();
@@ -67,7 +134,23 @@ impl<'p> EvalState<'p> {
             let args: Vec<f64> = r.bases.iter().map(|&b| levels[b]).collect();
             r.conf.eval(&args)
         });
-        let satisfied = confidences.iter().filter(|&&c| c > problem.beta).count();
+        let mut thresholds = Vec::with_capacity(confidences.len());
+        let mut query_of = Vec::with_capacity(confidences.len());
+        let mut quotas = Vec::with_capacity(queries.len());
+        for (qi, q) in queries.iter().enumerate() {
+            debug_assert_eq!(q.start, thresholds.len(), "query slices tile the results");
+            thresholds.resize(q.start + q.len, q.beta);
+            query_of.resize(q.start + q.len, qi);
+            let satisfied = confidences[q.start..q.start + q.len]
+                .iter()
+                .filter(|&&c| c > q.beta)
+                .count();
+            quotas.push(Quota {
+                required: q.required,
+                satisfied,
+            });
+        }
+        debug_assert_eq!(thresholds.len(), confidences.len());
         EvalState {
             problem,
             steps: vec![0; problem.bases.len()],
@@ -75,7 +158,10 @@ impl<'p> EvalState<'p> {
             costs: vec![0.0; problem.bases.len()],
             evals: problem.results.len() as u64,
             confidences,
-            satisfied,
+            thresholds,
+            query_of,
+            unmet: quotas.iter().filter(|q| !q.met()).count(),
+            quotas,
             total_cost: 0.0,
             scratch: Vec::new(),
             saved_levels: Vec::new(),
@@ -129,19 +215,26 @@ impl<'p> EvalState<'p> {
         self.confidences[ri]
     }
 
-    /// Is result `ri` currently satisfied (confidence strictly above β)?
+    /// Is result `ri` currently satisfied (confidence strictly above its
+    /// query's β)?
     pub fn is_satisfied(&self, ri: usize) -> bool {
-        self.confidences[ri] > self.problem.beta
+        self.confidences[ri] > self.thresholds[ri]
+    }
+
+    /// Would satisfying result `ri` still move a quota: it is unsatisfied
+    /// and its query is unmet.
+    pub(crate) fn is_wanted(&self, ri: usize) -> bool {
+        !self.is_satisfied(ri) && !self.quotas[self.query_of[ri]].met()
     }
 
     /// Number of satisfied results.
     pub fn satisfied_count(&self) -> usize {
-        self.satisfied
+        self.quotas.iter().map(|q| q.satisfied).sum()
     }
 
-    /// Does the current state meet the problem's quota?
+    /// Does the current state meet every query's quota?
     pub fn meets_quota(&self) -> bool {
-        self.satisfied >= self.problem.required
+        self.unmet == 0
     }
 
     /// Total increment cost of the current state.
@@ -158,37 +251,46 @@ impl<'p> EvalState<'p> {
     }
 
     /// Set base `i` to `steps` grid steps, updating affected results,
-    /// satisfied count, and cost. Returns the change in satisfied count.
-    pub fn set_steps(&mut self, i: usize, steps: u32) -> i64 {
+    /// satisfied counts, and cost.
+    pub fn set_steps(&mut self, i: usize, steps: u32) {
         let steps = steps.min(self.max_steps(i));
         if steps == self.steps[i] {
-            return 0;
+            return;
         }
         self.steps[i] = steps;
         self.levels[i] = self.level_at(i, steps);
         let new_cost = self.cost_at(i, steps);
         self.total_cost += new_cost - self.costs[i];
         self.costs[i] = new_cost;
-        let mut delta = 0i64;
         let problem = self.problem;
         for &ri in problem.results_of_base(i) {
-            let was = self.confidences[ri] > problem.beta;
+            let threshold = self.thresholds[ri];
+            let was = self.confidences[ri] > threshold;
             let c = self.eval_result(ri);
             self.confidences[ri] = c;
-            let now = c > problem.beta;
-            match (was, now) {
-                (false, true) => {
-                    self.satisfied += 1;
-                    delta += 1;
-                }
-                (true, false) => {
-                    self.satisfied -= 1;
-                    delta -= 1;
-                }
-                _ => {}
+            let now = c > threshold;
+            if was != now {
+                self.flip(ri, now);
             }
         }
-        delta
+    }
+
+    /// Result `ri` has just become satisfied (`now`) or stopped being so:
+    /// move its query's count, and the unmet count with it when the quota
+    /// is crossed.
+    fn flip(&mut self, ri: usize, now: bool) {
+        let quota = &mut self.quotas[self.query_of[ri]];
+        let was_met = quota.met();
+        if now {
+            quota.satisfied += 1;
+        } else {
+            quota.satisfied -= 1;
+        }
+        match (was_met, quota.met()) {
+            (false, true) => self.unmet -= 1,
+            (true, false) => self.unmet += 1,
+            _ => {}
+        }
     }
 
     /// Raise base `i` by one δ step (no-op at max). Returns whether a step
@@ -223,9 +325,10 @@ impl<'p> EvalState<'p> {
     }
 
     /// Sum of confidence gains over `i`'s results if it took one δ step —
-    /// without committing the step. `useful_only` restricts the sum to
-    /// currently-unsatisfied results (the gain that actually moves the
-    /// quota).
+    /// without committing the step: only the level is substituted, so
+    /// confidences, counts and the running cost keep their bits.
+    /// `useful_only` restricts the sum to currently-unsatisfied results
+    /// (the gain that actually moves a quota).
     pub fn probe_step_gain(&mut self, i: usize, useful_only: bool) -> f64 {
         let s = self.steps[i];
         if s >= self.max_steps(i) {
@@ -236,7 +339,7 @@ impl<'p> EvalState<'p> {
         let mut gain = 0.0;
         let problem = self.problem;
         for &ri in problem.results_of_base(i) {
-            if useful_only && self.confidences[ri] > problem.beta {
+            if useful_only && self.is_satisfied(ri) {
                 continue;
             }
             let c = self.eval_result(ri);
@@ -246,79 +349,63 @@ impl<'p> EvalState<'p> {
         gain
     }
 
-    /// Read-only [`Self::probe_step_gain`]: the same gain (bit-for-bit —
-    /// the probed level is substituted into the argument vector exactly
-    /// where the mutating probe would have written it) without touching
-    /// `self`, so many bases can be probed concurrently from shared
-    /// references. Returns `(gain, evaluations)`; the caller is
-    /// responsible for adding the evaluation count to [`Self::evals`].
-    pub fn probe_step_gain_readonly(&self, i: usize, useful_only: bool) -> (f64, u64) {
-        let s = self.steps[i];
-        if s >= self.max_steps(i) {
-            return (0.0, 0);
-        }
-        let stepped = self.level_at(i, s + 1);
-        let beta = self.problem.beta;
-        let mut gain = 0.0;
-        let mut evals = 0u64;
-        let mut args: Vec<f64> = Vec::new();
-        for &ri in self.problem.results_of_base(i) {
-            if useful_only && self.confidences[ri] > beta {
-                continue;
-            }
-            let r = &self.problem.results[ri];
-            args.clear();
-            args.extend(
-                r.bases
-                    .iter()
-                    .map(|&b| if b == i { stepped } else { self.levels[b] }),
-            );
-            evals += 1;
-            let c = r.conf.eval(&args);
-            gain += (c - self.confidences[ri]).max(0.0);
-        }
-        (gain, evals)
-    }
-
-    /// Current confidences of the given results, in order.
-    pub fn confidences_snapshot(&self, results: &[usize]) -> Vec<f64> {
-        results.iter().map(|&ri| self.confidences[ri]).collect()
-    }
-
     /// Snapshot the current state as a [`Solution`].
     pub fn to_solution(&self) -> Solution {
-        let satisfied = (0..self.problem.results.len())
-            .filter(|&ri| self.confidences[ri] > self.problem.beta)
-            .collect();
         Solution {
             levels: self.levels.clone(),
             cost: self.total_cost,
-            satisfied,
+            satisfied: (0..self.confidences.len())
+                .filter(|&ri| self.is_satisfied(ri))
+                .collect(),
         }
     }
 
-    /// Count results that would be satisfied if every base in `rest` were
-    /// raised to its maximum while others keep their current level — the
-    /// optimistic bound used by heuristic H3.
-    pub fn optimistic_satisfied(&mut self, rest: &[usize]) -> usize {
+    /// Call `hit(query)` for every result that is satisfied now or would
+    /// be if every base in `rest` were raised to its maximum while the
+    /// others keep their current level.
+    fn optimistic_each(&mut self, rest: &[usize], mut hit: impl FnMut(usize)) {
         let mut saved = std::mem::take(&mut self.saved_levels);
         saved.clear();
         saved.extend(rest.iter().map(|&i| self.levels[i]));
         for &i in rest {
             self.levels[i] = self.problem.bases[i].max;
         }
-        let mut count = 0;
-        for ri in 0..self.problem.results.len() {
-            if self.confidences[ri] > self.problem.beta || self.eval_result(ri) > self.problem.beta
-            {
-                count += 1;
+        for ri in 0..self.confidences.len() {
+            if self.is_satisfied(ri) || self.eval_result(ri) > self.thresholds[ri] {
+                hit(self.query_of[ri]);
             }
         }
         for (&i, &l) in rest.iter().zip(&saved) {
             self.levels[i] = l;
         }
         self.saved_levels = saved;
+    }
+
+    /// Count results that would be satisfied if every base in `rest` were
+    /// raised to its maximum while others keep their current level — the
+    /// optimistic bound used by heuristic H3.
+    pub fn optimistic_satisfied(&mut self, rest: &[usize]) -> usize {
+        let mut count = 0;
+        self.optimistic_each(rest, |_| count += 1);
         count
+    }
+
+    /// Reject a problem in which some query's quota is out of reach even
+    /// with every base at its maximum confidence; the error names the
+    /// first such query's numbers.
+    pub(crate) fn check_feasible(&mut self) -> Result<()> {
+        let all: Vec<usize> = (0..self.levels.len()).collect();
+        let mut reachable = vec![0usize; self.quotas.len()];
+        self.optimistic_each(&all, |q| reachable[q] += 1);
+        for (quota, &achievable) in self.quotas.iter().zip(&reachable) {
+            if achievable < quota.required {
+                return Err(CoreError::Infeasible {
+                    achievable,
+                    required: quota.required,
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -372,6 +459,31 @@ mod tests {
     }
 
     #[test]
+    fn quotas_are_per_query() {
+        // The same two results as two one-result queries: r0 must pass 0.5,
+        // r1 only 0.2.
+        let p = two_result_problem();
+        let slice = |start, beta| QuerySlice {
+            start,
+            len: 1,
+            beta,
+            required: 1,
+        };
+        let queries = [slice(0, 0.5), slice(1, 0.2)];
+        let mut s = EvalState::for_queries(&p, &queries, &pcqe_par::Parallelism::sequential());
+        s.set_steps(1, 5); // r0 = 0.64 > 0.5, r1 = 0.6 · 0.1
+        assert!(s.is_satisfied(0) && !s.is_satisfied(1));
+        assert!(!s.meets_quota(), "query 1 is still unmet");
+        assert!(!s.is_wanted(0) && s.is_wanted(1));
+        s.set_steps(2, 3); // r1 = 0.6 · 0.4 > 0.2, though not > 0.5
+        assert!(s.meets_quota());
+        assert_eq!(s.to_solution().satisfied, vec![0, 1]);
+        s.set_steps(1, 0);
+        assert_eq!(s.satisfied_count(), 0);
+        assert!(!s.meets_quota());
+    }
+
+    #[test]
     fn step_up_down_respect_bounds() {
         let p = two_result_problem();
         let mut s = EvalState::new(&p);
@@ -398,24 +510,6 @@ mod tests {
         s.set_steps(0, 9); // r0 satisfied via t0
         let useful = s.probe_step_gain(1, true);
         assert!((useful - 0.1 * 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn readonly_probe_matches_mutating_probe_bitwise() {
-        let p = two_result_problem();
-        let mut s = EvalState::new(&p);
-        s.set_steps(0, 3);
-        for i in 0..3 {
-            for useful in [false, true] {
-                let mutating = s.probe_step_gain(i, useful);
-                let (readonly, _) = s.probe_step_gain_readonly(i, useful);
-                assert_eq!(
-                    mutating.to_bits(),
-                    readonly.to_bits(),
-                    "base {i} useful {useful}"
-                );
-            }
-        }
     }
 
     #[test]

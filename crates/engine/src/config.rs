@@ -38,13 +38,13 @@ pub struct EngineConfig {
     /// Run the logical optimiser (predicate pushdown, product→join
     /// conversion) on every query plan.
     pub optimize_plans: bool,
-    /// Worker threads for plan execution, result scoring, solver rescans
-    /// and divide-and-conquer's groups. `None` uses every available core;
+    /// Worker threads for plan execution, result scoring (the solvers'
+    /// initial scoring included) and divide-and-conquer's groups. `None` uses every available core;
     /// `Some(1)` reproduces the sequential engine bit-for-bit (any setting
     /// produces identical answers — threads only change speed).
     pub worker_threads: Option<usize>,
-    /// Minimum batch size (rows to execute, lineages to score, bases to
-    /// rescan, grid points D&C groups search) before threads are spawned.
+    /// Minimum batch size (rows to execute, lineages to score, grid
+    /// points D&C groups search) before threads are spawned.
     pub parallel_threshold: usize,
     /// Record operator, solver, scheduler and policy metrics into the
     /// database's [`pcqe_obs::Recorder`]. Recording is result-neutral:

@@ -745,52 +745,17 @@ impl Database {
             parallelism: self.config.parallelism(),
             ..GreedyOptions::default()
         };
-        match solve_greedy(&multi, &greedy_opts) {
-            Ok(out) => {
-                if recording {
-                    out.stats.emit_as("solver.multi", self.recorder.as_ref());
-                }
-                let mut increments: Vec<crate::response::ProposedIncrement> = out
-                    .solution
-                    .levels
-                    .iter()
-                    .zip(&multi.bases)
-                    .filter(|(l, b)| **l > b.initial + 1e-12)
-                    .map(|(l, b)| crate::response::ProposedIncrement {
-                        tuple_id: TupleId(b.id),
-                        from: b.initial,
-                        to: *l,
-                        cost: b.cost.cost(b.initial, *l),
-                    })
-                    .collect();
-                increments.sort_by_key(|i| i.tuple_id);
-                let requested: usize = instances.iter().map(|i| i.required).sum();
-                batch.proposal = Some(crate::response::ImprovementProposal {
-                    cost: out.solution.cost,
-                    increments,
-                    projected_released: batch
-                        .responses
-                        .iter()
-                        .map(|r| r.released.len())
-                        .sum::<usize>()
-                        + out.solution.satisfied.len(),
-                    requested,
-                    version: self.version,
-                });
+        let solved = solve_greedy(&multi, &greedy_opts).map(|out| {
+            if recording {
+                out.stats.emit_as("solver.multi", self.recorder.as_ref());
             }
-            Err(pcqe_core::CoreError::Infeasible {
-                achievable,
-                required,
-            }) => {
-                batch.no_proposal = Some(NoProposal::Infeasible {
-                    achievable,
-                    requested: required,
-                });
-            }
-            Err(pcqe_core::CoreError::GaveUp(m)) => {
-                batch.no_proposal = Some(NoProposal::SolverGaveUp(m));
-            }
-            Err(e) => return Err(e.into()),
+            (out.solution, out.stats.elapsed)
+        });
+        let released = batch.responses.iter().map(|r| r.released.len()).sum();
+        let requested = instances.iter().map(|i| i.required).sum();
+        match improve::outcome(solved, multi.problem(), released, requested, self.version)?.0 {
+            ProposeOutcome::Proposal(p) => batch.proposal = Some(p),
+            ProposeOutcome::No(reason) => batch.no_proposal = Some(reason),
         }
         Ok(batch)
     }

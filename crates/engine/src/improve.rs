@@ -82,16 +82,26 @@ pub(crate) fn propose(
     else {
         return Ok((ProposeOutcome::No(NoProposal::NonMonotone), None));
     };
-    let size = problem.bases.len();
-    sink.count("solver.problem_bases", size as u64);
+    sink.count("solver.problem_bases", problem.bases.len() as u64);
     sink.count("solver.quota.required", needed as u64);
-
     let solved = dispatch(&problem, &config.solver, &config.parallelism(), sink);
+    outcome(solved, &problem, already_released, requested, version)
+}
+
+/// What a solve over `problem` means to the user: the solution as an
+/// [`ImprovementProposal`], or the solver's refusal as a [`NoProposal`].
+/// `released` results already pass; a proposal promises `requested`.
+pub(crate) fn outcome(
+    solved: std::result::Result<(Solution, Duration), CoreError>,
+    problem: &ProblemInstance,
+    released: usize,
+    requested: usize,
+    version: u64,
+) -> Result<(ProposeOutcome, Option<ProposeStats>)> {
     match solved {
         Ok((solution, elapsed)) => {
-            sink.count("solver.quota.satisfied", solution.satisfied.len() as u64);
             let mut increments: Vec<ProposedIncrement> = solution
-                .increments(&problem)
+                .increments(problem)
                 .into_iter()
                 .map(|inc| ProposedIncrement {
                     tuple_id: TupleId(inc.id),
@@ -104,22 +114,27 @@ pub(crate) fn propose(
             let proposal = ImprovementProposal {
                 cost: solution.cost,
                 increments,
-                projected_released: already_released + solution.satisfied.len(),
+                projected_released: released + solution.satisfied.len(),
                 requested,
                 version,
             };
             Ok((
                 ProposeOutcome::Proposal(proposal),
                 Some(ProposeStats {
-                    problem_size: size,
+                    problem_size: problem.bases.len(),
                     elapsed,
                 }),
             ))
         }
-        Err(CoreError::Infeasible { achievable, .. }) => Ok((
+        // The error counts the withheld results of the one query whose
+        // quota is out of reach.
+        Err(CoreError::Infeasible {
+            achievable,
+            required,
+        }) => Ok((
             ProposeOutcome::No(NoProposal::Infeasible {
-                achievable: already_released + achievable,
-                requested,
+                achievable: released + achievable,
+                requested: released + required,
             }),
             None,
         )),
@@ -187,54 +202,40 @@ fn dispatch(
     par: &pcqe_par::Parallelism,
     sink: &dyn SolverSink,
 ) -> std::result::Result<(Solution, Duration), CoreError> {
-    // The lazy heap makes the rescan's picks bit for bit; the O(k·l₁)
-    // rescan itself is kept for the figure reproductions.
     let greedy_opts = GreedyOptions {
-        incremental: true,
         parallelism: par.clone(),
         ..GreedyOptions::default()
     };
-    match choice {
-        SolverChoice::Heuristic(opts) => {
-            let out = heuristic::solve(problem, opts)?;
+    // One solver's answer and wall time, its statistics poured into `sink`.
+    macro_rules! emitted {
+        ($solved:expr) => {{
+            let out = $solved?;
             out.stats.emit(sink);
-            Ok((out.solution, out.stats.elapsed))
-        }
-        SolverChoice::Greedy(opts) => {
-            let out = greedy::solve(problem, opts)?;
-            out.stats.emit(sink);
-            Ok((out.solution, out.stats.elapsed))
-        }
-        SolverChoice::Dnc(opts) => {
-            let out = dnc::solve(problem, opts)?;
-            out.stats.emit(sink);
-            Ok((out.solution, out.stats.elapsed))
-        }
-        SolverChoice::Auto => {
-            if problem.bases.len() <= 12 {
-                // Tiny: exact search, seeded by greedy for a tight bound.
-                let seed = greedy::solve(problem, &greedy_opts)?;
-                seed.stats.emit(sink);
-                let opts = HeuristicOptions {
-                    node_limit: Some(2_000_000),
-                    ..HeuristicOptions::all().with_seed(seed.solution)
-                };
-                let out = heuristic::solve(problem, &opts)?;
-                out.stats.emit(sink);
-                Ok((out.solution, out.stats.elapsed))
-            } else if problem.results.len() > 64 {
-                let opts = DncOptions {
-                    greedy: greedy_opts,
-                    ..DncOptions::default()
-                };
-                let out = dnc::solve(problem, &opts)?;
-                out.stats.emit(sink);
-                Ok((out.solution, out.stats.elapsed))
-            } else {
-                let out = greedy::solve(problem, &greedy_opts)?;
-                out.stats.emit(sink);
-                Ok((out.solution, out.stats.elapsed))
-            }
-        }
+            (out.solution, out.stats.elapsed)
+        }};
     }
+    let (solution, elapsed) = match choice {
+        SolverChoice::Heuristic(opts) => emitted!(heuristic::solve(problem, opts)),
+        SolverChoice::Greedy(opts) => emitted!(greedy::solve(problem, opts)),
+        SolverChoice::Dnc(opts) => emitted!(dnc::solve(problem, opts)),
+        SolverChoice::Auto if problem.bases.len() <= 12 => {
+            // Tiny: exact search, seeded by greedy for a tight bound.
+            let (seed, _) = emitted!(greedy::solve(problem, &greedy_opts));
+            let opts = HeuristicOptions {
+                node_limit: Some(2_000_000),
+                ..HeuristicOptions::all().with_seed(seed)
+            };
+            emitted!(heuristic::solve(problem, &opts))
+        }
+        SolverChoice::Auto if problem.results.len() > 64 => {
+            let opts = DncOptions {
+                greedy: greedy_opts,
+                ..DncOptions::default()
+            };
+            emitted!(dnc::solve(problem, &opts))
+        }
+        SolverChoice::Auto => emitted!(greedy::solve(problem, &greedy_opts)),
+    };
+    sink.count("solver.quota.satisfied", solution.satisfied.len() as u64);
+    Ok((solution, elapsed))
 }

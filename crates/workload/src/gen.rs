@@ -301,18 +301,22 @@ mod tests {
             ..WorkloadParams::default()
         };
         let multi = generate_batch(&params, 3).unwrap();
-        assert_eq!(multi.queries.len(), 3);
-        assert_eq!(multi.bases.len(), 120, "one shared pool, not 3 copies");
+        assert_eq!(multi.queries().len(), 3);
+        assert_eq!(
+            multi.problem().bases.len(),
+            120,
+            "one shared pool, not 3 copies"
+        );
         // Thresholds differ across queries.
         let betas: std::collections::BTreeSet<String> = multi
-            .queries
+            .queries()
             .iter()
             .map(|q| format!("{:.4}", q.beta))
             .collect();
         assert!(betas.len() > 1);
         // And the merged batch is solvable.
         let out = pcqe_core::multi::solve_greedy(&multi, &Default::default()).unwrap();
-        for (qi, q) in multi.queries.iter().enumerate() {
+        for (qi, q) in multi.queries().iter().enumerate() {
             let satisfied = out
                 .solution
                 .satisfied

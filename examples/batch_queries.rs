@@ -37,26 +37,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let multi = MultiQueryProblem::merge(&[q1, q2])?;
     println!(
         "merged batch: {} distinct base tuples across {} results in {} queries",
-        multi.bases.len(),
-        multi.results.len(),
-        multi.queries.len()
+        multi.problem().bases.len(),
+        multi.problem().results.len(),
+        multi.queries().len()
     );
 
     let out = solve_greedy(&multi, &GreedyOptions::default())?;
+    let increments = out.solution.increments(multi.problem());
     println!(
         "one strategy satisfies every quota: cost {:.1}, {} tuples raised",
         out.solution.cost,
-        out.solution
-            .levels
-            .iter()
-            .zip(&multi.bases)
-            .filter(|(l, b)| **l > b.initial + 1e-9)
-            .count()
+        increments.len()
     );
-    for (level, base) in out.solution.levels.iter().zip(&multi.bases) {
-        if *level > base.initial + 1e-9 {
-            println!("  tuple {}: {:.2} -> {:.2}", base.id, base.initial, level);
-        }
+    for inc in increments {
+        println!("  tuple {}: {:.2} -> {:.2}", inc.id, inc.from, inc.to);
     }
 
     // --- Advance-time estimation ----------------------------------------

@@ -8,6 +8,8 @@
 #![allow(dead_code)]
 
 use pcqe::algebra::{ResultSet, ScoredTuple};
+use pcqe::core::state::EvalState;
+use pcqe::core::{ProblemInstance, Solution};
 use pcqe::engine::{AuditEntry, Database, QueryResponse};
 use pcqe::lineage::{Evaluator, Lineage, Rng64, VarId};
 use pcqe::policy::{evaluate_results, ConfidencePolicy};
@@ -220,4 +222,64 @@ pub fn audited_counts(db: &Database) -> Vec<(usize, usize)> {
             AuditEntry::Improvement { .. } => None,
         })
         .collect()
+}
+
+/// The two-phase greedy as Figure 6 prints it — every base probed again on
+/// every iteration, `O(k · l₁)` — kept as the reference the production
+/// solver's lazy heap is held against. Sequential, `Useful` gain, both
+/// phases; written against [`EvalState`]'s public methods only. Returns the
+/// solution with the phase-1 step and phase-2 roll-back counts.
+pub fn rescan_greedy(problem: &ProblemInstance) -> (Solution, u64, u64) {
+    let mut state = EvalState::new(problem);
+    let k = problem.bases.len();
+    // gain* of the latest step on each base; NaN = never raised.
+    let mut last_gain = vec![f64::NAN; k];
+    let mut raised = Vec::new();
+    let mut iterations = 0;
+    while !state.meets_quota() {
+        let mut best: Option<(f64, usize)> = None;
+        let mut cheapest: Option<(f64, usize)> = None;
+        for i in 0..k {
+            let cost = state.next_step_cost(i);
+            let results = problem.results_of_base(i);
+            if !cost.is_finite() || results.iter().all(|&ri| state.is_satisfied(ri)) {
+                continue; // at its maximum, or nothing left for it to move
+            }
+            let num = state.probe_step_gain(i, true);
+            let gain = match (cost > 0.0, num > 0.0) {
+                (true, _) => num / cost,
+                (false, true) => f64::INFINITY,
+                (false, false) => 0.0,
+            };
+            if gain > 0.0 && best.is_none_or(|(g, _)| gain > g) {
+                best = Some((gain, i));
+            }
+            if cheapest.is_none_or(|(c, _)| cost < c) {
+                cheapest = Some((cost, i));
+            }
+        }
+        // On a plateau (no step gains anything) take the cheapest step
+        // towards an unsatisfied result, at gain* = 0.
+        let (gain, pick) = best
+            .or(cheapest.map(|(_, i)| (0.0, i)))
+            .expect("a feasible instance has a step left");
+        state.step_up(pick);
+        if last_gain[pick].is_nan() {
+            raised.push(pick);
+        }
+        last_gain[pick] = gain;
+        iterations += 1;
+    }
+    raised.sort_by(|&a, &b| last_gain[a].total_cmp(&last_gain[b]).then(a.cmp(&b)));
+    let mut reductions = 0;
+    for &i in &raised {
+        while state.step_down(i) {
+            if !state.meets_quota() {
+                state.step_up(i);
+                break;
+            }
+            reductions += 1;
+        }
+    }
+    (state.to_solution(), iterations, reductions)
 }

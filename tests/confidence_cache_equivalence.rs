@@ -11,16 +11,17 @@
 //! what-if previews (the memo-warming, incrementally-invalidated fast
 //! path) must preview the applied future bit for bit.
 //!
-//! The last section states two laws over the same grid that hold because
+//! The last section states three laws over the same grid that hold because
 //! `query`, `query_batch` and `what_if` are three callers of one
-//! pipeline: a preview is the applied future, and a batch releases what
-//! its queries release one by one.
+//! pipeline: a preview is the applied future, a batch releases what its
+//! queries release one by one, and a batch's one proposal, applied, meets
+//! every request it was computed for.
 
 mod common;
 
 use common::{assert_matches_reference, audited_counts, for_each_case, reference};
 use pcqe::cost::CostFn;
-use pcqe::engine::{Database, EngineConfig, QueryRequest, QueryResponse, User};
+use pcqe::engine::{Database, EngineConfig, NoProposal, QueryRequest, QueryResponse, User};
 use pcqe::lineage::Rng64;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Column, DataType, Schema, Value};
@@ -381,4 +382,92 @@ fn batch_responses_are_the_single_query_responses() {
             assert_eq!(audited_counts(&batched), audited_counts(&single));
         }
     });
+}
+
+/// The batch's *proposal* through `Database`: over requests with different
+/// θ whose lineage shares base tuples (negation-free, so every withheld row
+/// is improvable), applying the combined strategy leaves no request with a
+/// shortfall, releases what it projected, costs the sum of its increments,
+/// and is the same `BatchResponse` to the last cost bit at 1, 2 and 8
+/// worker threads.
+#[test]
+fn batch_proposal_meets_every_request_at_any_thread_count() {
+    let requests: Vec<QueryRequest> = [
+        (QUERIES[0], 1.0),
+        (QUERIES[1], 0.5),
+        (QUERIES[2], 0.75),
+        (QUERIES[3], 0.6),
+    ]
+    .iter()
+    .map(|&(sql, theta)| QueryRequest::new(sql, "research").expecting(theta))
+    .collect();
+    let (mut proposals, mut exact) = (0, 0);
+    for_each_case(CASES, 0x00CA_0004, |rng| {
+        let orders = random_orders(rng);
+        let customers = random_customers(rng);
+        let rates: Vec<f64> = (0..orders.len() + customers.len())
+            .map(|_| rng.range_f64(1.0, 100.0))
+            .collect();
+        let user = User::new("ada", "analyst");
+        for beta in [0.45, 0.7] {
+            let mut seen: Option<String> = None;
+            for threads in [1, 2, 8] {
+                let config = EngineConfig {
+                    worker_threads: Some(threads),
+                    parallel_threshold: 1,
+                    ..EngineConfig::default()
+                };
+                let mut db = build_db(config, beta, &orders, &customers, false);
+                let ids: Vec<_> = ["orders", "customers"]
+                    .iter()
+                    .flat_map(|t| db.catalog().table(t).unwrap().rows())
+                    .map(|r| r.id)
+                    .collect();
+                for (id, &rate) in ids.into_iter().zip(&rates) {
+                    db.set_cost(id, CostFn::linear(rate).unwrap()).unwrap();
+                }
+                let batch = db.query_batch(&user, &requests).expect("batch");
+                // `{:?}` prints an f64 so that it reads back exactly:
+                // equal text is equal bits.
+                let text = format!("{batch:?}");
+                let first = seen.get_or_insert_with(|| text.clone());
+                assert_eq!(*first, text, "threads={threads} (beta={beta})");
+                let Some(proposal) = batch.proposal else {
+                    continue;
+                };
+                proposals += 1;
+                let summed: f64 = proposal.increments.iter().map(|i| i.cost).sum();
+                assert!((proposal.cost - summed).abs() < 1e-9);
+                db.apply(&proposal).expect("applies");
+                let mut released = 0;
+                for request in &requests {
+                    let after = db.query(&user, request).expect("re-query");
+                    assert_eq!(
+                        after.no_proposal,
+                        Some(NoProposal::NotNeeded),
+                        "{} still short (beta={beta})",
+                        request.sql
+                    );
+                    released += after.released.len();
+                }
+                // A request that had no shortfall put no rows into the
+                // strategy's problem, so its withheld rows are projected
+                // as staying withheld; shared tuples may release them.
+                let all_short = batch.responses.iter().zip(&requests).all(|(r, q)| {
+                    let n = r.released.len() + r.withheld;
+                    r.released.len() < (q.min_fraction * n as f64).ceil() as usize
+                });
+                assert!(released >= proposal.projected_released);
+                if all_short {
+                    exact += 1;
+                    assert_eq!(released, proposal.projected_released);
+                }
+            }
+        }
+    });
+    assert!(
+        proposals >= 12,
+        "only {proposals} batches were proposed for"
+    );
+    assert!(exact >= 3, "only {exact} batches had every request short");
 }

@@ -76,7 +76,6 @@ fn all_solver_choices_reach_the_quota() {
     for solver in [
         SolverChoice::Auto,
         SolverChoice::Greedy(GreedyOptions::default()),
-        SolverChoice::Greedy(GreedyOptions::incremental()),
         SolverChoice::Dnc(DncOptions::default()),
         SolverChoice::Heuristic(pcqe::core::heuristic::HeuristicOptions::all()),
     ] {

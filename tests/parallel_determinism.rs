@@ -132,7 +132,8 @@ fn ten_thousand_rows_identical_across_thread_counts() {
 #[test]
 fn improvement_proposals_identical_across_thread_counts() {
     // A smaller instance where some results are withheld and the full
-    // strategy-finding path (parallel greedy rescans included) runs.
+    // strategy-finding path (the solver's parallel initial scoring
+    // included) runs.
     let sql = "SELECT DISTINCT r.sensor FROM readings r JOIN sensors s \
                ON r.sensor = s.id WHERE r.value < 500";
     let user = User::new("ana", "analyst");

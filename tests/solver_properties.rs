@@ -1,18 +1,20 @@
 //! Seeded property tests over the strategy-finding algorithms: on random
 //! feasible instances, every solver's answer validates, the exact search
 //! is never beaten, phase 2 never hurts, pruning never changes the
-//! optimum, and the two greedy phase-1 loops are one algorithm.
+//! optimum, the greedy's lazy heap picks what Figure 6's rescan picks, and
+//! a batch of one query is that query.
 
 mod common;
 
-use common::for_each_case;
+use common::{for_each_case, rescan_greedy};
 use pcqe::core::dnc::{self, DncOptions};
 use pcqe::core::exhaustive::{self, ExhaustiveOptions};
 use pcqe::core::greedy::{self, GreedyOptions};
 use pcqe::core::heuristic::{self, HeuristicOptions};
+use pcqe::core::multi::{self, MultiQueryProblem};
 use pcqe::core::problem::{ProblemBuilder, ProblemInstance};
 use pcqe::core::state::EvalState;
-use pcqe::core::CoreError;
+use pcqe::core::{CoreError, Solution};
 use pcqe::cost::CostFn;
 use pcqe::lineage::{Lineage, Rng64};
 
@@ -279,9 +281,10 @@ fn regression_shrunk_instance_all_groupings() {
 }
 
 /// The lazy heap is the rescan with less work, not another algorithm:
-/// same picks, so same levels, cost and step counts to the last bit —
-/// also across zero-gain plateaus, where both take the cheapest step that
-/// touches an unsatisfied result and record it with gain* = 0.
+/// same picks as Figure 6's loop (`common::rescan_greedy`), so same
+/// levels, cost and step counts to the last bit — also across zero-gain
+/// plateaus, where both take the cheapest step that touches an unsatisfied
+/// result and record it with gain* = 0.
 #[test]
 fn lazy_heap_and_rescan_are_bit_identical() {
     let mut plateaus = 0;
@@ -291,17 +294,36 @@ fn lazy_heap_and_rescan_are_bit_identical() {
         if (0..problem.results.len()).any(|ri| st.confidence(ri) == 0.0) {
             plateaus += 1;
         }
-        let rescan = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
-        let heap = greedy::solve(&problem, &GreedyOptions::incremental()).unwrap();
+        let (rescan, iterations, reductions) = rescan_greedy(&problem);
+        let heap = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
         heap.solution.validate(&problem).unwrap();
-        let bits = |levels: &[f64]| levels.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&rescan.solution.levels), bits(&heap.solution.levels));
-        assert_eq!(rescan.solution.cost.to_bits(), heap.solution.cost.to_bits());
-        assert_eq!(rescan.solution.satisfied, heap.solution.satisfied);
-        assert_eq!(rescan.stats.iterations, heap.stats.iterations);
-        assert_eq!(rescan.stats.reductions, heap.stats.reductions);
+        assert_same_bits(&rescan, &heap.solution);
+        assert_eq!(iterations, heap.stats.iterations);
+        assert_eq!(reductions, heap.stats.reductions);
     });
     assert!(plateaus >= 20, "only {plateaus} instances had a plateau");
+}
+
+/// A batch is a query with several quotas, so a batch of one *is* the
+/// query: same strategy to the last bit, found in the same steps.
+#[test]
+fn a_batch_of_one_is_the_query() {
+    for_each_case(4 * CASES, 0x501E_0007, |rng| {
+        let problem = random_problem_with(rng, 0.4);
+        let alone = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
+        let merged = MultiQueryProblem::merge(std::slice::from_ref(&problem)).unwrap();
+        let batch = multi::solve_greedy(&merged, &GreedyOptions::default()).unwrap();
+        assert_same_bits(&alone.solution, &batch.solution);
+        assert_eq!(alone.stats.iterations, batch.stats.iterations);
+        assert_eq!(alone.stats.reductions, batch.stats.reductions);
+    });
+}
+
+fn assert_same_bits(a: &Solution, b: &Solution) {
+    let bits = |levels: &[f64]| levels.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.levels), bits(&b.levels));
+    assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+    assert_eq!(a.satisfied, b.satisfied);
 }
 
 /// The grid tables of [`EvalState`] hold what `level_at` / `cost_at`

@@ -113,14 +113,6 @@ fn all_solvers_handle_generated_workloads() {
         let problem = generate(&params).unwrap();
         let g = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
         g.solution.validate(&problem).unwrap();
-        let gi = greedy::solve(&problem, &GreedyOptions::incremental()).unwrap();
-        gi.solution.validate(&problem).unwrap();
-        assert!(
-            (g.solution.cost - gi.solution.cost).abs() < 1e-6,
-            "seed {seed}: faithful {} vs incremental {}",
-            g.solution.cost,
-            gi.solution.cost
-        );
         let d = dnc::solve(&problem, &DncOptions::default()).unwrap();
         d.solution.validate(&problem).unwrap();
         // Quotas met exactly or above, never below.
