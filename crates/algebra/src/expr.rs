@@ -2,7 +2,7 @@
 
 use crate::error::AlgebraError;
 use crate::Result;
-use pcqe_storage::{DataType, Schema, Value};
+use pcqe_storage::{real_cmp, DataType, Image, Schema, Table, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -36,6 +36,41 @@ pub enum BinaryOp {
     Div,
     /// SQL `LIKE` pattern match (`%` = any run, `_` = any one character).
     Like,
+}
+
+impl BinaryOp {
+    /// One of the six comparisons.
+    fn is_comparison(self) -> bool {
+        matches!(
+            self,
+            BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
+        )
+    }
+
+    /// The comparison with its operands swapped: `a < b` is `b > a`.
+    fn mirrored(self) -> BinaryOp {
+        match self {
+            BinaryOp::Lt => BinaryOp::Gt,
+            BinaryOp::Le => BinaryOp::Ge,
+            BinaryOp::Gt => BinaryOp::Lt,
+            BinaryOp::Ge => BinaryOp::Le,
+            symmetric => symmetric,
+        }
+    }
+
+    /// Whether this comparison holds of operands [`Value::sql_cmp`] orders
+    /// as `ord`.
+    fn holds(self, ord: Ordering) -> bool {
+        match self {
+            BinaryOp::Eq => ord == Ordering::Equal,
+            BinaryOp::Ne => ord != Ordering::Equal,
+            BinaryOp::Lt => ord == Ordering::Less,
+            BinaryOp::Le => ord != Ordering::Greater,
+            BinaryOp::Gt => ord == Ordering::Greater,
+            // Callers pass the six comparisons only.
+            _ => ord != Ordering::Less,
+        }
+    }
 }
 
 impl fmt::Display for BinaryOp {
@@ -387,6 +422,122 @@ impl ScalarExpr {
     pub fn compile(&self) -> Predicate<'_> {
         Predicate(Node::compile(self))
     }
+
+    /// Split off the predicate's [`LeadingRun`] over `table`, whose columns
+    /// the expression reads: once per scan operator.
+    pub fn leading_run<'t>(&self, table: &'t Table) -> LeadingRun<'t> {
+        let mut conjuncts = Vec::new();
+        self.extend_run(table, &mut conjuncts);
+        LeadingRun {
+            rows: table.len(),
+            conjuncts,
+        }
+    }
+
+    /// Push this expression's conjuncts, in evaluation order, for as long
+    /// as they belong to the leading run; `false` once one does not.
+    fn extend_run<'t>(&self, table: &'t Table, run: &mut Vec<Conjunct<'t>>) -> bool {
+        let ScalarExpr::Binary { op, left, right } = self else {
+            return false;
+        };
+        if *op == BinaryOp::And {
+            return left.extend_run(table, run) && right.extend_run(table, run);
+        }
+        if !op.is_comparison() {
+            return false;
+        }
+        let (column, op, literal) = match (&**left, &**right) {
+            (ScalarExpr::Column(c), ScalarExpr::Literal(l)) => (*c, *op, l),
+            (ScalarExpr::Literal(l), ScalarExpr::Column(c)) => (*c, op.mirrored(), l),
+            _ => return false,
+        };
+        // The arm of `Value::sql_cmp` a `Real` against a number takes: the
+        // real order, an `Int` literal widened.
+        let (Some(image), Some(literal)) = (table.image(column), literal.as_f64()) else {
+            return false;
+        };
+        run.push((op, image, literal));
+        true
+    }
+}
+
+/// One conjunct of a leading run as `column <op> literal`: the column's
+/// image, and the literal as the real `sql_cmp` compares it as.
+type Conjunct<'t> = (BinaryOp, &'t Image, f64);
+
+/// The *leading run* of a table scan's predicate, bound to the table's
+/// column images ([`pcqe_storage::image`]): the longest prefix of the
+/// top-level `AND` chain, in evaluation order, whose conjuncts are
+/// `column <cmp> numeric literal` (either operand order, all six
+/// comparisons) over an imaged — `REAL` — column.
+///
+/// No conjunct of the run can fault — a `REAL` column holds numbers and
+/// NULLs, and [`Value::sql_cmp`] orders any two numbers — and `AND` stops
+/// on a definite left `false` and only then. So on a row where some
+/// conjunct of the run is definitely false, the whole predicate returns
+/// `Ok(false)` without raising, whatever follows the run: such a row may
+/// be skipped without evaluating anything. The image decides "definitely
+/// false" for *native* slots only (the stored value is a `Real`, not a
+/// NULL or a widened `Int`), by [`real_cmp`], the very comparison
+/// `sql_cmp` would make; every other row is a *candidate*, for
+/// the whole predicate to decide. A conjunct behind a fallible one, a
+/// NULL literal or an `OR` is never in the run: skipping on it could
+/// swallow an error the row-wise evaluation raises first.
+#[derive(Debug)]
+pub struct LeadingRun<'t> {
+    /// The table's row count: every image's slot count.
+    rows: usize,
+    /// The run's conjuncts, in evaluation order.
+    conjuncts: Vec<Conjunct<'t>>,
+}
+
+impl LeadingRun<'_> {
+    /// The positions of the table's rows that are candidates, ascending:
+    /// all but those where a conjunct of the run is false on a native
+    /// slot. `None` for an empty run, which drops nothing: every row is a
+    /// candidate. Every position left out has
+    /// `predicate.compile().test(row) == Ok(false)`.
+    pub fn candidates(&self) -> Option<Vec<usize>> {
+        if self.conjuncts.is_empty() {
+            return None;
+        }
+        // Per 64 rows, the ones no conjunct drops: a bit per row.
+        let live: Vec<u64> = (0..self.rows.div_ceil(64))
+            .map(|word| {
+                let rows = (self.rows - 64 * word).min(64);
+                !self.dropped(word) & (u64::MAX >> (64 - rows))
+            })
+            .collect();
+        let count = live.iter().map(|word| word.count_ones() as usize).sum();
+        let mut candidates = Vec::with_capacity(count);
+        for (word, mut live) in live.into_iter().enumerate() {
+            while live != 0 {
+                candidates.push(64 * word + live.trailing_zeros() as usize);
+                live &= live - 1;
+            }
+        }
+        Some(candidates)
+    }
+
+    /// Of the rows `64 * word ..`, those where some conjunct of the run is
+    /// false on a native slot, as a bitmask. One [`Image::failing`]
+    /// instance per comparison, so that each inner loop is a single
+    /// compare.
+    fn dropped(&self, word: usize) -> u64 {
+        self.conjuncts.iter().fold(0, |dropped, &(op, image, lit)| {
+            let cmp = |v| real_cmp(v, lit);
+            dropped
+                | match op {
+                    BinaryOp::Eq => image.failing(word, |v| BinaryOp::Eq.holds(cmp(v))),
+                    BinaryOp::Ne => image.failing(word, |v| BinaryOp::Ne.holds(cmp(v))),
+                    BinaryOp::Lt => image.failing(word, |v| BinaryOp::Lt.holds(cmp(v))),
+                    BinaryOp::Le => image.failing(word, |v| BinaryOp::Le.holds(cmp(v))),
+                    BinaryOp::Gt => image.failing(word, |v| BinaryOp::Gt.holds(cmp(v))),
+                    // A run holds the six comparisons only.
+                    _ => image.failing(word, |v| BinaryOp::Ge.holds(cmp(v))),
+                }
+        })
+    }
 }
 
 /// A predicate compiled for repeated testing: the connectives and
@@ -456,12 +607,7 @@ impl<'e> Node<'e> {
                 Box::new(Node::compile(left)),
                 Box::new(Node::compile(right)),
             ),
-            BinaryOp::Eq
-            | BinaryOp::Ne
-            | BinaryOp::Lt
-            | BinaryOp::Le
-            | BinaryOp::Gt
-            | BinaryOp::Ge => Node::Cmp(*op, left, right),
+            op if op.is_comparison() => Node::Cmp(*op, left, right),
             _ => Node::Value(e),
         }
     }
@@ -481,15 +627,8 @@ impl<'e> Node<'e> {
                     }
                     return Err(AlgebraError::Type(format!("cannot compare {l} with {r}")).into());
                 };
-                Ok(Some(match op {
-                    BinaryOp::Eq => ord == Ordering::Equal,
-                    BinaryOp::Ne => ord != Ordering::Equal,
-                    BinaryOp::Lt => ord == Ordering::Less,
-                    BinaryOp::Le => ord != Ordering::Greater,
-                    BinaryOp::Gt => ord == Ordering::Greater,
-                    // `compile` builds `Cmp` from the six comparisons only.
-                    _ => ord != Ordering::Less,
-                }))
+                // `compile` builds `Cmp` from the six comparisons only.
+                Ok(Some(op.holds(ord)))
             }
             // Only a definite left `false` (`AND`) or `true` (`OR`) stops a
             // connective: a NULL or non-boolean left still runs the right

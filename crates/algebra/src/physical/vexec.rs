@@ -9,7 +9,11 @@
 //! only read their input — filter, projection, join build and probe,
 //! aggregate grouping and folding — read either those or derived tuples
 //! in place through [`Row`] (a values slice and a lineage); and a value
-//! is cloned once, when it enters an operator's output.
+//! is cloned once, when it enters an operator's output. A table scan
+//! reads a column before it reads a row: a pass over the table's typed
+//! column images ([`pcqe_storage::image`]) drops the rows its residual's
+//! leading numeric conjuncts prove it rejects, and only the rest are
+//! visited.
 //!
 //! ## The identity contract
 //!
@@ -20,15 +24,23 @@
 //! expressions, and the same first error on failing inputs — at any
 //! thread count. Three rules enforce it:
 //!
-//! 1. **Expressions evaluate row-wise, in row order.** Morsels change
-//!    *who* evaluates a row, never the order errors are reported in:
-//!    the first error surfaced is the first failing row's. Predicates
-//!    are compiled once per operator ([`ScalarExpr::compile`]) into a
-//!    program held, result for result and error for error, to the tree
-//!    walk [`ScalarExpr::eval_predicate`] the reference runs; projections,
-//!    group keys and aggregate arguments run that walk itself.
-//!    Column-wise evaluation would be faster still but could reorder
-//!    which error wins — it is deliberately off the table.
+//! 1. **Expressions evaluate row-wise, in row order — on every row that
+//!    is not skipped, and a row is skipped only if the whole predicate
+//!    returns `Ok(false)` on it without raising.** Morsels change *who*
+//!    evaluates a row, never the order errors are reported in: the first
+//!    error surfaced is the first failing row's. Predicates are compiled
+//!    once per operator ([`ScalarExpr::compile`]) into a program held,
+//!    result for result and error for error, to the tree walk
+//!    [`ScalarExpr::eval_predicate`] the reference runs; projections,
+//!    group keys and aggregate arguments run that walk itself. Column-wise
+//!    evaluation of a whole predicate could reorder which error wins, so
+//!    there is none; what a table scan evaluates column-wise is the
+//!    residual's [`LeadingRun`](crate::expr::LeadingRun) — the prefix of
+//!    its `AND` chain that cannot fault — and only to *skip*: `AND` stops
+//!    on a definite left `false` and only then, so a definite `false`
+//!    inside that prefix is the whole predicate's `Ok(false)`, and a
+//!    skipped row can neither survive nor raise. Every other row is
+//!    decided by the whole compiled predicate.
 //! 2. **Pipeline breakers reuse the row-native helpers.** Sort, Union,
 //!    Difference and distinct-merge own their rows and run literally the
 //!    same `or_merge`/`sort_rows` code as the reference; aggregates and
@@ -61,10 +73,11 @@ use pcqe_lineage::Lineage;
 use pcqe_par::morsel::{map_morsels, try_map_morsels};
 use pcqe_par::{ParObserver, Parallelism, TraceSink};
 use pcqe_storage::{
-    morsel_rows, partition_count, partition_of, Catalog, StoredTuple, Tuple, Value,
+    morsel_rows, partition_count, partition_of, Catalog, StoredTuple, Table, Tuple, Value,
 };
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Execute a physical plan under a parallelism policy. Output is
 /// byte-identical for any policy.
@@ -195,28 +208,37 @@ fn run_v<'c>(
     Ok(out)
 }
 
-/// Morsel-parallel scan over stored rows (`get` reaches one from a slice
-/// element): the compiled residual tests each row in place, row-wise in
-/// row order, and a morsel returns references to its survivors. Yields
-/// the number of morsels that had any, and the survivors in storage order.
-fn scan<'a, 'c, T: Sync>(
-    rows: &'a [T],
-    get: impl Fn(&'a T) -> &'c StoredTuple + Sync,
+/// The morsels of `n` rows, as row ranges.
+fn morsels(n: usize) -> impl Iterator<Item = Range<usize>> {
+    let step = morsel_rows(n);
+    (0..n)
+        .step_by(step)
+        .map(move |start| start..n.min(start + step))
+}
+
+/// The morsel-parallel half of a scan: `units` are its morsels, each
+/// naming (through `candidates`) the stored rows of it that the residual
+/// has yet to decide; the dispatch weighs them by how many those are. The
+/// whole compiled residual tests each candidate in place, row-wise in row
+/// order, and a morsel returns references to its survivors. Yields the
+/// number of morsels that had any, and the survivors in storage order.
+fn scan<'c, I: Iterator<Item = &'c StoredTuple>>(
+    units: &[Range<usize>],
+    candidates: impl Fn(Range<usize>) -> I + Sync,
     residual: &Option<ScalarExpr>,
     ctx: &Ctx<'_>,
 ) -> Result<(u64, Vec<&'c StoredTuple>)> {
     let residual = residual.as_ref().map(ScalarExpr::compile);
-    let units: Vec<&[T]> = rows.chunks(morsel_rows(rows.len())).collect();
     let morsels = try_map_morsels(
         ctx.par,
-        &units,
-        rows.len(),
-        |_, chunk| -> Result<Vec<&'c StoredTuple>> {
+        units,
+        units.iter().map(Range::len).sum(),
+        |_, unit| -> Result<Vec<&'c StoredTuple>> {
             let Some(test) = &residual else {
-                return Ok(chunk.iter().map(&get).collect());
+                return Ok(candidates(unit.clone()).collect());
             };
             let mut survivors = Vec::new();
-            for r in chunk.iter().map(&get) {
+            for r in candidates(unit.clone()) {
                 if test.test(r.tuple.values())? {
                     survivors.push(r);
                 }
@@ -229,6 +251,56 @@ fn scan<'a, 'c, T: Sync>(
     let mut survivors = Vec::with_capacity(morsels.iter().map(Vec::len).sum());
     survivors.extend(morsels.into_iter().flatten());
     Ok((batches, survivors))
+}
+
+/// [`scan`] with every row of `rows` a candidate (`get` reaches a stored
+/// row from a slice element).
+fn scan_rows<'a, 'c, T: Sync>(
+    rows: &'a [T],
+    get: impl Fn(&'a T) -> &'c StoredTuple + Sync,
+    residual: &Option<ScalarExpr>,
+    ctx: &Ctx<'_>,
+) -> Result<(u64, Vec<&'c StoredTuple>)> {
+    let units: Vec<Range<usize>> = morsels(rows.len()).collect();
+    let every_row = |unit: Range<usize>| rows.get(unit).unwrap_or_default().iter().map(&get);
+    scan(&units, every_row, residual, ctx)
+}
+
+/// Scan a table: first a pass over the column images, on the calling
+/// thread, drops the rows the residual's [`LeadingRun`] proves it rejects
+/// (it costs under a nanosecond a row, a spawned lane tens of
+/// microseconds); then [`scan`] decides the candidates left in each
+/// morsel. A residual with no leading run, or none, leaves every row.
+///
+/// [`LeadingRun`]: crate::expr::LeadingRun
+fn scan_table<'c>(
+    table: &'c Table,
+    residual: &Option<ScalarExpr>,
+    ctx: &Ctx<'_>,
+) -> Result<(u64, Vec<&'c StoredTuple>)> {
+    let stored = table.rows();
+    let run = residual.as_ref().map(|r| r.leading_run(table));
+    let Some(positions) = run.and_then(|run| run.candidates()) else {
+        return scan_rows(stored, |r| r, residual, ctx);
+    };
+    // Morsel boundaries are the row store's, whatever the pass left.
+    let mut from = 0;
+    let units: Vec<Range<usize>> = morsels(stored.len())
+        .map(|rows| {
+            let unit = from..positions.partition_point(|&p| p < rows.end);
+            from = unit.end;
+            unit
+        })
+        .collect();
+    scan(
+        &units,
+        |unit| {
+            let unit = positions.get(unit).unwrap_or_default();
+            unit.iter().filter_map(|&p| stored.get(p))
+        },
+        residual,
+        ctx,
+    )
 }
 
 /// Keep the rows the predicate holds on, tested in place.
@@ -522,9 +594,9 @@ fn run_v_node<'c>(
         PhysicalPlan::TableScan {
             table, residual, ..
         } => {
-            let stored = catalog.table(table)?.rows();
-            let (batches, rows) = scan(stored, |r| r, residual, ctx)?;
-            return Ok((stored.len(), batches, VOut::Stored(rows)));
+            let table = catalog.table(table)?;
+            let (batches, rows) = scan_table(table, residual, ctx)?;
+            return Ok((table.len(), batches, VOut::Stored(rows)));
         }
         PhysicalPlan::IndexScan {
             table,
@@ -551,7 +623,7 @@ fn run_v_node<'c>(
                     ))
                 })?);
             }
-            let (batches, rows) = scan(&fetched, |r| *r, residual, ctx)?;
+            let (batches, rows) = scan_rows(&fetched, |r| *r, residual, ctx)?;
             return Ok((fetched.len(), batches, VOut::Stored(rows)));
         }
         PhysicalPlan::Filter { input, predicate } => {

@@ -296,14 +296,22 @@ pub struct FileClass {
 /// so hash iteration there would silently change plans or results. The
 /// partitioning module joins them: the partition hash decides which
 /// build table every join key lands in — hashing or float drift there
-/// changes join output.
-const RESULT_AFFECTING: [&str; 9] = [
+/// changes join output. So does the column image: a table scan drops
+/// rows on what its slots say, so hash iteration or float drift in how
+/// they are laid out or read changes which rows a query returns. (The
+/// image compares no floats itself: the comparison that decides a slot
+/// is `algebra/src/expr.rs`'s, guarded there, and goes through
+/// `pcqe_storage::real_cmp` — the order `Value::sql_cmp` uses, in
+/// `value.rs`, which this list does not cover. Listing `image.rs` keeps
+/// a raw float compare from moving in, no more.)
+const RESULT_AFFECTING: [&str; 10] = [
     "crates/algebra/src/",
     "crates/lineage/src/",
     "crates/core/src/",
     "crates/engine/src/",
     "crates/policy/src/",
     "crates/obs/src/",
+    "crates/storage/src/image.rs",
     "crates/storage/src/index.rs",
     "crates/storage/src/stats.rs",
     "crates/storage/src/partition.rs",
@@ -876,11 +884,16 @@ mod tests {
             vec![(Rule::D004, 1)]
         );
         // The wrapper module is the sanctioned home; storage is out of
-        // scope (`Value` ordering is its own contract); and a trait
-        // *definition* of `partial_cmp` is not a call.
+        // scope (`Value` ordering is its own contract) except where a scan
+        // decides rows on it, the column image; and a trait *definition*
+        // of `partial_cmp` is not a call.
         let cmp = "fn f(a: f64, b: f64) { let _ = a.total_cmp(&b); }";
         assert!(findings("crates/core/src/ord.rs", cmp).is_empty());
         assert!(findings("crates/storage/src/value.rs", cmp).is_empty());
+        assert_eq!(
+            findings("crates/storage/src/image.rs", cmp),
+            vec![(Rule::D004, 1)]
+        );
         assert!(findings(
             "crates/core/src/x.rs",
             "impl PartialOrd for W { fn partial_cmp(&self, o: &W) -> Option<Ordering> { \

@@ -26,7 +26,7 @@ impl Catalog {
     /// Create a table. Fails if the name is taken (case-insensitive).
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
         let name = name.into();
-        if self.lookup_key(&name).is_some() {
+        if self.find(&name).is_some() {
             return Err(StorageError::TableExists(name));
         }
         // Tables created via the catalog don't use their own id sequence;
@@ -36,36 +36,25 @@ impl Catalog {
         Ok(())
     }
 
-    fn lookup_key(&self, name: &str) -> Option<String> {
+    /// The table a name denotes, ignoring ASCII case. Keys are compared
+    /// where they lie: a lookup allocates nothing.
+    fn find(&self, name: &str) -> Option<&Table> {
         self.tables
-            .keys()
-            .find(|k| k.eq_ignore_ascii_case(name))
-            .cloned()
+            .iter()
+            .find_map(|(k, t)| k.eq_ignore_ascii_case(name).then_some(t))
     }
 
     /// Borrow a table by name (case-insensitive).
     pub fn table(&self, name: &str) -> Result<&Table> {
-        let key = self
-            .lookup_key(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_owned()))?;
-        // Same discipline as `table_mut`: the key just came from
-        // `lookup_key`, but the impossible miss is a typed error, not a
-        // panic (PCQE-P002).
-        self.tables
-            .get(&key)
+        self.find(name)
             .ok_or_else(|| StorageError::UnknownTable(name.to_owned()))
     }
 
     /// Mutably borrow a table by name (case-insensitive).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        let key = self
-            .lookup_key(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_owned()))?;
-        // The key was just produced by `lookup_key`, so the second lookup
-        // cannot miss; report the impossible case as a typed error rather
-        // than panicking (PCQE-P001).
         self.tables
-            .get_mut(&key)
+            .iter_mut()
+            .find_map(|(k, t)| k.eq_ignore_ascii_case(name).then_some(t))
             .ok_or_else(|| StorageError::UnknownTable(name.to_owned()))
     }
 

@@ -30,6 +30,7 @@
 pub mod catalog;
 pub mod csv;
 pub mod error;
+pub mod image;
 pub mod index;
 pub mod partition;
 pub mod schema;
@@ -40,13 +41,14 @@ pub mod value;
 
 pub use catalog::Catalog;
 pub use error::StorageError;
+pub use image::Image;
 pub use index::EqualityIndex;
 pub use partition::{morsel_count, morsel_rows, partition_count, partition_of, stable_hash};
 pub use schema::{Column, Schema};
 pub use stats::{ColumnStats, TableStats};
 pub use table::{StoredTuple, Table};
 pub use tuple::{Tuple, TupleId};
-pub use value::{DataType, Value};
+pub use value::{real_cmp, DataType, Value};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StorageError>;

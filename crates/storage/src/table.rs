@@ -1,11 +1,16 @@
-//! Confidence-carrying tables.
+//! Confidence-carrying tables: a row store, and beside it what lets a
+//! reader avoid walking it — equality indexes for point lookups and a
+//! typed image of every `REAL` column ([`crate::image`]) for range
+//! scans. Both are maintained by `Table::push_row`, the single funnel of
+//! every insert path, so neither can fall out of step with the rows.
 
 use crate::error::StorageError;
+use crate::image::Image;
 use crate::index::{check_indexable, EqualityIndex};
 use crate::schema::Schema;
 use crate::stats::{ColumnStats, TableStats};
 use crate::tuple::{Tuple, TupleId};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::Result;
 use std::collections::HashMap;
 
@@ -31,6 +36,9 @@ pub struct Table {
     /// [`Table::push_row`], which every insert path funnels through
     /// (catalog insert, restore-with-id, standalone insert, CSV import).
     indexes: Vec<EqualityIndex>,
+    /// The image of every `REAL` column, with the column's position: one
+    /// slot per row, appended by [`Table::push_row`].
+    images: Vec<(usize, Image)>,
     /// Id allocator for standalone tables; `None` when the owning
     /// [`crate::Catalog`] allocates ids.
     ids: Option<IdSeq>,
@@ -56,12 +64,20 @@ impl Table {
     /// own tuple ids (`Some`) or leaves allocation to a [`crate::Catalog`]
     /// (`None`).
     fn with_ids(name: String, schema: Schema, ids: Option<IdSeq>) -> Self {
+        let images = schema
+            .columns()
+            .iter()
+            .enumerate()
+            .filter(|(_, column)| column.data_type == DataType::Real)
+            .map(|(c, _)| (c, Image::default()))
+            .collect();
         Table {
             name,
             schema,
             rows: Vec::new(),
             by_id: HashMap::new(),
             indexes: Vec::new(),
+            images,
             ids,
         }
     }
@@ -104,9 +120,9 @@ impl Table {
         )
     }
 
-    /// Append a validated row, maintaining the id index and every equality
-    /// index. This is the single funnel for all insert paths, so indexes can
-    /// never go stale.
+    /// Append a validated row, maintaining the id index, every equality
+    /// index and every column image. This is the single funnel for all
+    /// insert paths, so none of them can go stale.
     pub(crate) fn push_row(&mut self, row: StoredTuple) {
         debug_assert!(
             !self.by_id.contains_key(&row.id),
@@ -117,6 +133,11 @@ impl Table {
         for ix in &mut self.indexes {
             if let Some(v) = row.tuple.get(ix.column()) {
                 ix.add(pos, v);
+            }
+        }
+        for (column, image) in &mut self.images {
+            if let Some(v) = row.tuple.get(*column) {
+                image.push(v);
             }
         }
         self.by_id.insert(row.id, pos);
@@ -155,6 +176,13 @@ impl Table {
     /// All equality indexes, in creation order.
     pub fn indexes(&self) -> &[EqualityIndex] {
         &self.indexes
+    }
+
+    /// The image of the column at position `column`: `Some` for a `REAL`
+    /// column, one slot per row.
+    pub fn image(&self, column: usize) -> Option<&Image> {
+        let (_, image) = self.images.iter().find(|(c, _)| *c == column)?;
+        Some(image)
     }
 
     /// Current statistics: cardinality plus NDV for each indexed column.
@@ -268,7 +296,6 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::Column;
-    use crate::value::DataType;
 
     fn table() -> Table {
         let schema = Schema::new(vec![

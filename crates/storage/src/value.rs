@@ -130,10 +130,7 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                Some(x.total_cmp(&y))
-            }
+            (a, b) => Some(real_cmp(a.as_f64()?, b.as_f64()?)),
         }
     }
 
@@ -147,6 +144,15 @@ impl Value {
             Value::Text(_) => 4,
         }
     }
+}
+
+/// The order [`Value::sql_cmp`] puts two numerics in once either is a
+/// real: IEEE 754 `totalOrder`, so `-0.0 < 0.0` and NaN is ordered. A
+/// typed kernel that compares unboxed reals calls this, and so agrees
+/// with `sql_cmp` by construction.
+#[inline]
+pub fn real_cmp(x: f64, y: f64) -> Ordering {
+    x.total_cmp(&y)
 }
 
 impl PartialEq for Value {

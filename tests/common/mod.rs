@@ -13,7 +13,7 @@ use pcqe::core::{ProblemInstance, Solution};
 use pcqe::engine::{AuditEntry, Database, QueryResponse};
 use pcqe::lineage::{Evaluator, Lineage, Rng64, VarId};
 use pcqe::policy::{evaluate_results, ConfidencePolicy};
-use pcqe::storage::{Catalog, TupleId};
+use pcqe::storage::{Catalog, DataType, TupleId, Value};
 use std::panic::AssertUnwindSafe;
 
 /// Run `f` once per case with an independently seeded generator.
@@ -169,6 +169,32 @@ pub fn assert_rows_identical(expected: &ResultSet, got: &ResultSet, context: &st
     );
     for (i, (x, y)) in expected.rows().iter().zip(got.rows()).enumerate() {
         assert_eq!(x, y, "row {i} diverged for {context}");
+    }
+}
+
+/// Assert every table's column images are in step with its rows: a `REAL`
+/// column has an image of one slot per row, native with the row's very
+/// bits exactly where the row holds a `Real`; a column of another type has
+/// none.
+pub fn assert_images_aligned(catalog: &Catalog, context: &str) {
+    for name in catalog.table_names() {
+        let table = catalog.table(name).expect("listed table");
+        for (c, column) in table.schema().columns().iter().enumerate() {
+            let stored = table.rows().iter().map(|r| match r.tuple.get(c) {
+                Some(Value::Real(r)) => Some(r.to_bits()),
+                _ => None,
+            });
+            let expected: Option<Vec<Option<u64>>> =
+                (column.data_type == DataType::Real).then(|| stored.collect());
+            let slots: Option<Vec<Option<u64>>> = table
+                .image(c)
+                .map(|image| image.slots().map(|s| s.map(f64::to_bits)).collect());
+            assert_eq!(
+                slots, expected,
+                "image of {name}.{} out of step with its rows: {context}",
+                column.name
+            );
+        }
     }
 }
 

@@ -1,11 +1,17 @@
 //! Seeded round-trip tests for the CSV layer: arbitrary values —
 //! including quotes, commas, newlines and unicode — must survive
-//! write-then-load exactly, both with fresh ids and with preserved ids.
+//! write-then-load exactly, both with fresh ids and with preserved ids,
+//! and through `persist`'s directory of them; every way in leaves the
+//! column images in step with the rows.
 
 mod common;
 
-use common::{for_each_case, random_string};
+use common::{
+    assert_images_aligned, assert_matches_reference, for_each_case, random_string, reference,
+};
+use pcqe::engine::{persist, Database, EngineConfig, EngineError, QueryRequest, User};
 use pcqe::lineage::Rng64;
+use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::csv::{load_into, load_into_with_ids, write_table, write_table_with_ids};
 use pcqe::storage::{Catalog, Column, DataType, Schema, Value};
 use std::io::Cursor;
@@ -70,6 +76,8 @@ fn csv_round_trips_values_and_confidences() {
         write_table(c.table("t").unwrap(), &mut buf).unwrap();
         let mut c2 = catalog();
         load_into(&mut c2, "t", Cursor::new(&buf)).unwrap();
+        assert_images_aligned(&c, "Catalog::insert");
+        assert_images_aligned(&c2, "csv::load_into");
         let (t1, t2) = (c.table("t").unwrap(), c2.table("t").unwrap());
         assert_eq!(t1.len(), t2.len());
         for (a, b) in t1.rows().iter().zip(t2.rows()) {
@@ -83,9 +91,84 @@ fn csv_round_trips_values_and_confidences() {
         write_table_with_ids(t1, &mut buf).unwrap();
         let mut c3 = catalog();
         load_into_with_ids(&mut c3, "t", Cursor::new(&buf)).unwrap();
+        assert_images_aligned(&c3, "csv::load_into_with_ids");
         for (a, b) in t1.rows().iter().zip(c3.table("t").unwrap().rows()) {
             assert_eq!(a.id, b.id);
             assert_eq!(&a.tuple, &b.tuple);
         }
     });
+}
+
+#[test]
+fn persisted_databases_reload_with_aligned_images() {
+    let mut rng = Rng64::seed_from_u64(0xC5F0_0018);
+    let mut db = Database::new(EngineConfig::default());
+    db.create_table(
+        "readings",
+        Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("v", DataType::Real),
+            Column::new("tag", DataType::Text),
+        ])
+        .unwrap(),
+    )
+    .unwrap();
+    // More than one image chunk, with every kind of slot.
+    for i in 0..1_500i64 {
+        let k = if rng.chance(0.1) {
+            Value::Null
+        } else {
+            Value::Int(i % 11)
+        };
+        let v = match rng.below_u64(6) {
+            0 => Value::Null,
+            1 => Value::Int(2), // widened into the REAL column
+            2 => Value::Real(-0.0),
+            _ => Value::Real(rng.range_f64(-4.0, 4.0)),
+        };
+        let row = vec![k, v, Value::text(format!("r{i}"))];
+        db.insert("readings", row, rng.range_f64(0.05, 0.95))
+            .unwrap();
+    }
+    assert_images_aligned(db.catalog(), "Database::insert");
+    let policy = ConfidencePolicy::new("analyst", "audit", 0.4).unwrap();
+    db.add_policy(policy.clone());
+
+    let dir = std::env::temp_dir().join(format!("pcqe-image-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    persist::save(&db, &dir).unwrap();
+    let mut restored = persist::load(&dir, EngineConfig::default()).unwrap();
+    assert_eq!(restored.catalog().total_rows(), 1_500);
+    assert_images_aligned(restored.catalog(), "persist::load");
+
+    // A range query on the reloaded database — the image scan — gives the
+    // reference pipeline's answer.
+    let sql = "SELECT k, v, tag FROM readings WHERE v > -1.5 AND v <= 2 AND 3 <= k";
+    let expected = reference(sql, restored.catalog(), &policy);
+    let analyst = User::new("ana", "analyst");
+    let response = restored
+        .query(&analyst, &QueryRequest::new(sql, "audit"))
+        .unwrap();
+    assert_matches_reference(&response, &expected, &policy, sql);
+    assert!(response.released.len() > 20 && response.withheld > 20);
+
+    // A truncated table file is a typed error, or a shorter table whose
+    // images are as long as its rows — never anything in between.
+    let file = dir.join("readings.csv");
+    let csv = std::fs::read(&file).unwrap();
+    let (mut refused, mut shorter) = (0, 0);
+    for cut in (0..csv.len()).step_by(csv.len() / 150) {
+        std::fs::write(&file, &csv[..cut]).unwrap();
+        match persist::load(&dir, EngineConfig::default()) {
+            Err(EngineError::Storage(_)) => refused += 1,
+            Err(other) => panic!("cut at byte {cut}: untyped {other:?}"),
+            Ok(partial) => {
+                assert!(partial.catalog().total_rows() <= 1_500, "cut at byte {cut}");
+                assert_images_aligned(partial.catalog(), "persist::load of a truncated file");
+                shorter += 1;
+            }
+        }
+    }
+    assert!(refused > 0 && shorter > 0, "{refused} / {shorter}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -368,6 +368,32 @@ fn grid_shapes(predicate: &ScalarExpr) -> Vec<(&'static str, Plan)> {
     ]
 }
 
+/// Run `physical` at 1, 4 and host threads and hold each run to the
+/// reference's outcome: rows, lineage and confidence bits, or the error.
+fn assert_outcome_identical(
+    expected: &pcqe::algebra::Result<ResultSet>,
+    physical: &PhysicalPlan,
+    catalog: &Catalog,
+    context: &str,
+) {
+    for (par, threads) in parallelism_grid() {
+        let got = execute_vectorized_with(physical, catalog, &par);
+        let context = format!("{context} ({threads})");
+        match (expected, &got) {
+            (Ok(e), Ok(g)) => {
+                assert_rows_identical(e, g, &context);
+                // Scoring reads only what was just compared: once per plan
+                // is as good as once per run.
+                if par == Parallelism::sequential() {
+                    assert_scores_identical(e, g, catalog, &context);
+                }
+            }
+            (Err(e), Err(g)) => assert_eq!(e.to_string(), g.to_string(), "{context}"),
+            (e, g) => panic!("reference {e:?} but vectorized {g:?} for {context}"),
+        }
+    }
+}
+
 #[test]
 fn errors_and_three_valued_logic_match_the_reference_everywhere() {
     let expected_plan = [
@@ -420,24 +446,7 @@ fn errors_and_three_valued_logic_match_the_reference_everywhere() {
                         (Ok(rows), None) => assert!(!rows.is_empty(), "{context}"),
                         (other, _) => panic!("reference gave {other:?} for {context}"),
                     }
-                    for (par, threads) in parallelism_grid() {
-                        let got = execute_vectorized_with(&physical, &catalog, &par);
-                        let context = format!("{context}({threads})");
-                        match (&expected, &got) {
-                            (Ok(e), Ok(g)) => {
-                                assert_rows_identical(e, g, &context);
-                                // Scoring reads only what was just compared:
-                                // once per plan is as good as once per run.
-                                if par == Parallelism::sequential() {
-                                    assert_scores_identical(e, g, &catalog, &context);
-                                }
-                            }
-                            (Err(e), Err(g)) => {
-                                assert_eq!(e.to_string(), g.to_string(), "{context}")
-                            }
-                            (e, g) => panic!("reference {e:?} but vectorized {g:?} for {context}"),
-                        }
-                    }
+                    assert_outcome_identical(&expected, &physical, &catalog, &context);
                 }
             }
         }
@@ -565,6 +574,237 @@ fn compiled_predicates_agree_with_the_interpreter() {
     assert!(
         held > 500 && rejected > 500 && failed > 500,
         "{held} / {rejected} / {failed}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The column-image prefilter: a table scan may skip a row without
+// evaluating anything only if the whole predicate rejects it without
+// raising.
+
+/// `m(id INT, a INT, x REAL, s TEXT, n INT)`, `GRID_ROWS` rows: `x` drawn
+/// from every kind of slot an image has — NULL, an `Int` widened into the
+/// `REAL` column, `±0.0`, both NaNs, subnormals, infinities and integers
+/// beyond 2^53 — `a` (not imaged: a conjunct on it ends a run) from NULLs
+/// and `i64`s beyond 2^53, and `s`, `n` NULL except at `offender`, whose
+/// row trips the fallible conjuncts (`s = 'boom'`, `n = 7`) while its `a`
+/// and `x` are ones a numeric conjunct is mostly false or NULL on.
+fn image_catalog(rng: &mut Rng64, offender: usize) -> Catalog {
+    const BIG: i64 = (1 << 53) + 1;
+    let mut c = Catalog::new();
+    let int = |name| Column::new(name, DataType::Int);
+    c.create_table(
+        "m",
+        Schema::new(vec![
+            int("id"),
+            int("a"),
+            Column::new("x", DataType::Real),
+            Column::new("s", DataType::Text),
+            int("n"),
+        ])
+        .unwrap(),
+    )
+    .unwrap();
+    for i in 0..GRID_ROWS {
+        let mut a = match rng.below_u64(8) {
+            0 => Value::Null,
+            1 => Value::Int(BIG),
+            2 => Value::Int(-BIG),
+            3 => Value::Int(i64::MAX),
+            4 => Value::Int(i64::MIN),
+            _ => Value::Int(rng.below_u64(7) as i64 - 3),
+        };
+        let mut x = match rng.below_u64(12) {
+            0 => Value::Null,
+            1 => Value::Int(rng.below_u64(7) as i64 - 3),
+            2 => Value::Real(-0.0),
+            3 => Value::Real(0.0),
+            4 => Value::Real(f64::NAN),
+            5 => Value::Real(-f64::NAN),
+            6 => Value::Real(if rng.chance(0.5) { 5e-324 } else { -5e-324 }),
+            7 => Value::Real(if rng.chance(0.5) {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            }),
+            8 => Value::Real(BIG as f64 + 2.0 * rng.below_u64(2) as f64),
+            _ => Value::Real(rng.range_f64(-3.0, 3.0)),
+        };
+        let (mut s, mut n) = (Value::Null, Value::Null);
+        if i == offender {
+            (s, n) = (Value::text("boom"), Value::Int(7));
+            a = if rng.chance(0.5) {
+                Value::Null
+            } else {
+                Value::Int(i64::MAX)
+            };
+            x = match rng.below_u64(3) {
+                0 => Value::Null,
+                1 => Value::Int(-2),
+                _ => Value::Real(-2.5),
+            };
+        }
+        c.insert(
+            "m",
+            vec![Value::Int(i as i64), a, x, s, n],
+            0.05 + 0.1 * (i % 9) as f64,
+        )
+        .unwrap();
+    }
+    c
+}
+
+/// `column <cmp> literal` or `literal <cmp> column`: mostly a numeric
+/// literal against `x`, the imaged column, otherwise against `id`, `a` or
+/// the TEXT column, now and then with a NULL literal. Says whether it can
+/// be in a leading run.
+fn image_conjunct(rng: &mut Rng64) -> (ScalarExpr, bool) {
+    const COMPARISONS: [BinaryOp; 6] = [
+        BinaryOp::Eq,
+        BinaryOp::Ne,
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+    ];
+    let (column, imaged) = match rng.below_u64(10) {
+        0 => (3, false), // s TEXT
+        1 => (0, false), // id INT
+        2 => (1, false), // a INT
+        _ => (2, true),  // x REAL
+    };
+    let (literal, numeric) = match rng.below_u64(12) {
+        0 => (Value::Null, false),
+        1 => (Value::Int((1 << 53) + 1), true),
+        2 => (Value::Int(i64::MAX), true),
+        3 => (Value::Real(f64::NAN), true),
+        4 => (Value::Real(-0.0), true),
+        5 => (Value::Real(0.0), true),
+        6 => (Value::Real(5e-324), true),
+        7 => (Value::Real((1u64 << 53) as f64), true),
+        8 | 9 => (Value::Real(rng.range_f64(-3.0, 3.0)), true),
+        _ => (Value::Int(rng.below_u64(7) as i64 - 3), true),
+    };
+    let (column, literal) = (ScalarExpr::column(column), ScalarExpr::literal(literal));
+    let (left, right) = if rng.chance(0.5) {
+        (column, literal)
+    } else {
+        (literal, column)
+    };
+    let expr = ScalarExpr::Binary {
+        op: COMPARISONS[rng.below_usize(6)],
+        left: Box::new(left),
+        right: Box::new(right),
+    };
+    (expr, imaged && numeric)
+}
+
+/// A conjunct that ends a leading run: fallible or non-boolean at the
+/// offender, an `OR`, or a test the image has no kernel for.
+fn other_conjunct(rng: &mut Rng64) -> ScalarExpr {
+    let col = ScalarExpr::column;
+    let int = |i: i64| ScalarExpr::literal(Value::Int(i));
+    match rng.below_u64(5) {
+        0 => col(3).gt(int(1)),             // cannot compare boom with 1
+        1 => col(4),                        // non-boolean 7
+        2 => col(1).add(int(1)).gt(int(0)), // integer overflow on i64::MAX
+        3 => image_conjunct(rng).0.or(image_conjunct(rng).0),
+        _ => ScalarExpr::Unary {
+            op: UnaryOp::IsNotNull,
+            expr: Box::new(col(2)),
+        },
+    }
+}
+
+/// The conjuncts under a randomly shaped `AND` tree: evaluation order is
+/// the list's, whatever the shape.
+fn and_tree(rng: &mut Rng64, conjuncts: &[ScalarExpr]) -> ScalarExpr {
+    if let [only] = conjuncts {
+        return only.clone();
+    }
+    let (left, right) = conjuncts.split_at(1 + rng.below_usize(conjuncts.len() - 1));
+    and_tree(rng, left).and(and_tree(rng, right))
+}
+
+/// 1–4 conjuncts, and how many of them the leading run may take.
+fn image_predicate(rng: &mut Rng64) -> (ScalarExpr, usize, usize) {
+    let n = 1 + rng.below_usize(4);
+    let conjuncts: Vec<(ScalarExpr, bool)> = (0..n)
+        .map(|_| {
+            if rng.chance(0.7) {
+                image_conjunct(rng)
+            } else {
+                (other_conjunct(rng), false)
+            }
+        })
+        .collect();
+    let run = conjuncts.iter().take_while(|(_, in_run)| *in_run).count();
+    let conjuncts: Vec<ScalarExpr> = conjuncts.into_iter().map(|(c, _)| c).collect();
+    (and_tree(rng, &conjuncts), run, n)
+}
+
+#[test]
+fn image_prefilter_only_skips_rows_the_predicate_rejects() {
+    let (mut dropped, mut errors, mut whole_runs, mut partial_runs) = (0, 0, 0, 0);
+    for_each_case(16, 0x0097_0018, |rng| {
+        // The offender in the first, a middle and the last morsel.
+        let offender = [0, GRID_ROWS / 2, GRID_ROWS - 1][rng.below_usize(3)];
+        let catalog = image_catalog(rng, offender);
+        let table = catalog.table("m").unwrap();
+        for _ in 0..40 {
+            let (predicate, run, conjuncts) = image_predicate(rng);
+            let plan = Plan::scan("m").select(predicate.clone());
+            let physical = lower(&plan, &catalog).expect("lowers");
+            let context = format!("{predicate}, offender at row {offender}");
+            assert!(
+                physical.to_string().contains("TableScan m [filter:"),
+                "{context}\n{physical}"
+            );
+
+            // The split's law, directly: a row the image pass leaves out is
+            // one the whole predicate rejects without raising.
+            let test = predicate.compile();
+            let candidates = predicate.leading_run(table).candidates();
+            assert_eq!(candidates.is_some(), run > 0, "{context}");
+            let candidates = candidates.unwrap_or_else(|| (0..GRID_ROWS).collect());
+            assert!(candidates.is_sorted() && candidates.iter().all(|&p| p < GRID_ROWS));
+            let mut next = candidates.iter().peekable();
+            for (pos, row) in table.rows().iter().enumerate() {
+                let values = row.tuple.values();
+                let verdict = test.test(values).map_err(|e| e.to_string());
+                if next.next_if_eq(&&pos).is_none() {
+                    assert_eq!(
+                        verdict,
+                        Ok(false),
+                        "row {pos} {values:?} skipped: {context}"
+                    );
+                    dropped += 1;
+                } else if run == conjuncts {
+                    // And it is not idle: where the run is the whole
+                    // predicate, a candidate it could not decide holds a
+                    // NULL or an `Int` in the `REAL` column.
+                    let native = matches!(values, [_, _, Value::Real(_), ..]);
+                    assert!(
+                        verdict == Ok(true) || !native,
+                        "row {pos} {values:?}: {context}"
+                    );
+                }
+            }
+            whole_runs += usize::from(run == conjuncts);
+            partial_runs += usize::from(0 < run && run < conjuncts);
+
+            // And end to end: rows, lineage, confidence bits or the error.
+            let expected = execute(&plan, &catalog);
+            errors += usize::from(expected.is_err());
+            assert_outcome_identical(&expected, &physical, &catalog, &context);
+        }
+    });
+    // The generator reaches what the law is about often enough to mean
+    // something: rows skipped, predicates that raise, runs that are the
+    // whole predicate and runs that stop at a conjunct they may not pass.
+    assert!(
+        dropped > 50_000 && errors > 40 && whole_runs > 100 && partial_runs > 40,
+        "{dropped} / {errors} / {whole_runs} / {partial_runs}"
     );
 }
 
