@@ -12,7 +12,9 @@
 //!    found via a structural [`BTreeMap`] key and addressed by a
 //!    deterministic, insertion-ordered id. A node *is* its key (an
 //!    operator over child ids) plus a memo and reverse edges; there is no
-//!    second representation beside it.
+//!    second representation beside it. A `Var` leaf is found through its
+//!    variable's slot in the [`VarTable`] instead: one indexed read per
+//!    leaf of every row, not a map search.
 //! 2. **Memoizes compilation** per (sub)formula, so the second result that
 //!    contains an already-compiled subformula pays a map lookup instead of
 //!    a fresh expansion.
@@ -50,16 +52,22 @@
 //! - on budget exhaustion the cache falls back to the same seeded
 //!   Monte-Carlo estimate over the same factored formula.
 //!
-//! Every container in this module is a `BTreeMap` or a `Vec` indexed by
-//! insertion order (PCQE-D001): iteration order, node ids and therefore
-//! every emitted statistic are independent of hash seeds and thread count.
+//! Every container in this module is a `BTreeMap`, a `Vec` indexed by
+//! insertion order, or the id-paged [`VarTable`] (PCQE-D001): iteration
+//! order, node ids and therefore every emitted statistic are independent
+//! of hash seeds and thread count. The table is order-free by
+//! construction: it is only ever asked about one variable by name — it
+//! has no iterator — and what it answers (a probability, a leaf's node
+//! id, a reader list in interning order) was put there under that name,
+//! so neither the order pages were allocated in nor where an id falls in
+//! its page can reach a result.
 
 use crate::compile::{CompiledLineage, Op};
 use crate::error::LineageError;
 use crate::expr::{Lineage, VarId};
 use crate::factor::normalize;
 use crate::mc::MonteCarlo;
-use crate::prob::{most_shared_var, Evaluator};
+use crate::prob::{most_shared_var, Evaluator, ProbSource};
 use crate::Result;
 use pcqe_par::TraceSink;
 use std::collections::BTreeMap;
@@ -160,6 +168,73 @@ struct RootEntry {
     compiled: Option<Arc<CompiledLineage>>,
 }
 
+/// Variable ids per [`VarTable`] page: `id >> PAGE_BITS` names the page,
+/// the low bits the slot in it.
+const PAGE_BITS: u32 = 6;
+
+/// What the pool keeps for one variable.
+#[derive(Debug, Default)]
+struct VarSlot {
+    /// Current probability (the "version" of the base tuple: a bitwise
+    /// change is a new version and triggers invalidation).
+    prob: Option<f64>,
+    /// The variable's `Var` leaf in the pool, once a formula used it.
+    leaf: Option<NodeId>,
+    /// Nodes whose value reads the variable directly (its `Var` leaf and
+    /// `Mix` pivots) — the invalidation frontier for the variable.
+    readers: Vec<NodeId>,
+}
+
+/// The pool's per-variable state, indexed by variable id: pages of
+/// `1 << PAGE_BITS` consecutive ids, a page allocated when the first
+/// variable in it is touched. Tuple ids are handed out by a counter, so
+/// pages fill up and a lookup is one probe of a directory 64 times
+/// smaller than the variable set plus an array read; an id far from every
+/// other (an explicit id, a hostile persisted file) costs one page, so
+/// memory follows the number of variables, never the largest id.
+///
+/// Nothing walks the table: every access names a variable, so no order —
+/// of insertion, of pages or of ids — can reach a result.
+///
+/// Outside this module it is the cache's current assignment, read through
+/// [`ProbSource`].
+#[derive(Debug, Default)]
+pub struct VarTable {
+    pages: BTreeMap<u64, Box<[VarSlot]>>,
+}
+
+impl VarTable {
+    /// A variable's page number and its position in the page.
+    fn locate(var: VarId) -> (u64, usize) {
+        (
+            var.0 >> PAGE_BITS,
+            (var.0 & ((1 << PAGE_BITS) - 1)) as usize,
+        )
+    }
+
+    fn slot(&self, var: VarId) -> Option<&VarSlot> {
+        let (page, at) = VarTable::locate(var);
+        self.pages.get(&page)?.get(at)
+    }
+
+    /// The variable's slot, its page allocated on first touch. (`None`
+    /// only if a page were shorter than `1 << PAGE_BITS`, which none is;
+    /// callers treat it as "nothing to record".)
+    fn slot_mut(&mut self, var: VarId) -> Option<&mut VarSlot> {
+        let (page, at) = VarTable::locate(var);
+        self.pages
+            .entry(page)
+            .or_insert_with(|| (0..1 << PAGE_BITS).map(|_| VarSlot::default()).collect())
+            .get_mut(at)
+    }
+}
+
+impl ProbSource for VarTable {
+    fn prob(&self, var: VarId) -> Option<f64> {
+        self.slot(var)?.prob
+    }
+}
+
 /// The cache itself. See the module docs for the design; typical use:
 ///
 /// ```
@@ -183,20 +258,19 @@ struct RootEntry {
 #[derive(Debug, Default)]
 pub struct CircuitCache {
     nodes: Vec<Node>,
-    /// Hash-consing index: structural key → pooled node.
+    /// Hash-consing index: structural key → pooled node, `Var` leaves
+    /// excepted (the variable's slot in `vars` names its leaf).
     dedup: BTreeMap<NodeKey, NodeId>,
     /// Compile memo over simplified/factored (sub)formulas, with the budget
-    /// cost a fresh compile would charge.
+    /// cost a fresh compile would charge. A bare variable is not a key
+    /// here either: it costs nothing, and its slot already answers.
     subformulas: BTreeMap<Lineage, (NodeId, usize)>,
     /// Root memo over *original* (pre-simplify) formulas.
     circuits: BTreeMap<Lineage, CircuitId>,
     roots: Vec<RootEntry>,
-    /// Current probability assignment (the "versions" of the base tuples:
-    /// a bitwise change is a new version and triggers invalidation).
-    probs: BTreeMap<VarId, f64>,
-    /// Nodes whose value reads a variable directly (`Var` leaves and `Mix`
-    /// pivots) — the invalidation frontier for that variable.
-    readers: BTreeMap<VarId, Vec<NodeId>>,
+    /// Everything the pool keeps per variable — probability, `Var` leaf,
+    /// reader nodes — one id-indexed slot each.
+    vars: VarTable,
     stats: CacheStats,
     /// Passive causal-trace sink: compile/hit/invalidate events flow to
     /// the engine's tracer when attached. Never consulted for results.
@@ -226,8 +300,8 @@ impl CircuitCache {
     }
 
     /// The current probability assignment.
-    pub fn probs(&self) -> &BTreeMap<VarId, f64> {
-        &self.probs
+    pub fn probs(&self) -> &VarTable {
+        &self.vars
     }
 
     /// Attach (or detach, with `None`) a causal-trace sink. The sink is
@@ -250,15 +324,15 @@ impl CircuitCache {
     /// `var` are dropped (transitively, child → parent, stopping early at
     /// nodes that were already unevaluated).
     pub fn set_prob(&mut self, var: VarId, p: f64) {
-        if self
-            .probs
-            .get(&var)
-            .is_some_and(|old| old.to_bits() == p.to_bits())
-        {
+        let Some(slot) = self.vars.slot_mut(var) else {
+            return;
+        };
+        if slot.prob.is_some_and(|old| old.to_bits() == p.to_bits()) {
             return;
         }
-        self.probs.insert(var, p);
-        let dropped = self.invalidate_readers(var);
+        slot.prob = Some(p);
+        let readers = slot.readers.clone();
+        let dropped = self.invalidate(readers);
         if dropped > 0 {
             self.emit("cache.invalidate", || {
                 format!("var={} dropped={dropped}", var.0)
@@ -266,11 +340,11 @@ impl CircuitCache {
         }
     }
 
-    /// Drop the memos of every node transitively reading `var`; returns
-    /// how many memos were dropped (also added to `stats.invalidated`).
-    fn invalidate_readers(&mut self, var: VarId) -> u64 {
+    /// Drop the memos of every node transitively reading a variable,
+    /// given the nodes that read it directly; returns how many memos were
+    /// dropped (also added to `stats.invalidated`).
+    fn invalidate(&mut self, mut frontier: Vec<NodeId>) -> u64 {
         let mut dropped: u64 = 0;
-        let mut frontier: Vec<NodeId> = self.readers.get(&var).cloned().unwrap_or_default();
         while let Some(id) = frontier.pop() {
             if let Some(node) = self.nodes.get_mut(id) {
                 if node.memo.take().is_some() {
@@ -411,7 +485,7 @@ impl CircuitCache {
                 // Same fallback as the uncached path: seeded Monte-Carlo
                 // over the same simplified/factored formula.
                 MonteCarlo::new(evaluator.mc_samples, evaluator.mc_seed)
-                    .estimate(&normalize(lineage), &self.probs)
+                    .estimate(&normalize(lineage), &self.vars)
             }
             Err(e) => Err(e),
         }
@@ -422,6 +496,9 @@ impl CircuitCache {
     /// recorded cost is charged up front (see the module docs for the
     /// parity argument).
     fn compile_sub(&mut self, l: &Lineage, budget: &mut usize) -> Result<NodeId> {
+        if let Lineage::Var(v) = l {
+            return Ok(self.var_leaf(*v));
+        }
         if let Some(&(id, cost)) = self.subformulas.get(l) {
             if *budget < cost {
                 return Err(LineageError::BudgetExceeded { budget: 0 });
@@ -436,7 +513,7 @@ impl CircuitCache {
                 let c: f64 = if *b { 1.0 } else { 0.0 };
                 self.intern(NodeKey::Const(c.to_bits()))
             }
-            Lineage::Var(v) => self.intern(NodeKey::Var(*v)),
+            Lineage::Var(v) => self.var_leaf(*v),
             Lineage::Not(e) => {
                 let child = self.compile_sub(e, budget)?;
                 self.intern(NodeKey::Complement(child))
@@ -473,6 +550,22 @@ impl CircuitCache {
         Ok(self.intern(NodeKey::Mix { var: pivot, hi, lo }))
     }
 
+    /// Find-or-create `var`'s leaf through its slot — the whole compile of
+    /// a bare variable. To the stats and the budget a leaf is a formula
+    /// like any other: finding it is a compile-memo hit, at its cost, 0.
+    fn var_leaf(&mut self, var: VarId) -> NodeId {
+        let next = self.nodes.len();
+        if let Some(slot) = self.vars.slot_mut(var) {
+            if let Some(leaf) = slot.leaf {
+                self.stats.compile_hits = self.stats.compile_hits.saturating_add(1);
+                return leaf;
+            }
+            slot.leaf = Some(next);
+            slot.readers.push(next);
+        }
+        self.push_node(NodeKey::Var(var))
+    }
+
     /// Find-or-create the pool node for a structural key, wiring reverse
     /// edges and variable-reader lists on creation.
     fn intern(&mut self, key: NodeKey) -> NodeId {
@@ -481,8 +574,7 @@ impl CircuitCache {
         }
         let id = self.nodes.len();
         match &key {
-            NodeKey::Const(_) => {}
-            NodeKey::Var(v) => self.readers.entry(*v).or_default().push(id),
+            NodeKey::Const(_) | NodeKey::Var(_) => {}
             NodeKey::Complement(c) => self.add_parent(*c, id),
             NodeKey::Product(cs) | NodeKey::DisjProduct(cs) => {
                 for &c in cs {
@@ -490,12 +582,19 @@ impl CircuitCache {
                 }
             }
             NodeKey::Mix { var, hi, lo } => {
-                self.readers.entry(*var).or_default().push(id);
+                if let Some(slot) = self.vars.slot_mut(*var) {
+                    slot.readers.push(id);
+                }
                 self.add_parent(*hi, id);
                 self.add_parent(*lo, id);
             }
         }
         self.dedup.insert(key.clone(), id);
+        self.push_node(key)
+    }
+
+    fn push_node(&mut self, key: NodeKey) -> NodeId {
+        let id = self.nodes.len();
         self.nodes.push(Node {
             key,
             memo: None,
@@ -504,51 +603,61 @@ impl CircuitCache {
         id
     }
 
+    /// Record `parent` as a reader of `child`, once. `intern` wires all
+    /// the edges of a brand-new node back to back and nothing else adds
+    /// an edge, so if `parent` is already listed — `Product([c, c])`, a
+    /// `Mix` whose cofactors coincide — it is the last entry: no scan of
+    /// a shared leaf's whole fan-in.
     fn add_parent(&mut self, child: NodeId, parent: NodeId) {
         if let Some(node) = self.nodes.get_mut(child) {
-            if !node.parents.contains(&parent) {
+            if node.parents.last() != Some(&parent) {
                 node.parents.push(parent);
             }
         }
     }
 
     fn prob_of(&self, var: VarId) -> Result<f64> {
-        self.probs
-            .get(&var)
-            .copied()
-            .ok_or(LineageError::UnknownVar(var))
+        self.vars.prob(var).ok_or(LineageError::UnknownVar(var))
+    }
+
+    /// The `at`-th child of an n-ary node; `None` past the last.
+    fn child(&self, id: NodeId, at: usize) -> Option<NodeId> {
+        match &self.nodes.get(id)?.key {
+            NodeKey::Product(cs) | NodeKey::DisjProduct(cs) => cs.get(at).copied(),
+            _ => None,
+        }
     }
 
     /// Memoized bottom-up evaluation. The float operations and their order
     /// are exactly those of [`CompiledLineage::eval`] / the interpreter's
     /// `exact` recursion — a memo hit just short-circuits to the f64 that
-    /// recursion already produced.
+    /// recursion already produced. Child lists are read by position, one
+    /// child at a time, so nothing is copied out of the node.
     fn eval_node(&mut self, id: NodeId) -> Result<f64> {
-        let key = match self.nodes.get(id) {
-            Some(node) => {
-                if let Some(p) = node.memo {
-                    self.stats.eval_hits = self.stats.eval_hits.saturating_add(1);
-                    return Ok(p);
-                }
-                node.key.clone()
-            }
-            None => return Err(LineageError::UnknownCircuit(id)),
-        };
-        let p = match key {
+        let node = self.nodes.get(id).ok_or(LineageError::UnknownCircuit(id))?;
+        if let Some(p) = node.memo {
+            self.stats.eval_hits = self.stats.eval_hits.saturating_add(1);
+            return Ok(p);
+        }
+        let p = match node.key {
             NodeKey::Const(bits) => f64::from_bits(bits),
             NodeKey::Var(v) => self.prob_of(v)?,
             NodeKey::Complement(c) => 1.0 - self.eval_node(c)?,
-            NodeKey::Product(cs) => {
+            NodeKey::Product(_) => {
                 let mut p = 1.0;
-                for c in cs {
+                let mut at = 0;
+                while let Some(c) = self.child(id, at) {
                     p *= self.eval_node(c)?;
+                    at += 1;
                 }
                 p
             }
-            NodeKey::DisjProduct(cs) => {
+            NodeKey::DisjProduct(_) => {
                 let mut q = 1.0;
-                for c in cs {
+                let mut at = 0;
+                while let Some(c) = self.child(id, at) {
                     q *= 1.0 - self.eval_node(c)?;
+                    at += 1;
                 }
                 1.0 - q
             }
@@ -678,6 +787,51 @@ mod tests {
         // b's whole body was already in the pool: only stats move.
         assert_eq!(cache.pool_size(), pool_after_a);
         assert!(cache.stats().compile_hits > 0);
+    }
+
+    #[test]
+    fn a_repeated_child_is_one_reverse_edge() {
+        let mut cache = CircuitCache::new();
+        let c = cache.var_leaf(VarId(1));
+        let d = cache.var_leaf(VarId(2));
+        let product = cache.intern(NodeKey::Product(vec![c, c, d, c]));
+        // `c`'s edges to `product` arrive back to back only for the first
+        // two; the third comes after `d`'s and is still the last of `c`'s.
+        assert_eq!(cache.nodes[c].parents, vec![product]);
+        assert_eq!(cache.nodes[d].parents, vec![product]);
+        let mix = cache.intern(NodeKey::Mix {
+            var: VarId(2),
+            hi: c,
+            lo: c,
+        });
+        assert_eq!(cache.nodes[c].parents, vec![product, mix]);
+        // ... and the value is still the product over every position.
+        cache.set_prob(VarId(1), 0.5);
+        cache.set_prob(VarId(2), 0.25);
+        assert_eq!(cache.eval_node(product).unwrap(), 0.5 * 0.5 * 0.25 * 0.5);
+        // Invalidation reaches the parent once through the one edge.
+        cache.take_stats();
+        cache.set_prob(VarId(1), 0.75);
+        assert_eq!(cache.stats().invalidated, 2, "the leaf and the product");
+    }
+
+    #[test]
+    fn var_leaves_stay_out_of_the_formula_memo_and_still_count_as_hits() {
+        let mut cache = CircuitCache::new();
+        seed_probs(&mut cache, &[(2, 0.3), (3, 0.4), (13, 0.1)]);
+        cache.compile(&example(), 16).unwrap();
+        assert_eq!(cache.pool_size(), 5, "three leaves, the OR, the AND");
+        assert!(cache
+            .subformulas
+            .keys()
+            .all(|l| !matches!(l, Lineage::Var(_))));
+        assert!(cache.dedup.keys().all(|k| !matches!(k, NodeKey::Var(_))));
+        assert_eq!(cache.stats().compile_hits, 0);
+        // A second formula over the same tuples finds all three leaves.
+        let again = Lineage::or(vec![Lineage::var(13), Lineage::var(2), Lineage::var(3)]);
+        cache.compile(&again, 16).unwrap();
+        assert_eq!(cache.stats().compile_hits, 3);
+        assert_eq!(cache.pool_size(), 6, "only the new OR");
     }
 
     #[test]

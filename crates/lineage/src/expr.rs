@@ -75,32 +75,40 @@ impl Lineage {
     /// Number of occurrences of each variable.
     pub fn var_counts(&self) -> BTreeMap<VarId, usize> {
         let mut counts = BTreeMap::new();
-        self.collect_counts(&mut counts);
+        self.for_each_var(&mut |v| *counts.entry(v).or_insert(0) += 1);
         counts
     }
 
-    fn collect_counts(&self, counts: &mut BTreeMap<VarId, usize>) {
+    /// Call `f` on every variable leaf, left to right, repeats included.
+    pub(crate) fn for_each_var(&self, f: &mut impl FnMut(VarId)) {
         match self {
             Lineage::Const(_) => {}
-            Lineage::Var(v) => *counts.entry(*v).or_insert(0) += 1,
-            Lineage::Not(e) => e.collect_counts(counts),
-            Lineage::And(es) | Lineage::Or(es) => {
-                for e in es {
-                    e.collect_counts(counts);
-                }
-            }
+            Lineage::Var(v) => f(*v),
+            Lineage::Not(e) => e.for_each_var(f),
+            Lineage::And(es) | Lineage::Or(es) => es.iter().for_each(|e| e.for_each_var(f)),
         }
+    }
+
+    /// Every variable leaf, sorted by id, repeats kept: one `Vec` and one
+    /// sort, which is all `vars` and `is_read_once` need of a formula.
+    fn sorted_leaves(&self) -> Vec<VarId> {
+        let mut leaves = Vec::new();
+        self.for_each_var(&mut |v| leaves.push(v));
+        leaves.sort_unstable();
+        leaves
     }
 
     /// The distinct variables in the formula, in id order.
     pub fn vars(&self) -> Vec<VarId> {
-        self.var_counts().into_keys().collect()
+        let mut vars = self.sorted_leaves();
+        vars.dedup();
+        vars
     }
 
     /// True if no variable occurs more than once (evaluation is then exact
     /// under independence without any Shannon expansion).
     pub fn is_read_once(&self) -> bool {
-        self.var_counts().values().all(|&c| c == 1)
+        self.sorted_leaves().is_sorted_by(|a, b| a < b)
     }
 
     /// True if the formula contains negation anywhere. Negation-free
@@ -157,8 +165,9 @@ impl Lineage {
     }
 
     /// Simplify the formula: flatten nested connectives, fold constants,
-    /// collapse double negation, deduplicate repeated children, and unwrap
-    /// single-child connectives. The result is logically equivalent.
+    /// collapse double negation, deduplicate repeated children (the first
+    /// occurrence stays where it is), and unwrap single-child connectives.
+    /// The result is logically equivalent.
     pub fn simplify(&self) -> Lineage {
         match self {
             Lineage::Const(b) => Lineage::Const(*b),
@@ -168,68 +177,83 @@ impl Lineage {
                 Lineage::Not(inner) => *inner,
                 other => Lineage::Not(Box::new(other)),
             },
-            Lineage::And(es) => {
-                let mut out: Vec<Lineage> = Vec::with_capacity(es.len());
-                for e in es {
-                    match e.simplify() {
-                        Lineage::Const(true) => {}
-                        Lineage::Const(false) => return Lineage::Const(false),
-                        Lineage::And(inner) => {
-                            for i in inner {
-                                if !out.contains(&i) {
-                                    out.push(i);
-                                }
-                            }
-                        }
-                        other => {
-                            if !out.contains(&other) {
-                                out.push(other);
-                            }
-                        }
-                    }
-                }
-                // Pop-then-inspect instead of len-then-index: no `expect`
-                // on the query-scoring path (PCQE-P002).
-                match out.pop() {
-                    None => Lineage::Const(true),
-                    Some(single) if out.is_empty() => single,
-                    Some(last) => {
-                        out.push(last);
-                        Lineage::And(out)
-                    }
-                }
-            }
-            Lineage::Or(es) => {
-                let mut out: Vec<Lineage> = Vec::with_capacity(es.len());
-                for e in es {
-                    match e.simplify() {
-                        Lineage::Const(false) => {}
-                        Lineage::Const(true) => return Lineage::Const(true),
-                        Lineage::Or(inner) => {
-                            for i in inner {
-                                if !out.contains(&i) {
-                                    out.push(i);
-                                }
-                            }
-                        }
-                        other => {
-                            if !out.contains(&other) {
-                                out.push(other);
-                            }
-                        }
-                    }
-                }
-                match out.pop() {
-                    None => Lineage::Const(false),
-                    Some(single) if out.is_empty() => single,
-                    Some(last) => {
-                        out.push(last);
-                        Lineage::Or(out)
-                    }
-                }
+            Lineage::And(es) => simplify_list(es, true),
+            Lineage::Or(es) => simplify_list(es, false),
+        }
+    }
+}
+
+/// [`Lineage::simplify`] for a conjunction (`and`) or a disjunction: a
+/// child equal to the connective's identity (`⊤` under AND, `⊥` under OR)
+/// is dropped, its opposite decides the whole list, a child of the same
+/// connective is spliced in place, and the flattened list is deduplicated
+/// once at the end.
+fn simplify_list(es: &[Lineage], and: bool) -> Lineage {
+    let mut out: Vec<Lineage> = Vec::with_capacity(es.len());
+    for e in es {
+        match e.simplify() {
+            Lineage::Const(b) if b == and => {}
+            Lineage::Const(b) => return Lineage::Const(b),
+            Lineage::And(inner) if and => out.extend(inner),
+            Lineage::Or(inner) if !and => out.extend(inner),
+            other => out.push(other),
+        }
+    }
+    keep_first_occurrences(&mut out);
+    // Pop-then-inspect instead of len-then-index: no `expect` on the
+    // query-scoring path (PCQE-P002).
+    match out.pop() {
+        None => Lineage::Const(and),
+        Some(single) if out.is_empty() => single,
+        Some(last) => {
+            out.push(last);
+            if and {
+                Lineage::And(out)
+            } else {
+                Lineage::Or(out)
             }
         }
     }
+}
+
+/// Up to this many children are deduplicated by comparing each with the
+/// ones kept before it, in place; longer lists by one index sort.
+const SMALL_LIST: usize = 8;
+
+/// Drop every child equal to an earlier one, keeping the rest in order.
+/// A strictly ascending list — what a scan hands an OR-merge, one tuple
+/// id after the other — has no repeats and costs one pass of comparisons.
+fn keep_first_occurrences(out: &mut Vec<Lineage>) {
+    if out.is_sorted_by(|a, b| a < b) {
+        return;
+    }
+    if out.len() <= SMALL_LIST {
+        let mut at = 1;
+        while at < out.len() {
+            let (kept, rest) = out.split_at(at);
+            if rest.first().is_some_and(|e| kept.contains(e)) {
+                out.remove(at);
+            } else {
+                at += 1;
+            }
+        }
+        return;
+    }
+    // Sorting (child, position) pairs brings equal children together with
+    // the earliest first, so every pair that follows an equal child marks
+    // a repeat.
+    let mut order: Vec<(&Lineage, usize)> = out.iter().zip(0..).collect();
+    order.sort_unstable();
+    let mut repeat = vec![false; out.len()];
+    for (a, b) in order.iter().zip(order.iter().skip(1)) {
+        if a.0 == b.0 {
+            if let Some(r) = repeat.get_mut(b.1) {
+                *r = true;
+            }
+        }
+    }
+    let mut repeat = repeat.into_iter();
+    out.retain(|_| !repeat.next().unwrap_or(false));
 }
 
 impl fmt::Display for Lineage {
@@ -265,6 +289,139 @@ impl fmt::Display for Lineage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
+
+    /// `simplify` as it was defined before the single dedupe pass: every
+    /// child checked against the kept ones with `contains` as it arrives.
+    fn reference_simplify(l: &Lineage) -> Lineage {
+        let (es, and) = match l {
+            Lineage::Const(_) | Lineage::Var(_) => return l.clone(),
+            Lineage::Not(e) => {
+                return match reference_simplify(e) {
+                    Lineage::Const(b) => Lineage::Const(!b),
+                    Lineage::Not(inner) => *inner,
+                    other => Lineage::Not(Box::new(other)),
+                }
+            }
+            Lineage::And(es) => (es, true),
+            Lineage::Or(es) => (es, false),
+        };
+        let mut out: Vec<Lineage> = Vec::new();
+        for e in es {
+            let spliced = match (reference_simplify(e), and) {
+                (Lineage::Const(b), _) if b == and => vec![],
+                (Lineage::Const(b), _) => return Lineage::Const(b),
+                (Lineage::And(inner), true) | (Lineage::Or(inner), false) => inner,
+                (other, _) => vec![other],
+            };
+            for i in spliced {
+                if !out.contains(&i) {
+                    out.push(i);
+                }
+            }
+        }
+        match out.len() {
+            0 => Lineage::Const(and),
+            1 => out.remove(0),
+            _ if and => Lineage::And(out),
+            _ => Lineage::Or(out),
+        }
+    }
+
+    /// Occurrence counts by a map walk, the definition `vars` and
+    /// `is_read_once` were written against.
+    fn reference_counts(l: &Lineage, counts: &mut BTreeMap<VarId, usize>) {
+        match l {
+            Lineage::Const(_) => {}
+            Lineage::Var(v) => *counts.entry(*v).or_insert(0) += 1,
+            Lineage::Not(e) => reference_counts(e, counts),
+            Lineage::And(es) | Lineage::Or(es) => {
+                es.iter().for_each(|e| reference_counts(e, counts))
+            }
+        }
+    }
+
+    /// A raw formula (nothing simplified on the way) with `width` children
+    /// at the top, small nested lists of either connective below,
+    /// constants, negation, and leaves drawn from few enough variables
+    /// that repeats land at every position.
+    fn raw_formula(rng: &mut Rng64, width: usize, depth: u32) -> Lineage {
+        let universe = (width as u64 / 2).max(3);
+        let children = (0..width)
+            .map(|_| match rng.below_u64(if depth == 0 { 8 } else { 12 }) {
+                0 => Lineage::Const(rng.chance(0.9)),
+                1 => Lineage::Not(Box::new(Lineage::var(rng.below_u64(universe)))),
+                2..=7 => Lineage::var(rng.below_u64(universe)),
+                _ => {
+                    let n = rng.range_usize(0, 5);
+                    raw_formula(rng, n, depth - 1)
+                }
+            })
+            .collect();
+        if rng.chance(0.5) {
+            Lineage::And(children)
+        } else {
+            Lineage::Or(children)
+        }
+    }
+
+    #[test]
+    fn passes_match_their_reference_definitions_on_seeded_formulas() {
+        let mut rng = Rng64::seed_from_u64(0x51AA_11F1);
+        let mut widths: Vec<usize> = (1..=24).collect();
+        widths.extend([63, 64, 65, 300, 2_000]);
+        let (mut shortened, mut folded) = (0, 0);
+        for round in 0..12 {
+            for &width in &widths {
+                let mut l = raw_formula(&mut rng, width, 2);
+                if round % 3 == 0 {
+                    // No constant at the top level: the list survives to
+                    // the dedupe.
+                    if let Lineage::And(es) | Lineage::Or(es) = &mut l {
+                        es.retain(|e| !matches!(e, Lineage::Const(_)));
+                    }
+                }
+                let got = l.simplify();
+                assert_eq!(got, reference_simplify(&l), "width {width}: {l}");
+                assert_eq!(got.simplify(), got, "idempotent at width {width}");
+                shortened += usize::from(got.size() < l.size());
+                folded += usize::from(matches!(got, Lineage::Const(_)));
+                let mut counts = BTreeMap::new();
+                reference_counts(&l, &mut counts);
+                assert_eq!(l.vars(), counts.keys().copied().collect::<Vec<_>>());
+                assert_eq!(l.is_read_once(), counts.values().all(|&c| c == 1));
+                assert_eq!(l.var_counts(), counts);
+            }
+        }
+        assert!(shortened > 100 && folded > 20, "{shortened} / {folded}");
+    }
+
+    #[test]
+    fn dedupe_keeps_first_occurrences_at_every_position_and_length() {
+        // One repeat of child `from` placed at `to`, lists on both sides
+        // of the in-place / index-sort switch, ascending and descending.
+        for n in [2usize, 3, SMALL_LIST, SMALL_LIST + 1, 40] {
+            for descending in [false, true] {
+                let ids: Vec<u64> = if descending {
+                    (0..n as u64).rev().collect()
+                } else {
+                    (0..n as u64).collect()
+                };
+                for from in 0..n {
+                    for to in 0..=n {
+                        let mut children: Vec<Lineage> =
+                            ids.iter().map(|&v| Lineage::var(v)).collect();
+                        children.insert(to, Lineage::var(ids[from]));
+                        let l = Lineage::Or(children);
+                        assert_eq!(l.simplify(), reference_simplify(&l), "{l}");
+                    }
+                }
+            }
+        }
+        // Strictly ascending children are returned as they are.
+        let ascending = Lineage::Or((0..500).map(Lineage::var).collect());
+        assert_eq!(ascending.simplify(), ascending);
+    }
 
     #[test]
     fn constructors_simplify_eagerly() {

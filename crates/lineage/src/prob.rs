@@ -4,7 +4,7 @@ use crate::error::LineageError;
 use crate::expr::{Lineage, VarId};
 use crate::mc::MonteCarlo;
 use crate::Result;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// A source of per-variable marginal probabilities.
 ///
@@ -119,22 +119,28 @@ fn exact<P: ProbSource>(l: &Lineage, probs: &P, budget: &mut usize) -> Result<f6
 }
 
 /// If the children share variables, return the variable occurring in the
-/// most children (the best Shannon pivot); otherwise `None`. The pool
-/// compiler in [`crate::cache`] pivots by this same rule.
+/// most children (the best Shannon pivot), the smallest such variable on a
+/// tie; otherwise `None`. The pool compiler in [`crate::cache`] pivots by
+/// this same rule.
+///
+/// Every leaf goes into one list as `(variable, child)`; sorted and
+/// deduplicated, a variable's run is as long as the number of children it
+/// occurs in. Sharing *within* one child is handled recursively — only
+/// cross-child sharing breaks independence — so a variable counts once
+/// per child however often the child repeats it.
 pub(crate) fn most_shared_var(children: &[Lineage]) -> Option<VarId> {
-    let mut seen: BTreeMap<VarId, usize> = BTreeMap::new();
-    for child in children {
-        // Count each variable once per child: sharing *within* one child is
-        // handled recursively; only cross-child sharing breaks independence.
-        let vars: BTreeSet<VarId> = child.var_counts().into_keys().collect();
-        for v in vars {
-            *seen.entry(v).or_insert(0) += 1;
-        }
+    let mut leaves: Vec<(VarId, usize)> = Vec::new();
+    for (at, child) in children.iter().enumerate() {
+        child.for_each_var(&mut |v| leaves.push((v, at)));
     }
-    seen.into_iter()
-        .filter(|&(_, c)| c > 1)
-        .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
-        .map(|(v, _)| v)
+    leaves.sort_unstable();
+    leaves.dedup();
+    leaves
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|run| run.len() > 1)
+        .filter_map(|run| run.first().map(|&(v, _)| (run.len(), std::cmp::Reverse(v))))
+        .max()
+        .map(|(_, std::cmp::Reverse(v))| v)
 }
 
 fn shannon<P: ProbSource>(l: &Lineage, pivot: VarId, probs: &P, budget: &mut usize) -> Result<f64> {
@@ -152,10 +158,70 @@ fn shannon<P: ProbSource>(l: &Lineage, pivot: VarId, probs: &P, budget: &mut usi
 #[allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::rng::Rng64;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     fn probs(pairs: &[(u64, f64)]) -> HashMap<VarId, f64> {
         pairs.iter().map(|&(v, p)| (VarId(v), p)).collect()
+    }
+
+    /// The pivot rule as it was first written: a set of variables per
+    /// child, a map of how many children hold each, the most-held variable
+    /// and the smallest on a tie.
+    fn reference_most_shared_var(children: &[Lineage]) -> Option<VarId> {
+        let mut seen: BTreeMap<VarId, usize> = BTreeMap::new();
+        for child in children {
+            let vars: BTreeSet<VarId> = child.var_counts().into_keys().collect();
+            for v in vars {
+                *seen.entry(v).or_insert(0) += 1;
+            }
+        }
+        seen.into_iter()
+            .filter(|&(_, c)| c > 1)
+            .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
+            .map(|(v, _)| v)
+    }
+
+    #[test]
+    fn pivot_matches_its_reference_definition_on_seeded_children() {
+        let mut rng = Rng64::seed_from_u64(0x51AA_9107);
+        let (mut pivots, mut none) = (0, 0);
+        for case in 0..600u32 {
+            // Few variables against many children: counts tie all the
+            // time, and a child often repeats a variable of its own.
+            let n = [1, 2, 3, 5, 12, 40, 400][case as usize % 7];
+            let universe = 2 + rng.below_u64(2 * n as u64);
+            let children: Vec<Lineage> = (0..n)
+                .map(|_| match rng.below_u64(4) {
+                    0 => Lineage::var(rng.below_u64(universe)),
+                    1 => Lineage::Not(Box::new(Lineage::var(rng.below_u64(universe)))),
+                    _ => Lineage::And(
+                        (0..rng.range_usize(1, 5))
+                            .map(|_| Lineage::var(rng.below_u64(universe)))
+                            .collect(),
+                    ),
+                })
+                .collect();
+            let want = reference_most_shared_var(&children);
+            assert_eq!(most_shared_var(&children), want, "case {case}");
+            pivots += usize::from(want.is_some());
+            none += usize::from(want.is_none());
+        }
+        assert!(pivots > 200 && none > 50, "{pivots} / {none}");
+    }
+
+    #[test]
+    fn pivot_ties_go_to_the_smallest_variable_and_repeats_count_once() {
+        let and = |vs: &[u64]| Lineage::And(vs.iter().map(|&v| Lineage::var(v)).collect());
+        // 3, 5 and 9 are each in two children: the smallest wins.
+        let tie = [and(&[9, 5]), and(&[5, 3]), and(&[3, 9])];
+        assert_eq!(most_shared_var(&tie), Some(VarId(3)));
+        // 7 occurs three times but in one child; 8 is in two children.
+        let repeated = [and(&[7, 7, 7, 8]), and(&[8, 1])];
+        assert_eq!(most_shared_var(&repeated), Some(VarId(8)));
+        // A variable repeated only inside one child shares nothing.
+        assert_eq!(most_shared_var(&[and(&[7, 7]), and(&[1, 2])]), None);
+        assert_eq!(most_shared_var(&[]), None);
     }
 
     #[test]

@@ -62,9 +62,14 @@ impl Catalog {
     pub fn insert(&mut self, table: &str, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
         check_confidence(confidence)?;
         let id = TupleId(self.next_id);
+        // The counter never hands out `u64::MAX`: a restored tuple may
+        // hold it (see `insert_with_id`), and nothing would come after.
+        let next =
+            id.0.checked_add(1)
+                .ok_or(StorageError::DuplicateTupleId(id.0))?;
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
-        self.next_id += 1;
+        self.next_id = next;
         Ok(id)
     }
 
@@ -85,7 +90,7 @@ impl Catalog {
         check_confidence(confidence)?;
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
-        self.next_id = self.next_id.max(id.0 + 1);
+        self.next_id = self.next_id.max(id.0.saturating_add(1));
         Ok(id)
     }
 
@@ -103,7 +108,9 @@ impl Catalog {
         Ok(pos)
     }
 
-    /// Find the base tuple with the given id, searching all tables.
+    /// Find the base tuple with the given id, searching all tables — each
+    /// asked once, and a table whose id range excludes `id` answers
+    /// without a probe (see [`Table::row`]).
     pub fn find_tuple(&self, id: TupleId) -> Option<(&str, &StoredTuple)> {
         self.tables
             .values()
@@ -117,12 +124,13 @@ impl Catalog {
 
     /// Raise the confidence of a base tuple wherever it lives.
     pub fn raise_confidence(&mut self, id: TupleId, confidence: f64) -> Result<f64> {
-        for t in self.tables.values_mut() {
-            if t.row(id).is_some() {
-                return t.raise_confidence(id, confidence);
-            }
-        }
-        Err(StorageError::UnknownTuple(id.0))
+        let row = self
+            .tables
+            .values_mut()
+            .find_map(|t| t.row_mut(id))
+            .ok_or(StorageError::UnknownTuple(id.0))?;
+        check_confidence(confidence)?;
+        Ok(row.raise_to(confidence))
     }
 
     /// Total number of base tuples across all tables.

@@ -32,6 +32,10 @@ pub struct Table {
     schema: Schema,
     rows: Vec<StoredTuple>,
     by_id: HashMap<TupleId, usize>,
+    /// Smallest and largest id stored, kept by [`Table::push_row`]: an id
+    /// outside the range is not here, and [`Table::row`] says so without
+    /// hashing it — what a catalog-wide search by id pays per other table.
+    id_range: Option<(TupleId, TupleId)>,
     /// Equality indexes, in creation order. Maintained incrementally by
     /// [`Table::push_row`], which every insert path funnels through
     /// (catalog insert, restore-with-id, standalone insert, CSV import).
@@ -76,6 +80,7 @@ impl Table {
             schema,
             rows: Vec::new(),
             by_id: HashMap::new(),
+            id_range: None,
             indexes: Vec::new(),
             images,
             ids,
@@ -141,6 +146,8 @@ impl Table {
             }
         }
         self.by_id.insert(row.id, pos);
+        let (lo, hi) = self.id_range.unwrap_or((row.id, row.id));
+        self.id_range = Some((lo.min(row.id), hi.max(row.id)));
         self.rows.push(row);
     }
 
@@ -247,9 +254,25 @@ impl Table {
         &self.rows
     }
 
+    /// Where the row with this id is stored, if it is stored here.
+    fn position(&self, id: TupleId) -> Option<usize> {
+        let (lo, hi) = self.id_range?;
+        if id < lo || hi < id {
+            return None;
+        }
+        self.by_id.get(&id).copied()
+    }
+
     /// Look up a row by id.
     pub fn row(&self, id: TupleId) -> Option<&StoredTuple> {
-        self.by_id.get(&id).and_then(|&i| self.rows.get(i))
+        self.rows.get(self.position(id)?)
+    }
+
+    /// The row with this id, to change its confidence — its values feed
+    /// the indexes and images and are not to be written through this.
+    pub(crate) fn row_mut(&mut self, id: TupleId) -> Option<&mut StoredTuple> {
+        let at = self.position(id)?;
+        self.rows.get_mut(at)
     }
 
     /// Current confidence of a tuple, if it exists.
@@ -260,14 +283,7 @@ impl Table {
     /// Set a tuple's confidence (the "data quality improvement" action).
     pub fn set_confidence(&mut self, id: TupleId, confidence: f64) -> Result<()> {
         check_confidence(confidence)?;
-        let idx = *self
-            .by_id
-            .get(&id)
-            .ok_or(StorageError::UnknownTuple(id.0))?;
-        let row = self
-            .rows
-            .get_mut(idx)
-            .ok_or(StorageError::UnknownTuple(id.0))?;
+        let row = self.row_mut(id).ok_or(StorageError::UnknownTuple(id.0))?;
         row.confidence = confidence;
         Ok(())
     }
@@ -276,18 +292,19 @@ impl Table {
     /// current value; never lowers it. Returns the resulting confidence.
     pub fn raise_confidence(&mut self, id: TupleId, confidence: f64) -> Result<f64> {
         check_confidence(confidence)?;
-        let idx = *self
-            .by_id
-            .get(&id)
-            .ok_or(StorageError::UnknownTuple(id.0))?;
-        let row = self
-            .rows
-            .get_mut(idx)
-            .ok_or(StorageError::UnknownTuple(id.0))?;
-        if confidence > row.confidence {
-            row.confidence = confidence;
+        let row = self.row_mut(id).ok_or(StorageError::UnknownTuple(id.0))?;
+        Ok(row.raise_to(confidence))
+    }
+}
+
+impl StoredTuple {
+    /// Raise the confidence to a checked `confidence` if that is higher;
+    /// returns the resulting confidence.
+    pub(crate) fn raise_to(&mut self, confidence: f64) -> f64 {
+        if confidence > self.confidence {
+            self.confidence = confidence;
         }
-        Ok(row.confidence)
+        self.confidence
     }
 }
 

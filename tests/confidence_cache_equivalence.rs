@@ -471,3 +471,128 @@ fn batch_proposal_meets_every_request_at_any_thread_count() {
     );
     assert!(exact >= 3, "only {exact} batches had every request short");
 }
+
+// ---------------------------------------------------------------------------
+// Wide lineage: the shapes whose cost is per leaf.
+
+/// Aggregation over thousands of matching rows, DISTINCT over a join (an
+/// OR of ANDs sharing build-side tuples), a UNION that brings one tuple
+/// into one OR twice and out of id order, and a self-join whose every pair
+/// is `t ∧ t`.
+const WIDE_QUERIES: &[&str] = &[
+    "SELECT grp, COUNT(*) AS n FROM orders WHERE amount >= 0 GROUP BY grp",
+    "SELECT DISTINCT c.score FROM orders o JOIN customers c ON o.cust = c.id WHERE o.amount = 3",
+    "SELECT grp FROM orders WHERE amount > 7 UNION SELECT grp FROM orders WHERE cust < 3",
+    "SELECT DISTINCT a.grp FROM orders a JOIN orders b ON a.k = b.k WHERE a.amount > 7",
+];
+
+const WIDE_ORDERS: i64 = 3_300;
+
+/// `orders(k, cust, amount, grp)` with confidences small enough that an OR
+/// over a thousand of them stays well inside (0, 1), and twelve customers
+/// sharing four scores.
+fn wide_db(config: EngineConfig) -> Database {
+    let mut db = Database::new(config);
+    let int = |name: &str| Column::new(name, DataType::Int);
+    let orders = vec![int("k"), int("cust"), int("amount"), int("grp")];
+    db.create_table("orders", Schema::new(orders).unwrap())
+        .unwrap();
+    let customers = vec![int("id"), Column::new("score", DataType::Real)];
+    db.create_table("customers", Schema::new(customers).unwrap())
+        .unwrap();
+    let mut rng = Rng64::seed_from_u64(0x00CA_01DE);
+    for id in 0..12i64 {
+        let row = vec![Value::Int(id), Value::Real((id % 4) as f64)];
+        db.insert("customers", row, rng.range_f64(0.3, 0.9))
+            .unwrap();
+    }
+    for k in 0..WIDE_ORDERS {
+        let row = [k, k % 12, (k * 7) % 10, k % 2].map(Value::Int).to_vec();
+        db.insert("orders", row, rng.range_f64(0.0005, 0.0025))
+            .unwrap();
+    }
+    db.add_policy(ConfidencePolicy::new("analyst", "research", 0.5).unwrap());
+    db.add_policy(ConfidencePolicy::new("analyst", "audit", 0.15).unwrap());
+    db
+}
+
+const LINEAGE_COUNTERS: [&str; 5] = [
+    "lineage.circuit_compiled",
+    "lineage.cache_hit",
+    "lineage.cache_invalidated",
+    "lineage.exact_skipped",
+    "lineage.exact_rescored",
+];
+
+/// The pool's counters after each phase of
+/// `wide_lineage_matches_the_reference`, as the commit before the pool's
+/// variable table read them (PR 19 changed where a `Var` leaf is kept, not
+/// what counts as a hit).
+const WIDE_COUNTERS: [[u64; 5]; 3] = [
+    [8, 4_629, 0, 4, 4],
+    [8, 6_973, 10, 8, 8],
+    [8, 9_251, 16, 12, 12],
+];
+
+#[test]
+fn wide_lineage_matches_the_reference() {
+    let user = User::new("ada", "analyst");
+    let research = ConfidencePolicy::new("analyst", "research", 0.5).unwrap();
+    let audit = ConfidencePolicy::new("analyst", "audit", 0.15).unwrap();
+    // Every wide query under "research", then the join under "audit".
+    let sweep = |db: &mut Database, phase: &str| {
+        for (purpose, policy, queries) in [
+            ("research", &research, WIDE_QUERIES),
+            ("audit", &audit, &WIDE_QUERIES[1..2]),
+        ] {
+            for sql in queries {
+                let expected = reference(sql, db.catalog(), policy);
+                let got = db.query(&user, &QueryRequest::new(*sql, purpose)).unwrap();
+                let context = format!("{sql} ({purpose}, {phase})");
+                assert_matches_reference(&got, &expected, policy, &context);
+            }
+        }
+    };
+    let counters = |db: &Database| LINEAGE_COUNTERS.map(|name| db.metrics_snapshot().counter(name));
+    for threads in [Some(1), Some(4), None] {
+        let config = EngineConfig {
+            worker_threads: threads,
+            parallel_threshold: 1,
+            ..EngineConfig::default()
+        };
+        let mut db = wide_db(config.clone());
+        let matching = reference(WIDE_QUERIES[0], db.catalog(), &research);
+        assert_eq!(matching.scored.len(), 2, "two groups");
+        let per_group: usize = matching.scored.iter().map(|s| s.lineage.vars().len()).sum();
+        assert_eq!(per_group, WIDE_ORDERS as usize, "every order feeds a group");
+
+        sweep(&mut db, "fresh");
+        let fresh = counters(&db);
+
+        // A θ-miss on the join: the preview of its proposal is the
+        // reference's answer over a twin with the proposal applied, and
+        // leaves the catalog answering as before.
+        let request = QueryRequest::new(WIDE_QUERIES[1], "audit").expecting(1.0);
+        let missed = db.query(&user, &request).unwrap();
+        assert!(missed.withheld > 0, "the join must miss θ = 1");
+        let proposal = missed.proposal.expect("negation-free rows are improvable");
+        let mut twin = wide_db(config);
+        twin.apply(&proposal).unwrap();
+        let future = reference(WIDE_QUERIES[1], twin.catalog(), &audit);
+        let preview = db.what_if(&user, &request, &proposal).unwrap();
+        assert_matches_reference(&preview, &future, &audit, "what-if over the wide join");
+        assert_eq!(preview.withheld, 0, "the proposal releases every row");
+        sweep(&mut db, "after what_if");
+        let previewed = counters(&db);
+
+        db.apply(&proposal).unwrap();
+        sweep(&mut db, "after apply");
+        let applied = counters(&db);
+
+        assert_eq!(
+            [fresh, previewed, applied],
+            WIDE_COUNTERS,
+            "lineage.* counters moved (threads={threads:?})"
+        );
+    }
+}

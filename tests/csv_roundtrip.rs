@@ -172,3 +172,68 @@ fn persisted_databases_reload_with_aligned_images() {
     assert!(refused > 0 && shorter > 0, "{refused} / {shorter}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A directory nobody saved: tuple ids at `u64::MAX`, at 2⁴⁰ and
+/// thousands more 2³² apart, out of order. `load` takes them as they
+/// are — ids are lineage variables, so they reach the circuit pool
+/// unchanged, where anything indexed densely by id would try to allocate
+/// the id space — and queries over them answer like the reference.
+#[test]
+fn a_hand_written_directory_with_hostile_tuple_ids_loads_and_answers() {
+    let dir = std::env::temp_dir().join(format!("pcqe-hostile-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = "pcqe-manifest\tv1\n\
+        table\treadings\ncolumn\tk\tINT\ncolumn\tv\tREAL\nend\n\
+        table\tsites\ncolumn\tk\tINT\ncolumn\tname\tTEXT\nend\n\
+        policy\tanalyst\taudit\t0.4\n";
+    std::fs::write(dir.join("manifest.tsv"), manifest).unwrap();
+    let mut readings = String::from("__id,k,v,confidence\n");
+    let mut rng = Rng64::seed_from_u64(0xC5F0_01D5);
+    // 256 << 32 is 2⁴⁰, so that one is among the first 2 400.
+    let mut ids: Vec<u64> = (1..=2_400u64).map(|i| i << 32).collect();
+    ids.extend([u64::MAX, (1 << 40) + 1, 7]);
+    rng.shuffle(&mut ids);
+    for (i, id) in ids.iter().enumerate() {
+        let v = rng.range_f64(-1.0, 3.0);
+        let confidence = rng.range_f64(0.0005, 0.003);
+        readings.push_str(&format!("{id},{},{v},{confidence}\n", i % 4));
+    }
+    std::fs::write(dir.join("readings.csv"), readings).unwrap();
+    let sites = format!(
+        "__id,k,name,confidence\n{},0,north,0.8\n3,1,south,0.7\n{},2,east,0.6\n",
+        u64::MAX - 1,
+        3u64 << 62
+    );
+    std::fs::write(dir.join("sites.csv"), sites).unwrap();
+
+    let mut db = persist::load(&dir, EngineConfig::default()).unwrap();
+    assert_eq!(db.catalog().total_rows(), ids.len() + 3);
+    assert_images_aligned(db.catalog(), "persist::load of hostile ids");
+    let policy = ConfidencePolicy::new("analyst", "audit", 0.4).unwrap();
+    let analyst = User::new("ana", "analyst");
+    let mut released = 0;
+    for sql in [
+        "SELECT k, COUNT(*) AS n FROM readings GROUP BY k",
+        "SELECT DISTINCT s.name FROM readings r JOIN sites s ON r.k = s.k WHERE r.v > 0",
+        "SELECT k FROM readings WHERE v > 2 UNION SELECT k FROM readings WHERE v < 2.5",
+        "SELECT name FROM sites",
+    ] {
+        let expected = reference(sql, db.catalog(), &policy);
+        let response = db
+            .query(&analyst, &QueryRequest::new(sql, "audit"))
+            .unwrap();
+        assert_matches_reference(&response, &expected, &policy, sql);
+        released += response.released.len();
+    }
+    assert!(released >= 8, "only {released} rows were released");
+
+    // The id counter stops short of `u64::MAX`, which is taken: the next
+    // insert is a typed refusal, not a second tuple with that id.
+    let row = vec![Value::Int(0), Value::Real(0.0)];
+    assert!(matches!(
+        db.insert("readings", row, 0.5),
+        Err(EngineError::Storage(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
