@@ -207,14 +207,8 @@ impl ResultSet {
                 exact_skipped += usize::from(bound.is_some());
             }
             if let (Some(obs), Some(t0)) = (options.observer, started) {
-                obs.batch(&pcqe_par::BatchReport {
-                    items: chunk.len(),
-                    workers: 1,
-                    chunks: 1,
-                    chunks_claimed: vec![1],
-                    busy_nanos: vec![obs.now_nanos().saturating_sub(t0)],
-                    reassembly_stalls: 0,
-                });
+                let busy = obs.now_nanos().saturating_sub(t0);
+                obs.batch(&pcqe_par::BatchReport::sequential(chunk.len(), 1, busy));
             }
         }
         let gated = GatedScore {

@@ -35,9 +35,6 @@ pub struct EngineConfig {
     pub solver: SolverChoice,
     /// Shannon budget when compiling lineage into the strategy problem.
     pub lineage_budget: usize,
-    /// Run the logical optimiser (predicate pushdown, product→join
-    /// conversion) on every query plan.
-    pub optimize_plans: bool,
     /// Worker threads for plan execution, result scoring (the solvers'
     /// initial scoring included) and divide-and-conquer's groups. `None` uses every available core;
     /// `Some(1)` reproduces the sequential engine bit-for-bit (any setting
@@ -61,7 +58,6 @@ impl Default for EngineConfig {
             default_cost: CostFn::linear(100.0).expect("constant is valid"),
             solver: SolverChoice::Auto,
             lineage_budget: 4096,
-            optimize_plans: true,
             worker_threads: None,
             parallel_threshold: pcqe_par::DEFAULT_PARALLEL_THRESHOLD,
             record_metrics: true,

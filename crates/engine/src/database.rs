@@ -381,7 +381,7 @@ impl Database {
         }
     }
 
-    /// Render the (optimised, when enabled) plan for a query — an
+    /// Render the optimised plan for a query — an
     /// `EXPLAIN` facility for debugging and teaching.
     pub fn explain(&self, sql: &str) -> Result<String> {
         Ok(self.plan_sql(sql)?.to_string())
@@ -408,14 +408,10 @@ impl Database {
         Ok(profile.render())
     }
 
-    /// Parse and plan a SQL query, running the optimiser when enabled.
+    /// Parse, plan and optimise a SQL query.
     fn plan_sql(&self, sql: &str) -> Result<pcqe_algebra::Plan> {
         let plan = parse_and_plan(sql, &self.catalog)?;
-        if self.config.optimize_plans {
-            Ok(pcqe_algebra::optimize(&plan, &self.catalog)?)
-        } else {
-            Ok(plan)
-        }
+        Ok(pcqe_algebra::optimize(&plan, &self.catalog)?)
     }
 
     /// Lower a planned query and run it on the vectorized executor. The
@@ -659,7 +655,9 @@ impl Database {
     ///
     /// Tracing is write-only: the response (and any audit entry) is
     /// bit-identical to an untraced [`Database::query`] of the same
-    /// request. On error the buffered events are discarded so the next
+    /// request. The tracer comes back in the state it was found in (a
+    /// caller that enabled it by hand keeps it enabled), on the error path
+    /// too. On error the buffered events are discarded so the next
     /// trace starts clean. Events the tracer's bounded buffer had to drop
     /// are counted in the trace *and* added to the recorder's
     /// `trace.dropped` counter (non-zero only, like the other drained
@@ -669,9 +667,10 @@ impl Database {
         user: &User,
         request: &QueryRequest,
     ) -> Result<(QueryResponse, pcqe_obs::QueryTrace)> {
+        let was_enabled = self.tracer.is_enabled();
         self.tracer.set_enabled(true);
         let result = self.query(user, request);
-        self.tracer.set_enabled(false);
+        self.tracer.set_enabled(was_enabled);
         let trace = self.tracer.drain();
         if trace.dropped > 0 && self.recording() {
             self.recorder.counter_add("trace.dropped", trace.dropped);
@@ -798,10 +797,16 @@ impl Database {
 
     /// Accept a proposal: apply its increments to the database (Figure 1,
     /// steps 8–9, the data-quality improvement component). Rejects
-    /// proposals computed against an older database version.
+    /// proposals computed against an older database version. All or
+    /// nothing: every increment is validated before the first is written,
+    /// so a refused proposal (the error is that of its first offending
+    /// increment) leaves confidences, version and audit log untouched.
     pub fn apply(&mut self, proposal: &crate::response::ImprovementProposal) -> Result<()> {
         if proposal.version != self.version {
             return Err(EngineError::StaleProposal);
+        }
+        for inc in &proposal.increments {
+            self.catalog.check_raise(inc.tuple_id, inc.to)?;
         }
         for inc in &proposal.increments {
             self.catalog.raise_confidence(inc.tuple_id, inc.to)?;

@@ -1,17 +1,22 @@
 //! # pcqe-par — deterministic data parallelism on `std` alone
 //!
-//! A small chunked work-queue scheduler built on [`std::thread::scope`].
-//! No external dependencies, no global thread pool, no unsafe code: a
-//! batch of work items is split into cache-friendly chunks, worker
-//! threads claim chunks from an atomic counter, and the per-chunk outputs
-//! are reassembled **in input order** before returning.
+//! One scheduler on [`std::thread::scope`] — no external dependencies, no
+//! global thread pool, no lock, no unsafe code — with one protocol and two
+//! faces. The protocol is [`morsel::map_morsels`]: scoped workers claim
+//! *unit* indexes from an atomic cursor and the caller reassembles their
+//! results **in unit order** (a batch too light for threads runs the same
+//! units on the calling thread). The faces differ in who cuts the units:
+//! [`morsel::map_morsels`] / [`morsel::try_map_morsels`] take the caller's
+//! variable-weight units (a run of stored rows, a hash-join partition);
+//! [`map`] / [`try_map_observed`] take a homogeneous item slice, cut it
+//! into a few equal chunks per worker and concatenate the parts.
 //!
 //! ## Determinism contract
 //!
 //! For a pure (or per-item-seeded) function `f`, `map(par, items, f)`
 //! returns exactly `items.iter().map(f).collect()` — the same values in
 //! the same order — regardless of how many worker threads ran or how
-//! chunks interleaved. This is what lets the engine keep byte-identical
+//! units interleaved. This is what lets the engine keep byte-identical
 //! query answers while scaling across cores: thread count changes *when*
 //! an item is evaluated, never *what* is evaluated or where its output
 //! lands.
@@ -34,9 +39,6 @@
 
 pub mod morsel;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 /// Per-batch scheduler telemetry handed to a [`ParObserver`].
 ///
 /// Vectors are indexed by worker slot (`0..workers`), so per-worker skew
@@ -57,6 +59,21 @@ pub struct BatchReport {
     /// Chunks that completed after a higher-indexed chunk — each one
     /// forces the in-order reassembly to hold buffered output.
     pub reassembly_stalls: u64,
+}
+
+impl BatchReport {
+    /// The report of a batch that ran on the calling thread: one worker
+    /// claimed all `chunks` and was busy for `busy_nanos`.
+    pub fn sequential(items: usize, chunks: usize, busy_nanos: u64) -> Self {
+        BatchReport {
+            items,
+            workers: 1,
+            chunks,
+            chunks_claimed: vec![chunks as u64],
+            busy_nanos: vec![busy_nanos],
+            reassembly_stalls: 0,
+        }
+    }
 }
 
 /// A passive observer of scheduler batches.
@@ -200,15 +217,17 @@ impl Parallelism {
     }
 }
 
-/// Number of chunks to cut a batch into: a few morsels per worker so a
-/// slow chunk does not straggle the whole batch.
+/// Chunks per worker a slice is cut into: a few, so a slow chunk does not
+/// straggle the whole batch.
 const CHUNKS_PER_WORKER: usize = 4;
 
-fn chunk_bounds(len: usize, workers: usize) -> (usize, usize) {
-    let target_chunks = workers * CHUNKS_PER_WORKER;
-    let chunk_size = len.div_ceil(target_chunks).max(1);
-    let n_chunks = len.div_ceil(chunk_size);
-    (chunk_size, n_chunks)
+/// Items per chunk for a slice of `len` items run by `workers` workers;
+/// a single worker takes the whole slice as one chunk.
+fn chunk_size(len: usize, workers: usize) -> usize {
+    match workers {
+        0 | 1 => len.max(1),
+        _ => len.div_ceil(workers * CHUNKS_PER_WORKER).max(1),
+    }
 }
 
 /// Apply `f` to every item, in parallel, preserving input order.
@@ -222,146 +241,16 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_indexed(par, items, |_, item| f(item))
+    map_chunks(par, items, f, None)
 }
 
-/// [`map`], but `f` also receives the item's index in the input slice.
-pub fn map_indexed<T, R, F>(par: &Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_indexed_observed(par, items, f, None)
-}
-
-/// [`map`] with an optional [`ParObserver`] receiving batch telemetry.
-///
-/// Identical output to [`map`] for every observer and thread count: the
-/// observer only reads its own clock and receives counts after the fact.
-pub fn map_observed<T, R, F>(
-    par: &Parallelism,
-    items: &[T],
-    f: F,
-    observer: Option<&dyn ParObserver>,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_indexed_observed(par, items, |_, item| f(item), observer)
-}
-
-/// [`map_indexed`] with an optional [`ParObserver`].
-pub fn map_indexed_observed<T, R, F>(
-    par: &Parallelism,
-    items: &[T],
-    f: F,
-    observer: Option<&dyn ParObserver>,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let len = items.len();
-    let workers = par.workers_for(len);
-    if workers <= 1 {
-        let started = observer.map(|o| o.now_nanos());
-        let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        if let (Some(obs), Some(t0)) = (observer, started) {
-            obs.batch(&BatchReport {
-                items: len,
-                workers: 1,
-                chunks: 1,
-                chunks_claimed: vec![1],
-                busy_nanos: vec![obs.now_nanos().saturating_sub(t0)],
-                reassembly_stalls: 0,
-            });
-        }
-        return out;
-    }
-    let (chunk_size, n_chunks) = chunk_bounds(len, workers);
-    let spawned = workers.min(n_chunks);
-    let next_chunk = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    // Per-worker telemetry, written once per worker at loop exit.
-    let worker_stats: Mutex<Vec<(usize, u64, u64)>> = Mutex::new(Vec::with_capacity(spawned));
-    let stalls = AtomicUsize::new(0);
-    let max_pushed = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..spawned {
-            let f = &f;
-            let next_chunk = &next_chunk;
-            let done = &done;
-            let worker_stats = &worker_stats;
-            let stalls = &stalls;
-            let max_pushed = &max_pushed;
-            scope.spawn(move || {
-                let mut claimed: u64 = 0;
-                let mut busy: u64 = 0;
-                loop {
-                    let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let t0 = observer.map(|o| o.now_nanos());
-                    let start = c * chunk_size;
-                    let end = (start + chunk_size).min(len);
-                    let out: Vec<R> = items[start..end]
-                        .iter()
-                        .enumerate()
-                        .map(|(off, t)| f(start + off, t))
-                        .collect();
-                    if let (Some(obs), Some(t0)) = (observer, t0) {
-                        claimed += 1;
-                        busy += obs.now_nanos().saturating_sub(t0);
-                        // A chunk landing after a higher-indexed sibling
-                        // means in-order reassembly had to buffer.
-                        let seen = max_pushed.fetch_max(c + 1, Ordering::Relaxed);
-                        if seen > c + 1 {
-                            stalls.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    done.lock().expect("no poisoned chunk list").push((c, out));
-                }
-                if observer.is_some() {
-                    worker_stats
-                        .lock()
-                        .expect("no poisoned stats list")
-                        .push((w, claimed, busy));
-                }
-            });
-        }
-    });
-    if let Some(obs) = observer {
-        let mut per_worker = worker_stats.into_inner().expect("scope joined all workers");
-        per_worker.sort_unstable_by_key(|&(w, _, _)| w);
-        obs.batch(&BatchReport {
-            items: len,
-            workers: spawned,
-            chunks: n_chunks,
-            chunks_claimed: per_worker.iter().map(|&(_, c, _)| c).collect(),
-            busy_nanos: per_worker.iter().map(|&(_, _, b)| b).collect(),
-            reassembly_stalls: stalls.load(Ordering::Relaxed) as u64,
-        });
-    }
-    let mut chunks = done.into_inner().expect("scope joined all workers");
-    chunks.sort_unstable_by_key(|&(c, _)| c);
-    debug_assert_eq!(chunks.len(), n_chunks);
-    let mut out = Vec::with_capacity(len);
-    for (_, mut part) in chunks {
-        out.append(&mut part);
-    }
-    out
-}
-
-/// Fallible [`map_observed`]: apply `f` to every item in parallel and
-/// return either all results in input order or the **first error in
-/// input order** — matching what a sequential
+/// Fallible [`map`] with an optional [`ParObserver`]: apply `f` to every
+/// item in parallel and return either all results in input order or the
+/// **first error in input order** — matching what a sequential
 /// `collect::<Result<Vec<_>, _>>()` would report (later items may still
-/// have been evaluated).
+/// have been evaluated). The observer only reads its own clock and
+/// receives counts after the fact; results are identical with or
+/// without one.
 pub fn try_map_observed<T, R, E, F>(
     par: &Parallelism,
     items: &[T],
@@ -374,14 +263,43 @@ where
     E: Send,
     F: Fn(&T) -> Result<R, E> + Sync,
 {
-    let attempts = map_observed(par, items, f, observer);
-    attempts.into_iter().collect()
+    map_chunks(par, items, f, observer).into_iter().collect()
+}
+
+/// The slice face of the dispatcher: cut `items` into chunks, run them as
+/// morsels weighing `items.len()`, and concatenate the per-chunk outputs
+/// (the first chunk's buffer is the output, so a one-chunk batch is a
+/// single direct `collect`).
+fn map_chunks<T, R, F>(
+    par: &Parallelism,
+    items: &[T],
+    f: F,
+    observer: Option<&dyn ParObserver>,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let len = items.len();
+    let chunks: Vec<&[T]> = items
+        .chunks(chunk_size(len, par.workers_for(len)))
+        .collect();
+    let run = |_: usize, chunk: &&[T]| chunk.iter().map(&f).collect::<Vec<R>>();
+    let mut parts = morsel::map_morsels(par, &chunks, len, run, observer).into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    out.reserve(len.saturating_sub(out.len()));
+    for mut part in parts {
+        out.append(&mut part);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn eight() -> Parallelism {
         Parallelism {
@@ -424,13 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_gives_the_input_slice_index() {
+    fn the_dispatcher_gives_each_unit_its_slice_index() {
         let items = vec!["a", "b", "c", "d", "e"];
         let par = Parallelism {
             worker_threads: Some(4),
             parallel_threshold: 1,
         };
-        let got = map_indexed(&par, &items, |i, s| format!("{i}{s}"));
+        let got = morsel::map_morsels(&par, &items, 5, |i, s| format!("{i}{s}"), None);
         assert_eq!(got, vec!["0a", "1b", "2c", "3d", "4e"]);
     }
 
@@ -503,13 +421,15 @@ mod tests {
             ticks: AtomicUsize::new(0),
             batches: Mutex::new(Vec::new()),
         };
-        let observed = map_observed(&eight(), &items, |x| x * 7 + 3, Some(&obs));
+        let observed =
+            try_map_observed(&eight(), &items, |x| Ok::<_, ()>(x * 7 + 3), Some(&obs)).unwrap();
         assert_eq!(plain, observed, "observation must not change results");
         let batches = obs.batches.lock().expect("batches");
         assert_eq!(batches.len(), 1, "one report per batch");
         let r = &batches[0];
         assert_eq!(r.items, 10_000);
-        assert!(r.workers >= 1 && r.workers <= 8);
+        assert_eq!(r.workers, 8);
+        assert_eq!(r.chunks, 32, "four 313-item chunks per worker");
         assert_eq!(r.chunks_claimed.len(), r.workers);
         assert_eq!(r.busy_nanos.len(), r.workers);
         assert_eq!(
@@ -531,18 +451,20 @@ mod tests {
             }
         }
         let obs = OneBatch(Mutex::new(None));
-        let out = map_observed(
+        let out = try_map_observed(
             &Parallelism::sequential(),
             &[1u8, 2, 3],
-            |x| x + 1,
+            |x| Ok::<_, ()>(x + 1),
             Some(&obs),
         );
-        assert_eq!(out, vec![2, 3, 4]);
+        assert_eq!(out, Ok(vec![2, 3, 4]));
         let report = obs.0.lock().expect("slot").clone().expect("reported");
-        assert_eq!(report.workers, 1);
-        assert_eq!(report.chunks, 1);
-        assert_eq!(report.chunks_claimed, vec![1]);
-        assert_eq!(report.reassembly_stalls, 0);
+        assert_eq!(report, BatchReport::sequential(3, 1, 0));
+        // An empty slice has no chunk to cut, and still reports one.
+        let out = try_map_observed(&eight(), &[0u8; 0], |x| Ok::<_, ()>(x + 1), Some(&obs));
+        assert_eq!(out, Ok(vec![]));
+        let report = obs.0.lock().expect("slot").clone().expect("reported");
+        assert_eq!(report, BatchReport::sequential(0, 1, 0));
     }
 
     #[test]

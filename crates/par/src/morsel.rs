@@ -1,27 +1,21 @@
-//! Morsel-driven work dispatch for the vectorized executor.
+//! The dispatcher: every `pcqe-par` batch runs through [`map_morsels`].
 //!
-//! The chunked [`crate::map`] scheduler cuts a *homogeneous item slice*
-//! into equal chunks. Vectorized execution needs one level up from that:
-//! the work arrives already cut into **morsels** — variable-weight units
-//! such as "one run of ~1024 stored rows" or "one hash-join
-//! partition" — and each unit wants exactly one `f` application, not one
-//! per row. This module dispatches whole units across worker threads:
+//! Work arrives already cut into **units** — morsels of variable weight
+//! such as "one run of ~1024 stored rows" or "one hash-join partition",
+//! or the equal chunks [`crate::map`] cuts a slice into — and each unit
+//! gets exactly one `f` application:
 //!
-//! * workers claim unit indexes from an atomic cursor (same protocol as
-//!   the chunk scheduler, so scheduling skew telemetry stays comparable);
+//! * workers claim unit indexes from an atomic cursor;
 //! * finished units flow back over an [`std::sync::mpsc`] channel and are
 //!   reassembled **in unit order** on the calling thread;
 //! * `weight` (total rows across all units) — not the unit count — decides
 //!   whether spawning pays off, via [`Parallelism::workers_for`].
 //!
-//! The determinism contract is the one the rest of `pcqe-par` keeps: for
-//! a pure `f`, [`map_morsels`] returns exactly
-//! `units.iter().enumerate().map(|(i, u)| f(i, u)).collect()` at any
-//! thread count, and [`try_map_morsels`] fails with the **first error in
-//! unit order**, matching a sequential `collect::<Result<..>>()`. Batch
-//! telemetry is reported once, after the scope joins — never from inside
-//! a worker — so observers see deterministic structure (items, chunks)
-//! with only the timing fields varying run to run.
+//! For a pure `f` the output is the sequential one at any thread count
+//! (see [`map_morsels`], [`try_map_morsels`]). Batch telemetry is reported
+//! once, after the scope joins — never from inside a worker — so observers
+//! see deterministic structure (items, chunks) with only the timing
+//! fields varying run to run.
 
 use crate::{BatchReport, ParObserver, Parallelism};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,18 +42,12 @@ where
 {
     let n_units = units.len();
     let workers = par.workers_for(weight).min(n_units.max(1));
-    if workers <= 1 || n_units <= 1 {
+    if workers <= 1 {
         let started = observer.map(|o| o.now_nanos());
         let out: Vec<R> = units.iter().enumerate().map(|(i, u)| f(i, u)).collect();
         if let (Some(obs), Some(t0)) = (observer, started) {
-            obs.batch(&BatchReport {
-                items: weight,
-                workers: 1,
-                chunks: n_units.max(1),
-                chunks_claimed: vec![n_units.max(1) as u64],
-                busy_nanos: vec![obs.now_nanos().saturating_sub(t0)],
-                reassembly_stalls: 0,
-            });
+            let busy = obs.now_nanos().saturating_sub(t0);
+            obs.batch(&BatchReport::sequential(weight, n_units.max(1), busy));
         }
         return out;
     }
@@ -78,9 +66,6 @@ where
                 let mut busy: u64 = 0;
                 loop {
                     let c = next_unit.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_units {
-                        break;
-                    }
                     let Some(unit) = units.get(c) else { break };
                     let t0 = observer.map(|o| o.now_nanos());
                     let out = f(c, unit);
@@ -107,8 +92,7 @@ where
     let mut max_seen: usize = 0;
     for (c, out) in rx {
         // A unit arriving after a higher-indexed sibling means in-order
-        // reassembly had to hold buffered output (same signal as the
-        // chunk scheduler's `reassembly_stalls`).
+        // reassembly had to hold buffered output.
         if max_seen > c + 1 {
             stalls += 1;
         }
@@ -150,8 +134,9 @@ where
     E: Send,
     F: Fn(usize, &U) -> Result<R, E> + Sync,
 {
-    let attempts = map_morsels(par, units, weight, f, observer);
-    attempts.into_iter().collect()
+    map_morsels(par, units, weight, f, observer)
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]

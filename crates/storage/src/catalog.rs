@@ -122,6 +122,15 @@ impl Catalog {
         self.find_tuple(id).map(|(_, r)| r.confidence)
     }
 
+    /// Whether [`Catalog::raise_confidence`] would accept this raise: the
+    /// same checks in the same order, nothing written — what lets a caller
+    /// validate a whole batch of raises before the first one lands.
+    pub fn check_raise(&self, id: TupleId, confidence: f64) -> Result<()> {
+        self.find_tuple(id)
+            .ok_or(StorageError::UnknownTuple(id.0))?;
+        check_confidence(confidence)
+    }
+
     /// Raise the confidence of a base tuple wherever it lives.
     pub fn raise_confidence(&mut self, id: TupleId, confidence: f64) -> Result<f64> {
         let row = self

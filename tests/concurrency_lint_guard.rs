@@ -79,11 +79,12 @@ fn a_tree_without_a_manifest_reports_ungranted_tokens_as_c002() {
 }
 
 /// The negative direction: the real workspace is concurrency-clean.
-/// `pcqe-par`'s scheduler — scoped worker threads, an atomic work
-/// cursor, and an index-ordered merge behind a single `Mutex` — must
-/// pass the lock-order, escape, and atomics analyses without findings
-/// and without suppressions; its capability `[[grant]]`s in `lint.toml`
-/// cover the tokens, and everything past that is proven, not waived.
+/// `pcqe-par`'s one dispatcher — scoped worker threads, an atomic work
+/// cursor, results streamed over `mpsc` and slotted in unit order, no
+/// lock — must pass the lock-order, escape, and atomics analyses without
+/// findings and without suppressions; its capability `[[grant]]` in
+/// `lint.toml` covers the tokens, and everything past that is proven,
+/// not waived.
 #[test]
 fn real_workspace_concurrency_is_clean_without_suppressions() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));

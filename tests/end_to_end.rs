@@ -4,6 +4,8 @@
 
 #![allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 
+mod common;
+
 use pcqe::core::dnc::DncOptions;
 use pcqe::core::greedy::GreedyOptions;
 use pcqe::cost::CostFn;
@@ -71,6 +73,63 @@ fn fraction_request_yields_minimal_proposal() {
     assert!(matches!(resp.no_proposal, Some(NoProposal::NotNeeded)));
 }
 
+/// `apply` is all or nothing. `increments` is a public field, so a
+/// proposal can reach `apply` with an increment the catalog refuses; a
+/// refusal of the *last* one must not leave the earlier ones raised,
+/// unaudited, behind a version the original proposal still matches.
+#[test]
+fn a_refused_apply_changes_nothing() {
+    use pcqe::engine::EngineError;
+    use pcqe::storage::{StorageError, TupleId};
+
+    let mut db = orders_db(EngineConfig::default());
+    let clerk = User::new("carl", "clerk");
+    let request =
+        QueryRequest::new("SELECT id, amount FROM Orders", "reporting").expecting(2.0 / 3.0);
+    let proposal = db.query(&clerk, &request).unwrap().proposal.unwrap();
+    assert!(proposal.increments.len() >= 2, "an earlier raise to leak");
+    let confidences = |db: &Database| -> Vec<u64> {
+        let orders = db.catalog().table("Orders").unwrap();
+        orders
+            .rows()
+            .iter()
+            .map(|r| r.confidence.to_bits())
+            .collect()
+    };
+    let (before, audited) = (confidences(&db), db.audit_log().len());
+
+    let mut nan_last = proposal.clone();
+    nan_last.increments.last_mut().unwrap().to = f64::NAN;
+    let mut unknown_last = proposal.clone();
+    unknown_last.increments.last_mut().unwrap().tuple_id = TupleId(9_999);
+    // The error is the first offending increment's, as when they were
+    // applied one by one.
+    let mut unknown_first = nan_last.clone();
+    unknown_first.increments[0].tuple_id = TupleId(9_999);
+    for (bad, unknown) in [
+        (nan_last, false),
+        (unknown_last, true),
+        (unknown_first, true),
+    ] {
+        match db.apply(&bad) {
+            Err(EngineError::Storage(StorageError::UnknownTuple(9_999))) => assert!(unknown),
+            Err(EngineError::Storage(StorageError::InvalidConfidence(_))) => assert!(!unknown),
+            other => panic!("refusal expected, got {other:?}"),
+        }
+        assert_eq!(confidences(&db), before, "a refused apply raised a tuple");
+        assert_eq!(db.audit_log().len(), audited, "a refused apply was audited");
+    }
+
+    // The untouched proposal is as applicable as it was: same version,
+    // same starting confidences, one audit entry.
+    db.apply(&proposal).unwrap();
+    assert_eq!(db.audit_log().len(), audited + 1);
+    for inc in &proposal.increments {
+        assert_eq!(db.catalog().confidence(inc.tuple_id), Some(inc.to));
+    }
+    assert!(db.query(&clerk, &request).unwrap().released.len() >= 4);
+}
+
 #[test]
 fn all_solver_choices_reach_the_quota() {
     for solver in [
@@ -90,46 +149,32 @@ fn all_solver_choices_reach_the_quota() {
     }
 }
 
+/// The optimiser (predicate pushdown, product→join conversion) never
+/// changes an answer: the engine always optimises, and must release what
+/// the reference pipeline — which runs the plan exactly as `pcqe_sql`
+/// built it — releases: same rows, order, lineage and confidence bits.
 #[test]
-fn optimizer_toggle_gives_identical_results() {
+fn optimized_plans_match_the_unoptimized_reference() {
     let queries = [
         "SELECT id, amount FROM Orders WHERE region = 'west' AND amount > 150.0",
         "SELECT region, COUNT(*) AS n FROM Orders GROUP BY region ORDER BY region",
         "SELECT o.id FROM Orders o JOIN Orders p ON o.region = p.region WHERE o.amount < p.amount",
     ];
-    let mut with = orders_db(EngineConfig::default());
-    let mut without = orders_db(EngineConfig {
-        optimize_plans: false,
-        ..EngineConfig::default()
-    });
-    with.add_policy(ConfidencePolicy::new("clerk", "audit", 0.0).unwrap());
-    without.add_policy(ConfidencePolicy::new("clerk", "audit", 0.0).unwrap());
+    let mut db = orders_db(EngineConfig::default());
+    let policy = ConfidencePolicy::new("clerk", "audit", 0.0).unwrap();
+    db.add_policy(policy.clone());
     let clerk = User::new("carl", "clerk");
     for sql in queries {
-        let a = with
-            .query(&clerk, &QueryRequest::new(sql, "audit"))
-            .unwrap();
-        let b = without
-            .query(&clerk, &QueryRequest::new(sql, "audit"))
-            .unwrap();
-        let mut ra: Vec<String> = a
-            .released
-            .iter()
-            .map(|r| format!("{} {:.9}", r.tuple, r.confidence))
-            .collect();
-        let mut rb: Vec<String> = b
-            .released
-            .iter()
-            .map(|r| format!("{} {:.9}", r.tuple, r.confidence))
-            .collect();
-        ra.sort();
-        rb.sort();
-        assert_eq!(ra, rb, "{sql}");
-        // And the optimised plan visibly differs for the filter query.
-        if sql.contains("region = 'west'") {
-            assert!(with.explain(sql).unwrap().contains("Select"));
-        }
+        let expected = common::reference(sql, db.catalog(), &policy);
+        assert!(!expected.released.is_empty(), "{sql} must release rows");
+        let got = db.query(&clerk, &QueryRequest::new(sql, "audit")).unwrap();
+        common::assert_matches_reference(&got, &expected, &policy, sql);
     }
+    // And the optimiser visibly ran: the join query's plan differs from
+    // the one the planner built.
+    let sql = queries[2];
+    let planned = pcqe::sql::parse_and_plan(sql, db.catalog()).unwrap();
+    assert_ne!(db.explain(sql).unwrap(), planned.to_string());
 }
 
 #[test]

@@ -187,6 +187,49 @@ fn vectorized_engine_matches_the_tuple_at_a_time_reference() {
     }
 }
 
+/// The scheduler's *structural* telemetry is part of the determinism
+/// contract: how many batches a query dispatches, how many items they
+/// carry and how many chunks they are cut into depend on the data and the
+/// worker count alone, and every chunk is claimed exactly once. The
+/// numbers were recorded on the commit before `pcqe-par` became one
+/// dispatcher, so the chunked map's move onto the morsel loop is pinned
+/// to the old scheduler's chunking batch for batch.
+#[test]
+fn scheduler_structure_is_pinned_per_worker_count() {
+    let distinct = "SELECT DISTINCT r.sensor FROM readings r JOIN sensors s \
+                    ON r.sensor = s.id WHERE r.value < 800";
+    let hash_join = "SELECT r.sensor, r.value FROM readings r JOIN sensors s \
+                     ON r.sensor = s.id WHERE r.value < 100";
+    // (query, workers, par.batches, par.items, par.chunks)
+    let pinned: [(&str, usize, u64, u64, u64); 6] = [
+        (distinct, 1, 7, 26_258, 23),
+        (distinct, 2, 7, 26_258, 37),
+        (distinct, 4, 7, 26_258, 53),
+        (hash_join, 1, 14, 13_312, 30),
+        (hash_join, 2, 14, 13_312, 44),
+        (hash_join, 4, 14, 13_312, 60),
+    ];
+    let user = User::new("ana", "analyst");
+    for (sql, workers, batches, items, chunks) in pinned {
+        let mut db = populated(config(workers), 10_000);
+        assert_eq!(
+            db.metrics_snapshot().counter("par.batches"),
+            0,
+            "loading dispatches nothing"
+        );
+        db.query(&user, &QueryRequest::new(sql, "report").expecting(0.2))
+            .unwrap();
+        let snap = db.metrics_snapshot();
+        let got = ["par.batches", "par.items", "par.chunks"].map(|name| snap.counter(name));
+        assert_eq!(got, [batches, items, chunks], "{workers} workers: {sql}");
+        assert_eq!(
+            snap.counter("par.chunks_claimed"),
+            chunks,
+            "every chunk claimed exactly once at {workers} workers: {sql}"
+        );
+    }
+}
+
 /// Worker counts every D&C comparison runs at; `None` is the host's.
 const WORKERS: [Option<usize>; 4] = [Some(1), Some(2), Some(4), None];
 

@@ -376,3 +376,30 @@ fn dropped_events_are_counted_in_the_trace_and_the_recorder() {
         first.dropped + second.dropped
     );
 }
+
+/// `trace_query` borrows the tracer for one call and hands it back as it
+/// found it: a tracer the caller enabled by hand (as `Database::tracer`
+/// documents) stays enabled — on the error path too — and one at rest
+/// stays off.
+#[test]
+fn trace_query_restores_the_tracer_state_it_found() {
+    let user = User::new("mark", "Manager");
+    let request = QueryRequest::new(QUERY, "investment");
+    let broken = QueryRequest::new("SELECT nothing FROM Nowhere", "investment");
+
+    let mut db = paper_db(Some(1));
+    assert!(!db.tracer().is_enabled(), "disabled at rest");
+    db.trace_query(&user, &request).unwrap();
+    assert!(!db.tracer().is_enabled(), "found off, left off");
+    assert!(db.trace_query(&user, &broken).is_err());
+    assert!(!db.tracer().is_enabled(), "found off, left off on error");
+
+    db.tracer().set_enabled(true);
+    db.trace_query(&user, &request).unwrap();
+    assert!(db.tracer().is_enabled(), "found on, left on");
+    assert!(db.trace_query(&user, &broken).is_err());
+    assert!(db.tracer().is_enabled(), "found on, left on on error");
+    // Still recording: an ordinary query lands in the buffer.
+    db.query(&user, &request).unwrap();
+    assert!(!db.tracer().drain().events.is_empty());
+}
