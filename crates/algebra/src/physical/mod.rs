@@ -4,8 +4,9 @@
 //! [`PhysicalPlan`] — a tree of *concrete* operators with explicit access
 //! paths (table scan vs equality-index scan), join strategies (hash join
 //! vs nested loop, chosen by deterministic cardinality estimates over
-//! [`pcqe_storage::TableStats`]) and pushed-down predicates — and then
-//! executes that tree with the same lineage semantics as the logical
+//! [`pcqe_storage::TableStats`]; an index join where the hash join's
+//! build side is a whole indexed table) and pushed-down predicates — and
+//! then executes that tree with the same lineage semantics as the logical
 //! reference walker.
 //!
 //! Layering:
@@ -302,6 +303,65 @@ mod tests {
             let physical = execute_vectorized_with(&phys, &c, &par).unwrap();
             assert_eq!(logical.rows(), physical.rows(), "workers={workers}");
         }
+    }
+
+    /// An index join renders as one line naming the table, alias and
+    /// indexed column, with the probe side as its only child — in the
+    /// plan's `Display`, in the side-by-side view and in the profile,
+    /// which all take the line from `node_label`.
+    #[test]
+    fn index_join_renders_and_profiles_line_for_line() {
+        let mut c = Catalog::new();
+        for name in ["a", "b"] {
+            let columns = vec![
+                Column::new("k", DataType::Int),
+                Column::new("x", DataType::Int),
+            ];
+            c.create_table(name, Schema::new(columns).unwrap()).unwrap();
+        }
+        c.create_index("b", "k").unwrap();
+        for i in 0..120i64 {
+            c.insert("a", vec![Value::Int(i % 17), Value::Int(i)], 0.5)
+                .unwrap();
+            c.insert("b", vec![Value::Int(i % 11), Value::Int(i * 2)], 0.5)
+                .unwrap();
+        }
+        let plan = Plan::scan("a").join(
+            Plan::scan_as("b", "bb"),
+            ScalarExpr::column(0)
+                .eq(ScalarExpr::column(2))
+                .and(ScalarExpr::column(3).lt(ScalarExpr::literal(Value::Int(100)))),
+        );
+        let phys = lower(&plan, &c).unwrap();
+        assert_eq!(
+            phys.to_string(),
+            "IndexJoin b AS bb (k) [#0 = #2] [filter: (#3 < 100)]\n  TableScan a\n"
+        );
+        assert_eq!(phys.schema(&c).unwrap(), plan.schema(&c).unwrap());
+        let side_by_side = render_side_by_side(&plan, &phys);
+        assert!(
+            side_by_side.contains("| IndexJoin b AS bb (k) [#0 = #2] [filter: (#3 < 100)]\n")
+                && side_by_side.contains("|   TableScan a\n")
+                && !side_by_side.contains("TableScan b"),
+            "{side_by_side}"
+        );
+        let logical = execute(&plan, &c).unwrap();
+        let (rs, profile) =
+            execute_vectorized_profiled(&phys, &c, &Parallelism::sequential(), None).unwrap();
+        assert_eq!(logical.rows(), rs.rows());
+        let rendered = profile.render();
+        for (line, analyzed) in phys.to_string().lines().zip(rendered.lines()) {
+            assert!(
+                analyzed.starts_with(&format!("{line} (rows_in=")),
+                "{rendered}"
+            );
+        }
+        assert_eq!(profile.operators.len(), 2);
+        // 120 probes. Key 0 is on 8 `a` rows and keys 1–10 on 7 each;
+        // `b` holds keys 0–9 eleven times and key 10 ten times: the index
+        // fetched 8·11 + 9·7·11 + 7·10 = 851 rows.
+        assert_eq!(profile.operators[0].rows_in, 120 + 851);
+        assert_eq!(profile.operators[0].rows_out, logical.len() as u64);
     }
 
     #[test]

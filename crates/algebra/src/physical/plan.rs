@@ -1,8 +1,9 @@
 //! Physical operator trees.
 //!
 //! A [`PhysicalPlan`] is what actually runs: every node names a concrete
-//! algorithm (hash join vs nested loop, index scan vs table scan) and
-//! carries its pushed-down predicates explicitly. Logical [`Plan`]s are
+//! algorithm (index join vs hash join vs nested loop, index scan vs table
+//! scan) and carries its pushed-down predicates explicitly. Logical
+//! [`Plan`]s are
 //! lowered to physical plans by [`crate::physical::planner::lower`].
 //!
 //! The rendering contract mirrors the logical side: [`fmt::Display`] is a
@@ -78,6 +79,33 @@ pub enum PhysicalPlan {
         /// Non-equality conjuncts checked per candidate match.
         residual: Option<ScalarExpr>,
     },
+    /// Index join: a hash join whose build side is a whole base table that
+    /// already keeps an [`pcqe_storage::EqualityIndex`] on one of the key
+    /// columns. Nothing is scanned, tagged or sorted per query: each left
+    /// row probes the index and fetches its matches from the table's row
+    /// store, in insertion order. The table is not a child operator — the
+    /// node's single input is `left` — and its schema (qualified by
+    /// `alias`) follows the left schema, as the build side's would.
+    IndexJoin {
+        /// Left (probe) input.
+        left: Box<PhysicalPlan>,
+        /// The build-side table, read whole (no pushed-down predicate).
+        table: String,
+        /// Alias qualifying the table's output columns.
+        alias: Option<String>,
+        /// Indexed column position in the table schema: the right column
+        /// of the key pair the index answers.
+        column: usize,
+        /// Column name (for rendering).
+        column_name: String,
+        /// Equality key pairs `(left col, combined-schema right col)`, as
+        /// in [`PhysicalPlan::HashJoin`]; the first pair whose right
+        /// column is `column` probes the index, the others are compared
+        /// per fetched row.
+        keys: Vec<(usize, usize)>,
+        /// Non-equality conjuncts checked per candidate match.
+        residual: Option<ScalarExpr>,
+    },
     /// Nested-loop join; `predicate: None` is a cartesian product.
     NestedLoopJoin {
         /// Left (outer) input.
@@ -131,13 +159,14 @@ impl PhysicalPlan {
     /// [`Plan::schema`]: physical lowering never changes the schema of the
     /// logical node it implements.
     pub fn schema(&self, catalog: &Catalog) -> Result<Schema> {
+        // A base table's schema, qualified by its alias or its own name.
+        let table_schema = |table: &str, alias: &Option<String>| -> Result<Schema> {
+            let qualifier = alias.as_deref().unwrap_or(table);
+            Ok(catalog.table(table)?.schema().with_qualifier(qualifier))
+        };
         match self {
             PhysicalPlan::TableScan { table, alias, .. }
-            | PhysicalPlan::IndexScan { table, alias, .. } => {
-                let t = catalog.table(table)?;
-                let qualifier = alias.as_deref().unwrap_or(table);
-                Ok(t.schema().with_qualifier(qualifier))
-            }
+            | PhysicalPlan::IndexScan { table, alias, .. } => table_schema(table, alias),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. } => input.schema(catalog),
@@ -154,6 +183,9 @@ impl PhysicalPlan {
             | PhysicalPlan::NestedLoopJoin { left, right, .. } => {
                 Ok(left.schema(catalog)?.join(&right.schema(catalog)?))
             }
+            PhysicalPlan::IndexJoin {
+                left, table, alias, ..
+            } => Ok(left.schema(catalog)?.join(&table_schema(table, alias)?)),
             PhysicalPlan::Aggregate {
                 input,
                 group_by,
@@ -221,16 +253,23 @@ impl PhysicalPlan {
                 None => String::new(),
             }
         }
+        fn aliased(table: &str, alias: &Option<String>) -> String {
+            match alias {
+                Some(a) => format!("{table} AS {a}"),
+                None => table.to_owned(),
+            }
+        }
+        fn key_pairs(keys: &[(usize, usize)]) -> String {
+            let pairs: Vec<String> = keys.iter().map(|(l, r)| format!("#{l} = #{r}")).collect();
+            pairs.join(" AND ")
+        }
         match self {
             PhysicalPlan::TableScan {
                 table,
                 alias,
                 residual,
             } => {
-                let name = match alias {
-                    Some(a) => format!("{table} AS {a}"),
-                    None => table.clone(),
-                };
+                let name = aliased(table, alias);
                 format!("TableScan {name}{}", filter_suffix(residual))
             }
             PhysicalPlan::IndexScan {
@@ -241,10 +280,7 @@ impl PhysicalPlan {
                 residual,
                 ..
             } => {
-                let name = match alias {
-                    Some(a) => format!("{table} AS {a}"),
-                    None => table.clone(),
-                };
+                let name = aliased(table, alias);
                 let key = ScalarExpr::Literal(key.clone());
                 format!(
                     "IndexScan {name} ({column_name} = {key}){}",
@@ -263,13 +299,21 @@ impl PhysicalPlan {
                 )
             }
             PhysicalPlan::HashJoin { keys, residual, .. } => {
-                let pairs: Vec<String> = keys.iter().map(|(l, r)| format!("#{l} = #{r}")).collect();
-                format!(
-                    "HashJoin [{}]{}",
-                    pairs.join(" AND "),
-                    filter_suffix(residual)
-                )
+                format!("HashJoin [{}]{}", key_pairs(keys), filter_suffix(residual))
             }
+            PhysicalPlan::IndexJoin {
+                table,
+                alias,
+                column_name,
+                keys,
+                residual,
+                ..
+            } => format!(
+                "IndexJoin {} ({column_name}) [{}]{}",
+                aliased(table, alias),
+                key_pairs(keys),
+                filter_suffix(residual)
+            ),
             PhysicalPlan::NestedLoopJoin { predicate, .. } => match predicate {
                 Some(p) => format!("NestedLoopJoin [{p}]"),
                 None => "NestedLoopJoin (cross)".to_owned(),
@@ -305,7 +349,8 @@ impl PhysicalPlan {
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Aggregate { input, .. } => vec![input],
+            | PhysicalPlan::Aggregate { input, .. }
+            | PhysicalPlan::IndexJoin { left: input, .. } => vec![input],
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NestedLoopJoin { left, right, .. }
             | PhysicalPlan::Union { left, right }

@@ -14,6 +14,13 @@
 //!   becomes a [`PhysicalPlan::HashJoin`] or a
 //!   [`PhysicalPlan::NestedLoopJoin`] depending on estimated input
 //!   cardinalities; without equality conjuncts it is always a nested loop.
+//!   Where the choice is the hash join and its build side is a whole,
+//!   unfiltered base table with an [`pcqe_storage::EqualityIndex`] on one
+//!   of the key columns, the join becomes a [`PhysicalPlan::IndexJoin`]:
+//!   the index *is* the build — the key-sorted table the hash join would
+//!   scan, tag and sort the build side into on every query — so there is
+//!   no cost to weigh: a probe of the index is never dearer than the
+//!   binary search it replaces, and the build is free.
 //!
 //! # Why every choice is output-identical
 //!
@@ -32,6 +39,27 @@
 //!   table's ordered-map equality provably agree; `REAL` keys (where
 //!   `0.0`/`-0.0` and NaN make the two differ) always keep the hash
 //!   strategy the logical executor uses.
+//! * An index join emits what the hash join it replaces would. *Row
+//!   order*: both walk the left rows in input order, and for one left row
+//!   the index's posting list is its matches in insertion order — the
+//!   ascending row indexes the hash join's stable sort leaves under one
+//!   key. *NULLs*: a NULL left key skips the probe in the one shared
+//!   loop, and a NULL right key is in neither the index nor the hash
+//!   table. *Key equality*: the index map and the hash table compare with
+//!   the same total order on `Value`, and it is SQL's `=` because only
+//!   same-typed pairs are hashable and only `INT`/`TEXT`/`BOOL` columns
+//!   indexable (a join keyed on `REAL` columns alone therefore finds no
+//!   index and keeps the hash join). Key pairs beyond the indexed one —
+//!   `REAL` pairs included — are compared per fetched row with that same
+//!   order, as the hash table would. *Lineage* is `joined(left, right)`
+//!   either way, the right row read where it is stored. *Errors*: the
+//!   build side
+//!   qualifies only as a `TableScan` **without a residual**, so no
+//!   predicate runs on rows the index passes over and no error it would
+//!   have raised can be lost; a filtered build side — even one whose
+//!   filter cannot raise — keeps the hash join, which evaluates every
+//!   row. The join's own residual runs on exactly the matched pairs, in
+//!   the same order, under both operators.
 
 use crate::exec::split_equi_conjuncts;
 use crate::expr::{BinaryOp, ScalarExpr};
@@ -41,8 +69,9 @@ use crate::Result;
 use pcqe_storage::{Catalog, DataType, TableStats, Value};
 
 /// Per-row cost multiplier for building the hash table, relative to one
-/// nested-loop predicate evaluation. Build inserts clone key values into an
-/// ordered map, so they are several times the cost of a probe comparison.
+/// nested-loop predicate evaluation. A build row is tagged with its
+/// partition and then sorted into it by key (`log n` key comparisons), so
+/// it costs several probe comparisons.
 const HASH_BUILD_COST: usize = 4;
 
 /// Lower an (already optimised) logical plan to a physical plan.
@@ -117,11 +146,25 @@ pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
                         predicate: Some(predicate.clone()),
                     }
                 } else {
-                    PhysicalPlan::HashJoin {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        keys: equi,
-                        residual,
+                    let indexed = indexed_build_key(&r, &equi, left_arity, catalog);
+                    match (r, indexed) {
+                        (PhysicalPlan::TableScan { table, alias, .. }, Some((column, name))) => {
+                            PhysicalPlan::IndexJoin {
+                                left: Box::new(l),
+                                table,
+                                alias,
+                                column,
+                                column_name: name,
+                                keys: equi,
+                                residual,
+                            }
+                        }
+                        (r, _) => PhysicalPlan::HashJoin {
+                            left: Box::new(l),
+                            right: Box::new(r),
+                            keys: equi,
+                            residual,
+                        },
                     }
                 }
             }
@@ -157,6 +200,33 @@ pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
             aggregates: aggregates.clone(),
         },
     })
+}
+
+/// If a hash join's build side `right` is a whole base table — a
+/// `TableScan` with no residual, so that skipping rows skips no predicate
+/// — with an equality index on the right column of one of the `keys`: the
+/// indexed column (position and name) of the first such pair in conjunct
+/// order.
+fn indexed_build_key(
+    right: &PhysicalPlan,
+    keys: &[(usize, usize)],
+    left_arity: usize,
+    catalog: &Catalog,
+) -> Option<(usize, String)> {
+    let PhysicalPlan::TableScan {
+        table,
+        residual: None,
+        ..
+    } = right
+    else {
+        return None;
+    };
+    let t = catalog.table(table).ok()?;
+    let column = keys
+        .iter()
+        .filter_map(|&(_, rc)| rc.checked_sub(left_arity))
+        .find(|&c| t.index_on(c).is_some())?;
+    Some((column, t.schema().columns().get(column)?.name.clone()))
 }
 
 /// Choose the access path for a filtered base-table scan.
@@ -277,8 +347,9 @@ fn and_all(mut conjuncts: Vec<ScalarExpr>) -> Option<ScalarExpr> {
 /// ([`pcqe_storage::TableStats`]): scans use real row counts; equality
 /// conjuncts on a column with a known NDV divide by that NDV, falling
 /// back to the textbook 1/10 only when no statistic exists; comparisons
-/// use 1/3; joins assume 1/10 selectivity over the cross product.
-/// Estimates steer strategy choice only — never results.
+/// use 1/3; hash and nested-loop joins assume 1/10 selectivity over the
+/// cross product, an index join reads the matches per probe off its index
+/// (`rows / ndv`). Estimates steer strategy choice only — never results.
 pub fn estimate(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
     match plan {
         PhysicalPlan::TableScan {
@@ -316,6 +387,16 @@ pub fn estimate(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
         PhysicalPlan::HashJoin { left, right, .. } => estimate(left, catalog)
             .saturating_mul(estimate(right, catalog))
             .div_ceil(10),
+        PhysicalPlan::IndexJoin {
+            left,
+            table,
+            column,
+            ..
+        } => {
+            let table = catalog.table(table);
+            let per_probe = table.map_or(0, |t| t.stats().eq_selectivity_rows(*column));
+            estimate(left, catalog).saturating_mul(per_probe)
+        }
         PhysicalPlan::NestedLoopJoin {
             left,
             right,

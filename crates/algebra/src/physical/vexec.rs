@@ -53,7 +53,11 @@
 //!    indexes stable-sorted by key — keys are compared where they lie,
 //!    never copied — so the rows of one key come in ascending row
 //!    order: the match list of the single ordered map the reference
-//!    builds.
+//!    builds. An index join skips the build: its build side is a whole
+//!    stored table whose equality index already is that structure — per
+//!    key, the rows that hold it in insertion order, NULLs left out — so
+//!    both joins run one probe loop and differ only in where a left
+//!    key's matches come from.
 //!
 //! All observer and trace emission happens post-batch on the calling
 //! thread (the morsel dispatcher reports once, after its scope joins),
@@ -73,7 +77,8 @@ use pcqe_lineage::Lineage;
 use pcqe_par::morsel::{map_morsels, try_map_morsels};
 use pcqe_par::{ParObserver, Parallelism, TraceSink};
 use pcqe_storage::{
-    morsel_rows, partition_count, partition_of, Catalog, StoredTuple, Table, Tuple, Value,
+    morsel_rows, partition_count, partition_of, Catalog, EqualityIndex, StoredTuple, Table, Tuple,
+    Value,
 };
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -303,6 +308,29 @@ fn scan_table<'c>(
     )
 }
 
+/// The index a plan names on `column` of `table`; a plan lowered against
+/// another catalog state may name one that is not there.
+fn required_index(table: &Table, column: usize) -> Result<&EqualityIndex> {
+    table.index_on(column).ok_or_else(|| {
+        AlgebraError::Plan(format!(
+            "physical plan requires an index on column {column} of `{}`, \
+             but the catalog has none",
+            table.name()
+        ))
+    })
+}
+
+/// The stored row an index posting points at.
+fn indexed_row(table: &Table, pos: usize) -> Result<&StoredTuple> {
+    table.rows().get(pos).ok_or_else(|| {
+        AlgebraError::Plan(format!(
+            "index on `{}` points at row {pos} beyond table length {}",
+            table.name(),
+            table.len()
+        ))
+    })
+}
+
 /// Keep the rows the predicate holds on, tested in place.
 fn filter<R: Row>(rows: Vec<R>, predicate: &ScalarExpr, ctx: &Ctx<'_>) -> Result<Vec<R>> {
     let test = predicate.compile();
@@ -373,6 +401,74 @@ fn join_pair(
     Ok(keep.then(|| joined(Tuple::new(values), left, right)))
 }
 
+/// An equi-join's left key columns.
+fn left_key_cols(keys: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    keys.iter().map(|&(lc, _)| (lc, lc)).collect()
+}
+
+/// An equi-join's right key columns, re-based from the combined schema
+/// onto the right rows and held below their `right_arity` where the caller
+/// knows it. A right column numbered inside the left input is a malformed
+/// plan.
+fn right_key_cols(
+    keys: &[(usize, usize)],
+    left_arity: usize,
+    right_arity: Option<usize>,
+) -> Result<Vec<(usize, usize)>> {
+    keys.iter()
+        .map(|&(_, rc)| {
+            let position = rc.checked_sub(left_arity);
+            position
+                .filter(|&c| right_arity.is_none_or(|arity| c < arity))
+                .map(|c| (c, rc))
+                .ok_or_else(|| key_out_of_range(rc))
+        })
+        .collect()
+}
+
+/// The one equi-join probe loop: morsel-parallel over left rows, and per
+/// [`joinable`] left row `matches` hands `emit` the right rows that agree
+/// with it on every key, in right-input order — so per-left match lists
+/// flattened in input order reproduce the reference's sequential loop,
+/// first error in row order included. Where the matches come from is the
+/// caller's: [`hash_join`]'s per-query partition tables, or
+/// [`index_join`]'s stored index. Yields the number of right rows matched
+/// beside the output rows (the pairs that also pass `residual`).
+fn probe<L: Row, R: Row>(
+    l: &[L],
+    lcols: &KeyCols,
+    matches: impl Fn(&L, &mut dyn FnMut(&R) -> Result<()>) -> Result<()> + Sync,
+    residual: &Option<ScalarExpr>,
+    ctx: &Ctx<'_>,
+) -> Result<(usize, Vec<DerivedTuple>)> {
+    let residual = residual.as_ref().map(ScalarExpr::compile);
+    let units: Vec<&[L]> = l.chunks(morsel_rows(l.len())).collect();
+    let per_chunk = try_map_morsels(
+        ctx.par,
+        &units,
+        l.len(),
+        |_, chunk| -> Result<(usize, Vec<DerivedTuple>)> {
+            let mut matched = 0;
+            let mut out = Vec::new();
+            for lr in *chunk {
+                if !joinable(lr.values(), lcols)? {
+                    continue;
+                }
+                matches(lr, &mut |rr| {
+                    matched += 1;
+                    out.extend(join_pair(lr, rr, &residual)?);
+                    Ok(())
+                })?;
+            }
+            Ok((matched, out))
+        },
+        ctx.observer,
+    )?;
+    let matched = per_chunk.iter().map(|(matched, _)| matched).sum();
+    let rows = per_chunk.into_iter().flat_map(|(_, rows)| rows).collect();
+    Ok((matched, rows))
+}
+
 /// Hash join over rows read in place: no row or key is copied to build or
 /// to probe, and only matches are cloned, into the output. `keys` pairs a
 /// left column with a right column numbered in the combined schema.
@@ -385,17 +481,8 @@ fn hash_join<L: Row, R: Row>(
     residual: &Option<ScalarExpr>,
     ctx: &Ctx<'_>,
 ) -> Result<Vec<DerivedTuple>> {
-    let lcols: Vec<(usize, usize)> = keys.iter().map(|&(lc, _)| (lc, lc)).collect();
-    // A right column numbered inside the left input is a malformed plan.
-    let rcols = keys
-        .iter()
-        .map(|&(_, rc)| {
-            let position = rc.checked_sub(left_arity);
-            position
-                .map(|c| (c, rc))
-                .ok_or_else(|| key_out_of_range(rc))
-        })
-        .collect::<Result<Vec<(usize, usize)>>>()?;
+    let lcols = left_key_cols(keys);
+    let rcols = right_key_cols(keys, left_arity, None)?;
     let rkey = |i: usize| {
         r.get(i)
             .into_iter()
@@ -439,40 +526,73 @@ fn hash_join<L: Row, R: Row>(
         },
         ctx.observer,
     );
-    // Probe morsel-parallel over left rows; per-left match lists
-    // flattened in input order reproduce the sequential loop.
-    let residual = residual.as_ref().map(ScalarExpr::compile);
-    let units: Vec<&[L]> = l.chunks(morsel_rows(l.len())).collect();
-    let per_chunk = try_map_morsels(
-        ctx.par,
-        &units,
-        l.len(),
-        |_, chunk| -> Result<Vec<DerivedTuple>> {
-            let mut out = Vec::new();
-            for lr in *chunk {
-                if !joinable(lr.values(), &lcols)? {
-                    continue;
-                }
-                let lkey = || key_of(lr.values(), &lcols);
-                let Some(table) = tables.get(partition_of(lkey(), parts)) else {
-                    continue;
-                };
-                let first = table.partition_point(|&ri| rkey(ri).lt(lkey()));
-                for &ri in table.iter().skip(first) {
-                    if rkey(ri).ne(lkey()) {
-                        break;
-                    }
-                    let rr = r.get(ri).ok_or_else(|| {
-                        AlgebraError::Plan("hash table entry out of range".into())
-                    })?;
-                    out.extend(join_pair(lr, rr, &residual)?);
-                }
+    // A left key's matches are its run in its partition's table.
+    let matches = |lr: &L, emit: &mut dyn FnMut(&R) -> Result<()>| {
+        let lkey = || key_of(lr.values(), &lcols);
+        let Some(table) = tables.get(partition_of(lkey(), parts)) else {
+            return Ok(());
+        };
+        let first = table.partition_point(|&ri| rkey(ri).lt(lkey()));
+        for &ri in table.iter().skip(first) {
+            if rkey(ri).ne(lkey()) {
+                break;
             }
-            Ok(out)
-        },
-        ctx.observer,
-    )?;
-    Ok(per_chunk.into_iter().flatten().collect())
+            emit(
+                r.get(ri)
+                    .ok_or_else(|| AlgebraError::Plan("hash table entry out of range".into()))?,
+            )?;
+        }
+        Ok(())
+    };
+    Ok(probe(l, &lcols, matches, residual, ctx)?.1)
+}
+
+/// Index join: [`hash_join`] against a whole stored table, with the
+/// table's own equality index for the build. A left key's matches are the
+/// index's posting list for the indexed key column — the table's rows
+/// with that value, in insertion order, NULLs never among them — narrowed
+/// to the rows that agree on every other key pair under the same `Value`
+/// order the hash table sorts by. Yields the rows fetched beside the
+/// output.
+fn index_join<'t, L: Row>(
+    l: &[L],
+    table: &'t Table,
+    column: usize,
+    keys: &[(usize, usize)],
+    left_arity: usize,
+    residual: &Option<ScalarExpr>,
+    ctx: &Ctx<'_>,
+) -> Result<(usize, Vec<DerivedTuple>)> {
+    let index = required_index(table, column)?;
+    let lcols = left_key_cols(keys);
+    let rcols = right_key_cols(keys, left_arity, Some(table.schema().arity()))?;
+    // The first pair on the indexed column probes; the others — a second
+    // pair on that column among them — are compared per fetched row.
+    let mut others: Vec<(usize, usize)> = lcols
+        .iter()
+        .zip(&rcols)
+        .map(|(&(lc, _), &(rc, _))| (lc, rc))
+        .collect();
+    let probe_at = others.iter().position(|&(_, rc)| rc == column);
+    let (probe_col, _) = others.remove(probe_at.ok_or_else(|| {
+        AlgebraError::Plan(format!("index join has no key on indexed column {column}"))
+    })?);
+    let matches = |lr: &L, emit: &mut dyn FnMut(&&'t StoredTuple) -> Result<()>| {
+        let lv = lr.values();
+        // In range: `probe` hands over only rows `joinable` passed.
+        let Some(key) = lv.get(probe_col) else {
+            return Ok(());
+        };
+        for &pos in index.lookup(key) {
+            let rr = indexed_row(table, pos)?;
+            let rv = rr.tuple.values();
+            if others.iter().all(|&(lc, rc)| lv.get(lc) == rv.get(rc)) {
+                emit(&rr)?;
+            }
+        }
+        Ok(())
+    };
+    probe(l, &lcols, matches, residual, ctx)
 }
 
 /// Nested-loop join over rows read in place; `predicate: None` is the
@@ -606,22 +726,10 @@ fn run_v_node<'c>(
             ..
         } => {
             let t = catalog.table(table)?;
-            let index = t.index_on(*column).ok_or_else(|| {
-                AlgebraError::Plan(format!(
-                    "physical plan requires an index on column {column} of `{table}`, \
-                     but the catalog has none"
-                ))
-            })?;
-            let stored = t.rows();
-            let positions = index.lookup(key);
+            let positions = required_index(t, *column)?.lookup(key);
             let mut fetched = Vec::with_capacity(positions.len());
             for &pos in positions {
-                fetched.push(stored.get(pos).ok_or_else(|| {
-                    AlgebraError::Plan(format!(
-                        "index on `{table}` points at row {pos} beyond table length {}",
-                        stored.len()
-                    ))
-                })?);
+                fetched.push(indexed_row(t, pos)?);
             }
             let (batches, rows) = scan_rows(&fetched, |r| *r, residual, ctx)?;
             return Ok((fetched.len(), batches, VOut::Stored(rows)));
@@ -667,6 +775,22 @@ fn run_v_node<'c>(
                 hash_join(l, r, keys, left_arity, parts, residual, ctx)?
             }));
             (l.row_count() + r.row_count(), VOut::Rows(rows))
+        }
+        PhysicalPlan::IndexJoin {
+            left,
+            table,
+            column,
+            keys,
+            residual,
+            ..
+        } => {
+            let left_arity = left.schema(catalog)?.arity();
+            let l = run_v(left, ctx, depth + 1, prof)?;
+            let table = catalog.table(table)?;
+            let (fetched, rows) = read_rows!(&l, l => {
+                index_join(l, table, *column, keys, left_arity, residual, ctx)?
+            });
+            (l.row_count() + fetched, VOut::Rows(rows))
         }
         PhysicalPlan::NestedLoopJoin {
             left,

@@ -161,9 +161,10 @@ impl Database {
     }
 
     /// Create an equality index on `table.column` (INT/TEXT/BOOL columns
-    /// only). Indexes are maintained on every insert and change only
-    /// *access paths* chosen by the physical planner — never query
-    /// results. Returns the indexed column's position. Idempotent.
+    /// only). Indexes are maintained on every insert, saved and restored
+    /// by [`crate::persist`], and change only the *access paths* and join
+    /// strategies chosen by the physical planner — never query results.
+    /// Returns the indexed column's position. Idempotent.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<usize> {
         Ok(self.catalog.create_index(table, column)?)
     }
@@ -389,8 +390,8 @@ impl Database {
 
     /// Render the logical and physical plans side by side — the shell's
     /// `.plan` view. The physical column names the join strategy
-    /// (`HashJoin` vs `NestedLoopJoin`), the access path (`TableScan` vs
-    /// `IndexScan`) and every pushed-down predicate.
+    /// (`IndexJoin`, `HashJoin` or `NestedLoopJoin`), the access path
+    /// (`TableScan` vs `IndexScan`) and every pushed-down predicate.
     pub fn explain_physical(&self, sql: &str) -> Result<String> {
         let plan = self.plan_sql(sql)?;
         let phys = pcqe_algebra::lower(&plan, &self.catalog)?;

@@ -1,7 +1,9 @@
 //! Directory-based persistence for a [`Database`].
 //!
-//! Layout: `<dir>/manifest.tsv` describes tables, policies, the role
-//! hierarchy and cost functions in a line-based tab-separated format, and
+//! Layout: `<dir>/manifest.tsv` describes tables, their equality indexes,
+//! policies, the role hierarchy and cost functions in a line-based
+//! tab-separated format (a manifest without `index` lines — every one
+//! written before indexes were saved — loads as a database without), and
 //! each table's rows live in `<dir>/<table>.csv` (written with explicit
 //! tuple ids so lineage and cost functions survive the round trip).
 //!
@@ -40,9 +42,9 @@ fn check_name(name: &str) -> Result<&str> {
     Ok(name)
 }
 
-/// Save a database (tables, rows with ids and confidences, policies, role
-/// hierarchy, per-tuple cost functions) into `dir`, creating it if
-/// needed. The engine configuration and estimator state are not saved.
+/// Save a database (tables, rows with ids and confidences, which columns
+/// are indexed, policies, role hierarchy, per-tuple cost functions) into
+/// `dir`, creating it if needed. The engine configuration and estimator state are not saved.
 pub fn save(db: &Database, dir: &Path) -> Result<()> {
     fs::create_dir_all(dir).map_err(|e| persist_err(format!("create {dir:?}: {e}")))?;
     let mut manifest = String::from("pcqe-manifest\tv1\n");
@@ -61,6 +63,21 @@ pub fn save(db: &Database, dir: &Path) -> Result<()> {
             .map_err(|e| persist_err(format!("serialise `{name}`: {e}")))?;
         fs::write(dir.join(format!("{name}.csv")), out)
             .map_err(|e| persist_err(format!("write `{name}.csv`: {e}")))?;
+    }
+
+    // Which columns are indexed, not the postings: `load` rebuilds an
+    // index from the rows, so it cannot disagree with them.
+    for name in db.catalog.table_names() {
+        let table = db.catalog.table(name)?;
+        for index in table.indexes() {
+            let column = table.schema().columns().get(index.column());
+            let column = column.ok_or_else(|| {
+                persist_err(format!(
+                    "index on `{name}` is over a column it does not have"
+                ))
+            })?;
+            manifest.push_str(&format!("index\t{name}\t{}\n", column.name));
+        }
     }
 
     for p in db.policies.policies() {
@@ -142,6 +159,10 @@ pub fn load(dir: &Path, config: EngineConfig) -> Result<Database> {
                 let file = fs::File::open(dir.join(format!("{name}.csv")))
                     .map_err(|e| persist_err(format!("open `{name}.csv`: {e}")))?;
                 load_into_with_ids(&mut db.catalog, &name, BufReader::new(file))?;
+            }
+            (["index", table, column], None) => {
+                db.create_index(table, column)
+                    .map_err(|e| bad(&e.to_string()))?;
             }
             (["policy", subject, purpose, beta], None) => {
                 let beta: f64 = beta.parse().map_err(|_| bad("bad threshold"))?;

@@ -1,20 +1,27 @@
 //! Deterministic equality indexes over table columns.
 //!
 //! An [`EqualityIndex`] maps a column value to the *positions* (in insertion
-//! order) of the rows that carry it. Two properties make it safe for the
-//! physical planner to substitute an index scan for a full table scan:
+//! order) of the rows that carry it. It serves two operators: an index
+//! scan answers `column = literal` with one lookup, and an index join
+//! answers an equi-join whose build side is the whole table with one
+//! lookup per probing row — the index is the key-sorted table a hash join
+//! would otherwise build from a scan on every query. Two properties make
+//! it safe for the physical planner to substitute either for the scan it
+//! replaces:
 //!
 //! 1. **Determinism** — the index is a `BTreeMap` keyed by [`Value`]'s total
 //!    order and each posting list is appended in insertion order, so a lookup
 //!    yields row positions in exactly the order a sequential scan would visit
-//!    them. Index scans therefore produce bit-identical output order.
+//!    them — also the order a hash join lists one key's build rows in.
+//!    Index scans and index joins therefore produce bit-identical output
+//!    order.
 //! 2. **Exactness** — only [`DataType::Int`], [`DataType::Text`] and
 //!    [`DataType::Bool`] columns are indexable. For those types `Value`'s
 //!    `Ord` agrees with SQL equality (`sql_cmp`); `REAL` columns are refused
 //!    because SQL coerces `INT = REAL` and treats `0.0 = -0.0` while the map
 //!    key order distinguishes bit patterns. `NULL` values are never entered
 //!    into the index: SQL equality on `NULL` is never true, so a `NULL` key
-//!    can never match an equality predicate.
+//!    can never match an equality predicate or an equi-join key.
 
 use crate::error::StorageError;
 use crate::value::{DataType, Value};

@@ -12,6 +12,7 @@ use pcqe::core::state::EvalState;
 use pcqe::core::{ProblemInstance, Solution};
 use pcqe::engine::{AuditEntry, Database, QueryResponse};
 use pcqe::lineage::{Evaluator, Lineage, Rng64, VarId};
+use pcqe::par::Parallelism;
 use pcqe::policy::{evaluate_results, ConfidencePolicy};
 use pcqe::storage::{Catalog, DataType, TupleId, Value};
 use std::panic::AssertUnwindSafe;
@@ -153,6 +154,20 @@ pub fn reference(sql: &str, catalog: &Catalog, policy: &ConfidencePolicy) -> Ref
         withheld: decision.withheld.len(),
         skippable,
     }
+}
+
+/// The worker counts the executor suites run every plan at — one, four
+/// and the host's — each forcing the parallel paths on any input size.
+pub fn parallelism_grid() -> [(Parallelism, &'static str); 3] {
+    let threads = |worker_threads| Parallelism {
+        worker_threads,
+        parallel_threshold: 1,
+    };
+    [
+        (Parallelism::sequential(), "1 thread"),
+        (threads(Some(4)), "4 threads"),
+        (threads(None), "host threads"),
+    ]
 }
 
 /// Assert two result sets agree bit for bit: schema, rows, order, lineage.

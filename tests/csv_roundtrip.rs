@@ -237,3 +237,106 @@ fn a_hand_written_directory_with_hostile_tuple_ids_loads_and_answers() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Indexes are part of what `save` writes: a reloaded database keeps them,
+/// so it plans the index scan and the index join the saved one planned —
+/// not the same answers at table-scan speed. An `index` line that cannot
+/// be honoured is a typed error; a manifest without any loads as before.
+#[test]
+fn persisted_databases_reload_with_their_indexes() {
+    let mut db = Database::new(EngineConfig::default());
+    let int = |name| Column::new(name, DataType::Int);
+    let orders = vec![
+        int("id"),
+        int("cust"),
+        Column::new("amount", DataType::Real),
+    ];
+    db.create_table("orders", Schema::new(orders).unwrap())
+        .unwrap();
+    let customers = vec![int("id"), Column::new("name", DataType::Text)];
+    db.create_table("customers", Schema::new(customers).unwrap())
+        .unwrap();
+    // Second column first: creation order is not column order.
+    db.create_index("customers", "name").unwrap();
+    db.create_index("customers", "id").unwrap();
+    db.create_index("orders", "cust").unwrap();
+    for i in 0..200i64 {
+        let row = vec![Value::Int(i), Value::Int(i % 40), Value::Real(i as f64)];
+        db.insert("orders", row, 0.5).unwrap();
+    }
+    for i in 0..40i64 {
+        let row = vec![Value::Int(i), Value::text(format!("c{i}"))];
+        db.insert("customers", row, 0.5).unwrap();
+    }
+    let index_scan = "SELECT id FROM orders WHERE cust = 7 AND amount > 3";
+    let index_join = "SELECT o.id, c.name FROM orders o JOIN customers c ON o.cust = c.id";
+    let plans =
+        |db: &Database| [index_scan, index_join].map(|sql| db.explain_physical(sql).unwrap());
+    let [scan_plan, join_plan] = plans(&db);
+    assert!(
+        scan_plan.contains("IndexScan orders (cust = 7)"),
+        "{scan_plan}"
+    );
+    assert!(
+        join_plan.contains("IndexJoin customers AS c (id)"),
+        "{join_plan}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("pcqe-index-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    persist::save(&db, &dir).unwrap();
+    let restored = persist::load(&dir, EngineConfig::default()).unwrap();
+    let indexed = |db: &Database, table: &str| -> Vec<usize> {
+        let table = db.catalog().table(table).unwrap();
+        table.indexes().iter().map(|ix| ix.column()).collect()
+    };
+    for (table, columns) in [("customers", vec![1, 0]), ("orders", vec![1])] {
+        assert_eq!(indexed(&db, table), columns);
+        assert_eq!(indexed(&restored, table), columns, "{table} after reload");
+        let (saved, loaded) = (db.catalog().table(table), restored.catalog().table(table));
+        assert_eq!(saved.unwrap().indexes(), loaded.unwrap().indexes());
+    }
+    assert_eq!(plans(&restored), [scan_plan, join_plan]);
+
+    // An old manifest: the same file without its `index` lines.
+    let manifest = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
+    let (index_lines, other_lines): (Vec<&str>, Vec<&str>) = manifest
+        .lines()
+        .partition(|line| line.starts_with("index\t"));
+    assert_eq!(
+        index_lines,
+        [
+            "index\tcustomers\tname",
+            "index\tcustomers\tid",
+            "index\torders\tcust"
+        ]
+    );
+    let old = other_lines.join("\n") + "\n";
+    std::fs::write(dir.join("manifest.tsv"), &old).unwrap();
+    let unindexed = persist::load(&dir, EngineConfig::default()).unwrap();
+    assert_eq!(unindexed.catalog().total_rows(), 240);
+    assert!(indexed(&unindexed, "customers").is_empty());
+
+    // Index lines `create_index` refuses — no such table, no such column,
+    // a `REAL` column — and one that comes before its table's block.
+    for (line, reason) in [
+        ("index\tnobody\tid", "unknown table"),
+        ("index\torders\tnothing", "unknown column"),
+        ("index\torders\tamount", "cannot carry an equality index"),
+    ] {
+        std::fs::write(dir.join("manifest.tsv"), format!("{old}{line}\n")).unwrap();
+        match persist::load(&dir, EngineConfig::default()) {
+            Err(EngineError::Storage(e)) => {
+                assert!(e.to_string().contains(reason), "{line:?}: {e}")
+            }
+            other => panic!("{line:?} loaded as {:?}", other.map(|_| "a database")),
+        }
+    }
+    let early = old.replacen('\n', "\nindex\torders\tcust\n", 1);
+    std::fs::write(dir.join("manifest.tsv"), early).unwrap();
+    assert!(matches!(
+        persist::load(&dir, EngineConfig::default()),
+        Err(EngineError::Storage(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}

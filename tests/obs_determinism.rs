@@ -285,3 +285,72 @@ fn explain_analyze_counts_match_actual_operator_sizes() {
         "{text}"
     );
 }
+
+/// The analytics-shaped join, `orders ⋈ customers` on an indexed
+/// `customers.id`: EXPLAIN ANALYZE and the `op:` trace spans name the
+/// index join — table, alias and indexed column — with `rows_in` = the
+/// left rows that probe + the right rows the index fetched; the build
+/// side is not an operator, so no `TableScan customers` line exists; and
+/// the annotated text is still the plan's `Display`, line for line.
+#[test]
+fn explain_analyze_and_the_trace_show_the_index_join() {
+    let mut db = Database::new(EngineConfig::default().sequential());
+    let int = |name| Column::new(name, DataType::Int);
+    db.create_table(
+        "orders",
+        Schema::new(vec![int("id"), int("customer_id")]).unwrap(),
+    )
+    .unwrap();
+    let customers = vec![int("id"), Column::new("region", DataType::Text)];
+    db.create_table("customers", Schema::new(customers).unwrap())
+        .unwrap();
+    db.create_index("customers", "id").unwrap();
+    // Customers 0–9 twice over, so that a probe fetches two rows; orders
+    // 0–59 name customers 0–11, of whom 10 and 11 do not exist.
+    for i in 0..20i64 {
+        let row = vec![Value::Int(i % 10), Value::text(format!("r{}", i % 3))];
+        db.insert("customers", row, 0.9).unwrap();
+    }
+    for i in 0..60i64 {
+        db.insert("orders", vec![Value::Int(i), Value::Int(i % 12)], 0.8)
+            .unwrap();
+    }
+    db.add_policy(ConfidencePolicy::new("analyst", "report", 0.1).unwrap());
+    let sql = "SELECT o.id, c.region FROM orders o JOIN customers c \
+               ON o.customer_id = c.id WHERE o.id < 48";
+    let text = db.explain_analyze(sql).unwrap();
+    // 48 orders probe; the 40 that name customers 0–9 fetch two rows each.
+    let join = "IndexJoin customers AS c (id) [#1 = #2] (rows_in=128 rows_out=80 ";
+    assert!(text.contains(join), "{text}");
+    assert!(
+        text.contains("TableScan orders AS o [filter: (#0 < 48)] (rows_in=60 rows_out=48 "),
+        "{text}"
+    );
+    assert!(!text.contains("TableScan customers"), "{text}");
+
+    let physical = db.explain_physical(sql).unwrap();
+    let plan_lines: Vec<&str> = physical
+        .lines()
+        .skip(2)
+        .filter_map(|line| line.split_once(" | ").map(|(_, physical)| physical))
+        .filter(|physical| !physical.is_empty())
+        .collect();
+    let analyzed: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.split_once(" (rows_in=").map(|(label, _)| label))
+        .collect();
+    assert_eq!(analyzed, plan_lines, "{text}\n{physical}");
+    assert_eq!(analyzed.len(), 3);
+
+    let user = User::new("ana", "analyst");
+    let (response, trace) = db
+        .trace_query(&user, &QueryRequest::new(sql, "report"))
+        .unwrap();
+    assert_eq!(response.released.len() + response.withheld, 80);
+    let folded = pcqe::obs::trace_export::to_folded(&trace);
+    assert!(
+        folded.contains("op:IndexJoin customers AS c (id) [#1 = #2]"),
+        "{folded}"
+    );
+    assert!(!folded.contains("TableScan customers"), "{folded}");
+}

@@ -191,27 +191,39 @@ fn vectorized_engine_matches_the_tuple_at_a_time_reference() {
 /// contract: how many batches a query dispatches, how many items they
 /// carry and how many chunks they are cut into depend on the data and the
 /// worker count alone, and every chunk is claimed exactly once. The
-/// numbers were recorded on the commit before `pcqe-par` became one
-/// dispatcher, so the chunked map's move onto the morsel loop is pinned
-/// to the old scheduler's chunking batch for batch.
+/// un-indexed numbers were recorded on the commit before `pcqe-par`
+/// became one dispatcher, so the chunked map's move onto the morsel loop
+/// is pinned to the old scheduler's chunking batch for batch.
+///
+/// With an index on `sensors.id` the hash join becomes an index join, and
+/// the pinned counts say what that saves without a clock: the right scan,
+/// the tag pass and the partition build no longer dispatch (three batches
+/// and the 192 items they carried), and the plan has one operator fewer.
 #[test]
 fn scheduler_structure_is_pinned_per_worker_count() {
     let distinct = "SELECT DISTINCT r.sensor FROM readings r JOIN sensors s \
                     ON r.sensor = s.id WHERE r.value < 800";
     let hash_join = "SELECT r.sensor, r.value FROM readings r JOIN sensors s \
                      ON r.sensor = s.id WHERE r.value < 100";
-    // (query, workers, par.batches, par.items, par.chunks)
-    let pinned: [(&str, usize, u64, u64, u64); 6] = [
-        (distinct, 1, 7, 26_258, 23),
-        (distinct, 2, 7, 26_258, 37),
-        (distinct, 4, 7, 26_258, 53),
-        (hash_join, 1, 14, 13_312, 30),
-        (hash_join, 2, 14, 13_312, 44),
-        (hash_join, 4, 14, 13_312, 60),
+    // (query, sensors.id indexed, workers, par.batches, par.items, par.chunks,
+    // exec.operators)
+    let pinned: [(&str, bool, usize, u64, u64, u64, u64); 9] = [
+        (distinct, false, 1, 7, 26_258, 23, 4),
+        (distinct, false, 2, 7, 26_258, 37, 4),
+        (distinct, false, 4, 7, 26_258, 53, 4),
+        (hash_join, false, 1, 14, 13_312, 30, 4),
+        (hash_join, false, 2, 14, 13_312, 44, 4),
+        (hash_join, false, 4, 14, 13_312, 60, 4),
+        (hash_join, true, 1, 11, 13_120, 27, 3),
+        (hash_join, true, 2, 11, 13_120, 34, 3),
+        (hash_join, true, 4, 11, 13_120, 42, 3),
     ];
     let user = User::new("ana", "analyst");
-    for (sql, workers, batches, items, chunks) in pinned {
+    for (sql, indexed, workers, batches, items, chunks, operators) in pinned {
         let mut db = populated(config(workers), 10_000);
+        if indexed {
+            db.create_index("sensors", "id").unwrap();
+        }
         assert_eq!(
             db.metrics_snapshot().counter("par.batches"),
             0,
@@ -220,12 +232,27 @@ fn scheduler_structure_is_pinned_per_worker_count() {
         db.query(&user, &QueryRequest::new(sql, "report").expecting(0.2))
             .unwrap();
         let snap = db.metrics_snapshot();
-        let got = ["par.batches", "par.items", "par.chunks"].map(|name| snap.counter(name));
-        assert_eq!(got, [batches, items, chunks], "{workers} workers: {sql}");
+        let got = ["par.batches", "par.items", "par.chunks", "exec.operators"]
+            .map(|name| snap.counter(name));
+        assert_eq!(
+            got,
+            [batches, items, chunks, operators],
+            "{workers} workers, indexed={indexed}: {sql}"
+        );
         assert_eq!(
             snap.counter("par.chunks_claimed"),
             chunks,
             "every chunk claimed exactly once at {workers} workers: {sql}"
+        );
+    }
+    // Strictly less of everything with the index, at every worker count.
+    for (without, with) in pinned[3..6].iter().zip(&pinned[6..]) {
+        assert_eq!((without.0, without.2), (with.0, with.2));
+        let counts = |row: &(&str, bool, usize, u64, u64, u64, u64)| [row.3, row.4, row.5, row.6];
+        let (with, without) = (counts(with), counts(without));
+        assert!(
+            with.iter().zip(&without).all(|(w, wo)| w < wo),
+            "{with:?} vs {without:?}"
         );
     }
 }

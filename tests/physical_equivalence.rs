@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{assert_rows_identical, for_each_case, reference_rows};
+use common::{assert_rows_identical, for_each_case, parallelism_grid, reference_rows};
 use pcqe::algebra::{
     execute, execute_vectorized_with, lower, optimize, BinaryOp, PhysicalPlan, Plan, ProjItem,
     ResultSet, ScalarExpr, UnaryOp,
@@ -209,18 +209,6 @@ fn index_scans_are_planned_and_bit_identical() {
 /// Rows of the grid table: 8 morsels of 75.
 const GRID_ROWS: usize = 600;
 
-fn parallelism_grid() -> [(Parallelism, &'static str); 3] {
-    let threads = |worker_threads| Parallelism {
-        worker_threads,
-        parallel_threshold: 1,
-    };
-    [
-        (Parallelism::sequential(), "1 thread"),
-        (threads(Some(4)), "4 threads"),
-        (threads(None), "host threads"),
-    ]
-}
-
 /// `t(id INT, grp INT, a INT, n INT, x REAL, s TEXT)` and `u(k INT, w INT)`.
 /// Every row of `t` is benign — `n` and `s` NULL, `a` small, `x` cycling
 /// through `-0.0`, `0.0`, NaN, an `Int` stored in the `REAL` column, a
@@ -335,7 +323,7 @@ fn grid_predicates() -> Vec<(&'static str, ScalarExpr, Option<&'static str>)> {
 
 /// The places a predicate can run: fused into a table or index scan, in a
 /// standalone `Filter` over borrowed and over owned rows, as a hash-join
-/// residual and as a nested-loop predicate. `t`'s columns come first in
+/// (with `u.k` indexed: index-join) residual and as a nested-loop predicate. `t`'s columns come first in
 /// both joins, so the predicate reads the same values everywhere.
 fn grid_shapes(predicate: &ScalarExpr) -> Vec<(&'static str, Plan)> {
     let col = ScalarExpr::column;
@@ -413,6 +401,12 @@ fn errors_and_three_valued_logic_match_the_reference_everywhere() {
                         "{name} as {shape}, offender at row {offender}, indexed={indexed}\n{physical}"
                     );
                     if let Some((_, operator)) = expected_plan.iter().find(|(s, _)| *s == shape) {
+                        // With its index on `u.k`, the unfiltered build
+                        // side is the index itself.
+                        let operator = match (*operator, indexed) {
+                            ("HashJoin", true) => "IndexJoin u (k)",
+                            (operator, _) => operator,
+                        };
                         assert!(physical.to_string().contains(operator), "{context}");
                     }
                     if shape == "index scan" {
@@ -861,15 +855,28 @@ fn borrowed_scans_feed_joins_and_aggregates_like_the_reference() {
             .unwrap();
     }
     let join = "SELECT f.id, d.name FROM facts f JOIN dim d ON f.k = d.id";
-    let plan = parse_and_plan(join, &c).unwrap();
-    let physical = lower(&optimize(&plan, &c).unwrap(), &c).unwrap();
-    assert!(physical.to_string().contains("HashJoin"), "{physical}");
+    let lowered = |c: &Catalog| {
+        let plan = parse_and_plan(join, c).unwrap();
+        lower(&optimize(&plan, c).unwrap(), c).unwrap().to_string()
+    };
+    assert!(lowered(&c).contains("HashJoin"), "{}", lowered(&c));
     assert_eq!(reference_rows(join, &c).len(), 3);
     let aggregate =
         "SELECT k, COUNT(*) AS n, SUM(amount) AS total FROM facts WHERE amount > 10 GROUP BY k";
     for (par, threads) in parallelism_grid() {
         assert_bit_identical(join, &c, &par, threads);
         assert_bit_identical(aggregate, &c, &par, threads);
+    }
+    // With an index on the build side's key the join reads that instead:
+    // the same three rows, and 2 000 dim rows never scanned.
+    c.create_index("dim", "id").unwrap();
+    let text = lowered(&c);
+    assert!(
+        text.contains("IndexJoin dim AS d (id)") && !text.contains("TableScan dim"),
+        "{text}"
+    );
+    for (par, threads) in parallelism_grid() {
+        assert_bit_identical(join, &c, &par, threads);
     }
 }
 
@@ -896,6 +903,47 @@ fn hash_join_rejects_a_key_left_of_its_build_side() {
         err.to_string(),
         "type error: join key column 1 out of range"
     );
+}
+
+#[test]
+fn index_join_rejects_a_malformed_plan_with_a_typed_error() {
+    let catalog = build_catalog(&[(Some(1), 1, 0.5)], &[(1, 0.5, 0.5)], true);
+    let join = |column: usize, keys: Vec<(usize, usize)>| PhysicalPlan::IndexJoin {
+        left: Box::new(PhysicalPlan::TableScan {
+            table: "orders".into(),
+            alias: None,
+            residual: None,
+        }),
+        table: "customers".into(),
+        alias: None,
+        column,
+        column_name: "id".into(),
+        keys,
+        residual: None,
+    };
+    let error = |plan: PhysicalPlan| {
+        let run = execute_vectorized_with(&plan, &catalog, &Parallelism::sequential());
+        run.unwrap_err().to_string()
+    };
+    // The well-formed plan runs.
+    let rows =
+        execute_vectorized_with(&join(0, vec![(0, 2)]), &catalog, &Parallelism::sequential());
+    assert_eq!(rows.unwrap().len(), 1);
+    // A right key numbered inside the left input, and one past the table.
+    for (keys, named) in [(vec![(0, 1)], 1), (vec![(0, 2), (1, 4)], 4)] {
+        assert_eq!(
+            error(join(0, keys)),
+            format!("type error: join key column {named} out of range")
+        );
+    }
+    // A left key past the left input.
+    assert_eq!(
+        error(join(0, vec![(2, 2)])),
+        "type error: join key column 2 out of range"
+    );
+    // No index on the named column; no key on the indexed one.
+    assert!(error(join(1, vec![(0, 3)])).contains("requires an index on column 1"));
+    assert!(error(join(0, vec![(1, 3)])).contains("no key on indexed column 0"));
 }
 
 // ---------------------------------------------------------------------------
