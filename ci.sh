@@ -17,7 +17,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # ---------------------------------------------------------------------------
-# Stage registry. Names are the --stage vocabulary; keep ci.yml in sync.
+# Stage registry. Names are the --stage vocabulary; tests/hermetic_guard.rs
+# fails when ci.yml does not run each of them exactly once.
 
 STAGES=(
   fmt
@@ -46,7 +47,7 @@ stage_clippy() { # lints (cargo clippy -D warnings)
 }
 
 stage_lint() { # static invariants (cargo run -p pcqe-lint)
-  # One analyzer, four layers; `cargo run -p pcqe-lint -- --list-rules`
+  # One analyzer, three layers; `cargo run -p pcqe-lint -- --list-rules`
   # prints the rule registry, DESIGN.md § "Static invariants" says what
   # each rule protects. Exceptions, capability grants and flow
   # declarations all live in lint.toml, every entry with a reason.

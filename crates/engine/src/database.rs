@@ -368,11 +368,20 @@ impl Database {
                 confidence,
             } => {
                 let confidence = confidence.unwrap_or(1.0);
-                let mut ids = Vec::with_capacity(rows.len());
+                // All or nothing: every row is checked before the first
+                // is written, so a refused statement (the error is that of
+                // its first offending row) leaves no row, id or index
+                // posting behind.
+                let mut checked = Vec::with_capacity(rows.len());
                 for row in &rows {
                     let values = pcqe_sql::literal_row(row)?;
-                    ids.push(self.insert(&table, values, confidence)?);
+                    self.catalog.check_insert(&table, &values, confidence)?;
+                    checked.push(values);
                 }
+                let ids = checked
+                    .into_iter()
+                    .map(|values| self.insert(&table, values, confidence))
+                    .collect::<Result<_>>()?;
                 Ok(StatementOutcome::Inserted(ids))
             }
             pcqe_sql::Statement::Query(_) => Err(EngineError::Sql(pcqe_sql::SqlError::Parse {
@@ -762,12 +771,14 @@ impl Database {
 
     /// Preview a proposal without applying it: re-evaluate the query with
     /// the proposal's confidences substituted in, returning what the user
-    /// *would* see after accepting. Nothing observable in the database
-    /// changes — this is the "report the cost and the data to the manager"
-    /// step of Section 3.1, with the outcome made inspectable. (The preview
-    /// warms/invalidates circuit-pool memos, which is why the receiver is
-    /// `&mut`; the next scoring pass re-syncs probabilities from the
-    /// catalog, so answers are unaffected.)
+    /// *would* see after accepting — the increments are checked exactly as
+    /// [`Database::apply`] checks them, so a proposal `apply` would refuse
+    /// is refused here with the same error. Nothing observable in the
+    /// database changes — this is the "report the cost and the data to the
+    /// manager" step of Section 3.1, with the outcome made inspectable. (The
+    /// preview warms/invalidates circuit-pool memos, which is why the
+    /// receiver is `&mut`; the next scoring pass re-syncs probabilities from
+    /// the catalog, so answers are unaffected.)
     ///
     /// This is the incremental-re-scoring fast path: overriding one base
     /// tuple's confidence invalidates only the pool nodes whose var-set
@@ -779,11 +790,15 @@ impl Database {
         request: &QueryRequest,
         proposal: &crate::response::ImprovementProposal,
     ) -> Result<QueryResponse> {
-        let overrides: BTreeMap<TupleId, f64> = proposal
-            .increments
-            .iter()
-            .map(|i| (i.tuple_id, i.to))
-            .collect();
+        // Validated like `apply` (first offending increment's error) and
+        // previewed like it: a raise never lowers, and of two raises of
+        // one tuple the higher stands.
+        let mut overrides: BTreeMap<TupleId, f64> = BTreeMap::new();
+        for inc in &proposal.increments {
+            let raised = self.catalog.check_raise(inc.tuple_id, inc.to)?;
+            let to = overrides.entry(inc.tuple_id).or_insert(raised);
+            *to = to.max(raised);
+        }
         // A preview leaves no execution metrics and no audit entry.
         let stage = Stage {
             lifecycle: None,

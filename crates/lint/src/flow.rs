@@ -1,4 +1,4 @@
-//! Layer 4 of the analyzer: confidentiality dataflow. Taint from the
+//! Layer 3 of the analyzer: confidentiality dataflow. Taint from the
 //! `[[source]]`s declared in `lint.toml` ([`crate::spec`]) is
 //! propagated through per-function def-use chains (`let` bindings,
 //! format captures, return values — recorded by [`crate::item`]) and

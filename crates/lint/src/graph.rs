@@ -1,7 +1,7 @@
 //! Layer 2 of the analyzer: the workspace call graph and the rules that
 //! are *reachability* properties rather than token windows. (Layer 3 —
-//! the concurrency-soundness rules in [`crate::concurrency`] — runs over
-//! the same graph, consuming the per-call positions and lock/load sites
+//! the confidentiality dataflow in [`crate::flow`] — runs over the same
+//! graph, consuming the per-call argument sets and def-use chains
 //! recorded here.)
 //!
 //! [`CallGraph::build`] links the per-file items from [`crate::item`]
@@ -21,7 +21,7 @@
 //! devirtualized without types, so `sink.emit(…)` gets an edge to *every*
 //! workspace method named `emit` — each `impl SolverSink for _` included.
 //! Whatever the dynamic dispatch would actually reach is a subset of the
-//! edges drawn, so P002/G001 (and the layer-3 lock propagation) never
+//! edges drawn, so P002/G001 (and the layer-3 taint propagation) never
 //! miss a path through dynamic dispatch; the cost is spurious edges
 //! between same-named methods of unrelated types, which only ever *add*
 //! findings for a human to allowlist, never hide one. This behavior is
@@ -45,9 +45,8 @@
 //!
 //! [`ReleasedTuple`]: https://en.wikipedia.org/wiki/Access_control
 
-use crate::item::{Bind, CallKind, FileItems, FmtSite, LoadSite, LockSite, PanicKind};
+use crate::item::{Bind, CallKind, FileItems, FmtSite, PanicKind};
 use crate::rules::{FileClass, Finding, Rule};
-use crate::spec::Cap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Crates whose `pub` functions seed the P002 reachability scan — the
@@ -60,8 +59,8 @@ const PANIC_ROOT_CRATES: [&str; 4] = ["pcqe_engine", "pcqe_policy", "pcqe_sql", 
 /// ledgers).
 const POLICY_GATE: &str = "evaluate_results";
 
-/// The row type whose construction means disclosure (rules G001, C006).
-pub(crate) const RELEASED_TYPE: &str = "ReleasedTuple";
+/// The row type whose construction means disclosure (rule G001).
+const RELEASED_TYPE: &str = "ReleasedTuple";
 
 /// Query entry points: `pub` methods on this type whose names match
 /// [`is_entry_name`].
@@ -88,22 +87,15 @@ pub struct FnNode {
     pub calls_names: BTreeSet<String>,
     /// Identifiers mentioned in the body (emitter detection).
     pub mentions: BTreeSet<String>,
-    /// Lock-acquisition sites in the body, in source order (layer 3).
-    pub locks: Vec<LockSite>,
-    /// Weakly-ordered atomic loads in the body (layer 3, rule C006).
-    pub loads: Vec<LoadSite>,
-    /// Interior-mutable capability carried by the return type, if the
-    /// function hands out `Arc`-shared state (layer 3, rule C005).
-    pub ret_carries: Option<Cap>,
-    /// Parameter names in declaration order (layer 4: interprocedural
+    /// Parameter names in declaration order (layer 3: interprocedural
     /// taint hand-off by argument position).
     pub params: Vec<String>,
-    /// `let` bindings in source order (layer 4: intraprocedural def-use).
+    /// `let` bindings in source order (layer 3: intraprocedural def-use).
     pub binds: Vec<Bind>,
-    /// Formatting-macro sites in source order (layer 4: sink detection).
+    /// Formatting-macro sites in source order (layer 3: sink detection).
     pub fmts: Vec<FmtSite>,
     /// Identifiers feeding `return` expressions and the trailing
-    /// expression (layer 4: return-value taint).
+    /// expression (layer 3: return-value taint).
     pub ret_idents: BTreeSet<String>,
 }
 
@@ -118,42 +110,23 @@ impl FnNode {
 }
 
 /// One call site of a function with its resolved targets, kept in body
-/// order so layer 3 can interleave it with the lock-acquisition sites.
+/// order for the layer-3 taint hand-off.
 #[derive(Debug, Clone)]
 pub struct ResolvedCall {
-    /// Token position of the call's name within the file — comparable
-    /// with [`LockSite::pos`] of the same function.
-    pub pos: usize,
     /// 1-based line of the call.
     pub line: u32,
     /// Bare/path call vs. method call.
     pub kind: CallKind,
     /// Path segments as written (`Type::f` → `["Type", "f"]`), for the
-    /// layer-4 structural sink classes (error constructors).
+    /// layer-3 structural sink classes (error constructors).
     pub segs: Vec<String>,
     /// Identifiers per top-level argument, format-string captures
-    /// included (layer 4: arg-position taint hand-off).
+    /// included (layer 3: arg-position taint hand-off).
     pub args: Vec<BTreeSet<String>>,
     /// Call-position identifiers per argument ([`CallSite::arg_calls`]).
     pub arg_calls: Vec<BTreeSet<String>>,
     /// Sorted, deduplicated node indexes this call may reach.
     pub targets: Vec<usize>,
-}
-
-/// An interior-mutable `static` item, lifted to the workspace level for
-/// the escape analysis (rule C005).
-#[derive(Debug, Clone)]
-pub struct StaticNode {
-    /// File the static lives in.
-    pub path: String,
-    /// Crate (underscore form).
-    pub crate_name: String,
-    /// Item name.
-    pub name: String,
-    /// 1-based line of the `static` keyword.
-    pub line: u32,
-    /// The capability its type carries (`Locks` or `Atomics`).
-    pub carries: Cap,
 }
 
 /// The resolved workspace call graph.
@@ -164,11 +137,8 @@ pub struct CallGraph {
     pub fns: Vec<FnNode>,
     /// `edges[i]` = sorted, deduplicated callee indexes of `fns[i]`.
     pub edges: Vec<Vec<usize>>,
-    /// `calls[i]` = resolved call sites of `fns[i]` in body order, with
-    /// token positions (layer 3: lock-order and escape analyses).
+    /// `calls[i]` = resolved call sites of `fns[i]` in body order.
     pub calls: Vec<Vec<ResolvedCall>>,
-    /// Interior-mutable statics across the workspace, in walk order.
-    pub statics: Vec<StaticNode>,
 }
 
 impl CallGraph {
@@ -192,25 +162,10 @@ impl CallGraph {
                         .filter_map(|c| c.segs.last().cloned())
                         .collect(),
                     mentions: f.mentions.clone(),
-                    locks: f.locks.clone(),
-                    loads: f.loads.clone(),
-                    ret_carries: f.ret_carries,
                     params: f.params.clone(),
                     binds: f.binds.clone(),
                     fmts: f.fmts.clone(),
                     ret_idents: f.ret_idents.clone(),
-                });
-            }
-        }
-        let mut statics: Vec<StaticNode> = Vec::new();
-        for file in files {
-            for s in &file.statics {
-                statics.push(StaticNode {
-                    path: file.path.clone(),
-                    crate_name: file.crate_name.clone(),
-                    name: s.name.clone(),
-                    line: s.line,
-                    carries: s.carries,
                 });
             }
         }
@@ -269,7 +224,6 @@ impl CallGraph {
                     }
                     targets.extend(site.iter().copied());
                     calls[idx].push(ResolvedCall {
-                        pos: call.pos,
                         line: call.line,
                         kind: call.kind,
                         segs: call.segs.clone(),
@@ -282,12 +236,7 @@ impl CallGraph {
                 idx += 1;
             }
         }
-        CallGraph {
-            fns,
-            edges,
-            calls,
-            statics,
-        }
+        CallGraph { fns, edges, calls }
     }
 }
 
@@ -372,9 +321,8 @@ fn is_entry_name(name: &str) -> bool {
 }
 
 /// Node indexes of the query entry points (`pub` `Database::query*` /
-/// `Database::what_if` in the engine crate) — the BFS roots shared by
-/// G001 and the layer-3 C006 scan.
-pub fn query_entry_roots(graph: &CallGraph) -> Vec<usize> {
+/// `Database::what_if` in the engine crate) — G001's BFS roots.
+fn query_entry_roots(graph: &CallGraph) -> Vec<usize> {
     graph
         .fns
         .iter()
@@ -446,7 +394,7 @@ pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
 }
 
 /// Render the BFS witness chain `root → … → node`.
-pub(crate) fn witness_path(graph: &CallGraph, pred: &[usize], mut i: usize) -> String {
+fn witness_path(graph: &CallGraph, pred: &[usize], mut i: usize) -> String {
     let mut chain = vec![graph.fns[i].qualified()];
     while pred[i] != usize::MAX {
         i = pred[i];
@@ -670,9 +618,8 @@ mod tests {
             vec!["pcqe_engine::VecSink::emit", "pcqe_obs::CountSink::emit"],
             "trait-object dispatch must over-approximate to every impl"
         );
-        // The per-call resolution carries the same target set with a
-        // position, so layer 3 sees the call as potentially reaching
-        // every impl too.
+        // The per-call resolution carries the same target set, so
+        // layer 3 sees the call as potentially reaching every impl too.
         assert_eq!(g.calls[drive].len(), 1);
         assert_eq!(g.calls[drive][0].kind, CallKind::Method);
         assert_eq!(g.calls[drive][0].targets, g.edges[drive]);

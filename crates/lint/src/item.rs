@@ -11,18 +11,13 @@
 //! * `fn` items, free or inside `impl`/`trait` blocks, with visibility,
 //!   owner type, and the line they start on;
 //! * per-function **call sites** (bare calls, `path::to::calls`, and
-//!   `.method(` calls, each with its token position for ordering
-//!   analyses), **panic sites** (`.unwrap()`, `.expect("…")`,
+//!   `.method(` calls), **panic sites** (`.unwrap()`, `.expect("…")`,
 //!   `panic!`-family macros, and slice/array indexing), and the set of
 //!   identifiers the body **mentions** (anchors for the policy-gating
 //!   rule);
-//! * per-function **lock-acquisition sites** (`x.lock()` / empty-paren
-//!   `x.read()` / `x.write()`, named by the receiver identifier) and
-//!   **relaxed atomic loads** (`x.load(Ordering::Relaxed|Acquire)`) —
-//!   the inputs to the layer-3 concurrency rules ([`crate::concurrency`]);
-//! * module-level `static` items whose type carries interior mutability,
-//!   and `pub fn` return types that share it behind an `Arc` — the
-//!   escape-analysis providers (rule C005).
+//! * per-function **def-use chains** (`let` bindings, format-macro
+//!   sites, per-argument identifier sets, return-value identifiers) —
+//!   the inputs to the dataflow rules ([`crate::flow`]).
 //!
 //! The parser is deliberately shallow and fail-soft, in the same spirit
 //! as the lexer: a construct it cannot interpret is skipped, which at
@@ -33,7 +28,6 @@
 //! and `macro_rules!` bodies (skipped wholesale).
 
 use crate::lexer::{Tok, Token};
-use crate::spec::Cap;
 use std::collections::BTreeSet;
 
 /// A panicking construct inside a function body.
@@ -88,10 +82,6 @@ pub struct CallSite {
     pub kind: CallKind,
     /// 1-based line.
     pub line: u32,
-    /// Token index of the call's name in the file — a total order over
-    /// every site in the same body, so "after the lock was taken" is a
-    /// plain comparison.
-    pub pos: usize,
     /// Identifiers in each top-level comma-separated argument, in
     /// argument order (format-string captures included) — the def-use
     /// hand-off the dataflow layer matches against callee parameters.
@@ -139,46 +129,6 @@ pub struct FmtSite {
     pub calls: BTreeSet<String>,
 }
 
-/// One lock acquisition inside a function body: `x.lock()` or an
-/// empty-paren `x.read()` / `x.write()` (`RwLock` guards). Locks are
-/// identified by the receiver identifier — `self.inner.lock()` is lock
-/// `inner`, and a bare `self.lock()` is named after the enclosing owner
-/// type. Name-based identity is conservative and global: two fields
-/// sharing a name alias to one lock node, which can only *add* lock-order
-/// edges (the safe direction for deadlock detection).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
-    /// The lock's name (receiver identifier or owner type).
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Token index of the method name (comparable with [`CallSite::pos`]).
-    pub pos: usize,
-}
-
-/// One relaxed atomic read: `x.load(Ordering::Relaxed)` or `…::Acquire`.
-/// `SeqCst` loads are not recorded — they take the one total
-/// modification order and cannot reorder against other `SeqCst` ops.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadSite {
-    /// The ordering argument as written (`Relaxed` or `Acquire`).
-    pub ordering: String,
-    /// 1-based line.
-    pub line: u32,
-}
-
-/// One module-level `static` whose type carries interior mutability —
-/// a shared-state escape hatch the C005 analysis tracks by name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticItem {
-    /// The static's name.
-    pub name: String,
-    /// 1-based line of the `static` keyword.
-    pub line: u32,
-    /// Which capability class the type needs (locks or atomics).
-    pub carries: Cap,
-}
-
 /// One `fn` item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
@@ -195,14 +145,6 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     /// Every panic site in the body.
     pub panics: Vec<PanicSite>,
-    /// Every lock-acquisition site in the body, in source order.
-    pub locks: Vec<LockSite>,
-    /// Every relaxed/acquire atomic load in the body.
-    pub loads: Vec<LoadSite>,
-    /// `Some(cap)` when the return type shares interior-mutable state
-    /// behind an `Arc` (e.g. `-> Arc<Mutex<…>>`) — a C005 provider if
-    /// the fn is public in a capability-granted crate.
-    pub ret_carries: Option<Cap>,
     /// Every identifier mentioned in the body (types included) — the
     /// anchor set for content rules like policy gating.
     pub mentions: BTreeSet<String>,
@@ -240,8 +182,6 @@ pub struct FileItems {
     pub imports: Vec<UseItem>,
     /// `fn` items, in source order.
     pub fns: Vec<FnItem>,
-    /// Interior-mutable module-level `static`s, in source order.
-    pub statics: Vec<StaticItem>,
 }
 
 /// Derive the crate name (underscore form) from a workspace-relative
@@ -306,18 +246,6 @@ fn fmt_captures(body: &str, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Which capability class an interior-mutable *shared* type identifier
-/// carries, for escape tracking: lock types and atomics. `mpsc`
-/// endpoints are excluded (a cloned `Sender` is the channel working as
-/// designed, not state escaping it), and `Cell`/`RefCell` are not `Sync`
-/// so they cannot cross threads behind an `Arc` in compiling code.
-fn shared_state_cap(name: &str) -> Option<Cap> {
-    match Cap::of_token(name) {
-        Some(cap @ (Cap::Locks | Cap::Atomics)) => Some(cap),
-        _ => None,
-    }
-}
-
 /// Parse one file's tokens into items. `mask[i]` marks tokens inside
 /// `#[cfg(test)]` items (from [`crate::rules`]'s region mask); masked
 /// items are skipped entirely — test code may panic.
@@ -327,7 +255,6 @@ pub fn collect(path: &str, toks: &[Token], mask: &[bool]) -> FileItems {
         crate_name: crate_of(path),
         imports: Vec::new(),
         fns: Vec::new(),
-        statics: Vec::new(),
     };
     let mut p = ItemParser {
         toks,
@@ -457,10 +384,6 @@ impl<'a> ItemParser<'a> {
                     };
                     pending_pub = false;
                 }
-                "static" => {
-                    i = self.static_item(i, end);
-                    pending_pub = false;
-                }
                 "struct" | "enum" | "union" => {
                     // Skip to `;` or through the body: field lists contain
                     // no calls.
@@ -574,61 +497,6 @@ impl<'a> ItemParser<'a> {
         prefix.truncate(depth_in);
     }
 
-    /// Handle a `static` keyword at item level (index `i`). Records a
-    /// [`StaticItem`] when the declared type carries interior mutability;
-    /// returns the index to resume scanning from. `&'static` lifetimes
-    /// reach this arm too and are rejected by shape: a declaration is
-    /// `static [mut] NAME :` and is never preceded by a `'`.
-    fn static_item(&mut self, i: usize, end: usize) -> usize {
-        if i > 0 && self.punct_at(i - 1, '\'') {
-            return i + 1; // `&'static …` lifetime, not an item
-        }
-        let mut j = i + 1;
-        if self.ident_at(j) == Some("mut") {
-            j += 1;
-        }
-        let (Some(name), true) = (self.ident_at(j), self.punct_at(j + 1, ':')) else {
-            return i + 1;
-        };
-        let name = name.to_owned();
-        // Scan the type region (`:` to `=` or `;` at group depth 0) for
-        // shared interior-mutable type identifiers.
-        let mut carries: Option<Cap> = None;
-        let mut k = j + 2;
-        let mut depth = 0usize;
-        while k < end {
-            match &self.toks[k].tok {
-                Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
-                Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => {
-                    depth = depth.saturating_sub(1)
-                }
-                Tok::Punct('=') | Tok::Punct(';') if depth == 0 => break,
-                Tok::Ident(w) if carries.is_none() => carries = shared_state_cap(w),
-                _ => {}
-            }
-            k += 1;
-        }
-        if let Some(carries) = carries {
-            self.out.statics.push(StaticItem {
-                name,
-                line: self.toks[i].line,
-                carries,
-            });
-        }
-        // Skip the initializer to the terminating `;` at brace depth 0.
-        let mut depth = 0usize;
-        while k < end {
-            match &self.toks[k].tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => depth = depth.saturating_sub(1),
-                Tok::Punct(';') if depth == 0 => return k + 1,
-                _ => {}
-            }
-            k += 1;
-        }
-        k
-    }
-
     /// Parse an `impl`/`trait` header starting just past the keyword and
     /// recurse into its body with the owner type set. Returns the index
     /// past the closing brace.
@@ -729,26 +597,11 @@ impl<'a> ItemParser<'a> {
                 }
             }
         }
-        let ret_start = i;
         while i < self.toks.len() && !self.punct_at(i, '{') && !self.punct_at(i, ';') {
             i += 1;
         }
         if !self.punct_at(i, '{') {
             return i + 1; // declaration only (trait method without body)
-        }
-        // Return-type region: an `Arc` wrapping an interior-mutable type
-        // means the fn hands out shared mutable state (a C005 provider).
-        let mut saw_arc = false;
-        let mut ret_carries: Option<Cap> = None;
-        for t in &self.toks[ret_start..i] {
-            if let Tok::Ident(w) = &t.tok {
-                if w == "Arc" {
-                    saw_arc = true;
-                }
-                if ret_carries.is_none() {
-                    ret_carries = shared_state_cap(w);
-                }
-            }
         }
         let close = self.skip_group(i, '{', '}');
         let mut item = FnItem {
@@ -758,9 +611,6 @@ impl<'a> ItemParser<'a> {
             line,
             calls: Vec::new(),
             panics: Vec::new(),
-            locks: Vec::new(),
-            loads: Vec::new(),
-            ret_carries: if saw_arc { ret_carries } else { None },
             mentions: BTreeSet::new(),
             params,
             binds: Vec::new(),
@@ -877,42 +727,6 @@ impl<'a> ItemParser<'a> {
         (args, arg_calls)
     }
 
-    /// The lock name for a method call at token `i` (whose `.` sits at
-    /// `i - 1`): the receiver identifier, with a bare `self` receiver
-    /// named after the enclosing owner type. A non-identifier receiver
-    /// (`make().lock()`, tuple fields) falls back to the owner type when
-    /// inside an `impl`, else the site is skipped — a conservative miss
-    /// that only drops lock-order edges for constructs the tree avoids.
-    fn receiver_name(&self, i: usize, start: usize, item: &FnItem) -> Option<String> {
-        if i < start + 2 {
-            return item.owner.clone();
-        }
-        match self.ident_at(i - 2) {
-            Some("self") => item.owner.clone().or_else(|| Some("self".to_owned())),
-            Some(r) => Some(r.to_owned()),
-            None => item.owner.clone(),
-        }
-    }
-
-    /// If the argument group opening at token `open` mentions the
-    /// ordering `Relaxed` or `Acquire`, return it. An ordering passed
-    /// through a variable is missed — conservative, and the repo style
-    /// names orderings literally at the load site.
-    fn weak_ordering_arg(&self, open: usize) -> Option<String> {
-        if !self.punct_at(open, '(') {
-            return None;
-        }
-        let close = self.skip_group(open, '(', ')');
-        for t in &self.toks[open..close.min(self.toks.len())] {
-            if let Tok::Ident(w) = &t.tok {
-                if w == "Relaxed" || w == "Acquire" {
-                    return Some(w.clone());
-                }
-            }
-        }
-        None
-    }
-
     /// Record the binding introduced by a `let` keyword at token `i`
     /// (plain `let`, `if let`, `while let`, `let … else`): pattern names
     /// from the region up to the `=`, initializer identifiers from the
@@ -1022,38 +836,11 @@ impl<'a> ItemParser<'a> {
                                 })
                             }
                             _ => {
-                                // `x.lock()` / empty-paren `x.read()` /
-                                // `x.write()`: a lock acquisition, named
-                                // by the receiver. (The empty-argument
-                                // requirement keeps `io::Read::read(buf)`
-                                // and friends out of scope.)
-                                if matches!(w.as_str(), "lock" | "read" | "write")
-                                    && self.punct_at(i + 2, ')')
-                                {
-                                    if let Some(name) = self.receiver_name(i, start, item) {
-                                        item.locks.push(LockSite {
-                                            name,
-                                            line: t.line,
-                                            pos: i,
-                                        });
-                                    }
-                                }
-                                // `x.load(Ordering::Relaxed|Acquire)`:
-                                // a weakly-ordered atomic read.
-                                if w == "load" {
-                                    if let Some(ordering) = self.weak_ordering_arg(i + 1) {
-                                        item.loads.push(LoadSite {
-                                            ordering,
-                                            line: t.line,
-                                        });
-                                    }
-                                }
                                 let (args, arg_calls) = self.call_args(i + 1);
                                 item.calls.push(CallSite {
                                     segs: vec![w.clone()],
                                     kind: CallKind::Method,
                                     line: t.line,
-                                    pos: i,
                                     args,
                                     arg_calls,
                                 });
@@ -1080,7 +867,6 @@ impl<'a> ItemParser<'a> {
                             segs,
                             kind: CallKind::Path,
                             line: t.line,
-                            pos: i,
                             args,
                             arg_calls,
                         });
@@ -1304,111 +1090,6 @@ mod tests {
     fn mentions_include_type_names() {
         let f = items("fn emit() -> ReleasedTuple { ReleasedTuple { x: 1 } }\n");
         assert!(f.fns[0].mentions.contains("ReleasedTuple"));
-    }
-
-    #[test]
-    fn records_lock_sites_with_receiver_names() {
-        let f = items(
-            "struct R { inner: u32 }\n\
-             impl R {\n\
-               fn lock_inner(&self) { self.inner.lock(); }\n\
-               fn lock_self(&self) { self.lock(); }\n\
-             }\n\
-             fn free(done: &M, rw: &W, io: &mut F, buf: &mut [u8]) {\n\
-               let _g = done.lock();\n\
-               let _r = rw.read();\n\
-               let _w = rw.write();\n\
-               io.read(buf);\n\
-             }\n",
-        );
-        let sites: Vec<(String, Vec<(&str, u32)>)> = f
-            .fns
-            .iter()
-            .map(|fun| {
-                (
-                    fun.name.clone(),
-                    fun.locks
-                        .iter()
-                        .map(|l| (l.name.as_str(), l.line))
-                        .collect(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            sites,
-            vec![
-                // `self.inner.lock()` names the field; bare `self.lock()`
-                // names the owner type.
-                ("lock_inner".to_owned(), vec![("inner", 3)]),
-                ("lock_self".to_owned(), vec![("R", 4)]),
-                // Empty-paren read/write are RwLock guards; `io.read(buf)`
-                // takes an argument and is not an acquisition.
-                ("free".to_owned(), vec![("done", 7), ("rw", 8), ("rw", 9)]),
-            ]
-        );
-        // Positions give a total source order per body.
-        let free = &f.fns[2];
-        assert!(free.locks.windows(2).all(|w| w[0].pos < w[1].pos));
-        assert!(free.calls.iter().all(|c| c.pos > 0));
-    }
-
-    #[test]
-    fn records_relaxed_and_acquire_loads_not_seqcst() {
-        let f = items(
-            "fn f(a: &AtomicU64) -> u64 {\n\
-               let x = a.load(Ordering::Relaxed);\n\
-               let y = a.load(Ordering::Acquire);\n\
-               let z = a.load(Ordering::SeqCst);\n\
-               x + y + z\n\
-             }\n",
-        );
-        let got: Vec<(&str, u32)> = f.fns[0]
-            .loads
-            .iter()
-            .map(|l| (l.ordering.as_str(), l.line))
-            .collect();
-        assert_eq!(got, vec![("Relaxed", 2), ("Acquire", 3)]);
-    }
-
-    #[test]
-    fn return_types_sharing_interior_mutability_are_flagged() {
-        let f = items(
-            "pub fn shared() -> Arc<Mutex<Vec<u64>>> { make() }\n\
-             pub fn plain() -> Vec<u64> { make() }\n\
-             pub fn arc_only() -> Arc<Vec<u64>> { make() }\n\
-             pub fn flag() -> Arc<AtomicU64> { make() }\n\
-             pub fn bare_mutex() -> Mutex<u64> { make() }\n",
-        );
-        let got: Vec<Option<Cap>> = f.fns.iter().map(|fun| fun.ret_carries).collect();
-        // Only the `Arc`-shared forms escape: a bare `Mutex` return moves
-        // ownership to the caller instead of sharing it.
-        assert_eq!(
-            got,
-            vec![Some(Cap::Locks), None, None, Some(Cap::Atomics), None]
-        );
-    }
-
-    #[test]
-    fn interior_mutable_statics_are_recorded_and_lifetimes_are_not() {
-        let f = items(
-            "pub static SHARED: Mutex<u64> = Mutex::new(0);\n\
-             static COUNT: AtomicU64 = AtomicU64::new(0);\n\
-             static NAME: &'static str = \"x\";\n\
-             const LABEL: &'static str = \"y\";\n\
-             fn after() {}\n",
-        );
-        let got: Vec<(&str, u32, Cap)> = f
-            .statics
-            .iter()
-            .map(|s| (s.name.as_str(), s.line, s.carries))
-            .collect();
-        assert_eq!(
-            got,
-            vec![("SHARED", 1, Cap::Locks), ("COUNT", 2, Cap::Atomics)]
-        );
-        // The parser resumes correctly after statics and `&'static` refs.
-        assert_eq!(f.fns.len(), 1);
-        assert_eq!(f.fns[0].name, "after");
     }
 
     #[test]

@@ -8,26 +8,22 @@
 //! *written*, instead of hoping a test notices the symptom later.
 //!
 //! The analyzer is std-only — no `syn`, no registry crates — and works
-//! in four layers:
+//! in three layers:
 //!
 //! 1. **Token layer.** Every Rust source is tokenized by a hand-rolled
 //!    lexer ([`lexer`]) and matched against small token-window patterns
 //!    ([`rules`]). Concurrency tokens are checked against per-crate
 //!    capability `[[grant]]`s (`threads`/`locks`/`atomics`/`channels`,
-//!    each with a reason).
+//!    each with a reason) — containment is the whole concurrency
+//!    argument: who may lock or spawn is decided, and argued, at the
+//!    grant (DESIGN.md § "Static invariants").
 //! 2. **Graph layer.** The same token streams feed a lightweight item
 //!    parser ([`item`]: fns, impls, `use` trees, visibility, per-fn call
 //!    and panic sites), whose output links into a workspace-wide
 //!    resolved call graph ([`graph`]) powering *reachability* rules —
 //!    properties that hold along every path, not just at the call sites
 //!    a token window happens to see.
-//! 3. **Concurrency layer.** The graph, enriched with lock-acquisition
-//!    sites, weakly-ordered atomic loads, and interior-mutable
-//!    statics/returns, feeds the concurrency-soundness analyses
-//!    ([`concurrency`]): lock-order cycles, locks held across
-//!    result-affecting boundaries, shared-state escape, and relaxed
-//!    reads on the release path.
-//! 4. **Dataflow layer.** Per-function def-use chains (`let` bindings,
+//! 3. **Dataflow layer.** Per-function def-use chains (`let` bindings,
 //!    format captures, return-value identifiers) plus per-argument call
 //!    windows feed a name-based taint analysis ([`flow`]): sources and
 //!    sanctioned disclosure channels are declared, and suppressed-tuple
@@ -46,7 +42,6 @@
 //! `tests/lint_guard.rs`, `tests/concurrency_lint_guard.rs` and
 //! `tests/flow_lint_guard.rs`.
 
-pub mod concurrency;
 pub mod flow;
 pub mod graph;
 pub mod item;
@@ -82,9 +77,14 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Does the analysis gate (any error-severity finding)?
+    /// Does the analysis pass (no unsuppressed finding)?
     pub fn is_clean(&self) -> bool {
-        self.error_count() == 0
+        self.findings.is_empty()
+    }
+
+    /// Unsuppressed findings — every one fails the run.
+    pub fn error_count(&self) -> usize {
+        self.findings.len()
     }
 
     /// Narrow the report to one rule — a *display* filter for
@@ -136,7 +136,7 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
     // Each file is lexed once; the token stream feeds both the token
     // rules and the item parser, whose output links into the workspace
     // call graph for the reachability rules (P002, G001) and the
-    // concurrency layer (C003–C006).
+    // dataflow layer (F001–F003).
     let mut raw: Vec<Finding> = Vec::new();
     let mut items: Vec<item::FileItems> = Vec::new();
     let sources = walk::rust_sources(root).map_err(|e| io(e, "walking sources"))?;
@@ -159,10 +159,7 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
     let call_graph = graph::CallGraph::build(&items);
     graph::panic_reachability(&call_graph, &mut raw);
     graph::policy_gating(&call_graph, &mut raw);
-    concurrency::lock_order(&call_graph, &mut raw);
-    concurrency::escapes(&call_graph, &spec, &mut raw);
-    concurrency::relaxed_reads(&call_graph, &mut raw);
-    // Layer 4: sanctioned flows land directly in the suppressed list
+    // Layer 3: sanctioned flows land directly in the suppressed list
     // with the sanction's reason; unsanctioned ones are findings like
     // any other (and may still be allowlisted individually below).
     let mut suppressed: Vec<(Finding, String)> = Vec::new();

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
                 Some((v, None)) => {
                     return usage(&format!("unknown rule id `{v}` (try --list-rules)"))
                 }
-                None => return usage("--rule needs a rule id (e.g. PCQE-C003)"),
+                None => return usage("--rule needs a rule id (e.g. PCQE-G001)"),
             },
             "--format" => match args.next().as_deref() {
                 Some("human") => format = Format::Human,
@@ -51,12 +51,7 @@ fn main() -> ExitCode {
             },
             "--list-rules" => {
                 for rule in pcqe_lint::rules::Rule::all() {
-                    println!(
-                        "{} [{}] {}",
-                        rule.code(),
-                        rule.severity().label(),
-                        rule.summary()
-                    );
+                    println!("{} {}", rule.code(), rule.summary());
                 }
                 return ExitCode::SUCCESS;
             }

@@ -4,31 +4,27 @@
 //! writer): the workspace is registry-free, so no serde. Output is fully
 //! deterministic — findings arrive pre-sorted and maps are avoided.
 
-use crate::rules::{Rule, Severity};
+use crate::rules::Rule;
 use crate::Analysis;
 
-/// Render the human report: one `path:line: CODE [severity] message` per
+/// Render the human report: one `path:line: CODE [error] message` per
 /// finding plus a summary line.
 pub fn human(analysis: &Analysis) -> String {
     let mut out = String::new();
     for f in &analysis.findings {
         out.push_str(&format!(
-            "{}:{}: {} [{}] {}\n",
+            "{}:{}: {} [error] {}\n",
             f.path,
             f.line,
             f.rule.code(),
-            f.rule.severity().label(),
             f.message
         ));
     }
-    let errors = analysis.error_count();
-    let warnings = analysis.warning_count();
     out.push_str(&format!(
-        "pcqe-lint: {} file(s), {} manifest(s) scanned; {} error(s), {} warning(s), {} suppressed\n",
+        "pcqe-lint: {} file(s), {} manifest(s) scanned; {} error(s), {} suppressed\n",
         analysis.files_scanned,
         analysis.manifests_scanned,
-        errors,
-        warnings,
+        analysis.error_count(),
         analysis.suppressed.len()
     ));
     out
@@ -42,20 +38,19 @@ pub fn human(analysis: &Analysis) -> String {
 /// --gate`): per-rule ceilings make a regression in *any* rule visible
 /// even while the totals stay flat. Format version 3 widened the section
 /// to the dataflow rules (PCQE-F001–F005); the shape is unchanged, and a
-/// retired rule id simply stops appearing.
+/// retired rule id simply stops appearing. Format version 4 dropped the
+/// summary's `warnings` count with the severity axis: every finding is
+/// an error, and says so.
 pub fn json(analysis: &Analysis) -> String {
     let mut out =
-        String::from("{\n  \"tool\": \"pcqe-lint\",\n  \"format_version\": 3,\n  \"findings\": [");
+        String::from("{\n  \"tool\": \"pcqe-lint\",\n  \"format_version\": 4,\n  \"findings\": [");
     for (i, f) in analysis.findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n    {");
         out.push_str(&format!("\"rule\": \"{}\", ", f.rule.code()));
-        out.push_str(&format!(
-            "\"severity\": \"{}\", ",
-            f.rule.severity().label()
-        ));
+        out.push_str("\"severity\": \"error\", ");
         out.push_str(&format!("\"path\": \"{}\", ", escape(&f.path)));
         out.push_str(&format!("\"line\": {}, ", f.line));
         out.push_str(&format!("\"message\": \"{}\"", escape(&f.message)));
@@ -84,28 +79,9 @@ pub fn json(analysis: &Analysis) -> String {
     out.push_str(&format!("\"files\": {}, ", analysis.files_scanned));
     out.push_str(&format!("\"manifests\": {}, ", analysis.manifests_scanned));
     out.push_str(&format!("\"errors\": {}, ", analysis.error_count()));
-    out.push_str(&format!("\"warnings\": {}, ", analysis.warning_count()));
     out.push_str(&format!("\"suppressed\": {}", analysis.suppressed.len()));
     out.push_str("}\n}\n");
     out
-}
-
-impl Analysis {
-    /// Unsuppressed findings with `Error` severity.
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.rule.severity() == Severity::Error)
-            .count()
-    }
-
-    /// Unsuppressed findings with `Warning` severity.
-    pub fn warning_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.rule.severity() == Severity::Warning)
-            .count()
-    }
 }
 
 /// Minimal JSON string escaping: quotes, backslashes, control chars.
@@ -155,13 +131,13 @@ mod tests {
     #[test]
     fn json_is_escaped_and_structured() {
         let text = json(&sample());
-        assert!(text.contains("\"format_version\": 3"));
+        assert!(text.contains("\"format_version\": 4"));
         assert!(text.contains("\"rule\": \"PCQE-D001\""));
         assert!(text.contains("a \\\"quoted\\\" construct"));
         assert!(text.contains("\"errors\": 1"));
         // The per-rule section counts the D001 error and zeroes the rest.
         assert!(text.contains("\"PCQE-D001\": {\"errors\": 1, \"suppressed\": 0}"));
-        assert!(text.contains("\"PCQE-C003\": {\"errors\": 0, \"suppressed\": 0}"));
+        assert!(text.contains("\"PCQE-G001\": {\"errors\": 0, \"suppressed\": 0}"));
         // Empty analysis yields an empty findings array, still valid.
         let empty = Analysis {
             findings: Vec::new(),
@@ -183,6 +159,6 @@ mod tests {
         let mut sorted = codes.clone();
         sorted.sort_unstable();
         assert_eq!(codes, sorted, "rules section must follow Rule::all order");
-        assert_eq!(codes.len(), 21);
+        assert_eq!(codes.len(), 17);
     }
 }

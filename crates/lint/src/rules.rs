@@ -1,4 +1,4 @@
-//! The rule set: stable IDs, severities, and the token-window matchers.
+//! The rule set: stable IDs and the token-window matchers.
 //!
 //! Every rule is a *conservative, type-blind* approximation of the
 //! invariant it protects — the lexer sees tokens, not types, so rules are
@@ -24,19 +24,6 @@ pub enum Rule {
     /// Concurrency token (`std::thread`, lock, atomic, channel) in a
     /// crate without the matching capability grant.
     C002,
-    /// Deadlock risk: the workspace lock-order graph has a cycle
-    /// (call-graph rule, see [`crate::concurrency`]).
-    C003,
-    /// A lock held across a call into a result-affecting crate
-    /// (call-graph rule, see [`crate::concurrency`]).
-    C004,
-    /// Interior-mutable shared state escaping a capability-granted crate
-    /// into the result-affecting set (see [`crate::concurrency`]).
-    C005,
-    /// `Ordering::Relaxed`/`Acquire` atomic read feeding a
-    /// `ReleasedTuple`-constructing fn on a query path (see
-    /// [`crate::concurrency`]).
-    C006,
     /// Row release reachable from a query entry point without passing the
     /// policy gate (call-graph rule, see [`crate::graph`]).
     G001,
@@ -78,7 +65,7 @@ pub enum Rule {
 /// code (e.g. `PCQE-D001`) and what it protects (for `--list-rules` and
 /// reports). Indexed by discriminant — the check below keeps the two
 /// orders identical.
-pub const RULES: [(Rule, &str, &str); 21] = [
+pub const RULES: [(Rule, &str, &str); 17] = [
     (
         Rule::D001,
         "PCQE-D001",
@@ -100,29 +87,6 @@ pub const RULES: [(Rule, &str, &str); 21] = [
         "PCQE-C002",
         "concurrency: every std::thread/Mutex/RwLock/Condvar/Atomic*/mpsc token needs a \
          matching capability [[grant]] in lint.toml",
-    ),
-    (
-        Rule::C003,
-        "PCQE-C003",
-        "concurrency: the workspace lock-order graph must be acyclic (deadlock \
-         risks reported with a deterministic cycle witness)",
-    ),
-    (
-        Rule::C004,
-        "PCQE-C004",
-        "concurrency: no lock held across a call into a result-affecting crate",
-    ),
-    (
-        Rule::C005,
-        "PCQE-C005",
-        "concurrency: interior-mutable shared state (Arc<Mutex<_>>, statics) \
-         must not escape a capability-granted crate into the result-affecting set",
-    ),
-    (
-        Rule::C006,
-        "PCQE-C006",
-        "concurrency: no Relaxed/Acquire atomic read feeding a ReleasedTuple \
-         constructor on a query path (bit-identity of released rows)",
     ),
     (
         Rule::G001,
@@ -207,35 +171,10 @@ const _: () = {
     }
 };
 
-/// How a finding affects the exit status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the run.
-    Error,
-    /// Reported, never fails the run.
-    Warning,
-}
-
-impl Severity {
-    /// Lower-case label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
-
 impl Rule {
     /// The full stable code, e.g. `PCQE-D001`.
     pub fn code(self) -> &'static str {
         RULES[self as usize].1
-    }
-
-    /// Per-rule severity. Everything that protects a shipped invariant is
-    /// an error; the enum keeps the door open for advisory rules.
-    pub fn severity(self) -> Severity {
-        Severity::Error
     }
 
     /// What the rule protects, for `--list-rules` and reports.
@@ -371,14 +310,6 @@ impl FileClass {
             t001: !path.starts_with("crates/bench/") && path != "crates/core/src/clock.rs",
         }
     }
-}
-
-/// Does the file feed query results (the D001/D004 guarded set)? Also
-/// the crate set the concurrency layer protects: locks held across calls
-/// into it (C004) and shared state escaping into it (C005) both threaten
-/// the bit-identical-results contract.
-pub fn is_result_affecting(path: &str) -> bool {
-    RESULT_AFFECTING.iter().any(|p| path.starts_with(p))
 }
 
 /// Run every token-level rule over one pre-lexed source file. `skip` is

@@ -16,7 +16,7 @@
 //! through the in-repo JSON parser.
 
 use crate::report::escape;
-use crate::rules::{Rule, Severity};
+use crate::rules::Rule;
 use crate::Analysis;
 
 /// The SARIF 2.1.0 schema URI embedded in the export.
@@ -48,13 +48,9 @@ pub fn sarif(analysis: &Analysis) -> String {
         if i > 0 {
             out.push(',');
         }
-        let level = match f.rule.severity() {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
         out.push_str("\n        {\n");
         out.push_str(&format!("          \"ruleId\": \"{}\",\n", f.rule.code()));
-        out.push_str(&format!("          \"level\": \"{level}\",\n"));
+        out.push_str("          \"level\": \"error\",\n");
         out.push_str(&format!(
             "          \"message\": {{\"text\": \"{}\"}},\n",
             escape(&f.message)

@@ -5,10 +5,10 @@
 //! manifest at all, so nothing is granted and every concurrency token in
 //! it — even `crates/par`'s threads — is C002; `graph/` seeds the
 //! graph-layer rules (P002 panic-reachability, G001 policy-gating) and
-//! a granted-vs-ungranted C002 pair, `conc/` seeds the concurrency
-//! layer (C003 cycle + clean twin, C004 held-across-boundary, C005
-//! escapes, C006 relaxed release reads, A003 stale grant), `gated/` is
-//! the G001 negative (the gate dominates the row constructor),
+//! a granted-vs-ungranted C002 pair, `conc/` seeds capability
+//! containment (an uncovered `Mutex` → C002, a stale `channels` grant →
+//! A003), `gated/` is the G001 negative (the gate dominates the row
+//! constructor),
 //! `noreason/` trips the A002 hygiene rule, `allow/` pairs a violation
 //! with a reasoned suppression, `stale/` carries an `[[allow]]` entry
 //! that excuses nothing, `flows/` seeds the confidentiality-dataflow
@@ -17,8 +17,8 @@
 //! sanction, F005 stale citation), `badmanifest/` has a `lint.toml` the
 //! reader rejects, and `clean/` has no findings at all. The golden
 //! files `tree.expected.json`/`graph.expected.json`/
-//! `conc.expected.json`/`flows.expected.json` pin the machine-readable
-//! report byte-for-byte — the JSON output is a CI contract.
+//! `flows.expected.json` pin the machine-readable report byte-for-byte
+//! — the JSON output is a CI contract.
 
 use pcqe_lint::rules::Rule;
 use pcqe_lint::{analyze, report, Analysis};
@@ -284,7 +284,7 @@ fn every_recorded_workspace_find_is_still_reproduced_by_a_fixture() {
 }
 
 #[test]
-fn conc_fixture_seeds_the_concurrency_layer() {
+fn conc_fixture_seeds_capability_containment() {
     let analysis = run("conc");
     let got: Vec<(Rule, &str, u32)> = analysis
         .findings
@@ -292,69 +292,14 @@ fn conc_fixture_seeds_the_concurrency_layer() {
         .map(|f| (f.rule, f.path.as_str(), f.line))
         .collect();
     let want = vec![
-        (Rule::C005, "crates/engine/src/database.rs", 24), // pcqe_par::flag()
-        (Rule::C006, "crates/engine/src/database.rs", 25), // Relaxed load
-        (Rule::C005, "crates/engine/src/database.rs", 30), // SHARED static
         (Rule::C002, "crates/engine/src/nocap.rs", 4),
         (Rule::C002, "crates/engine/src/nocap.rs", 6),
         (Rule::C002, "crates/engine/src/nocap.rs", 7),
-        (Rule::C003, "crates/par/src/cycle.rs", 15), // left → right edge
-        (Rule::C003, "crates/par/src/cycle.rs", 20), // right → left edge
-        (Rule::C004, "crates/par/src/held.rs", 9),
-        (Rule::A003, "lint.toml", 12), // stale channels grant
+        (Rule::A003, "lint.toml", 7), // stale channels grant
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
-    // The hierarchical-locking twin stayed silent, and `held::fine`
-    // (call completed before the lock) raised no second C004.
-    assert!(!got.iter().any(|(_, p, _)| p.ends_with("hier.rs")));
-    assert_eq!(got.iter().filter(|(r, _, _)| *r == Rule::C004).count(), 1);
-    // The gated query path raised no G001: C006 fires *despite* the gate.
-    assert!(!got.iter().any(|(r, _, _)| *r == Rule::G001));
-}
-
-#[test]
-fn c003_witness_is_deterministic_and_names_both_lock_sites() {
-    let analysis = run("conc");
-    let c003: Vec<_> = analysis
-        .findings
-        .iter()
-        .filter(|f| f.rule == Rule::C003)
-        .collect();
-    assert_eq!(c003.len(), 2, "{:#?}", analysis.findings);
-    // The interprocedural edge: held in `grab_both`, closed inside
-    // `take_right` one call away — the witness names the call path and
-    // both acquisition sites.
-    assert!(
-        c003[0]
-            .message
-            .contains("pcqe_par::grab_both → pcqe_par::take_right"),
-        "witness missing in: {}",
-        c003[0].message
-    );
-    assert!(c003[0]
-        .message
-        .contains("`left` at crates/par/src/cycle.rs:10"));
-    assert!(c003[0]
-        .message
-        .contains("`right` at crates/par/src/cycle.rs:15"));
-    // The reverse edge is intra-procedural, witnessed in `reversed`.
-    assert!(c003[1].message.contains("pcqe_par::reversed"));
-    // Same analysis, same witnesses, byte for byte.
-    let again = run("conc");
-    assert_eq!(analysis.findings, again.findings);
-}
-
-#[test]
-fn conc_json_report_matches_golden_and_round_trips() {
-    let golden = include_str!("fixtures/conc.expected.json");
-    let actual = report::json(&run("conc"));
-    assert_eq!(
-        actual, golden,
-        "JSON report drifted from tests/fixtures/conc.expected.json; \
-         if the change is intentional, regenerate with \
-         `cargo run -p pcqe-lint -- --root crates/lint/tests/fixtures/conc \
-         --format json > crates/lint/tests/fixtures/conc.expected.json`"
-    );
+    // The granted `Mutex` in `crates/obs` stayed silent.
+    assert!(!got.iter().any(|(_, p, _)| p.contains("obs/")));
 }
 
 #[test]
@@ -568,24 +513,18 @@ fn cli_json_output_matches_golden_file() {
 
 #[test]
 fn cli_rule_flag_filters_display_but_not_exit_code() {
-    // Filtered to C003: only the two cycle findings print, but the exit
-    // code still reflects the full (failing) analysis.
+    // Filtered to G001: only the two ungated releases print, but the
+    // exit code still reflects the full (failing) analysis.
     let out = cli()
         .args(["--root"])
-        .arg(fixture("conc"))
-        .args(["--rule", "PCQE-C003"])
+        .arg(fixture("graph"))
+        .args(["--rule", "PCQE-G001"])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("PCQE-C003"), "{stdout}");
-    for absent in [
-        "PCQE-C002",
-        "PCQE-C004",
-        "PCQE-C005",
-        "PCQE-C006",
-        "PCQE-A003",
-    ] {
+    assert!(stdout.contains("PCQE-G001"), "{stdout}");
+    for absent in ["PCQE-C002", "PCQE-D004", "PCQE-P002"] {
         assert!(
             !stdout.contains(&format!("{absent} [")),
             "{absent} leaked into the filtered report:\n{stdout}"
@@ -597,7 +536,7 @@ fn cli_rule_flag_filters_display_but_not_exit_code() {
     // report but still exits 1 — the filter can never hide a failure.
     let out = cli()
         .args(["--root"])
-        .arg(fixture("conc"))
+        .arg(fixture("graph"))
         .args(["--rule", "D001"])
         .output()
         .expect("binary runs");
@@ -638,8 +577,15 @@ fn cli_exits_two_on_usage_errors_and_unreadable_manifests() {
         stderr.contains("lint.toml:4: unknown table `[[exemption]]`"),
         "{stderr}"
     );
-    // The two retired ids are unknown like any other.
-    for retired in ["PCQE-C001", "PCQE-D003"] {
+    // The retired ids are unknown like any other.
+    for retired in [
+        "PCQE-C001",
+        "PCQE-D003",
+        "PCQE-C003",
+        "PCQE-C004",
+        "PCQE-C005",
+        "PCQE-C006",
+    ] {
         let out = cli().args(["--rule", retired]).output().expect("runs");
         assert_eq!(out.status.code(), Some(2), "{retired}");
     }

@@ -28,7 +28,7 @@ fn rule_codes_are_unique_and_well_formed() {
         assert!(rest[1..].chars().all(|c| c.is_ascii_digit()));
         assert!(!rule.summary().is_empty(), "{code} has no summary");
     }
-    assert_eq!(seen.len(), 21, "registry size drifted: {seen:?}");
+    assert_eq!(seen.len(), 17, "registry size drifted: {seen:?}");
 }
 
 #[test]

@@ -274,7 +274,7 @@ fn validate_lint(text: &str) -> Result<String, Vec<String>> {
     match obj.get("summary").and_then(Value::as_object) {
         None => errors.push("missing `summary` object".to_owned()),
         Some(summary) => {
-            for key in ["files", "manifests", "errors", "warnings", "suppressed"] {
+            for key in ["files", "manifests", "errors", "suppressed"] {
                 match summary.get(key).and_then(Value::as_u64) {
                     Some(n) => counts.push(format!("{key}={n}")),
                     None => errors.push(format!("summary missing numeric `{key}`")),
@@ -391,14 +391,14 @@ mod tests {
             "{{\"tool\": \"pcqe-lint\", \"format_version\": 2, \"findings\": [], \
              \"rules\": {{{rules}}}, \
              \"summary\": {{\"files\": 1, \"manifests\": 1, \"errors\": {errors}, \
-             \"warnings\": 0, \"suppressed\": {suppressed}}}}}"
+             \"suppressed\": {suppressed}}}}}"
         )
     }
 
     #[test]
     fn lint_gate_passes_at_or_below_every_ceiling() {
-        let baseline = lint_report(0, 126, &[("PCQE-P002", 0, 100), ("PCQE-C003", 0, 0)]);
-        let actual = lint_report(0, 120, &[("PCQE-P002", 0, 94), ("PCQE-C003", 0, 0)]);
+        let baseline = lint_report(0, 126, &[("PCQE-P002", 0, 100), ("PCQE-G001", 0, 0)]);
+        let actual = lint_report(0, 120, &[("PCQE-P002", 0, 94), ("PCQE-G001", 0, 0)]);
         // 2 summary ceilings + 2 per rule.
         assert_eq!(gate_lint(&baseline, &actual), Ok(6));
     }
@@ -415,12 +415,12 @@ mod tests {
     #[test]
     fn lint_gate_fails_when_a_single_rule_regresses() {
         // Totals stay flat (a suppression moved between rules), but the
-        // per-rule ceiling still catches the C003 regression.
-        let baseline = lint_report(0, 2, &[("PCQE-P002", 0, 2), ("PCQE-C003", 0, 0)]);
-        let actual = lint_report(0, 2, &[("PCQE-P002", 0, 1), ("PCQE-C003", 0, 1)]);
+        // per-rule ceiling still catches the G001 regression.
+        let baseline = lint_report(0, 2, &[("PCQE-P002", 0, 2), ("PCQE-G001", 0, 0)]);
+        let actual = lint_report(0, 2, &[("PCQE-P002", 0, 1), ("PCQE-G001", 0, 1)]);
         let errors = gate_lint(&baseline, &actual).unwrap_err();
         assert!(
-            errors[0].contains("rule `PCQE-C003` suppressed = 1"),
+            errors[0].contains("rule `PCQE-G001` suppressed = 1"),
             "{errors:?}"
         );
     }
@@ -438,10 +438,10 @@ mod tests {
                    \"findings\": [{\"rule\": \"PCQE-D001\", \"severity\": \"error\", \
                    \"path\": \"crates/x.rs\", \"line\": 3, \"message\": \"m\"}], \
                    \"summary\": {\"files\": 1, \"manifests\": 1, \"errors\": 1, \
-                   \"warnings\": 0, \"suppressed\": 0}}";
+                   \"suppressed\": 0}}";
         assert_eq!(
             validate_lint(doc),
-            Ok("findings=1 files=1 manifests=1 errors=1 warnings=0 suppressed=0".to_owned())
+            Ok("findings=1 files=1 manifests=1 errors=1 suppressed=0".to_owned())
         );
     }
 
@@ -451,7 +451,7 @@ mod tests {
         assert!(validate_lint(
             "{\"tool\": \"other\", \"format_version\": 1, \"findings\": [], \
              \"summary\": {\"files\": 0, \"manifests\": 0, \"errors\": 0, \
-             \"warnings\": 0, \"suppressed\": 0}}"
+             \"suppressed\": 0}}"
         )
         .is_err());
         // Finding missing its line.
@@ -460,7 +460,7 @@ mod tests {
              \"findings\": [{\"rule\": \"PCQE-D001\", \"severity\": \"error\", \
              \"path\": \"x\", \"message\": \"m\"}], \
              \"summary\": {\"files\": 0, \"manifests\": 0, \"errors\": 1, \
-             \"warnings\": 0, \"suppressed\": 0}}"
+             \"suppressed\": 0}}"
         )
         .is_err());
         // Summary missing a count.
@@ -484,8 +484,7 @@ mod tests {
                    \"findings\": [{\"severity\": \"error\", \"path\": \"x\", \
                    \"line\": 1, \"message\": \"m\"}, {\"rule\": \"PCQE-D001\", \
                    \"severity\": \"error\", \"path\": \"x\", \"message\": \"m\"}], \
-                   \"summary\": {\"files\": 0, \"manifests\": 0, \"errors\": 0, \
-                   \"warnings\": 0}}";
+                   \"summary\": {\"files\": 0, \"manifests\": 0, \"errors\": 0}}";
         let errors = validate_lint(doc).unwrap_err();
         assert_eq!(errors.len(), 3, "{errors:?}");
         assert!(errors[0].contains("findings[0] missing string `rule`"));

@@ -38,7 +38,7 @@ const METRICS_OK: &str =
 
 const LINT_OK: &str = "{\"tool\": \"pcqe-lint\", \"format_version\": 1, \"findings\": [], \
      \"summary\": {\"files\": 1, \"manifests\": 1, \"errors\": 0, \
-     \"warnings\": 0, \"suppressed\": 0}}";
+     \"suppressed\": 0}}";
 
 const TRACE_OK: &str = "{\"displayTimeUnit\": \"ms\", \"dropped\": 0, \"capacity\": 4096, \
      \"traceEvents\": [{\"name\": \"query\", \"ph\": \"B\", \"ts\": 0.000, \
@@ -96,10 +96,10 @@ fn trace_schema_exit_codes() {
 fn lint_gate_exit_codes() {
     let report = |suppressed: u64| {
         format!(
-            "{{\"tool\": \"pcqe-lint\", \"format_version\": 3, \"findings\": [], \
+            "{{\"tool\": \"pcqe-lint\", \"format_version\": 4, \"findings\": [], \
              \"rules\": {{\"PCQE-P002\": {{\"errors\": 0, \"suppressed\": {suppressed}}}}}, \
              \"summary\": {{\"files\": 1, \"manifests\": 1, \"errors\": 0, \
-             \"warnings\": 0, \"suppressed\": {suppressed}}}}}"
+             \"suppressed\": {suppressed}}}}}"
         )
     };
     let baseline = fixture("lint-baseline", &report(2));

@@ -61,16 +61,32 @@ impl Catalog {
     /// Insert a row into `table`, allocating a globally unique tuple id.
     pub fn insert(&mut self, table: &str, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
         check_confidence(confidence)?;
-        let id = TupleId(self.next_id);
-        // The counter never hands out `u64::MAX`: a restored tuple may
-        // hold it (see `insert_with_id`), and nothing would come after.
-        let next =
-            id.0.checked_add(1)
-                .ok_or(StorageError::DuplicateTupleId(id.0))?;
+        let (id, next) = self.next_ids()?;
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
         self.next_id = next;
         Ok(id)
+    }
+
+    /// Whether [`Catalog::insert`] would accept this row: the same checks
+    /// in the same order, nothing written and no id taken — what lets a
+    /// caller validate every row of a statement before the first one
+    /// lands.
+    pub fn check_insert(&self, table: &str, values: &[Value], confidence: f64) -> Result<()> {
+        check_confidence(confidence)?;
+        self.next_ids()?;
+        self.table(table)?.check_insert(values, confidence)
+    }
+
+    /// The id the next insert gets and the counter after it. The counter
+    /// never hands out `u64::MAX`: a restored tuple may hold it (see
+    /// `insert_with_id`), and nothing would come after.
+    fn next_ids(&self) -> Result<(TupleId, u64)> {
+        let next = self
+            .next_id
+            .checked_add(1)
+            .ok_or(StorageError::DuplicateTupleId(self.next_id))?;
+        Ok((TupleId(self.next_id), next))
     }
 
     /// Insert a row with an explicit tuple id (used when restoring a
@@ -122,13 +138,16 @@ impl Catalog {
         self.find_tuple(id).map(|(_, r)| r.confidence)
     }
 
-    /// Whether [`Catalog::raise_confidence`] would accept this raise: the
-    /// same checks in the same order, nothing written — what lets a caller
-    /// validate a whole batch of raises before the first one lands.
-    pub fn check_raise(&self, id: TupleId, confidence: f64) -> Result<()> {
-        self.find_tuple(id)
+    /// What [`Catalog::raise_confidence`] would answer to this raise: the
+    /// same checks in the same order and the confidence the tuple would
+    /// end up with, nothing written — what lets a caller validate a whole
+    /// batch of raises before the first one lands, or preview them.
+    pub fn check_raise(&self, id: TupleId, confidence: f64) -> Result<f64> {
+        let (_, row) = self
+            .find_tuple(id)
             .ok_or(StorageError::UnknownTuple(id.0))?;
-        check_confidence(confidence)
+        check_confidence(confidence)?;
+        Ok(row.raised(confidence))
     }
 
     /// Raise the confidence of a base tuple wherever it lives.
@@ -156,8 +175,7 @@ impl Table {
         values: Vec<Value>,
         confidence: f64,
     ) -> Result<TupleId> {
-        self.schema().check_row(&values)?;
-        check_confidence(confidence)?;
+        self.check_insert(&values, confidence)?;
         self.push_row(StoredTuple {
             id,
             tuple: values.into(),

@@ -233,8 +233,7 @@ impl Table {
     /// catalog-managed tables must be inserted through
     /// [`crate::Catalog::insert`] so ids stay globally unique.
     pub fn insert(&mut self, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
-        self.schema.check_row(&values)?;
-        check_confidence(confidence)?;
+        self.check_insert(&values, confidence)?;
         let seq = self
             .ids
             .as_mut()
@@ -247,6 +246,13 @@ impl Table {
             confidence,
         });
         Ok(id)
+    }
+
+    /// Whether a row with these values and this confidence may be stored
+    /// here — the one statement of what every insert path checks.
+    pub(crate) fn check_insert(&self, values: &[Value], confidence: f64) -> Result<()> {
+        self.schema.check_row(values)?;
+        check_confidence(confidence)
     }
 
     /// All rows in insertion order.
@@ -298,12 +304,20 @@ impl Table {
 }
 
 impl StoredTuple {
+    /// The confidence a raise to a checked `confidence` leaves: the
+    /// higher of the two — a raise never lowers.
+    pub(crate) fn raised(&self, confidence: f64) -> f64 {
+        if confidence > self.confidence {
+            confidence
+        } else {
+            self.confidence
+        }
+    }
+
     /// Raise the confidence to a checked `confidence` if that is higher;
     /// returns the resulting confidence.
     pub(crate) fn raise_to(&mut self, confidence: f64) -> f64 {
-        if confidence > self.confidence {
-            self.confidence = confidence;
-        }
+        self.confidence = self.raised(confidence);
         self.confidence
     }
 }

@@ -265,7 +265,7 @@ impl Shell {
                 // shell was built from — the same analysis as
                 // `cargo run -p pcqe-lint`, inside the session. Optional
                 // args: `json` picks the machine format, a rule id
-                // (e.g. PCQE-C003 or C003) narrows the display to that
+                // (e.g. PCQE-G001 or G001) narrows the display to that
                 // rule — mirroring the CLI's `--rule`, the narrowed view
                 // never changes what the full analysis found.
                 let mut as_json = false;

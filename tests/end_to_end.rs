@@ -130,6 +130,80 @@ fn a_refused_apply_changes_nothing() {
     assert!(db.query(&clerk, &request).unwrap().released.len() >= 4);
 }
 
+/// `what_if` previews what `apply` would do — so it refuses what `apply`
+/// refuses, and a raise it previews never lowers. `increments` is a
+/// public field: a hand-edited proposal used to come back `Ok` with rows
+/// "released" at confidence 7.0, or with the preview *lowered* by a
+/// `to` below the stored value.
+#[test]
+fn what_if_refuses_what_apply_refuses_and_previews_what_apply_does() {
+    use pcqe::engine::{EngineError, ImprovementProposal, QueryResponse};
+    use pcqe::storage::{StorageError, TupleId};
+
+    let clerk = User::new("carl", "clerk");
+    let request =
+        QueryRequest::new("SELECT id, amount FROM Orders", "reporting").expecting(2.0 / 3.0);
+    let released = |resp: &QueryResponse| -> Vec<(String, u64)> {
+        resp.released
+            .iter()
+            .map(|r| (format!("{:?}", r.tuple), r.confidence.to_bits()))
+            .collect()
+    };
+
+    let mut db = orders_db(EngineConfig::default());
+    let first = db.query(&clerk, &request).unwrap();
+    let proposal = first.proposal.clone().expect("improvable");
+    assert!(proposal.increments.len() >= 2);
+    let edited = |edit: &dyn Fn(&mut pcqe::engine::ProposedIncrement)| -> ImprovementProposal {
+        let mut p = proposal.clone();
+        p.increments.iter_mut().for_each(edit);
+        p
+    };
+
+    for (bad, unknown) in [
+        (edited(&|i| i.to = 7.0), false),
+        (edited(&|i| i.to = f64::NAN), false),
+        (edited(&|i| i.to = -1.0), false),
+        (edited(&|i| i.tuple_id = TupleId(9_999)), true),
+    ] {
+        let (audited, metrics) = (db.audit_log().len(), db.metrics_snapshot());
+        match db.what_if(&clerk, &request, &bad) {
+            Err(EngineError::Storage(StorageError::UnknownTuple(9_999))) => assert!(unknown),
+            Err(EngineError::Storage(StorageError::InvalidConfidence(_))) => assert!(!unknown),
+            other => panic!("refusal expected, got {other:?}"),
+        }
+        assert_eq!(
+            db.audit_log().len(),
+            audited,
+            "a refused preview was audited"
+        );
+        assert_eq!(
+            db.metrics_snapshot(),
+            metrics,
+            "a refused preview was metered"
+        );
+        let again = db.query(&clerk, &request).unwrap();
+        assert_eq!(released(&again), released(&first));
+    }
+
+    // The preview is `apply` + `query` on a twin — for the proposal as
+    // computed, and for one whose every `to` lies below the stored
+    // confidence, which `apply` leaves where it is.
+    for previewed in [proposal.clone(), edited(&|i| i.to = 0.0)] {
+        let preview = db.what_if(&clerk, &request, &previewed).unwrap();
+        let mut twin = orders_db(EngineConfig::default());
+        let mut accepted = twin.query(&clerk, &request).unwrap().proposal.unwrap();
+        accepted.increments = previewed.increments.clone();
+        twin.apply(&accepted).unwrap();
+        let applied = twin.query(&clerk, &request).unwrap();
+        assert_eq!(released(&preview), released(&applied));
+    }
+    assert_eq!(
+        released(&db.query(&clerk, &request).unwrap()),
+        released(&first)
+    );
+}
+
 #[test]
 fn all_solver_choices_reach_the_quota() {
     for solver in [

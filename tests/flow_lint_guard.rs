@@ -1,6 +1,6 @@
 //! Tier-1 gate for the confidentiality-dataflow layer of `pcqe-lint`.
 //!
-//! Mirrors `tests/concurrency_lint_guard.rs` for the layer-4 rules:
+//! Mirrors `tests/concurrency_lint_guard.rs` for the layer-3 rules:
 //! each flow rule (PCQE-F001 suppressed tuples into error sinks,
 //! PCQE-F002 β/θ thresholds into any non-audit sink, PCQE-F003 pre-gate
 //! confidence into trace/metrics, PCQE-F004 unexercised sanctions,
@@ -14,7 +14,7 @@
 use pcqe_lint::rules::Rule;
 use std::path::Path;
 
-/// Every layer-4 rule fires on the `flows` fixture tree — F003 both as
+/// Every layer-3 rule fires on the `flows` fixture tree — F003 both as
 /// a finding and in its sanctioned form, the rule's designed negative
 /// (Decision records are the canonical channel for confidence values).
 #[test]

@@ -126,3 +126,43 @@ fn no_stray_external_crate_names_in_manifests() {
         }
     }
 }
+
+/// `ci.sh`'s stage registry and the stages `.github/workflows/ci.yml`
+/// fans out must be the same set, each stage named exactly once on
+/// either side — a stage added to the script and not to the workflow
+/// would never run in CI, and one removed from the script would fail the
+/// workflow with "unknown stage".
+#[test]
+fn ci_workflow_runs_every_stage_of_the_registry_exactly_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let script = fs::read_to_string(root.join("ci.sh")).expect("ci.sh is readable");
+    let mut registry: Vec<&str> = script
+        .lines()
+        .skip_while(|l| l.trim() != "STAGES=(")
+        .skip(1)
+        .map(str::trim)
+        .take_while(|l| *l != ")")
+        .collect();
+    let workflow =
+        fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml is readable");
+    // Comments mention `--stage <name>`; only the commands count.
+    let mut tokens = workflow
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .flat_map(str::split_whitespace);
+    let mut fanned_out: Vec<&str> = Vec::new();
+    while let Some(token) = tokens.next() {
+        if token == "--stage" {
+            fanned_out.push(tokens.next().expect("`--stage` names a stage"));
+        }
+    }
+    assert!(!registry.is_empty(), "no `STAGES=(` block found in ci.sh");
+    registry.sort_unstable();
+    fanned_out.sort_unstable();
+    assert_eq!(
+        fanned_out, registry,
+        "ci.yml's `--stage` arguments (left) and ci.sh's STAGES (right) differ"
+    );
+    registry.dedup();
+    assert_eq!(registry.len(), fanned_out.len(), "a stage is named twice");
+}

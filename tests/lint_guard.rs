@@ -52,8 +52,9 @@ fn workspace_passes_its_own_static_analysis() {
 /// coverage), and the hygiene rule A002 must all be live — i.e. they
 /// fire on the fixture trees that plant exactly one violation each. A
 /// rule that silently stopped firing would turn the clean workspace
-/// gate above into a vacuous check. (The layer-3 rules C003–C006 are
-/// covered by `tests/concurrency_lint_guard.rs`.)
+/// gate above into a vacuous check. (The hygiene rule A003 is covered
+/// by `tests/concurrency_lint_guard.rs`, the dataflow rules by
+/// `tests/flow_lint_guard.rs`.)
 #[test]
 fn reachability_and_hygiene_rules_are_live() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -108,7 +109,7 @@ fn json_report_is_byte_stable_and_round_trips_through_the_obs_parser() {
     let value = pcqe_obs::json::parse(&ja).expect("report parses with pcqe_obs::json");
     let obj = value.as_object().expect("top level is an object");
     assert_eq!(obj["tool"].as_str(), Some("pcqe-lint"));
-    assert_eq!(obj["format_version"].as_u64(), Some(3));
+    assert_eq!(obj["format_version"].as_u64(), Some(4));
     let findings = obj["findings"].as_array().expect("findings array");
     assert_eq!(findings.len(), a.findings.len());
     let summary = obj["summary"].as_object().expect("summary object");
@@ -119,7 +120,7 @@ fn json_report_is_byte_stable_and_round_trips_through_the_obs_parser() {
         Some(a.suppressed.len() as u64)
     );
 
-    // Format version 3: the per-rule section must cover every rule id and
+    // The per-rule section (since format version 2) must cover every rule id and
     // its counts must re-add to the summary totals — this is the shape the
     // CI gate (`pcqe-obs-validate --schema lint --gate`) puts ceilings on.
     let rules = obj["rules"].as_object().expect("rules object");

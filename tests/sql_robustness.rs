@@ -134,3 +134,71 @@ fn deeply_nested_parentheses_do_not_overflow() {
         other => panic!("expected a depth error, got {other:?}"),
     }
 }
+
+/// A multi-row `INSERT` is all or nothing: every row is checked against
+/// the schema and the confidence before the first is written. A refused
+/// statement used to leave its earlier rows behind — stored, indexed,
+/// their tuple ids burned — while reporting an error.
+#[test]
+fn a_refused_multi_row_insert_writes_nothing() {
+    use pcqe::engine::{Database, EngineConfig, EngineError, StatementOutcome};
+    use pcqe::storage::{StorageError, TupleId, Value};
+
+    let mut db = Database::new(EngineConfig::default());
+    db.execute("CREATE TABLE t (k INT, label TEXT)").unwrap();
+    db.create_index("t", "k").unwrap();
+    let Ok(StatementOutcome::Inserted(ids)) =
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b') WITH CONFIDENCE 0.5")
+    else {
+        panic!("two well-formed rows");
+    };
+    let state = |db: &Database| {
+        let t = db.catalog().table("t").unwrap();
+        let index = t.index_on(0).expect("indexed");
+        (
+            t.len(),
+            index.lookup(&Value::Int(1)).to_vec(),
+            index.distinct_keys(),
+            db.explain_analyze("SELECT label FROM t WHERE k = 1")
+                .unwrap(),
+        )
+    };
+    let before = state(&db);
+
+    // The error is the first offending row's, as when the rows went in
+    // one by one: a bad type in the last row, a bad type before a bad
+    // arity, and a confidence no row could carry.
+    for (sql, wrong_type) in [
+        (
+            "INSERT INTO t VALUES (1, 'c'), (2, 3) WITH CONFIDENCE 0.5",
+            true,
+        ),
+        (
+            "INSERT INTO t VALUES (1, 'c'), (1, 2), (3) WITH CONFIDENCE 0.5",
+            true,
+        ),
+        (
+            "INSERT INTO t VALUES (1, 'c'), (1, 'd') WITH CONFIDENCE 1.5",
+            false,
+        ),
+    ] {
+        match db.execute(sql) {
+            Err(EngineError::Storage(StorageError::TypeMismatch { .. })) => assert!(wrong_type),
+            Err(EngineError::Storage(StorageError::InvalidConfidence(_))) => assert!(!wrong_type),
+            other => panic!("{sql}: refusal expected, got {other:?}"),
+        }
+        assert_eq!(
+            state(&db),
+            before,
+            "{sql}: a refused insert left rows behind"
+        );
+    }
+
+    // No id was burned: the next row gets the one after the last accepted.
+    let next = TupleId(ids.last().expect("two ids").0 + 1);
+    let Ok(StatementOutcome::Inserted(ids)) = db.execute("INSERT INTO t VALUES (1, 'c')") else {
+        panic!("a well-formed row");
+    };
+    assert_eq!(ids, [next]);
+    assert_eq!(db.catalog().table("t").unwrap().len(), before.0 + 1);
+}
