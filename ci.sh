@@ -86,13 +86,17 @@ stage_smoke_metrics() { # observability smoke export (quickstart -> results/metr
   cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- results/metrics.json
 }
 
-stage_smoke_explain() { # EXPLAIN smoke (.plan on the § 3.1 running example)
+stage_smoke_explain() { # EXPLAIN smoke (.plan on the § 3.1 running example, then across .index)
   # Pipe the paper's running-example schema and query through the shell
   # and assert the physical planner's choices show up in the
   # side-by-side plan: the residual filter is pushed into the Proposal
-  # scan and the small build side makes the join a nested loop. The
-  # shell's stderr is captured and surfaced on failure — a panic in the
-  # heredoc must be reported as itself, not as a grep miss.
+  # scan and the small build side makes the join a nested loop. Then the
+  # index access path, the only stage that sees one: after `.index`, a
+  # two-conjunct query plans an IndexScan whose filter is still the whole
+  # predicate, and a statement that raises prints the same error line
+  # before and after the index exists. The shell's stderr is captured and
+  # surfaced on failure — a panic in the heredoc must be reported as
+  # itself, not as a grep miss.
   local plan_out stderr_file status=0
   stderr_file="$(mktemp)"
   plan_out="$(cargo run -q --offline --example shell 2>"$stderr_file" <<'EOF'
@@ -101,6 +105,12 @@ CREATE TABLE CompanyInfo (company TEXT, income REAL);
 INSERT INTO Proposal VALUES ('ABC', 'p7', 500000.0) WITH CONFIDENCE 0.8;
 INSERT INTO CompanyInfo VALUES ('ABC', 900000.0) WITH CONFIDENCE 0.9;
 .plan SELECT DISTINCT CompanyInfo.company, income FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company WHERE funding < 1000000.0
+CREATE TABLE t (grp INT, n INT, s TEXT);
+INSERT INTO t VALUES (0, 7, 'boom'), (1, NULL, NULL);
+SELECT * FROM t WHERE s > 1 AND grp = 1
+.index t grp
+SELECT * FROM t WHERE s > 1 AND grp = 1
+.plan SELECT * FROM t WHERE s <> 'x' AND grp = 0
 .quit
 EOF
 )" || status=$?
@@ -121,7 +131,17 @@ EOF
     echo "$plan_out" >&2
     return 1
   }
-  echo "EXPLAIN smoke OK (nested-loop join, pushed residual filter)"
+  echo "$plan_out" | grep -qF "IndexScan t (grp = 0) [filter: ((#2 <> 'x') AND (#0 = 0))]" || {
+    echo "EXPLAIN smoke: expected an IndexScan filtered by the whole predicate" >&2
+    echo "$plan_out" >&2
+    return 1
+  }
+  [ "$(echo "$plan_out" | grep -cF "error: algebra: type error: cannot compare boom with 1")" -eq 2 ] || {
+    echo "EXPLAIN smoke: expected the same error line before and after .index" >&2
+    echo "$plan_out" >&2
+    return 1
+  }
+  echo "EXPLAIN smoke OK (nested-loop join, pushed residual filter; index scan keeps the whole predicate, same error across .index)"
 }
 
 stage_trace_smoke() { # causal-trace smoke (.trace on the § 3.1 example -> results/trace_chrome.json)

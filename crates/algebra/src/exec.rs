@@ -407,29 +407,14 @@ pub(crate) fn split_equi_conjuncts(
     left_arity: usize,
     hashable: impl Fn(usize, usize) -> bool,
 ) -> (Vec<(usize, usize)>, Option<ScalarExpr>) {
-    fn conjuncts(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
-        match e {
-            ScalarExpr::Binary {
-                op: crate::expr::BinaryOp::And,
-                left,
-                right,
-            } => {
-                conjuncts(left, out);
-                conjuncts(right, out);
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    let mut parts = Vec::new();
-    conjuncts(predicate, &mut parts);
     let mut equi = Vec::new();
     let mut residual = Vec::new();
-    for part in parts {
+    for part in predicate.conjuncts() {
         if let ScalarExpr::Binary {
             op: crate::expr::BinaryOp::Eq,
             left,
             right,
-        } = &part
+        } = part
         {
             if let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (&**left, &**right) {
                 let (lc, rc) = if a < b { (*a, *b) } else { (*b, *a) };
@@ -439,15 +424,9 @@ pub(crate) fn split_equi_conjuncts(
                 }
             }
         }
-        residual.push(part);
+        residual.push(part.clone());
     }
-    let residual = if residual.is_empty() {
-        None
-    } else {
-        let first = residual.remove(0);
-        Some(residual.into_iter().fold(first, |acc, c| acc.and(c)))
-    };
-    (equi, residual)
+    (equi, ScalarExpr::and_all(residual))
 }
 
 pub(crate) fn sort_rows(rows: &mut [DerivedTuple], keys: &[crate::plan::SortKey]) -> Result<()> {

@@ -423,89 +423,177 @@ impl ScalarExpr {
         Predicate(Node::compile(self))
     }
 
-    /// Split off the predicate's [`LeadingRun`] over `table`, whose columns
-    /// the expression reads: once per scan operator.
-    pub fn leading_run<'t>(&self, table: &'t Table) -> LeadingRun<'t> {
-        let mut conjuncts = Vec::new();
-        self.extend_run(table, &mut conjuncts);
-        LeadingRun {
-            rows: table.len(),
-            conjuncts,
+    /// Visit the conjuncts of the top-level `AND` chain in evaluation
+    /// order — an expression that is not an `AND` is its own sole conjunct
+    /// — for as long as `visit` says to go on; `false` once it has not.
+    /// With [`ScalarExpr::into_conjuncts`], the only code that takes a
+    /// predicate apart: the optimizer, the planner and the scan all read
+    /// a chain through it, so they cannot disagree on what its conjuncts
+    /// are or on their order.
+    fn each_conjunct<'e>(&'e self, visit: &mut impl FnMut(&'e ScalarExpr) -> bool) -> bool {
+        match self {
+            ScalarExpr::Binary {
+                op: BinaryOp::And,
+                left,
+                right,
+            } => left.each_conjunct(visit) && right.each_conjunct(visit),
+            conjunct => visit(conjunct),
         }
     }
 
-    /// Push this expression's conjuncts, in evaluation order, for as long
-    /// as they belong to the leading run; `false` once one does not.
-    fn extend_run<'t>(&self, table: &'t Table, run: &mut Vec<Conjunct<'t>>) -> bool {
+    /// The conjuncts of the top-level `AND` chain, in evaluation order.
+    pub(crate) fn conjuncts(&self) -> Vec<&ScalarExpr> {
+        let mut out = Vec::new();
+        self.each_conjunct(&mut |conjunct| {
+            out.push(conjunct);
+            true
+        });
+        out
+    }
+
+    /// [`ScalarExpr::conjuncts`] by value, appended to `out`.
+    pub(crate) fn into_conjuncts(self, out: &mut Vec<ScalarExpr>) {
+        match self {
+            ScalarExpr::Binary {
+                op: BinaryOp::And,
+                left,
+                right,
+            } => {
+                left.into_conjuncts(out);
+                right.into_conjuncts(out);
+            }
+            conjunct => out.push(conjunct),
+        }
+    }
+
+    /// `AND` conjuncts back together, evaluation order kept (`None` when
+    /// there are none).
+    pub(crate) fn and_all(conjuncts: impl IntoIterator<Item = ScalarExpr>) -> Option<ScalarExpr> {
+        conjuncts.into_iter().reduce(ScalarExpr::and)
+    }
+
+    /// This expression as `column <cmp> literal`, if it is one of the six
+    /// comparisons between a column and a literal in either operand order
+    /// (`3 < #0` reads `#0 > 3`).
+    pub(crate) fn column_cmp_literal(&self) -> Option<ColumnCmp<'_>> {
         let ScalarExpr::Binary { op, left, right } = self else {
-            return false;
+            return None;
         };
-        if *op == BinaryOp::And {
-            return left.extend_run(table, run) && right.extend_run(table, run);
-        }
-        if !op.is_comparison() {
-            return false;
-        }
         let (column, op, literal) = match (&**left, &**right) {
             (ScalarExpr::Column(c), ScalarExpr::Literal(l)) => (*c, *op, l),
             (ScalarExpr::Literal(l), ScalarExpr::Column(c)) => (*c, op.mirrored(), l),
-            _ => return false,
+            _ => return None,
         };
-        // The arm of `Value::sql_cmp` a `Real` against a number takes: the
-        // real order, an `Int` literal widened.
-        let (Some(image), Some(literal)) = (table.image(column), literal.as_f64()) else {
-            return false;
-        };
-        run.push((op, image, literal));
-        true
+        op.is_comparison().then_some(ColumnCmp {
+            column,
+            op,
+            literal,
+        })
+    }
+
+    /// Split off the predicate's [`LeadingRun`] over `table`, whose columns
+    /// the expression reads: once per scan operator, or per planned scan.
+    pub fn leading_run<'a>(&'a self, table: &'a Table) -> LeadingRun<'a> {
+        let columns = table.schema().columns();
+        let mut conjuncts = Vec::new();
+        self.each_conjunct(&mut |conjunct| {
+            let in_run = conjunct.column_cmp_literal().filter(|cmp| {
+                let column = columns.get(cmp.column);
+                column.is_some_and(|c| type_safe(c.data_type, cmp.literal))
+            });
+            conjuncts.extend(in_run);
+            in_run.is_some()
+        });
+        LeadingRun { table, conjuncts }
     }
 }
 
-/// One conjunct of a leading run as `column <op> literal`: the column's
-/// image, and the literal as the real `sql_cmp` compares it as.
-type Conjunct<'t> = (BinaryOp, &'t Image, f64);
-
-/// The *leading run* of a table scan's predicate, bound to the table's
-/// column images ([`pcqe_storage::image`]): the longest prefix of the
-/// top-level `AND` chain, in evaluation order, whose conjuncts are
-/// `column <cmp> numeric literal` (either operand order, all six
-/// comparisons) over an imaged — `REAL` — column.
-///
-/// No conjunct of the run can fault — a `REAL` column holds numbers and
-/// NULLs, and [`Value::sql_cmp`] orders any two numbers — and `AND` stops
-/// on a definite left `false` and only then. So on a row where some
-/// conjunct of the run is definitely false, the whole predicate returns
-/// `Ok(false)` without raising, whatever follows the run: such a row may
-/// be skipped without evaluating anything. The image decides "definitely
-/// false" for *native* slots only (the stored value is a `Real`, not a
-/// NULL or a widened `Int`), by [`real_cmp`], the very comparison
-/// `sql_cmp` would make; every other row is a *candidate*, for
-/// the whole predicate to decide. A conjunct behind a fallible one, a
-/// NULL literal or an `OR` is never in the run: skipping on it could
-/// swallow an error the row-wise evaluation raises first.
-#[derive(Debug)]
-pub struct LeadingRun<'t> {
-    /// The table's row count: every image's slot count.
-    rows: usize,
-    /// The run's conjuncts, in evaluation order.
-    conjuncts: Vec<Conjunct<'t>>,
+/// Whether comparing a column of type `column` with `literal` can never
+/// fault: [`Value::sql_cmp`] orders the literal against everything the
+/// column may hold besides NULL (a `REAL` column also holds widened
+/// `Int`s, and any two numbers compare).
+fn type_safe(column: DataType, literal: &Value) -> bool {
+    matches!(
+        (column, literal),
+        (
+            DataType::Int | DataType::Real,
+            Value::Int(_) | Value::Real(_)
+        ) | (DataType::Text, Value::Text(_))
+            | (DataType::Bool, Value::Bool(_))
+    )
 }
 
-impl LeadingRun<'_> {
-    /// The positions of the table's rows that are candidates, ascending:
-    /// all but those where a conjunct of the run is false on a native
-    /// slot. `None` for an empty run, which drops nothing: every row is a
-    /// candidate. Every position left out has
+/// `column <op> literal`, the column on the left whichever side it was
+/// written on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnCmp<'e> {
+    pub(crate) column: usize,
+    pub(crate) op: BinaryOp,
+    pub(crate) literal: &'e Value,
+}
+
+/// The *leading run* of a base-table predicate: the longest prefix of its
+/// top-level `AND` chain, in evaluation order, whose conjuncts are
+/// *type-safe* `column <cmp> literal` comparisons (either operand order,
+/// all six comparisons) — by the table's schema and [`Value::sql_cmp`], a
+/// numeric column against a numeric literal, `TEXT` against `TEXT`, `BOOL`
+/// against `BOOL`, and nothing else.
+///
+/// No conjunct of the run can fault — a column holds values of its type
+/// and NULLs (a `REAL` one also widened `Int`s), and `sql_cmp` orders any
+/// two numbers, texts or booleans — and `AND` stops on a definite left
+/// `false` and only then. So on a row where some conjunct of the run is
+/// definitely false, the whole predicate returns `Ok(false)` without
+/// raising, whatever follows the run: such a row may be skipped without
+/// evaluating anything. That is the one skip rule, and the run answers
+/// both sources of skips. A column image ([`pcqe_storage::image`]) decides
+/// "definitely false" for a conjunct over a `REAL` column on *native*
+/// slots only (the stored value is a `Real`, not a NULL or a widened
+/// `Int`), by [`real_cmp`], the very comparison `sql_cmp` would make
+/// ([`LeadingRun::candidates`]). An equality index decides it for a `=`
+/// conjunct on every row that holds another non-NULL key, which is why
+/// the planner takes an index scan's key from the run and nowhere else
+/// ([`LeadingRun::conjuncts`]). Every other row is a *candidate*, for
+/// the whole predicate to decide. A conjunct behind a fallible one, a
+/// NULL literal, arithmetic, column against column or an `OR` is never in
+/// the run: skipping on it could swallow an error the row-wise evaluation
+/// raises first.
+#[derive(Debug)]
+pub struct LeadingRun<'a> {
+    table: &'a Table,
+    /// The run's conjuncts, in evaluation order.
+    conjuncts: Vec<ColumnCmp<'a>>,
+}
+
+impl<'a> LeadingRun<'a> {
+    /// The run's conjuncts, in evaluation order.
+    pub(crate) fn conjuncts(&self) -> &[ColumnCmp<'a>] {
+        &self.conjuncts
+    }
+
+    /// The positions of the table's rows that are candidates by its column
+    /// images, ascending: all but those where a conjunct of the run is
+    /// false on a native slot. `None` when no conjunct of the run is over
+    /// an imaged column, which drops nothing: every row is a candidate.
+    /// Every position left out has
     /// `predicate.compile().test(row) == Ok(false)`.
     pub fn candidates(&self) -> Option<Vec<usize>> {
-        if self.conjuncts.is_empty() {
+        // The arm of `Value::sql_cmp` a `Real` against a number takes: the
+        // real order, an `Int` literal widened.
+        let imaged: Vec<ImagedCmp<'_>> = self
+            .conjuncts
+            .iter()
+            .filter_map(|c| Some((c.op, self.table.image(c.column)?, c.literal.as_f64()?)))
+            .collect();
+        if imaged.is_empty() {
             return None;
         }
         // Per 64 rows, the ones no conjunct drops: a bit per row.
-        let live: Vec<u64> = (0..self.rows.div_ceil(64))
+        let rows = self.table.len();
+        let live: Vec<u64> = (0..rows.div_ceil(64))
             .map(|word| {
-                let rows = (self.rows - 64 * word).min(64);
-                !self.dropped(word) & (u64::MAX >> (64 - rows))
+                let rows = (rows - 64 * word).min(64);
+                !dropped(&imaged, word) & (u64::MAX >> (64 - rows))
             })
             .collect();
         let count = live.iter().map(|word| word.count_ones() as usize).sum();
@@ -518,26 +606,29 @@ impl LeadingRun<'_> {
         }
         Some(candidates)
     }
+}
 
-    /// Of the rows `64 * word ..`, those where some conjunct of the run is
-    /// false on a native slot, as a bitmask. One [`Image::failing`]
-    /// instance per comparison, so that each inner loop is a single
-    /// compare.
-    fn dropped(&self, word: usize) -> u64 {
-        self.conjuncts.iter().fold(0, |dropped, &(op, image, lit)| {
-            let cmp = |v| real_cmp(v, lit);
-            dropped
-                | match op {
-                    BinaryOp::Eq => image.failing(word, |v| BinaryOp::Eq.holds(cmp(v))),
-                    BinaryOp::Ne => image.failing(word, |v| BinaryOp::Ne.holds(cmp(v))),
-                    BinaryOp::Lt => image.failing(word, |v| BinaryOp::Lt.holds(cmp(v))),
-                    BinaryOp::Le => image.failing(word, |v| BinaryOp::Le.holds(cmp(v))),
-                    BinaryOp::Gt => image.failing(word, |v| BinaryOp::Gt.holds(cmp(v))),
-                    // A run holds the six comparisons only.
-                    _ => image.failing(word, |v| BinaryOp::Ge.holds(cmp(v))),
-                }
-        })
-    }
+/// A run conjunct over an imaged column: the column's image, and the
+/// literal as the real `sql_cmp` compares it as.
+type ImagedCmp<'t> = (BinaryOp, &'t Image, f64);
+
+/// Of the rows `64 * word ..`, those where some conjunct is false on a
+/// native slot, as a bitmask. One [`Image::failing`] instance per
+/// comparison, so that each inner loop is a single compare.
+fn dropped(conjuncts: &[ImagedCmp<'_>], word: usize) -> u64 {
+    conjuncts.iter().fold(0, |dropped, &(op, image, lit)| {
+        let cmp = |v| real_cmp(v, lit);
+        dropped
+            | match op {
+                BinaryOp::Eq => image.failing(word, |v| BinaryOp::Eq.holds(cmp(v))),
+                BinaryOp::Ne => image.failing(word, |v| BinaryOp::Ne.holds(cmp(v))),
+                BinaryOp::Lt => image.failing(word, |v| BinaryOp::Lt.holds(cmp(v))),
+                BinaryOp::Le => image.failing(word, |v| BinaryOp::Le.holds(cmp(v))),
+                BinaryOp::Gt => image.failing(word, |v| BinaryOp::Gt.holds(cmp(v))),
+                // A run holds the six comparisons only.
+                _ => image.failing(word, |v| BinaryOp::Ge.holds(cmp(v))),
+            }
+    })
 }
 
 /// A predicate compiled for repeated testing: the connectives and

@@ -8,7 +8,7 @@
 //! intermediate results (and lets the executor use hash joins on the
 //! equality conjuncts that reach a join's `ON`).
 
-use crate::expr::{BinaryOp, ScalarExpr};
+use crate::expr::ScalarExpr;
 use crate::plan::Plan;
 use crate::Result;
 use pcqe_storage::Catalog;
@@ -25,7 +25,7 @@ fn rewrite(plan: Plan, catalog: &Catalog) -> Result<Plan> {
         Plan::Select { input, predicate } => {
             let input = rewrite(*input, catalog)?;
             let mut conjuncts = Vec::new();
-            split_conjuncts(predicate, &mut conjuncts);
+            predicate.into_conjuncts(&mut conjuncts);
             push_conjuncts(input, conjuncts, catalog)
         }
         Plan::Project {
@@ -89,7 +89,7 @@ fn push_conjuncts(plan: Plan, conjuncts: Vec<ScalarExpr>, catalog: &Catalog) -> 
         Plan::Select { input, predicate } => {
             // Merge with the inner selection and retry.
             let mut all = conjuncts;
-            split_conjuncts(predicate, &mut all);
+            predicate.into_conjuncts(&mut all);
             push_conjuncts(*input, all, catalog)
         }
         Plan::Join {
@@ -103,32 +103,26 @@ fn push_conjuncts(plan: Plan, conjuncts: Vec<ScalarExpr>, catalog: &Catalog) -> 
             let right = push_conjuncts(*right, to_right, catalog)?;
             // Conjuncts spanning both sides join the ON predicate, where
             // the executor can exploit equalities for hashing.
-            let mut on = vec![predicate];
-            on.extend(stuck);
             Ok(Plan::Join {
                 left: Box::new(left),
                 right: Box::new(right),
-                predicate: and_all(on),
+                predicate: stuck.into_iter().fold(predicate, ScalarExpr::and),
             })
         }
         Plan::Product { left, right } => {
             let left_arity = left.schema(catalog)?.arity();
             let (to_left, to_right, stuck) = classify(conjuncts, left_arity);
-            let left = push_conjuncts(*left, to_left, catalog)?;
-            let right = push_conjuncts(*right, to_right, catalog)?;
-            if stuck.is_empty() {
-                Ok(Plan::Product {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                })
-            } else {
+            let left = Box::new(push_conjuncts(*left, to_left, catalog)?);
+            let right = Box::new(push_conjuncts(*right, to_right, catalog)?);
+            Ok(match ScalarExpr::and_all(stuck) {
+                None => Plan::Product { left, right },
                 // A filtered product is a join.
-                Ok(Plan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    predicate: and_all(stuck),
-                })
-            }
+                Some(predicate) => Plan::Join {
+                    left,
+                    right,
+                    predicate,
+                },
+            })
         }
         Plan::Union { left, right } => {
             let l = push_conjuncts(*left, conjuncts.clone(), catalog)?;
@@ -167,50 +161,28 @@ fn push_conjuncts(plan: Plan, conjuncts: Vec<ScalarExpr>, catalog: &Catalog) -> 
                     None => stuck.push(c),
                 }
             }
-            let mut plan = Plan::Project {
+            let plan = Plan::Project {
                 input: Box::new(push_conjuncts(*input, rewritten, catalog)?),
                 items,
                 distinct,
             };
-            if !stuck.is_empty() {
-                plan = Plan::Select {
-                    input: Box::new(plan),
-                    predicate: and_all(stuck),
-                };
-            }
-            Ok(plan)
+            Ok(select(plan, stuck))
         }
         // Limits, aggregates and scans: selection stays on top (pushing
         // below a LIMIT changes which rows survive; a HAVING-style filter
         // over aggregate outputs cannot be evaluated earlier).
         other @ (Plan::Limit { .. } | Plan::Scan { .. } | Plan::Aggregate { .. }) => {
-            Ok(Plan::Select {
-                input: Box::new(other),
-                predicate: and_all(conjuncts),
-            })
+            Ok(select(other, conjuncts))
         }
     }
 }
 
-/// Split an expression on top-level ANDs.
-fn split_conjuncts(expr: ScalarExpr, out: &mut Vec<ScalarExpr>) {
-    match expr {
-        ScalarExpr::Binary {
-            op: BinaryOp::And,
-            left,
-            right,
-        } => {
-            split_conjuncts(*left, out);
-            split_conjuncts(*right, out);
-        }
-        other => out.push(other),
+/// A selection on `conjuncts` over `plan`; `plan` itself when there are none.
+fn select(plan: Plan, conjuncts: Vec<ScalarExpr>) -> Plan {
+    match ScalarExpr::and_all(conjuncts) {
+        Some(predicate) => plan.select(predicate),
+        None => plan,
     }
-}
-
-/// AND a non-empty list of conjuncts back together.
-fn and_all(mut conjuncts: Vec<ScalarExpr>) -> ScalarExpr {
-    let first = conjuncts.remove(0);
-    conjuncts.into_iter().fold(first, |acc, c| acc.and(c))
 }
 
 /// Sort conjuncts into left-only, right-only (shifted), and spanning.

@@ -11,11 +11,12 @@
 //! [`PhysicalPlan::node_label`] — so `EXPLAIN ANALYZE` output can zip a
 //! profile against the plan text line-for-line.
 
-use crate::error::AlgebraError;
 use crate::expr::ScalarExpr;
-use crate::plan::{AggFunc, AggItem, Plan, ProjItem, SortKey};
+use crate::plan::{
+    aggregate_schema, project_schema, set_operation_schema, AggItem, Plan, ProjItem, SortKey,
+};
 use crate::Result;
-use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
+use pcqe_storage::{Catalog, Schema, Value};
 use std::fmt;
 
 /// A physical query plan: concrete operators with explicit access paths,
@@ -32,8 +33,9 @@ pub enum PhysicalPlan {
         /// Pushed-down filter evaluated per row (`None` = keep all).
         residual: Option<ScalarExpr>,
     },
-    /// Equality-index lookup: fetch only the rows whose indexed column
-    /// equals `key`, in insertion order, then apply the residual.
+    /// Equality-index lookup: a scan whose candidates are the rows whose
+    /// indexed column equals `key` (with a residual, also those where it
+    /// is NULL), in insertion order, the residual applied to each.
     IndexScan {
         /// Table name in the catalog.
         table: String,
@@ -46,7 +48,8 @@ pub enum PhysicalPlan {
         /// The equality key. Never `NULL`; its type matches the column
         /// exactly, so index equality agrees with SQL `=`.
         key: Value,
-        /// Remaining pushed-down conjuncts applied per fetched row.
+        /// The whole pushed-down predicate, key conjunct included, applied
+        /// per candidate row; `None` when the key conjunct is all of it.
         residual: Option<ScalarExpr>,
     },
     /// σ over an arbitrary input.
@@ -171,13 +174,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. } => input.schema(catalog),
             PhysicalPlan::Project { input, items, .. } => {
-                let in_schema = input.schema(catalog)?;
-                let mut cols = Vec::with_capacity(items.len());
-                for item in items {
-                    let dt = item.expr.infer_type(&in_schema)?;
-                    cols.push(Column::new(item.name.clone(), dt));
-                }
-                Schema::new(cols).map_err(AlgebraError::from)
+                project_schema(&input.schema(catalog)?, items)
             }
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NestedLoopJoin { left, right, .. } => {
@@ -190,54 +187,9 @@ impl PhysicalPlan {
                 input,
                 group_by,
                 aggregates,
-            } => {
-                let in_schema = input.schema(catalog)?;
-                let mut cols = Vec::with_capacity(group_by.len() + aggregates.len());
-                for item in group_by {
-                    cols.push(Column::new(
-                        item.name.clone(),
-                        item.expr.infer_type(&in_schema)?,
-                    ));
-                }
-                for agg in aggregates {
-                    let dt = match (agg.func, &agg.arg) {
-                        (AggFunc::Count, _) => DataType::Int,
-                        (AggFunc::Avg, _) => DataType::Real,
-                        (AggFunc::Sum, Some(arg)) => match arg.infer_type(&in_schema)? {
-                            DataType::Int => DataType::Int,
-                            _ => DataType::Real,
-                        },
-                        (AggFunc::Min | AggFunc::Max, Some(arg)) => arg.infer_type(&in_schema)?,
-                        (f, None) => {
-                            return Err(AlgebraError::Type(format!(
-                                "{} requires an argument",
-                                f.name()
-                            )))
-                        }
-                    };
-                    cols.push(Column::new(agg.name.clone(), dt));
-                }
-                Schema::new(cols).map_err(AlgebraError::from)
-            }
+            } => aggregate_schema(&input.schema(catalog)?, group_by, aggregates),
             PhysicalPlan::Union { left, right } | PhysicalPlan::Difference { left, right } => {
-                let l = left.schema(catalog)?;
-                let r = right.schema(catalog)?;
-                if l.arity() != r.arity() {
-                    return Err(AlgebraError::SchemaMismatch(format!(
-                        "arity {} vs {}",
-                        l.arity(),
-                        r.arity()
-                    )));
-                }
-                for (a, b) in l.columns().iter().zip(r.columns()) {
-                    if a.data_type != b.data_type {
-                        return Err(AlgebraError::SchemaMismatch(format!(
-                            "column `{}` is {} on the left but {} on the right",
-                            a.name, a.data_type, b.data_type
-                        )));
-                    }
-                }
-                Ok(l)
+                set_operation_schema(left.schema(catalog)?, &right.schema(catalog)?)
             }
         }
     }

@@ -7,9 +7,12 @@
 //!
 //! * **Access paths** — a `Select` directly over a `Scan` becomes either a
 //!   [`PhysicalPlan::TableScan`] with the predicate pushed in as a
-//!   residual, or — when an equality conjunct `column = literal` hits an
+//!   residual, or — when a conjunct `column = literal` of the predicate's
+//!   [`LeadingRun`](crate::expr::LeadingRun) hits an
 //!   [`pcqe_storage::EqualityIndex`] — a [`PhysicalPlan::IndexScan`] that
-//!   fetches only the matching rows.
+//!   fetches only the rows the index lists, and still tests the whole
+//!   predicate on each: the index is a source of candidates, not a
+//!   rewrite of the predicate.
 //! * **Join strategies** — a `Join` with hashable equality conjuncts
 //!   becomes a [`PhysicalPlan::HashJoin`] or a
 //!   [`PhysicalPlan::NestedLoopJoin`] depending on estimated input
@@ -30,7 +33,19 @@
 //!   subset a sequential scan + filter would keep (index keys are typed
 //!   exactly: only `INT`/`TEXT`/`BOOL` columns are indexable, and the key
 //!   literal's type must match the column's, so map equality coincides
-//!   with SQL `=`; `NULL` never matches in either implementation).
+//!   with SQL `=`; `NULL` never matches in either implementation). *Errors*:
+//!   the key conjunct comes from the predicate's leading run and from
+//!   nowhere else, so a row passed over for holding another key is one the
+//!   whole predicate rejects without raising — no conjunct before the key
+//!   can fault, and `AND` stops at the key's definite `false`
+//!   ([`LeadingRun`](crate::expr::LeadingRun) has the induction). On a
+//!   NULL key the equality is unknown, not false, and `AND` goes on: where
+//!   anything follows the key conjunct the executor keeps the NULL-keyed
+//!   rows as candidates ([`pcqe_storage::EqualityIndex::null_rows`]). A
+//!   key conjunct behind anything that can raise (`s > 1 AND k = 3`, `s`
+//!   `TEXT`) keeps the table scan. Every candidate meets the whole
+//!   predicate — nothing was taken out of it — so which error is raised,
+//!   and its wording, is the reference's.
 //! * Hash join and nested loop produce identical row order: both emit,
 //!   for each left row in input order, its matching right rows in right
 //!   input order. The planner may only *substitute* a nested loop for a
@@ -66,7 +81,7 @@ use crate::expr::{BinaryOp, ScalarExpr};
 use crate::physical::plan::PhysicalPlan;
 use crate::plan::Plan;
 use crate::Result;
-use pcqe_storage::{Catalog, DataType, TableStats, Value};
+use pcqe_storage::{Catalog, DataType, TableStats};
 
 /// Per-row cost multiplier for building the hash table, relative to one
 /// nested-loop predicate evaluation. A build row is tagged with its
@@ -230,6 +245,19 @@ fn indexed_build_key(
 }
 
 /// Choose the access path for a filtered base-table scan.
+///
+/// An index answers `column = key` only where the conjunct is in the
+/// predicate's [`LeadingRun`](crate::expr::LeadingRun) — a row the index
+/// passes over for holding another key is then one the whole predicate
+/// rejects without raising — and its key is typed exactly as the column:
+/// a coerced key (a `REAL` literal on an `INT` column) cannot use the
+/// index, because map equality would not coincide with SQL `=`. Of the
+/// usable indexes the most selective wins; `min_by_key` keeps the earliest
+/// conjunct on ties, so the choice is a pure function of plan + catalog
+/// state. Nothing is taken out of the predicate: a chain of conjuncts stays
+/// whole as the scan's residual, so every fetched row meets the reference's
+/// evaluation, error wording included; only a predicate that *is* the key
+/// conjunct needs no residual.
 fn plan_scan(
     table: &str,
     alias: Option<String>,
@@ -238,107 +266,32 @@ fn plan_scan(
 ) -> Result<PhysicalPlan> {
     let t = catalog.table(table)?;
     let stats = t.stats();
-    let mut conjuncts = Vec::new();
-    collect_conjuncts(predicate, &mut conjuncts);
-    // Find the cheapest usable index among `column = literal` conjuncts.
-    // Determinism: strict improvement (`<`) keeps the earliest conjunct on
-    // ties, so the choice is a pure function of plan + catalog state.
-    let mut best: Option<(usize, usize, Value)> = None; // (est, conjunct idx, key)
-    let mut best_column = 0usize;
-    for (i, c) in conjuncts.iter().enumerate() {
-        let Some((column, key)) = index_key(c) else {
-            continue;
-        };
-        let Some(col) = t.schema().columns().get(column) else {
-            continue;
-        };
-        // The key literal's type must match the column exactly; a coerced
-        // key (e.g. REAL literal on an INT column) cannot use the index
-        // because map equality would not coincide with SQL `=`.
-        if key.is_null() || key.data_type() != Some(col.data_type) {
-            continue;
-        }
-        if t.index_on(column).is_none() {
-            continue;
-        }
-        let est = stats.eq_selectivity_rows(column);
-        if best.as_ref().is_none_or(|(b, _, _)| est < *b) {
-            best = Some((est, i, key.clone()));
-            best_column = column;
-        }
-    }
-    match best {
-        Some((_, chosen, key)) => {
-            let residual = and_all(
-                conjuncts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != chosen)
-                    .map(|(_, c)| c.clone())
-                    .collect(),
-            );
-            let column_name = t
-                .schema()
-                .columns()
-                .get(best_column)
-                .map(|c| c.name.clone())
-                .unwrap_or_default();
-            Ok(PhysicalPlan::IndexScan {
+    let run = predicate.leading_run(t);
+    // A comparison is its own sole conjunct: anything else that reaches an
+    // index scan is a chain around the key.
+    let is_chain = predicate.column_cmp_literal().is_none();
+    let indexed = run.conjuncts().iter().filter_map(|cmp| {
+        let column = t.schema().columns().get(cmp.column)?;
+        let exact = cmp.op == BinaryOp::Eq && cmp.literal.data_type() == Some(column.data_type);
+        (exact && t.index_on(cmp.column).is_some()).then_some((cmp, column))
+    });
+    Ok(
+        match indexed.min_by_key(|(cmp, _)| stats.eq_selectivity_rows(cmp.column)) {
+            Some((cmp, column)) => PhysicalPlan::IndexScan {
                 table: table.to_owned(),
                 alias,
-                column: best_column,
-                column_name,
-                key,
-                residual,
-            })
-        }
-        None => Ok(PhysicalPlan::TableScan {
-            table: table.to_owned(),
-            alias,
-            residual: Some(predicate.clone()),
-        }),
-    }
-}
-
-/// If `expr` is `column = literal` (either side), return the pair.
-fn index_key(expr: &ScalarExpr) -> Option<(usize, &Value)> {
-    let ScalarExpr::Binary {
-        op: BinaryOp::Eq,
-        left,
-        right,
-    } = expr
-    else {
-        return None;
-    };
-    match (&**left, &**right) {
-        (ScalarExpr::Column(c), ScalarExpr::Literal(v))
-        | (ScalarExpr::Literal(v), ScalarExpr::Column(c)) => Some((*c, v)),
-        _ => None,
-    }
-}
-
-/// Split on top-level ANDs.
-fn collect_conjuncts(expr: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
-    match expr {
-        ScalarExpr::Binary {
-            op: BinaryOp::And,
-            left,
-            right,
-        } => {
-            collect_conjuncts(left, out);
-            collect_conjuncts(right, out);
-        }
-        other => out.push(other.clone()),
-    }
-}
-
-/// AND a list of conjuncts back together (`None` when empty).
-fn and_all(mut conjuncts: Vec<ScalarExpr>) -> Option<ScalarExpr> {
-    if conjuncts.is_empty() {
-        return None;
-    }
-    let first = conjuncts.remove(0);
-    Some(conjuncts.into_iter().fold(first, |acc, c| acc.and(c)))
+                column: cmp.column,
+                column_name: column.name.clone(),
+                key: cmp.literal.clone(),
+                residual: is_chain.then(|| predicate.clone()),
+            },
+            None => PhysicalPlan::TableScan {
+                table: table.to_owned(),
+                alias,
+                residual: Some(predicate.clone()),
+            },
+        },
+    )
 }
 
 /// Estimated output cardinality of a physical operator.
@@ -368,14 +321,13 @@ pub fn estimate(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
             residual,
             ..
         } => {
-            let stats = catalog.table(table).ok().map(|t| t.stats());
-            let base = stats
-                .as_ref()
-                .map(|s| s.eq_selectivity_rows(*column))
-                .unwrap_or(0);
+            let Ok(t) = catalog.table(table) else {
+                return 0;
+            };
             match residual {
-                Some(p) => predicate_rows(base, p, stats.as_ref()),
-                None => base,
+                // The whole predicate, key conjunct included.
+                Some(p) => predicate_rows(t.len(), p, Some(&t.stats())),
+                None => t.stats().eq_selectivity_rows(*column),
             }
         }
         PhysicalPlan::Filter { input, predicate } => {
@@ -426,16 +378,14 @@ pub fn estimate(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
 /// undercount five-fold and steer the join chooser toward a nested loop
 /// that is quadratically wrong on the real cardinality.
 fn predicate_rows(base: usize, predicate: &ScalarExpr, stats: Option<&TableStats>) -> usize {
-    let mut conjuncts = Vec::new();
-    collect_conjuncts(predicate, &mut conjuncts);
     let mut rows = base;
-    for c in &conjuncts {
+    for c in predicate.conjuncts() {
         if let ScalarExpr::Binary { op, .. } = c {
             rows = match op {
                 BinaryOp::Eq => {
                     let ndv = stats
-                        .zip(index_key(c))
-                        .and_then(|(s, (column, _))| s.distinct_keys(column));
+                        .zip(c.column_cmp_literal())
+                        .and_then(|(s, cmp)| s.distinct_keys(cmp.column));
                     match ndv {
                         Some(n) if n > 0 => rows.div_ceil(n),
                         _ => rows.div_ceil(10),
@@ -452,12 +402,13 @@ fn predicate_rows(base: usize, predicate: &ScalarExpr, stats: Option<&TableStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcqe_storage::{Column, Schema};
+    use pcqe_storage::{Column, Schema, Value};
 
     /// 36 orders (cust = i%6, region = i%2, flag = i%3) joined to 5
     /// customers. With both filter columns indexed the planner knows
-    /// NDV(flag) = 3 < NDV(region)'s estimate, so the index scan takes
-    /// `flag = 1` and `region = 0` stays residual.
+    /// `flag = 1` keeps 12 rows (NDV 3) where `region = 0` keeps 18
+    /// (NDV 2), so the index scan takes `flag = 1`, the later conjunct;
+    /// the residual is the whole predicate either way.
     fn crossover_catalog(index_region: bool) -> Catalog {
         let mut c = Catalog::new();
         c.create_table(
@@ -522,6 +473,11 @@ mod tests {
             phys.to_string().contains("HashJoin"),
             "NDV-aware estimate must pick the hash join:\n{phys}"
         );
+        assert!(
+            phys.to_string()
+                .contains("IndexScan orders (flag = 1) [filter: ((#1 = 0) AND (#2 = 1))]"),
+            "the more selective index, the whole predicate its residual:\n{phys}"
+        );
 
         let without_stats = crossover_catalog(false);
         let phys = lower(&crossover_plan(), &without_stats).unwrap();
@@ -531,9 +487,10 @@ mod tests {
         );
     }
 
-    /// The estimate itself: 36 rows → 12 past the `flag = 1` index scan
-    /// (NDV 3) → 6 past the `region = 0` residual (NDV 2), against the
-    /// flat-guess 2 when the region index (and hence its NDV) is absent.
+    /// The estimate itself — the whole predicate over the table, which is
+    /// what the index scan's residual is: 36 rows → 18 past `region = 0`
+    /// (NDV 2) → 6 past `flag = 1` (NDV 3), against the flat-guess 2 when
+    /// the region index (and hence its NDV) is absent.
     #[test]
     fn residual_equality_estimates_divide_by_known_ndv() {
         let with_stats = crossover_catalog(true);
@@ -559,5 +516,107 @@ mod tests {
         )
         .unwrap();
         assert_eq!(estimate(&scan, &without_stats), 2);
+    }
+
+    /// `t(k INT, n INT, a INT, s TEXT, status TEXT)`, 24 rows, `k` (NDV 6)
+    /// and `status` (NDV 2) indexed.
+    fn access_path_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        let int = |name| Column::new(name, DataType::Int);
+        let text = |name| Column::new(name, DataType::Text);
+        let columns = vec![int("k"), int("n"), int("a"), text("s"), text("status")];
+        c.create_table("t", Schema::new(columns).unwrap()).unwrap();
+        for i in 0..24i64 {
+            let status = if i % 2 == 0 { "open" } else { "closed" };
+            let row = vec![
+                Value::Int(i % 6),
+                Value::Int(i),
+                Value::Int(i),
+                Value::text(format!("s{i}")),
+                Value::text(status),
+            ];
+            c.insert("t", row, 0.5).unwrap();
+        }
+        c.create_index("t", "k").unwrap();
+        c.create_index("t", "status").unwrap();
+        c
+    }
+
+    /// The access path is read off the predicate's leading run: an index
+    /// answers a `=` conjunct only from there, and takes nothing out of
+    /// the predicate.
+    #[test]
+    fn the_leading_run_decides_the_access_path() {
+        let c = access_path_catalog();
+        let col = ScalarExpr::column;
+        let int = |i: i64| ScalarExpr::literal(Value::Int(i));
+        let (k, n, a, s, status) = (0, 1, 2, 3, 4);
+        let k_is_3 = || col(k).eq(int(3));
+        let open = || col(status).eq(ScalarExpr::literal(Value::text("open")));
+        let overflowing = || col(a).add(int(1)).gt(int(0));
+        let scan = |predicate: ScalarExpr| {
+            let plan = Plan::scan("t").select(predicate);
+            lower(&plan, &c).unwrap().node_label()
+        };
+        // Chosen. A sole conjunct needs no residual; a chain stays whole.
+        assert_eq!(scan(k_is_3()), "IndexScan t (k = 3)");
+        assert_eq!(scan(int(3).eq(col(k))), "IndexScan t (k = 3)");
+        for (predicate, filter) in [
+            (k_is_3().and(overflowing()), "((#0 = 3) AND ((#2 + 1) > 0))"),
+            (k_is_3().and(col(n)), "((#0 = 3) AND #1)"),
+            (col(n).gt(int(5)).and(k_is_3()), "((#1 > 5) AND (#0 = 3))"),
+            (
+                col(s)
+                    .ne(ScalarExpr::literal(Value::text("s3")))
+                    .and(k_is_3()),
+                "((#3 <> 's3') AND (#0 = 3))",
+            ),
+        ] {
+            assert_eq!(
+                scan(predicate),
+                format!("IndexScan t (k = 3) [filter: {filter}]")
+            );
+        }
+        // Of two indexed conjuncts of the run the more selective wins —
+        // `k` keeps 4 rows, `status` 12 — wherever it stands.
+        let both = "((#4 = 'open') AND (#0 = 3))";
+        assert_eq!(
+            scan(open().and(k_is_3())),
+            format!("IndexScan t (k = 3) [filter: {both}]")
+        );
+        assert_eq!(
+            scan(k_is_3().and(open())),
+            "IndexScan t (k = 3) [filter: ((#0 = 3) AND (#4 = 'open'))]"
+        );
+        // And the earliest on a tie.
+        assert_eq!(
+            scan(col(k).eq(int(4)).and(k_is_3())),
+            "IndexScan t (k = 4) [filter: ((#0 = 4) AND (#0 = 3))]"
+        );
+        // Refused: the key conjunct is behind one that can raise, yield a
+        // non-boolean or NULL, or is under an `OR` — skipping on it could
+        // swallow what the row-wise evaluation meets first — or its
+        // literal is not typed as the column.
+        for predicate in [
+            col(s).gt(int(1)).and(k_is_3()),
+            overflowing().and(k_is_3()),
+            col(n).and(k_is_3()),
+            col(n).eq(col(a)).and(k_is_3()),
+            col(n).eq(ScalarExpr::literal(Value::Null)).and(k_is_3()),
+            k_is_3().or(col(n).gt(int(5))),
+            col(k).eq(ScalarExpr::literal(Value::Real(3.0))),
+            col(k).eq(ScalarExpr::literal(Value::Null)),
+            col(k).gt(int(3)),
+        ] {
+            assert_eq!(
+                scan(predicate.clone()),
+                format!("TableScan t [filter: {predicate}]")
+            );
+        }
+        // An unsafe conjunct ends the run; an index before it still serves.
+        assert_eq!(
+            scan(open().and(col(n)).and(k_is_3())),
+            "IndexScan t (status = 'open') [filter: (((#4 = 'open') AND #1) AND (#0 = 3))]"
+        );
     }
 }

@@ -9,11 +9,12 @@
 //! only read their input — filter, projection, join build and probe,
 //! aggregate grouping and folding — read either those or derived tuples
 //! in place through [`Row`] (a values slice and a lineage); and a value
-//! is cloned once, when it enters an operator's output. A table scan
-//! reads a column before it reads a row: a pass over the table's typed
-//! column images ([`pcqe_storage::image`]) drops the rows its residual's
-//! leading numeric conjuncts prove it rejects, and only the rest are
-//! visited.
+//! is cloned once, when it enters an operator's output. A scan takes its
+//! candidates from a *skip source* before it reads a row: a table scan
+//! from a pass over the table's typed column images
+//! ([`pcqe_storage::image`]), which drops the rows its residual's leading
+//! conjuncts prove it rejects, an index scan from the postings of its key;
+//! either way the whole residual is then tested on every candidate.
 //!
 //! ## The identity contract
 //!
@@ -34,13 +35,16 @@
 //!    [`ScalarExpr::eval_predicate`] the reference runs; projections,
 //!    group keys and aggregate arguments run that walk itself. Column-wise
 //!    evaluation of a whole predicate could reorder which error wins, so
-//!    there is none; what a table scan evaluates column-wise is the
-//!    residual's [`LeadingRun`](crate::expr::LeadingRun) — the prefix of
-//!    its `AND` chain that cannot fault — and only to *skip*: `AND` stops
+//!    there is none; what a scan consults without evaluating the predicate
+//!    — a column image, an equality index — answers for a conjunct of the
+//!    residual's [`LeadingRun`](crate::expr::LeadingRun), the prefix of
+//!    its `AND` chain that cannot fault, and only to *skip*: `AND` stops
 //!    on a definite left `false` and only then, so a definite `false`
 //!    inside that prefix is the whole predicate's `Ok(false)`, and a
-//!    skipped row can neither survive nor raise. Every other row is
-//!    decided by the whole compiled predicate.
+//!    skipped row can neither survive nor raise. Every other row — one the
+//!    source cannot call definitely false: a NULL or widened `Int` under
+//!    an image, a NULL key under an index — is decided by the whole
+//!    compiled predicate.
 //! 2. **Pipeline breakers reuse the row-native helpers.** Sort, Union,
 //!    Difference and distinct-merge own their rows and run literally the
 //!    same `or_merge`/`sort_rows` code as the reference; aggregates and
@@ -258,24 +262,30 @@ fn scan<'c, I: Iterator<Item = &'c StoredTuple>>(
     Ok((batches, survivors))
 }
 
-/// [`scan`] with every row of `rows` a candidate (`get` reaches a stored
-/// row from a slice element).
-fn scan_rows<'a, 'c, T: Sync>(
-    rows: &'a [T],
-    get: impl Fn(&'a T) -> &'c StoredTuple + Sync,
+/// [`scan`] over what a skip source left of `stored`: the rows at
+/// `positions` (ascending) are the candidates, cut into morsels by `units`
+/// (ranges of `positions`). The one call both scans end in — they differ
+/// in where the candidates come from, never in what is done with one.
+fn scan_candidates<'c>(
+    stored: &'c [StoredTuple],
+    positions: &[usize],
+    units: &[Range<usize>],
     residual: &Option<ScalarExpr>,
     ctx: &Ctx<'_>,
 ) -> Result<(u64, Vec<&'c StoredTuple>)> {
-    let units: Vec<Range<usize>> = morsels(rows.len()).collect();
-    let every_row = |unit: Range<usize>| rows.get(unit).unwrap_or_default().iter().map(&get);
-    scan(&units, every_row, residual, ctx)
+    let candidates = |unit: Range<usize>| {
+        let unit = positions.get(unit).unwrap_or_default();
+        unit.iter().filter_map(|&p| stored.get(p))
+    };
+    scan(units, candidates, residual, ctx)
 }
 
-/// Scan a table: first a pass over the column images, on the calling
-/// thread, drops the rows the residual's [`LeadingRun`] proves it rejects
-/// (it costs under a nanosecond a row, a spawned lane tens of
-/// microseconds); then [`scan`] decides the candidates left in each
-/// morsel. A residual with no leading run, or none, leaves every row.
+/// Scan a table, its column images the skip source: first a pass over
+/// them, on the calling thread, drops the rows the residual's
+/// [`LeadingRun`] proves it rejects (it costs under a nanosecond a row, a
+/// spawned lane tens of microseconds); then [`scan`] decides the
+/// candidates left in each morsel. A residual whose leading run reads no
+/// imaged column, or none, leaves every row.
 ///
 /// [`LeadingRun`]: crate::expr::LeadingRun
 fn scan_table<'c>(
@@ -286,7 +296,9 @@ fn scan_table<'c>(
     let stored = table.rows();
     let run = residual.as_ref().map(|r| r.leading_run(table));
     let Some(positions) = run.and_then(|run| run.candidates()) else {
-        return scan_rows(stored, |r| r, residual, ctx);
+        let units: Vec<Range<usize>> = morsels(stored.len()).collect();
+        let every_row = |unit: Range<usize>| stored.get(unit).unwrap_or_default().iter();
+        return scan(&units, every_row, residual, ctx);
     };
     // Morsel boundaries are the row store's, whatever the pass left.
     let mut from = 0;
@@ -297,15 +309,36 @@ fn scan_table<'c>(
             unit
         })
         .collect();
-    scan(
-        &units,
-        |unit| {
-            let unit = positions.get(unit).unwrap_or_default();
-            unit.iter().filter_map(|&p| stored.get(p))
-        },
-        residual,
-        ctx,
-    )
+    scan_candidates(stored, &positions, &units, residual, ctx)
+}
+
+/// Scan a table, the equality index on `column` the skip source: the
+/// candidates are the rows the index lists under `key`, in insertion order
+/// — a row that holds another key is one `column = key`, a conjunct of the
+/// residual's leading run (the planner takes the key from nowhere else),
+/// is definitely false on. On a NULL it is unknown, not false, and `AND`
+/// goes on to the conjuncts behind it: so where anything is behind it —
+/// the scan has a residual — the NULL-keyed rows are candidates as well.
+/// Yields the number of candidates beside [`scan`]'s answer.
+fn scan_index<'c>(
+    table: &'c Table,
+    column: usize,
+    key: &Value,
+    residual: &Option<ScalarExpr>,
+    ctx: &Ctx<'_>,
+) -> Result<(usize, u64, Vec<&'c StoredTuple>)> {
+    let index = required_index(table, column)?;
+    let mut positions = Cow::Borrowed(index.lookup(key));
+    if residual.is_some() && !index.null_rows().is_empty() {
+        positions.to_mut().extend(index.null_rows());
+        positions.to_mut().sort_unstable();
+    }
+    for &pos in positions.iter() {
+        indexed_row(table, pos)?;
+    }
+    let units: Vec<Range<usize>> = morsels(positions.len()).collect();
+    let (batches, rows) = scan_candidates(table.rows(), &positions, &units, residual, ctx)?;
+    Ok((positions.len(), batches, rows))
 }
 
 /// The index a plan names on `column` of `table`; a plan lowered against
@@ -725,14 +758,9 @@ fn run_v_node<'c>(
             residual,
             ..
         } => {
-            let t = catalog.table(table)?;
-            let positions = required_index(t, *column)?.lookup(key);
-            let mut fetched = Vec::with_capacity(positions.len());
-            for &pos in positions {
-                fetched.push(indexed_row(t, pos)?);
-            }
-            let (batches, rows) = scan_rows(&fetched, |r| *r, residual, ctx)?;
-            return Ok((fetched.len(), batches, VOut::Stored(rows)));
+            let table = catalog.table(table)?;
+            let (fetched, batches, rows) = scan_index(table, *column, key, residual, ctx)?;
+            return Ok((fetched, batches, VOut::Stored(rows)));
         }
         PhysicalPlan::Filter { input, predicate } => {
             // A filtered selection over storage is still one.

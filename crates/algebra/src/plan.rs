@@ -277,15 +277,7 @@ impl Plan {
                 Ok(t.schema().with_qualifier(qualifier))
             }
             Plan::Select { input, .. } => input.schema(catalog),
-            Plan::Project { input, items, .. } => {
-                let in_schema = input.schema(catalog)?;
-                let mut cols = Vec::with_capacity(items.len());
-                for item in items {
-                    let dt = item.expr.infer_type(&in_schema)?;
-                    cols.push(Column::new(item.name.clone(), dt));
-                }
-                Schema::new(cols).map_err(AlgebraError::from)
-            }
+            Plan::Project { input, items, .. } => project_schema(&input.schema(catalog)?, items),
             Plan::Join { left, right, .. } | Plan::Product { left, right } => {
                 Ok(left.schema(catalog)?.join(&right.schema(catalog)?))
             }
@@ -294,57 +286,77 @@ impl Plan {
                 input,
                 group_by,
                 aggregates,
-            } => {
-                let in_schema = input.schema(catalog)?;
-                let mut cols = Vec::with_capacity(group_by.len() + aggregates.len());
-                for item in group_by {
-                    cols.push(Column::new(
-                        item.name.clone(),
-                        item.expr.infer_type(&in_schema)?,
-                    ));
-                }
-                for agg in aggregates {
-                    let dt = match (agg.func, &agg.arg) {
-                        (AggFunc::Count, _) => DataType::Int,
-                        (AggFunc::Avg, _) => DataType::Real,
-                        (AggFunc::Sum, Some(arg)) => match arg.infer_type(&in_schema)? {
-                            DataType::Int => DataType::Int,
-                            _ => DataType::Real,
-                        },
-                        (AggFunc::Min | AggFunc::Max, Some(arg)) => arg.infer_type(&in_schema)?,
-                        (f, None) => {
-                            return Err(AlgebraError::Type(format!(
-                                "{} requires an argument",
-                                f.name()
-                            )))
-                        }
-                    };
-                    cols.push(Column::new(agg.name.clone(), dt));
-                }
-                Schema::new(cols).map_err(AlgebraError::from)
-            }
+            } => aggregate_schema(&input.schema(catalog)?, group_by, aggregates),
             Plan::Union { left, right } | Plan::Difference { left, right } => {
-                let l = left.schema(catalog)?;
-                let r = right.schema(catalog)?;
-                if l.arity() != r.arity() {
-                    return Err(AlgebraError::SchemaMismatch(format!(
-                        "arity {} vs {}",
-                        l.arity(),
-                        r.arity()
-                    )));
-                }
-                for (a, b) in l.columns().iter().zip(r.columns()) {
-                    if a.data_type != b.data_type {
-                        return Err(AlgebraError::SchemaMismatch(format!(
-                            "column `{}` is {} on the left but {} on the right",
-                            a.name, a.data_type, b.data_type
-                        )));
-                    }
-                }
-                Ok(l)
+                set_operation_schema(left.schema(catalog)?, &right.schema(catalog)?)
             }
         }
     }
+}
+
+// The schema rules the logical and the physical plan share: lowering never
+// changes the schema of the node it implements, so each is written once.
+
+/// A projection's output: one column per item, typed by inference.
+pub(crate) fn project_schema(input: &Schema, items: &[ProjItem]) -> Result<Schema> {
+    let mut cols = Vec::with_capacity(items.len());
+    for item in items {
+        let dt = item.expr.infer_type(input)?;
+        cols.push(Column::new(item.name.clone(), dt));
+    }
+    Schema::new(cols).map_err(AlgebraError::from)
+}
+
+/// An aggregation's output: the group keys, then one column per aggregate.
+pub(crate) fn aggregate_schema(
+    input: &Schema,
+    group_by: &[ProjItem],
+    aggregates: &[AggItem],
+) -> Result<Schema> {
+    let mut cols = Vec::with_capacity(group_by.len() + aggregates.len());
+    for item in group_by {
+        cols.push(Column::new(item.name.clone(), item.expr.infer_type(input)?));
+    }
+    for agg in aggregates {
+        let dt = match (agg.func, &agg.arg) {
+            (AggFunc::Count, _) => DataType::Int,
+            (AggFunc::Avg, _) => DataType::Real,
+            (AggFunc::Sum, Some(arg)) => match arg.infer_type(input)? {
+                DataType::Int => DataType::Int,
+                _ => DataType::Real,
+            },
+            (AggFunc::Min | AggFunc::Max, Some(arg)) => arg.infer_type(input)?,
+            (f, None) => {
+                return Err(AlgebraError::Type(format!(
+                    "{} requires an argument",
+                    f.name()
+                )))
+            }
+        };
+        cols.push(Column::new(agg.name.clone(), dt));
+    }
+    Schema::new(cols).map_err(AlgebraError::from)
+}
+
+/// A union's or difference's output: the left schema, which the right one
+/// must match in arity and column types.
+pub(crate) fn set_operation_schema(l: Schema, r: &Schema) -> Result<Schema> {
+    if l.arity() != r.arity() {
+        return Err(AlgebraError::SchemaMismatch(format!(
+            "arity {} vs {}",
+            l.arity(),
+            r.arity()
+        )));
+    }
+    for (a, b) in l.columns().iter().zip(r.columns()) {
+        if a.data_type != b.data_type {
+            return Err(AlgebraError::SchemaMismatch(format!(
+                "column `{}` is {} on the left but {} on the right",
+                a.name, a.data_type, b.data_type
+            )));
+        }
+    }
+    Ok(l)
 }
 
 impl Plan {

@@ -17,7 +17,7 @@ use crate::error::EngineError;
 use crate::Result;
 use pcqe_cost::CostFn;
 use pcqe_policy::{ConfidencePolicy, PurposeSpec, Role, SubjectSpec};
-use pcqe_storage::csv::{load_into_with_ids, write_table_with_ids};
+use pcqe_storage::csv::{load_into, write_table_with_ids};
 use pcqe_storage::{Column, DataType, Schema, StorageError, TupleId};
 use std::fs;
 use std::io::{BufReader, Write};
@@ -158,7 +158,7 @@ pub fn load(dir: &Path, config: EngineConfig) -> Result<Database> {
                 db.create_table(&name, Schema::new(cols)?)?;
                 let file = fs::File::open(dir.join(format!("{name}.csv")))
                     .map_err(|e| persist_err(format!("open `{name}.csv`: {e}")))?;
-                load_into_with_ids(&mut db.catalog, &name, BufReader::new(file))?;
+                load_into(&mut db.catalog, &name, BufReader::new(file))?;
             }
             (["index", table, column], None) => {
                 db.create_index(table, column)

@@ -3,8 +3,10 @@
 //! The format is RFC-4180-flavoured: comma-separated, `"` quoting with
 //! `""` escapes, one header row. The last column may be named
 //! `confidence` (case-insensitive); when present it supplies each row's
-//! confidence, otherwise rows load with confidence `1.0`. Empty unquoted
-//! fields load as NULL.
+//! confidence, otherwise rows load with confidence `1.0`. A leading
+//! `__id` column, one more than the table has, carries each row's tuple
+//! id (persistence, where ids must survive a round trip); without it rows
+//! get fresh ids. Empty unquoted fields load as NULL.
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;
@@ -12,53 +14,68 @@ use crate::table::Table;
 use crate::tuple::TupleId;
 use crate::value::{DataType, Value};
 use crate::Result;
+use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
+
+/// Header of the optional leading tuple-id column.
+const ID_COLUMN: &str = "__id";
 
 /// Export a table (with a trailing `confidence` column) as CSV.
 pub fn write_table<W: Write>(table: &Table, out: &mut W) -> std::io::Result<()> {
-    let mut header: Vec<String> = table
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| quote(&c.name))
-        .collect();
+    write_rows(table, false, out)
+}
+
+/// Export a table as CSV with a leading `__id` column (for persistence,
+/// where tuple ids must survive a round trip).
+pub fn write_table_with_ids<W: Write>(table: &Table, out: &mut W) -> std::io::Result<()> {
+    write_rows(table, true, out)
+}
+
+fn write_rows<W: Write>(table: &Table, with_ids: bool, out: &mut W) -> std::io::Result<()> {
+    let mut header: Vec<String> = with_ids.then(|| ID_COLUMN.to_owned()).into_iter().collect();
+    header.extend(table.schema().columns().iter().map(|c| quote(&c.name)));
     header.push("confidence".to_owned());
     writeln!(out, "{}", header.join(","))?;
     for row in table.rows() {
-        let mut cells: Vec<String> = row
-            .tuple
-            .values()
-            .iter()
-            .map(|v| match v {
-                Value::Null => String::new(),
-                Value::Text(s) => quote(s),
-                other => other.to_string(),
-            })
-            .collect();
-        cells.push(format!("{}", row.confidence));
+        let mut cells: Vec<String> = with_ids.then(|| row.id.0.to_string()).into_iter().collect();
+        cells.extend(row.tuple.values().iter().map(|v| match v {
+            Value::Null => String::new(),
+            Value::Text(s) => quote(s),
+            other => other.to_string(),
+        }));
+        cells.push(row.confidence.to_string());
         writeln!(out, "{}", cells.join(","))?;
     }
     Ok(())
 }
 
-/// Load CSV rows into an existing catalog table, returning the new tuple
+/// Load CSV rows into an existing catalog table, returning their tuple
 /// ids. The header must name the table's columns in order (matched
-/// case-insensitively), optionally followed by `confidence`.
+/// case-insensitively), optionally preceded by `__id` — the rows then keep
+/// the ids the file gives them, as [`write_table_with_ids`] wrote them,
+/// instead of taking fresh ones — and optionally followed by `confidence`.
+///
+/// All or nothing: every record is parsed and checked — as the insert
+/// would check it, a given id also against the file's earlier rows —
+/// before the first is written, so a refused load (the error is that of
+/// its first offending line) leaves no row, id or index posting behind.
 pub fn load_into<R: BufRead>(
     catalog: &mut Catalog,
     table: &str,
     reader: R,
 ) -> Result<Vec<TupleId>> {
-    let mut records = parse(reader)?;
-    if records.is_empty() {
-        return Err(csv_err(0, "missing header row"));
-    }
-    let header = records.remove(0);
-    let schema = catalog.table(table)?.schema().clone();
+    let mut records = parse(reader)?.into_iter();
+    let header = records
+        .next()
+        .ok_or_else(|| csv_err(0, "missing header row"))?;
+    let t = catalog.table(table)?;
+    let schema = t.schema();
     let with_confidence = header
         .last()
         .is_some_and(|h| h.eq_ignore_ascii_case("confidence"));
-    let expected = schema.arity() + usize::from(with_confidence);
+    let named = schema.arity() + usize::from(with_confidence);
+    let with_ids = header.len() == named + 1 && header.first().is_some_and(|h| h == ID_COLUMN);
+    let expected = named + usize::from(with_ids);
     if header.len() != expected {
         return Err(csv_err(
             1,
@@ -70,7 +87,8 @@ pub fn load_into<R: BufRead>(
             ),
         ));
     }
-    for (h, c) in header.iter().zip(schema.columns()) {
+    let named_columns = header.iter().skip(usize::from(with_ids));
+    for (h, c) in named_columns.zip(schema.columns()) {
         if !h.eq_ignore_ascii_case(&c.name) {
             return Err(csv_err(
                 1,
@@ -81,8 +99,9 @@ pub fn load_into<R: BufRead>(
             ));
         }
     }
-    let mut ids = Vec::with_capacity(records.len());
-    for (i, record) in records.into_iter().enumerate() {
+    let mut rows = Vec::with_capacity(records.len());
+    let mut given_ids = BTreeSet::new();
+    for (i, record) in records.enumerate() {
         let line = i + 2;
         if record.len() != expected {
             return Err(csv_err(
@@ -90,22 +109,43 @@ pub fn load_into<R: BufRead>(
                 format!("expected {expected} fields, found {}", record.len()),
             ));
         }
-        let confidence = if with_confidence {
-            let raw = record
-                .last()
-                .ok_or_else(|| csv_err(line, "empty record".to_owned()))?;
-            raw.parse::<f64>()
-                .map_err(|_| csv_err(line, format!("bad confidence `{raw}`")))?
-        } else {
-            1.0
-        };
+        let empty = || csv_err(line, "empty record");
+        let mut fields = record.as_slice();
+        let mut id = None;
+        if with_ids {
+            let (raw, rest) = fields.split_first().ok_or_else(empty)?;
+            let given = raw.parse().map(TupleId);
+            id = Some(given.map_err(|_| csv_err(line, format!("bad tuple id `{raw}`")))?);
+            fields = rest;
+        }
+        let mut confidence = 1.0;
+        if with_confidence {
+            let (raw, rest) = fields.split_last().ok_or_else(empty)?;
+            let given = raw.parse::<f64>();
+            confidence = given.map_err(|_| csv_err(line, format!("bad confidence `{raw}`")))?;
+            fields = rest;
+        }
         let mut values = Vec::with_capacity(schema.arity());
-        for (raw, col) in record.iter().zip(schema.columns()) {
+        for (raw, col) in fields.iter().zip(schema.columns()) {
             values.push(parse_value(raw, col.data_type, line)?);
         }
-        ids.push(catalog.insert(table, values, confidence)?);
+        match id {
+            Some(id) => {
+                if !given_ids.insert(id) || catalog.find_tuple(id).is_some() {
+                    return Err(StorageError::DuplicateTupleId(id.0));
+                }
+                t.check_insert(&values, confidence)?;
+            }
+            None => catalog.check_insert(table, &values, confidence)?,
+        }
+        rows.push((id, values, confidence));
     }
-    Ok(ids)
+    rows.into_iter()
+        .map(|(id, values, confidence)| match id {
+            Some(id) => catalog.insert_with_id(table, id, values, confidence),
+            None => catalog.insert(table, values, confidence),
+        })
+        .collect()
 }
 
 fn parse_value(raw: &str, ty: DataType, line: usize) -> Result<Value> {
@@ -144,85 +184,6 @@ fn quote(s: &str) -> String {
     } else {
         s.to_owned()
     }
-}
-
-/// Export a table as CSV with a leading `__id` column (for persistence,
-/// where tuple ids must survive a round trip).
-pub fn write_table_with_ids<W: Write>(table: &Table, out: &mut W) -> std::io::Result<()> {
-    let mut header = vec!["__id".to_owned()];
-    header.extend(table.schema().columns().iter().map(|c| quote(&c.name)));
-    header.push("confidence".to_owned());
-    writeln!(out, "{}", header.join(","))?;
-    for row in table.rows() {
-        let mut cells = vec![row.id.0.to_string()];
-        cells.extend(row.tuple.values().iter().map(|v| match v {
-            Value::Null => String::new(),
-            Value::Text(s) => quote(s),
-            other => other.to_string(),
-        }));
-        cells.push(format!("{}", row.confidence));
-        writeln!(out, "{}", cells.join(","))?;
-    }
-    Ok(())
-}
-
-/// Load CSV rows written by [`write_table_with_ids`], restoring tuple ids.
-pub fn load_into_with_ids<R: BufRead>(
-    catalog: &mut Catalog,
-    table: &str,
-    reader: R,
-) -> Result<Vec<TupleId>> {
-    let mut records = parse(reader)?;
-    if records.is_empty() {
-        return Err(csv_err(0, "missing header row"));
-    }
-    let header = records.remove(0);
-    let schema = catalog.table(table)?.schema().clone();
-    let expected = schema.arity() + 2;
-    if header.len() != expected || header.first().map(String::as_str) != Some("__id") {
-        return Err(csv_err(
-            1,
-            format!(
-                "expected `__id`, {} schema columns, `confidence`",
-                schema.arity()
-            ),
-        ));
-    }
-    let mut ids = Vec::with_capacity(records.len());
-    for (i, record) in records.into_iter().enumerate() {
-        let line = i + 2;
-        if record.len() != expected {
-            return Err(csv_err(
-                line,
-                format!("expected {expected} fields, found {}", record.len()),
-            ));
-        }
-        let raw_id = record
-            .first()
-            .ok_or_else(|| csv_err(line, "empty record".to_owned()))?;
-        let id = raw_id
-            .parse::<u64>()
-            .map_err(|_| csv_err(line, format!("bad tuple id `{raw_id}`")))?;
-        let raw_conf = record
-            .last()
-            .ok_or_else(|| csv_err(line, "empty record".to_owned()))?;
-        let confidence = raw_conf
-            .parse::<f64>()
-            .map_err(|_| csv_err(line, format!("bad confidence `{raw_conf}`")))?;
-        let mut values = Vec::with_capacity(schema.arity());
-        // Fields 1..expected-1 are the schema columns (the arity check
-        // above pinned the record length); skip/take avoids slicing.
-        for (raw, col) in record
-            .iter()
-            .skip(1)
-            .take(expected - 2)
-            .zip(schema.columns())
-        {
-            values.push(parse_value(raw, col.data_type, line)?);
-        }
-        ids.push(catalog.insert_with_id(table, TupleId(id), values, confidence)?);
-    }
-    Ok(ids)
 }
 
 /// Parse a whole CSV document into records of fields.
@@ -422,7 +383,7 @@ mod tests {
         let mut c2 = catalog();
         // Pre-existing rows elsewhere shift the fresh-id counter; explicit
         // ids must still restore exactly.
-        let ids = load_into_with_ids(&mut c2, "people", Cursor::new(out)).unwrap();
+        let ids = load_into(&mut c2, "people", Cursor::new(out)).unwrap();
         assert_eq!(ids, vec![a]);
         assert_eq!(c2.confidence(a), Some(0.9));
         // New inserts continue past the restored ids.
@@ -438,7 +399,7 @@ mod tests {
         let mut out2 = Vec::new();
         write_table_with_ids(c2.table("people").unwrap(), &mut out2).unwrap();
         assert!(matches!(
-            load_into_with_ids(&mut c2, "people", Cursor::new(out2)),
+            load_into(&mut c2, "people", Cursor::new(out2)),
             Err(StorageError::DuplicateTupleId(_))
         ));
     }

@@ -20,8 +20,11 @@
 //!    `Ord` agrees with SQL equality (`sql_cmp`); `REAL` columns are refused
 //!    because SQL coerces `INT = REAL` and treats `0.0 = -0.0` while the map
 //!    key order distinguishes bit patterns. `NULL` values are never entered
-//!    into the index: SQL equality on `NULL` is never true, so a `NULL` key
-//!    can never match an equality predicate or an equi-join key.
+//!    into the map: SQL equality on `NULL` is never true, so a `NULL` key
+//!    can never match an equality predicate or an equi-join key. Their
+//!    positions are kept beside it ([`EqualityIndex::null_rows`]): on a
+//!    `NULL` an equality is unknown, not false, so a scan whose predicate
+//!    goes on behind the equality may not pass those rows over.
 
 use crate::error::StorageError;
 use crate::value::{DataType, Value};
@@ -41,6 +44,9 @@ pub fn indexable(ty: DataType) -> bool {
 pub struct EqualityIndex {
     column: usize,
     map: BTreeMap<Value, Vec<usize>>,
+    /// Positions of the rows whose indexed column is `NULL`, in insertion
+    /// order.
+    nulls: Vec<usize>,
     /// Number of rows covered, including `NULL` rows that carry no posting.
     covered_rows: usize,
 }
@@ -51,6 +57,7 @@ impl EqualityIndex {
         EqualityIndex {
             column,
             map: BTreeMap::new(),
+            nulls: Vec::new(),
             covered_rows: 0,
         }
     }
@@ -61,11 +68,12 @@ impl EqualityIndex {
     }
 
     /// Record that the row at position `pos` carries `value` in the indexed
-    /// column. `NULL` values are counted but not entered (they can never
-    /// satisfy an equality predicate).
+    /// column. `NULL` values are counted and listed apart, not entered
+    /// (they can never satisfy an equality predicate).
     pub(crate) fn add(&mut self, pos: usize, value: &Value) {
         self.covered_rows += 1;
         if value.is_null() {
+            self.nulls.push(pos);
             return;
         }
         self.map.entry(value.clone()).or_default().push(pos);
@@ -79,6 +87,13 @@ impl EqualityIndex {
             return &[];
         }
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Row positions whose indexed column is `NULL`, in insertion order:
+    /// the rows no [`EqualityIndex::lookup`] lists although `column = key`
+    /// is not false on them.
+    pub fn null_rows(&self) -> &[usize] {
+        &self.nulls
     }
 
     /// Number of distinct non-`NULL` keys (the planner's NDV statistic).
@@ -127,6 +142,7 @@ mod tests {
         assert_eq!(ix.lookup(&Value::Int(3)), &[1]);
         assert_eq!(ix.lookup(&Value::Int(9)), &[] as &[usize]);
         assert_eq!(ix.lookup(&Value::Null), &[] as &[usize]);
+        assert_eq!(ix.null_rows(), &[3]);
         assert_eq!(ix.distinct_keys(), 2);
         assert_eq!(ix.covered_rows(), 5);
     }

@@ -19,8 +19,9 @@
 //!
 //! Dot-commands: `.user <name> <role>`, `.purpose <p>`,
 //! `.policy <role> <purpose> <beta>`, `.cost <tuple-id> <rate>`,
-//! `.expecting <fraction>`, `.accept`, `.tables`, `.plan <query>`
-//! (logical and chosen physical plan side by side), `.analyze <query>`,
+//! `.expecting <fraction>`, `.accept`, `.tables`, `.index <table> <column>`,
+//! `.plan <query>` (logical and chosen physical plan side by side),
+//! `.analyze <query>`,
 //! `.trace <query> [json|chrome|folded]` (causal trace export),
 //! `.metrics [json|prom]`, `.lint [json] [RULE-ID]` (run the static invariant
 //! analyzer over the workspace), `.help`, `.quit`. The full list, with
@@ -67,6 +68,11 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     ("accept", "", "apply the pending improvement proposal"),
     ("tables", "", "list tables and row counts"),
+    (
+        "index",
+        "<table> <column>",
+        "create an equality index on a column",
+    ),
     ("explain", "<query>", "show the optimised logical plan"),
     (
         "plan",
@@ -220,6 +226,10 @@ impl Shell {
                     let t = self.db.catalog().table(name).expect("listed table");
                     println!("{name} ({} rows)", t.len());
                 }
+            }
+            ["index", table, column] => {
+                self.db.create_index(table, column)?;
+                println!("index on {table}.{column} created");
             }
             ["explain", rest @ ..] if !rest.is_empty() => {
                 print!("{}", self.db.explain(&rest.join(" "))?);
@@ -428,6 +438,7 @@ mod tests {
             ".expecting 1.0",
             ".cost t0 10",
             ".tables",
+            ".index t x",
             ".explain SELECT x FROM t",
             ".plan SELECT x FROM t",
             ".analyze SELECT x FROM t",

@@ -12,7 +12,7 @@ use common::{
 use pcqe::engine::{persist, Database, EngineConfig, EngineError, QueryRequest, User};
 use pcqe::lineage::Rng64;
 use pcqe::policy::ConfidencePolicy;
-use pcqe::storage::csv::{load_into, load_into_with_ids, write_table, write_table_with_ids};
+use pcqe::storage::csv::{load_into, write_table, write_table_with_ids};
 use pcqe::storage::{Catalog, Column, DataType, Schema, Value};
 use std::io::Cursor;
 
@@ -90,13 +90,78 @@ fn csv_round_trips_values_and_confidences() {
         let mut buf = Vec::new();
         write_table_with_ids(t1, &mut buf).unwrap();
         let mut c3 = catalog();
-        load_into_with_ids(&mut c3, "t", Cursor::new(&buf)).unwrap();
-        assert_images_aligned(&c3, "csv::load_into_with_ids");
+        load_into(&mut c3, "t", Cursor::new(&buf)).unwrap();
+        assert_images_aligned(&c3, "csv::load_into of a file with ids");
         for (a, b) in t1.rows().iter().zip(c3.table("t").unwrap().rows()) {
             assert_eq!(a.id, b.id);
             assert_eq!(&a.tuple, &b.tuple);
         }
     });
+}
+
+/// A load is all or nothing: a file refused at its last record — a field
+/// that does not parse, a confidence out of range, an id the file or the
+/// catalog already holds — leaves the rows, the index postings, the images
+/// and the next tuple id as they were.
+#[test]
+fn a_refused_csv_load_leaves_the_catalog_untouched() {
+    let mut c = catalog();
+    c.create_index("t", "i").unwrap();
+    c.create_index("t", "s").unwrap();
+    let held = c
+        .insert(
+            "t",
+            vec![
+                Value::Int(1),
+                Value::Real(0.5),
+                Value::Null,
+                Value::text("x"),
+            ],
+            0.5,
+        )
+        .unwrap();
+    let before = c.clone();
+    for (csv, error) in [
+        (
+            "i,r,b,s,confidence\n1,1.5,true,x,0.5\n2,-0.0,,y,0.6\noops,2.5,false,z,0.7\n"
+                .to_owned(),
+            "csv error at line 4: bad integer `oops`".to_owned(),
+        ),
+        (
+            "i,r,b,s,confidence\n1,1.5,true,x,0.5\n2,2.5,,y,1.6\n".to_owned(),
+            "confidence outside [0, 1]".to_owned(),
+        ),
+        (
+            "__id,i,r,b,s,confidence\n7,1,1.5,true,x,0.5\n8,2,2.5,,y,0.6\n7,3,3.5,,z,0.7\n"
+                .to_owned(),
+            "tuple id 7 already exists".to_owned(),
+        ),
+        (
+            format!(
+                "__id,i,r,b,s,confidence\n7,1,1.5,true,x,0.5\n{},2,2.5,,y,0.6\n",
+                held.0
+            ),
+            format!("tuple id {} already exists", held.0),
+        ),
+    ] {
+        let refused = load_into(&mut c, "t", Cursor::new(&csv)).unwrap_err();
+        assert_eq!(refused.to_string(), error, "{csv}");
+        let (table, was) = (c.table("t").unwrap(), before.table("t").unwrap());
+        assert_eq!(table.rows(), was.rows(), "{csv}");
+        assert_eq!(table.indexes(), was.indexes(), "{csv}");
+        assert_images_aligned(&c, &csv);
+        // No id was burned: a clone inserts under the id the untouched
+        // catalog hands out.
+        let row = vec![Value::Null, Value::Null, Value::Null, Value::Null];
+        let next = |catalog: &Catalog| catalog.clone().insert("t", row.clone(), 1.0).unwrap();
+        assert_eq!(next(&c), next(&before), "{csv}");
+    }
+    // The same records without the offending one load, ids and all.
+    let csv = "__id,i,r,b,s,confidence\n7,1,1.5,true,x,0.5\n9,2,2.5,,y,0.6\n";
+    let ids = load_into(&mut c, "t", Cursor::new(csv)).unwrap();
+    assert_eq!(ids.iter().map(|id| id.0).collect::<Vec<_>>(), [7, 9]);
+    assert_eq!(c.table("t").unwrap().len(), 3);
+    assert_images_aligned(&c, csv);
 }
 
 #[test]

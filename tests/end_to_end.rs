@@ -391,3 +391,67 @@ fn where_clause_arithmetic_and_strings() {
         .unwrap();
     assert_eq!(resp.released.len(), 3);
 }
+
+/// `CREATE INDEX` changes nothing a user can observe: the three statements
+/// below raise on the row `(0, 7, 'boom')`, and an index on `grp` used to
+/// reword the first error and swallow the other two (the index passed the
+/// offender over and the key conjunct had left the residual). Same `Err`
+/// string, same audit log, same counters — apart from the plan-shape ones
+/// (`exec.*`, `par.*`), which say how the rows were fetched.
+#[test]
+fn an_index_changes_no_error_a_user_sees() {
+    let twin = |indexed: bool| {
+        let mut db = Database::new(EngineConfig::default().sequential());
+        db.execute("CREATE TABLE t (grp INT, n INT, s TEXT)")
+            .unwrap();
+        if indexed {
+            db.create_index("t", "grp").unwrap();
+        }
+        db.execute("INSERT INTO t VALUES (0, 7, 'boom'), (1, NULL, NULL)")
+            .unwrap();
+        db.add_policy(ConfidencePolicy::default_floor(0.0).unwrap());
+        db
+    };
+    let (mut plain, mut indexed) = (twin(false), twin(true));
+    let user = User::new("ana", "analyst");
+    for (sql, error) in [
+        ("SELECT * FROM t WHERE grp = 0 AND n", "logic applied to 7"),
+        (
+            "SELECT * FROM t WHERE s > 1 AND grp = 1",
+            "cannot compare boom with 1",
+        ),
+        ("SELECT * FROM t WHERE n AND grp = 1", "logic applied to 7"),
+        // And one that answers, the key behind a type-safe conjunct.
+        ("SELECT * FROM t WHERE s <> 'x' AND grp = 0", ""),
+    ] {
+        let request = QueryRequest::new(sql, "audit");
+        let outcome = |db: &mut Database| {
+            let released = db.query(&user, &request).map(|r| r.released);
+            released.map_err(|e| e.to_string())
+        };
+        let (without, with) = (outcome(&mut plain), outcome(&mut indexed));
+        assert_eq!(without, with, "{sql}");
+        match &without {
+            Err(e) => assert!(!error.is_empty() && e.contains(error), "{sql}: {e}"),
+            Ok(released) => assert!(error.is_empty() && released.len() == 1, "{sql}"),
+        }
+        assert_eq!(plain.audit_log().len(), indexed.audit_log().len(), "{sql}");
+        let counters = |db: &Database| {
+            let mut counters = db.metrics_snapshot().counters;
+            counters.retain(|name, _| !name.starts_with("exec.") && !name.starts_with("par."));
+            counters
+        };
+        assert_eq!(counters(&plain), counters(&indexed), "{sql}");
+    }
+    // The index was in play: only the twin that has it plans it.
+    let plan = |db: &Database| {
+        db.explain_physical("SELECT * FROM t WHERE s <> 'x' AND grp = 0")
+            .unwrap()
+    };
+    assert!(
+        plan(&indexed).contains("IndexScan t (grp = 0) [filter: ((#2 <> 'x') AND (#0 = 0))]"),
+        "{}",
+        plan(&indexed)
+    );
+    assert!(!plan(&plain).contains("IndexScan"), "{}", plan(&plain));
+}
