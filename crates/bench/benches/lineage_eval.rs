@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the confidence-computation substrate: interpreted
-//! exact evaluation vs compiled lineage vs Monte-Carlo estimation. These
-//! underpin every figure (each solver iteration evaluates F thousands of
-//! times) but are not a figure themselves.
+//! exact evaluation vs compiled lineage vs Monte-Carlo estimation, and a
+//! compiled circuit's full forward pass vs the one-slot cone update the
+//! solvers' search nodes run. These underpin every figure (each solver
+//! iteration evaluates F thousands of times) but are not a figure
+//! themselves.
 
 use pcqe_bench::timing::{bench, group};
 use pcqe_lineage::{CompiledLineage, Evaluator, Lineage, MonteCarlo, VarId};
@@ -23,6 +25,16 @@ fn shared_formula() -> Lineage {
     Lineage::or(groups)
 }
 
+/// The chain `(x0 ∧ x1) ∨ (x1 ∧ x2) ∨ … ∨ (x22 ∧ x23)`: its Shannon
+/// expansion shares cofactors, so many of its nodes are reached by more
+/// than one path from the root — and are still computed once per pass.
+fn chain_formula() -> Lineage {
+    let links = (0..23u64)
+        .map(|g| Lineage::and(vec![Lineage::var(g), Lineage::var(g + 1)]))
+        .collect();
+    Lineage::or(links)
+}
+
 fn probs_for(l: &Lineage) -> HashMap<VarId, f64> {
     l.vars().into_iter().map(|v| (v, 0.12)).collect()
 }
@@ -39,6 +51,16 @@ fn main() {
     let compiled = CompiledLineage::compile(&ro, 1024).expect("compiles");
     let slots: Vec<f64> = compiled.vars().iter().map(|v| ro_probs[v]).collect();
     bench("compiled/read_once_20vars", 30, || compiled.eval(&slots));
+    // One slot moving back and forth, the rest held: a search node's step.
+    let mut values = vec![0.0; compiled.node_count()];
+    compiled.eval_into(|s| slots[s], &mut values);
+    let mut raised = false;
+    bench("compiled/cone_update_read_once", 30, || {
+        raised = !raised;
+        let moved = if raised { 0.5 } else { slots[7] };
+        let prob = |s: usize| if s == 7 { moved } else { slots[s] };
+        compiled.update(7, prob, &mut values)
+    });
 
     let sh = shared_formula();
     let sh_probs = probs_for(&sh);
@@ -49,6 +71,14 @@ fn main() {
     let compiled_sh = CompiledLineage::compile(&sh, 1 << 20).expect("compiles");
     let slots_sh: Vec<f64> = compiled_sh.vars().iter().map(|v| sh_probs[v]).collect();
     bench("compiled/shared_9vars", 30, || compiled_sh.eval(&slots_sh));
+
+    let chain = chain_formula();
+    let compiled_chain = CompiledLineage::compile(&chain, 1 << 20).expect("compiles");
+    let chain_probs = probs_for(&chain);
+    let slots_chain: Vec<f64> = compiled_chain.vars().iter().map(|v| chain_probs[v]).collect();
+    bench("compiled/shared_chain_24vars", 30, || {
+        compiled_chain.eval(&slots_chain)
+    });
 
     let mc = MonteCarlo::new(10_000, 7);
     bench("monte_carlo/shared_9vars_10k", 30, || {

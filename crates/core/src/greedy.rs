@@ -82,7 +82,8 @@ pub struct GreedyStats {
     pub iterations: u64,
     /// Phase-2 roll-back steps kept.
     pub reductions: u64,
-    /// Confidence-function evaluations.
+    /// Result re-evaluations, a probe's and a step's alike; bringing a
+    /// compiled result up to date through one slot's cone counts as one.
     pub evals: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,

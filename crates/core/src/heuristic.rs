@@ -13,7 +13,9 @@
 //! * **H2** — once every result touching the current tuple is satisfied,
 //!   skip its remaining (higher, costlier) values;
 //! * **H3** — if even raising all remaining tuples to their maximum cannot
-//!   meet the quota, abandon the subtree;
+//!   meet the quota, abandon the subtree (the optimistic count is kept
+//!   beside the search and follows each step through the circuits' cones,
+//!   rather than re-evaluated at every node);
 //! * **H4** — if the current cost plus the cheapest possible single δ step
 //!   on any remaining tuple already reaches the best cost, abandon the
 //!   subtree.
@@ -27,7 +29,7 @@ use crate::error::CoreError;
 use crate::ord::OrdF64;
 use crate::problem::ProblemInstance;
 use crate::solution::{Solution, SolveOutcome};
-use crate::state::EvalState;
+use crate::state::{EvalState, OptimisticCount};
 use crate::Result;
 use std::cmp::Reverse;
 use std::time::Duration;
@@ -119,7 +121,10 @@ pub struct HeuristicStats {
     pub pruned_h3: u64,
     /// Subtrees cut by H4.
     pub pruned_h4: u64,
-    /// Confidence-function evaluations.
+    /// Result re-evaluations at the search state's levels; bringing a
+    /// compiled result up to date through one slot's cone counts as one.
+    /// H3's count keeps node values of its own, and their upkeep is not
+    /// counted.
     pub evals: u64,
     /// Whether the search ran to completion (false on node/time limit).
     pub complete: bool,
@@ -151,6 +156,9 @@ pub fn solve(
     let mut search = Search {
         problem,
         options,
+        h3: options
+            .h3_optimistic_prune
+            .then(|| OptimisticCount::new(&state)),
         order,
         suffix_min_step,
         best_cost: options
@@ -184,6 +192,8 @@ pub fn solve(
 struct Search<'p, 'o> {
     problem: &'p ProblemInstance,
     options: &'o HeuristicOptions,
+    /// H3's count, kept in step with the search while H3 is on.
+    h3: Option<OptimisticCount>,
     order: Vec<usize>,
     suffix_min_step: Vec<f64>,
     best_cost: f64,
@@ -226,9 +236,22 @@ impl Search<'_, '_> {
         if depth == self.order.len() {
             return;
         }
-        if self.options.h3_optimistic_prune {
-            let rest = &self.order[depth..];
-            if state.optimistic_satisfied(rest) < self.problem.required {
+        if let Some(h3) = &mut self.h3 {
+            let count = h3.count(state);
+            // Every node of every debug-build search recounts from scratch
+            // (the recount's evaluations left out of the statistics).
+            debug_assert_eq!(
+                count,
+                {
+                    let evals = state.evals;
+                    let rest = self.order.get(depth..).unwrap_or_default();
+                    let recount = state.optimistic_satisfied(rest);
+                    state.evals = evals;
+                    recount
+                },
+                "H3's count at depth {depth}"
+            );
+            if count < self.problem.required {
                 self.stats.pruned_h3 += 1;
                 return;
             }
@@ -249,6 +272,9 @@ impl Search<'_, '_> {
                 self.stats.pruned_bound += 1;
                 break;
             }
+            if let Some(h3) = &mut self.h3 {
+                h3.move_base(base, state.level(base));
+            }
             self.dfs(state, depth + 1);
             if self.options.h2_sibling_prune
                 && self
@@ -264,6 +290,9 @@ impl Search<'_, '_> {
             }
         }
         state.set_steps(base, 0);
+        if let Some(h3) = &mut self.h3 {
+            h3.move_base(base, self.problem.bases[base].max);
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! one-query case.
 
 use crate::error::CoreError;
-use crate::problem::ProblemInstance;
+use crate::problem::{ConfFn, ProblemInstance, ResultSpec};
 use crate::solution::Solution;
 use crate::Result;
 
@@ -53,8 +53,9 @@ impl Quota {
 
 /// Mutable solver state: per-base grid positions, per-result confidences,
 /// per-query satisfied counts and the running cost — all maintained
-/// incrementally so one base-level change only re-evaluates the results it
-/// touches.
+/// incrementally, so one base-level change only re-evaluates the results
+/// it touches, and in a compiled result only the nodes that read the base
+/// (its slot's cone, see [`pcqe_lineage::CompiledLineage::update`]).
 #[derive(Debug, Clone)]
 pub struct EvalState<'p> {
     problem: &'p ProblemInstance,
@@ -66,6 +67,10 @@ pub struct EvalState<'p> {
     costs: Vec<f64>,
     /// Cached confidence per result.
     confidences: Vec<f64>,
+    /// The node values of every compiled result at the current levels,
+    /// back to back (see [`Spans`]).
+    values: Vec<f64>,
+    spans: Spans,
     /// Per result: the threshold of the query it belongs to.
     thresholds: Vec<f64>,
     /// Per result: the index of its query in `quotas`.
@@ -75,8 +80,10 @@ pub struct EvalState<'p> {
     /// Queries whose quota the current levels do not meet.
     unmet: usize,
     total_cost: f64,
-    /// Scratch buffer for confidence-function arguments.
+    /// Scratch buffer for a custom confidence function's arguments.
     scratch: Vec<f64>,
+    /// Scratch buffer for the node values of a one-off evaluation.
+    scratch_values: Vec<f64>,
     /// Scratch buffer for the levels [`Self::optimistic_satisfied`] saves.
     saved_levels: Vec<f64>,
     /// Base `i`'s grid occupies `grid_start[i]..grid_start[i + 1]` of the
@@ -86,7 +93,8 @@ pub struct EvalState<'p> {
     grid_levels: Vec<f64>,
     /// [`ProblemInstance::cost_at`] for every grid point.
     grid_costs: Vec<f64>,
-    /// Count of confidence-function evaluations (for statistics).
+    /// Count of result (re-)evaluations, a cone update counting as one
+    /// (for statistics).
     pub evals: u64,
 }
 
@@ -130,10 +138,20 @@ impl<'p> EvalState<'p> {
         }
         grid_start.push(grid_levels.len());
         let levels: Vec<f64> = problem.bases.iter().map(|b| b.initial).collect();
-        let confidences = pcqe_par::map(par, &problem.results, |r| {
-            let args: Vec<f64> = r.bases.iter().map(|&b| levels[b]).collect();
-            r.conf.eval(&args)
+        let scored = pcqe_par::map(par, &problem.results, |r| {
+            let mut values = vec![0.0; node_count(r)];
+            let confidence = evaluate(r, &levels, None, &mut values, &mut Vec::new());
+            (confidence, values)
         });
+        let mut confidences = Vec::with_capacity(scored.len());
+        let mut values = Vec::with_capacity(scored.iter().map(|(_, v)| v.len()).sum());
+        let mut starts = Vec::with_capacity(scored.len() + 1);
+        starts.push(0);
+        for (confidence, nodes) in scored {
+            confidences.push(confidence);
+            values.extend_from_slice(&nodes);
+            starts.push(values.len());
+        }
         let mut thresholds = Vec::with_capacity(confidences.len());
         let mut query_of = Vec::with_capacity(confidences.len());
         let mut quotas = Vec::with_capacity(queries.len());
@@ -158,12 +176,15 @@ impl<'p> EvalState<'p> {
             costs: vec![0.0; problem.bases.len()],
             evals: problem.results.len() as u64,
             confidences,
+            values,
+            spans: Spans(starts),
             thresholds,
             query_of,
             unmet: quotas.iter().filter(|q| !q.met()).count(),
             quotas,
             total_cost: 0.0,
             scratch: Vec::new(),
+            scratch_values: Vec::new(),
             saved_levels: Vec::new(),
             grid_start,
             grid_levels,
@@ -242,12 +263,33 @@ impl<'p> EvalState<'p> {
         self.total_cost
     }
 
+    /// Is result `ri` satisfied, or would it be at `confidence`?
+    fn satisfied_or(&self, ri: usize, confidence: f64) -> bool {
+        let threshold = self.thresholds.get(ri);
+        self.is_satisfied(ri) || threshold.is_some_and(|&t| confidence > t)
+    }
+
+    fn result(&self, ri: usize) -> &'p ResultSpec {
+        &self.problem.results[ri]
+    }
+
+    /// Result `ri` evaluated afresh at the current levels, in a scratch
+    /// buffer: its kept node values are not touched.
     fn eval_result(&mut self, ri: usize) -> f64 {
-        let r = &self.problem.results[ri];
-        self.scratch.clear();
-        self.scratch.extend(r.bases.iter().map(|&b| self.levels[b]));
+        let r = self.result(ri);
         self.evals += 1;
-        r.conf.eval(&self.scratch)
+        let values = &mut self.scratch_values;
+        values.clear();
+        values.resize(node_count(r), 0.0);
+        evaluate(r, &self.levels, None, values, &mut self.scratch)
+    }
+
+    /// Result `ri` brought up to date after base `i`'s level changed: its
+    /// kept node values follow the change through `i`'s slot's cone.
+    fn refresh(&mut self, ri: usize, i: usize) -> f64 {
+        let r = self.result(ri);
+        let values = self.spans.of(ri, &mut self.values);
+        evaluate(r, &self.levels, slot_of(r, i), values, &mut self.scratch)
     }
 
     /// Set base `i` to `steps` grid steps, updating affected results,
@@ -266,7 +308,8 @@ impl<'p> EvalState<'p> {
         for &ri in problem.results_of_base(i) {
             let threshold = self.thresholds[ri];
             let was = self.confidences[ri] > threshold;
-            let c = self.eval_result(ri);
+            self.evals += 1;
+            let c = self.refresh(ri, i);
             self.confidences[ri] = c;
             let now = c > threshold;
             if was != now {
@@ -325,10 +368,11 @@ impl<'p> EvalState<'p> {
     }
 
     /// Sum of confidence gains over `i`'s results if it took one δ step —
-    /// without committing the step: only the level is substituted, so
-    /// confidences, counts and the running cost keep their bits.
-    /// `useful_only` restricts the sum to currently-unsatisfied results
-    /// (the gain that actually moves a quota).
+    /// without committing the step: only the level is substituted, and
+    /// then put back, so confidences, node values, counts and the running
+    /// cost keep their bits. `useful_only` restricts the sum to
+    /// currently-unsatisfied results (the gain that actually moves a
+    /// quota).
     pub fn probe_step_gain(&mut self, i: usize, useful_only: bool) -> f64 {
         let s = self.steps[i];
         if s >= self.max_steps(i) {
@@ -338,14 +382,22 @@ impl<'p> EvalState<'p> {
         self.levels[i] = self.level_at(i, s + 1);
         let mut gain = 0.0;
         let problem = self.problem;
+        let probed = |state: &Self, ri: usize| !(useful_only && state.is_satisfied(ri));
         for &ri in problem.results_of_base(i) {
-            if useful_only && self.is_satisfied(ri) {
-                continue;
+            if probed(self, ri) {
+                self.evals += 1;
+                let c = self.refresh(ri, i);
+                gain += (c - self.confidences[ri]).max(0.0);
             }
-            let c = self.eval_result(ri);
-            gain += (c - self.confidences[ri]).max(0.0);
         }
         self.levels[i] = old_level;
+        // The same cones at the old level restore the old node values; a
+        // custom function keeps none.
+        for &ri in problem.results_of_base(i) {
+            if probed(self, ri) && matches!(self.result(ri).conf, ConfFn::Compiled(_)) {
+                self.refresh(ri, i);
+            }
+        }
         gain
     }
 
@@ -406,6 +458,164 @@ impl<'p> EvalState<'p> {
             }
         }
         Ok(())
+    }
+}
+
+/// Where each result's node values sit in a flat buffer: result `ri`'s
+/// are `values[self.0[ri]..self.0[ri + 1]]`. A custom function is opaque
+/// and has none: its span is empty.
+#[derive(Debug, Clone)]
+struct Spans(Vec<usize>);
+
+impl Spans {
+    fn of<'v>(&self, ri: usize, values: &'v mut [f64]) -> &'v mut [f64] {
+        let start = |at: usize| self.0.get(at).copied().unwrap_or(0);
+        values.get_mut(start(ri)..start(ri + 1)).unwrap_or_default()
+    }
+}
+
+/// The node values `r` keeps: its compiled circuit's, none for a custom
+/// function.
+fn node_count(r: &ResultSpec) -> usize {
+    match &r.conf {
+        ConfFn::Compiled(c) => c.node_count(),
+        ConfFn::Custom(_) => 0,
+    }
+}
+
+/// Base `i`'s slot in `r`: its position in `r.bases`.
+fn slot_of(r: &ResultSpec, i: usize) -> Option<usize> {
+    r.bases.iter().position(|&b| b == i)
+}
+
+/// Result `r`'s confidence at `levels`, with `values` — its circuit's node
+/// values — brought to those levels: by a full forward pass (`changed`
+/// `None`), or, when `values` hold a pass at levels that differ from
+/// `levels` only in the base in slot `s` (`Some(s)`), by recomputing that
+/// slot's cone. Either way the result has the bits of a fresh
+/// [`ConfFn::eval`]. A custom function is opaque and keeps its full call,
+/// its arguments gathered into `args`.
+fn evaluate(
+    r: &ResultSpec,
+    levels: &[f64],
+    changed: Option<usize>,
+    values: &mut [f64],
+    args: &mut Vec<f64>,
+) -> f64 {
+    let prob = |slot: usize| {
+        let level = r.bases.get(slot).and_then(|&b| levels.get(b));
+        level.copied().unwrap_or(0.0)
+    };
+    match (&r.conf, changed) {
+        (ConfFn::Compiled(c), Some(slot)) => c.update(slot, prob, values),
+        (ConfFn::Compiled(c), None) => c.eval_into(prob, values),
+        (ConfFn::Custom(f), _) => {
+            args.clear();
+            args.extend((0..r.bases.len()).map(prob));
+            f(args)
+        }
+    }
+}
+
+/// Heuristic H3 as a maintained count. A search that assigns bases one at
+/// a time keeps, beside its [`EvalState`], a second set of node values in
+/// which the bases it has assigned sit at their state's level and the rest
+/// at their maximum, and the number of results satisfied now or at those
+/// levels — exactly what [`EvalState::optimistic_satisfied`] of the
+/// unassigned bases counts, followed one base move at a time instead of
+/// re-evaluated from the leaves at every node. Moves are only recorded
+/// when made and followed when the count is read, so a child the search
+/// leaves before asking (a quota met, a leaf) costs the count nothing.
+#[derive(Debug)]
+pub(crate) struct OptimisticCount {
+    levels: Vec<f64>,
+    /// Node values at `levels`, laid out as the state's.
+    values: Vec<f64>,
+    /// Per result: its confidence at `levels`, and whether it counts.
+    results: Vec<Optimistic>,
+    count: usize,
+    /// Bases moved since the count was last read, each with the level it
+    /// now sits at.
+    pending: Vec<(usize, f64)>,
+    /// Scratch buffer for a custom confidence function's arguments.
+    args: Vec<f64>,
+}
+
+/// One result's entry in an [`OptimisticCount`].
+#[derive(Debug)]
+struct Optimistic {
+    confidence: f64,
+    /// Satisfied in the state, or at `confidence`.
+    hit: bool,
+}
+
+impl OptimisticCount {
+    /// The count before the first assignment: every base at its maximum.
+    pub(crate) fn new(state: &EvalState<'_>) -> OptimisticCount {
+        let problem = state.problem;
+        let mut h3 = OptimisticCount {
+            levels: problem.bases.iter().map(|b| b.max).collect(),
+            values: vec![0.0; state.values.len()],
+            results: Vec::with_capacity(problem.results.len()),
+            count: 0,
+            pending: Vec::new(),
+            args: Vec::new(),
+        };
+        for (ri, r) in problem.results.iter().enumerate() {
+            let values = state.spans.of(ri, &mut h3.values);
+            let confidence = evaluate(r, &h3.levels, None, values, &mut h3.args);
+            let hit = state.satisfied_or(ri, confidence);
+            h3.results.push(Optimistic { confidence, hit });
+            h3.count += usize::from(hit);
+        }
+        h3
+    }
+
+    /// Base `i` now sits at `level`: its state's level once assigned, its
+    /// maximum once unassigned again. After an [`EvalState::set_steps`] on
+    /// `i`, call it before the count is next read.
+    pub(crate) fn move_base(&mut self, i: usize, level: f64) {
+        match self.pending.iter_mut().find(|(b, _)| *b == i) {
+            Some(pending) => pending.1 = level,
+            None => self.pending.push((i, level)),
+        }
+    }
+
+    /// Results satisfied in `state` now, or with every unassigned base at
+    /// its maximum: the moves since the last read are followed first, and
+    /// the moved bases' results recounted against `state`, whose levels
+    /// moved with them.
+    pub(crate) fn count(&mut self, state: &EvalState<'_>) -> usize {
+        let mut pending = std::mem::take(&mut self.pending);
+        for (i, level) in pending.drain(..) {
+            let Some(at) = self.levels.get_mut(i) else {
+                continue;
+            };
+            let moved = at.to_bits() != level.to_bits();
+            *at = level;
+            for &ri in state.problem.results_of_base(i) {
+                let Some(entry) = self.results.get_mut(ri) else {
+                    continue;
+                };
+                if moved {
+                    let r = state.result(ri);
+                    let values = state.spans.of(ri, &mut self.values);
+                    let changed = slot_of(r, i);
+                    entry.confidence = evaluate(r, &self.levels, changed, values, &mut self.args);
+                }
+                let hit = state.satisfied_or(ri, entry.confidence);
+                if hit != entry.hit {
+                    entry.hit = hit;
+                    if hit {
+                        self.count += 1;
+                    } else {
+                        self.count -= 1;
+                    }
+                }
+            }
+        }
+        self.pending = pending;
+        self.count
     }
 }
 

@@ -368,14 +368,15 @@ impl Database {
                 confidence,
             } => {
                 let confidence = confidence.unwrap_or(1.0);
-                // All or nothing: every row is checked before the first
-                // is written, so a refused statement (the error is that of
-                // its first offending row) leaves no row, id or index
-                // posting behind.
+                // All or nothing: every row is checked, against the id it
+                // would take, before the first is written, so a refused
+                // statement (the error is that of its first offending row)
+                // leaves no row, id or index posting behind.
                 let mut checked = Vec::with_capacity(rows.len());
-                for row in &rows {
+                for (nth, row) in (0..).zip(&rows) {
                     let values = pcqe_sql::literal_row(row)?;
-                    self.catalog.check_insert(&table, &values, confidence)?;
+                    self.catalog
+                        .check_insert(&table, &values, confidence, nth)?;
                     checked.push(values);
                 }
                 let ids = checked

@@ -30,8 +30,9 @@
 //! (and once more in the interpreter of [`crate::prob`], the reference the
 //! equivalence suites compare against). A solver that needs a standalone
 //! `F(p₁ … p_k)` asks for [`CircuitCache::compiled`], which flattens the
-//! nodes under one root into a [`CompiledLineage`] on first request and
-//! memoizes the `Arc`; roots that are only ever scored never pay for one.
+//! nodes under one root into a [`CompiledLineage`] — its slots' cones
+//! recorded with it — on first request and memoizes the `Arc`;
+//! roots that are only ever scored never pay for one.
 //!
 //! # Determinism
 //!
@@ -161,7 +162,7 @@ struct RootEntry {
     /// Sorted variables of the simplified/factored formula: the slot order
     /// of the extracted circuit. Kept because conditioning can cancel a
     /// variable out of the circuit while the solvers still list it as a
-    /// base of the result.
+    /// base of the result; extraction moves them into the circuit.
     vars: Vec<VarId>,
     /// The flat form, extracted on the first [`CircuitCache::compiled`].
     compiled: Option<Arc<CompiledLineage>>,
@@ -405,18 +406,27 @@ impl CircuitCache {
 
     /// Flatten the nodes under `id`'s root into a [`CompiledLineage`]:
     /// post-order, each pool node placed once, variables resolved to their
-    /// slot in the root's sorted variable list.
-    pub(crate) fn extract(&self, id: CircuitId) -> Result<CompiledLineage> {
+    /// slot in the root's sorted variable list; then each slot's cone is
+    /// recorded from the placed nodes. The root's variable list moves into
+    /// the circuit, so a root is extracted once (as [`Self::compiled`]
+    /// memoizes).
+    pub(crate) fn extract(&mut self, id: CircuitId) -> Result<CompiledLineage> {
         let entry = self
             .roots
-            .get(id.0)
+            .get_mut(id.0)
             .ok_or(LineageError::UnknownCircuit(id.0))?;
+        let root = entry.root;
         let mut flat = CompiledLineage {
-            vars: entry.vars.clone(),
+            vars: std::mem::take(&mut entry.vars),
             nodes: Vec::new(),
             args: Vec::new(),
+            cones: Vec::new(),
         };
-        self.flatten(entry.root, &mut flat, &mut BTreeMap::new())?;
+        self.flatten(root, &mut flat, &mut BTreeMap::new())?;
+        // A memoized circuit lives as long as the pool: it keeps no slack.
+        flat.nodes.shrink_to_fit();
+        flat.args.shrink_to_fit();
+        flat.record_cones();
         Ok(flat)
     }
 
@@ -439,12 +449,16 @@ impl CircuitCache {
             NodeKey::Var(v) => Op::Var(slot(&flat.vars, v)),
             NodeKey::Complement(c) => Op::Complement(self.flatten(*c, flat, placed)?),
             NodeKey::Product(cs) | NodeKey::DisjProduct(cs) => {
-                let mut children = Vec::with_capacity(cs.len());
+                // Every child is placed before its list is written, so the
+                // list is copied from `placed` and never buffered.
                 for &c in cs {
-                    children.push(self.flatten(c, flat, placed)?);
+                    self.flatten(c, flat, placed)?;
                 }
                 let start = flat.args.len() as u32;
-                flat.args.extend(children);
+                for c in cs {
+                    let at = placed.get(c).ok_or(LineageError::UnknownCircuit(*c))?;
+                    flat.args.push(*at);
+                }
                 let end = flat.args.len() as u32;
                 match node.key {
                     NodeKey::Product(_) => Op::Product { start, end },

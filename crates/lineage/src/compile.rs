@@ -6,13 +6,21 @@
 //! once — by the one compiler in the crate, the hash-consed pool of
 //! [`crate::cache::CircuitCache`] — and the circuit under one root is then
 //! *extracted* into a [`CompiledLineage`]: a flat array of nodes that name
-//! their children by index and their variables by slot, so evaluation is a
-//! walk over one allocation with no map, no search and no pointer chase.
+//! their children by index and their variables by slot, so evaluation is
+//! one forward pass over that array — children first, each node computed
+//! once from its children's values — with no map, no search and no
+//! pointer chase.
 //!
 //! Pool nodes carry [`VarId`]s, because a structurally equal subcircuit
 //! must mean the same function whichever formula it was compiled for. A
 //! slot is a variable's position in *one* formula's sorted variable list,
 //! so slots are resolved once, at extraction, and never at evaluation.
+//!
+//! Extraction also records each slot's *cone*: the nodes whose value reads
+//! that slot's probability, directly or through a child. A caller that
+//! keeps a pass's node values can then follow a change of one probability
+//! by recomputing the cone alone ([`CompiledLineage::update`]) — the
+//! branch-and-bound's step changes exactly one base tuple.
 
 use crate::cache::CircuitCache;
 use crate::expr::{Lineage, VarId};
@@ -26,6 +34,10 @@ pub struct CompiledLineage {
     pub(crate) nodes: Vec<Op>,
     /// The child lists of every `Product`/`DisjProduct`, back to back.
     pub(crate) args: Vec<u32>,
+    /// Every slot's cone, in one allocation: `vars.len() + 1` offsets
+    /// into this same list, then the cones back to back, each in ascending
+    /// node order — slot `s`'s is `cones[cones[s]..cones[s + 1]]`.
+    pub(crate) cones: Vec<u32>,
 }
 
 /// One arithmetic node. Children are indexes into
@@ -64,7 +76,14 @@ impl CompiledLineage {
         &self.vars
     }
 
-    /// Evaluate with probabilities given per slot. Allocates nothing.
+    /// Number of nodes: the length of the value buffer
+    /// [`Self::eval_into`] and [`Self::update`] work in.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Evaluate with probabilities given per slot: [`Self::eval_into`] a
+    /// buffer of node values allocated for the call.
     ///
     /// # Panics
     ///
@@ -75,7 +94,8 @@ impl CompiledLineage {
             self.vars.len(),
             "expected one probability per variable"
         );
-        self.eval_at(self.nodes.len().saturating_sub(1) as u32, probs)
+        let mut values = vec![0.0; self.nodes.len()];
+        self.eval_into(|slot| probs.get(slot).copied().unwrap_or(0.0), &mut values)
     }
 
     /// Evaluate with a probability lookup keyed by variable id.
@@ -84,41 +104,174 @@ impl CompiledLineage {
         self.eval(&probs)
     }
 
-    /// The float operations, in the order, of the pool's memoized
-    /// evaluation and of the interpreter's `exact` recursion. Extraction
-    /// only writes in-range indexes and slots, so the `get` fallbacks
-    /// (the neutral probability 0) are never taken; they keep the walk
-    /// panic-free (PCQE-P002).
-    fn eval_at(&self, node: u32, probs: &[f64]) -> f64 {
-        let prob = |slot: u32| probs.get(slot as usize).copied().unwrap_or(0.0);
+    /// One forward pass: every node's value, children first, into
+    /// `values` ([`Self::node_count`] of them, in the caller's buffer; it
+    /// allocates nothing), slot `s` having probability `prob(s)`. Returns
+    /// the root's value, the formula's probability.
+    pub fn eval_into(&self, prob: impl Fn(usize) -> f64, values: &mut [f64]) -> f64 {
+        for (at, &op) in self.nodes.iter().enumerate() {
+            let v = self.value_of(op, values, &prob);
+            if let Some(cell) = values.get_mut(at) {
+                *cell = v;
+            }
+        }
+        self.root(values)
+    }
+
+    /// Follow a change of slot `slot`'s probability in `values`, the node
+    /// values of a pass at the old probabilities: recompute the slot's cone
+    /// alone, in ascending order, so each node reads children that are
+    /// already current. A recomputed node applies the float operations a
+    /// full pass would to the values a full pass would give its children,
+    /// and every other node's inputs did not change, so `values` — root
+    /// included, which is returned — ends bit for bit where
+    /// [`Self::eval_into`] at the new probabilities would put it.
+    pub fn update(&self, slot: usize, prob: impl Fn(usize) -> f64, values: &mut [f64]) -> f64 {
+        for &at in self.cone(slot) {
+            let at = at as usize;
+            if let Some(&op) = self.nodes.get(at) {
+                let v = self.value_of(op, values, &prob);
+                if let Some(cell) = values.get_mut(at) {
+                    *cell = v;
+                }
+            }
+        }
+        self.root(values)
+    }
+
+    /// The nodes reading slot `slot`'s probability, directly or through a
+    /// child, ascending; empty past the last slot.
+    pub(crate) fn cone(&self, slot: usize) -> &[u32] {
+        let bound = |s: usize| self.cones.get(s).map(|&at| at as usize);
+        match (bound(slot), bound(slot + 1)) {
+            (Some(start), Some(end)) if slot < self.vars.len() => {
+                self.cones.get(start..end).unwrap_or_default()
+            }
+            _ => &[],
+        }
+    }
+
+    /// Record every slot's cone from the placed nodes, in one pass,
+    /// children first: a node reads its own slot (a `Var` leaf, a `Mix`
+    /// pivot) and whatever its children read, kept as a row of bit words
+    /// per node; the rows are then inverted into [`Self::cones`], sized
+    /// exactly. A slot past the last (a variable outside the root's list,
+    /// which extraction never produces) reads as nothing.
+    pub(crate) fn record_cones(&mut self) {
+        let slots = self.vars.len();
+        let words = slots.div_ceil(64);
+        let mut rows = vec![0u64; self.nodes.len() * words];
+        for (at, &op) in self.nodes.iter().enumerate() {
+            let (placed, row) = rows.split_at_mut(at * words);
+            let row = row.get_mut(..words).unwrap_or_default();
+            if let Op::Var(slot) | Op::Mix { slot, .. } = op {
+                let s = slot as usize;
+                if let Some(word) = row.get_mut(s / 64).filter(|_| s < slots) {
+                    *word |= 1 << (s % 64);
+                }
+            }
+            let mut read = |child: u32| {
+                let start = child as usize * words;
+                let child = placed.get(start..start + words).unwrap_or_default();
+                row.iter_mut().zip(child).for_each(|(word, c)| *word |= c);
+            };
+            match op {
+                Op::Const(_) | Op::Var(_) => {}
+                Op::Complement(c) => read(c),
+                Op::Product { start, end } | Op::DisjProduct { start, end } => {
+                    let children = self.args.get(start as usize..end as usize);
+                    children.unwrap_or_default().iter().for_each(|&c| read(c));
+                }
+                Op::Mix { hi, lo, .. } => {
+                    read(hi);
+                    read(lo);
+                }
+            }
+        }
+        // Count each slot's cone into its offset, turn the counts into
+        // each cone's end, and fill every cone from its end, the nodes
+        // taken last to first — which leaves each offset at its cone's
+        // start and each cone ascending.
+        let rows = || rows.chunks(words.max(1));
+        let total: usize = rows().flatten().map(|w| w.count_ones() as usize).sum();
+        let mut cones = vec![0u32; slots + 1 + total];
+        for row in rows() {
+            each_bit(row, |s| {
+                if let Some(count) = cones.get_mut(s) {
+                    *count += 1;
+                }
+            });
+        }
+        let mut end = (slots + 1) as u32;
+        for offset in cones.iter_mut().take(slots + 1) {
+            end += *offset;
+            *offset = end;
+        }
+        for (at, row) in rows().enumerate().rev() {
+            each_bit(row, |s| {
+                if let Some(offset) = cones.get_mut(s) {
+                    *offset -= 1;
+                    let pos = *offset as usize;
+                    if let Some(entry) = cones.get_mut(pos) {
+                        *entry = at as u32;
+                    }
+                }
+            });
+        }
+        self.cones = cones;
+    }
+
+    fn root(&self, values: &[f64]) -> f64 {
+        let root = self.nodes.len().checked_sub(1);
+        root.and_then(|at| values.get(at)).copied().unwrap_or(0.0)
+    }
+
+    /// One node's value from its children's in `values`: the float
+    /// operations, in the order, of the pool's memoized evaluation and of
+    /// the interpreter's `exact` recursion. Extraction only writes
+    /// in-range indexes and slots, and children precede their parents, so
+    /// the `get` fallbacks (the neutral probability 0) are never taken;
+    /// they keep the pass panic-free (PCQE-P002).
+    fn value_of(&self, op: Op, values: &[f64], prob: &impl Fn(usize) -> f64) -> f64 {
+        let value = |node: u32| values.get(node as usize).copied().unwrap_or(0.0);
         let args = |start: u32, end: u32| {
             self.args
                 .get(start as usize..end as usize)
                 .unwrap_or_default()
         };
-        match self.nodes.get(node as usize).copied() {
-            None => 0.0,
-            Some(Op::Const(c)) => c,
-            Some(Op::Var(slot)) => prob(slot),
-            Some(Op::Complement(c)) => 1.0 - self.eval_at(c, probs),
-            Some(Op::Product { start, end }) => {
+        match op {
+            Op::Const(c) => c,
+            Op::Var(slot) => prob(slot as usize),
+            Op::Complement(c) => 1.0 - value(c),
+            Op::Product { start, end } => {
                 let mut p = 1.0;
                 for &c in args(start, end) {
-                    p *= self.eval_at(c, probs);
+                    p *= value(c);
                 }
                 p
             }
-            Some(Op::DisjProduct { start, end }) => {
+            Op::DisjProduct { start, end } => {
                 let mut q = 1.0;
                 for &c in args(start, end) {
-                    q *= 1.0 - self.eval_at(c, probs);
+                    q *= 1.0 - value(c);
                 }
                 1.0 - q
             }
-            Some(Op::Mix { slot, hi, lo }) => {
-                let p = prob(slot);
-                p * self.eval_at(hi, probs) + (1.0 - p) * self.eval_at(lo, probs)
+            Op::Mix { slot, hi, lo } => {
+                let p = prob(slot as usize);
+                p * value(hi) + (1.0 - p) * value(lo)
             }
+        }
+    }
+}
+
+/// Call `f` on each slot a row of bit words holds, ascending.
+fn each_bit(row: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in row.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
         }
     }
 }
@@ -189,6 +342,79 @@ mod tests {
         let l = Lineage::var(1);
         let c = CompiledLineage::compile(&l, 1).unwrap();
         c.eval(&[]);
+    }
+
+    #[test]
+    fn cones_hold_exactly_the_nodes_a_slot_reaches() {
+        // (x0 ∧ x1) ∨ (x0 ∧ x2): a Mix on x0 over two read-once cofactors;
+        // and 70 variables, so a node's reads span two bit words.
+        let mix = Lineage::Or(vec![
+            Lineage::And(vec![Lineage::var(0), Lineage::var(1)]),
+            Lineage::And(vec![Lineage::var(0), Lineage::var(2)]),
+        ]);
+        let wide = Lineage::Or(
+            (0..35u64)
+                .map(|g| Lineage::And(vec![Lineage::var(2 * g), Lineage::var(2 * g + 1)]))
+                .chain([Lineage::Not(Box::new(Lineage::var(99)))])
+                .collect(),
+        );
+        for l in [mix, wide] {
+            let c = CompiledLineage::compile(&l, 64).unwrap();
+            let root = c.node_count() as u32 - 1;
+            for slot in 0..c.vars().len() {
+                let cone = c.cone(slot);
+                assert!(cone.windows(2).all(|w| w[0] < w[1]), "ascending");
+                assert_eq!(cone.last(), Some(&root), "slot {slot} reaches the root");
+                // A node is in the cone iff it reads the slot or a child in it.
+                for (at, op) in c.nodes.iter().enumerate() {
+                    let reads = |n: &u32| cone.contains(n);
+                    let expected = match *op {
+                        Op::Const(_) => false,
+                        Op::Var(s) => s as usize == slot,
+                        Op::Complement(ch) => reads(&ch),
+                        Op::Product { start, end } | Op::DisjProduct { start, end } => {
+                            c.args[start as usize..end as usize].iter().any(reads)
+                        }
+                        Op::Mix { slot: s, hi, lo } => {
+                            s as usize == slot || reads(&hi) || reads(&lo)
+                        }
+                    };
+                    assert_eq!(cone.contains(&(at as u32)), expected, "node {at}");
+                }
+            }
+            assert!(c.cone(c.vars().len()).is_empty(), "no slot past the last");
+        }
+    }
+
+    #[test]
+    fn updating_a_cone_is_a_full_pass() {
+        // Shared variables (Mix and DAG-shared nodes) and a negation:
+        // after every single-slot change, the cone update leaves every
+        // node where a fresh forward pass puts it.
+        let l = Lineage::Or(vec![
+            Lineage::And(vec![Lineage::var(0), Lineage::var(1)]),
+            Lineage::And(vec![Lineage::var(1), Lineage::var(2)]),
+            Lineage::And(vec![
+                Lineage::var(2),
+                Lineage::Not(Box::new(Lineage::var(3))),
+            ]),
+            Lineage::var(4),
+        ]);
+        let c = CompiledLineage::compile(&l, 1 << 12).unwrap();
+        let mut probs = vec![0.2, 0.35, 0.5, 0.65, 0.1];
+        let mut kept = vec![0.0; c.node_count()];
+        c.eval_into(|s| probs[s], &mut kept);
+        let mut fresh = vec![0.0; c.node_count()];
+        for step in 0..40usize {
+            let slot = step * 7 % probs.len();
+            probs[slot] = (probs[slot] + 0.137) % 1.0;
+            let updated = c.update(slot, |s| probs[s], &mut kept);
+            let full = c.eval_into(|s| probs[s], &mut fresh);
+            assert_eq!(updated.to_bits(), full.to_bits(), "step {step}");
+            assert_eq!(updated.to_bits(), c.eval(&probs).to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&kept), bits(&fresh), "step {step}");
+        }
     }
 
     #[test]

@@ -61,32 +61,28 @@ impl Catalog {
     /// Insert a row into `table`, allocating a globally unique tuple id.
     pub fn insert(&mut self, table: &str, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
         check_confidence(confidence)?;
-        let (id, next) = self.next_ids()?;
+        let (id, next) = next_ids(self.next_id)?;
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
         self.next_id = next;
         Ok(id)
     }
 
-    /// Whether [`Catalog::insert`] would accept this row: the same checks
-    /// in the same order, nothing written and no id taken — what lets a
-    /// caller validate every row of a statement before the first one
-    /// lands.
-    pub fn check_insert(&self, table: &str, values: &[Value], confidence: f64) -> Result<()> {
+    /// Whether [`Catalog::insert`] would accept this row as the `nth`
+    /// (from 0) of a run of inserts: the same checks in the same order,
+    /// the id checked being the one that insert would take, nothing
+    /// written and no id taken — what lets a caller validate every row of
+    /// a statement before the first one lands.
+    pub fn check_insert(
+        &self,
+        table: &str,
+        values: &[Value],
+        confidence: f64,
+        nth: u64,
+    ) -> Result<()> {
         check_confidence(confidence)?;
-        self.next_ids()?;
+        next_ids(self.next_id.saturating_add(nth))?;
         self.table(table)?.check_insert(values, confidence)
-    }
-
-    /// The id the next insert gets and the counter after it. The counter
-    /// never hands out `u64::MAX`: a restored tuple may hold it (see
-    /// `insert_with_id`), and nothing would come after.
-    fn next_ids(&self) -> Result<(TupleId, u64)> {
-        let next = self
-            .next_id
-            .checked_add(1)
-            .ok_or(StorageError::DuplicateTupleId(self.next_id))?;
-        Ok((TupleId(self.next_id), next))
     }
 
     /// Insert a row with an explicit tuple id (used when restoring a
@@ -165,6 +161,16 @@ impl Catalog {
     pub fn total_rows(&self) -> usize {
         self.tables.values().map(Table::len).sum()
     }
+}
+
+/// The id an insert takes with the counter at `counter`, and the counter
+/// after it. The counter never hands out `u64::MAX`: a restored tuple may
+/// hold it (see [`Catalog::insert_with_id`]), and nothing would come after.
+fn next_ids(counter: u64) -> Result<(TupleId, u64)> {
+    let next = counter
+        .checked_add(1)
+        .ok_or(StorageError::DuplicateTupleId(counter))?;
+    Ok((TupleId(counter), next))
 }
 
 impl Table {

@@ -136,7 +136,7 @@ pub fn load_into<R: BufRead>(
                 }
                 t.check_insert(&values, confidence)?;
             }
-            None => catalog.check_insert(table, &values, confidence)?,
+            None => catalog.check_insert(table, &values, confidence, rows.len() as u64)?,
         }
         rows.push((id, values, confidence));
     }

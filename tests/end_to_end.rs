@@ -392,6 +392,46 @@ fn where_clause_arithmetic_and_strings() {
     assert_eq!(resp.released.len(), 3);
 }
 
+/// A multi-row `INSERT` is checked row by row against the id each row
+/// would take, not every row against the next one. A database restored
+/// with a tuple at `u64::MAX − 2` has one id left (the counter never hands
+/// out `u64::MAX`), so a two-row statement is refused whole; it used to
+/// store its first row before the second found the counter exhausted.
+#[test]
+fn an_insert_that_would_exhaust_the_id_counter_writes_nothing() {
+    use pcqe::engine::{persist, EngineError, StatementOutcome};
+    use pcqe::storage::{StorageError, TupleId};
+
+    let dir = std::env::temp_dir().join(format!("pcqe-last-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = "pcqe-manifest\tv1\ntable\tt\ncolumn\tk\tINT\nend\n";
+    std::fs::write(dir.join("manifest.tsv"), manifest).unwrap();
+    let rows = format!("__id,k,confidence\n{},0,0.5\n", u64::MAX - 2);
+    std::fs::write(dir.join("t.csv"), rows).unwrap();
+    let mut db = persist::load(&dir, EngineConfig::default()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let rows = |db: &Database| db.catalog().table("t").unwrap().len();
+    assert_eq!(rows(&db), 1);
+    let refused = db.execute("INSERT INTO t VALUES (1), (2)");
+    assert!(
+        matches!(
+            refused,
+            Err(EngineError::Storage(StorageError::DuplicateTupleId(id))) if id == u64::MAX
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(rows(&db), 1, "a refused statement leaves no row behind");
+    // The last id is still there for a one-row statement, and then none is.
+    assert!(matches!(
+        db.execute("INSERT INTO t VALUES (1)"),
+        Ok(StatementOutcome::Inserted(ids)) if ids == [TupleId(u64::MAX - 1)]
+    ));
+    assert!(db.execute("INSERT INTO t VALUES (2)").is_err());
+    assert_eq!(rows(&db), 2);
+}
+
 /// `CREATE INDEX` changes nothing a user can observe: the three statements
 /// below raise on the row `(0, 7, 'boom')`, and an index on `grp` used to
 /// reword the first error and swallow the other two (the index passed the

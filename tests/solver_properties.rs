@@ -1,8 +1,9 @@
 //! Seeded property tests over the strategy-finding algorithms: on random
 //! feasible instances, every solver's answer validates, the exact search
 //! is never beaten, phase 2 never hurts, pruning never changes the
-//! optimum, the greedy's lazy heap picks what Figure 6's rescan picks, and
-//! a batch of one query is that query.
+//! optimum, the greedy's lazy heap picks what Figure 6's rescan picks, a
+//! batch of one query is that query, incremental evaluation is full
+//! evaluation, and the branch-and-bound walks a pinned tree.
 
 mod common;
 
@@ -317,6 +318,263 @@ fn a_batch_of_one_is_the_query() {
         assert_eq!(alone.stats.iterations, batch.stats.iterations);
         assert_eq!(alone.stats.reductions, batch.stats.reductions);
     });
+}
+
+/// A problem for the incremental-evaluation law: 3–6 bases over lineage
+/// with shared variables (so circuits hold `Mix` and DAG-shared nodes),
+/// negation and constants; some bases capped off the grid, some starting
+/// at zero; and one custom confidence function.
+fn incremental_problem(rng: &mut Rng64) -> ProblemInstance {
+    let n_bases = 3 + rng.below_u64(4);
+    let mut b = ProblemBuilder::new(0.5, 0.1);
+    for i in 0..n_bases {
+        let initial = if rng.chance(0.25) {
+            0.0
+        } else {
+            rng.range_f64(0.05, 0.4)
+        };
+        let cost = CostFn::linear(rng.range_f64(1.0, 100.0)).expect("positive rate");
+        if rng.chance(0.3) {
+            b.base_capped(i, initial, rng.range_f64(initial.max(0.45), 0.95), cost);
+        } else {
+            b.base(i, initial, cost);
+        }
+    }
+    let n_results = rng.range_usize(2, 5);
+    for _ in 0..n_results {
+        b.result_from_lineage(&common::random_lineage(rng, n_bases, 3))
+            .expect("vars are registered");
+    }
+    let (x, y) = (
+        rng.below_usize(n_bases as usize),
+        rng.below_usize(n_bases as usize),
+    );
+    b.result_custom(vec![x, y], |p| 0.7 * p[0] + 0.3 * p[0] * p[1]);
+    b.require(rng.range_usize(0, n_results + 2))
+        .build()
+        .expect("valid")
+}
+
+/// [`EvalState`] keeps every compiled result's node values and follows a
+/// step through the stepped base's cone alone. That is a faster road to
+/// the same place: after every `set_steps`, `step_up`, `step_down` and
+/// `probe_step_gain` of a random walk, every confidence has the bits of a
+/// fresh evaluation at the current levels, the counts are a recount's,
+/// and the optimistic bound over random rests is a brute recount's.
+#[test]
+fn incremental_evaluation_is_full_evaluation() {
+    for_each_case(CASES, 0x501E_000A, |rng| {
+        let problem = incremental_problem(rng);
+        let mut state = EvalState::new(&problem);
+        let k = problem.bases.len();
+        for _ in 0..60 {
+            let i = rng.below_usize(k);
+            match rng.below_u64(4) {
+                0 => state.set_steps(i, rng.below_u64(12) as u32),
+                1 => {
+                    state.step_up(i);
+                }
+                2 => {
+                    state.step_down(i);
+                }
+                _ => {
+                    state.probe_step_gain(i, rng.chance(0.5));
+                }
+            }
+            let levels: Vec<f64> = (0..k).map(|b| state.level(b)).collect();
+            let fresh = |levels: &[f64], ri: usize| {
+                let r = &problem.results[ri];
+                let args: Vec<f64> = r.bases.iter().map(|&b| levels[b]).collect();
+                r.conf.eval(&args)
+            };
+            let mut satisfied = 0;
+            for ri in 0..problem.results.len() {
+                let expected = fresh(&levels, ri);
+                assert_eq!(
+                    state.confidence(ri).to_bits(),
+                    expected.to_bits(),
+                    "result {ri}"
+                );
+                satisfied += usize::from(expected > problem.beta);
+            }
+            assert_eq!(state.satisfied_count(), satisfied);
+            assert_eq!(state.meets_quota(), satisfied >= problem.required);
+            let rest: Vec<usize> = (0..k).filter(|_| rng.chance(0.5)).collect();
+            let mut raised = levels.clone();
+            for &b in &rest {
+                raised[b] = problem.bases[b].max;
+            }
+            let brute = (0..problem.results.len())
+                .filter(|&ri| state.is_satisfied(ri) || fresh(&raised, ri) > problem.beta)
+                .count();
+            assert_eq!(state.optimistic_satisfied(&rest), brute, "rest {rest:?}");
+        }
+    });
+}
+
+/// The claim and evidence tuples of the e2e `strategy` workload: base
+/// confidences 0.05–0.3, linear cost 100 per unit of confidence (the
+/// engine's default cost), β = 0.6, δ = 0.1. Claims get ids `0..`,
+/// evidence tuples `100..`.
+fn strategy_builder(rng: &mut Rng64, claims: u64, evidence: u64) -> ProblemBuilder {
+    let mut b = ProblemBuilder::new(0.6, 0.1);
+    for id in (0..claims).chain(100..100 + evidence) {
+        b.base(
+            id,
+            rng.range_f64(0.05, 0.3),
+            CostFn::linear(100.0).expect("positive"),
+        );
+    }
+    b
+}
+
+/// `(c₀ ∧ e₀) ∨ (c₁ ∧ e₁) ∨ …`: a result's claims each joined to their
+/// evidence tuple.
+fn joined(pairs: &[(u64, u64)]) -> Lineage {
+    Lineage::or(
+        pairs
+            .iter()
+            .map(|&(c, e)| Lineage::and(vec![Lineage::var(c), Lineage::var(100 + e)]))
+            .collect(),
+    )
+}
+
+/// One group of a `miss_large` θ-miss as D&C hands it to the search: one
+/// result over three claims and their three evidence tuples, quota 1.
+fn strategy_group(rng: &mut Rng64) -> ProblemInstance {
+    let mut b = strategy_builder(rng, 3, 3);
+    b.result_from_lineage(&joined(&[(0, 0), (1, 1), (2, 2)]))
+        .expect("registered");
+    b.require(1).build().expect("valid")
+}
+
+/// A `miss_small` θ-miss: two results over four claims and three evidence
+/// tuples, sharing the middle one, quota 1.
+fn strategy_small(rng: &mut Rng64) -> ProblemInstance {
+    let mut b = strategy_builder(rng, 4, 3);
+    b.result_from_lineage(&joined(&[(0, 0), (1, 1)]))
+        .expect("registered");
+    b.result_from_lineage(&joined(&[(2, 1), (3, 2)]))
+        .expect("registered");
+    b.require(1).build().expect("valid")
+}
+
+/// FNV-1a over 64-bit words, a byte at a time.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One instance's search trees under all six configurations, each
+/// unseeded and greedy-seeded, capped at D&C's per-group node budget:
+/// summed `[nodes, incumbent_updates, pruned_bound, pruned_h2, pruned_h3,
+/// pruned_h4, complete runs]`, then an FNV digest of every run's counters
+/// and its solution's level and cost bits.
+fn search_trees(problem: &ProblemInstance) -> [u64; 8] {
+    let seed = greedy::solve(problem, &GreedyOptions::default())
+        .expect("feasible")
+        .solution;
+    let mut totals = [0u64; 8];
+    let mut words = Vec::new();
+    for config in [
+        HeuristicOptions::naive(),
+        HeuristicOptions::only(1),
+        HeuristicOptions::only(2),
+        HeuristicOptions::only(3),
+        HeuristicOptions::only(4),
+        HeuristicOptions::all(),
+    ] {
+        for options in [config.clone(), config.with_seed(seed.clone())] {
+            let options = HeuristicOptions {
+                node_limit: Some(100_000),
+                ..options
+            };
+            let out = heuristic::solve(problem, &options).expect("a solution within the budget");
+            let s = &out.stats;
+            let counts = [
+                s.nodes,
+                s.incumbent_updates,
+                s.pruned_bound,
+                s.pruned_h2,
+                s.pruned_h3,
+                s.pruned_h4,
+                u64::from(s.complete),
+            ];
+            for (total, c) in totals.iter_mut().zip(counts) {
+                *total += c;
+            }
+            words.extend(counts);
+            words.extend(out.solution.levels.iter().map(|l| l.to_bits()));
+            words.push(out.solution.cost.to_bits());
+        }
+    }
+    totals[7] = fnv(words);
+    totals
+}
+
+/// The branch-and-bound walks one tree, whatever arithmetic evaluates
+/// its nodes: on seeded instances of the two `strategy` shapes that reach
+/// the search (a D&C group and a `miss_small`) and on `random_problem`s,
+/// every configuration's node and pruning counts and every solution's
+/// bits are pinned. The numbers were recorded on the commit before
+/// results were evaluated incrementally, where the search re-ran every
+/// touched circuit from its leaves.
+#[test]
+fn the_search_tree_is_pinned() {
+    #[rustfmt::skip]
+    const PINNED: [[u64; 8]; 28] = [
+        // Six D&C groups.
+        [135082, 36, 43048, 13, 7226, 30, 12, 7003176865272340571],
+        [177740, 92, 53631, 30, 8835, 4215, 12, 15723981508835080836],
+        [127867, 25, 41016, 7, 7304, 896, 12, 11471752433125840337],
+        [195832, 58, 57463, 16, 9425, 1525, 12, 7628524165103053973],
+        [129274, 11, 41857, 3, 7400, 203, 12, 1313942950871772865],
+        [182138, 42, 54437, 15, 6448, 4194, 12, 11625530681349123280],
+        // Six `miss_small` instances; two naive runs of the fourth stop
+        // at the node budget.
+        [503453, 48, 175230, 12, 31041, 819, 12, 5162948169866481846],
+        [291886, 49, 100850, 2, 16347, 3947, 12, 12294733196871621664],
+        [312843, 14, 118715, 5, 14958, 393, 12, 5756263444479450331],
+        [674298, 40, 211024, 10, 30820, 14768, 10, 17649166314994321388],
+        [309263, 17, 115336, 5, 16152, 299, 12, 8388079978357025050],
+        [301382, 16, 112920, 5, 12336, 24, 12, 17837688464345885931],
+        // Sixteen `random_problem`s.
+        [12, 6, 0, 0, 0, 0, 12, 10284473019225436525],
+        [198, 14, 116, 0, 0, 0, 12, 9687029733228238637],
+        [2330, 6, 596, 16, 150, 22, 12, 13194026647778609398],
+        [407, 8, 203, 0, 18, 20, 12, 14259662911118794628],
+        [9704, 28, 697, 569, 44, 99, 12, 9794821705653860725],
+        [120016, 24, 30313, 256, 446, 1939, 12, 5997216170588125171],
+        [1431, 64, 317, 4, 22, 6, 12, 7804097755154071003],
+        [251, 22, 109, 0, 0, 7, 12, 13254303712475809208],
+        [12, 6, 0, 0, 0, 0, 12, 16036724000662917605],
+        [280, 22, 122, 0, 0, 2, 12, 9539882378597827143],
+        [784, 16, 223, 1, 4, 4, 12, 7444561686563436415],
+        [12, 6, 0, 0, 0, 0, 12, 11788853437399863981],
+        [12, 6, 0, 0, 0, 0, 12, 4740806440409328941],
+        [66, 10, 33, 3, 0, 0, 12, 14411655181971534973],
+        [53182, 24, 19698, 1467, 849, 1653, 12, 7666136181342416827],
+        [10966, 38, 1749, 13, 252, 79, 12, 6035420475823552576],
+    ];
+    let mut instances = Vec::new();
+    let mut rng = Rng64::seed_from_u64(0x501E_0008);
+    for _ in 0..6 {
+        instances.push(strategy_group(&mut rng));
+    }
+    for _ in 0..6 {
+        instances.push(strategy_small(&mut rng));
+    }
+    for_each_case(16, 0x501E_0009, |rng| instances.push(random_problem(rng)));
+    assert_eq!(instances.len(), PINNED.len());
+    for (i, (problem, pinned)) in instances.iter().zip(&PINNED).enumerate() {
+        assert_eq!(&search_trees(problem), pinned, "instance {i}");
+    }
 }
 
 fn assert_same_bits(a: &Solution, b: &Solution) {
