@@ -86,17 +86,17 @@ stage_smoke_metrics() { # observability smoke export (quickstart -> results/metr
   cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- results/metrics.json
 }
 
-stage_smoke_explain() { # EXPLAIN smoke (.plan on the § 3.1 running example, then across .index)
+stage_smoke_explain() { # EXPLAIN smoke (EXPLAIN on the § 3.1 running example, then across CREATE INDEX)
   # Pipe the paper's running-example schema and query through the shell
   # and assert the physical planner's choices show up in the
-  # side-by-side plan: the residual filter is pushed into the Proposal
-  # scan and the small build side makes the join a nested loop. Then the
-  # index access path, the only stage that sees one: after `.index`, a
-  # two-conjunct query plans an IndexScan whose filter is still the whole
-  # predicate, and a statement that raises prints the same error line
-  # before and after the index exists. The shell's stderr is captured and
-  # surfaced on failure — a panic in the heredoc must be reported as
-  # itself, not as a grep miss.
+  # side-by-side plan `EXPLAIN` prints: the residual filter is pushed into
+  # the Proposal scan and the small build side makes the join a nested
+  # loop. Then the index access path, the only stage that sees one: after
+  # `CREATE INDEX`, a two-conjunct query plans an IndexScan whose filter is
+  # still the whole predicate, and a statement that raises prints the same
+  # error line before and after the index exists. The shell's stderr is
+  # captured and surfaced on failure — a panic in the heredoc must be
+  # reported as itself, not as a grep miss.
   local plan_out stderr_file status=0
   stderr_file="$(mktemp)"
   plan_out="$(cargo run -q --offline --example shell 2>"$stderr_file" <<'EOF'
@@ -104,13 +104,13 @@ CREATE TABLE Proposal (company TEXT, proposal TEXT, funding REAL);
 CREATE TABLE CompanyInfo (company TEXT, income REAL);
 INSERT INTO Proposal VALUES ('ABC', 'p7', 500000.0) WITH CONFIDENCE 0.8;
 INSERT INTO CompanyInfo VALUES ('ABC', 900000.0) WITH CONFIDENCE 0.9;
-.plan SELECT DISTINCT CompanyInfo.company, income FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company WHERE funding < 1000000.0
+EXPLAIN SELECT DISTINCT CompanyInfo.company, income FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company WHERE funding < 1000000.0
 CREATE TABLE t (grp INT, n INT, s TEXT);
 INSERT INTO t VALUES (0, 7, 'boom'), (1, NULL, NULL);
 SELECT * FROM t WHERE s > 1 AND grp = 1
-.index t grp
+CREATE INDEX ON t (grp);
 SELECT * FROM t WHERE s > 1 AND grp = 1
-.plan SELECT * FROM t WHERE s <> 'x' AND grp = 0
+EXPLAIN SELECT * FROM t WHERE s <> 'x' AND grp = 0
 .quit
 EOF
 )" || status=$?
@@ -122,7 +122,7 @@ EOF
   fi
   rm -f "$stderr_file"
   echo "$plan_out" | grep -q "NestedLoopJoin" || {
-    echo "EXPLAIN smoke: expected NestedLoopJoin in .plan output" >&2
+    echo "EXPLAIN smoke: expected NestedLoopJoin in the EXPLAIN output" >&2
     echo "$plan_out" >&2
     return 1
   }
@@ -137,11 +137,11 @@ EOF
     return 1
   }
   [ "$(echo "$plan_out" | grep -cF "error: algebra: type error: cannot compare boom with 1")" -eq 2 ] || {
-    echo "EXPLAIN smoke: expected the same error line before and after .index" >&2
+    echo "EXPLAIN smoke: expected the same error line before and after CREATE INDEX" >&2
     echo "$plan_out" >&2
     return 1
   }
-  echo "EXPLAIN smoke OK (nested-loop join, pushed residual filter; index scan keeps the whole predicate, same error across .index)"
+  echo "EXPLAIN smoke OK (nested-loop join, pushed residual filter; index scan keeps the whole predicate, same error across CREATE INDEX)"
 }
 
 stage_trace_smoke() { # causal-trace smoke (.trace on the § 3.1 example -> results/trace_chrome.json)

@@ -15,7 +15,6 @@ use pcqe_cost::CostFn;
 use pcqe_par::{Decision, Observer};
 use pcqe_policy::{evaluate_results, ConfidencePolicy, PolicyStore, Purpose, Role};
 use pcqe_provenance::{Assigner, ProvenanceRecord};
-use pcqe_sql::parse_and_plan;
 use pcqe_storage::{Catalog, Schema, TupleId, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -68,13 +67,17 @@ impl QueryRequest {
     }
 }
 
-/// The outcome of a DDL/DML statement executed via [`Database::execute`].
+/// The outcome of a statement executed via [`Database::execute`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StatementOutcome {
     /// A table was created.
     TableCreated,
+    /// An index exists on the column at this position.
+    IndexCreated(usize),
     /// Rows were inserted, with their new tuple ids.
     Inserted(Vec<TupleId>),
+    /// The text `EXPLAIN [ANALYZE]` renders.
+    Explained(String),
 }
 
 /// A PCQE database: confidence-carrying tables, confidence policies, cost
@@ -309,12 +312,28 @@ impl Database {
             .push(crate::audit::AuditEntry::Improvement { tuples, cost });
     }
 
-    /// Execute a DDL/DML statement (`CREATE TABLE` or
-    /// `INSERT … [WITH CONFIDENCE c]`). Queries must go through
-    /// [`Database::query`] since they need a user and purpose; passing one
-    /// here returns an error.
+    /// Execute a statement that needs no user: `CREATE TABLE`,
+    /// `CREATE INDEX ON t (c)` ([`Database::create_index`]), `INSERT …
+    /// [WITH CONFIDENCE c]`, or `EXPLAIN [ANALYZE] <query>`. `EXPLAIN`
+    /// renders the logical and physical plans side by side; `EXPLAIN
+    /// ANALYZE` runs the physical plan and annotates each operator with
+    /// its observed counts, without scoring, gating or recording anything.
+    /// Queries must go through [`Database::query`] since they need a user
+    /// and purpose; passing one here returns an error.
     pub fn execute(&mut self, sql: &str) -> Result<StatementOutcome> {
         match pcqe_sql::parse_statement(sql)? {
+            pcqe_sql::Statement::Explain { analyze, query } => {
+                let plan = self.plan(&query)?;
+                let phys = pcqe_algebra::lower(&plan, &self.catalog)?;
+                Ok(StatementOutcome::Explained(if analyze {
+                    self.run_plan(&phys, Some(&()))?.1.render(&phys)
+                } else {
+                    pcqe_algebra::render_side_by_side(&plan, &phys)
+                }))
+            }
+            pcqe_sql::Statement::CreateIndex { table, column } => Ok(
+                StatementOutcome::IndexCreated(self.create_index(&table, &column)?),
+            ),
             pcqe_sql::Statement::CreateTable { name, columns } => {
                 let cols = columns
                     .into_iter()
@@ -353,36 +372,9 @@ impl Database {
         }
     }
 
-    /// Render the optimised plan for a query — an
-    /// `EXPLAIN` facility for debugging and teaching.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        Ok(self.plan_sql(sql)?.to_string())
-    }
-
-    /// Render the logical and physical plans side by side — the shell's
-    /// `.plan` view. The physical column names the join strategy
-    /// (`IndexJoin`, `HashJoin` or `NestedLoopJoin`), the access path
-    /// (`TableScan` vs `IndexScan`) and every pushed-down predicate.
-    pub fn explain_physical(&self, sql: &str) -> Result<String> {
-        let plan = self.plan_sql(sql)?;
-        let phys = pcqe_algebra::lower(&plan, &self.catalog)?;
-        Ok(pcqe_algebra::render_side_by_side(&plan, &phys))
-    }
-
-    /// Execute a query and render its physical plan annotated with
-    /// observed per-operator `rows_in` / `rows_out` / `lineage_nodes` /
-    /// `batches` counts — an `EXPLAIN ANALYZE` facility, so index-scan
-    /// savings and join-strategy fan-out are directly visible. Runs the
-    /// plan for real (read-only) but skips scoring and policy checking.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let phys = pcqe_algebra::lower(&self.plan_sql(sql)?, &self.catalog)?;
-        let (_result, profile) = self.run_plan(&phys, Some(&()))?;
-        Ok(profile.render(&phys))
-    }
-
-    /// Parse, plan and optimise a SQL query.
-    fn plan_sql(&self, sql: &str) -> Result<pcqe_algebra::Plan> {
-        let plan = parse_and_plan(sql, &self.catalog)?;
+    /// Plan and optimise a parsed query.
+    fn plan(&self, query: &pcqe_sql::ast::Query) -> Result<pcqe_algebra::Plan> {
+        let plan = pcqe_sql::plan_query(query, &self.catalog)?;
         Ok(pcqe_algebra::optimize(&plan, &self.catalog)?)
     }
 
@@ -435,7 +427,7 @@ impl Database {
             if stage.lifecycle.is_some() {
                 self.tracer.instant("parse", &request.sql);
             }
-            self.plan_sql(&request.sql)?
+            self.plan(&pcqe_sql::parse(&request.sql)?)?
         };
         let result_set = {
             let _phase = phase("query/execute");
@@ -1366,10 +1358,18 @@ mod tests {
         assert_eq!(on.audit_log(), off.audit_log());
     }
 
+    /// The text `statement` (an `EXPLAIN [ANALYZE]`) renders.
+    fn explained(db: &mut Database, statement: &str) -> String {
+        match db.execute(statement).unwrap() {
+            StatementOutcome::Explained(text) => text,
+            other => panic!("{statement}: {other:?}"),
+        }
+    }
+
     #[test]
     fn explain_analyze_annotates_observed_row_counts() {
-        let db = paper_db();
-        let text = db.explain_analyze(QUERY).unwrap();
+        let mut db = paper_db();
+        let text = explained(&mut db, &format!("EXPLAIN ANALYZE {QUERY}"));
         // Physical operators with true observed sizes: the pushed-down σ
         // keeps both sub-million proposals, the join emits 2 SkyCam pairs,
         // and DISTINCT merges them into 1.
@@ -1396,14 +1396,13 @@ mod tests {
     fn explain_analyze_surfaces_batch_counts() {
         // Batch-producing operators are annotated; scans materialise one
         // morsel batch here.
-        let text = paper_db().explain_analyze(QUERY).unwrap();
+        let text = explained(&mut paper_db(), &format!("EXPLAIN ANALYZE {QUERY}"));
         assert!(text.contains("batches=1"), "got:\n{text}");
     }
 
     #[test]
-    fn explain_physical_shows_both_plans() {
-        let db = paper_db();
-        let text = db.explain_physical(QUERY).unwrap();
+    fn explain_shows_both_plans() {
+        let text = explained(&mut paper_db(), &format!("EXPLAIN {QUERY}"));
         assert!(text.contains("LOGICAL"), "got:\n{text}");
         assert!(text.contains("PHYSICAL"), "got:\n{text}");
         assert!(text.contains("NestedLoopJoin"), "got:\n{text}");
@@ -1417,7 +1416,7 @@ mod tests {
         user: &User,
         request: &QueryRequest,
     ) -> (Vec<ReleasedTuple>, usize) {
-        let plan = parse_and_plan(&request.sql, db.catalog()).unwrap();
+        let plan = pcqe_sql::parse_and_plan(&request.sql, db.catalog()).unwrap();
         let rows = pcqe_algebra::execute(&plan, db.catalog()).unwrap();
         let probs = |v: pcqe_lineage::VarId| db.confidence(TupleId(v.0));
         let scored = rows.score(&probs, &db.config.evaluator).unwrap();
@@ -1529,9 +1528,9 @@ mod tests {
         let before = db
             .query(&user, &QueryRequest::new(sql, "analysis"))
             .unwrap();
-        let col = db.create_index("Proposal", "company").unwrap();
-        assert_eq!(col, 0);
-        let text = db.explain_physical(sql).unwrap();
+        let created = db.execute("CREATE INDEX ON Proposal (company)").unwrap();
+        assert_eq!(created, StatementOutcome::IndexCreated(0));
+        let text = explained(&mut db, &format!("EXPLAIN {sql}"));
         assert!(
             text.contains("IndexScan Proposal (company = 'SkyCam')"),
             "got:\n{text}"

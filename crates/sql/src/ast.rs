@@ -2,17 +2,31 @@
 
 use pcqe_storage::DataType;
 
-/// A complete statement: a query, or DDL/DML.
+/// A complete statement: a query, DDL/DML, or `EXPLAIN` of a query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// A `SELECT` (possibly with set operators).
     Query(Query),
+    /// `EXPLAIN [ANALYZE] query`.
+    Explain {
+        /// `ANALYZE` was given: run the plan and annotate it.
+        analyze: bool,
+        /// The explained query.
+        query: Query,
+    },
     /// `CREATE TABLE name (col TYPE, …)`.
     CreateTable {
         /// Table name.
         name: String,
         /// Column definitions.
         columns: Vec<ColumnDef>,
+    },
+    /// `CREATE INDEX ON table (column)`: unnamed, at most one per column.
+    CreateIndex {
+        /// Indexed table.
+        table: String,
+        /// Indexed column.
+        column: String,
     },
     /// `INSERT INTO name VALUES (…), … [WITH CONFIDENCE c]`.
     Insert {

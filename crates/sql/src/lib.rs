@@ -6,13 +6,18 @@
 //! practical subset of SQL, and a planner that lowers the AST onto the
 //! lineage-propagating algebra of `pcqe-algebra`.
 //!
-//! Supported grammar (joins may be chained; `,` is a cross product):
+//! Supported grammar (joins may be chained; `,` is a cross product;
+//! [`parse`] reads a `query`, [`parse_statement`] a `statement`):
 //!
 //! ```text
-//! query   := select (UNION select | EXCEPT select)*
-//! select  := SELECT [DISTINCT|ALL] items FROM ref (JOIN ref ON expr | , ref)* [WHERE expr]
-//! items   := * | expr [AS name] (, expr [AS name])*
-//! ref     := table [[AS] alias]
+//! statement := query | EXPLAIN [ANALYZE] query
+//!            | CREATE TABLE name (name type, …) | CREATE INDEX ON table (column)
+//!            | INSERT INTO table VALUES (expr, …), … [WITH CONFIDENCE number]
+//! query     := select (UNION select | EXCEPT select)* [ORDER BY expr [ASC|DESC], …] [LIMIT n]
+//! select    := SELECT [DISTINCT|ALL] items FROM ref ([INNER] JOIN ref ON expr | , ref)*
+//!              [WHERE expr] [GROUP BY expr, …] [HAVING expr]
+//! items     := * | expr [AS name] (, expr [AS name])*
+//! ref       := table [[AS] alias]
 //! ```
 //!
 //! ```

@@ -8,45 +8,16 @@ use crate::lexer::{tokenize, Spanned, Token};
 use crate::Result;
 use pcqe_storage::DataType;
 
-/// Parse a SQL string into a [`Query`].
+/// Parse a SQL string into a [`Query`]: the query production of
+/// [`parse_statement`]'s grammar.
 pub fn parse(input: &str) -> Result<Query> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        input_len: input.len(),
-        depth: 0,
-    };
-    let q = p.query()?;
-    p.eat_if(&Token::Semicolon);
-    if let Some(t) = p.peek() {
-        return Err(p.err_at(t.pos, "unexpected trailing input"));
-    }
-    Ok(q)
+    Parser::parse_all(input, Parser::query)
 }
 
-/// Parse a SQL string into a [`Statement`] (query, `CREATE TABLE`, or
-/// `INSERT … [WITH CONFIDENCE c]`).
+/// Parse a SQL string into a [`Statement`]: a query, `EXPLAIN [ANALYZE]`
+/// of one, `CREATE TABLE`, `CREATE INDEX`, or `INSERT … [WITH CONFIDENCE c]`.
 pub fn parse_statement(input: &str) -> Result<Statement> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        input_len: input.len(),
-        depth: 0,
-    };
-    let stmt = if p.peek_kw("CREATE") {
-        p.create_table()?
-    } else if p.peek_kw("INSERT") {
-        p.insert()?
-    } else {
-        Statement::Query(p.query()?)
-    };
-    p.eat_if(&Token::Semicolon);
-    if let Some(t) = p.peek() {
-        return Err(p.err_at(t.pos, "unexpected trailing input"));
-    }
-    Ok(stmt)
+    Parser::parse_all(input, Parser::statement)
 }
 
 struct Parser {
@@ -61,6 +32,23 @@ struct Parser {
 const MAX_EXPR_DEPTH: usize = 128;
 
 impl Parser {
+    /// Tokenize `input` and parse it as one `production`, optionally
+    /// followed by `;` and nothing else.
+    fn parse_all<T>(input: &str, production: fn(&mut Parser) -> Result<T>) -> Result<T> {
+        let mut p = Parser {
+            tokens: tokenize(input)?,
+            pos: 0,
+            input_len: input.len(),
+            depth: 0,
+        };
+        let parsed = production(&mut p)?;
+        p.eat_if(&Token::Semicolon);
+        match p.peek() {
+            Some(t) => Err(p.err_at(t.pos, "unexpected trailing input")),
+            None => Ok(parsed),
+        }
+    }
+
     fn peek(&self) -> Option<&Spanned> {
         self.tokens.get(self.pos)
     }
@@ -143,8 +131,36 @@ impl Parser {
         }
     }
 
+    fn statement(&mut self) -> Result<Statement> {
+        if self.eat_kw("EXPLAIN") {
+            let analyze = self.eat_kw("ANALYZE");
+            let query = self.query()?;
+            Ok(Statement::Explain { analyze, query })
+        } else if self.eat_kw("CREATE") {
+            if self.eat_kw("INDEX") {
+                self.create_index()
+            } else {
+                self.create_table()
+            }
+        } else if self.eat_kw("INSERT") {
+            self.insert()
+        } else {
+            Ok(Statement::Query(self.query()?))
+        }
+    }
+
+    /// `INDEX ON table (column)`, after `CREATE`.
+    fn create_index(&mut self) -> Result<Statement> {
+        self.expect_kw("ON")?;
+        let table = self.ident("table name")?;
+        self.expect(Token::LParen, "`(`")?;
+        let column = self.ident("column name")?;
+        self.expect(Token::RParen, "`)`")?;
+        Ok(Statement::CreateIndex { table, column })
+    }
+
+    /// `TABLE name (col TYPE, …)`, after `CREATE`.
     fn create_table(&mut self) -> Result<Statement> {
-        self.expect_kw("CREATE")?;
         self.expect_kw("TABLE")?;
         let name = self.ident("table name")?;
         self.expect(Token::LParen, "`(`")?;
@@ -171,8 +187,8 @@ impl Parser {
         Ok(ColumnDef { name, data_type })
     }
 
+    /// `INTO name VALUES (…), … [WITH CONFIDENCE c]`, after `INSERT`.
     fn insert(&mut self) -> Result<Statement> {
-        self.expect_kw("INSERT")?;
         self.expect_kw("INTO")?;
         let table = self.ident("table name")?;
         self.expect_kw("VALUES")?;
@@ -853,6 +869,52 @@ mod tests {
     fn statement_parser_accepts_queries_too() {
         let s = parse_statement("SELECT * FROM t").unwrap();
         assert!(matches!(s, Statement::Query(_)));
+    }
+
+    #[test]
+    fn explain_statements() {
+        for (sql, analyze) in [
+            ("EXPLAIN SELECT x FROM t", false),
+            ("explain analyze SELECT x FROM t;", true),
+        ] {
+            let Statement::Explain { analyze: a, query } = parse_statement(sql).unwrap() else {
+                panic!("expected EXPLAIN: {sql}");
+            };
+            assert_eq!(a, analyze, "{sql}");
+            assert_eq!(query, parse("SELECT x FROM t").unwrap());
+        }
+        // Only a query can be explained, and `parse` reads queries only.
+        for sql in [
+            "EXPLAIN",
+            "EXPLAIN ANALYZE",
+            "EXPLAIN INSERT INTO t VALUES (1)",
+            "EXPLAIN EXPLAIN SELECT x FROM t",
+            "EXPLAIN CREATE INDEX ON t (x)",
+        ] {
+            assert!(parse_statement(sql).is_err(), "{sql}");
+        }
+        assert!(parse("EXPLAIN SELECT x FROM t").is_err());
+    }
+
+    #[test]
+    fn create_index_statement() {
+        let s = parse_statement("CREATE INDEX ON orders (cust);").unwrap();
+        assert_eq!(
+            s,
+            Statement::CreateIndex {
+                table: "orders".into(),
+                column: "cust".into(),
+            }
+        );
+        for sql in [
+            "CREATE INDEX ix ON t (x)",
+            "CREATE INDEX ON t x",
+            "CREATE INDEX ON t (x, y)",
+            "CREATE INDEX ON t ()",
+            "CREATE VIEW v",
+        ] {
+            assert!(parse_statement(sql).is_err(), "{sql}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use pcqe::cost::CostFn;
-use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
+use pcqe::engine::{Database, EngineConfig, QueryRequest, StatementOutcome, User};
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Column, DataType, Schema, Value};
 
@@ -98,10 +98,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. EXPLAIN ANALYZE: the plan annotated with observed per-operator
     //    row and lineage counts.
     println!("\nEXPLAIN ANALYZE:");
-    print!(
-        "{}",
-        db.explain_analyze("SELECT name, revenue FROM Customers WHERE region = 'west'")?
-    );
+    let explained =
+        db.execute("EXPLAIN ANALYZE SELECT name, revenue FROM Customers WHERE region = 'west'")?;
+    if let StatementOutcome::Explained(text) = explained {
+        print!("{text}");
+    }
 
     // 7. Every query above was metered. Export the metrics as JSON (for
     //    the CI smoke check) and show the Prometheus rendering.

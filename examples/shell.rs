@@ -1,5 +1,6 @@
-//! An interactive PCQE shell: type SQL (DDL, DML with confidences, and
-//! policy-checked queries) against an in-memory database.
+//! An interactive PCQE shell: type SQL (DDL, DML with confidences,
+//! `EXPLAIN [ANALYZE]`, and policy-checked queries) against an in-memory
+//! database.
 //!
 //! Run with `cargo run --example shell`, or pipe a script:
 //!
@@ -19,9 +20,7 @@
 //!
 //! Dot-commands: `.user <name> <role>`, `.purpose <p>`,
 //! `.policy <role> <purpose> <beta>`, `.cost <tuple-id> <rate>`,
-//! `.expecting <fraction>`, `.accept`, `.tables`, `.index <table> <column>`,
-//! `.plan <query>` (logical and chosen physical plan side by side),
-//! `.analyze <query>`,
+//! `.expecting <fraction>`, `.accept`, `.tables`,
 //! `.trace <query> [json|chrome|folded]` (causal trace export),
 //! `.metrics [json|prom]`, `.lint [json] [RULE-ID]` (run the static invariant
 //! analyzer over the workspace), `.help`, `.quit`. The full list, with
@@ -30,9 +29,10 @@
 
 use pcqe::cost::CostFn;
 use pcqe::engine::{
-    Database, EngineConfig, ImprovementProposal, QueryRequest, StatementOutcome, User,
+    Database, EngineConfig, EngineError, ImprovementProposal, QueryRequest, StatementOutcome, User,
 };
 use pcqe::policy::ConfidencePolicy;
+use pcqe::sql::{parse_statement, Statement};
 use pcqe::storage::TupleId;
 use std::io::{self, BufRead, Write};
 
@@ -69,22 +69,6 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ("accept", "", "apply the pending improvement proposal"),
     ("tables", "", "list tables and row counts"),
     (
-        "index",
-        "<table> <column>",
-        "create an equality index on a column",
-    ),
-    ("explain", "<query>", "show the optimised logical plan"),
-    (
-        "plan",
-        "<query>",
-        "show logical and physical plans side by side",
-    ),
-    (
-        "analyze",
-        "<query>",
-        "run the plan, annotate observed row counts",
-    ),
-    (
         "trace",
         "<query> [json|chrome|folded]",
         "trace a query's causal timeline",
@@ -109,8 +93,9 @@ fn is_known_command(name: &str) -> bool {
 /// The `.help` screen, rendered from [`COMMANDS`].
 fn help_text() -> String {
     let mut out = String::from(
-        "SQL: CREATE TABLE t (col TYPE, ...); INSERT INTO t VALUES (...) \
-         [WITH CONFIDENCE c]; SELECT ...\ndot-commands:\n",
+        "SQL: CREATE TABLE t (col TYPE, ...); CREATE INDEX ON t (col); INSERT INTO t \
+         VALUES (...) [WITH CONFIDENCE c]; EXPLAIN [ANALYZE] SELECT ...; SELECT ...\n\
+         dot-commands:\n",
     );
     for (name, args, desc) in COMMANDS {
         let usage = if args.is_empty() {
@@ -227,25 +212,6 @@ impl Shell {
                     println!("{name} ({} rows)", t.len());
                 }
             }
-            ["index", table, column] => {
-                self.db.create_index(table, column)?;
-                println!("index on {table}.{column} created");
-            }
-            ["explain", rest @ ..] if !rest.is_empty() => {
-                print!("{}", self.db.explain(&rest.join(" "))?);
-            }
-            ["plan", rest @ ..] if !rest.is_empty() => {
-                // Logical plan and the cost-chosen physical plan side by
-                // side: join strategy (hash vs nested-loop), access path
-                // (table scan vs index scan) and pushed-down predicates
-                // are all visible in the right-hand column.
-                print!("{}", self.db.explain_physical(&rest.join(" "))?);
-            }
-            ["analyze", rest @ ..] if !rest.is_empty() => {
-                // EXPLAIN ANALYZE: run the plan and annotate it with the
-                // observed per-operator row and lineage counts.
-                print!("{}", self.db.explain_analyze(&rest.join(" "))?);
-            }
             ["trace", rest @ ..] if !rest.is_empty() => {
                 // Run the query with the causal tracer on and print the
                 // timeline. A trailing `json`/`chrome` (the default)
@@ -344,14 +310,16 @@ impl Shell {
     }
 
     fn sql(&mut self, line: &str) -> Result<(), Box<dyn std::error::Error>> {
-        let upper = line.trim_start().to_ascii_uppercase();
-        if upper.starts_with("CREATE") || upper.starts_with("INSERT") {
+        let statement = parse_statement(line).map_err(EngineError::Sql)?;
+        if !matches!(statement, Statement::Query(_)) {
             match self.db.execute(line)? {
                 StatementOutcome::TableCreated => println!("table created"),
+                StatementOutcome::IndexCreated(column) => println!("indexed column #{column}"),
                 StatementOutcome::Inserted(ids) => {
                     let rendered: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
                     println!("inserted {} row(s): {}", ids.len(), rendered.join(", "));
                 }
+                StatementOutcome::Explained(text) => print!("{text}"),
             }
             return Ok(());
         }
@@ -421,6 +389,14 @@ mod tests {
         // gets a consistent one-line description.
         assert_eq!(help.lines().count(), COMMANDS.len() + 2);
         assert!(!is_known_command("bogus"));
+        // Plans and indexes are SQL statements, not dot-commands.
+        assert_eq!(COMMANDS.len(), 14);
+        for statement in ["explain", "plan", "analyze", "index"] {
+            assert!(!is_known_command(statement), "`.{statement}` is SQL now");
+        }
+        for spelling in ["CREATE INDEX ON t (col)", "EXPLAIN [ANALYZE] SELECT"] {
+            assert!(help.contains(spelling), "help omits {spelling}:\n{help}");
+        }
     }
 
     /// A scripted session through `dispatch` exercises the table-gated
@@ -438,10 +414,9 @@ mod tests {
             ".expecting 1.0",
             ".cost t0 10",
             ".tables",
-            ".index t x",
-            ".explain SELECT x FROM t",
-            ".plan SELECT x FROM t",
-            ".analyze SELECT x FROM t",
+            "CREATE INDEX ON t (x)",
+            "EXPLAIN SELECT x FROM t",
+            "EXPLAIN ANALYZE SELECT x FROM t",
             ".trace SELECT x FROM t folded",
             ".trace SELECT x FROM t",
             ".metrics",
@@ -453,6 +428,10 @@ mod tests {
             sh.dispatch(line)
                 .unwrap_or_else(|e| panic!("`{line}` failed: {e}"));
         }
+        let t = sh.db.catalog().table("t").expect("created");
+        assert!(t.index_on(0).is_some(), "CREATE INDEX went to execute");
+        // Only a query can be explained.
+        assert!(sh.dispatch("EXPLAIN INSERT INTO t VALUES (2)").is_err());
         // Unknown names and bad arity fall through politely.
         sh.dispatch(".bogus").unwrap();
         sh.dispatch(".user onlyname").unwrap();

@@ -10,7 +10,7 @@
 use pcqe::algebra::{ResultSet, ScoredTuple};
 use pcqe::core::state::EvalState;
 use pcqe::core::{ProblemInstance, Solution};
-use pcqe::engine::{AuditEntry, Database, QueryResponse};
+use pcqe::engine::{AuditEntry, Database, QueryResponse, StatementOutcome};
 use pcqe::lineage::{Evaluator, Lineage, Rng64, VarId};
 use pcqe::par::Parallelism;
 use pcqe::policy::{evaluate_results, ConfidencePolicy};
@@ -263,6 +263,15 @@ pub fn audited_counts(db: &Database) -> Vec<(usize, usize)> {
             AuditEntry::Improvement { .. } => None,
         })
         .collect()
+}
+
+/// What an `EXPLAIN [ANALYZE] …` `statement` renders through
+/// [`Database::execute`]; any other outcome is a bug in the caller.
+pub fn explained(db: &mut Database, statement: &str) -> pcqe::engine::Result<String> {
+    match db.execute(statement)? {
+        StatementOutcome::Explained(text) => Ok(text),
+        other => panic!("`{statement}` explained nothing: {other:?}"),
+    }
 }
 
 /// The two-phase greedy as Figure 6 prints it — every base probed again on

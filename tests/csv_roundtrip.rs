@@ -7,7 +7,8 @@
 mod common;
 
 use common::{
-    assert_images_aligned, assert_matches_reference, for_each_case, random_string, reference,
+    assert_images_aligned, assert_matches_reference, explained, for_each_case, random_string,
+    reference,
 };
 use pcqe::engine::{persist, Database, EngineConfig, EngineError, QueryRequest, User};
 use pcqe::lineage::Rng64;
@@ -335,9 +336,10 @@ fn persisted_databases_reload_with_their_indexes() {
     }
     let index_scan = "SELECT id FROM orders WHERE cust = 7 AND amount > 3";
     let index_join = "SELECT o.id, c.name FROM orders o JOIN customers c ON o.cust = c.id";
-    let plans =
-        |db: &Database| [index_scan, index_join].map(|sql| db.explain_physical(sql).unwrap());
-    let [scan_plan, join_plan] = plans(&db);
+    let plans = |db: &mut Database| {
+        [index_scan, index_join].map(|sql| explained(db, &format!("EXPLAIN {sql}")).unwrap())
+    };
+    let [scan_plan, join_plan] = plans(&mut db);
     assert!(
         scan_plan.contains("IndexScan orders (cust = 7)"),
         "{scan_plan}"
@@ -350,7 +352,7 @@ fn persisted_databases_reload_with_their_indexes() {
     let dir = std::env::temp_dir().join(format!("pcqe-index-roundtrip-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     persist::save(&db, &dir).unwrap();
-    let restored = persist::load(&dir, EngineConfig::default()).unwrap();
+    let mut restored = persist::load(&dir, EngineConfig::default()).unwrap();
     let indexed = |db: &Database, table: &str| -> Vec<usize> {
         let table = db.catalog().table(table).unwrap();
         table.indexes().iter().map(|ix| ix.column()).collect()
@@ -361,7 +363,7 @@ fn persisted_databases_reload_with_their_indexes() {
         let (saved, loaded) = (db.catalog().table(table), restored.catalog().table(table));
         assert_eq!(saved.unwrap().indexes(), loaded.unwrap().indexes());
     }
-    assert_eq!(plans(&restored), [scan_plan, join_plan]);
+    assert_eq!(plans(&mut restored), [scan_plan, join_plan]);
 
     // An old manifest: the same file without its `index` lines.
     let manifest = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();

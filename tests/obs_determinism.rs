@@ -12,6 +12,9 @@
 //! 4. **Metrics depend on the inputs only** — a tracer switched on by
 //!    someone else never changes what the recorder records.
 
+mod common;
+
+use common::explained;
 use pcqe::core::clock::ManualClock;
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
@@ -268,8 +271,8 @@ fn identical_runs_export_identically() {
 
 #[test]
 fn explain_analyze_counts_match_actual_operator_sizes() {
-    let db = paper_db(Some(1), true);
-    let text = db.explain_analyze(QUERY).unwrap();
+    let mut db = paper_db(Some(1), true);
+    let text = explained(&mut db, &format!("EXPLAIN ANALYZE {QUERY}")).unwrap();
     // Every plan line is annotated.
     for line in text.lines() {
         assert!(line.contains("(rows_in="), "unannotated line: {line}");
@@ -339,7 +342,7 @@ fn with_shop(mut db: Database) -> Database {
 fn explain_analyze_and_the_trace_show_the_index_join() {
     let mut db = with_shop(Database::new(EngineConfig::default().sequential()));
     let sql = SHOP_JOIN;
-    let text = db.explain_analyze(sql).unwrap();
+    let text = explained(&mut db, &format!("EXPLAIN ANALYZE {sql}")).unwrap();
     // 48 orders probe; the 40 that name customers 0–9 fetch two rows each.
     let join = "IndexJoin customers AS c (id) [#1 = #2] (rows_in=128 rows_out=80 ";
     assert!(text.contains(join), "{text}");
@@ -349,7 +352,7 @@ fn explain_analyze_and_the_trace_show_the_index_join() {
     );
     assert!(!text.contains("TableScan customers"), "{text}");
 
-    let physical = db.explain_physical(sql).unwrap();
+    let physical = explained(&mut db, &format!("EXPLAIN {sql}")).unwrap();
     let plan_lines: Vec<&str> = physical
         .lines()
         .skip(2)
@@ -439,8 +442,8 @@ fn figure_one_script(workers: usize, traced: bool) -> Vec<(&'static str, String,
     record(&db, "re-query", format!("{requeried:?}"));
     let batch = db.query_batch(&mark, &[investment.clone(), analysis.clone()]);
     record(&db, "query_batch", format!("{batch:?}"));
-    let analyzed = db.explain_analyze(QUERY);
-    record(&db, "explain_analyze", format!("{analyzed:?}"));
+    let analyzed = explained(&mut db, &format!("EXPLAIN ANALYZE {QUERY}"));
+    record(&db, "EXPLAIN ANALYZE", format!("{analyzed:?}"));
     let last = if traced {
         db.trace_query(&mark, &investment)
             .map(|(response, _)| response)
@@ -454,7 +457,7 @@ fn figure_one_script(workers: usize, traced: bool) -> Vec<(&'static str, String,
 /// Metrics depend on the inputs only, never on whether someone else is
 /// tracing: twin databases under one scripted clock, the second with its
 /// tracer switched on by hand, run the same Figure 1 script — query,
-/// θ-miss, `what_if`, `apply`, re-query, `query_batch`, `explain_analyze`,
+/// θ-miss, `what_if`, `apply`, re-query, `query_batch`, `EXPLAIN ANALYZE`,
 /// and `trace_query` against `query` — at 1 and at 4 workers, and after
 /// every step their answers and metrics agree. (On the parent commit the
 /// twins parted at `what_if`: while tracing, the engine handed the
@@ -485,7 +488,7 @@ fn the_tracer_never_changes_the_metrics() {
 
 /// The Figure 1 loop over both example databases on a manual clock at
 /// `workers` workers — a θ = 0 query, a θ-miss, `what_if`, `apply`, a
-/// re-query, `query_batch` and `explain_analyze` — and what it left: the
+/// re-query, `query_batch` and `EXPLAIN ANALYZE` — and what it left: the
 /// comparable metrics, then the EXPLAIN ANALYZE texts of the paper query
 /// and of the index join.
 fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
@@ -513,8 +516,8 @@ fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
         .query_batch(&ana, &[report(SHOP_JOIN, 0.0), report(narrow, 1.0)])
         .unwrap();
     assert!(batch.proposal.is_some(), "{:?}", batch.no_proposal);
-    let paper = db.explain_analyze(QUERY).unwrap();
-    let join = db.explain_analyze(SHOP_JOIN).unwrap();
+    let paper = explained(&mut db, &format!("EXPLAIN ANALYZE {QUERY}")).unwrap();
+    let join = explained(&mut db, &format!("EXPLAIN ANALYZE {SHOP_JOIN}")).unwrap();
     (comparable(&db.metrics_snapshot()), paper, join)
 }
 

@@ -9,20 +9,20 @@
 //! `tests/common` (the logical plan on the sequential walker), at any
 //! worker-thread count, with or without equality indexes.
 //!
-//! A golden snapshot of the `.plan` rendering (logical and physical plan
+//! A golden snapshot of what `EXPLAIN` renders (logical and physical plan
 //! side by side) for the paper's Section 3.1 running example pins the
 //! planner's choices; regenerate with
 //! `PCQE_BLESS=1 cargo test --test physical_equivalence bless`.
 
 mod common;
 
-use common::{assert_rows_identical, for_each_case, parallelism_grid, reference_rows};
+use common::{assert_rows_identical, explained, for_each_case, parallelism_grid, reference_rows};
 use pcqe::algebra::{
     execute, execute_vectorized_with, lower, optimize, BinaryOp, PhysicalPlan, Plan, ProjItem,
     ResultSet, ScalarExpr, UnaryOp,
 };
 use pcqe::cost::CostFn;
-use pcqe::engine::{Database, EngineConfig};
+use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::lineage::{CircuitCache, Evaluator, Rng64, VarId};
 use pcqe::par::Parallelism;
 use pcqe::policy::ConfidencePolicy;
@@ -1210,7 +1210,7 @@ fn bless_golden_explain_when_requested() {
     if std::env::var_os("PCQE_BLESS").is_none() {
         return;
     }
-    let text = paper_db().explain_physical(PAPER_QUERY).unwrap();
+    let text = explained(&mut paper_db(), &format!("EXPLAIN {PAPER_QUERY}")).unwrap();
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("explain_paper.txt"), text).unwrap();
@@ -1218,7 +1218,7 @@ fn bless_golden_explain_when_requested() {
 
 #[test]
 fn paper_example_explain_matches_golden_snapshot() {
-    let text = paper_db().explain_physical(PAPER_QUERY).unwrap();
+    let text = explained(&mut paper_db(), &format!("EXPLAIN {PAPER_QUERY}")).unwrap();
     assert_eq!(
         text,
         include_str!("golden/explain_paper.txt"),
@@ -1226,3 +1226,66 @@ fn paper_example_explain_matches_golden_snapshot() {
          (regenerate with PCQE_BLESS=1 if the change is intended)"
     );
 }
+
+/// `a ⋈ b ⋈ c`, left-deep: 5 rows of `a` meet 20 of `b` on `b.k` (20
+/// distinct keys), and the pairs meet the 2 rows of `c`. The inner join is
+/// a hash join either way, and an index on `b.k` turns it into an index
+/// join — whose estimate (5 probes × 1 row each) is half the hash join's
+/// (5 × 20 / 10): the outer join's left input shrinks from 10 to 5 rows,
+/// and with it the outer join flips from hash to nested loop. Same
+/// answer. Both texts were recorded on the commit before `EXPLAIN` became
+/// a statement, through the `explain_physical` method it replaced.
+#[test]
+fn an_index_join_can_flip_the_join_around_it() {
+    let sql = "SELECT a.id, c.v FROM a JOIN b ON a.k = b.k JOIN c ON b.m = c.m";
+    let twin = |indexed: bool| {
+        let mut db = Database::new(EngineConfig::default());
+        db.execute("CREATE TABLE a (id INT, k INT)").unwrap();
+        db.execute("CREATE TABLE b (k INT, m INT)").unwrap();
+        db.execute("CREATE TABLE c (m INT, v TEXT)").unwrap();
+        for i in 0..5 {
+            db.execute(&format!("INSERT INTO a VALUES ({i}, {i})"))
+                .unwrap();
+        }
+        for k in 0..20 {
+            db.execute(&format!("INSERT INTO b VALUES ({k}, {})", k % 2))
+                .unwrap();
+        }
+        db.execute("INSERT INTO c VALUES (0, 'even'), (1, 'odd')")
+            .unwrap();
+        if indexed {
+            db.execute("CREATE INDEX ON b (k)").unwrap();
+        }
+        db.add_policy(ConfidencePolicy::default_floor(0.0).unwrap());
+        let text = explained(&mut db, &format!("EXPLAIN {sql}")).unwrap();
+        let user = User::new("ana", "analyst");
+        let response = db.query(&user, &QueryRequest::new(sql, "audit")).unwrap();
+        (text, response.released)
+    };
+    let ((plain, plain_rows), (indexed, indexed_rows)) = (twin(false), twin(true));
+    assert_eq!(plain, THREE_WAY_PLAIN);
+    assert_eq!(indexed, THREE_WAY_INDEXED);
+    assert_eq!(plain_rows.len(), 5);
+    assert_eq!(plain_rows, indexed_rows);
+}
+
+const THREE_WAY_PLAIN: &str = "\
+LOGICAL         | PHYSICAL
+----------------+----------------
+Project [id, v] | Project [id, v]
+  Join          |   HashJoin [#3 = #4]
+    Join        |     HashJoin [#1 = #2]
+      Scan a    |       TableScan a
+      Scan b    |       TableScan b
+    Scan c      |     TableScan c
+";
+
+const THREE_WAY_INDEXED: &str = "\
+LOGICAL         | PHYSICAL
+----------------+----------------
+Project [id, v] | Project [id, v]
+  Join          |   NestedLoopJoin [(#3 = #4)]
+    Join        |     IndexJoin b (k) [#1 = #2]
+      Scan a    |       TableScan a
+      Scan b    |     TableScan c
+    Scan c      | \n";

@@ -4,9 +4,11 @@
 
 mod common;
 
-use common::{for_each_case, random_char, random_string};
+use common::{explained, for_each_case, random_char, random_string};
+use pcqe::engine::{Database, EngineConfig, EngineError, QueryRequest, StatementOutcome, User};
 use pcqe::lineage::Rng64;
-use pcqe::sql::{parse, parse_statement};
+use pcqe::policy::ConfidencePolicy;
+use pcqe::sql::{parse, parse_statement, SqlError};
 
 /// Arbitrary character soup: the lexer/parser must return, not panic.
 #[test]
@@ -24,23 +26,58 @@ fn parser_never_panics_on_arbitrary_strings() {
 #[test]
 fn parser_never_panics_on_sql_shaped_strings() {
     const FRAGMENTS: &[&str] = &[
-        "SELECT", "DISTINCT", "*", "FROM", "WHERE", "JOIN", "ON", "AND", "OR", "NOT", "UNION",
-        "EXCEPT", "(", ")", ",", "=", "<", "t", "x", "1", "2.5", "'s'", "a.b", "AS", "+", "-", "/",
+        "SELECT",
+        "DISTINCT",
+        "*",
+        "FROM",
+        "WHERE",
+        "JOIN",
+        "ON",
+        "AND",
+        "OR",
+        "NOT",
+        "UNION",
+        "EXCEPT",
+        "(",
+        ")",
+        ",",
+        "=",
+        "<",
+        "t",
+        "x",
+        "1",
+        "2.5",
+        "'s'",
+        "a.b",
+        "AS",
+        "+",
+        "-",
+        "/",
+        "CREATE",
+        "TABLE",
+        "INDEX",
+        "INSERT",
+        "INTO",
+        "VALUES",
+        "WITH",
+        "CONFIDENCE",
+        "EXPLAIN",
+        "ANALYZE",
+        ";",
     ];
+    let position_inside = |input: &str, error: Option<SqlError>| {
+        if let Some(SqlError::Parse { pos, .. } | SqlError::Lex { pos, .. }) = error {
+            assert!(pos <= input.len(), "position {pos} outside {input:?}");
+        }
+    };
     for_each_case(512, 0x5901_0002, |rng| {
         let n = rng.below_usize(16);
         let fragments: Vec<&str> = (0..n)
             .map(|_| FRAGMENTS[rng.below_usize(FRAGMENTS.len())])
             .collect();
         let input = fragments.join(" ");
-        match parse(&input) {
-            Ok(_) => {}
-            Err(pcqe::sql::SqlError::Parse { pos, .. })
-            | Err(pcqe::sql::SqlError::Lex { pos, .. }) => {
-                assert!(pos <= input.len(), "position {pos} outside {input:?}");
-            }
-            Err(_) => {}
-        }
+        position_inside(&input, parse(&input).err());
+        position_inside(&input, parse_statement(&input).err());
     });
 }
 
@@ -141,7 +178,6 @@ fn deeply_nested_parentheses_do_not_overflow() {
 /// their tuple ids burned — while reporting an error.
 #[test]
 fn a_refused_multi_row_insert_writes_nothing() {
-    use pcqe::engine::{Database, EngineConfig, EngineError, StatementOutcome};
     use pcqe::storage::{StorageError, TupleId, Value};
 
     let mut db = Database::new(EngineConfig::default());
@@ -152,18 +188,18 @@ fn a_refused_multi_row_insert_writes_nothing() {
     else {
         panic!("two well-formed rows");
     };
-    let state = |db: &Database| {
+    let state = |db: &mut Database| {
+        let analyzed = explained(db, "EXPLAIN ANALYZE SELECT label FROM t WHERE k = 1").unwrap();
         let t = db.catalog().table("t").unwrap();
         let index = t.index_on(0).expect("indexed");
         (
             t.len(),
             index.lookup(&Value::Int(1)).to_vec(),
             index.distinct_keys(),
-            db.explain_analyze("SELECT label FROM t WHERE k = 1")
-                .unwrap(),
+            analyzed,
         )
     };
-    let before = state(&db);
+    let before = state(&mut db);
 
     // The error is the first offending row's, as when the rows went in
     // one by one: a bad type in the last row, a bad type before a bad
@@ -188,7 +224,7 @@ fn a_refused_multi_row_insert_writes_nothing() {
             other => panic!("{sql}: refusal expected, got {other:?}"),
         }
         assert_eq!(
-            state(&db),
+            state(&mut db),
             before,
             "{sql}: a refused insert left rows behind"
         );
@@ -201,4 +237,132 @@ fn a_refused_multi_row_insert_writes_nothing() {
     };
     assert_eq!(ids, [next]);
     assert_eq!(db.catalog().table("t").unwrap().len(), before.0 + 1);
+}
+
+/// A three-row table `t (r REAL, k INT, s TEXT)` that any user may query.
+fn small_db() -> Database {
+    let mut db = Database::new(EngineConfig::default().sequential());
+    db.execute("CREATE TABLE t (r REAL, k INT, s TEXT)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (0.5, 1, 'a'), (1.5, 2, 'b'), (2.5, 1, 'c')")
+        .unwrap();
+    db.add_policy(ConfidencePolicy::default_floor(0.0).unwrap());
+    db
+}
+
+/// `CREATE INDEX ON t (c)` is `Database::create_index("t", "c")`: the same
+/// column position, the same refusal word for word (a REAL column, an
+/// unknown table, an unknown column), idempotent. And an index changes the
+/// plan, never the answer.
+#[test]
+fn create_index_is_the_create_index_method() {
+    let (mut by_sql, mut by_method) = (small_db(), small_db());
+    for (table, column, position) in [
+        ("t", "r", None),
+        ("nope", "k", None),
+        ("t", "nope", None),
+        ("t", "k", Some(1)),
+        ("t", "s", Some(2)),
+        ("t", "k", Some(1)),
+    ] {
+        let sql = by_sql.execute(&format!("CREATE INDEX ON {table} ({column})"));
+        let method = by_method.create_index(table, column);
+        match (sql, method) {
+            (Ok(StatementOutcome::IndexCreated(a)), Ok(b)) => {
+                assert_eq!((Some(a), Some(b)), (position, position), "{table}.{column}")
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(a.to_string(), b.to_string(), "{table}.{column}");
+                assert_eq!(position, None, "{table}.{column}: {a}");
+            }
+            (sql, method) => panic!("{table}.{column}: {sql:?} against {method:?}"),
+        }
+    }
+    let indexes = |db: &Database| db.catalog().table("t").unwrap().indexes().to_vec();
+    assert_eq!(indexes(&by_sql).len(), 2);
+    assert_eq!(indexes(&by_sql), indexes(&by_method));
+
+    let sql = "SELECT s FROM t WHERE k = 1";
+    let mut plain = small_db();
+    let user = User::new("ana", "analyst");
+    let answer = |db: &mut Database| {
+        let plan = explained(db, &format!("EXPLAIN {sql}")).unwrap();
+        let released = db.query(&user, &QueryRequest::new(sql, "audit")).unwrap();
+        (plan, released.released)
+    };
+    let ((plain_plan, plain_rows), (indexed_plan, indexed_rows)) =
+        (answer(&mut plain), answer(&mut by_sql));
+    assert!(plain_plan.contains("TableScan t"), "{plain_plan}");
+    assert!(
+        indexed_plan.contains("IndexScan t (k = 1)"),
+        "{indexed_plan}"
+    );
+    assert_eq!(plain_rows.len(), 2);
+    assert_eq!(plain_rows, indexed_rows);
+}
+
+/// `EXPLAIN` and `EXPLAIN ANALYZE` are reads: neither leaves an audit
+/// entry, moves a metric or bumps the database version, so a proposal
+/// taken before them still applies.
+#[test]
+fn explain_changes_nothing() {
+    let mut db = Database::new(EngineConfig::default().sequential());
+    db.execute("CREATE TABLE t (k INT, s TEXT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b') WITH CONFIDENCE 0.4")
+        .unwrap();
+    db.add_policy(ConfidencePolicy::new("analyst", "report", 0.5).unwrap());
+    let user = User::new("ana", "analyst");
+    let request = QueryRequest::new("SELECT s FROM t WHERE k = 1", "report");
+    let proposal = db.query(&user, &request).unwrap().proposal;
+    let proposal = proposal.expect("the withheld row can be raised");
+    let (audit, metrics) = (db.audit_log().to_vec(), db.metrics_snapshot());
+    for statement in [
+        "EXPLAIN SELECT s FROM t WHERE k = 1",
+        "EXPLAIN ANALYZE SELECT s FROM t WHERE k = 1",
+        "EXPLAIN ANALYZE SELECT s FROM t WHERE s > 1",
+    ] {
+        // The last one raises at run time, and changes nothing either.
+        let _ = explained(&mut db, statement);
+        assert_eq!(db.audit_log(), audit, "{statement}");
+        assert_eq!(db.metrics_snapshot(), metrics, "{statement}");
+    }
+    db.apply(&proposal).unwrap();
+}
+
+/// Only a query can be explained, and `Database::query` takes only a
+/// query: everything else is a parse error that runs nothing.
+#[test]
+fn only_a_query_is_explained_and_only_a_query_is_queried() {
+    let mut db = small_db();
+    for sql in [
+        "EXPLAIN INSERT INTO t VALUES (0.5, 3, 'd')",
+        "EXPLAIN EXPLAIN SELECT k FROM t",
+        "EXPLAIN CREATE INDEX ON t (k)",
+        "EXPLAIN CREATE TABLE u (k INT)",
+    ] {
+        assert!(
+            matches!(parse_statement(sql), Err(SqlError::Parse { .. })),
+            "{sql}"
+        );
+        let refused = db.execute(sql);
+        assert!(
+            matches!(refused, Err(EngineError::Sql(SqlError::Parse { .. }))),
+            "{sql}: {refused:?}"
+        );
+    }
+    let t = db.catalog().table("t").unwrap();
+    assert_eq!((t.len(), t.indexes().len()), (3, 0));
+    assert!(db.catalog().table("u").is_err());
+
+    let user = User::new("ana", "analyst");
+    let request = QueryRequest::new("EXPLAIN SELECT k FROM t", "audit");
+    let refused = db.query(&user, &request);
+    assert!(
+        matches!(
+            refused,
+            Err(EngineError::Sql(SqlError::Parse { pos: 0, .. }))
+        ),
+        "{refused:?}"
+    );
+    assert!(db.audit_log().is_empty());
 }
