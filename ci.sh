@@ -24,7 +24,6 @@ STAGES=(
   fmt
   clippy
   lint
-  lint-artifact
   build
   test
   smoke-metrics
@@ -50,24 +49,10 @@ stage_lint() { # static invariants (cargo run -p pcqe-lint)
   # One analyzer, three layers; `cargo run -p pcqe-lint -- --list-rules`
   # prints the rule registry, DESIGN.md § "Static invariants" says what
   # each rule protects. Exceptions, capability grants and flow
-  # declarations all live in lint.toml, every entry with a reason.
+  # declarations all live in lint.toml, every entry with a reason. How
+  # many findings each rule may have suppressed is a table in
+  # tests/lint_guard.rs, held by the `test` stage (and plain `cargo test`).
   cargo run -q -p pcqe-lint --offline
-}
-
-stage_lint_artifact() { # lint reports (results/lint.json + lint.sarif) and the regression gate
-  # The same analysis as machine-readable CI artifacts: the JSON report
-  # and the SARIF 2.1.0 export (editors and review tooling ingest it
-  # directly; dataflow witnesses ride along as code flows). The JSON is
-  # validated with the in-repo parser — exporter and parser agree end
-  # to end without external tooling — and then held to the checked-in
-  # baseline: every count there is a ceiling, total errors and
-  # suppressions plus the per-rule counts, so new violations and new
-  # suppressions both fail CI even when the totals happen to stay flat.
-  mkdir -p results
-  cargo run -q -p pcqe-lint --offline -- --format json > results/lint.json
-  cargo run -q -p pcqe-lint --offline -- --format sarif > results/lint.sarif
-  cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- \
-    --schema lint --gate results/baseline_lint.json results/lint.json
 }
 
 stage_build() { # release build (offline)

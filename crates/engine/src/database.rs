@@ -454,10 +454,8 @@ impl Database {
             sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
             // Only `query` gates at β (rows whose confidence upper bound is
             // already ≤ β are withheld without exact evaluation) and reports
-            // the scoring pass to the listener.
-            // Batch and what-if evaluation stay exact and unobserved: every
-            // withheld row may feed an improvement instance, so gating
-            // would only add a re-scoring pass.
+            // the scoring pass to the listener. Batch and what-if evaluation
+            // stay exact and unobserved.
             let options = match stage.lifecycle {
                 Some(_) => ScoreOptions {
                     gate: Some(policy.threshold),
@@ -497,32 +495,29 @@ impl Database {
         };
 
         // The released rows move into the response; the withheld ones stay
-        // behind, in row order with their β-skip flags, for strategy
-        // finding. Both passes visit the rows in order, counting them, and
-        // look each up in `decision.released` (ascending).
+        // behind, in row order, for strategy finding. The pass visits the
+        // rows in order, counting them, and looks each up in
+        // `decision.released` (ascending).
         let GatedScore {
             schema,
             scored: mut withheld,
-            mut skipped,
             exact_skipped,
+            ..
         } = gated;
         let rows = withheld.len();
-        let is_released = |row: &mut usize| {
-            let hit = decision.released.binary_search(row).is_ok();
-            *row += 1;
-            hit
-        };
         let mut row = 0;
         let released: Vec<ReleasedTuple> = withheld
-            .extract_if(.., |_| is_released(&mut row))
+            .extract_if(.., |_| {
+                let hit = decision.released.binary_search(&row).is_ok();
+                row += 1;
+                hit
+            })
             .map(|s| ReleasedTuple {
                 tuple: s.tuple,
                 lineage: s.lineage,
                 confidence: s.confidence,
             })
             .collect();
-        let mut row = 0;
-        skipped.retain(|_| !is_released(&mut row));
         let requested = (request.min_fraction * rows as f64).ceil() as usize;
         Ok(Evaluated {
             shortfall: requested.saturating_sub(released.len()),
@@ -536,7 +531,6 @@ impl Database {
                 no_proposal: None,
             },
             withheld,
-            skipped,
             exact_skipped,
         })
     }
@@ -556,8 +550,7 @@ impl Database {
         };
         let Evaluated {
             mut response,
-            mut withheld,
-            skipped,
+            withheld,
             exact_skipped,
             requested,
             shortfall,
@@ -570,20 +563,10 @@ impl Database {
             return Ok(response);
         }
 
-        // Strategy finding (Figure 1, steps 5–6). The θ path is exempt
-        // from β-gating: improvement inputs must be *exact* confidences,
-        // so any short-circuited rows are re-scored first. (Released rows
-        // are never skipped — a skipped row's bound is ≤ β, which can
-        // never admit — so only withheld rows are touched here.)
-        // Probabilities were synced before gating and nothing has changed
-        // them since, so the memoized exact values are still current.
-        let rescored = ResultSet::rescore_exact_cached(
-            &mut withheld,
-            &skipped,
-            &mut self.cache,
-            &self.config.evaluator,
-        )?;
-        tally.exact_rescored = Some(rescored as u64);
+        // Strategy finding (Figure 1, steps 5–6). It reads each withheld
+        // row's lineage and the catalog's base confidences, never a row's
+        // scored confidence, so a β-skipped row (which carries its upper
+        // bound) needs no exact re-scoring first.
         let ctx = improve::ProposeContext {
             catalog: &self.catalog,
             costs: &self.costs,
@@ -878,8 +861,6 @@ struct Evaluated {
     /// The rows the policy withheld, in row order; a β-skipped row carries
     /// its confidence upper bound.
     withheld: Vec<ScoredTuple>,
-    /// Per withheld row: whether β-gating skipped its exact evaluation.
-    skipped: Vec<bool>,
     /// Rows whose exact evaluation β-gating skipped.
     exact_skipped: usize,
     /// Results the user asked for (⌈perc · n⌉).
@@ -900,8 +881,6 @@ struct Tally {
     profile: Option<ExecProfile>,
     /// `lineage.exact_skipped`.
     exact_skipped: Option<u64>,
-    /// `lineage.exact_rescored`.
-    exact_rescored: Option<u64>,
     /// The circuit cache's `lineage.*` activity; zero deltas are not
     /// emitted, so an engine that never scored a row records none.
     cache: Option<pcqe_lineage::CacheStats>,
@@ -916,7 +895,6 @@ impl Tally {
             recorder: Arc::clone(recorder),
             profile: None,
             exact_skipped: None,
-            exact_rescored: None,
             cache: None,
             decision: None,
         }
@@ -938,7 +916,6 @@ impl Drop for Tally {
                 rows_out.map(|n| ("exec.rows_out", n)),
                 lineage_nodes.map(|n| ("exec.lineage_nodes", n)),
                 self.exact_skipped.map(|n| ("lineage.exact_skipped", n)),
-                self.exact_rescored.map(|n| ("lineage.exact_rescored", n)),
                 activity("lineage.circuit_compiled", cache.compiled),
                 activity("lineage.cache_hit", cache.hits()),
                 activity("lineage.cache_invalidated", cache.invalidated),
@@ -1494,21 +1471,17 @@ mod tests {
             .unwrap();
         assert_eq!(resp.released.len(), 1);
         assert!((resp.released[0].confidence - 0.855).abs() < 1e-12);
-        let snap = db.metrics_snapshot();
-        assert_eq!(snap.counter("lineage.exact_skipped"), 1);
-        assert_eq!(snap.counter("lineage.exact_rescored"), 0);
+        assert_eq!(db.metrics_snapshot().counter("lineage.exact_skipped"), 1);
 
-        // θ = 1.0 pulls the withheld row into strategy finding, which is
-        // exempt from gating: the row is re-scored exactly first.
+        // θ = 1.0 pulls the withheld row into strategy finding, still
+        // unscored: strategy finding reads its lineage, not its confidence.
         let resp = db.query(&user, &QueryRequest::new(sql, "p")).unwrap();
-        let snap = db.metrics_snapshot();
-        assert_eq!(snap.counter("lineage.exact_skipped"), 2);
-        assert_eq!(snap.counter("lineage.exact_rescored"), 1);
+        assert_eq!(db.metrics_snapshot().counter("lineage.exact_skipped"), 2);
         let proposal = resp.proposal.expect("a strategy exists");
 
-        // The proposal was built from the hopeless row's exact confidence
-        // (0.18), not its bound: raising a.x=1 from 0.2 to 0.6 lifts the
-        // row to 0.54 > β, and previewing it releases both rows.
+        // The proposal was built from the row's lineage over the base
+        // confidences, not its bound: raising a.x=1 from 0.2 to 0.6 lifts
+        // the row to 0.54 > β, and previewing it releases both rows.
         assert_eq!(proposal.increments.len(), 1);
         assert!((proposal.increments[0].to - 0.6).abs() < 1e-12);
         let request = QueryRequest::new(sql, "p");

@@ -2,10 +2,17 @@
 //!
 //! Layout: `<dir>/manifest.tsv` describes tables, their equality indexes,
 //! policies, the role hierarchy and cost functions in a line-based
-//! tab-separated format (a manifest without `index` lines — every one
-//! written before indexes were saved — loads as a database without), and
-//! each table's rows live in `<dir>/<table>.csv` (written with explicit
-//! tuple ids so lineage and cost functions survive the round trip).
+//! tab-separated format, and each table's rows live in `<dir>/<table>.csv`
+//! (written with explicit tuple ids so lineage and cost functions survive
+//! the round trip).
+//!
+//! Nothing torn or altered loads. Each table's `end` line carries the
+//! FNV-1a checksum of its CSV file, and the manifest's last line is a
+//! `checksum` over every byte before it; [`load`] verifies all of them
+//! before it builds anything. A manifest cut short at a line boundary is
+//! otherwise well-formed — and the lines it loses can be the policies that
+//! keep rows back — so a missing, truncated or bit-flipped file is
+//! refused whole, never read as a smaller database.
 //!
 //! Names containing tabs or newlines are rejected at save time; a role or
 //! purpose literally named `*` cannot be distinguished from the wildcard
@@ -19,9 +26,22 @@ use pcqe_cost::CostFn;
 use pcqe_policy::{ConfidencePolicy, PurposeSpec, Role, SubjectSpec};
 use pcqe_storage::csv::{load_into, write_table_with_ids};
 use pcqe_storage::{Column, DataType, Schema, StorageError, TupleId};
+use std::collections::BTreeMap;
 use std::fs;
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::path::Path;
+
+/// The manifest's first line: the format and its version.
+const HEADER: &str = "pcqe-manifest\tv2";
+
+/// The 64-bit FNV-1a checksum of a saved file, as the manifest spells it
+/// (16 lowercase hex digits).
+fn checksum(bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
 
 fn persist_err(message: impl Into<String>) -> EngineError {
     EngineError::Storage(StorageError::Csv {
@@ -47,7 +67,7 @@ fn check_name(name: &str) -> Result<&str> {
 /// `dir`, creating it if needed. The engine configuration and estimator state are not saved.
 pub fn save(db: &Database, dir: &Path) -> Result<()> {
     fs::create_dir_all(dir).map_err(|e| persist_err(format!("create {dir:?}: {e}")))?;
-    let mut manifest = String::from("pcqe-manifest\tv1\n");
+    let mut manifest = format!("{HEADER}\n");
 
     for name in db.catalog.table_names() {
         check_name(name)?;
@@ -57,10 +77,10 @@ pub fn save(db: &Database, dir: &Path) -> Result<()> {
             check_name(&c.name)?;
             manifest.push_str(&format!("column\t{}\t{}\n", c.name, c.data_type));
         }
-        manifest.push_str("end\n");
         let mut out = Vec::new();
         write_table_with_ids(table, &mut out)
             .map_err(|e| persist_err(format!("serialise `{name}`: {e}")))?;
+        manifest.push_str(&format!("end\t{}\n", checksum(&out)));
         fs::write(dir.join(format!("{name}.csv")), out)
             .map_err(|e| persist_err(format!("write `{name}.csv`: {e}")))?;
     }
@@ -111,6 +131,7 @@ pub fn save(db: &Database, dir: &Path) -> Result<()> {
     for (id, cost) in &db.costs {
         manifest.push_str(&format!("cost\t{}\t{}\n", id.0, encode_cost(cost)?));
     }
+    manifest.push_str(&format!("checksum\t{}\n", checksum(manifest.as_bytes())));
 
     let mut f = fs::File::create(dir.join("manifest.tsv"))
         .map_err(|e| persist_err(format!("write manifest: {e}")))?;
@@ -119,15 +140,47 @@ pub fn save(db: &Database, dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Load a database saved by [`save`], with a fresh configuration.
+/// Load a database saved by [`save`], with a fresh configuration. The
+/// manifest and every table file are checked against their checksums
+/// first: a missing, truncated or altered file is an error, and nothing
+/// is built.
 pub fn load(dir: &Path, config: EngineConfig) -> Result<Database> {
     let manifest = fs::read_to_string(dir.join("manifest.tsv"))
         .map_err(|e| persist_err(format!("read manifest: {e}")))?;
-    let mut lines = manifest.lines().enumerate();
-    match lines.next() {
-        Some((_, "pcqe-manifest\tv1")) => {}
-        _ => return Err(persist_err("bad manifest header")),
+    // The last line checksums every byte before it.
+    let torn = || persist_err("manifest is truncated or altered: its checksum does not match");
+    let (body, sum) = manifest.rsplit_once("checksum\t").ok_or_else(torn)?;
+    if !body.ends_with('\n') || sum.strip_suffix('\n') != Some(&checksum(body.as_bytes())) {
+        return Err(torn());
     }
+    let mut lines = body.lines().enumerate();
+    if lines.next() != Some((0, HEADER)) {
+        return Err(persist_err("bad manifest header"));
+    }
+    // Each table file is read and checked against its `end` line before
+    // anything is built.
+    let mut csvs: BTreeMap<&str, Vec<u8>> = BTreeMap::new();
+    let mut open: Option<&str> = None;
+    for line in body.lines() {
+        match line.split_once('\t') {
+            Some(("table", name)) => open = Some(name),
+            Some(("end", sum)) => {
+                let name = open
+                    .take()
+                    .ok_or_else(|| persist_err("`end` outside a table"))?;
+                let csv = fs::read(dir.join(format!("{name}.csv")))
+                    .map_err(|e| persist_err(format!("read `{name}.csv`: {e}")))?;
+                if checksum(&csv) != sum {
+                    return Err(persist_err(format!(
+                        "`{name}.csv` is truncated or altered: its checksum is not the manifest's"
+                    )));
+                }
+                csvs.insert(name, csv);
+            }
+            _ => {}
+        }
+    }
+
     let mut db = Database::new(config);
     let mut pending_columns: Option<(String, Vec<Column>)> = None;
     for (i, line) in lines {
@@ -151,14 +204,15 @@ pub fn load(dir: &Path, config: EngineConfig) -> Result<Database> {
                 };
                 cols.push(Column::new(*name, dt));
             }
-            (["end"], slot @ Some(_)) => {
+            (["end", _], slot @ Some(_)) => {
                 let Some((name, cols)) = slot.take() else {
                     return Err(bad("`end` without an open table"));
                 };
+                let csv = csvs
+                    .remove(name.as_str())
+                    .ok_or_else(|| bad("unchecked table"))?;
                 db.create_table(&name, Schema::new(cols)?)?;
-                let file = fs::File::open(dir.join(format!("{name}.csv")))
-                    .map_err(|e| persist_err(format!("open `{name}.csv`: {e}")))?;
-                load_into(&mut db.catalog, &name, BufReader::new(file))?;
+                load_into(&mut db.catalog, &name, csv.as_slice())?;
             }
             (["index", table, column], None) => {
                 db.create_index(table, column)
@@ -357,23 +411,26 @@ mod tests {
     fn load_rejects_corrupt_manifests() {
         let dir = temp_dir("corrupt");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("manifest.tsv"), "not a manifest\n").unwrap();
-        assert!(load(&dir, EngineConfig::default()).is_err());
-        fs::write(
-            dir.join("manifest.tsv"),
-            "pcqe-manifest\tv1\ntable\tt\ncolumn\tx\tINT\n",
-        )
-        .unwrap();
-        assert!(
-            load(&dir, EngineConfig::default()).is_err(),
-            "unterminated table"
-        );
-        fs::write(
-            dir.join("manifest.tsv"),
-            "pcqe-manifest\tv1\ncost\t0\tmystery\t1\n",
-        )
-        .unwrap();
-        assert!(load(&dir, EngineConfig::default()).is_err());
+        let sealed = |body: &str| format!("{body}checksum\t{}\n", checksum(body.as_bytes()));
+        for (manifest, what) in [
+            ("not a manifest\n".to_owned(), "no checksum"),
+            (sealed("not a manifest\n"), "no header"),
+            (sealed("pcqe-manifest\tv1\n"), "the format before checksums"),
+            (
+                sealed("pcqe-manifest\tv2\ntable\tt\ncolumn\tx\tINT\n"),
+                "unterminated table",
+            ),
+            (
+                sealed("pcqe-manifest\tv2\ncost\t0\tmystery\t1\n"),
+                "unknown cost",
+            ),
+        ] {
+            fs::write(dir.join("manifest.tsv"), manifest).unwrap();
+            assert!(load(&dir, EngineConfig::default()).is_err(), "{what}");
+        }
+        // The same directory sealed whole loads.
+        fs::write(dir.join("manifest.tsv"), sealed("pcqe-manifest\tv2\n")).unwrap();
+        assert!(load(&dir, EngineConfig::default()).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 

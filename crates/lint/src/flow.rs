@@ -55,38 +55,11 @@
 //! exercises is **PCQE-F004**, reported with the rest of the manifest
 //! hygiene by [`crate::spec::Spec::hygiene`].
 
-use crate::graph::CallGraph;
-use crate::item::CallKind;
+use crate::graph::{witness, CallGraph};
+use crate::item::{CallKind, PANIC_MACROS, PRINT_MACROS, WRITE_MACROS};
 use crate::rules::{Finding, Rule};
 use crate::spec::{SinkKind, Spec, TaintKind, MANIFEST};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// One hop of a taint-flow witness: the function carrying the taint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowHop {
-    /// Qualified function name (`crate::Owner::fn`).
-    pub name: String,
-    /// File the hop lives in.
-    pub path: String,
-    /// 1-based line: the call site handing taint onward, or the sink
-    /// site itself for the final hop.
-    pub line: u32,
-}
-
-/// Witness flow paths keyed by the finding they belong to — a side
-/// table so [`Finding`] keeps its shape; the SARIF export turns these
-/// into code flows.
-pub type Witnesses = BTreeMap<(String, u32, String), Vec<FlowHop>>;
-
-/// Panic-family macros: their payload is an error-class sink.
-const PANIC_FAMILY: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
-
-/// Print-family macros: the shell sink class.
-const PRINT_FAMILY: [&str; 4] = ["print", "println", "eprint", "eprintln"];
-
-/// Write-family macros: an error-class sink *inside `fmt` methods* (the
-/// formatted representation of the type escapes with the value).
-const WRITE_FAMILY: [&str; 2] = ["write", "writeln"];
+use std::collections::BTreeSet;
 
 /// Explicit `pcqe_obs::…` path calls are always trace sinks; other obs
 /// entry points (method calls on a tracer/observer) must be declared.
@@ -144,13 +117,10 @@ pub fn dataflow(
     exercised: &mut [bool],
     out: &mut Vec<Finding>,
     suppressed: &mut Vec<(Finding, String)>,
-    witnesses: &mut Witnesses,
 ) {
     let sinks = collect_sinks(graph, spec);
     for kind in TaintKind::all() {
-        check_kind(
-            graph, spec, kind, &sinks, exercised, out, suppressed, witnesses,
-        );
+        check_kind(graph, spec, kind, &sinks, exercised, out, suppressed);
     }
 }
 
@@ -160,15 +130,17 @@ fn collect_sinks(graph: &CallGraph, spec: &Spec) -> Vec<Vec<SinkSite>> {
     let extra_trace = spec.sink_functions_of(SinkKind::Trace);
     let extra_shell = spec.sink_functions_of(SinkKind::Shell);
     let mut out: Vec<Vec<SinkSite>> = Vec::with_capacity(graph.fns.len());
-    for (i, node) in graph.fns.iter().enumerate() {
+    for node in &graph.fns {
         let mut sites: Vec<SinkSite> = Vec::new();
         let in_fmt_method = node.name == "fmt" && node.owner.is_some();
         for f in &node.fmts {
-            let (class, desc) = if PANIC_FAMILY.contains(&f.name.as_str()) {
+            // A `write!` is a sink only inside a `fmt` method: the formatted
+            // representation of the type escapes with the value.
+            let (class, desc) = if PANIC_MACROS.contains(&f.name.as_str()) {
                 (SinkKind::Error, format!("panic payload `{}!`", f.name))
-            } else if PRINT_FAMILY.contains(&f.name.as_str()) {
+            } else if PRINT_MACROS.contains(&f.name.as_str()) {
                 (SinkKind::Shell, format!("shell output `{}!`", f.name))
-            } else if in_fmt_method && WRITE_FAMILY.contains(&f.name.as_str()) {
+            } else if in_fmt_method && WRITE_MACROS.contains(&f.name.as_str()) {
                 (
                     SinkKind::Error,
                     format!(
@@ -189,7 +161,7 @@ fn collect_sinks(graph: &CallGraph, spec: &Spec) -> Vec<Vec<SinkSite>> {
                 calls: f.calls.clone(),
             });
         }
-        for call in &graph.calls[i] {
+        for call in &node.calls {
             let callee = call.segs.last().cloned().unwrap_or_default();
             let qualified = call.segs.join("::");
             let window = || call.args.iter().flatten().cloned().collect::<BTreeSet<_>>();
@@ -249,8 +221,26 @@ fn collect_sinks(graph: &CallGraph, spec: &Spec) -> Vec<Vec<SinkSite>> {
     out
 }
 
+/// The names of the functions whose return value carries the taint and
+/// that a mention may match: a hot *method* name is not tainted-by-mention
+/// (`x.eval(…)` could be any type's `eval`, the same smear that rules
+/// method calls out of hand-off). Free functions are unambiguous, and a
+/// name the manifest declared is tainted by fiat.
+fn hot_fn_names<'g>(
+    graph: &'g CallGraph,
+    hot_fn: &[bool],
+    declared_fns: &BTreeSet<&str>,
+) -> BTreeSet<&'g str> {
+    graph
+        .fns
+        .iter()
+        .zip(hot_fn)
+        .filter(|&(f, &hot)| hot && (f.owner.is_none() || declared_fns.contains(f.name.as_str())))
+        .map(|(f, _)| f.name.as_str())
+        .collect()
+}
+
 /// Propagate one taint kind to fixpoint and report its sink hits.
-#[allow(clippy::too_many_arguments)]
 fn check_kind(
     graph: &CallGraph,
     spec: &Spec,
@@ -259,7 +249,6 @@ fn check_kind(
     exercised: &mut [bool],
     out: &mut Vec<Finding>,
     suppressed: &mut Vec<(Finding, String)>,
-    witnesses: &mut Witnesses,
 ) {
     let rule = rule_of(kind);
     let classes = sinks_of(kind);
@@ -282,23 +271,11 @@ fn check_kind(
         .collect();
     let mut param_taint: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
     let mut derived: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut pred: Vec<Option<(usize, u32)>> = vec![None; n];
+    let mut pred: Vec<Option<usize>> = vec![None; n];
 
     loop {
         let mut changed = false;
-        // A hot *method* name is not tainted-by-mention: `x.eval(…)`
-        // could be any type's `eval`, the same smear that rules method
-        // calls out of hand-off. Free functions are unambiguous, and a
-        // name the manifest declared is tainted by fiat.
-        let hot_names: BTreeSet<&str> = graph
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|&(i, f)| {
-                hot_fn[i] && (f.owner.is_none() || declared_fns.contains(f.name.as_str()))
-            })
-            .map(|(_, f)| f.name.as_str())
-            .collect();
+        let hot_names = hot_fn_names(graph, &hot_fn, &declared_fns);
         for i in 0..n {
             let node = &graph.fns[i];
             let params_i = param_taint[i].clone();
@@ -356,7 +333,7 @@ fn check_kind(
             // Interprocedural hand-off by argument position, path calls
             // only (method edges over-approximate too wildly to carry
             // taint — see the module docs).
-            for call in &graph.calls[i] {
+            for call in &node.calls {
                 if call.kind != CallKind::Path {
                     continue;
                 }
@@ -372,7 +349,7 @@ fn check_kind(
                         if param_taint[t].insert(pname.clone()) {
                             changed = true;
                             if pred[t].is_none() && t != i {
-                                pred[t] = Some((i, call.line));
+                                pred[t] = Some(i);
                             }
                         }
                     }
@@ -384,15 +361,7 @@ fn check_kind(
         }
     }
     // The final hot set, for matching sink-window call positions below.
-    let hot_names: BTreeSet<&str> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|&(i, f)| {
-            hot_fn[i] && (f.owner.is_none() || declared_fns.contains(f.name.as_str()))
-        })
-        .map(|(_, f)| f.name.as_str())
-        .collect();
+    let hot_names = hot_fn_names(graph, &hot_fn, &declared_fns);
 
     // --- Sink hits -----------------------------------------------------
     let mut seen: BTreeSet<(String, u32, String)> = BTreeSet::new();
@@ -420,12 +389,7 @@ fn check_kind(
             if !seen.insert(key) {
                 continue;
             }
-            let chain = witness_chain(graph, &pred, i, site.line);
-            let via = chain
-                .iter()
-                .map(|h| h.name.as_str())
-                .collect::<Vec<_>>()
-                .join(" → ");
+            let via = witness(graph, &pred, i);
             let finding = Finding {
                 rule,
                 path: node.path.clone(),
@@ -447,47 +411,10 @@ fn check_kind(
                     exercised[idx] = true;
                     suppressed.push((finding, spec.sanctions[idx].reason.clone()));
                 }
-                None => {
-                    witnesses.insert(
-                        (node.path.clone(), site.line, rule.code().to_owned()),
-                        chain,
-                    );
-                    out.push(finding);
-                }
+                None => out.push(finding),
             }
         }
     }
-}
-
-/// Walk the predecessor links from the sink function back to the taint
-/// origin, rendering the hop list origin-first (the sink hop carries
-/// the sink line).
-fn witness_chain(
-    graph: &CallGraph,
-    pred: &[Option<(usize, u32)>],
-    sink_fn: usize,
-    sink_line: u32,
-) -> Vec<FlowHop> {
-    let mut hops = vec![FlowHop {
-        name: graph.fns[sink_fn].qualified(),
-        path: graph.fns[sink_fn].path.clone(),
-        line: sink_line,
-    }];
-    let mut visited = BTreeSet::from([sink_fn]);
-    let mut j = sink_fn;
-    while let Some((p, line)) = pred[j] {
-        if !visited.insert(p) {
-            break; // defensive: first-wins links should be acyclic
-        }
-        hops.push(FlowHop {
-            name: graph.fns[p].qualified(),
-            path: graph.fns[p].path.clone(),
-            line,
-        });
-        j = p;
-    }
-    hops.reverse();
-    hops
 }
 
 #[cfg(test)]
@@ -506,30 +433,19 @@ mod tests {
                 collect(path, &toks, &mask)
             })
             .collect();
-        CallGraph::build(&items)
+        CallGraph::build(items)
     }
 
-    fn run(
-        files: &[(&str, &str)],
-        manifest: &str,
-    ) -> (Vec<Finding>, Vec<(Finding, String)>, Witnesses) {
+    fn run(files: &[(&str, &str)], manifest: &str) -> (Vec<Finding>, Vec<(Finding, String)>) {
         let graph = graph_of(files);
         let spec = crate::spec::parse(manifest, MANIFEST).unwrap();
         let mut exercised = spec.usage().sanctions_hit;
         let mut out = Vec::new();
         let mut suppressed = Vec::new();
-        let mut witnesses = Witnesses::new();
-        dataflow(
-            &graph,
-            &spec,
-            &mut exercised,
-            &mut out,
-            &mut suppressed,
-            &mut witnesses,
-        );
+        dataflow(&graph, &spec, &mut exercised, &mut out, &mut suppressed);
         // An exercised sanction is exactly one that suppressed a flow.
         assert_eq!(exercised.contains(&true), !suppressed.is_empty());
-        (out, suppressed, witnesses)
+        (out, suppressed)
     }
 
     const POLICY_SRC: &str = "[[source]]\nkind = \"policy\"\nnames = [\"beta\", \"threshold\"]\n\
@@ -537,7 +453,7 @@ mod tests {
 
     #[test]
     fn f002_catches_beta_reaching_shell_and_error_ctor() {
-        let (out, _, w) = run(
+        let (out, _) = run(
             &[(
                 "crates/policy/src/policy.rs",
                 "pub fn check(beta: f64) -> Result<(), PolicyError> {\n\
@@ -558,18 +474,13 @@ mod tests {
         assert!(out[1]
             .message
             .contains("error constructor `PolicyError::InvalidThreshold`"));
-        assert!(w.contains_key(&(
-            "crates/policy/src/policy.rs".to_owned(),
-            3,
-            "PCQE-F002".to_owned()
-        )));
     }
 
     #[test]
     fn f001_follows_let_chains_and_source_functions() {
         let manifest = "[[source]]\nkind = \"suppressed\"\nfunctions = [\"withheld_tuples\"]\n\
                         reason = \"the failing side of the gate\"\n";
-        let (out, _, _) = run(
+        let (out, _) = run(
             &[(
                 "crates/engine/src/database.rs",
                 "pub fn report() -> Result<(), EngineError> {\n\
@@ -590,7 +501,7 @@ mod tests {
 
     #[test]
     fn interprocedural_two_hop_witness_names_every_function() {
-        let (out, _, w) = run(
+        let (out, _) = run(
             &[
                 (
                     "crates/policy/src/a.rs",
@@ -613,14 +524,8 @@ mod tests {
             "witness missing in: {}",
             out[0].message
         );
-        let hops = &w[&(
-            "crates/policy/src/b.rs".to_owned(),
-            2,
-            "PCQE-F002".to_owned(),
-        )];
-        assert_eq!(hops.len(), 3);
-        assert_eq!(hops[0].path, "crates/policy/src/a.rs");
-        assert_eq!(hops[2].line, 2);
+        assert_eq!(out[0].path, "crates/policy/src/b.rs");
+        assert_eq!(out[0].line, 2);
     }
 
     #[test]
@@ -646,7 +551,7 @@ mod tests {
                  impl Tracer { pub fn decision(&self, c: f64) { let _ = c; } }\n",
             ),
         ];
-        let (out, suppressed, _) = run(&files, manifest);
+        let (out, suppressed) = run(&files, manifest);
         // The println is not a trace sink, so confidence may pass it;
         // the obs call is sanctioned as the Decision-record channel.
         assert!(out.is_empty(), "{out:#?}");
@@ -659,7 +564,7 @@ mod tests {
                     reason = \"pre-gate scores\"\n\
                     [[sink]]\nkind = \"trace\"\nfunctions = [\"decision\"]\n\
                     reason = \"tracer method the engine calls\"\n";
-        let (out, suppressed, _) = run(&files, bare);
+        let (out, suppressed) = run(&files, bare);
         assert_eq!(out.len(), 1, "{out:#?}");
         assert_eq!(out[0].rule, Rule::F003);
         assert!(out[0].message.contains("declared trace sink"));
@@ -669,7 +574,7 @@ mod tests {
         // resolution is too coarse to classify sinks structurally.
         let undeclared = "[[source]]\nkind = \"confidence\"\nnames = [\"confidence\"]\n\
                           reason = \"pre-gate scores\"\n";
-        let (out, suppressed, _) = run(&files, undeclared);
+        let (out, suppressed) = run(&files, undeclared);
         assert!(out.is_empty(), "{out:#?}");
         assert!(suppressed.is_empty());
     }
@@ -681,7 +586,7 @@ mod tests {
         // returns a *call to* the hot fn without naming a source — that
         // indirect evidence must NOT promote it, or every `map`/`run`
         // in the workspace ends up hot.
-        let (out, _, _) = run(
+        let (out, _) = run(
             &[
                 (
                     "crates/policy/src/a.rs",
@@ -708,7 +613,7 @@ mod tests {
 
     #[test]
     fn display_impl_writes_are_error_sinks() {
-        let (out, _, _) = run(
+        let (out, _) = run(
             &[(
                 "crates/engine/src/audit.rs",
                 "impl std::fmt::Display for AuditEntry {\n\
@@ -732,15 +637,7 @@ mod tests {
         )]);
         let mut out = Vec::new();
         let mut suppressed = Vec::new();
-        let mut witnesses = Witnesses::new();
-        dataflow(
-            &graph,
-            &Spec::default(),
-            &mut [],
-            &mut out,
-            &mut suppressed,
-            &mut witnesses,
-        );
-        assert!(out.is_empty() && suppressed.is_empty() && witnesses.is_empty());
+        dataflow(&graph, &Spec::default(), &mut [], &mut out, &mut suppressed);
+        assert!(out.is_empty() && suppressed.is_empty());
     }
 }

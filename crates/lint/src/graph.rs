@@ -1,11 +1,13 @@
 //! Layer 2 of the analyzer: the workspace call graph and the rules that
 //! are *reachability* properties rather than token windows. (Layer 3 —
 //! the confidentiality dataflow in [`crate::flow`] — runs over the same
-//! graph, consuming the per-call argument sets and def-use chains
-//! recorded here.)
+//! graph, consuming the per-call argument sets and def-use chains the
+//! item parser recorded on each node.)
 //!
 //! [`CallGraph::build`] links the per-file items from [`crate::item`]
-//! into one workspace graph using conservative, name-based resolution:
+//! into one workspace graph — its nodes are those [`FnItem`]s, each call
+//! site filled in with the nodes it may reach — using conservative,
+//! name-based resolution:
 //!
 //! * **bare and path calls** resolve through the file's `use` aliases,
 //!   then by `(crate, name)` for free functions and `(Type, name)` for
@@ -39,14 +41,12 @@
 //!   covers the direct constructs there.
 //! * **PCQE-G001** — BFS from the `Database` query entry points that
 //!   stops at any function calling the policy gate
-//!   (`evaluate_results`): a function that constructs [`ReleasedTuple`]s
+//!   (`evaluate_results`): a function that constructs `ReleasedTuple`s
 //!   on a still-ungated path is a finding. The gate dominates everything
 //!   below it, so rows built under it are policy-filtered by
 //!   construction.
-//!
-//! [`ReleasedTuple`]: https://en.wikipedia.org/wiki/Access_control
 
-use crate::item::{Bind, CallKind, FileItems, FmtSite, PanicKind};
+use crate::item::{CallKind, FileItems, FnItem, PanicKind};
 use crate::rules::{FileClass, Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -67,108 +67,28 @@ const RELEASED_TYPE: &str = "ReleasedTuple";
 /// [`is_entry_name`].
 const ENTRY_OWNER: &str = "Database";
 
-/// One function node in the workspace graph.
-#[derive(Debug, Clone)]
-pub struct FnNode {
-    /// File the function lives in (`/`-separated, relative).
-    pub path: String,
-    /// Crate (underscore form).
-    pub crate_name: String,
-    /// Function name.
-    pub name: String,
-    /// `impl`/`trait` owner type, if any.
-    pub owner: Option<String>,
-    /// Unrestricted `pub`.
-    pub is_public: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Panic sites in the body.
-    pub panics: Vec<crate::item::PanicSite>,
-    /// Last segments of every call in the body (gate detection).
-    pub calls_names: BTreeSet<String>,
-    /// Identifiers mentioned in the body (emitter detection).
-    pub mentions: BTreeSet<String>,
-    /// Parameter names in declaration order (layer 3: interprocedural
-    /// taint hand-off by argument position).
-    pub params: Vec<String>,
-    /// `let` bindings in source order (layer 3: intraprocedural def-use).
-    pub binds: Vec<Bind>,
-    /// Formatting-macro sites in source order (layer 3: sink detection).
-    pub fmts: Vec<FmtSite>,
-    /// Identifiers feeding `return` expressions and the trailing
-    /// expression (layer 3: return-value taint).
-    pub ret_idents: BTreeSet<String>,
-}
-
-impl FnNode {
-    /// Render `crate::Owner::name` / `crate::name` for witness paths.
-    pub fn qualified(&self) -> String {
-        match &self.owner {
-            Some(o) => format!("{}::{}::{}", self.crate_name, o, self.name),
-            None => format!("{}::{}", self.crate_name, self.name),
-        }
-    }
-}
-
-/// One call site of a function with its resolved targets, kept in body
-/// order for the layer-3 taint hand-off.
-#[derive(Debug, Clone)]
-pub struct ResolvedCall {
-    /// 1-based line of the call.
-    pub line: u32,
-    /// Bare/path call vs. method call.
-    pub kind: CallKind,
-    /// Path segments as written (`Type::f` → `["Type", "f"]`), for the
-    /// layer-3 structural sink classes (error constructors).
-    pub segs: Vec<String>,
-    /// Identifiers per top-level argument, format-string captures
-    /// included (layer 3: arg-position taint hand-off).
-    pub args: Vec<BTreeSet<String>>,
-    /// Call-position identifiers per argument ([`CallSite::arg_calls`]).
-    pub arg_calls: Vec<BTreeSet<String>>,
-    /// Sorted, deduplicated node indexes this call may reach.
-    pub targets: Vec<usize>,
-}
-
 /// The resolved workspace call graph.
 #[derive(Debug)]
 pub struct CallGraph {
     /// Nodes in deterministic order: files in walk order, functions in
-    /// source order.
-    pub fns: Vec<FnNode>,
+    /// source order. Every call site's `targets` is resolved.
+    pub fns: Vec<FnItem>,
     /// `edges[i]` = sorted, deduplicated callee indexes of `fns[i]`.
     pub edges: Vec<Vec<usize>>,
-    /// `calls[i]` = resolved call sites of `fns[i]` in body order.
-    pub calls: Vec<Vec<ResolvedCall>>,
 }
 
 impl CallGraph {
     /// Link per-file items into one workspace graph.
-    pub fn build(files: &[FileItems]) -> CallGraph {
+    pub fn build(files: Vec<FileItems>) -> CallGraph {
         // --- Nodes -----------------------------------------------------
-        let mut fns: Vec<FnNode> = Vec::new();
-        for file in files {
-            for f in &file.fns {
-                fns.push(FnNode {
-                    path: file.path.clone(),
-                    crate_name: file.crate_name.clone(),
-                    name: f.name.clone(),
-                    owner: f.owner.clone(),
-                    is_public: f.is_public,
-                    line: f.line,
-                    panics: f.panics.clone(),
-                    calls_names: f
-                        .calls
-                        .iter()
-                        .filter_map(|c| c.segs.last().cloned())
-                        .collect(),
-                    mentions: f.mentions.clone(),
-                    params: f.params.clone(),
-                    binds: f.binds.clone(),
-                    fmts: f.fmts.clone(),
-                    ret_idents: f.ret_idents.clone(),
-                });
-            }
+        // Each node remembers which file's `use` aliases resolve its calls.
+        let mut fns: Vec<FnItem> = Vec::new();
+        let mut scope: Vec<usize> = Vec::new();
+        let mut imports = Vec::new();
+        for (k, file) in files.into_iter().enumerate() {
+            imports.push(file.imports);
+            scope.extend(std::iter::repeat_n(k, file.fns.len()));
+            fns.extend(file.fns);
         }
 
         // --- Resolution indexes ---------------------------------------
@@ -194,50 +114,41 @@ impl CallGraph {
         }
 
         // --- Edges -----------------------------------------------------
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        let mut calls: Vec<Vec<ResolvedCall>> = vec![Vec::new(); fns.len()];
-        let mut idx = 0usize;
-        for file in files {
-            let aliases: BTreeMap<&str, &[String]> = file
-                .imports
-                .iter()
-                .map(|u| (u.alias.as_str(), u.segs.as_slice()))
-                .collect();
-            for f in &file.fns {
-                let mut targets: BTreeSet<usize> = BTreeSet::new();
-                for call in &f.calls {
-                    let mut site: BTreeSet<usize> = BTreeSet::new();
-                    match call.kind {
-                        CallKind::Method => {
-                            if let Some(hits) = methods.get(&call.segs[0]) {
-                                site.extend(hits.iter().copied());
-                            }
+        let aliases: Vec<BTreeMap<&str, &[String]>> = imports
+            .iter()
+            .map(|uses| {
+                uses.iter()
+                    .map(|u| (u.alias.as_str(), u.segs.as_slice()))
+                    .collect()
+            })
+            .collect();
+        let mut edges: Vec<Vec<usize>> = Vec::with_capacity(fns.len());
+        for (f, &k) in fns.iter_mut().zip(&scope) {
+            let mut targets: BTreeSet<usize> = BTreeSet::new();
+            for call in &mut f.calls {
+                let mut site: BTreeSet<usize> = BTreeSet::new();
+                match call.kind {
+                    CallKind::Method => {
+                        if let Some(hits) = methods.get(&call.segs[0]) {
+                            site.extend(hits.iter().copied());
                         }
-                        CallKind::Path => resolve_path(
-                            &call.segs,
-                            &file.crate_name,
-                            f.owner.as_deref(),
-                            &aliases,
-                            &free,
-                            &assoc,
-                            &mut site,
-                        ),
                     }
-                    targets.extend(site.iter().copied());
-                    calls[idx].push(ResolvedCall {
-                        line: call.line,
-                        kind: call.kind,
-                        segs: call.segs.clone(),
-                        args: call.args.clone(),
-                        arg_calls: call.arg_calls.clone(),
-                        targets: site.into_iter().collect(),
-                    });
+                    CallKind::Path => resolve_path(
+                        &call.segs,
+                        &f.crate_name,
+                        f.owner.as_deref(),
+                        &aliases[k],
+                        &free,
+                        &assoc,
+                        &mut site,
+                    ),
                 }
-                edges[idx] = targets.into_iter().collect();
-                idx += 1;
+                targets.extend(site.iter().copied());
+                call.targets = site.into_iter().collect();
             }
+            edges.push(targets.into_iter().collect());
         }
-        CallGraph { fns, edges, calls }
+        CallGraph { fns, edges }
     }
 }
 
@@ -338,31 +249,59 @@ fn query_entry_roots(graph: &CallGraph) -> Vec<usize> {
         .collect()
 }
 
-/// Rule P002: panic constructs reachable from guarded public API, with a
-/// deterministic shortest witness path per panic site.
-pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
-    // Multi-source BFS with predecessor tracking. Roots are seeded in
-    // node order and adjacency lists are sorted, so discovery order —
-    // and therefore every witness path — is deterministic.
+/// Multi-source BFS from `roots` that does not expand past a node where
+/// `stop` holds: which nodes it reached, and each reached node's BFS
+/// predecessor (`None` for a root). Roots are seeded in the order given
+/// and adjacency lists are sorted, so discovery order — and therefore
+/// every witness path — is deterministic.
+fn reach(
+    graph: &CallGraph,
+    roots: impl IntoIterator<Item = usize>,
+    stop: impl Fn(usize) -> bool,
+) -> (Vec<bool>, Vec<Option<usize>>) {
     let n = graph.fns.len();
-    let mut pred: Vec<usize> = vec![usize::MAX; n];
-    let mut reached = vec![false; n];
+    let (mut reached, mut pred) = (vec![false; n], vec![None; n]);
     let mut queue: VecDeque<usize> = VecDeque::new();
-    for (i, node) in graph.fns.iter().enumerate() {
-        if node.is_public && PANIC_ROOT_CRATES.contains(&node.crate_name.as_str()) {
-            reached[i] = true;
-            queue.push_back(i);
-        }
+    for i in roots {
+        reached[i] = true;
+        queue.push_back(i);
     }
     while let Some(u) = queue.pop_front() {
+        if stop(u) {
+            continue;
+        }
         for &v in &graph.edges[u] {
             if !reached[v] {
                 reached[v] = true;
-                pred[v] = u;
+                pred[v] = Some(u);
                 queue.push_back(v);
             }
         }
     }
+    (reached, pred)
+}
+
+/// Render the witness chain `origin → … → node` by following `pred` back
+/// from node `i` (stopping, defensively, at a node already on the chain).
+/// Shared by the reachability rules and the dataflow layer.
+pub(crate) fn witness(graph: &CallGraph, pred: &[Option<usize>], mut i: usize) -> String {
+    let mut chain = vec![graph.fns[i].qualified()];
+    let mut visited = BTreeSet::from([i]);
+    while let Some(p) = pred[i].filter(|&p| visited.insert(p)) {
+        chain.push(graph.fns[p].qualified());
+        i = p;
+    }
+    chain.reverse();
+    chain.join(" → ")
+}
+
+/// Rule P002: panic constructs reachable from guarded public API, with a
+/// deterministic shortest witness path per panic site.
+pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
+    let roots = graph.fns.iter().enumerate().filter(|(_, node)| {
+        node.is_public && PANIC_ROOT_CRATES.contains(&node.crate_name.as_str())
+    });
+    let (reached, pred) = reach(graph, roots.map(|(i, _)| i), |_| false);
 
     let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
     for (i, node) in graph.fns.iter().enumerate() {
@@ -372,7 +311,7 @@ pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
         // In P001-guarded files the direct constructs are already flagged
         // at the token layer; P002 adds only the index panics there.
         let p001_here = FileClass::classify(&node.path).p001;
-        let witness = witness_path(graph, &pred, i);
+        let witness = witness(graph, &pred, i);
         for site in &node.panics {
             if p001_here && site.kind != PanicKind::Index {
                 continue;
@@ -394,49 +333,24 @@ pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
     }
 }
 
-/// Render the BFS witness chain `root → … → node`.
-fn witness_path(graph: &CallGraph, pred: &[usize], mut i: usize) -> String {
-    let mut chain = vec![graph.fns[i].qualified()];
-    while pred[i] != usize::MAX {
-        i = pred[i];
-        chain.push(graph.fns[i].qualified());
-    }
-    chain.reverse();
-    chain.join(" → ")
-}
-
 /// Rule G001: every call path from a query entry point to a function
 /// that constructs `ReleasedTuple`s must pass through the policy gate.
 pub fn policy_gating(graph: &CallGraph, out: &mut Vec<Finding>) {
     let gated: Vec<bool> = graph
         .fns
         .iter()
-        .map(|f| f.calls_names.contains(POLICY_GATE))
+        .map(|f| {
+            f.calls
+                .iter()
+                .any(|c| c.segs.last().is_some_and(|s| s == POLICY_GATE))
+        })
         .collect();
-    let n = graph.fns.len();
-    let mut pred: Vec<usize> = vec![usize::MAX; n];
-    let mut reached = vec![false; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for i in query_entry_roots(graph) {
-        reached[i] = true;
-        queue.push_back(i);
-    }
-    while let Some(u) = queue.pop_front() {
-        if gated[u] {
-            continue; // the gate dominates everything below it
-        }
-        for &v in &graph.edges[u] {
-            if !reached[v] {
-                reached[v] = true;
-                pred[v] = u;
-                queue.push_back(v);
-            }
-        }
-    }
+    // The gate dominates everything below it: the search stops there.
+    let (reached, pred) = reach(graph, query_entry_roots(graph), |u| gated[u]);
 
     for (i, node) in graph.fns.iter().enumerate() {
         if reached[i] && !gated[i] && node.mentions.contains(RELEASED_TYPE) {
-            let witness = witness_path(graph, &pred, i);
+            let witness = witness(graph, &pred, i);
             out.push(Finding {
                 rule: Rule::G001,
                 path: node.path.clone(),
@@ -486,7 +400,7 @@ mod tests {
                 "pub fn pick() {}\npub fn other() {}\n",
             ),
         ];
-        let g = CallGraph::build(&files);
+        let g = CallGraph::build(files);
         let run = find(&g, "run");
         let callees: Vec<&str> = g.edges[run]
             .iter()
@@ -515,7 +429,7 @@ mod tests {
                  pub fn unreachable_panic() { panic!(\"not called\"); }\n",
             ),
         ];
-        let g = CallGraph::build(&files);
+        let g = CallGraph::build(files);
         let mut out = Vec::new();
         panic_reachability(&g, &mut out);
         assert_eq!(out.len(), 1, "{out:#?}");
@@ -537,7 +451,7 @@ mod tests {
             "crates/engine/src/api.rs",
             "pub fn run(v: &[u32], x: Option<u32>) -> u32 { x.unwrap() + v[0] }\n",
         )];
-        let g = CallGraph::build(&files);
+        let g = CallGraph::build(files);
         let mut out = Vec::new();
         panic_reachability(&g, &mut out);
         // The unwrap is P001's job there; the index is P002's.
@@ -555,7 +469,7 @@ mod tests {
              }\n\
              fn release_all() -> usize { let t = ReleasedTuple { id: 1 }; t.id }\n",
         )];
-        let g = CallGraph::build(&bad);
+        let g = CallGraph::build(bad);
         let mut out = Vec::new();
         policy_gating(&g, &mut out);
         assert_eq!(out.len(), 1, "{out:#?}");
@@ -577,7 +491,7 @@ mod tests {
                }\n\
              }\n",
         )];
-        let g = CallGraph::build(&good);
+        let g = CallGraph::build(good);
         let mut out = Vec::new();
         policy_gating(&g, &mut out);
         assert!(out.is_empty(), "{out:#?}");
@@ -606,7 +520,7 @@ mod tests {
                  impl SolverSink for CountSink { fn emit(&mut self, _v: u64) { self.n += 1; } }\n",
             ),
         ];
-        let g = CallGraph::build(&files);
+        let g = CallGraph::build(files);
         let drive = find(&g, "drive");
         let callees: Vec<String> = g.edges[drive]
             .iter()
@@ -621,9 +535,9 @@ mod tests {
         );
         // The per-call resolution carries the same target set, so
         // layer 3 sees the call as potentially reaching every impl too.
-        assert_eq!(g.calls[drive].len(), 1);
-        assert_eq!(g.calls[drive][0].kind, CallKind::Method);
-        assert_eq!(g.calls[drive][0].targets, g.edges[drive]);
+        assert_eq!(g.fns[drive].calls.len(), 1);
+        assert_eq!(g.fns[drive].calls[0].kind, CallKind::Method);
+        assert_eq!(g.fns[drive].calls[0].targets, g.edges[drive]);
     }
 
     #[test]
@@ -635,8 +549,8 @@ mod tests {
             ),
             file("crates/engine/src/b.rs", "pub fn d() { b(); }\n"),
         ];
-        let g1 = CallGraph::build(&files);
-        let g2 = CallGraph::build(&files);
+        let g1 = CallGraph::build(files.clone());
+        let g2 = CallGraph::build(files);
         assert_eq!(g1.edges, g2.edges);
         let mut o1 = Vec::new();
         let mut o2 = Vec::new();

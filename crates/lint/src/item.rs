@@ -1,11 +1,12 @@
-//! Layer 1 of the two-layer analyzer: a lightweight *item* parser.
+//! The item parser: the one walk over a file's tokens that the graph and
+//! dataflow layers read.
 //!
-//! PR 2's rules matched token windows — good enough for "this construct
-//! may not appear in this file", useless for *reachability* properties
-//! ("no path from the public API may hit a panic"). This module sits
-//! between the lexer and the call graph: it walks the token stream of one
-//! file and recovers just enough item structure to build a workspace call
-//! graph —
+//! Token-window rules are good enough for "this construct may not appear
+//! in this file", useless for *reachability* properties ("no path from
+//! the public API may hit a panic"). This module sits between the lexer
+//! and the call graph: it walks the token stream of one file and recovers
+//! just enough item structure to build a workspace call graph, whose
+//! nodes are the [`FnItem`]s recorded here —
 //!
 //! * `use` trees (aliases → full paths, for call resolution);
 //! * `fn` items, free or inside `impl`/`trait` blocks, with visibility,
@@ -90,6 +91,9 @@ pub struct CallSite {
     /// position* (`name(…)`, not `.name(…)`): what hot-function names
     /// may be matched against without colliding with method idioms.
     pub arg_calls: Vec<BTreeSet<String>>,
+    /// Sorted node indexes this call may reach, filled in by
+    /// [`crate::graph::CallGraph::build`] (empty until then).
+    pub targets: Vec<usize>,
 }
 
 /// One `let` statement (or `if let`/`while let` binding): the names the
@@ -107,17 +111,17 @@ pub struct Bind {
     /// Right-hand-side identifiers in call position (`name(…)`, not
     /// `.name(…)`) — see [`CallSite::arg_calls`].
     pub calls: BTreeSet<String>,
-    /// 1-based line of the `let` keyword.
-    pub line: u32,
 }
 
-/// One `format!`-family macro site (`format!`, `write!`, `println!`,
-/// `panic!`, …): the rendered-output conduits and sinks of the dataflow
-/// layer, with every identifier their arguments mention — explicit
-/// arguments and implicit `"{name}"` captures alike.
+/// One output-macro site (`panic!`, `println!`, `write!`, … — the
+/// `PANIC_MACROS`, `PRINT_MACROS` and `WRITE_MACROS`): a candidate
+/// sink of the dataflow layer, with every identifier its arguments
+/// mention — explicit arguments and implicit `"{name}"` captures alike.
+/// (`format!` is not a site: what it renders is a value, tracked through
+/// the binding it initialises.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FmtSite {
-    /// The macro name without the `!` (`format`, `write`, `println`, …).
+    /// The macro name without the `!` (`write`, `println`, `panic`, …).
     pub name: String,
     /// 1-based line.
     pub line: u32,
@@ -129,9 +133,13 @@ pub struct FmtSite {
     pub calls: BTreeSet<String>,
 }
 
-/// One `fn` item.
+/// One `fn` item — also a node of the workspace call graph.
 #[derive(Debug, Clone)]
 pub struct FnItem {
+    /// File the function lives in (`/`-separated, relative).
+    pub path: String,
+    /// The crate the file belongs to ([`crate_of`]).
+    pub crate_name: String,
     /// The function's name.
     pub name: String,
     /// `impl` type or `trait` name when the fn is a method / default
@@ -153,11 +161,21 @@ pub struct FnItem {
     pub params: Vec<String>,
     /// `let` bindings in source order (def-use chains).
     pub binds: Vec<Bind>,
-    /// `format!`-family macro sites in source order.
+    /// Output-macro sites in source order.
     pub fmts: Vec<FmtSite>,
     /// Identifiers mentioned in `return` expressions and the trailing
     /// expression — what the function's return value is built from.
     pub ret_idents: BTreeSet<String>,
+}
+
+impl FnItem {
+    /// Render `crate::Owner::name` / `crate::name` for witness paths.
+    pub fn qualified(&self) -> String {
+        match &self.owner {
+            Some(o) => format!("{}::{}::{}", self.crate_name, o, self.name),
+            None => format!("{}::{}", self.crate_name, self.name),
+        }
+    }
 }
 
 /// One resolved `use` leaf: `alias` is the name in scope, `segs` the full
@@ -173,11 +191,6 @@ pub struct UseItem {
 /// All items recovered from one file.
 #[derive(Debug, Clone)]
 pub struct FileItems {
-    /// `/`-separated path relative to the scan root.
-    pub path: String,
-    /// The crate the file belongs to (underscore form, e.g.
-    /// `pcqe_engine`), derived from the path.
-    pub crate_name: String,
     /// `use` leaves, in source order.
     pub imports: Vec<UseItem>,
     /// `fn` items, in source order.
@@ -185,36 +198,25 @@ pub struct FileItems {
 }
 
 /// Derive the crate name (underscore form) from a workspace-relative
-/// path: `crates/engine/src/x.rs` → `pcqe_engine`, the root `src/` tree →
-/// `pcqe`. Fixture trees follow the same shape.
+/// path: `crates/engine/src/x.rs` → `pcqe_engine`, anything else (the
+/// root `src/` tree) → `pcqe`. Fixture trees follow the same shape.
 pub fn crate_of(path: &str) -> String {
     let mut parts = path.split('/');
     match (parts.next(), parts.next()) {
         (Some("crates"), Some(dir)) => format!("pcqe_{}", dir.replace('-', "_")),
-        (Some("src"), _) => "pcqe".to_owned(),
         _ => "pcqe".to_owned(),
     }
 }
 
-/// The macros that abort instead of returning.
-const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
+/// The macros that abort instead of returning; the payload is an output
+/// channel too (the error sink class).
+pub(crate) const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
 
-/// The macros that render values into text. The panic family is
-/// included: a panic payload is an output channel too (rule F001).
-const FMT_MACROS: [&str; 12] = [
-    "format",
-    "format_args",
-    "write",
-    "writeln",
-    "print",
-    "println",
-    "eprint",
-    "eprintln",
-    "panic",
-    "todo",
-    "unimplemented",
-    "unreachable",
-];
+/// The macros that print (the shell sink class).
+pub(crate) const PRINT_MACROS: [&str; 4] = ["print", "println", "eprint", "eprintln"];
+
+/// The macros that write into a formatter (an error sink inside `fmt`).
+pub(crate) const WRITE_MACROS: [&str; 2] = ["write", "writeln"];
 
 /// Implicit format captures in a literal body: `"β={threshold}"` →
 /// `threshold`. `{{` escapes are skipped; positional (`{0}`) and bare
@@ -251,12 +253,12 @@ fn fmt_captures(body: &str, out: &mut BTreeSet<String>) {
 /// items are skipped entirely — test code may panic.
 pub fn collect(path: &str, toks: &[Token], mask: &[bool]) -> FileItems {
     let mut out = FileItems {
-        path: path.to_owned(),
-        crate_name: crate_of(path),
         imports: Vec::new(),
         fns: Vec::new(),
     };
     let mut p = ItemParser {
+        path,
+        crate_name: crate_of(path),
         toks,
         mask,
         out: &mut out,
@@ -266,6 +268,8 @@ pub fn collect(path: &str, toks: &[Token], mask: &[bool]) -> FileItems {
 }
 
 struct ItemParser<'a> {
+    path: &'a str,
+    crate_name: String,
     toks: &'a [Token],
     mask: &'a [bool],
     out: &'a mut FileItems,
@@ -521,19 +525,18 @@ impl<'a> ItemParser<'a> {
                         continue;
                     }
                     if w != "for" && w != "dyn" {
-                        owner = Some(w.clone());
-                        if is_trait && owner.is_some() {
+                        if is_trait {
                             // A trait's name is its first ident; bounds
                             // after `:` must not overwrite it.
-                            let name = owner.clone();
                             let mut j = i + 1;
                             while j < self.toks.len() && !self.punct_at(j, '{') {
                                 j += 1;
                             }
                             let close = self.skip_group(j, '{', '}');
-                            self.items(j + 1, close.saturating_sub(1), name.as_deref());
+                            self.items(j + 1, close.saturating_sub(1), Some(w.as_str()));
                             return close;
                         }
+                        owner = Some(w.clone());
                     }
                 }
                 _ => {}
@@ -605,6 +608,8 @@ impl<'a> ItemParser<'a> {
         }
         let close = self.skip_group(i, '{', '}');
         let mut item = FnItem {
+            path: self.path.to_owned(),
+            crate_name: self.crate_name.clone(),
             name,
             owner: owner.map(str::to_owned),
             is_public,
@@ -779,7 +784,6 @@ impl<'a> ItemParser<'a> {
             names,
             rhs: self.window_idents(j + 1, k),
             calls: self.window_calls(j + 1, k),
-            line: self.toks[i].line,
         });
     }
 
@@ -804,7 +808,10 @@ impl<'a> ItemParser<'a> {
                         i += 1;
                         continue;
                     }
-                    if banged && self.punct_at(i + 2, '(') && FMT_MACROS.contains(&w.as_str()) {
+                    let output = [&PANIC_MACROS[..], &PRINT_MACROS, &WRITE_MACROS]
+                        .iter()
+                        .any(|family| family.contains(&w.as_str()));
+                    if banged && output && self.punct_at(i + 2, '(') {
                         let close = self.skip_group(i + 2, '(', ')');
                         item.fmts.push(FmtSite {
                             name: w.clone(),
@@ -843,6 +850,7 @@ impl<'a> ItemParser<'a> {
                                     line: t.line,
                                     args,
                                     arg_calls,
+                                    targets: Vec::new(),
                                 });
                             }
                         }
@@ -869,6 +877,7 @@ impl<'a> ItemParser<'a> {
                             line: t.line,
                             args,
                             arg_calls,
+                            targets: Vec::new(),
                         });
                     }
                     i += 1;

@@ -37,10 +37,10 @@
 //! that no longer do anything are themselves errors. `pcqe-lint
 //! --list-rules` prints the rule registry ([`rules::RULES`]); DESIGN.md
 //! § "Static invariants" says what each rule protects. Reports come in
-//! human, JSON and SARIF form ([`report`], [`sarif`]). Run it as
-//! `cargo run -p pcqe-lint`, via `ci.sh`, or through the tier-1 tests
-//! `tests/lint_guard.rs`, `tests/concurrency_lint_guard.rs` and
-//! `tests/flow_lint_guard.rs`.
+//! human and JSON form ([`report`]). Run it as `cargo run -p pcqe-lint`,
+//! via `ci.sh`, or through the tier-1 tests `tests/lint_guard.rs` (which
+//! also holds the per-rule suppression counts to a reviewed table),
+//! `tests/concurrency_lint_guard.rs` and `tests/flow_lint_guard.rs`.
 
 pub mod flow;
 pub mod graph;
@@ -49,7 +49,6 @@ pub mod lexer;
 pub mod manifest;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod spec;
 pub mod walk;
 
@@ -70,10 +69,6 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// Manifests checked by H001.
     pub manifests_scanned: usize,
-    /// Taint-flow witness paths for the dataflow findings, keyed by
-    /// (path, line, rule code). A side table: the JSON report ignores
-    /// it, the SARIF export renders it as code flows.
-    pub witnesses: flow::Witnesses,
 }
 
 impl Analysis {
@@ -156,21 +151,19 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
             items.push(item::collect(rel, &toks, &mask));
         }
     }
-    let call_graph = graph::CallGraph::build(&items);
+    let call_graph = graph::CallGraph::build(items);
     graph::panic_reachability(&call_graph, &mut raw);
     graph::policy_gating(&call_graph, &mut raw);
     // Layer 3: sanctioned flows land directly in the suppressed list
     // with the sanction's reason; unsanctioned ones are findings like
     // any other (and may still be allowlisted individually below).
     let mut suppressed: Vec<(Finding, String)> = Vec::new();
-    let mut witnesses = flow::Witnesses::new();
     flow::dataflow(
         &call_graph,
         &spec,
         &mut usage.sanctions_hit,
         &mut raw,
         &mut suppressed,
-        &mut witnesses,
     );
     let manifests = walk::workspace_manifests(root).map_err(|e| io(e, "walking manifests"))?;
     for rel in &manifests {
@@ -210,6 +203,5 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
         suppressed,
         files_scanned: sources.len(),
         manifests_scanned: manifests.len(),
-        witnesses,
     })
 }

@@ -1,7 +1,7 @@
 //! `pcqe-lint` CLI.
 //!
 //! ```text
-//! pcqe-lint [--root DIR] [--format human|json|sarif] [--rule ID] [--list-rules]
+//! pcqe-lint [--root DIR] [--format human|json] [--rule ID] [--list-rules]
 //! ```
 //!
 //! Exit status: `0` clean, `1` unsuppressed error findings, `2` usage or
@@ -41,10 +41,9 @@ fn main() -> ExitCode {
             "--format" => match args.next().as_deref() {
                 Some("human") => format = Format::Human,
                 Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
                 other => {
                     return usage(&format!(
-                        "--format must be `human`, `json` or `sarif`, got `{}`",
+                        "--format must be `human` or `json`, got `{}`",
                         other.unwrap_or("<none>")
                     ))
                 }
@@ -58,7 +57,7 @@ fn main() -> ExitCode {
             "-h" | "--help" => {
                 println!(
                     "pcqe-lint: static invariant analyzer (determinism, hermeticity, panic-safety)\n\n\
-                     usage: pcqe-lint [--root DIR] [--format human|json|sarif] [--rule ID] [--list-rules]\n\n\
+                     usage: pcqe-lint [--root DIR] [--format human|json] [--rule ID] [--list-rules]\n\n\
                      --rule ID narrows the displayed report to one rule; the exit status\n\
                      still reflects the full analysis\n\n\
                      exit status: 0 clean, 1 findings, 2 usage/io error"
@@ -94,7 +93,6 @@ fn main() -> ExitCode {
             let rendered = match format {
                 Format::Human => pcqe_lint::report::human(&display),
                 Format::Json => pcqe_lint::report::json(&display),
-                Format::Sarif => pcqe_lint::sarif::sarif(&display),
             };
             print!("{rendered}");
             if clean {
@@ -114,7 +112,6 @@ fn main() -> ExitCode {
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 fn usage(msg: &str) -> ExitCode {

@@ -30,7 +30,7 @@
 //! [[sanction]]                # a designed disclosure channel
 //! rule = "PCQE-F002"
 //! path = "crates/engine/src/audit.rs"
-//! sink = "write"              # optional: one sink callee/macro name
+//! sink = "write"              # the one sink callee/macro it opens
 //! reason = "the audit log records the β each decision was gated at"
 //! ```
 //!
@@ -221,9 +221,9 @@ pub struct Sanction {
     pub rule: Rule,
     /// File the sanction covers (workspace-relative, `/`-separated).
     pub path: String,
-    /// Optional callee/macro name narrowing the sanction to one sink
-    /// (e.g. `decision`, `fmt`).
-    pub sink: Option<String>,
+    /// The callee/macro name of the one sink it opens (e.g. `decision`,
+    /// `write`): a channel is named, never a whole file.
+    pub sink: String,
     /// Why the disclosure is designed-in. Blank → PCQE-F005.
     pub reason: String,
     /// Line of the table header in the manifest itself.
@@ -234,9 +234,7 @@ impl Sanction {
     /// Does this sanction cover a finding of `rule` at `path` flowing
     /// into sink callee `sink_name`?
     pub fn covers(&self, rule: Rule, path: &str, sink_name: &str) -> bool {
-        self.rule == rule
-            && self.path == path
-            && self.sink.as_deref().is_none_or(|s| s == sink_name)
+        self.rule == rule && self.path == path && self.sink == sink_name
     }
 }
 
@@ -422,13 +420,10 @@ impl Spec {
                     Rule::F004,
                     s.declared_at,
                     format!(
-                        "stale sanction: no {} flow reaches {}`{}` — delete the entry \
-                         (reason was: {})",
+                        "stale sanction: no {} flow reaches sink `{}` in `{}` — delete the \
+                         entry (reason was: {})",
                         s.rule.code(),
-                        s.sink
-                            .as_deref()
-                            .map(|k| format!("sink `{k}` in "))
-                            .unwrap_or_default(),
+                        s.sink,
                         s.path,
                         s.reason
                     ),
@@ -483,7 +478,7 @@ pub fn parse(text: &str, source: &str) -> Result<Spec, String> {
             "sanction" => spec.sanctions.push(Sanction {
                 rule: t.need("rule", rule)?,
                 path: t.need("path", path)?,
-                sink: t.get("sink", string)?,
+                sink: t.need("sink", string)?,
                 reason: t.reason()?,
                 declared_at,
             }),
@@ -745,7 +740,7 @@ mod tests {
         sink = \"fmt\"\nreason = \"the audit log is the designed channel\"\n\
         \n\
         [[sanction]]\nrule = \"F003\"\npath = \"crates/engine/src/database.rs\"\n\
-        reason = \"Decision records\"\n";
+        sink = \"decision\"\nreason = \"Decision records\"\n";
 
     #[test]
     fn parses_every_table_kind_from_one_file() {
@@ -782,8 +777,7 @@ mod tests {
             .sink_functions_of(SinkKind::Shell)
             .contains("emit_diag"));
 
-        // A sanction with a `sink` covers that callee only; without one
-        // it covers every sink in the file.
+        // A sanction covers its one sink callee, for its rule, in its file.
         let [audit, decisions] = &spec.sanctions[..] else {
             panic!("two sanctions expected: {:?}", spec.sanctions);
         };
@@ -791,7 +785,7 @@ mod tests {
         assert!(!audit.covers(Rule::F002, "crates/engine/src/audit.rs", "println"));
         assert!(!audit.covers(Rule::F001, "crates/engine/src/audit.rs", "fmt"));
         assert!(decisions.covers(Rule::F003, "crates/engine/src/database.rs", "decision"));
-        assert!(decisions.covers(Rule::F003, "crates/engine/src/database.rs", "anything"));
+        assert!(!decisions.covers(Rule::F003, "crates/engine/src/audit.rs", "decision"));
     }
 
     #[test]
@@ -852,8 +846,8 @@ mod tests {
             "f:4: unknown key `bogus` in `[[allow]]`",
         );
         rejected(
-            "[[sanction]]\nrule = \"F001\"\npath = \"x\"\nnames = [\"x\"]\n",
-            "f:4: unknown key `names` in `[[sanction]]`",
+            "[[sanction]]\nrule = \"F001\"\npath = \"x\"\nsink = \"s\"\nnames = [\"x\"]\n",
+            "f:5: unknown key `names` in `[[sanction]]`",
         );
         rejected(
             "[[allow]]\npath = \"x\"\npath = \"y\"\n",
@@ -872,6 +866,10 @@ mod tests {
         rejected("[[source]]\nkind = \"policy\"\n", "taints nothing");
         rejected("[[sink]]\nkind = \"shell\"\n", "missing `functions`");
         rejected("[[sanction]]\nrule = \"PCQE-F001\"\n", "missing `path`");
+        rejected(
+            "[[sanction]]\nrule = \"PCQE-F001\"\npath = \"x\"\n",
+            "missing `sink`",
+        );
         // Bad values, reported at the key's own line.
         rejected(
             "[[allow]]\nrule = \"NOPE\"\npath = \"x\"\n",
@@ -965,7 +963,7 @@ mod tests {
              [[grant]]\ncrate = \"pcqe-obs\"\ncapabilities = [\"locks\", \"channels\"]\n\
              reason = \"recorder\"\n\
              [[sanction]]\nrule = \"PCQE-F002\"\npath = \"crates/policy/src/x.rs\"\n\
-             reason = \"nothing flows here anymore\"\n",
+             sink = \"write\"\nreason = \"nothing flows here anymore\"\n",
             MANIFEST,
         )
         .unwrap();

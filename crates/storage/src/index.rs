@@ -47,8 +47,6 @@ pub struct EqualityIndex {
     /// Positions of the rows whose indexed column is `NULL`, in insertion
     /// order.
     nulls: Vec<usize>,
-    /// Number of rows covered, including `NULL` rows that carry no posting.
-    covered_rows: usize,
 }
 
 impl EqualityIndex {
@@ -58,7 +56,6 @@ impl EqualityIndex {
             column,
             map: BTreeMap::new(),
             nulls: Vec::new(),
-            covered_rows: 0,
         }
     }
 
@@ -68,10 +65,9 @@ impl EqualityIndex {
     }
 
     /// Record that the row at position `pos` carries `value` in the indexed
-    /// column. `NULL` values are counted and listed apart, not entered
-    /// (they can never satisfy an equality predicate).
+    /// column. `NULL` values are listed apart, not entered (they can never
+    /// satisfy an equality predicate).
     pub(crate) fn add(&mut self, pos: usize, value: &Value) {
-        self.covered_rows += 1;
         if value.is_null() {
             self.nulls.push(pos);
             return;
@@ -99,11 +95,6 @@ impl EqualityIndex {
     /// Number of distinct non-`NULL` keys (the planner's NDV statistic).
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
-    }
-
-    /// Number of rows the index covers (including `NULL`-keyed rows).
-    pub fn covered_rows(&self) -> usize {
-        self.covered_rows
     }
 }
 
@@ -144,6 +135,5 @@ mod tests {
         assert_eq!(ix.lookup(&Value::Null), &[] as &[usize]);
         assert_eq!(ix.null_rows(), &[3]);
         assert_eq!(ix.distinct_keys(), 2);
-        assert_eq!(ix.covered_rows(), 5);
     }
 }

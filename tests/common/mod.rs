@@ -16,6 +16,7 @@ use pcqe::par::Parallelism;
 use pcqe::policy::{evaluate_results, ConfidencePolicy};
 use pcqe::storage::{Catalog, DataType, TupleId, Value};
 use std::panic::AssertUnwindSafe;
+use std::path::Path;
 
 /// Run `f` once per case with an independently seeded generator.
 ///
@@ -332,4 +333,34 @@ pub fn rescan_greedy(problem: &ProblemInstance) -> (Solution, u64, u64) {
         }
     }
     (state.to_solution(), iterations, reductions)
+}
+
+/// Write `manifest` as the `manifest.tsv` of a directory a test saves by
+/// hand, sealed the way `persist::save` seals one: every `end` line gets
+/// the FNV-1a checksum of its table's CSV (already in `dir`), any old
+/// `checksum` line is dropped, and a closing `checksum` line covers every
+/// byte before it. A second spelling of the format, written from its
+/// description rather than shared with `persist`.
+pub fn write_sealed_manifest(dir: &Path, manifest: &str) {
+    let fnv1a = |bytes: &[u8]| {
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{hash:016x}")
+    };
+    let mut sealed = String::new();
+    let mut table = "";
+    for line in manifest.lines() {
+        if let Some(name) = line.strip_prefix("table\t") {
+            table = name;
+        }
+        if line == "end" || line.starts_with("end\t") {
+            let csv = std::fs::read(dir.join(format!("{table}.csv"))).unwrap();
+            sealed.push_str(&format!("end\t{}\n", fnv1a(&csv)));
+        } else if !line.starts_with("checksum\t") {
+            sealed.push_str(&format!("{line}\n"));
+        }
+    }
+    sealed.push_str(&format!("checksum\t{}\n", fnv1a(sealed.as_bytes())));
+    std::fs::write(dir.join("manifest.tsv"), sealed).unwrap();
 }

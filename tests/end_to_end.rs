@@ -405,10 +405,10 @@ fn an_insert_that_would_exhaust_the_id_counter_writes_nothing() {
     let dir = std::env::temp_dir().join(format!("pcqe-last-ids-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let manifest = "pcqe-manifest\tv1\ntable\tt\ncolumn\tk\tINT\nend\n";
-    std::fs::write(dir.join("manifest.tsv"), manifest).unwrap();
     let rows = format!("__id,k,confidence\n{},0,0.5\n", u64::MAX - 2);
     std::fs::write(dir.join("t.csv"), rows).unwrap();
+    let manifest = "pcqe-manifest\tv2\ntable\tt\ncolumn\tk\tINT\nend\n";
+    common::write_sealed_manifest(&dir, manifest);
     let mut db = persist::load(&dir, EngineConfig::default()).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 

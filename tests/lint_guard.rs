@@ -5,10 +5,28 @@
 //! `[[allow]]` entry (PCQE-A001) — fails the build, so a violating pattern
 //! cannot merge even if the author never ran the CLI. This is the same
 //! analysis `ci.sh` runs as a dedicated step; the test form makes it part
-//! of the plain `cargo test` contract.
+//! of the plain `cargo test` contract, and so is the suppression ratchet:
+//! how many findings each rule may have suppressed is the table below.
 
 use pcqe_lint::rules::Rule;
 use std::path::Path;
+
+/// The findings `lint.toml` suppresses in the workspace, per rule, in
+/// registry order (122 in all, recorded when this table became the
+/// ratchet); a rule not listed suppresses none. The counts are held for
+/// *equality*, so the table changes only in review: a new `[[allow]]` or
+/// `[[sanction]]` hit fails here until its count is raised beside the
+/// entry's reason, and a suppression that went away fails until its count
+/// is lowered with the change that removed it.
+const SUPPRESSED: [(&str, usize); 7] = [
+    ("PCQE-D001", 2),
+    ("PCQE-D004", 2),
+    ("PCQE-P001", 1),
+    ("PCQE-P002", 104),
+    ("PCQE-F001", 4),
+    ("PCQE-F002", 8),
+    ("PCQE-F003", 1),
+];
 
 #[test]
 fn workspace_passes_its_own_static_analysis() {
@@ -45,6 +63,22 @@ fn workspace_passes_its_own_static_analysis() {
             finding.line
         );
     }
+
+    // The ratchet: suppressed findings per rule equal the reviewed table.
+    let suppressed: Vec<(&str, usize)> = Rule::all()
+        .into_iter()
+        .map(|rule| {
+            let n = analysis.suppressed.iter().filter(|(f, _)| f.rule == rule);
+            (rule.code(), n.count())
+        })
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    assert_eq!(
+        suppressed, SUPPRESSED,
+        "suppressed findings per rule (left) differ from the reviewed table (right): \
+         raise a count only with the suppression's reason under review, and lower it \
+         with the change that removed one"
+    );
 }
 
 /// The graph-layer rules (P002 panic-reachability, G001 policy-gating),
@@ -92,11 +126,9 @@ fn reachability_and_hygiene_rules_are_live() {
     );
 }
 
-/// The JSON and SARIF reports are CI artifacts (`ci.sh` writes
-/// `results/lint.json` and `results/lint.sarif`): each must be
-/// byte-identical across runs and parseable by the in-repo JSON reader
-/// that `obs-validate` uses, with counts that agree with the analysis
-/// itself.
+/// The JSON report is what `.lint json` and `pcqe-lint --format json`
+/// print: it must be byte-identical across runs and parseable by the
+/// in-repo JSON reader, with counts that agree with the analysis itself.
 #[test]
 fn json_report_is_byte_stable_and_round_trips_through_the_obs_parser() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -109,7 +141,7 @@ fn json_report_is_byte_stable_and_round_trips_through_the_obs_parser() {
     let value = pcqe_obs::json::parse(&ja).expect("report parses with pcqe_obs::json");
     let obj = value.as_object().expect("top level is an object");
     assert_eq!(obj["tool"].as_str(), Some("pcqe-lint"));
-    assert_eq!(obj["format_version"].as_u64(), Some(4));
+    assert_eq!(obj["format_version"].as_u64(), Some(5));
     let findings = obj["findings"].as_array().expect("findings array");
     assert_eq!(findings.len(), a.findings.len());
     let summary = obj["summary"].as_object().expect("summary object");
@@ -119,40 +151,4 @@ fn json_report_is_byte_stable_and_round_trips_through_the_obs_parser() {
         summary["suppressed"].as_u64(),
         Some(a.suppressed.len() as u64)
     );
-
-    // The per-rule section (since format version 2) must cover every rule id and
-    // its counts must re-add to the summary totals — this is the shape the
-    // CI gate (`pcqe-obs-validate --schema lint --gate`) puts ceilings on.
-    let rules = obj["rules"].as_object().expect("rules object");
-    assert_eq!(rules.len(), Rule::all().len());
-    let mut errors = 0;
-    let mut suppressed = 0;
-    for rule in Rule::all() {
-        let entry = rules[rule.code()]
-            .as_object()
-            .unwrap_or_else(|| panic!("rules section missing {}", rule.code()));
-        errors += entry["errors"].as_u64().expect("errors count");
-        suppressed += entry["suppressed"].as_u64().expect("suppressed count");
-    }
-    assert_eq!(errors, a.error_count() as u64);
-    assert_eq!(suppressed, a.suppressed.len() as u64);
-
-    // The SARIF render of the same analysis: one run by the `pcqe-lint`
-    // driver, every rule declared, one result per unsuppressed finding.
-    let sa = pcqe_lint::sarif::sarif(&a);
-    assert_eq!(sa, pcqe_lint::sarif::sarif(&b), "SARIF export drifted");
-    let value = pcqe_obs::json::parse(&sa).expect("SARIF parses with pcqe_obs::json");
-    let obj = value.as_object().expect("top level is an object");
-    assert_eq!(obj["version"].as_str(), Some("2.1.0"));
-    let runs = obj["runs"].as_array().expect("runs array");
-    assert_eq!(runs.len(), 1);
-    let run = runs[0].as_object().expect("run object");
-    let driver = run["tool"].as_object().expect("tool")["driver"]
-        .as_object()
-        .expect("driver object");
-    assert_eq!(driver["name"].as_str(), Some("pcqe-lint"));
-    let declared = driver["rules"].as_array().expect("driver rules");
-    assert_eq!(declared.len(), Rule::all().len());
-    let results = run["results"].as_array().expect("results array");
-    assert_eq!(results.len(), a.findings.len());
 }
