@@ -8,7 +8,7 @@ use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
 use pcqe_par::{Observer, Parallelism};
-use pcqe_storage::{Catalog, Tuple, Value};
+use pcqe_storage::{Catalog, DataType, Schema, Tuple, Value};
 use std::collections::BTreeMap;
 
 /// Per-operator counters from a profiled execution (`EXPLAIN ANALYZE`).
@@ -203,22 +203,11 @@ fn run(plan: &Plan, catalog: &Catalog) -> Result<Vec<DerivedTuple>> {
             let l = run(left, catalog)?;
             let r = run(right, catalog)?;
             let left_schema = left.schema(catalog)?;
-            let right_schema = right.schema(catalog)?;
             let left_arity = left_schema.arity();
             // Hash join on the equality conjuncts when any exist; the
             // remaining conjuncts become a residual filter per match.
-            // Only same-typed column pairs are hashable — hashing must
-            // agree with `=`'s numeric coercion, so an INT = REAL pair
-            // stays in the residual.
-            let hashable = |lc: usize, rc: usize| {
-                let lt = left_schema.columns().get(lc).map(|c| c.data_type);
-                let rt = right_schema
-                    .columns()
-                    .get(rc - left_arity)
-                    .map(|c| c.data_type);
-                lt.is_some() && lt == rt
-            };
-            let (equi, residual) = split_equi_conjuncts(predicate, left_arity, hashable);
+            let (equi, residual) =
+                split_equi_conjuncts(predicate, &left_schema, &right.schema(catalog)?);
             let mut out = Vec::new();
             if equi.is_empty() {
                 // Nested-loop fallback.
@@ -393,13 +382,23 @@ pub(crate) fn joined(tuple: Tuple, left: &impl Row, right: &impl Row) -> Derived
 }
 
 /// Split a join predicate into hashable equality pairs `(left column,
-/// right column)` and the residual predicate. `hashable` decides whether a
-/// candidate pair may be used as a hash key.
+/// right column)` and the residual predicate. A pair is hashable when its
+/// columns share a type whose value equality is SQL's `=`: `INT`, `TEXT`
+/// or `BOOL`. An `INT = REAL` pair is not (`=` widens the integer), and
+/// nor is a `REAL` pair — a `REAL` column also holds widened `Int`s, and
+/// `Int(2) = Real(2.0)` under `=` but not as keys — so both stay in the
+/// residual.
 pub(crate) fn split_equi_conjuncts(
     predicate: &ScalarExpr,
-    left_arity: usize,
-    hashable: impl Fn(usize, usize) -> bool,
+    left: &Schema,
+    right: &Schema,
 ) -> (Vec<(usize, usize)>, Option<ScalarExpr>) {
+    let left_arity = left.arity();
+    let hashable = |lc: usize, rc: usize| {
+        let lt = left.columns().get(lc).map(|c| c.data_type);
+        let rt = right.columns().get(rc - left_arity).map(|c| c.data_type);
+        lt == rt && matches!(lt, Some(DataType::Int | DataType::Text | DataType::Bool))
+    };
     let mut equi = Vec::new();
     let mut residual = Vec::new();
     for part in predicate.conjuncts() {

@@ -498,28 +498,46 @@ impl ScalarExpr {
         let mut conjuncts = Vec::new();
         self.each_conjunct(&mut |conjunct| {
             let in_run = conjunct.column_cmp_literal().filter(|cmp| {
-                let column = columns.get(cmp.column);
-                column.is_some_and(|c| type_safe(c.data_type, cmp.literal))
+                let column = columns.get(cmp.column).map(|c| c.data_type);
+                comparable(column, cmp.literal.data_type())
             });
             conjuncts.extend(in_run);
             in_run.is_some()
         });
         LeadingRun { table, conjuncts }
     }
+
+    /// Whether evaluating this predicate can never raise: every conjunct of
+    /// its top-level `AND` chain compares two operands, each a column or a
+    /// non-NULL literal, whose types are [`comparable`] — the rule that
+    /// admits a conjunct to a [`LeadingRun`], with column pairs admitted
+    /// too. `column_type` is the type of an input column, `None` where it
+    /// is not known; an operand of unknown type may raise.
+    pub(crate) fn cannot_raise(&self, column_type: &impl Fn(usize) -> Option<DataType>) -> bool {
+        self.each_conjunct(&mut |conjunct| {
+            let ScalarExpr::Binary { op, left, right } = conjunct else {
+                return false;
+            };
+            let operand = |e: &ScalarExpr| match e {
+                ScalarExpr::Column(i) => column_type(*i),
+                ScalarExpr::Literal(v) => v.data_type(),
+                _ => None,
+            };
+            op.is_comparison() && comparable(operand(left), operand(right))
+        })
+    }
 }
 
-/// Whether comparing a column of type `column` with `literal` can never
-/// fault: [`Value::sql_cmp`] orders the literal against everything the
-/// column may hold besides NULL (a `REAL` column also holds widened
-/// `Int`s, and any two numbers compare).
-fn type_safe(column: DataType, literal: &Value) -> bool {
+/// Whether comparing values of these two types can never fault:
+/// [`Value::sql_cmp`] orders everything the one may hold against
+/// everything the other may hold besides NULL (a `REAL` column also holds
+/// widened `Int`s, and any two numbers compare). An unknown type (`None`:
+/// a NULL literal, or a column whose type is not known) is not comparable.
+fn comparable(a: Option<DataType>, b: Option<DataType>) -> bool {
+    use DataType::{Bool, Int, Real, Text};
     matches!(
-        (column, literal),
-        (
-            DataType::Int | DataType::Real,
-            Value::Int(_) | Value::Real(_)
-        ) | (DataType::Text, Value::Text(_))
-            | (DataType::Bool, Value::Bool(_))
+        (a, b),
+        (Some(Int | Real), Some(Int | Real)) | (Some(Text), Some(Text)) | (Some(Bool), Some(Bool))
     )
 }
 

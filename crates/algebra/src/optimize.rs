@@ -6,12 +6,14 @@
 //! differences, sorts and pure-column projections changes neither the
 //! surviving tuples nor their lineage formulas — it only shrinks
 //! intermediate results (and lets the executor use hash joins on the
-//! equality conjuncts that reach a join's `ON`).
+//! equality conjuncts that reach a join's `ON`). Nor do they change whether
+//! a query raises: only conjuncts that cannot raise move, and only past
+//! what cannot raise either (see `push_down`).
 
 use crate::expr::ScalarExpr;
 use crate::plan::Plan;
 use crate::Result;
-use pcqe_storage::Catalog;
+use pcqe_storage::{Catalog, DataType};
 
 /// Optimise a plan: merge stacked selections, push conjuncts as deep as
 /// they can go, and convert cross products with equality predicates into
@@ -23,10 +25,7 @@ pub fn optimize(plan: &Plan, catalog: &Catalog) -> Result<Plan> {
 fn rewrite(plan: Plan, catalog: &Catalog) -> Result<Plan> {
     match plan {
         Plan::Select { input, predicate } => {
-            let input = rewrite(*input, catalog)?;
-            let mut conjuncts = Vec::new();
-            predicate.into_conjuncts(&mut conjuncts);
-            push_conjuncts(input, conjuncts, catalog)
+            push_down(rewrite(*input, catalog)?, Some(predicate), catalog)
         }
         Plan::Project {
             input,
@@ -79,42 +78,70 @@ fn rewrite(plan: Plan, catalog: &Catalog) -> Result<Plan> {
     }
 }
 
-/// Push a set of conjuncts into `plan`, keeping any that cannot sink as a
-/// selection on top.
-fn push_conjuncts(plan: Plan, conjuncts: Vec<ScalarExpr>, catalog: &Catalog) -> Result<Plan> {
-    if conjuncts.is_empty() {
+/// Push `predicate` into `plan` as deep as it can go; what cannot sink
+/// stays a selection on top, exactly as written.
+///
+/// Sinking changes where a conjunct is evaluated and what is evaluated
+/// after it: below a join it meets every row of its side, partnered or
+/// not, and a row it rejects there — false *or* NULL — never reaches the
+/// join's predicate or the conjuncts written before it; and splitting the
+/// predicate into conjuncts re-associates its `AND`s, which decides which
+/// of two errors is raised first. No answer changes (a row passes a
+/// conjunction of filters in any order), but whether the query raises, and
+/// which error it raises, could. So a predicate sinks only when none of
+/// its conjuncts can raise ([`ScalarExpr::cannot_raise`], the type rule of
+/// the scan's leading run) and the operator it sinks below evaluates
+/// nothing on its rows that could: a join's predicate, a selection's, a
+/// sort's keys and a projection's items must be as safe.
+fn push_down(plan: Plan, predicate: Option<ScalarExpr>, catalog: &Catalog) -> Result<Plan> {
+    let Some(predicate) = predicate else {
         return Ok(plan);
+    };
+    let column_type = |i| passed_through(&plan, i, catalog);
+    let operator_safe = match &plan {
+        Plan::Select { predicate, .. } | Plan::Join { predicate, .. } => {
+            predicate.cannot_raise(&column_type)
+        }
+        Plan::Sort { keys, .. } => keys.iter().all(|k| matches!(k.expr, ScalarExpr::Column(_))),
+        Plan::Project { items, .. } => items
+            .iter()
+            .all(|i| matches!(i.expr, ScalarExpr::Column(_))),
+        // A selection on top of a LIMIT keeps which rows survive; a
+        // HAVING-style filter reads aggregate outputs; a scan takes the
+        // predicate whole.
+        Plan::Limit { .. } | Plan::Aggregate { .. } | Plan::Scan { .. } => false,
+        Plan::Product { .. } | Plan::Union { .. } | Plan::Difference { .. } => true,
+    };
+    if !operator_safe || !predicate.cannot_raise(&column_type) {
+        return Ok(plan.select(predicate));
     }
     match plan {
-        Plan::Select { input, predicate } => {
-            // Merge with the inner selection and retry.
-            let mut all = conjuncts;
-            predicate.into_conjuncts(&mut all);
-            push_conjuncts(*input, all, catalog)
-        }
+        // Merge with the inner selection, its conjuncts first, and retry.
+        Plan::Select {
+            input,
+            predicate: inner,
+        } => push_down(*input, Some(inner.and(predicate)), catalog),
         Plan::Join {
             left,
             right,
-            predicate,
+            predicate: on,
         } => {
-            let left_arity = left.schema(catalog)?.arity();
-            let (to_left, to_right, stuck) = classify(conjuncts, left_arity);
-            let left = push_conjuncts(*left, to_left, catalog)?;
-            let right = push_conjuncts(*right, to_right, catalog)?;
+            let (to_left, to_right, stuck) = classify(predicate, arity(&left, catalog)?);
+            let left = push_down(*left, to_left, catalog)?;
+            let right = push_down(*right, to_right, catalog)?;
             // Conjuncts spanning both sides join the ON predicate, where
             // the executor can exploit equalities for hashing.
             Ok(Plan::Join {
                 left: Box::new(left),
                 right: Box::new(right),
-                predicate: stuck.into_iter().fold(predicate, ScalarExpr::and),
+                predicate: stuck.into_iter().fold(on, ScalarExpr::and),
             })
         }
         Plan::Product { left, right } => {
-            let left_arity = left.schema(catalog)?.arity();
-            let (to_left, to_right, stuck) = classify(conjuncts, left_arity);
-            let left = Box::new(push_conjuncts(*left, to_left, catalog)?);
-            let right = Box::new(push_conjuncts(*right, to_right, catalog)?);
-            Ok(match ScalarExpr::and_all(stuck) {
+            let (to_left, to_right, stuck) = classify(predicate, arity(&left, catalog)?);
+            let left = Box::new(push_down(*left, to_left, catalog)?);
+            let right = Box::new(push_down(*right, to_right, catalog)?);
+            Ok(match stuck.into_iter().reduce(ScalarExpr::and) {
                 None => Plan::Product { left, right },
                 // A filtered product is a join.
                 Some(predicate) => Plan::Join {
@@ -124,72 +151,104 @@ fn push_conjuncts(plan: Plan, conjuncts: Vec<ScalarExpr>, catalog: &Catalog) -> 
                 },
             })
         }
-        Plan::Union { left, right } => {
-            let l = push_conjuncts(*left, conjuncts.clone(), catalog)?;
-            let r = push_conjuncts(*right, conjuncts, catalog)?;
-            Ok(Plan::Union {
-                left: Box::new(l),
-                right: Box::new(r),
-            })
-        }
-        Plan::Difference { left, right } => {
-            // σ_p(A − B) = σ_p(A) − σ_p(B): rows of B that fail p could
-            // only have matched rows of A that fail p too.
-            let l = push_conjuncts(*left, conjuncts.clone(), catalog)?;
-            let r = push_conjuncts(*right, conjuncts, catalog)?;
-            Ok(Plan::Difference {
-                left: Box::new(l),
-                right: Box::new(r),
-            })
-        }
+        Plan::Union { left, right } => Ok(Plan::Union {
+            left: Box::new(push_down(*left, Some(predicate.clone()), catalog)?),
+            right: Box::new(push_down(*right, Some(predicate), catalog)?),
+        }),
+        // σ_p(A − B) = σ_p(A) − σ_p(B): rows of B that fail p could only
+        // have matched rows of A that fail p too.
+        Plan::Difference { left, right } => Ok(Plan::Difference {
+            left: Box::new(push_down(*left, Some(predicate.clone()), catalog)?),
+            right: Box::new(push_down(*right, Some(predicate), catalog)?),
+        }),
         Plan::Sort { input, keys } => Ok(Plan::Sort {
-            input: Box::new(push_conjuncts(*input, conjuncts, catalog)?),
+            input: Box::new(push_down(*input, Some(predicate), catalog)?),
             keys,
         }),
+        // Every item is a bare column: rewrite the indexes and sink.
         Plan::Project {
             input,
             items,
             distinct,
-        } => {
-            // Push through when every referenced output column is a pure
-            // column item (rewriting indexes); otherwise stay on top.
-            let mut rewritten = Vec::with_capacity(conjuncts.len());
-            let mut stuck = Vec::new();
-            for c in conjuncts {
-                match remap_through_projection(&c, &items) {
-                    Some(inner) => rewritten.push(inner),
-                    None => stuck.push(c),
-                }
-            }
-            let plan = Plan::Project {
-                input: Box::new(push_conjuncts(*input, rewritten, catalog)?),
+        } => match remap_through_projection(&predicate, &items) {
+            Some(inner) => Ok(Plan::Project {
+                input: Box::new(push_down(*input, Some(inner), catalog)?),
                 items,
                 distinct,
-            };
-            Ok(select(plan, stuck))
-        }
-        // Limits, aggregates and scans: selection stays on top (pushing
-        // below a LIMIT changes which rows survive; a HAVING-style filter
-        // over aggregate outputs cannot be evaluated earlier).
+            }),
+            None => Ok(Plan::Project {
+                input,
+                items,
+                distinct,
+            }
+            .select(predicate)),
+        },
         other @ (Plan::Limit { .. } | Plan::Scan { .. } | Plan::Aggregate { .. }) => {
-            Ok(select(other, conjuncts))
+            Ok(other.select(predicate))
         }
     }
 }
 
-/// A selection on `conjuncts` over `plan`; `plan` itself when there are none.
-fn select(plan: Plan, conjuncts: Vec<ScalarExpr>) -> Plan {
-    match ScalarExpr::and_all(conjuncts) {
-        Some(predicate) => plan.select(predicate),
-        None => plan,
+/// How many columns `plan` outputs, without building its schema.
+fn arity(plan: &Plan, catalog: &Catalog) -> Result<usize> {
+    Ok(match plan {
+        Plan::Scan { table, .. } => catalog.table(table)?.schema().arity(),
+        Plan::Select { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
+            arity(input, catalog)?
+        }
+        Plan::Union { left, .. } | Plan::Difference { left, .. } => arity(left, catalog)?,
+        Plan::Join { left, right, .. } | Plan::Product { left, right } => {
+            arity(left, catalog)? + arity(right, catalog)?
+        }
+        Plan::Project { items, .. } => items.len(),
+        Plan::Aggregate {
+            group_by,
+            aggregates,
+            ..
+        } => group_by.len() + aggregates.len(),
+    })
+}
+
+/// The type of `plan`'s output column `i` where the plan passes a base
+/// table's column through unchanged (a scan, a selection, a join or
+/// product, a sort, a limit, a set operation, a bare column item), without
+/// building its schema; `None` where it computes the column, or `i` is out
+/// of range.
+fn passed_through(plan: &Plan, i: usize, catalog: &Catalog) -> Option<DataType> {
+    match plan {
+        Plan::Scan { table, .. } => {
+            let columns = catalog.table(table).ok()?.schema().columns();
+            columns.get(i).map(|c| c.data_type)
+        }
+        Plan::Select { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
+            passed_through(input, i, catalog)
+        }
+        // Both sides of a set operation have the left side's types.
+        Plan::Union { left, .. } | Plan::Difference { left, .. } => {
+            passed_through(left, i, catalog)
+        }
+        Plan::Join { left, right, .. } | Plan::Product { left, right } => {
+            match i.checked_sub(arity(left, catalog).ok()?) {
+                None => passed_through(left, i, catalog),
+                Some(j) => passed_through(right, j, catalog),
+            }
+        }
+        Plan::Project { input, items, .. } => match items.get(i)?.expr {
+            ScalarExpr::Column(c) => passed_through(input, c, catalog),
+            _ => None,
+        },
+        Plan::Aggregate { .. } => None,
     }
 }
 
-/// Sort conjuncts into left-only, right-only (shifted), and spanning.
+/// Sort a predicate's conjuncts into left-only, right-only (shifted), and
+/// spanning.
 fn classify(
-    conjuncts: Vec<ScalarExpr>,
+    predicate: ScalarExpr,
     left_arity: usize,
-) -> (Vec<ScalarExpr>, Vec<ScalarExpr>, Vec<ScalarExpr>) {
+) -> (Option<ScalarExpr>, Option<ScalarExpr>, Vec<ScalarExpr>) {
+    let mut conjuncts = Vec::new();
+    predicate.into_conjuncts(&mut conjuncts);
     let mut to_left = Vec::new();
     let mut to_right = Vec::new();
     let mut stuck = Vec::new();
@@ -203,7 +262,8 @@ fn classify(
             stuck.push(c);
         }
     }
-    (to_left, to_right, stuck)
+    let and_all = ScalarExpr::and_all;
+    (and_all(to_left), and_all(to_right), stuck)
 }
 
 /// Rewrite a predicate over a projection's output to one over its input,
@@ -380,7 +440,31 @@ mod tests {
             &execute(&plan, &c).unwrap(),
             &execute(&optimized, &c).unwrap(),
         );
-        // Exactly one Select remains.
+        // Exactly one Select remains, the inner conjunct first.
         assert_eq!(optimized.to_string().matches("Select").count(), 1);
+        let Plan::Select { predicate, .. } = optimized else {
+            panic!("{optimized}");
+        };
+        assert_eq!(predicate.conjuncts()[0].to_string(), "(#0 >= 1)");
+    }
+
+    #[test]
+    fn a_conjunct_that_can_raise_stays_where_it_was_written() {
+        let c = catalog();
+        let text = || ScalarExpr::literal(Value::text("x"));
+        // `l.b > 'x'` cannot compare an INT with a TEXT: it sinks neither
+        // below the product nor past the join key written before it, and
+        // the key does not sink past it. So does a safe conjunct over a
+        // join whose predicate can raise.
+        let product = Plan::scan("l").product(Plan::scan("r")).select(
+            ScalarExpr::column(0)
+                .eq(ScalarExpr::column(2))
+                .and(ScalarExpr::column(1).gt(text())),
+        );
+        assert_eq!(optimize(&product, &c).unwrap(), product);
+        let join = Plan::scan("l")
+            .join(Plan::scan("r"), ScalarExpr::column(1).gt(text()))
+            .select(ScalarExpr::column(0).eq(ScalarExpr::literal(Value::Int(1))));
+        assert_eq!(optimize(&join, &c).unwrap(), join);
     }
 }

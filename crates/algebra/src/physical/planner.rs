@@ -48,12 +48,15 @@
 //!   and its wording, is the reference's.
 //! * Hash join and nested loop produce identical row order: both emit,
 //!   for each left row in input order, its matching right rows in right
-//!   input order. The planner may only *substitute* a nested loop for a
-//!   hash join when every key column's type has exact equality
-//!   (`INT`/`TEXT`/`BOOL`), where `=`'s coercing comparison and the hash
-//!   table's ordered-map equality provably agree; `REAL` keys (where
-//!   `0.0`/`-0.0` and NaN make the two differ) always keep the hash
-//!   strategy the logical executor uses.
+//!   input order. Only key columns whose type has exact equality
+//!   (`INT`/`TEXT`/`BOOL`) are hashed at all, where `=`'s comparison and
+//!   the hash table's ordered-map equality provably agree (a `REAL` column
+//!   also holds widened `Int`s, which `=` equates with their reals and the
+//!   map does not, so a `REAL` pair stays in the residual). *Errors*: the
+//!   nested loop tests the whole predicate on every pair, a pair with a
+//!   NULL key included (`NULL = k` is unknown, and `AND` goes on to the
+//!   residual), where the hash join never pairs a NULL key; so it
+//!   substitutes only for a join whose residual cannot raise.
 //! * An index join emits what the hash join it replaces would. *Row
 //!   order*: both walk the left rows in input order, and for one left row
 //!   the index's posting list is its matches in insertion order — the
@@ -62,11 +65,9 @@
 //!   loop, and a NULL right key is in neither the index nor the hash
 //!   table. *Key equality*: the index map and the hash table compare with
 //!   the same total order on `Value`, and it is SQL's `=` because only
-//!   same-typed pairs are hashable and only `INT`/`TEXT`/`BOOL` columns
-//!   indexable (a join keyed on `REAL` columns alone therefore finds no
-//!   index and keeps the hash join). Key pairs beyond the indexed one —
-//!   `REAL` pairs included — are compared per fetched row with that same
-//!   order, as the hash table would. *Lineage* is `joined(left, right)`
+//!   same-typed `INT`/`TEXT`/`BOOL` pairs are hashable. Key pairs beyond
+//!   the indexed one are compared per fetched row with that same order,
+//!   as the hash table would. *Lineage* is `joined(left, right)`
 //!   either way, the right row read where it is stored. *Errors*: the
 //!   build side
 //!   qualifies only as a `TableScan` **without a residual**, so no
@@ -81,7 +82,7 @@ use crate::expr::{BinaryOp, ScalarExpr};
 use crate::physical::plan::PhysicalPlan;
 use crate::plan::Plan;
 use crate::Result;
-use pcqe_storage::{Catalog, DataType, TableStats};
+use pcqe_storage::{Catalog, TableStats};
 
 /// Per-row cost multiplier for building the hash table, relative to one
 /// nested-loop predicate evaluation. A build row is tagged with its
@@ -121,17 +122,8 @@ pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
             let left_schema = left.schema(catalog)?;
             let right_schema = right.schema(catalog)?;
             let left_arity = left_schema.arity();
-            // Same hashability rule as the logical executor: only
-            // same-typed column pairs may be hash keys.
-            let hashable = |lc: usize, rc: usize| {
-                let lt = left_schema.columns().get(lc).map(|c| c.data_type);
-                let rt = right_schema
-                    .columns()
-                    .get(rc - left_arity)
-                    .map(|c| c.data_type);
-                lt.is_some() && lt == rt
-            };
-            let (equi, residual) = split_equi_conjuncts(predicate, left_arity, hashable);
+            // Same hashability rule as the logical executor.
+            let (equi, residual) = split_equi_conjuncts(predicate, &left_schema, &right_schema);
             let l = lower(left, catalog)?;
             let r = lower(right, catalog)?;
             if equi.is_empty() {
@@ -141,20 +133,21 @@ pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
                     predicate: Some(predicate.clone()),
                 }
             } else {
-                // A nested loop may replace the hash join only when every
-                // key type has exact (non-coercing) equality — see module
-                // docs for the REAL-key caveat.
-                let exact_keys = equi.iter().all(|&(lc, _)| {
-                    matches!(
-                        left_schema.columns().get(lc).map(|c| c.data_type),
-                        Some(DataType::Int | DataType::Text | DataType::Bool)
-                    )
-                });
+                // A nested loop may replace the hash join only where the
+                // residual cannot raise: it tests the whole predicate on
+                // every pair, a pair with a NULL key too.
+                let column_type = |i: usize| match i.checked_sub(left_arity) {
+                    None => left_schema.columns().get(i).map(|c| c.data_type),
+                    Some(j) => right_schema.columns().get(j).map(|c| c.data_type),
+                };
+                let safe = residual
+                    .as_ref()
+                    .is_none_or(|r| r.cannot_raise(&column_type));
                 let lrows = estimate(&l, catalog);
                 let rrows = estimate(&r, catalog);
                 let cost_nl = lrows.saturating_mul(rrows);
                 let cost_hash = lrows.saturating_add(rrows.saturating_mul(HASH_BUILD_COST));
-                if exact_keys && cost_nl < cost_hash {
+                if safe && cost_nl < cost_hash {
                     PhysicalPlan::NestedLoopJoin {
                         left: Box::new(l),
                         right: Box::new(r),
@@ -402,7 +395,7 @@ fn predicate_rows(base: usize, predicate: &ScalarExpr, stats: Option<&TableStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcqe_storage::{Column, Schema, Value};
+    use pcqe_storage::{Column, DataType, Schema, Value};
 
     /// 36 orders (cust = i%6, region = i%2, flag = i%3) joined to 5
     /// customers. With both filter columns indexed the planner knows

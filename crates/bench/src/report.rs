@@ -5,6 +5,7 @@
 //! stable: one key per figure, each an array of row objects.
 
 use crate::experiments::{Fig11aRow, Fig11beRow, Fig11cfRow};
+use pcqe_obs::export::{json_f64, json_string};
 use std::fmt::Write as _;
 
 /// Everything the `figures` binary produced, serialisable as one JSON
@@ -22,37 +23,6 @@ pub struct FigureReport {
     /// Observability snapshot of the run (row/timing tallies recorded by
     /// the `figures` binary), if metrics were captured.
     pub metrics: Option<pcqe_obs::MetricsSnapshot>,
-}
-
-/// Escape a string for inclusion in a JSON document.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a finite float (JSON has no NaN/Inf; those become `null`).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        // `{:?}` prints the shortest representation that round-trips.
-        format!("{x:?}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 fn json_opt_f64(x: Option<f64>) -> String {
@@ -338,13 +308,5 @@ mod tests {
         assert!(json.contains("\"bench.fig11a.seconds\""), "{json}");
         // The embedded document is re-indented, not left at column zero.
         assert!(json.contains("\n    \"counters\""), "{json}");
-    }
-
-    #[test]
-    fn json_floats_round_trip_and_specials_are_null() {
-        assert_eq!(json_f64(0.1), "0.1");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_string("a\nb\\\"c"), "\"a\\nb\\\\\\\"c\"");
     }
 }

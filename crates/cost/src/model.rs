@@ -179,13 +179,6 @@ impl CostFn {
         (self.potential(to) - self.potential(from)).max(0.0)
     }
 
-    /// Checked variant of [`CostFn::cost`] validating both confidences.
-    pub fn cost_checked(&self, from: f64, to: f64) -> Result<f64> {
-        check_conf(from)?;
-        check_conf(to)?;
-        Ok(self.cost(from, to))
-    }
-
     /// Cost of one increment step of size `delta` starting at `from`,
     /// clamping the target to `1.0`.
     pub fn step_cost(&self, from: f64, delta: f64) -> f64 {
@@ -294,13 +287,5 @@ mod tests {
         assert!(CostFn::piecewise(vec![(0.1, 0.0)]).is_err());
         assert!(CostFn::piecewise(vec![(0.0, 5.0), (0.5, 1.0)]).is_err());
         assert!(CostFn::piecewise(vec![(0.0, 0.0), (0.0, 1.0)]).is_err());
-    }
-
-    #[test]
-    fn cost_checked_validates_range() {
-        let c = CostFn::linear(1.0).unwrap();
-        assert!(c.cost_checked(0.2, 1.1).is_err());
-        assert!(c.cost_checked(-0.1, 0.5).is_err());
-        assert!(c.cost_checked(0.2, 0.9).is_ok());
     }
 }

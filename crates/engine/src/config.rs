@@ -43,11 +43,6 @@ pub struct EngineConfig {
     /// Minimum batch size (rows to execute, lineages to score, grid
     /// points D&C groups search) before threads are spawned.
     pub parallel_threshold: usize,
-    /// Record operator, solver, scheduler and policy metrics into the
-    /// database's [`pcqe_obs::Recorder`]. Recording is result-neutral:
-    /// query answers, proposals and audit entries are bit-identical with
-    /// recording on or off, at any thread count — metrics only observe.
-    pub record_metrics: bool,
 }
 
 impl Default for EngineConfig {
@@ -60,7 +55,6 @@ impl Default for EngineConfig {
             lineage_budget: 4096,
             worker_threads: None,
             parallel_threshold: pcqe_par::DEFAULT_PARALLEL_THRESHOLD,
-            record_metrics: true,
         }
     }
 }

@@ -129,7 +129,6 @@ impl Database {
     /// traced result sets outgrow the default event buffer.
     pub fn with_tracer(config: EngineConfig, tracer: pcqe_obs::Tracer) -> Database {
         let recorder = pcqe_obs::Recorder::with_clock(tracer.clock().clone());
-        recorder.set_enabled(config.record_metrics);
         let tracer = Arc::new(tracer);
         tracer.set_enabled(false);
         let mut cache = pcqe_lineage::CircuitCache::new();
@@ -241,8 +240,7 @@ impl Database {
         &self.audit
     }
 
-    /// The metrics recorder. Recording starts out matching
-    /// [`EngineConfig::record_metrics`] and can be toggled at runtime with
+    /// The metrics recorder. Recording starts out on and is switched with
     /// [`pcqe_obs::Recorder::set_enabled`]; it never changes query
     /// answers, proposals, or the audit trail.
     pub fn recorder(&self) -> &pcqe_obs::Recorder {
@@ -961,12 +959,7 @@ mod tests {
 
     /// The paper's running example, end to end.
     fn paper_db() -> Database {
-        paper_db_with(EngineConfig::default())
-    }
-
-    /// The paper's running example under an explicit configuration.
-    fn paper_db_with(config: EngineConfig) -> Database {
-        let mut db = Database::new(config);
+        let mut db = Database::new(EngineConfig::default());
         db.create_table(
             "Proposal",
             Schema::new(vec![
@@ -1318,10 +1311,8 @@ mod tests {
     #[test]
     fn recording_off_is_result_neutral_and_records_nothing() {
         let mut on = paper_db();
-        let mut off = paper_db_with(EngineConfig {
-            record_metrics: false,
-            ..EngineConfig::default()
-        });
+        let mut off = paper_db();
+        off.recorder().set_enabled(false);
         let user = User::new("mark", "Manager");
         let request = QueryRequest::new(QUERY, "investment");
         let r_on = on.query(&user, &request).unwrap();

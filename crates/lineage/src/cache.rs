@@ -102,14 +102,6 @@ impl CacheStats {
     pub fn hits(&self) -> u64 {
         self.compile_hits.saturating_add(self.eval_hits)
     }
-
-    /// Merge another stats delta into this one (saturating).
-    pub fn absorb(&mut self, other: CacheStats) {
-        self.compiled = self.compiled.saturating_add(other.compiled);
-        self.compile_hits = self.compile_hits.saturating_add(other.compile_hits);
-        self.eval_hits = self.eval_hits.saturating_add(other.eval_hits);
-        self.invalidated = self.invalidated.saturating_add(other.invalidated);
-    }
 }
 
 type NodeId = usize;

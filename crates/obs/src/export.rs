@@ -95,7 +95,7 @@ fn object<'a>(pairs: impl Iterator<Item = (&'a str, String)>, indent: usize) -> 
 }
 
 /// Escape a string for JSON.
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -116,7 +116,7 @@ pub(crate) fn json_string(s: &str) -> String {
 }
 
 /// A JSON number for `v`: `{v:?}` round-trips; non-finite becomes `null`.
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:?}")
     } else {
@@ -251,6 +251,13 @@ mod tests {
     fn json_string_escapes_specials() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn json_floats_round_trip_and_specials_are_null() {
+        assert_eq!(json_f64(0.1), "0.1");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 
     #[test]

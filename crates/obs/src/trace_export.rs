@@ -32,9 +32,8 @@ use pcqe_par::{ConfidencePath, Decision};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Stable text form of a [`ConfidencePath`] (shared by both exporters
-/// and the shell's decision rendering).
-pub fn path_label(path: ConfidencePath) -> &'static str {
+/// Stable text form of a [`ConfidencePath`] (shared by both exporters).
+pub(crate) fn path_label(path: ConfidencePath) -> &'static str {
     match path {
         ConfidencePath::Exact => "exact",
         ConfidencePath::BetaSkipped => "beta-skipped",

@@ -198,14 +198,6 @@ impl Parallelism {
         }
     }
 
-    /// A policy with a fixed worker count and the default threshold.
-    pub fn with_workers(n: usize) -> Self {
-        Parallelism {
-            worker_threads: Some(n),
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-        }
-    }
-
     /// Workers that would actually run for a batch of `len` items.
     pub fn workers_for(&self, len: usize) -> usize {
         if len < self.parallel_threshold.max(2) {

@@ -25,12 +25,6 @@ impl PolicyDecision {
             self.released.len() as f64 / n as f64
         }
     }
-
-    /// True when at least `fraction` (the user's `perc`/θ) of the results
-    /// were released.
-    pub fn satisfies_fraction(&self, fraction: f64) -> bool {
-        self.released_fraction() >= fraction
-    }
 }
 
 /// Split a slice of result confidences into released/withheld index sets
@@ -71,7 +65,7 @@ mod tests {
         let p1 = ConfidencePolicy::new("Secretary", "analysis", 0.05).unwrap();
         let d = evaluate_results(&p1, &[0.058]);
         assert_eq!(d.released, vec![0]);
-        assert!(d.satisfies_fraction(1.0));
+        assert_eq!(d.released_fraction(), 1.0);
     }
 
     #[test]
@@ -81,8 +75,6 @@ mod tests {
         assert_eq!(d.released, vec![1, 2]);
         assert_eq!(d.withheld, vec![0, 3]);
         assert!((d.released_fraction() - 0.5).abs() < 1e-12);
-        assert!(d.satisfies_fraction(0.5));
-        assert!(!d.satisfies_fraction(0.75));
     }
 
     #[test]
@@ -90,6 +82,5 @@ mod tests {
         let p = ConfidencePolicy::default_floor(0.5).unwrap();
         let d = evaluate_results(&p, &[]);
         assert_eq!(d.released_fraction(), 0.0);
-        assert!(d.satisfies_fraction(0.0));
     }
 }

@@ -26,15 +26,6 @@ impl PolicyStore {
         PolicyStore::default()
     }
 
-    /// A store with a caller-supplied role hierarchy.
-    pub fn with_hierarchy(hierarchy: RoleHierarchy) -> Self {
-        PolicyStore {
-            policies: Vec::new(),
-            hierarchy,
-            purposes: PurposeHierarchy::new(),
-        }
-    }
-
     /// Add a policy.
     pub fn add(&mut self, policy: ConfidencePolicy) {
         self.policies.push(policy);

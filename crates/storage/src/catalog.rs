@@ -51,7 +51,7 @@ impl Catalog {
     }
 
     /// Mutably borrow a table by name (case-insensitive).
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
             .iter_mut()
             .find_map(|(k, t)| k.eq_ignore_ascii_case(name).then_some(t))

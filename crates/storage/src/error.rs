@@ -38,8 +38,6 @@ pub enum StorageError {
     UnknownTuple(u64),
     /// A confidence value was outside `[0, 1]` or not finite.
     InvalidConfidence(f64),
-    /// Direct insert into a table whose ids are allocated by the catalog.
-    CatalogManagedTable(String),
     /// An explicit tuple id collided with an existing tuple.
     DuplicateTupleId(u64),
     /// An equality index was requested on a column type that cannot carry
@@ -87,10 +85,6 @@ impl fmt::Display for StorageError {
             StorageError::InvalidConfidence(_) => {
                 write!(f, "confidence outside [0, 1]")
             }
-            StorageError::CatalogManagedTable(t) => write!(
-                f,
-                "table `{t}` is catalog-managed; insert through the catalog"
-            ),
             StorageError::DuplicateTupleId(id) => {
                 write!(f, "tuple id {id} already exists")
             }

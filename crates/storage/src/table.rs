@@ -38,21 +38,11 @@ pub struct Table {
     id_range: Option<(TupleId, TupleId)>,
     /// Equality indexes, in creation order. Maintained incrementally by
     /// [`Table::push_row`], which every insert path funnels through
-    /// (catalog insert, restore-with-id, standalone insert, CSV import).
+    /// (catalog insert, restore-with-id, CSV import).
     indexes: Vec<EqualityIndex>,
     /// The image of every `REAL` column, with the column's position: one
     /// slot per row, appended by [`Table::push_row`].
     images: Vec<(usize, Image)>,
-    /// Id allocator for standalone tables; `None` when the owning
-    /// [`crate::Catalog`] allocates ids.
-    ids: Option<IdSeq>,
-}
-
-#[derive(Debug, Clone)]
-struct IdSeq {
-    base: u64,
-    stride: u64,
-    next: u64,
 }
 
 /// Validate a confidence value: finite and within `[0, 1]`.
@@ -64,10 +54,9 @@ pub(crate) fn check_confidence(c: f64) -> Result<()> {
 }
 
 impl Table {
-    /// Create an empty table. `ids` controls whether the table allocates its
-    /// own tuple ids (`Some`) or leaves allocation to a [`crate::Catalog`]
-    /// (`None`).
-    fn with_ids(name: String, schema: Schema, ids: Option<IdSeq>) -> Self {
+    /// Create an empty table whose tuple ids the owning
+    /// [`crate::Catalog`] allocates.
+    pub(crate) fn catalog_managed(name: String, schema: Schema) -> Self {
         let images = schema
             .columns()
             .iter()
@@ -83,46 +72,7 @@ impl Table {
             id_range: None,
             indexes: Vec::new(),
             images,
-            ids,
         }
-    }
-
-    /// Create a catalog-managed table (ids supplied externally).
-    pub(crate) fn catalog_managed(name: String, schema: Schema) -> Self {
-        Table::with_ids(name, schema, None)
-    }
-
-    /// Create a standalone table (ids count up from zero). Prefer creating
-    /// tables through a [`crate::Catalog`] so ids stay globally unique.
-    pub fn standalone(name: impl Into<String>, schema: Schema) -> Self {
-        Table::with_ids(
-            name.into(),
-            schema,
-            Some(IdSeq {
-                base: 0,
-                stride: 1,
-                next: 0,
-            }),
-        )
-    }
-
-    /// Create a standalone table whose ids follow `base + i * stride`,
-    /// letting multiple standalone tables keep disjoint id spaces.
-    pub fn standalone_strided(
-        name: impl Into<String>,
-        schema: Schema,
-        base: u64,
-        stride: u64,
-    ) -> Self {
-        Table::with_ids(
-            name.into(),
-            schema,
-            Some(IdSeq {
-                base,
-                stride: stride.max(1),
-                next: 0,
-            }),
-        )
     }
 
     /// Append a validated row, maintaining the id index, every equality
@@ -227,27 +177,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Insert a row with the given confidence, returning its new id.
-    ///
-    /// Only standalone tables may allocate their own ids; rows of
-    /// catalog-managed tables must be inserted through
-    /// [`crate::Catalog::insert`] so ids stay globally unique.
-    pub fn insert(&mut self, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
-        self.check_insert(&values, confidence)?;
-        let seq = self
-            .ids
-            .as_mut()
-            .ok_or_else(|| StorageError::CatalogManagedTable(self.name.clone()))?;
-        let id = TupleId(seq.base + seq.next * seq.stride);
-        seq.next += 1;
-        self.push_row(StoredTuple {
-            id,
-            tuple: Tuple::new(values),
-            confidence,
-        });
-        Ok(id)
-    }
-
     /// Whether a row with these values and this confidence may be stored
     /// here — the one statement of what every insert path checks.
     pub(crate) fn check_insert(&self, values: &[Value], confidence: f64) -> Result<()> {
@@ -284,14 +213,6 @@ impl Table {
     /// Current confidence of a tuple, if it exists.
     pub fn confidence(&self, id: TupleId) -> Option<f64> {
         self.row(id).map(|r| r.confidence)
-    }
-
-    /// Set a tuple's confidence (the "data quality improvement" action).
-    pub fn set_confidence(&mut self, id: TupleId, confidence: f64) -> Result<()> {
-        check_confidence(confidence)?;
-        let row = self.row_mut(id).ok_or(StorageError::UnknownTuple(id.0))?;
-        row.confidence = confidence;
-        Ok(())
     }
 
     /// Raise a tuple's confidence to `confidence` if that is higher than the
@@ -334,36 +255,31 @@ mod tests {
             Column::new("funding", DataType::Real),
         ])
         .unwrap();
-        Table::standalone("Proposal", schema)
+        Table::catalog_managed("Proposal".into(), schema)
     }
 
-    #[test]
-    fn insert_assigns_sequential_ids() {
-        let mut t = table();
-        let a = t
-            .insert(vec![Value::text("A"), Value::Real(1.0)], 0.5)
-            .unwrap();
-        let b = t
-            .insert(vec![Value::text("B"), Value::Real(2.0)], 0.6)
-            .unwrap();
-        assert_eq!(a, TupleId(0));
-        assert_eq!(b, TupleId(1));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.row(b).unwrap().tuple.get(0), Some(&Value::text("B")));
+    /// Check and store a row under the next id, as the catalog does.
+    fn insert(t: &mut Table, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
+        t.check_insert(&values, confidence)?;
+        let id = TupleId(t.len() as u64);
+        t.push_row(StoredTuple {
+            id,
+            tuple: Tuple::new(values),
+            confidence,
+        });
+        Ok(id)
     }
 
     #[test]
     fn insert_validates_schema_and_confidence() {
         let mut t = table();
-        assert!(t
-            .insert(vec![Value::Int(1), Value::Real(1.0)], 0.5)
-            .is_err());
+        assert!(insert(&mut t, vec![Value::Int(1), Value::Real(1.0)], 0.5).is_err());
         assert!(matches!(
-            t.insert(vec![Value::text("A"), Value::Real(1.0)], 1.5),
+            insert(&mut t, vec![Value::text("A"), Value::Real(1.0)], 1.5),
             Err(StorageError::InvalidConfidence(_))
         ));
         assert!(matches!(
-            t.insert(vec![Value::text("A"), Value::Real(1.0)], f64::NAN),
+            insert(&mut t, vec![Value::text("A"), Value::Real(1.0)], f64::NAN),
             Err(StorageError::InvalidConfidence(_))
         ));
         assert!(t.is_empty());
@@ -372,50 +288,27 @@ mod tests {
     #[test]
     fn confidence_updates() {
         let mut t = table();
-        let id = t
-            .insert(vec![Value::text("A"), Value::Real(1.0)], 0.3)
-            .unwrap();
-        t.set_confidence(id, 0.4).unwrap();
+        let id = insert(&mut t, vec![Value::text("A"), Value::Real(1.0)], 0.4).unwrap();
         assert_eq!(t.confidence(id), Some(0.4));
         // raise_confidence never lowers
         assert_eq!(t.raise_confidence(id, 0.2).unwrap(), 0.4);
         assert_eq!(t.raise_confidence(id, 0.9).unwrap(), 0.9);
         assert!(matches!(
-            t.set_confidence(TupleId(99), 0.5),
+            t.raise_confidence(TupleId(99), 0.5),
             Err(StorageError::UnknownTuple(99))
         ));
     }
 
     #[test]
-    fn strided_id_spaces_do_not_collide() {
-        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        let mut a = Table::standalone_strided("a", schema.clone(), 0, 2);
-        let mut b = Table::standalone_strided("b", schema, 1, 2);
-        let ia = a.insert(vec![Value::Int(1)], 0.1).unwrap();
-        let ib = b.insert(vec![Value::Int(1)], 0.1).unwrap();
-        assert_ne!(ia, ib);
-        let ia2 = a.insert(vec![Value::Int(2)], 0.1).unwrap();
-        assert_eq!(ia2, TupleId(2));
-    }
-
-    #[test]
     fn indexes_are_maintained_across_insert_paths() {
-        let schema = Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("funding", DataType::Real),
-        ])
-        .unwrap();
-        let mut t = Table::standalone("Proposal", schema);
-        t.insert(vec![Value::text("A"), Value::Real(1.0)], 0.5)
-            .unwrap();
+        let mut t = table();
+        insert(&mut t, vec![Value::text("A"), Value::Real(1.0)], 0.5).unwrap();
         // Index created after the fact backfills existing rows...
         t.create_index(0).unwrap();
         // ...and subsequent inserts maintain it incrementally.
-        t.insert(vec![Value::text("B"), Value::Real(2.0)], 0.6)
-            .unwrap();
-        t.insert(vec![Value::text("A"), Value::Real(3.0)], 0.7)
-            .unwrap();
-        t.insert(vec![Value::Null, Value::Real(4.0)], 0.8).unwrap();
+        insert(&mut t, vec![Value::text("B"), Value::Real(2.0)], 0.6).unwrap();
+        insert(&mut t, vec![Value::text("A"), Value::Real(3.0)], 0.7).unwrap();
+        insert(&mut t, vec![Value::Null, Value::Real(4.0)], 0.8).unwrap();
         let ix = t.index_on(0).unwrap();
         assert_eq!(ix.lookup(&Value::text("A")), &[0, 2]);
         assert_eq!(ix.lookup(&Value::text("B")), &[1]);
@@ -440,16 +333,6 @@ mod tests {
         assert!(matches!(
             t.create_index(9),
             Err(StorageError::ColumnIndexOutOfRange(9))
-        ));
-    }
-
-    #[test]
-    fn catalog_managed_tables_reject_direct_insert() {
-        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        let mut t = Table::catalog_managed("c".into(), schema);
-        assert!(matches!(
-            t.insert(vec![Value::Int(1)], 0.1),
-            Err(StorageError::CatalogManagedTable(_))
         ));
     }
 }

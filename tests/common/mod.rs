@@ -3,17 +3,23 @@
 //! The workspace builds fully offline, so the former `proptest` suites
 //! are driven by the in-repo [`Rng64`] generator instead: each test runs
 //! a fixed number of cases, each case derived from a per-case seed, so a
-//! failure prints the exact seed needed to replay it in isolation.
+//! failure prints the exact seed needed to replay it in isolation. The
+//! equivalence suites draw their databases and queries from one generator
+//! (`generate.rs`) and hold every path to one reference (`check.rs`).
 
 #![allow(dead_code)]
 
-use pcqe::algebra::{ResultSet, ScoredTuple};
+mod check;
+mod generate;
+
+pub use check::*;
+pub use generate::*;
 use pcqe::core::state::EvalState;
 use pcqe::core::{ProblemInstance, Solution};
-use pcqe::engine::{AuditEntry, Database, QueryResponse, StatementOutcome};
-use pcqe::lineage::{Evaluator, Lineage, Rng64, VarId};
-use pcqe::par::Parallelism;
-use pcqe::policy::{evaluate_results, ConfidencePolicy};
+use pcqe::cost::CostFn;
+use pcqe::engine::{Database, StatementOutcome};
+use pcqe::lineage::{Lineage, Rng64};
+use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Catalog, DataType, TupleId, Value};
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
@@ -103,91 +109,6 @@ pub fn random_char(rng: &mut Rng64) -> char {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The reference pipeline.
-//
-// The engine has one production path (lower → vectorized execution →
-// cached, β-gated scoring). The suites hold it to the simplest code that
-// computes the same answers: the logical plan as `pcqe_sql` built it, the
-// sequential walker `execute`, the uncached interpreter `ResultSet::score`
-// and the policy gate — no optimiser, no planner, no batches, no circuit
-// pool, no threads.
-
-/// One query's reference answer.
-pub struct Reference {
-    /// Every result row with its exact confidence, in row order.
-    pub scored: Vec<ScoredTuple>,
-    /// Indices into `scored` the policy releases, ascending.
-    pub released: Vec<usize>,
-    /// How many rows the policy withholds.
-    pub withheld: usize,
-    /// How many rows β-gated scoring may skip: those whose Fréchet upper
-    /// bound is already ≤ β.
-    pub skippable: usize,
-}
-
-/// `pcqe_sql` parse + plan → logical `execute`.
-pub fn reference_rows(sql: &str, catalog: &Catalog) -> ResultSet {
-    let plan = pcqe::sql::parse_and_plan(sql, catalog).expect("reference plans");
-    pcqe::algebra::execute(&plan, catalog).expect("reference executes")
-}
-
-/// [`reference_rows`] → uncached `ResultSet::score` → `evaluate_results`.
-pub fn reference(sql: &str, catalog: &Catalog, policy: &ConfidencePolicy) -> Reference {
-    let rows = reference_rows(sql, catalog);
-    let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-    let scored = rows
-        .score(&probs, &Evaluator::default())
-        .expect("reference scores");
-    let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
-    let decision = evaluate_results(policy, &confidences);
-    let skippable = rows
-        .rows()
-        .iter()
-        .filter(|r| {
-            pcqe::lineage::upper_bound(&r.lineage, &probs).expect("reference bounds")
-                <= policy.threshold
-        })
-        .count();
-    Reference {
-        scored,
-        released: decision.released,
-        withheld: decision.withheld.len(),
-        skippable,
-    }
-}
-
-/// The worker counts the executor suites run every plan at — one, four
-/// and the host's — each forcing the parallel paths on any input size.
-pub fn parallelism_grid() -> [(Parallelism, &'static str); 3] {
-    let threads = |worker_threads| Parallelism {
-        worker_threads,
-        parallel_threshold: 1,
-    };
-    [
-        (Parallelism::sequential(), "1 thread"),
-        (threads(Some(4)), "4 threads"),
-        (threads(None), "host threads"),
-    ]
-}
-
-/// Assert two result sets agree bit for bit: schema, rows, order, lineage.
-pub fn assert_rows_identical(expected: &ResultSet, got: &ResultSet, context: &str) {
-    assert_eq!(
-        expected.schema(),
-        got.schema(),
-        "schema diverged for {context}"
-    );
-    assert_eq!(
-        expected.rows().len(),
-        got.rows().len(),
-        "row count diverged for {context}"
-    );
-    for (i, (x, y)) in expected.rows().iter().zip(got.rows()).enumerate() {
-        assert_eq!(x, y, "row {i} diverged for {context}");
-    }
-}
-
 /// Assert every table's column images are in step with its rows: a `REAL`
 /// column has an image of one slot per row, native with the row's very
 /// bits exactly where the row holds a `Real`; a column of another type has
@@ -214,56 +135,45 @@ pub fn assert_images_aligned(catalog: &Catalog, context: &str) {
     }
 }
 
-/// Assert a `Database` response releases exactly what the reference
-/// releases: same rows in the same order, same lineage, same confidence
-/// bits, same withheld count, gated at the same β.
-pub fn assert_matches_reference(
-    response: &QueryResponse,
-    expected: &Reference,
-    policy: &ConfidencePolicy,
-    context: &str,
-) {
-    assert_eq!(
-        response.threshold.to_bits(),
-        policy.threshold.to_bits(),
-        "threshold diverged for {context}"
-    );
-    assert_eq!(
-        response.withheld, expected.withheld,
-        "withheld count diverged for {context}"
-    );
-    assert_eq!(
-        response.released.len(),
-        expected.released.len(),
-        "released count diverged for {context}"
-    );
-    for (got, &i) in response.released.iter().zip(&expected.released) {
-        let want = &expected.scored[i];
-        assert_eq!(got.tuple, want.tuple, "row {i} diverged for {context}");
-        assert_eq!(
-            got.lineage, want.lineage,
-            "lineage {i} diverged for {context}"
-        );
-        assert_eq!(
-            got.confidence.to_bits(),
-            want.confidence.to_bits(),
-            "confidence bits {i} diverged for {context}"
-        );
-    }
+/// The paper's Section 3.1 query over [`paper_db`].
+pub const PAPER_QUERY: &str = "SELECT DISTINCT CompanyInfo.company, income \
+    FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company \
+    WHERE funding < 1000000.0";
+
+/// The Section 3.1 tables: SkyCam's two proposals t0 and t1 (confidence
+/// 0.3 and 0.4) and its company row t2 (0.1).
+pub fn paper_spec() -> DbSpec {
+    let (text, real) = (DataType::Text, DataType::Real);
+    let proposal = |name: &str, funding| {
+        vec![
+            Value::text("SkyCam"),
+            Value::text(name),
+            Value::Real(funding),
+        ]
+    };
+    DbSpec::default()
+        .table(
+            "Proposal",
+            &[("company", text), ("proposal", text), ("funding", real)],
+        )
+        .row(0.3, proposal("drone v1", 800_000.0))
+        .row(0.4, proposal("drone v2", 900_000.0))
+        .table("CompanyInfo", &[("company", text), ("income", real)])
+        .row(0.1, vec![Value::text("SkyCam"), Value::Real(500_000.0)])
 }
 
-/// The `(released, withheld)` counts of every query entry in the audit
-/// log, in order.
-pub fn audited_counts(db: &Database) -> Vec<(usize, usize)> {
-    db.audit_log()
-        .iter()
-        .filter_map(|e| match e {
-            AuditEntry::Query {
-                released, withheld, ..
-            } => Some((*released, *withheld)),
-            AuditEntry::Improvement { .. } => None,
-        })
-        .collect()
+/// [`paper_spec`] loaded into `db`, with cost rates 1 000, 100 and
+/// 10 000 on t0–t2; the Secretary's β = 0.05 releases the running
+/// example's one result, the Manager's 0.06 withholds it.
+pub fn paper_db(mut db: Database) -> Database {
+    paper_spec().load(&mut db, false);
+    for (id, rate) in [(0, 1000.0), (1, 100.0), (2, 10_000.0)] {
+        db.set_cost(TupleId(id), CostFn::linear(rate).unwrap())
+            .unwrap();
+    }
+    db.add_policy(ConfidencePolicy::new("Secretary", "analysis", 0.05).unwrap());
+    db.add_policy(ConfidencePolicy::new("Manager", "investment", 0.06).unwrap());
+    db
 }
 
 /// What an `EXPLAIN [ANALYZE] …` `statement` renders through

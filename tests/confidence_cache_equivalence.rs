@@ -2,16 +2,16 @@
 //!
 //! The contract of `lineage::cache` (DESIGN.md §10) is that scoring
 //! through the shared circuit pool, β-gated, is a pure performance
-//! decision: for every query in the grid below, over randomised
-//! databases, `Database::query` must release **bit-identically** what the
-//! reference pipeline in `tests/common` releases (uncached interpreter,
-//! no gate) — same rows in the same order, same lineage, same confidence
-//! bits, same withheld counts, the same audit trail — at any
+//! decision: for generated databases and queries (`tests/common`'s
+//! generator and harness), `Database::query` must release
+//! **bit-identically** what the reference pipeline releases (uncached
+//! interpreter, no gate) — same rows in the same order, same lineage, same
+//! confidence bits, same withheld counts, the same audit trail — at any
 //! worker-thread count, with or without equality indexes. Repeated
 //! what-if previews (the memo-warming, incrementally-invalidated fast
 //! path) must preview the applied future bit for bit.
 //!
-//! The last section states three laws over the same grid that hold because
+//! The last section states three laws over the grid below that hold because
 //! `query`, `query_batch` and `what_if` are three callers of one
 //! pipeline: a preview is the applied future, a batch releases what its
 //! queries release one by one, and a batch's one proposal, applied, meets
@@ -19,7 +19,10 @@
 
 mod common;
 
-use common::{assert_matches_reference, audited_counts, for_each_case, reference};
+use common::{
+    assert_matches_reference, audited_counts, check, check_generated, for_each_case, paper_db,
+    random_rows, reference, DbSpec, PAPER_QUERY, WORLDS,
+};
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, NoProposal, QueryRequest, QueryResponse, User};
 use pcqe::lineage::Rng64;
@@ -41,189 +44,36 @@ const QUERIES: &[&str] = &[
     "SELECT cust, COUNT(*) AS n FROM orders GROUP BY cust HAVING n > 0",
 ];
 
-fn build_db(
-    config: EngineConfig,
-    beta: f64,
-    orders: &[(i64, i64, f64)],
-    customers: &[(i64, f64, f64)],
-    indexed: bool,
-) -> Database {
-    let mut db = Database::new(config);
-    db.create_table(
-        "orders",
-        Schema::new(vec![
-            Column::new("cust", DataType::Int),
-            Column::new("amount", DataType::Int),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "customers",
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("score", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    for &(cust, amount, conf) in orders {
-        db.insert("orders", vec![Value::Int(cust), Value::Int(amount)], conf)
-            .unwrap();
-    }
-    for &(id, score, conf) in customers {
-        db.insert("customers", vec![Value::Int(id), Value::Real(score)], conf)
-            .unwrap();
-    }
-    if indexed {
-        db.create_index("orders", "cust").unwrap();
-        db.create_index("customers", "id").unwrap();
-    }
+/// `orders(cust INT, amount INT)` and `customers(id INT, score REAL)`,
+/// drawn by the generator.
+fn shop(rng: &mut Rng64) -> DbSpec {
+    let (int, real) = (DataType::Int, DataType::Real);
+    DbSpec::default()
+        .table("orders", &[("cust", int), ("amount", int)])
+        .rows(random_rows(rng, &[int, int], 6))
+        .table("customers", &[("id", int), ("score", real)])
+        .rows(random_rows(rng, &[int, real], 3))
+}
+
+/// [`shop`] under `config`, with the analyst's policy at `beta`.
+fn shop_db(spec: &DbSpec, config: EngineConfig, beta: f64) -> Database {
+    let mut db = spec.database(config, false);
     db.add_policy(ConfidencePolicy::new("analyst", "research", beta).unwrap());
     db
 }
 
-fn random_orders(rng: &mut Rng64) -> Vec<(i64, i64, f64)> {
-    let n = rng.below_usize(7);
-    (0..n)
-        .map(|_| {
-            (
-                rng.below_u64(3) as i64,
-                rng.below_u64(6) as i64,
-                rng.range_f64(0.05, 0.95),
-            )
-        })
-        .collect()
-}
-
-fn random_customers(rng: &mut Rng64) -> Vec<(i64, f64, f64)> {
-    let n = rng.below_usize(4);
-    (0..n)
-        .map(|_| {
-            (
-                rng.below_u64(3) as i64,
-                rng.range_f64(-2.0, 2.0),
-                rng.range_f64(0.05, 0.95),
-            )
-        })
-        .collect()
-}
-
-/// The engine vs the reference over the randomised grid, {plain,
-/// indexed} × {1, 4, host} threads: released rows, withheld counts, the
-/// audit trail and the β-skip count must all be the reference's.
+/// The engine vs the reference over generated databases and queries whose
+/// lineage the pool must score — joins, `DISTINCT`, `UNION`, `EXCEPT` —
+/// through the one harness: {plain, indexed} × {1, 4, host} threads,
+/// released rows, withheld counts, the audit trail and the β-skip count.
 #[test]
 fn cached_engine_is_bit_identical_to_uncached() {
-    for_each_case(CASES, 0x00CA_0001, |rng| {
-        let orders = random_orders(rng);
-        let customers = random_customers(rng);
-        let user = User::new("ada", "analyst");
-        for beta in [0.1, 0.45] {
-            let policy = ConfidencePolicy::new("analyst", "research", beta).unwrap();
-            for (threads, indexed) in [
-                (Some(1), false),
-                (Some(1), true),
-                (Some(4), false),
-                (Some(4), true),
-                (None, false),
-                (None, true),
-            ] {
-                let config = EngineConfig {
-                    worker_threads: threads,
-                    parallel_threshold: 1,
-                    ..EngineConfig::default()
-                };
-                let mut db = build_db(config, beta, &orders, &customers, indexed);
-                let (mut counts, mut skippable) = (Vec::new(), 0);
-                for sql in QUERIES {
-                    let expected = reference(sql, db.catalog(), &policy);
-                    let request = QueryRequest::new(*sql, "research");
-                    let got = db.query(&user, &request).expect("engine query");
-                    let context =
-                        format!("{sql} (beta={beta}, threads={threads:?}, indexed={indexed})");
-                    assert_matches_reference(&got, &expected, &policy, &context);
-                    counts.push((expected.released.len(), expected.withheld));
-                    skippable += expected.skippable as u64;
-                }
-                assert_eq!(
-                    audited_counts(&db),
-                    counts,
-                    "audit log diverged (beta={beta}, threads={threads:?}, indexed={indexed})"
-                );
-                assert_eq!(
-                    db.metrics_snapshot().counter("lineage.exact_skipped"),
-                    skippable,
-                    "β-gate skipped other rows than the bound proves failing"
-                );
-            }
-        }
-    });
+    let tally = check_generated(200, 0x00CA_0001, WORLDS, check);
+    assert!(tally.answered > 80 && tally.empty > 20, "{tally:?}");
 }
 
 // ---------------------------------------------------------------------------
 // What-if previews: the repeated-probe fast path.
-
-const PAPER_QUERY: &str = "SELECT DISTINCT CompanyInfo.company, income \
-    FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company \
-    WHERE funding < 1000000.0";
-
-/// The Section 3.1 database under a given configuration.
-fn paper_db(config: EngineConfig) -> Database {
-    let mut db = Database::new(config);
-    db.create_table(
-        "Proposal",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("proposal", DataType::Text),
-            Column::new("funding", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "CompanyInfo",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("income", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    let t02 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v1"),
-                Value::Real(800_000.0),
-            ],
-            0.3,
-        )
-        .unwrap();
-    let t03 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v2"),
-                Value::Real(900_000.0),
-            ],
-            0.4,
-        )
-        .unwrap();
-    let t13 = db
-        .insert(
-            "CompanyInfo",
-            vec![Value::text("SkyCam"), Value::Real(500_000.0)],
-            0.1,
-        )
-        .unwrap();
-    db.set_cost(t02, CostFn::linear(1000.0).unwrap()).unwrap();
-    db.set_cost(t03, CostFn::linear(100.0).unwrap()).unwrap();
-    db.set_cost(t13, CostFn::linear(10_000.0).unwrap()).unwrap();
-    db.add_policy(ConfidencePolicy::new("Manager", "investment", 0.06).unwrap());
-    db
-}
 
 /// Query → proposal → repeated what-if previews: every preview must be
 /// the reference's answer over the *applied* database, bit for bit, and
@@ -231,7 +81,8 @@ fn paper_db(config: EngineConfig) -> Database {
 /// subcircuits.
 #[test]
 fn what_if_previews_are_bit_identical_and_hit_the_cache() {
-    let mut db = paper_db(EngineConfig::default().sequential());
+    let paper = || paper_db(Database::new(EngineConfig::default().sequential()));
+    let mut db = paper();
     let user = User::new("mark", "Manager");
     let request = QueryRequest::new(PAPER_QUERY, "investment");
     let policy = ConfidencePolicy::new("Manager", "investment", 0.06).unwrap();
@@ -243,7 +94,7 @@ fn what_if_previews_are_bit_identical_and_hit_the_cache() {
 
     // The future the previews must show: a twin database with the
     // proposal really applied, answered by the reference.
-    let mut applied = paper_db(EngineConfig::default().sequential());
+    let mut applied = paper();
     let twin = applied.query(&user, &request).expect("twin query");
     applied
         .apply(&twin.proposal.expect("same strategy"))
@@ -326,12 +177,11 @@ fn four_threads() -> EngineConfig {
 fn what_if_is_apply_then_query() {
     let mut proposals = 0;
     for_each_case(CASES, 0x00CA_0002, |rng| {
-        let orders = random_orders(rng);
-        let customers = random_customers(rng);
+        let spec = shop(rng);
         let user = User::new("ada", "analyst");
         for beta in [0.1, 0.45] {
             for sql in QUERIES {
-                let mut db = build_db(four_threads(), beta, &orders, &customers, false);
+                let mut db = shop_db(&spec, four_threads(), beta);
                 let request = QueryRequest::new(*sql, "research");
                 let Some(proposal) = db.query(&user, &request).expect("query").proposal else {
                     continue;
@@ -359,16 +209,15 @@ fn what_if_is_apply_then_query() {
 #[test]
 fn batch_responses_are_the_single_query_responses() {
     for_each_case(CASES, 0x00CA_0003, |rng| {
-        let orders = random_orders(rng);
-        let customers = random_customers(rng);
+        let spec = shop(rng);
         let user = User::new("ada", "analyst");
         let requests: Vec<QueryRequest> = QUERIES
             .iter()
             .map(|sql| QueryRequest::new(*sql, "research"))
             .collect();
         for beta in [0.1, 0.45] {
-            let mut batched = build_db(four_threads(), beta, &orders, &customers, false);
-            let mut single = build_db(four_threads(), beta, &orders, &customers, false);
+            let mut batched = shop_db(&spec, four_threads(), beta);
+            let mut single = shop_db(&spec, four_threads(), beta);
             let batch = batched.query_batch(&user, &requests).expect("batch");
             assert_eq!(batch.responses.len(), requests.len());
             for (request, from_batch) in requests.iter().zip(&batch.responses) {
@@ -403,11 +252,9 @@ fn batch_proposal_meets_every_request_at_any_thread_count() {
     .collect();
     let (mut proposals, mut exact) = (0, 0);
     for_each_case(CASES, 0x00CA_0004, |rng| {
-        let orders = random_orders(rng);
-        let customers = random_customers(rng);
-        let rates: Vec<f64> = (0..orders.len() + customers.len())
-            .map(|_| rng.range_f64(1.0, 100.0))
-            .collect();
+        let spec = shop(rng);
+        let tuples = spec.tables.iter().map(|t| t.rows.len()).sum();
+        let rates: Vec<f64> = (0..tuples).map(|_| rng.range_f64(1.0, 100.0)).collect();
         let user = User::new("ada", "analyst");
         for beta in [0.45, 0.7] {
             let mut seen: Option<String> = None;
@@ -417,7 +264,7 @@ fn batch_proposal_meets_every_request_at_any_thread_count() {
                     parallel_threshold: 1,
                     ..EngineConfig::default()
                 };
-                let mut db = build_db(config, beta, &orders, &customers, false);
+                let mut db = shop_db(&spec, config, beta);
                 let ids: Vec<_> = ["orders", "customers"]
                     .iter()
                     .flat_map(|t| db.catalog().table(t).unwrap().rows())

@@ -6,49 +6,44 @@
 
 mod common;
 
+use common::DbSpec;
 use pcqe::core::dnc::DncOptions;
 use pcqe::core::greedy::GreedyOptions;
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, NoProposal, QueryRequest, SolverChoice, User};
 use pcqe::policy::{ConfidencePolicy, Role};
 use pcqe::provenance::{CollectionMethod, ProvenanceRecord, Source};
-use pcqe::storage::{Column, DataType, Schema, Value};
+use pcqe::storage::{Column, DataType, Schema, TupleId, Value};
 
 fn orders_db(config: EngineConfig) -> Database {
-    let mut db = Database::new(config);
-    db.create_table(
-        "Orders",
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("region", DataType::Text),
-            Column::new("amount", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    for (i, (region, amount, conf)) in [
+    let rows = [
         ("west", 100.0, 0.9),
         ("west", 200.0, 0.3),
         ("west", 300.0, 0.25),
         ("east", 400.0, 0.35),
         ("east", 500.0, 0.9),
         ("east", 600.0, 0.2),
-    ]
-    .iter()
-    .enumerate()
-    {
-        let id = db
-            .insert(
-                "Orders",
+    ];
+    let rows = rows
+        .iter()
+        .enumerate()
+        .map(|(i, &(region, amount, confidence))| {
+            (
+                confidence,
                 vec![
                     Value::Int(i as i64),
-                    Value::text(*region),
-                    Value::Real(*amount),
+                    Value::text(region),
+                    Value::Real(amount),
                 ],
-                *conf,
             )
-            .unwrap();
-        db.set_cost(id, CostFn::linear(10.0 * (i + 1) as f64).unwrap())
+        });
+    let (int, text, real) = (DataType::Int, DataType::Text, DataType::Real);
+    let spec = DbSpec::default()
+        .table("Orders", &[("id", int), ("region", text), ("amount", real)])
+        .rows(rows);
+    let mut db = spec.database(config, false);
+    for i in 0..6 {
+        db.set_cost(TupleId(i), CostFn::linear(10.0 * (i + 1) as f64).unwrap())
             .unwrap();
     }
     db.add_policy(ConfidencePolicy::new("clerk", "reporting", 0.5).unwrap());

@@ -7,39 +7,39 @@
 
 mod common;
 
-use common::{assert_rows_identical, for_each_case, parallelism_grid};
-use pcqe::algebra::{
-    execute, execute_vectorized_with, lower, PhysicalPlan, Plan, ResultSet, ScalarExpr,
-};
-use pcqe::lineage::{Evaluator, Rng64, VarId};
+use common::{for_each_case, random_rows, vexec_matches, DbSpec};
+use pcqe::algebra::{execute, execute_vectorized_with, lower, PhysicalPlan, Plan, ScalarExpr};
 use pcqe::par::Parallelism;
-use pcqe::storage::{Catalog, Column, DataType, Schema, TupleId, Value};
+use pcqe::storage::{Catalog, DataType, Value};
 use std::collections::BTreeSet;
 
 const CASES: u64 = 128;
 
-fn build(left: &[(Option<i64>, i64)], right: &[(Option<i64>, i64)]) -> Catalog {
-    let mut c = Catalog::new();
-    for name in ["l", "r"] {
-        c.create_table(
-            name,
-            Schema::new(vec![
-                Column::new("k", DataType::Int),
-                Column::new("v", DataType::Int),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-    }
-    for &(k, v) in left {
-        let key = k.map(Value::Int).unwrap_or(Value::Null);
-        c.insert("l", vec![key, Value::Int(v)], 0.5).unwrap();
-    }
-    for &(k, v) in right {
-        let key = k.map(Value::Int).unwrap_or(Value::Null);
-        c.insert("r", vec![key, Value::Int(v)], 0.5).unwrap();
-    }
-    c
+/// `k INT, v INT`: the columns of `l` and `r`.
+const KV: &[(&str, DataType)] = &[("k", DataType::Int), ("v", DataType::Int)];
+
+/// `(k, v)` rows, `None` a NULL key, at confidences that differ by row.
+fn kv(rows: &[(Option<i64>, i64)]) -> Vec<(f64, Vec<Value>)> {
+    let row = |&(k, v): &(Option<i64>, i64)| vec![k.map_or(Value::Null, Value::Int), Value::Int(v)];
+    confident(rows.iter().map(row))
+}
+
+/// Rows at confidences that differ by row.
+fn confident(rows: impl IntoIterator<Item = Vec<Value>>) -> Vec<(f64, Vec<Value>)> {
+    let confidence = |i: usize| 0.05 + 0.9 * ((i * 7) % 10) as f64 / 10.0;
+    rows.into_iter()
+        .enumerate()
+        .map(|(i, row)| (confidence(i), row))
+        .collect()
+}
+
+/// `l` and `r` with these rows.
+fn l_and_r(left: Vec<(f64, Vec<Value>)>, right: Vec<(f64, Vec<Value>)>) -> DbSpec {
+    DbSpec::default()
+        .table("l", KV)
+        .rows(left)
+        .table("r", KV)
+        .rows(right)
 }
 
 fn rows_of(plan: &Plan, c: &Catalog) -> Vec<String> {
@@ -53,32 +53,19 @@ fn rows_of(plan: &Plan, c: &Catalog) -> Vec<String> {
     out
 }
 
-/// A join key: usually a small int, one time in five NULL.
-fn random_key(rng: &mut Rng64) -> Option<i64> {
-    if rng.below_usize(5) < 4 {
-        Some(rng.below_u64(4) as i64)
-    } else {
-        None
-    }
-}
-
-fn random_table(rng: &mut Rng64) -> Vec<(Option<i64>, i64)> {
-    let n = rng.below_usize(8);
-    (0..n)
-        .map(|_| (random_key(rng), rng.below_u64(100) as i64))
-        .collect()
+/// `l` and `r` drawn by the generator: keys mostly 0–3, NULL now and then.
+fn random_l_and_r(rng: &mut pcqe::lineage::Rng64) -> DbSpec {
+    let types = [DataType::Int, DataType::Int];
+    l_and_r(random_rows(rng, &types, 7), random_rows(rng, &types, 7))
 }
 
 #[test]
 fn hash_join_equals_filtered_product() {
     for_each_case(CASES, 0x2011_0001, |rng| {
-        let left = random_table(rng);
-        let right = random_table(rng);
-        let with_residual = rng.chance(0.5);
-        let c = build(&left, &right);
+        let c = random_l_and_r(rng).catalog(false);
         // l.k = r.k [AND l.v < r.v]
         let mut predicate = ScalarExpr::column(0).eq(ScalarExpr::column(2));
-        if with_residual {
+        if rng.chance(0.5) {
             predicate = predicate.and(ScalarExpr::column(1).lt(ScalarExpr::column(3)));
         }
         let join = Plan::scan("l").join(Plan::scan("r"), predicate.clone());
@@ -94,11 +81,8 @@ fn join_key_multiplicity_is_respected() {
         let key = rng.below_u64(3) as i64;
         let left_copies = rng.range_usize(1, 4);
         let right_copies = rng.range_usize(1, 4);
-        let left: Vec<(Option<i64>, i64)> =
-            (0..left_copies).map(|i| (Some(key), i as i64)).collect();
-        let right: Vec<(Option<i64>, i64)> =
-            (0..right_copies).map(|i| (Some(key), i as i64)).collect();
-        let c = build(&left, &right);
+        let copies = |n: usize| (0..n).map(|i| (Some(key), i as i64)).collect::<Vec<_>>();
+        let c = l_and_r(kv(&copies(left_copies)), kv(&copies(right_copies))).catalog(false);
         let join = Plan::scan("l").join(
             Plan::scan("r"),
             ScalarExpr::column(0).eq(ScalarExpr::column(2)),
@@ -112,39 +96,6 @@ fn join_key_multiplicity_is_respected() {
 
 // ---------------------------------------------------------------------------
 // The index join against the reference walker and the hash join.
-
-/// One table: its name, its columns and its rows.
-struct TableSpec {
-    name: &'static str,
-    columns: Vec<Column>,
-    rows: Vec<Vec<Value>>,
-}
-
-/// Build `tables` in order, and for each `(table, column)` of `indexes`
-/// create the index when half that table's rows are in: an index is both
-/// backfilled and kept up by inserts. Tuple ids and confidences do not
-/// depend on `indexes`.
-fn catalog_of(tables: &[TableSpec], indexes: &[(&str, &str)]) -> Catalog {
-    let mut c = Catalog::new();
-    for t in tables {
-        c.create_table(t.name, Schema::new(t.columns.clone()).unwrap())
-            .unwrap();
-    }
-    for t in tables {
-        for i in 0..=t.rows.len() {
-            if i == t.rows.len() / 2 {
-                for (_, column) in indexes.iter().filter(|(table, _)| *table == t.name) {
-                    c.create_index(t.name, column).unwrap();
-                }
-            }
-            if let Some(row) = t.rows.get(i) {
-                let confidence = 0.05 + 0.9 * ((i * 7 + t.name.len()) % 10) as f64 / 10.0;
-                c.insert(t.name, row.clone(), confidence).unwrap();
-            }
-        }
-    }
-    c
-}
 
 /// An equi-join of a logical `left` input with a whole table.
 struct JoinCase {
@@ -167,23 +118,22 @@ enum Chosen {
     IndexAndHash,
 }
 
-fn confidence_bits(rows: &ResultSet, catalog: &Catalog) -> Vec<u64> {
-    let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-    let scored = rows.score(&probs, &Evaluator::default()).expect("scores");
-    scored.iter().map(|s| s.confidence.to_bits()).collect()
-}
-
-/// Hold the index join (over the catalog with its index) and the hash
-/// join (over the same catalog without) to the reference walker's outcome
+/// Hold the index join (over the spec with the case's index) and the hash
+/// join (over the spec without indexes) to the reference walker's outcome
 /// — rows, order, lineage and confidence bits, or the error string — at
 /// 1, 4 and host workers; and hold the planner to its rule: with the
 /// index it lowers the join to exactly this index join, without to
 /// exactly this hash join, unless the inputs are small enough for a
 /// nested loop, which they then are either way.
-fn check(case: &JoinCase, tables: &[TableSpec], context: &str) -> Chosen {
+fn check(case: &JoinCase, spec: &DbSpec, context: &str) -> Chosen {
     let (table, alias) = case.right;
-    let plain = catalog_of(tables, &[]);
-    let indexed = catalog_of(tables, &[(table, case.index_on)]);
+    let plain = spec.catalog(false);
+    let mut with_index = spec.clone();
+    let right = with_index.tables.iter_mut().find(|t| t.name == table);
+    let indexes = &mut right.expect("the case's table").indexes;
+    indexes.retain(|c| c != case.index_on);
+    indexes.push(case.index_on.to_owned());
+    let indexed = with_index.catalog(true);
     let t = indexed.table(table).unwrap();
     let column = t.schema().resolve(None, case.index_on).unwrap();
     // The index covers every row: one posting per non-NULL key's row,
@@ -205,7 +155,7 @@ fn check(case: &JoinCase, tables: &[TableSpec], context: &str) -> Chosen {
         None => Plan::scan(table),
     };
     let logical = case.left.clone().join(right, predicate);
-    let expected = execute(&logical, &plain);
+    let expected = execute(&logical, &plain).map_err(|e| e.to_string());
 
     let index_join = PhysicalPlan::IndexJoin {
         left: Box::new(lower(&case.left, &indexed).unwrap()),
@@ -227,20 +177,8 @@ fn check(case: &JoinCase, tables: &[TableSpec], context: &str) -> Chosen {
         residual: case.residual.clone(),
     };
     for (physical, catalog) in [(&index_join, &indexed), (&hash_join, &plain)] {
-        for (par, threads) in parallelism_grid() {
-            let context = format!("{context} ({threads})\n{physical}");
-            match (&expected, execute_vectorized_with(physical, catalog, &par)) {
-                (Ok(e), Ok(g)) => {
-                    assert_rows_identical(e, &g, &context);
-                    assert_eq!(
-                        confidence_bits(e, &plain),
-                        confidence_bits(&g, catalog),
-                        "{context}"
-                    );
-                }
-                (Err(e), Err(g)) => assert_eq!(e.to_string(), g.to_string(), "{context}"),
-                (e, g) => panic!("reference {e:?} but vectorized {g:?} for {context}"),
-            }
+        if let Err(e) = vexec_matches(&expected, physical, catalog) {
+            panic!("{e}\nfor {context}");
         }
     }
 
@@ -256,35 +194,6 @@ fn check(case: &JoinCase, tables: &[TableSpec], context: &str) -> Chosen {
     }
 }
 
-fn int(name: &str) -> Column {
-    Column::new(name, DataType::Int)
-}
-
-fn key_value(k: Option<i64>) -> Value {
-    k.map(Value::Int).unwrap_or(Value::Null)
-}
-
-/// `l(k, v)` and `r(k, v)` as [`build`] has them.
-fn two_tables(left: &[(Option<i64>, i64)], right: &[(Option<i64>, i64)]) -> Vec<TableSpec> {
-    let rows = |rows: &[(Option<i64>, i64)]| {
-        rows.iter()
-            .map(|&(k, v)| vec![key_value(k), Value::Int(v)])
-            .collect()
-    };
-    vec![
-        TableSpec {
-            name: "l",
-            columns: vec![int("k"), int("v")],
-            rows: rows(left),
-        },
-        TableSpec {
-            name: "r",
-            columns: vec![int("k"), int("v")],
-            rows: rows(right),
-        },
-    ]
-}
-
 fn col(i: usize) -> ScalarExpr {
     ScalarExpr::column(i)
 }
@@ -294,8 +203,7 @@ fn index_join_matches_the_reference_and_the_hash_join_on_random_tables() {
     let (mut nested, mut index) = (0, 0);
     for_each_case(CASES, 0x2011_0003, |rng| {
         // NULL keys on both sides, duplicate keys on both sides.
-        let left = random_table(rng);
-        let right = random_table(rng);
+        let spec = random_l_and_r(rng);
         let residual = rng.chance(0.5).then(|| col(1).lt(col(3)));
         let case = JoinCase {
             left: Plan::scan("l"),
@@ -304,8 +212,8 @@ fn index_join_matches_the_reference_and_the_hash_join_on_random_tables() {
             residual,
             index_on: "k",
         };
-        let context = format!("l = {left:?}, r = {right:?}");
-        match check(&case, &two_tables(&left, &right), &context) {
+        let context = format!("{spec:?}");
+        match check(&case, &spec, &context) {
             Chosen::NestedLoop => nested += 1,
             Chosen::IndexAndHash => index += 1,
         }
@@ -328,7 +236,7 @@ fn index_join_lists_a_key_s_matches_in_insertion_order() {
         .collect();
     let left = [(Some(101), 0), (Some(5), 1), (Some(5), 2), (None, 3)];
     let left = [&left[..], &[(Some(102), 4), (Some(999), 5)]].concat();
-    let tables = two_tables(&left, &right);
+    let spec = l_and_r(kv(&left), kv(&right)).index("k");
     let case = JoinCase {
         left: Plan::scan("l"),
         right: ("r", None),
@@ -336,8 +244,8 @@ fn index_join_lists_a_key_s_matches_in_insertion_order() {
         residual: None,
         index_on: "k",
     };
-    assert_eq!(check(&case, &tables, "duplicates"), Chosen::IndexAndHash);
-    let indexed = catalog_of(&tables, &[("r", "k")]);
+    assert_eq!(check(&case, &spec, "duplicates"), Chosen::IndexAndHash);
+    let indexed = spec.catalog(true);
     let physical = lower(
         &Plan::scan("l").join(Plan::scan("r"), col(0).eq(col(2))),
         &indexed,
@@ -360,9 +268,9 @@ fn index_join_lists_a_key_s_matches_in_insertion_order() {
 #[test]
 fn index_join_over_text_and_bool_keys_and_a_second_unindexed_key() {
     // l(name TEXT, flag BOOL, x REAL, s TEXT) ⋈ r(name TEXT, flag BOOL, x REAL):
-    // NULLs in every key column; `x` pairs that only a coercing `=` would
-    // call equal (0.0 / -0.0, an Int in the REAL column) and NaN, which
-    // the hash table's order calls equal to itself.
+    // NULLs in every key column; `x` values that `=` orders in every way
+    // (-0.0 below 0.0, an Int in the REAL column equal to its real, NaN
+    // equal to itself).
     let names = ["ann", "bob", "", "Ann"];
     let reals = [
         Value::Real(0.0),
@@ -380,69 +288,51 @@ fn index_join_over_text_and_bool_keys_and_a_second_unindexed_key() {
         2 => Value::Null,
         n => Value::Bool(n == 0),
     };
-    let left: Vec<Vec<Value>> = (0..30)
-        .map(|i| {
-            vec![
-                name(i),
-                flag(i / 2),
-                reals[i % 6].clone(),
-                Value::text(format!("row{i}")),
-            ]
-        })
-        .collect();
-    let right: Vec<Vec<Value>> = (0..24)
-        .map(|i| vec![name(i + 1), flag(i), reals[(i / 2) % 6].clone()])
-        .collect();
-    let text = |n| Column::new(n, DataType::Text);
-    let tables = [
-        TableSpec {
-            name: "l",
-            columns: vec![
-                text("name"),
-                Column::new("flag", DataType::Bool),
-                Column::new("x", DataType::Real),
-                text("s"),
-            ],
-            rows: left,
-        },
-        TableSpec {
-            name: "r",
-            columns: vec![
-                text("name"),
-                Column::new("flag", DataType::Bool),
-                Column::new("x", DataType::Real),
-            ],
-            rows: right,
-        },
+    let left = (0..30).map(|i| {
+        let s = Value::text(format!("row{i}"));
+        vec![name(i), flag(i / 2), reals[i % 6].clone(), s]
+    });
+    let right = (0..24).map(|i| vec![name(i + 1), flag(i), reals[(i / 2) % 6].clone()]);
+    let (text, bool, real) = (DataType::Text, DataType::Bool, DataType::Real);
+    let spec = DbSpec::default()
+        .table(
+            "l",
+            &[("name", text), ("flag", bool), ("x", real), ("s", text)],
+        )
+        .rows(confident(left))
+        .table("r", &[("name", text), ("flag", bool), ("x", real)])
+        .rows(confident(right));
+    // Each key type alone; then pairs with one column indexed — the first
+    // and the last; and beside them the REAL pair `l.x = r.x`, which is
+    // never a key (`=` equates an Int in the column with its real, a hash
+    // key does not): it is tested in the residual.
+    let shapes = [
+        (&[(0, 4)][..], false, "name"),
+        (&[(1, 5)], false, "flag"),
+        (&[(0, 4), (1, 5)], false, "name"),
+        (&[(0, 4), (1, 5)], false, "flag"),
+        (&[(1, 5)], true, "flag"),
+        (&[(0, 4), (1, 5)], true, "name"),
     ];
-    // Each key type alone; then pairs with one column indexed — the
-    // first, the last, and a REAL pair that can never be the indexed one.
-    let shapes: [(&[(usize, usize)], &'static str); 6] = [
-        (&[(0, 4)], "name"),
-        (&[(1, 5)], "flag"),
-        (&[(0, 4), (1, 5)], "name"),
-        (&[(0, 4), (1, 5)], "flag"),
-        (&[(2, 6), (1, 5)], "flag"),
-        (&[(0, 4), (2, 6), (1, 5)], "name"),
-    ];
-    for (keys, index_on) in shapes {
-        for residual in [
+    for (keys, real_pair, index_on) in shapes {
+        for filter in [
             None,
             Some(col(3).ne(ScalarExpr::literal(Value::text("row7")))),
         ] {
+            let real_pair = real_pair.then(|| col(2).eq(col(6)));
             let case = JoinCase {
                 left: Plan::scan("l"),
                 right: ("r", None),
                 keys: keys.to_vec(),
-                residual,
+                residual: real_pair.into_iter().chain(filter).reduce(ScalarExpr::and),
                 index_on,
             };
             let context = format!("keys {keys:?}, index on {index_on}");
-            assert_eq!(check(&case, &tables, &context), Chosen::IndexAndHash);
+            assert_eq!(check(&case, &spec, &context), Chosen::IndexAndHash);
         }
     }
     // The joins are not vacuous: the three-key one still finds partners.
-    let plain = catalog_of(&tables, &[]);
+    let plain = spec.catalog(false);
     let three = Plan::scan("l").join(
         Plan::scan("r"),
         col(0)
@@ -458,31 +348,20 @@ fn index_join_raises_the_residual_s_error_for_the_first_matched_pair() {
     // `s > 1` cannot compare a TEXT with an INT, and says which TEXT. Left
     // rows 0 and 1 never reach the residual (NULL key, key without a
     // partner); row 2 is the first that does.
-    let left: Vec<Vec<Value>> = (0..200)
-        .map(|i| {
-            let k = match i {
-                0 => Value::Null,
-                1 => Value::Int(-1),
-                _ => Value::Int(i % 9),
-            };
-            vec![k, Value::text(format!("s{i}"))]
-        })
-        .collect();
-    let right: Vec<Vec<Value>> = (0..40)
-        .map(|i| vec![Value::Int(i % 9), Value::Int(i)])
-        .collect();
-    let tables = [
-        TableSpec {
-            name: "l",
-            columns: vec![int("k"), Column::new("s", DataType::Text)],
-            rows: left,
-        },
-        TableSpec {
-            name: "r",
-            columns: vec![int("k"), int("v")],
-            rows: right,
-        },
-    ];
+    let left = (0..200).map(|i| {
+        let k = match i {
+            0 => Value::Null,
+            1 => Value::Int(-1),
+            _ => Value::Int(i % 9),
+        };
+        vec![k, Value::text(format!("s{i}"))]
+    });
+    let right = (0..40).map(|i| vec![Value::Int(i % 9), Value::Int(i)]);
+    let spec = DbSpec::default()
+        .table("l", &[("k", DataType::Int), ("s", DataType::Text)])
+        .rows(confident(left))
+        .table("r", KV)
+        .rows(confident(right));
     let lit = |i: i64| ScalarExpr::literal(Value::Int(i));
     let case = JoinCase {
         left: Plan::scan("l"),
@@ -493,15 +372,12 @@ fn index_join_raises_the_residual_s_error_for_the_first_matched_pair() {
         residual: Some(col(3).ge(lit(20)).and(col(1).gt(lit(1)))),
         index_on: "k",
     };
-    assert_eq!(
-        check(&case, &tables, "residual error"),
-        Chosen::IndexAndHash
-    );
+    assert_eq!(check(&case, &spec, "residual error"), Chosen::IndexAndHash);
     let logical = Plan::scan("l").join(
         Plan::scan("r"),
         col(0).eq(col(2)).and(case.residual.clone().unwrap()),
     );
-    let error = execute(&logical, &catalog_of(&tables, &[])).unwrap_err();
+    let error = execute(&logical, &spec.catalog(false)).unwrap_err();
     assert!(
         error.to_string().contains("cannot compare s2 with 1"),
         "{error}"
@@ -514,7 +390,7 @@ fn index_join_with_an_empty_left_input_and_through_a_self_join() {
         .map(|i| ((i % 7 != 6).then_some(i % 5), i))
         .collect();
     // Nothing on the left: an empty table, and a filter nothing passes.
-    let tables = two_tables(&[], &rows);
+    let spec = l_and_r(Vec::new(), kv(&rows));
     let case = |left: Plan| JoinCase {
         left,
         right: ("r", None),
@@ -522,13 +398,11 @@ fn index_join_with_an_empty_left_input_and_through_a_self_join() {
         residual: None,
         index_on: "k",
     };
-    check(&case(Plan::scan("l")), &tables, "empty left table");
-    let tables = two_tables(&rows, &rows);
+    check(&case(Plan::scan("l")), &spec, "empty left table");
+    let spec = l_and_r(kv(&rows), kv(&rows));
     let nothing = Plan::scan("l").select(col(1).lt(ScalarExpr::literal(Value::Int(0))));
-    assert!(execute(&nothing, &catalog_of(&tables, &[]))
-        .unwrap()
-        .is_empty());
-    check(&case(nothing), &tables, "filtered-out left input");
+    assert!(execute(&nothing, &spec.catalog(false)).unwrap().is_empty());
+    check(&case(nothing), &spec, "filtered-out left input");
 
     // `r AS a ⋈ r AS b`: the probe side scans the table the index is on.
     let self_join = JoinCase {
@@ -538,11 +412,8 @@ fn index_join_with_an_empty_left_input_and_through_a_self_join() {
         residual: Some(col(1).lt(col(3))),
         index_on: "k",
     };
-    assert_eq!(
-        check(&self_join, &tables, "self-join"),
-        Chosen::IndexAndHash
-    );
-    let indexed = catalog_of(&tables, &[("r", "k")]);
+    assert_eq!(check(&self_join, &spec, "self-join"), Chosen::IndexAndHash);
+    let indexed = spec.index("k").catalog(true);
     let physical = lower(
         &Plan::scan_as("r", "a").join(
             Plan::scan_as("r", "b"),
@@ -567,7 +438,7 @@ fn index_join_compares_a_second_key_pair_on_the_indexed_column() {
     // still has to hold. Only the left rows with k = v find partners.
     let left: Vec<(Option<i64>, i64)> = (0..40).map(|i| (Some(i % 5), i % 4)).collect();
     let right: Vec<(Option<i64>, i64)> = (0..40).map(|i| (Some(i % 5), i)).collect();
-    let tables = two_tables(&left, &right);
+    let spec = l_and_r(kv(&left), kv(&right));
     let case = JoinCase {
         left: Plan::scan("l"),
         right: ("r", None),
@@ -576,15 +447,12 @@ fn index_join_compares_a_second_key_pair_on_the_indexed_column() {
         index_on: "k",
     };
     assert_eq!(
-        check(&case, &tables, "two pairs, one column"),
+        check(&case, &spec, "two pairs, one column"),
         Chosen::IndexAndHash
     );
     let logical = Plan::scan("l").join(Plan::scan("r"), col(0).eq(col(2)).and(col(1).eq(col(2))));
     // i % 5 = i % 4 for i % 20 in 0..4: 8 left rows, 8 partners each.
-    assert_eq!(
-        execute(&logical, &catalog_of(&tables, &[])).unwrap().len(),
-        64
-    );
+    assert_eq!(execute(&logical, &spec.catalog(false)).unwrap().len(), 64);
 }
 
 /// The planner's rule, one assertion per clause: an index join needs a
@@ -593,17 +461,19 @@ fn index_join_compares_a_second_key_pair_on_the_indexed_column() {
 #[test]
 fn the_planner_picks_the_index_join_only_where_its_rule_allows() {
     let rows: Vec<(Option<i64>, i64)> = (0..50).map(|i| (Some(i % 10), i)).collect();
-    let mut tables = two_tables(&rows, &rows);
     // `q(x REAL, k INT)`: a REAL column cannot carry an index.
-    tables.push(TableSpec {
-        name: "q",
-        columns: vec![Column::new("x", DataType::Real), int("k")],
-        rows: (0..50)
-            .map(|i| vec![Value::Real((i % 10) as f64), Value::Int(i)])
-            .collect(),
-    });
-    let indexed = catalog_of(&tables, &[("r", "k"), ("l", "k"), ("q", "k")]);
-    let plain = catalog_of(&tables, &[]);
+    let q = (0..50).map(|i| vec![Value::Real((i % 10) as f64), Value::Int(i)]);
+    let spec = DbSpec::default()
+        .table("l", KV)
+        .rows(kv(&rows))
+        .index("k")
+        .table("r", KV)
+        .rows(kv(&rows))
+        .index("k")
+        .table("q", &[("x", DataType::Real), ("k", DataType::Int)])
+        .rows(confident(q))
+        .index("k");
+    let (indexed, plain) = (spec.catalog(true), spec.catalog(false));
     let join = |right: Plan, predicate: ScalarExpr| Plan::scan("l").join(right, predicate);
     let keyed = || col(0).eq(col(2));
     let label = |plan: &Plan, catalog: &Catalog| lower(plan, catalog).unwrap().node_label();
@@ -622,22 +492,23 @@ fn the_planner_picks_the_index_join_only_where_its_rule_allows() {
         let filtered = join(Plan::scan("r").select(filter), keyed());
         assert_eq!(label(&filtered, &indexed), "HashJoin [#0 = #2]");
     }
-    // A REAL key ⇒ hash join; beside an indexed INT key it is compared
-    // per fetched row.
+    // A REAL pair is never a key ⇒ nested loop; beside an indexed INT key
+    // it is tested per fetched row.
     let real = Plan::scan("q").join(Plan::scan("q"), col(0).eq(col(2)));
-    assert_eq!(label(&real, &indexed), "HashJoin [#0 = #2]");
+    assert_eq!(label(&real, &indexed), "NestedLoopJoin [(#0 = #2)]");
     let both = Plan::scan("q").join(Plan::scan("q"), col(0).eq(col(2)).and(col(1).eq(col(3))));
     assert_eq!(
         label(&both, &indexed),
-        "IndexJoin q (k) [#0 = #2 AND #1 = #3]"
+        "IndexJoin q (k) [#1 = #3] [filter: (#0 = #2)]"
     );
     // Not an equi-join ⇒ nested loop; and tiny inputs ⇒ nested loop, index
     // or no index.
     let theta = join(Plan::scan("r"), col(0).le(col(2)));
     assert!(label(&theta, &indexed).starts_with("NestedLoopJoin"));
-    let tiny = two_tables(&[(Some(1), 1), (Some(2), 2)], &[(Some(1), 1), (Some(2), 2)]);
-    for indexes in [&[("r", "k")][..], &[]] {
-        let label = label(&whole, &catalog_of(&tiny, indexes));
+    let tiny = [(Some(1), 1), (Some(2), 2)];
+    let tiny = l_and_r(kv(&tiny), kv(&tiny)).index("k");
+    for indexed in [true, false] {
+        let label = label(&whole, &tiny.catalog(indexed));
         assert!(label.starts_with("NestedLoopJoin"), "{label}");
     }
 }

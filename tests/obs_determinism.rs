@@ -14,9 +14,8 @@
 
 mod common;
 
-use common::explained;
+use common::{explained, PAPER_QUERY as QUERY};
 use pcqe::core::clock::ManualClock;
-use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::obs::{export, MetricsSnapshot, Recorder};
 use pcqe::policy::ConfidencePolicy;
@@ -24,78 +23,15 @@ use pcqe::storage::{Column, DataType, Schema, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
-const QUERY: &str = "SELECT DISTINCT CompanyInfo.company, income \
-    FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company \
-    WHERE funding < 1000000.0";
-
-/// The paper's Section 3.1 database under an explicit parallelism and
-/// recording configuration.
+/// The paper's Section 3.1 database under an explicit parallelism, with
+/// its recorder on or off.
 fn paper_db(worker_threads: Option<usize>, record_metrics: bool) -> Database {
-    populated(Database::new(EngineConfig {
+    let db = common::paper_db(Database::new(EngineConfig {
         worker_threads,
         parallel_threshold: 1,
-        record_metrics,
         ..EngineConfig::default()
-    }))
-}
-
-/// The Section 3.1 tables, costs and policies — the Secretary's β = 0.05
-/// releases the running example's one result, the Manager's 0.06 withholds
-/// it — loaded into `db`.
-fn populated(mut db: Database) -> Database {
-    db.create_table(
-        "Proposal",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("proposal", DataType::Text),
-            Column::new("funding", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "CompanyInfo",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("income", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    let t02 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v1"),
-                Value::Real(800_000.0),
-            ],
-            0.3,
-        )
-        .unwrap();
-    let t03 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v2"),
-                Value::Real(900_000.0),
-            ],
-            0.4,
-        )
-        .unwrap();
-    let t13 = db
-        .insert(
-            "CompanyInfo",
-            vec![Value::text("SkyCam"), Value::Real(500_000.0)],
-            0.1,
-        )
-        .unwrap();
-    db.set_cost(t02, CostFn::linear(1000.0).unwrap()).unwrap();
-    db.set_cost(t03, CostFn::linear(100.0).unwrap()).unwrap();
-    db.set_cost(t13, CostFn::linear(10_000.0).unwrap()).unwrap();
-    db.add_policy(ConfidencePolicy::new("Secretary", "analysis", 0.05).unwrap());
-    db.add_policy(ConfidencePolicy::new("Manager", "investment", 0.06).unwrap());
+    }));
+    db.recorder().set_enabled(record_metrics);
     db
 }
 
@@ -408,7 +344,7 @@ fn comparable(snap: &MetricsSnapshot) -> Vec<String> {
 /// `trace_query`; the buffer is drained after every step, so nothing is
 /// ever dropped (a drop would itself be counted in the metrics).
 fn figure_one_script(workers: usize, traced: bool) -> Vec<(&'static str, String, Vec<String>)> {
-    let mut db = populated(Database::with_clock(
+    let mut db = common::paper_db(Database::with_clock(
         EngineConfig {
             worker_threads: Some(workers),
             parallel_threshold: 1,
@@ -492,7 +428,7 @@ fn the_tracer_never_changes_the_metrics() {
 /// comparable metrics, then the EXPLAIN ANALYZE texts of the paper query
 /// and of the index join.
 fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
-    let mut db = with_shop(populated(Database::with_clock(
+    let mut db = with_shop(common::paper_db(Database::with_clock(
         EngineConfig {
             worker_threads: Some(workers),
             parallel_threshold: 1,

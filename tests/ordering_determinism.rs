@@ -9,9 +9,12 @@
 //! database and re-running the same query yields a bit-identical
 //! transcript, row order included — with no ORDER BY to hide behind.
 
+mod common;
+
+use common::DbSpec;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, QueryResponse, User};
 use pcqe::lineage::Rng64;
-use pcqe::storage::{Column, DataType, Schema, Value};
+use pcqe::storage::{DataType, Value};
 
 /// Build a fresh database with identically seeded contents each call.
 fn populated() -> Database {
@@ -21,51 +24,30 @@ fn populated() -> Database {
 /// Like [`populated`], also reporting the order in which each region
 /// first appears in the insert stream.
 fn populated_traced() -> (Database, Vec<String>) {
-    let mut db = Database::new(EngineConfig::default());
-    db.create_table(
-        "orders",
-        Schema::new(vec![
-            Column::new("region", DataType::Text),
-            Column::new("cust", DataType::Int),
-            Column::new("amount", DataType::Int),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "regions",
-        Schema::new(vec![Column::new("name", DataType::Text)]).unwrap(),
-    )
-    .unwrap();
     let regions = ["east", "north", "south", "west"];
     let mut first_seen: Vec<String> = Vec::new();
     let mut rng = Rng64::seed_from_u64(0xD001_0806);
+    let mut orders = Vec::new();
     for _ in 0..400 {
         let region = regions[rng.below_u64(regions.len() as u64) as usize];
         if !first_seen.iter().any(|r| r == region) {
             first_seen.push(region.to_owned());
         }
-        let cust = rng.below_u64(40) as i64;
-        let amount = rng.below_u64(900) as i64;
-        db.insert(
+        let (cust, amount) = (rng.below_u64(40) as i64, rng.below_u64(900) as i64);
+        let row = vec![Value::text(region), Value::Int(cust), Value::Int(amount)];
+        orders.push((rng.range_f64(0.2, 0.99), row));
+    }
+    let names = regions.map(|name| (rng.range_f64(0.6, 0.99), vec![Value::text(name)]));
+    let (int, text) = (DataType::Int, DataType::Text);
+    let spec = DbSpec::default()
+        .table(
             "orders",
-            vec![
-                Value::Text(region.to_owned()),
-                Value::Int(cust),
-                Value::Int(amount),
-            ],
-            rng.range_f64(0.2, 0.99),
+            &[("region", text), ("cust", int), ("amount", int)],
         )
-        .unwrap();
-    }
-    for name in regions {
-        db.insert(
-            "regions",
-            vec![Value::Text(name.to_owned())],
-            rng.range_f64(0.6, 0.99),
-        )
-        .unwrap();
-    }
+        .rows(orders)
+        .table("regions", &[("name", text)])
+        .rows(names);
+    let mut db = spec.database(EngineConfig::default(), false);
     db.add_policy(pcqe::policy::ConfidencePolicy::new("analyst", "report", 0.4).unwrap());
     (db, first_seen)
 }

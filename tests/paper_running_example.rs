@@ -3,6 +3,8 @@
 //! and algebra, p38 = 0.058 from the lineage evaluator (Table 3), the
 //! P1/P2 policies, and both increment alternatives the paper discusses.
 
+mod common;
+
 use pcqe::algebra::execute;
 use pcqe::core::heuristic::{self, HeuristicOptions};
 use pcqe::core::problem::ProblemBuilder;
@@ -10,61 +12,16 @@ use pcqe::cost::CostFn;
 use pcqe::lineage::{Evaluator, Lineage, VarId};
 use pcqe::policy::{evaluate_results, ConfidencePolicy};
 use pcqe::sql::parse_and_plan;
-use pcqe::storage::{Catalog, Column, DataType, Schema, TupleId, Value};
+use pcqe::storage::{Catalog, TupleId};
 
+/// The Section 3.1 tables, and the ids of t02, t03 and t13.
 fn build_tables() -> (Catalog, TupleId, TupleId, TupleId) {
-    let mut catalog = Catalog::new();
-    catalog
-        .create_table(
-            "Proposal",
-            Schema::new(vec![
-                Column::new("company", DataType::Text),
-                Column::new("proposal", DataType::Text),
-                Column::new("funding", DataType::Real),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-    catalog
-        .create_table(
-            "CompanyInfo",
-            Schema::new(vec![
-                Column::new("company", DataType::Text),
-                Column::new("income", DataType::Real),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-    let t02 = catalog
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v1"),
-                Value::Real(800_000.0),
-            ],
-            0.3,
-        )
-        .unwrap();
-    let t03 = catalog
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v2"),
-                Value::Real(900_000.0),
-            ],
-            0.4,
-        )
-        .unwrap();
-    let t13 = catalog
-        .insert(
-            "CompanyInfo",
-            vec![Value::text("SkyCam"), Value::Real(500_000.0)],
-            0.1,
-        )
-        .unwrap();
-    (catalog, t02, t03, t13)
+    (
+        common::paper_spec().catalog(false),
+        TupleId(0),
+        TupleId(1),
+        TupleId(2),
+    )
 }
 
 const QUERY: &str = "SELECT DISTINCT CompanyInfo.company, income \

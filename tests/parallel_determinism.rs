@@ -7,6 +7,7 @@
 
 mod common;
 
+use common::DbSpec;
 use pcqe::core::dnc::{self, DncOptions};
 use pcqe::core::greedy::GreedyOptions;
 use pcqe::core::problem::{ProblemBuilder, ProblemInstance};
@@ -15,42 +16,31 @@ use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::lineage::{Lineage, Rng64};
 use pcqe::par::Parallelism;
-use pcqe::storage::{Column, DataType, Schema, Value};
+use pcqe::storage::{DataType, Value};
 
 /// Populate a database identically regardless of configuration: 10,000
 /// rows whose values and confidences come from a fixed seeded stream.
 fn populated(config: EngineConfig, rows: usize) -> Database {
-    let mut db = Database::new(config);
-    db.create_table(
-        "readings",
-        Schema::new(vec![
-            Column::new("sensor", DataType::Int),
-            Column::new("value", DataType::Int),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "sensors",
-        Schema::new(vec![Column::new("id", DataType::Int)]).unwrap(),
-    )
-    .unwrap();
     let mut rng = Rng64::seed_from_u64(20_240_806);
-    for _ in 0..rows {
-        let sensor = rng.below_u64(64) as i64;
-        let value = rng.below_u64(1000) as i64;
-        let conf = rng.range_f64(0.05, 0.99);
-        db.insert(
-            "readings",
-            vec![Value::Int(sensor), Value::Int(value)],
-            conf,
-        )
-        .unwrap();
-    }
-    for id in 0..64i64 {
-        let conf = rng.range_f64(0.5, 0.99);
-        db.insert("sensors", vec![Value::Int(id)], conf).unwrap();
-    }
+    let readings: Vec<(f64, Vec<Value>)> = (0..rows)
+        .map(|_| {
+            let (sensor, value) = (rng.below_u64(64) as i64, rng.below_u64(1000) as i64);
+            (
+                rng.range_f64(0.05, 0.99),
+                vec![Value::Int(sensor), Value::Int(value)],
+            )
+        })
+        .collect();
+    let sensors: Vec<_> = (0..64)
+        .map(|id| (rng.range_f64(0.5, 0.99), vec![Value::Int(id)]))
+        .collect();
+    let int = DataType::Int;
+    let spec = DbSpec::default()
+        .table("readings", &[("sensor", int), ("value", int)])
+        .rows(readings)
+        .table("sensors", &[("id", int)])
+        .rows(sensors);
+    let mut db = spec.database(config, false);
     db.add_policy(pcqe::policy::ConfidencePolicy::new("analyst", "report", 0.55).unwrap());
     db
 }
@@ -375,34 +365,22 @@ fn a_group_that_gives_up_fails_the_same_way_at_any_worker_count() {
 /// pairs; neighbouring groups share one evidence tuple. More than 64
 /// results, so the engine's `Auto` choice is divide-and-conquer.
 fn claims_database(config: EngineConfig) -> Database {
-    let mut db = Database::new(config);
-    db.create_table(
-        "claims",
-        Schema::new(vec![
-            Column::new("grp", DataType::Int),
-            Column::new("k", DataType::Int),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "evidence",
-        Schema::new(vec![Column::new("k", DataType::Int)]).unwrap(),
-    )
-    .unwrap();
     let mut rng = Rng64::seed_from_u64(20_260_930);
     let groups = 72i64;
-    for g in 0..groups {
-        for k in 2 * g..=2 * g + 2 {
-            let conf = rng.range_f64(0.05, 0.3);
-            db.insert("claims", vec![Value::Int(g), Value::Int(k)], conf)
-                .unwrap();
-        }
-    }
-    for k in 0..=2 * groups {
-        let conf = rng.range_f64(0.05, 0.3);
-        db.insert("evidence", vec![Value::Int(k)], conf).unwrap();
-    }
+    let claims: Vec<_> = (0..groups)
+        .flat_map(|g| (2 * g..=2 * g + 2).map(move |k| (g, k)))
+        .map(|(g, k)| (rng.range_f64(0.05, 0.3), vec![Value::Int(g), Value::Int(k)]))
+        .collect();
+    let evidence: Vec<_> = (0..=2 * groups)
+        .map(|k| (rng.range_f64(0.05, 0.3), vec![Value::Int(k)]))
+        .collect();
+    let int = DataType::Int;
+    let spec = DbSpec::default()
+        .table("claims", &[("grp", int), ("k", int)])
+        .rows(claims)
+        .table("evidence", &[("k", int)])
+        .rows(evidence);
+    let mut db = spec.database(config, false);
     db.add_policy(pcqe::policy::ConfidencePolicy::new("analyst", "report", 0.6).unwrap());
     db
 }

@@ -1,0 +1,273 @@
+//! The possible-worlds oracle.
+//!
+//! A result's confidence is its probability under tuple independence: the
+//! total weight of the worlds — each base tuple present with its
+//! confidence, absent otherwise — in which a plain relational evaluation
+//! of the query yields the row. For generated databases of at most 12 base
+//! tuples and select-project-join, `DISTINCT`, `UNION` and `EXCEPT` queries
+//! over comparisons that cannot raise, this enumerates every world and
+//! holds `Database::query` to it: every confidence within 1e-12, and the
+//! released set at each β exactly. A row within 1e-9 of β is counted and
+//! left out of the release comparison.
+//!
+//! The evaluator below is written for the test. It reads the generator's
+//! AST and the spec's rows — no lineage, no `pcqe_algebra`, no SQL. A
+//! row's identity is its values, plus, where nothing merges rows (a plain
+//! `SELECT`), the base tuples that derived it.
+
+mod common;
+
+use common::{
+    random_db, random_query, rust_test, shrink, DbSpec, Expr, Query, Select, BETAS, WORLDS,
+};
+use pcqe::core::clock::Stopwatch;
+use pcqe::engine::{EngineConfig, QueryRequest, User};
+use pcqe::lineage::Rng64;
+use pcqe::policy::ConfidencePolicy;
+use pcqe::storage::Value;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
+
+const CASES: u64 = 400;
+
+/// A result row: its values and, unless merged, its base tuples' ids.
+type Key = (Vec<Value>, Vec<u64>);
+
+/// The spec's rows by table name: each row's tuple id, confidence and
+/// values. Ids follow the rows, table by table, from 0.
+type Tuples<'a> = BTreeMap<&'a str, Vec<(u64, f64, &'a [Value])>>;
+
+/// The [`Tuples`] of `spec`.
+fn tuples(spec: &DbSpec) -> Tuples<'_> {
+    let mut id = 0;
+    let mut out = BTreeMap::new();
+    for t in &spec.tables {
+        let rows = t.rows.iter().map(|(p, values)| {
+            id += 1;
+            (id - 1, *p, values.as_slice())
+        });
+        out.insert(t.name.as_str(), rows.collect());
+    }
+    out
+}
+
+/// An operand's value on a row of the FROM entries' values.
+fn value(e: &Expr, row: &[&[Value]]) -> Value {
+    match e {
+        Expr::Col(f, c) => row[*f][*c].clone(),
+        Expr::Lit(v) => v.clone(),
+        other => panic!("not an operand: {other:?}"),
+    }
+}
+
+/// Three-valued truth: `None` is unknown.
+fn truth(e: &Expr, row: &[&[Value]]) -> Option<bool> {
+    let Expr::Op(op, args) = e else {
+        return match value(e, row) {
+            Value::Bool(b) => Some(b),
+            _ => None,
+        };
+    };
+    let truths = || args.iter().map(|a| truth(a, row));
+    match *op {
+        "AND" if truths().any(|t| t == Some(false)) => Some(false),
+        "OR" if truths().any(|t| t == Some(true)) => Some(true),
+        "AND" | "OR" => truths().all(|t| t.is_some()).then_some(*op == "AND"),
+        "NOT" => truth(&args[0], row).map(|b| !b),
+        "IS NULL" => Some(value(&args[0], row) == Value::Null),
+        "IS NOT NULL" => Some(value(&args[0], row) != Value::Null),
+        cmp => {
+            let order = value(&args[0], row).sql_cmp(&value(&args[1], row))?;
+            Some(match cmp {
+                "=" => order == Ordering::Equal,
+                "<>" => order != Ordering::Equal,
+                "<" => order == Ordering::Less,
+                "<=" => order != Ordering::Greater,
+                ">" => order == Ordering::Greater,
+                ">=" => order != Ordering::Less,
+                other => panic!("not a comparison: {other}"),
+            })
+        }
+    }
+}
+
+/// One `SELECT`'s rows in a world: every combination of present rows of
+/// the FROM entries that meets each `ON` and every `WHERE` conjunct,
+/// projected, with the ids of the rows combined.
+fn select(s: &Select, tuples: &Tuples, present: &[bool]) -> Vec<Key> {
+    let mut combos: Vec<(Vec<&[Value]>, Vec<u64>)> = vec![(Vec::new(), Vec::new())];
+    for (table, on) in &s.from {
+        let mut next = Vec::new();
+        for (row, ids) in &combos {
+            for &(id, _, values) in &tuples[table.as_str()] {
+                let row = [&row[..], &[values]].concat();
+                if present[id as usize]
+                    && on.as_ref().is_none_or(|on| truth(on, &row) == Some(true))
+                {
+                    next.push((row, [&ids[..], &[id]].concat()));
+                }
+            }
+        }
+        combos = next;
+    }
+    combos
+        .into_iter()
+        .filter(|(row, _)| s.filter.iter().all(|c| truth(c, row) == Some(true)))
+        .map(|(row, ids)| {
+            let values = match s.items.as_slice() {
+                [] => row.concat(),
+                items => items.iter().map(|e| value(e, &row)).collect(),
+            };
+            (values, ids)
+        })
+        .collect()
+}
+
+/// The query's rows in a world, by identity. A plain `SELECT` keeps its
+/// rows apart by the tuples that derived them (as a set of ids: a tuple
+/// met twice is one event); `DISTINCT`, `UNION` and `EXCEPT` merge rows by
+/// value.
+fn answer(q: &Query, tuples: &Tuples, present: &[bool]) -> Vec<Key> {
+    let first = select(&q.first, tuples, present);
+    if q.rest.is_empty() && !q.first.distinct {
+        return first
+            .into_iter()
+            .map(|(values, ids)| {
+                let ids: BTreeSet<u64> = ids.into_iter().collect();
+                (values, ids.into_iter().collect())
+            })
+            .collect();
+    }
+    let values = |rows: Vec<Key>| rows.into_iter().map(|(v, _)| v).collect::<BTreeSet<_>>();
+    let mut set = values(first);
+    for (union, s) in &q.rest {
+        let right = values(select(s, tuples, present));
+        match union {
+            true => set.extend(right),
+            false => set.retain(|v| !right.contains(v)),
+        }
+    }
+    set.into_iter().map(|v| (v, Vec::new())).collect()
+}
+
+/// Every row's probability and multiplicity, over all worlds.
+fn oracle(spec: &DbSpec, q: &Query) -> BTreeMap<Key, (f64, usize)> {
+    let tuples = tuples(spec);
+    let all: Vec<(u64, f64)> = tuples
+        .values()
+        .flatten()
+        .map(|&(id, p, _)| (id, p))
+        .collect();
+    let uncertain: Vec<(u64, f64)> = all.iter().copied().filter(|&(_, p)| p < 1.0).collect();
+    let mut rows: BTreeMap<Key, (f64, usize)> = BTreeMap::new();
+    for world in 0..1u32 << uncertain.len() {
+        let mut present = vec![true; all.len()];
+        let mut weight = 1.0;
+        for (bit, &(id, p)) in uncertain.iter().enumerate() {
+            let here = world >> bit & 1 == 1;
+            present[id as usize] = here;
+            weight *= if here { p } else { 1.0 - p };
+        }
+        let mut counts: BTreeMap<Key, usize> = BTreeMap::new();
+        for key in answer(q, &tuples, &present) {
+            *counts.entry(key).or_default() += 1;
+        }
+        for (key, n) in counts {
+            let (p, multiplicity) = rows.entry(key).or_default();
+            *p += weight;
+            *multiplicity = n;
+        }
+    }
+    rows
+}
+
+/// What one case compared.
+#[derive(Default)]
+struct Compared {
+    rows: usize,
+    near_beta: usize,
+}
+
+/// Hold `Database::query` to the oracle for one case.
+fn agree(spec: &DbSpec, q: &Query, compared: &mut Compared) -> Result<(), String> {
+    let worlds = oracle(spec, q);
+    let plain = q.rest.is_empty() && !q.first.distinct;
+    let sql = q.sql(spec);
+    let user = User::new("ada", "analyst");
+    let request = QueryRequest::new(sql.as_str(), "research").expecting(0.0);
+    // At β = 0 every row of non-zero probability is released, with its
+    // confidence; then at each β of the harness.
+    for beta in [0.0, BETAS[0], BETAS[1]] {
+        let mut db = spec.database(EngineConfig::default(), false);
+        db.add_policy(ConfidencePolicy::new("analyst", "research", beta).unwrap());
+        let response = db
+            .query(&user, &request)
+            .map_err(|e| format!("{sql}: {e}"))?;
+        let mut released: BTreeMap<Key, Vec<f64>> = BTreeMap::new();
+        for row in response.released {
+            let ids = if plain {
+                row.lineage.vars().iter().map(|v| v.0).collect()
+            } else {
+                Vec::new()
+            };
+            released
+                .entry((row.tuple.values().to_vec(), ids))
+                .or_default()
+                .push(row.confidence);
+        }
+        let near = |p: f64| (p - beta).abs() <= 1e-9;
+        for (key, &(p, n)) in &worlds {
+            let got = released.remove(key).unwrap_or_default();
+            if beta == 0.0 {
+                compared.rows += 1;
+                if got.len() != n || got.iter().any(|c| (c - p).abs() > 1e-12) {
+                    return Err(format!(
+                        "{sql}: {key:?} has probability {p:?} ×{n}, engine {got:?}"
+                    ));
+                }
+            } else if near(p) {
+                compared.near_beta += 1;
+            } else if (p > beta) == got.is_empty() {
+                return Err(format!(
+                    "{sql}: {key:?} at probability {p:?}, β = {beta}, released {got:?}"
+                ));
+            }
+        }
+        if let Some((key, c)) = released.into_iter().next() {
+            return Err(format!("{sql}: released {key:?} at {c:?}, in no world"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn confidences_are_probabilities_over_every_world() {
+    let started = Stopwatch::start();
+    let mut compared = Compared::default();
+    for case in 0..CASES {
+        let seed = 0x00F0_0001 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = Rng64::seed_from_u64(seed);
+        let spec = random_db(&mut rng, WORLDS);
+        let query = random_query(&mut rng, &spec, WORLDS);
+        if let Err(failure) = agree(&spec, &query, &mut compared) {
+            let fails = |s: &DbSpec, q: &Query| agree(s, q, &mut Compared::default()).err();
+            let (spec, query, failure) = shrink(spec, query, failure, &fails);
+            panic!(
+                "case {case} (seed {seed:#018x}) disagrees with the worlds; shrunk:\n{failure}\n\
+                 {query:?}\n\n{}",
+                rust_test(&spec, &query.sql(&spec))
+            );
+        }
+    }
+    eprintln!(
+        "possible worlds: {CASES} cases, {} rows held to their probability, {} within 1e-9 of β, {:.1?}",
+        compared.rows,
+        compared.near_beta,
+        started.elapsed()
+    );
+    assert!(
+        compared.rows > 1_000,
+        "only {} rows compared",
+        compared.rows
+    );
+}

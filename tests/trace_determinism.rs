@@ -16,9 +16,11 @@
 //!    listener that is enabled, so a metrics-only listener costs no
 //!    formatted label.
 
+mod common;
+
+use common::{DbSpec, PAPER_QUERY as QUERY};
 use pcqe::algebra::{execute_vectorized_profiled, ScoreOptions};
 use pcqe::core::clock::ManualClock;
-use pcqe::cost::CostFn;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::lineage::{CircuitCache, Evaluator};
 use pcqe::obs::trace::TraceEventKind;
@@ -30,15 +32,11 @@ use pcqe::storage::{Catalog, Column, DataType, Schema, TupleId, Value};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-const QUERY: &str = "SELECT DISTINCT CompanyInfo.company, income \
-    FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company \
-    WHERE funding < 1000000.0";
-
 /// The paper's Section 3.1 database. With a [`ManualClock`] every
 /// timestamp is 0 and the only ordering is the tracer's deterministic
 /// sequence counter, so exports are byte-stable.
 fn paper_db(worker_threads: Option<usize>) -> Database {
-    populated(Database::with_clock(
+    common::paper_db(Database::with_clock(
         config(worker_threads),
         Arc::new(ManualClock::new()),
     ))
@@ -50,64 +48,6 @@ fn config(worker_threads: Option<usize>) -> EngineConfig {
         parallel_threshold: 1,
         ..EngineConfig::default()
     }
-}
-
-/// The Section 3.1 tables, costs and the Manager's policy, loaded into
-/// `db`.
-fn populated(mut db: Database) -> Database {
-    db.create_table(
-        "Proposal",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("proposal", DataType::Text),
-            Column::new("funding", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        "CompanyInfo",
-        Schema::new(vec![
-            Column::new("company", DataType::Text),
-            Column::new("income", DataType::Real),
-        ])
-        .unwrap(),
-    )
-    .unwrap();
-    let t02 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v1"),
-                Value::Real(800_000.0),
-            ],
-            0.3,
-        )
-        .unwrap();
-    let t03 = db
-        .insert(
-            "Proposal",
-            vec![
-                Value::text("SkyCam"),
-                Value::text("drone v2"),
-                Value::Real(900_000.0),
-            ],
-            0.4,
-        )
-        .unwrap();
-    let t13 = db
-        .insert(
-            "CompanyInfo",
-            vec![Value::text("SkyCam"), Value::Real(500_000.0)],
-            0.1,
-        )
-        .unwrap();
-    db.set_cost(t02, CostFn::linear(1000.0).unwrap()).unwrap();
-    db.set_cost(t03, CostFn::linear(100.0).unwrap()).unwrap();
-    db.set_cost(t13, CostFn::linear(10_000.0).unwrap()).unwrap();
-    db.add_policy(ConfidencePolicy::new("Manager", "investment", 0.06).unwrap());
-    db
 }
 
 /// A fully comparable fingerprint of one query → apply → query cycle:
@@ -313,16 +253,11 @@ fn trace_spans_cover_the_query_lifecycle() {
 fn single_column_db(rows: usize, capacity: usize) -> Database {
     let tracer = Tracer::with_clock(Arc::new(ManualClock::new()), capacity);
     let mut db = Database::with_tracer(EngineConfig::default().sequential(), tracer);
-    db.create_table(
-        "t",
-        Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
-    )
-    .unwrap();
-    for i in 0..rows {
-        let confidence = if i % 2 == 0 { 0.9 } else { 0.6 };
-        db.insert("t", vec![Value::Int(i as i64)], confidence)
-            .unwrap();
-    }
+    let rows = (0..rows).map(|i| ([0.9, 0.6][i % 2], vec![Value::Int(i as i64)]));
+    let spec = DbSpec::default()
+        .table("t", &[("x", DataType::Int)])
+        .rows(rows);
+    spec.load(&mut db, false);
     db.add_policy(ConfidencePolicy::new("reader", "all", 0.5).unwrap());
     db.add_policy(ConfidencePolicy::new("reader", "half", 0.7).unwrap());
     db
@@ -599,7 +534,7 @@ fn only_an_enabled_listener_is_sent_timeline_events() {
 #[test]
 fn a_tracer_that_holds_one_event_counts_what_it_drops() {
     let clock = Arc::new(ManualClock::new());
-    let mut traced = populated(Database::with_tracer(
+    let mut traced = common::paper_db(Database::with_tracer(
         config(Some(1)),
         Tracer::with_clock(clock, 1),
     ));

@@ -83,9 +83,9 @@ const BETA: f64 = 0.5;
 fn shop(record_metrics: bool) -> Database {
     let mut db = Database::new(EngineConfig {
         worker_threads: Some(2),
-        record_metrics,
         ..EngineConfig::default()
     });
+    db.recorder().set_enabled(record_metrics);
     let orders = vec![
         Column::new("id", DataType::Int),
         Column::new("customer_id", DataType::Int),
@@ -162,7 +162,7 @@ fn a_point_select_stays_within_its_allocation_budget() {
         "SELECT id, status, amount, note FROM orders WHERE id = 123",
         1,
     );
-    assert!(made <= 136, "a 1-row point SELECT made {made} allocations");
+    assert!(made <= 135, "a 1-row point SELECT made {made} allocations");
 }
 
 #[test]
@@ -172,7 +172,7 @@ fn a_selective_select_stays_within_its_allocation_budget() {
         20,
     );
     assert!(
-        made <= 195,
+        made <= 194,
         "a 20-row selective SELECT made {made} allocations"
     );
 }
@@ -184,5 +184,5 @@ fn an_equi_join_stays_within_its_allocation_budget() {
          ON o.customer_id = c.id WHERE o.customer_id = 17",
         20,
     );
-    assert!(made <= 552, "a 20-row equi-join made {made} allocations");
+    assert!(made <= 541, "a 20-row equi-join made {made} allocations");
 }
