@@ -2,7 +2,7 @@
 
 use crate::error::AlgebraError;
 use crate::Result;
-use pcqe_lineage::{CircuitCache, Evaluator, Lineage, ProbSource};
+use pcqe_lineage::{bounds, Bounds, CircuitCache, Evaluator, Lineage, LineageError, ProbSource};
 use pcqe_par::{ConfidencePath, Observer};
 use pcqe_storage::{Schema, StoredTuple, Tuple, Value};
 use std::fmt;
@@ -108,7 +108,9 @@ impl ResultSet {
 
     /// Compute every row's confidence from base-tuple probabilities,
     /// uncached — the reference the equivalence suites hold
-    /// [`Self::score_with`] to, bit for bit.
+    /// [`Self::score_with`] to, bit for bit. A row whose exact evaluation
+    /// runs past the evaluator's budget gets its Fréchet lower bound, as
+    /// in [`Self::score_with`].
     pub fn score<P: ProbSource>(
         &self,
         probs: &P,
@@ -117,9 +119,8 @@ impl ResultSet {
         self.rows
             .iter()
             .map(|row| {
-                let confidence = evaluator
-                    .probability(&row.lineage, probs)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
+                let exact = evaluator.probability(&row.lineage, probs);
+                let (confidence, _) = exact_or_lower(exact, || bounds(&row.lineage, probs))?;
                 Ok(ScoredTuple {
                     tuple: row.tuple.clone(),
                     lineage: row.lineage.clone(),
@@ -145,34 +146,34 @@ impl ResultSet {
     /// independent: there is no scheduling to vary.
     ///
     /// **β-gating** (`gate: Some(β)`): a policy admits a row iff its
-    /// confidence is *strictly* greater than β. The Fréchet upper bound
-    /// ([`pcqe_lineage::upper_bound`], linear in lineage size) is sound
-    /// under any dependence structure, so `upper ≤ β` implies `exact ≤ β` —
-    /// the row is withheld either way and exact evaluation is skipped.
-    /// Skipped rows carry their upper bound as `confidence` (a labelled
-    /// over-estimate, never an admit) and are flagged in
-    /// [`GatedScore::skipped`] so callers that later need exact values
-    /// (strategy finding over withheld rows) can re-score just those rows
-    /// via [`Self::rescore_exact_cached`]. With `gate: None` no bound is
-    /// computed and no row is flagged.
+    /// confidence is *strictly* greater than β, and every gate-facing
+    /// confidence is exact or a sound bound on the side that makes that
+    /// verdict right. One Fréchet walk per gated row
+    /// ([`pcqe_lineage::bounds`], linear in lineage size, sound under any
+    /// dependence structure) gives both ends. `upper ≤ β` implies
+    /// `exact ≤ β`: the row is withheld without exact evaluation, carries
+    /// its upper bound (a labelled over-estimate, never an admit) and is
+    /// flagged in [`GatedScore::skipped`]. A row whose exact evaluation runs
+    /// past the evaluator's Shannon budget carries the lower bound, which
+    /// clears β only if the exact value does. With `gate: None` the walk
+    /// runs only for a row past the budget, and no row is flagged.
     ///
     /// The per-row [`ConfidencePath`] report says how each gate-facing
-    /// confidence was obtained: `BetaSkipped` for gated rows, `CacheHit`
-    /// when the whole circuit came from the root memo, `Exact` when
-    /// compilation (or the Monte-Carlo fallback) ran. The pass is chunked
+    /// confidence was obtained: `BetaSkipped` for skipped rows, `Bounded`
+    /// for rows past the budget, `CacheHit` when the whole circuit came
+    /// from the root memo, `Exact` when compilation ran. The pass is chunked
     /// by morsel so each chunk surfaces one single-worker
     /// [`pcqe_par::BatchReport`] to the listener, and gate instants
-    /// (`beta.skip` / `score.exact`) **after** the pass, in row order, if it
-    /// is enabled. Chunking and the listener change *reporting*, never
-    /// evaluation: scores, flags, paths and cache transitions are
-    /// identical for any options that agree on `gate`.
+    /// (`beta.skip` / `score.bounded` / `score.exact`) **after** the pass,
+    /// in row order, if it is enabled. Chunking and the listener change
+    /// *reporting*, never evaluation: scores, flags, paths and cache
+    /// transitions are identical for any options that agree on `gate`.
     pub fn score_with(
         self,
         cache: &mut CircuitCache,
         evaluator: &Evaluator,
         options: &ScoreOptions<'_>,
     ) -> Result<(GatedScore, Vec<ConfidencePath>)> {
-        let lineage_err = |e: pcqe_lineage::LineageError| AlgebraError::Lineage(e.to_string());
         let n = self.rows.len();
         let chunk_rows = pcqe_storage::morsel_rows(n).max(1);
         let mut scored = Vec::with_capacity(n);
@@ -184,32 +185,32 @@ impl ResultSet {
             let started = options.listener.map(|o| o.now_nanos());
             let mut chunk = 0;
             for row in rows.by_ref().take(chunk_rows) {
-                let bound = match options.gate {
-                    Some(beta) => Some(
-                        pcqe_lineage::upper_bound(&row.lineage, cache.probs())
-                            .map_err(lineage_err)?,
-                    )
-                    .filter(|upper| *upper <= beta),
-                    None => None,
-                };
-                let (confidence, path) = match bound {
-                    Some(upper) => (upper, ConfidencePath::BetaSkipped),
-                    None => {
+                let walked = options.gate.map(|_| bounds(&row.lineage, cache.probs()));
+                let walked = walked.transpose().map_err(lineage_err)?;
+                let (confidence, path) = match (walked, options.gate) {
+                    (Some(b), Some(beta)) if b.upper <= beta => {
+                        (b.upper, ConfidencePath::BetaSkipped)
+                    }
+                    _ => {
                         let before = cache.stats();
-                        let exact = cache
-                            .score_lineage(&row.lineage, evaluator)
-                            .map_err(lineage_err)?;
-                        (exact, classify_cached(before, cache.stats()))
+                        let exact = cache.score_lineage(&row.lineage, evaluator);
+                        let walk =
+                            || walked.map_or_else(|| bounds(&row.lineage, cache.probs()), Ok);
+                        match exact_or_lower(exact, walk)? {
+                            (p, false) => (p, classify_cached(before, cache.stats())),
+                            (p, true) => (p, ConfidencePath::Bounded),
+                        }
                     }
                 };
+                let skip = path == ConfidencePath::BetaSkipped;
                 scored.push(ScoredTuple {
                     tuple: row.tuple,
                     lineage: row.lineage,
                     confidence,
                 });
-                skipped.push(bound.is_some());
+                skipped.push(skip);
                 paths.push(path);
-                exact_skipped += usize::from(bound.is_some());
+                exact_skipped += usize::from(skip);
                 chunk += 1;
             }
             if let (Some(obs), Some(t0)) = (options.listener, started) {
@@ -224,7 +225,7 @@ impl ResultSet {
             exact_skipped,
         };
         if let Some(tracer) = options.listener.filter(|l| l.enabled()) {
-            emit_gate_instants(tracer, &gated);
+            emit_gate_instants(tracer, &paths);
         }
         Ok((gated, paths))
     }
@@ -260,9 +261,9 @@ impl ResultSet {
 
     /// Replace bound-valued confidences with exact ones for the rows
     /// flagged in `skipped` (in place over a [`GatedScore::scored`]
-    /// vector), served from (and memoized into) the pool. Used before
-    /// computing improvement strategies over withheld tuples, which need
-    /// true confidences. Returns the number of rows re-scored.
+    /// vector), served from (and memoized into) the pool; a row past the
+    /// budget gets its lower bound, as in [`Self::score_with`]. Returns the
+    /// number of rows re-scored.
     pub fn rescore_exact_cached(
         scored: &mut [ScoredTuple],
         skipped: &[bool],
@@ -275,9 +276,8 @@ impl ResultSet {
                 continue;
             }
             if let Some(s) = scored.get_mut(i) {
-                s.confidence = cache
-                    .score_lineage(&s.lineage, evaluator)
-                    .map_err(|e| AlgebraError::Lineage(e.to_string()))?;
+                let exact = cache.score_lineage(&s.lineage, evaluator);
+                s.confidence = exact_or_lower(exact, || bounds(&s.lineage, cache.probs()))?.0;
                 n += 1;
             }
         }
@@ -316,8 +316,7 @@ pub struct GatedScore {
 /// Classify one cached scoring step from the stats delta it left: no
 /// fresh root compile plus at least one compile-memo hit means the pool
 /// answered ([`ConfidencePath::CacheHit`]); anything else ran fresh
-/// arithmetic ([`ConfidencePath::Exact`], including the Monte-Carlo
-/// fallback).
+/// arithmetic ([`ConfidencePath::Exact`]).
 fn classify_cached(
     before: pcqe_lineage::CacheStats,
     after: pcqe_lineage::CacheStats,
@@ -329,18 +328,40 @@ fn classify_cached(
     }
 }
 
-/// One `beta.skip` / `score.exact` instant per row, in row order. The
-/// payload carries the row index only: the skipped row's Fréchet upper
-/// bound and the β it lost to are deliberately not rendered — trace
-/// files travel further than the audit log, and the Decision record is
-/// the designed outlet for those values (PCQE-F002, PCQE-F003).
-fn emit_gate_instants(tracer: &dyn Observer, gated: &GatedScore) {
-    for (i, &was_skipped) in gated.skipped.iter().enumerate() {
-        if was_skipped {
-            tracer.instant("beta.skip", &format!("row={i}"));
-        } else {
-            tracer.instant("score.exact", &format!("row={i}"));
-        }
+/// The confidence of a row whose exact evaluation gave `exact`: that
+/// value, or — when it ran past the evaluator's Shannon budget — the
+/// lower end of the row's Fréchet bounds, which `walk` supplies (`true`
+/// marks that case). Sound for release: `lower > β` implies `exact > β`.
+/// The one place a budget-exhausted row gets its confidence, for
+/// [`ResultSet::score`] and [`ResultSet::score_with`] alike.
+fn exact_or_lower(
+    exact: pcqe_lineage::Result<f64>,
+    walk: impl FnOnce() -> pcqe_lineage::Result<Bounds>,
+) -> Result<(f64, bool)> {
+    match exact {
+        Ok(p) => Ok((p, false)),
+        Err(LineageError::BudgetExceeded { .. }) => Ok((walk().map_err(lineage_err)?.lower, true)),
+        Err(e) => Err(lineage_err(e)),
+    }
+}
+
+fn lineage_err(e: LineageError) -> AlgebraError {
+    AlgebraError::Lineage(e.to_string())
+}
+
+/// One `beta.skip` / `score.bounded` / `score.exact` instant per row, in
+/// row order. The payload carries the row index only: a row's bound and
+/// the β it lost to are deliberately not rendered — trace files travel
+/// further than the audit log, and the Decision record is the designed
+/// outlet for those values (PCQE-F002, PCQE-F003).
+fn emit_gate_instants(tracer: &dyn Observer, paths: &[ConfidencePath]) {
+    for (i, path) in paths.iter().enumerate() {
+        let name = match path {
+            ConfidencePath::BetaSkipped => "beta.skip",
+            ConfidencePath::Bounded => "score.bounded",
+            ConfidencePath::Exact | ConfidencePath::CacheHit => "score.exact",
+        };
+        tracer.instant(name, &format!("row={i}"));
     }
 }
 
@@ -367,7 +388,7 @@ mod tests {
     use super::*;
     use pcqe_lineage::VarId;
     use pcqe_storage::{Column, DataType, Value};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn simple() -> ResultSet {
         let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
@@ -389,7 +410,7 @@ mod tests {
     #[test]
     fn scoring_computes_probabilities() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
+        let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
         let scored = rs.score(&probs, &Evaluator::default()).unwrap();
         assert_eq!(scored.len(), 2);
         assert!((scored[0].confidence - 0.5).abs() < 1e-12);
@@ -399,7 +420,7 @@ mod tests {
     #[test]
     fn scoring_fails_on_unknown_base_tuple() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5)].into_iter().collect();
+        let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5)].into_iter().collect();
         assert!(matches!(
             rs.score(&probs, &Evaluator::default()),
             Err(AlgebraError::Lineage(_))
@@ -413,11 +434,9 @@ mod tests {
         assert!(text.contains('2'));
     }
 
-    fn seeded_cache(probs: &HashMap<VarId, f64>) -> CircuitCache {
+    fn seeded_cache(probs: &BTreeMap<VarId, f64>) -> CircuitCache {
         let mut cache = CircuitCache::new();
-        let mut sorted: Vec<(VarId, f64)> = probs.iter().map(|(&v, &p)| (v, p)).collect();
-        sorted.sort_by_key(|&(v, _)| v);
-        for (v, p) in sorted {
+        for (&v, &p) in probs {
             cache.set_prob(v, p);
         }
         cache
@@ -426,7 +445,7 @@ mod tests {
     #[test]
     fn cached_scoring_is_bit_identical_to_plain() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
+        let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
         let plain = rs.score(&probs, &Evaluator::default()).unwrap();
         let mut cache = seeded_cache(&probs);
         // Score twice: the second pass is pure memo hits and must not
@@ -448,7 +467,7 @@ mod tests {
     #[test]
     fn gated_scoring_skips_exactly_the_rows_the_bound_proves_failing() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
+        let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
         let exact = rs.score(&probs, &Evaluator::default()).unwrap();
         // Row 0: exact 0.5; row 1 (AND): exact 0.2, upper bound
         // min(0.5, 0.4) = 0.4. β = 0.45 skips row 1 only; β = 0.1 skips
@@ -467,7 +486,7 @@ mod tests {
                 // The reference: a row is skipped iff its Fréchet bound
                 // is ≤ β, and then carries that bound; every other row
                 // carries the uncached exact confidence, bit for bit.
-                let upper = pcqe_lineage::upper_bound(&row.lineage, &probs).unwrap();
+                let upper = bounds(&row.lineage, &probs).unwrap().upper;
                 let expected = if upper <= beta { upper } else { e.confidence };
                 assert_eq!(g.confidence.to_bits(), expected.to_bits(), "beta={beta}");
                 // Classification against β is identical to exact scoring.
@@ -479,7 +498,7 @@ mod tests {
     #[test]
     fn cached_rescore_restores_exact_confidences() {
         let rs = simple();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
+        let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
         let mut cache = seeded_cache(&probs);
         let mut cached = rs
             .score_gated_cached(&mut cache, &Evaluator::default(), 0.45)

@@ -1,13 +1,12 @@
 //! Micro-benchmarks of the confidence-computation substrate: interpreted
-//! exact evaluation vs compiled lineage vs Monte-Carlo estimation, and a
-//! compiled circuit's full forward pass vs the one-slot cone update the
-//! solvers' search nodes run. These underpin every figure (each solver
-//! iteration evaluates F thousands of times) but are not a figure
-//! themselves.
+//! exact evaluation vs compiled lineage, and a compiled circuit's full
+//! forward pass vs the one-slot cone update the solvers' search nodes
+//! run. These underpin every figure (each solver iteration evaluates F
+//! thousands of times) but are not a figure themselves.
 
 use pcqe_bench::timing::{bench, group};
-use pcqe_lineage::{CompiledLineage, Evaluator, Lineage, MonteCarlo, VarId};
-use std::collections::HashMap;
+use pcqe_lineage::{CompiledLineage, Evaluator, Lineage, VarId};
+use std::collections::BTreeMap;
 
 /// An OR of ten AND-pairs over twenty distinct variables (read-once).
 fn read_once_formula() -> Lineage {
@@ -35,7 +34,7 @@ fn chain_formula() -> Lineage {
     Lineage::or(links)
 }
 
-fn probs_for(l: &Lineage) -> HashMap<VarId, f64> {
+fn probs_for(l: &Lineage) -> BTreeMap<VarId, f64> {
     l.vars().into_iter().map(|v| (v, 0.12)).collect()
 }
 
@@ -44,7 +43,7 @@ fn main() {
 
     let ro = read_once_formula();
     let ro_probs = probs_for(&ro);
-    let ev = Evaluator::exact_only(1024);
+    let ev = Evaluator { budget: 1024 };
     bench("interpreted/read_once_20vars", 30, || {
         ev.probability(&ro, &ro_probs).expect("exact")
     });
@@ -64,7 +63,7 @@ fn main() {
 
     let sh = shared_formula();
     let sh_probs = probs_for(&sh);
-    let ev_sh = Evaluator::exact_only(1 << 20);
+    let ev_sh = Evaluator { budget: 1 << 20 };
     bench("interpreted/shared_9vars", 30, || {
         ev_sh.probability(&sh, &sh_probs).expect("exact")
     });
@@ -78,10 +77,5 @@ fn main() {
     let slots_chain: Vec<f64> = compiled_chain.vars().iter().map(|v| chain_probs[v]).collect();
     bench("compiled/shared_chain_24vars", 30, || {
         compiled_chain.eval(&slots_chain)
-    });
-
-    let mc = MonteCarlo::new(10_000, 7);
-    bench("monte_carlo/shared_9vars_10k", 30, || {
-        mc.estimate(&sh, &sh_probs).expect("estimates")
     });
 }

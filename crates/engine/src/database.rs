@@ -12,7 +12,7 @@ use pcqe_algebra::{
 use pcqe_core::clock::{Clock, SystemClock};
 use pcqe_core::estimator::RuntimeEstimator;
 use pcqe_cost::CostFn;
-use pcqe_par::{Decision, Observer};
+use pcqe_par::{ConfidencePath, Decision, Observer};
 use pcqe_policy::{evaluate_results, ConfidencePolicy, PolicyStore, Purpose, Role};
 use pcqe_provenance::{Assigner, ProvenanceRecord};
 use pcqe_storage::{Catalog, Schema, TupleId, Value};
@@ -463,6 +463,10 @@ impl Database {
             };
             result_set.score_with(&mut self.cache, &self.config.evaluator, &options)?
         };
+        if stage.record {
+            let bounded = paths.iter().filter(|p| **p == ConfidencePath::Bounded);
+            tally.bounded = bounded.count() as u64;
+        }
 
         let confidences: Vec<f64> = gated.scored.iter().map(|s| s.confidence).collect();
         let decision = {
@@ -595,8 +599,9 @@ impl Database {
     /// call: returns the response alongside the drained [`QueryTrace`] —
     /// lifecycle spans (`query` > `plan`/`execute`/`score`/`gate`, plus
     /// `propose` when strategy finding runs), per-operator `op:*` spans,
-    /// circuit-cache `cache.*` events, β-gate `beta.skip`/`score.exact`
-    /// instants, and one [`pcqe_par::Decision`] per result row.
+    /// circuit-cache `cache.*` events, β-gate `beta.skip` /
+    /// `score.bounded` / `score.exact` instants, and one
+    /// [`pcqe_par::Decision`] per result row.
     ///
     /// Tracing is write-only: the response (and any audit entry) is
     /// bit-identical to an untraced [`Database::query`] of the same
@@ -879,6 +884,9 @@ struct Tally {
     profile: Option<ExecProfile>,
     /// `lineage.exact_skipped`.
     exact_skipped: Option<u64>,
+    /// `lineage.bounded`: rows gated on their lower bound because exact
+    /// evaluation ran past the budget; not emitted at zero.
+    bounded: u64,
     /// The circuit cache's `lineage.*` activity; zero deltas are not
     /// emitted, so an engine that never scored a row records none.
     cache: Option<pcqe_lineage::CacheStats>,
@@ -893,6 +901,7 @@ impl Tally {
             recorder: Arc::clone(recorder),
             profile: None,
             exact_skipped: None,
+            bounded: 0,
             cache: None,
             decision: None,
         }
@@ -914,6 +923,7 @@ impl Drop for Tally {
                 rows_out.map(|n| ("exec.rows_out", n)),
                 lineage_nodes.map(|n| ("exec.lineage_nodes", n)),
                 self.exact_skipped.map(|n| ("lineage.exact_skipped", n)),
+                activity("lineage.bounded", self.bounded),
                 activity("lineage.circuit_compiled", cache.compiled),
                 activity("lineage.cache_hit", cache.hits()),
                 activity("lineage.cache_invalidated", cache.invalidated),

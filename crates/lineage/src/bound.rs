@@ -21,6 +21,11 @@
 //! Because every rule holds regardless of independence, the interval is
 //! sound for repeated variables too — exactly the case where exact
 //! evaluation gets expensive. Constants and single variables are exact.
+//!
+//! The scorer reads both ends: a row whose upper bound is ≤ β is withheld
+//! without exact evaluation, and a row whose exact evaluation runs past
+//! its Shannon budget is gated on its lower bound — released only if even
+//! that exceeds β.
 
 use crate::error::LineageError;
 use crate::expr::Lineage;
@@ -49,11 +54,6 @@ pub fn bounds<P: ProbSource>(lineage: &Lineage, probs: &P) -> Result<Bounds> {
     let b = walk(lineage, probs)?;
     debug_assert!(b.lower <= b.upper + 1e-12, "crossed bounds {b:?}");
     Ok(b)
-}
-
-/// The upper bound alone — what the β short-circuit consumes.
-pub fn upper_bound<P: ProbSource>(lineage: &Lineage, probs: &P) -> Result<f64> {
-    Ok(bounds(lineage, probs)?.upper)
 }
 
 fn walk<P: ProbSource>(l: &Lineage, probs: &P) -> Result<Bounds> {
@@ -110,9 +110,9 @@ mod tests {
     use crate::expr::VarId;
     use crate::prob::Evaluator;
     use crate::rng::Rng64;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
-    fn probs(pairs: &[(u64, f64)]) -> HashMap<VarId, f64> {
+    fn probs(pairs: &[(u64, f64)]) -> BTreeMap<VarId, f64> {
         pairs.iter().map(|&(v, p)| (VarId(v), p)).collect()
     }
 
@@ -160,10 +160,11 @@ mod tests {
         // generate formulas with heavy variable sharing (the hard case)
         // and verify lower ≤ exact ≤ upper for each.
         let mut rng = Rng64::seed_from_u64(0x000b_0cd5);
-        let ev = Evaluator::exact_only(1 << 16);
+        let ev = Evaluator { budget: 1 << 16 };
         for case in 0..200 {
             let n_vars = 2 + rng.below_u64(5);
-            let pr: HashMap<VarId, f64> = (0..n_vars).map(|i| (VarId(i), rng.next_f64())).collect();
+            let pr: BTreeMap<VarId, f64> =
+                (0..n_vars).map(|i| (VarId(i), rng.next_f64())).collect();
             let l = random_formula(&mut rng, n_vars, 3);
             let exact = ev.probability(&l, &pr).unwrap();
             let b = bounds(&l, &pr).unwrap();

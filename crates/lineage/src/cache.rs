@@ -49,9 +49,7 @@
 //!   with remaining budget `r` succeeds iff `r ≥ cost`, consuming exactly
 //!   `cost` — so a compile-memo hit charges the recorded cost up front and
 //!   fails with the identical [`LineageError::BudgetExceeded`] iff the
-//!   stepwise recursion would have;
-//! - on budget exhaustion the cache falls back to the same seeded
-//!   Monte-Carlo estimate over the same factored formula.
+//!   stepwise recursion would have.
 //!
 //! Every container in this module is a `BTreeMap`, a `Vec` indexed by
 //! insertion order, or the id-paged [`VarTable`] (PCQE-D001): iteration
@@ -67,7 +65,6 @@ use crate::compile::{CompiledLineage, Op};
 use crate::error::LineageError;
 use crate::expr::{Lineage, VarId};
 use crate::factor::normalize;
-use crate::mc::MonteCarlo;
 use crate::prob::{most_shared_var, Evaluator, ProbSource};
 use crate::Result;
 use pcqe_par::Observer;
@@ -480,20 +477,12 @@ impl CircuitCache {
         self.eval_node(root)
     }
 
-    /// Compile-and-score in one call, with the evaluator's Monte-Carlo
-    /// fallback on budget exhaustion — the cached twin of
-    /// [`Evaluator::probability`], bit-identical on every path.
+    /// Compile-and-score in one call within the evaluator's budget — the
+    /// cached twin of [`Evaluator::probability`], bit-identical on every
+    /// path, [`LineageError::BudgetExceeded`] included.
     pub fn score_lineage(&mut self, lineage: &Lineage, evaluator: &Evaluator) -> Result<f64> {
-        match self.compile(lineage, evaluator.budget) {
-            Ok(id) => self.score(id),
-            Err(LineageError::BudgetExceeded { .. }) if evaluator.mc_samples > 0 => {
-                // Same fallback as the uncached path: seeded Monte-Carlo
-                // over the same simplified/factored formula.
-                MonteCarlo::new(evaluator.mc_samples, evaluator.mc_seed)
-                    .estimate(&normalize(lineage), &self.vars)
-            }
-            Err(e) => Err(e),
-        }
+        let id = self.compile(lineage, evaluator.budget)?;
+        self.score(id)
     }
 
     /// Compile memo + hash-consing recursion, with the structure and
@@ -851,9 +840,7 @@ mod tests {
         let l = Lineage::Or(children);
         let pr: BTreeMap<VarId, f64> = (0..9u64).map(|v| (VarId(v), 0.5)).collect();
         for budget in 0..64usize {
-            let oracle = Evaluator::exact_only(budget)
-                .probability(&l, &pr)
-                .map(|_| ());
+            let oracle = Evaluator { budget }.probability(&l, &pr).map(|_| ());
             let standalone = CompiledLineage::compile(&l, budget).map(|_| ());
             let mut warmed = CircuitCache::new();
             let _ = warmed.compile(&l, 1 << 16); // warm the memo
@@ -864,29 +851,6 @@ mod tests {
             assert_eq!(oracle, miss, "budget {budget} (cold)");
             assert_eq!(oracle, standalone, "budget {budget} (standalone)");
         }
-    }
-
-    #[test]
-    fn mc_fallback_matches_uncached_bitwise() {
-        let mut children = Vec::new();
-        for i in 0..12u64 {
-            children.push(Lineage::And(vec![Lineage::var(i), Lineage::var(i + 1)]));
-        }
-        let l = Lineage::Or(children);
-        let ev = Evaluator {
-            budget: 1,
-            mc_samples: 20_000,
-            mc_seed: 7,
-        };
-        let mut cache = CircuitCache::new();
-        let mut pr = BTreeMap::new();
-        for i in 0..13u64 {
-            cache.set_prob(VarId(i), 0.5);
-            pr.insert(VarId(i), 0.5);
-        }
-        let cached = cache.score_lineage(&l, &ev).unwrap();
-        let plain = ev.probability(&l, &pr).unwrap();
-        assert_eq!(cached.to_bits(), plain.to_bits());
     }
 
     #[test]
@@ -927,7 +891,7 @@ mod tests {
         let pr: BTreeMap<VarId, f64> = (0..3u64)
             .map(|v| (VarId(v), 0.1 + 0.2 * v as f64))
             .collect();
-        let interp = Evaluator::exact_only(1 << 12).probability(&l, &pr).unwrap();
+        let interp = Evaluator { budget: 1 << 12 }.probability(&l, &pr).unwrap();
         assert_eq!(pooled.eval_with(|v| pr[&v]).to_bits(), interp.to_bits());
         assert_eq!(standalone.eval_with(|v| pr[&v]).to_bits(), interp.to_bits());
     }
@@ -944,7 +908,7 @@ mod tests {
                 cache.set_prob(VarId(v), p);
                 pr.insert(VarId(v), p);
             }
-            let ev = Evaluator::exact_only(1 << 12);
+            let ev = Evaluator { budget: 1 << 12 };
             match (cache.score_lineage(&l, &ev), ev.probability(&l, &pr)) {
                 (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "case {case}: {l:?}"),
                 (Err(a), Err(b)) => assert_eq!(a, b, "case {case}: {l:?}"),

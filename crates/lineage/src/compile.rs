@@ -282,7 +282,7 @@ mod tests {
     use super::*;
     use crate::error::LineageError;
     use crate::prob::Evaluator;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn compiled_matches_interpreter_read_once() {
@@ -304,10 +304,10 @@ mod tests {
             Lineage::And(vec![Lineage::var(1), Lineage::var(2)]),
         ]);
         let c = CompiledLineage::compile(&l, 1024).unwrap();
-        let probs: HashMap<VarId, f64> = [(VarId(0), 0.3), (VarId(1), 0.6), (VarId(2), 0.9)]
+        let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.3), (VarId(1), 0.6), (VarId(2), 0.9)]
             .into_iter()
             .collect();
-        let exact = Evaluator::exact_only(1 << 16)
+        let exact = Evaluator { budget: 1 << 16 }
             .probability(&l, &probs)
             .unwrap();
         let compiled = c.eval_with(|v| probs[&v]);
@@ -430,11 +430,11 @@ mod tests {
             ]),
             Lineage::var(3),
         ]);
-        let pr: HashMap<VarId, f64> = [(0, 0.17), (1, 0.62), (2, 0.41), (3, 0.09)]
+        let pr: BTreeMap<VarId, f64> = [(0, 0.17), (1, 0.62), (2, 0.41), (3, 0.09)]
             .into_iter()
             .map(|(v, p)| (VarId(v), p))
             .collect();
-        let interp = Evaluator::exact_only(1 << 12).probability(&l, &pr).unwrap();
+        let interp = Evaluator { budget: 1 << 12 }.probability(&l, &pr).unwrap();
         let c = CompiledLineage::compile(&l, 1 << 12).unwrap();
         let compiled = c.eval_with(|v| pr[&v]);
         assert_eq!(interp.to_bits(), compiled.to_bits());

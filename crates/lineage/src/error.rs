@@ -10,10 +10,8 @@ pub enum LineageError {
     UnknownVar(VarId),
     /// Exact evaluation exceeded the Shannon-expansion budget.
     ///
-    /// Callers can retry with a larger budget or fall back to
-    /// [`crate::MonteCarlo`] estimation (which
-    /// [`crate::Evaluator::probability`] does automatically when configured
-    /// with a sample count).
+    /// Callers can retry with a larger budget or settle for the sound
+    /// interval of [`crate::bounds`], which needs no expansion.
     BudgetExceeded {
         /// The budget that was exhausted.
         budget: usize,

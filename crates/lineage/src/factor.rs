@@ -33,8 +33,8 @@ pub fn factor(lineage: &Lineage) -> Lineage {
     }
 }
 
-/// The form every confidence computation in the crate starts from —
-/// interpreter, pool compiler and Monte-Carlo fallback alike: simplified,
+/// The form every exact confidence computation in the crate starts from —
+/// interpreter and pool compiler alike: simplified,
 /// then factored unless already read-once. Factoring shared conjuncts out
 /// of OR branches removes repeated variables, saving Shannon expansions
 /// (and often reaching a read-once form, which needs none at all).
@@ -150,7 +150,7 @@ fn strip_conjunct(l: &Lineage, pivot: VarId) -> Option<Lineage> {
 mod tests {
     use super::*;
     use crate::prob::Evaluator;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn equivalent(a: &Lineage, b: &Lineage) {
         let mut vars = a.vars();
@@ -192,8 +192,9 @@ mod tests {
         ]);
         let f = factor(&dnf);
         equivalent(&dnf, &f);
-        let probs: HashMap<VarId, f64> = (0..4).map(|i| (VarId(i), 0.3 + 0.1 * i as f64)).collect();
-        let ev = Evaluator::exact_only(1 << 16);
+        let probs: BTreeMap<VarId, f64> =
+            (0..4).map(|i| (VarId(i), 0.3 + 0.1 * i as f64)).collect();
+        let ev = Evaluator { budget: 1 << 16 };
         let pa = ev.probability(&dnf, &probs).unwrap();
         let pb = ev.probability(&f, &probs).unwrap();
         assert!((pa - pb).abs() < 1e-12);

@@ -33,17 +33,15 @@ pub mod compile;
 pub mod error;
 pub mod expr;
 pub mod factor;
-pub mod mc;
 pub mod prob;
 pub mod rng;
 
-pub use bound::{bounds, upper_bound, Bounds};
+pub use bound::{bounds, Bounds};
 pub use cache::{CacheStats, CircuitCache, CircuitId};
 pub use compile::CompiledLineage;
 pub use error::LineageError;
 pub use expr::{Lineage, VarId};
 pub use factor::factor;
-pub use mc::MonteCarlo;
 pub use prob::{Evaluator, ProbSource};
 pub use rng::{Rng64, SplitMix64};
 

@@ -1,16 +1,14 @@
-//! Exact (and exact-with-fallback) probability computation.
+//! Exact probability computation under a Shannon-expansion budget.
 
 use crate::error::LineageError;
 use crate::expr::{Lineage, VarId};
-use crate::mc::MonteCarlo;
 use crate::Result;
-use std::collections::HashMap;
 
 /// A source of per-variable marginal probabilities.
 ///
-/// Implemented for closures and hash maps so callers can pass whatever they
-/// have; `None` means the variable is unknown and evaluation fails with
-/// [`LineageError::UnknownVar`].
+/// Implemented for closures and ordered maps so callers can pass whatever
+/// they have; `None` means the variable is unknown and evaluation fails
+/// with [`LineageError::UnknownVar`].
 pub trait ProbSource {
     /// Marginal probability of `var` being true, or `None` if unknown.
     fn prob(&self, var: VarId) -> Option<f64>;
@@ -22,67 +20,36 @@ impl<F: Fn(VarId) -> Option<f64>> ProbSource for F {
     }
 }
 
-impl ProbSource for HashMap<VarId, f64> {
-    fn prob(&self, var: VarId) -> Option<f64> {
-        self.get(&var).copied()
-    }
-}
-
 impl ProbSource for std::collections::BTreeMap<VarId, f64> {
     fn prob(&self, var: VarId) -> Option<f64> {
         self.get(&var).copied()
     }
 }
 
-/// Confidence evaluator: exact first, optional Monte-Carlo fallback.
+/// Exact confidence evaluator.
 ///
 /// Exact evaluation uses independence decomposition wherever the children of
 /// a connective touch pairwise-disjoint variable sets, and Shannon expansion
 /// on the most-shared variable otherwise. Each Shannon expansion consumes
-/// one unit of `budget`; on exhaustion the evaluator either falls back to
-/// seeded Monte-Carlo (if `mc_samples > 0`) or reports
-/// [`LineageError::BudgetExceeded`].
+/// one unit of `budget`; on exhaustion the evaluator reports
+/// [`LineageError::BudgetExceeded`] — it never estimates.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     /// Maximum number of Shannon expansions before giving up on exactness.
     pub budget: usize,
-    /// Monte-Carlo samples used on budget exhaustion; `0` disables fallback.
-    pub mc_samples: usize,
-    /// Seed for the Monte-Carlo fallback.
-    pub mc_seed: u64,
 }
 
 impl Default for Evaluator {
     fn default() -> Self {
-        Evaluator {
-            budget: 4096,
-            mc_samples: 100_000,
-            mc_seed: 0x9e37_79b9_7f4a_7c15,
-        }
+        Evaluator { budget: 4096 }
     }
 }
 
 impl Evaluator {
-    /// An evaluator that never falls back to sampling.
-    pub fn exact_only(budget: usize) -> Self {
-        Evaluator {
-            budget,
-            mc_samples: 0,
-            ..Evaluator::default()
-        }
-    }
-
     /// Probability that `lineage` is true under independent variables.
     pub fn probability<P: ProbSource>(&self, lineage: &Lineage, probs: &P) -> Result<f64> {
-        let simplified = crate::factor::normalize(lineage);
         let mut budget = self.budget;
-        match exact(&simplified, probs, &mut budget) {
-            Ok(p) => Ok(p),
-            Err(LineageError::BudgetExceeded { .. }) if self.mc_samples > 0 => {
-                MonteCarlo::new(self.mc_samples, self.mc_seed).estimate(&simplified, probs)
-            }
-            Err(e) => Err(e),
-        }
+        exact(&crate::factor::normalize(lineage), probs, &mut budget)
     }
 }
 
@@ -159,9 +126,9 @@ fn shannon<P: ProbSource>(l: &Lineage, pivot: VarId, probs: &P, budget: &mut usi
 mod tests {
     use super::*;
     use crate::rng::Rng64;
-    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::collections::{BTreeMap, BTreeSet};
 
-    fn probs(pairs: &[(u64, f64)]) -> HashMap<VarId, f64> {
+    fn probs(pairs: &[(u64, f64)]) -> BTreeMap<VarId, f64> {
         pairs.iter().map(|&(v, p)| (VarId(v), p)).collect()
     }
 
@@ -277,7 +244,7 @@ mod tests {
     #[test]
     fn idempotent_sharing_is_exact() {
         // x ∨ x simplifies to x; x ∧ ¬x is unsatisfiable.
-        let e = Evaluator::exact_only(16);
+        let e = Evaluator { budget: 16 };
         let pr = probs(&[(0, 0.3)]);
         let same = Lineage::Or(vec![Lineage::var(0), Lineage::var(0)]);
         assert!((e.probability(&same, &pr).unwrap() - 0.3).abs() < 1e-12);
@@ -296,41 +263,19 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_without_fallback_errors() {
+    fn budget_exhaustion_is_an_error() {
         // A chain of shared conjunctions forces expansions.
         let mut children = Vec::new();
         for i in 0..12u64 {
             children.push(Lineage::And(vec![Lineage::var(i), Lineage::var(i + 1)]));
         }
         let l = Lineage::Or(children);
-        let pr: HashMap<VarId, f64> = (0..13).map(|i| (VarId(i), 0.5)).collect();
-        let e = Evaluator::exact_only(1);
+        let pr: BTreeMap<VarId, f64> = (0..13).map(|i| (VarId(i), 0.5)).collect();
+        let e = Evaluator { budget: 1 };
         assert!(matches!(
             e.probability(&l, &pr),
             Err(LineageError::BudgetExceeded { .. })
         ));
-    }
-
-    #[test]
-    fn mc_fallback_is_close_to_exact() {
-        let mut children = Vec::new();
-        for i in 0..6u64 {
-            children.push(Lineage::And(vec![Lineage::var(i), Lineage::var(i + 1)]));
-        }
-        let l = Lineage::Or(children);
-        let pr: HashMap<VarId, f64> = (0..7).map(|i| (VarId(i), 0.4)).collect();
-        let exact = Evaluator::exact_only(1 << 20).probability(&l, &pr).unwrap();
-        let approx = Evaluator {
-            budget: 1,
-            mc_samples: 200_000,
-            mc_seed: 7,
-        }
-        .probability(&l, &pr)
-        .unwrap();
-        assert!(
-            (exact - approx).abs() < 0.01,
-            "exact {exact} vs approx {approx}"
-        );
     }
 
     #[test]
@@ -357,7 +302,7 @@ mod tests {
                 brute += w;
             }
         }
-        let p = Evaluator::exact_only(1024).probability(&l, &pr).unwrap();
+        let p = Evaluator { budget: 1024 }.probability(&l, &pr).unwrap();
         assert!((p - brute).abs() < 1e-12, "{p} vs {brute}");
     }
 }

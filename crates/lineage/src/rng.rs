@@ -8,8 +8,8 @@
 //! Blackman & Vigna and the SplitMix64 seeder recommended by its authors.
 //!
 //! Determinism contract: for a fixed seed, the stream of values produced
-//! by each method is stable across platforms and releases. Seeded
-//! Monte-Carlo estimates and synthetic workloads rely on this.
+//! by each method is stable across platforms and releases. Synthetic
+//! workloads and the seeded property suites rely on this.
 
 /// SplitMix64: used to expand a 64-bit seed into xoshiro's 256-bit state.
 #[derive(Debug, Clone)]

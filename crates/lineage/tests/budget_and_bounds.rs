@@ -69,7 +69,7 @@ fn frechet_bounds_bracket_the_exact_probability() {
             b.lower <= b.upper + 1e-12,
             "case {case}: crossed bounds {b:?} for {l:?}"
         );
-        let exact = Evaluator::exact_only(1 << 20)
+        let exact = Evaluator { budget: 1 << 20 }
             .probability(&l, &probs)
             .expect("depth-4 formulas over 6 variables fit a 2^20 budget");
         assert!(
@@ -94,7 +94,7 @@ fn exhausted_budgets_are_typed_errors_and_cache_agrees() {
             // exactly when it does, reproduce its value bit for bit, and
             // surface exhaustion as its typed BudgetExceeded error — never
             // a panic, never a wrong circuit.
-            let oracle = Evaluator::exact_only(budget).probability(&l, &probs);
+            let oracle = Evaluator { budget }.probability(&l, &probs);
             let standalone = CompiledLineage::compile(&l, budget);
             let mut cold = CircuitCache::new();
             let cold_id = cold.compile(&l, budget);

@@ -38,6 +38,7 @@ pub(crate) fn path_label(path: ConfidencePath) -> &'static str {
         ConfidencePath::Exact => "exact",
         ConfidencePath::BetaSkipped => "beta-skipped",
         ConfidencePath::CacheHit => "cache-hit",
+        ConfidencePath::Bounded => "bounded",
     }
 }
 

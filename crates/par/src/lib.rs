@@ -98,6 +98,9 @@ pub enum ConfidencePath {
     BetaSkipped,
     /// A memoized circuit answered without recompiling lineage.
     CacheHit,
+    /// Exact expansion ran past its Shannon budget; the recorded
+    /// confidence is the Fréchet lower bound, so a release on it is sound.
+    Bounded,
 }
 
 /// One per-tuple policy decision: the causal record of why a tuple was
@@ -117,7 +120,7 @@ pub struct Decision {
     /// The policy threshold the confidence was compared against.
     pub beta: f64,
     /// The confidence value the gate saw (an upper bound when
-    /// `path == BetaSkipped`).
+    /// `path == BetaSkipped`, a lower bound when `path == Bounded`).
     pub confidence: f64,
     /// Lineage nodes behind the tuple (0 = base tuple, no derivation).
     pub lineage_size: usize,

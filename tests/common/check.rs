@@ -12,7 +12,7 @@ use super::DbSpec;
 use pcqe::algebra::{execute, execute_vectorized_with, lower, optimize, PhysicalPlan, ResultSet};
 use pcqe::algebra::{DerivedTuple, Result as AlgebraResult, ScoredTuple};
 use pcqe::engine::{AuditEntry, Database, EngineConfig, QueryRequest, QueryResponse, User};
-use pcqe::lineage::{upper_bound, CircuitCache, Evaluator, VarId};
+use pcqe::lineage::{bounds, CircuitCache, Evaluator, VarId};
 use pcqe::par::Parallelism;
 use pcqe::policy::{evaluate_results, ConfidencePolicy};
 use pcqe::sql::parse_and_plan;
@@ -47,7 +47,7 @@ impl Reference {
         let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
         let decision = evaluate_results(policy, &confidences);
         let bound =
-            |r: &&DerivedTuple| upper_bound(&r.lineage, &probs).unwrap() <= policy.threshold;
+            |r: &&DerivedTuple| bounds(&r.lineage, &probs).unwrap().upper <= policy.threshold;
         let skippable = rows.rows().iter().filter(bound).count();
         let (released, withheld) = (decision.released, decision.withheld.len());
         Reference {

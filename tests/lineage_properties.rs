@@ -1,16 +1,19 @@
 //! Seeded property tests over the lineage substrate: simplification is
 //! semantics-preserving, exact probability matches brute-force
-//! enumeration, the compiled form matches the interpreter, and Monte-Carlo
-//! estimation converges to the exact value.
+//! enumeration, the compiled form matches the interpreter, and a formula
+//! past its Shannon budget scores its sound lower bound on every path.
 
 mod common;
 
 use common::{for_each_case, random_lineage, random_positive_lineage, random_probs};
+use pcqe::algebra::{DerivedTuple, ResultSet, ScoreOptions};
 use pcqe::lineage::{
-    CircuitCache, CompiledLineage, Evaluator, Lineage, LineageError, MonteCarlo, Rng64, SplitMix64,
+    bounds, CircuitCache, CompiledLineage, Evaluator, Lineage, LineageError, Rng64, SplitMix64,
     VarId,
 };
-use std::collections::HashMap;
+use pcqe::par::ConfidencePath;
+use pcqe::storage::{Column, DataType, Schema, Tuple, Value};
+use std::collections::BTreeMap;
 
 const MAX_VARS: u64 = 5;
 const DEPTH: u32 = 3;
@@ -20,7 +23,7 @@ fn lineage(rng: &mut Rng64) -> Lineage {
     random_lineage(rng, MAX_VARS, DEPTH)
 }
 
-fn prob_map(rng: &mut Rng64) -> (Vec<f64>, HashMap<VarId, f64>) {
+fn prob_map(rng: &mut Rng64) -> (Vec<f64>, BTreeMap<VarId, f64>) {
     let probs = random_probs(rng, MAX_VARS as usize);
     let map = (0..MAX_VARS)
         .map(|i| (VarId(i), probs[i as usize]))
@@ -76,9 +79,7 @@ fn exact_probability_matches_brute_force() {
     for_each_case(CASES, 0x11AE_0003, |rng| {
         let l = lineage(rng);
         let (probs, map) = prob_map(rng);
-        let exact = Evaluator::exact_only(1 << 16)
-            .probability(&l, &map)
-            .unwrap();
+        let exact = Evaluator { budget: 1 << 16 }.probability(&l, &map).unwrap();
         let brute = brute_force(&l, &probs);
         assert!(
             (exact - brute).abs() < 1e-9,
@@ -96,9 +97,7 @@ fn compiled_matches_interpreter() {
         // operations in its order, so equality is on the bits.
         let l = lineage(rng);
         let (_, map) = prob_map(rng);
-        let exact = Evaluator::exact_only(1 << 16)
-            .probability(&l, &map)
-            .unwrap();
+        let exact = Evaluator { budget: 1 << 16 }.probability(&l, &map).unwrap();
         let compiled = CompiledLineage::compile(&l, 1 << 16).unwrap();
         let by_lookup = compiled.eval_with(|v| map[&v]);
         let slots: Vec<f64> = compiled.vars().iter().map(|v| map[v]).collect();
@@ -118,7 +117,7 @@ fn tight_budgets_fail_and_succeed_where_the_interpreter_does() {
             // The interpreter is the oracle for the standalone compile, a
             // cold pool and a pool that has seen the formula before: same
             // success, same value bits, same typed error.
-            let oracle = Evaluator::exact_only(budget).probability(&l, &map);
+            let oracle = Evaluator { budget }.probability(&l, &map);
             let standalone = CompiledLineage::compile(&l, budget).map(|c| c.eval_with(|v| map[&v]));
             let mut cold = CircuitCache::new();
             let mut warm = CircuitCache::new();
@@ -169,7 +168,7 @@ fn conditioning_is_consistent_with_probability() {
         let l = lineage(rng);
         let (probs, map) = prob_map(rng);
         let pivot = rng.below_u64(MAX_VARS);
-        let ev = Evaluator::exact_only(1 << 16);
+        let ev = Evaluator { budget: 1 << 16 };
         let full = ev.probability(&l, &map).unwrap();
         let hi = ev
             .probability(&l.condition(VarId(pivot), true), &map)
@@ -191,7 +190,7 @@ fn negation_free_lineage_is_monotone() {
         let (_probs, base) = prob_map(rng);
         let bump_var = rng.below_u64(MAX_VARS);
         let bump = rng.next_f64();
-        let ev = Evaluator::exact_only(1 << 16);
+        let ev = Evaluator { budget: 1 << 16 };
         let mut raised = base.clone();
         let e = raised.get_mut(&VarId(bump_var)).expect("var present");
         *e = (*e + bump).min(1.0);
@@ -202,31 +201,6 @@ fn negation_free_lineage_is_monotone() {
             "raising v{bump_var} lowered {p0} to {p1} for {l}"
         );
     });
-}
-
-#[test]
-fn monte_carlo_converges_to_exact() {
-    // Not seeded-random (sampling is slow); three representative formulas.
-    let formulas = [
-        Lineage::or(vec![
-            Lineage::and(vec![Lineage::var(0), Lineage::var(1)]),
-            Lineage::and(vec![Lineage::var(1), Lineage::var(2)]),
-        ]),
-        Lineage::not(Lineage::and(vec![Lineage::var(0), Lineage::var(3)])),
-        Lineage::and(vec![
-            Lineage::or(vec![Lineage::var(0), Lineage::var(1)]),
-            Lineage::or(vec![Lineage::var(2), Lineage::var(3)]),
-        ]),
-    ];
-    let map: HashMap<VarId, f64> = (0..MAX_VARS).map(|i| (VarId(i), 0.35)).collect();
-    for l in &formulas {
-        let exact = Evaluator::exact_only(1 << 16).probability(l, &map).unwrap();
-        let mc = MonteCarlo::new(300_000, 17).estimate(l, &map).unwrap();
-        assert!(
-            (exact - mc).abs() < 0.01,
-            "exact {exact} vs mc {mc} for {l}"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +382,7 @@ fn scoring_line(case: u64, l: &Lineage) -> String {
         .fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
         });
-    let exact = |budget: usize| Evaluator::exact_only(budget).probability(l, &scoring_prob);
+    let exact = |budget: usize| Evaluator { budget }.probability(l, &scoring_prob);
     match exact(SCORING_BUDGET) {
         Ok(p) => {
             // Success is monotone in the budget (parity: it succeeds iff
@@ -479,13 +453,94 @@ fn scoring_table_is_unchanged() {
             let refused = LineageError::BudgetExceeded { budget: 0 };
             assert_eq!(pool.compile(&l, short), Err(refused.clone()), "warm {case}");
             assert_eq!(CircuitCache::new().compile(&l, short), Err(refused.clone()));
-            let plain = Evaluator::exact_only(short).probability(&l, &scoring_prob);
+            let plain = Evaluator { budget: short }.probability(&l, &scoring_prob);
             assert_eq!(plain, Err(refused), "interpreter {case}");
         }
     }
     assert!(lines.next().is_none(), "golden table has extra lines");
     assert!(expanded >= 20, "only {expanded} cases needed an expansion");
     assert!(over <= 6, "{over} cases ran out of budget");
+}
+
+/// The table's formulas at every budget 0–8 and at 4 096, as one result
+/// set. Each formula's Fréchet interval brackets its exact confidence
+/// (the table's bits). The uncached reference `ResultSet::score` and the
+/// cached `score_with` (one pool, cold at the first budget and warm after,
+/// ungated and gated) give the same confidence bits: the exact value where
+/// the table's cost fits the budget, the lower bound where it does not —
+/// and there, and only there, the path is `Bounded`.
+#[test]
+fn a_formula_past_its_budget_scores_its_lower_bound_on_every_path() {
+    const BETA: f64 = 0.5;
+    let golden = include_str!("golden/lineage_scoring.tsv");
+    // Per case: the formula, and its exact bits and Shannon cost unless
+    // 4 096 expansions are not enough.
+    let cases: Vec<(Lineage, Option<(f64, usize)>)> = (0..SCORING_CASES)
+        .zip(golden.lines())
+        .map(|(case, line)| {
+            let fields: Vec<&str> = line.split('\t').collect();
+            let fits = (fields[2] != "over").then(|| {
+                let bits = u64::from_str_radix(fields[2], 16).unwrap();
+                (f64::from_bits(bits), fields[3].parse().unwrap())
+            });
+            (scoring_case(case), fits)
+        })
+        .collect();
+    let mut pool = CircuitCache::new();
+    let mut walked = Vec::new();
+    for (l, fits) in &cases {
+        l.vars()
+            .into_iter()
+            .for_each(|v| pool.set_prob(v, scoring_prob(v).unwrap()));
+        let b = bounds(l, &scoring_prob).unwrap();
+        if let Some((exact, _)) = fits {
+            assert!(
+                b.lower <= exact + 1e-12 && *exact <= b.upper + 1e-12,
+                "{b:?} {exact} for {l:.60}"
+            );
+        }
+        walked.push(b);
+    }
+    let schema = Schema::new(vec![Column::new("case", DataType::Int)]).unwrap();
+    let row = |(case, (l, _)): (usize, &(Lineage, _))| DerivedTuple {
+        tuple: Tuple::new(vec![Value::Int(case as i64)]),
+        lineage: l.clone(),
+    };
+    let rows = ResultSet::new(schema, cases.iter().enumerate().map(row).collect());
+    let mut bounded = BTreeMap::new();
+    for budget in (0..=8).chain([SCORING_BUDGET]) {
+        let ev = Evaluator { budget };
+        let reference = rows.score(&scoring_prob, &ev).unwrap();
+        for gate in [None, Some(BETA)] {
+            let options = ScoreOptions {
+                gate,
+                ..ScoreOptions::default()
+            };
+            let (gated, paths) = rows.clone().score_with(&mut pool, &ev, &options).unwrap();
+            for (case, ((_, fits), b)) in cases.iter().zip(&walked).enumerate() {
+                let (got, path) = (gated.scored[case].confidence, paths[case]);
+                let at = format!("case {case} at budget {budget}, gate {gate:?}: {path:?}");
+                if path == ConfidencePath::BetaSkipped {
+                    assert!(
+                        got.to_bits() == b.upper.to_bits() && b.upper <= BETA,
+                        "{at}"
+                    );
+                    continue;
+                }
+                let over = fits.is_none_or(|(_, cost)| cost > budget);
+                let exact = fits.map(|(p, _)| p);
+                let want = if over { b.lower } else { exact.unwrap() };
+                assert_eq!(path == ConfidencePath::Bounded, over, "{at}");
+                assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                assert_eq!(got.to_bits(), reference[case].confidence.to_bits(), "{at}");
+                assert!(exact.is_none_or(|p| got <= p + 1e-12), "{at}");
+                *bounded.entry(budget).or_insert(0) += usize::from(over && gate.is_none());
+            }
+        }
+    }
+    // 54 of the table's formulas need an expansion, so at budget 0 they
+    // are all bounded.
+    assert!(bounded[&0] >= 50, "{bounded:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +576,7 @@ fn sparse_and_hostile_variable_ids_score_like_the_interpreter() {
         .chain(&odd)
         .map(|&v| (VarId(v), scoring_prob(VarId(v)).unwrap() / 600.0))
         .collect();
-    let ev = Evaluator::exact_only(1 << 12);
+    let ev = Evaluator { budget: 1 << 12 };
     let mut pool = CircuitCache::new();
     for (&v, &p) in &probs {
         pool.set_prob(v, p);

@@ -8,7 +8,10 @@
 //! over comparisons that cannot raise, this enumerates every world and
 //! holds `Database::query` to it: every confidence within 1e-12, and the
 //! released set at each β exactly. A row within 1e-9 of β is counted and
-//! left out of the release comparison.
+//! left out of the release comparison. At Shannon budgets too small for
+//! some rows' formulas the release is held to the worlds on one side: a
+//! row gated on its lower bound may be withheld, never released at or
+//! below β nor above its probability.
 //!
 //! The evaluator below is written for the test. It reads the generator's
 //! AST and the spec's rows — no lineage, no `pcqe_algebra`, no SQL. A
@@ -22,9 +25,11 @@ use common::{
 };
 use pcqe::core::clock::Stopwatch;
 use pcqe::engine::{EngineConfig, QueryRequest, User};
-use pcqe::lineage::Rng64;
+use pcqe::lineage::{CompiledLineage, Evaluator, Rng64};
+use pcqe::par::ConfidencePath;
 use pcqe::policy::ConfidencePolicy;
-use pcqe::storage::Value;
+use pcqe::storage::{DataType, Value};
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -151,7 +156,10 @@ fn answer(q: &Query, tuples: &Tuples, present: &[bool]) -> Vec<Key> {
 }
 
 /// Every row's probability and multiplicity, over all worlds.
-fn oracle(spec: &DbSpec, q: &Query) -> BTreeMap<Key, (f64, usize)> {
+type Worlds = BTreeMap<Key, (f64, usize)>;
+
+/// The [`Worlds`] of `q` over `spec`.
+fn oracle(spec: &DbSpec, q: &Query) -> Worlds {
     let tuples = tuples(spec);
     let all: Vec<(u64, f64)> = tuples
         .values()
@@ -270,4 +278,179 @@ fn confidences_are_probabilities_over_every_world() {
         "only {} rows compared",
         compared.rows
     );
+}
+
+/// The Shannon budgets the release laws are held at.
+const BUDGETS: [usize; 5] = [0, 1, 2, 4, 8];
+
+/// Generated cases drawn for the budget axis. Only those whose query
+/// merges rows (`DISTINCT`, `UNION`, `EXCEPT`) run: a plain `SELECT`'s row
+/// is a conjunction of distinct tuples, which never needs an expansion.
+const BUDGET_CASES: u64 = 1_000;
+
+/// Rows scored and rows gated on their lower bound, per budget.
+type PerBudget = BTreeMap<usize, (usize, usize)>;
+
+/// The default engine, scoring with a Shannon budget of `budget`.
+fn at_budget(budget: usize) -> EngineConfig {
+    EngineConfig {
+        evaluator: Evaluator { budget },
+        ..EngineConfig::default()
+    }
+}
+
+/// Hold `Database::query` at `budget` to the worlds of `q`, one database
+/// gated at β = 0 and at each of [`BETAS`] (one purpose each):
+/// - no row whose probability is ≤ β is released (a row within 1e-9 of β
+///   aside);
+/// - every released confidence is at most the row's probability + 1e-12,
+///   and within 1e-12 of it when the row's formula fits the budget;
+/// - at β = 0 a row of positive probability goes unreleased only if it was
+///   gated on its lower bound (`lineage.bounded`).
+///
+/// A run that bounds no row at β = 0 bounds none at any β (a gate above 0
+/// only skips more rows), so it is the exact engine the test above holds
+/// to the worlds, and it stops there. Returns the rows scored at β = 0 and
+/// how many of them were bounded. `worlds` holds the oracle's answer
+/// once one run has needed it.
+fn sound_at(
+    spec: &DbSpec,
+    q: &Query,
+    budget: usize,
+    worlds: &OnceCell<Worlds>,
+) -> Result<(usize, usize), String> {
+    let sql = q.sql(spec);
+    let user = User::new("ada", "analyst");
+    let mut db = spec.database(at_budget(budget), false);
+    let mut scored = (0, 0);
+    for (purpose, beta) in ["all", "half", "most"]
+        .into_iter()
+        .zip([0.0, BETAS[0], BETAS[1]])
+    {
+        db.add_policy(ConfidencePolicy::new("analyst", purpose, beta).unwrap());
+        let request = QueryRequest::new(sql.as_str(), purpose).expecting(0.0);
+        let before = db.metrics_snapshot().counter("lineage.bounded") as usize;
+        let at = format!("{sql} at budget {budget}, β = {beta}");
+        let response = db
+            .query(&user, &request)
+            .map_err(|e| format!("{at}: {e}"))?;
+        let bounded = db.metrics_snapshot().counter("lineage.bounded") as usize - before;
+        if beta == 0.0 {
+            scored = (response.released.len() + response.withheld, bounded);
+            if bounded == 0 {
+                return Ok(scored);
+            }
+        }
+        let worlds = worlds.get_or_init(|| oracle(spec, q));
+        let positive = worlds.values().filter(|&&(p, _)| p > 1e-9);
+        let mut missing: usize = positive.map(|&(_, n)| n).sum();
+        for row in &response.released {
+            let key = (row.tuple.values().to_vec(), Vec::new());
+            let (c, fits) = (
+                row.confidence,
+                CompiledLineage::compile(&row.lineage, budget).is_ok(),
+            );
+            let Some(&(p, _)) = worlds.get(&key) else {
+                return Err(format!("{at}: released {key:?} at {c:?}, in no world"));
+            };
+            if p <= beta - 1e-9 || c > p + 1e-12 || fits && (c - p).abs() > 1e-12 {
+                return Err(format!(
+                    "{at}: {key:?} at probability {p:?} released at {c:?} (fits: {fits})"
+                ));
+            }
+            missing -= usize::from(p > 1e-9);
+        }
+        if beta == 0.0 && missing > bounded {
+            return Err(format!("{at}: {missing} rows withheld, {bounded} bounded"));
+        }
+    }
+    Ok(scored)
+}
+
+#[test]
+fn nothing_at_or_below_beta_is_released_at_any_budget() {
+    let started = Stopwatch::start();
+    let mut seen = PerBudget::new();
+    let mut ran = 0;
+    for case in 0..BUDGET_CASES {
+        let seed = 0x00F0_0B06 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = Rng64::seed_from_u64(seed);
+        let spec = random_db(&mut rng, WORLDS);
+        let query = random_query(&mut rng, &spec, WORLDS);
+        if !query.first.distinct && query.rest.is_empty() {
+            continue;
+        }
+        ran += 1;
+        let worlds = OnceCell::new();
+        for budget in BUDGETS {
+            let (rows, bounded) =
+                sound_at(&spec, &query, budget, &worlds).unwrap_or_else(|failure| {
+                    let fails =
+                        |s: &DbSpec, q: &Query| sound_at(s, q, budget, &OnceCell::new()).err();
+                    let (spec, query, failure) =
+                        shrink(spec.clone(), query.clone(), failure, &fails);
+                    panic!(
+                        "case {case} (seed {seed:#018x}) released unsoundly at budget {budget}; \
+                     shrunk:\n{failure}\n{query:?}\n\n{}",
+                        rust_test(&spec, &query.sql(&spec))
+                    )
+                });
+            // A formula that fits a budget fits every larger one (a compile
+            // succeeds iff the budget covers its cost): once nothing is
+            // bounded, the larger budgets bound nothing either.
+            let to = if bounded == 0 { usize::MAX } else { budget };
+            for later in BUDGETS.into_iter().filter(|b| (budget..=to).contains(b)) {
+                let (all, gated) = seen.entry(later).or_default();
+                *all += rows;
+                *gated += bounded;
+            }
+            if bounded == 0 {
+                break;
+            }
+        }
+    }
+    for (budget, (rows, bounded)) in &seen {
+        eprintln!(
+            "budget {budget}: {bounded} of {rows} rows bounded ({:.1} %)",
+            100.0 * *bounded as f64 / (*rows).max(1) as f64
+        );
+    }
+    eprintln!("budget axis: {ran} cases, {:.1?}", started.elapsed());
+    let (rows, bounded) = seen[&0];
+    assert!(
+        rows > 800 && bounded >= 60,
+        "{bounded} of {rows} rows bounded at budget 0"
+    );
+}
+
+/// `SELECT DISTINCT 1 FROM a, b WHERE a.k <= b.k` over a(k) = {1, 2} at
+/// 0.1 each and b(k) = {1 @ 0.1, 2 @ 0.25}: the row's lineage
+/// `a₁b₁ ∨ a₁b₂ ∨ a₂b₂` needs one Shannon expansion, and gated at its exact
+/// confidence it must not be released. With no budget for the expansion
+/// the row is gated on its lower bound: withheld, counted as
+/// `lineage.bounded` and traced as `Bounded`.
+#[test]
+fn a_row_past_the_budget_at_exactly_its_confidence_is_withheld() {
+    let spec = DbSpec::default()
+        .table("a", &[("k", DataType::Int)])
+        .rows([(0.1, vec![Value::Int(1)]), (0.1, vec![Value::Int(2)])])
+        .table("b", &[("k", DataType::Int)])
+        .rows([(0.1, vec![Value::Int(1)]), (0.25, vec![Value::Int(2)])]);
+    let sql = "SELECT DISTINCT 1 FROM a, b WHERE a.k <= b.k";
+    let user = User::new("ada", "analyst");
+    let request = QueryRequest::new(sql, "research").expecting(0.0);
+    let mut exact = spec.database(EngineConfig::default(), false);
+    exact.add_policy(ConfidencePolicy::new("analyst", "research", 0.0).unwrap());
+    let beta = exact.query(&user, &request).unwrap().released[0].confidence;
+    assert!((beta - 0.055).abs() < 1e-12, "{beta}");
+
+    let mut db = spec.database(at_budget(0), false);
+    db.add_policy(ConfidencePolicy::new("analyst", "research", beta).unwrap());
+    let (response, trace) = db.trace_query(&user, &request).unwrap();
+    assert_eq!((response.released.len(), response.withheld), (0, 1));
+    assert_eq!(db.metrics_snapshot().counter("lineage.bounded"), 1);
+    let decisions = trace.decisions();
+    assert_eq!(decisions.len(), 1);
+    assert_eq!(decisions[0].path, ConfidencePath::Bounded);
+    assert!(!decisions[0].released && decisions[0].confidence <= beta);
 }
