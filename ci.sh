@@ -29,6 +29,7 @@ STAGES=(
   smoke-metrics
   smoke-explain
   trace-smoke
+  examples
   bench-build
   bench-e2e-check
 )
@@ -186,6 +187,19 @@ LAYERS
     return 1
   }
   echo "trace smoke OK (Chrome trace validated, an event from every layer, nothing dropped)"
+}
+
+stage_examples() { # walkthrough examples run to completion (release)
+  # `build` and `test` only compile the walkthroughs. Each one exits
+  # non-zero when an assertion or `expect` in it fails or an engine call
+  # returns an error (the § 3.1 arithmetic, the proposals applied, the
+  # runtime model batch_queries fits), so running them checks the story
+  # they tell. Together they take well under a second in release.
+  local example
+  for example in batch_queries clinical_registry sales_dashboard venture_capital; do
+    cargo run -q --release --offline --example "$example" > /dev/null
+  done
+  echo "examples OK (batch_queries, clinical_registry, sales_dashboard, venture_capital)"
 }
 
 stage_bench_build() { # bench workspace builds, bench targets included (offline, detached)

@@ -145,9 +145,10 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
             state.set_steps(i, steps);
         }
     }
-    // Defensive top-up: with monotone confidence functions the combination
-    // always meets the quota, but non-monotone custom functions could
-    // regress; finish the job with greedy steps if needed.
+    // Defensive top-up: with monotone lineage the combination always meets
+    // the quota. The only non-monotone input is negated lineage handed
+    // straight to `ProblemBuilder` (the engine never builds one), which
+    // could regress; finish the job with greedy steps if needed.
     if !state.meets_quota() {
         greedy::run(&mut state, &options.greedy, &mut stats.greedy)?;
     }

@@ -58,7 +58,7 @@ pub mod solution;
 pub mod state;
 
 pub use error::CoreError;
-pub use problem::{BaseVar, ConfFn, ProblemBuilder, ProblemInstance, ResultSpec};
+pub use problem::{BaseVar, ProblemBuilder, ProblemInstance, ResultSpec};
 pub use solution::{Increment, Solution, SolveOutcome};
 
 /// Crate-wide result alias.

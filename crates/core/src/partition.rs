@@ -204,12 +204,14 @@ mod tests {
     use super::*;
     use crate::problem::ProblemBuilder;
     use pcqe_cost::CostFn;
+    use pcqe_lineage::Lineage;
 
     fn linear() -> CostFn {
         CostFn::linear(10.0).unwrap()
     }
 
-    /// Build a problem where result i depends on the base indexes given.
+    /// Build a problem where result i is the conjunction of the base ids
+    /// given.
     fn problem_with(results: &[&[u64]]) -> ProblemInstance {
         let mut b = ProblemBuilder::new(0.5, 0.1);
         let mut seen = std::collections::HashSet::new();
@@ -221,10 +223,8 @@ mod tests {
             }
         }
         for r in results {
-            // Ids are chosen to equal indexes in these tests (they appear
-            // in ascending first-seen order).
-            let bases: Vec<usize> = r.iter().map(|&id| id as usize).collect();
-            b.result_custom(bases, |p| p.iter().product());
+            let conjuncts = r.iter().map(|&id| Lineage::var(id)).collect();
+            b.result_from_lineage(&Lineage::and(conjuncts)).unwrap();
         }
         b.require(0).build().unwrap()
     }

@@ -22,49 +22,15 @@ pub struct BaseVar {
     pub cost: CostFn,
 }
 
-/// A user-supplied confidence function over a slice of probabilities.
-pub type CustomConfFn = Arc<dyn Fn(&[f64]) -> f64 + Send + Sync>;
-
-/// The confidence function `F(p_1 … p_k)` of one intermediate result.
-///
-/// The function receives the probabilities of the result's base tuples in
-/// the order of [`ResultSpec::bases`].
-#[derive(Clone)]
-pub enum ConfFn {
-    /// Compiled lineage formula (the usual case).
-    Compiled(Arc<CompiledLineage>),
-    /// Arbitrary user-supplied function (must be monotone non-decreasing in
-    /// every argument for the algorithms' pruning rules to be sound).
-    Custom(CustomConfFn),
-}
-
-impl std::fmt::Debug for ConfFn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfFn::Compiled(c) => write!(f, "ConfFn::Compiled({} vars)", c.vars().len()),
-            ConfFn::Custom(_) => f.write_str("ConfFn::Custom"),
-        }
-    }
-}
-
-impl ConfFn {
-    /// Evaluate the function on the probabilities of the result's bases.
-    pub fn eval(&self, probs: &[f64]) -> f64 {
-        match self {
-            ConfFn::Compiled(c) => c.eval(probs),
-            ConfFn::Custom(f) => f(probs),
-        }
-    }
-}
-
 /// One intermediate result: which base tuples it depends on (as indexes
 /// into [`ProblemInstance::bases`]) and its confidence function.
 #[derive(Debug, Clone)]
 pub struct ResultSpec {
-    /// Base-variable indexes, in the order the confidence function expects.
+    /// Base-variable indexes, in the order of the circuit's variables.
     pub bases: Vec<usize>,
-    /// Confidence function over those bases.
-    pub conf: ConfFn,
+    /// The result's confidence function `F(p_1 … p_k)`: its lineage
+    /// compiled to a circuit over those bases (Section 3.2).
+    pub conf: Arc<CompiledLineage>,
 }
 
 /// A complete confidence-increment problem.
@@ -219,25 +185,12 @@ impl ProblemBuilder {
             })?;
             bases.push(idx);
         }
-        self.results.push(ResultSpec {
-            bases,
-            conf: ConfFn::Compiled(compiled),
-        });
-        Ok(self.results.len() - 1)
+        Ok(self.result_with(bases, compiled))
     }
 
-    /// Add a result with a custom (monotone) confidence function over the
-    /// given base indexes.
-    pub fn result_custom<F>(&mut self, bases: Vec<usize>, f: F) -> usize
-    where
-        F: Fn(&[f64]) -> f64 + Send + Sync + 'static,
-    {
-        self.result_with(bases, ConfFn::Custom(Arc::new(f)))
-    }
-
-    /// Add a result with an existing confidence function over the given
-    /// base indexes (how a derived problem reuses its parent's circuits).
-    pub fn result_with(&mut self, bases: Vec<usize>, conf: ConfFn) -> usize {
+    /// Add a result with an already compiled circuit over the given base
+    /// indexes (how a derived problem reuses its parent's circuits).
+    pub fn result_with(&mut self, bases: Vec<usize>, conf: Arc<CompiledLineage>) -> usize {
         self.results.push(ResultSpec { bases, conf });
         self.results.len() - 1
     }
@@ -338,7 +291,6 @@ mod tests {
     fn grid_arithmetic() {
         let mut b = ProblemBuilder::new(0.5, 0.1);
         let i = b.base(0, 0.1, linear());
-        b.result_custom(vec![i], |p| p[0]);
         let p = b.require(0).build().unwrap();
         assert_eq!(p.max_steps(i), 9);
         assert!((p.level_at(i, 0) - 0.1).abs() < 1e-12);
@@ -353,7 +305,6 @@ mod tests {
         // minimum step is the last one, not the first.
         let mut b = ProblemBuilder::new(0.5, 0.1);
         let i = b.base(0, 0.1, CostFn::logarithmic(10.0, 20.0).unwrap());
-        b.result_custom(vec![i], |p| p[0]);
         let p = b.require(0).build().unwrap();
         let last_step = p.cost_at(i, p.max_steps(i)) - p.cost_at(i, p.max_steps(i) - 1);
         assert!((p.min_step_cost(i) - last_step).abs() < 1e-9);
@@ -377,15 +328,5 @@ mod tests {
         let mut b = ProblemBuilder::new(0.5, 0.1);
         b.base_capped(0, 0.5, 0.4, linear());
         assert!(b.build().is_err());
-    }
-
-    #[test]
-    fn custom_conf_fn_evaluates() {
-        let mut b = ProblemBuilder::new(0.5, 0.1);
-        let i = b.base(0, 0.3, linear());
-        let j = b.base(1, 0.4, linear());
-        b.result_custom(vec![i, j], |p| (p[0] + p[1]) / 2.0);
-        let p = b.require(1).build().unwrap();
-        assert!((p.results[0].conf.eval(&[0.3, 0.4]) - 0.35).abs() < 1e-12);
     }
 }

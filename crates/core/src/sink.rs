@@ -18,7 +18,6 @@
 //! [`GreedyStats`]: crate::greedy::GreedyStats
 
 use crate::dnc::DncStats;
-use crate::exhaustive::ExhaustiveStats;
 use crate::greedy::GreedyStats;
 use crate::heuristic::HeuristicStats;
 use pcqe_par::Observer;
@@ -77,15 +76,6 @@ impl DncStats {
         sink.duration("solver.dnc.bb_elapsed", self.bb_elapsed);
         sink.duration("solver.dnc.elapsed", self.elapsed);
         self.greedy.emit_as("solver.dnc.greedy", observer);
-    }
-}
-
-impl ExhaustiveStats {
-    /// Pour this run's statistics into `observer` under `solver.exhaustive.*`.
-    pub fn emit(&self, observer: Option<&dyn Observer>) {
-        let Some(sink) = observer else { return };
-        sink.count("solver.exhaustive.assignments", self.assignments);
-        sink.duration("solver.exhaustive.elapsed", self.elapsed);
     }
 }
 
@@ -176,7 +166,6 @@ mod tests {
             HeuristicStats::default().emit(observer);
             GreedyStats::default().emit(observer);
             DncStats::default().emit(observer);
-            ExhaustiveStats::default().emit(observer);
         }
     }
 }

@@ -125,11 +125,12 @@ mod tests {
     use super::*;
     use crate::problem::ProblemBuilder;
     use pcqe_cost::CostFn;
+    use pcqe_lineage::Lineage;
 
     fn problem() -> ProblemInstance {
         let mut b = ProblemBuilder::new(0.5, 0.1);
         b.base(7, 0.1, CostFn::linear(10.0).unwrap());
-        b.result_custom(vec![0], |p| p[0]);
+        b.result_from_lineage(&Lineage::var(7)).unwrap();
         b.require(1).build().unwrap()
     }
 

@@ -8,7 +8,7 @@
 //! one-query case.
 
 use crate::error::CoreError;
-use crate::problem::{ConfFn, ProblemInstance, ResultSpec};
+use crate::problem::{ProblemInstance, ResultSpec};
 use crate::solution::Solution;
 use crate::Result;
 
@@ -54,7 +54,7 @@ impl Quota {
 /// Mutable solver state: per-base grid positions, per-result confidences,
 /// per-query satisfied counts and the running cost — all maintained
 /// incrementally, so one base-level change only re-evaluates the results
-/// it touches, and in a compiled result only the nodes that read the base
+/// it touches, and in each of those only the nodes that read the base
 /// (its slot's cone, see [`pcqe_lineage::CompiledLineage::update`]).
 #[derive(Debug, Clone)]
 pub struct EvalState<'p> {
@@ -67,7 +67,7 @@ pub struct EvalState<'p> {
     costs: Vec<f64>,
     /// Cached confidence per result.
     confidences: Vec<f64>,
-    /// The node values of every compiled result at the current levels,
+    /// The node values of every result's circuit at the current levels,
     /// back to back (see [`Spans`]).
     values: Vec<f64>,
     spans: Spans,
@@ -80,8 +80,6 @@ pub struct EvalState<'p> {
     /// Queries whose quota the current levels do not meet.
     unmet: usize,
     total_cost: f64,
-    /// Scratch buffer for a custom confidence function's arguments.
-    scratch: Vec<f64>,
     /// Scratch buffer for the node values of a one-off evaluation.
     scratch_values: Vec<f64>,
     /// Scratch buffer for the levels [`Self::optimistic_satisfied`] saves.
@@ -139,8 +137,8 @@ impl<'p> EvalState<'p> {
         grid_start.push(grid_levels.len());
         let levels: Vec<f64> = problem.bases.iter().map(|b| b.initial).collect();
         let scored = pcqe_par::map(par, &problem.results, |r| {
-            let mut values = vec![0.0; node_count(r)];
-            let confidence = evaluate(r, &levels, None, &mut values, &mut Vec::new());
+            let mut values = vec![0.0; r.conf.node_count()];
+            let confidence = evaluate(r, &levels, None, &mut values);
             (confidence, values)
         });
         let mut confidences = Vec::with_capacity(scored.len());
@@ -183,7 +181,6 @@ impl<'p> EvalState<'p> {
             unmet: quotas.iter().filter(|q| !q.met()).count(),
             quotas,
             total_cost: 0.0,
-            scratch: Vec::new(),
             scratch_values: Vec::new(),
             saved_levels: Vec::new(),
             grid_start,
@@ -280,8 +277,8 @@ impl<'p> EvalState<'p> {
         self.evals += 1;
         let values = &mut self.scratch_values;
         values.clear();
-        values.resize(node_count(r), 0.0);
-        evaluate(r, &self.levels, None, values, &mut self.scratch)
+        values.resize(r.conf.node_count(), 0.0);
+        evaluate(r, &self.levels, None, values)
     }
 
     /// Result `ri` brought up to date after base `i`'s level changed: its
@@ -289,7 +286,7 @@ impl<'p> EvalState<'p> {
     fn refresh(&mut self, ri: usize, i: usize) -> f64 {
         let r = self.result(ri);
         let values = self.spans.of(ri, &mut self.values);
-        evaluate(r, &self.levels, slot_of(r, i), values, &mut self.scratch)
+        evaluate(r, &self.levels, slot_of(r, i), values)
     }
 
     /// Set base `i` to `steps` grid steps, updating affected results,
@@ -391,10 +388,9 @@ impl<'p> EvalState<'p> {
             }
         }
         self.levels[i] = old_level;
-        // The same cones at the old level restore the old node values; a
-        // custom function keeps none.
+        // The same cones at the old level restore the old node values.
         for &ri in problem.results_of_base(i) {
-            if probed(self, ri) && matches!(self.result(ri).conf, ConfFn::Compiled(_)) {
+            if probed(self, ri) {
                 self.refresh(ri, i);
             }
         }
@@ -462,8 +458,7 @@ impl<'p> EvalState<'p> {
 }
 
 /// Where each result's node values sit in a flat buffer: result `ri`'s
-/// are `values[self.0[ri]..self.0[ri + 1]]`. A custom function is opaque
-/// and has none: its span is empty.
+/// are `values[self.0[ri]..self.0[ri + 1]]`.
 #[derive(Debug, Clone)]
 struct Spans(Vec<usize>);
 
@@ -471,15 +466,6 @@ impl Spans {
     fn of<'v>(&self, ri: usize, values: &'v mut [f64]) -> &'v mut [f64] {
         let start = |at: usize| self.0.get(at).copied().unwrap_or(0);
         values.get_mut(start(ri)..start(ri + 1)).unwrap_or_default()
-    }
-}
-
-/// The node values `r` keeps: its compiled circuit's, none for a custom
-/// function.
-fn node_count(r: &ResultSpec) -> usize {
-    match &r.conf {
-        ConfFn::Compiled(c) => c.node_count(),
-        ConfFn::Custom(_) => 0,
     }
 }
 
@@ -493,27 +479,15 @@ fn slot_of(r: &ResultSpec, i: usize) -> Option<usize> {
 /// `None`), or, when `values` hold a pass at levels that differ from
 /// `levels` only in the base in slot `s` (`Some(s)`), by recomputing that
 /// slot's cone. Either way the result has the bits of a fresh
-/// [`ConfFn::eval`]. A custom function is opaque and keeps its full call,
-/// its arguments gathered into `args`.
-fn evaluate(
-    r: &ResultSpec,
-    levels: &[f64],
-    changed: Option<usize>,
-    values: &mut [f64],
-    args: &mut Vec<f64>,
-) -> f64 {
+/// [`pcqe_lineage::CompiledLineage::eval`].
+fn evaluate(r: &ResultSpec, levels: &[f64], changed: Option<usize>, values: &mut [f64]) -> f64 {
     let prob = |slot: usize| {
         let level = r.bases.get(slot).and_then(|&b| levels.get(b));
         level.copied().unwrap_or(0.0)
     };
-    match (&r.conf, changed) {
-        (ConfFn::Compiled(c), Some(slot)) => c.update(slot, prob, values),
-        (ConfFn::Compiled(c), None) => c.eval_into(prob, values),
-        (ConfFn::Custom(f), _) => {
-            args.clear();
-            args.extend((0..r.bases.len()).map(prob));
-            f(args)
-        }
+    match changed {
+        Some(slot) => r.conf.update(slot, prob, values),
+        None => r.conf.eval_into(prob, values),
     }
 }
 
@@ -537,8 +511,6 @@ pub(crate) struct OptimisticCount {
     /// Bases moved since the count was last read, each with the level it
     /// now sits at.
     pending: Vec<(usize, f64)>,
-    /// Scratch buffer for a custom confidence function's arguments.
-    args: Vec<f64>,
 }
 
 /// One result's entry in an [`OptimisticCount`].
@@ -559,11 +531,10 @@ impl OptimisticCount {
             results: Vec::with_capacity(problem.results.len()),
             count: 0,
             pending: Vec::new(),
-            args: Vec::new(),
         };
         for (ri, r) in problem.results.iter().enumerate() {
             let values = state.spans.of(ri, &mut h3.values);
-            let confidence = evaluate(r, &h3.levels, None, values, &mut h3.args);
+            let confidence = evaluate(r, &h3.levels, None, values);
             let hit = state.satisfied_or(ri, confidence);
             h3.results.push(Optimistic { confidence, hit });
             h3.count += usize::from(hit);
@@ -601,7 +572,7 @@ impl OptimisticCount {
                     let r = state.result(ri);
                     let values = state.spans.of(ri, &mut self.values);
                     let changed = slot_of(r, i);
-                    entry.confidence = evaluate(r, &self.levels, changed, values, &mut self.args);
+                    entry.confidence = evaluate(r, &self.levels, changed, values);
                 }
                 let hit = state.satisfied_or(ri, entry.confidence);
                 if hit != entry.hit {

@@ -1,26 +1,7 @@
 //! Engine configuration.
 
-use pcqe_core::dnc::DncOptions;
-use pcqe_core::greedy::GreedyOptions;
-use pcqe_core::heuristic::HeuristicOptions;
 use pcqe_cost::CostFn;
 use pcqe_lineage::Evaluator;
-
-/// Which strategy-finding algorithm the engine should use.
-#[derive(Debug, Clone, Default)]
-pub enum SolverChoice {
-    /// Pick automatically by problem size: exact branch-and-bound for tiny
-    /// problems, greedy for small ones, divide-and-conquer at scale —
-    /// mirroring the crossovers of Figure 11(c).
-    #[default]
-    Auto,
-    /// Always use the heuristic branch-and-bound.
-    Heuristic(HeuristicOptions),
-    /// Always use the two-phase greedy.
-    Greedy(GreedyOptions),
-    /// Always use divide-and-conquer.
-    Dnc(DncOptions),
-}
 
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
@@ -31,8 +12,6 @@ pub struct EngineConfig {
     pub evaluator: Evaluator,
     /// Cost function assumed for base tuples without an explicit one.
     pub default_cost: CostFn,
-    /// Strategy-finding algorithm.
-    pub solver: SolverChoice,
     /// Shannon budget when compiling lineage into the strategy problem.
     pub lineage_budget: usize,
     /// Worker threads for plan execution, result scoring (the solvers'
@@ -51,7 +30,6 @@ impl Default for EngineConfig {
             delta: 0.1,
             evaluator: Evaluator::default(),
             default_cost: CostFn::linear(100.0).expect("constant is valid"),
-            solver: SolverChoice::Auto,
             lineage_budget: 4096,
             worker_threads: None,
             parallel_threshold: pcqe_par::DEFAULT_PARALLEL_THRESHOLD,
@@ -85,6 +63,5 @@ mod tests {
     fn defaults_match_table_4() {
         let c = EngineConfig::default();
         assert_eq!(c.delta, 0.1);
-        assert!(matches!(c.solver, SolverChoice::Auto));
     }
 }

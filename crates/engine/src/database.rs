@@ -10,7 +10,6 @@ use pcqe_algebra::{
     ResultSet, ScoreOptions, ScoredTuple,
 };
 use pcqe_core::clock::{Clock, SystemClock};
-use pcqe_core::estimator::RuntimeEstimator;
 use pcqe_cost::CostFn;
 use pcqe_par::{ConfidencePath, Decision, Observer};
 use pcqe_policy::{evaluate_results, ConfidencePolicy, PolicyStore, Purpose, Role};
@@ -46,7 +45,9 @@ pub struct QueryRequest {
     /// The stated purpose `pu`.
     pub purpose: Purpose,
     /// The fraction of results the user expects to receive (`perc`, the
-    /// paper's θ). Defaults to 1.0.
+    /// paper's θ). Defaults to 1.0. The engine reads it clamped into
+    /// [0, 1], NaN as 0, so a value set by hand means what
+    /// [`QueryRequest::expecting`] would have stored.
     pub min_fraction: f64,
 }
 
@@ -62,8 +63,18 @@ impl QueryRequest {
 
     /// Set the expected released fraction θ.
     pub fn expecting(mut self, fraction: f64) -> QueryRequest {
-        self.min_fraction = fraction.clamp(0.0, 1.0);
+        self.min_fraction = theta(fraction);
         self
+    }
+}
+
+/// A requested fraction as the engine reads it: clamped into [0, 1], with
+/// NaN read as 0.
+fn theta(fraction: f64) -> f64 {
+    if fraction.is_nan() {
+        0.0
+    } else {
+        fraction.clamp(0.0, 1.0)
     }
 }
 
@@ -88,7 +99,6 @@ pub struct Database {
     pub(crate) policies: PolicyStore,
     pub(crate) costs: BTreeMap<TupleId, CostFn>,
     config: EngineConfig,
-    estimator: RuntimeEstimator,
     assigner: Assigner,
     audit: Vec<crate::audit::AuditEntry>,
     /// Shared so [`Database::query`] can hold its lifecycle spans across
@@ -138,7 +148,6 @@ impl Database {
             policies: PolicyStore::new(),
             costs: BTreeMap::new(),
             config,
-            estimator: RuntimeEstimator::new(),
             assigner: Assigner::default(),
             audit: Vec::new(),
             recorder: Arc::new(recorder),
@@ -226,12 +235,6 @@ impl Database {
     /// Current confidence of a base tuple.
     pub fn confidence(&self, id: TupleId) -> Option<f64> {
         self.catalog.confidence(id)
-    }
-
-    /// The runtime estimator fed by past strategy-finding runs
-    /// (Section 6's advance-time statistics).
-    pub fn estimator(&self) -> &RuntimeEstimator {
-        &self.estimator
     }
 
     /// The append-only audit trail of policy decisions and applied
@@ -520,7 +523,7 @@ impl Database {
                 confidence: s.confidence,
             })
             .collect();
-        let requested = (request.min_fraction * rows as f64).ceil() as usize;
+        let requested = (theta(request.min_fraction) * rows as f64).ceil() as usize;
         Ok(Evaluated {
             shortfall: requested.saturating_sub(released.len()),
             requested,
@@ -579,14 +582,11 @@ impl Database {
             requested,
             version: self.version,
         };
-        let (outcome, stats) = {
+        let outcome = {
             let _phase = lifecycle.child("query/propose");
             improve::propose(&ctx, &withheld, Some(recorder.as_ref()), &mut self.cache)?
         };
         drop(lifecycle);
-        if let Some(s) = stats {
-            self.estimator.record(s.problem_size, s.elapsed);
-        }
         match outcome {
             ProposeOutcome::Proposal(p) => response.proposal = Some(p),
             ProposeOutcome::No(reason) => response.no_proposal = Some(reason),
@@ -699,11 +699,11 @@ impl Database {
                 out.stats
                     .emit_as("solver.multi", Some(self.recorder.as_ref()));
             }
-            (out.solution, out.stats.elapsed)
+            out.solution
         });
         let released = batch.responses.iter().map(|r| r.released.len()).sum();
         let requested = instances.iter().map(|i| i.required).sum();
-        match improve::outcome(solved, multi.problem(), released, requested, self.version)?.0 {
+        match improve::outcome(solved, multi.problem(), released, requested, self.version)? {
             ProposeOutcome::Proposal(p) => batch.proposal = Some(p),
             ProposeOutcome::No(reason) => batch.no_proposal = Some(reason),
         }
@@ -1191,19 +1191,6 @@ mod tests {
             ),
             Err(EngineError::Policy(_))
         ));
-    }
-
-    #[test]
-    fn estimator_collects_samples_from_proposals() {
-        let mut db = paper_db();
-        assert!(db.estimator().is_empty());
-        let _ = db
-            .query(
-                &User::new("mark", "Manager"),
-                &QueryRequest::new(QUERY, "investment"),
-            )
-            .unwrap();
-        assert_eq!(db.estimator().len(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! increment problem from withheld results, dispatch a solver, translate
 //! the solution into an [`ImprovementProposal`].
 
-use crate::config::{EngineConfig, SolverChoice};
+use crate::config::EngineConfig;
 use crate::response::{ImprovementProposal, NoProposal, ProposedIncrement};
 use crate::Result;
 use pcqe_algebra::ScoredTuple;
@@ -15,7 +15,6 @@ use pcqe_cost::CostFn;
 use pcqe_par::Observer;
 use pcqe_storage::{Catalog, TupleId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
 
 /// The outcome of a propose run: a proposal, or a reason there is none.
 pub(crate) enum ProposeOutcome {
@@ -25,21 +24,13 @@ pub(crate) enum ProposeOutcome {
     No(NoProposal),
 }
 
-/// Statistics handed back for the runtime estimator.
-pub(crate) struct ProposeStats {
-    /// Problem size (distinct base tuples), the estimator's x-axis.
-    pub problem_size: usize,
-    /// Solve time.
-    pub elapsed: Duration,
-}
-
 /// Everything the strategy finder needs besides the withheld rows.
 pub(crate) struct ProposeContext<'a> {
     /// The catalog supplying current confidences.
     pub catalog: &'a Catalog,
     /// Per-tuple cost functions.
     pub costs: &'a BTreeMap<TupleId, CostFn>,
-    /// Engine configuration (δ, solver, default cost).
+    /// Engine configuration (δ, default cost, Shannon budget, threads).
     pub config: &'a EngineConfig,
     /// The governing threshold β.
     pub beta: f64,
@@ -64,7 +55,7 @@ pub(crate) fn propose(
     withheld: &[ScoredTuple],
     observer: Option<&dyn Observer>,
     cache: &mut pcqe_lineage::CircuitCache,
-) -> Result<(ProposeOutcome, Option<ProposeStats>)> {
+) -> Result<ProposeOutcome> {
     let ProposeContext {
         catalog,
         costs,
@@ -80,12 +71,12 @@ pub(crate) fn propose(
     // improvable pool.
     let Some(problem) = build_instance(catalog, costs, config, withheld, beta, needed, cache)?
     else {
-        return Ok((ProposeOutcome::No(NoProposal::NonMonotone), None));
+        return Ok(ProposeOutcome::No(NoProposal::NonMonotone));
     };
     let sink = observer.unwrap_or(&());
     sink.count("solver.problem_bases", problem.bases.len() as u64);
     sink.count("solver.quota.required", needed as u64);
-    let solved = dispatch(&problem, &config.solver, &config.parallelism(), observer);
+    let solved = dispatch(&problem, &config.parallelism(), observer);
     outcome(solved, &problem, already_released, requested, version)
 }
 
@@ -93,14 +84,14 @@ pub(crate) fn propose(
 /// [`ImprovementProposal`], or the solver's refusal as a [`NoProposal`].
 /// `released` results already pass; a proposal promises `requested`.
 pub(crate) fn outcome(
-    solved: std::result::Result<(Solution, Duration), CoreError>,
+    solved: std::result::Result<Solution, CoreError>,
     problem: &ProblemInstance,
     released: usize,
     requested: usize,
     version: u64,
-) -> Result<(ProposeOutcome, Option<ProposeStats>)> {
+) -> Result<ProposeOutcome> {
     match solved {
-        Ok((solution, elapsed)) => {
+        Ok(solution) => {
             let mut increments: Vec<ProposedIncrement> = solution
                 .increments(problem)
                 .into_iter()
@@ -119,27 +110,18 @@ pub(crate) fn outcome(
                 requested,
                 version,
             };
-            Ok((
-                ProposeOutcome::Proposal(proposal),
-                Some(ProposeStats {
-                    problem_size: problem.bases.len(),
-                    elapsed,
-                }),
-            ))
+            Ok(ProposeOutcome::Proposal(proposal))
         }
         // The error counts the withheld results of the one query whose
         // quota is out of reach.
         Err(CoreError::Infeasible {
             achievable,
             required,
-        }) => Ok((
-            ProposeOutcome::No(NoProposal::Infeasible {
-                achievable: released + achievable,
-                requested: released + required,
-            }),
-            None,
-        )),
-        Err(CoreError::GaveUp(m)) => Ok((ProposeOutcome::No(NoProposal::SolverGaveUp(m)), None)),
+        }) => Ok(ProposeOutcome::No(NoProposal::Infeasible {
+            achievable: released + achievable,
+            requested: released + required,
+        })),
+        Err(CoreError::GaveUp(m)) => Ok(ProposeOutcome::No(NoProposal::SolverGaveUp(m))),
         Err(e) => Err(e.into()),
     }
 }
@@ -151,8 +133,7 @@ pub(crate) fn outcome(
 /// [`pcqe_lineage::CircuitCache`] pool: formulas (and subformulas) already
 /// expanded while scoring this query are reused instead of re-running
 /// Shannon expansion, and each result's flat circuit is extracted from
-/// the pool once. The greedy/exhaustive/heuristic/dnc/multi solvers all
-/// evaluate [`pcqe_core::problem::ConfFn::Compiled`] circuits.
+/// the pool once; every solver evaluates those circuits.
 pub(crate) fn build_instance(
     catalog: &Catalog,
     costs: &BTreeMap<TupleId, CostFn>,
@@ -192,52 +173,45 @@ pub(crate) fn build_instance(
     Ok(Some(builder.require(needed).build()?))
 }
 
-/// Run the configured solver; `Auto` picks by problem size, mirroring the
-/// crossovers measured in Figure 11(c). The engine's parallelism policy is
-/// injected into solvers the user configured with defaults (explicit
-/// per-solver options are honoured as given). Each solver's statistics are
-/// reported to `observer` as `solver.*` metrics.
+/// Pick the solver by problem size, mirroring the crossovers measured in
+/// Figure 11(c): exact branch-and-bound (seeded by greedy) up to 12 base
+/// tuples, divide-and-conquer past 64 results, greedy in between. Every
+/// solver runs under the engine's parallelism policy, and its statistics
+/// are reported to `observer` as `solver.*` metrics.
 fn dispatch(
     problem: &ProblemInstance,
-    choice: &SolverChoice,
     par: &pcqe_par::Parallelism,
     observer: Option<&dyn Observer>,
-) -> std::result::Result<(Solution, Duration), CoreError> {
+) -> std::result::Result<Solution, CoreError> {
     let sink = observer.unwrap_or(&());
     let greedy_opts = GreedyOptions {
         parallelism: par.clone(),
         ..GreedyOptions::default()
     };
-    // One solver's answer and wall time, its statistics poured into `sink`.
+    // One solver's answer, its statistics poured into `sink`.
     macro_rules! emitted {
         ($solved:expr) => {{
             let out = $solved?;
             out.stats.emit(observer);
-            (out.solution, out.stats.elapsed)
+            out.solution
         }};
     }
-    let (solution, elapsed) = match choice {
-        SolverChoice::Heuristic(opts) => emitted!(heuristic::solve(problem, opts)),
-        SolverChoice::Greedy(opts) => emitted!(greedy::solve(problem, opts)),
-        SolverChoice::Dnc(opts) => emitted!(dnc::solve(problem, opts)),
-        SolverChoice::Auto if problem.bases.len() <= 12 => {
-            // Tiny: exact search, seeded by greedy for a tight bound.
-            let (seed, _) = emitted!(greedy::solve(problem, &greedy_opts));
-            let opts = HeuristicOptions {
-                node_limit: Some(2_000_000),
-                ..HeuristicOptions::all().with_seed(seed)
-            };
-            emitted!(heuristic::solve(problem, &opts))
-        }
-        SolverChoice::Auto if problem.results.len() > 64 => {
-            let opts = DncOptions {
-                greedy: greedy_opts,
-                ..DncOptions::default()
-            };
-            emitted!(dnc::solve(problem, &opts))
-        }
-        SolverChoice::Auto => emitted!(greedy::solve(problem, &greedy_opts)),
+    let solution = if problem.bases.len() <= 12 {
+        let seed = emitted!(greedy::solve(problem, &greedy_opts));
+        let opts = HeuristicOptions {
+            node_limit: Some(2_000_000),
+            ..HeuristicOptions::all().with_seed(seed)
+        };
+        emitted!(heuristic::solve(problem, &opts))
+    } else if problem.results.len() > 64 {
+        let opts = DncOptions {
+            greedy: greedy_opts,
+            ..DncOptions::default()
+        };
+        emitted!(dnc::solve(problem, &opts))
+    } else {
+        emitted!(greedy::solve(problem, &greedy_opts))
     };
     sink.count("solver.quota.satisfied", solution.satisfied.len() as u64);
-    Ok((solution, elapsed))
+    Ok(solution)
 }

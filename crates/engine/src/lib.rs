@@ -41,7 +41,7 @@ pub mod persist;
 pub mod response;
 
 pub use audit::AuditEntry;
-pub use config::{EngineConfig, SolverChoice};
+pub use config::EngineConfig;
 pub use database::{Database, QueryRequest, StatementOutcome, User};
 pub use error::EngineError;
 pub use response::{

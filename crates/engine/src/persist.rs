@@ -64,7 +64,7 @@ fn check_name(name: &str) -> Result<&str> {
 
 /// Save a database (tables, rows with ids and confidences, which columns
 /// are indexed, policies, role hierarchy, per-tuple cost functions) into
-/// `dir`, creating it if needed. The engine configuration and estimator state are not saved.
+/// `dir`, creating it if needed. The engine configuration is not saved.
 pub fn save(db: &Database, dir: &Path) -> Result<()> {
     fs::create_dir_all(dir).map_err(|e| persist_err(format!("create {dir:?}: {e}")))?;
     let mut manifest = format!("{HEADER}\n");

@@ -1,16 +1,14 @@
 //! End-to-end scenarios across the whole stack: role hierarchies, partial
 //! fractions, provenance-backed inserts, union/except queries, and the
-//! improvement loop under each solver.
+//! improvement loop in each solver's size regime.
 
 #![allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 
 mod common;
 
 use common::DbSpec;
-use pcqe::core::dnc::DncOptions;
-use pcqe::core::greedy::GreedyOptions;
 use pcqe::cost::CostFn;
-use pcqe::engine::{Database, EngineConfig, NoProposal, QueryRequest, SolverChoice, User};
+use pcqe::engine::{Database, EngineConfig, NoProposal, QueryRequest, User};
 use pcqe::policy::{ConfidencePolicy, Role};
 use pcqe::provenance::{CollectionMethod, ProvenanceRecord, Source};
 use pcqe::storage::{Column, DataType, Schema, TupleId, Value};
@@ -199,22 +197,82 @@ fn what_if_refuses_what_apply_refuses_and_previews_what_apply_does() {
     );
 }
 
+/// θ is read clamped into [0, 1] however it was set. `min_fraction` is a
+/// public field, so it can bypass `expecting`: a θ of 2 used to ask for
+/// twice the rows there are, and the strategy finder reported that as
+/// `NonMonotone` instead of proposing what θ = 1 gets.
 #[test]
-fn all_solver_choices_reach_the_quota() {
-    for solver in [
-        SolverChoice::Auto,
-        SolverChoice::Greedy(GreedyOptions::default()),
-        SolverChoice::Dnc(DncOptions::default()),
-        SolverChoice::Heuristic(pcqe::core::heuristic::HeuristicOptions::all()),
+fn a_fraction_set_by_hand_is_read_like_expecting_reads_it() {
+    let clerk = User::new("carl", "clerk");
+    let answer = |theta: f64| {
+        let mut request = QueryRequest::new("SELECT id, amount FROM Orders", "reporting");
+        request.min_fraction = theta;
+        let response = orders_db(EngineConfig::default()).query(&clerk, &request);
+        format!("{:?}", response.unwrap())
+    };
+    assert!(answer(1.0).contains("proposal: Some"), "{}", answer(1.0));
+    for (theta, read_as) in [
+        (2.0, 1.0),
+        (f64::INFINITY, 1.0),
+        (-1.0, 0.0),
+        (f64::NAN, 0.0),
     ] {
-        let mut db = orders_db(EngineConfig {
-            solver,
-            ..EngineConfig::default()
-        });
-        let clerk = User::new("carl", "clerk");
-        let request = QueryRequest::new("SELECT id FROM Orders", "reporting");
-        let resp = db.query_with_improvement(&clerk, &request).unwrap();
-        assert_eq!(resp.released.len(), 6, "full release after improvement");
+        assert_eq!(answer(theta), answer(read_as), "θ = {theta}");
+    }
+}
+
+/// The engine picks its solver by the problem's size alone: exact search
+/// up to 12 base tuples, divide-and-conquer past 64 results, greedy in
+/// between. One instance per regime, each told apart by the counters its
+/// solver leaves; the 12-base instance has 66 results, so it reaches the
+/// exact search only because the base rule is tried first. Applying each
+/// proposal releases what it projected, at least ⌈θ·n⌉ rows.
+#[test]
+fn each_size_regime_gets_its_solver_and_reaches_the_quota() {
+    // Every pair of 12 rows at 0.6 (each pair at 0.36), or 40 or 80 rows
+    // at 0.3, all below β = 0.5.
+    let pairs = "SELECT a.id AS lo, b.id AS hi FROM t a JOIN t b ON a.g = b.g WHERE a.id < b.id";
+    let singles = "SELECT id FROM t";
+    // Rows of `t` and their confidence, the query, θ, and the solvers
+    // whose counters it leaves.
+    let solvers = ["solver.greedy.", "solver.heuristic.", "solver.dnc."];
+    let [greedy, exact, dnc] = solvers;
+    let regimes: [(i64, f64, &str, f64, &[&str]); 3] = [
+        (12, 0.6, pairs, 0.01, &[greedy, exact]),
+        (40, 0.3, singles, 1.0, &[greedy]),
+        (80, 0.3, singles, 1.0, &[dnc]),
+    ];
+    let clerk = User::new("carl", "clerk");
+    for (rows, confidence, sql, theta, expected) in regimes {
+        let int = DataType::Int;
+        let spec = DbSpec::default()
+            .table("t", &[("id", int), ("g", int)])
+            .rows((0..rows).map(|i| (confidence, vec![Value::Int(i), Value::Int(0)])));
+        let mut db = spec.database(EngineConfig::default(), false);
+        db.add_policy(ConfidencePolicy::new("clerk", "reporting", 0.5).unwrap());
+        let request = QueryRequest::new(sql, "reporting").expecting(theta);
+        let first = db.query(&clerk, &request).unwrap();
+        let n = first.released.len() + first.withheld;
+        let proposal = first.proposal.expect("a proposal");
+
+        let counters = db.metrics_snapshot().counters;
+        let ran: Vec<&str> = solvers
+            .into_iter()
+            .filter(|s| counters.keys().any(|k| k.starts_with(s)))
+            .collect();
+        assert_eq!(ran, expected, "{rows} rows: {sql}");
+        let positive = |name: &str| counters.get(name).is_some_and(|&v| v > 0);
+        match rows {
+            12 => assert!(positive("solver.heuristic.nodes")),
+            80 => assert!(positive("solver.dnc.groups")),
+            _ => assert!(positive("solver.greedy.iterations")),
+        }
+
+        let projected = proposal.projected_released;
+        db.apply(&proposal).unwrap();
+        let released = db.query(&clerk, &request).unwrap().released.len();
+        assert_eq!(released, projected, "{rows} rows: {sql}");
+        assert!(released >= (theta * n as f64).ceil() as usize);
     }
 }
 

@@ -22,7 +22,7 @@ const SUPPRESSED: [(&str, usize); 6] = [
     ("PCQE-P001", 1),
     ("PCQE-P002", 104),
     ("PCQE-F001", 4),
-    ("PCQE-F002", 8),
+    ("PCQE-F002", 6),
     ("PCQE-F003", 1),
 ];
 

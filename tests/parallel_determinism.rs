@@ -363,7 +363,7 @@ fn a_group_that_gives_up_fails_the_same_way_at_any_worker_count() {
 
 /// 72 withheld `DISTINCT` results, each an OR of three claim ∧ evidence
 /// pairs; neighbouring groups share one evidence tuple. More than 64
-/// results, so the engine's `Auto` choice is divide-and-conquer.
+/// results, so the engine's size rule picks divide-and-conquer.
 fn claims_database(config: EngineConfig) -> Database {
     let mut rng = Rng64::seed_from_u64(20_260_930);
     let groups = 72i64;

@@ -323,7 +323,7 @@ fn a_batch_of_one_is_the_query() {
 /// A problem for the incremental-evaluation law: 3–6 bases over lineage
 /// with shared variables (so circuits hold `Mix` and DAG-shared nodes),
 /// negation and constants; some bases capped off the grid, some starting
-/// at zero; and one custom confidence function.
+/// at zero.
 fn incremental_problem(rng: &mut Rng64) -> ProblemInstance {
     let n_bases = 3 + rng.below_u64(4);
     let mut b = ProblemBuilder::new(0.5, 0.1);
@@ -345,12 +345,7 @@ fn incremental_problem(rng: &mut Rng64) -> ProblemInstance {
         b.result_from_lineage(&common::random_lineage(rng, n_bases, 3))
             .expect("vars are registered");
     }
-    let (x, y) = (
-        rng.below_usize(n_bases as usize),
-        rng.below_usize(n_bases as usize),
-    );
-    b.result_custom(vec![x, y], |p| 0.7 * p[0] + 0.3 * p[0] * p[1]);
-    b.require(rng.range_usize(0, n_results + 2))
+    b.require(rng.range_usize(0, n_results + 1))
         .build()
         .expect("valid")
 }

@@ -137,12 +137,12 @@ fn shop(record_metrics: bool) -> Database {
     db
 }
 
-/// Allocation calls the second of two runs of `sql` at θ = 0 makes
+/// Allocation calls the second of two runs of `sql` at `theta` makes
 /// inside `Database::query`, after checking that its answer, row count
-/// and all, is the unrecorded twin's.
-fn allocations_of(sql: &str, rows: usize) -> u64 {
+/// and all, is the unrecorded twin's; and the database it ran in.
+fn allocations_of(sql: &str, theta: f64, rows: usize) -> (u64, Database) {
     let user = User::new("clerk", "clerk");
-    let request = QueryRequest::new(sql, "lookup").expecting(0.0);
+    let request = QueryRequest::new(sql, "lookup").expecting(theta);
     let mut db = shop(true);
     let warm = db.query(&user, &request).unwrap();
     let before = allocations();
@@ -153,13 +153,14 @@ fn allocations_of(sql: &str, rows: usize) -> u64 {
     assert_eq!(format!("{response:?}"), format!("{warm:?}"), "{sql}");
     assert_eq!(response.released.len() + response.withheld, rows, "{sql}");
     assert!(!response.released.is_empty() || rows == 1, "{sql}");
-    made
+    (made, db)
 }
 
 #[test]
 fn a_point_select_stays_within_its_allocation_budget() {
-    let made = allocations_of(
+    let (made, _) = allocations_of(
         "SELECT id, status, amount, note FROM orders WHERE id = 123",
+        0.0,
         1,
     );
     assert!(made <= 135, "a 1-row point SELECT made {made} allocations");
@@ -167,8 +168,9 @@ fn a_point_select_stays_within_its_allocation_budget() {
 
 #[test]
 fn a_selective_select_stays_within_its_allocation_budget() {
-    let made = allocations_of(
+    let (made, _) = allocations_of(
         "SELECT id, amount, note FROM orders WHERE customer_id = 17",
+        0.0,
         20,
     );
     assert!(
@@ -179,10 +181,27 @@ fn a_selective_select_stays_within_its_allocation_budget() {
 
 #[test]
 fn an_equi_join_stays_within_its_allocation_budget() {
-    let made = allocations_of(
+    let (made, _) = allocations_of(
         "SELECT o.id, o.amount, c.region FROM orders o JOIN customers c \
          ON o.customer_id = c.id WHERE o.customer_id = 17",
+        0.0,
         20,
     );
     assert!(made <= 541, "a 20-row equi-join made {made} allocations");
+}
+
+/// A θ-miss in the exact-search regime: at θ = 1 every withheld row of the
+/// selective SELECT is wanted, and its few base tuples send strategy
+/// finding to the greedy-seeded branch-and-bound.
+#[test]
+fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() {
+    let (made, db) = allocations_of(
+        "SELECT id, amount, note FROM orders WHERE customer_id = 17",
+        1.0,
+        20,
+    );
+    let counters = db.metrics_snapshot().counters;
+    let nodes = counters.get("solver.heuristic.nodes");
+    assert!(nodes.is_some_and(|&n| n > 0), "{counters:?}");
+    assert!(made <= 345, "a θ = 1 miss made {made} allocations");
 }
