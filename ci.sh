@@ -72,7 +72,7 @@ stage_smoke_metrics() { # observability smoke export (quickstart -> results/metr
   cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- results/metrics.json
 }
 
-stage_smoke_explain() { # EXPLAIN smoke (EXPLAIN on the § 3.1 running example, then across CREATE INDEX)
+stage_smoke_explain() { # EXPLAIN smoke (EXPLAIN on the § 3.1 running example, then across CREATE INDEX; statement-cache hits)
   # Pipe the paper's running-example schema and query through the shell
   # and assert the physical planner's choices show up in the
   # side-by-side plan `EXPLAIN` prints: the residual filter is pushed into
@@ -127,7 +127,49 @@ EOF
     echo "$plan_out" >&2
     return 1
   }
-  echo "EXPLAIN smoke OK (nested-loop join, pushed residual filter; index scan keeps the whole predicate, same error across CREATE INDEX)"
+  # The statement cache: one SELECT shape at two literals must count a
+  # hit in `.metrics`; after CREATE INDEX the shape's next run must miss
+  # (the index changed what the planner reads).
+  stderr_file="$(mktemp)"
+  plan_out="$(cargo run -q --offline --example shell 2>"$stderr_file" <<'EOF'
+CREATE TABLE u (k INT, v TEXT);
+INSERT INTO u VALUES (1, 'a'), (2, 'b');
+SELECT v FROM u WHERE k = 1
+SELECT v FROM u WHERE k = 2
+.metrics
+CREATE INDEX ON u (k);
+SELECT v FROM u WHERE k = 3
+.metrics
+.quit
+EOF
+)" || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "EXPLAIN smoke: statement-cache shell exited with status $status; stderr follows" >&2
+    cat "$stderr_file" >&2
+    rm -f "$stderr_file"
+    return 1
+  fi
+  rm -f "$stderr_file"
+  # A counter's n-th value in the transcript, i.e. in the n-th `.metrics`
+  # export that has it (0 when there is none), prompts stripped first.
+  counter() { echo "$plan_out" | sed -e 's/^\(pcqe> \)*//' | awk -v name="pcqe_$1" -v nth="$2" '
+    $1 == name && ++seen == nth { value = $2 }
+    END { print value + 0 }'; }
+  local hits misses_before misses_after
+  hits="$(counter plan_cache_hit 1)"
+  misses_before="$(counter plan_cache_miss 1)"
+  misses_after="$(counter plan_cache_miss 2)"
+  [ "$hits" -ge 1 ] || {
+    echo "EXPLAIN smoke: expected a statement-cache hit for one shape at two literals, got $hits" >&2
+    echo "$plan_out" >&2
+    return 1
+  }
+  [ "$misses_after" -gt "$misses_before" ] || {
+    echo "EXPLAIN smoke: expected a statement-cache miss after CREATE INDEX ($misses_before -> $misses_after)" >&2
+    echo "$plan_out" >&2
+    return 1
+  }
+  echo "EXPLAIN smoke OK (nested-loop join, pushed residual filter; index scan keeps the whole predicate, same error across CREATE INDEX; statement cache: $hits hit, a miss after CREATE INDEX)"
 }
 
 stage_trace_smoke() { # causal-trace smoke (.trace on the § 3.1 example -> results/trace_chrome.json)

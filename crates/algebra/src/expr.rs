@@ -278,6 +278,19 @@ impl ScalarExpr {
         }
     }
 
+    /// Visit every literal of the expression, left to right.
+    pub fn literals_mut(&mut self, visit: &mut impl FnMut(&mut Value)) {
+        match self {
+            ScalarExpr::Column(_) => {}
+            ScalarExpr::Literal(v) => visit(v),
+            ScalarExpr::Binary { left, right, .. } => {
+                left.literals_mut(visit);
+                right.literals_mut(visit);
+            }
+            ScalarExpr::Unary { expr, .. } => expr.literals_mut(visit),
+        }
+    }
+
     /// Infer the expression's output type against an input schema.
     pub fn infer_type(&self, schema: &Schema) -> Result<DataType> {
         match self {

@@ -293,6 +293,72 @@ impl PhysicalPlan {
         }
     }
 
+    /// Visit every literal value the plan holds — an index scan's key and
+    /// each literal of its expressions — in one fixed order, so that the
+    /// n-th literal one walk visits is the n-th of any walk over a plan of
+    /// the same shape.
+    pub fn literals_mut(&mut self, visit: &mut impl FnMut(&mut Value)) {
+        fn each<'e>(
+            exprs: impl IntoIterator<Item = &'e mut ScalarExpr>,
+            visit: &mut impl FnMut(&mut Value),
+        ) {
+            exprs.into_iter().for_each(|e| e.literals_mut(visit));
+        }
+        let input = match self {
+            PhysicalPlan::TableScan { residual, .. } => return each(residual, visit),
+            PhysicalPlan::IndexScan { key, residual, .. } => {
+                visit(key);
+                return each(residual, visit);
+            }
+            PhysicalPlan::Filter { input, predicate } => {
+                predicate.literals_mut(visit);
+                input
+            }
+            PhysicalPlan::Project { input, items, .. } => {
+                each(items.iter_mut().map(|i| &mut i.expr), visit);
+                input
+            }
+            PhysicalPlan::Sort { input, keys } => {
+                each(keys.iter_mut().map(|k| &mut k.expr), visit);
+                input
+            }
+            PhysicalPlan::Aggregate {
+                input,
+                group_by,
+                aggregates,
+            } => {
+                each(group_by.iter_mut().map(|g| &mut g.expr), visit);
+                each(aggregates.iter_mut().filter_map(|a| a.arg.as_mut()), visit);
+                input
+            }
+            PhysicalPlan::IndexJoin { left, residual, .. } => {
+                each(residual, visit);
+                left
+            }
+            PhysicalPlan::Limit { input, .. } => input,
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                residual: predicate,
+                ..
+            }
+            | PhysicalPlan::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+            } => {
+                each(predicate, visit);
+                left.literals_mut(visit);
+                right
+            }
+            PhysicalPlan::Union { left, right } | PhysicalPlan::Difference { left, right } => {
+                left.literals_mut(visit);
+                right
+            }
+        };
+        input.literals_mut(visit);
+    }
+
     /// The node's inputs, left-to-right (empty for scans).
     pub fn children(&self) -> Vec<&PhysicalPlan> {
         match self {

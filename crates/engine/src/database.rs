@@ -3,6 +3,7 @@
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::improve::{self, ProposeOutcome};
+use crate::plans::PlanCache;
 use crate::response::{NoProposal, QueryResponse, ReleasedTuple};
 use crate::Result;
 use pcqe_algebra::{
@@ -115,6 +116,9 @@ pub struct Database {
     /// the catalog (or what-if overrides) before every scoring pass, so the
     /// pool survives across queries and `apply` calls without going stale.
     cache: pcqe_lineage::CircuitCache,
+    /// Lowered plans by query shape, valid while the catalog's epoch
+    /// stands (DESIGN.md §9).
+    plans: PlanCache,
 }
 
 impl Database {
@@ -154,6 +158,7 @@ impl Database {
             tracer,
             version: 0,
             cache,
+            plans: PlanCache::default(),
         }
     }
 
@@ -319,13 +324,20 @@ impl Database {
     /// renders the logical and physical plans side by side; `EXPLAIN
     /// ANALYZE` runs the physical plan and annotates each operator with
     /// its observed counts, without scoring, gating or recording anything.
+    /// Either shows the physical plan a query of its shape runs: the
+    /// statement cache's, bound to its literals, where there is one (it
+    /// neither fills the cache nor counts a hit or miss).
     /// Queries must go through [`Database::query`] since they need a user
     /// and purpose; passing one here returns an error.
     pub fn execute(&mut self, sql: &str) -> Result<StatementOutcome> {
         match pcqe_sql::parse_statement(sql)? {
             pcqe_sql::Statement::Explain { analyze, query } => {
                 let plan = self.plan(&query)?;
-                let phys = pcqe_algebra::lower(&plan, &self.catalog)?;
+                let shape = pcqe_sql::Shape::explained(sql)?;
+                let phys = match self.plans.bound(&shape, self.catalog.epoch()) {
+                    Some(cached) => cached,
+                    None => Arc::new(pcqe_algebra::lower(&plan, &self.catalog)?),
+                };
                 Ok(StatementOutcome::Explained(if analyze {
                     self.run_plan(&phys, Some(&()))?.1.render(&phys)
                 } else {
@@ -379,6 +391,43 @@ impl Database {
         Ok(pcqe_algebra::optimize(&plan, &self.catalog)?)
     }
 
+    /// Plan, optimise and lower a parsed query.
+    fn lower(&self, query: &pcqe_sql::ast::Query) -> Result<PhysicalPlan> {
+        Ok(pcqe_algebra::lower(&self.plan(query)?, &self.catalog)?)
+    }
+
+    /// The statement cache's plan for `sql`, of `shape`, at `epoch`, bound
+    /// to its literals; `None` on a miss. A shape that ran once at `epoch`
+    /// is learned here, from the lowering of a copy whose slots hold
+    /// sentinels.
+    fn cached(
+        &mut self,
+        sql: &str,
+        shape: &pcqe_sql::Shape,
+        epoch: u64,
+    ) -> Option<Arc<PhysicalPlan>> {
+        if self.plans.seen(shape, epoch) {
+            let sentinels = pcqe_sql::parse_sentinels(sql).ok();
+            let sentinels = sentinels.and_then(|query| self.lower(&query).ok());
+            self.plans.learn(shape, epoch, sentinels);
+        }
+        self.plans.bound(shape, epoch)
+    }
+
+    /// A statement-cache miss: parse, plan, optimise and lower `sql`, of
+    /// `shape`, and let the cache keep the plan it ran at `epoch`. An error
+    /// on the way is the query's own, and leaves nothing cached.
+    fn plan_afresh(
+        &mut self,
+        sql: &str,
+        shape: &pcqe_sql::Shape,
+        epoch: u64,
+    ) -> Result<Arc<PhysicalPlan>> {
+        let fresh = Arc::new(self.lower(&pcqe_sql::parse(sql)?)?);
+        self.plans.saw(shape, epoch, &fresh);
+        Ok(fresh)
+    }
+
     /// Run a lowered query on the vectorized executor. The per-operator
     /// profile is collected (and the listener fed) only when a listener is
     /// attached; otherwise the profile comes back empty.
@@ -413,6 +462,24 @@ impl Database {
         // Select the policy before scoring: β-gated scoring needs the
         // threshold up front, and selection is independent of the rows.
         let policy = self.policies.select(&user.role, &request.purpose)?.clone();
+        let phase = |path: &'static str| stage.lifecycle.map(|lifecycle| lifecycle.child(path));
+
+        let phys = {
+            let _phase = phase("query/plan");
+            if stage.lifecycle.is_some() {
+                self.tracer.instant("parse", &request.sql);
+            }
+            let (shape, epoch) = (pcqe_sql::Shape::of(&request.sql)?, self.catalog.epoch());
+            let cached = self.cached(&request.sql, &shape, epoch);
+            // Counted before planning: a query that fails to plan is a miss.
+            if stage.record {
+                tally.plan_hit = Some(cached.is_some());
+            }
+            match cached {
+                Some(cached) => cached,
+                None => self.plan_afresh(&request.sql, &shape, epoch)?,
+            }
+        };
         // Who hears this call, decided once: the recorder iff the stage
         // records, the tracer iff it is on, and a listener is attached iff
         // either is — every layer below gets that one listener.
@@ -421,18 +488,8 @@ impl Database {
             trace: self.tracer.is_enabled().then_some(self.tracer.as_ref()),
         };
         let listener = listeners.attached();
-        let phase = |path: &'static str| stage.lifecycle.map(|lifecycle| lifecycle.child(path));
-
-        let plan = {
-            let _phase = phase("query/plan");
-            if stage.lifecycle.is_some() {
-                self.tracer.instant("parse", &request.sql);
-            }
-            self.plan(&pcqe_sql::parse(&request.sql)?)?
-        };
         let result_set = {
             let _phase = phase("query/execute");
-            let phys = pcqe_algebra::lower(&plan, &self.catalog)?;
             let (result_set, profile) = self.run_plan(&phys, listener)?;
             if stage.record {
                 tally.profile = Some(profile);
@@ -884,6 +941,9 @@ struct Tally {
     profile: Option<ExecProfile>,
     /// `lineage.exact_skipped`.
     exact_skipped: Option<u64>,
+    /// `plan.cache_hit` (`true`) or `plan.cache_miss`: whether the
+    /// statement cache held the query's plan.
+    plan_hit: Option<bool>,
     /// `lineage.bounded`: rows gated on their lower bound because exact
     /// evaluation ran past the budget; not emitted at zero.
     bounded: u64,
@@ -901,6 +961,7 @@ impl Tally {
             recorder: Arc::clone(recorder),
             profile: None,
             exact_skipped: None,
+            plan_hit: None,
             bounded: 0,
             cache: None,
             decision: None,
@@ -919,6 +980,16 @@ impl Drop for Tally {
         let activity = |name, delta: u64| (delta > 0).then_some((name, delta));
         self.recorder.counters_add(
             [
+                self.plan_hit.map(|hit| {
+                    (
+                        if hit {
+                            "plan.cache_hit"
+                        } else {
+                            "plan.cache_miss"
+                        },
+                        1,
+                    )
+                }),
                 ops.map(|ops| ("exec.operators", ops.len() as u64)),
                 rows_out.map(|n| ("exec.rows_out", n)),
                 lineage_nodes.map(|n| ("exec.lineage_nodes", n)),

@@ -38,6 +38,7 @@ pub mod database;
 pub mod error;
 pub mod improve;
 pub mod persist;
+mod plans;
 pub mod response;
 
 pub use audit::AuditEntry;

@@ -2,19 +2,21 @@
 
 use crate::error::SqlError;
 use crate::Result;
+use std::borrow::Cow;
 
-/// A lexical token.
+/// A lexical token, borrowing identifiers (and string literals without an
+/// escape) from the input.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Identifier or keyword (keywords are matched case-insensitively by
     /// the parser).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
     Real(f64),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// `,`
     Comma,
     /// `(`
@@ -49,256 +51,187 @@ pub enum Token {
 
 /// A token plus the byte offset where it starts (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Byte offset of the token's first character.
     pub pos: usize,
 }
 
 /// Tokenize a SQL string.
-pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let start = i;
-        match c {
-            c if c.is_ascii_whitespace() => {
-                i += 1;
-            }
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                // Line comment.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+pub fn tokenize(input: &str) -> Result<Vec<Spanned<'_>>> {
+    Lexer::new(input).collect()
+}
+
+/// The tokens of a SQL string, one at a time: the one lexer behind
+/// [`tokenize`] and [`crate::Shape`]. After an error it yields nothing.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    i: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub fn new(input: &'a str) -> Lexer<'a> {
+        Lexer { input, i: 0 }
+    }
+
+    /// The token at the cursor, skipping whitespace and comments; `None`
+    /// at the end of the input.
+    fn token(&mut self) -> Result<Option<Spanned<'a>>> {
+        let (input, bytes) = (self.input, self.input.as_bytes());
+        loop {
+            let i = self.i;
+            let Some(&b) = bytes.get(i) else {
+                return Ok(None);
+            };
+            let (token, len) = match b as char {
+                c if c.is_ascii_whitespace() => {
+                    self.i += 1;
+                    continue;
                 }
-            }
-            ',' => {
-                tokens.push(Spanned {
-                    token: Token::Comma,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Spanned {
-                    token: Token::LParen,
-                    pos: start,
-                });
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Spanned {
-                    token: Token::RParen,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Spanned {
-                    token: Token::Dot,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Spanned {
-                    token: Token::Star,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Spanned {
-                    token: Token::Slash,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Spanned {
-                    token: Token::Plus,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '-' => {
-                tokens.push(Spanned {
-                    token: Token::Minus,
-                    pos: start,
-                });
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Spanned {
-                    token: Token::Semicolon,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Spanned {
-                    token: Token::Eq,
-                    pos: start,
-                });
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Spanned {
-                        token: Token::Ne,
-                        pos: start,
-                    });
-                    i += 2;
-                } else {
+                '-' if bytes.get(i + 1) == Some(&b'-') => {
+                    // Line comment.
+                    while self.i < bytes.len() && bytes[self.i] != b'\n' {
+                        self.i += 1;
+                    }
+                    continue;
+                }
+                ',' => (Token::Comma, 1),
+                '(' => (Token::LParen, 1),
+                ')' => (Token::RParen, 1),
+                '.' => (Token::Dot, 1),
+                '*' => (Token::Star, 1),
+                '/' => (Token::Slash, 1),
+                '+' => (Token::Plus, 1),
+                '-' => (Token::Minus, 1),
+                ';' => (Token::Semicolon, 1),
+                '=' => (Token::Eq, 1),
+                '!' if bytes.get(i + 1) == Some(&b'=') => (Token::Ne, 2),
+                '!' => {
                     return Err(SqlError::Lex {
-                        pos: start,
+                        pos: i,
                         message: "unexpected `!`".into(),
-                    });
+                    })
                 }
-            }
-            '<' => match bytes.get(i + 1) {
-                Some(&b'=') => {
-                    tokens.push(Spanned {
-                        token: Token::Le,
-                        pos: start,
-                    });
-                    i += 2;
+                '<' => match bytes.get(i + 1) {
+                    Some(&b'=') => (Token::Le, 2),
+                    Some(&b'>') => (Token::Ne, 2),
+                    _ => (Token::Lt, 1),
+                },
+                '>' if bytes.get(i + 1) == Some(&b'=') => (Token::Ge, 2),
+                '>' => (Token::Gt, 1),
+                '\'' => string(input, i)?,
+                c if c.is_ascii_digit() => number(input, i)?,
+                c if c.is_ascii_alphabetic() || c == '_' => {
+                    let len = bytes[i..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                        .count();
+                    (Token::Ident(&input[i..i + len]), len)
                 }
-                Some(&b'>') => {
-                    tokens.push(Spanned {
-                        token: Token::Ne,
-                        pos: start,
-                    });
-                    i += 2;
+                other => {
+                    return Err(SqlError::Lex {
+                        pos: i,
+                        message: format!("unexpected character `{other}`"),
+                    })
                 }
-                _ => {
-                    tokens.push(Spanned {
-                        token: Token::Lt,
-                        pos: start,
-                    });
-                    i += 1;
-                }
-            },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Spanned {
-                        token: Token::Ge,
-                        pos: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Spanned {
-                        token: Token::Gt,
-                        pos: start,
-                    });
-                    i += 1;
-                }
-            }
-            '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(SqlError::Lex {
-                                pos: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(&b'\'') => {
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            // Multi-byte UTF-8 is copied verbatim.
-                            let ch_len = utf8_len(b);
-                            s.push_str(&input[i..i + ch_len]);
-                            i += ch_len;
-                        }
-                    }
-                }
-                tokens.push(Spanned {
-                    token: Token::Str(s),
-                    pos: start,
-                });
-            }
-            c if c.is_ascii_digit() => {
-                let mut end = i;
-                let mut is_real = false;
-                while end < bytes.len() && (bytes[end] as char).is_ascii_digit() {
-                    end += 1;
-                }
-                if end < bytes.len()
-                    && bytes[end] == b'.'
-                    && end + 1 < bytes.len()
-                    && (bytes[end + 1] as char).is_ascii_digit()
-                {
-                    is_real = true;
-                    end += 1;
-                    while end < bytes.len() && (bytes[end] as char).is_ascii_digit() {
-                        end += 1;
-                    }
-                }
-                if end < bytes.len() && (bytes[end] == b'e' || bytes[end] == b'E') {
-                    let mut j = end + 1;
-                    if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                        j += 1;
-                    }
-                    if j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                        is_real = true;
-                        end = j;
-                        while end < bytes.len() && (bytes[end] as char).is_ascii_digit() {
-                            end += 1;
-                        }
-                    }
-                }
-                let text = &input[i..end];
-                let token = if is_real {
-                    Token::Real(text.parse().map_err(|_| SqlError::Lex {
-                        pos: start,
-                        message: format!("bad real literal `{text}`"),
-                    })?)
-                } else {
-                    Token::Int(text.parse().map_err(|_| SqlError::Lex {
-                        pos: start,
-                        message: format!("bad integer literal `{text}`"),
-                    })?)
-                };
-                tokens.push(Spanned { token, pos: start });
-                i = end;
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut end = i;
-                while end < bytes.len() {
-                    let ch = bytes[end] as char;
-                    if ch.is_ascii_alphanumeric() || ch == '_' {
-                        end += 1;
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Spanned {
-                    token: Token::Ident(input[i..end].to_owned()),
-                    pos: start,
-                });
-                i = end;
-            }
-            other => {
+            };
+            self.i = i + len;
+            return Ok(Some(Spanned { token, pos: i }));
+        }
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Spanned<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let token = self.token();
+        if token.is_err() {
+            self.i = self.input.len();
+        }
+        token.transpose()
+    }
+}
+
+/// The string literal whose opening quote is at `start`, and its length
+/// in bytes, quotes included: borrowed unless it holds an escaped quote.
+fn string(input: &str, start: usize) -> Result<(Token<'_>, usize)> {
+    let bytes = input.as_bytes();
+    let mut owned: Option<String> = None;
+    let mut i = start + 1;
+    loop {
+        match bytes.get(i) {
+            None => {
                 return Err(SqlError::Lex {
                     pos: start,
-                    message: format!("unexpected character `{other}`"),
+                    message: "unterminated string literal".into(),
                 })
+            }
+            Some(&b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
+                // `''`: the text so far, one quote, and on.
+                let text = owned.get_or_insert_with(|| input[start + 1..i].to_owned());
+                text.push('\'');
+                i += 2;
+            }
+            Some(&b'\'') => {
+                let text = match owned {
+                    Some(text) => Cow::Owned(text),
+                    None => Cow::Borrowed(&input[start + 1..i]),
+                };
+                return Ok((Token::Str(text), i + 1 - start));
+            }
+            Some(&b) => {
+                // Multi-byte UTF-8 is copied verbatim.
+                let ch_len = utf8_len(b);
+                if let Some(text) = &mut owned {
+                    text.push_str(&input[i..i + ch_len]);
+                }
+                i += ch_len;
             }
         }
     }
-    Ok(tokens)
+}
+
+/// The number literal starting at `start`, and its length in bytes.
+fn number(input: &str, start: usize) -> Result<(Token<'_>, usize)> {
+    let bytes = input.as_bytes();
+    let digits = |from: usize| {
+        bytes.get(from..).map_or(0, |rest| {
+            rest.iter().take_while(|b| b.is_ascii_digit()).count()
+        })
+    };
+    let mut end = start + digits(start);
+    let mut is_real = false;
+    if bytes.get(end) == Some(&b'.') && digits(end + 1) > 0 {
+        is_real = true;
+        end += 1 + digits(end + 1);
+    }
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        let mut j = end + 1;
+        if matches!(bytes.get(j), Some(b'+' | b'-')) {
+            j += 1;
+        }
+        if digits(j) > 0 {
+            is_real = true;
+            end = j + digits(j);
+        }
+    }
+    let text = &input[start..end];
+    let token = if is_real {
+        Token::Real(text.parse().map_err(|_| SqlError::Lex {
+            pos: start,
+            message: format!("bad real literal `{text}`"),
+        })?)
+    } else {
+        Token::Int(text.parse().map_err(|_| SqlError::Lex {
+            pos: start,
+            message: format!("bad integer literal `{text}`"),
+        })?)
+    };
+    Ok((token, end - start))
 }
 
 fn utf8_len(first_byte: u8) -> usize {
@@ -314,7 +247,7 @@ fn utf8_len(first_byte: u8) -> usize {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<Token> {
+    fn toks(s: &str) -> Vec<Token<'_>> {
         tokenize(s).unwrap().into_iter().map(|t| t.token).collect()
     }
 
@@ -323,12 +256,12 @@ mod tests {
         assert_eq!(
             toks("SELECT * FROM t WHERE x >= 2;"),
             vec![
-                Token::Ident("SELECT".into()),
+                Token::Ident("SELECT"),
                 Token::Star,
-                Token::Ident("FROM".into()),
-                Token::Ident("t".into()),
-                Token::Ident("WHERE".into()),
-                Token::Ident("x".into()),
+                Token::Ident("FROM"),
+                Token::Ident("t"),
+                Token::Ident("WHERE"),
+                Token::Ident("x"),
                 Token::Ge,
                 Token::Int(2),
                 Token::Semicolon,
@@ -357,6 +290,13 @@ mod tests {
             toks("'it''s' 'héllo'"),
             vec![Token::Str("it's".into()), Token::Str("héllo".into())]
         );
+        // Only a literal with an escaped quote is copied out of the input.
+        let borrowed = |t: &Token<'_>| matches!(t, Token::Str(Cow::Borrowed(_)));
+        let tokens = toks("'it''s' 'héllo' ''");
+        assert_eq!(
+            tokens.iter().map(borrowed).collect::<Vec<_>>(),
+            [false, true, true]
+        );
     }
 
     #[test]
@@ -379,7 +319,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             toks("SELECT -- the works\n x"),
-            vec![Token::Ident("SELECT".into()), Token::Ident("x".into())]
+            vec![Token::Ident("SELECT"), Token::Ident("x")]
         );
     }
 
@@ -391,5 +331,13 @@ mod tests {
         }
         assert!(tokenize("'open").is_err());
         assert!(tokenize("!x").is_err());
+        // The lexer stops at its first error.
+        let mut lexer = Lexer::new("a @ b");
+        assert!(matches!(lexer.next(), Some(Ok(_))));
+        assert!(matches!(
+            lexer.next(),
+            Some(Err(SqlError::Lex { pos: 2, .. }))
+        ));
+        assert!(lexer.next().is_none());
     }
 }

@@ -40,11 +40,13 @@ pub mod error;
 pub mod lexer;
 pub mod parser;
 pub mod planner;
+pub mod shape;
 
 pub use ast::Statement;
 pub use error::SqlError;
 pub use parser::{parse, parse_statement};
 pub use planner::{literal_row, plan_query};
+pub use shape::{parse_sentinels, sentinel, sentinel_slot, Shape};
 
 use pcqe_algebra::Plan;
 use pcqe_storage::Catalog;

@@ -11,17 +11,22 @@ use pcqe_storage::DataType;
 /// Parse a SQL string into a [`Query`]: the query production of
 /// [`parse_statement`]'s grammar.
 pub fn parse(input: &str) -> Result<Query> {
-    Parser::parse_all(input, Parser::query)
+    Parser::parse_all(tokenize(input)?, input.len(), Parser::query)
 }
 
 /// Parse a SQL string into a [`Statement`]: a query, `EXPLAIN [ANALYZE]`
 /// of one, `CREATE TABLE`, `CREATE INDEX`, or `INSERT … [WITH CONFIDENCE c]`.
 pub fn parse_statement(input: &str) -> Result<Statement> {
-    Parser::parse_all(input, Parser::statement)
+    Parser::parse_all(tokenize(input)?, input.len(), Parser::statement)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+/// Parse an already tokenized query of an `input_len`-byte input.
+pub(crate) fn parse_tokens(tokens: Vec<Spanned<'_>>, input_len: usize) -> Result<Query> {
+    Parser::parse_all(tokens, input_len, Parser::query)
+}
+
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
     input_len: usize,
     depth: usize,
@@ -31,14 +36,18 @@ struct Parser {
 /// error instead of risking the stack.
 const MAX_EXPR_DEPTH: usize = 128;
 
-impl Parser {
-    /// Tokenize `input` and parse it as one `production`, optionally
-    /// followed by `;` and nothing else.
-    fn parse_all<T>(input: &str, production: fn(&mut Parser) -> Result<T>) -> Result<T> {
+impl<'a> Parser<'a> {
+    /// Parse the tokens of an `input_len`-byte input as one `production`,
+    /// optionally followed by `;` and nothing else.
+    fn parse_all<T>(
+        tokens: Vec<Spanned<'a>>,
+        input_len: usize,
+        production: fn(&mut Parser<'a>) -> Result<T>,
+    ) -> Result<T> {
         let mut p = Parser {
-            tokens: tokenize(input)?,
+            tokens,
             pos: 0,
-            input_len: input.len(),
+            input_len,
             depth: 0,
         };
         let parsed = production(&mut p)?;
@@ -49,11 +58,11 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Spanned> {
+    fn peek(&self) -> Option<&Spanned<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Spanned> {
+    fn next(&mut self) -> Option<Spanned<'a>> {
         let t = self.tokens.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -99,7 +108,7 @@ impl Parser {
         }
     }
 
-    fn eat_if(&mut self, token: &Token) -> bool {
+    fn eat_if(&mut self, token: &Token<'_>) -> bool {
         if self.peek().map(|t| &t.token) == Some(token) {
             self.pos += 1;
             true
@@ -108,7 +117,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, token: Token, what: &str) -> Result<()> {
+    fn expect(&mut self, token: Token<'_>, what: &str) -> Result<()> {
         if self.eat_if(&token) {
             Ok(())
         } else {
@@ -123,7 +132,7 @@ impl Parser {
                 token: Token::Ident(s),
                 ..
             }) if !is_reserved(s) => {
-                let s = s.clone();
+                let s = (*s).to_owned();
                 self.pos += 1;
                 Ok(s)
             }
@@ -372,7 +381,7 @@ impl Parser {
                     token: Token::Ident(s),
                     ..
                 }) if !is_reserved(s) => {
-                    let s = s.clone();
+                    let s = (*s).to_owned();
                     self.pos += 1;
                     Some(s)
                 }
@@ -603,7 +612,7 @@ impl Parser {
         match t.token {
             Token::Int(i) => Ok(Expr::Int(i)),
             Token::Real(r) => Ok(Expr::Real(r)),
-            Token::Str(s) => Ok(Expr::Str(s)),
+            Token::Str(s) => Ok(Expr::Str(s.into_owned())),
             Token::LParen => {
                 let e = self.expr()?;
                 self.expect(Token::RParen, "`)`")?;
@@ -613,12 +622,12 @@ impl Parser {
             Token::Ident(s) if s.eq_ignore_ascii_case("FALSE") => Ok(Expr::Bool(false)),
             Token::Ident(s) if s.eq_ignore_ascii_case("NULL") => Ok(Expr::Null),
             Token::Ident(s)
-                if agg_func(&s).is_some()
+                if agg_func(s).is_some()
                     && self.peek().map(|t| &t.token) == Some(&Token::LParen) =>
             {
-                // The match guard established `agg_func(&s).is_some()`; the
+                // The match guard established `agg_func(s).is_some()`; the
                 // impossible miss becomes a parse error, not a panic.
-                let func = match agg_func(&s) {
+                let func = match agg_func(s) {
                     Some(f) => f,
                     None => return Err(self.err_here("expected an aggregate function")),
                 };
@@ -632,17 +641,17 @@ impl Parser {
                 self.expect(Token::RParen, "`)`")?;
                 Ok(Expr::Agg { func, arg })
             }
-            Token::Ident(s) if !is_reserved(&s) => {
+            Token::Ident(s) if !is_reserved(s) => {
                 if self.eat_if(&Token::Dot) {
                     let name = self.ident("column name after `.`")?;
                     Ok(Expr::Column {
-                        qualifier: Some(s),
+                        qualifier: Some(s.to_owned()),
                         name,
                     })
                 } else {
                     Ok(Expr::Column {
                         qualifier: None,
-                        name: s,
+                        name: s.to_owned(),
                     })
                 }
             }

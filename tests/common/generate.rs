@@ -344,6 +344,15 @@ impl Expr {
         })
     }
 
+    /// Visit every literal of the expression.
+    pub fn literals_mut(&mut self, visit: &mut impl FnMut(&mut Value)) {
+        match self {
+            Expr::Col(..) => {}
+            Expr::Lit(v) => visit(v),
+            Expr::Op(_, args) => args.iter_mut().for_each(|a| a.literals_mut(visit)),
+        }
+    }
+
     /// The engine's expression, FROM entry `f`'s columns from `offsets[f]`.
     pub fn to_scalar(&self, offsets: &[usize]) -> ScalarExpr {
         let scalar = |e: &Expr| Box::new(e.to_scalar(offsets));
@@ -793,6 +802,46 @@ impl Query {
             write!(out, " LIMIT {n}").unwrap();
         }
         out
+    }
+
+    /// The query's twin: the same shape — every literal of the same type
+    /// and sign, so that it prints to the same tokens — with new INT, REAL
+    /// and TEXT values, drawn from pools so small that two slots often
+    /// hold one value. `BOOL`, `NULL` and the `LIMIT` count stay.
+    pub fn with_fresh_literals(&self, rng: &mut Rng64) -> Query {
+        let mut twin = self.clone();
+        let mut fresh = |v: &mut Value| {
+            *v = match &*v {
+                Value::Int(i) if *i < 0 => Value::Int(pick(rng, &[-1, -2, -3])),
+                Value::Int(_) => Value::Int(pick(rng, &[0, 1, 2, 3])),
+                Value::Real(r) if r.is_sign_negative() => {
+                    Value::Real(pick(rng, &[-1.5, -0.0, -2.0]))
+                }
+                Value::Real(_) => Value::Real(pick(rng, &[0.0, 0.5, 2.0])),
+                Value::Text(_) => Value::text(pick(rng, &["", "a", "ab", "x"])),
+                other => other.clone(),
+            }
+        };
+        for select in std::iter::once(&mut twin.first).chain(twin.rest.iter_mut().map(|(_, s)| s)) {
+            let group = select.group.iter_mut().flat_map(|g| {
+                let args = g.aggs.iter_mut().filter_map(|(_, arg)| arg.as_mut());
+                g.keys.iter_mut().chain(args)
+            });
+            let on = select.from.iter_mut().filter_map(|(_, on)| on.as_mut());
+            for e in select
+                .items
+                .iter_mut()
+                .chain(on)
+                .chain(&mut select.filter)
+                .chain(group)
+            {
+                e.literals_mut(&mut fresh);
+            }
+            if let Some((_, _, value)) = select.group.as_mut().and_then(|g| g.having.as_mut()) {
+                fresh(value);
+            }
+        }
+        twin
     }
 
     fn selects(&self) -> impl Iterator<Item = &Select> {

@@ -465,6 +465,10 @@ fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
 /// moved cost, not content. The one line that has left since is
 /// `counter lineage.exact_rescored = 0`, with the counter: strategy
 /// finding no longer re-scores β-skipped rows, and nothing else moved.
+/// The two `plan.cache_*` lines came with the statement cache, every other
+/// line unchanged: the first join and the first paper query miss, the
+/// re-query and both batch members hit (the narrow join has the join's
+/// shape), and the what-if preview hits without counting.
 #[test]
 fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
     for workers in [1, 2] {
@@ -489,7 +493,7 @@ fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
     }
 }
 
-const PINNED_METRICS: [&str; 45] = [
+const PINNED_METRICS: [&str; 47] = [
     "counter exec.lineage_nodes = 1220",
     "counter exec.operators = 17",
     "counter exec.rows_out = 480",
@@ -503,6 +507,8 @@ const PINNED_METRICS: [&str; 45] = [
     "counter par.chunks = 21",
     "counter par.chunks_claimed = 21",
     "counter par.items = 564",
+    "counter plan.cache_hit = 3",
+    "counter plan.cache_miss = 2",
     "counter policy.released = 91",
     "counter policy.withheld = 91",
     "counter query.proposals = 1",

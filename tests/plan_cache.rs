@@ -1,0 +1,285 @@
+//! The statement cache: a query whose shape was planned before binds its
+//! literals into the cached physical plan, and what it then shows and
+//! answers is what a fresh database, planning it from scratch, shows and
+//! answers (DESIGN.md §9, "Statements planned once per shape").
+//!
+//! The law runs over the generator: a query, then its twin — same shape,
+//! new literals ([`Query::with_fresh_literals`]). The rest are the cases
+//! that decide whether a cached plan may be used at all: a new index or
+//! new rows invalidate it, a confidence change does not, and a statement
+//! that fails is never cached.
+
+mod common;
+
+use common::{explained, paper_db, random_db, random_query, DbSpec, Expr, Query, Select};
+use common::{ENGINE, PAPER_QUERY};
+use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
+use pcqe::lineage::Rng64;
+use pcqe::policy::ConfidencePolicy;
+use pcqe::sql::Shape;
+use pcqe::storage::Value;
+
+const CASES: u64 = 300;
+const WORKERS: [usize; 3] = [1, 2, 8];
+
+fn config(workers: usize) -> EngineConfig {
+    EngineConfig {
+        worker_threads: Some(workers),
+        parallel_threshold: 1,
+        ..EngineConfig::default()
+    }
+}
+
+/// `spec` with its indexes, at `workers` workers, and the analyst's policy.
+fn database(spec: &DbSpec, workers: usize) -> Database {
+    let mut db = spec.database(config(workers), true);
+    db.add_policy(ConfidencePolicy::new("analyst", "research", 0.3).unwrap());
+    db
+}
+
+/// What `Database::query` answers to `sql`, as text: the response's
+/// `Debug`, or the error it raised.
+fn answer(db: &mut Database, sql: &str) -> String {
+    let request = QueryRequest::new(sql, "research");
+    match db.query(&User::new("ada", "analyst"), &request) {
+        Ok(response) => format!("{response:?}"),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// What `EXPLAIN sql` renders, or the error it raised.
+fn explain(db: &mut Database, sql: &str) -> String {
+    explained(db, &format!("EXPLAIN {sql}")).unwrap_or_else(|e| format!("error: {e}"))
+}
+
+/// Statement-cache `(hits, misses)` so far.
+fn lookups(db: &Database) -> (u64, u64) {
+    let metrics = db.metrics_snapshot();
+    (
+        metrics.counter("plan.cache_hit"),
+        metrics.counter("plan.cache_miss"),
+    )
+}
+
+/// The rebinding law. For each generated `(DbSpec, query)` at 1, 2 and 8
+/// workers: run the query on one database, then `EXPLAIN` its twin, then
+/// run the twin — the shape's second run, which learns it — then `EXPLAIN`
+/// the twin again, from the cached plan. The twin's plan text, both times,
+/// and answer (or error) must be a fresh database's, and the twin must be
+/// a cache hit wherever the query planned. Where the database indexes a
+/// table's key, a keyed query over that table goes through the law too —
+/// `k = v AND k >= w`, an index key that also sits in its scan's residual,
+/// whose twin's slots are often equal — and the twins must include both
+/// kinds.
+#[test]
+fn a_twin_bound_into_the_cached_plan_is_what_a_fresh_database_plans() {
+    let (mut hits, mut equal_slots, mut keyed_residuals) = (0, 0, 0);
+    for case in 0..CASES {
+        let seed = 0x5A1D_CAC4 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = Rng64::seed_from_u64(seed);
+        let spec = random_db(&mut rng, ENGINE);
+        let mut queries = vec![random_query(&mut rng, &spec, ENGINE)];
+        let indexed = spec
+            .tables
+            .iter()
+            .find(|t| t.indexes.iter().any(|c| c == "k"));
+        if let Some(table) = indexed {
+            let key = |cmp, v| Expr::op(cmp, Expr::Col(0, 0), Expr::Lit(Value::Int(v)));
+            let first = Select {
+                from: vec![(table.name.clone(), None)],
+                filter: vec![key("=", 1), key(">=", 1)],
+                ..Select::default()
+            };
+            let (rest, order) = (Vec::new(), Vec::new());
+            queries.push(Query {
+                first,
+                rest,
+                order,
+                limit: None,
+            });
+        }
+        for query in queries {
+            let twin = query.with_fresh_literals(&mut rng);
+            let (sql, twin_sql) = (query.sql(&spec), twin.sql(&spec));
+            let shape = Shape::of(&twin_sql).unwrap();
+            assert_eq!(
+                Shape::of(&sql).unwrap().key(),
+                shape.key(),
+                "{sql}\n{twin_sql}"
+            );
+            let planned = explain(&mut database(&spec, 1), &sql);
+            let planned = !planned.starts_with("error");
+            for workers in WORKERS {
+                let context =
+                    format!("case {case} (seed {seed:#x}), {workers} worker(s)\n{sql}\n{twin_sql}");
+                let mut db = database(&spec, workers);
+                answer(&mut db, &sql);
+                let before = lookups(&db);
+                let (plan, got) = (explain(&mut db, &twin_sql), answer(&mut db, &twin_sql));
+                let hit = lookups(&db).0 > before.0;
+                let mut fresh = database(&spec, workers);
+                let fresh_plan = explain(&mut fresh, &twin_sql);
+                assert_eq!(plan, fresh_plan, "EXPLAIN, {context}");
+                assert_eq!(got, answer(&mut fresh, &twin_sql), "answer, {context}");
+                // The twin's run learned the shape: this one is the cache's.
+                let cached = explain(&mut db, &twin_sql);
+                assert_eq!(cached, fresh_plan, "cached EXPLAIN, {context}");
+                assert_eq!(hit, planned, "a hit iff the query planned, {context}");
+                hits += usize::from(hit);
+                let keyed = |line: &str| line.contains("IndexScan") && line.contains("[filter:");
+                keyed_residuals += usize::from(hit && plan.lines().any(keyed));
+            }
+            let literals = shape.literals();
+            let repeated = (1..literals.len()).any(|i| literals[..i].contains(&literals[i]));
+            equal_slots += usize::from(planned && repeated);
+        }
+    }
+    assert!(hits >= 1000, "{hits} twins hit");
+    assert!(
+        equal_slots >= 50,
+        "{equal_slots} twins with two equal slots"
+    );
+    assert!(
+        keyed_residuals >= 300,
+        "{keyed_residuals} hits on a keyed residual"
+    );
+}
+
+/// `t(k INT, s TEXT)` with two rows, and the analyst's policy.
+fn small(workers: usize) -> Database {
+    let mut db = Database::new(config(workers));
+    db.execute("CREATE TABLE t (k INT, s TEXT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b') WITH CONFIDENCE 0.4")
+        .unwrap();
+    db.add_policy(ConfidencePolicy::new("analyst", "research", 0.3).unwrap());
+    db
+}
+
+/// A new index is a new access path: the shape's next run misses and plans
+/// the index scan.
+#[test]
+fn create_index_invalidates_a_cached_plan() {
+    for workers in WORKERS {
+        let mut db = small(workers);
+        answer(&mut db, "SELECT s FROM t WHERE k = 1");
+        assert!(explain(&mut db, "SELECT s FROM t WHERE k = 2").contains("TableScan t"));
+        db.execute("CREATE INDEX ON t (k)").unwrap();
+        let got = answer(&mut db, "SELECT s FROM t WHERE k = 2");
+        assert_eq!(lookups(&db), (0, 2), "{workers} worker(s)");
+        let plan = explain(&mut db, "SELECT s FROM t WHERE k = 2");
+        assert!(plan.contains("IndexScan t (k = 2)"), "{plan}");
+        let mut fresh = small(workers);
+        fresh.execute("CREATE INDEX ON t (k)").unwrap();
+        assert_eq!(got, answer(&mut fresh, "SELECT s FROM t WHERE k = 2"));
+    }
+}
+
+/// Row counts steer the join strategy, so inserts invalidate too: one row a
+/// side makes a nested loop, twenty a hash join, and at each stage the
+/// cached database explains what a fresh one does.
+#[test]
+fn inserts_that_flip_the_join_strategy_invalidate_a_cached_plan() {
+    let sql = |m: i64| format!("SELECT a.n, b.m FROM a JOIN b ON a.k = b.k WHERE b.m < {m}");
+    let rows = |db: &mut Database, from: i64, to: i64| {
+        for i in from..to {
+            for table in ["a", "b"] {
+                db.execute(&format!("INSERT INTO {table} VALUES ({}, {i})", i % 4))
+                    .unwrap();
+            }
+        }
+    };
+    let tables = |workers| {
+        let mut db = Database::new(config(workers));
+        db.execute("CREATE TABLE a (k INT, n INT)").unwrap();
+        db.execute("CREATE TABLE b (k INT, m INT)").unwrap();
+        db.add_policy(ConfidencePolicy::new("analyst", "research", 0.3).unwrap());
+        db
+    };
+    for workers in WORKERS {
+        let mut db = tables(workers);
+        let fresh = |to| {
+            let mut fresh = tables(workers);
+            rows(&mut fresh, 0, to);
+            fresh
+        };
+        rows(&mut db, 0, 1);
+        answer(&mut db, &sql(5));
+        let nested = explain(&mut db, &sql(6));
+        assert!(nested.contains("NestedLoopJoin"), "{nested}");
+        assert_eq!(
+            nested,
+            explain(&mut fresh(1), &sql(6)),
+            "{workers} worker(s)"
+        );
+        rows(&mut db, 1, 20);
+        let hashed = explain(&mut db, &sql(7));
+        assert!(hashed.contains("HashJoin"), "{hashed}");
+        let got = answer(&mut db, &sql(7));
+        assert_eq!(
+            hashed,
+            explain(&mut fresh(20), &sql(7)),
+            "{workers} worker(s)"
+        );
+        assert_eq!(got, answer(&mut fresh(20), &sql(7)), "{workers} worker(s)");
+        assert_eq!(lookups(&db), (0, 2), "{workers} worker(s)");
+    }
+}
+
+/// A raised confidence changes no plan: after `what_if` and `apply` the
+/// paper query's next run still hits, and releases what it now should.
+#[test]
+fn apply_and_what_if_keep_a_cached_plan() {
+    for workers in WORKERS {
+        let mut db = paper_db(Database::new(config(workers)));
+        let (mark, request) = (
+            User::new("mark", "Manager"),
+            QueryRequest::new(PAPER_QUERY, "investment"),
+        );
+        let proposal = db.query(&mark, &request).unwrap().proposal.unwrap();
+        db.what_if(&mark, &request, &proposal).unwrap();
+        db.apply(&proposal).unwrap();
+        let requery = db.query(&mark, &request).unwrap();
+        assert_eq!(lookups(&db), (1, 1), "{workers} worker(s)");
+        assert_eq!(requery.released.len(), 1, "{workers} worker(s)");
+    }
+}
+
+/// A statement that fails to parse or to plan raises the same error — the
+/// same position included — on every call, and is never cached; nor is a
+/// shape whose plan reads a literal's value (a `GROUP BY` expression
+/// matched to a projected one), which is planned afresh on every run.
+#[test]
+fn a_failing_statement_is_never_cached() {
+    for workers in WORKERS {
+        let mut db = small(workers);
+        for sql in [
+            "SELECT s FROM t WHERE k = 1 AND",
+            "SELECT s FROM t WHERE k = @",
+            "SELECT nope FROM t WHERE k = 1",
+            "SELECT s FROM t WHERE k = 1 GROUP BY k",
+        ] {
+            let user = User::new("ada", "analyst");
+            let request = QueryRequest::new(sql, "research");
+            let first = format!("{:?}", db.query(&user, &request).unwrap_err());
+            for _ in 0..2 {
+                let again = format!("{:?}", db.query(&user, &request).unwrap_err());
+                assert_eq!(again, first, "{sql}");
+                assert_eq!(explain(&mut db, sql), explain(&mut small(workers), sql));
+            }
+        }
+        assert_eq!(lookups(&db).0, 0, "{workers} worker(s)");
+        let grouped = |one: i64| format!("SELECT k + {one} AS g FROM t GROUP BY k + 1");
+        for _ in 0..2 {
+            assert_eq!(
+                answer(&mut db, &grouped(1)),
+                answer(&mut small(workers), &grouped(1))
+            );
+        }
+        assert_eq!(
+            answer(&mut db, &grouped(2)),
+            answer(&mut small(workers), &grouped(2))
+        );
+        assert!(answer(&mut db, &grouped(2)).starts_with("error"));
+        assert_eq!(lookups(&db).0, 0, "{workers} worker(s)");
+    }
+}

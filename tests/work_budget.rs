@@ -7,8 +7,12 @@
 //! column and equality indexes, and `customers` — with the recorder on,
 //! as it is by default; at two workers the queries below stay under the
 //! parallel threshold, so every allocation of a query is made on the
-//! thread that calls it. Each query is timed after one warm-up of the
-//! same query, and its answer must equal an unrecorded twin's.
+//! thread that calls it. Most queries are counted after two warm-ups of
+//! their shape — the first plans it, the second learns it — so that the
+//! count is of a statement-cache hit. Two budgets keep the planning path
+//! under a budget too: a fresh database's first query (a miss) and the
+//! second run of its shape (the one that learns it). Every answer must
+//! equal an unrecorded twin's.
 //!
 //! Budgets are upper bounds and only ratchet down: a change that makes a
 //! query allocate more fails here, and one that makes it allocate less
@@ -137,57 +141,103 @@ fn shop(record_metrics: bool) -> Database {
     db
 }
 
-/// Allocation calls the second of two runs of `sql` at `theta` makes
-/// inside `Database::query`, after checking that its answer, row count
-/// and all, is the unrecorded twin's; and the database it ran in.
-fn allocations_of(sql: &str, theta: f64, rows: usize) -> (u64, Database) {
+/// Allocation calls a run of `sql` at `theta` makes inside
+/// `Database::query` after runs of `warm_ups` (none: the database's first
+/// query), after checking that its answer, row count and all, is the
+/// unrecorded twin's, and that it took its plan from the statement cache
+/// after warm-ups of its shape and planned it afresh without; and the
+/// database it ran in.
+fn allocations_of(warm_ups: &[&str], sql: &str, theta: f64, rows: usize) -> (u64, Database) {
     let user = User::new("clerk", "clerk");
-    let request = QueryRequest::new(sql, "lookup").expecting(theta);
+    let request = |sql: &str| QueryRequest::new(sql, "lookup").expecting(theta);
     let mut db = shop(true);
-    let warm = db.query(&user, &request).unwrap();
-    let before = allocations();
-    let response = db.query(&user, &request).unwrap();
+    let mut warm = None;
+    for warm_up in warm_ups {
+        warm = Some(db.query(&user, &request(warm_up)).unwrap());
+    }
+    let hits = |db: &Database| db.metrics_snapshot().counter("plan.cache_hit");
+    let (hits_before, before) = (hits(&db), allocations());
+    let response = db.query(&user, &request(sql)).unwrap();
     let made = allocations() - before;
-    let unrecorded = shop(false).query(&user, &request).unwrap();
+    let unrecorded = shop(false).query(&user, &request(sql)).unwrap();
     assert_eq!(format!("{response:?}"), format!("{unrecorded:?}"), "{sql}");
-    assert_eq!(format!("{response:?}"), format!("{warm:?}"), "{sql}");
+    if warm_ups.last() == Some(&sql) {
+        let warm = warm.map(|w| format!("{w:?}"));
+        assert_eq!(Some(format!("{response:?}")), warm, "{sql}");
+    }
     assert_eq!(response.released.len() + response.withheld, rows, "{sql}");
     assert!(!response.released.is_empty() || rows == 1, "{sql}");
+    let hit = hits(&db) > hits_before;
+    assert_eq!(hit, !warm_ups.is_empty(), "{sql}");
     (made, db)
+}
+
+/// The point SELECT of `lookup` at key `id`.
+fn point(id: u32) -> String {
+    format!("SELECT id, status, amount, note FROM orders WHERE id = {id}")
 }
 
 #[test]
 fn a_point_select_stays_within_its_allocation_budget() {
-    let (made, _) = allocations_of(
-        "SELECT id, status, amount, note FROM orders WHERE id = 123",
-        0.0,
-        1,
+    let point = point(123);
+    let (made, _) = allocations_of(&[&point, &point], &point, 0.0, 1);
+    assert!(made <= 58, "a 1-row point SELECT made {made} allocations");
+}
+
+/// The point SELECT as a fresh database's first query: a statement-cache
+/// miss, which parses, plans, optimises and lowers the query. This and the
+/// next budget are what the planning path answers to. Before the
+/// statement cache, when every query was planned once, the same run made
+/// 169.
+#[test]
+fn a_cold_point_select_stays_within_its_allocation_budget() {
+    let (made, _) = allocations_of(&[], &point(123), 0.0, 1);
+    assert!(
+        made <= 169,
+        "a cold 1-row point SELECT made {made} allocations"
     );
-    assert!(made <= 135, "a 1-row point SELECT made {made} allocations");
+}
+
+/// The point SELECT's shape run a second time, at another key: the run
+/// that learns the shape, by parsing, planning, optimising and lowering
+/// its sentinel copy. Before the statement cache it made 139.
+#[test]
+fn a_point_select_that_learns_its_shape_stays_within_its_allocation_budget() {
+    let (made, _) = allocations_of(&[&point(123)], &point(124), 0.0, 1);
+    assert!(
+        made <= 135,
+        "a learning 1-row point SELECT made {made} allocations"
+    );
+}
+
+/// What `lookup` does: the point SELECT's learned shape again, at another
+/// key. Before the statement cache, when every query was planned afresh,
+/// it made 139.
+#[test]
+fn a_rebound_point_select_stays_within_its_allocation_budget() {
+    let (made, _) = allocations_of(&[&point(123), &point(122)], &point(124), 0.0, 1);
+    assert!(
+        made <= 60,
+        "a rebound 1-row point SELECT made {made} allocations"
+    );
 }
 
 #[test]
 fn a_selective_select_stays_within_its_allocation_budget() {
-    let (made, _) = allocations_of(
-        "SELECT id, amount, note FROM orders WHERE customer_id = 17",
-        0.0,
-        20,
-    );
+    let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
+    let (made, _) = allocations_of(&[selective, selective], selective, 0.0, 20);
     assert!(
-        made <= 194,
+        made <= 123,
         "a 20-row selective SELECT made {made} allocations"
     );
 }
 
 #[test]
 fn an_equi_join_stays_within_its_allocation_budget() {
-    let (made, _) = allocations_of(
-        "SELECT o.id, o.amount, c.region FROM orders o JOIN customers c \
-         ON o.customer_id = c.id WHERE o.customer_id = 17",
-        0.0,
-        20,
-    );
-    assert!(made <= 541, "a 20-row equi-join made {made} allocations");
+    let join = "SELECT o.id, o.amount, c.region FROM orders o JOIN customers c \
+                ON o.customer_id = c.id WHERE o.customer_id = 17";
+    let (made, _) = allocations_of(&[join, join], join, 0.0, 20);
+    assert!(made <= 307, "a 20-row equi-join made {made} allocations");
 }
 
 /// A θ-miss in the exact-search regime: at θ = 1 every withheld row of the
@@ -195,13 +245,10 @@ fn an_equi_join_stays_within_its_allocation_budget() {
 /// finding to the greedy-seeded branch-and-bound.
 #[test]
 fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() {
-    let (made, db) = allocations_of(
-        "SELECT id, amount, note FROM orders WHERE customer_id = 17",
-        1.0,
-        20,
-    );
+    let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
+    let (made, db) = allocations_of(&[selective, selective], selective, 1.0, 20);
     let counters = db.metrics_snapshot().counters;
     let nodes = counters.get("solver.heuristic.nodes");
     assert!(nodes.is_some_and(|&n| n > 0), "{counters:?}");
-    assert!(made <= 345, "a θ = 1 miss made {made} allocations");
+    assert!(made <= 274, "a θ = 1 miss made {made} allocations");
 }
