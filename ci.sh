@@ -76,8 +76,9 @@ stage_smoke_explain() { # EXPLAIN smoke (EXPLAIN on the § 3.1 running example, 
   # Pipe the paper's running-example schema and query through the shell
   # and assert the physical planner's choices show up in the
   # side-by-side plan `EXPLAIN` prints: the residual filter is pushed into
-  # the Proposal scan and the small build side makes the join a nested
-  # loop. Then the index access path, the only stage that sees one: after
+  # the Proposal scan and the TEXT key pair makes the join a hash join,
+  # while a join on a comparison, with no key pair, is a nested loop.
+  # Then the index access path, the only stage that sees one: after
   # `CREATE INDEX`, a two-conjunct query plans an IndexScan whose filter is
   # still the whole predicate, and a statement that raises prints the same
   # error line before and after the index exists. The shell's stderr is
@@ -91,6 +92,7 @@ CREATE TABLE CompanyInfo (company TEXT, income REAL);
 INSERT INTO Proposal VALUES ('ABC', 'p7', 500000.0) WITH CONFIDENCE 0.8;
 INSERT INTO CompanyInfo VALUES ('ABC', 900000.0) WITH CONFIDENCE 0.9;
 EXPLAIN SELECT DISTINCT CompanyInfo.company, income FROM Proposal JOIN CompanyInfo ON Proposal.company = CompanyInfo.company WHERE funding < 1000000.0
+EXPLAIN SELECT proposal FROM Proposal JOIN CompanyInfo ON funding > income
 CREATE TABLE t (grp INT, n INT, s TEXT);
 INSERT INTO t VALUES (0, 7, 'boom'), (1, NULL, NULL);
 SELECT * FROM t WHERE s > 1 AND grp = 1
@@ -107,8 +109,13 @@ EOF
     return 1
   fi
   rm -f "$stderr_file"
-  echo "$plan_out" | grep -q "NestedLoopJoin" || {
-    echo "EXPLAIN smoke: expected NestedLoopJoin in the EXPLAIN output" >&2
+  echo "$plan_out" | grep -qF "HashJoin [#0 = #3]" || {
+    echo "EXPLAIN smoke: expected the § 3.1 join as HashJoin [#0 = #3]" >&2
+    echo "$plan_out" >&2
+    return 1
+  }
+  echo "$plan_out" | grep -qF "NestedLoopJoin [(#2 > #4)]" || {
+    echo "EXPLAIN smoke: expected the comparison join as NestedLoopJoin [(#2 > #4)]" >&2
     echo "$plan_out" >&2
     return 1
   }
@@ -169,7 +176,7 @@ EOF
     echo "$plan_out" >&2
     return 1
   }
-  echo "EXPLAIN smoke OK (nested-loop join, pushed residual filter; index scan keeps the whole predicate, same error across CREATE INDEX; statement cache: $hits hit, a miss after CREATE INDEX)"
+  echo "EXPLAIN smoke OK (hash join on a key pair, nested loop without one, pushed residual filter; index scan keeps the whole predicate, same error across CREATE INDEX; statement cache: $hits hit, a miss after CREATE INDEX)"
 }
 
 stage_trace_smoke() { # causal-trace smoke (.trace on the § 3.1 example -> results/trace_chrome.json)

@@ -2,10 +2,11 @@
 //!
 //! This module turns the optimised logical [`crate::Plan`] into a
 //! [`PhysicalPlan`] — a tree of *concrete* operators with explicit access
-//! paths (table scan vs equality-index scan), join strategies (hash join
-//! vs nested loop, chosen by deterministic cardinality estimates over
-//! [`pcqe_storage::TableStats`]; an index join where the hash join's
-//! build side is a whole indexed table) and pushed-down predicates — and
+//! paths (table scan vs equality-index scan), join strategies (a hash join
+//! wherever the predicate has a hashable key pair, as in the reference
+//! walker, and a nested loop where it has none; an index join where the
+//! hash join's build side is a whole indexed table) and pushed-down
+//! predicates — and
 //! then executes that tree with the same lineage semantics as the logical
 //! reference walker.
 //!
@@ -14,8 +15,7 @@
 //! * [`plan`] — the [`PhysicalPlan`] tree, its schema rules, its
 //!   `EXPLAIN`-grade rendering and [`render_side_by_side`] for the shell's
 //!   `.plan` command;
-//! * [`planner`] — [`lower`], the cost-based lowering, plus the
-//!   [`estimate`] cardinality model that drives it;
+//! * [`planner`] — [`lower`], the rule-based lowering;
 //! * [`vexec`] — [`execute_vectorized_with`] and its profiled, observed
 //!   variant, the one production executor, bit-identical to the logical
 //!   [`crate::execute`] for any lowered plan.
@@ -32,7 +32,7 @@ pub mod planner;
 pub mod vexec;
 
 pub use plan::{render_side_by_side, PhysicalPlan};
-pub use planner::{estimate, lower};
+pub use planner::lower;
 pub use vexec::{execute_vectorized_profiled, execute_vectorized_with};
 
 #[cfg(test)]
@@ -148,14 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn paper_example_lowers_to_nested_loop_on_tiny_inputs() {
+    fn paper_example_lowers_to_a_hash_join() {
         let catalog = paper_db();
         let plan = optimize(&paper_plan(&catalog), &catalog).unwrap();
         let phys = lower(&plan, &catalog).unwrap();
         let text = phys.to_string();
-        // 3×1 rows: a nested loop beats building a hash table. The σ is
+        // A TEXT key pair: hashed, however small the inputs. The σ is
         // pushed into the Proposal scan as a residual.
-        assert!(text.contains("NestedLoopJoin"), "got:\n{text}");
+        assert!(text.contains("HashJoin [#0 = #3]"), "got:\n{text}");
         assert!(text.contains("TableScan Proposal [filter:"), "got:\n{text}");
         assert!(text.contains("TableScan CompanyInfo"), "got:\n{text}");
     }
@@ -286,7 +286,6 @@ mod tests {
                 .and(ScalarExpr::column(3).lt(ScalarExpr::literal(Value::Int(100)))),
         );
         let phys = lower(&plan, &c).unwrap();
-        // 120×120 nested loop costs far more than 120 + 4·120.
         assert!(phys.to_string().contains("HashJoin"), "got:\n{phys}");
         let logical = execute(&plan, &c).unwrap();
         for workers in [1usize, 4] {

@@ -84,7 +84,7 @@ pub enum PhysicalPlan {
     },
     /// Index join: a hash join whose build side is a whole base table that
     /// already keeps an [`pcqe_storage::EqualityIndex`] on one of the key
-    /// columns. Nothing is scanned, tagged or sorted per query: each left
+    /// columns. Nothing is scanned or sorted per query: each left
     /// row probes the index and fetches its matches from the table's row
     /// store, in insertion order. The table is not a child operator — the
     /// node's single input is `left` — and its schema (qualified by

@@ -1,5 +1,4 @@
-//! Lowering logical plans to physical plans with a deterministic cost
-//! model.
+//! Lowering logical plans to physical plans.
 //!
 //! The planner consumes the *optimised* logical plan (selections already
 //! pushed to just above the scans by [`crate::optimize`]) and makes two
@@ -12,22 +11,20 @@
 //!   [`pcqe_storage::EqualityIndex`] — a [`PhysicalPlan::IndexScan`] that
 //!   fetches only the rows the index lists, and still tests the whole
 //!   predicate on each: the index is a source of candidates, not a
-//!   rewrite of the predicate.
-//! * **Join strategies** — a `Join` with hashable equality conjuncts
-//!   becomes a [`PhysicalPlan::HashJoin`] or a
-//!   [`PhysicalPlan::NestedLoopJoin`] depending on estimated input
-//!   cardinalities; without equality conjuncts it is always a nested loop.
-//!   Where the choice is the hash join and its build side is a whole,
-//!   unfiltered base table with an [`pcqe_storage::EqualityIndex`] on one
-//!   of the key columns, the join becomes a [`PhysicalPlan::IndexJoin`]:
-//!   the index *is* the build — the key-sorted table the hash join would
-//!   scan, tag and sort the build side into on every query — so there is
-//!   no cost to weigh: a probe of the index is never dearer than the
-//!   binary search it replaces, and the build is free.
+//!   rewrite of the predicate. Of several usable indexes the one whose key
+//!   keeps the fewest rows by [`pcqe_storage::TableStats`] wins.
+//! * **Join strategies** — the reference walker's rule: a `Join` with
+//!   hashable equality conjuncts becomes a [`PhysicalPlan::HashJoin`]; one
+//!   without (a `REAL` pair, a theta join) and a product a
+//!   [`PhysicalPlan::NestedLoopJoin`]. Where the hash join's build side is
+//!   a whole, unfiltered base table with an [`pcqe_storage::EqualityIndex`]
+//!   on one of the key columns, the join becomes a
+//!   [`PhysicalPlan::IndexJoin`]: the index *is* the build — the key-sorted
+//!   table the hash join would scan and sort the build side into on every
+//!   query — so a probe of the index is never dearer than the binary
+//!   search it replaces, and the build is free.
 //!
 //! # Why every choice is output-identical
-//!
-//! Correctness never depends on the cost model — only running time does:
 //!
 //! * An index lookup returns row positions in insertion order, the exact
 //!   subset a sequential scan + filter would keep (index keys are typed
@@ -46,17 +43,16 @@
 //!   `TEXT`) keeps the table scan. Every candidate meets the whole
 //!   predicate — nothing was taken out of it — so which error is raised,
 //!   and its wording, is the reference's.
-//! * Hash join and nested loop produce identical row order: both emit,
-//!   for each left row in input order, its matching right rows in right
-//!   input order. Only key columns whose type has exact equality
-//!   (`INT`/`TEXT`/`BOOL`) are hashed at all, where `=`'s comparison and
-//!   the hash table's ordered-map equality provably agree (a `REAL` column
-//!   also holds widened `Int`s, which `=` equates with their reals and the
-//!   map does not, so a `REAL` pair stays in the residual). *Errors*: the
-//!   nested loop tests the whole predicate on every pair, a pair with a
-//!   NULL key included (`NULL = k` is unknown, and `AND` goes on to the
-//!   residual), where the hash join never pairs a NULL key; so it
-//!   substitutes only for a join whose residual cannot raise.
+//! * A join is hashed exactly where the reference walker hashes it, on the
+//!   same key pairs ([`split_equi_conjuncts`]), and runs as a nested loop
+//!   exactly where the walker's does, so either way it runs the walker's
+//!   algorithm: for each left row in input order, its matching right rows
+//!   in right input order, a NULL key never hashed. Only key columns whose
+//!   type has exact equality (`INT`/`TEXT`/`BOOL`) are hashed at all,
+//!   where `=`'s comparison and the hash table's ordered-map equality
+//!   provably agree (a `REAL` column also holds widened `Int`s, which `=`
+//!   equates with their reals and the map does not, so a `REAL` pair stays
+//!   in the residual).
 //! * An index join emits what the hash join it replaces would. *Row
 //!   order*: both walk the left rows in input order, and for one left row
 //!   the index's posting list is its matches in insertion order — the
@@ -82,13 +78,7 @@ use crate::expr::{BinaryOp, ScalarExpr};
 use crate::physical::plan::PhysicalPlan;
 use crate::plan::Plan;
 use crate::Result;
-use pcqe_storage::{Catalog, TableStats};
-
-/// Per-row cost multiplier for building the hash table, relative to one
-/// nested-loop predicate evaluation. A build row is tagged with its
-/// partition and then sorted into it by key (`log n` key comparisons), so
-/// it costs several probe comparisons.
-const HASH_BUILD_COST: usize = 4;
+use pcqe_storage::Catalog;
 
 /// Lower an (already optimised) logical plan to a physical plan.
 pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
@@ -120,61 +110,37 @@ pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
             predicate,
         } => {
             let left_schema = left.schema(catalog)?;
-            let right_schema = right.schema(catalog)?;
             let left_arity = left_schema.arity();
             // Same hashability rule as the logical executor.
-            let (equi, residual) = split_equi_conjuncts(predicate, &left_schema, &right_schema);
-            let l = lower(left, catalog)?;
+            let (equi, residual) =
+                split_equi_conjuncts(predicate, &left_schema, &right.schema(catalog)?);
+            let l = Box::new(lower(left, catalog)?);
             let r = lower(right, catalog)?;
             if equi.is_empty() {
-                PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(l),
+                return Ok(PhysicalPlan::NestedLoopJoin {
+                    left: l,
                     right: Box::new(r),
                     predicate: Some(predicate.clone()),
-                }
-            } else {
-                // A nested loop may replace the hash join only where the
-                // residual cannot raise: it tests the whole predicate on
-                // every pair, a pair with a NULL key too.
-                let column_type = |i: usize| match i.checked_sub(left_arity) {
-                    None => left_schema.columns().get(i).map(|c| c.data_type),
-                    Some(j) => right_schema.columns().get(j).map(|c| c.data_type),
-                };
-                let safe = residual
-                    .as_ref()
-                    .is_none_or(|r| r.cannot_raise(&column_type));
-                let lrows = estimate(&l, catalog);
-                let rrows = estimate(&r, catalog);
-                let cost_nl = lrows.saturating_mul(rrows);
-                let cost_hash = lrows.saturating_add(rrows.saturating_mul(HASH_BUILD_COST));
-                if safe && cost_nl < cost_hash {
-                    PhysicalPlan::NestedLoopJoin {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        predicate: Some(predicate.clone()),
-                    }
-                } else {
-                    let indexed = indexed_build_key(&r, &equi, left_arity, catalog);
-                    match (r, indexed) {
-                        (PhysicalPlan::TableScan { table, alias, .. }, Some((column, name))) => {
-                            PhysicalPlan::IndexJoin {
-                                left: Box::new(l),
-                                table,
-                                alias,
-                                column,
-                                column_name: name,
-                                keys: equi,
-                                residual,
-                            }
-                        }
-                        (r, _) => PhysicalPlan::HashJoin {
-                            left: Box::new(l),
-                            right: Box::new(r),
-                            keys: equi,
-                            residual,
-                        },
+                });
+            }
+            match (indexed_build_key(&r, &equi, left_arity, catalog), r) {
+                (Some((column, column_name)), PhysicalPlan::TableScan { table, alias, .. }) => {
+                    PhysicalPlan::IndexJoin {
+                        left: l,
+                        table,
+                        alias,
+                        column,
+                        column_name,
+                        keys: equi,
+                        residual,
                     }
                 }
+                (_, r) => PhysicalPlan::HashJoin {
+                    left: l,
+                    right: Box::new(r),
+                    keys: equi,
+                    residual,
+                },
             }
         }
         Plan::Product { left, right } => PhysicalPlan::NestedLoopJoin {
@@ -287,229 +253,10 @@ fn plan_scan(
     )
 }
 
-/// Estimated output cardinality of a physical operator.
-///
-/// Deterministic integer arithmetic over live table statistics
-/// ([`pcqe_storage::TableStats`]): scans use real row counts; equality
-/// conjuncts on a column with a known NDV divide by that NDV, falling
-/// back to the textbook 1/10 only when no statistic exists; comparisons
-/// use 1/3; hash and nested-loop joins assume 1/10 selectivity over the
-/// cross product, an index join reads the matches per probe off its index
-/// (`rows / ndv`). Estimates steer strategy choice only — never results.
-pub fn estimate(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
-    match plan {
-        PhysicalPlan::TableScan {
-            table, residual, ..
-        } => {
-            let t = catalog.table(table).ok();
-            let base = t.map(|t| t.len()).unwrap_or(0);
-            match residual {
-                Some(p) => predicate_rows(base, p, t.map(|t| t.stats()).as_ref()),
-                None => base,
-            }
-        }
-        PhysicalPlan::IndexScan {
-            table,
-            column,
-            residual,
-            ..
-        } => {
-            let Ok(t) = catalog.table(table) else {
-                return 0;
-            };
-            match residual {
-                // The whole predicate, key conjunct included.
-                Some(p) => predicate_rows(t.len(), p, Some(&t.stats())),
-                None => t.stats().eq_selectivity_rows(*column),
-            }
-        }
-        PhysicalPlan::Filter { input, predicate } => {
-            predicate_rows(estimate(input, catalog), predicate, None)
-        }
-        PhysicalPlan::Project { input, .. } | PhysicalPlan::Sort { input, .. } => {
-            estimate(input, catalog)
-        }
-        PhysicalPlan::HashJoin { left, right, .. } => estimate(left, catalog)
-            .saturating_mul(estimate(right, catalog))
-            .div_ceil(10),
-        PhysicalPlan::IndexJoin {
-            left,
-            table,
-            column,
-            ..
-        } => {
-            let table = catalog.table(table);
-            let per_probe = table.map_or(0, |t| t.stats().eq_selectivity_rows(*column));
-            estimate(left, catalog).saturating_mul(per_probe)
-        }
-        PhysicalPlan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-        } => {
-            let cross = estimate(left, catalog).saturating_mul(estimate(right, catalog));
-            match predicate {
-                Some(p) => predicate_rows(cross, p, None),
-                None => cross,
-            }
-        }
-        PhysicalPlan::Union { left, right } => {
-            estimate(left, catalog).saturating_add(estimate(right, catalog))
-        }
-        PhysicalPlan::Difference { left, .. } => estimate(left, catalog),
-        PhysicalPlan::Limit { input, count } => estimate(input, catalog).min(*count),
-        PhysicalPlan::Aggregate { input, .. } => estimate(input, catalog).div_ceil(10).max(1),
-    }
-}
-
-/// Scale a cardinality by per-conjunct selectivity guesses. When `stats`
-/// are available (the predicate reads a base table directly), an
-/// equality conjunct `column = literal` on a column with a known NDV
-/// keeps `rows / ndv` rows — the uniform-distribution estimate the index
-/// path already uses — instead of the blind 1/10. An NDV of 2 then
-/// correctly predicts half the rows surviving where 1/10 would
-/// undercount five-fold and steer the join chooser toward a nested loop
-/// that is quadratically wrong on the real cardinality.
-fn predicate_rows(base: usize, predicate: &ScalarExpr, stats: Option<&TableStats>) -> usize {
-    let mut rows = base;
-    for c in predicate.conjuncts() {
-        if let ScalarExpr::Binary { op, .. } = c {
-            rows = match op {
-                BinaryOp::Eq => {
-                    let ndv = stats
-                        .zip(c.column_cmp_literal())
-                        .and_then(|(s, cmp)| s.distinct_keys(cmp.column));
-                    match ndv {
-                        Some(n) if n > 0 => rows.div_ceil(n),
-                        _ => rows.div_ceil(10),
-                    }
-                }
-                BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => rows.div_ceil(3),
-                _ => rows,
-            };
-        }
-    }
-    rows.min(base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcqe_storage::{Column, DataType, Schema, Value};
-
-    /// 36 orders (cust = i%6, region = i%2, flag = i%3) joined to 5
-    /// customers. With both filter columns indexed the planner knows
-    /// `flag = 1` keeps 12 rows (NDV 3) where `region = 0` keeps 18
-    /// (NDV 2), so the index scan takes `flag = 1`, the later conjunct;
-    /// the residual is the whole predicate either way.
-    fn crossover_catalog(index_region: bool) -> Catalog {
-        let mut c = Catalog::new();
-        c.create_table(
-            "orders",
-            Schema::new(vec![
-                Column::new("cust", DataType::Int),
-                Column::new("region", DataType::Int),
-                Column::new("flag", DataType::Int),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        c.create_table(
-            "customers",
-            Schema::new(vec![Column::new("id", DataType::Int)]).unwrap(),
-        )
-        .unwrap();
-        for i in 0..36i64 {
-            c.insert(
-                "orders",
-                vec![Value::Int(i % 6), Value::Int(i % 2), Value::Int(i % 3)],
-                0.9,
-            )
-            .unwrap();
-        }
-        for id in 0..5i64 {
-            c.insert("customers", vec![Value::Int(id)], 0.9).unwrap();
-        }
-        c.create_index("orders", "flag").unwrap();
-        if index_region {
-            c.create_index("orders", "region").unwrap();
-        }
-        c
-    }
-
-    /// The filtered-orders ⋈ customers plan, selections already pushed
-    /// down as the optimiser would leave them.
-    fn crossover_plan() -> Plan {
-        let filtered = Plan::scan("orders").select(
-            ScalarExpr::column(1)
-                .eq(ScalarExpr::literal(Value::Int(0)))
-                .and(ScalarExpr::column(2).eq(ScalarExpr::literal(Value::Int(1)))),
-        );
-        filtered.join(
-            Plan::scan("customers"),
-            ScalarExpr::column(0).eq(ScalarExpr::column(3)),
-        )
-    }
-
-    /// NDV-aware residual selectivity flips the join strategy across the
-    /// hash/nested-loop crossover. With NDV(region) = 2 known, 6 of the
-    /// 12 index-scanned rows survive the residual and the hash join wins
-    /// (30 = 6·5 nested-loop probes vs 26 = 6 + 4·5 build+probe); blind
-    /// to the statistic, the old 1/10 guess predicted 2 rows and picked
-    /// the nested loop (10 < 22). Both strategies return identical rows —
-    /// only speed is at stake — but the estimate must use what it knows.
-    #[test]
-    fn ndv_aware_selectivity_crosses_the_join_strategy_over() {
-        let with_stats = crossover_catalog(true);
-        let phys = lower(&crossover_plan(), &with_stats).unwrap();
-        assert!(
-            phys.to_string().contains("HashJoin"),
-            "NDV-aware estimate must pick the hash join:\n{phys}"
-        );
-        assert!(
-            phys.to_string()
-                .contains("IndexScan orders (flag = 1) [filter: ((#1 = 0) AND (#2 = 1))]"),
-            "the more selective index, the whole predicate its residual:\n{phys}"
-        );
-
-        let without_stats = crossover_catalog(false);
-        let phys = lower(&crossover_plan(), &without_stats).unwrap();
-        assert!(
-            phys.to_string().contains("NestedLoopJoin"),
-            "without region stats the 1/10 fallback keeps the nested loop:\n{phys}"
-        );
-    }
-
-    /// The estimate itself — the whole predicate over the table, which is
-    /// what the index scan's residual is: 36 rows → 18 past `region = 0`
-    /// (NDV 2) → 6 past `flag = 1` (NDV 3), against the flat-guess 2 when
-    /// the region index (and hence its NDV) is absent.
-    #[test]
-    fn residual_equality_estimates_divide_by_known_ndv() {
-        let with_stats = crossover_catalog(true);
-        let scan = lower(
-            &Plan::scan("orders").select(
-                ScalarExpr::column(1)
-                    .eq(ScalarExpr::literal(Value::Int(0)))
-                    .and(ScalarExpr::column(2).eq(ScalarExpr::literal(Value::Int(1)))),
-            ),
-            &with_stats,
-        )
-        .unwrap();
-        assert_eq!(estimate(&scan, &with_stats), 6);
-
-        let without_stats = crossover_catalog(false);
-        let scan = lower(
-            &Plan::scan("orders").select(
-                ScalarExpr::column(1)
-                    .eq(ScalarExpr::literal(Value::Int(0)))
-                    .and(ScalarExpr::column(2).eq(ScalarExpr::literal(Value::Int(1)))),
-            ),
-            &without_stats,
-        )
-        .unwrap();
-        assert_eq!(estimate(&scan, &without_stats), 2);
-    }
 
     /// `t(k INT, n INT, a INT, s TEXT, status TEXT)`, 24 rows, `k` (NDV 6)
     /// and `status` (NDV 2) indexed.

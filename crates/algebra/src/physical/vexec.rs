@@ -50,18 +50,15 @@
 //!    same `or_merge`/`sort_rows` code as the reference; aggregates and
 //!    joins share `eval_aggregate`/`eval_items`/`joined`, generic over
 //!    [`Row`].
-//! 3. **Partitioned hash state stays ordered.** The hash-join build side
-//!    is hash-partitioned by [`pcqe_storage::partition`]'s deterministic
-//!    FNV-1a (partition count capped by the build table's NDV when the
-//!    catalog knows it); each partition is the run of its build-row
-//!    indexes stable-sorted by key — keys are compared where they lie,
-//!    never copied — so the rows of one key come in ascending row
-//!    order: the match list of the single ordered map the reference
-//!    builds. An index join skips the build: its build side is a whole
-//!    stored table whose equality index already is that structure — per
-//!    key, the rows that hold it in insertion order, NULLs left out — so
-//!    both joins run one probe loop and differ only in where a left
-//!    key's matches come from.
+//! 3. **Hash state stays ordered.** The hash-join build is one table: the
+//!    build side's joinable rows, in row order, stable-sorted by key —
+//!    keys are compared where they lie, never copied — so the rows of one
+//!    key come in ascending row order: the match list of the ordered map
+//!    the reference builds. An index join skips the build: its build side
+//!    is a whole stored table whose equality index already is that
+//!    structure — per key, the rows that hold it in insertion order, NULLs
+//!    left out — so both joins run one probe loop and differ only in where
+//!    a left key's matches come from.
 //!
 //! All observation goes to one optional [`pcqe_par::Observer`] — batch
 //! reports, and `op:<label>` spans only when it is enabled — post-batch on
@@ -79,12 +76,9 @@ use crate::plan::{AggItem, ProjItem};
 use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
-use pcqe_par::morsel::{map_morsels, try_map_morsels};
+use pcqe_par::morsel::try_map_morsels;
 use pcqe_par::{Observer, Parallelism};
-use pcqe_storage::{
-    morsel_rows, partition_count, partition_of, Catalog, EqualityIndex, StoredTuple, Table, Tuple,
-    Value,
-};
+use pcqe_storage::{morsel_rows, Catalog, EqualityIndex, StoredTuple, Table, Tuple, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -452,7 +446,7 @@ fn right_key_cols(
 /// with it on every key, in right-input order — so per-left match lists
 /// flattened in input order reproduce the reference's sequential loop,
 /// first error in row order included. Where the matches come from is the
-/// caller's: [`hash_join`]'s per-query partition tables, or
+/// caller's: [`hash_join`]'s per-query build table, or
 /// [`index_join`]'s stored index. Yields the number of right rows matched
 /// beside the output rows (the pairs that also pass `residual`).
 fn probe<L: Row, R: Row>(
@@ -498,70 +492,32 @@ fn hash_join<L: Row, R: Row>(
     r: &[R],
     keys: &[(usize, usize)],
     left_arity: usize,
-    parts: usize,
     residual: &Option<ScalarExpr>,
     ctx: &Ctx<'_>,
 ) -> Result<Vec<DerivedTuple>> {
     let lcols = left_key_cols(keys);
     let rcols = right_key_cols(keys, left_arity, None)?;
-    let rkey = |i: usize| {
-        r.get(i)
-            .into_iter()
-            .flat_map(|row| key_of(row.values(), &rcols))
-    };
-    // Tag every build row with its partition (`None`: a NULL key),
-    // morsel-parallel with first-error-in-row-order — the same error the
-    // reference's sequential build loop reports. A partition id fits a
-    // byte: `partition_count` stops at `MAX_PARTITIONS`.
-    let tags: Vec<Option<u8>> = pcqe_par::try_map_observed(
-        ctx.par,
-        r,
-        |rr| -> Result<Option<u8>> {
-            let values = rr.values();
-            if !joinable(values, &rcols)? {
-                return Ok(None);
-            }
-            u8::try_from(partition_of(key_of(values, &rcols), parts))
-                .map(Some)
-                .map_err(|_| AlgebraError::Plan(format!("{parts} join partitions exceed a byte")))
-        },
-        ctx.listener,
-    )?;
-    // Build the partitions in parallel: each takes its own rows' indexes
-    // in ascending order and stable-sorts them by key, so the run of any
-    // key is identical to the match list of the single ordered map the
-    // reference builds (PCQE-D001: ordered, never a seeded hash map).
-    let part_ids: Vec<usize> = (0..parts).collect();
-    let tables: Vec<Vec<usize>> = map_morsels(
-        ctx.par,
-        &part_ids,
-        r.len(),
-        |_, &p| {
-            let mut table: Vec<usize> = tags
-                .iter()
-                .enumerate()
-                .filter_map(|(i, tag)| (tag.map(usize::from) == Some(p)).then_some(i))
-                .collect();
-            table.sort_by(|&a, &b| rkey(a).cmp(rkey(b)));
-            table
-        },
-        ctx.listener,
-    );
-    // A left key's matches are its run in its partition's table.
+    // The build, in one pass on the calling thread: the joinable rows in
+    // row order — the first out-of-range key raises, as the reference's
+    // build loop does — stable-sorted by key, so the run of any key is the
+    // match list of the ordered map the reference builds (PCQE-D001:
+    // ordered, never a seeded hash map).
+    let mut table = Vec::with_capacity(r.len());
+    for rr in r {
+        if joinable(rr.values(), &rcols)? {
+            table.push(rr);
+        }
+    }
+    table.sort_by(|a, b| key_of(a.values(), &rcols).cmp(key_of(b.values(), &rcols)));
+    // A left key's matches are its run in the table.
     let matches = |lr: &L, emit: &mut dyn FnMut(&R) -> Result<()>| {
         let lkey = || key_of(lr.values(), &lcols);
-        let Some(table) = tables.get(partition_of(lkey(), parts)) else {
-            return Ok(());
-        };
-        let first = table.partition_point(|&ri| rkey(ri).lt(lkey()));
-        for &ri in table.iter().skip(first) {
-            if rkey(ri).ne(lkey()) {
+        let first = table.partition_point(|rr| key_of(rr.values(), &rcols).lt(lkey()));
+        for rr in table.iter().skip(first) {
+            if key_of(rr.values(), &rcols).ne(lkey()) {
                 break;
             }
-            emit(
-                r.get(ri)
-                    .ok_or_else(|| AlgebraError::Plan("hash table entry out of range".into()))?,
-            )?;
+            emit(rr)?;
         }
         Ok(())
     };
@@ -696,31 +652,6 @@ fn aggregate<R: Row>(
     Ok(out)
 }
 
-/// Single-key NDV of the hash-join build side, when the catalog knows
-/// it: a base-table scan with table statistics for the key column, or an
-/// index scan pinned to one key value. Used to cap the partition count —
-/// with `d` distinct keys, more than `d` partitions cannot help.
-fn build_side_ndv(
-    right: &PhysicalPlan,
-    keys: &[(usize, usize)],
-    left_arity: usize,
-    catalog: &Catalog,
-) -> Option<usize> {
-    if keys.len() != 1 {
-        return None;
-    }
-    let rc = keys.first()?.1.checked_sub(left_arity)?;
-    match right {
-        PhysicalPlan::TableScan { table, .. } => {
-            // A residual can only shrink the distinct-key set, so the
-            // base table's NDV stays a valid upper bound.
-            catalog.table(table).ok()?.stats().distinct_keys(rc)
-        }
-        PhysicalPlan::IndexScan { column, .. } if *column == rc => Some(1),
-        _ => None,
-    }
-}
-
 /// Execute one node; returns `(rows consumed from direct inputs, morsels
 /// of stored rows emitted, output)` where `rows_in` for a scan is the rows
 /// read from storage.
@@ -783,12 +714,8 @@ fn run_v_node<'c>(
             let left_arity = left.schema(catalog)?.arity();
             let l = run_v(left, ctx, depth + 1, prof)?;
             let r = run_v(right, ctx, depth + 1, prof)?;
-            let parts = partition_count(
-                r.row_count(),
-                build_side_ndv(right, keys, left_arity, catalog),
-            );
             let rows = read_rows!(&l, l => read_rows!(&r, r => {
-                hash_join(l, r, keys, left_arity, parts, residual, ctx)?
+                hash_join(l, r, keys, left_arity, residual, ctx)?
             }));
             (l.row_count() + r.row_count(), VOut::Rows(rows))
         }

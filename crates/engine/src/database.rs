@@ -1416,7 +1416,7 @@ mod tests {
             "got:\n{text}"
         );
         assert!(
-            text.contains("NestedLoopJoin") && text.contains("(rows_in=3 rows_out=2"),
+            text.contains("HashJoin [#0 = #3] (rows_in=3 rows_out=2"),
             "got:\n{text}"
         );
         assert!(
@@ -1441,7 +1441,7 @@ mod tests {
         let text = explained(&mut paper_db(), &format!("EXPLAIN {QUERY}"));
         assert!(text.contains("LOGICAL"), "got:\n{text}");
         assert!(text.contains("PHYSICAL"), "got:\n{text}");
-        assert!(text.contains("NestedLoopJoin"), "got:\n{text}");
+        assert!(text.contains("HashJoin [#0 = #3]"), "got:\n{text}");
         assert!(text.contains("TableScan Proposal [filter:"), "got:\n{text}");
     }
 

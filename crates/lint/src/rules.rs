@@ -233,9 +233,9 @@ pub struct FileClass {
 /// modules are listed individually: equality-index postings order and
 /// cardinality estimates both feed physical plan choice and row order,
 /// so hash iteration there would silently change plans or results. The
-/// partitioning module joins them: the partition hash decides which
-/// build table every join key lands in — hashing or float drift there
-/// changes join output. So does the column image: a table scan drops
+/// partitioning module joins them: it cuts scans into morsels, and its
+/// `stable_hash` is what replayed answers are digested with — hashing or
+/// float drift there changes both. So does the column image: a table scan drops
 /// rows on what its slots say, so hash iteration or float drift in how
 /// they are laid out or read changes which rows a query returns. (The
 /// image compares no floats itself: the comparison that decides a slot

@@ -43,7 +43,7 @@ pub use catalog::Catalog;
 pub use error::StorageError;
 pub use image::Image;
 pub use index::EqualityIndex;
-pub use partition::{morsel_count, morsel_rows, partition_count, partition_of, stable_hash};
+pub use partition::{morsel_rows, stable_hash};
 pub use schema::{Column, Schema};
 pub use stats::{ColumnStats, TableStats};
 pub use table::{StoredTuple, Table};

@@ -1,4 +1,4 @@
-//! Table statistics consumed by the cost-based physical planner.
+//! Table statistics: the physical planner ranks usable indexes by them.
 //!
 //! Statistics are derived on demand from the table itself (row count) and
 //! its equality indexes (distinct-key counts), so they are always current:

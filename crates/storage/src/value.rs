@@ -105,14 +105,6 @@ impl Value {
         }
     }
 
-    /// Boolean view of the value, `None` otherwise.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String view of the value, `None` otherwise.
     pub fn as_text(&self) -> Option<&str> {
         match self {

@@ -111,21 +111,13 @@ struct JoinCase {
     index_on: &'static str,
 }
 
-/// Which join operator the planner chose with and without the index.
-#[derive(Debug, PartialEq)]
-enum Chosen {
-    NestedLoop,
-    IndexAndHash,
-}
-
 /// Hold the index join (over the spec with the case's index) and the hash
 /// join (over the spec without indexes) to the reference walker's outcome
 /// — rows, order, lineage and confidence bits, or the error string — at
 /// 1, 4 and host workers; and hold the planner to its rule: with the
 /// index it lowers the join to exactly this index join, without to
-/// exactly this hash join, unless the inputs are small enough for a
-/// nested loop, which they then are either way.
-fn check(case: &JoinCase, spec: &DbSpec, context: &str) -> Chosen {
+/// exactly this hash join, however small the inputs.
+fn check(case: &JoinCase, spec: &DbSpec, context: &str) {
     let (table, alias) = case.right;
     let plain = spec.catalog(false);
     let mut with_index = spec.clone();
@@ -182,16 +174,8 @@ fn check(case: &JoinCase, spec: &DbSpec, context: &str) -> Chosen {
         }
     }
 
-    let with_index = lower(&logical, &indexed).unwrap();
-    let without = lower(&logical, &plain).unwrap();
-    if with_index.node_label().starts_with("NestedLoopJoin") {
-        assert_eq!(with_index, without, "{context}");
-        Chosen::NestedLoop
-    } else {
-        assert_eq!(with_index, index_join, "{context}");
-        assert_eq!(without, hash_join, "{context}");
-        Chosen::IndexAndHash
-    }
+    assert_eq!(lower(&logical, &indexed).unwrap(), index_join, "{context}");
+    assert_eq!(lower(&logical, &plain).unwrap(), hash_join, "{context}");
 }
 
 fn col(i: usize) -> ScalarExpr {
@@ -200,7 +184,6 @@ fn col(i: usize) -> ScalarExpr {
 
 #[test]
 fn index_join_matches_the_reference_and_the_hash_join_on_random_tables() {
-    let (mut nested, mut index) = (0, 0);
     for_each_case(CASES, 0x2011_0003, |rng| {
         // NULL keys on both sides, duplicate keys on both sides.
         let spec = random_l_and_r(rng);
@@ -212,14 +195,8 @@ fn index_join_matches_the_reference_and_the_hash_join_on_random_tables() {
             residual,
             index_on: "k",
         };
-        let context = format!("{spec:?}");
-        match check(&case, &spec, &context) {
-            Chosen::NestedLoop => nested += 1,
-            Chosen::IndexAndHash => index += 1,
-        }
+        check(&case, &spec, &format!("{spec:?}"));
     });
-    // Tiny inputs keep the nested loop; the rest take the index.
-    assert!(nested > 20 && index > 20, "{nested} / {index}");
 }
 
 #[test]
@@ -244,7 +221,7 @@ fn index_join_lists_a_key_s_matches_in_insertion_order() {
         residual: None,
         index_on: "k",
     };
-    assert_eq!(check(&case, &spec, "duplicates"), Chosen::IndexAndHash);
+    check(&case, &spec, "duplicates");
     let indexed = spec.catalog(true);
     let physical = lower(
         &Plan::scan("l").join(Plan::scan("r"), col(0).eq(col(2))),
@@ -328,7 +305,7 @@ fn index_join_over_text_and_bool_keys_and_a_second_unindexed_key() {
                 index_on,
             };
             let context = format!("keys {keys:?}, index on {index_on}");
-            assert_eq!(check(&case, &spec, &context), Chosen::IndexAndHash);
+            check(&case, &spec, &context);
         }
     }
     // The joins are not vacuous: the three-key one still finds partners.
@@ -372,7 +349,7 @@ fn index_join_raises_the_residual_s_error_for_the_first_matched_pair() {
         residual: Some(col(3).ge(lit(20)).and(col(1).gt(lit(1)))),
         index_on: "k",
     };
-    assert_eq!(check(&case, &spec, "residual error"), Chosen::IndexAndHash);
+    check(&case, &spec, "residual error");
     let logical = Plan::scan("l").join(
         Plan::scan("r"),
         col(0).eq(col(2)).and(case.residual.clone().unwrap()),
@@ -412,7 +389,7 @@ fn index_join_with_an_empty_left_input_and_through_a_self_join() {
         residual: Some(col(1).lt(col(3))),
         index_on: "k",
     };
-    assert_eq!(check(&self_join, &spec, "self-join"), Chosen::IndexAndHash);
+    check(&self_join, &spec, "self-join");
     let indexed = spec.index("k").catalog(true);
     let physical = lower(
         &Plan::scan_as("r", "a").join(
@@ -446,10 +423,7 @@ fn index_join_compares_a_second_key_pair_on_the_indexed_column() {
         residual: None,
         index_on: "k",
     };
-    assert_eq!(
-        check(&case, &spec, "two pairs, one column"),
-        Chosen::IndexAndHash
-    );
+    check(&case, &spec, "two pairs, one column");
     let logical = Plan::scan("l").join(Plan::scan("r"), col(0).eq(col(2)).and(col(1).eq(col(2))));
     // i % 5 = i % 4 for i % 20 in 0..4: 8 left rows, 8 partners each.
     assert_eq!(execute(&logical, &spec.catalog(false)).unwrap().len(), 64);
@@ -501,14 +475,15 @@ fn the_planner_picks_the_index_join_only_where_its_rule_allows() {
         label(&both, &indexed),
         "IndexJoin q (k) [#1 = #3] [filter: (#0 = #2)]"
     );
-    // Not an equi-join ⇒ nested loop; and tiny inputs ⇒ nested loop, index
-    // or no index.
+    // Not an equi-join ⇒ nested loop. Tiny inputs change nothing: no row
+    // count is read.
     let theta = join(Plan::scan("r"), col(0).le(col(2)));
     assert!(label(&theta, &indexed).starts_with("NestedLoopJoin"));
     let tiny = [(Some(1), 1), (Some(2), 2)];
     let tiny = l_and_r(kv(&tiny), kv(&tiny)).index("k");
-    for indexed in [true, false] {
-        let label = label(&whole, &tiny.catalog(indexed));
-        assert!(label.starts_with("NestedLoopJoin"), "{label}");
-    }
+    assert_eq!(
+        label(&whole, &tiny.catalog(true)),
+        "IndexJoin r (k) [#0 = #2]"
+    );
+    assert_eq!(label(&whole, &tiny.catalog(false)), "HashJoin [#0 = #2]");
 }

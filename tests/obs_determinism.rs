@@ -215,9 +215,9 @@ fn explain_analyze_counts_match_actual_operator_sizes() {
     }
     // The running example's true operator sizes under the physical
     // planner: the funding filter is pushed into the Proposal scan (both
-    // rows pass), the tiny join stays nested-loop and pairs them with the
-    // one CompanyInfo row, and DISTINCT merges the two derivations into
-    // one result.
+    // rows pass), the hash join on `company` pairs them with the one
+    // CompanyInfo row, and DISTINCT merges the two derivations into one
+    // result.
     assert!(
         text.contains("TableScan Proposal [filter: (#2 < 1000000)] (rows_in=2 rows_out=2"),
         "{text}"
@@ -226,8 +226,10 @@ fn explain_analyze_counts_match_actual_operator_sizes() {
         text.contains("TableScan CompanyInfo (rows_in=1 rows_out=1"),
         "{text}"
     );
-    assert!(text.contains("NestedLoopJoin"), "{text}");
-    assert!(text.contains("(rows_in=3 rows_out=2"), "{text}");
+    assert!(
+        text.contains("HashJoin [#0 = #3] (rows_in=3 rows_out=2"),
+        "{text}"
+    );
     assert!(
         text.contains("Project DISTINCT [company, income] (rows_in=2 rows_out=1"),
         "{text}"
@@ -468,7 +470,13 @@ fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
 /// The two `plan.cache_*` lines came with the statement cache, every other
 /// line unchanged: the first join and the first paper query miss, the
 /// re-query and both batch members hit (the narrow join has the join's
-/// shape), and the what-if preview hits without counting.
+/// shape), and the what-if preview hits without counting. When the paper
+/// query's join became a hash join (it was a nested loop on its three
+/// rows), the two-worker overrides moved, and only they: `par.chunks` and
+/// `par.chunks_claimed` 45 → 43 and `par.worker_busy_seconds` 28 → 26.
+/// The nested loop cut its two left rows into two chunks, one a lane; the
+/// hash join's probe takes them as one morsel, on one lane, in each of the
+/// query's two recorded runs. At one worker both were one chunk.
 #[test]
 fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
     for workers in [1, 2] {
@@ -477,11 +485,11 @@ fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
         let pinned: Vec<String> = PINNED_METRICS
             .iter()
             .map(|line| match (workers, *line) {
-                (2, "counter par.chunks = 21") => "counter par.chunks = 45",
-                (2, "counter par.chunks_claimed = 21") => "counter par.chunks_claimed = 45",
+                (2, "counter par.chunks = 21") => "counter par.chunks = 43",
+                (2, "counter par.chunks_claimed = 21") => "counter par.chunks_claimed = 43",
                 (2, "gauge par.workers = 1") => "gauge par.workers = 2",
                 (2, "histogram par.worker_busy_seconds count = 21") => {
-                    "histogram par.worker_busy_seconds count = 28"
+                    "histogram par.worker_busy_seconds count = 26"
                 }
                 _ => line,
             })
@@ -545,7 +553,7 @@ const PINNED_METRICS: [&str; 47] = [
 
 const PINNED_EXPLAIN_PAPER: &str = "\
 Project DISTINCT [company, income] (rows_in=2 rows_out=1 lineage_nodes=7)
-  NestedLoopJoin [(#0 = #3)] (rows_in=3 rows_out=2 lineage_nodes=6)
+  HashJoin [#0 = #3] (rows_in=3 rows_out=2 lineage_nodes=6)
     TableScan Proposal [filter: (#2 < 1000000)] (rows_in=2 rows_out=2 lineage_nodes=2 batches=1)
     TableScan CompanyInfo (rows_in=1 rows_out=1 lineage_nodes=1 batches=1)
 ";

@@ -185,10 +185,17 @@ fn vectorized_engine_matches_the_tuple_at_a_time_reference() {
 /// became one dispatcher, so the chunked map's move onto the morsel loop
 /// is pinned to the old scheduler's chunking batch for batch.
 ///
+/// The hash join builds its table in one pass on the calling thread: the
+/// tag pass and the partition build it once dispatched are gone, two
+/// batches and the 128 items they carried (parent → now, un-indexed, at
+/// 1/2/4 workers: `distinct` 7 batches, 26 258 items, 23/37/53 chunks →
+/// 5, 26 130, 21/28/36; `hash_join` 14, 13 312, 30/44/60 → 12, 13 184,
+/// 28/35/43).
+///
 /// With an index on `sensors.id` the hash join becomes an index join, and
-/// the pinned counts say what that saves without a clock: the right scan,
-/// the tag pass and the partition build no longer dispatch (three batches
-/// and the 192 items they carried), and the plan has one operator fewer.
+/// the pinned counts say what that saves without a clock: the right scan
+/// no longer dispatches (one batch and the 64 items it carried), and the
+/// plan has one operator fewer.
 #[test]
 fn scheduler_structure_is_pinned_per_worker_count() {
     let distinct = "SELECT DISTINCT r.sensor FROM readings r JOIN sensors s \
@@ -198,12 +205,12 @@ fn scheduler_structure_is_pinned_per_worker_count() {
     // (query, sensors.id indexed, workers, par.batches, par.items, par.chunks,
     // exec.operators)
     let pinned: [(&str, bool, usize, u64, u64, u64, u64); 9] = [
-        (distinct, false, 1, 7, 26_258, 23, 4),
-        (distinct, false, 2, 7, 26_258, 37, 4),
-        (distinct, false, 4, 7, 26_258, 53, 4),
-        (hash_join, false, 1, 14, 13_312, 30, 4),
-        (hash_join, false, 2, 14, 13_312, 44, 4),
-        (hash_join, false, 4, 14, 13_312, 60, 4),
+        (distinct, false, 1, 5, 26_130, 21, 4),
+        (distinct, false, 2, 5, 26_130, 28, 4),
+        (distinct, false, 4, 5, 26_130, 36, 4),
+        (hash_join, false, 1, 12, 13_184, 28, 4),
+        (hash_join, false, 2, 12, 13_184, 35, 4),
+        (hash_join, false, 4, 12, 13_184, 43, 4),
         (hash_join, true, 1, 11, 13_120, 27, 3),
         (hash_join, true, 2, 11, 13_120, 34, 3),
         (hash_join, true, 4, 11, 13_120, 42, 3),

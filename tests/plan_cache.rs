@@ -174,53 +174,51 @@ fn create_index_invalidates_a_cached_plan() {
     }
 }
 
-/// Row counts steer the join strategy, so inserts invalidate too: one row a
-/// side makes a nested loop, twenty a hash join, and at each stage the
-/// cached database explains what a fresh one does.
+/// Row counts and distinct keys steer the access path, so inserts
+/// invalidate too: of two indexed equality conjuncts the index scan takes
+/// the one whose key keeps fewer rows — `a = …` while `b` holds one value
+/// over four rows, `b = 0` once twenty more rows give `b` twenty-one — and
+/// at each stage the cached database explains what a fresh one does.
 #[test]
-fn inserts_that_flip_the_join_strategy_invalidate_a_cached_plan() {
-    let sql = |m: i64| format!("SELECT a.n, b.m FROM a JOIN b ON a.k = b.k WHERE b.m < {m}");
+fn inserts_that_change_the_index_scan_s_key_invalidate_a_cached_plan() {
+    let sql = |a: i64| format!("SELECT n FROM t WHERE a = {a} AND b = 0");
     let rows = |db: &mut Database, from: i64, to: i64| {
         for i in from..to {
-            for table in ["a", "b"] {
-                db.execute(&format!("INSERT INTO {table} VALUES ({}, {i})", i % 4))
-                    .unwrap();
-            }
+            let b = if i < 4 { 0 } else { i };
+            db.execute(&format!("INSERT INTO t VALUES ({}, {b}, {i})", i % 4))
+                .unwrap();
         }
     };
-    let tables = |workers| {
+    let table = |workers| {
         let mut db = Database::new(config(workers));
-        db.execute("CREATE TABLE a (k INT, n INT)").unwrap();
-        db.execute("CREATE TABLE b (k INT, m INT)").unwrap();
+        db.execute("CREATE TABLE t (a INT, b INT, n INT)").unwrap();
+        db.execute("CREATE INDEX ON t (a)").unwrap();
+        db.execute("CREATE INDEX ON t (b)").unwrap();
         db.add_policy(ConfidencePolicy::new("analyst", "research", 0.3).unwrap());
         db
     };
     for workers in WORKERS {
-        let mut db = tables(workers);
+        let mut db = table(workers);
         let fresh = |to| {
-            let mut fresh = tables(workers);
+            let mut fresh = table(workers);
             rows(&mut fresh, 0, to);
             fresh
         };
-        rows(&mut db, 0, 1);
-        answer(&mut db, &sql(5));
-        let nested = explain(&mut db, &sql(6));
-        assert!(nested.contains("NestedLoopJoin"), "{nested}");
+        rows(&mut db, 0, 4);
+        answer(&mut db, &sql(1));
+        let by_a = explain(&mut db, &sql(2));
+        assert!(by_a.contains("IndexScan t (a = 2)"), "{by_a}");
+        assert_eq!(by_a, explain(&mut fresh(4), &sql(2)), "{workers} worker(s)");
+        rows(&mut db, 4, 24);
+        let by_b = explain(&mut db, &sql(3));
+        assert!(by_b.contains("IndexScan t (b = 0)"), "{by_b}");
+        let got = answer(&mut db, &sql(3));
         assert_eq!(
-            nested,
-            explain(&mut fresh(1), &sql(6)),
+            by_b,
+            explain(&mut fresh(24), &sql(3)),
             "{workers} worker(s)"
         );
-        rows(&mut db, 1, 20);
-        let hashed = explain(&mut db, &sql(7));
-        assert!(hashed.contains("HashJoin"), "{hashed}");
-        let got = answer(&mut db, &sql(7));
-        assert_eq!(
-            hashed,
-            explain(&mut fresh(20), &sql(7)),
-            "{workers} worker(s)"
-        );
-        assert_eq!(got, answer(&mut fresh(20), &sql(7)), "{workers} worker(s)");
+        assert_eq!(got, answer(&mut fresh(24), &sql(3)), "{workers} worker(s)");
         assert_eq!(lookups(&db), (0, 2), "{workers} worker(s)");
     }
 }

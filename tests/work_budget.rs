@@ -240,6 +240,24 @@ fn an_equi_join_stays_within_its_allocation_budget() {
     assert!(made <= 307, "a 20-row equi-join made {made} allocations");
 }
 
+/// The equi-join with a filter on its build side, which keeps it a hash
+/// join: the `customers` scan is filtered, so the index on `customers.id`
+/// cannot stand in for the build, and the join builds its table per query.
+/// With the build's partition tag pass and per-partition tables it made
+/// 327; one sorted table makes 316.
+#[test]
+fn a_hash_join_stays_within_its_allocation_budget() {
+    let join = "SELECT o.id, o.amount, c.region FROM orders o JOIN customers c \
+                ON o.customer_id = c.id WHERE o.customer_id = 17 AND c.region = 'region-05'";
+    let (made, mut db) = allocations_of(&[join, join], join, 0.0, 20);
+    let plan = match db.execute(&format!("EXPLAIN {join}")).unwrap() {
+        pcqe::engine::StatementOutcome::Explained(text) => text,
+        other => panic!("{other:?}"),
+    };
+    assert!(plan.contains("HashJoin"), "{plan}");
+    assert!(made <= 316, "a 20-row hash join made {made} allocations");
+}
+
 /// A θ-miss in the exact-search regime: at θ = 1 every withheld row of the
 /// selective SELECT is wanted, and its few base tuples send strategy
 /// finding to the greedy-seeded branch-and-bound.
