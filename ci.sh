@@ -258,13 +258,30 @@ stage_bench_build() { # bench workspace builds, bench targets included (offline,
   ( cd crates/bench && cargo build --offline --all-targets && cargo test -q --offline )
 }
 
-stage_bench_e2e_check() { # end-to-end benchmark builds and its checks hold (run.sh --check)
+stage_bench_e2e_check() { # end-to-end benchmark builds, its checks hold and its checksums are the recorded ones (run.sh --check)
   # The e2e benchmark is a detached package nothing else compiles, and
   # its adapter.rs names engine symbols stage by stage: a rename of any
   # of them would otherwise break the benchmark silently. --check builds
   # it and runs tiny op counts with every reply check on — the staged
-  # replay's digests must equal `Database`'s on all four workloads.
-  crates/bench/benches/e2e/run.sh --check
+  # replay's digests must equal `Database`'s on all four workloads. Each
+  # workload's round checksum must then be the one
+  # results/e2e_check_checksums.txt records.
+  local out expected actual status=0
+  out="$(crates/bench/benches/e2e/run.sh --check)" || status=$?
+  echo "$out"
+  expected="$(awk '!/^#/ && NF { print $1, $2 }' results/e2e_check_checksums.txt)"
+  actual="$(echo "$out" | awk '
+    / checksum / { for (i = 1; i < NF; i++) if ($i == "checksum") { sum = $(i + 1); sub(",", "", sum) } }
+    /^check / { name = $2; sub(":", "", name); print name, sum }')"
+  if [ "$expected" != "$actual" ]; then
+    echo "bench-e2e-check: checksums differ from results/e2e_check_checksums.txt" >&2
+    echo "recorded:" >&2
+    echo "$expected" >&2
+    echo "this run:" >&2
+    echo "$actual" >&2
+    return 1
+  fi
+  return "$status"
 }
 
 # ---------------------------------------------------------------------------

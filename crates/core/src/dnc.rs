@@ -145,10 +145,13 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
             state.set_steps(i, steps);
         }
     }
-    // Defensive top-up: with monotone lineage the combination always meets
-    // the quota. The only non-monotone input is negated lineage handed
-    // straight to `ProblemBuilder` (the engine never builds one), which
-    // could regress; finish the job with greedy steps if needed.
+    // Defensive top-up. With monotone lineage the combination meets the
+    // quota: a group that targets the whole quota meets it alone, and
+    // otherwise the groups target all they can reach, which sums to what
+    // the whole problem can reach; taking the maximum step per base
+    // unsatisfies nothing. Only negated lineage handed straight to
+    // `ProblemBuilder` (the engine never builds one) can regress and reach
+    // this; finish the job with greedy steps if needed.
     if !state.meets_quota() {
         greedy::run(&mut state, &options.greedy, &mut stats.greedy)?;
     }
@@ -244,14 +247,22 @@ fn solve_group(
     };
     outcome.steps = base_map
         .iter()
+        .zip(&solution.levels)
         .enumerate()
-        .map(|(sub_idx, &global_idx)| {
-            let steps = ((solution.levels[sub_idx] - sub.bases[sub_idx].initial) / sub.delta)
-                .round() as u32;
-            (global_idx, steps)
-        })
+        .map(|(i, (&global_idx, &level))| (global_idx, grid_step(&sub, i, level)))
         .collect();
     Ok(outcome)
+}
+
+/// The grid step of base `i` that a solver's `level` sits on. Solvers
+/// only set grid points, so this is exact where rounding
+/// `(level − initial) / δ` is not: a base clamped at a maximum that lies
+/// less than half a step above the grid point below it would lose its top
+/// step.
+fn grid_step(problem: &ProblemInstance, i: usize, level: f64) -> u32 {
+    (1..=problem.max_steps(i))
+        .take_while(|&s| problem.level_at(i, s) <= level)
+        .count() as u32
 }
 
 /// Build the sub-problem for one group of result indexes. Returns the

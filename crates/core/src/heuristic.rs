@@ -12,13 +12,20 @@
 //!   `cost · β / F_max` value);
 //! * **H2** — once every result touching the current tuple is satisfied,
 //!   skip its remaining (higher, costlier) values;
-//! * **H3** — if even raising all remaining tuples to their maximum cannot
-//!   meet the quota, abandon the subtree (the optimistic count is kept
-//!   beside the search and follows each step through the circuits' cones,
-//!   rather than re-evaluated at every node);
+//! * **H3** — if even raising every remaining tuple as far as the budget
+//!   left below the best known cost buys cannot meet the quota, abandon
+//!   the subtree (with no incumbent the budget is unbounded and every
+//!   remaining tuple goes to its maximum: the paper's H3);
 //! * **H4** — if the current cost plus the cheapest possible single δ step
 //!   on any remaining tuple already reaches the best cost, abandon the
 //!   subtree.
+//!
+//! A node's cost is the sum of its assigned tuples' grid costs, added in
+//! search order, so it is a function of the assignment alone and every
+//! device above compares the same bits whichever path reached the node.
+//! Each cuts only subtrees holding nothing strictly cheaper than the
+//! incumbent, so every configuration with the same ordering returns the
+//! same solution, bit for bit: the first of the cheapest in search order.
 //!
 //! With no pruning beyond the bound the search is exact but exponential
 //! (`O(d^k)`); with a greedy seed (Figure 11(d)) the initial upper bound is
@@ -29,7 +36,7 @@ use crate::error::CoreError;
 use crate::ord::OrdF64;
 use crate::problem::ProblemInstance;
 use crate::solution::{Solution, SolveOutcome};
-use crate::state::{EvalState, OptimisticCount};
+use crate::state::EvalState;
 use crate::Result;
 use std::cmp::Reverse;
 use std::time::Duration;
@@ -41,7 +48,7 @@ pub struct HeuristicOptions {
     pub h1_ordering: bool,
     /// H2: prune right siblings when all touched results pass.
     pub h2_sibling_prune: bool,
-    /// H3: prune when the optimistic completion misses the quota.
+    /// H3: prune when the affordable optimistic completion misses the quota.
     pub h3_optimistic_prune: bool,
     /// H4: prune on the cheapest-remaining-step lower bound.
     pub h4_cost_bound: bool,
@@ -121,10 +128,9 @@ pub struct HeuristicStats {
     pub pruned_h3: u64,
     /// Subtrees cut by H4.
     pub pruned_h4: u64,
-    /// Result re-evaluations at the search state's levels; bringing a
-    /// compiled result up to date through one slot's cone counts as one.
-    /// H3's count keeps node values of its own, and their upkeep is not
-    /// counted.
+    /// Result evaluations: bringing a compiled result up to date through
+    /// one slot's cone counts as one, and so does each result H3 evaluates
+    /// afresh at its raised levels.
     pub evals: u64,
     /// Whether the search ran to completion (false on node/time limit).
     pub complete: bool,
@@ -156,9 +162,6 @@ pub fn solve(
     let mut search = Search {
         problem,
         options,
-        h3: options
-            .h3_optimistic_prune
-            .then(|| OptimisticCount::new(&state)),
         order,
         suffix_min_step,
         best_cost: options
@@ -173,7 +176,7 @@ pub fn solve(
         },
         deadline: Deadline::after(options.time_limit),
     };
-    search.dfs(&mut state, 0);
+    search.dfs(&mut state, 0, 0.0);
     search.stats.evals = state.evals;
     search.stats.elapsed = watch.elapsed();
 
@@ -192,8 +195,6 @@ pub fn solve(
 struct Search<'p, 'o> {
     problem: &'p ProblemInstance,
     options: &'o HeuristicOptions,
-    /// H3's count, kept in step with the search while H3 is on.
-    h3: Option<OptimisticCount>,
     order: Vec<usize>,
     suffix_min_step: Vec<f64>,
     best_cost: f64,
@@ -219,63 +220,53 @@ impl Search<'_, '_> {
         false
     }
 
-    fn dfs(&mut self, state: &mut EvalState<'_>, depth: usize) {
+    /// Search below the node that assigns `order[..depth]` at `cost`:
+    /// their grid costs summed in search order.
+    fn dfs(&mut self, state: &mut EvalState<'_>, depth: usize, cost: f64) {
         self.stats.nodes += 1;
         if self.out_of_budget() {
             return;
         }
         if state.meets_quota() {
             // Deeper assignments only add cost; record and backtrack.
-            if state.total_cost() < self.best_cost {
-                self.best_cost = state.total_cost();
-                self.best = Some(state.to_solution());
+            if cost < self.best_cost {
+                self.best_cost = cost;
+                self.best = Some(Solution {
+                    cost,
+                    ..state.to_solution()
+                });
                 self.stats.incumbent_updates += 1;
             }
             return;
         }
-        if depth == self.order.len() {
+        let Some(rest @ &[base, ..]) = self.order.get(depth..) else {
+            return;
+        };
+        if self.options.h3_optimistic_prune
+            && state.affordable_satisfied(rest, cost, self.best_cost) < self.problem.required
+        {
+            // A cheaper solution below raises no open tuple past what the
+            // budget buys, and by monotonicity satisfies no more results
+            // than those raised levels do.
+            self.stats.pruned_h3 += 1;
             return;
         }
-        if let Some(h3) = &mut self.h3 {
-            let count = h3.count(state);
-            // Every node of every debug-build search recounts from scratch
-            // (the recount's evaluations left out of the statistics).
-            debug_assert_eq!(
-                count,
-                {
-                    let evals = state.evals;
-                    let rest = self.order.get(depth..).unwrap_or_default();
-                    let recount = state.optimistic_satisfied(rest);
-                    state.evals = evals;
-                    recount
-                },
-                "H3's count at depth {depth}"
-            );
-            if count < self.problem.required {
-                self.stats.pruned_h3 += 1;
-                return;
-            }
-        }
-        if self.options.h4_cost_bound
-            && state.total_cost() + self.suffix_min_step[depth] >= self.best_cost
-        {
+        let min_step = self.suffix_min_step.get(depth).copied().unwrap_or(0.0);
+        if self.options.h4_cost_bound && cost + min_step >= self.best_cost {
             // The quota is unmet, so any solution below must raise at
             // least one remaining tuple by at least one δ step.
             self.stats.pruned_h4 += 1;
             return;
         }
-        let base = self.order[depth];
         for steps in 0..=state.max_steps(base) {
-            state.set_steps(base, steps);
-            if state.total_cost() >= self.best_cost {
+            let child = cost + state.cost_at(base, steps);
+            if child >= self.best_cost {
                 // Higher values of this base only cost more.
                 self.stats.pruned_bound += 1;
                 break;
             }
-            if let Some(h3) = &mut self.h3 {
-                h3.move_base(base, state.level(base));
-            }
-            self.dfs(state, depth + 1);
+            state.set_steps(base, steps);
+            self.dfs(state, depth + 1, child);
             if self.options.h2_sibling_prune
                 && self
                     .problem
@@ -290,9 +281,6 @@ impl Search<'_, '_> {
             }
         }
         state.set_steps(base, 0);
-        if let Some(h3) = &mut self.h3 {
-            h3.move_base(base, self.problem.bases[base].max);
-        }
     }
 }
 

@@ -260,12 +260,6 @@ impl<'p> EvalState<'p> {
         self.total_cost
     }
 
-    /// Is result `ri` satisfied, or would it be at `confidence`?
-    fn satisfied_or(&self, ri: usize, confidence: f64) -> bool {
-        let threshold = self.thresholds.get(ri);
-        self.is_satisfied(ri) || threshold.is_some_and(|&t| confidence > t)
-    }
-
     fn result(&self, ri: usize) -> &'p ResultSpec {
         &self.problem.results[ri]
     }
@@ -409,14 +403,19 @@ impl<'p> EvalState<'p> {
     }
 
     /// Call `hit(query)` for every result that is satisfied now or would
-    /// be if every base in `rest` were raised to its maximum while the
-    /// others keep their current level.
-    fn optimistic_each(&mut self, rest: &[usize], mut hit: impl FnMut(usize)) {
+    /// be if every base `i` in `rest` were raised to `raised(self, i)`
+    /// while the others keep their current level.
+    fn optimistic_each(
+        &mut self,
+        rest: &[usize],
+        raised: impl Fn(&Self, usize) -> f64,
+        mut hit: impl FnMut(usize),
+    ) {
         let mut saved = std::mem::take(&mut self.saved_levels);
         saved.clear();
         saved.extend(rest.iter().map(|&i| self.levels[i]));
         for &i in rest {
-            self.levels[i] = self.problem.bases[i].max;
+            self.levels[i] = raised(self, i);
         }
         for ri in 0..self.confidences.len() {
             if self.is_satisfied(ri) || self.eval_result(ri) > self.thresholds[ri] {
@@ -431,10 +430,29 @@ impl<'p> EvalState<'p> {
 
     /// Count results that would be satisfied if every base in `rest` were
     /// raised to its maximum while others keep their current level — the
-    /// optimistic bound used by heuristic H3.
+    /// paper's optimistic bound for heuristic H3.
     pub fn optimistic_satisfied(&mut self, rest: &[usize]) -> usize {
         let mut count = 0;
-        self.optimistic_each(rest, |_| count += 1);
+        self.optimistic_each(rest, |s, i| s.problem.bases[i].max, |_| count += 1);
+        count
+    }
+
+    /// Heuristic H3 below a search node that costs `cost` with the bases
+    /// in `rest` still at their initial level: the results satisfied now,
+    /// or with each base `i` in `rest` raised to its highest grid step `s`
+    /// at which `cost + cost_at(i, s)` stays below `budget`, the others
+    /// kept. Summed after `cost` in any order, a cheaper assignment below
+    /// the node holds every base of `rest` at or under that step; with
+    /// monotone confidences and costs it satisfies no result these levels
+    /// do not. An unbounded `budget` raises every base to its top step.
+    pub(crate) fn affordable_satisfied(&mut self, rest: &[usize], cost: f64, budget: f64) -> usize {
+        let affordable = |s: &Self, i: usize| {
+            let mut steps = (0..=s.max_steps(i)).rev();
+            let top = steps.find(|&step| cost + s.cost_at(i, step) < budget);
+            s.level_at(i, top.unwrap_or(0))
+        };
+        let mut count = 0;
+        self.optimistic_each(rest, affordable, |_| count += 1);
         count
     }
 
@@ -444,7 +462,7 @@ impl<'p> EvalState<'p> {
     pub(crate) fn check_feasible(&mut self) -> Result<()> {
         let all: Vec<usize> = (0..self.levels.len()).collect();
         let mut reachable = vec![0usize; self.quotas.len()];
-        self.optimistic_each(&all, |q| reachable[q] += 1);
+        self.optimistic_each(&all, |s, i| s.problem.bases[i].max, |q| reachable[q] += 1);
         for (quota, &achievable) in self.quotas.iter().zip(&reachable) {
             if achievable < quota.required {
                 return Err(CoreError::Infeasible {
@@ -488,105 +506,6 @@ fn evaluate(r: &ResultSpec, levels: &[f64], changed: Option<usize>, values: &mut
     match changed {
         Some(slot) => r.conf.update(slot, prob, values),
         None => r.conf.eval_into(prob, values),
-    }
-}
-
-/// Heuristic H3 as a maintained count. A search that assigns bases one at
-/// a time keeps, beside its [`EvalState`], a second set of node values in
-/// which the bases it has assigned sit at their state's level and the rest
-/// at their maximum, and the number of results satisfied now or at those
-/// levels — exactly what [`EvalState::optimistic_satisfied`] of the
-/// unassigned bases counts, followed one base move at a time instead of
-/// re-evaluated from the leaves at every node. Moves are only recorded
-/// when made and followed when the count is read, so a child the search
-/// leaves before asking (a quota met, a leaf) costs the count nothing.
-#[derive(Debug)]
-pub(crate) struct OptimisticCount {
-    levels: Vec<f64>,
-    /// Node values at `levels`, laid out as the state's.
-    values: Vec<f64>,
-    /// Per result: its confidence at `levels`, and whether it counts.
-    results: Vec<Optimistic>,
-    count: usize,
-    /// Bases moved since the count was last read, each with the level it
-    /// now sits at.
-    pending: Vec<(usize, f64)>,
-}
-
-/// One result's entry in an [`OptimisticCount`].
-#[derive(Debug)]
-struct Optimistic {
-    confidence: f64,
-    /// Satisfied in the state, or at `confidence`.
-    hit: bool,
-}
-
-impl OptimisticCount {
-    /// The count before the first assignment: every base at its maximum.
-    pub(crate) fn new(state: &EvalState<'_>) -> OptimisticCount {
-        let problem = state.problem;
-        let mut h3 = OptimisticCount {
-            levels: problem.bases.iter().map(|b| b.max).collect(),
-            values: vec![0.0; state.values.len()],
-            results: Vec::with_capacity(problem.results.len()),
-            count: 0,
-            pending: Vec::new(),
-        };
-        for (ri, r) in problem.results.iter().enumerate() {
-            let values = state.spans.of(ri, &mut h3.values);
-            let confidence = evaluate(r, &h3.levels, None, values);
-            let hit = state.satisfied_or(ri, confidence);
-            h3.results.push(Optimistic { confidence, hit });
-            h3.count += usize::from(hit);
-        }
-        h3
-    }
-
-    /// Base `i` now sits at `level`: its state's level once assigned, its
-    /// maximum once unassigned again. After an [`EvalState::set_steps`] on
-    /// `i`, call it before the count is next read.
-    pub(crate) fn move_base(&mut self, i: usize, level: f64) {
-        match self.pending.iter_mut().find(|(b, _)| *b == i) {
-            Some(pending) => pending.1 = level,
-            None => self.pending.push((i, level)),
-        }
-    }
-
-    /// Results satisfied in `state` now, or with every unassigned base at
-    /// its maximum: the moves since the last read are followed first, and
-    /// the moved bases' results recounted against `state`, whose levels
-    /// moved with them.
-    pub(crate) fn count(&mut self, state: &EvalState<'_>) -> usize {
-        let mut pending = std::mem::take(&mut self.pending);
-        for (i, level) in pending.drain(..) {
-            let Some(at) = self.levels.get_mut(i) else {
-                continue;
-            };
-            let moved = at.to_bits() != level.to_bits();
-            *at = level;
-            for &ri in state.problem.results_of_base(i) {
-                let Some(entry) = self.results.get_mut(ri) else {
-                    continue;
-                };
-                if moved {
-                    let r = state.result(ri);
-                    let values = state.spans.of(ri, &mut self.values);
-                    let changed = slot_of(r, i);
-                    entry.confidence = evaluate(r, &self.levels, changed, values);
-                }
-                let hit = state.satisfied_or(ri, entry.confidence);
-                if hit != entry.hit {
-                    entry.hit = hit;
-                    if hit {
-                        self.count += 1;
-                    } else {
-                        self.count -= 1;
-                    }
-                }
-            }
-        }
-        self.pending = pending;
-        self.count
     }
 }
 

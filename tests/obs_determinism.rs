@@ -525,12 +525,12 @@ const PINNED_METRICS: [&str; 47] = [
     "counter solver.greedy.iterations = 1",
     "counter solver.greedy.reductions = 0",
     "counter solver.heuristic.complete = 1",
-    "counter solver.heuristic.evals = 14",
+    "counter solver.heuristic.evals = 9",
     "counter solver.heuristic.incumbent_updates = 0",
-    "counter solver.heuristic.nodes = 4",
-    "counter solver.heuristic.pruned_bound = 3",
+    "counter solver.heuristic.nodes = 1",
+    "counter solver.heuristic.pruned_bound = 0",
     "counter solver.heuristic.pruned_h2 = 0",
-    "counter solver.heuristic.pruned_h3 = 0",
+    "counter solver.heuristic.pruned_h3 = 1",
     "counter solver.heuristic.pruned_h4 = 0",
     "counter solver.multi.evals = 200",
     "counter solver.multi.iterations = 35",
