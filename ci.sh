@@ -24,6 +24,7 @@ STAGES=(
   fmt
   clippy
   lint
+  doc
   build
   test
   smoke-metrics
@@ -54,6 +55,11 @@ stage_lint() { # static invariants (cargo run -p pcqe-lint)
   # many findings each rule may have suppressed is a table in
   # tests/lint_guard.rs, held by the `test` stage (and plain `cargo test`).
   cargo run -q -p pcqe-lint --offline
+}
+
+stage_doc() { # API docs build without a warning (cargo doc -D warnings)
+  # Broken or private intra-doc links fail here, not in a reader's browser.
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 stage_build() { # release build (offline)

@@ -402,20 +402,6 @@ impl ScalarExpr {
         }
     }
 
-    /// Evaluate the expression as a predicate: `true` only when the result
-    /// is boolean true (NULL counts as false, SQL-style). This tree walk
-    /// is the reference; the vectorized executor tests rows through
-    /// [`ScalarExpr::compile`], which is held to it result for result.
-    pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
-        match self.eval(row)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(AlgebraError::Type(format!(
-                "predicate evaluated to non-boolean {other}"
-            ))),
-        }
-    }
-
     /// [`ScalarExpr::eval`] without the clone where the value already
     /// exists: a column is borrowed from the row, a literal from the
     /// expression; anything else is computed.
@@ -584,7 +570,7 @@ pub(crate) struct ColumnCmp<'e> {
 /// ([`LeadingRun::candidates`]). An equality index decides it for a `=`
 /// conjunct on every row that holds another non-NULL key, which is why
 /// the planner takes an index scan's key from the run and nowhere else
-/// ([`LeadingRun::conjuncts`]). Every other row is a *candidate*, for
+/// (`LeadingRun::conjuncts`). Every other row is a *candidate*, for
 /// the whole predicate to decide. A conjunct behind a fallible one, a
 /// NULL literal, arithmetic, column against column or an `OR` is never in
 /// the run: skipping on it could swallow an error the row-wise evaluation
@@ -667,9 +653,10 @@ fn dropped(conjuncts: &[ImagedCmp<'_>], word: usize) -> u64 {
 /// without building a [`Value`], over column and literal operands
 /// borrowed from the row and the expression. Everything else (arithmetic,
 /// `LIKE`, unary operators) is an operand run through
-/// [`ScalarExpr::eval`]. Observably identical to
-/// [`ScalarExpr::eval_predicate`]: same result, same evaluation order,
-/// same error for the same row.
+/// [`ScalarExpr::eval`]. Observably identical to the tree walk: `true`
+/// exactly where [`ScalarExpr::eval`] yields boolean true, `false` where
+/// it yields false or NULL, an error where it raises or yields anything
+/// else — same evaluation order, same error for the same row.
 #[derive(Debug)]
 pub struct Predicate<'e>(Node<'e>);
 
@@ -974,7 +961,7 @@ mod tests {
         let r = row();
         let e = ScalarExpr::column(3).eq(ScalarExpr::literal(Value::Int(1)));
         assert_eq!(e.eval(&r).unwrap(), Value::Null);
-        assert!(!e.eval_predicate(&r).unwrap());
+        assert!(!e.compile().test(&r).unwrap());
     }
 
     #[test]

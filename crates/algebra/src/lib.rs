@@ -18,7 +18,8 @@
 //! * **difference** — `l ∧ ¬(r₁ ∨ … ∨ r_m)` over the matching right rows.
 //!
 //! ```
-//! use pcqe_algebra::{Plan, ScalarExpr, execute};
+//! use pcqe_algebra::{execute_vectorized_with, lower, Plan, ScalarExpr};
+//! use pcqe_par::Parallelism;
 //! use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
 //!
 //! let mut catalog = Catalog::new();
@@ -31,12 +32,12 @@
 //! let plan = Plan::scan("t").select(
 //!     ScalarExpr::column(0).gt(ScalarExpr::literal(Value::Int(1))),
 //! );
-//! let result = execute(&plan, &catalog).unwrap();
+//! let physical = lower(&plan, &catalog).unwrap();
+//! let result = execute_vectorized_with(&physical, &catalog, &Parallelism::sequential()).unwrap();
 //! assert_eq!(result.rows().len(), 1);
 //! ```
 
 pub mod error;
-pub mod exec;
 pub mod expr;
 pub mod optimize;
 pub mod physical;
@@ -44,11 +45,11 @@ pub mod plan;
 pub mod result;
 
 pub use error::AlgebraError;
-pub use exec::{execute, ExecProfile, OperatorProfile};
 pub use expr::{BinaryOp, Predicate, ScalarExpr, UnaryOp};
 pub use optimize::optimize;
 pub use physical::{
-    execute_vectorized_profiled, execute_vectorized_with, lower, render_side_by_side, PhysicalPlan,
+    execute_vectorized_profiled, execute_vectorized_with, lower, render_side_by_side, ExecProfile,
+    OperatorProfile, PhysicalPlan,
 };
 pub use plan::{Plan, ProjItem};
 pub use result::{DerivedTuple, GatedScore, ResultSet, ScoreOptions, ScoredTuple};

@@ -293,8 +293,9 @@ fn remap_through_projection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
+    use crate::physical::{execute_vectorized_with, lower};
     use crate::plan::ProjItem;
+    use pcqe_par::Parallelism;
     use pcqe_storage::{Column, DataType, Schema, Value};
 
     fn catalog() -> Catalog {
@@ -326,13 +327,21 @@ mod tests {
         c
     }
 
-    /// Rows (values + lineage) must be identical up to order.
-    fn same_rows(a: &crate::ResultSet, b: &crate::ResultSet) {
-        let mut x: Vec<String> = a.rows().iter().map(|r| format!("{:?}", r)).collect();
-        let mut y: Vec<String> = b.rows().iter().map(|r| format!("{:?}", r)).collect();
-        x.sort();
-        y.sort();
-        assert_eq!(x, y);
+    /// Lower `plan` as written and run it, one worker.
+    fn run(plan: &Plan, c: &Catalog) -> crate::ResultSet {
+        let physical = lower(plan, c).unwrap();
+        execute_vectorized_with(&physical, c, &Parallelism::sequential()).unwrap()
+    }
+
+    /// `plan` and `optimized` yield the same rows (values + lineage) up to
+    /// order.
+    fn same_rows(plan: &Plan, optimized: &Plan, c: &Catalog) {
+        let sorted = |p: &Plan| {
+            let mut rows: Vec<String> = run(p, c).rows().iter().map(|r| format!("{r:?}")).collect();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(plan), sorted(optimized));
     }
 
     #[test]
@@ -350,10 +359,7 @@ mod tests {
         let text = optimized.to_string();
         assert!(text.contains("Join"), "{text}");
         assert!(!text.starts_with("Select"), "selection sank: {text}");
-        same_rows(
-            &execute(&plan, &c).unwrap(),
-            &execute(&optimized, &c).unwrap(),
-        );
+        same_rows(&plan, &optimized, &c);
     }
 
     #[test]
@@ -369,10 +375,7 @@ mod tests {
                 .select(ScalarExpr::column(0).gt(ScalarExpr::literal(Value::Int(0)))),
         ] {
             let optimized = optimize(&plan, &c).unwrap();
-            same_rows(
-                &execute(&plan, &c).unwrap(),
-                &execute(&optimized, &c).unwrap(),
-            );
+            same_rows(&plan, &optimized, &c);
         }
     }
 
@@ -391,10 +394,7 @@ mod tests {
             text.trim_start().starts_with("Project"),
             "selection sank below the projection: {text}"
         );
-        same_rows(
-            &execute(&plan, &c).unwrap(),
-            &execute(&optimized, &c).unwrap(),
-        );
+        same_rows(&plan, &optimized, &c);
     }
 
     #[test]
@@ -408,10 +408,7 @@ mod tests {
             .select(ScalarExpr::column(0).gt(ScalarExpr::literal(Value::Int(2))));
         let optimized = optimize(&plan, &c).unwrap();
         assert!(optimized.to_string().trim_start().starts_with("Select"));
-        same_rows(
-            &execute(&plan, &c).unwrap(),
-            &execute(&optimized, &c).unwrap(),
-        );
+        same_rows(&plan, &optimized, &c);
     }
 
     #[test]
@@ -421,10 +418,7 @@ mod tests {
             .limit(2)
             .select(ScalarExpr::column(1).gt(ScalarExpr::literal(Value::Int(0))));
         let optimized = optimize(&plan, &c).unwrap();
-        same_rows(
-            &execute(&plan, &c).unwrap(),
-            &execute(&optimized, &c).unwrap(),
-        );
+        same_rows(&plan, &optimized, &c);
         let text = optimized.to_string();
         assert!(text.trim_start().starts_with("Select"), "{text}");
     }
@@ -436,10 +430,7 @@ mod tests {
             .select(ScalarExpr::column(0).ge(ScalarExpr::literal(Value::Int(1))))
             .select(ScalarExpr::column(1).le(ScalarExpr::literal(Value::Int(4))));
         let optimized = optimize(&plan, &c).unwrap();
-        same_rows(
-            &execute(&plan, &c).unwrap(),
-            &execute(&optimized, &c).unwrap(),
-        );
+        same_rows(&plan, &optimized, &c);
         // Exactly one Select remains, the inner conjunct first.
         assert_eq!(optimized.to_string().matches("Select").count(), 1);
         let Plan::Select { predicate, .. } = optimized else {

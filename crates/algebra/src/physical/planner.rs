@@ -1,7 +1,7 @@
 //! Lowering logical plans to physical plans.
 //!
 //! The planner consumes the *optimised* logical plan (selections already
-//! pushed to just above the scans by [`crate::optimize`]) and makes two
+//! pushed to just above the scans by [`crate::optimize()`]) and makes two
 //! kinds of decisions:
 //!
 //! * **Access paths** — a `Select` directly over a `Scan` becomes either a
@@ -13,10 +13,11 @@
 //!   predicate on each: the index is a source of candidates, not a
 //!   rewrite of the predicate. Of several usable indexes the one whose key
 //!   keeps the fewest rows by [`pcqe_storage::TableStats`] wins.
-//! * **Join strategies** — the reference walker's rule: a `Join` with
-//!   hashable equality conjuncts becomes a [`PhysicalPlan::HashJoin`]; one
-//!   without (a `REAL` pair, a theta join) and a product a
-//!   [`PhysicalPlan::NestedLoopJoin`]. Where the hash join's build side is
+//! * **Join strategies** — one rule, read off the predicate and the
+//!   schemas alone: a `Join` with hashable equality conjuncts (same-typed
+//!   `INT`/`TEXT`/`BOOL` column pairs in its top-level `AND` chain) becomes
+//!   a [`PhysicalPlan::HashJoin`]; one without (a `REAL` pair, a theta
+//!   join) and a product a [`PhysicalPlan::NestedLoopJoin`]. Where the hash join's build side is
 //!   a whole, unfiltered base table with an [`pcqe_storage::EqualityIndex`]
 //!   on one of the key columns, the join becomes a
 //!   [`PhysicalPlan::IndexJoin`]: the index *is* the build — the key-sorted
@@ -42,17 +43,19 @@
 //!   key conjunct behind anything that can raise (`s > 1 AND k = 3`, `s`
 //!   `TEXT`) keeps the table scan. Every candidate meets the whole
 //!   predicate — nothing was taken out of it — so which error is raised,
-//!   and its wording, is the reference's.
-//! * A join is hashed exactly where the reference walker hashes it, on the
-//!   same key pairs ([`split_equi_conjuncts`]), and runs as a nested loop
-//!   exactly where the walker's does, so either way it runs the walker's
-//!   algorithm: for each left row in input order, its matching right rows
-//!   in right input order, a NULL key never hashed. Only key columns whose
-//!   type has exact equality (`INT`/`TEXT`/`BOOL`) are hashed at all,
-//!   where `=`'s comparison and the hash table's ordered-map equality
-//!   provably agree (a `REAL` column also holds widened `Int`s, which `=`
-//!   equates with their reals and the map does not, so a `REAL` pair stays
-//!   in the residual).
+//!   and its wording, is a table scan's.
+//! * Which algorithm a `Join` runs is fixed by the rule alone
+//!   (`split_equi_conjuncts`), never by input sizes, because the two
+//!   differ in errors: a hash join tests its residual only on the pairs
+//!   that agree on every key, a nested loop its whole predicate on every
+//!   pair. The reference the suites compare against hashes on the same
+//!   rule. Either way a join emits, for each left row in input order, its
+//!   matching right rows in right input order, a NULL key never hashed.
+//!   Only key columns whose type has exact equality (`INT`/`TEXT`/`BOOL`)
+//!   are hashed at all, where `=`'s comparison and the hash table's
+//!   ordered-map equality provably agree (a `REAL` column also holds
+//!   widened `Int`s, which `=` equates with their reals and the map does
+//!   not, so a `REAL` pair stays in the residual).
 //! * An index join emits what the hash join it replaces would. *Row
 //!   order*: both walk the left rows in input order, and for one left row
 //!   the index's posting list is its matches in insertion order — the
@@ -63,22 +66,20 @@
 //!   the same total order on `Value`, and it is SQL's `=` because only
 //!   same-typed `INT`/`TEXT`/`BOOL` pairs are hashable. Key pairs beyond
 //!   the indexed one are compared per fetched row with that same order,
-//!   as the hash table would. *Lineage* is `joined(left, right)`
-//!   either way, the right row read where it is stored. *Errors*: the
-//!   build side
-//!   qualifies only as a `TableScan` **without a residual**, so no
-//!   predicate runs on rows the index passes over and no error it would
-//!   have raised can be lost; a filtered build side — even one whose
-//!   filter cannot raise — keeps the hash join, which evaluates every
-//!   row. The join's own residual runs on exactly the matched pairs, in
+//!   as the hash table would. *Lineage* is the conjunction of the two
+//!   rows' either way, the right row read where it is stored. *Errors*:
+//!   the build side qualifies only as a `TableScan` **without a
+//!   residual**, so no predicate runs on rows the index passes over and no
+//!   error it would have raised can be lost; a filtered build side — even
+//!   one whose filter cannot raise — keeps the hash join, which evaluates
+//!   every row. The join's own residual runs on exactly the matched pairs, in
 //!   the same order, under both operators.
 
-use crate::exec::split_equi_conjuncts;
 use crate::expr::{BinaryOp, ScalarExpr};
 use crate::physical::plan::PhysicalPlan;
 use crate::plan::Plan;
 use crate::Result;
-use pcqe_storage::Catalog;
+use pcqe_storage::{Catalog, DataType, Schema};
 
 /// Lower an (already optimised) logical plan to a physical plan.
 pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
@@ -111,7 +112,6 @@ pub fn lower(plan: &Plan, catalog: &Catalog) -> Result<PhysicalPlan> {
         } => {
             let left_schema = left.schema(catalog)?;
             let left_arity = left_schema.arity();
-            // Same hashability rule as the logical executor.
             let (equi, residual) =
                 split_equi_conjuncts(predicate, &left_schema, &right.schema(catalog)?);
             let l = Box::new(lower(left, catalog)?);
@@ -203,6 +203,46 @@ fn indexed_build_key(
     Some((column, t.schema().columns().get(column)?.name.clone()))
 }
 
+/// Split a join predicate into hashable equality pairs `(left column,
+/// right column)` and the residual predicate. A pair is hashable when its
+/// columns share a type whose value equality is SQL's `=`: `INT`, `TEXT`
+/// or `BOOL`. An `INT = REAL` pair is not (`=` widens the integer), and
+/// nor is a `REAL` pair — a `REAL` column also holds widened `Int`s, and
+/// `Int(2) = Real(2.0)` under `=` but not as keys — so both stay in the
+/// residual.
+fn split_equi_conjuncts(
+    predicate: &ScalarExpr,
+    left: &Schema,
+    right: &Schema,
+) -> (Vec<(usize, usize)>, Option<ScalarExpr>) {
+    let left_arity = left.arity();
+    let hashable = |lc: usize, rc: usize| {
+        let lt = left.columns().get(lc).map(|c| c.data_type);
+        let rt = right.columns().get(rc - left_arity).map(|c| c.data_type);
+        lt == rt && matches!(lt, Some(DataType::Int | DataType::Text | DataType::Bool))
+    };
+    let mut equi = Vec::new();
+    let mut residual = Vec::new();
+    for part in predicate.conjuncts() {
+        if let ScalarExpr::Binary {
+            op: BinaryOp::Eq,
+            left,
+            right,
+        } = part
+        {
+            if let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (&**left, &**right) {
+                let (lc, rc) = if a < b { (*a, *b) } else { (*b, *a) };
+                if lc < left_arity && rc >= left_arity && hashable(lc, rc) {
+                    equi.push((lc, rc));
+                    continue;
+                }
+            }
+        }
+        residual.push(part.clone());
+    }
+    (equi, ScalarExpr::and_all(residual))
+}
+
 /// Choose the access path for a filtered base-table scan.
 ///
 /// An index answers `column = key` only where the conjunct is in the
@@ -214,7 +254,7 @@ fn indexed_build_key(
 /// usable indexes the most selective wins; `min_by_key` keeps the earliest
 /// conjunct on ties, so the choice is a pure function of plan + catalog
 /// state. Nothing is taken out of the predicate: a chain of conjuncts stays
-/// whole as the scan's residual, so every fetched row meets the reference's
+/// whole as the scan's residual, so every fetched row meets a table scan's
 /// evaluation, error wording included; only a predicate that *is* the key
 /// conjunct needs no residual.
 fn plan_scan(

@@ -1,15 +1,15 @@
 //! Vectorized, morsel-driven physical plan execution — the engine's one
-//! production executor.
+//! executor.
 //!
 //! Work is dispatched as whole morsels across `pcqe-par` workers via
 //! [`pcqe_par::morsel::map_morsels`], with a deterministic in-order
 //! merge, and rows are **borrowed until an operator must own them**: a
 //! scan emits, per morsel, references to the stored rows that survive its
-//! residual ([`VOut::Stored`], a selection over storage); operators that
-//! only read their input — filter, projection, join build and probe,
-//! aggregate grouping and folding — read either those or derived tuples
-//! in place through [`Row`] (a values slice and a lineage); and a value
-//! is cloned once, when it enters an operator's output. A scan takes its
+//! residual (a selection over storage); operators that only read their
+//! input — filter, projection, join build and probe, aggregate grouping
+//! and folding — read either those or derived tuples in place through one
+//! row trait (a values slice and a lineage); and a value is cloned once,
+//! when it enters an operator's output. A scan takes its
 //! candidates from a *skip source* before it reads a row: a table scan
 //! from a pass over the table's typed column images
 //! ([`pcqe_storage::image`]), which drops the rows its residual's leading
@@ -20,10 +20,13 @@
 //!
 //! For any logical plan `q` and `p = lower(&q, c)`,
 //! `execute_vectorized_with(&p, c, par)` produces a result set
-//! **bit-identical** to the sequential reference walker
-//! [`crate::execute`]`(&q, c)` — same rows, same order, same lineage
-//! expressions, and the same first error on failing inputs — at any
-//! thread count. Three rules enforce it:
+//! **bit-identical** to a sequential, tuple-at-a-time walk of `q` — same
+//! rows, same order, same lineage expressions, and the same first error on
+//! failing inputs — at any thread count. That walk is the equivalence
+//! suites' reference (`tests/common/reference.rs`), a separate
+//! implementation of the same algebra that shares no operator code with
+//! this module, so every rule below holds by test against it, not by
+//! construction. Three rules:
 //!
 //! 1. **Expressions evaluate row-wise, in row order — on every row that
 //!    is not skipped, and a row is skipped only if the whole predicate
@@ -32,8 +35,8 @@
 //!    error surfaced is the first failing row's. Predicates are compiled
 //!    once per operator ([`ScalarExpr::compile`]) into a program held,
 //!    result for result and error for error, to the tree walk
-//!    [`ScalarExpr::eval_predicate`] the reference runs; projections,
-//!    group keys and aggregate arguments run that walk itself. Column-wise
+//!    [`ScalarExpr::eval`] with a NULL read as false; projections, group
+//!    keys and aggregate arguments run that walk itself. Column-wise
 //!    evaluation of a whole predicate could reorder which error wins, so
 //!    there is none; what a scan consults without evaluating the predicate
 //!    — a column image, an equality index — answers for a conjunct of the
@@ -45,20 +48,22 @@
 //!    source cannot call definitely false: a NULL or widened `Int` under
 //!    an image, a NULL key under an index — is decided by the whole
 //!    compiled predicate.
-//! 2. **Pipeline breakers reuse the row-native helpers.** Sort, Union,
-//!    Difference and distinct-merge own their rows and run literally the
-//!    same `or_merge`/`sort_rows` code as the reference; aggregates and
-//!    joins share `eval_aggregate`/`eval_items`/`joined`, generic over
-//!    [`Row`].
+//! 2. **Pipeline breakers keep input order.** Sort evaluates every key of
+//!    every row, in row order, before it moves one, then sorts stably;
+//!    Union, Difference and a distinct projection merge equal rows into
+//!    the first one's position, OR-ing their lineage in input order; a
+//!    group sits where its first row was, its lineage the OR of its
+//!    members' in row order, each aggregate folded over its members'
+//!    non-NULL arguments in row order.
 //! 3. **Hash state stays ordered.** The hash-join build is one table: the
 //!    build side's joinable rows, in row order, stable-sorted by key —
 //!    keys are compared where they lie, never copied — so the rows of one
-//!    key come in ascending row order: the match list of the ordered map
-//!    the reference builds. An index join skips the build: its build side
-//!    is a whole stored table whose equality index already is that
-//!    structure — per key, the rows that hold it in insertion order, NULLs
-//!    left out — so both joins run one probe loop and differ only in where
-//!    a left key's matches come from.
+//!    key come in ascending row order, the order a nested loop meets them.
+//!    An index join skips the build: its build side is a whole stored
+//!    table whose equality index already is that structure — per key, the
+//!    rows that hold it in insertion order, NULLs left out — so both joins
+//!    run one probe loop and differ only in where a left key's matches
+//!    come from.
 //!
 //! All observation goes to one optional [`pcqe_par::Observer`] — batch
 //! reports, and `op:<label>` spans only when it is enabled — post-batch on
@@ -67,12 +72,10 @@
 //! structure.
 
 use crate::error::AlgebraError;
-use crate::exec::{
-    eval_aggregate, eval_items, joined, or_merge, sort_rows, Ctx, ExecProfile, Profiler,
-};
 use crate::expr::{Predicate, ScalarExpr};
 use crate::physical::plan::PhysicalPlan;
-use crate::plan::{AggItem, ProjItem};
+use crate::physical::profile::{ExecProfile, Profiler};
+use crate::plan::{AggFunc, AggItem, ProjItem, SortKey};
 use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
@@ -124,6 +127,17 @@ fn run_root(
     };
     let out = run_v(plan, &ctx, 0, &mut prof)?;
     Ok((ResultSet::new(schema, out.into_rows()), prof.finish()))
+}
+
+/// Everything an operator needs besides the plan node itself.
+struct Ctx<'a> {
+    catalog: &'a Catalog,
+    par: &'a Parallelism,
+    /// The call's one listener: scheduler batches go to it and, when it is
+    /// [`Observer::enabled`], each operator wraps its execution in an
+    /// `op:<label>` span. Write-only — results are byte-identical with or
+    /// without one.
+    listener: Option<&'a dyn Observer>,
 }
 
 /// An operator's output. Rows stay borrowed from storage until an
@@ -363,7 +377,12 @@ fn project<R: Row>(rows: Vec<R>, items: &[ProjItem], ctx: &Ctx<'_>) -> Result<Ve
     let values = pcqe_par::try_map_observed(
         ctx.par,
         &rows,
-        |row| eval_items(items, row.values()),
+        |row| {
+            items
+                .iter()
+                .map(|item| item.expr.eval(row.values()))
+                .collect()
+        },
         ctx.listener,
     )?;
     Ok(rows
@@ -381,7 +400,7 @@ fn project<R: Row>(rows: Vec<R>, items: &[ProjItem], ctx: &Ctx<'_>) -> Result<Ve
 type KeyCols = [(usize, usize)];
 
 /// Whether a row can equi-join: every key column in range (else the typed
-/// error, as the reference's build and probe loops raise it) and none NULL.
+/// error) and none NULL.
 fn joinable(values: &[Value], cols: &KeyCols) -> Result<bool> {
     for &(c, named) in cols {
         let v = values.get(c).ok_or_else(|| key_out_of_range(named))?;
@@ -444,9 +463,9 @@ fn right_key_cols(
 /// The one equi-join probe loop: morsel-parallel over left rows, and per
 /// [`joinable`] left row `matches` hands `emit` the right rows that agree
 /// with it on every key, in right-input order — so per-left match lists
-/// flattened in input order reproduce the reference's sequential loop,
-/// first error in row order included. Where the matches come from is the
-/// caller's: [`hash_join`]'s per-query build table, or
+/// flattened in input order reproduce a sequential loop over the left
+/// rows, first error in row order included. Where the matches come from
+/// is the caller's: [`hash_join`]'s per-query build table, or
 /// [`index_join`]'s stored index. Yields the number of right rows matched
 /// beside the output rows (the pairs that also pass `residual`).
 fn probe<L: Row, R: Row>(
@@ -498,9 +517,8 @@ fn hash_join<L: Row, R: Row>(
     let lcols = left_key_cols(keys);
     let rcols = right_key_cols(keys, left_arity, None)?;
     // The build, in one pass on the calling thread: the joinable rows in
-    // row order — the first out-of-range key raises, as the reference's
-    // build loop does — stable-sorted by key, so the run of any key is the
-    // match list of the ordered map the reference builds (PCQE-D001:
+    // row order — the first out-of-range key raises — stable-sorted by
+    // key, so the run of any key is its rows in row order (PCQE-D001:
     // ordered, never a seeded hash map).
     let mut table = Vec::with_capacity(r.len());
     for rr in r {
@@ -597,9 +615,8 @@ fn nested_loop_join<L: Row, R: Row>(
 }
 
 /// Group rows read in place by key values, preserving first-seen order,
-/// and fold each group — the reference walker's Aggregate, except that a
-/// key that is a plain column stays borrowed from its row until the group
-/// is emitted.
+/// and fold each group. A key that is a plain column stays borrowed from
+/// its row until the group is emitted.
 fn aggregate<R: Row>(
     rows: &[R],
     group_by: &[ProjItem],
@@ -652,6 +669,134 @@ fn aggregate<R: Row>(
     Ok(out)
 }
 
+/// Evaluate one aggregate over a group's member rows, read in place.
+fn eval_aggregate<R: Row>(agg: &AggItem, members: &[usize], rows: &[R]) -> Result<Value> {
+    // Collect the argument values, skipping NULLs (SQL semantics).
+    // COUNT(*) has no argument and counts every row.
+    let mut args: Vec<Value> = Vec::with_capacity(members.len());
+    if let Some(arg) = &agg.arg {
+        for row in members.iter().filter_map(|&i| rows.get(i)) {
+            let v = arg.eval(row.values())?;
+            if !v.is_null() {
+                args.push(v);
+            }
+        }
+    }
+    let numeric = |v: &Value| -> Result<f64> {
+        v.as_f64().ok_or_else(|| {
+            AlgebraError::Type(format!("{} over non-numeric value {v}", agg.func.name()))
+        })
+    };
+    Ok(match agg.func {
+        AggFunc::Count => match &agg.arg {
+            None => Value::Int(members.len() as i64),
+            Some(_) => Value::Int(args.len() as i64),
+        },
+        AggFunc::Sum => {
+            if args.is_empty() {
+                Value::Null
+            } else if args.iter().all(|v| matches!(v, Value::Int(_))) {
+                let mut total = 0i64;
+                for v in &args {
+                    // The `all ints` guard above makes `as_i64` infallible,
+                    // but we still route the impossible case through the
+                    // typed error instead of panicking (PCQE-P001 ethos).
+                    let n = v
+                        .as_i64()
+                        .ok_or_else(|| AlgebraError::Type("SUM over non-integer value".into()))?;
+                    total = total
+                        .checked_add(n)
+                        .ok_or_else(|| AlgebraError::Type("SUM overflow".into()))?;
+                }
+                Value::Int(total)
+            } else {
+                let mut total = 0.0;
+                for v in &args {
+                    total += numeric(v)?;
+                }
+                Value::Real(total)
+            }
+        }
+        AggFunc::Avg => {
+            if args.is_empty() {
+                Value::Null
+            } else {
+                let mut total = 0.0;
+                for v in &args {
+                    total += numeric(v)?;
+                }
+                Value::Real(total / args.len() as f64)
+            }
+        }
+        AggFunc::Min => args.into_iter().min().unwrap_or(Value::Null),
+        AggFunc::Max => args.into_iter().max().unwrap_or(Value::Null),
+    })
+}
+
+/// One join output row: the concatenated values under the conjunction of
+/// both inputs' lineage.
+fn joined(tuple: Tuple, left: &impl Row, right: &impl Row) -> DerivedTuple {
+    DerivedTuple {
+        tuple,
+        lineage: Lineage::and(vec![left.lineage(), right.lineage()]),
+    }
+}
+
+/// Merge rows with identical values, OR-ing their lineage (set semantics).
+/// The first occurrence's position is kept, so output order is stable.
+fn or_merge(rows: Vec<DerivedTuple>) -> Vec<DerivedTuple> {
+    let mut index: BTreeMap<Tuple, usize> = BTreeMap::new();
+    let mut grouped: Vec<(Tuple, Vec<Lineage>)> = Vec::new();
+    for row in rows {
+        match index.get(&row.tuple) {
+            Some(&i) => {
+                if let Some((_, lineages)) = grouped.get_mut(i) {
+                    lineages.push(row.lineage);
+                }
+            }
+            None => {
+                index.insert(row.tuple.clone(), grouped.len());
+                grouped.push((row.tuple, vec![row.lineage]));
+            }
+        }
+    }
+    grouped
+        .into_iter()
+        .map(|(tuple, lineages)| DerivedTuple {
+            lineage: Lineage::or(lineages),
+            tuple,
+        })
+        .collect()
+}
+
+/// Sort rows stably by `keys`. Every key of every row is evaluated, in row
+/// order, before anything moves, so the first error is the first failing
+/// row's.
+fn sort_rows(rows: Vec<DerivedTuple>, keys: &[SortKey]) -> Result<Vec<DerivedTuple>> {
+    let mut keyed = Vec::with_capacity(rows.len());
+    for row in rows {
+        let mut values = Vec::with_capacity(keys.len());
+        for key in keys {
+            values.push(key.expr.eval(row.tuple.values())?);
+        }
+        keyed.push((values, row));
+    }
+    keyed.sort_by(|(a, _), (b, _)| {
+        let mut by_key = a.iter().zip(b).zip(keys).map(|((x, y), key)| {
+            let cmp = x.cmp(y);
+            if key.descending {
+                cmp.reverse()
+            } else {
+                cmp
+            }
+        });
+        by_key
+            .find(|cmp| cmp.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(keyed.into_iter().map(|(_, row)| row).collect())
+}
+
 /// Execute one node; returns `(rows consumed from direct inputs, morsels
 /// of stored rows emitted, output)` where `rows_in` for a scan is the rows
 /// read from storage.
@@ -696,8 +841,6 @@ fn run_v_node<'c>(
             let input = run_v(input, ctx, depth + 1, prof)?;
             let rows_in = input.row_count();
             let projected = read_rows!(input, rows => project(rows, items, ctx)?);
-            // Duplicate merging is a pipeline breaker: reuse the
-            // reference walker's or_merge verbatim.
             let rows = if *distinct {
                 or_merge(projected)
             } else {
@@ -778,8 +921,7 @@ fn run_v_node<'c>(
             (l.len() + r.len(), VOut::Rows(out))
         }
         PhysicalPlan::Sort { input, keys } => {
-            let mut rows = run_v(input, ctx, depth + 1, prof)?.into_rows();
-            sort_rows(&mut rows, keys)?;
+            let rows = sort_rows(run_v(input, ctx, depth + 1, prof)?.into_rows(), keys)?;
             (rows.len(), VOut::Rows(rows))
         }
         PhysicalPlan::Limit { input, count } => {

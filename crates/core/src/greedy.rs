@@ -7,7 +7,7 @@
 //! the paper measured this refinement to cut cost by more than 30 % at
 //! negligible extra time (Figure 11(b)/(e)).
 //!
-//! There is one loop ([`run`]) and it works on an [`EvalState`], which
+//! There is one loop (`run`) and it works on an [`EvalState`], which
 //! owns every threshold and quota: a single query, D&C's top-up and a
 //! batch of queries ([`crate::multi`]) differ only in the state they hand
 //! it. Phase 1 picks what Figure 6's `O(k)` rescan per iteration picks,

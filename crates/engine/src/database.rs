@@ -653,7 +653,8 @@ impl Database {
     }
 
     /// [`Database::query`] with the causal tracer enabled for exactly this
-    /// call: returns the response alongside the drained [`QueryTrace`] —
+    /// call: returns the response alongside the drained
+    /// [`QueryTrace`](pcqe_obs::QueryTrace) —
     /// lifecycle spans (`query` > `plan`/`execute`/`score`/`gate`, plus
     /// `propose` when strategy finding runs), per-operator `op:*` spans,
     /// circuit-cache `cache.*` events, β-gate `beta.skip` /
@@ -1445,15 +1446,19 @@ mod tests {
         assert!(text.contains("TableScan Proposal [filter:"), "got:\n{text}");
     }
 
-    /// The reference the engine is held to: logical plan → sequential
-    /// `execute` → uncached `score` → `evaluate_results`.
+    /// The pipeline taken apart, unoptimised and uncached: logical plan →
+    /// `lower` → one-worker vectorized execution → uncached `score` →
+    /// `evaluate_results`.
     fn reference(
         db: &Database,
         user: &User,
         request: &QueryRequest,
     ) -> (Vec<ReleasedTuple>, usize) {
         let plan = pcqe_sql::parse_and_plan(&request.sql, db.catalog()).unwrap();
-        let rows = pcqe_algebra::execute(&plan, db.catalog()).unwrap();
+        let physical = pcqe_algebra::lower(&plan, db.catalog()).unwrap();
+        let sequential = pcqe_par::Parallelism::sequential();
+        let rows =
+            pcqe_algebra::execute_vectorized_with(&physical, db.catalog(), &sequential).unwrap();
         let probs = |v: pcqe_lineage::VarId| db.confidence(TupleId(v.0));
         let scored = rows.score(&probs, &db.config.evaluator).unwrap();
         let policy = db.policies.select(&user.role, &request.purpose).unwrap();

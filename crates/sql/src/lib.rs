@@ -23,7 +23,8 @@
 //! ```
 //! use pcqe_sql::parse_and_plan;
 //! use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
-//! use pcqe_algebra::execute;
+//! use pcqe_algebra::{execute_vectorized_with, lower};
+//! use pcqe_par::Parallelism;
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.create_table("t", Schema::new(vec![
@@ -32,7 +33,9 @@
 //! catalog.insert("t", vec![Value::Int(3)], 0.9).unwrap();
 //!
 //! let plan = parse_and_plan("SELECT x FROM t WHERE x > 1", &catalog).unwrap();
-//! assert_eq!(execute(&plan, &catalog).unwrap().len(), 1);
+//! let physical = lower(&plan, &catalog).unwrap();
+//! let rows = execute_vectorized_with(&physical, &catalog, &Parallelism::sequential()).unwrap();
+//! assert_eq!(rows.len(), 1);
 //! ```
 
 pub mod ast;

@@ -363,8 +363,9 @@ pub fn resolve(expr: &Expr, schema: &Schema) -> Result<ScalarExpr> {
 mod tests {
     use super::*;
     use crate::parse;
-    use pcqe_algebra::execute;
+    use pcqe_algebra::{execute_vectorized_with, lower, ResultSet};
     use pcqe_lineage::{Evaluator, VarId};
+    use pcqe_par::Parallelism;
     use pcqe_storage::{Column, DataType, TupleId};
 
     /// The paper's Tables 1–2, with the exact confidences of Section 3.1.
@@ -431,9 +432,15 @@ mod tests {
         c
     }
 
+    /// Lower `plan` as planned and run it, one worker.
+    fn run(plan: &Plan, catalog: &Catalog) -> ResultSet {
+        let physical = lower(plan, catalog).unwrap();
+        execute_vectorized_with(&physical, catalog, &Parallelism::sequential()).unwrap()
+    }
+
     fn run_scored(sql: &str, catalog: &Catalog) -> Vec<(Vec<Value>, f64)> {
         let plan = plan_query(&parse(sql).unwrap(), catalog).unwrap();
-        let rs = execute(&plan, catalog).unwrap();
+        let rs = run(&plan, catalog);
         let probs = |v: VarId| catalog.confidence(TupleId(v.0));
         rs.score(&probs, &Evaluator::default())
             .unwrap()
@@ -460,7 +467,7 @@ mod tests {
     fn select_star_expands_columns() {
         let c = paper_db();
         let plan = plan_query(&parse("SELECT * FROM CompanyInfo").unwrap(), &c).unwrap();
-        let rs = execute(&plan, &c).unwrap();
+        let rs = run(&plan, &c);
         assert_eq!(rs.schema().arity(), 2);
         assert_eq!(rs.schema().columns()[0].name, "company");
     }

@@ -1,15 +1,16 @@
 //! The reference pipeline, and the one harness that holds every path to
 //! it: [`check_sql`].
 //!
-//! The engine has one production path (optimise → lower → vectorized
-//! execution → cached, β-gated scoring). The suites hold it to the simplest
-//! code that computes the same answers: the logical plan as `pcqe_sql`
-//! built it, the sequential walker `execute`, the uncached interpreter
+//! The engine has one path (optimise → lower → vectorized execution →
+//! cached, β-gated scoring). The suites hold it to the simplest code that
+//! computes the same answers: the logical plan as `pcqe_sql` built it, the
+//! tuple-at-a-time reference executor (`reference.rs`, which shares no
+//! operator code with the engine's), the uncached interpreter
 //! `ResultSet::score` and the policy gate — no optimiser, no planner, no
 //! batches, no circuit pool, no threads.
 
-use super::DbSpec;
-use pcqe::algebra::{execute, execute_vectorized_with, lower, optimize, PhysicalPlan, ResultSet};
+use super::{execute, DbSpec};
+use pcqe::algebra::{execute_vectorized_with, lower, optimize, PhysicalPlan, ResultSet};
 use pcqe::algebra::{DerivedTuple, Result as AlgebraResult, ScoredTuple};
 use pcqe::engine::{AuditEntry, Database, EngineConfig, QueryRequest, QueryResponse, User};
 use pcqe::lineage::{bounds, CircuitCache, Evaluator, VarId};
@@ -91,7 +92,7 @@ impl Reference {
     }
 }
 
-/// `pcqe_sql` parse + plan → logical `execute` → uncached
+/// `pcqe_sql` parse + plan → the reference [`execute`] → uncached
 /// `ResultSet::score` → `evaluate_results`.
 pub fn reference(sql: &str, catalog: &Catalog, policy: &ConfidencePolicy) -> Reference {
     let rows = execute(&parse_and_plan(sql, catalog).unwrap(), catalog).unwrap();
@@ -253,8 +254,8 @@ pub const BETAS: [f64; 2] = [0.5, 0.3];
 /// outcome — the rows, their order, lineage and confidence bits, the
 /// withheld counts and the audit, or else the same error string:
 ///
-/// 1. the reference: the walker on the plan as the SQL planner built it,
-///    scored by the interpreter;
+/// 1. the reference: the reference executor ([`execute`]) on the plan as
+///    the SQL planner built it, scored by the interpreter;
 /// 2. optimise → lower → vectorized execution at 1, 4 and host threads,
 ///    over the database without its indexes and with them, the schema
 ///    unchanged;

@@ -530,7 +530,9 @@ fn random_select(
             });
         }
     } else if !scope.worlds && rng.chance(0.15) {
-        let mut aggs = vec![("COUNT", None)];
+        // `COUNT(*)`, or half the time `COUNT` of a column (NULLs skipped).
+        let count = rng.chance(0.5).then(|| column(rng));
+        let mut aggs = vec![("COUNT", count)];
         if rng.chance(0.5) {
             aggs.push((pick(rng, &["SUM", "MIN", "MAX"]), Some(column(rng))));
         }

@@ -5,12 +5,14 @@
 //! a fixed number of cases, each case derived from a per-case seed, so a
 //! failure prints the exact seed needed to replay it in isolation. The
 //! equivalence suites draw their databases and queries from one generator
-//! (`generate.rs`) and hold every path to one reference (`check.rs`).
+//! (`generate.rs`) and hold every path to one reference pipeline
+//! (`check.rs`) around one reference executor (`reference.rs`).
 
 #![allow(dead_code)]
 
 mod check;
 mod generate;
+mod reference;
 
 pub use check::*;
 pub use generate::*;
@@ -21,6 +23,7 @@ use pcqe::engine::{Database, StatementOutcome};
 use pcqe::lineage::{Lineage, Rng64};
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Catalog, DataType, TupleId, Value};
+pub use reference::*;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 

@@ -3,12 +3,12 @@
 //! identical lineage; and the index join — the operator the planner picks
 //! where a hash join's build side is a whole table with an index on a key
 //! column — must give, bit for bit and error for error, what the
-//! reference walker and the hash join give, at any worker count.
+//! reference executor and the hash join give, at any worker count.
 
 mod common;
 
-use common::{for_each_case, random_rows, vexec_matches, DbSpec};
-use pcqe::algebra::{execute, execute_vectorized_with, lower, PhysicalPlan, Plan, ScalarExpr};
+use common::{execute, for_each_case, random_rows, vexec_matches, DbSpec};
+use pcqe::algebra::{execute_vectorized_with, lower, PhysicalPlan, Plan, ScalarExpr};
 use pcqe::par::Parallelism;
 use pcqe::storage::{Catalog, DataType, Value};
 use std::collections::BTreeSet;
@@ -95,7 +95,7 @@ fn join_key_multiplicity_is_respected() {
 }
 
 // ---------------------------------------------------------------------------
-// The index join against the reference walker and the hash join.
+// The index join against the reference executor and the hash join.
 
 /// An equi-join of a logical `left` input with a whole table.
 struct JoinCase {
@@ -112,7 +112,7 @@ struct JoinCase {
 }
 
 /// Hold the index join (over the spec with the case's index) and the hash
-/// join (over the spec without indexes) to the reference walker's outcome
+/// join (over the spec without indexes) to the reference executor's outcome
 /// — rows, order, lineage and confidence bits, or the error string — at
 /// 1, 4 and host workers; and hold the planner to its rule: with the
 /// index it lowers the join to exactly this index join, without to

@@ -20,7 +20,7 @@ use std::path::Path;
 const SUPPRESSED: [(&str, usize); 6] = [
     ("PCQE-D004", 2),
     ("PCQE-P001", 1),
-    ("PCQE-P002", 93),
+    ("PCQE-P002", 89),
     ("PCQE-F001", 4),
     ("PCQE-F002", 6),
     ("PCQE-F003", 1),

@@ -5,7 +5,7 @@
 
 mod common;
 
-use pcqe::algebra::execute;
+use common::execute;
 use pcqe::core::heuristic::{self, HeuristicOptions};
 use pcqe::core::problem::ProblemBuilder;
 use pcqe::cost::CostFn;

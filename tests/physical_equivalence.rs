@@ -7,7 +7,7 @@
 //! lowered plan run on the vectorized executor must produce a
 //! **bit-identical** outcome — same rows, same order, same lineage, same
 //! scored confidence bits, or the same error — as the reference pipeline
-//! (the plan as the SQL planner built it, on the sequential walker), at any
+//! (the plan as the SQL planner built it, on the reference executor), at any
 //! worker-thread count, with or without equality indexes; `check_sql` holds
 //! `Database::query` to it too. The hand-built laws below pin morsel
 //! layouts and offender rows the generator would rarely reach.
@@ -20,13 +20,14 @@
 mod common;
 
 use common::{
-    any_value, assert_vexec_matches, check, check_generated, check_sql, explained, for_each_case,
-    paper_db, random_db, random_predicate, random_tree, Agreed, DbSpec, Expr, ENGINE, PAPER_QUERY,
+    and_chain, any_value, assert_vexec_matches, check, check_generated, check_sql, eval_predicate,
+    execute, explained, for_each_case, key_pair, paper_db, random_db, random_predicate,
+    random_tree, Agreed, DbSpec, Expr, ENGINE, PAPER_QUERY,
 };
 use pcqe::algebra::plan::SortKey;
 use pcqe::algebra::{
-    execute, execute_vectorized_with, lower, optimize, BinaryOp, PhysicalPlan, Plan, ProjItem,
-    ScalarExpr, UnaryOp,
+    execute_vectorized_with, lower, optimize, BinaryOp, PhysicalPlan, Plan, ProjItem, ScalarExpr,
+    UnaryOp,
 };
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::lineage::Rng64;
@@ -56,7 +57,7 @@ fn physical_execution_is_bit_identical_to_logical() {
     assert!(nested >= 50 && hashed >= 50, "{nested} / {hashed}");
 }
 
-/// The join rule, the reference walker's: over the database with its
+/// The join rule (`common::key_pair`): over the database with its
 /// indexes and without, every join `sql` lowers to is a nested loop
 /// exactly when its predicate has no conjunct `a = b` over a left and a
 /// right column of one type that `=` compares exactly (`INT`, `TEXT` or
@@ -122,7 +123,7 @@ fn the_join_rule_holds(spec: &DbSpec, sql: &str, kinds: &Cell<[usize; 2]>) -> Re
             predicate.iter().for_each(|p| and_chain(p, &mut conjuncts));
             let has_pair = conjuncts
                 .iter()
-                .any(|c| hashable_pair(c, &types, left.arity()));
+                .any(|c| key_pair(c, &types, left.arity()).is_some());
             let nested = matches!(node, PhysicalPlan::NestedLoopJoin { .. });
             if nested == has_pair {
                 return Err(format!(
@@ -143,43 +144,6 @@ fn the_join_rule_holds(spec: &DbSpec, sql: &str, kinds: &Cell<[usize; 2]>) -> Re
     }
     kinds.set(counts);
     Ok(())
-}
-
-/// The conjuncts of `e`'s top-level `AND` chain, appended to `out`.
-fn and_chain<'e>(e: &'e ScalarExpr, out: &mut Vec<&'e ScalarExpr>) {
-    match e {
-        ScalarExpr::Binary {
-            op: BinaryOp::And,
-            left,
-            right,
-        } => {
-            and_chain(left, out);
-            and_chain(right, out);
-        }
-        conjunct => out.push(conjunct),
-    }
-}
-
-/// Whether `e` is `a = b` over one column below `left_arity` and one at or
-/// above it, both of one type whose values `=` compares exactly.
-fn hashable_pair(e: &ScalarExpr, types: &[DataType], left_arity: usize) -> bool {
-    let ScalarExpr::Binary {
-        op: BinaryOp::Eq,
-        left,
-        right,
-    } = e
-    else {
-        return false;
-    };
-    let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (&**left, &**right) else {
-        return false;
-    };
-    let (a, b) = (*a.min(b), *a.max(b));
-    let exact = matches!(
-        types.get(a),
-        Some(DataType::Int | DataType::Text | DataType::Bool)
-    );
-    a < left_arity && b >= left_arity && exact && types.get(a) == types.get(b)
 }
 
 fn col(i: usize) -> ScalarExpr {
@@ -612,7 +576,7 @@ fn compiled_predicates_agree_with_the_interpreter() {
         let compiled = expr.compile();
         for _ in 0..4 {
             let row: Vec<Value> = (0..4).map(|_| any_value(rng)).collect();
-            let expected = expr.eval_predicate(&row).map_err(|e| e.to_string());
+            let expected = eval_predicate(&expr, &row).map_err(|e| e.to_string());
             let got = compiled.test(&row).map_err(|e| e.to_string());
             assert_eq!(expected, got, "{expr} on {row:?}");
             match expected {
