@@ -142,7 +142,9 @@ EOF
   }
   # The statement cache: one SELECT shape at two literals must count a
   # hit in `.metrics`; after CREATE INDEX the shape's next run must miss
-  # (the index changed what the planner reads).
+  # (the index changed what the planner reads). An INSERT and a repeated
+  # CREATE INDEX change no plan: the shape's next run after them learns it
+  # and hits, and no miss is counted.
   stderr_file="$(mktemp)"
   plan_out="$(cargo run -q --offline --example shell 2>"$stderr_file" <<'EOF'
 CREATE TABLE u (k INT, v TEXT);
@@ -152,6 +154,10 @@ SELECT v FROM u WHERE k = 2
 .metrics
 CREATE INDEX ON u (k);
 SELECT v FROM u WHERE k = 3
+.metrics
+INSERT INTO u VALUES (4, 'd');
+CREATE INDEX ON u (k);
+SELECT v FROM u WHERE k = 4
 .metrics
 .quit
 EOF
@@ -168,10 +174,13 @@ EOF
   counter() { echo "$plan_out" | sed -e 's/^\(pcqe> \)*//' | awk -v name="pcqe_$1" -v nth="$2" '
     $1 == name && ++seen == nth { value = $2 }
     END { print value + 0 }'; }
-  local hits misses_before misses_after
+  local hits misses_before misses_after hits_kept hits_after_writes misses_after_writes
   hits="$(counter plan_cache_hit 1)"
   misses_before="$(counter plan_cache_miss 1)"
   misses_after="$(counter plan_cache_miss 2)"
+  hits_kept="$(counter plan_cache_hit 2)"
+  hits_after_writes="$(counter plan_cache_hit 3)"
+  misses_after_writes="$(counter plan_cache_miss 3)"
   [ "$hits" -ge 1 ] || {
     echo "EXPLAIN smoke: expected a statement-cache hit for one shape at two literals, got $hits" >&2
     echo "$plan_out" >&2
@@ -182,7 +191,12 @@ EOF
     echo "$plan_out" >&2
     return 1
   }
-  echo "EXPLAIN smoke OK (hash join on a key pair, nested loop without one, pushed residual filter; index scan keeps the whole predicate, same error across CREATE INDEX; statement cache: $hits hit, a miss after CREATE INDEX)"
+  [ "$hits_after_writes" -gt "$hits_kept" ] && [ "$misses_after_writes" -eq "$misses_after" ] || {
+    echo "EXPLAIN smoke: expected a hit and no miss after INSERT and a repeated CREATE INDEX (hits $hits_kept -> $hits_after_writes, misses $misses_after -> $misses_after_writes)" >&2
+    echo "$plan_out" >&2
+    return 1
+  }
+  echo "EXPLAIN smoke OK (hash join on a key pair, nested loop without one, pushed residual filter; index scan keeps the whole predicate, same error across CREATE INDEX; statement cache: $hits hit, a miss after CREATE INDEX, a hit after INSERT and a repeated CREATE INDEX)"
 }
 
 stage_trace_smoke() { # causal-trace smoke (.trace on the § 3.1 example -> results/trace_chrome.json)

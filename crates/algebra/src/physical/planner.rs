@@ -11,8 +11,9 @@
 //!   [`pcqe_storage::EqualityIndex`] — a [`PhysicalPlan::IndexScan`] that
 //!   fetches only the rows the index lists, and still tests the whole
 //!   predicate on each: the index is a source of candidates, not a
-//!   rewrite of the predicate. Of several usable indexes the one whose key
-//!   keeps the fewest rows by [`pcqe_storage::TableStats`] wins.
+//!   rewrite of the predicate. Of several usable indexes the first in
+//!   conjunct order wins — the rule an index join's key follows too — so
+//!   the access path reads the schema and the index set, never the rows.
 //! * **Join strategies** — one rule, read off the predicate and the
 //!   schemas alone: a `Join` with hashable equality conjuncts (same-typed
 //!   `INT`/`TEXT`/`BOOL` column pairs in its top-level `AND` chain) becomes
@@ -251,9 +252,10 @@ fn split_equi_conjuncts(
 /// rejects without raising — and its key is typed exactly as the column:
 /// a coerced key (a `REAL` literal on an `INT` column) cannot use the
 /// index, because map equality would not coincide with SQL `=`. Of the
-/// usable indexes the most selective wins; `min_by_key` keeps the earliest
-/// conjunct on ties, so the choice is a pure function of plan + catalog
-/// state. Nothing is taken out of the predicate: a chain of conjuncts stays
+/// usable indexes the first in conjunct order wins, as in
+/// [`indexed_build_key`], so the choice is a function of the predicate,
+/// the schema and the index set — never of the rows, whose count no plan
+/// reads. Nothing is taken out of the predicate: a chain of conjuncts stays
 /// whole as the scan's residual, so every fetched row meets a table scan's
 /// evaluation, error wording included; only a predicate that *is* the key
 /// conjunct needs no residual.
@@ -264,33 +266,30 @@ fn plan_scan(
     catalog: &Catalog,
 ) -> Result<PhysicalPlan> {
     let t = catalog.table(table)?;
-    let stats = t.stats();
     let run = predicate.leading_run(t);
     // A comparison is its own sole conjunct: anything else that reaches an
     // index scan is a chain around the key.
     let is_chain = predicate.column_cmp_literal().is_none();
-    let indexed = run.conjuncts().iter().filter_map(|cmp| {
+    let indexed = run.conjuncts().iter().find_map(|cmp| {
         let column = t.schema().columns().get(cmp.column)?;
         let exact = cmp.op == BinaryOp::Eq && cmp.literal.data_type() == Some(column.data_type);
         (exact && t.index_on(cmp.column).is_some()).then_some((cmp, column))
     });
-    Ok(
-        match indexed.min_by_key(|(cmp, _)| stats.eq_selectivity_rows(cmp.column)) {
-            Some((cmp, column)) => PhysicalPlan::IndexScan {
-                table: table.to_owned(),
-                alias,
-                column: cmp.column,
-                column_name: column.name.clone(),
-                key: cmp.literal.clone(),
-                residual: is_chain.then(|| predicate.clone()),
-            },
-            None => PhysicalPlan::TableScan {
-                table: table.to_owned(),
-                alias,
-                residual: Some(predicate.clone()),
-            },
+    Ok(match indexed {
+        Some((cmp, column)) => PhysicalPlan::IndexScan {
+            table: table.to_owned(),
+            alias,
+            column: cmp.column,
+            column_name: column.name.clone(),
+            key: cmp.literal.clone(),
+            residual: is_chain.then(|| predicate.clone()),
         },
-    )
+        None => PhysicalPlan::TableScan {
+            table: table.to_owned(),
+            alias,
+            residual: Some(predicate.clone()),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -298,8 +297,8 @@ mod tests {
     use super::*;
     use pcqe_storage::{Column, DataType, Schema, Value};
 
-    /// `t(k INT, n INT, a INT, s TEXT, status TEXT)`, 24 rows, `k` (NDV 6)
-    /// and `status` (NDV 2) indexed.
+    /// `t(k INT, n INT, a INT, s TEXT, status TEXT)`, 24 rows, `k` (6
+    /// keys) and `status` (2 keys) indexed.
     fn access_path_catalog() -> Catalog {
         let mut c = Catalog::new();
         let int = |name| Column::new(name, DataType::Int);
@@ -357,18 +356,18 @@ mod tests {
                 format!("IndexScan t (k = 3) [filter: {filter}]")
             );
         }
-        // Of two indexed conjuncts of the run the more selective wins —
-        // `k` keeps 4 rows, `status` 12 — wherever it stands.
+        // Of two indexed conjuncts of the run the first in conjunct order
+        // wins — however many rows either key keeps (`k = 3` 4, `status =
+        // 'open'` 12) — also over the same index.
         let both = "((#4 = 'open') AND (#0 = 3))";
         assert_eq!(
             scan(open().and(k_is_3())),
-            format!("IndexScan t (k = 3) [filter: {both}]")
+            format!("IndexScan t (status = 'open') [filter: {both}]")
         );
         assert_eq!(
             scan(k_is_3().and(open())),
             "IndexScan t (k = 3) [filter: ((#0 = 3) AND (#4 = 'open'))]"
         );
-        // And the earliest on a tie.
         assert_eq!(
             scan(col(k).eq(int(4)).and(k_is_3())),
             "IndexScan t (k = 4) [filter: ((#0 = 4) AND (#0 = 3))]"

@@ -116,8 +116,7 @@ pub struct Database {
     /// the catalog (or what-if overrides) before every scoring pass, so the
     /// pool survives across queries and `apply` calls without going stale.
     cache: pcqe_lineage::CircuitCache,
-    /// Lowered plans by query shape, valid while the catalog's epoch
-    /// stands (DESIGN.md §9).
+    /// Lowered plans by query shape, emptied by DDL (DESIGN.md §9).
     plans: PlanCache,
 }
 
@@ -165,6 +164,7 @@ impl Database {
     /// Create a table.
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
         self.catalog.create_table(name, schema)?;
+        self.plans.clear();
         Ok(())
     }
 
@@ -180,9 +180,15 @@ impl Database {
     /// only). Indexes are maintained on every insert, saved and restored
     /// by [`crate::persist`], and change only the *access paths* and join
     /// strategies chosen by the physical planner — never query results.
-    /// Returns the indexed column's position. Idempotent.
+    /// Returns the indexed column's position. Idempotent: re-creating an
+    /// index changes nothing, and keeps every cached plan.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<usize> {
-        Ok(self.catalog.create_index(table, column)?)
+        let indexes = self.catalog.table(table)?.indexes().len();
+        let pos = self.catalog.create_index(table, column)?;
+        if self.catalog.table(table)?.indexes().len() > indexes {
+            self.plans.clear();
+        }
+        Ok(pos)
     }
 
     /// Insert a row whose confidence is assessed from provenance records.
@@ -334,7 +340,7 @@ impl Database {
             pcqe_sql::Statement::Explain { analyze, query } => {
                 let plan = self.plan(&query)?;
                 let shape = pcqe_sql::Shape::explained(sql)?;
-                let phys = match self.plans.bound(&shape, self.catalog.epoch()) {
+                let phys = match self.plans.bound(&shape) {
                     Some(cached) => cached,
                     None => Arc::new(pcqe_algebra::lower(&plan, &self.catalog)?),
                 };
@@ -396,35 +402,24 @@ impl Database {
         Ok(pcqe_algebra::lower(&self.plan(query)?, &self.catalog)?)
     }
 
-    /// The statement cache's plan for `sql`, of `shape`, at `epoch`, bound
-    /// to its literals; `None` on a miss. A shape that ran once at `epoch`
-    /// is learned here, from the lowering of a copy whose slots hold
-    /// sentinels.
-    fn cached(
-        &mut self,
-        sql: &str,
-        shape: &pcqe_sql::Shape,
-        epoch: u64,
-    ) -> Option<Arc<PhysicalPlan>> {
-        if self.plans.seen(shape, epoch) {
+    /// The statement cache's plan for `sql`, of `shape`, bound to its
+    /// literals; `None` on a miss. A shape that ran once is learned here,
+    /// from the lowering of a copy whose slots hold sentinels.
+    fn cached(&mut self, sql: &str, shape: &pcqe_sql::Shape) -> Option<Arc<PhysicalPlan>> {
+        if self.plans.seen(shape) {
             let sentinels = pcqe_sql::parse_sentinels(sql).ok();
             let sentinels = sentinels.and_then(|query| self.lower(&query).ok());
-            self.plans.learn(shape, epoch, sentinels);
+            self.plans.learn(shape, sentinels);
         }
-        self.plans.bound(shape, epoch)
+        self.plans.bound(shape)
     }
 
     /// A statement-cache miss: parse, plan, optimise and lower `sql`, of
-    /// `shape`, and let the cache keep the plan it ran at `epoch`. An error
-    /// on the way is the query's own, and leaves nothing cached.
-    fn plan_afresh(
-        &mut self,
-        sql: &str,
-        shape: &pcqe_sql::Shape,
-        epoch: u64,
-    ) -> Result<Arc<PhysicalPlan>> {
+    /// `shape`, and let the cache keep the plan it ran. An error on the
+    /// way is the query's own, and leaves nothing cached.
+    fn plan_afresh(&mut self, sql: &str, shape: &pcqe_sql::Shape) -> Result<Arc<PhysicalPlan>> {
         let fresh = Arc::new(self.lower(&pcqe_sql::parse(sql)?)?);
-        self.plans.saw(shape, epoch, &fresh);
+        self.plans.saw(shape, &fresh);
         Ok(fresh)
     }
 
@@ -469,15 +464,15 @@ impl Database {
             if stage.lifecycle.is_some() {
                 self.tracer.instant("parse", &request.sql);
             }
-            let (shape, epoch) = (pcqe_sql::Shape::of(&request.sql)?, self.catalog.epoch());
-            let cached = self.cached(&request.sql, &shape, epoch);
+            let shape = pcqe_sql::Shape::of(&request.sql)?;
+            let cached = self.cached(&request.sql, &shape);
             // Counted before planning: a query that fails to plan is a miss.
             if stage.record {
                 tally.plan_hit = Some(cached.is_some());
             }
             match cached {
                 Some(cached) => cached,
-                None => self.plan_afresh(&request.sql, &shape, epoch)?,
+                None => self.plan_afresh(&request.sql, &shape)?,
             }
         };
         // Who hears this call, decided once: the recorder iff the stage

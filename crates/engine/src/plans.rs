@@ -1,18 +1,19 @@
-//! The statement cache: a physical plan per query *shape*, the places its
-//! slots land in it, and the catalog epoch it was lowered at (DESIGN.md
-//! §9, "Statements planned once per shape").
+//! The statement cache: a physical plan per query *shape*, and the places
+//! its slots land in it (DESIGN.md §9, "Statements planned once per
+//! shape").
 //!
-//! The planner and optimiser read a literal's type and NULL-ness, never
-//! its value (DESIGN.md §9, "What a plan reads"), so a plan lowered for one
-//! query serves every query of its [`Shape`] with the values rebound —
-//! while the catalog's epoch stands. That is checked, not assumed, for
-//! each shape before it is kept. A shape's first run at an epoch is planned
-//! as any query is, and the cache keeps that plan ([`PlanCache::saw`]). Its
+//! The planner and optimiser read the schema, the index set and a
+//! literal's type and NULL-ness, never its value and never the rows
+//! (DESIGN.md §9, "What a plan reads"), so a plan lowered for one query
+//! serves every query of its [`Shape`] with the values rebound, until DDL
+//! empties the cache ([`PlanCache::clear`]). That is checked, not assumed,
+//! for each shape before it is kept. A shape's first run is planned as any
+//! query is, and the cache keeps that plan ([`PlanCache::saw`]). Its
 //! second run lowers a copy whose slots hold sentinels, and
 //! [`PlanCache::learn`] keeps that copy only if binding the first run's
 //! literals into it gives back the first run's plan. A shape whose plan
 //! reads a value therefore stays uncached rather than wrong, and a shape
-//! run once per epoch is planned once, not twice.
+//! run once is planned once, not twice.
 
 use pcqe_algebra::PhysicalPlan;
 use pcqe_sql::{sentinel_slot, Shape};
@@ -34,8 +35,6 @@ pub(crate) struct PlanCache {
 
 #[derive(Debug)]
 struct Entry {
-    /// The catalog epoch the entry was made at; it serves no other.
-    epoch: u64,
     /// Insertion number: the lowest is evicted first.
     made: u64,
     state: State,
@@ -57,38 +56,40 @@ enum State {
         places: Vec<Option<usize>>,
     },
     /// The sentinel copy did not give the plan back: the shape is planned
-    /// afresh on every run at this epoch, and not learned again.
+    /// afresh on every run, and not learned again.
     Refused,
 }
 
 impl PlanCache {
-    /// The plan learned for `shape` at catalog epoch `epoch`, with the
-    /// shape's literals bound in; `None` if none is.
-    pub(crate) fn bound(&mut self, shape: &Shape, epoch: u64) -> Option<Arc<PhysicalPlan>> {
+    /// Forget every shape: the schema or the index set changed.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The plan learned for `shape`, with the shape's literals bound in;
+    /// `None` if none is.
+    pub(crate) fn bound(&mut self, shape: &Shape) -> Option<Arc<PhysicalPlan>> {
         let entry = self.entries.get_mut(shape.key())?;
         let State::Learned { plan, places } = &mut entry.state else {
             return None;
         };
-        if entry.epoch != epoch {
-            return None;
-        }
         // In place while no earlier run still holds the plan.
         bind(Arc::make_mut(plan), places, shape.literals());
         Some(Arc::clone(plan))
     }
 
-    /// Whether `shape` ran once at `epoch` and awaits [`PlanCache::learn`].
-    pub(crate) fn seen(&self, shape: &Shape, epoch: u64) -> bool {
+    /// Whether `shape` ran once and awaits [`PlanCache::learn`].
+    pub(crate) fn seen(&self, shape: &Shape) -> bool {
         self.entries
             .get(shape.key())
-            .is_some_and(|e| e.epoch == epoch && matches!(e.state, State::Seen { .. }))
+            .is_some_and(|e| matches!(e.state, State::Seen { .. }))
     }
 
-    /// Remember that `shape` ran at `epoch` and was lowered to `fresh` —
-    /// unless the shape was refused at that epoch already.
-    pub(crate) fn saw(&mut self, shape: &Shape, epoch: u64, fresh: &Arc<PhysicalPlan>) {
+    /// Remember that `shape` ran and was lowered to `fresh` — unless the
+    /// shape was refused already.
+    pub(crate) fn saw(&mut self, shape: &Shape, fresh: &Arc<PhysicalPlan>) {
         let entry = self.entries.get(shape.key());
-        if entry.is_some_and(|e| e.epoch == epoch && matches!(e.state, State::Refused)) {
+        if entry.is_some_and(|e| matches!(e.state, State::Refused)) {
             return;
         }
         if entry.is_none() && self.entries.len() >= CAPACITY {
@@ -102,7 +103,6 @@ impl PlanCache {
             literals: shape.literals().to_vec(),
         };
         let entry = Entry {
-            epoch,
             made: self.made,
             state,
         };
@@ -110,21 +110,18 @@ impl PlanCache {
         self.entries.insert(shape.key().to_owned(), entry);
     }
 
-    /// Learn where the slots of `shape`, [`PlanCache::seen`] at `epoch`,
-    /// land: `sentinels` is the lowering of its sentinel copy
+    /// Learn where the slots of `shape`, [`PlanCache::seen`], land:
+    /// `sentinels` is the lowering of its sentinel copy
     /// ([`pcqe_sql::parse_sentinels`]), `None` where that failed. The copy
     /// is kept only if binding the first run's literals into it gives back
-    /// the first run's plan; otherwise the shape is refused at `epoch`.
-    pub(crate) fn learn(&mut self, shape: &Shape, epoch: u64, sentinels: Option<PhysicalPlan>) {
+    /// the first run's plan; otherwise the shape is refused.
+    pub(crate) fn learn(&mut self, shape: &Shape, sentinels: Option<PhysicalPlan>) {
         let Some(entry) = self.entries.get_mut(shape.key()) else {
             return;
         };
         let State::Seen { fresh, literals } = &entry.state else {
             return;
         };
-        if entry.epoch != epoch {
-            return;
-        }
         let learned = sentinels.and_then(|mut plan| {
             let mut places = Vec::new();
             plan.literals_mut(&mut |v| places.push(sentinel_slot(v)));
@@ -177,66 +174,65 @@ mod tests {
         Shape::of(&format!("SELECT k FROM {table} WHERE k = {key}")).unwrap()
     }
 
-    /// Run `SELECT k FROM table WHERE k = key` once at `epoch`, and learn
-    /// its shape as its second run would.
-    fn learn(cache: &mut PlanCache, table: &str, key: i64, epoch: u64) -> Shape {
+    /// Run `SELECT k FROM table WHERE k = key` once, and learn its shape
+    /// as its second run would.
+    fn learn(cache: &mut PlanCache, table: &str, key: i64) -> Shape {
         let shape = shape(table, key);
-        cache.saw(&shape, epoch, &Arc::new(scan(table, Value::Int(key))));
+        cache.saw(&shape, &Arc::new(scan(table, Value::Int(key))));
         let sentinels = scan(table, sentinel(0, DataType::Int));
-        cache.learn(&shape, epoch, Some(sentinels));
+        cache.learn(&shape, Some(sentinels));
         shape
     }
 
     #[test]
-    fn a_shape_is_learned_on_its_second_run_and_bound_at_its_epoch() {
+    fn a_shape_is_learned_on_its_second_run_and_bound_until_cleared() {
         let mut cache = PlanCache::default();
         let (first, twin) = (shape("t", 1), shape("t", 5));
-        cache.saw(&first, 7, &Arc::new(scan("t", Value::Int(1))));
-        assert_eq!(cache.bound(&twin, 7), None);
-        assert!(cache.seen(&twin, 7) && !cache.seen(&twin, 8));
-        cache.learn(&twin, 7, Some(scan("t", sentinel(0, DataType::Int))));
-        assert!(!cache.seen(&twin, 7));
+        cache.saw(&first, &Arc::new(scan("t", Value::Int(1))));
+        assert_eq!(cache.bound(&twin), None);
+        assert!(cache.seen(&twin));
+        cache.learn(&twin, Some(scan("t", sentinel(0, DataType::Int))));
+        assert!(!cache.seen(&twin));
         assert_eq!(
-            cache.bound(&twin, 7).as_deref(),
+            cache.bound(&twin).as_deref(),
             Some(&scan("t", Value::Int(5)))
         );
-        assert_eq!(cache.bound(&twin, 8), None);
+        cache.clear();
+        assert_eq!(cache.bound(&twin), None);
     }
 
     #[test]
-    fn a_sentinel_plan_that_does_not_give_the_plan_back_is_refused_for_its_epoch() {
+    fn a_sentinel_plan_that_does_not_give_the_plan_back_is_refused_until_cleared() {
         let mut cache = PlanCache::default();
         let first = shape("t", 1);
         let fresh = Arc::new(scan("t", Value::Int(1)));
         for sentinels in [Some(scan("t", Value::Int(2))), None] {
-            cache.saw(&first, 8, &fresh);
-            cache.learn(&first, 8, sentinels);
-            assert_eq!(cache.bound(&first, 8), None);
-            // Refused: later runs at the epoch are not learned again.
-            cache.saw(&first, 8, &fresh);
-            assert!(!cache.seen(&first, 8));
-            // A new epoch starts over.
-            cache.saw(&first, 9, &fresh);
-            assert!(cache.seen(&first, 9));
-            cache.entries.clear();
+            cache.saw(&first, &fresh);
+            cache.learn(&first, sentinels);
+            assert_eq!(cache.bound(&first), None);
+            // Refused: later runs are not learned again.
+            cache.saw(&first, &fresh);
+            assert!(!cache.seen(&first));
+            // Clearing starts over.
+            cache.clear();
+            cache.saw(&first, &fresh);
+            assert!(cache.seen(&first));
+            cache.clear();
         }
     }
 
     #[test]
     fn past_capacity_the_shape_cached_first_goes() {
         let mut cache = PlanCache::default();
-        let first = learn(&mut cache, "t0", 1, 0);
-        let second = learn(&mut cache, "t1", 1, 0);
+        let first = learn(&mut cache, "t0", 1);
+        let second = learn(&mut cache, "t1", 1);
         for i in 2..CAPACITY {
-            learn(&mut cache, &format!("t{i}"), 1, 0);
+            learn(&mut cache, &format!("t{i}"), 1);
         }
-        // Running the first shape at a new epoch inserts it anew, so the
-        // second is the one cached first.
-        learn(&mut cache, "t0", 2, 1);
         assert_eq!(cache.entries.len(), CAPACITY);
-        learn(&mut cache, "extra", 1, 0);
+        learn(&mut cache, "extra", 1);
         assert_eq!(cache.entries.len(), CAPACITY);
-        assert!(cache.bound(&second, 0).is_none());
-        assert!(cache.bound(&first, 1).is_some());
+        assert!(cache.bound(&first).is_none());
+        assert!(cache.bound(&second).is_some());
     }
 }

@@ -229,10 +229,10 @@ pub struct FileClass {
 /// Crates whose output ordering feeds query results; `HashMap` iteration
 /// there silently breaks bit-identical evaluation (rule D001). `pcqe-obs`
 /// is included: metric snapshots and exports are golden-tested, so their
-/// iteration order must be stable too. The storage index and statistics
-/// modules are listed individually: equality-index postings order and
-/// cardinality estimates both feed physical plan choice and row order,
-/// so hash iteration there would silently change plans or results. The
+/// iteration order must be stable too. The storage index module is
+/// listed individually: equality-index postings order is the row order of
+/// every index scan and index join, so hash iteration there would
+/// silently change results. The
 /// partitioning module joins them: it cuts scans into morsels, and its
 /// `stable_hash` is what replayed answers are digested with — hashing or
 /// float drift there changes both. So does the column image: a table scan drops
@@ -243,7 +243,7 @@ pub struct FileClass {
 /// `pcqe_storage::real_cmp` — the order `Value::sql_cmp` uses, in
 /// `value.rs`, which this list does not cover. Listing `image.rs` keeps
 /// a raw float compare from moving in, no more.)
-const RESULT_AFFECTING: [&str; 10] = [
+const RESULT_AFFECTING: [&str; 9] = [
     "crates/algebra/src/",
     "crates/lineage/src/",
     "crates/core/src/",
@@ -252,18 +252,15 @@ const RESULT_AFFECTING: [&str; 10] = [
     "crates/obs/src/",
     "crates/storage/src/image.rs",
     "crates/storage/src/index.rs",
-    "crates/storage/src/stats.rs",
     "crates/storage/src/partition.rs",
 ];
 
 /// Crates whose library code must surface typed errors instead of
 /// panicking (rule P001). `pcqe-obs` is included: instrumentation runs
-/// inside every query and must never abort one. `algebra::physical` is
-/// held to the same standard even though the rest of `pcqe-algebra` is
-/// not: the planner and the vectorized executor are the one execution
-/// path of every engine query, so they must surface typed errors, not
-/// panics (the logical walker in `algebra::exec` is the sequential test
-/// reference, outside the engine's call graph). The
+/// inside every query and must never abort one. So is all of
+/// `pcqe-algebra`: the optimiser, the planner and the vectorized executor
+/// are the one execution path of every engine query, and nothing else is
+/// left in the crate. The
 /// lineage circuit cache is guarded file-by-file for the same reason:
 /// cached scoring runs inside `Database::query`/`what_if`, so a panic
 /// there aborts a query that the uncached path would have answered.
@@ -273,7 +270,7 @@ const PANIC_GUARDED: [&str; 7] = [
     "crates/storage/src/",
     "crates/sql/src/",
     "crates/obs/src/",
-    "crates/algebra/src/physical/",
+    "crates/algebra/src/",
     "crates/lineage/src/cache.rs",
 ];
 
@@ -680,7 +677,7 @@ mod tests {
     #[test]
     fn d001_flags_hash_collections_in_result_crates_only() {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-        let hits = findings("crates/algebra/src/exec.rs", src);
+        let hits = findings("crates/algebra/src/optimize.rs", src);
         assert_eq!(hits.len(), 3);
         assert!(hits.iter().all(|(r, _)| *r == Rule::D001));
         // Outside the result-affecting set: clean.
@@ -716,8 +713,10 @@ mod tests {
                 (Rule::P001, 5)
             ]
         );
-        // Algebra is determinism-guarded but not panic-guarded.
-        assert!(findings("crates/algebra/src/exec.rs", src).is_empty());
+        // Algebra is panic-guarded as a whole; core is determinism-guarded
+        // but not panic-guarded.
+        assert_eq!(findings("crates/algebra/src/expr.rs", src).len(), 4);
+        assert!(findings("crates/core/src/dnc.rs", src).is_empty());
     }
 
     #[test]

@@ -15,23 +15,12 @@ use std::collections::BTreeMap;
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
     next_id: u64,
-    /// See [`Catalog::epoch`].
-    epoch: u64,
 }
 
 impl Catalog {
     /// Create an empty catalog.
     pub fn new() -> Self {
         Catalog::default()
-    }
-
-    /// A counter that advances on every change a query plan reads: a new
-    /// table, a new index, and every inserted row (row counts and index
-    /// statistics steer the planner). Raising a confidence does not
-    /// advance it. A plan lowered at one epoch is the plan the planner
-    /// would lower again while the epoch stands.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Create a table. Fails if the name is taken (case-insensitive).
@@ -44,7 +33,6 @@ impl Catalog {
         // ids are handed out by `Catalog::insert`.
         let table = Table::catalog_managed(name.clone(), schema);
         self.tables.insert(name, table);
-        self.epoch += 1;
         Ok(())
     }
 
@@ -77,7 +65,6 @@ impl Catalog {
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
         self.next_id = next;
-        self.epoch += 1;
         Ok(id)
     }
 
@@ -116,7 +103,6 @@ impl Catalog {
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
         self.next_id = self.next_id.max(id.0.saturating_add(1));
-        self.epoch += 1;
         Ok(id)
     }
 
@@ -131,7 +117,6 @@ impl Catalog {
         let t = self.table_mut(table)?;
         let pos = t.schema().resolve(None, column)?;
         t.create_index(pos)?;
-        self.epoch += 1;
         Ok(pos)
     }
 

@@ -92,7 +92,7 @@ impl EqualityIndex {
         &self.nulls
     }
 
-    /// Number of distinct non-`NULL` keys (the planner's NDV statistic).
+    /// Number of distinct non-`NULL` keys.
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
     }

@@ -34,7 +34,6 @@ pub mod image;
 pub mod index;
 pub mod partition;
 pub mod schema;
-pub mod stats;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -45,7 +44,6 @@ pub use image::Image;
 pub use index::EqualityIndex;
 pub use partition::{morsel_rows, stable_hash};
 pub use schema::{Column, Schema};
-pub use stats::{ColumnStats, TableStats};
 pub use table::{StoredTuple, Table};
 pub use tuple::{Tuple, TupleId};
 pub use value::{real_cmp, DataType, Value};

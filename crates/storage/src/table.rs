@@ -8,7 +8,6 @@ use crate::error::StorageError;
 use crate::image::Image;
 use crate::index::{check_indexable, EqualityIndex};
 use crate::schema::Schema;
-use crate::stats::{ColumnStats, TableStats};
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{DataType, Value};
 use crate::Result;
@@ -140,21 +139,6 @@ impl Table {
     pub fn image(&self, column: usize) -> Option<&Image> {
         let (_, image) = self.images.iter().find(|(c, _)| *c == column)?;
         Some(image)
-    }
-
-    /// Current statistics: cardinality plus NDV for each indexed column.
-    pub fn stats(&self) -> TableStats {
-        TableStats {
-            row_count: self.rows.len(),
-            columns: self
-                .indexes
-                .iter()
-                .map(|ix| ColumnStats {
-                    column: ix.column(),
-                    distinct_keys: ix.distinct_keys(),
-                })
-                .collect(),
-        }
     }
 
     /// Table name.
@@ -317,10 +301,6 @@ mod tests {
         // Re-creating is a no-op, not an error.
         t.create_index(0).unwrap();
         assert_eq!(t.indexes().len(), 1);
-        // Stats reflect the live table.
-        let stats = t.stats();
-        assert_eq!(stats.row_count, 4);
-        assert_eq!(stats.distinct_keys(0), Some(2));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! parallel threshold, so every allocation of a query is made on the
 //! thread that calls it. Most queries are counted after two warm-ups of
 //! their shape — the first plans it, the second learns it — so that the
-//! count is of a statement-cache hit. Two budgets keep the planning path
+//! count is of a statement-cache hit; one of them follows an insert,
+//! which keeps the cached plan. Two budgets keep the planning path
 //! under a budget too: a fresh database's first query (a miss) and the
 //! second run of its shape (the one that learns it). Every answer must
 //! equal an unrecorded twin's.
@@ -148,6 +149,18 @@ fn shop(record_metrics: bool) -> Database {
 /// after warm-ups of its shape and planned it afresh without; and the
 /// database it ran in.
 fn allocations_of(warm_ups: &[&str], sql: &str, theta: f64, rows: usize) -> (u64, Database) {
+    allocations_after(warm_ups, &|_| {}, sql, theta, rows)
+}
+
+/// [`allocations_of`], with `write` run on the database between the
+/// warm-ups and the counted run, and on the unrecorded twin before it.
+fn allocations_after(
+    warm_ups: &[&str],
+    write: &dyn Fn(&mut Database),
+    sql: &str,
+    theta: f64,
+    rows: usize,
+) -> (u64, Database) {
     let user = User::new("clerk", "clerk");
     let request = |sql: &str| QueryRequest::new(sql, "lookup").expecting(theta);
     let mut db = shop(true);
@@ -155,11 +168,14 @@ fn allocations_of(warm_ups: &[&str], sql: &str, theta: f64, rows: usize) -> (u64
     for warm_up in warm_ups {
         warm = Some(db.query(&user, &request(warm_up)).unwrap());
     }
+    write(&mut db);
     let hits = |db: &Database| db.metrics_snapshot().counter("plan.cache_hit");
     let (hits_before, before) = (hits(&db), allocations());
     let response = db.query(&user, &request(sql)).unwrap();
     let made = allocations() - before;
-    let unrecorded = shop(false).query(&user, &request(sql)).unwrap();
+    let mut twin = shop(false);
+    write(&mut twin);
+    let unrecorded = twin.query(&user, &request(sql)).unwrap();
     assert_eq!(format!("{response:?}"), format!("{unrecorded:?}"), "{sql}");
     if warm_ups.last() == Some(&sql) {
         let warm = warm.map(|w| format!("{w:?}"));
@@ -173,7 +189,7 @@ fn allocations_of(warm_ups: &[&str], sql: &str, theta: f64, rows: usize) -> (u64
 }
 
 /// The point SELECT of `lookup` at key `id`.
-fn point(id: u32) -> String {
+fn point(id: i64) -> String {
     format!("SELECT id, status, amount, note FROM orders WHERE id = {id}")
 }
 
@@ -219,6 +235,30 @@ fn a_rebound_point_select_stays_within_its_allocation_budget() {
     assert!(
         made <= 60,
         "a rebound 1-row point SELECT made {made} allocations"
+    );
+}
+
+/// The point SELECT's learned shape after an insert, at the inserted
+/// row's key: no plan reads the rows, so the insert keeps the cached plan
+/// and the run is a hit. When every insert emptied the statement cache,
+/// the run missed and made 136.
+#[test]
+fn a_point_select_after_an_insert_stays_within_its_allocation_budget() {
+    let insert = |db: &mut Database| {
+        let row = vec![
+            Value::Int(ORDERS),
+            Value::Int(0),
+            Value::text("new"),
+            Value::Real(12.5),
+            Value::text("pending fragile"),
+        ];
+        db.insert("orders", row, 0.75).unwrap();
+    };
+    let warm_ups = [&point(123)[..], &point(122)];
+    let (made, _) = allocations_after(&warm_ups, &insert, &point(ORDERS), 0.0, 1);
+    assert!(
+        made <= 60,
+        "a 1-row point SELECT after an insert made {made} allocations"
     );
 }
 
