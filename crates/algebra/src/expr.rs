@@ -339,28 +339,15 @@ impl ScalarExpr {
                 .ok_or_else(|| AlgebraError::Type(format!("column index {i} out of range"))),
             ScalarExpr::Literal(v) => Ok(v.clone()),
             ScalarExpr::Binary { op, left, right } => {
-                // Logical connectives get SQL-ish short-circuit treatment.
-                match op {
-                    BinaryOp::And => {
-                        let l = left.eval(row)?;
-                        if l == Value::Bool(false) {
-                            return Ok(Value::Bool(false));
-                        }
-                        let r = right.eval(row)?;
-                        return eval_logic(BinaryOp::And, &l, &r);
-                    }
-                    BinaryOp::Or => {
-                        let l = left.eval(row)?;
-                        if l == Value::Bool(true) {
-                            return Ok(Value::Bool(true));
-                        }
-                        let r = right.eval(row)?;
-                        return eval_logic(BinaryOp::Or, &l, &r);
-                    }
+                let l = left.eval_ref(row)?;
+                // SQL-ish short circuit: only a definite left `false` stops
+                // an `AND`, and only a definite left `true` an `OR`.
+                match (op, &*l) {
+                    (BinaryOp::And, Value::Bool(false)) => return Ok(Value::Bool(false)),
+                    (BinaryOp::Or, Value::Bool(true)) => return Ok(Value::Bool(true)),
                     _ => {}
                 }
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
+                let r = right.eval_ref(row)?;
                 match op {
                     BinaryOp::Eq
                     | BinaryOp::Ne
@@ -372,33 +359,44 @@ impl ScalarExpr {
                         eval_arith(*op, &l, &r)
                     }
                     BinaryOp::Like => eval_like(&l, &r),
-                    // Short-circuit handling above returned early; if
-                    // control ever falls through, `eval_logic` computes the
-                    // same three-valued result (no panic path, PCQE-P002).
                     BinaryOp::And | BinaryOp::Or => eval_logic(*op, &l, &r),
                 }
             }
             ScalarExpr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
-                match op {
-                    UnaryOp::Not => match v {
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        Value::Null => Ok(Value::Null),
-                        other => Err(AlgebraError::Type(format!("NOT applied to {other}"))),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => i
-                            .checked_neg()
-                            .map(Value::Int)
-                            .ok_or_else(|| AlgebraError::Type("integer overflow".into())),
-                        Value::Real(r) => Ok(Value::Real(-r)),
-                        Value::Null => Ok(Value::Null),
-                        other => Err(AlgebraError::Type(format!("negation of {other}"))),
-                    },
-                    UnaryOp::IsNull => Ok(Value::Bool(v.is_null())),
-                    UnaryOp::IsNotNull => Ok(Value::Bool(!v.is_null())),
+                let v = expr.eval_ref(row)?;
+                match (op, &*v) {
+                    (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+                    (UnaryOp::Not, Value::Null) => Ok(Value::Null),
+                    (UnaryOp::Not, other) => {
+                        Err(AlgebraError::Type(format!("NOT applied to {other}")))
+                    }
+                    (UnaryOp::Neg, Value::Int(i)) => i
+                        .checked_neg()
+                        .map(Value::Int)
+                        .ok_or_else(|| AlgebraError::Type("integer overflow".into())),
+                    (UnaryOp::Neg, Value::Real(r)) => Ok(Value::Real(-r)),
+                    (UnaryOp::Neg, Value::Null) => Ok(Value::Null),
+                    (UnaryOp::Neg, other) => {
+                        Err(AlgebraError::Type(format!("negation of {other}")))
+                    }
+                    (UnaryOp::IsNull, v) => Ok(Value::Bool(v.is_null())),
+                    (UnaryOp::IsNotNull, v) => Ok(Value::Bool(!v.is_null())),
                 }
             }
+        }
+    }
+
+    /// The expression as a condition on `row`: `true` only where it
+    /// evaluates to boolean true, `false` where it evaluates to false or
+    /// NULL; any other value is an error. What a scan, a filter and a
+    /// join keep a row on.
+    pub fn test(&self, row: &[Value]) -> Result<bool> {
+        match &*self.eval_ref(row)? {
+            Value::Bool(b) => Ok(*b),
+            Value::Null => Ok(false),
+            other => Err(AlgebraError::Type(format!(
+                "predicate evaluated to non-boolean {other}"
+            ))),
         }
     }
 
@@ -414,12 +412,6 @@ impl ScalarExpr {
             ScalarExpr::Literal(v) => Ok(Cow::Borrowed(v)),
             computed => computed.eval(row).map(Cow::Owned),
         }
-    }
-
-    /// Compile the expression into a [`Predicate`]: once per operator,
-    /// then [`Predicate::test`] per row.
-    pub fn compile(&self) -> Predicate<'_> {
-        Predicate(Node::compile(self))
     }
 
     /// Visit the conjuncts of the top-level `AND` chain in evaluation
@@ -592,8 +584,7 @@ impl<'a> LeadingRun<'a> {
     /// images, ascending: all but those where a conjunct of the run is
     /// false on a native slot. `None` when no conjunct of the run is over
     /// an imaged column, which drops nothing: every row is a candidate.
-    /// Every position left out has
-    /// `predicate.compile().test(row) == Ok(false)`.
+    /// Every position left out has `predicate.test(row) == Ok(false)`.
     pub fn candidates(&self) -> Option<Vec<usize>> {
         // The arm of `Value::sql_cmp` a `Real` against a number takes: the
         // real order, an `Int` literal widened.
@@ -648,126 +639,6 @@ fn dropped(conjuncts: &[ImagedCmp<'_>], word: usize) -> u64 {
     })
 }
 
-/// A predicate compiled for repeated testing: the connectives and
-/// comparisons of the tree become nodes that yield a three-valued truth
-/// without building a [`Value`], over column and literal operands
-/// borrowed from the row and the expression. Everything else (arithmetic,
-/// `LIKE`, unary operators) is an operand run through
-/// [`ScalarExpr::eval`]. Observably identical to the tree walk: `true`
-/// exactly where [`ScalarExpr::eval`] yields boolean true, `false` where
-/// it yields false or NULL, an error where it raises or yields anything
-/// else — same evaluation order, same error for the same row.
-#[derive(Debug)]
-pub struct Predicate<'e>(Node<'e>);
-
-impl Predicate<'_> {
-    /// `true` only when the predicate is boolean true on `row`.
-    pub fn test(&self, row: &[Value]) -> Result<bool> {
-        match self.0.eval(row) {
-            Ok(truth) => Ok(truth == Some(true)),
-            Err(Fault::NotBool(v)) => Err(AlgebraError::Type(format!(
-                "predicate evaluated to non-boolean {v}"
-            ))),
-            Err(Fault::Error(e)) => Err(e),
-        }
-    }
-}
-
-/// What a boolean position evaluates to: a three-valued truth (`None` is
-/// NULL), or why it has none.
-type Truth = std::result::Result<Option<bool>, Fault>;
-
-/// Why a boolean position has no truth value.
-enum Fault {
-    /// It holds a non-boolean value (rendered). Not yet an error: the
-    /// position above decides whose error is reported, and words it.
-    NotBool(String),
-    /// Evaluation failed.
-    Error(AlgebraError),
-}
-
-impl From<AlgebraError> for Fault {
-    fn from(e: AlgebraError) -> Fault {
-        Fault::Error(e)
-    }
-}
-
-#[derive(Debug)]
-enum Node<'e> {
-    And(Box<Node<'e>>, Box<Node<'e>>),
-    Or(Box<Node<'e>>, Box<Node<'e>>),
-    /// One of the six comparisons over two operands.
-    Cmp(BinaryOp, &'e ScalarExpr, &'e ScalarExpr),
-    /// Any other expression in a boolean position.
-    Value(&'e ScalarExpr),
-}
-
-impl<'e> Node<'e> {
-    fn compile(e: &'e ScalarExpr) -> Node<'e> {
-        let ScalarExpr::Binary { op, left, right } = e else {
-            return Node::Value(e);
-        };
-        match op {
-            BinaryOp::And => Node::And(
-                Box::new(Node::compile(left)),
-                Box::new(Node::compile(right)),
-            ),
-            BinaryOp::Or => Node::Or(
-                Box::new(Node::compile(left)),
-                Box::new(Node::compile(right)),
-            ),
-            op if op.is_comparison() => Node::Cmp(*op, left, right),
-            _ => Node::Value(e),
-        }
-    }
-
-    fn eval(&self, row: &[Value]) -> Truth {
-        match self {
-            Node::Value(e) => match &*e.eval_ref(row)? {
-                Value::Bool(b) => Ok(Some(*b)),
-                Value::Null => Ok(None),
-                other => Err(Fault::NotBool(other.to_string())),
-            },
-            Node::Cmp(op, left, right) => {
-                let (l, r) = (left.eval_ref(row)?, right.eval_ref(row)?);
-                let Some(ord) = l.sql_cmp(&r) else {
-                    if l.is_null() || r.is_null() {
-                        return Ok(None);
-                    }
-                    return Err(AlgebraError::Type(format!("cannot compare {l} with {r}")).into());
-                };
-                // `compile` builds `Cmp` from the six comparisons only.
-                Ok(Some(op.holds(ord)))
-            }
-            // Only a definite left `false` (`AND`) or `true` (`OR`) stops a
-            // connective: a NULL or non-boolean left still runs the right
-            // side, whose error wins over the left's non-boolean value.
-            Node::And(left, right) => match left.eval(row) {
-                l @ (Ok(Some(false)) | Err(Fault::Error(_))) => l,
-                l => connect(l, right.eval(row), false),
-            },
-            Node::Or(left, right) => match left.eval(row) {
-                l @ (Ok(Some(true)) | Err(Fault::Error(_))) => l,
-                l => connect(l, right.eval(row), true),
-            },
-        }
-    }
-}
-
-/// Kleene `AND` (`absorbing = false`) or `OR` (`absorbing = true`) of a
-/// left side that did not stop the connective and the right side.
-fn connect(l: Truth, r: Truth, absorbing: bool) -> Truth {
-    match (l, r) {
-        (Err(Fault::Error(e)), _) | (_, Err(Fault::Error(e))) => Err(Fault::Error(e)),
-        (Err(Fault::NotBool(v)), _) | (_, Err(Fault::NotBool(v))) => {
-            Err(AlgebraError::Type(format!("logic applied to {v}")).into())
-        }
-        (Ok(a), Ok(b)) if a == Some(absorbing) || b == Some(absorbing) => Ok(Some(absorbing)),
-        (Ok(Some(_)), Ok(Some(_))) => Ok(Some(!absorbing)),
-        _ => Ok(None),
-    }
-}
-
 fn eval_logic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     let as_bool = |v: &Value| -> Result<Option<bool>> {
         match v {
@@ -806,20 +677,7 @@ fn eval_cmp(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         }
         return Err(AlgebraError::Type(format!("cannot compare {l} with {r}")));
     };
-    let b = match op {
-        BinaryOp::Eq => ord == Ordering::Equal,
-        BinaryOp::Ne => ord != Ordering::Equal,
-        BinaryOp::Lt => ord == Ordering::Less,
-        BinaryOp::Le => ord != Ordering::Greater,
-        BinaryOp::Gt => ord == Ordering::Greater,
-        BinaryOp::Ge => ord != Ordering::Less,
-        other => {
-            return Err(AlgebraError::Type(format!(
-                "{other:?} is not a comparison operator"
-            )))
-        }
-    };
-    Ok(Value::Bool(b))
+    Ok(Value::Bool(op.holds(ord)))
 }
 
 /// SQL LIKE: `%` matches any run (including empty), `_` any one char.
@@ -832,24 +690,44 @@ fn eval_like(l: &Value, r: &Value) -> Result<Value> {
             "LIKE needs text operands, got {l} and {r}"
         )));
     };
-    Ok(Value::Bool(like_match(
-        &text.chars().collect::<Vec<_>>(),
-        &pattern.chars().collect::<Vec<_>>(),
-    )))
+    Ok(Value::Bool(like_match(text, pattern)))
 }
 
-fn like_match(text: &[char], pattern: &[char]) -> bool {
-    match pattern.split_first() {
-        None => text.is_empty(),
-        Some(('%', rest)) => {
-            // Greedy with backtracking: try every split point. `get`
-            // instead of slicing keeps the matcher panic-free (PCQE-P002).
-            (0..=text.len()).any(|i| text.get(i..).is_some_and(|t| like_match(t, rest)))
+/// Whether `text` matches `pattern`, one Unicode scalar at a time. Only
+/// the last `%` met is a backtrack point: on a mismatch it absorbs one
+/// more character of the text and matching resumes behind it. An earlier
+/// `%` never needs to absorb more, since the last one can take whatever
+/// it would have. So the cost is O(|text| · |pattern|), without
+/// allocating.
+fn like_match(text: &str, pattern: &str) -> bool {
+    let (mut t, mut p) = (text.chars(), pattern.chars());
+    // The pattern behind the last `%`, and the text where its run ends.
+    let mut backtrack = None;
+    loop {
+        let mut p_next = p.clone();
+        match p_next.next() {
+            Some('%') => {
+                backtrack = Some((p_next.clone(), t.clone()));
+                p = p_next;
+                continue;
+            }
+            Some(c) => {
+                let mut t_next = t.clone();
+                if t_next.next().is_some_and(|tc| c == '_' || c == tc) {
+                    (t, p) = (t_next, p_next);
+                    continue;
+                }
+            }
+            None if t.as_str().is_empty() => return true,
+            None => {}
         }
-        Some(('_', rest)) => text.split_first().is_some_and(|(_, t)| like_match(t, rest)),
-        Some((c, rest)) => text
-            .split_first()
-            .is_some_and(|(t0, t)| t0 == c && like_match(t, rest)),
+        let Some((p_star, t_star)) = &mut backtrack else {
+            return false;
+        };
+        if t_star.next().is_none() {
+            return false;
+        }
+        (t, p) = (t_star.clone(), p_star.clone());
     }
 }
 
@@ -961,7 +839,7 @@ mod tests {
         let r = row();
         let e = ScalarExpr::column(3).eq(ScalarExpr::literal(Value::Int(1)));
         assert_eq!(e.eval(&r).unwrap(), Value::Null);
-        assert!(!e.compile().test(&r).unwrap());
+        assert!(!e.test(&r).unwrap());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod plan;
 pub mod result;
 
 pub use error::AlgebraError;
-pub use expr::{BinaryOp, Predicate, ScalarExpr, UnaryOp};
+pub use expr::{BinaryOp, ScalarExpr, UnaryOp};
 pub use optimize::optimize;
 pub use physical::{
     execute_vectorized_profiled, execute_vectorized_with, lower, render_side_by_side, ExecProfile,

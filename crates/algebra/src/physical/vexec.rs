@@ -32,22 +32,23 @@
 //!    is not skipped, and a row is skipped only if the whole predicate
 //!    returns `Ok(false)` on it without raising.** Morsels change *who*
 //!    evaluates a row, never the order errors are reported in: the first
-//!    error surfaced is the first failing row's. Predicates are compiled
-//!    once per operator ([`ScalarExpr::compile`]) into a program held,
-//!    result for result and error for error, to the tree walk
-//!    [`ScalarExpr::eval`] with a NULL read as false; projections, group
-//!    keys and aggregate arguments run that walk itself. Column-wise
-//!    evaluation of a whole predicate could reorder which error wins, so
-//!    there is none; what a scan consults without evaluating the predicate
-//!    — a column image, an equality index — answers for a conjunct of the
-//!    residual's [`LeadingRun`](crate::expr::LeadingRun), the prefix of
-//!    its `AND` chain that cannot fault, and only to *skip*: `AND` stops
-//!    on a definite left `false` and only then, so a definite `false`
-//!    inside that prefix is the whole predicate's `Ok(false)`, and a
-//!    skipped row can neither survive nor raise. Every other row — one the
+//!    error surfaced is the first failing row's. Every expression runs
+//!    the one tree walk, [`ScalarExpr::eval`], which borrows a column or
+//!    literal operand instead of cloning it: a predicate through
+//!    [`ScalarExpr::test`] (that walk with a NULL read as false),
+//!    projections, group keys and aggregate arguments through the walk
+//!    itself. Column-wise evaluation of a whole predicate could reorder
+//!    which error wins, so there is none; what a scan consults without
+//!    evaluating the predicate — a column image, an equality index —
+//!    answers for a conjunct of the residual's
+//!    [`LeadingRun`](crate::expr::LeadingRun), the prefix of its `AND`
+//!    chain that cannot fault, and only to *skip*: `AND` stops on a
+//!    definite left `false` and only then, so a definite `false` inside
+//!    that prefix is the whole predicate's `Ok(false)`, and a skipped row
+//!    can neither survive nor raise. Every other row — one the
 //!    source cannot call definitely false: a NULL or widened `Int` under
 //!    an image, a NULL key under an index — is decided by the whole
-//!    compiled predicate.
+//!    predicate.
 //! 2. **Pipeline breakers keep input order.** Sort evaluates every key of
 //!    every row, in row order, before it moves one, then sorts stably;
 //!    Union, Difference and a distinct projection merge equal rows into
@@ -72,7 +73,7 @@
 //! structure.
 
 use crate::error::AlgebraError;
-use crate::expr::{Predicate, ScalarExpr};
+use crate::expr::ScalarExpr;
 use crate::physical::plan::PhysicalPlan;
 use crate::physical::profile::{ExecProfile, Profiler};
 use crate::plan::{AggFunc, AggItem, ProjItem, SortKey};
@@ -224,7 +225,7 @@ fn morsels(n: usize) -> impl Iterator<Item = Range<usize>> {
 /// The morsel-parallel half of a scan: `units` are its morsels, each
 /// naming (through `candidates`) the stored rows of it that the residual
 /// has yet to decide; the dispatch weighs them by how many those are. The
-/// whole compiled residual tests each candidate in place, row-wise in row
+/// whole residual tests each candidate in place, row-wise in row
 /// order, and a morsel returns references to its survivors. Yields the
 /// number of morsels that had any, and the survivors in storage order.
 fn scan<'c, I: Iterator<Item = &'c StoredTuple>>(
@@ -233,18 +234,17 @@ fn scan<'c, I: Iterator<Item = &'c StoredTuple>>(
     residual: &Option<ScalarExpr>,
     ctx: &Ctx<'_>,
 ) -> Result<(u64, Vec<&'c StoredTuple>)> {
-    let residual = residual.as_ref().map(ScalarExpr::compile);
     let morsels = try_map_morsels(
         ctx.par,
         units,
         units.iter().map(Range::len).sum(),
         |_, unit| -> Result<Vec<&'c StoredTuple>> {
-            let Some(test) = &residual else {
+            let Some(residual) = residual else {
                 return Ok(candidates(unit.clone()).collect());
             };
             let mut survivors = Vec::new();
             for r in candidates(unit.clone()) {
-                if test.test(r.tuple.values())? {
+                if residual.test(r.tuple.values())? {
                     survivors.push(r);
                 }
             }
@@ -362,9 +362,12 @@ fn indexed_row(table: &Table, pos: usize) -> Result<&StoredTuple> {
 
 /// Keep the rows the predicate holds on, tested in place.
 fn filter<R: Row>(rows: Vec<R>, predicate: &ScalarExpr, ctx: &Ctx<'_>) -> Result<Vec<R>> {
-    let test = predicate.compile();
-    let keep =
-        pcqe_par::try_map_observed(ctx.par, &rows, |row| test.test(row.values()), ctx.listener)?;
+    let keep = pcqe_par::try_map_observed(
+        ctx.par,
+        &rows,
+        |row| predicate.test(row.values()),
+        ctx.listener,
+    )?;
     Ok(rows
         .into_iter()
         .zip(keep)
@@ -425,7 +428,7 @@ fn key_of<'r>(values: &'r [Value], cols: &'r KeyCols) -> impl Iterator<Item = &'
 fn join_pair(
     left: &impl Row,
     right: &impl Row,
-    test: &Option<Predicate<'_>>,
+    test: &Option<ScalarExpr>,
 ) -> Result<Option<DerivedTuple>> {
     let values = [left.values(), right.values()].concat();
     let keep = match test {
@@ -475,7 +478,6 @@ fn probe<L: Row, R: Row>(
     residual: &Option<ScalarExpr>,
     ctx: &Ctx<'_>,
 ) -> Result<(usize, Vec<DerivedTuple>)> {
-    let residual = residual.as_ref().map(ScalarExpr::compile);
     let units: Vec<&[L]> = l.chunks(morsel_rows(l.len())).collect();
     let per_chunk = try_map_morsels(
         ctx.par,
@@ -490,7 +492,7 @@ fn probe<L: Row, R: Row>(
                 }
                 matches(lr, &mut |rr| {
                     matched += 1;
-                    out.extend(join_pair(lr, rr, &residual)?);
+                    out.extend(join_pair(lr, rr, residual)?);
                     Ok(())
                 })?;
             }
@@ -598,14 +600,13 @@ fn nested_loop_join<L: Row, R: Row>(
     predicate: &Option<ScalarExpr>,
     ctx: &Ctx<'_>,
 ) -> Result<Vec<DerivedTuple>> {
-    let predicate = predicate.as_ref().map(ScalarExpr::compile);
     let per_left = pcqe_par::try_map_observed(
         ctx.par,
         l,
         |lr| -> Result<Vec<DerivedTuple>> {
             let mut matches = Vec::new();
             for rr in r {
-                matches.extend(join_pair(lr, rr, &predicate)?);
+                matches.extend(join_pair(lr, rr, predicate)?);
             }
             Ok(matches)
         },

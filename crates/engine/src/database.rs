@@ -219,9 +219,7 @@ impl Database {
 
     /// Declare that `senior` inherits policies from `junior`.
     pub fn add_role_inheritance(&mut self, senior: &Role, junior: &Role) -> Result<()> {
-        self.policies
-            .hierarchy_mut()
-            .add_inheritance(senior, junior)?;
+        self.policies.hierarchy_mut().add(senior, junior)?;
         Ok(())
     }
 
@@ -232,9 +230,7 @@ impl Database {
         specialised: &Purpose,
         general: &Purpose,
     ) -> Result<()> {
-        self.policies
-            .purposes_mut()
-            .add_specialisation(specialised, general)?;
+        self.policies.purposes_mut().add(specialised, general)?;
         Ok(())
     }
 

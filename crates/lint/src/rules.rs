@@ -260,10 +260,9 @@ const RESULT_AFFECTING: [&str; 9] = [
 /// inside every query and must never abort one. So is all of
 /// `pcqe-algebra`: the optimiser, the planner and the vectorized executor
 /// are the one execution path of every engine query, and nothing else is
-/// left in the crate. The
-/// lineage circuit cache is guarded file-by-file for the same reason:
-/// cached scoring runs inside `Database::query`/`what_if`, so a panic
-/// there aborts a query that the uncached path would have answered.
+/// left in the crate. And so is all of `pcqe-lineage`: the circuit cache
+/// and the evaluators behind it score every result inside
+/// `Database::query`/`what_if`, so a panic there aborts a query.
 const PANIC_GUARDED: [&str; 7] = [
     "crates/engine/src/",
     "crates/policy/src/",
@@ -271,7 +270,7 @@ const PANIC_GUARDED: [&str; 7] = [
     "crates/sql/src/",
     "crates/obs/src/",
     "crates/algebra/src/",
-    "crates/lineage/src/cache.rs",
+    "crates/lineage/src/",
 ];
 
 /// Identifiers that signal ad-hoc entropy or registry RNG idioms (D002).
@@ -713,9 +712,10 @@ mod tests {
                 (Rule::P001, 5)
             ]
         );
-        // Algebra is panic-guarded as a whole; core is determinism-guarded
-        // but not panic-guarded.
+        // Algebra and lineage are panic-guarded as a whole; core is
+        // determinism-guarded but not panic-guarded.
         assert_eq!(findings("crates/algebra/src/expr.rs", src).len(), 4);
+        assert_eq!(findings("crates/lineage/src/prob.rs", src).len(), 4);
         assert!(findings("crates/core/src/dnc.rs", src).is_empty());
     }
 

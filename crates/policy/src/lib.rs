@@ -34,7 +34,7 @@ pub mod store;
 pub use decision::{evaluate_results, PolicyDecision};
 pub use error::PolicyError;
 pub use policy::{ConfidencePolicy, PurposeSpec, SubjectSpec};
-pub use role::{Purpose, PurposeHierarchy, Role, RoleHierarchy};
+pub use role::{Hierarchy, Purpose, PurposeHierarchy, Role, RoleHierarchy};
 pub use store::PolicyStore;
 
 /// Crate-wide result alias.

@@ -4,6 +4,7 @@ use crate::error::PolicyError;
 use crate::Result;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::marker::PhantomData;
 
 /// A role: "a job function or job title within the organization"
 /// (Section 3.2). Matched case-insensitively.
@@ -20,9 +21,11 @@ impl Role {
     pub fn name(&self) -> &str {
         &self.0
     }
+}
 
-    fn key(&self) -> String {
-        self.0.to_ascii_lowercase()
+impl AsRef<str> for Role {
+    fn as_ref(&self) -> &str {
+        &self.0
     }
 }
 
@@ -34,7 +37,7 @@ impl PartialEq for Role {
 
 impl std::hash::Hash for Role {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
+        key(self).hash(state);
     }
 }
 
@@ -67,6 +70,12 @@ impl Purpose {
     }
 }
 
+impl AsRef<str> for Purpose {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
 impl PartialEq for Purpose {
     fn eq(&self, other: &Self) -> bool {
         self.0.eq_ignore_ascii_case(&other.0)
@@ -75,7 +84,7 @@ impl PartialEq for Purpose {
 
 impl std::hash::Hash for Purpose {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.to_ascii_lowercase().hash(state);
+        key(self).hash(state);
     }
 }
 
@@ -91,149 +100,79 @@ impl From<&str> for Purpose {
     }
 }
 
-/// An RBAC-style seniority hierarchy: `junior → senior` edges.
+/// A hierarchy of case-insensitive names: each name points at the names
+/// it falls under in one hop, with no cycles.
 ///
-/// A policy written for a role also applies to any role that *inherits*
-/// it (i.e., any junior of the policy's role takes its own policies; a
-/// senior role inherits the policies of its juniors when it has none of
-/// its own). The store uses [`RoleHierarchy::distance`] to prefer the
-/// closest match.
-#[derive(Debug, Clone, Default)]
-pub struct RoleHierarchy {
-    /// Maps a role key to the keys of the roles it directly inherits from.
+/// Two hierarchies select policies ([`crate::PolicyStore::select`]
+/// prefers the closest match by [`Hierarchy::distance`]). In a
+/// [`RoleHierarchy`] a senior role points at the juniors whose policies
+/// it inherits, as in RBAC: `Manager → Employee`. In a
+/// [`PurposeHierarchy`] a specialised purpose points at the general ones
+/// whose policies cover it, as privacy-policy practice arranges purposes
+/// in trees: `investment → business-use`.
+#[derive(Debug, Clone)]
+pub struct Hierarchy<N> {
+    /// Maps a lower-cased name to the lower-cased names one hop above it.
     parents: BTreeMap<String, BTreeSet<String>>,
+    names: PhantomData<N>,
 }
 
-impl RoleHierarchy {
-    /// An empty hierarchy (every role stands alone).
+/// Senior roles over the junior roles they inherit policies from.
+pub type RoleHierarchy = Hierarchy<Role>;
+
+/// Specialised purposes over the general purposes that cover them.
+pub type PurposeHierarchy = Hierarchy<Purpose>;
+
+impl<N> Default for Hierarchy<N> {
+    fn default() -> Self {
+        Hierarchy {
+            parents: BTreeMap::new(),
+            names: PhantomData,
+        }
+    }
+}
+
+impl<N: AsRef<str>> Hierarchy<N> {
+    /// An empty hierarchy (every name stands alone).
     pub fn new() -> Self {
-        RoleHierarchy::default()
+        Hierarchy::default()
     }
 
-    /// Declare that `senior` inherits from `junior` (e.g. `Manager`
-    /// inherits from `Employee`). Rejects edges that would create a cycle.
-    pub fn add_inheritance(&mut self, senior: &Role, junior: &Role) -> Result<()> {
-        if senior == junior || self.inherits(junior, senior) {
-            return Err(PolicyError::HierarchyCycle(senior.name().to_owned()));
+    /// Declare that `child` falls under `parent` in one hop (a senior
+    /// role under a junior one, a specialised purpose under a general
+    /// one). Rejects an edge that would close a cycle.
+    pub fn add(&mut self, child: &N, parent: &N) -> Result<()> {
+        if self.distance(parent, child).is_some() {
+            return Err(PolicyError::HierarchyCycle(child.as_ref().to_owned()));
         }
         self.parents
-            .entry(senior.key())
+            .entry(key(child))
             .or_default()
-            .insert(junior.key());
+            .insert(key(parent));
         Ok(())
     }
 
-    /// Does `role` (transitively) inherit from `ancestor`?
-    pub fn inherits(&self, role: &Role, ancestor: &Role) -> bool {
-        self.distance_keys(&role.key(), &ancestor.key()).is_some()
-    }
-
-    /// Number of inheritance hops from `role` up to `ancestor` (0 when the
-    /// two are the same role), or `None` when unrelated.
-    pub fn distance(&self, role: &Role, ancestor: &Role) -> Option<usize> {
-        self.distance_keys(&role.key(), &ancestor.key())
-    }
-
-    /// Every direct inheritance edge as `(senior, junior)` key pairs,
-    /// sorted for deterministic output (used by persistence).
-    pub fn edges(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .parents
-            .iter()
-            .flat_map(|(senior, juniors)| juniors.iter().map(move |j| (senior.clone(), j.clone())))
-            .collect();
-        out.sort();
-        out
-    }
-
-    fn distance_keys(&self, from: &str, to: &str) -> Option<usize> {
+    /// Hops from `from` up to `to` (0 when they are the same name), or
+    /// `None` when `to` is not above `from`.
+    pub fn distance(&self, from: &N, to: &N) -> Option<usize> {
+        let (from, to) = (key(from), key(to));
         if from == to {
             return Some(0);
         }
         // BFS over parent edges.
-        let mut frontier: Vec<&str> = vec![from];
+        let mut frontier: Vec<&str> = vec![&from];
         let mut seen: BTreeSet<&str> = frontier.iter().copied().collect();
         let mut depth = 0;
         while !frontier.is_empty() {
             depth += 1;
             let mut next = Vec::new();
             for node in frontier {
-                if let Some(ps) = self.parents.get(node) {
-                    for p in ps {
-                        if p == to {
-                            return Some(depth);
-                        }
-                        if seen.insert(p) {
-                            next.push(p.as_str());
-                        }
+                for p in self.parents.get(node).into_iter().flatten() {
+                    if *p == to {
+                        return Some(depth);
                     }
-                }
-            }
-            frontier = next;
-        }
-        None
-    }
-}
-
-/// A purpose specialisation tree: `specialised → general` edges.
-///
-/// Privacy-policy practice arranges purposes in trees ("investment"
-/// specialises "business-use"); a confidence policy written for a general
-/// purpose then also covers queries issued for its specialisations, unless
-/// a more specific policy exists. Mirrors [`RoleHierarchy`].
-#[derive(Debug, Clone, Default)]
-pub struct PurposeHierarchy {
-    /// Maps a purpose key to the keys of the purposes it specialises.
-    parents: BTreeMap<String, BTreeSet<String>>,
-}
-
-impl PurposeHierarchy {
-    /// An empty hierarchy (every purpose stands alone).
-    pub fn new() -> Self {
-        PurposeHierarchy::default()
-    }
-
-    /// Declare that `specialised` is a special case of `general`
-    /// (e.g. `investment` specialises `business-use`). Rejects cycles.
-    pub fn add_specialisation(&mut self, specialised: &Purpose, general: &Purpose) -> Result<()> {
-        if specialised == general || self.specialises(general, specialised) {
-            return Err(PolicyError::HierarchyCycle(specialised.name().to_owned()));
-        }
-        self.parents
-            .entry(specialised.name().to_ascii_lowercase())
-            .or_default()
-            .insert(general.name().to_ascii_lowercase());
-        Ok(())
-    }
-
-    /// Does `purpose` (transitively) specialise `general`?
-    pub fn specialises(&self, purpose: &Purpose, general: &Purpose) -> bool {
-        self.distance(purpose, general).is_some()
-    }
-
-    /// Hops from `purpose` up to `general` (0 when identical), `None` when
-    /// unrelated.
-    pub fn distance(&self, purpose: &Purpose, general: &Purpose) -> Option<usize> {
-        let from = purpose.name().to_ascii_lowercase();
-        let to = general.name().to_ascii_lowercase();
-        if from == to {
-            return Some(0);
-        }
-        let mut frontier = vec![from];
-        let mut seen: BTreeSet<String> = frontier.iter().cloned().collect();
-        let mut depth = 0;
-        while !frontier.is_empty() {
-            depth += 1;
-            let mut next = Vec::new();
-            for node in frontier {
-                if let Some(ps) = self.parents.get(&node) {
-                    for p in ps {
-                        if *p == to {
-                            return Some(depth);
-                        }
-                        if seen.insert(p.clone()) {
-                            next.push(p.clone());
-                        }
+                    if seen.insert(p) {
+                        next.push(p.as_str());
                     }
                 }
             }
@@ -242,17 +181,19 @@ impl PurposeHierarchy {
         None
     }
 
-    /// Every direct specialisation edge as `(specialised, general)` pairs,
-    /// sorted (used by persistence and debugging).
+    /// Every direct edge as a `(child, parent)` pair of lower-cased names,
+    /// sorted (used by persistence).
     pub fn edges(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .parents
+        self.parents
             .iter()
-            .flat_map(|(s, gs)| gs.iter().map(move |g| (s.clone(), g.clone())))
-            .collect();
-        out.sort();
-        out
+            .flat_map(|(child, parents)| parents.iter().map(move |p| (child.clone(), p.clone())))
+            .collect()
     }
+}
+
+/// A name as the hierarchy stores and matches it.
+fn key(name: &impl AsRef<str>) -> String {
+    name.as_ref().to_ascii_lowercase()
 }
 
 #[cfg(test)]
@@ -268,10 +209,8 @@ mod tests {
     #[test]
     fn hierarchy_distances() {
         let mut h = RoleHierarchy::new();
-        h.add_inheritance(&"Manager".into(), &"Employee".into())
-            .unwrap();
-        h.add_inheritance(&"Director".into(), &"Manager".into())
-            .unwrap();
+        h.add(&"Manager".into(), &"Employee".into()).unwrap();
+        h.add(&"Director".into(), &"Manager".into()).unwrap();
         assert_eq!(h.distance(&"Manager".into(), &"Manager".into()), Some(0));
         assert_eq!(h.distance(&"Manager".into(), &"Employee".into()), Some(1));
         assert_eq!(h.distance(&"Director".into(), &"Employee".into()), Some(2));
@@ -281,20 +220,19 @@ mod tests {
     #[test]
     fn cycles_rejected() {
         let mut h = RoleHierarchy::new();
-        h.add_inheritance(&"B".into(), &"A".into()).unwrap();
+        h.add(&"B".into(), &"A".into()).unwrap();
         assert!(matches!(
-            h.add_inheritance(&"A".into(), &"B".into()),
+            h.add(&"A".into(), &"B".into()),
             Err(PolicyError::HierarchyCycle(_))
         ));
-        assert!(h.add_inheritance(&"A".into(), &"A".into()).is_err());
+        assert!(h.add(&"A".into(), &"A".into()).is_err());
     }
 
     #[test]
     fn purpose_specialisation_distances() {
         let mut h = PurposeHierarchy::new();
-        h.add_specialisation(&"investment".into(), &"business-use".into())
-            .unwrap();
-        h.add_specialisation(&"due-diligence".into(), &"investment".into())
+        h.add(&"investment".into(), &"business-use".into()).unwrap();
+        h.add(&"due-diligence".into(), &"investment".into())
             .unwrap();
         assert_eq!(
             h.distance(&"investment".into(), &"business-use".into()),
@@ -309,7 +247,7 @@ mod tests {
             None
         );
         assert!(h
-            .add_specialisation(&"business-use".into(), &"due-diligence".into())
+            .add(&"business-use".into(), &"due-diligence".into())
             .is_err());
         assert_eq!(h.edges().len(), 2);
     }
@@ -317,11 +255,11 @@ mod tests {
     #[test]
     fn diamond_inheritance_takes_shortest_path() {
         let mut h = RoleHierarchy::new();
-        h.add_inheritance(&"Top".into(), &"L".into()).unwrap();
-        h.add_inheritance(&"Top".into(), &"R".into()).unwrap();
-        h.add_inheritance(&"L".into(), &"Base".into()).unwrap();
-        h.add_inheritance(&"R".into(), &"Mid".into()).unwrap();
-        h.add_inheritance(&"Mid".into(), &"Base".into()).unwrap();
+        h.add(&"Top".into(), &"L".into()).unwrap();
+        h.add(&"Top".into(), &"R".into()).unwrap();
+        h.add(&"L".into(), &"Base".into()).unwrap();
+        h.add(&"R".into(), &"Mid".into()).unwrap();
+        h.add(&"Mid".into(), &"Base".into()).unwrap();
         assert_eq!(h.distance(&"Top".into(), &"Base".into()), Some(2));
     }
 }

@@ -175,7 +175,7 @@ mod tests {
     fn hierarchy_inherits_policies_from_juniors() {
         let mut s = paper_store();
         s.hierarchy_mut()
-            .add_inheritance(&"Director".into(), &"Manager".into())
+            .add(&"Director".into(), &"Manager".into())
             .unwrap();
         // Director inherits the Manager investment policy.
         assert_eq!(
@@ -196,7 +196,7 @@ mod tests {
     fn purpose_hierarchy_generalises_policies() {
         let mut s = paper_store();
         s.purposes_mut()
-            .add_specialisation(&"due-diligence".into(), &"investment".into())
+            .add(&"due-diligence".into(), &"investment".into())
             .unwrap();
         // A due-diligence query falls under the investment policy.
         assert_eq!(
@@ -213,12 +213,8 @@ mod tests {
         );
         // The closest generalisation wins over a farther one.
         let mut s = PolicyStore::new();
-        s.purposes_mut()
-            .add_specialisation(&"b".into(), &"a".into())
-            .unwrap();
-        s.purposes_mut()
-            .add_specialisation(&"c".into(), &"b".into())
-            .unwrap();
+        s.purposes_mut().add(&"b".into(), &"a".into()).unwrap();
+        s.purposes_mut().add(&"c".into(), &"b".into()).unwrap();
         s.add(ConfidencePolicy::new("r", "a", 0.2).unwrap());
         s.add(ConfidencePolicy::new("r", "b", 0.3).unwrap());
         assert_eq!(s.threshold_for(&"r".into(), &"c".into()).unwrap(), 0.3);

@@ -20,9 +20,9 @@
 mod common;
 
 use common::{
-    and_chain, any_value, assert_vexec_matches, check, check_generated, check_sql, eval_predicate,
-    execute, explained, for_each_case, key_pair, paper_db, random_db, random_predicate,
-    random_tree, Agreed, DbSpec, Expr, ENGINE, PAPER_QUERY,
+    and_chain, any_value, assert_vexec_matches, check, check_generated, check_sql, execute,
+    explained, for_each_case, key_pair, paper_db, random_db, random_predicate, random_tree, Agreed,
+    DbSpec, Expr, ENGINE, PAPER_QUERY,
 };
 use pcqe::algebra::plan::SortKey;
 use pcqe::algebra::{
@@ -550,7 +550,7 @@ fn errors_and_three_valued_logic_match_the_reference_everywhere() {
 }
 
 // ---------------------------------------------------------------------------
-// The compiled predicate against the interpreter, on random trees.
+// Random predicate trees, for the index law below.
 
 /// A predicate tree of depth ≤ `depth` over a row of four columns —
 /// column 4, now and then, out of range on purpose — and literals of any
@@ -565,32 +565,6 @@ fn random_expr(rng: &mut Rng64, depth: u32) -> ScalarExpr {
         }
     };
     random_tree(rng, depth, true, &mut leaf).to_scalar(&[0])
-}
-
-#[test]
-fn compiled_predicates_agree_with_the_interpreter() {
-    let (mut held, mut failed, mut rejected) = (0, 0, 0);
-    for_each_case(2_500, 0x0097_0015, |rng| {
-        let depth = 1 + rng.below_u64(4) as u32;
-        let expr = random_expr(rng, depth);
-        let compiled = expr.compile();
-        for _ in 0..4 {
-            let row: Vec<Value> = (0..4).map(|_| any_value(rng)).collect();
-            let expected = eval_predicate(&expr, &row).map_err(|e| e.to_string());
-            let got = compiled.test(&row).map_err(|e| e.to_string());
-            assert_eq!(expected, got, "{expr} on {row:?}");
-            match expected {
-                Ok(true) => held += 1,
-                Ok(false) => rejected += 1,
-                Err(_) => failed += 1,
-            }
-        }
-    });
-    // The generator reaches all three outcomes often enough to mean something.
-    assert!(
-        held > 500 && rejected > 500 && failed > 500,
-        "{held} / {rejected} / {failed}"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +773,6 @@ fn image_prefilter_only_skips_rows_the_predicate_rejects() {
 
             // The split's law, directly: a row the image pass leaves out is
             // one the whole predicate rejects without raising.
-            let test = predicate.compile();
             let candidates = predicate.leading_run(table).candidates();
             assert_eq!(candidates.is_some(), imaged > 0, "{context}");
             let candidates = candidates.unwrap_or_else(|| (0..GRID_ROWS).collect());
@@ -807,7 +780,7 @@ fn image_prefilter_only_skips_rows_the_predicate_rejects() {
             let mut next = candidates.iter().peekable();
             for (pos, row) in table.rows().iter().enumerate() {
                 let values = row.tuple.values();
-                let verdict = test.test(values).map_err(|e| e.to_string());
+                let verdict = predicate.test(values).map_err(|e| e.to_string());
                 if next.next_if_eq(&&pos).is_none() {
                     assert_eq!(
                         verdict,

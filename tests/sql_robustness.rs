@@ -5,10 +5,14 @@
 mod common;
 
 use common::{explained, for_each_case, random_char, random_string};
+use pcqe::algebra::{BinaryOp, ScalarExpr};
+use pcqe::core::clock::Stopwatch;
 use pcqe::engine::{Database, EngineConfig, EngineError, QueryRequest, StatementOutcome, User};
 use pcqe::lineage::Rng64;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::sql::{parse, parse_statement, SqlError};
+use pcqe::storage::Value;
+use std::time::Duration;
 
 /// Arbitrary character soup: the lexer/parser must return, not panic.
 #[test]
@@ -365,4 +369,76 @@ fn only_a_query_is_explained_and_only_a_query_is_queried() {
         "{refused:?}"
     );
     assert!(db.audit_log().is_empty());
+}
+
+/// A `LIKE` pattern of many `%` before a character the text lacks
+/// answers at once: a matcher that tries every split point at every `%`
+/// does C(40 + 12, 12) ≈ 2·10¹¹ steps on a 40-character row (minutes),
+/// one that backtracks to the last `%` only at most 40 · 13 = 520.
+#[test]
+fn a_hostile_like_pattern_answers_promptly() {
+    let mut db = small_db();
+    let text = "a".repeat(40);
+    db.execute(&format!(
+        "INSERT INTO t VALUES (3.5, 3, '{text}'), (4.5, 4, '{text}b')"
+    ))
+    .unwrap();
+    let user = User::new("ana", "analyst");
+    let sql = "SELECT k FROM t WHERE s LIKE '%%%%%%%%%%%%b'";
+    let started = Stopwatch::start();
+    let response = db.query(&user, &QueryRequest::new(sql, "audit")).unwrap();
+    let took = started.elapsed();
+    // 'b' and the 40 a's followed by 'b'.
+    assert_eq!(response.released.len(), 2);
+    assert!(took < Duration::from_secs(2), "LIKE took {took:?}");
+}
+
+/// Whether `text` matches `pattern` by the textbook table: `m[i][j]` says
+/// whether the first `i` characters of `text` match the first `j` of
+/// `pattern`.
+fn like_by_table(text: &[char], pattern: &[char]) -> bool {
+    let mut m = vec![vec![false; pattern.len() + 1]; text.len() + 1];
+    m[0][0] = true;
+    for j in 1..=pattern.len() {
+        m[0][j] = m[0][j - 1] && pattern[j - 1] == '%';
+    }
+    for i in 1..=text.len() {
+        for j in 1..=pattern.len() {
+            m[i][j] = match pattern[j - 1] {
+                '%' => m[i][j - 1] || m[i - 1][j],
+                '_' => m[i - 1][j - 1],
+                c => m[i - 1][j - 1] && text[i - 1] == c,
+            };
+        }
+    }
+    m[text.len()][pattern.len()]
+}
+
+/// `LIKE` agrees with [`like_by_table`] on short strings over an alphabet
+/// with a two-byte character and both wildcards, in text and pattern
+/// alike, the empty string included.
+#[test]
+fn like_agrees_with_the_textbook_table() {
+    const ALPHABET: [char; 5] = ['a', 'b', 'é', '%', '_'];
+    let (mut matched, mut missed) = (0, 0);
+    for_each_case(4_000, 0x5901_0039, |rng| {
+        let (text, pattern) = (
+            random_string(rng, &ALPHABET, 5),
+            random_string(rng, &ALPHABET, 6),
+        );
+        let like = ScalarExpr::Binary {
+            op: BinaryOp::Like,
+            left: Box::new(ScalarExpr::literal(Value::text(text.as_str()))),
+            right: Box::new(ScalarExpr::literal(Value::text(pattern.as_str()))),
+        };
+        let chars = |s: &str| s.chars().collect::<Vec<_>>();
+        let expected = like_by_table(&chars(&text), &chars(&pattern));
+        assert_eq!(
+            like.eval(&[]).unwrap(),
+            Value::Bool(expected),
+            "{text:?} LIKE {pattern:?}"
+        );
+        *(if expected { &mut matched } else { &mut missed }) += 1;
+    });
+    assert!(matched > 300 && missed > 300, "{matched} / {missed}");
 }

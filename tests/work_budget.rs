@@ -272,6 +272,27 @@ fn a_selective_select_stays_within_its_allocation_budget() {
     );
 }
 
+/// `analytics`' scan class: a range over `orders.amount` at a fresh pair
+/// of literals per run, so the residual is an `AND` of two comparisons
+/// the column image prefilters and every candidate is tested whole.
+fn range_scan(lo: u32) -> String {
+    format!(
+        "SELECT o.id, o.amount, o.note FROM orders o \
+         WHERE o.amount > {lo}.005 AND o.amount < {}.005",
+        lo + 500
+    )
+}
+
+/// The range scan's learned shape at a third range: 22 rows. When the
+/// scan compiled its residual into a separate predicate form first, the
+/// run made 172.
+#[test]
+fn a_range_scan_stays_within_its_allocation_budget() {
+    let warm_ups = [&range_scan(1_000)[..], &range_scan(6_000)];
+    let (made, _) = allocations_of(&warm_ups, &range_scan(3_000), 0.0, 22);
+    assert!(made <= 170, "a 22-row range scan made {made} allocations");
+}
+
 #[test]
 fn an_equi_join_stays_within_its_allocation_budget() {
     let join = "SELECT o.id, o.amount, c.region FROM orders o JOIN customers c \
