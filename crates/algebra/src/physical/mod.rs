@@ -46,7 +46,7 @@ mod tests {
     use crate::plan::{AggFunc, AggItem, Plan, ProjItem, SortKey};
     use crate::result::ResultSet;
     use crate::Result;
-    use pcqe_lineage::{Evaluator, Lineage, VarId};
+    use pcqe_lineage::{CircuitCache, Evaluator, Lineage, VarId};
     use pcqe_par::Parallelism;
     use pcqe_storage::{Catalog, Column, DataType, Schema, TupleId, Value};
 
@@ -58,6 +58,17 @@ mod tests {
     /// Lower a logical plan as written and run it, one worker.
     fn run(plan: &Plan, catalog: &Catalog) -> Result<ResultSet> {
         execute_vectorized_with(&lower(plan, catalog)?, catalog, &Parallelism::sequential())
+    }
+
+    /// Every row's exact confidence, from a pool that has seen nothing
+    /// but the catalog's confidences.
+    fn confidences(rs: &ResultSet, catalog: &Catalog) -> Vec<f64> {
+        let mut pool = CircuitCache::new();
+        for v in rs.rows().iter().flat_map(|r| r.lineage.vars()) {
+            pool.set_prob(v, catalog.confidence(TupleId(v.0)).unwrap());
+        }
+        let scored = rs.score_cached(&mut pool, &Evaluator::default());
+        scored.unwrap().iter().map(|s| s.confidence).collect()
     }
 
     /// A one-column `INT` table.
@@ -190,9 +201,7 @@ mod tests {
             };
             assert_eq!(got.eval(&assign), expected.eval(&assign), "bits {bits:b}");
         }
-        let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-        let scored = rs.score(&probs, &Evaluator::default()).unwrap();
-        assert!((scored[0].confidence - 0.058).abs() < 1e-12);
+        assert!((confidences(&rs, &catalog)[0] - 0.058).abs() < 1e-12);
     }
 
     #[test]
@@ -452,13 +461,11 @@ mod tests {
         );
         assert_eq!(row(2).lineage, Lineage::var(ia2.0));
         // Scoring: P(1 in a−b) = 0.8 · 0.5.
-        let probs = |v: VarId| c.confidence(TupleId(v.0));
-        let scored = rs.score(&probs, &Evaluator::default()).unwrap();
-        let s1 = scored
+        let at = rs
+            .rows()
             .iter()
-            .find(|s| s.tuple.get(0) == Some(&Value::Int(1)))
-            .unwrap();
-        assert!((s1.confidence - 0.4).abs() < 1e-12);
+            .position(|r| r.tuple.get(0) == Some(&Value::Int(1)));
+        assert!((confidences(&rs, &c)[at.unwrap()] - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::AlgebraError;
 use crate::Result;
-use pcqe_lineage::{bounds, Bounds, CircuitCache, Evaluator, Lineage, LineageError, ProbSource};
+use pcqe_lineage::{bounds, Bounds, CircuitCache, Evaluator, Lineage, LineageError};
 use pcqe_par::{ConfidencePath, Observer};
 use pcqe_storage::{Schema, StoredTuple, Tuple, Value};
 use std::fmt;
@@ -106,30 +106,6 @@ impl ResultSet {
         self.rows
     }
 
-    /// Compute every row's confidence from base-tuple probabilities,
-    /// uncached — the reference the equivalence suites hold
-    /// [`Self::score_with`] to, bit for bit. A row whose exact evaluation
-    /// runs past the evaluator's budget gets its Fréchet lower bound, as
-    /// in [`Self::score_with`].
-    pub fn score<P: ProbSource>(
-        &self,
-        probs: &P,
-        evaluator: &Evaluator,
-    ) -> Result<Vec<ScoredTuple>> {
-        self.rows
-            .iter()
-            .map(|row| {
-                let exact = evaluator.probability(&row.lineage, probs);
-                let (confidence, _) = exact_or_lower(exact, || bounds(&row.lineage, probs))?;
-                Ok(ScoredTuple {
-                    tuple: row.tuple.clone(),
-                    lineage: row.lineage.clone(),
-                    confidence,
-                })
-            })
-            .collect()
-    }
-
     /// Score every row through a shared [`CircuitCache`] — the engine's
     /// one scoring implementation; what varies between callers is data in
     /// [`ScoreOptions`]. The result set is consumed: each row's tuple and
@@ -138,12 +114,12 @@ impl ResultSet {
     ///
     /// Rows with equal or overlapping lineage share compiled subcircuits
     /// and memoized probabilities. Exact confidences are bit-identical to
-    /// [`Self::score`] whenever `cache.probs()` agrees with the probability
-    /// source that was given — the cache replays the interpreter's float
-    /// operations in the same order, and memo hits return the identical
-    /// f64. The pass is sequential by construction (memoized evaluation is
-    /// a shared-state walk), which is what makes it thread-count
-    /// independent: there is no scheduling to vary.
+    /// those of a fresh [`CircuitCache`] holding the same probabilities —
+    /// memo hits return the identical f64 — so they depend on the
+    /// assignment alone, never on what the pool saw before. The pass is
+    /// sequential by construction (memoized evaluation is a shared-state
+    /// walk), which is what makes it thread-count independent: there is no
+    /// scheduling to vary.
     ///
     /// **β-gating** (`gate: Some(β)`): a policy admits a row iff its
     /// confidence is *strictly* greater than β, and every gate-facing
@@ -332,8 +308,7 @@ fn classify_cached(
 /// value, or — when it ran past the evaluator's Shannon budget — the
 /// lower end of the row's Fréchet bounds, which `walk` supplies (`true`
 /// marks that case). Sound for release: `lower > β` implies `exact > β`.
-/// The one place a budget-exhausted row gets its confidence, for
-/// [`ResultSet::score`] and [`ResultSet::score_with`] alike.
+/// The one place a budget-exhausted row gets its confidence.
 fn exact_or_lower(
     exact: pcqe_lineage::Result<f64>,
     walk: impl FnOnce() -> pcqe_lineage::Result<Bounds>,
@@ -409,9 +384,8 @@ mod tests {
 
     #[test]
     fn scoring_computes_probabilities() {
-        let rs = simple();
         let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let scored = rs.score(&probs, &Evaluator::default()).unwrap();
+        let scored = exact(&simple(), &probs);
         assert_eq!(scored.len(), 2);
         assert!((scored[0].confidence - 0.5).abs() < 1e-12);
         assert!((scored[1].confidence - 0.2).abs() < 1e-12);
@@ -419,10 +393,9 @@ mod tests {
 
     #[test]
     fn scoring_fails_on_unknown_base_tuple() {
-        let rs = simple();
         let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5)].into_iter().collect();
         assert!(matches!(
-            rs.score(&probs, &Evaluator::default()),
+            simple().score_cached(&mut seeded_cache(&probs), &Evaluator::default()),
             Err(AlgebraError::Lineage(_))
         ));
     }
@@ -442,18 +415,25 @@ mod tests {
         cache
     }
 
+    /// `rs`'s rows scored exactly by a pool that holds `probs` and nothing
+    /// else.
+    fn exact(rs: &ResultSet, probs: &BTreeMap<VarId, f64>) -> Vec<ScoredTuple> {
+        rs.score_cached(&mut seeded_cache(probs), &Evaluator::default())
+            .unwrap()
+    }
+
     #[test]
-    fn cached_scoring_is_bit_identical_to_plain() {
+    fn memo_hits_keep_every_bit() {
         let rs = simple();
         let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let plain = rs.score(&probs, &Evaluator::default()).unwrap();
+        let fresh = exact(&rs, &probs);
         let mut cache = seeded_cache(&probs);
         // Score twice: the second pass is pure memo hits and must not
         // perturb a single bit.
         for pass in 0..2 {
             let cached = rs.score_cached(&mut cache, &Evaluator::default()).unwrap();
-            assert_eq!(cached.len(), plain.len());
-            for (c, p) in cached.iter().zip(&plain) {
+            assert_eq!(cached.len(), fresh.len());
+            for (c, p) in cached.iter().zip(&fresh) {
                 assert_eq!(
                     c.confidence.to_bits(),
                     p.confidence.to_bits(),
@@ -468,7 +448,7 @@ mod tests {
     fn gated_scoring_skips_exactly_the_rows_the_bound_proves_failing() {
         let rs = simple();
         let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect();
-        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
+        let exact = exact(&rs, &probs);
         // Row 0: exact 0.5; row 1 (AND): exact 0.2, upper bound
         // min(0.5, 0.4) = 0.4. β = 0.45 skips row 1 only; β = 0.1 skips
         // nothing.
@@ -485,7 +465,7 @@ mod tests {
             for ((g, e), row) in gated.scored.iter().zip(&exact).zip(rs.rows()) {
                 // The reference: a row is skipped iff its Fréchet bound
                 // is ≤ β, and then carries that bound; every other row
-                // carries the uncached exact confidence, bit for bit.
+                // carries its exact confidence, bit for bit.
                 let upper = bounds(&row.lineage, &probs).unwrap().upper;
                 let expected = if upper <= beta { upper } else { e.confidence };
                 assert_eq!(g.confidence.to_bits(), expected.to_bits(), "beta={beta}");
@@ -511,8 +491,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(n, 1);
-        let exact = rs.score(&probs, &Evaluator::default()).unwrap();
-        for (c, p) in cached.scored.iter().zip(&exact) {
+        for (c, p) in cached.scored.iter().zip(&exact(&rs, &probs)) {
             assert_eq!(c.confidence.to_bits(), p.confidence.to_bits());
         }
     }

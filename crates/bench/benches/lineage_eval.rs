@@ -1,11 +1,13 @@
-//! Micro-benchmarks of the confidence-computation substrate: interpreted
-//! exact evaluation vs compiled lineage, and a compiled circuit's full
-//! forward pass vs the one-slot cone update the solvers' search nodes
-//! run. These underpin every figure (each solver iteration evaluates F
-//! thousands of times) but are not a figure themselves.
+//! Micro-benchmarks of the confidence-computation substrate: exact
+//! evaluation without a compiled circuit (`recompiled/*`: a fresh circuit
+//! pool compiles and scores the formula on every evaluation) vs a compiled
+//! circuit's forward pass (`compiled/*`), and that full pass vs the
+//! one-slot cone update the solvers' search nodes run. These underpin
+//! every figure (each solver iteration evaluates F thousands of times) but
+//! are not a figure themselves.
 
 use pcqe_bench::timing::{bench, group};
-use pcqe_lineage::{CompiledLineage, Evaluator, Lineage, VarId};
+use pcqe_lineage::{CircuitCache, CompiledLineage, Evaluator, Lineage, VarId};
 use std::collections::BTreeMap;
 
 /// An OR of ten AND-pairs over twenty distinct variables (read-once).
@@ -38,14 +40,22 @@ fn probs_for(l: &Lineage) -> BTreeMap<VarId, f64> {
     l.vars().into_iter().map(|v| (v, 0.12)).collect()
 }
 
+/// `l`'s probability from a pool that has seen nothing: one compile and
+/// one score.
+fn recompiled(l: &Lineage, probs: &BTreeMap<VarId, f64>, ev: &Evaluator) -> f64 {
+    let mut pool = CircuitCache::new();
+    probs.iter().for_each(|(&v, &p)| pool.set_prob(v, p));
+    pool.score_lineage(l, ev).expect("exact")
+}
+
 fn main() {
     group("lineage_eval");
 
     let ro = read_once_formula();
     let ro_probs = probs_for(&ro);
     let ev = Evaluator { budget: 1024 };
-    bench("interpreted/read_once_20vars", 30, || {
-        ev.probability(&ro, &ro_probs).expect("exact")
+    bench("recompiled/read_once_20vars", 30, || {
+        recompiled(&ro, &ro_probs, &ev)
     });
     let compiled = CompiledLineage::compile(&ro, 1024).expect("compiles");
     let slots: Vec<f64> = compiled.vars().iter().map(|v| ro_probs[v]).collect();
@@ -64,8 +74,8 @@ fn main() {
     let sh = shared_formula();
     let sh_probs = probs_for(&sh);
     let ev_sh = Evaluator { budget: 1 << 20 };
-    bench("interpreted/shared_9vars", 30, || {
-        ev_sh.probability(&sh, &sh_probs).expect("exact")
+    bench("recompiled/shared_9vars", 30, || {
+        recompiled(&sh, &sh_probs, &ev_sh)
     });
     let compiled_sh = CompiledLineage::compile(&sh, 1 << 20).expect("compiles");
     let slots_sh: Vec<f64> = compiled_sh.vars().iter().map(|v| sh_probs[v]).collect();

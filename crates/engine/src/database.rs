@@ -694,7 +694,7 @@ impl Database {
         let recording = self.recording();
         let mut responses = Vec::with_capacity(requests.len());
         let mut instances = Vec::new();
-        let mut non_monotone = false;
+        let mut refused = None;
         for request in requests {
             // Evaluate without per-query proposals (done jointly below).
             let stage = Stage {
@@ -714,8 +714,8 @@ impl Database {
                     evaluated.shortfall,
                     &mut self.cache,
                 )? {
-                    Some(instance) => instances.push(instance),
-                    None => non_monotone = true,
+                    Ok(instance) => instances.push(instance),
+                    Err(reason) => refused = refused.or(Some(reason)),
                 }
             }
             // Audit each query's policy decision, exactly as single-query
@@ -730,8 +730,8 @@ impl Database {
             proposal: None,
             no_proposal: None,
         };
-        if non_monotone {
-            batch.no_proposal = Some(NoProposal::NonMonotone);
+        if refused.is_some() {
+            batch.no_proposal = refused;
             return Ok(batch);
         }
         if instances.is_empty() {
@@ -1008,8 +1008,8 @@ impl Drop for Tally {
 /// bitwise-compared no-op for unchanged values, so this only invalidates
 /// memos for tuples whose confidence actually moved (an `apply`, or a
 /// what-if override) — the incremental-re-scoring entry point. Variables
-/// the source does not know are left unset so scoring fails with the
-/// same `UnknownVar` the uncached reference evaluator reports.
+/// the source does not know are left unset so scoring fails with
+/// `UnknownVar`.
 fn sync_cache_probs<F: Fn(pcqe_lineage::VarId) -> Option<f64>>(
     cache: &mut pcqe_lineage::CircuitCache,
     rows: &[pcqe_algebra::DerivedTuple],
@@ -1437,9 +1437,9 @@ mod tests {
         assert!(text.contains("TableScan Proposal [filter:"), "got:\n{text}");
     }
 
-    /// The pipeline taken apart, unoptimised and uncached: logical plan →
-    /// `lower` → one-worker vectorized execution → uncached `score` →
-    /// `evaluate_results`.
+    /// The pipeline taken apart, unoptimised: logical plan → `lower` →
+    /// one-worker vectorized execution → exact scoring in a fresh circuit
+    /// pool → `evaluate_results`.
     fn reference(
         db: &Database,
         user: &User,
@@ -1450,8 +1450,11 @@ mod tests {
         let sequential = pcqe_par::Parallelism::sequential();
         let rows =
             pcqe_algebra::execute_vectorized_with(&physical, db.catalog(), &sequential).unwrap();
-        let probs = |v: pcqe_lineage::VarId| db.confidence(TupleId(v.0));
-        let scored = rows.score(&probs, &db.config.evaluator).unwrap();
+        let mut pool = pcqe_lineage::CircuitCache::new();
+        for v in rows.rows().iter().flat_map(|r| r.lineage.vars()) {
+            pool.set_prob(v, db.confidence(TupleId(v.0)).unwrap());
+        }
+        let scored = rows.score_cached(&mut pool, &db.config.evaluator).unwrap();
         let policy = db.policies.select(&user.role, &request.purpose).unwrap();
         let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
         let decision = evaluate_results(policy, &confidences);

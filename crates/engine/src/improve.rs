@@ -66,12 +66,9 @@ pub(crate) fn propose(
         requested,
         version,
     } = *ctx;
-    // Results with negated lineage are not monotone in base confidences;
-    // raising a base tuple could *lower* them. They are excluded from the
-    // improvable pool.
-    let Some(problem) = build_instance(catalog, costs, config, withheld, beta, needed, cache)?
-    else {
-        return Ok(ProposeOutcome::No(NoProposal::NonMonotone));
+    let problem = match build_instance(catalog, costs, config, withheld, beta, needed, cache)? {
+        Ok(problem) => problem,
+        Err(reason) => return Ok(ProposeOutcome::No(reason)),
     };
     let sink = observer.unwrap_or(&());
     sink.count("solver.problem_bases", problem.bases.len() as u64);
@@ -127,7 +124,11 @@ pub(crate) fn outcome(
 }
 
 /// Build one query's confidence-increment instance from its withheld
-/// results; `None` when too few of them are improvable (negated lineage).
+/// results, or say why there is none: too few of them are improvable
+/// ([`NoProposal::NonMonotone`]; results with negated lineage are not
+/// monotone in base confidences, so raising a base tuple could *lower*
+/// them), or one needs more Shannon expansions than `lineage_budget`
+/// allows ([`NoProposal::SolverGaveUp`]).
 ///
 /// Result circuits are compiled through the shared
 /// [`pcqe_lineage::CircuitCache`] pool: formulas (and subformulas) already
@@ -142,13 +143,13 @@ pub(crate) fn build_instance(
     beta: f64,
     needed: usize,
     cache: &mut pcqe_lineage::CircuitCache,
-) -> Result<Option<ProblemInstance>> {
+) -> Result<std::result::Result<ProblemInstance, NoProposal>> {
     let improvable: Vec<&ScoredTuple> = withheld
         .iter()
         .filter(|s| !s.lineage.contains_not())
         .collect();
     if improvable.len() < needed {
-        return Ok(None);
+        return Ok(Err(NoProposal::NonMonotone));
     }
     let mut builder = ProblemBuilder::new(beta, config.delta).lineage_budget(config.lineage_budget);
     let mut seen = BTreeSet::new();
@@ -168,9 +169,16 @@ pub(crate) fn build_instance(
         }
     }
     for s in &improvable {
-        builder.result_from_lineage_cached(&s.lineage, cache)?;
+        // Compiling is the only lineage step here, and it fails only past
+        // the budget.
+        match builder.result_from_lineage_cached(&s.lineage, cache) {
+            Err(e @ CoreError::Lineage(_)) => {
+                return Ok(Err(NoProposal::SolverGaveUp(e.to_string())))
+            }
+            added => added?,
+        };
     }
-    Ok(Some(builder.require(needed).build()?))
+    Ok(Ok(builder.require(needed).build()?))
 }
 
 /// Pick the solver by problem size, mirroring the crossovers measured in

@@ -28,9 +28,30 @@
 //! that exceeds β.
 
 use crate::error::LineageError;
-use crate::expr::Lineage;
-use crate::prob::ProbSource;
+use crate::expr::{Lineage, VarId};
 use crate::Result;
+
+/// A source of per-variable marginal probabilities.
+///
+/// Implemented for closures and ordered maps so callers can pass whatever
+/// they have; `None` means the variable is unknown and the walk fails
+/// with [`LineageError::UnknownVar`].
+pub trait ProbSource {
+    /// Marginal probability of `var` being true, or `None` if unknown.
+    fn prob(&self, var: VarId) -> Option<f64>;
+}
+
+impl<F: Fn(VarId) -> Option<f64>> ProbSource for F {
+    fn prob(&self, var: VarId) -> Option<f64> {
+        self(var)
+    }
+}
+
+impl ProbSource for std::collections::BTreeMap<VarId, f64> {
+    fn prob(&self, var: VarId) -> Option<f64> {
+        self.get(&var).copied()
+    }
+}
 
 /// A sound probability interval: `lower ≤ P(lineage) ≤ upper`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,8 +69,8 @@ impl Bounds {
 }
 
 /// Compute sound `[lower, upper]` probability bounds for `lineage` in one
-/// linear pass. Fails with [`LineageError::UnknownVar`] exactly when exact
-/// evaluation would.
+/// linear pass. Fails with [`LineageError::UnknownVar`] when a variable of
+/// `lineage` has no probability in `probs`.
 pub fn bounds<P: ProbSource>(lineage: &Lineage, probs: &P) -> Result<Bounds> {
     let b = walk(lineage, probs)?;
     debug_assert!(b.lower <= b.upper + 1e-12, "crossed bounds {b:?}");
@@ -107,8 +128,6 @@ fn walk<P: ProbSource>(l: &Lineage, probs: &P) -> Result<Bounds> {
 #[allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 mod tests {
     use super::*;
-    use crate::expr::VarId;
-    use crate::prob::Evaluator;
     use crate::rng::Rng64;
     use std::collections::BTreeMap;
 
@@ -160,19 +179,30 @@ mod tests {
         // generate formulas with heavy variable sharing (the hard case)
         // and verify lower ≤ exact ≤ upper for each.
         let mut rng = Rng64::seed_from_u64(0x000b_0cd5);
-        let ev = Evaluator { budget: 1 << 16 };
         for case in 0..200 {
             let n_vars = 2 + rng.below_u64(5);
             let pr: BTreeMap<VarId, f64> =
                 (0..n_vars).map(|i| (VarId(i), rng.next_f64())).collect();
             let l = random_formula(&mut rng, n_vars, 3);
-            let exact = ev.probability(&l, &pr).unwrap();
+            let exact = enumerated(&l, &pr);
             let b = bounds(&l, &pr).unwrap();
             assert!(
                 b.lower - 1e-9 <= exact && exact <= b.upper + 1e-9,
                 "case {case}: exact {exact} outside {b:?} for {l:?}"
             );
         }
+    }
+
+    /// `P(l)` summed over every assignment of variables `0..probs.len()`.
+    fn enumerated(l: &Lineage, probs: &BTreeMap<VarId, f64>) -> f64 {
+        let set = |bits: u32, v: VarId| bits & (1 << v.0) != 0;
+        (0..1u32 << probs.len())
+            .filter(|&bits| l.eval(&|v| set(bits, v)))
+            .map(|bits| {
+                let weight = |(&v, &p): (&VarId, &f64)| if set(bits, v) { p } else { 1.0 - p };
+                probs.iter().map(weight).product::<f64>()
+            })
+            .sum()
     }
 
     fn random_formula(rng: &mut Rng64, n_vars: u64, depth: usize) -> Lineage {

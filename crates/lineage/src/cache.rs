@@ -26,30 +26,32 @@
 //!    keep their memoized probabilities untouched.
 //!
 //! The pool is also the crate's only compiler: the Shannon/independence
-//! recursion exists once, in [`CircuitCache::compile`]'s private helper
-//! (and once more in the interpreter of [`crate::prob`], the reference the
-//! equivalence suites compare against). A solver that needs a standalone
-//! `F(p₁ … p_k)` asks for [`CircuitCache::compiled`], which flattens the
-//! nodes under one root into a [`CompiledLineage`] — its slots' cones
-//! recorded with it — on first request and memoizes the `Arc`;
-//! roots that are only ever scored never pay for one.
+//! recursion exists once in the production crates, in
+//! [`CircuitCache::compile`]'s private helpers. The reference the
+//! equivalence suites hold it to is a separate interpreter in the test
+//! tree, with its own pivot rule and recursion. A solver that needs a
+//! standalone `F(p₁ … p_k)` asks for [`CircuitCache::compiled`], which
+//! flattens the nodes under one root into a [`CompiledLineage`] — its
+//! slots' cones recorded with it — on first request and memoizes the
+//! `Arc`; roots that are only ever scored never pay for one.
 //!
 //! # Determinism
 //!
-//! Cached scoring is bit-identical to the uncached
-//! [`Evaluator::probability`] path:
+//! Cached scoring is a function of the formula and the assignment alone,
+//! bit for bit, whatever the pool already holds:
 //!
-//! - compilation runs on the same simplified/factored formula with the same
-//!   pivot rule, so pooled circuits have the exact structure the
-//!   interpreter's recursion traces;
-//! - [`CircuitCache::score`] replays the interpreter's float operations in
-//!   the same order (`Π`, `1 − Π(1 − ·)`, `p·hi + (1 − p)·lo`), and a memo
-//!   hit returns the very f64 the first evaluation produced;
+//! - compilation runs on the simplified/factored formula and pivots by one
+//!   rule (`most_shared_var`), so a pooled circuit has the structure a
+//!   compile into an empty pool gives it;
+//! - [`CircuitCache::score`] runs the float operations of the
+//!   independence/Shannon decomposition in one fixed order (`Π`,
+//!   `1 − Π(1 − ·)`, `p·hi + (1 − p)·lo`), and a memo hit returns the very
+//!   f64 the first evaluation produced;
 //! - budget accounting is *parity-exact*: a fresh compile of a subformula
 //!   with remaining budget `r` succeeds iff `r ≥ cost`, consuming exactly
 //!   `cost` — so a compile-memo hit charges the recorded cost up front and
-//!   fails with the identical [`LineageError::BudgetExceeded`] iff the
-//!   stepwise recursion would have.
+//!   fails with the identical [`LineageError::BudgetExceeded`] iff a
+//!   compile into an empty pool would.
 //!
 //! Every container in this module is a `BTreeMap`, a `Vec` indexed by
 //! insertion order, or the id-paged [`VarTable`] (PCQE-D001): iteration
@@ -61,16 +63,31 @@
 //! so neither the order pages were allocated in nor where an id falls in
 //! its page can reach a result.
 
+use crate::bound::ProbSource;
 use crate::compile::{CompiledLineage, Op};
 use crate::error::LineageError;
 use crate::expr::{Lineage, VarId};
 use crate::factor::normalize;
-use crate::prob::{most_shared_var, Evaluator, ProbSource};
 use crate::Result;
 use pcqe_par::Observer;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+
+/// The budget exact scoring runs under: each Shannon expansion the pool
+/// compiles consumes one unit, and a formula that needs more fails with
+/// [`LineageError::BudgetExceeded`] — the pool never estimates.
+#[derive(Debug, Clone)]
+pub struct Evaluator {
+    /// Maximum number of Shannon expansions before giving up on exactness.
+    pub budget: usize,
+}
+
+impl Default for Evaluator {
+    fn default() -> Self {
+        Evaluator { budget: 4096 }
+    }
+}
 
 /// Handle to one root circuit in a [`CircuitCache`]. Ids are dense and
 /// assigned in first-compile order, so they are deterministic for a
@@ -354,8 +371,8 @@ impl CircuitCache {
         if let Some(&id) = self.circuits.get(lineage) {
             let cost = self.roots.get(id.0).map(|r| r.cost).unwrap_or(0);
             if budget < cost {
-                // Match the uncached error payload: the stepwise recursion
-                // always reports exhaustion at a zero remainder.
+                // Match a fresh compile's error payload: `compile_mix`
+                // reports exhaustion at a zero remainder.
                 return Err(LineageError::BudgetExceeded { budget: 0 });
             }
             self.stats.compile_hits = self.stats.compile_hits.saturating_add(1);
@@ -477,18 +494,17 @@ impl CircuitCache {
         self.eval_node(root)
     }
 
-    /// Compile-and-score in one call within the evaluator's budget — the
-    /// cached twin of [`Evaluator::probability`], bit-identical on every
-    /// path, [`LineageError::BudgetExceeded`] included.
+    /// Compile-and-score in one call within the evaluator's budget:
+    /// [`Self::compile`], then [`Self::score`].
     pub fn score_lineage(&mut self, lineage: &Lineage, evaluator: &Evaluator) -> Result<f64> {
         let id = self.compile(lineage, evaluator.budget)?;
         self.score(id)
     }
 
-    /// Compile memo + hash-consing recursion, with the structure and
-    /// budget accounting of the interpreter's `exact`; on a memo hit the
-    /// recorded cost is charged up front (see the module docs for the
-    /// parity argument).
+    /// Compile memo + hash-consing recursion: independent children become
+    /// a `Product`/`DisjProduct`, children that share a variable a Shannon
+    /// expansion on [`most_shared_var`]. On a memo hit the recorded cost
+    /// is charged up front (see the module docs for the parity argument).
     fn compile_sub(&mut self, l: &Lineage, budget: &mut usize) -> Result<NodeId> {
         if let Lineage::Var(v) = l {
             return Ok(self.var_leaf(*v));
@@ -532,8 +548,8 @@ impl CircuitCache {
         Ok(id)
     }
 
-    /// Shannon expansion on `pivot`, with the same check-then-decrement
-    /// budget step as the interpreter.
+    /// Shannon expansion on `pivot`: check the budget, then take one unit
+    /// of it, so an expansion at a zero remainder fails.
     fn compile_mix(&mut self, l: &Lineage, pivot: VarId, budget: &mut usize) -> Result<NodeId> {
         if *budget == 0 {
             return Err(LineageError::BudgetExceeded { budget: 0 });
@@ -623,10 +639,10 @@ impl CircuitCache {
     }
 
     /// Memoized bottom-up evaluation. The float operations and their order
-    /// are exactly those of [`CompiledLineage::eval`] / the interpreter's
-    /// `exact` recursion — a memo hit just short-circuits to the f64 that
-    /// recursion already produced. Child lists are read by position, one
-    /// child at a time, so nothing is copied out of the node.
+    /// are exactly those of [`CompiledLineage::eval`] — a memo hit just
+    /// short-circuits to the f64 the first evaluation produced. Child
+    /// lists are read by position, one child at a time, so nothing is
+    /// copied out of the node.
     fn eval_node(&mut self, id: NodeId) -> Result<f64> {
         let node = self.nodes.get(id).ok_or(LineageError::UnknownCircuit(id))?;
         if let Some(p) = node.memo {
@@ -669,6 +685,30 @@ impl CircuitCache {
     }
 }
 
+/// If the children share variables, return the variable occurring in the
+/// most children (the best Shannon pivot), the smallest such variable on a
+/// tie; otherwise `None`.
+///
+/// Every leaf goes into one list as `(variable, child)`; sorted and
+/// deduplicated, a variable's run is as long as the number of children it
+/// occurs in. Sharing *within* one child is handled recursively — only
+/// cross-child sharing breaks independence — so a variable counts once
+/// per child however often the child repeats it.
+fn most_shared_var(children: &[Lineage]) -> Option<VarId> {
+    let mut leaves: Vec<(VarId, usize)> = Vec::new();
+    for (at, child) in children.iter().enumerate() {
+        child.for_each_var(&mut |v| leaves.push((v, at)));
+    }
+    leaves.sort_unstable();
+    leaves.dedup();
+    leaves
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|run| run.len() > 1)
+        .filter_map(|run| run.first().map(|&(v, _)| (run.len(), std::cmp::Reverse(v))))
+        .max()
+        .map(|(_, std::cmp::Reverse(v))| v)
+}
+
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 mod tests {
@@ -689,17 +729,6 @@ mod tests {
             map.insert(VarId(v), p);
         }
         map
-    }
-
-    #[test]
-    fn cached_score_matches_interpreter_bitwise() {
-        let mut cache = CircuitCache::new();
-        let pr = seed_probs(&mut cache, &[(2, 0.3), (3, 0.4), (13, 0.1)]);
-        let ev = Evaluator::default();
-        let l = example();
-        let cached = cache.score_lineage(&l, &ev).unwrap();
-        let plain = ev.probability(&l, &pr).unwrap();
-        assert_eq!(cached.to_bits(), plain.to_bits());
     }
 
     #[test]
@@ -752,18 +781,21 @@ mod tests {
     }
 
     #[test]
-    fn what_if_probe_sequence_matches_uncached_bitwise() {
+    fn what_if_probe_sequence_matches_a_cold_pool_bitwise() {
         let mut cache = CircuitCache::new();
         let mut pr = seed_probs(&mut cache, &[(2, 0.3), (3, 0.4), (13, 0.1)]);
         let ev = Evaluator::default();
         let l = example();
+        cache.score_lineage(&l, &ev).unwrap();
         for step in 1..=5u64 {
             let p3 = 0.4 + 0.1 * step as f64 / 5.0;
             cache.set_prob(VarId(3), p3);
             pr.insert(VarId(3), p3);
-            let cached = cache.score_lineage(&l, &ev).unwrap();
-            let plain = ev.probability(&l, &pr).unwrap();
-            assert_eq!(cached.to_bits(), plain.to_bits(), "step {step}");
+            let probed = cache.score_lineage(&l, &ev).unwrap();
+            let mut cold = CircuitCache::new();
+            pr.iter().for_each(|(&v, &p)| cold.set_prob(v, p));
+            let fresh = cold.score_lineage(&l, &ev).unwrap();
+            assert_eq!(probed.to_bits(), fresh.to_bits(), "step {step}");
         }
     }
 
@@ -830,26 +862,28 @@ mod tests {
 
     #[test]
     fn budget_parity_with_fresh_compiles() {
-        // For every budget, the pool (cold and memo-hit) and the standalone
-        // compile that wraps it must agree with the interpreter's stepwise
-        // recursion on success/failure and on the error value.
+        // For every budget, a memo hit and the standalone compile that
+        // wraps the pool must agree with a compile into an empty pool on
+        // success/failure and on the error value — and that compile
+        // succeeds exactly from the cost it records on.
         let mut children = Vec::new();
         for i in 0..8u64 {
             children.push(Lineage::And(vec![Lineage::var(i), Lineage::var(i + 1)]));
         }
         let l = Lineage::Or(children);
-        let pr: BTreeMap<VarId, f64> = (0..9u64).map(|v| (VarId(v), 0.5)).collect();
+        let mut warmed = CircuitCache::new();
+        let id = warmed.compile(&l, 1 << 16).unwrap(); // warm the memo
+        let cost = warmed.roots[id.0].cost;
+        assert!(cost > 0, "the chain needs an expansion");
         for budget in 0..64usize {
-            let oracle = Evaluator { budget }.probability(&l, &pr).map(|_| ());
-            let standalone = CompiledLineage::compile(&l, budget).map(|_| ());
-            let mut warmed = CircuitCache::new();
-            let _ = warmed.compile(&l, 1 << 16); // warm the memo
-            let hit = warmed.compile(&l, budget).map(|_| ());
             let mut cold = CircuitCache::new();
             let miss = cold.compile(&l, budget).map(|_| ());
-            assert_eq!(oracle, hit, "budget {budget} (memo hit)");
-            assert_eq!(oracle, miss, "budget {budget} (cold)");
-            assert_eq!(oracle, standalone, "budget {budget} (standalone)");
+            let hit = warmed.compile(&l, budget).map(|_| ());
+            let standalone = CompiledLineage::compile(&l, budget).map(|_| ());
+            let refused = Err(LineageError::BudgetExceeded { budget: 0 });
+            assert_eq!(miss, if budget < cost { refused } else { Ok(()) });
+            assert_eq!(miss, hit, "budget {budget} (memo hit)");
+            assert_eq!(miss, standalone, "budget {budget} (standalone)");
         }
     }
 
@@ -891,30 +925,10 @@ mod tests {
         let pr: BTreeMap<VarId, f64> = (0..3u64)
             .map(|v| (VarId(v), 0.1 + 0.2 * v as f64))
             .collect();
-        let interp = Evaluator { budget: 1 << 12 }.probability(&l, &pr).unwrap();
-        assert_eq!(pooled.eval_with(|v| pr[&v]).to_bits(), interp.to_bits());
-        assert_eq!(standalone.eval_with(|v| pr[&v]).to_bits(), interp.to_bits());
-    }
-
-    #[test]
-    fn randomized_equivalence_with_interpreter() {
-        let mut rng = Rng64::seed_from_u64(0x00C4_C4E1);
-        for case in 0..200u32 {
-            let l = random_formula(&mut rng, 6, 3);
-            let mut cache = CircuitCache::new();
-            let mut pr = BTreeMap::new();
-            for v in 0..6u64 {
-                let p = rng.range_f64(0.05, 0.95);
-                cache.set_prob(VarId(v), p);
-                pr.insert(VarId(v), p);
-            }
-            let ev = Evaluator { budget: 1 << 12 };
-            match (cache.score_lineage(&l, &ev), ev.probability(&l, &pr)) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "case {case}: {l:?}"),
-                (Err(a), Err(b)) => assert_eq!(a, b, "case {case}: {l:?}"),
-                (a, b) => panic!("case {case}: cache {a:?} vs plain {b:?} for {l:?}"),
-            }
-        }
+        pr.iter().for_each(|(&v, &p)| cache.set_prob(v, p));
+        let scored = cache.score(id).unwrap();
+        assert_eq!(pooled.eval_with(|v| pr[&v]).to_bits(), scored.to_bits());
+        assert_eq!(standalone.eval_with(|v| pr[&v]).to_bits(), scored.to_bits());
     }
 
     #[test]
@@ -964,22 +978,61 @@ mod tests {
         assert!(invalidate.starts_with("var=3 dropped="), "{invalidate}");
     }
 
-    fn random_formula(rng: &mut Rng64, n_vars: u64, depth: u32) -> Lineage {
-        if depth == 0 || rng.chance(0.3) {
-            return Lineage::var(rng.below_u64(n_vars));
+    /// The pivot rule as it was first written: a set of variables per
+    /// child, a map of how many children hold each, the most-held variable
+    /// and the smallest on a tie.
+    fn reference_most_shared_var(children: &[Lineage]) -> Option<VarId> {
+        let mut seen: BTreeMap<VarId, usize> = BTreeMap::new();
+        for child in children {
+            for v in child.vars() {
+                *seen.entry(v).or_insert(0) += 1;
+            }
         }
-        match rng.below_u64(3) {
-            0 => Lineage::Not(Box::new(random_formula(rng, n_vars, depth - 1))),
-            1 => Lineage::And(
-                (0..2 + rng.below_usize(2))
-                    .map(|_| random_formula(rng, n_vars, depth - 1))
-                    .collect(),
-            ),
-            _ => Lineage::Or(
-                (0..2 + rng.below_usize(2))
-                    .map(|_| random_formula(rng, n_vars, depth - 1))
-                    .collect(),
-            ),
+        seen.into_iter()
+            .filter(|&(_, c)| c > 1)
+            .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
+            .map(|(v, _)| v)
+    }
+
+    #[test]
+    fn pivot_matches_its_reference_definition_on_seeded_children() {
+        let mut rng = Rng64::seed_from_u64(0x51AA_9107);
+        let (mut pivots, mut none) = (0, 0);
+        for case in 0..600u32 {
+            // Few variables against many children: counts tie all the
+            // time, and a child often repeats a variable of its own.
+            let n = [1, 2, 3, 5, 12, 40, 400][case as usize % 7];
+            let universe = 2 + rng.below_u64(2 * n as u64);
+            let children: Vec<Lineage> = (0..n)
+                .map(|_| match rng.below_u64(4) {
+                    0 => Lineage::var(rng.below_u64(universe)),
+                    1 => Lineage::Not(Box::new(Lineage::var(rng.below_u64(universe)))),
+                    _ => Lineage::And(
+                        (0..rng.range_usize(1, 5))
+                            .map(|_| Lineage::var(rng.below_u64(universe)))
+                            .collect(),
+                    ),
+                })
+                .collect();
+            let want = reference_most_shared_var(&children);
+            assert_eq!(most_shared_var(&children), want, "case {case}");
+            pivots += usize::from(want.is_some());
+            none += usize::from(want.is_none());
         }
+        assert!(pivots > 200 && none > 50, "{pivots} / {none}");
+    }
+
+    #[test]
+    fn pivot_ties_go_to_the_smallest_variable_and_repeats_count_once() {
+        let and = |vs: &[u64]| Lineage::And(vs.iter().map(|&v| Lineage::var(v)).collect());
+        // 3, 5 and 9 are each in two children: the smallest wins.
+        let tie = [and(&[9, 5]), and(&[5, 3]), and(&[3, 9])];
+        assert_eq!(most_shared_var(&tie), Some(VarId(3)));
+        // 7 occurs three times but in one child; 8 is in two children.
+        let repeated = [and(&[7, 7, 7, 8]), and(&[8, 1])];
+        assert_eq!(most_shared_var(&repeated), Some(VarId(8)));
+        // A variable repeated only inside one child shares nothing.
+        assert_eq!(most_shared_var(&[and(&[7, 7]), and(&[1, 2])]), None);
+        assert_eq!(most_shared_var(&[]), None);
     }
 }

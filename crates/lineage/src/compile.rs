@@ -227,8 +227,8 @@ impl CompiledLineage {
     }
 
     /// One node's value from its children's in `values`: the float
-    /// operations, in the order, of the pool's memoized evaluation and of
-    /// the interpreter's `exact` recursion. Extraction only writes
+    /// operations, in the order, of the pool's memoized evaluation.
+    /// Extraction only writes
     /// in-range indexes and slots, and children precede their parents, so
     /// the `get` fallbacks (the neutral probability 0) are never taken;
     /// they keep the pass panic-free (PCQE-P002).
@@ -280,12 +280,12 @@ fn each_bit(row: &[u64], mut f: impl FnMut(usize)) {
 #[allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 mod tests {
     use super::*;
+    use crate::cache::{CircuitCache, Evaluator};
     use crate::error::LineageError;
-    use crate::prob::Evaluator;
     use std::collections::BTreeMap;
 
     #[test]
-    fn compiled_matches_interpreter_read_once() {
+    fn compiled_read_once_gives_the_papers_value() {
         let l = Lineage::and(vec![
             Lineage::or(vec![Lineage::var(2), Lineage::var(3)]),
             Lineage::var(13),
@@ -297,20 +297,24 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_interpreter_shared_vars() {
+    fn compiled_matches_enumeration_on_shared_vars() {
         let l = Lineage::Or(vec![
             Lineage::And(vec![Lineage::var(0), Lineage::var(1)]),
             Lineage::And(vec![Lineage::var(0), Lineage::var(2)]),
             Lineage::And(vec![Lineage::var(1), Lineage::var(2)]),
         ]);
         let c = CompiledLineage::compile(&l, 1024).unwrap();
-        let probs: BTreeMap<VarId, f64> = [(VarId(0), 0.3), (VarId(1), 0.6), (VarId(2), 0.9)]
-            .into_iter()
-            .collect();
-        let exact = Evaluator { budget: 1 << 16 }
-            .probability(&l, &probs)
-            .unwrap();
-        let compiled = c.eval_with(|v| probs[&v]);
+        let probs = [0.3, 0.6, 0.9];
+        // At least two of three: every assignment with two or three set.
+        let mut exact = 0.0;
+        for bits in 0..8u32 {
+            if bits.count_ones() >= 2 {
+                let weight =
+                    |(at, &p): (usize, &f64)| if bits & (1 << at) != 0 { p } else { 1.0 - p };
+                exact += probs.iter().enumerate().map(weight).product::<f64>();
+            }
+        }
+        let compiled = c.eval_with(|v| probs[v.0 as usize]);
         assert!((exact - compiled).abs() < 1e-12, "{exact} vs {compiled}");
     }
 
@@ -418,10 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn compiled_eval_is_bit_identical_to_interpreter() {
-        // The cache's determinism argument leans on compile/eval mirroring
-        // the interpreter's float-op order exactly — assert it bitwise on a
-        // formula that exercises Product, DisjProduct, Mix and Complement.
+    fn compiled_eval_is_bit_identical_to_the_pool() {
+        // The flat circuit must repeat the pool's float operations in the
+        // pool's order — assert it bitwise on a formula that exercises
+        // Product, DisjProduct, Mix and Complement.
         let l = Lineage::Or(vec![
             Lineage::And(vec![Lineage::var(0), Lineage::var(1)]),
             Lineage::And(vec![
@@ -434,9 +438,13 @@ mod tests {
             .into_iter()
             .map(|(v, p)| (VarId(v), p))
             .collect();
-        let interp = Evaluator { budget: 1 << 12 }.probability(&l, &pr).unwrap();
+        let mut pool = CircuitCache::new();
+        pr.iter().for_each(|(&v, &p)| pool.set_prob(v, p));
+        let pooled = pool
+            .score_lineage(&l, &Evaluator { budget: 1 << 12 })
+            .unwrap();
         let c = CompiledLineage::compile(&l, 1 << 12).unwrap();
         let compiled = c.eval_with(|v| pr[&v]);
-        assert_eq!(interp.to_bits(), compiled.to_bits());
+        assert_eq!(pooled.to_bits(), compiled.to_bits());
     }
 }

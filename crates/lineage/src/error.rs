@@ -6,7 +6,8 @@ use std::fmt;
 /// Errors raised while computing lineage probabilities.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LineageError {
-    /// A variable had no probability in the supplied [`crate::ProbSource`].
+    /// A variable had no probability in the pool or in the supplied
+    /// [`crate::ProbSource`].
     UnknownVar(VarId),
     /// Exact evaluation exceeded the Shannon-expansion budget.
     ///

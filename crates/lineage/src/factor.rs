@@ -33,9 +33,8 @@ pub fn factor(lineage: &Lineage) -> Lineage {
     }
 }
 
-/// The form every exact confidence computation in the crate starts from —
-/// interpreter and pool compiler alike: simplified,
-/// then factored unless already read-once. Factoring shared conjuncts out
+/// The form the pool compiler starts every exact confidence computation
+/// from: simplified, then factored unless already read-once. Factoring shared conjuncts out
 /// of OR branches removes repeated variables, saving Shannon expansions
 /// (and often reaching a read-once form, which needs none at all).
 pub(crate) fn normalize(lineage: &Lineage) -> Lineage {
@@ -149,8 +148,23 @@ fn strip_conjunct(l: &Lineage, pivot: VarId) -> Option<Lineage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prob::Evaluator;
-    use std::collections::BTreeMap;
+
+    /// `P(l)` over independent variables, summed over every assignment.
+    fn enumerated(l: &Lineage, probs: &BTreeMap<VarId, f64>) -> f64 {
+        let vars: Vec<VarId> = probs.keys().copied().collect();
+        let set = |bits: u32, v: VarId| {
+            vars.iter()
+                .position(|&x| x == v)
+                .is_some_and(|at| bits & (1 << at) != 0)
+        };
+        (0..1u32 << vars.len())
+            .filter(|&bits| l.eval(&|v| set(bits, v)))
+            .map(|bits| {
+                let weight = |(&v, &p): (&VarId, &f64)| if set(bits, v) { p } else { 1.0 - p };
+                probs.iter().map(weight).product::<f64>()
+            })
+            .sum()
+    }
 
     fn equivalent(a: &Lineage, b: &Lineage) {
         let mut vars = a.vars();
@@ -194,9 +208,7 @@ mod tests {
         equivalent(&dnf, &f);
         let probs: BTreeMap<VarId, f64> =
             (0..4).map(|i| (VarId(i), 0.3 + 0.1 * i as f64)).collect();
-        let ev = Evaluator { budget: 1 << 16 };
-        let pa = ev.probability(&dnf, &probs).unwrap();
-        let pb = ev.probability(&f, &probs).unwrap();
+        let (pa, pb) = (enumerated(&dnf, &probs), enumerated(&f, &probs));
         assert!((pa - pb).abs() < 1e-12);
         let before: usize = dnf.var_counts().values().sum();
         let after: usize = f.var_counts().values().sum();

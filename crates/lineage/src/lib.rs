@@ -11,21 +11,25 @@
 //! `p38 = (p02 + p03 − p02·p03) · p13 = 0.058`:
 //!
 //! ```
-//! use pcqe_lineage::{Lineage, VarId, Evaluator};
+//! use pcqe_lineage::{CircuitCache, Evaluator, Lineage, VarId};
 //!
 //! let l = Lineage::and(vec![
 //!     Lineage::or(vec![Lineage::var(2), Lineage::var(3)]),
 //!     Lineage::var(13),
 //! ]);
-//! let probs = |v: VarId| match v.0 {
-//!     2 => Some(0.3),
-//!     3 => Some(0.4),
-//!     13 => Some(0.1),
-//!     _ => None,
-//! };
-//! let p = Evaluator::default().probability(&l, &probs).unwrap();
+//! let mut pool = CircuitCache::new();
+//! for (v, p) in [(2, 0.3), (3, 0.4), (13, 0.1)] {
+//!     pool.set_prob(VarId(v), p);
+//! }
+//! let p = pool.score_lineage(&l, &Evaluator::default()).unwrap();
 //! assert!((p - 0.058).abs() < 1e-12);
 //! ```
+//!
+//! Exact confidence is computed in one place, the circuit pool
+//! ([`CircuitCache`]): independence where the children of a connective
+//! share no variable, Shannon expansion on the most-shared variable where
+//! they do, under a budget of expansions ([`Evaluator`]). A formula past
+//! the budget has only its one-pass Fréchet interval ([`bounds`]).
 
 pub mod bound;
 pub mod cache;
@@ -33,16 +37,14 @@ pub mod compile;
 pub mod error;
 pub mod expr;
 pub mod factor;
-pub mod prob;
 pub mod rng;
 
-pub use bound::{bounds, Bounds};
-pub use cache::{CacheStats, CircuitCache, CircuitId};
+pub use bound::{bounds, Bounds, ProbSource};
+pub use cache::{CacheStats, CircuitCache, CircuitId, Evaluator};
 pub use compile::CompiledLineage;
 pub use error::LineageError;
 pub use expr::{Lineage, VarId};
 pub use factor::factor;
-pub use prob::{Evaluator, ProbSource};
 pub use rng::{Rng64, SplitMix64};
 
 /// Crate-wide result alias.

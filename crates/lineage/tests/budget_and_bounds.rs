@@ -8,17 +8,15 @@
 //!   shared variables induce.
 //! * Running out of Shannon budget is an error value, never a panic:
 //!   `CompiledLineage::compile` and `CircuitCache::compile` (cold or
-//!   warmed) both report `LineageError::BudgetExceeded`, and they agree
-//!   formula-by-formula with the interpreter's stepwise recursion on
+//!   warmed) both report `LineageError::BudgetExceeded`, and the standalone
+//!   compile and a warmed pool agree formula-by-formula with a cold pool on
 //!   whether a given budget suffices (the cache's budget-parity contract).
 //!
 //! A third suite pins the parallel-scoring contract for *pooled* circuits:
 //! `Arc`-shared compiled circuits evaluated through `pcqe_par` produce
 //! bit-identical confidences at any worker-thread count.
 
-use pcqe_lineage::{
-    bounds, CircuitCache, CompiledLineage, Evaluator, Lineage, LineageError, Rng64, VarId,
-};
+use pcqe_lineage::{bounds, CircuitCache, CompiledLineage, Lineage, LineageError, Rng64, VarId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -54,6 +52,19 @@ fn random_probs(rng: &mut Rng64) -> BTreeMap<VarId, f64> {
     (0..MAX_VARS).map(|v| (VarId(v), rng.next_f64())).collect()
 }
 
+/// `P(l)` over independent variables `0..probs.len()`, summed over every
+/// assignment.
+fn enumerated(l: &Lineage, probs: &BTreeMap<VarId, f64>) -> f64 {
+    let set = |bits: u32, v: VarId| bits & (1 << v.0) != 0;
+    (0..1u32 << probs.len())
+        .filter(|&bits| l.eval(&|v| set(bits, v)))
+        .map(|bits| {
+            let weight = |(&v, &p): (&VarId, &f64)| if set(bits, v) { p } else { 1.0 - p };
+            probs.iter().map(weight).product::<f64>()
+        })
+        .sum()
+}
+
 #[test]
 fn frechet_bounds_bracket_the_exact_probability() {
     let mut rng = Rng64::seed_from_u64(0x00B0_0001);
@@ -69,9 +80,7 @@ fn frechet_bounds_bracket_the_exact_probability() {
             b.lower <= b.upper + 1e-12,
             "case {case}: crossed bounds {b:?} for {l:?}"
         );
-        let exact = Evaluator { budget: 1 << 20 }
-            .probability(&l, &probs)
-            .expect("depth-4 formulas over 6 variables fit a 2^20 budget");
+        let exact = enumerated(&l, &probs);
         assert!(
             b.lower - 1e-9 <= exact && exact <= b.upper + 1e-9,
             "case {case}: exact {exact} outside [{}, {}] for {l:?}",
@@ -89,25 +98,25 @@ fn exhausted_budgets_are_typed_errors_and_cache_agrees() {
         let l = random_lineage(&mut rng, MAX_VARS, 4);
         let probs = random_probs(&mut rng);
         for budget in [0usize, 1, 2, 4, 8] {
-            // The interpreter's stepwise recursion is the oracle. A cold
-            // pool, a warmed pool and the standalone compile must succeed
-            // exactly when it does, reproduce its value bit for bit, and
-            // surface exhaustion as its typed BudgetExceeded error — never
-            // a panic, never a wrong circuit.
-            let oracle = Evaluator { budget }.probability(&l, &probs);
-            let standalone = CompiledLineage::compile(&l, budget);
+            // A cold pool is the oracle. A warmed pool and the standalone
+            // compile must succeed exactly when it does, and surface
+            // exhaustion as its typed BudgetExceeded error — never a
+            // panic. A circuit that compiles is the formula's probability
+            // and the same bits on every path.
             let mut cold = CircuitCache::new();
             let cold_id = cold.compile(&l, budget);
+            let standalone = CompiledLineage::compile(&l, budget);
             let mut warm = CircuitCache::new();
             let _ = warm.compile(&l, 1 << 20);
             let warm_id = warm.compile(&l, budget);
-            match (&oracle, &standalone, &cold_id, &warm_id) {
-                (Ok(p), Ok(circuit), Ok(c), Ok(w)) => {
+            match (&cold_id, &standalone, &warm_id) {
+                (Ok(c), Ok(circuit), Ok(w)) => {
                     let lookup = |v: VarId| probs[&v];
-                    assert_eq!(
-                        circuit.eval_with(lookup).to_bits(),
-                        p.to_bits(),
-                        "case {case}: standalone value at budget {budget} for {l:?}"
+                    let p = circuit.eval_with(lookup);
+                    let exact = enumerated(&l, &probs);
+                    assert!(
+                        (p - exact).abs() < 1e-9,
+                        "case {case}: {p} vs enumerated {exact} at budget {budget} for {l:?}"
                     );
                     for (name, pool, id) in [("cold", &mut cold, *c), ("warm", &mut warm, *w)] {
                         let compiled = pool.compiled(id).expect("id just issued");
@@ -123,13 +132,13 @@ fn exhausted_budgets_are_typed_errors_and_cache_agrees() {
                         );
                     }
                 }
-                (Err(e @ LineageError::BudgetExceeded { .. }), Err(s), Err(c), Err(w)) => {
-                    assert_eq!((e, e, e), (s, c, w), "case {case}: error payloads");
+                (Err(e @ LineageError::BudgetExceeded { .. }), Err(s), Err(w)) => {
+                    assert_eq!((e, e), (s, w), "case {case}: error payloads");
                     exhausted += 1;
                 }
                 outcomes => panic!(
                     "case {case}: compile outcomes diverged at budget {budget} for {l:?}: \
-                     (interpreter, standalone, cold, warm) = {outcomes:?}"
+                     (cold, standalone, warm) = {outcomes:?}"
                 ),
             }
         }

@@ -715,7 +715,7 @@ mod tests {
         // Algebra and lineage are panic-guarded as a whole; core is
         // determinism-guarded but not panic-guarded.
         assert_eq!(findings("crates/algebra/src/expr.rs", src).len(), 4);
-        assert_eq!(findings("crates/lineage/src/prob.rs", src).len(), 4);
+        assert_eq!(findings("crates/lineage/src/cache.rs", src).len(), 4);
         assert!(findings("crates/core/src/dnc.rs", src).is_empty());
     }
 

@@ -719,7 +719,7 @@ mod tests {
         [[allow]]\nrule = \"PCQE-P001\"\npath = \"crates\\engine\\src\\config.rs\"\n\
         line = 56\nreason = \"infallible constant\"\n\
         \n\
-        [[allow]]\nrule = \"D001\" # short form\npath = \"crates/lineage/src/prob.rs\"\n\
+        [[allow]]\nrule = \"D001\" # short form\npath = \"crates/lineage/src/cache.rs\"\n\
         reason = \"D001: lookup-only impl #1\"\n\
         \n\
         [[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"threads\", \"locks\", ]\n\

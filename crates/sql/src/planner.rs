@@ -364,7 +364,7 @@ mod tests {
     use super::*;
     use crate::parse;
     use pcqe_algebra::{execute_vectorized_with, lower, ResultSet};
-    use pcqe_lineage::{Evaluator, VarId};
+    use pcqe_lineage::{CircuitCache, Evaluator};
     use pcqe_par::Parallelism;
     use pcqe_storage::{Column, DataType, TupleId};
 
@@ -441,8 +441,11 @@ mod tests {
     fn run_scored(sql: &str, catalog: &Catalog) -> Vec<(Vec<Value>, f64)> {
         let plan = plan_query(&parse(sql).unwrap(), catalog).unwrap();
         let rs = run(&plan, catalog);
-        let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-        rs.score(&probs, &Evaluator::default())
+        let mut pool = CircuitCache::new();
+        for v in rs.rows().iter().flat_map(|r| r.lineage.vars()) {
+            pool.set_prob(v, catalog.confidence(TupleId(v.0)).unwrap());
+        }
+        rs.score_cached(&mut pool, &Evaluator::default())
             .unwrap()
             .into_iter()
             .map(|s| (s.tuple.values().to_vec(), s.confidence))

@@ -5,10 +5,12 @@
 //! cached, β-gated scoring). The suites hold it to the simplest code that
 //! computes the same answers: the logical plan as `pcqe_sql` built it, the
 //! tuple-at-a-time reference executor (`reference.rs`, which shares no
-//! operator code with the engine's), the uncached interpreter
-//! `ResultSet::score` and the policy gate — no optimiser, no planner, no
+//! operator code with the engine's), the reference interpreter
+//! (`interpreter.rs`, which shares no scoring code with the engine's
+//! circuit pool) and the policy gate — no optimiser, no planner, no
 //! batches, no circuit pool, no threads.
 
+use super::interpreter;
 use super::{execute, DbSpec};
 use pcqe::algebra::{execute_vectorized_with, lower, optimize, PhysicalPlan, ResultSet};
 use pcqe::algebra::{DerivedTuple, Result as AlgebraResult, ScoredTuple};
@@ -41,10 +43,11 @@ pub struct Reference {
 }
 
 impl Reference {
-    /// `rows` scored by the uncached interpreter and gated by `policy`.
+    /// `rows` scored by the reference interpreter at the default budget
+    /// and gated by `policy`.
     pub fn of(rows: &ResultSet, catalog: &Catalog, policy: &ConfidencePolicy) -> Reference {
         let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-        let scored = rows.score(&probs, &Evaluator::default()).unwrap();
+        let scored = interpreter::score(rows, &probs, Evaluator::default().budget).unwrap();
         let confidences: Vec<f64> = scored.iter().map(|s| s.confidence).collect();
         let decision = evaluate_results(policy, &confidences);
         let bound =
@@ -92,8 +95,8 @@ impl Reference {
     }
 }
 
-/// `pcqe_sql` parse + plan → the reference [`execute`] → uncached
-/// `ResultSet::score` → `evaluate_results`.
+/// `pcqe_sql` parse + plan → the reference [`execute`] →
+/// [`interpreter::score`] → `evaluate_results`.
 pub fn reference(sql: &str, catalog: &Catalog, policy: &ConfidencePolicy) -> Reference {
     let rows = execute(&parse_and_plan(sql, catalog).unwrap(), catalog).unwrap();
     Reference::of(&rows, catalog, policy)
@@ -209,7 +212,8 @@ fn rows_identical(
             .for_each(|v| cache.set_prob(v, probs(v).unwrap()));
         let bits =
             |s: Vec<ScoredTuple>| s.iter().map(|s| s.confidence.to_bits()).collect::<Vec<_>>();
-        let reference = bits(expected.score(&probs, &ev).map_err(|e| e.to_string())?);
+        let interpreted = interpreter::score(expected, &probs, ev.budget);
+        let reference = bits(interpreted.map_err(|e| e.to_string())?);
         let cached = bits(
             got.score_cached(&mut cache, &ev)
                 .map_err(|e| e.to_string())?,
@@ -255,7 +259,7 @@ pub const BETAS: [f64; 2] = [0.5, 0.3];
 /// withheld counts and the audit, or else the same error string:
 ///
 /// 1. the reference: the reference executor ([`execute`]) on the plan as
-///    the SQL planner built it, scored by the interpreter;
+///    the SQL planner built it, scored by the reference interpreter;
 /// 2. optimise → lower → vectorized execution at 1, 4 and host threads,
 ///    over the database without its indexes and with them, the schema
 ///    unchanged;

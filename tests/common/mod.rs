@@ -6,12 +6,14 @@
 //! failure prints the exact seed needed to replay it in isolation. The
 //! equivalence suites draw their databases and queries from one generator
 //! (`generate.rs`) and hold every path to one reference pipeline
-//! (`check.rs`) around one reference executor (`reference.rs`).
+//! (`check.rs`) around one reference executor (`reference.rs`) and one
+//! reference confidence interpreter (`interpreter.rs`).
 
 #![allow(dead_code)]
 
 mod check;
 mod generate;
+pub mod interpreter;
 mod reference;
 
 pub use check::*;

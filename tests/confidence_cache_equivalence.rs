@@ -4,8 +4,8 @@
 //! through the shared circuit pool, β-gated, is a pure performance
 //! decision: for generated databases and queries (`tests/common`'s
 //! generator and harness), `Database::query` must release
-//! **bit-identically** what the reference pipeline releases (uncached
-//! interpreter, no gate) — same rows in the same order, same lineage, same
+//! **bit-identically** what the reference pipeline releases (the
+//! reference interpreter of `tests/common`, no pool, no gate) — same rows in the same order, same lineage, same
 //! confidence bits, same withheld counts, the same audit trail — at any
 //! worker-thread count, with or without equality indexes. Repeated
 //! what-if previews (the memo-warming, incrementally-invalidated fast

@@ -1,10 +1,12 @@
 //! Seeded property tests over the lineage substrate: simplification is
-//! semantics-preserving, exact probability matches brute-force
-//! enumeration, the compiled form matches the interpreter, and a formula
-//! past its Shannon budget scores its sound lower bound on every path.
+//! semantics-preserving, the reference interpreter's exact probability
+//! matches brute-force enumeration, the circuit pool and its compiled form
+//! match the interpreter bit for bit, and a formula past its Shannon
+//! budget scores its sound lower bound on every path.
 
 mod common;
 
+use common::interpreter::{probability, score};
 use common::{for_each_case, random_lineage, random_positive_lineage, random_probs};
 use pcqe::algebra::{DerivedTuple, ResultSet, ScoreOptions};
 use pcqe::lineage::{
@@ -79,7 +81,7 @@ fn exact_probability_matches_brute_force() {
     for_each_case(CASES, 0x11AE_0003, |rng| {
         let l = lineage(rng);
         let (probs, map) = prob_map(rng);
-        let exact = Evaluator { budget: 1 << 16 }.probability(&l, &map).unwrap();
+        let exact = probability(&l, &map, 1 << 16).unwrap();
         let brute = brute_force(&l, &probs);
         assert!(
             (exact - brute).abs() < 1e-9,
@@ -93,11 +95,20 @@ fn exact_probability_matches_brute_force() {
 fn compiled_matches_interpreter() {
     for_each_case(CASES, 0x11AE_0004, |rng| {
         // Not, constants and shared variables all occur in this shape
-        // space; the flat circuit must repeat the interpreter's float
-        // operations in its order, so equality is on the bits.
+        // space; the pool and the flat circuit must repeat the
+        // interpreter's float operations in its order, so equality is on
+        // the bits.
         let l = lineage(rng);
         let (_, map) = prob_map(rng);
-        let exact = Evaluator { budget: 1 << 16 }.probability(&l, &map).unwrap();
+        let exact = probability(&l, &map, 1 << 16).unwrap();
+        let mut pool = CircuitCache::new();
+        map.iter().for_each(|(&v, &p)| pool.set_prob(v, p));
+        let pooled = pool.score_lineage(&l, &Evaluator { budget: 1 << 16 });
+        assert_eq!(
+            Ok(exact.to_bits()),
+            pooled.map(f64::to_bits),
+            "pool for {l}"
+        );
         let compiled = CompiledLineage::compile(&l, 1 << 16).unwrap();
         let by_lookup = compiled.eval_with(|v| map[&v]);
         let slots: Vec<f64> = compiled.vars().iter().map(|v| map[v]).collect();
@@ -117,7 +128,7 @@ fn tight_budgets_fail_and_succeed_where_the_interpreter_does() {
             // The interpreter is the oracle for the standalone compile, a
             // cold pool and a pool that has seen the formula before: same
             // success, same value bits, same typed error.
-            let oracle = Evaluator { budget }.probability(&l, &map);
+            let oracle = probability(&l, &map, budget);
             let standalone = CompiledLineage::compile(&l, budget).map(|c| c.eval_with(|v| map[&v]));
             let mut cold = CircuitCache::new();
             let mut warm = CircuitCache::new();
@@ -168,14 +179,9 @@ fn conditioning_is_consistent_with_probability() {
         let l = lineage(rng);
         let (probs, map) = prob_map(rng);
         let pivot = rng.below_u64(MAX_VARS);
-        let ev = Evaluator { budget: 1 << 16 };
-        let full = ev.probability(&l, &map).unwrap();
-        let hi = ev
-            .probability(&l.condition(VarId(pivot), true), &map)
-            .unwrap();
-        let lo = ev
-            .probability(&l.condition(VarId(pivot), false), &map)
-            .unwrap();
+        let full = probability(&l, &map, 1 << 16).unwrap();
+        let hi = probability(&l.condition(VarId(pivot), true), &map, 1 << 16).unwrap();
+        let lo = probability(&l.condition(VarId(pivot), false), &map, 1 << 16).unwrap();
         let p = probs[pivot as usize];
         assert!((full - (p * hi + (1.0 - p) * lo)).abs() < 1e-9);
     });
@@ -190,12 +196,11 @@ fn negation_free_lineage_is_monotone() {
         let (_probs, base) = prob_map(rng);
         let bump_var = rng.below_u64(MAX_VARS);
         let bump = rng.next_f64();
-        let ev = Evaluator { budget: 1 << 16 };
         let mut raised = base.clone();
         let e = raised.get_mut(&VarId(bump_var)).expect("var present");
         *e = (*e + bump).min(1.0);
-        let p0 = ev.probability(&l, &base).unwrap();
-        let p1 = ev.probability(&l, &raised).unwrap();
+        let p0 = probability(&l, &base, 1 << 16).unwrap();
+        let p1 = probability(&l, &raised, 1 << 16).unwrap();
         assert!(
             p1 >= p0 - 1e-9,
             "raising v{bump_var} lowered {p0} to {p1} for {l}"
@@ -207,9 +212,11 @@ fn negation_free_lineage_is_monotone() {
 // The scoring table. `tests/golden/lineage_scoring.tsv` was generated on
 // the commit *before* the formula passes and the pool's variable table
 // were rewritten (PR 19), from the definitions those replaced: one line
-// per seeded formula with its confidence bits and its Shannon cost. A
-// changed pivot rule, dedupe order or association order moves a line
-// here, in `cargo test -q`, not only in the benchmark's checksums.
+// per seeded formula with its confidence bits and its Shannon cost. The
+// reference interpreter regenerates it byte for byte, and the pool must
+// reproduce every line: a changed pivot rule, dedupe order or association
+// order in either moves a line here, in `cargo test -q`, not only in the
+// benchmark's checksums.
 
 const SCORING_CASES: u64 = 120;
 const SCORING_BUDGET: usize = 4096;
@@ -382,7 +389,7 @@ fn scoring_line(case: u64, l: &Lineage) -> String {
         .fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
         });
-    let exact = |budget: usize| Evaluator { budget }.probability(l, &scoring_prob);
+    let exact = |budget: usize| probability(l, &scoring_prob, budget);
     match exact(SCORING_BUDGET) {
         Ok(p) => {
             // Success is monotone in the budget (parity: it succeeds iff
@@ -453,7 +460,7 @@ fn scoring_table_is_unchanged() {
             let refused = LineageError::BudgetExceeded { budget: 0 };
             assert_eq!(pool.compile(&l, short), Err(refused.clone()), "warm {case}");
             assert_eq!(CircuitCache::new().compile(&l, short), Err(refused.clone()));
-            let plain = Evaluator { budget: short }.probability(&l, &scoring_prob);
+            let plain = probability(&l, &scoring_prob, short);
             assert_eq!(plain, Err(refused), "interpreter {case}");
         }
     }
@@ -464,7 +471,7 @@ fn scoring_table_is_unchanged() {
 
 /// The table's formulas at every budget 0–8 and at 4 096, as one result
 /// set. Each formula's Fréchet interval brackets its exact confidence
-/// (the table's bits). The uncached reference `ResultSet::score` and the
+/// (the table's bits). The reference interpreter's `score` and the
 /// cached `score_with` (one pool, cold at the first budget and warm after,
 /// ungated and gated) give the same confidence bits: the exact value where
 /// the table's cost fits the budget, the lower bound where it does not —
@@ -510,7 +517,7 @@ fn a_formula_past_its_budget_scores_its_lower_bound_on_every_path() {
     let mut bounded = BTreeMap::new();
     for budget in (0..=8).chain([SCORING_BUDGET]) {
         let ev = Evaluator { budget };
-        let reference = rows.score(&scoring_prob, &ev).unwrap();
+        let reference = score(&rows, &scoring_prob, budget).unwrap();
         for gate in [None, Some(BETA)] {
             let options = ScoreOptions {
                 gate,
@@ -583,7 +590,7 @@ fn sparse_and_hostile_variable_ids_score_like_the_interpreter() {
     }
     let agree = |pool: &mut CircuitCache, probs: &std::collections::BTreeMap<VarId, f64>| {
         for l in &formulas {
-            let want = ev.probability(l, probs).unwrap().to_bits();
+            let want = probability(l, probs, ev.budget).unwrap().to_bits();
             assert_eq!(
                 pool.score_lineage(l, &ev).unwrap().to_bits(),
                 want,

@@ -1,11 +1,12 @@
 //! Cross-crate reproduction of the paper's Section 3.1 running example:
 //! Tables 1–2 in storage, the Candidate query through the SQL front-end
-//! and algebra, p38 = 0.058 from the lineage evaluator (Table 3), the
+//! and algebra, p38 = 0.058 from the reference interpreter (Table 3), the
 //! P1/P2 policies, and both increment alternatives the paper discusses.
 
 mod common;
 
 use common::execute;
+use common::interpreter::{probability, score};
 use pcqe::core::heuristic::{self, HeuristicOptions};
 use pcqe::core::problem::ProblemBuilder;
 use pcqe::cost::CostFn;
@@ -35,7 +36,7 @@ fn candidate_query_scores_0_058() {
     let rs = execute(&plan, &catalog).unwrap();
     assert_eq!(rs.len(), 1);
     let probs = |v: VarId| catalog.confidence(TupleId(v.0));
-    let scored = rs.score(&probs, &Evaluator::default()).unwrap();
+    let scored = score(&rs, &probs, Evaluator::default().budget).unwrap();
     // Table 3: p38 = (p02 + p03 − p02·p03) · p13 = 0.58 · 0.1.
     assert!((scored[0].confidence - 0.058).abs() < 1e-12);
 }
@@ -51,18 +52,18 @@ fn policies_p1_and_p2_split_on_the_result() {
 
 #[test]
 fn both_increment_alternatives_reproduce_the_papers_arithmetic() {
-    let evaluator = Evaluator::default();
+    let budget = Evaluator::default().budget;
     let lineage = Lineage::and(vec![
         Lineage::or(vec![Lineage::var(0), Lineage::var(1)]),
         Lineage::var(2),
     ]);
     // Alternative 1: raise p02 from 0.3 to 0.4 ⇒ p25 = 0.64, p38 = 0.064.
     let alt1 = |v: VarId| Some([0.4, 0.4, 0.1][v.0 as usize]);
-    let p = evaluator.probability(&lineage, &alt1).unwrap();
+    let p = probability(&lineage, &alt1, budget).unwrap();
     assert!((p - 0.064).abs() < 1e-12);
     // Alternative 2: raise p03 from 0.4 to 0.5 ⇒ p25 = 0.65, p38 = 0.065.
     let alt2 = |v: VarId| Some([0.3, 0.5, 0.1][v.0 as usize]);
-    let p = evaluator.probability(&lineage, &alt2).unwrap();
+    let p = probability(&lineage, &alt2, budget).unwrap();
     assert!((p - 0.065).abs() < 1e-12);
 }
 

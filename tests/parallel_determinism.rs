@@ -153,8 +153,8 @@ fn sequential_config_helper_pins_one_worker() {
 
 /// Vectorized execution is a pure performance decision: at one worker
 /// and at eight, the engine releases exactly what the reference pipeline
-/// (the tuple-at-a-time reference executor, uncached scoring) releases, and
-/// audits the same counts.
+/// (the tuple-at-a-time reference executor, the reference interpreter)
+/// releases, and audits the same counts.
 #[test]
 fn vectorized_engine_matches_the_tuple_at_a_time_reference() {
     let sql = "SELECT DISTINCT r.sensor FROM readings r JOIN sensors s \

@@ -24,7 +24,7 @@ use common::{
     random_db, random_query, rust_test, shrink, DbSpec, Expr, Query, Select, BETAS, WORLDS,
 };
 use pcqe::core::clock::Stopwatch;
-use pcqe::engine::{EngineConfig, QueryRequest, User};
+use pcqe::engine::{EngineConfig, NoProposal, QueryRequest, QueryResponse, User};
 use pcqe::lineage::{CompiledLineage, Evaluator, Rng64};
 use pcqe::par::ConfidencePath;
 use pcqe::policy::ConfidencePolicy;
@@ -291,10 +291,12 @@ const BUDGET_CASES: u64 = 1_000;
 /// Rows scored and rows gated on their lower bound, per budget.
 type PerBudget = BTreeMap<usize, (usize, usize)>;
 
-/// The default engine, scoring with a Shannon budget of `budget`.
+/// The default engine, scoring and compiling strategy instances with a
+/// Shannon budget of `budget`.
 fn at_budget(budget: usize) -> EngineConfig {
     EngineConfig {
         evaluator: Evaluator { budget },
+        lineage_budget: budget,
         ..EngineConfig::default()
     }
 }
@@ -306,7 +308,10 @@ fn at_budget(budget: usize) -> EngineConfig {
 /// - every released confidence is at most the row's probability + 1e-12,
 ///   and within 1e-12 of it when the row's formula fits the budget;
 /// - at β = 0 a row of positive probability goes unreleased only if it was
-///   gated on its lower bound (`lineage.bounded`).
+///   gated on its lower bound (`lineage.bounded`);
+/// - asked to release every row (θ = 1), the query answers with the same
+///   released rows, bit for bit, and the same withheld count, whether or
+///   not strategy finding can compile the withheld rows within `budget`.
 ///
 /// A run that bounds no row at β = 0 bounds none at any β (a gate above 0
 /// only skips more rows), so it is the exact engine the test above holds
@@ -335,6 +340,22 @@ fn sound_at(
             .query(&user, &request)
             .map_err(|e| format!("{at}: {e}"))?;
         let bounded = db.metrics_snapshot().counter("lineage.bounded") as usize - before;
+        let every_row = QueryRequest::new(sql.as_str(), purpose).expecting(1.0);
+        let missed = db
+            .query(&user, &every_row)
+            .map_err(|e| format!("{at}, θ = 1: {e}"))?;
+        let answer = |r: &QueryResponse| {
+            let released = r.released.iter();
+            let released = released.map(|t| (t.tuple.clone(), t.confidence.to_bits()));
+            (released.collect::<Vec<_>>(), r.withheld)
+        };
+        if answer(&missed) != answer(&response) {
+            return Err(format!(
+                "{at}: θ = 1 answered {:?}, θ = 0 {:?}",
+                answer(&missed),
+                answer(&response)
+            ));
+        }
         if beta == 0.0 {
             scored = (response.released.len() + response.withheld, bounded);
             if bounded == 0 {
@@ -453,4 +474,32 @@ fn a_row_past_the_budget_at_exactly_its_confidence_is_withheld() {
     assert_eq!(decisions.len(), 1);
     assert_eq!(decisions[0].path, ConfidencePath::Bounded);
     assert!(!decisions[0].released && decisions[0].confidence <= beta);
+}
+
+/// The generator's case 7 (seed `0x538454127bf96f95`), shrunk: the one
+/// row of `SELECT DISTINCT b.n FROM a, b` needs a Shannon expansion. At
+/// budget 0 and β = 0.5 it is withheld, and a request for every row
+/// (θ = 1) sends it to strategy finding, which cannot compile it either.
+/// The query and the batch still answer — the row withheld, the audit
+/// written — and say the solver gave up.
+#[test]
+fn a_theta_miss_past_the_strategy_budget_answers_and_gives_up() {
+    let spec = DbSpec::default()
+        .table("a", &[("n", DataType::Int)])
+        .rows([(0.25, vec![Value::Int(1)]), (0.9, vec![Value::Int(2)])])
+        .table("b", &[("n", DataType::Int)])
+        .rows([(0.1, vec![Value::Int(2)]), (0.25, vec![Value::Int(2)])]);
+    let user = User::new("ada", "analyst");
+    let request = QueryRequest::new("SELECT DISTINCT b.n FROM a, b", "research").expecting(1.0);
+    let mut db = spec.database(at_budget(0), false);
+    db.add_policy(ConfidencePolicy::new("analyst", "research", 0.5).unwrap());
+    let gave_up = |reason: &Option<NoProposal>| matches!(reason, Some(NoProposal::SolverGaveUp(m)) if m.contains("exceeded budget"));
+    let response = db.query(&user, &request).unwrap();
+    assert_eq!((response.released.len(), response.withheld), (0, 1));
+    assert!(gave_up(&response.no_proposal), "{:?}", response.no_proposal);
+    assert_eq!(db.metrics_snapshot().counter("lineage.bounded"), 1);
+    let batch = db.query_batch(&user, &[request.clone(), request]).unwrap();
+    assert!(gave_up(&batch.no_proposal), "{:?}", batch.no_proposal);
+    assert!(batch.responses.iter().all(|r| r.withheld == 1));
+    assert_eq!(common::audited_counts(&db), vec![(0, 1); 3]);
 }

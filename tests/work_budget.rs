@@ -272,15 +272,25 @@ fn a_selective_select_stays_within_its_allocation_budget() {
     );
 }
 
-/// `analytics`' scan class: a range over `orders.amount` at a fresh pair
-/// of literals per run, so the residual is an `AND` of two comparisons
-/// the column image prefilters and every candidate is tested whole.
+/// The range every `analytics` query filters on: `orders.amount` between
+/// a fresh pair of literals per run, an `AND` of two comparisons the
+/// column image prefilters, every candidate then tested whole.
+fn amount_range(lo: u32) -> String {
+    format!("o.amount > {lo}.005 AND o.amount < {}.005", lo + 500)
+}
+
+/// Allocation calls of the `analytics` query `sql` makes at the range
+/// from 3 000, its shape learned at two other ranges; `rows` rows.
+fn analytics_allocations(sql: &dyn Fn(u32) -> String, rows: usize) -> u64 {
+    let warm_ups = [sql(1_000), sql(6_000)];
+    let warm_ups: Vec<&str> = warm_ups.iter().map(String::as_str).collect();
+    allocations_of(&warm_ups, &sql(3_000), 0.0, rows).0
+}
+
+/// `analytics`' scan class.
 fn range_scan(lo: u32) -> String {
-    format!(
-        "SELECT o.id, o.amount, o.note FROM orders o \
-         WHERE o.amount > {lo}.005 AND o.amount < {}.005",
-        lo + 500
-    )
+    let range = amount_range(lo);
+    format!("SELECT o.id, o.amount, o.note FROM orders o WHERE {range}")
 }
 
 /// The range scan's learned shape at a third range: 22 rows. When the
@@ -288,9 +298,48 @@ fn range_scan(lo: u32) -> String {
 /// run made 172.
 #[test]
 fn a_range_scan_stays_within_its_allocation_budget() {
-    let warm_ups = [&range_scan(1_000)[..], &range_scan(6_000)];
-    let (made, _) = allocations_of(&warm_ups, &range_scan(3_000), 0.0, 22);
+    let made = analytics_allocations(&range_scan, 22);
     assert!(made <= 170, "a 22-row range scan made {made} allocations");
+}
+
+/// `analytics`' DISTINCT class: the regions of the orders in range, an
+/// OR of (order ∧ customer) pairs per region, scored exactly in the
+/// circuit pool.
+fn distinct_regions(lo: u32) -> String {
+    let range = amount_range(lo);
+    format!(
+        "SELECT DISTINCT c.region FROM orders o \
+         JOIN customers c ON o.customer_id = c.id WHERE {range}"
+    )
+}
+
+/// The DISTINCT over a join at a third range: 11 regions, 6 released and
+/// 5 withheld: 816 allocations on the commit before this budget was set.
+#[test]
+fn a_distinct_over_a_join_stays_within_its_allocation_budget() {
+    let made = analytics_allocations(&distinct_regions, 11);
+    assert!(
+        made <= 816,
+        "an 11-row DISTINCT over a join made {made} allocations"
+    );
+}
+
+/// `analytics`' aggregate class: one row per status, each a wide OR over
+/// the orders in range.
+fn status_totals(lo: u32) -> String {
+    let range = amount_range(lo);
+    format!(
+        "SELECT o.status, COUNT(*) AS n, SUM(o.amount) AS total \
+         FROM orders o WHERE {range} GROUP BY o.status"
+    )
+}
+
+/// The `GROUP BY` at a third range: 3 groups, 202 allocations on the
+/// commit before this budget was set.
+#[test]
+fn a_group_by_stays_within_its_allocation_budget() {
+    let made = analytics_allocations(&status_totals, 3);
+    assert!(made <= 202, "a 3-row GROUP BY made {made} allocations");
 }
 
 #[test]
