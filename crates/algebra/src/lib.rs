@@ -37,6 +37,14 @@
 //! assert_eq!(result.rows().len(), 1);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod error;
 pub mod expr;
 pub mod optimize;

@@ -520,8 +520,8 @@ fn hash_join<L: Row, R: Row>(
     let rcols = right_key_cols(keys, left_arity, None)?;
     // The build, in one pass on the calling thread: the joinable rows in
     // row order — the first out-of-range key raises — stable-sorted by
-    // key, so the run of any key is its rows in row order (PCQE-D001:
-    // ordered, never a seeded hash map).
+    // key, so the run of any key is its rows in row order (ordered, never
+    // a seeded hash map).
     let mut table = Vec::with_capacity(r.len());
     for rr in r {
         if joinable(rr.values(), &rcols)? {
@@ -701,7 +701,7 @@ fn eval_aggregate<R: Row>(agg: &AggItem, members: &[usize], rows: &[R]) -> Resul
                 for v in &args {
                     // The `all ints` guard above makes `as_i64` infallible,
                     // but we still route the impossible case through the
-                    // typed error instead of panicking (PCQE-P001 ethos).
+                    // typed error instead of panicking.
                     let n = v
                         .as_i64()
                         .ok_or_else(|| AlgebraError::Type("SUM over non-integer value".into()))?;

@@ -4,10 +4,10 @@
 //! time limits (for anytime behaviour). Both are *observability* concerns:
 //! no solver decision that affects the returned solution may depend on the
 //! clock, except the explicitly-requested time-limit cutoff. Concentrating
-//! every `Instant::now()` here keeps that boundary auditable — lint rule
-//! `PCQE-T001` forbids wall-clock reads anywhere else in the workspace
-//! outside `crates/bench`, and clippy's `disallowed_methods` mirrors the
-//! ban workspace-wide (hence the targeted `#[allow]`s below).
+//! every `Instant::now()` here keeps that boundary auditable — clippy's
+//! `disallowed_methods` (the root `clippy.toml`) forbids wall-clock reads
+//! anywhere else in the workspace; `crates/bench` is a detached workspace
+//! with its own `clippy.toml` (hence the targeted `#[allow]`s below).
 //!
 //! # Time sources
 //!

@@ -60,7 +60,7 @@ pub fn partition(problem: &ProblemInstance, options: &PartitionOptions) -> Vec<V
     // Per-cluster adjacency and base sets (for the size cap). Ordered maps
     // throughout: the absorbed-neighbour loop below iterates `gone_adj`,
     // and with a hash map that order — hence the heap's insertion order and
-    // any weight-tied merge sequence — would vary run to run (PCQE-D001).
+    // any weight-tied merge sequence — would vary run to run.
     let mut adj: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
     for (&(i, j), &w) in &weights {
         adj[i].insert(j, w);
@@ -214,7 +214,7 @@ mod tests {
     /// given.
     fn problem_with(results: &[&[u64]]) -> ProblemInstance {
         let mut b = ProblemBuilder::new(0.5, 0.1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for r in results {
             for &id in *r {
                 if seen.insert(id) {

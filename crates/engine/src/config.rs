@@ -29,6 +29,9 @@ impl Default for EngineConfig {
         EngineConfig {
             delta: 0.1,
             evaluator: Evaluator::default(),
+            // The constructor rejects only non-finite or negative rates,
+            // and `Default::default()` cannot return a `Result`.
+            #[allow(clippy::expect_used)] // a literal constant is provably valid
             default_cost: CostFn::linear(100.0).expect("constant is valid"),
             lineage_budget: 4096,
             worker_threads: None,

@@ -32,6 +32,14 @@
 //! assert_eq!(resp.released.len(), 1);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod audit;
 pub mod config;
 pub mod database;

@@ -54,9 +54,9 @@
 //!   compile into an empty pool would.
 //!
 //! Every container in this module is a `BTreeMap`, a `Vec` indexed by
-//! insertion order, or the id-paged [`VarTable`] (PCQE-D001): iteration
-//! order, node ids and therefore every emitted statistic are independent
-//! of hash seeds and thread count. The table is order-free by
+//! insertion order, or the id-paged [`VarTable`] (`clippy.toml` bans
+//! `HashMap`): iteration order, node ids and therefore every emitted
+//! statistic are independent of hash seeds and thread count. The table is order-free by
 //! construction: it is only ever asked about one variable by name — it
 //! has no iterator — and what it answers (a probability, a leaf's node
 //! id, a reader list in interning order) was put there under that name,

@@ -77,7 +77,7 @@ fn factor_or(children: Vec<Lineage>, depth: usize) -> Lineage {
     // Count, per variable, in how many children it is a positive
     // top-level conjunct.
     // Ordered map: `max_by_key` ties are already broken by `Reverse(*v)`,
-    // but deterministic iteration removes any doubt (PCQE-D001).
+    // but deterministic iteration removes any doubt.
     let mut counts: BTreeMap<VarId, usize> = BTreeMap::new();
     for c in &children {
         for v in top_level_vars(c) {

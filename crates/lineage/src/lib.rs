@@ -31,6 +31,14 @@
 //! they do, under a budget of expansions ([`Evaluator`]). A formula past
 //! the budget has only its one-pass Fréchet interval ([`bounds`]).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod bound;
 pub mod cache;
 pub mod compile;

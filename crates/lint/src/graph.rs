@@ -36,8 +36,9 @@
 //! * **PCQE-P002** — multi-source BFS from every `pub` function of the
 //!   panic-guarded crates; each panic site in a reached function is a
 //!   finding, reported *at the site* with the (shortest, deterministic)
-//!   witness call path from a public root. In files already under the
-//!   token rule P001 only *slice-index* panics are reported — P001
+//!   witness call path from a public root. In the panic-guarded crates
+//!   only *slice-index* panics are reported — their roots deny clippy's
+//!   `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented`, which
 //!   covers the direct constructs there.
 //! * **PCQE-G001** — BFS from the `Database` query entry points that
 //!   stops at any function calling the policy gate
@@ -308,12 +309,12 @@ pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
         if !reached[i] || node.panics.is_empty() {
             continue;
         }
-        // In P001-guarded files the direct constructs are already flagged
-        // at the token layer; P002 adds only the index panics there.
-        let p001_here = FileClass::classify(&node.path).p001;
+        // In panic-guarded crates clippy already rejects the direct
+        // constructs; P002 adds only the index panics there.
+        let guarded = FileClass::classify(&node.path).p001;
         let witness = witness(graph, &pred, i);
         for site in &node.panics {
-            if p001_here && site.kind != PanicKind::Index {
+            if guarded && site.kind != PanicKind::Index {
                 continue;
             }
             if !seen.insert((node.path.clone(), site.line)) {
@@ -446,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn p002_reports_only_index_panics_in_p001_guarded_files() {
+    fn p002_reports_only_index_panics_in_panic_guarded_files() {
         let files = vec![file(
             "crates/engine/src/api.rs",
             "pub fn run(v: &[u32], x: Option<u32>) -> u32 { x.unwrap() + v[0] }\n",
@@ -454,7 +455,7 @@ mod tests {
         let g = CallGraph::build(files);
         let mut out = Vec::new();
         panic_reachability(&g, &mut out);
-        // The unwrap is P001's job there; the index is P002's.
+        // The unwrap is clippy's job there; the index is P002's.
         assert_eq!(out.len(), 1, "{out:#?}");
         assert!(out[0].message.contains("slice/array index"));
     }

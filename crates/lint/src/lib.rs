@@ -1,22 +1,26 @@
 //! `pcqe-lint` — the in-repo static invariant analyzer.
 //!
-//! PR 1 made the engine deterministic-by-construction (bit-identical
-//! results at any worker count) and hermetic (no registry dependencies).
-//! Those properties were guarded only at the edges: a determinism test
-//! and a dependency grep. This crate moves the invariants into a static
-//! analysis pass that fails CI the moment a violating pattern is
-//! *written*, instead of hoping a test notices the symptom later.
+//! It checks what only it can check: properties of call paths, of
+//! dataflow and of declared capabilities, which no compiler lint can
+//! express. What the compiler can check it does, in the `clippy` CI
+//! stage: panicking constructs in the panic-guarded crates (each root
+//! denies clippy's `unwrap_used`, `expect_used`, `panic`, `todo` and
+//! `unimplemented`), `HashMap`/`HashSet`, ambient randomness and the wall
+//! clock (`clippy.toml`'s disallowed types and methods). That every
+//! dependency is a path dependency is the tier-1 test
+//! `tests/hermetic_guard.rs`.
 //!
 //! The analyzer is std-only — no `syn`, no registry crates — and works
 //! in three layers:
 //!
 //! 1. **Token layer.** Every Rust source is tokenized by a hand-rolled
 //!    lexer ([`lexer`]) and matched against small token-window patterns
-//!    ([`rules`]). Concurrency tokens are checked against per-crate
-//!    capability `[[grant]]`s (`threads`/`locks`/`atomics`/`channels`,
-//!    each with a reason) — containment is the whole concurrency
-//!    argument: who may lock or spawn is decided, and argued, at the
-//!    grant (DESIGN.md § "Static invariants").
+//!    ([`rules`]): float compares and `f32` in result-affecting code, and
+//!    concurrency tokens, checked against per-crate capability
+//!    `[[grant]]`s (`threads`/`locks`/`atomics`/`channels`, each with a
+//!    reason) — containment is the whole concurrency argument: who may
+//!    lock or spawn is decided, and argued, at the grant (DESIGN.md
+//!    § "Static invariants").
 //! 2. **Graph layer.** The same token streams feed a lightweight item
 //!    parser ([`item`]: fns, impls, `use` trees, visibility, per-fn call
 //!    and panic sites), whose output links into a workspace-wide
@@ -46,7 +50,6 @@ pub mod flow;
 pub mod graph;
 pub mod item;
 pub mod lexer;
-pub mod manifest;
 pub mod report;
 pub mod rules;
 pub mod spec;
@@ -67,8 +70,6 @@ pub struct Analysis {
     pub suppressed: Vec<(Finding, String)>,
     /// `.rs` files scanned.
     pub files_scanned: usize,
-    /// Manifests checked by H001.
-    pub manifests_scanned: usize,
 }
 
 impl Analysis {
@@ -145,8 +146,9 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
         rules::check_tokens(rel, &toks, &mask, &spec, &mut usage.caps_used, &mut raw);
         // The analyzer itself and the detached bench workspace stay out
         // of the call graph: no guarded product crate can depend on the
-        // dev tooling (H001 enforces path-only deps), so a name-collision
-        // edge into them is spurious by construction.
+        // dev tooling (`tests/hermetic_guard.rs` holds every dependency to
+        // a workspace path), so a name-collision edge into them is
+        // spurious by construction.
         if !rel.starts_with("crates/lint/") && !rel.starts_with("crates/bench/") {
             items.push(item::collect(rel, &toks, &mask));
         }
@@ -165,11 +167,6 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
         &mut raw,
         &mut suppressed,
     );
-    let manifests = walk::workspace_manifests(root).map_err(|e| io(e, "walking manifests"))?;
-    for rel in &manifests {
-        let text = fs::read_to_string(root.join(rel)).map_err(|e| io(e, rel))?;
-        manifest::check_manifest(rel, &text, &mut raw);
-    }
 
     // --- Suppress ------------------------------------------------------
     let mut findings: Vec<Finding> = Vec::new();
@@ -202,6 +199,5 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
         findings,
         suppressed,
         files_scanned: sources.len(),
-        manifests_scanned: manifests.len(),
     })
 }

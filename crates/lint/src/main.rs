@@ -56,7 +56,7 @@ fn main() -> ExitCode {
             }
             "-h" | "--help" => {
                 println!(
-                    "pcqe-lint: static invariant analyzer (determinism, hermeticity, panic-safety)\n\n\
+                    "pcqe-lint: static invariant analyzer (determinism, concurrency, panic-reachability, policy gating, confidentiality)\n\n\
                      usage: pcqe-lint [--root DIR] [--format human|json] [--rule ID] [--list-rules]\n\n\
                      --rule ID narrows the displayed report to one rule; the exit status\n\
                      still reflects the full analysis\n\n\

@@ -20,9 +20,8 @@ pub fn human(analysis: &Analysis) -> String {
         ));
     }
     out.push_str(&format!(
-        "pcqe-lint: {} file(s), {} manifest(s) scanned; {} error(s), {} suppressed\n",
+        "pcqe-lint: {} file(s) scanned; {} error(s), {} suppressed\n",
         analysis.files_scanned,
-        analysis.manifests_scanned,
         analysis.error_count(),
         analysis.suppressed.len()
     ));
@@ -36,9 +35,11 @@ pub fn human(analysis: &Analysis) -> String {
 /// 5 dropped the per-rule `rules` section, which only a CI ceiling read:
 /// the per-rule suppression counts are held by
 /// `tests/lint_guard.rs::workspace_passes_its_own_static_analysis`.
+/// Format version 6 dropped the summary's `manifests` count with the
+/// manifest rule: `tests/hermetic_guard.rs` reads the manifests now.
 pub fn json(analysis: &Analysis) -> String {
     let mut out =
-        String::from("{\n  \"tool\": \"pcqe-lint\",\n  \"format_version\": 5,\n  \"findings\": [");
+        String::from("{\n  \"tool\": \"pcqe-lint\",\n  \"format_version\": 6,\n  \"findings\": [");
     for (i, f) in analysis.findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -56,7 +57,6 @@ pub fn json(analysis: &Analysis) -> String {
     }
     out.push_str("],\n  \"summary\": {");
     out.push_str(&format!("\"files\": {}, ", analysis.files_scanned));
-    out.push_str(&format!("\"manifests\": {}, ", analysis.manifests_scanned));
     out.push_str(&format!("\"errors\": {}, ", analysis.error_count()));
     out.push_str(&format!("\"suppressed\": {}", analysis.suppressed.len()));
     out.push_str("}\n}\n");
@@ -88,29 +88,28 @@ mod tests {
     fn sample() -> Analysis {
         Analysis {
             findings: vec![Finding {
-                rule: Rule::D001,
+                rule: Rule::D004,
                 path: "crates/core/src/x.rs".into(),
                 line: 3,
                 message: "a \"quoted\" construct".into(),
             }],
             suppressed: Vec::new(),
             files_scanned: 2,
-            manifests_scanned: 1,
         }
     }
 
     #[test]
     fn human_report_names_rule_and_span() {
         let text = human(&sample());
-        assert!(text.contains("crates/core/src/x.rs:3: PCQE-D001 [error]"));
+        assert!(text.contains("crates/core/src/x.rs:3: PCQE-D004 [error]"));
         assert!(text.contains("1 error(s)"));
     }
 
     #[test]
     fn json_is_escaped_and_structured() {
         let text = json(&sample());
-        assert!(text.contains("\"format_version\": 5"));
-        assert!(text.contains("\"rule\": \"PCQE-D001\""));
+        assert!(text.contains("\"format_version\": 6"));
+        assert!(text.contains("\"rule\": \"PCQE-D004\""));
         assert!(text.contains("a \\\"quoted\\\" construct"));
         assert!(text.contains("\"errors\": 1"));
         assert!(!text.contains("\"rules\""));
@@ -119,7 +118,6 @@ mod tests {
             findings: Vec::new(),
             suppressed: Vec::new(),
             files_scanned: 0,
-            manifests_scanned: 0,
         };
         assert!(json(&empty).contains("\"findings\": [],"));
     }

@@ -15,10 +15,6 @@ use std::collections::BTreeSet;
 /// summary of each rule live in [`RULES`], in declaration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Unordered `HashMap`/`HashSet` in a result-affecting crate.
-    D001,
-    /// Ad-hoc randomness outside `pcqe-lineage::rng`.
-    D002,
     /// Float comparison/ordering outside the `pcqe_core::ord` wrapper.
     D004,
     /// Concurrency token (`std::thread`, lock, atomic, channel) in a
@@ -27,15 +23,9 @@ pub enum Rule {
     /// Row release reachable from a query entry point without passing the
     /// policy gate (call-graph rule, see [`crate::graph`]).
     G001,
-    /// Non-`path` dependency in a default-workspace manifest.
-    H001,
-    /// `unwrap`/`expect`/`panic!`-family in guarded library code.
-    P001,
     /// Panic construct *reachable* from guarded public API (call-graph
     /// rule with witness paths, see [`crate::graph`]).
     P002,
-    /// Wall-clock access outside the sanctioned timing modules.
-    T001,
     /// Suppressed-tuple data reaching an error-message or panic-payload
     /// sink (dataflow rule with witness paths, see [`crate::flow`]).
     F001,
@@ -62,20 +52,10 @@ pub enum Rule {
 }
 
 /// The rule registry, in report order: each rule with its full stable
-/// code (e.g. `PCQE-D001`) and what it protects (for `--list-rules` and
+/// code (e.g. `PCQE-D004`) and what it protects (for `--list-rules` and
 /// reports). Indexed by discriminant — the check below keeps the two
 /// orders identical.
-pub const RULES: [(Rule, &str, &str); 17] = [
-    (
-        Rule::D001,
-        "PCQE-D001",
-        "determinism: no HashMap/HashSet in result-affecting crates",
-    ),
-    (
-        Rule::D002,
-        "PCQE-D002",
-        "determinism: no RNG construction outside pcqe-lineage::rng",
-    ),
+pub const RULES: [(Rule, &str, &str); 12] = [
     (
         Rule::D004,
         "PCQE-D004",
@@ -95,25 +75,10 @@ pub const RULES: [(Rule, &str, &str); 17] = [
          passes the policy gate",
     ),
     (
-        Rule::H001,
-        "PCQE-H001",
-        "hermeticity: only path dependencies in default-workspace manifests",
-    ),
-    (
-        Rule::P001,
-        "PCQE-P001",
-        "panic-safety: no unwrap/expect/panic! in guarded library code",
-    ),
-    (
         Rule::P002,
         "PCQE-P002",
         "panic-safety: no panic construct reachable from guarded public API \
          (witness call path reported)",
-    ),
-    (
-        Rule::T001,
-        "PCQE-T001",
-        "determinism: wall-clock access only in bench and core::clock",
     ),
     (
         Rule::F001,
@@ -172,7 +137,7 @@ const _: () = {
 };
 
 impl Rule {
-    /// The full stable code, e.g. `PCQE-D001`.
+    /// The full stable code, e.g. `PCQE-D004`.
     pub fn code(self) -> &'static str {
         RULES[self as usize].1
     }
@@ -182,8 +147,8 @@ impl Rule {
         RULES[self as usize].2
     }
 
-    /// Resolve a rule from either its full code (`PCQE-D001`) or its
-    /// short form (`D001`).
+    /// Resolve a rule from either its full code (`PCQE-D004`) or its
+    /// short form (`D004`).
     pub fn parse(s: &str) -> Option<Rule> {
         RULES
             .iter()
@@ -216,33 +181,30 @@ pub struct Finding {
 pub struct FileClass {
     /// Test/bench/example/fixture code: token rules are skipped entirely.
     pub is_test_code: bool,
-    d001: bool,
-    d002: bool,
     d004: bool,
-    /// P001 applies here; also consulted by the graph layer, which
-    /// reports only *index* panics under P002 where P001 already covers
-    /// the direct constructs.
+    /// The file is in a panic-guarded crate, whose root denies clippy's
+    /// `unwrap_used`, `expect_used`, `panic`, `todo` and `unimplemented`
+    /// (`tests/lint_guard.rs` holds every such root to this flag). The
+    /// graph layer therefore reports only *index* panics under P002 here:
+    /// clippy already rejects the direct constructs.
     pub p001: bool,
-    t001: bool,
 }
 
-/// Crates whose output ordering feeds query results; `HashMap` iteration
-/// there silently breaks bit-identical evaluation (rule D001). `pcqe-obs`
-/// is included: metric snapshots and exports are golden-tested, so their
-/// iteration order must be stable too. The storage index module is
-/// listed individually: equality-index postings order is the row order of
-/// every index scan and index join, so hash iteration there would
-/// silently change results. The
-/// partitioning module joins them: it cuts scans into morsels, and its
-/// `stable_hash` is what replayed answers are digested with — hashing or
-/// float drift there changes both. So does the column image: a table scan drops
-/// rows on what its slots say, so hash iteration or float drift in how
-/// they are laid out or read changes which rows a query returns. (The
-/// image compares no floats itself: the comparison that decides a slot
-/// is `algebra/src/expr.rs`'s, guarded there, and goes through
-/// `pcqe_storage::real_cmp` — the order `Value::sql_cmp` uses, in
-/// `value.rs`, which this list does not cover. Listing `image.rs` keeps
-/// a raw float compare from moving in, no more.)
+/// Crates whose float arithmetic feeds query results; a raw float
+/// compare or an `f32` there silently breaks bit-identical evaluation
+/// (rule D004). `pcqe-obs` is included: metric snapshots and exports are
+/// golden-tested, so what they compare must be exact too. The storage
+/// index module is listed individually: equality-index postings order is
+/// the row order of every index scan and index join, so a float compare
+/// there reorders results. The partitioning module joins them: it cuts
+/// scans into morsels, and its `stable_hash` is what replayed answers
+/// are digested with — float drift there changes both. So does the column image: a table scan drops rows on
+/// what its slots say, so float drift in how they are laid out or read
+/// changes which rows a query returns. (The image compares no floats
+/// itself: the comparison that decides a slot is `algebra/src/expr.rs`'s,
+/// guarded there, and goes through `pcqe_storage::real_cmp` — the order
+/// `Value::sql_cmp` uses, in `value.rs`, which this list does not cover.
+/// Listing `image.rs` keeps a raw float compare from moving in, no more.)
 const RESULT_AFFECTING: [&str; 9] = [
     "crates/algebra/src/",
     "crates/lineage/src/",
@@ -256,12 +218,12 @@ const RESULT_AFFECTING: [&str; 9] = [
 ];
 
 /// Crates whose library code must surface typed errors instead of
-/// panicking (rule P001). `pcqe-obs` is included: instrumentation runs
-/// inside every query and must never abort one. So is all of
-/// `pcqe-algebra`: the optimiser, the planner and the vectorized executor
-/// are the one execution path of every engine query, and nothing else is
-/// left in the crate. And so is all of `pcqe-lineage`: the circuit cache
-/// and the evaluators behind it score every result inside
+/// panicking. `pcqe-obs` is included: instrumentation runs inside every
+/// query and must never abort one. So is all of `pcqe-algebra`: the
+/// optimiser, the planner and the vectorized executor are the one
+/// execution path of every engine query, and nothing else is left in the
+/// crate. And so is all of `pcqe-lineage`: the circuit cache and the
+/// evaluators behind it score every result inside
 /// `Database::query`/`what_if`, so a panic there aborts a query.
 const PANIC_GUARDED: [&str; 7] = [
     "crates/engine/src/",
@@ -273,17 +235,6 @@ const PANIC_GUARDED: [&str; 7] = [
     "crates/lineage/src/",
 ];
 
-/// Identifiers that signal ad-hoc entropy or registry RNG idioms (D002).
-const RNG_IDENTS: [&str; 7] = [
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-    "StdRng",
-    "SmallRng",
-    "getrandom",
-    "RandomState",
-];
-
 impl FileClass {
     /// Classify a `/`-separated relative path.
     pub fn classify(path: &str) -> FileClass {
@@ -293,17 +244,10 @@ impl FileClass {
         let starts = |prefixes: &[&str]| prefixes.iter().any(|p| path.starts_with(p));
         FileClass {
             is_test_code,
-            d001: starts(&RESULT_AFFECTING),
-            d002: path != "crates/lineage/src/rng.rs",
             // The total-order wrapper itself is the one sanctioned home
             // for raw float ordering.
             d004: starts(&RESULT_AFFECTING) && path != "crates/core/src/ord.rs",
             p001: starts(&PANIC_GUARDED),
-            // Note: `crates/obs` is deliberately NOT exempt — the
-            // observability crate times spans exclusively through the
-            // `pcqe_core::clock::Clock` trait, so a raw `Instant::now()`
-            // there is a bug, not a sanctioned read.
-            t001: !path.starts_with("crates/bench/") && path != "crates/core/src/clock.rs",
         }
     }
 }
@@ -369,33 +313,6 @@ pub fn check_tokens(
         let Tok::Ident(name) = &t.tok else { continue };
         let name = name.as_str();
 
-        // D001: unordered collections in result-affecting crates.
-        if class.d001 && (name == "HashMap" || name == "HashSet") {
-            emit(
-                out,
-                Rule::D001,
-                t.line,
-                format!(
-                    "`{name}` in a result-affecting crate: iteration order is \
-                     unspecified; use `BTreeMap`/`BTreeSet` or collect-and-sort \
-                     before iterating"
-                ),
-            );
-        }
-
-        // D002: ad-hoc randomness outside the vendored seeded generator.
-        if class.d002 && RNG_IDENTS.contains(&name) {
-            emit(
-                out,
-                Rule::D002,
-                t.line,
-                format!(
-                    "`{name}` constructs entropy-dependent state; all randomness \
-                     must flow through `pcqe_lineage::rng` with an explicit seed"
-                ),
-            );
-        }
-
         // D004 (ident forms): float ordering and narrowing must go
         // through the `pcqe_core::ord` wrapper. Confidence math is
         // `f64`-only by design, so a bare `f32` (including `as f32`
@@ -449,77 +366,6 @@ pub fn check_tokens(
                         cap.label()
                     ),
                 ),
-            }
-        }
-
-        // P001: panicking constructs in guarded library code.
-        if class.p001 {
-            let dotted = i > 0 && toks[i - 1].is_punct('.');
-            let called = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-            if dotted && called && name == "unwrap" {
-                emit(
-                    out,
-                    Rule::P001,
-                    t.line,
-                    "`.unwrap()` in guarded library code: return a typed error \
-                     instead"
-                        .to_owned(),
-                );
-            }
-            // `.expect("…")` — requiring a string-literal argument keeps
-            // unrelated methods named `expect` (e.g. the SQL parser's
-            // token matcher) out of scope.
-            if dotted
-                && called
-                && name == "expect"
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|n| matches!(n.tok, Tok::LitStr(_)))
-            {
-                emit(
-                    out,
-                    Rule::P001,
-                    t.line,
-                    "`.expect(\"…\")` in guarded library code: return a typed \
-                     error instead (or allowlist a provably infallible site)"
-                        .to_owned(),
-                );
-            }
-            let banged = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
-            if banged && matches!(name, "panic" | "todo" | "unimplemented") {
-                emit(
-                    out,
-                    Rule::P001,
-                    t.line,
-                    format!("`{name}!` in guarded library code: return a typed error instead"),
-                );
-            }
-        }
-
-        // T001: wall-clock reads outside the sanctioned modules.
-        if class.t001 {
-            if name == "Instant"
-                && path_sep_after(toks, i)
-                && toks.get(i + 3).is_some_and(|n| n.is_ident("now"))
-            {
-                emit(
-                    out,
-                    Rule::T001,
-                    t.line,
-                    "`Instant::now()` outside `crates/bench` and the core clock \
-                     module: route timing through `pcqe_core::clock`"
-                        .to_owned(),
-                );
-            }
-            if name == "SystemTime" {
-                emit(
-                    out,
-                    Rule::T001,
-                    t.line,
-                    "`SystemTime` outside `crates/bench`: wall-clock timestamps \
-                     are nondeterministic; route timing through `pcqe_core::clock`"
-                        .to_owned(),
-                );
             }
         }
     }
@@ -674,97 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn d001_flags_hash_collections_in_result_crates_only() {
-        let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-        let hits = findings("crates/algebra/src/optimize.rs", src);
-        assert_eq!(hits.len(), 3);
-        assert!(hits.iter().all(|(r, _)| *r == Rule::D001));
-        // Outside the result-affecting set: clean.
-        assert!(findings("crates/sql/src/parser.rs", src).is_empty());
-        assert!(findings("crates/workload/src/gen.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d001_ignores_comments_strings_and_tests() {
-        let src = "// a HashMap comment\nconst S: &str = \"HashMap\";\n#[cfg(test)]\nmod tests {\n  use std::collections::HashMap;\n  fn t() { let _m: HashMap<u8, u8> = HashMap::new(); }\n}\n";
+    fn token_rules_ignore_comments_strings_and_tests() {
+        let src = "// a Mutex comment, 0.5 == x\nconst S: &str = \"f32 Mutex\";\n#[cfg(test)]\n\
+                   mod tests {\n  use std::sync::Mutex;\n  fn t(x: f64) -> bool { x == 0.5 }\n}\n";
         assert!(findings("crates/core/src/dnc.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d002_flags_entropy_idioms() {
-        let src = "fn f() { let r = thread_rng(); let s = StdRng::from_entropy(); }";
-        let hits = findings("crates/workload/src/gen.rs", src);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-        // The sanctioned module may define what it likes.
-        assert!(findings("crates/lineage/src/rng.rs", src).is_empty());
-    }
-
-    #[test]
-    fn p001_flags_panics_in_guarded_crates() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n  let a = x.unwrap();\n  let b = x.expect(\"present\");\n  if a == b { panic!(\"boom\"); }\n  todo!()\n}\n";
-        let hits = findings("crates/engine/src/database.rs", src);
-        assert_eq!(
-            hits,
-            vec![
-                (Rule::P001, 2),
-                (Rule::P001, 3),
-                (Rule::P001, 4),
-                (Rule::P001, 5)
-            ]
-        );
-        // Algebra and lineage are panic-guarded as a whole; core is
-        // determinism-guarded but not panic-guarded.
-        assert_eq!(findings("crates/algebra/src/expr.rs", src).len(), 4);
-        assert_eq!(findings("crates/lineage/src/cache.rs", src).len(), 4);
-        assert!(findings("crates/core/src/dnc.rs", src).is_empty());
-    }
-
-    #[test]
-    fn p001_skips_parser_style_expect_methods() {
-        // `self.expect(Token::LParen, "…")` takes a non-string first
-        // argument: not Option::expect.
-        let src = "fn f(&mut self) { self.expect(Token::LParen, \"`(`\"); }";
-        assert!(findings("crates/sql/src/parser.rs", src).is_empty());
-        // unwrap_or and friends are distinct identifiers.
-        let src = "fn g(x: Option<u32>) -> u32 { x.unwrap_or(3) }";
-        assert!(findings("crates/sql/src/parser.rs", src).is_empty());
-    }
-
-    #[test]
-    fn t001_flags_clock_reads_outside_sanctioned_modules() {
-        let src = "fn f() { let t = Instant::now(); let s = SystemTime::now(); }";
-        let hits = findings("crates/core/src/greedy.rs", src);
-        assert_eq!(hits.len(), 2);
-        assert!(findings("crates/core/src/clock.rs", src).is_empty());
-        assert!(findings("crates/bench/src/timing.rs", src).is_empty());
-        // `Instant` as a stored type (no `::now`) is fine.
-        assert!(findings("crates/core/src/greedy.rs", "struct S { t: Instant }").is_empty());
-    }
-
-    #[test]
-    fn obs_crate_is_guarded_but_not_clock_exempt() {
-        // The observability crate must route timing through
-        // `pcqe_core::clock`, so a raw wall-clock read there still fires.
-        let src = "fn f() { let t = Instant::now(); }";
-        assert_eq!(
-            findings("crates/obs/src/recorder.rs", src),
-            vec![(Rule::T001, 1)]
-        );
-        // And it is held to the determinism and panic-safety rules.
-        assert_eq!(
-            findings(
-                "crates/obs/src/snapshot.rs",
-                "use std::collections::HashMap;"
-            ),
-            vec![(Rule::D001, 1)]
-        );
-        assert_eq!(
-            findings(
-                "crates/obs/src/recorder.rs",
-                "fn f(x: Option<u32>) -> u32 { x.unwrap() }"
-            ),
-            vec![(Rule::P001, 1)]
-        );
     }
 
     #[test]
@@ -908,7 +667,7 @@ mod tests {
 
     #[test]
     fn test_paths_are_exempt() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
+        let src = "fn f(x: f64) -> bool { x == 0.5 }";
         assert!(findings("crates/engine/tests/api.rs", src).is_empty());
         assert!(findings("examples/quickstart.rs", src).is_empty());
         assert!(findings("crates/bench/benches/b.rs", "use std::thread;").is_empty());
@@ -916,7 +675,7 @@ mod tests {
 
     #[test]
     fn cfg_test_items_without_braces_are_skipped() {
-        let src = "#[cfg(test)]\nuse std::collections::HashMap;\nfn f() {}\n";
+        let src = "#[cfg(test)]\nuse std::sync::Mutex;\nfn f() {}\n";
         assert!(findings("crates/core/src/dnc.rs", src).is_empty());
     }
 

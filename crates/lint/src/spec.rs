@@ -5,10 +5,10 @@
 //!
 //! ```toml
 //! [[allow]]                   # a reasoned exception to one rule
-//! rule = "PCQE-P001"          # or the short form "P001"
-//! path = "crates/engine/src/config.rs"
-//! line = 56                   # optional: pin to one line
-//! reason = "constant-argument constructor, infallible by inspection"
+//! rule = "PCQE-D004"          # or the short form "D004"
+//! path = "crates/algebra/src/expr.rs"
+//! line = 770                  # optional: pin to one line
+//! reason = "exact-zero divisor guard"
 //!
 //! [[grant]]                   # a concurrency capability for one crate
 //! crate = "pcqe-par"
@@ -657,7 +657,7 @@ fn strings(raw: &str) -> Result<BTreeSet<String>, String> {
     Ok(out)
 }
 
-/// A rule id, full (`PCQE-D001`) or short (`D001`).
+/// A rule id, full (`PCQE-D004`) or short (`D004`).
 fn rule(raw: &str) -> Result<Rule, String> {
     let code = string(raw)?;
     Rule::parse(&code).ok_or_else(|| format!("unknown rule `{code}`"))
@@ -716,11 +716,11 @@ mod tests {
     use super::*;
 
     const EVERY_TABLE: &str = "\n# header comment\n\
-        [[allow]]\nrule = \"PCQE-P001\"\npath = \"crates\\engine\\src\\config.rs\"\n\
-        line = 56\nreason = \"infallible constant\"\n\
+        [[allow]]\nrule = \"PCQE-D004\"\npath = \"crates\\algebra\\src\\expr.rs\"\n\
+        line = 56\nreason = \"exact-zero divisor guard\"\n\
         \n\
-        [[allow]]\nrule = \"D001\" # short form\npath = \"crates/lineage/src/cache.rs\"\n\
-        reason = \"D001: lookup-only impl #1\"\n\
+        [[allow]]\nrule = \"P002\" # short form\npath = \"crates/core/src/state.rs\"\n\
+        reason = \"P002: bounded indexing #1\"\n\
         \n\
         [[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"threads\", \"locks\", ]\n\
         reason = \"scheduler owns threading\"\n\
@@ -747,14 +747,14 @@ mod tests {
         let spec = parse(EVERY_TABLE, MANIFEST).unwrap();
 
         assert_eq!(spec.allow.len(), 2);
-        assert_eq!(spec.allow[0].rule, Rule::P001);
-        assert_eq!(spec.allow[0].path, "crates/engine/src/config.rs");
+        assert_eq!(spec.allow[0].rule, Rule::D004);
+        assert_eq!(spec.allow[0].path, "crates/algebra/src/expr.rs");
         assert_eq!(spec.allow[0].line, Some(56));
         assert_eq!(spec.allow[0].declared_at, 3);
-        assert_eq!(spec.allow[1].rule, Rule::D001);
+        assert_eq!(spec.allow[1].rule, Rule::P002);
         assert_eq!(spec.allow[1].line, None);
         // A `#` inside a quoted string is text, not a comment.
-        assert_eq!(spec.allow[1].reason, "D001: lookup-only impl #1");
+        assert_eq!(spec.allow[1].reason, "P002: bounded indexing #1");
 
         assert_eq!(spec.grants.len(), 2);
         assert_eq!(spec.grants[0].crate_name, "pcqe-par");
@@ -839,10 +839,10 @@ mod tests {
         // table, not a pair, unknown key, the same key twice.
         rejected("[[bogus]]\n", "f:1: unknown table `[[bogus]]`");
         rejected("[allow]\n", "f:1: unexpected table");
-        rejected("rule = \"P001\"\n", "f:1: `rule` outside a table");
+        rejected("rule = \"D004\"\n", "f:1: `rule` outside a table");
         rejected("[[allow]]\njust words\n", "f:2: expected `key = value`");
         rejected(
-            "[[allow]]\nrule = \"P001\"\npath = \"x\"\nbogus = \"x\"\n",
+            "[[allow]]\nrule = \"D004\"\npath = \"x\"\nbogus = \"x\"\n",
             "f:4: unknown key `bogus` in `[[allow]]`",
         );
         rejected(
@@ -855,7 +855,7 @@ mod tests {
         );
         // Missing required keys, reported at the table header.
         rejected(
-            "\n[[allow]]\nrule = \"P001\"\n",
+            "\n[[allow]]\nrule = \"D004\"\n",
             "f:2: `[[allow]]` entry is missing `path`",
         );
         rejected(
@@ -880,11 +880,11 @@ mod tests {
             "unknown rule `PCQE-F999`",
         );
         rejected(
-            "[[allow]]\nrule = \"P001\"\npath = \"x\"\nline = \"4\"\n",
+            "[[allow]]\nrule = \"D004\"\npath = \"x\"\nline = \"4\"\n",
             "f:4: `line`: must be an integer",
         );
         rejected(
-            "[[allow]]\nrule = P001\n",
+            "[[allow]]\nrule = D004\n",
             "expected a double-quoted string",
         );
         rejected(
@@ -926,11 +926,11 @@ mod tests {
         // One missing and one blank reason per hygiene family, plus a
         // dead citation in each; every entry is otherwise in use.
         let spec = parse(
-            "[[allow]]\nrule = \"P001\"\npath = \"x\"\nline = 1\n\
+            "[[allow]]\nrule = \"D004\"\npath = \"x\"\nline = 1\n\
              [[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"locks\"]\nreason = \"  \"\n\
              [[source]]\nkind = \"policy\"\nnames = [\"beta\"]\n\
              [[sink]]\nkind = \"shell\"\nfunctions = [\"f\"]\nreason = \"covers PCQE-F998\"\n\
-             [[allow]]\nrule = \"P001\"\npath = \"y\"\nline = 2\nreason = \"see PCQE-C001\"\n",
+             [[allow]]\nrule = \"D004\"\npath = \"y\"\nline = 2\nreason = \"see PCQE-C001\"\n",
             MANIFEST,
         )
         .unwrap();

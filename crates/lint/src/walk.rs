@@ -44,36 +44,6 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
-/// The default-workspace manifests checked by rule H001: the root
-/// `Cargo.toml` plus every `crates/*/Cargo.toml` except the detached
-/// `crates/bench` workspace — exactly the set whose dependencies the
-/// offline build resolves.
-pub fn workspace_manifests(root: &Path) -> io::Result<Vec<String>> {
-    let mut out = Vec::new();
-    if root.join("Cargo.toml").is_file() {
-        out.push("Cargo.toml".to_owned());
-    }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut entries: Vec<PathBuf> = fs::read_dir(&crates)?
-            .collect::<io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .collect();
-        entries.sort();
-        for dir in entries {
-            if dir.file_name().is_some_and(|n| n == "bench") {
-                continue; // detached workspace with its own rules
-            }
-            let manifest = dir.join("Cargo.toml");
-            if manifest.is_file() {
-                out.push(relative(root, &manifest));
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// `path` relative to `root` with `/` separators.
 fn relative(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);

@@ -1,5 +1,5 @@
 //! Fixture: a violation silenced by a reasoned allowlist entry.
 
-pub fn checked(x: Option<u32>) -> u32 {
-    x.unwrap()
+pub fn checked(x: f64) -> bool {
+    x == 0.5
 }

@@ -1,6 +1,6 @@
-//! Fixture: a real P001 violation, suppressed by an allowlist entry
+//! Fixture: a real D004 violation, suppressed by an allowlist entry
 //! that gives no reason — A002 fires at the entry, A001 stays quiet.
 
-pub fn read(x: Option<u32>) -> u32 {
-    x.unwrap()
+pub fn read(x: f64) -> bool {
+    x == 0.5
 }

@@ -6,12 +6,11 @@ pub fn live() -> u32 {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::sync::Mutex;
 
     #[test]
-    fn test_only_code_may_use_hash_maps_and_unwrap() {
-        let mut m: HashMap<u32, u32> = HashMap::new();
-        m.insert(1, super::live());
-        assert_eq!(m.get(&1).copied().unwrap(), 41);
+    fn test_only_code_may_lock_and_compare_floats() {
+        let m = Mutex::new(super::live());
+        assert!(f64::from(*m.lock().unwrap()) == 41.0);
     }
 }

@@ -20,6 +20,14 @@
 //! smoke check on the exported `results/*.json` — hermetically, with the
 //! crate's own parser.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use pcqe_obs::json::{self, Value};
 use std::process::ExitCode;
 

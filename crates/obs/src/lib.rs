@@ -34,10 +34,18 @@
 //!
 //! ## Panic safety
 //!
-//! Every path in this crate is panic-free (lint rule `PCQE-P001` guards
-//! `crates/obs/src`): poisoned mutexes are recovered rather than unwrapped,
+//! Every path in this crate is panic-free (the crate root denies clippy's
+//! panic lints): poisoned mutexes are recovered rather than unwrapped,
 //! arithmetic saturates, and the export/validate CLI returns exit codes
 //! instead of panicking.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod export;
 pub mod json;

@@ -1,10 +1,9 @@
 //! The [`Recorder`]: thread-safe metric collection behind one mutex.
 //!
 //! All time is read through [`pcqe_core::clock::Clock`] — this crate never
-//! touches `Instant`/`SystemTime` directly (lint rule `PCQE-T001` would
-//! fail the build if it did; the analyzer fixture
-//! `crates/lint/tests/fixtures/tree/crates/obs/src/raw_clock.rs` proves
-//! the rule fires inside `crates/obs`). Constructed with
+//! touches `Instant`/`SystemTime` directly (the root `clippy.toml`
+//! disallows both `now` methods, so the `clippy` CI stage would fail if
+//! it did). Constructed with
 //! [`Recorder::with_clock`] over a [`ManualClock`](pcqe_core::clock::ManualClock),
 //! every span duration — and therefore every export — is deterministic.
 //!

@@ -25,6 +25,14 @@
 //! assert_eq!(beta, 0.06);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod decision;
 pub mod error;
 pub mod policy;

@@ -3,7 +3,7 @@
 use crate::error::ProvenanceError;
 use crate::model::ProvenanceRecord;
 use crate::Result;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Combines provenance records into one base-tuple confidence.
 #[derive(Debug, Clone)]
@@ -74,7 +74,7 @@ impl Assigner {
             return Err(ProvenanceError::NoRecords);
         }
         // Best record per source.
-        let mut per_source: HashMap<&str, f64> = HashMap::new();
+        let mut per_source: BTreeMap<&str, f64> = BTreeMap::new();
         for r in records {
             let c = self.record_confidence(r);
             let e = per_source.entry(r.source.id.as_str()).or_insert(0.0);

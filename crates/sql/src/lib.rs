@@ -38,6 +38,14 @@
 //! assert_eq!(rows.len(), 1);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

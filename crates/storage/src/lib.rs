@@ -27,6 +27,14 @@
 //! assert_eq!(catalog.confidence(id), Some(0.7));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod catalog;
 pub mod csv;
 pub mod error;

@@ -11,7 +11,11 @@ use crate::schema::Schema;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::{DataType, Value};
 use crate::Result;
-use std::collections::HashMap;
+
+/// The row position of each tuple id. Lookup only: the map is never
+/// iterated, so its order cannot reach a result.
+#[allow(clippy::disallowed_types)]
+type PositionById = std::collections::HashMap<TupleId, usize>;
 
 /// A stored base tuple: id, values and its current confidence value.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +34,7 @@ pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<StoredTuple>,
-    by_id: HashMap<TupleId, usize>,
+    by_id: PositionById,
     /// Smallest and largest id stored, kept by [`Table::push_row`]: an id
     /// outside the range is not here, and [`Table::row`] says so without
     /// hashing it — what a catalog-wide search by id pays per other table.
@@ -67,7 +71,7 @@ impl Table {
             name,
             schema,
             rows: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: PositionById::new(),
             id_range: None,
             indexes: Vec::new(),
             images,

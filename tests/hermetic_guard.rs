@@ -5,8 +5,9 @@
 //!
 //! The parser here is deliberately small: it walks each member manifest's
 //! `[dependencies]` / `[dev-dependencies]` / `[build-dependencies]`
-//! tables and asserts every entry is either `pcqe-*` (a workspace path
-//! dependency) or spelled with an explicit `path =`.
+//! tables, their `[target.….dependencies]` forms and
+//! `[workspace.dependencies]`, and asserts every entry is either `pcqe-*`
+//! (a workspace path dependency) or spelled with an explicit `path =`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -47,7 +48,7 @@ fn dependency_entries(toml: &str) -> Vec<(String, String)> {
                     | "[dev-dependencies]"
                     | "[build-dependencies]"
                     | "[workspace.dependencies]"
-            );
+            ) || (line.starts_with("[target.") && line.ends_with("dependencies]"));
             continue;
         }
         if !in_dep_table || line.is_empty() || line.starts_with('#') {
@@ -83,6 +84,18 @@ fn default_workspace_has_only_path_dependencies() {
             );
         }
     }
+}
+
+#[test]
+fn dependency_entries_include_target_specific_tables() {
+    let toml = "[package]\nname = \"x\"\n\n[target.'cfg(unix)'.dependencies]\n\
+                libc = \"0.2\"\n\n[target.'cfg(windows)'.dev-dependencies]\n\
+                winapi = { version = \"0.3\" }\n\n[profile.release]\ndebug = true\n";
+    let names: Vec<String> = dependency_entries(toml)
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    assert_eq!(names, ["libc", "winapi"]);
 }
 
 #[test]

@@ -5,9 +5,10 @@
 //! of emitted rows, so two *identical* databases in the same process
 //! could answer the same query in different row orders (each `HashMap`
 //! draws a fresh `RandomState`). The indexes are ordered maps now
-//! (PCQE-D001), and this suite pins the consequence: rebuilding the same
-//! database and re-running the same query yields a bit-identical
-//! transcript, row order included — with no ORDER BY to hide behind.
+//! (`clippy.toml` bans `HashMap`/`HashSet`), and this suite pins the
+//! consequence: rebuilding the same database and re-running the same
+//! query yields a bit-identical transcript, row order included — with no
+//! ORDER BY to hide behind.
 
 mod common;
 
