@@ -1,13 +1,13 @@
 //! The crate's only sanctioned wall-clock access point.
 //!
-//! The solvers measure elapsed time (for statistics) and enforce optional
-//! time limits (for anytime behaviour). Both are *observability* concerns:
-//! no solver decision that affects the returned solution may depend on the
-//! clock, except the explicitly-requested time-limit cutoff. Concentrating
-//! every `Instant::now()` here keeps that boundary auditable — clippy's
-//! `disallowed_methods` (the root `clippy.toml`) forbids wall-clock reads
-//! anywhere else in the workspace; `crates/bench` is a detached workspace
-//! with its own `clippy.toml` (hence the targeted `#[allow]`s below).
+//! The solvers measure elapsed time for their run statistics. That is an
+//! *observability* concern: no solver decision that affects the returned
+//! solution depends on the clock (searches are cut short by node limits,
+//! never by time). Concentrating every `Instant::now()` here keeps that
+//! boundary auditable — clippy's `disallowed_methods` (the root
+//! `clippy.toml`) forbids wall-clock reads anywhere else in the
+//! workspace; `crates/bench` is a detached workspace with its own
+//! `clippy.toml` (hence the targeted `#[allow]`s below).
 //!
 //! # Time sources
 //!
@@ -22,20 +22,9 @@
 //! * [`ManualClock`] — an atomic counter advanced explicitly by tests, so
 //!   golden exports and span trees are byte-stable.
 //!
-//! # Timing primitives
+//! # Timing primitive
 //!
-//! [`Stopwatch`] measures elapsed time for run statistics; [`Deadline`]
-//! answers "is the time limit up?" for solvers that accept
-//! `Option<Duration>` budgets.
-//!
-//! ## Deadline semantics
-//!
-//! There is exactly one constructor path: [`Deadline::after`] is the
-//! canonical entry and [`Deadline::unbounded`] is sugar for
-//! `Deadline::after(None)`. A `None` budget produces a deadline whose
-//! [`Deadline::expired`] is a constant `false` with **no clock read at
-//! all** — untimed solves stay clock-free. A `Some(limit)` budget reads
-//! the clock once at construction and again on each `expired()` poll.
+//! [`Stopwatch`] measures elapsed time for run statistics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -64,7 +53,7 @@ fn process_epoch() -> Instant {
 /// Readings are `Duration`s since a lazily-pinned process epoch, so the
 /// very first reading is near zero and all readings are comparable within
 /// one process. This type owns the workspace's sanctioned `Instant::now()`
-/// call sites (together with the [`Stopwatch`]/[`Deadline`] shims below).
+/// call sites (together with the [`Stopwatch`] shims below).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SystemClock;
 
@@ -89,13 +78,6 @@ impl ManualClock {
     /// A manual clock starting at zero.
     pub fn new() -> ManualClock {
         ManualClock::default()
-    }
-
-    /// A manual clock starting at `at` past its epoch.
-    pub fn starting_at(at: Duration) -> ManualClock {
-        let c = ManualClock::new();
-        c.set(at);
-        c
     }
 
     /// Advance the clock by `by` (saturating at `u64::MAX` nanoseconds).
@@ -165,55 +147,6 @@ impl Stopwatch {
     }
 }
 
-/// An optional time budget for anytime solvers.
-///
-/// Built from `Option<Duration>`: `None` yields an unbounded deadline whose
-/// [`Deadline::expired`] is a constant `false` with no clock read at all.
-/// See the module docs for the full semantics.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    expires: Option<Duration>,
-}
-
-impl Deadline {
-    /// A deadline `limit` from now on the real clock; `None` never
-    /// expires. This is the single constructor path — [`Deadline::unbounded`]
-    /// delegates here.
-    pub fn after(limit: Option<Duration>) -> Deadline {
-        Deadline::after_with(limit, &SystemClock)
-    }
-
-    /// A deadline `limit` from now on an explicit clock.
-    ///
-    /// `None` never reads the clock; `Some(limit)` reads it once here and
-    /// once per [`Deadline::expired`] poll (via the matching `*_with`
-    /// method or the real-clock shims).
-    pub fn after_with(limit: Option<Duration>, clock: &(impl Clock + ?Sized)) -> Deadline {
-        Deadline {
-            expires: limit.map(|l| clock.monotonic().saturating_add(l)),
-        }
-    }
-
-    /// A deadline that never expires and never reads the clock.
-    /// Equivalent to `Deadline::after(None)`.
-    pub fn unbounded() -> Deadline {
-        Deadline::after_with(None, &SystemClock)
-    }
-
-    /// Has the budget run out? (real clock)
-    pub fn expired(&self) -> bool {
-        self.expired_with(&SystemClock)
-    }
-
-    /// Has the budget run out, per an explicit clock?
-    pub fn expired_with(&self, clock: &(impl Clock + ?Sized)) -> bool {
-        match self.expires {
-            None => false,
-            Some(at) => clock.monotonic() >= at,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,22 +155,6 @@ mod tests {
     fn stopwatch_measures_nonnegative_time() {
         let w = Stopwatch::start();
         assert!(w.elapsed() >= Duration::ZERO);
-    }
-
-    #[test]
-    fn unbounded_deadline_never_expires() {
-        assert!(!Deadline::unbounded().expired());
-        assert!(!Deadline::after(None).expired());
-    }
-
-    #[test]
-    fn zero_deadline_expires_immediately() {
-        assert!(Deadline::after(Some(Duration::ZERO)).expired());
-    }
-
-    #[test]
-    fn long_deadline_not_yet_expired() {
-        assert!(!Deadline::after(Some(Duration::from_secs(3600))).expired());
     }
 
     #[test]
@@ -259,26 +176,6 @@ mod tests {
         assert_eq!(w.elapsed_with(&c), Duration::ZERO);
         c.advance(Duration::from_micros(250));
         assert_eq!(w.elapsed_with(&c), Duration::from_micros(250));
-    }
-
-    #[test]
-    fn deadline_on_manual_clock_expires_exactly_on_time() {
-        let c = ManualClock::new();
-        let d = Deadline::after_with(Some(Duration::from_millis(10)), &c);
-        assert!(!d.expired_with(&c));
-        c.advance(Duration::from_millis(9));
-        assert!(!d.expired_with(&c));
-        c.advance(Duration::from_millis(1));
-        assert!(d.expired_with(&c));
-    }
-
-    #[test]
-    fn unbounded_deadline_never_reads_any_clock() {
-        // A ManualClock at zero: unbounded stays unexpired regardless.
-        let c = ManualClock::new();
-        let d = Deadline::after_with(None, &c);
-        c.advance(Duration::from_secs(10_000));
-        assert!(!d.expired_with(&c));
     }
 
     #[test]

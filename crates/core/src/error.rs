@@ -15,7 +15,7 @@ pub enum CoreError {
         /// Results the caller required.
         required: usize,
     },
-    /// A solver gave up (node/time limit, or a gain plateau it could not
+    /// A solver gave up (node limit, or a gain plateau it could not
     /// escape).
     GaveUp(String),
     /// A lineage compilation or evaluation failed while building the

@@ -31,7 +31,7 @@
 //! (`O(d^k)`); with a greedy seed (Figure 11(d)) the initial upper bound is
 //! tight from the start.
 
-use crate::clock::{Deadline, Stopwatch};
+use crate::clock::Stopwatch;
 use crate::error::CoreError;
 use crate::ord::OrdF64;
 use crate::problem::ProblemInstance;
@@ -56,8 +56,6 @@ pub struct HeuristicOptions {
     pub seed: Option<Solution>,
     /// Abort after this many search nodes (`None` = unlimited).
     pub node_limit: Option<u64>,
-    /// Abort after this much wall-clock time (`None` = unlimited).
-    pub time_limit: Option<Duration>,
 }
 
 impl Default for HeuristicOptions {
@@ -76,7 +74,6 @@ impl HeuristicOptions {
             h4_cost_bound: true,
             seed: None,
             node_limit: None,
-            time_limit: None,
         }
     }
 
@@ -89,7 +86,6 @@ impl HeuristicOptions {
             h4_cost_bound: false,
             seed: None,
             node_limit: None,
-            time_limit: None,
         }
     }
 
@@ -132,7 +128,7 @@ pub struct HeuristicStats {
     /// one slot's cone counts as one, and so does each result H3 evaluates
     /// afresh at its raised levels.
     pub evals: u64,
-    /// Whether the search ran to completion (false on node/time limit).
+    /// Whether the search ran to completion (false on the node limit).
     pub complete: bool,
     /// Wall-clock time spent.
     pub elapsed: Duration,
@@ -174,7 +170,6 @@ pub fn solve(
             complete: true,
             ..HeuristicStats::default()
         },
-        deadline: Deadline::after(options.time_limit),
     };
     search.dfs(&mut state, 0, 0.0);
     search.stats.evals = state.evals;
@@ -200,24 +195,18 @@ struct Search<'p, 'o> {
     best_cost: f64,
     best: Option<Solution>,
     stats: HeuristicStats,
-    deadline: Deadline,
 }
 
 impl Search<'_, '_> {
     fn out_of_budget(&mut self) -> bool {
-        if let Some(limit) = self.options.node_limit {
-            if self.stats.nodes >= limit {
-                self.stats.complete = false;
-                return true;
-            }
-        }
-        // Check the clock only occasionally; reading it is not free. An
-        // unbounded deadline short-circuits without touching the clock.
-        if self.stats.nodes.is_multiple_of(1024) && self.deadline.expired() {
+        let out = self
+            .options
+            .node_limit
+            .is_some_and(|l| self.stats.nodes >= l);
+        if out {
             self.stats.complete = false;
-            return true;
         }
-        false
+        out
     }
 
     /// Search below the node that assigns `order[..depth]` at `cost`:
@@ -458,30 +447,6 @@ mod tests {
             Err(CoreError::GaveUp(_)) => {}
             Err(e) => panic!("unexpected error {e}"),
         }
-    }
-
-    #[test]
-    fn time_limit_terminates_incomplete() {
-        let p = harder_instance();
-        let opts = HeuristicOptions {
-            time_limit: Some(Duration::from_nanos(1)),
-            ..HeuristicOptions::naive()
-        };
-        match solve(&p, &opts) {
-            Ok(out) => assert!(!out.stats.complete, "a 1ns budget cannot finish"),
-            Err(CoreError::GaveUp(_)) => {}
-            Err(e) => panic!("unexpected error {e}"),
-        }
-        // With a seed, the search still returns a valid answer.
-        let seed = greedy::solve(&p, &GreedyOptions::default())
-            .unwrap()
-            .solution;
-        let opts = HeuristicOptions {
-            time_limit: Some(Duration::from_nanos(1)),
-            ..HeuristicOptions::all().with_seed(seed)
-        };
-        let out = solve(&p, &opts).unwrap();
-        out.solution.validate(&p).unwrap();
     }
 
     #[test]

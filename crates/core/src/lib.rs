@@ -18,11 +18,10 @@
 //!   base-tuple graph, solve each group (greedy, plus branch-and-bound for
 //!   small groups), then combine and refine.
 //!
-//! Extensions beyond the paper's core: [`multi`] is the multiple-query
+//! One extension beyond the paper's core: [`multi`] is the multiple-query
 //! variant sketched at the end of Section 4 — several queries merged over
 //! one base-tuple pool and handed to that same greedy as one problem with
-//! a quota per query — and [`estimator`] the advance-time statistics
-//! sketched in Section 6.
+//! a quota per query.
 //!
 //! ```
 //! use pcqe_core::{greedy, problem::ProblemBuilder, greedy::GreedyOptions};
@@ -45,8 +44,6 @@
 pub mod clock;
 pub mod dnc;
 pub mod error;
-pub mod estimator;
-pub mod exhaustive;
 pub mod greedy;
 pub mod heuristic;
 pub mod multi;

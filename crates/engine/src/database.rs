@@ -780,9 +780,12 @@ impl Database {
         request: &QueryRequest,
         proposal: &crate::response::ImprovementProposal,
     ) -> Result<QueryResponse> {
-        // Validated like `apply` (first offending increment's error) and
-        // previewed like it: a raise never lowers, and of two raises of
-        // one tuple the higher stands.
+        // Validated like `apply` (a stale version first, then the first
+        // offending increment's error) and previewed like it: a raise
+        // never lowers, and of two raises of one tuple the higher stands.
+        if proposal.version != self.version {
+            return Err(EngineError::StaleProposal);
+        }
         let mut overrides: BTreeMap<TupleId, f64> = BTreeMap::new();
         for inc in &proposal.increments {
             let raised = self.catalog.check_raise(inc.tuple_id, inc.to)?;

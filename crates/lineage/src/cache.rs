@@ -927,8 +927,9 @@ mod tests {
             .collect();
         pr.iter().for_each(|(&v, &p)| cache.set_prob(v, p));
         let scored = cache.score(id).unwrap();
-        assert_eq!(pooled.eval_with(|v| pr[&v]).to_bits(), scored.to_bits());
-        assert_eq!(standalone.eval_with(|v| pr[&v]).to_bits(), scored.to_bits());
+        let slots: Vec<f64> = pooled.vars().iter().map(|v| pr[v]).collect();
+        assert_eq!(pooled.eval(&slots).to_bits(), scored.to_bits());
+        assert_eq!(standalone.eval(&slots).to_bits(), scored.to_bits());
     }
 
     #[test]

@@ -98,12 +98,6 @@ impl CompiledLineage {
         self.eval_into(|slot| probs.get(slot).copied().unwrap_or(0.0), &mut values)
     }
 
-    /// Evaluate with a probability lookup keyed by variable id.
-    pub fn eval_with<F: Fn(VarId) -> f64>(&self, lookup: F) -> f64 {
-        let probs: Vec<f64> = self.vars.iter().map(|&v| lookup(v)).collect();
-        self.eval(&probs)
-    }
-
     /// One forward pass: every node's value, children first, into
     /// `values` ([`Self::node_count`] of them, in the caller's buffer; it
     /// allocates nothing), slot `s` having probability `prob(s)`. Returns
@@ -314,7 +308,8 @@ mod tests {
                 exact += probs.iter().enumerate().map(weight).product::<f64>();
             }
         }
-        let compiled = c.eval_with(|v| probs[v.0 as usize]);
+        let slots: Vec<f64> = c.vars().iter().map(|v| probs[v.0 as usize]).collect();
+        let compiled = c.eval(&slots);
         assert!((exact - compiled).abs() < 1e-12, "{exact} vs {compiled}");
     }
 
@@ -332,12 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn eval_with_map_and_slices_agree() {
-        let l = Lineage::or(vec![Lineage::var(5), Lineage::var(9)]);
+    fn eval_slots_follow_vars_order() {
+        let l = Lineage::or(vec![Lineage::var(9), Lineage::var(5)]);
         let c = CompiledLineage::compile(&l, 8).unwrap();
-        let by_slice = c.eval(&[0.2, 0.5]);
-        let by_map = c.eval_with(|v| if v.0 == 5 { 0.2 } else { 0.5 });
-        assert_eq!(by_slice, by_map);
+        assert_eq!(c.vars(), [VarId(5), VarId(9)]);
+        // 1 − (1 − 0.2)(1 − 0.5), t5 at 0.2 and t9 at 0.5.
+        assert!((c.eval(&[0.2, 0.5]) - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -444,7 +439,8 @@ mod tests {
             .score_lineage(&l, &Evaluator { budget: 1 << 12 })
             .unwrap();
         let c = CompiledLineage::compile(&l, 1 << 12).unwrap();
-        let compiled = c.eval_with(|v| pr[&v]);
+        let slots: Vec<f64> = c.vars().iter().map(|v| pr[v]).collect();
+        let compiled = c.eval(&slots);
         assert_eq!(pooled.to_bits(), compiled.to_bits());
     }
 }

@@ -52,6 +52,13 @@ fn random_probs(rng: &mut Rng64) -> BTreeMap<VarId, f64> {
     (0..MAX_VARS).map(|v| (VarId(v), rng.next_f64())).collect()
 }
 
+/// `c` evaluated with each slot's probability read from `prob`, in
+/// [`CompiledLineage::vars`] order.
+fn eval_by(c: &CompiledLineage, prob: impl Fn(VarId) -> f64) -> f64 {
+    let slots: Vec<f64> = c.vars().iter().map(|&v| prob(v)).collect();
+    c.eval(&slots)
+}
+
 /// `P(l)` over independent variables `0..probs.len()`, summed over every
 /// assignment.
 fn enumerated(l: &Lineage, probs: &BTreeMap<VarId, f64>) -> f64 {
@@ -112,7 +119,7 @@ fn exhausted_budgets_are_typed_errors_and_cache_agrees() {
             match (&cold_id, &standalone, &warm_id) {
                 (Ok(c), Ok(circuit), Ok(w)) => {
                     let lookup = |v: VarId| probs[&v];
-                    let p = circuit.eval_with(lookup);
+                    let p = eval_by(circuit, lookup);
                     let exact = enumerated(&l, &probs);
                     assert!(
                         (p - exact).abs() < 1e-9,
@@ -126,7 +133,7 @@ fn exhausted_budgets_are_typed_errors_and_cache_agrees() {
                             "case {case}: {name} var list at budget {budget} for {l:?}"
                         );
                         assert_eq!(
-                            compiled.eval_with(lookup).to_bits(),
+                            eval_by(compiled, lookup).to_bits(),
                             p.to_bits(),
                             "case {case}: {name} value at budget {budget} for {l:?}"
                         );
@@ -161,13 +168,13 @@ fn pooled_circuits_score_bit_identically_at_any_thread_count() {
     }
     let probs = random_probs(&mut rng);
     let lookup = |v: VarId| probs.get(&v).copied().unwrap_or(0.0);
-    let sequential: Vec<f64> = circuits.iter().map(|c| c.eval_with(lookup)).collect();
+    let sequential: Vec<f64> = circuits.iter().map(|c| eval_by(c, lookup)).collect();
     for workers in [1usize, 2, 8] {
         let par = pcqe_par::Parallelism {
             worker_threads: Some(workers),
             parallel_threshold: 1,
         };
-        let batch = pcqe_par::map(&par, &circuits, |c| c.eval_with(lookup));
+        let batch = pcqe_par::map(&par, &circuits, |c| eval_by(c, lookup));
         for (i, (a, b)) in sequential.iter().zip(&batch).enumerate() {
             assert_eq!(
                 a.to_bits(),

@@ -106,14 +106,6 @@ impl Recorder {
         }
     }
 
-    /// A recorder that starts disabled: every record call is a no-op until
-    /// [`Recorder::set_enabled`] turns it on.
-    pub fn disabled() -> Recorder {
-        let r = Recorder::new();
-        r.set_enabled(false);
-        r
-    }
-
     /// Toggle recording. Already-collected data is kept.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
@@ -204,12 +196,6 @@ impl Recorder {
             spans: inner.spans.clone(),
         }
     }
-
-    /// Drop all collected data (the enabled flag is untouched).
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        *inner = Inner::default();
-    }
 }
 
 /// An open span: records `(count, elapsed)` under its path on drop.
@@ -237,11 +223,6 @@ impl<'a> SpanGuard<'a> {
             path,
             started: live.then(|| self.recorder.clock.monotonic()),
         }
-    }
-
-    /// The span's full `/`-separated path.
-    pub fn path(&self) -> &str {
-        self.path
     }
 }
 
@@ -297,7 +278,8 @@ mod tests {
             0,
             "a zero delta creates its key"
         );
-        let off = Recorder::disabled();
+        let off = Recorder::new();
+        off.set_enabled(false);
         off.counters_add(deltas);
         assert!(off.snapshot().is_empty());
     }
@@ -312,7 +294,8 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let r = Recorder::disabled();
+        let r = Recorder::new();
+        r.set_enabled(false);
         r.counter_add("c", 1);
         r.gauge_set("g", 1.0);
         r.histogram_record("h", 0.5);
@@ -332,8 +315,7 @@ mod tests {
             let query = r.span("query");
             clock.advance(Duration::from_micros(10));
             {
-                let exec = query.nested("query/execute");
-                assert_eq!(exec.path(), "query/execute");
+                let _exec = query.nested("query/execute");
                 clock.advance(Duration::from_micros(30));
             }
             clock.advance(Duration::from_micros(5));
@@ -353,15 +335,6 @@ mod tests {
         clock.advance(Duration::from_millis(1));
         drop(span);
         assert!(r.snapshot().spans.is_empty());
-    }
-
-    #[test]
-    fn reset_clears_but_keeps_enabled_state() {
-        let r = Recorder::new();
-        r.counter_add("c", 1);
-        r.reset();
-        assert!(r.snapshot().is_empty());
-        assert!(r.is_enabled());
     }
 
     #[test]

@@ -236,7 +236,8 @@ mod tests {
             let events = tracer.drain().events.len();
             assert_eq!(events, if trace { 6 } else { 0 }, "metrics={metrics}");
         }
-        let tracer = Tracer::disabled();
+        let tracer = Tracer::new();
+        tracer.set_enabled(false);
         let off = Listeners {
             metrics: None,
             trace: Some(&tracer),

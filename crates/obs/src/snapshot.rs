@@ -6,7 +6,6 @@
 //! spans are mutually consistent.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Upper bounds (in seconds) for the fixed histogram buckets, chosen to
 /// cover microsecond operator timings up to multi-second solver runs.
@@ -99,13 +98,6 @@ pub struct SpanStat {
     pub total_nanos: u64,
 }
 
-impl SpanStat {
-    /// Total time as a [`Duration`].
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.total_nanos)
-    }
-}
-
 /// A consistent, ordered copy of everything a [`Recorder`](crate::Recorder)
 /// has seen.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -181,14 +173,5 @@ mod tests {
         assert_eq!(s.counter("missing"), 0);
         assert_eq!(s.gauge("g"), Some(1.5));
         assert_eq!(s.gauge("missing"), None);
-    }
-
-    #[test]
-    fn span_stat_total_duration() {
-        let s = SpanStat {
-            count: 2,
-            total_nanos: 1_500_000,
-        };
-        assert_eq!(s.total(), Duration::from_micros(1500));
     }
 }

@@ -176,15 +176,6 @@ impl Tracer {
         }
     }
 
-    /// A tracer that starts disabled: every emit is a no-op until
-    /// [`Tracer::set_enabled`] turns it on. This is the engine's resting
-    /// state — `Database::trace_query` flips it on for one query.
-    pub fn disabled() -> Tracer {
-        let t = Tracer::new();
-        t.set_enabled(false);
-        t
-    }
-
     /// Toggle tracing. Already-buffered events are kept.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
@@ -399,7 +390,8 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert_and_returns_zero_ids() {
-        let t = Tracer::disabled();
+        let t = Tracer::new();
+        t.set_enabled(false);
         assert_eq!(t.span_begin("query"), 0);
         t.span_end(0);
         t.instant("x", "y");

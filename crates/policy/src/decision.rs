@@ -14,19 +14,6 @@ pub struct PolicyDecision {
     pub withheld: Vec<usize>,
 }
 
-impl PolicyDecision {
-    /// Fraction of results released (the paper's θ′). Zero when there are
-    /// no results at all.
-    pub fn released_fraction(&self) -> f64 {
-        let n = self.released.len() + self.withheld.len();
-        if n == 0 {
-            0.0
-        } else {
-            self.released.len() as f64 / n as f64
-        }
-    }
-}
-
 /// Split a slice of result confidences into released/withheld index sets
 /// according to `policy` — the policy-evaluation component of Figure 1.
 pub fn evaluate_results(policy: &ConfidencePolicy, confidences: &[f64]) -> PolicyDecision {
@@ -47,7 +34,6 @@ pub fn evaluate_results(policy: &ConfidencePolicy, confidences: &[f64]) -> Polic
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 mod tests {
     use super::*;
 
@@ -57,7 +43,6 @@ mod tests {
         let d = evaluate_results(&p2, &[0.058]);
         assert!(d.released.is_empty());
         assert_eq!(d.withheld, vec![0]);
-        assert_eq!(d.released_fraction(), 0.0);
     }
 
     #[test]
@@ -65,22 +50,21 @@ mod tests {
         let p1 = ConfidencePolicy::new("Secretary", "analysis", 0.05).unwrap();
         let d = evaluate_results(&p1, &[0.058]);
         assert_eq!(d.released, vec![0]);
-        assert_eq!(d.released_fraction(), 1.0);
+        assert!(d.withheld.is_empty());
     }
 
     #[test]
-    fn fractions_and_mixed_results() {
+    fn mixed_results_split_at_beta() {
         let p = ConfidencePolicy::default_floor(0.5).unwrap();
         let d = evaluate_results(&p, &[0.2, 0.6, 0.7, 0.5]);
         assert_eq!(d.released, vec![1, 2]);
         assert_eq!(d.withheld, vec![0, 3]);
-        assert!((d.released_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_results() {
         let p = ConfidencePolicy::default_floor(0.5).unwrap();
         let d = evaluate_results(&p, &[]);
-        assert_eq!(d.released_fraction(), 0.0);
+        assert!(d.released.is_empty() && d.withheld.is_empty());
     }
 }

@@ -124,6 +124,7 @@ pub type RoleHierarchy = Hierarchy<Role>;
 pub type PurposeHierarchy = Hierarchy<Purpose>;
 
 impl<N> Default for Hierarchy<N> {
+    /// An empty hierarchy (every name stands alone).
     fn default() -> Self {
         Hierarchy {
             parents: BTreeMap::new(),
@@ -133,11 +134,6 @@ impl<N> Default for Hierarchy<N> {
 }
 
 impl<N: AsRef<str>> Hierarchy<N> {
-    /// An empty hierarchy (every name stands alone).
-    pub fn new() -> Self {
-        Hierarchy::default()
-    }
-
     /// Declare that `child` falls under `parent` in one hop (a senior
     /// role under a junior one, a specialised purpose under a general
     /// one). Rejects an edge that would close a cycle.
@@ -208,7 +204,7 @@ mod tests {
 
     #[test]
     fn hierarchy_distances() {
-        let mut h = RoleHierarchy::new();
+        let mut h = RoleHierarchy::default();
         h.add(&"Manager".into(), &"Employee".into()).unwrap();
         h.add(&"Director".into(), &"Manager".into()).unwrap();
         assert_eq!(h.distance(&"Manager".into(), &"Manager".into()), Some(0));
@@ -219,7 +215,7 @@ mod tests {
 
     #[test]
     fn cycles_rejected() {
-        let mut h = RoleHierarchy::new();
+        let mut h = RoleHierarchy::default();
         h.add(&"B".into(), &"A".into()).unwrap();
         assert!(matches!(
             h.add(&"A".into(), &"B".into()),
@@ -230,7 +226,7 @@ mod tests {
 
     #[test]
     fn purpose_specialisation_distances() {
-        let mut h = PurposeHierarchy::new();
+        let mut h = PurposeHierarchy::default();
         h.add(&"investment".into(), &"business-use".into()).unwrap();
         h.add(&"due-diligence".into(), &"investment".into())
             .unwrap();
@@ -254,7 +250,7 @@ mod tests {
 
     #[test]
     fn diamond_inheritance_takes_shortest_path() {
-        let mut h = RoleHierarchy::new();
+        let mut h = RoleHierarchy::default();
         h.add(&"Top".into(), &"L".into()).unwrap();
         h.add(&"Top".into(), &"R".into()).unwrap();
         h.add(&"L".into(), &"Base".into()).unwrap();

@@ -209,14 +209,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Column reference helper.
-    pub fn col(qualifier: Option<&str>, name: &str) -> Expr {
-        Expr::Column {
-            qualifier: qualifier.map(str::to_owned),
-            name: name.to_owned(),
-        }
-    }
-
     /// A default output name for unaliased projection items: the bare
     /// column name for column references, the lower-cased function name
     /// for aggregates, `expr` otherwise.
@@ -248,7 +240,11 @@ mod tests {
 
     #[test]
     fn default_names() {
-        assert_eq!(Expr::col(Some("t"), "x").default_name(), "x");
+        let column = Expr::Column {
+            qualifier: Some("t".into()),
+            name: "x".into(),
+        };
+        assert_eq!(column.default_name(), "x");
         assert_eq!(Expr::Int(1).default_name(), "expr");
     }
 }

@@ -705,7 +705,11 @@ mod tests {
         assert!(s.distinct);
         assert_eq!(s.items.len(), 2);
         assert_eq!(s.items[0].alias.as_deref(), Some("name"));
-        assert_eq!(s.items[0].expr, Expr::col(Some("c"), "company"));
+        let company = Expr::Column {
+            qualifier: Some("c".into()),
+            name: "company".into(),
+        };
+        assert_eq!(s.items[0].expr, company);
         assert_eq!(s.from[0].alias.as_deref(), Some("c"));
     }
 

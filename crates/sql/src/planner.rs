@@ -771,7 +771,11 @@ mod tests {
                 Value::Real(-2.5)
             ]
         );
-        assert!(literal_row(&[Expr::col(None, "oops")]).is_err());
+        let column = Expr::Column {
+            qualifier: None,
+            name: "oops".into(),
+        };
+        assert!(literal_row(&[column]).is_err());
     }
 
     #[test]

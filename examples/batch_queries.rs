@@ -6,13 +6,76 @@
 //! Run with `cargo run --example batch_queries`.
 
 use pcqe::core::clock::Stopwatch;
-use pcqe::core::estimator::RuntimeEstimator;
 use pcqe::core::greedy::GreedyOptions;
 use pcqe::core::multi::{solve_greedy, MultiQueryProblem};
 use pcqe::core::problem::ProblemBuilder;
 use pcqe::cost::CostFn;
 use pcqe::lineage::Lineage;
 use pcqe::workload::{generate, WorkloadParams};
+use std::time::Duration;
+
+/// Advance-time estimation (the future-work sketch in Section 6): "since
+/// actually improving data quality may take some time, the user can
+/// submit the query in advance … and statistics can be used to let the
+/// user know 'how much time' in advance he needs to issue the query."
+///
+/// Collects `(problem size, solve seconds)` samples from past
+/// strategy-finding runs and fits a log–log least-squares line (solver
+/// runtimes are polynomial in the data size, so the log–log relationship
+/// is near-linear).
+#[derive(Default)]
+struct RuntimeEstimator {
+    /// `(ln size, ln seconds)` samples.
+    samples: Vec<(f64, f64)>,
+}
+
+/// A fitted power law `seconds ≈ a · size^b`.
+struct PowerLawFit {
+    a: f64,
+    b: f64,
+}
+
+impl RuntimeEstimator {
+    /// Record one observed run. Sizes below 1 and non-positive durations
+    /// are ignored (they carry no information on the log scale).
+    fn record(&mut self, size: usize, elapsed: Duration) {
+        let secs = elapsed.as_secs_f64();
+        if size >= 1 && secs > 0.0 {
+            self.samples.push(((size as f64).ln(), secs.ln()));
+        }
+    }
+
+    /// Least-squares fit of `ln t = ln a + b · ln n`. Needs ≥ 2 samples
+    /// with distinct sizes.
+    fn fit(&self) -> Option<PowerLawFit> {
+        if self.samples.len() < 2 {
+            return None;
+        }
+        let n = self.samples.len() as f64;
+        let sx: f64 = self.samples.iter().map(|s| s.0).sum();
+        let sy: f64 = self.samples.iter().map(|s| s.1).sum();
+        let sxx: f64 = self.samples.iter().map(|s| s.0 * s.0).sum();
+        let sxy: f64 = self.samples.iter().map(|s| s.0 * s.1).sum();
+        let denom = n * sxx - sx * sx;
+        if denom.abs() < 1e-12 {
+            return None; // all sizes identical
+        }
+        let b = (n * sxy - sx * sy) / denom;
+        let ln_a = (sy - b * sx) / n;
+        Some(PowerLawFit { a: ln_a.exp(), b })
+    }
+
+    /// How far in advance a user should issue a query of the given size:
+    /// the predicted solve time inflated by `safety_factor` (at least 1,
+    /// never advising less time than predicted).
+    fn lead_time(&self, size: usize, safety_factor: f64) -> Option<Duration> {
+        let fit = self.fit()?;
+        let secs = fit.a * (size.max(1) as f64).powf(fit.b);
+        Some(Duration::from_secs_f64(
+            (secs * safety_factor.max(1.0)).clamp(0.0, 1e9),
+        ))
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Two queries sharing base tuples --------------------------------
@@ -56,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Advance-time estimation ----------------------------------------
     // Record solve times at a few sizes, then predict the lead time for a
     // larger batch (Section 6's future-work sketch).
-    let mut estimator = RuntimeEstimator::new();
+    let mut estimator = RuntimeEstimator::default();
     for size in [200usize, 400, 800, 1600] {
         let problem = generate(&WorkloadParams::scalability_point(size).with_seed(1))?;
         let watch = Stopwatch::start();
@@ -76,4 +139,72 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lead
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn secs(s: f64) -> Duration {
+        Duration::from_secs_f64(s)
+    }
+
+    #[test]
+    fn fits_exact_power_law() {
+        // t = 0.001 · n^2
+        let mut e = RuntimeEstimator::default();
+        for n in [10usize, 100, 1000] {
+            e.record(n, secs(0.001 * (n as f64).powi(2)));
+        }
+        let fit = e.fit().unwrap();
+        assert!((fit.b - 2.0).abs() < 1e-9, "exponent {}", fit.b);
+        assert!((fit.a - 0.001).abs() < 1e-9, "multiplier {}", fit.a);
+        // 0.001 · (10⁴)² = 10⁵ seconds.
+        let p = e.lead_time(10_000, 1.0).unwrap();
+        assert!((p.as_secs_f64() - 1e5).abs() < 1e-3);
+    }
+
+    #[test]
+    fn fits_linear_runtimes() {
+        let mut e = RuntimeEstimator::default();
+        for n in [100usize, 1000, 10_000] {
+            e.record(n, secs(n as f64 * 1e-4));
+        }
+        let fit = e.fit().unwrap();
+        assert!((fit.b - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn needs_two_distinct_sizes() {
+        let mut e = RuntimeEstimator::default();
+        assert!(e.fit().is_none());
+        e.record(100, secs(1.0));
+        assert!(e.fit().is_none());
+        e.record(100, secs(1.1));
+        assert!(e.fit().is_none(), "identical sizes cannot fix a slope");
+        e.record(200, secs(2.0));
+        assert!(e.fit().is_some());
+    }
+
+    #[test]
+    fn ignores_degenerate_samples() {
+        let mut e = RuntimeEstimator::default();
+        e.record(0, secs(1.0));
+        e.record(10, secs(0.0));
+        assert!(e.samples.is_empty());
+    }
+
+    #[test]
+    fn lead_time_applies_safety_factor() {
+        let mut e = RuntimeEstimator::default();
+        e.record(10, secs(1.0));
+        e.record(100, secs(10.0));
+        let plain = e.lead_time(1000, 1.0).unwrap().as_secs_f64();
+        let padded = e.lead_time(1000, 2.0).unwrap().as_secs_f64();
+        assert!((padded - 2.0 * plain).abs() < 1e-9);
+        // Factors below 1 are clamped up to 1 (never advise less time
+        // than predicted).
+        let clamped = e.lead_time(1000, 0.5).unwrap().as_secs_f64();
+        assert!((clamped - plain).abs() < 1e-9);
+    }
 }

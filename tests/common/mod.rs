@@ -7,11 +7,14 @@
 //! equivalence suites draw their databases and queries from one generator
 //! (`generate.rs`) and hold every path to one reference pipeline
 //! (`check.rs`) around one reference executor (`reference.rs`) and one
-//! reference confidence interpreter (`interpreter.rs`).
+//! reference confidence interpreter (`interpreter.rs`). The solver suite
+//! holds the branch-and-bound search to one exhaustive enumeration of the
+//! grid (`exhaustive.rs`).
 
 #![allow(dead_code)]
 
 mod check;
+pub mod exhaustive;
 mod generate;
 pub mod interpreter;
 mod reference;

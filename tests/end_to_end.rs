@@ -124,7 +124,8 @@ fn a_refused_apply_changes_nothing() {
 }
 
 /// `what_if` previews what `apply` would do — so it refuses what `apply`
-/// refuses, and a raise it previews never lowers. `increments` is a
+/// refuses, a stale proposal included, and a raise it previews never
+/// lowers. `increments` is a
 /// public field: a hand-edited proposal used to come back `Ok` with rows
 /// "released" at confidence 7.0, or with the preview *lowered* by a
 /// `to` below the stored value.
@@ -195,6 +196,28 @@ fn what_if_refuses_what_apply_refuses_and_previews_what_apply_does() {
         released(&db.query(&clerk, &request).unwrap()),
         released(&first)
     );
+
+    // A write moves the version past the proposal's: `apply` refuses it
+    // as stale, and so does the preview — before anything is evaluated,
+    // so nothing is audited or metered. It used to preview five rows.
+    db.execute("INSERT INTO Orders VALUES (99, 'x', 5.0) WITH CONFIDENCE 0.9")
+        .unwrap();
+    let (audited, metrics) = (db.audit_log().len(), db.metrics_snapshot());
+    let preview = db.what_if(&clerk, &request, &proposal);
+    assert!(
+        matches!(preview, Err(EngineError::StaleProposal)),
+        "a stale proposal was previewed: {preview:?}"
+    );
+    assert_eq!(db.audit_log().len(), audited, "a stale preview was audited");
+    assert_eq!(
+        db.metrics_snapshot(),
+        metrics,
+        "a stale preview was metered"
+    );
+    assert!(matches!(
+        db.apply(&proposal),
+        Err(EngineError::StaleProposal)
+    ));
 }
 
 /// θ is read clamped into [0, 1] however it was set. `min_fraction` is a

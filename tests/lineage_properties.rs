@@ -33,6 +33,13 @@ fn prob_map(rng: &mut Rng64) -> (Vec<f64>, BTreeMap<VarId, f64>) {
     (probs, map)
 }
 
+/// `c` evaluated with each slot's probability read from `prob`, in
+/// [`CompiledLineage::vars`] order.
+fn eval_by(c: &CompiledLineage, prob: impl Fn(VarId) -> f64) -> f64 {
+    let slots: Vec<f64> = c.vars().iter().map(|&v| prob(v)).collect();
+    c.eval(&slots)
+}
+
 /// Brute-force probability by enumerating all assignments of the formula's
 /// variables.
 fn brute_force(l: &Lineage, probs: &[f64]) -> f64 {
@@ -110,10 +117,8 @@ fn compiled_matches_interpreter() {
             "pool for {l}"
         );
         let compiled = CompiledLineage::compile(&l, 1 << 16).unwrap();
-        let by_lookup = compiled.eval_with(|v| map[&v]);
         let slots: Vec<f64> = compiled.vars().iter().map(|v| map[v]).collect();
         let by_slot = compiled.eval(&slots);
-        assert_eq!(exact.to_bits(), by_lookup.to_bits(), "eval_with for {l}");
         assert_eq!(exact.to_bits(), by_slot.to_bits(), "eval for {l}");
     });
 }
@@ -129,14 +134,14 @@ fn tight_budgets_fail_and_succeed_where_the_interpreter_does() {
             // cold pool and a pool that has seen the formula before: same
             // success, same value bits, same typed error.
             let oracle = probability(&l, &map, budget);
-            let standalone = CompiledLineage::compile(&l, budget).map(|c| c.eval_with(|v| map[&v]));
+            let standalone = CompiledLineage::compile(&l, budget).map(|c| eval_by(&c, |v| map[&v]));
             let mut cold = CircuitCache::new();
             let mut warm = CircuitCache::new();
             let _ = warm.compile(&l, 1 << 16);
             let pooled = [&mut cold, &mut warm].map(|pool| {
                 let id = pool.compile(&l, budget)?;
                 let circuit = pool.compiled(id).expect("id just issued");
-                Ok(circuit.eval_with(|v| map[&v]))
+                Ok(eval_by(circuit, |v| map[&v]))
             });
             for (name, got) in [
                 ("standalone", &standalone),
@@ -453,7 +458,7 @@ fn scoring_table_is_unchanged() {
             let id = pool.compile(&l, cost).unwrap();
             assert_eq!(pool.score(id).unwrap().to_bits(), bits, "{pass} {case}");
             let flat = pool.compiled(id).unwrap();
-            let by_slot = flat.eval_with(|v| scoring_prob(v).unwrap());
+            let by_slot = eval_by(flat, |v| scoring_prob(v).unwrap());
             assert_eq!(by_slot.to_bits(), bits, "{pass} flat {case}");
         }
         if let Some(short) = cost.checked_sub(1) {
@@ -598,11 +603,7 @@ fn sparse_and_hostile_variable_ids_score_like_the_interpreter() {
             );
             let id = pool.compile(l, 1 << 12).unwrap();
             let flat = pool.compiled(id).unwrap();
-            assert_eq!(
-                flat.eval_with(|v| probs[&v]).to_bits(),
-                want,
-                "flat {l:.40}"
-            );
+            assert_eq!(eval_by(flat, |v| probs[&v]).to_bits(), want, "flat {l:.40}");
         }
     };
     agree(&mut pool, &probs);

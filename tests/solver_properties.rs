@@ -4,13 +4,13 @@
 //! answer's bits, the greedy's lazy heap picks what Figure 6's rescan
 //! picks, a batch of one query is that query, incremental evaluation is
 //! full evaluation, D&C keeps its groups' grid steps, and the
-//! branch-and-bound walks a pinned tree.
+//! branch-and-bound walks a pinned tree and finds the optimum an
+//! exhaustive enumeration of the grid finds.
 
 mod common;
 
-use common::{for_each_case, rescan_greedy};
+use common::{exhaustive, for_each_case, rescan_greedy};
 use pcqe::core::dnc::{self, DncOptions};
-use pcqe::core::exhaustive::{self, ExhaustiveOptions};
 use pcqe::core::greedy::{self, GreedyOptions};
 use pcqe::core::heuristic::{self, HeuristicOptions};
 use pcqe::core::multi::{self, MultiQueryProblem};
@@ -145,11 +145,8 @@ fn pruning_preserves_the_optimum() {
 /// the search but the confidence functions — and require the same
 /// optimal cost. Returns whether the instance was small enough.
 fn search_finds_the_enumerated_optimum(problem: &ProblemInstance) -> bool {
-    let small = ExhaustiveOptions {
-        max_assignments: 100_000,
-    };
-    let truth = match exhaustive::solve(problem, &small) {
-        Ok(out) => out.solution,
+    let truth = match exhaustive::solve(problem, 100_000) {
+        Ok((solution, _)) => solution,
         Err(CoreError::GaveUp(_)) => return false,
         Err(e) => panic!("a feasible instance failed to enumerate: {e}"),
     };
@@ -166,6 +163,53 @@ fn search_finds_the_enumerated_optimum(problem: &ProblemInstance) -> bool {
         );
     }
     true
+}
+
+/// Three bases, two results (`t0 ∨ t1`, `t1 ∧ t2`), quota 1, δ = 0.25:
+/// a 5³ grid small enough to check by hand.
+fn tiny_problem() -> ProblemInstance {
+    let mut b = ProblemBuilder::new(0.5, 0.25);
+    b.base(0, 0.0, CostFn::linear(10.0).unwrap());
+    b.base(1, 0.0, CostFn::linear(3.0).unwrap());
+    b.base(2, 0.0, CostFn::linear(7.0).unwrap());
+    b.result_from_lineage(&Lineage::or(vec![Lineage::var(0), Lineage::var(1)]))
+        .unwrap();
+    b.result_from_lineage(&Lineage::and(vec![Lineage::var(1), Lineage::var(2)]))
+        .unwrap();
+    b.require(1).build().unwrap()
+}
+
+/// The oracle itself: it walks the whole grid and agrees with the search.
+#[test]
+fn enumeration_agrees_with_branch_and_bound() {
+    let p = tiny_problem();
+    let (truth, assignments) = exhaustive::solve(&p, 50_000_000).unwrap();
+    truth.validate(&p).unwrap();
+    let h = heuristic::solve(&p, &HeuristicOptions::all()).unwrap();
+    assert!((truth.cost - h.solution.cost).abs() < 1e-9);
+    // Cheapest fix: raise t1 to 0.75 (> β via the OR), cost 3·0.75.
+    assert!((truth.cost - 2.25).abs() < 1e-9);
+    assert_eq!(assignments, 125, "5^3 grid fully enumerated");
+}
+
+#[test]
+fn enumeration_refuses_a_grid_past_its_cap() {
+    assert!(matches!(
+        exhaustive::solve(&tiny_problem(), 10),
+        Err(CoreError::GaveUp(_))
+    ));
+}
+
+#[test]
+fn enumeration_reports_infeasible() {
+    let mut b = ProblemBuilder::new(0.9, 0.25);
+    b.base_capped(0, 0.0, 0.5, CostFn::linear(1.0).unwrap());
+    b.result_from_lineage(&Lineage::var(0)).unwrap();
+    let p = b.require(1).build().unwrap();
+    assert!(matches!(
+        exhaustive::solve(&p, 50_000_000),
+        Err(CoreError::Infeasible { .. })
+    ));
 }
 
 /// Pruning never changes the answer. A node's cost is a function of its

@@ -370,7 +370,8 @@ fn a_hash_join_stays_within_its_allocation_budget() {
 
 /// A θ-miss in the exact-search regime: at θ = 1 every withheld row of the
 /// selective SELECT is wanted, and its few base tuples send strategy
-/// finding to the greedy-seeded branch-and-bound.
+/// finding to the greedy-seeded branch-and-bound. The two budgets after it
+/// cover the other two regimes `improve::dispatch` picks by size.
 #[test]
 fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() {
     let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
@@ -379,4 +380,40 @@ fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() 
     let nodes = counters.get("solver.heuristic.nodes");
     assert!(nodes.is_some_and(|&n| n > 0), "{counters:?}");
     assert!(made <= 266, "a θ = 1 miss made {made} allocations");
+}
+
+/// The θ = 1 miss over the orders of the first `customers` customers
+/// (20 rows each, about half withheld): its allocations, and the solver
+/// counters the database was left with.
+fn theta_miss(customers: i64) -> (u64, std::collections::BTreeMap<String, u64>) {
+    let sql = format!("SELECT id, amount, note FROM orders WHERE customer_id < {customers}");
+    let rows = (customers * ORDERS / CUSTOMERS) as usize;
+    let (made, db) = allocations_of(&[&sql, &sql], &sql, 1.0, rows);
+    (made, db.metrics_snapshot().counters)
+}
+
+/// A θ-miss in the greedy regime: 60 rows, 32 of them withheld — more
+/// than 12 base tuples, at most 64 results — so the two-phase greedy
+/// finds the strategy alone.
+#[test]
+fn a_theta_miss_in_the_greedy_regime_stays_within_its_allocation_budget() {
+    let (made, counters) = theta_miss(3);
+    let iterations = counters.get("solver.greedy.iterations");
+    assert!(iterations.is_some_and(|&n| n > 0), "{counters:?}");
+    assert!(
+        !counters.contains_key("solver.heuristic.nodes"),
+        "{counters:?}"
+    );
+    assert!(!counters.contains_key("solver.dnc.groups"), "{counters:?}");
+    assert!(made <= 469, "a θ = 1 greedy miss made {made} allocations");
+}
+
+/// A θ-miss in the divide-and-conquer regime: 160 rows, 79 of them
+/// withheld — more than 64 results — so strategy finding partitions them.
+#[test]
+fn a_theta_miss_in_the_divide_and_conquer_regime_stays_within_its_allocation_budget() {
+    let (made, counters) = theta_miss(8);
+    let groups = counters.get("solver.dnc.groups");
+    assert!(groups.is_some_and(|&n| n > 0), "{counters:?}");
+    assert!(made <= 8_273, "a θ = 1 D&C miss made {made} allocations");
 }
