@@ -15,7 +15,14 @@
 //! * **H3** — if even raising every remaining tuple as far as the budget
 //!   left below the best known cost buys cannot meet the quota, abandon
 //!   the subtree (with no incumbent the budget is unbounded and every
-//!   remaining tuple goes to its maximum: the paper's H3);
+//!   remaining tuple goes to its maximum: the paper's H3). Before each
+//!   value above the first, one such check also bounds that value and
+//!   every higher one at once: the branching tuple raised to its own
+//!   affordable step, the tuples after it to what the budget buys from
+//!   the child's cost. A miss cuts the whole run of siblings. It holds
+//!   because grid costs never fall as the step rises (nor does a float
+//!   sum), so each of those siblings' own H3 raises every tuple no
+//!   higher;
 //! * **H4** — if the current cost plus the cheapest possible single δ step
 //!   on any remaining tuple already reaches the best cost, abandon the
 //!   subtree.
@@ -120,7 +127,7 @@ pub struct HeuristicStats {
     pub pruned_bound: u64,
     /// Sibling sets cut by H2.
     pub pruned_h2: u64,
-    /// Subtrees cut by H3.
+    /// Subtrees cut by H3; a run of siblings cut by one check counts once.
     pub pruned_h3: u64,
     /// Subtrees cut by H4.
     pub pruned_h4: u64,
@@ -158,7 +165,7 @@ pub fn solve(
     let mut search = Search {
         problem,
         options,
-        order,
+        order: &order,
         suffix_min_step,
         best_cost: options
             .seed
@@ -190,7 +197,7 @@ pub fn solve(
 struct Search<'p, 'o> {
     problem: &'p ProblemInstance,
     options: &'o HeuristicOptions,
-    order: Vec<usize>,
+    order: &'o [usize],
     suffix_min_step: Vec<f64>,
     best_cost: f64,
     best: Option<Solution>,
@@ -231,8 +238,9 @@ impl Search<'_, '_> {
         let Some(rest @ &[base, ..]) = self.order.get(depth..) else {
             return;
         };
+        let required = self.problem.required;
         if self.options.h3_optimistic_prune
-            && state.affordable_satisfied(rest, cost, self.best_cost) < self.problem.required
+            && state.affordable_satisfied(rest, cost, cost, self.best_cost) < required
         {
             // A cheaper solution below raises no open tuple past what the
             // budget buys, and by monotonicity satisfies no more results
@@ -252,6 +260,16 @@ impl Search<'_, '_> {
             if child >= self.best_cost {
                 // Higher values of this base only cost more.
                 self.stats.pruned_bound += 1;
+                break;
+            }
+            if steps > 0
+                && self.options.h3_optimistic_prune
+                && state.affordable_satisfied(rest, cost, child, self.best_cost) < required
+            {
+                // H3 for this value and every higher one at once: each of
+                // their own checks raises `base` no higher and the open
+                // tuples after it from a cost no lower.
+                self.stats.pruned_h3 += 1;
                 break;
             }
             state.set_steps(base, steps);

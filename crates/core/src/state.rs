@@ -445,10 +445,26 @@ impl<'p> EvalState<'p> {
     /// the node holds every base of `rest` at or under that step; with
     /// monotone confidences and costs it satisfies no result these levels
     /// do not. An unbounded `budget` raises every base to its top step.
-    pub(crate) fn affordable_satisfied(&mut self, rest: &[usize], cost: f64, budget: f64) -> usize {
+    ///
+    /// The first base of `rest` is raised from `cost` and every other one
+    /// from `child`. With `child == cost` this is the node's own bound.
+    /// With `child` the cost of the child that sets the first base to step
+    /// `s`, it bounds every child from `s` up at once: each of their own
+    /// bounds raises the first base no higher and the others from a cost
+    /// no lower. The first base may meanwhile stand at any step up to its
+    /// affordable one.
+    pub(crate) fn affordable_satisfied(
+        &mut self,
+        rest: &[usize],
+        cost: f64,
+        child: f64,
+        budget: f64,
+    ) -> usize {
+        let first = rest.first().copied();
         let affordable = |s: &Self, i: usize| {
+            let from = if first == Some(i) { cost } else { child };
             let mut steps = (0..=s.max_steps(i)).rev();
-            let top = steps.find(|&step| cost + s.cost_at(i, step) < budget);
+            let top = steps.find(|&step| from + s.cost_at(i, step) < budget);
             s.level_at(i, top.unwrap_or(0))
         };
         let mut count = 0;

@@ -645,60 +645,62 @@ fn solution_words(solution: &Solution) -> Vec<u64> {
 /// the search (a D&C group and a `miss_small`) and on `random_problem`s,
 /// every configuration's node and pruning counts and every solution's
 /// bits are pinned, the configurations without H3 in one row and those
-/// with it in the next.
+/// with it in the next. Moved solution bits fail before moved counters,
+/// with their own message: a pruning change may reshape the tree, never
+/// the answer.
 #[test]
 fn the_search_tree_is_pinned() {
     #[rustfmt::skip]
     const PINNED: [[[u64; 9]; 2]; 28] = [
         // Six D&C groups.
         [[111673, 25, 34542, 7, 0, 9, 8, 14940847430176457627, 17006285780322162945],
-         [3718, 11, 404, 4, 3110, 0, 4, 3970629846411074827, 8998873690030700465]],
+         [1587, 11, 4, 4, 1468, 0, 4, 6822101947745239709, 8998873690030700465]],
         [[106269, 22, 34166, 6, 0, 114, 8, 16891561540773523880, 17356126588552326085],
-         [5206, 10, 554, 4, 4383, 0, 4, 12458557755013213493, 11298036133462502293]],
+         [2031, 10, 4, 4, 1942, 0, 4, 11863585896184468546, 11298036133462502293]],
         [[107481, 17, 33883, 5, 0, 69, 8, 6591478912725708461, 16712945059886277221],
-         [4166, 7, 472, 2, 3519, 0, 4, 10520487733951820167, 14758572800087856581]],
+         [1679, 7, 4, 2, 1617, 0, 4, 8670133069798163524, 14758572800087856581]],
         [[155807, 37, 45154, 11, 0, 802, 8, 5734953776454006722, 8874752856899907045],
-         [4794, 15, 445, 4, 4069, 0, 4, 16097567683196001423, 12184595189762539269]],
+         [1938, 15, 9, 4, 1819, 0, 4, 8769747060261494925, 12184595189762539269]],
         [[108339, 7, 34179, 2, 0, 100, 8, 15952776181179490201, 5634960602899655893],
-         [3160, 3, 293, 1, 2716, 0, 4, 10846644532926782107, 7616964376968400925]],
+         [1267, 3, 1, 1, 1239, 0, 4, 2650691168026794510, 7616964376968400925]],
         [[153538, 27, 44798, 6, 0, 2591, 8, 5007219069299258032, 3925277651971027269],
-         [3877, 15, 440, 9, 3245, 0, 4, 4130520127058811489, 9801908269536781749]],
+         [1767, 15, 4, 9, 1668, 0, 4, 1051041488815391664, 9801908269536781749]],
         // Six `miss_small` instances.
         [[427377, 34, 148917, 6, 0, 336, 8, 2138873624189352304, 16184710363161263413],
-         [9995, 14, 794, 4, 8671, 0, 4, 12448549007995654297, 11184502139884600205]],
+         [3532, 14, 8, 4, 3439, 0, 4, 12860117715384193748, 11184502139884600205]],
         [[230392, 43, 79453, 2, 0, 465, 8, 7162913238717925640, 18164297533993029381],
-         [5324, 17, 609, 0, 4501, 0, 4, 14283233402632387098, 11109757162668278709]],
+         [1947, 17, 16, 0, 1876, 0, 4, 3097818649739423575, 11109757162668278709]],
         [[261284, 9, 97005, 2, 0, 1204, 8, 3821359202288175209, 5142270581091067573],
-         [5527, 5, 598, 3, 4689, 0, 4, 592306478109781361, 1553756943932634941]],
+         [2185, 5, 0, 3, 2133, 0, 4, 12415845204749933837, 1553756943932634941]],
         [[533409, 22, 175033, 6, 0, 4138, 8, 17521986699867184666, 8909930548852704789],
-         [9879, 10, 979, 4, 8582, 0, 4, 16354186750721416395, 1293009680652975421]],
+         [3509, 10, 3, 4, 3445, 0, 4, 14933181997398398026, 1293009680652975421]],
         [[272457, 15, 99391, 2, 0, 345, 8, 11115854740990116423, 6271054313404791669],
-         [4526, 7, 428, 3, 3869, 0, 4, 16268657494121962637, 18143147520289817981]],
+         [1756, 7, 3, 3, 1701, 0, 4, 14877325144328707235, 18143147520289817981]],
         [[270752, 11, 99709, 3, 0, 266, 8, 9140717842543660291, 14727306918491338205],
-         [3498, 5, 274, 2, 3016, 0, 4, 1281431985274026148, 6186453062298457033]],
+         [1385, 5, 2, 2, 1341, 0, 4, 11473277600364297296, 6186453062298457033]],
         // Sixteen `random_problem`s.
         [[8, 4, 0, 0, 0, 0, 8, 1623744873359934117, 6582453027446889925],
          [4, 2, 0, 0, 0, 0, 4, 8237932928066585317, 14442255446379462709]],
         [[142, 10, 83, 0, 0, 0, 8, 2760970941339628248, 15704859045012427957],
-         [29, 4, 11, 0, 9, 0, 4, 9405632238227637552, 12394884337275955981]],
+         [22, 4, 7, 0, 6, 0, 4, 11443144904550586094, 12394884337275955981]],
         [[2020, 4, 492, 8, 0, 14, 8, 2037959335260975326, 8251352061423724581],
-         [164, 2, 28, 8, 118, 0, 4, 15418539961700113057, 18029153586167904165]],
+         [94, 2, 2, 1, 81, 0, 4, 14495373501815214981, 18029153586167904165]],
         [[315, 4, 153, 0, 0, 14, 8, 9029762768016399087, 6821553222375587685],
-         [42, 2, 17, 0, 20, 0, 4, 340548842149315174, 6014506632534821509]],
+         [27, 2, 2, 0, 20, 0, 4, 12085937363888092260, 6014506632534821509]],
         [[9604, 20, 653, 565, 0, 99, 8, 15718999924509257998, 9324114919786366949],
-         [53, 8, 14, 4, 27, 0, 4, 3196346774985455411, 1803135784447406533]],
+         [41, 8, 6, 4, 23, 0, 4, 18037007596204920737, 1803135784447406533]],
         [[112959, 17, 27964, 230, 0, 1931, 8, 9747532895463160517, 1219983123913016389],
-         [619, 7, 61, 18, 481, 0, 4, 10996655575981394106, 11325057409129500597]],
+         [323, 7, 4, 18, 263, 0, 4, 13889797539248764336, 11325057409129500597]],
         [[1105, 43, 235, 2, 0, 6, 8, 17519635010579110884, 16378928296710071621],
-         [183, 17, 25, 2, 77, 0, 4, 1934639688635499675, 11410865250218737013]],
+         [166, 17, 19, 2, 70, 0, 4, 8638164379283223523, 11410865250218737013]],
         [[166, 13, 73, 0, 0, 5, 8, 1839847866979826308, 6331741654917738613],
-         [42, 5, 12, 0, 16, 0, 4, 1562901878537757146, 12126615767108682877]],
+         [31, 5, 5, 0, 12, 0, 4, 16443937083458759104, 12126615767108682877]],
         [[8, 4, 0, 0, 0, 0, 8, 1623744873359934117, 8946274036190506277],
          [4, 2, 0, 0, 0, 0, 4, 8237932928066585317, 9614455295622776869]],
         [[198, 16, 87, 0, 0, 0, 8, 8888833719757033822, 1000592115980324133],
-         [50, 6, 15, 0, 15, 0, 4, 9484795248976361471, 12498068815270754341]],
+         [38, 6, 7, 0, 11, 0, 4, 11328986965973126135, 12498068815270754341]],
         [[544, 10, 144, 0, 0, 2, 8, 7661604208350080743, 12462759372218933541],
-         [107, 6, 28, 1, 37, 0, 4, 3959343424040939878, 17685181266360967717]],
+         [84, 6, 11, 1, 31, 0, 4, 3462603856100269756, 17685181266360967717]],
         [[8, 4, 0, 0, 0, 0, 8, 1623744873359934117, 8839607402060597829],
          [4, 2, 0, 0, 0, 0, 4, 8237932928066585317, 6631909472135392053]],
         [[8, 4, 0, 0, 0, 0, 8, 1623744873359934117, 9795834476597335765],
@@ -706,9 +708,9 @@ fn the_search_tree_is_pinned() {
         [[45, 7, 22, 2, 0, 0, 8, 3313071676191016587, 1730521491030123109],
          [15, 3, 5, 1, 2, 0, 4, 14491348896535074603, 15532584926657139205]],
         [[43536, 13, 15118, 1464, 0, 1647, 8, 2600447989262144271, 18425618661368288229],
-         [616, 5, 91, 1, 482, 0, 4, 9133126078766170708, 11347765164525785093]],
+         [289, 5, 4, 1, 262, 0, 4, 14512166125192627778, 11347765164525785093]],
         [[9398, 25, 1397, 6, 0, 70, 8, 9047599599924464075, 11459193511543960853],
-         [517, 13, 41, 7, 365, 0, 4, 118761638948597202, 8565132926080637677]],
+         [377, 13, 5, 7, 282, 0, 4, 3441451948569296037, 8565132926080637677]],
     ];
     let mut instances = Vec::new();
     let mut rng = Rng64::seed_from_u64(0x501E_0008);
@@ -722,7 +724,16 @@ fn the_search_tree_is_pinned() {
     assert_eq!(instances.len(), PINNED.len());
     for (i, (problem, pinned)) in instances.iter().zip(&PINNED).enumerate() {
         let rows = search_trees(problem);
-        assert_eq!(&rows, pinned, "instance {i}");
+        let solutions = |rows: &[[u64; 9]; 2]| rows.map(|row| row[8]);
+        assert_eq!(
+            solutions(&rows),
+            solutions(pinned),
+            "instance {i}: a configuration returned other solution bits"
+        );
+        assert_eq!(
+            &rows, pinned,
+            "instance {i}: the search walked another tree"
+        );
     }
 }
 
@@ -731,6 +742,64 @@ fn assert_same_bits(a: &Solution, b: &Solution) {
     assert_eq!(bits(&a.levels), bits(&b.levels));
     assert_eq!(a.cost.to_bits(), b.cost.to_bits());
     assert_eq!(a.satisfied, b.satisfied);
+}
+
+/// A base's grid cost never falls as its step rises, for all five cost
+/// families, at seeded initials, caps (at 1, at a draw up to 1 that
+/// usually clamps the last step, or at the initial level) and δ values.
+/// The bound's early `break`,
+/// H3's highest affordable step and its cut of a run of siblings all read
+/// the grid this way; step 0 is free, so the run cut can skip it.
+#[test]
+fn grid_costs_never_fall_along_a_base_s_grid() {
+    for_each_case(CASES, 0x501E_000A, |rng| {
+        let knee = rng.range_f64(0.05, 0.95);
+        let families = [
+            CostFn::linear(rng.range_f64(0.5, 500.0)).expect("positive rate"),
+            CostFn::polynomial(rng.range_f64(0.5, 500.0), rng.range_f64(1.0, 6.0))
+                .expect("degree ≥ 1"),
+            CostFn::exponential(rng.range_f64(0.5, 50.0), rng.range_f64(0.1, 8.0))
+                .expect("positive parameters"),
+            CostFn::logarithmic(rng.range_f64(0.5, 200.0), rng.range_f64(0.1, 50.0))
+                .expect("positive parameters"),
+            CostFn::piecewise(vec![
+                (0.0, 0.0),
+                (knee, rng.range_f64(0.0, 100.0)),
+                (1.0, rng.range_f64(100.0, 400.0)),
+            ])
+            .expect("monotone breakpoints"),
+        ];
+        let mut b = ProblemBuilder::new(0.5, rng.range_f64(0.01, 0.35));
+        for (i, cost) in families.iter().enumerate() {
+            let initial = rng.range_f64(0.0, 0.9);
+            let max = match rng.below_u64(3) {
+                0 => 1.0,
+                1 => rng.range_f64(initial, 1.0),
+                _ => initial,
+            };
+            b.base_capped(i as u64, initial, max, cost.clone());
+        }
+        let all: Vec<Lineage> = (0..families.len() as u64).map(Lineage::var).collect();
+        b.result_from_lineage(&Lineage::or(all))
+            .expect("registered");
+        let problem = b.require(1).build().expect("valid");
+        for i in 0..problem.bases.len() {
+            assert_eq!(
+                problem.cost_at(i, 0).to_bits(),
+                0.0f64.to_bits(),
+                "base {i}"
+            );
+            for s in 0..problem.max_steps(i) {
+                let (here, next) = (problem.cost_at(i, s), problem.cost_at(i, s + 1));
+                assert!(
+                    next >= here,
+                    "base {i} ({}): step {s} costs {here}, step {} costs {next}",
+                    problem.bases[i].cost,
+                    s + 1
+                );
+            }
+        }
+    });
 }
 
 /// The grid tables of [`EvalState`] hold what `level_at` / `cost_at`

@@ -13,7 +13,8 @@
 //! which keeps the cached plan. Two budgets keep the planning path
 //! under a budget too: a fresh database's first query (a miss) and the
 //! second run of its shape (the one that learns it). Every answer must
-//! equal an unrecorded twin's.
+//! equal an unrecorded twin's. Two θ-misses also budget the
+//! branch-and-bound's search nodes, read off the solver counters.
 //!
 //! Budgets are upper bounds and only ratchet down: a change that makes a
 //! query allocate more fails here, and one that makes it allocate less
@@ -371,7 +372,9 @@ fn a_hash_join_stays_within_its_allocation_budget() {
 /// A θ-miss in the exact-search regime: at θ = 1 every withheld row of the
 /// selective SELECT is wanted, and its few base tuples send strategy
 /// finding to the greedy-seeded branch-and-bound. The two budgets after it
-/// cover the other two regimes `improve::dispatch` picks by size.
+/// cover the other two regimes `improve::dispatch` picks by size. The
+/// search's nodes over the three runs (two warm-ups, then the counted
+/// one) have a budget too: 102 before H3 cut runs of siblings.
 #[test]
 fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() {
     let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
@@ -379,6 +382,7 @@ fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() 
     let counters = db.metrics_snapshot().counters;
     let nodes = counters.get("solver.heuristic.nodes");
     assert!(nodes.is_some_and(|&n| n > 0), "{counters:?}");
+    assert!(nodes.is_some_and(|&n| n <= 99), "{counters:?}");
     assert!(made <= 266, "a θ = 1 miss made {made} allocations");
 }
 
@@ -410,10 +414,14 @@ fn a_theta_miss_in_the_greedy_regime_stays_within_its_allocation_budget() {
 
 /// A θ-miss in the divide-and-conquer regime: 160 rows, 79 of them
 /// withheld — more than 64 results — so strategy finding partitions them.
+/// Its groups' branch-and-bound nodes over the three runs have a budget
+/// too: one node per group, 237 before and after H3 cut runs of siblings.
 #[test]
 fn a_theta_miss_in_the_divide_and_conquer_regime_stays_within_its_allocation_budget() {
     let (made, counters) = theta_miss(8);
     let groups = counters.get("solver.dnc.groups");
     assert!(groups.is_some_and(|&n| n > 0), "{counters:?}");
+    let nodes = counters.get("solver.dnc.bb_nodes");
+    assert!(nodes.is_some_and(|&n| n <= 237), "{counters:?}");
     assert!(made <= 8_273, "a θ = 1 D&C miss made {made} allocations");
 }
