@@ -67,7 +67,7 @@
 //!    come from.
 //!
 //! All observation goes to one optional [`pcqe_par::Observer`] — batch
-//! reports, and `op:<label>` spans only when it is enabled — post-batch on
+//! reports, and `op:<label>` spans on its timeline only — post-batch on
 //! the calling thread (the morsel dispatcher reports once, after its scope
 //! joins), never inside worker closures, so traces stay deterministic in
 //! structure.
@@ -81,7 +81,7 @@ use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
 use pcqe_par::morsel::try_map_morsels;
-use pcqe_par::{Observer, Parallelism};
+use pcqe_par::{Observer, Parallelism, Span};
 use pcqe_storage::{morsel_rows, Catalog, EqualityIndex, StoredTuple, Table, Tuple, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -100,9 +100,9 @@ pub fn execute_vectorized_with(
 /// [`execute_vectorized_with`], additionally collecting a per-operator
 /// [`ExecProfile`] — counts only, in the plan's pre-order; labels are
 /// [`ExecProfile::render`]'s to draw from the plan — and
-/// reporting to an optional listener: scheduler batches, and — when it is
-/// [`Observer::enabled`] — `op:<label>` spans nested to mirror the plan
-/// tree. The listener is write-only — the result set is byte-identical
+/// reporting to an optional listener: scheduler batches, and — on its
+/// [`Observer::timeline`], when it has one — `op:<label>` spans nested to
+/// mirror the plan tree. The listener is write-only — the result set is byte-identical
 /// with or without one.
 pub fn execute_vectorized_profiled(
     plan: &PhysicalPlan,
@@ -134,9 +134,9 @@ fn run_root(
 struct Ctx<'a> {
     catalog: &'a Catalog,
     par: &'a Parallelism,
-    /// The call's one listener: scheduler batches go to it and, when it is
-    /// [`Observer::enabled`], each operator wraps its execution in an
-    /// `op:<label>` span. Write-only — results are byte-identical with or
+    /// The call's one listener: scheduler batches go to it and, when it
+    /// has an [`Observer::timeline`], each operator wraps its execution in
+    /// an `op:<label>` span there. Write-only — results are byte-identical with or
     /// without one.
     listener: Option<&'a dyn Observer>,
 }
@@ -198,12 +198,10 @@ fn run_v<'c>(
     prof: &mut Profiler,
 ) -> Result<VOut<'c>> {
     let slot = prof.enter(depth);
-    let tracer = ctx.listener.filter(|l| l.enabled());
-    let span = tracer.map(|t| t.span_begin(&format!("op:{}", plan.node_label())));
+    let timeline = ctx.listener.and_then(|l| l.timeline());
+    let span = timeline.map(|t| Span::open(t, &format!("op:{}", plan.node_label())));
     let (rows_in, batches, out) = run_v_node(plan, ctx, depth, prof)?;
-    if let (Some(t), Some(id)) = (tracer, span) {
-        t.span_end(id);
-    }
+    drop(span);
     prof.exit_counts(
         slot,
         rows_in,

@@ -141,7 +141,7 @@ impl ResultSet {
     /// by morsel so each chunk surfaces one single-worker
     /// [`pcqe_par::BatchReport`] to the listener, and gate instants
     /// (`beta.skip` / `score.bounded` / `score.exact`) **after** the pass,
-    /// in row order, if it is enabled. Chunking and the listener change
+    /// in row order, to its timeline if it has one. Chunking and the listener change
     /// *reporting*, never evaluation: scores, flags, paths and cache
     /// transitions are identical for any options that agree on `gate`.
     pub fn score_with(
@@ -200,8 +200,8 @@ impl ResultSet {
             skipped,
             exact_skipped,
         };
-        if let Some(tracer) = options.listener.filter(|l| l.enabled()) {
-            emit_gate_instants(tracer, &paths);
+        if let Some(timeline) = options.listener.and_then(|l| l.timeline()) {
+            emit_gate_instants(timeline, &paths);
         }
         Ok((gated, paths))
     }
@@ -268,8 +268,8 @@ pub struct ScoreOptions<'a> {
     /// The policy threshold β to gate at; `None` scores every row exactly
     /// and never computes the Fréchet bound.
     pub gate: Option<f64>,
-    /// The listener: one batch report per scored morsel and, when it is
-    /// [`Observer::enabled`], one gate instant per row.
+    /// The listener: one batch report per scored morsel and, on its
+    /// [`Observer::timeline`], one gate instant per row.
     pub listener: Option<&'a dyn Observer>,
 }
 

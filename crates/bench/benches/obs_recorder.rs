@@ -1,6 +1,6 @@
 //! Per-call costs of the bookkeeping on every `Database::query`: the
 //! recorder's hot path — a counter update on a key that exists, one
-//! scheduler batch report, the four-span `query` lifecycle tree — and an
+//! scheduler batch report, the five-span `query` lifecycle tree — and an
 //! indexed point lookup run through the profiled executor the engine uses
 //! against the unprofiled one.
 //!
@@ -10,7 +10,7 @@
 use pcqe_algebra::{execute_vectorized_profiled, execute_vectorized_with, lower, optimize};
 use pcqe_bench::timing::{bench, group};
 use pcqe_obs::Recorder;
-use pcqe_par::{BatchReport, Observer, Parallelism};
+use pcqe_par::{BatchReport, Observer, Parallelism, Span};
 use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
 use std::hint::black_box;
 
@@ -72,9 +72,9 @@ fn main() {
 
     // `Database::query`'s recorder spans on a θ = 0 query.
     per_call("recorder/query_span_tree", || {
-        let query = recorder.span("query");
-        for path in ["query/plan", "query/execute", "query/score"] {
-            drop(query.nested(path));
+        let _query = Span::open(&recorder, "query");
+        for phase in ["plan", "execute", "score", "gate"] {
+            drop(Span::open(&recorder, phase));
         }
     });
 

@@ -1,30 +1,25 @@
-//! The crate's only sanctioned wall-clock access point.
+//! The workspace's only sanctioned wall-clock access point.
 //!
-//! The solvers measure elapsed time for their run statistics. That is an
-//! *observability* concern: no solver decision that affects the returned
-//! solution depends on the clock (searches are cut short by node limits,
-//! never by time). Concentrating every `Instant::now()` here keeps that
-//! boundary auditable — clippy's `disallowed_methods` (the root
-//! `clippy.toml`) forbids wall-clock reads anywhere else in the
-//! workspace; `crates/bench` is a detached workspace with its own
-//! `clippy.toml` (hence the targeted `#[allow]`s below).
+//! Time is an *observability* concern: no decision that affects a
+//! returned answer or solution depends on the clock (searches are cut
+//! short by node limits, never by time). Concentrating every
+//! `Instant::now()` here keeps that boundary auditable — clippy's
+//! `disallowed_methods` (the root `clippy.toml`) forbids wall-clock reads
+//! anywhere else in the workspace; `crates/bench` is a detached workspace
+//! with its own `clippy.toml` (hence the targeted `#[allow]`s below).
 //!
 //! # Time sources
 //!
-//! The [`Clock`] trait abstracts the monotonic time source so downstream
-//! instrumentation (the `pcqe-obs` recorder, solver stats, span timing)
-//! can be driven deterministically in tests. Two implementations ship
-//! here:
+//! The [`Clock`] trait abstracts the monotonic time source so
+//! instrumentation (the `pcqe-obs` recorder's spans, the tracer's
+//! timeline, the scheduler's busy times) can be driven deterministically
+//! in tests. Two implementations ship here:
 //!
 //! * [`SystemClock`] — the real monotonic clock, reported as a [`Duration`]
 //!   since a lazily-pinned process epoch. This module owns the only raw
 //!   `Instant::now()` calls in the workspace outside `crates/bench`.
 //! * [`ManualClock`] — an atomic counter advanced explicitly by tests, so
 //!   golden exports and span trees are byte-stable.
-//!
-//! # Timing primitive
-//!
-//! [`Stopwatch`] measures elapsed time for run statistics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -53,7 +48,7 @@ fn process_epoch() -> Instant {
 /// Readings are `Duration`s since a lazily-pinned process epoch, so the
 /// very first reading is near zero and all readings are comparable within
 /// one process. This type owns the workspace's sanctioned `Instant::now()`
-/// call sites (together with the [`Stopwatch`] shims below).
+/// call sites.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SystemClock;
 
@@ -114,48 +109,9 @@ pub fn duration_to_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Measures elapsed wall-clock time for run statistics.
-///
-/// Results never depend on the value read — stats only.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    started: Duration,
-}
-
-impl Stopwatch {
-    /// Start timing now, on the real [`SystemClock`].
-    pub fn start() -> Stopwatch {
-        Stopwatch::start_with(&SystemClock)
-    }
-
-    /// Start timing now, on an explicit clock (e.g. [`ManualClock`]).
-    pub fn start_with(clock: &(impl Clock + ?Sized)) -> Stopwatch {
-        Stopwatch {
-            started: clock.monotonic(),
-        }
-    }
-
-    /// Time elapsed since [`Stopwatch::start`], on the real clock.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed_with(&SystemClock)
-    }
-
-    /// Time elapsed since the start, read from an explicit clock. The
-    /// clock must be the same one the stopwatch was started on.
-    pub fn elapsed_with(&self, clock: &(impl Clock + ?Sized)) -> Duration {
-        clock.monotonic().saturating_sub(self.started)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_measures_nonnegative_time() {
-        let w = Stopwatch::start();
-        assert!(w.elapsed() >= Duration::ZERO);
-    }
 
     #[test]
     fn manual_clock_starts_at_zero_and_advances() {
@@ -167,15 +123,6 @@ mod tests {
         assert_eq!(c.monotonic(), Duration::from_millis(10));
         c.set(Duration::from_secs(1));
         assert_eq!(c.monotonic(), Duration::from_secs(1));
-    }
-
-    #[test]
-    fn stopwatch_on_manual_clock_is_deterministic() {
-        let c = ManualClock::new();
-        let w = Stopwatch::start_with(&c);
-        assert_eq!(w.elapsed_with(&c), Duration::ZERO);
-        c.advance(Duration::from_micros(250));
-        assert_eq!(w.elapsed_with(&c), Duration::from_micros(250));
     }
 
     #[test]

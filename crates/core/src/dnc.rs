@@ -14,7 +14,6 @@
 //!    with the minimum gain*, trims increments the combined answer no
 //!    longer needs.
 
-use crate::clock::Stopwatch;
 use crate::error::CoreError;
 use crate::greedy::{self, GreedyOptions, GreedyStats};
 use crate::heuristic::{self, HeuristicOptions};
@@ -25,7 +24,6 @@ use crate::solution::SolveOutcome;
 use crate::state::EvalState;
 use crate::Result;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Options for the divide-and-conquer solver.
 #[derive(Debug, Clone)]
@@ -70,26 +68,15 @@ pub struct DncStats {
     pub greedy: GreedyStats,
     /// Steps removed by the final refinement.
     pub refinement_reductions: u64,
-    /// Time spent partitioning.
-    pub partition_elapsed: Duration,
-    /// Wall-clock time of the group-solving section (all workers).
-    pub groups_elapsed: Duration,
-    /// Branch-and-bound time summed over the groups, so it exceeds
-    /// [`Self::groups_elapsed`] when groups ran side by side.
-    pub bb_elapsed: Duration,
-    /// Total wall-clock time.
-    pub elapsed: Duration,
 }
 
 /// Solve with divide-and-conquer.
 pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOutcome<DncStats>> {
-    let watch = Stopwatch::start();
     let mut state = EvalState::new_par(problem, &options.greedy.parallelism);
     state.check_feasible()?;
     let mut stats = DncStats::default();
 
     // --- Partition ---------------------------------------------------
-    let part_watch = Stopwatch::start();
     let groups = partition(
         problem,
         &PartitionOptions {
@@ -97,7 +84,6 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
             max_group_bases: options.max_group_bases,
         },
     );
-    stats.partition_elapsed = part_watch.elapsed();
     stats.groups = groups.len();
 
     // --- Solve each group --------------------------------------------
@@ -113,7 +99,6 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
         .flat_map(|&ri| &problem.results[ri].bases)
         .map(|&b| state.max_steps(b) as usize + 1)
         .sum();
-    let groups_watch = Stopwatch::start();
     let outcomes = pcqe_par::morsel::try_map_morsels(
         &options.greedy.parallelism,
         &groups,
@@ -121,7 +106,6 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
         |_, group| solve_group(problem, group, options),
         None,
     )?;
-    stats.groups_elapsed = groups_watch.elapsed();
     // Final step counts per global base index (max across groups).
     let mut combined_steps: Vec<u32> = vec![0; problem.bases.len()];
     for outcome in outcomes {
@@ -129,10 +113,9 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
         stats.greedy.iterations += outcome.greedy.iterations;
         stats.greedy.reductions += outcome.greedy.reductions;
         stats.greedy.evals += outcome.greedy.evals;
-        if let Some((nodes, elapsed)) = outcome.bb {
+        if let Some(nodes) = outcome.bb_nodes {
             stats.bb_groups += 1;
             stats.bb_nodes += nodes;
-            stats.bb_elapsed += elapsed;
         }
         for (global_idx, steps) in outcome.steps {
             combined_steps[global_idx] = combined_steps[global_idx].max(steps);
@@ -149,9 +132,9 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     // quota: a group that targets the whole quota meets it alone, and
     // otherwise the groups target all they can reach, which sums to what
     // the whole problem can reach; taking the maximum step per base
-    // unsatisfies nothing. Only negated lineage handed straight to
-    // `ProblemBuilder` (the engine never builds one) can regress and reach
-    // this; finish the job with greedy steps if needed.
+    // unsatisfies nothing. Only negated lineage could regress, and
+    // `ProblemBuilder` refuses it; should rounding ever leave the quota
+    // short, finish the job with greedy steps.
     if !state.meets_quota() {
         greedy::run(&mut state, &options.greedy, &mut stats.greedy)?;
     }
@@ -192,7 +175,6 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     let order: Vec<usize> = candidates.into_iter().map(|(_, i)| i).collect();
     stats.refinement_reductions = greedy::roll_back(&mut state, &order);
 
-    stats.elapsed = watch.elapsed();
     debug_assert!(state.meets_quota());
     let solution = state.to_solution();
     if solution.satisfied.len() < problem.required {
@@ -209,8 +191,8 @@ struct GroupOutcome {
     bases: usize,
     /// The group's greedy run (all zero when the group needed nothing).
     greedy: GreedyStats,
-    /// Nodes and time of the group's branch-and-bound, if it ran.
-    bb: Option<(u64, Duration)>,
+    /// Nodes of the group's branch-and-bound, if it ran.
+    bb_nodes: Option<u64>,
     /// `(global base index, grid steps)` of the group's solution.
     steps: Vec<(usize, u32)>,
 }
@@ -226,7 +208,7 @@ fn solve_group(
     let mut outcome = GroupOutcome {
         bases: sub.bases.len(),
         greedy: GreedyStats::default(),
-        bb: None,
+        bb_nodes: None,
         steps: Vec::new(),
     };
     if sub.required == 0 {
@@ -240,7 +222,7 @@ fn solve_group(
             ..HeuristicOptions::all().with_seed(g.solution)
         };
         let h = heuristic::solve(&sub, &opts)?;
-        outcome.bb = Some((h.stats.nodes, h.stats.elapsed));
+        outcome.bb_nodes = Some(h.stats.nodes);
         h.solution
     } else {
         g.solution

@@ -15,7 +15,6 @@
 //! can have changed; the rescan itself lives on as the reference in
 //! `tests/common`.
 
-use crate::clock::Stopwatch;
 use crate::error::CoreError;
 use crate::ord::OrdF64;
 use crate::problem::ProblemInstance;
@@ -24,7 +23,6 @@ use crate::state::{EvalState, QuerySlice};
 use crate::Result;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Duration;
 
 /// How `gain*` sums confidence increments over affected results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,8 +83,6 @@ pub struct GreedyStats {
     /// Result re-evaluations, a probe's and a step's alike; bringing a
     /// compiled result up to date through one slot's cone counts as one.
     pub evals: u64,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
 }
 
 /// Solve with the two-phase greedy algorithm.
@@ -104,13 +100,11 @@ pub(crate) fn solve_queries(
     queries: &[QuerySlice],
     options: &GreedyOptions,
 ) -> Result<SolveOutcome<GreedyStats>> {
-    let watch = Stopwatch::start();
     let mut state = EvalState::for_queries(problem, queries, &options.parallelism);
     state.check_feasible()?;
     let mut stats = GreedyStats::default();
     run(&mut state, options, &mut stats)?;
     stats.evals = state.evals;
-    stats.elapsed = watch.elapsed();
     let solution = state.to_solution();
     Ok(SolveOutcome { solution, stats })
 }

@@ -38,7 +38,6 @@
 //! (`O(d^k)`); with a greedy seed (Figure 11(d)) the initial upper bound is
 //! tight from the start.
 
-use crate::clock::Stopwatch;
 use crate::error::CoreError;
 use crate::ord::OrdF64;
 use crate::problem::ProblemInstance;
@@ -46,7 +45,6 @@ use crate::solution::{Solution, SolveOutcome};
 use crate::state::EvalState;
 use crate::Result;
 use std::cmp::Reverse;
-use std::time::Duration;
 
 /// Options for the branch-and-bound search.
 #[derive(Debug, Clone)]
@@ -137,8 +135,6 @@ pub struct HeuristicStats {
     pub evals: u64,
     /// Whether the search ran to completion (false on the node limit).
     pub complete: bool,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
 }
 
 /// Solve exactly (given enough budget) with branch-and-bound.
@@ -146,7 +142,6 @@ pub fn solve(
     problem: &ProblemInstance,
     options: &HeuristicOptions,
 ) -> Result<SolveOutcome<HeuristicStats>> {
-    let watch = Stopwatch::start();
     let mut state = EvalState::new(problem);
     state.check_feasible()?;
 
@@ -180,7 +175,6 @@ pub fn solve(
     };
     search.dfs(&mut state, 0, 0.0);
     search.stats.evals = state.evals;
-    search.stats.elapsed = watch.elapsed();
 
     match search.best {
         Some(solution) => Ok(SolveOutcome {

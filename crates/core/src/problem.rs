@@ -153,7 +153,8 @@ impl ProblemBuilder {
 
     /// Add a result whose confidence function is a lineage formula over
     /// base *ids* previously registered with [`ProblemBuilder::base`],
-    /// compiled through a pool the builder owns.
+    /// compiled through a pool the builder owns. Lineage with a negation
+    /// is refused (see [`ProblemBuilder::result_from_lineage_cached`]).
     pub fn result_from_lineage(&mut self, lineage: &Lineage) -> Result<usize> {
         let mut pool = std::mem::take(&mut self.pool);
         let added = self.result_from_lineage_cached(lineage, &mut pool);
@@ -167,11 +168,20 @@ impl ProblemBuilder {
     /// pooled circuit instead of re-expanding. Budget success/failure and
     /// the compiled circuit's variables and arithmetic do not depend on
     /// what the pool already holds.
+    ///
+    /// Every solver assumes that raising a base never lowers a result, so
+    /// lineage with a negation ([`Lineage::contains_not`]) is refused with
+    /// [`CoreError::InvalidProblem`] before anything is compiled.
     pub fn result_from_lineage_cached(
         &mut self,
         lineage: &Lineage,
         cache: &mut CircuitCache,
     ) -> Result<usize> {
+        if lineage.contains_not() {
+            return Err(CoreError::InvalidProblem(
+                "result lineage has a negation, so raising a base could lower it".to_owned(),
+            ));
+        }
         let id = cache
             .compile(lineage, self.lineage_budget)
             .map_err(|e| CoreError::Lineage(e.to_string()))?;
@@ -189,8 +199,9 @@ impl ProblemBuilder {
     }
 
     /// Add a result with an already compiled circuit over the given base
-    /// indexes (how a derived problem reuses its parent's circuits).
-    pub fn result_with(&mut self, bases: Vec<usize>, conf: Arc<CompiledLineage>) -> usize {
+    /// indexes (how a derived problem reuses its parent's circuits, which
+    /// the public path has already checked).
+    pub(crate) fn result_with(&mut self, bases: Vec<usize>, conf: Arc<CompiledLineage>) -> usize {
         self.results.push(ResultSpec { bases, conf });
         self.results.len() - 1
     }

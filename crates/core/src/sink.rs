@@ -4,9 +4,10 @@
 //! Solvers already collect per-run statistics structs ([`HeuristicStats`],
 //! [`GreedyStats`], …). The `emit` methods here pour each struct into a
 //! [`pcqe_par::Observer`] — the one instrumentation trait every layer
-//! reports through — as [`Observer::count`]s and [`Observer::duration`]s
-//! under stable metric names (`solver.heuristic.nodes`,
-//! `solver.greedy.iterations`, …).
+//! reports through — as [`Observer::count`]s under stable metric names
+//! (`solver.heuristic.nodes`, `solver.greedy.iterations`, …). Solvers
+//! read no clock: a caller that wants a solve timed opens a span around
+//! it on the same observer, on that observer's clock.
 //!
 //! The trait lives in `pcqe-par`, so `pcqe-core` stays free of any
 //! observability dependency: `pcqe-obs`'s `Recorder` keeps the numbers,
@@ -34,7 +35,6 @@ impl HeuristicStats {
         sink.count("solver.heuristic.pruned_h4", self.pruned_h4);
         sink.count("solver.heuristic.evals", self.evals);
         sink.count("solver.heuristic.complete", u64::from(self.complete));
-        sink.duration("solver.heuristic.elapsed", self.elapsed);
     }
 }
 
@@ -52,7 +52,6 @@ impl GreedyStats {
         sink.count(&format!("{prefix}.iterations"), self.iterations);
         sink.count(&format!("{prefix}.reductions"), self.reductions);
         sink.count(&format!("{prefix}.evals"), self.evals);
-        sink.duration(&format!("{prefix}.elapsed"), self.elapsed);
     }
 }
 
@@ -71,10 +70,6 @@ impl DncStats {
             "solver.dnc.refinement_reductions",
             self.refinement_reductions,
         );
-        sink.duration("solver.dnc.partition_elapsed", self.partition_elapsed);
-        sink.duration("solver.dnc.groups_elapsed", self.groups_elapsed);
-        sink.duration("solver.dnc.bb_elapsed", self.bb_elapsed);
-        sink.duration("solver.dnc.elapsed", self.elapsed);
         self.greedy.emit_as("solver.dnc.greedy", observer);
     }
 }
@@ -83,24 +78,16 @@ impl DncStats {
 mod tests {
     use super::*;
     use std::sync::Mutex;
-    use std::time::Duration;
 
-    /// A test listener capturing every count and duration in order.
+    /// A test listener capturing every count in order.
     #[derive(Default)]
     struct Capture {
         counts: Mutex<Vec<(String, u64)>>,
-        durations: Mutex<Vec<(String, Duration)>>,
     }
 
     impl Observer for Capture {
         fn count(&self, name: &str, value: u64) {
             self.counts.lock().unwrap().push((name.to_owned(), value));
-        }
-        fn duration(&self, name: &str, value: Duration) {
-            self.durations
-                .lock()
-                .unwrap()
-                .push((name.to_owned(), value));
         }
     }
 
@@ -115,7 +102,6 @@ mod tests {
             pruned_h4: 6,
             evals: 8,
             complete: true,
-            elapsed: Duration::from_millis(9),
         };
         let sink = Capture::default();
         stats.emit(Some(&sink));
@@ -124,13 +110,6 @@ mod tests {
         assert!(counts.contains(&("solver.heuristic.nodes".to_owned(), 7)));
         assert!(counts.contains(&("solver.heuristic.pruned_h4".to_owned(), 6)));
         assert!(counts.contains(&("solver.heuristic.complete".to_owned(), 1)));
-        assert_eq!(
-            sink.durations.lock().unwrap()[0],
-            (
-                "solver.heuristic.elapsed".to_owned(),
-                Duration::from_millis(9)
-            )
-        );
     }
 
     #[test]
@@ -141,8 +120,6 @@ mod tests {
                 iterations: 11,
                 ..GreedyStats::default()
             },
-            groups_elapsed: Duration::from_millis(5),
-            bb_elapsed: Duration::from_millis(8),
             ..DncStats::default()
         };
         let sink = Capture::default();
@@ -150,14 +127,6 @@ mod tests {
         let counts = sink.counts.lock().unwrap();
         assert!(counts.contains(&("solver.dnc.groups".to_owned(), 3)));
         assert!(counts.contains(&("solver.dnc.greedy.iterations".to_owned(), 11)));
-        // Where a D&C solve's time went: the group section's wall time and
-        // the branch-and-bound time inside it (summed over workers).
-        let durations = sink.durations.lock().unwrap();
-        assert!(durations.contains(&(
-            "solver.dnc.groups_elapsed".to_owned(),
-            Duration::from_millis(5)
-        )));
-        assert!(durations.contains(&("solver.dnc.bb_elapsed".to_owned(), Duration::from_millis(8))));
     }
 
     #[test]

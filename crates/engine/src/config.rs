@@ -14,13 +14,16 @@ pub struct EngineConfig {
     pub default_cost: CostFn,
     /// Shannon budget when compiling lineage into the strategy problem.
     pub lineage_budget: usize,
-    /// Worker threads for plan execution, result scoring (the solvers'
-    /// initial scoring included) and divide-and-conquer's groups. `None` uses every available core;
-    /// `Some(1)` reproduces the sequential engine bit-for-bit (any setting
-    /// produces identical answers — threads only change speed).
+    /// Worker threads for the three parallel sites: plan execution, a
+    /// strategy solver's initial scoring of its results
+    /// (`EvalState::new_par`) and divide-and-conquer's groups. Scoring a
+    /// query's result rows is sequential. `None` uses every available
+    /// core; `Some(1)` reproduces the sequential engine bit-for-bit (any
+    /// setting produces identical answers — threads only change speed).
     pub worker_threads: Option<usize>,
-    /// Minimum batch size (rows to execute, lineages to score, grid
-    /// points D&C groups search) before threads are spawned.
+    /// Minimum batch size before threads are spawned, per site: rows to
+    /// execute, results a solver scores initially, grid points D&C's
+    /// groups search.
     pub parallel_threshold: usize,
 }
 

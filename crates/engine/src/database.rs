@@ -12,7 +12,7 @@ use pcqe_algebra::{
 };
 use pcqe_core::clock::{Clock, SystemClock};
 use pcqe_cost::CostFn;
-use pcqe_par::{ConfidencePath, Decision, Observer};
+use pcqe_par::{ConfidencePath, Decision, Observer, Span};
 use pcqe_policy::{evaluate_results, ConfidencePolicy, PolicyStore, Purpose, Role};
 use pcqe_provenance::{Assigner, ProvenanceRecord};
 use pcqe_storage::{Catalog, Schema, TupleId, Value};
@@ -442,7 +442,7 @@ impl Database {
     /// gate, and move the released rows into the response. [`Database::query`],
     /// [`Database::query_batch`] and [`Database::what_if`] all evaluate
     /// through here; `stage` carries what differs between them, and the
-    /// execution profile's counts go to `tally` when the stage records.
+    /// execution profile's counts go to `tally` when the recorder listens.
     fn evaluate(
         &mut self,
         user: &User,
@@ -453,17 +453,25 @@ impl Database {
         // Select the policy before scoring: β-gated scoring needs the
         // threshold up front, and selection is independent of the rows.
         let policy = self.policies.select(&user.role, &request.purpose)?.clone();
-        let phase = |path: &'static str| stage.lifecycle.map(|lifecycle| lifecycle.child(path));
+        // Every layer below gets the call's one listener: attached iff the
+        // recorder or the tracer listens.
+        let listener = stage.listeners.attached();
+        let record = stage.listeners.metrics.is_some();
+        // The lifecycle's phases nest under the caller's `query` span.
+        let phase = |name: &str| stage.lifecycle.then(|| Span::open(stage.listeners, name));
+        let timeline = listener
+            .and_then(|l| l.timeline())
+            .filter(|_| stage.lifecycle);
 
         let phys = {
-            let _phase = phase("query/plan");
-            if stage.lifecycle.is_some() {
-                self.tracer.instant("parse", &request.sql);
+            let _phase = phase("plan");
+            if let Some(timeline) = timeline {
+                timeline.instant("parse", &request.sql);
             }
             let shape = pcqe_sql::Shape::of(&request.sql)?;
             let cached = self.cached(&request.sql, &shape);
             // Counted before planning: a query that fails to plan is a miss.
-            if stage.record {
+            if record {
                 tally.plan_hit = Some(cached.is_some());
             }
             match cached {
@@ -471,18 +479,10 @@ impl Database {
                 None => self.plan_afresh(&request.sql, &shape)?,
             }
         };
-        // Who hears this call, decided once: the recorder iff the stage
-        // records, the tracer iff it is on, and a listener is attached iff
-        // either is — every layer below gets that one listener.
-        let listeners = pcqe_obs::Listeners {
-            metrics: stage.record.then_some(self.recorder.as_ref()),
-            trace: self.tracer.is_enabled().then_some(self.tracer.as_ref()),
-        };
-        let listener = listeners.attached();
         let result_set = {
-            let _phase = phase("query/execute");
+            let _phase = phase("execute");
             let (result_set, profile) = self.run_plan(&phys, listener)?;
-            if stage.record {
+            if record {
                 tally.profile = Some(profile);
             }
             result_set
@@ -490,7 +490,7 @@ impl Database {
         // `paths` tags every row with how its gate-facing confidence was
         // obtained — the causal record behind each trace `Decision`.
         let (gated, paths) = {
-            let _phase = phase("query/score");
+            let _phase = phase("score");
             let catalog = &self.catalog;
             let probs = |v: pcqe_lineage::VarId| {
                 let id = TupleId(v.0);
@@ -505,36 +505,33 @@ impl Database {
             // already ≤ β are withheld without exact evaluation) and reports
             // the scoring pass to the listener. Batch and what-if evaluation
             // stay exact and unobserved.
-            let options = match stage.lifecycle {
-                Some(_) => ScoreOptions {
+            let options = if stage.lifecycle {
+                ScoreOptions {
                     gate: Some(policy.threshold),
                     listener,
-                },
-                None => ScoreOptions::default(),
+                }
+            } else {
+                ScoreOptions::default()
             };
             result_set.score_with(&mut self.cache, &self.config.evaluator, &options)?
         };
-        if stage.record {
+        if record {
             let bounded = paths.iter().filter(|p| **p == ConfidencePath::Bounded);
             tally.bounded = bounded.count() as u64;
         }
 
         let confidences: Vec<f64> = gated.scored.iter().map(|s| s.confidence).collect();
         let decision = {
-            // The gate is a trace-only phase: the recorder has no
-            // `query/gate` span.
-            let _phase = stage
-                .lifecycle
-                .map(|lifecycle| lifecycle.trace_only("gate"));
+            let _phase = phase("gate");
             let decision = evaluate_results(&policy, &confidences);
-            if let (Some(tracer), Some(_)) = (listener.filter(|l| l.enabled()), stage.lifecycle) {
+            if let Some(timeline) = timeline {
                 // One Decision per scored row, in row order (deterministic):
                 // the released flags partition exactly as the audit entry's
                 // released/withheld counts. `decision.released` is
                 // ascending, so one cursor walks it alongside the rows.
                 let mut released = decision.released.iter().peekable();
                 for (i, (s, path)) in gated.scored.iter().zip(&paths).enumerate() {
-                    tracer.decision(&Decision {
+                    timeline.decision(&Decision {
                         tuple: i as u64,
                         released: released.next_if_eq(&&i).is_some(),
                         path: *path,
@@ -592,13 +589,13 @@ impl Database {
     /// fewer than `perc` of the results survive — find the cheapest
     /// confidence-increment strategy and attach it as a proposal.
     pub fn query(&mut self, user: &User, request: &QueryRequest) -> Result<QueryResponse> {
-        let recording = self.recording();
         let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
+        let listeners = listeners(&recorder, &tracer, self.recording());
         let mut tally = Tally::new(&self.recorder);
-        let lifecycle = Phase::root(&recorder, &tracer, "query");
+        let lifecycle = Span::open(&listeners, "query");
         let stage = Stage {
-            lifecycle: Some(&lifecycle),
-            record: recording,
+            listeners: &listeners,
+            lifecycle: true,
             overrides: &BTreeMap::new(),
         };
         let Evaluated {
@@ -631,7 +628,7 @@ impl Database {
             version: self.version,
         };
         let outcome = {
-            let _phase = lifecycle.child("query/propose");
+            let _phase = Span::open(&listeners, "propose");
             improve::propose(&ctx, &withheld, Some(recorder.as_ref()), &mut self.cache)?
         };
         drop(lifecycle);
@@ -692,16 +689,18 @@ impl Database {
         use pcqe_core::multi::{solve_greedy, MultiQueryProblem};
 
         let recording = self.recording();
+        let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
+        let listeners = listeners(&recorder, &tracer, recording);
+        // Evaluate without per-query proposals (done jointly below).
+        let stage = Stage {
+            listeners: &listeners,
+            lifecycle: false,
+            overrides: &BTreeMap::new(),
+        };
         let mut responses = Vec::with_capacity(requests.len());
         let mut instances = Vec::new();
         let mut refused = None;
         for request in requests {
-            // Evaluate without per-query proposals (done jointly below).
-            let stage = Stage {
-                lifecycle: None,
-                record: recording,
-                overrides: &BTreeMap::new(),
-            };
             let mut tally = Tally::new(&self.recorder);
             let evaluated = self.evaluate(user, request, &stage, &mut tally)?;
             if evaluated.shortfall > 0 {
@@ -743,10 +742,13 @@ impl Database {
             parallelism: self.config.parallelism(),
             ..GreedyOptions::default()
         };
-        let solved = solve_greedy(&multi, &greedy_opts).map(|out| {
+        let solved = {
+            let _span = Span::open(&listeners, "batch/multi");
+            solve_greedy(&multi, &greedy_opts)
+        };
+        let solved = solved.map(|out| {
             if recording {
-                out.stats
-                    .emit_as("solver.multi", Some(self.recorder.as_ref()));
+                out.stats.emit_as("solver.multi", Some(recorder.as_ref()));
             }
             out.solution
         });
@@ -793,9 +795,11 @@ impl Database {
             *to = to.max(raised);
         }
         // A preview leaves no execution metrics and no audit entry.
+        let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
+        let listeners = listeners(&recorder, &tracer, false);
         let stage = Stage {
-            lifecycle: None,
-            record: false,
+            listeners: &listeners,
+            lifecycle: false,
             overrides: &overrides,
         };
         let mut tally = Tally::new(&self.recorder);
@@ -845,65 +849,30 @@ impl Database {
     }
 }
 
-/// One phase of [`Database::query`]'s lifecycle: a recorder span (absent
-/// for trace-only phases) and the tracer span of the same name, opened
-/// together and closed together when the phase drops.
-struct Phase<'a> {
-    span: Option<pcqe_obs::SpanGuard<'a>>,
+/// Who hears one engine call: the recorder iff `record`, the tracer iff
+/// it is on. The caller holds both listeners, so the router outlives the
+/// `&mut self` pipeline calls it is handed to.
+fn listeners<'a>(
+    recorder: &'a pcqe_obs::Recorder,
     tracer: &'a pcqe_obs::Tracer,
-    id: u64,
-}
-
-impl<'a> Phase<'a> {
-    fn root(
-        recorder: &'a pcqe_obs::Recorder,
-        tracer: &'a pcqe_obs::Tracer,
-        name: &'static str,
-    ) -> Self {
-        Phase {
-            span: Some(recorder.span(name)),
-            tracer,
-            id: tracer.span_begin(name),
-        }
-    }
-
-    /// A nested phase: `path` is its recorder span's full path
-    /// (`"query/plan"`), and its last segment the tracer span's name — so
-    /// opening a phase formats nothing.
-    fn child(&self, path: &'static str) -> Phase<'a> {
-        let name = path.rsplit('/').next().unwrap_or(path);
-        Phase {
-            span: self.span.as_ref().map(|span| span.nested(path)),
-            tracer: self.tracer,
-            id: self.tracer.span_begin(name),
-        }
-    }
-
-    /// A child phase the recorder keeps no span for.
-    fn trace_only(&self, name: &str) -> Phase<'a> {
-        Phase {
-            span: None,
-            tracer: self.tracer,
-            id: self.tracer.span_begin(name),
-        }
-    }
-}
-
-impl Drop for Phase<'_> {
-    fn drop(&mut self) {
-        self.tracer.span_end(self.id);
+    record: bool,
+) -> pcqe_obs::Listeners<'a> {
+    pcqe_obs::Listeners {
+        metrics: record.then_some(recorder),
+        trace: tracer.is_enabled().then_some(tracer),
     }
 }
 
 /// What differs between the three callers of [`Database::evaluate`].
 struct Stage<'a> {
-    /// [`Database::query`]'s lifecycle: the pipeline's phases nest under
-    /// it, scoring is β-gated and observed, and every row's decision is
-    /// traced. `None` (batch, what-if) scores exactly, outside any span.
-    lifecycle: Option<&'a Phase<'a>>,
-    /// Fold the execution profile and scheduler telemetry into the
-    /// recorder.
-    record: bool,
+    /// Who hears the call, decided once by the caller: the recorder iff
+    /// the call records (`query`, `query_batch`), the tracer iff it is on.
+    listeners: &'a pcqe_obs::Listeners<'a>,
+    /// [`Database::query`]'s lifecycle: the pipeline's phases open spans
+    /// under the caller's `query` span, scoring is β-gated and observed,
+    /// and every row's decision is traced. Batch and what-if evaluation
+    /// score exactly, outside any span.
+    lifecycle: bool,
     /// Confidences that stand in for the catalog's (what-if previews).
     overrides: &'a BTreeMap<TupleId, f64>,
 }
@@ -1332,15 +1301,19 @@ mod tests {
         assert_eq!(snap.counter("query.proposals"), 1);
         assert!(snap.counter("exec.operators") > 0);
         assert!(snap.counter("solver.quota.required") > 0);
-        // One recorder span per lifecycle phase (the gate is trace-only).
+        // One recorder span per lifecycle phase, and one per solver run
+        // inside `propose` (the branch-and-bound and its greedy seed).
         let spans: Vec<&str> = snap.spans.keys().map(String::as_str).collect();
         assert_eq!(
             spans,
             [
                 "query",
                 "query/execute",
+                "query/gate",
                 "query/plan",
                 "query/propose",
+                "query/propose/greedy",
+                "query/propose/heuristic",
                 "query/score"
             ]
         );

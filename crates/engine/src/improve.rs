@@ -12,7 +12,7 @@ use pcqe_core::heuristic::{self, HeuristicOptions};
 use pcqe_core::problem::{ProblemBuilder, ProblemInstance};
 use pcqe_core::{CoreError, Solution};
 use pcqe_cost::CostFn;
-use pcqe_par::Observer;
+use pcqe_par::{Observer, Span};
 use pcqe_storage::{Catalog, TupleId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -184,8 +184,9 @@ pub(crate) fn build_instance(
 /// Pick the solver by problem size, mirroring the crossovers measured in
 /// Figure 11(c): exact branch-and-bound (seeded by greedy) up to 12 base
 /// tuples, divide-and-conquer past 64 results, greedy in between. Every
-/// solver runs under the engine's parallelism policy, and its statistics
-/// are reported to `observer` as `solver.*` metrics.
+/// solver runs under the engine's parallelism policy, in a span of its own
+/// on `observer` (`greedy`, `heuristic`, `dnc`), and its statistics are
+/// reported there as `solver.*` metrics.
 fn dispatch(
     problem: &ProblemInstance,
     par: &pcqe_par::Parallelism,
@@ -196,29 +197,33 @@ fn dispatch(
         parallelism: par.clone(),
         ..GreedyOptions::default()
     };
-    // One solver's answer, its statistics poured into `sink`.
-    macro_rules! emitted {
-        ($solved:expr) => {{
-            let out = $solved?;
+    // One solver's answer, timed in the span `$name` on `sink`, its
+    // statistics poured into `sink`.
+    macro_rules! solved {
+        ($name:literal, $solve:expr) => {{
+            let out = {
+                let _span = Span::open(sink, $name);
+                $solve?
+            };
             out.stats.emit(observer);
             out.solution
         }};
     }
     let solution = if problem.bases.len() <= 12 {
-        let seed = emitted!(greedy::solve(problem, &greedy_opts));
+        let seed = solved!("greedy", greedy::solve(problem, &greedy_opts));
         let opts = HeuristicOptions {
             node_limit: Some(2_000_000),
             ..HeuristicOptions::all().with_seed(seed)
         };
-        emitted!(heuristic::solve(problem, &opts))
+        solved!("heuristic", heuristic::solve(problem, &opts))
     } else if problem.results.len() > 64 {
         let opts = DncOptions {
             greedy: greedy_opts,
             ..DncOptions::default()
         };
-        emitted!(dnc::solve(problem, &opts))
+        solved!("dnc", dnc::solve(problem, &opts))
     } else {
-        emitted!(greedy::solve(problem, &greedy_opts))
+        solved!("greedy", greedy::solve(problem, &greedy_opts))
     };
     sink.count("solver.quota.satisfied", solution.satisfied.len() as u64);
     Ok(solution)

@@ -317,11 +317,12 @@ impl CircuitCache {
         self.trace = TraceSlot(listener);
     }
 
-    /// Send one instant to the attached listener. `detail` runs only when
-    /// it is [`Observer::enabled`], so an untraced query formats nothing.
+    /// Send one instant to the attached listener's
+    /// [`Observer::timeline`]. `detail` runs only when there is one, so an
+    /// untraced query formats nothing.
     fn emit(&self, name: &str, detail: impl FnOnce() -> String) {
-        if let Some(listener) = self.trace.0.as_ref().filter(|l| l.enabled()) {
-            listener.instant(name, &detail());
+        if let Some(timeline) = self.trace.0.as_ref().and_then(|l| l.timeline()) {
+            timeline.instant(name, &detail());
         }
     }
 
@@ -938,8 +939,8 @@ mod tests {
         #[derive(Default)]
         struct Probe(Mutex<Vec<(String, String)>>);
         impl Observer for Probe {
-            fn enabled(&self) -> bool {
-                true
+            fn timeline(&self) -> Option<&dyn Observer> {
+                Some(self)
             }
             fn instant(&self, name: &str, detail: &str) {
                 self.0.lock().unwrap().push((name.into(), detail.into()));

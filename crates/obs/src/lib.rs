@@ -3,7 +3,8 @@
 //! A std-only, registry-free observability layer for the PCQE stack:
 //!
 //! * [`Recorder`] — thread-safe counters, gauges, fixed-bucket histograms
-//!   and hierarchical [`span`](Recorder::span)s, timed exclusively through
+//!   and hierarchical span totals, folded from the
+//!   [`pcqe_par::Observer`] spans it hears and timed exclusively through
 //!   [`pcqe_core::clock`] (so [`ManualClock`](pcqe_core::clock::ManualClock)
 //!   makes every export deterministic in tests);
 //! * [`MetricsSnapshot`] — an immutable, ordered copy of the recorder
@@ -55,7 +56,7 @@ pub mod snapshot;
 pub mod trace;
 pub mod trace_export;
 
-pub use recorder::{Recorder, SpanGuard};
+pub use recorder::Recorder;
 pub use sink::Listeners;
 pub use snapshot::{Histogram, MetricsSnapshot, SpanStat};
 pub use trace::{QueryTrace, Tracer};

@@ -7,6 +7,12 @@
 //! [`Recorder::with_clock`] over a [`ManualClock`](pcqe_core::clock::ManualClock),
 //! every span duration — and therefore every export — is deterministic.
 //!
+//! Spans arrive through [`pcqe_par::Observer`]'s `span_begin`/`span_end`
+//! (the `sink` module), the one span API every layer uses: the recorder
+//! keeps its open spans on a stack under its lock, so a span opened as
+//! `execute` inside `query` is folded into the [`SpanStat`] at the path
+//! `query/execute` when it closes.
+//!
 //! Recording can be switched off ([`Recorder::set_enabled`]): disabled
 //! recorders skip the lock and the clock entirely, so the hot path cost is
 //! one relaxed atomic load. Enabled or not, recording never influences
@@ -17,15 +23,15 @@
 //! `&str`, and a name is copied into the store once, when its key is
 //! first inserted. A run of updates that belongs together — a scheduler
 //! batch report, a query's own counters ([`Recorder::counters_add`]) —
-//! takes the lock once.
+//! takes the lock once. Nor does a span, once its path is known: the path
+//! is built in a buffer the recorder reuses.
 
 use crate::snapshot::{Histogram, MetricsSnapshot, SpanStat};
-use pcqe_core::clock::{duration_to_nanos, Clock, SystemClock};
+use pcqe_core::clock::{Clock, SystemClock};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 #[derive(Default)]
 pub(crate) struct Inner {
@@ -33,6 +39,11 @@ pub(crate) struct Inner {
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, SpanStat>,
+    /// The open spans, innermost last: each one's start reading and the
+    /// length of its parent's path in `path`.
+    open: Vec<(u64, usize)>,
+    /// The innermost open span's path, `/`-separated.
+    path: String,
 }
 
 /// One update per call, all under the one lock the caller holds: a key
@@ -51,11 +62,30 @@ impl Inner {
         update(&mut self.histograms, name, |h| h.record(value));
     }
 
-    fn span_record(&mut self, path: &str, total: Duration) {
-        update(&mut self.spans, path, |stat| {
-            stat.count = stat.count.saturating_add(1);
-            stat.total_nanos = stat.total_nanos.saturating_add(duration_to_nanos(total));
-        });
+    /// Open the span `name` inside the innermost open one, at `now`.
+    pub(crate) fn span_open(&mut self, name: &str, now: u64) {
+        self.open.push((now, self.path.len()));
+        if !self.path.is_empty() {
+            self.path.push('/');
+        }
+        self.path.push_str(name);
+    }
+
+    /// Close the innermost open span, folding its activation into its
+    /// path's [`SpanStat`] when `now` is given (recording is on).
+    pub(crate) fn span_close(&mut self, now: Option<u64>) {
+        let Some((started, parent)) = self.open.pop() else {
+            return;
+        };
+        if let Some(now) = now {
+            let elapsed = now.saturating_sub(started);
+            let (spans, path) = (&mut self.spans, self.path.as_str());
+            update(spans, path, |stat| {
+                stat.count = stat.count.saturating_add(1);
+                stat.total_nanos = stat.total_nanos.saturating_add(elapsed);
+            });
+        }
+        self.path.truncate(parent);
     }
 }
 
@@ -67,6 +97,10 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(
         None => f(map.entry(name.to_owned()).or_default()),
     }
 }
+
+/// Span nesting the recorder makes room for up front: `query`, a phase,
+/// a solver, and one more.
+const SPAN_DEPTH: usize = 4;
 
 /// Thread-safe counters, gauges, histograms and hierarchical spans.
 pub struct Recorder {
@@ -99,10 +133,17 @@ impl Recorder {
     /// [`ManualClock`](pcqe_core::clock::ManualClock) for byte-stable
     /// exports).
     pub fn with_clock(clock: Arc<dyn Clock + Send + Sync>) -> Recorder {
+        // Room for the span stack and path a query's spans reach, so that
+        // no query pays for them.
+        let inner = Inner {
+            open: Vec::with_capacity(SPAN_DEPTH),
+            path: String::with_capacity(SPAN_DEPTH * 16),
+            ..Inner::default()
+        };
         Recorder {
             enabled: AtomicBool::new(true),
             clock,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(inner),
         }
     }
 
@@ -116,12 +157,12 @@ impl Recorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The recorder's clock (shared with spawned span guards).
+    /// The recorder's clock.
     pub fn clock(&self) -> &Arc<dyn Clock + Send + Sync> {
         &self.clock
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
         // A panic while holding this mutex poisons it; the data is plain
         // counters, always valid, so recover rather than propagate.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
@@ -165,27 +206,6 @@ impl Recorder {
         }
     }
 
-    /// Add one completed activation of `total` to the span `path`.
-    /// Normally called by [`SpanGuard::drop`]; exposed for adapters that
-    /// receive externally-timed durations.
-    pub fn span_record(&self, path: &str, total: Duration) {
-        if let Some(mut inner) = self.live() {
-            inner.span_record(path, total);
-        }
-    }
-
-    /// Open a root span at `path`. The span measures from now until the
-    /// returned guard drops; nest with [`SpanGuard::nested`]. The guard
-    /// borrows `path`, so opening a span allocates nothing. Disabled
-    /// recorders hand back an inert guard that never reads the clock.
-    pub fn span<'a>(&'a self, path: &'a str) -> SpanGuard<'a> {
-        SpanGuard {
-            recorder: self,
-            path,
-            started: self.is_enabled().then(|| self.clock.monotonic()),
-        }
-    }
-
     /// An ordered, mutually-consistent copy of all collected metrics.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
@@ -198,47 +218,12 @@ impl Recorder {
     }
 }
 
-/// An open span: records `(count, elapsed)` under its path on drop.
-///
-/// Paths are `/`-separated: `recorder.span("query")` then
-/// `.nested("query/execute")` times `"query/execute"` inside `"query"`.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    recorder: &'a Recorder,
-    path: &'a str,
-    /// Start reading; `None` when the recorder was disabled at open time
-    /// (the guard then records nothing, even if recording is re-enabled
-    /// mid-span — half-timed spans would be misleading).
-    started: Option<Duration>,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Open a span nested in this one, at its full `path` — this span's
-    /// path, a `/`, and the nested span's name (`"query/plan"` inside
-    /// `"query"`). The caller spells the path out, so nothing is built.
-    pub fn nested(&self, path: &'a str) -> SpanGuard<'a> {
-        let live = self.started.is_some() && self.recorder.is_enabled();
-        SpanGuard {
-            recorder: self.recorder,
-            path,
-            started: live.then(|| self.recorder.clock.monotonic()),
-        }
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(started) = self.started {
-            let elapsed = self.recorder.clock.monotonic().saturating_sub(started);
-            self.recorder.span_record(self.path, elapsed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcqe_core::clock::ManualClock;
+    use pcqe_par::Span;
+    use std::time::Duration;
 
     fn manual() -> (Arc<ManualClock>, Recorder) {
         let clock = Arc::new(ManualClock::new());
@@ -299,9 +284,7 @@ mod tests {
         r.counter_add("c", 1);
         r.gauge_set("g", 1.0);
         r.histogram_record("h", 0.5);
-        {
-            let _span = r.span("s");
-        }
+        drop(Span::open(&r, "s"));
         assert!(r.snapshot().is_empty());
         r.set_enabled(true);
         r.counter_add("c", 1);
@@ -311,30 +294,48 @@ mod tests {
     #[test]
     fn spans_time_on_the_manual_clock() {
         let (clock, r) = manual();
-        {
-            let query = r.span("query");
+        for _ in 0..2 {
+            let _query = Span::open(&r, "query");
             clock.advance(Duration::from_micros(10));
             {
-                let _exec = query.nested("query/execute");
+                let _exec = Span::open(&r, "execute");
                 clock.advance(Duration::from_micros(30));
             }
             clock.advance(Duration::from_micros(5));
         }
         let s = r.snapshot();
-        assert_eq!(s.spans["query"].count, 1);
-        assert_eq!(s.spans["query"].total_nanos, 45_000);
-        assert_eq!(s.spans["query/execute"].total_nanos, 30_000);
+        assert_eq!(s.spans["query"].count, 2);
+        assert_eq!(s.spans["query"].total_nanos, 90_000);
+        assert_eq!(s.spans["query/execute"].total_nanos, 60_000);
+        assert_eq!(s.spans.len(), 2, "{:?}", s.spans);
     }
 
     #[test]
     fn span_opened_while_disabled_never_records() {
         let (clock, r) = manual();
         r.set_enabled(false);
-        let span = r.span("late");
+        let span = Span::open(&r, "late");
         r.set_enabled(true); // re-enabled mid-span: still inert
         clock.advance(Duration::from_millis(1));
+        drop(Span::open(&r, "inner"));
         drop(span);
-        assert!(r.snapshot().spans.is_empty());
+        let s = r.snapshot();
+        assert_eq!(s.spans.keys().collect::<Vec<_>>(), ["inner"]);
+    }
+
+    /// A span switched off before it closes records nothing, and still
+    /// leaves the stack, so the next span's path is right.
+    #[test]
+    fn span_closed_while_disabled_never_records() {
+        let (clock, r) = manual();
+        let span = Span::open(&r, "early");
+        r.set_enabled(false);
+        clock.advance(Duration::from_millis(1));
+        drop(span);
+        r.set_enabled(true);
+        drop(Span::open(&r, "next"));
+        let s = r.snapshot();
+        assert_eq!(s.spans.keys().collect::<Vec<_>>(), ["next"]);
     }
 
     #[test]

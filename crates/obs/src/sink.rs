@@ -8,12 +8,11 @@
 use crate::recorder::Recorder;
 use crate::trace::Tracer;
 use pcqe_core::clock::duration_to_nanos;
-use pcqe_par::{BatchReport, Decision, Observer};
-use std::time::Duration;
+use pcqe_par::{BatchReport, Observer};
 
-/// The recorder keeps counters, durations and scheduler batches; it keeps
-/// no timeline, so it is never [`Observer::enabled`]. A batch report is
-/// folded in under one lock.
+/// The recorder keeps counters, scheduler batches and span totals; it
+/// keeps no timeline, so its [`Observer::timeline`] is `None`. A batch
+/// report is folded in under one lock, and so is each span event.
 impl Observer for Recorder {
     fn now_nanos(&self) -> u64 {
         duration_to_nanos(self.clock().monotonic())
@@ -44,25 +43,39 @@ impl Observer for Recorder {
         }
     }
 
-    fn count(&self, name: &str, value: u64) {
-        self.counter_add(name, value);
+    /// Spans nest on one stack per recorder, so they are opened and
+    /// closed by one thread at a time, as a query's phases are. The id is
+    /// 1 for a span opened while recording is on; `span_end` closes the
+    /// innermost open span. A span opened while recording is off is not
+    /// kept (its id is 0), and one closed while it is off is not counted:
+    /// a half-timed span would mislead.
+    fn span_begin(&self, name: &str) -> u64 {
+        if !self.is_enabled() {
+            return 0;
+        }
+        let now = self.now_nanos();
+        self.lock().span_open(name, now);
+        1
     }
 
-    fn duration(&self, name: &str, value: Duration) {
-        // Both shapes are useful: a running total for rate math and a
-        // histogram for distribution. Names stay distinct so the JSON
-        // export keeps them apart.
-        if let Some(mut inner) = self.live() {
-            inner.counter_add(&format!("{name}_nanos"), duration_to_nanos(value));
-            inner.histogram_record(name, value.as_secs_f64());
+    fn span_end(&self, id: u64) {
+        if id == 0 {
+            return;
         }
+        let now = self.is_enabled().then(|| self.now_nanos());
+        self.lock().span_close(now);
+    }
+
+    fn count(&self, name: &str, value: u64) {
+        self.counter_add(name, value);
     }
 }
 
 /// Who listens to one engine call: the recorder, the tracer, both or
-/// neither. Batches go to both (recorder first), counts and durations to
-/// the recorder, spans, instants and decisions to the tracer; time is the
-/// recorder's clock when it listens, so busy times stay single-sourced.
+/// neither. Batches and spans go to both (recorder first), counts to the
+/// recorder; instants, decisions and timeline-only spans go to
+/// [`Observer::timeline`], the tracer. Time is the recorder's clock when
+/// it listens, so busy times stay single-sourced.
 #[derive(Debug)]
 pub struct Listeners<'a> {
     /// The metric listener.
@@ -89,9 +102,11 @@ impl Listeners<'_> {
     }
 }
 
+/// A span is opened on both listeners, so its id carries both: the
+/// tracer's id above the recorder's, which is 0 or 1.
 impl Observer for Listeners<'_> {
-    fn enabled(&self) -> bool {
-        self.tracer().enabled()
+    fn timeline(&self) -> Option<&dyn Observer> {
+        self.tracer().timeline()
     }
 
     fn now_nanos(&self) -> u64 {
@@ -105,27 +120,17 @@ impl Observer for Listeners<'_> {
     }
 
     fn span_begin(&self, name: &str) -> u64 {
-        self.tracer().span_begin(name)
+        let recorded = self.recorder().span_begin(name);
+        (self.tracer().span_begin(name) << 1) | recorded
     }
 
     fn span_end(&self, id: u64) {
-        self.tracer().span_end(id);
-    }
-
-    fn instant(&self, name: &str, detail: &str) {
-        self.tracer().instant(name, detail);
-    }
-
-    fn decision(&self, decision: &Decision) {
-        self.tracer().decision(decision);
+        self.tracer().span_end(id >> 1);
+        self.recorder().span_end(id & 1);
     }
 
     fn count(&self, name: &str, value: u64) {
         self.recorder().count(name, value);
-    }
-
-    fn duration(&self, name: &str, value: Duration) {
-        self.recorder().duration(name, value);
     }
 }
 
@@ -135,23 +140,23 @@ mod tests {
     use pcqe_core::clock::ManualClock;
     use pcqe_core::greedy::GreedyStats;
     use pcqe_core::heuristic::HeuristicStats;
+    use pcqe_par::{Decision, Span};
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
-    fn solver_stats_land_as_counters_and_histograms() {
+    fn solver_stats_land_as_counters() {
         let r = Recorder::new();
         let stats = HeuristicStats {
             nodes: 10,
             pruned_h2: 4,
-            elapsed: Duration::from_millis(3),
             ..HeuristicStats::default()
         };
         stats.emit(Some(&r));
         let s = r.snapshot();
         assert_eq!(s.counter("solver.heuristic.nodes"), 10);
         assert_eq!(s.counter("solver.heuristic.pruned_h2"), 4);
-        assert_eq!(s.counter("solver.heuristic.elapsed_nanos"), 3_000_000);
-        assert_eq!(s.histograms["solver.heuristic.elapsed"].count(), 1);
+        assert!(s.histograms.is_empty() && s.spans.is_empty());
     }
 
     #[test]
@@ -193,9 +198,10 @@ mod tests {
     }
 
     /// The router's routing law, for each of the three shapes a call's
-    /// listener can take: batches reach both listeners, counts and
-    /// durations only the recorder, timeline events only the tracer, and
-    /// it is enabled exactly when a tracer is attached and on.
+    /// listener can take: batches and spans reach both listeners, counts
+    /// only the recorder, and the timeline — instants, decisions, the
+    /// executor's `op:` spans — only the tracer, which is the timeline
+    /// exactly when a tracer is attached and on.
     #[test]
     fn listeners_route_each_report_to_its_listener() {
         let report = BatchReport::sequential(1, 1, 0);
@@ -210,31 +216,42 @@ mod tests {
         for (metrics, trace) in [(true, false), (false, true), (true, true)] {
             let clock = Arc::new(ManualClock::new());
             let recorder = Recorder::with_clock(clock.clone());
-            let tracer = Tracer::with_clock(clock, 16);
+            let tracer = Tracer::with_clock(clock.clone(), 16);
             let listeners = Listeners {
                 metrics: metrics.then_some(&recorder),
                 trace: trace.then_some(&tracer),
             };
             let l = listeners.attached().expect("someone listens");
-            assert_eq!(l.enabled(), trace, "metrics={metrics} trace={trace}");
+            assert_eq!(l.timeline().is_some(), trace, "metrics={metrics}");
             l.batch(&report);
             l.count("solver.quota.required", 2);
-            l.duration("solver.greedy.elapsed", Duration::from_nanos(7));
-            let id = l.span_begin("op:Scan");
-            l.instant("cache.hit", "circuit=0");
-            l.decision(&decision);
-            l.span_end(id);
+            {
+                let _query = Span::open(l, "query");
+                clock.advance(Duration::from_nanos(5));
+                let _op = l.timeline().map(|t| Span::open(t, "op:Scan"));
+                if let Some(t) = l.timeline() {
+                    t.instant("cache.hit", "circuit=0");
+                    t.decision(&decision);
+                }
+                let _gate = Span::open(l, "gate");
+                clock.advance(Duration::from_nanos(2));
+            }
             let s = recorder.snapshot();
             assert_eq!(s.counter("par.batches"), u64::from(metrics));
             assert_eq!(s.counter("solver.quota.required"), 2 * u64::from(metrics));
-            assert_eq!(
-                s.counter("solver.greedy.elapsed_nanos"),
-                7 * u64::from(metrics)
-            );
-            // One batch instant plus one lane, then the span pair, the
+            let spans: Vec<(&str, u64)> = (s.spans.iter())
+                .map(|(path, stat)| (path.as_str(), stat.total_nanos))
+                .collect();
+            let expected: &[(&str, u64)] = if metrics {
+                &[("query", 7), ("query/gate", 2)]
+            } else {
+                &[]
+            };
+            assert_eq!(spans, expected, "metrics={metrics} trace={trace}");
+            // One batch instant plus one lane, then three span pairs, the
             // instant and the decision.
             let events = tracer.drain().events.len();
-            assert_eq!(events, if trace { 6 } else { 0 }, "metrics={metrics}");
+            assert_eq!(events, if trace { 10 } else { 0 }, "metrics={metrics}");
         }
         let tracer = Tracer::new();
         tracer.set_enabled(false);
@@ -242,7 +259,10 @@ mod tests {
             metrics: None,
             trace: Some(&tracer),
         };
-        assert!(!off.enabled(), "a tracer at rest is not enabled");
+        assert!(
+            off.timeline().is_none(),
+            "a tracer at rest keeps no timeline"
+        );
         let nobody = Listeners {
             metrics: None,
             trace: None,

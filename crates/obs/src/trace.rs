@@ -233,8 +233,8 @@ impl Tracer {
 /// per worker slot, so batches appear on the same timeline as the spans
 /// that spawned them (ROADMAP item 5's worker timelines hang off these).
 impl Observer for Tracer {
-    fn enabled(&self) -> bool {
-        self.is_enabled()
+    fn timeline(&self) -> Option<&dyn Observer> {
+        self.is_enabled().then_some(self as &dyn Observer)
     }
 
     fn now_nanos(&self) -> u64 {

@@ -42,6 +42,7 @@
 //! [`Observer`] — scheduler batches, spans, instants, gate [`Decision`]s,
 //! solver counters — lives here because every other crate can name this
 //! one; the engine decides once per call which listener every layer gets.
+//! [`Span`] is the one way a layer opens a span on it.
 
 pub mod morsel;
 
@@ -128,16 +129,18 @@ pub struct Decision {
 
 /// The one instrumentation trait every layer reports through; every
 /// method is a no-op by default and `()` is the null listener.
-/// `pcqe-obs` implements it: `Recorder` the metric half, `Tracer` the
-/// timeline half, `Listeners` the router between them. A listener is
+/// `pcqe-obs` implements it: `Recorder` keeps counters and span totals,
+/// `Tracer` the timeline, `Listeners` routes between them. A listener is
 /// strictly passive — it may drop what it is sent, never influence the
 /// caller.
 pub trait Observer: Sync {
-    /// Whether timeline events (spans, instants, decisions) sent now would
-    /// be recorded. A caller that must *build* a name or detail string asks
-    /// first, so a listener that keeps no timeline costs no formatting.
-    fn enabled(&self) -> bool {
-        false
+    /// The listener that keeps a timeline — the one to send instants,
+    /// decisions and timeline-only spans (the executor's `op:*`) to — or
+    /// `None` when nothing sent now would be kept. A caller that must
+    /// *build* a name or detail string asks first, so a listener that
+    /// keeps no timeline costs no formatting.
+    fn timeline(&self) -> Option<&dyn Observer> {
+        None
     }
     /// A monotonic nanosecond reading from the listener's own clock.
     fn now_nanos(&self) -> u64 {
@@ -145,8 +148,9 @@ pub trait Observer: Sync {
     }
     /// One finished scheduler batch's telemetry.
     fn batch(&self, _report: &BatchReport) {}
-    /// Open a span; returns an id to close it with. A listener that keeps
-    /// no timeline returns 0, and `span_end(0)` is a no-op.
+    /// Open a span nested in the innermost one still open; returns an id
+    /// to close it with. A listener that keeps no span returns 0, and
+    /// `span_end(0)` is a no-op. [`Span`] pairs the two calls.
     fn span_begin(&self, _name: &str) -> u64 {
         0
     }
@@ -158,11 +162,34 @@ pub trait Observer: Sync {
     fn decision(&self, _decision: &Decision) {}
     /// Add `value` to the counter `name` (solver statistics).
     fn count(&self, _name: &str, _value: u64) {}
-    /// Record a phase duration under `name` (solver statistics).
-    fn duration(&self, _name: &str, _value: std::time::Duration) {}
 }
 
 impl Observer for () {}
+
+/// An open span on one [`Observer`], closed when the guard drops — so a
+/// span closes on every exit, `?` and early returns included, and spans
+/// nest as the guards' scopes do.
+#[must_use = "the span closes when the guard drops"]
+pub struct Span<'a> {
+    observer: &'a dyn Observer,
+    id: u64,
+}
+
+impl<'a> Span<'a> {
+    /// Open the span `name` on `observer` (`&()` opens none).
+    pub fn open(observer: &'a dyn Observer, name: &str) -> Span<'a> {
+        Span {
+            observer,
+            id: observer.span_begin(name),
+        }
+    }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        self.observer.span_end(self.id);
+    }
+}
 
 /// Parallelism policy: how many workers, and when to bother.
 ///

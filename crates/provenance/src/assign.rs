@@ -6,15 +6,18 @@ use crate::Result;
 use std::collections::BTreeMap;
 
 /// Combines provenance records into one base-tuple confidence.
+///
+/// The parameters are private, so every assigner holds the ones
+/// [`Assigner::new`] validated (or the defaults).
 #[derive(Debug, Clone)]
 pub struct Assigner {
     /// Freshness half-life in days: a record this old contributes half of
     /// its fresh confidence. `f64::INFINITY` disables decay.
-    pub freshness_half_life_days: f64,
+    freshness_half_life_days: f64,
     /// Damping applied to corroborating (distinct-source) evidence in the
     /// noisy-OR combination: `1.0` is full independence, `0.0` ignores
     /// everything but the best record.
-    pub corroboration: f64,
+    corroboration: f64,
 }
 
 impl Default for Assigner {

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example batch_queries`.
 
-use pcqe::core::clock::Stopwatch;
+use pcqe::core::clock::{Clock, SystemClock};
 use pcqe::core::greedy::GreedyOptions;
 use pcqe::core::multi::{solve_greedy, MultiQueryProblem};
 use pcqe::core::problem::ProblemBuilder;
@@ -122,9 +122,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut estimator = RuntimeEstimator::default();
     for size in [200usize, 400, 800, 1600] {
         let problem = generate(&WorkloadParams::scalability_point(size).with_seed(1))?;
-        let watch = Stopwatch::start();
+        let started = SystemClock.monotonic();
         let _ = pcqe::core::greedy::solve(&problem, &GreedyOptions::default())?;
-        estimator.record(size, watch.elapsed());
+        estimator.record(size, SystemClock.monotonic().saturating_sub(started));
     }
     let fit = estimator.fit().expect("four samples fit a line");
     println!(

@@ -11,15 +11,22 @@
 //!    operators' actual output sizes on the paper's running example.
 //! 4. **Metrics depend on the inputs only** — a tracer switched on by
 //!    someone else never changes what the recorder records.
+//! 5. **One span stream** — the recorder folds the spans the tracer
+//!    times, so their span trees agree and a child never outlasts its
+//!    parent.
 
 mod common;
 
 use common::{explained, PAPER_QUERY as QUERY};
-use pcqe::core::clock::ManualClock;
+use pcqe::core::clock::{Clock, ManualClock};
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
+use pcqe::obs::trace::TraceEventKind;
 use pcqe::obs::{export, MetricsSnapshot, Recorder};
+use pcqe::par::Span;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Column, DataType, Schema, Value};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -145,13 +152,10 @@ fn scripted_recorder() -> Recorder {
     recorder.histogram_record("solver.greedy.elapsed", 0.3);
     recorder.histogram_record("improvement.cost", 10.0);
     {
-        let span = recorder.span("query");
+        let _query = Span::open(&recorder, "query");
         clock.advance(Duration::from_micros(45));
-        {
-            let child = span.nested("query/execute");
-            clock.advance(Duration::from_micros(5));
-            drop(child);
-        }
+        let _execute = Span::open(&recorder, "execute");
+        clock.advance(Duration::from_micros(5));
     }
     recorder
 }
@@ -319,14 +323,14 @@ fn explain_analyze_and_the_trace_show_the_index_join() {
 
 /// What of a metrics snapshot the tracer may not move, one line per
 /// metric: every counter, gauge value, histogram count and span count.
-/// Left out are `*_nanos` counters (the solvers' `Stopwatch`es read the
-/// wall clock, not the injected one) and `par.reassembly_stalls` (how
-/// often a unit finished after a later one is up to the OS scheduler).
+/// Left out is `par.reassembly_stalls` (how often a unit finished after a
+/// later one is up to the OS scheduler). Every time is read from the
+/// injected clock, so the `*_nanos` counters stay in.
 fn comparable(snap: &MetricsSnapshot) -> Vec<String> {
     let counters = snap
         .counters
         .iter()
-        .filter(|(name, _)| !name.ends_with("_nanos") && *name != "par.reassembly_stalls")
+        .filter(|(name, _)| *name != "par.reassembly_stalls")
         .map(|(name, v)| format!("counter {name} = {v}"));
     let gauges = snap.gauges.iter().map(|(n, v)| format!("gauge {n} = {v}"));
     let histograms =
@@ -476,7 +480,13 @@ fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
 /// `par.chunks_claimed` 45 → 43 and `par.worker_busy_seconds` 28 → 26.
 /// The nested loop cut its two left rows into two chunks, one a lane; the
 /// hash join's probe takes them as one morsel, on one lane, in each of the
-/// query's two recorded runs. At one worker both were one chunk.
+/// query's two recorded runs. At one worker both were one chunk. When the
+/// solvers stopped reading the wall clock, their three `solver.*.elapsed`
+/// histograms became the spans `query/propose/{greedy,heuristic}` and
+/// `batch/multi`, and the gate, once a trace-only phase, gained its
+/// `query/gate` span. With no wall-clock counter left to leave out, the
+/// comparable lines gained `par.busy_nanos`, read on the manual clock;
+/// nothing else moved.
 #[test]
 fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
     for workers in [1, 2] {
@@ -501,7 +511,7 @@ fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
     }
 }
 
-const PINNED_METRICS: [&str; 47] = [
+const PINNED_METRICS: [&str; 49] = [
     "counter exec.lineage_nodes = 1220",
     "counter exec.operators = 17",
     "counter exec.rows_out = 480",
@@ -512,6 +522,7 @@ const PINNED_METRICS: [&str; 47] = [
     "counter lineage.circuit_compiled = 81",
     "counter lineage.exact_skipped = 40",
     "counter par.batches = 21",
+    "counter par.busy_nanos = 0",
     "counter par.chunks = 21",
     "counter par.chunks_claimed = 21",
     "counter par.items = 564",
@@ -541,13 +552,14 @@ const PINNED_METRICS: [&str; 47] = [
     "gauge par.workers = 1",
     "histogram improvement.cost count = 1",
     "histogram par.worker_busy_seconds count = 21",
-    "histogram solver.greedy.elapsed count = 1",
-    "histogram solver.heuristic.elapsed count = 1",
-    "histogram solver.multi.elapsed count = 1",
+    "span batch/multi count = 1",
     "span query count = 3",
     "span query/execute count = 3",
+    "span query/gate count = 3",
     "span query/plan count = 3",
     "span query/propose count = 1",
+    "span query/propose/greedy count = 1",
+    "span query/propose/heuristic count = 1",
     "span query/score count = 3",
 ];
 
@@ -563,3 +575,81 @@ Project [id, region] (rows_in=80 rows_out=80 lineage_nodes=240)
   IndexJoin customers AS c (id) [#1 = #2] (rows_in=128 rows_out=80 lineage_nodes=240)
     TableScan orders AS o [filter: (#0 < 48)] (rows_in=60 rows_out=48 lineage_nodes=48 batches=1)
 ";
+
+/// A clock that moves on by one microsecond at every read, so every span
+/// that reads it twice lasts a while.
+#[derive(Debug, Default)]
+struct Ticking(AtomicU64);
+
+impl Clock for Ticking {
+    fn monotonic(&self) -> Duration {
+        Duration::from_micros(self.0.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+}
+
+/// The recorder and the tracer hear one span stream: one traced θ-miss on
+/// a clock that ticks at every read leaves the recorder the paths the
+/// tracer's lifecycle spans nest into — `op:` spans are the tracer's
+/// alone, and the solver spans inside `query/propose` the recorder's —
+/// and no span outlasts its parent, nor do its children together. (On
+/// the parent commit the gate was a trace-only phase: the recorder had no
+/// `query/gate`.)
+#[test]
+fn the_recorder_and_the_tracer_hear_the_same_spans() {
+    let mut db = common::paper_db(Database::with_clock(
+        EngineConfig::default().sequential(),
+        Arc::new(Ticking::default()),
+    ));
+    let user = User::new("mark", "Manager");
+    let (response, trace) = db
+        .trace_query(&user, &QueryRequest::new(QUERY, "investment"))
+        .unwrap();
+    assert!(response.proposal.is_some(), "{response:?}");
+
+    let mut paths: BTreeMap<u64, String> = BTreeMap::new();
+    for event in &trace.events {
+        if let TraceEventKind::SpanBegin { id, parent, name } = &event.kind {
+            if name.starts_with("op:") {
+                continue;
+            }
+            let path = match parent.and_then(|p| paths.get(&p)) {
+                Some(parent) => format!("{parent}/{name}"),
+                None => name.clone(),
+            };
+            paths.insert(*id, path);
+        }
+    }
+    let mut traced: Vec<&str> = paths.values().map(String::as_str).collect();
+    traced.sort_unstable();
+    assert_eq!(
+        traced,
+        [
+            "query",
+            "query/execute",
+            "query/gate",
+            "query/plan",
+            "query/propose",
+            "query/score"
+        ]
+    );
+
+    let spans = db.metrics_snapshot().spans;
+    let (solvers, lifecycle): (Vec<&str>, Vec<&str>) = (spans.keys())
+        .map(String::as_str)
+        .partition(|path| path.starts_with("query/propose/"));
+    assert_eq!(lifecycle, traced);
+    assert_eq!(solvers, ["query/propose/greedy", "query/propose/heuristic"]);
+    for (path, stat) in &spans {
+        assert_eq!(stat.count, 1, "{path}");
+        assert!(stat.total_nanos > 0, "{path}");
+        let children = spans
+            .iter()
+            .filter(|(child, _)| child.rsplit_once('/').map(|(p, _)| p) == Some(path.as_str()))
+            .map(|(child, c)| {
+                assert!(c.total_nanos <= stat.total_nanos, "{child} outlasts {path}");
+                c.total_nanos
+            });
+        let together: u64 = children.sum();
+        assert!(together <= stat.total_nanos, "{path}'s children outlast it");
+    }
+}

@@ -3,7 +3,8 @@
 //! is never beaten, phase 2 never hurts, pruning never changes the
 //! answer's bits, the greedy's lazy heap picks what Figure 6's rescan
 //! picks, a batch of one query is that query, incremental evaluation is
-//! full evaluation, D&C keeps its groups' grid steps, and the
+//! full evaluation, the builder refuses negated lineage, D&C keeps its
+//! groups' grid steps, and the
 //! branch-and-bound walks a pinned tree and finds the optimum an
 //! exhaustive enumeration of the grid finds.
 
@@ -18,7 +19,7 @@ use pcqe::core::problem::{ProblemBuilder, ProblemInstance};
 use pcqe::core::state::EvalState;
 use pcqe::core::{CoreError, Solution};
 use pcqe::cost::CostFn;
-use pcqe::lineage::{Lineage, Rng64};
+use pcqe::lineage::{CircuitCache, Lineage, Rng64};
 
 const CASES: u64 = 48;
 
@@ -431,9 +432,10 @@ fn a_batch_of_one_is_the_query() {
 }
 
 /// A problem for the incremental-evaluation law: 3–6 bases over lineage
-/// with shared variables (so circuits hold `Mix` and DAG-shared nodes),
-/// negation and constants; some bases capped off the grid, some starting
-/// at zero.
+/// with shared variables (so circuits hold `Mix` and DAG-shared nodes)
+/// and constants; some bases capped off the grid, some starting at zero.
+/// A drawn formula with a negation is refused by the builder (it asserts
+/// so) and stands in for a negation-free one.
 fn incremental_problem(rng: &mut Rng64) -> ProblemInstance {
     let n_bases = 3 + rng.below_u64(4);
     let mut b = ProblemBuilder::new(0.5, 0.1);
@@ -452,7 +454,13 @@ fn incremental_problem(rng: &mut Rng64) -> ProblemInstance {
     }
     let n_results = rng.range_usize(2, 5);
     for _ in 0..n_results {
-        b.result_from_lineage(&common::random_lineage(rng, n_bases, 3))
+        let mut lineage = common::random_lineage(rng, n_bases, 3);
+        if lineage.contains_not() {
+            let refused = b.result_from_lineage(&lineage);
+            assert!(matches!(refused, Err(CoreError::InvalidProblem(_))));
+            lineage = common::random_positive_lineage(rng, n_bases, 3);
+        }
+        b.result_from_lineage(&lineage)
             .expect("vars are registered");
     }
     b.require(rng.range_usize(0, n_results + 1))
@@ -515,6 +523,40 @@ fn incremental_evaluation_is_full_evaluation() {
             assert_eq!(state.optimistic_satisfied(&rest), brute, "rest {rest:?}");
         }
     });
+}
+
+/// Every solver assumes that raising a base never lowers a result, so the
+/// public builder refuses lineage with a negation, cached or not, before
+/// it compiles anything. The instance: β = 0.4, δ = 0.1, bases x1 at 0.1
+/// and x2 at 0.5 at linear cost 1, one result `x1 ∧ ¬x2`, one required.
+/// Raising x1 alone to 0.9 gives 0.45 > β, yet on the parent commit the
+/// builder took it and both greedy and the branch-and-bound answered
+/// `Infeasible { achievable: 0, required: 1 }`: their feasibility check
+/// raises every base, x2 included.
+#[test]
+fn the_builder_refuses_negated_lineage() {
+    let mut b = ProblemBuilder::new(0.4, 0.1);
+    let unit = CostFn::linear(1.0).expect("positive rate");
+    b.base(1, 0.1, unit.clone());
+    b.base(2, 0.5, unit);
+    let x1_and_not_x2 = Lineage::and(vec![Lineage::var(1), Lineage::not(Lineage::var(2))]);
+    let refused = b.result_from_lineage(&x1_and_not_x2);
+    assert!(
+        matches!(refused, Err(CoreError::InvalidProblem(_))),
+        "{refused:?}"
+    );
+    let mut pool = CircuitCache::new();
+    let refused = b.result_from_lineage_cached(&x1_and_not_x2, &mut pool);
+    assert!(
+        matches!(refused, Err(CoreError::InvalidProblem(_))),
+        "{refused:?}"
+    );
+    assert_eq!(pool.pool_size(), 0, "refused before compiling");
+    // The negation-free half is taken, and x1 alone meets the quota.
+    b.result_from_lineage(&Lineage::var(1)).expect("monotone");
+    let problem = b.require(1).build().expect("valid");
+    let exact = heuristic::solve(&problem, &HeuristicOptions::all()).expect("feasible");
+    assert_eq!(exact.solution.increments(&problem).len(), 1);
 }
 
 /// The claim and evidence tuples of the e2e `strategy` workload: base

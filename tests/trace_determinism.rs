@@ -13,7 +13,7 @@
 //!    the paper's Section 3.1 example yields exactly one `Decision`
 //!    event whose verdict and confidence agree with the audit log.
 //! 4. **Ask before formatting** — a layer sends timeline events only to a
-//!    listener that is enabled, so a metrics-only listener costs no
+//!    listener's `Observer::timeline`, so a metrics-only listener costs no
 //!    formatted label.
 
 mod common;
@@ -358,7 +358,8 @@ fn trace_query_restores_the_tracer_state_it_found() {
 }
 
 /// A listener that counts the calls it gets, one atomic per method;
-/// `enabled` says whether it claims to keep a timeline.
+/// `enabled` says whether it claims to keep a timeline (it is then its
+/// own `Observer::timeline`).
 #[derive(Default)]
 struct Counting {
     enabled: bool,
@@ -393,8 +394,8 @@ impl Counting {
 }
 
 impl Observer for Counting {
-    fn enabled(&self) -> bool {
-        self.enabled
+    fn timeline(&self) -> Option<&dyn Observer> {
+        self.enabled.then_some(self as &dyn Observer)
     }
     fn now_nanos(&self) -> u64 {
         self.now_nanos.fetch_add(1, Relaxed)

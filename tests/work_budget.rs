@@ -374,7 +374,10 @@ fn a_hash_join_stays_within_its_allocation_budget() {
 /// finding to the greedy-seeded branch-and-bound. The two budgets after it
 /// cover the other two regimes `improve::dispatch` picks by size. The
 /// search's nodes over the three runs (two warm-ups, then the counted
-/// one) have a budget too: 102 before H3 cut runs of siblings.
+/// one) have a budget too: 102 before H3 cut runs of siblings. The three
+/// budgets fell when the solvers stopped reporting wall-clock durations,
+/// whose metric names were formatted on every run: 266 → 260 here, 469 →
+/// 465 for greedy and 8 273 → 8 261 for D&C.
 #[test]
 fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() {
     let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
@@ -383,7 +386,7 @@ fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() 
     let nodes = counters.get("solver.heuristic.nodes");
     assert!(nodes.is_some_and(|&n| n > 0), "{counters:?}");
     assert!(nodes.is_some_and(|&n| n <= 99), "{counters:?}");
-    assert!(made <= 266, "a θ = 1 miss made {made} allocations");
+    assert!(made <= 260, "a θ = 1 miss made {made} allocations");
 }
 
 /// The θ = 1 miss over the orders of the first `customers` customers
@@ -409,7 +412,7 @@ fn a_theta_miss_in_the_greedy_regime_stays_within_its_allocation_budget() {
         "{counters:?}"
     );
     assert!(!counters.contains_key("solver.dnc.groups"), "{counters:?}");
-    assert!(made <= 469, "a θ = 1 greedy miss made {made} allocations");
+    assert!(made <= 465, "a θ = 1 greedy miss made {made} allocations");
 }
 
 /// A θ-miss in the divide-and-conquer regime: 160 rows, 79 of them
@@ -423,5 +426,5 @@ fn a_theta_miss_in_the_divide_and_conquer_regime_stays_within_its_allocation_bud
     assert!(groups.is_some_and(|&n| n > 0), "{counters:?}");
     let nodes = counters.get("solver.dnc.bb_nodes");
     assert!(nodes.is_some_and(|&n| n <= 237), "{counters:?}");
-    assert!(made <= 8_273, "a θ = 1 D&C miss made {made} allocations");
+    assert!(made <= 8_261, "a θ = 1 D&C miss made {made} allocations");
 }
