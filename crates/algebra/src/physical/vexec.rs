@@ -1,15 +1,15 @@
 //! Vectorized, morsel-driven physical plan execution — the engine's one
 //! executor.
 //!
-//! Work is dispatched as whole morsels across `pcqe-par` workers via
-//! [`pcqe_par::morsel::map_morsels`], with a deterministic in-order
-//! merge, and rows are **borrowed until an operator must own them**: a
-//! scan emits, per morsel, references to the stored rows that survive its
-//! residual (a selection over storage); operators that only read their
-//! input — filter, projection, join build and probe, aggregate grouping
-//! and folding — read either those or derived tuples in place through one
-//! row trait (a values slice and a lineage); and a value is cloned once,
-//! when it enters an operator's output. A scan takes its
+//! Every operator runs on the calling thread, in row order; a scan walks
+//! its rows a morsel at a time ([`pcqe_storage::morsel_rows`]), and its
+//! profile counts the morsels that kept a row. Rows are **borrowed until
+//! an operator must own them**: a scan emits references to the stored rows
+//! that survive its residual (a selection over storage); operators that
+//! only read their input — filter, projection, join build and probe,
+//! aggregate grouping and folding — read either those or derived tuples in
+//! place through one row trait (a values slice and a lineage); and a value
+//! is cloned once, when it enters an operator's output. A scan takes its
 //! candidates from a *skip source* before it reads a row: a table scan
 //! from a pass over the table's typed column images
 //! ([`pcqe_storage::image`]), which drops the rows its residual's leading
@@ -22,18 +22,19 @@
 //! `execute_vectorized_with(&p, c, par)` produces a result set
 //! **bit-identical** to a sequential, tuple-at-a-time walk of `q` — same
 //! rows, same order, same lineage expressions, and the same first error on
-//! failing inputs — at any thread count. That walk is the equivalence
-//! suites' reference (`tests/common/reference.rs`), a separate
+//! failing inputs — at any worker count, since no operator spawns a
+//! thread. That walk is the equivalence suites' reference
+//! (`tests/common/reference.rs`), a separate
 //! implementation of the same algebra that shares no operator code with
 //! this module, so every rule below holds by test against it, not by
 //! construction. Three rules:
 //!
 //! 1. **Expressions evaluate row-wise, in row order — on every row that
 //!    is not skipped, and a row is skipped only if the whole predicate
-//!    returns `Ok(false)` on it without raising.** Morsels change *who*
-//!    evaluates a row, never the order errors are reported in: the first
-//!    error surfaced is the first failing row's. Every expression runs
-//!    the one tree walk, [`ScalarExpr::eval`], which borrows a column or
+//!    returns `Ok(false)` on it without raising.** Morsels cut a scan's
+//!    walk, never its order: the first error surfaced is the first
+//!    failing row's. Every expression runs the one tree walk,
+//!    [`ScalarExpr::eval`], which borrows a column or
 //!    literal operand instead of cloning it: a predicate through
 //!    [`ScalarExpr::test`] (that walk with a NULL read as false),
 //!    projections, group keys and aggregate arguments through the walk
@@ -66,11 +67,9 @@
 //!    run one probe loop and differ only in where a left key's matches
 //!    come from.
 //!
-//! All observation goes to one optional [`pcqe_par::Observer`] — batch
-//! reports, and `op:<label>` spans on its timeline only — post-batch on
-//! the calling thread (the morsel dispatcher reports once, after its scope
-//! joins), never inside worker closures, so traces stay deterministic in
-//! structure.
+//! All observation goes to one optional [`pcqe_par::Observer`]: an
+//! `op:<label>` span per operator on its timeline, and nothing else, so
+//! traces stay deterministic in structure.
 
 use crate::error::AlgebraError;
 use crate::expr::ScalarExpr;
@@ -80,51 +79,52 @@ use crate::plan::{AggFunc, AggItem, ProjItem, SortKey};
 use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
-use pcqe_par::morsel::try_map_morsels;
 use pcqe_par::{Observer, Parallelism, Span};
 use pcqe_storage::{morsel_rows, Catalog, EqualityIndex, StoredTuple, Table, Tuple, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// Execute a physical plan under a parallelism policy. Output is
-/// byte-identical for any policy.
+/// Execute a physical plan on the calling thread.
+///
+/// `_par` is not read: the executor spawns no thread, whatever the
+/// policy. The parameter stays because the end-to-end benchmark's adapter
+/// (`crates/bench/benches/e2e/src/adapter.rs`) passes one, and that
+/// adapter changes only with the benchmark.
 pub fn execute_vectorized_with(
     plan: &PhysicalPlan,
     catalog: &Catalog,
-    par: &Parallelism,
+    _par: &Parallelism,
 ) -> Result<ResultSet> {
-    run_root(plan, catalog, par, None, Profiler::off()).map(|(result_set, _)| result_set)
+    run_root(plan, catalog, None, Profiler::off()).map(|(result_set, _)| result_set)
 }
 
 /// [`execute_vectorized_with`], additionally collecting a per-operator
 /// [`ExecProfile`] — counts only, in the plan's pre-order; labels are
-/// [`ExecProfile::render`]'s to draw from the plan — and
-/// reporting to an optional listener: scheduler batches, and — on its
-/// [`Observer::timeline`], when it has one — `op:<label>` spans nested to
-/// mirror the plan tree. The listener is write-only — the result set is byte-identical
-/// with or without one.
+/// [`ExecProfile::render`]'s to draw from the plan — and, on the
+/// listener's [`Observer::timeline`] when it has one, opening `op:<label>`
+/// spans nested to mirror the plan tree. The listener is write-only — the
+/// result set is byte-identical with or without one. `_par` is not read,
+/// for the reason [`execute_vectorized_with`] gives.
 pub fn execute_vectorized_profiled(
     plan: &PhysicalPlan,
     catalog: &Catalog,
-    par: &Parallelism,
+    _par: &Parallelism,
     observer: Option<&dyn Observer>,
 ) -> Result<(ResultSet, ExecProfile)> {
-    run_root(plan, catalog, par, observer, Profiler::on())
+    run_root(plan, catalog, observer, Profiler::on())
 }
 
 fn run_root(
     plan: &PhysicalPlan,
     catalog: &Catalog,
-    par: &Parallelism,
     listener: Option<&dyn Observer>,
     mut prof: Profiler,
 ) -> Result<(ResultSet, ExecProfile)> {
     let schema = plan.schema(catalog)?;
     let ctx = Ctx {
         catalog,
-        par,
-        listener,
+        timeline: listener.and_then(|l| l.timeline()),
     };
     let out = run_v(plan, &ctx, 0, &mut prof)?;
     Ok((ResultSet::new(schema, out.into_rows()), prof.finish()))
@@ -133,12 +133,10 @@ fn run_root(
 /// Everything an operator needs besides the plan node itself.
 struct Ctx<'a> {
     catalog: &'a Catalog,
-    par: &'a Parallelism,
-    /// The call's one listener: scheduler batches go to it and, when it
-    /// has an [`Observer::timeline`], each operator wraps its execution in
-    /// an `op:<label>` span there. Write-only — results are byte-identical with or
-    /// without one.
-    listener: Option<&'a dyn Observer>,
+    /// The call's timeline, if its listener keeps one: each operator wraps
+    /// its execution in an `op:<label>` span there. Write-only — results
+    /// are byte-identical with or without one.
+    timeline: Option<&'a dyn Observer>,
 }
 
 /// An operator's output. Rows stay borrowed from storage until an
@@ -198,8 +196,9 @@ fn run_v<'c>(
     prof: &mut Profiler,
 ) -> Result<VOut<'c>> {
     let slot = prof.enter(depth);
-    let timeline = ctx.listener.and_then(|l| l.timeline());
-    let span = timeline.map(|t| Span::open(t, &format!("op:{}", plan.node_label())));
+    let span = ctx
+        .timeline
+        .map(|t| Span::open(t, &format!("op:{}", plan.node_label())));
     let (rows_in, batches, out) = run_v_node(plan, ctx, depth, prof)?;
     drop(span);
     prof.exit_counts(
@@ -220,39 +219,32 @@ fn morsels(n: usize) -> impl Iterator<Item = Range<usize>> {
         .map(move |start| start..n.min(start + step))
 }
 
-/// The morsel-parallel half of a scan: `units` are its morsels, each
-/// naming (through `candidates`) the stored rows of it that the residual
-/// has yet to decide; the dispatch weighs them by how many those are. The
-/// whole residual tests each candidate in place, row-wise in row
-/// order, and a morsel returns references to its survivors. Yields the
-/// number of morsels that had any, and the survivors in storage order.
+/// The half of a scan both skip sources share: `units` are its morsels,
+/// each naming (through `candidates`) the stored rows of it that the
+/// residual has yet to decide. The whole residual tests each candidate in
+/// place, row-wise in row order. Yields the number of morsels that kept a
+/// row, and references to the survivors in storage order.
 fn scan<'c, I: Iterator<Item = &'c StoredTuple>>(
-    units: &[Range<usize>],
-    candidates: impl Fn(Range<usize>) -> I + Sync,
+    units: impl Iterator<Item = Range<usize>>,
+    candidates: impl Fn(Range<usize>) -> I,
     residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<(u64, Vec<&'c StoredTuple>)> {
-    let morsels = try_map_morsels(
-        ctx.par,
-        units,
-        units.iter().map(Range::len).sum(),
-        |_, unit| -> Result<Vec<&'c StoredTuple>> {
-            let Some(residual) = residual else {
-                return Ok(candidates(unit.clone()).collect());
-            };
-            let mut survivors = Vec::new();
-            for r in candidates(unit.clone()) {
-                if residual.test(r.tuple.values())? {
-                    survivors.push(r);
+    let mut batches = 0;
+    let mut survivors = Vec::new();
+    for unit in units {
+        let before = survivors.len();
+        match residual {
+            None => survivors.extend(candidates(unit)),
+            Some(residual) => {
+                for r in candidates(unit) {
+                    if residual.test(r.tuple.values())? {
+                        survivors.push(r);
+                    }
                 }
             }
-            Ok(survivors)
-        },
-        ctx.listener,
-    )?;
-    let batches = morsels.iter().filter(|m| !m.is_empty()).count() as u64;
-    let mut survivors = Vec::with_capacity(morsels.iter().map(Vec::len).sum());
-    survivors.extend(morsels.into_iter().flatten());
+        }
+        batches += u64::from(survivors.len() > before);
+    }
     Ok((batches, survivors))
 }
 
@@ -263,47 +255,41 @@ fn scan<'c, I: Iterator<Item = &'c StoredTuple>>(
 fn scan_candidates<'c>(
     stored: &'c [StoredTuple],
     positions: &[usize],
-    units: &[Range<usize>],
+    units: impl Iterator<Item = Range<usize>>,
     residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<(u64, Vec<&'c StoredTuple>)> {
     let candidates = |unit: Range<usize>| {
         let unit = positions.get(unit).unwrap_or_default();
         unit.iter().filter_map(|&p| stored.get(p))
     };
-    scan(units, candidates, residual, ctx)
+    scan(units, candidates, residual)
 }
 
 /// Scan a table, its column images the skip source: first a pass over
-/// them, on the calling thread, drops the rows the residual's
-/// [`LeadingRun`] proves it rejects (it costs under a nanosecond a row, a
-/// spawned lane tens of microseconds); then [`scan`] decides the
-/// candidates left in each morsel. A residual whose leading run reads no
-/// imaged column, or none, leaves every row.
+/// them drops the rows the residual's [`LeadingRun`] proves it rejects (it
+/// costs under a nanosecond a row); then [`scan`] decides the candidates
+/// left in each morsel. A residual whose leading run reads no imaged
+/// column, or none, leaves every row.
 ///
 /// [`LeadingRun`]: crate::expr::LeadingRun
 fn scan_table<'c>(
     table: &'c Table,
     residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<(u64, Vec<&'c StoredTuple>)> {
     let stored = table.rows();
     let run = residual.as_ref().map(|r| r.leading_run(table));
     let Some(positions) = run.and_then(|run| run.candidates()) else {
-        let units: Vec<Range<usize>> = morsels(stored.len()).collect();
         let every_row = |unit: Range<usize>| stored.get(unit).unwrap_or_default().iter();
-        return scan(&units, every_row, residual, ctx);
+        return scan(morsels(stored.len()), every_row, residual);
     };
     // Morsel boundaries are the row store's, whatever the pass left.
     let mut from = 0;
-    let units: Vec<Range<usize>> = morsels(stored.len())
-        .map(|rows| {
-            let unit = from..positions.partition_point(|&p| p < rows.end);
-            from = unit.end;
-            unit
-        })
-        .collect();
-    scan_candidates(stored, &positions, &units, residual, ctx)
+    let units = morsels(stored.len()).map(|rows| {
+        let unit = from..positions.partition_point(|&p| p < rows.end);
+        from = unit.end;
+        unit
+    });
+    scan_candidates(stored, &positions, units, residual)
 }
 
 /// Scan a table, the equality index on `column` the skip source: the
@@ -319,7 +305,6 @@ fn scan_index<'c>(
     column: usize,
     key: &Value,
     residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<(usize, u64, Vec<&'c StoredTuple>)> {
     let index = required_index(table, column)?;
     let mut positions = Cow::Borrowed(index.lookup(key));
@@ -330,8 +315,8 @@ fn scan_index<'c>(
     for &pos in positions.iter() {
         indexed_row(table, pos)?;
     }
-    let units: Vec<Range<usize>> = morsels(positions.len()).collect();
-    let (batches, rows) = scan_candidates(table.rows(), &positions, &units, residual, ctx)?;
+    let units = morsels(positions.len());
+    let (batches, rows) = scan_candidates(table.rows(), &positions, units, residual)?;
     Ok((positions.len(), batches, rows))
 }
 
@@ -359,41 +344,29 @@ fn indexed_row(table: &Table, pos: usize) -> Result<&StoredTuple> {
 }
 
 /// Keep the rows the predicate holds on, tested in place.
-fn filter<R: Row>(rows: Vec<R>, predicate: &ScalarExpr, ctx: &Ctx<'_>) -> Result<Vec<R>> {
-    let keep = pcqe_par::try_map_observed(
-        ctx.par,
-        &rows,
-        |row| predicate.test(row.values()),
-        ctx.listener,
-    )?;
-    Ok(rows
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(row, k)| k.then_some(row))
-        .collect())
+fn filter<R: Row>(rows: Vec<R>, predicate: &ScalarExpr) -> Result<Vec<R>> {
+    rows.into_iter()
+        .filter_map(|row| match predicate.test(row.values()) {
+            Ok(keep) => keep.then_some(Ok(row)),
+            Err(e) => Some(Err(e)),
+        })
+        .collect()
 }
 
 /// Compute the output columns from rows read in place; lineage moves across.
-fn project<R: Row>(rows: Vec<R>, items: &[ProjItem], ctx: &Ctx<'_>) -> Result<Vec<DerivedTuple>> {
-    let values = pcqe_par::try_map_observed(
-        ctx.par,
-        &rows,
-        |row| {
-            items
+fn project<R: Row>(rows: Vec<R>, items: &[ProjItem]) -> Result<Vec<DerivedTuple>> {
+    rows.into_iter()
+        .map(|row| {
+            let values = items
                 .iter()
                 .map(|item| item.expr.eval(row.values()))
-                .collect()
-        },
-        ctx.listener,
-    )?;
-    Ok(rows
-        .into_iter()
-        .zip(values)
-        .map(|(row, values)| DerivedTuple {
-            tuple: Tuple::new(values),
-            lineage: row.into_lineage(),
+                .collect::<Result<_>>()?;
+            Ok(DerivedTuple {
+                tuple: Tuple::new(values),
+                lineage: row.into_lineage(),
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// One side's key columns: each column's position in that side's rows,
@@ -461,46 +434,32 @@ fn right_key_cols(
         .collect()
 }
 
-/// The one equi-join probe loop: morsel-parallel over left rows, and per
+/// The one equi-join probe loop, over left rows in order: per
 /// [`joinable`] left row `matches` hands `emit` the right rows that agree
-/// with it on every key, in right-input order — so per-left match lists
-/// flattened in input order reproduce a sequential loop over the left
-/// rows, first error in row order included. Where the matches come from
-/// is the caller's: [`hash_join`]'s per-query build table, or
+/// with it on every key, in right-input order — the order a nested loop
+/// meets them, first error in row order included. Where the matches come
+/// from is the caller's: [`hash_join`]'s per-query build table, or
 /// [`index_join`]'s stored index. Yields the number of right rows matched
 /// beside the output rows (the pairs that also pass `residual`).
 fn probe<L: Row, R: Row>(
     l: &[L],
     lcols: &KeyCols,
-    matches: impl Fn(&L, &mut dyn FnMut(&R) -> Result<()>) -> Result<()> + Sync,
+    matches: impl Fn(&L, &mut dyn FnMut(&R) -> Result<()>) -> Result<()>,
     residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<(usize, Vec<DerivedTuple>)> {
-    let units: Vec<&[L]> = l.chunks(morsel_rows(l.len())).collect();
-    let per_chunk = try_map_morsels(
-        ctx.par,
-        &units,
-        l.len(),
-        |_, chunk| -> Result<(usize, Vec<DerivedTuple>)> {
-            let mut matched = 0;
-            let mut out = Vec::new();
-            for lr in *chunk {
-                if !joinable(lr.values(), lcols)? {
-                    continue;
-                }
-                matches(lr, &mut |rr| {
-                    matched += 1;
-                    out.extend(join_pair(lr, rr, residual)?);
-                    Ok(())
-                })?;
-            }
-            Ok((matched, out))
-        },
-        ctx.listener,
-    )?;
-    let matched = per_chunk.iter().map(|(matched, _)| matched).sum();
-    let rows = per_chunk.into_iter().flat_map(|(_, rows)| rows).collect();
-    Ok((matched, rows))
+    let mut matched = 0;
+    let mut out = Vec::new();
+    for lr in l {
+        if !joinable(lr.values(), lcols)? {
+            continue;
+        }
+        matches(lr, &mut |rr| {
+            matched += 1;
+            out.extend(join_pair(lr, rr, residual)?);
+            Ok(())
+        })?;
+    }
+    Ok((matched, out))
 }
 
 /// Hash join over rows read in place: no row or key is copied to build or
@@ -512,14 +471,12 @@ fn hash_join<L: Row, R: Row>(
     keys: &[(usize, usize)],
     left_arity: usize,
     residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<Vec<DerivedTuple>> {
     let lcols = left_key_cols(keys);
     let rcols = right_key_cols(keys, left_arity, None)?;
-    // The build, in one pass on the calling thread: the joinable rows in
-    // row order — the first out-of-range key raises — stable-sorted by
-    // key, so the run of any key is its rows in row order (ordered, never
-    // a seeded hash map).
+    // The build, in one pass: the joinable rows in row order — the first
+    // out-of-range key raises — stable-sorted by key, so the run of any key
+    // is its rows in row order (ordered, never a seeded hash map).
     let mut table = Vec::with_capacity(r.len());
     for rr in r {
         if joinable(rr.values(), &rcols)? {
@@ -539,7 +496,7 @@ fn hash_join<L: Row, R: Row>(
         }
         Ok(())
     };
-    Ok(probe(l, &lcols, matches, residual, ctx)?.1)
+    Ok(probe(l, &lcols, matches, residual)?.1)
 }
 
 /// Index join: [`hash_join`] against a whole stored table, with the
@@ -556,7 +513,6 @@ fn index_join<'t, L: Row>(
     keys: &[(usize, usize)],
     left_arity: usize,
     residual: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<(usize, Vec<DerivedTuple>)> {
     let index = required_index(table, column)?;
     let lcols = left_key_cols(keys);
@@ -587,30 +543,23 @@ fn index_join<'t, L: Row>(
         }
         Ok(())
     };
-    probe(l, &lcols, matches, residual, ctx)
+    probe(l, &lcols, matches, residual)
 }
 
 /// Nested-loop join over rows read in place; `predicate: None` is the
-/// cross product. Morsel-parallel over left rows.
+/// cross product.
 fn nested_loop_join<L: Row, R: Row>(
     l: &[L],
     r: &[R],
     predicate: &Option<ScalarExpr>,
-    ctx: &Ctx<'_>,
 ) -> Result<Vec<DerivedTuple>> {
-    let per_left = pcqe_par::try_map_observed(
-        ctx.par,
-        l,
-        |lr| -> Result<Vec<DerivedTuple>> {
-            let mut matches = Vec::new();
-            for rr in r {
-                matches.extend(join_pair(lr, rr, predicate)?);
-            }
-            Ok(matches)
-        },
-        ctx.listener,
-    )?;
-    Ok(per_left.into_iter().flatten().collect())
+    let mut out = Vec::new();
+    for lr in l {
+        for rr in r {
+            out.extend(join_pair(lr, rr, predicate)?);
+        }
+    }
+    Ok(out)
 }
 
 /// Group rows read in place by key values, preserving first-seen order,
@@ -811,7 +760,7 @@ fn run_v_node<'c>(
             table, residual, ..
         } => {
             let table = catalog.table(table)?;
-            let (batches, rows) = scan_table(table, residual, ctx)?;
+            let (batches, rows) = scan_table(table, residual)?;
             return Ok((table.len(), batches, VOut::Stored(rows)));
         }
         PhysicalPlan::IndexScan {
@@ -822,14 +771,14 @@ fn run_v_node<'c>(
             ..
         } => {
             let table = catalog.table(table)?;
-            let (fetched, batches, rows) = scan_index(table, *column, key, residual, ctx)?;
+            let (fetched, batches, rows) = scan_index(table, *column, key, residual)?;
             return Ok((fetched, batches, VOut::Stored(rows)));
         }
         PhysicalPlan::Filter { input, predicate } => {
             // A filtered selection over storage is still one.
             match run_v(input, ctx, depth + 1, prof)? {
-                VOut::Stored(rows) => (rows.len(), VOut::Stored(filter(rows, predicate, ctx)?)),
-                VOut::Rows(rows) => (rows.len(), VOut::Rows(filter(rows, predicate, ctx)?)),
+                VOut::Stored(rows) => (rows.len(), VOut::Stored(filter(rows, predicate)?)),
+                VOut::Rows(rows) => (rows.len(), VOut::Rows(filter(rows, predicate)?)),
             }
         }
         PhysicalPlan::Project {
@@ -839,7 +788,7 @@ fn run_v_node<'c>(
         } => {
             let input = run_v(input, ctx, depth + 1, prof)?;
             let rows_in = input.row_count();
-            let projected = read_rows!(input, rows => project(rows, items, ctx)?);
+            let projected = read_rows!(input, rows => project(rows, items)?);
             let rows = if *distinct {
                 or_merge(projected)
             } else {
@@ -857,7 +806,7 @@ fn run_v_node<'c>(
             let l = run_v(left, ctx, depth + 1, prof)?;
             let r = run_v(right, ctx, depth + 1, prof)?;
             let rows = read_rows!(&l, l => read_rows!(&r, r => {
-                hash_join(l, r, keys, left_arity, residual, ctx)?
+                hash_join(l, r, keys, left_arity, residual)?
             }));
             (l.row_count() + r.row_count(), VOut::Rows(rows))
         }
@@ -873,7 +822,7 @@ fn run_v_node<'c>(
             let l = run_v(left, ctx, depth + 1, prof)?;
             let table = catalog.table(table)?;
             let (fetched, rows) = read_rows!(&l, l => {
-                index_join(l, table, *column, keys, left_arity, residual, ctx)?
+                index_join(l, table, *column, keys, left_arity, residual)?
             });
             (l.row_count() + fetched, VOut::Rows(rows))
         }
@@ -885,7 +834,7 @@ fn run_v_node<'c>(
             let l = run_v(left, ctx, depth + 1, prof)?;
             let r = run_v(right, ctx, depth + 1, prof)?;
             let rows = read_rows!(&l, l => read_rows!(&r, r => {
-                nested_loop_join(l, r, predicate, ctx)?
+                nested_loop_join(l, r, predicate)?
             }));
             (l.row_count() + r.row_count(), VOut::Rows(rows))
         }

@@ -19,7 +19,7 @@ pub struct DerivedTuple {
 /// Read access to one operator-input row — a derived tuple, or a stored
 /// base tuple still borrowed from its table — so operators that only
 /// read their input need not own it.
-pub(crate) trait Row: Sync {
+pub(crate) trait Row {
     /// The row's values in column order.
     fn values(&self) -> &[Value];
     /// The row's lineage, for an output row that outlives this one.

@@ -86,10 +86,7 @@ fn main() {
     )
     .expect("plans");
     let physical = lower(&optimize(&plan, &catalog).expect("optimizes"), &catalog).expect("lowers");
-    let par = Parallelism {
-        worker_threads: Some(2),
-        ..Parallelism::default()
-    };
+    let par = Parallelism::sequential();
     per_call("execute/indexed_point_profiled", || {
         execute_vectorized_profiled(&physical, &catalog, &par, Some(&recorder)).expect("runs")
     });

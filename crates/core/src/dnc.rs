@@ -72,7 +72,7 @@ pub struct DncStats {
 
 /// Solve with divide-and-conquer.
 pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOutcome<DncStats>> {
-    let mut state = EvalState::new_par(problem, &options.greedy.parallelism);
+    let mut state = EvalState::new(problem);
     state.check_feasible()?;
     let mut stats = DncStats::default();
 

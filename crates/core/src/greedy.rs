@@ -45,9 +45,9 @@ pub struct GreedyOptions {
     pub gain: GainMode,
     /// Safety cap on phase-1 iterations.
     pub max_iterations: u64,
-    /// Worker threads for the initial scoring of every result (and, under
-    /// [`crate::dnc`], for solving groups side by side). The answer is the
-    /// same bit for bit at any setting. Defaults to sequential.
+    /// Worker threads for [`crate::dnc`]'s groups, its one reader (greedy
+    /// itself runs on the calling thread). The answer is the same bit for
+    /// bit at any setting. Defaults to sequential.
     pub parallelism: pcqe_par::Parallelism,
 }
 
@@ -100,7 +100,7 @@ pub(crate) fn solve_queries(
     queries: &[QuerySlice],
     options: &GreedyOptions,
 ) -> Result<SolveOutcome<GreedyStats>> {
-    let mut state = EvalState::for_queries(problem, queries, &options.parallelism);
+    let mut state = EvalState::for_queries(problem, queries);
     state.check_feasible()?;
     let mut stats = GreedyStats::default();
     run(&mut state, options, &mut stats)?;

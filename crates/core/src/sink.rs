@@ -38,20 +38,45 @@ impl HeuristicStats {
     }
 }
 
+/// The names one [`GreedyStats`] is filed under: its iterations,
+/// reductions and evals, in that order.
+pub type GreedyNames = [&'static str; 3];
+
+/// A greedy solve's own names.
+pub const SOLVER_GREEDY: GreedyNames = [
+    "solver.greedy.iterations",
+    "solver.greedy.reductions",
+    "solver.greedy.evals",
+];
+
+/// D&C's aggregate over its groups' greedy solves.
+pub const SOLVER_DNC_GREEDY: GreedyNames = [
+    "solver.dnc.greedy.iterations",
+    "solver.dnc.greedy.reductions",
+    "solver.dnc.greedy.evals",
+];
+
+/// The multi-query solver's joint greedy solve.
+pub const SOLVER_MULTI: GreedyNames = [
+    "solver.multi.iterations",
+    "solver.multi.reductions",
+    "solver.multi.evals",
+];
+
 impl GreedyStats {
     /// Pour this run's statistics into `observer` under `solver.greedy.*`.
     pub fn emit(&self, observer: Option<&dyn Observer>) {
-        self.emit_as("solver.greedy", observer);
+        self.emit_as(SOLVER_GREEDY, observer);
     }
 
-    /// Pour under an explicit prefix — used by [`DncStats::emit`] to file
-    /// its aggregate greedy stats under `solver.dnc.greedy.*`, and by the
-    /// multi-query solver under `solver.multi.*`.
-    pub fn emit_as(&self, prefix: &str, observer: Option<&dyn Observer>) {
+    /// Pour under other names — [`SOLVER_DNC_GREEDY`] for
+    /// [`DncStats::emit`], [`SOLVER_MULTI`] for the multi-query solver.
+    pub fn emit_as(&self, names: GreedyNames, observer: Option<&dyn Observer>) {
         let Some(sink) = observer else { return };
-        sink.count(&format!("{prefix}.iterations"), self.iterations);
-        sink.count(&format!("{prefix}.reductions"), self.reductions);
-        sink.count(&format!("{prefix}.evals"), self.evals);
+        let values = [self.iterations, self.reductions, self.evals];
+        for (name, value) in names.into_iter().zip(values) {
+            sink.count(name, value);
+        }
     }
 }
 
@@ -70,7 +95,7 @@ impl DncStats {
             "solver.dnc.refinement_reductions",
             self.refinement_reductions,
         );
-        self.greedy.emit_as("solver.dnc.greedy", observer);
+        self.greedy.emit_as(SOLVER_DNC_GREEDY, observer);
     }
 }
 

@@ -99,19 +99,10 @@ pub struct EvalState<'p> {
 impl<'p> EvalState<'p> {
     /// Fresh state: every base at its initial confidence.
     pub fn new(problem: &'p ProblemInstance) -> EvalState<'p> {
-        Self::new_par(problem, &pcqe_par::Parallelism::sequential())
+        Self::for_queries(problem, &[QuerySlice::whole(problem)])
     }
 
-    /// [`Self::new`] with the initial scoring of every result fanned out
-    /// across worker threads. Byte-identical to the sequential
-    /// construction for any policy: each result's confidence is a pure
-    /// function of the (fixed) initial levels, and results are written
-    /// back in index order.
-    pub fn new_par(problem: &'p ProblemInstance, par: &pcqe_par::Parallelism) -> EvalState<'p> {
-        Self::for_queries(problem, &[QuerySlice::whole(problem)], par)
-    }
-
-    /// [`Self::new_par`] for several queries over one pool: `queries` tile
+    /// [`Self::new`] for several queries over one pool: `queries` tile
     /// `problem.results` in order, each with its own threshold and quota
     /// (`problem.beta` and `problem.required` are not read).
     ///
@@ -122,7 +113,6 @@ impl<'p> EvalState<'p> {
     pub(crate) fn for_queries(
         problem: &'p ProblemInstance,
         queries: &[QuerySlice],
-        par: &pcqe_par::Parallelism,
     ) -> EvalState<'p> {
         let mut grid_start = Vec::with_capacity(problem.bases.len() + 1);
         let mut grid_levels = Vec::new();
@@ -136,18 +126,16 @@ impl<'p> EvalState<'p> {
         }
         grid_start.push(grid_levels.len());
         let levels: Vec<f64> = problem.bases.iter().map(|b| b.initial).collect();
-        let scored = pcqe_par::map(par, &problem.results, |r| {
-            let mut values = vec![0.0; r.conf.node_count()];
-            let confidence = evaluate(r, &levels, None, &mut values);
-            (confidence, values)
-        });
-        let mut confidences = Vec::with_capacity(scored.len());
-        let mut values = Vec::with_capacity(scored.iter().map(|(_, v)| v.len()).sum());
-        let mut starts = Vec::with_capacity(scored.len() + 1);
+        let results = &problem.results;
+        let mut confidences = Vec::with_capacity(results.len());
+        let mut values = Vec::with_capacity(results.iter().map(|r| r.conf.node_count()).sum());
+        let mut starts = Vec::with_capacity(results.len() + 1);
         starts.push(0);
-        for (confidence, nodes) in scored {
-            confidences.push(confidence);
-            values.extend_from_slice(&nodes);
+        for r in results {
+            let start = values.len();
+            values.resize(start + r.conf.node_count(), 0.0);
+            let nodes = values.get_mut(start..).unwrap_or_default();
+            confidences.push(evaluate(r, &levels, None, nodes));
             starts.push(values.len());
         }
         let mut thresholds = Vec::with_capacity(confidences.len());
@@ -586,7 +574,7 @@ mod tests {
             required: 1,
         };
         let queries = [slice(0, 0.5), slice(1, 0.2)];
-        let mut s = EvalState::for_queries(&p, &queries, &pcqe_par::Parallelism::sequential());
+        let mut s = EvalState::for_queries(&p, &queries);
         s.set_steps(1, 5); // r0 = 0.64 > 0.5, r1 = 0.6 · 0.1
         assert!(s.is_satisfied(0) && !s.is_satisfied(1));
         assert!(!s.meets_quota(), "query 1 is still unmet");
@@ -626,24 +614,6 @@ mod tests {
         s.set_steps(0, 9); // r0 satisfied via t0
         let useful = s.probe_step_gain(1, true);
         assert!((useful - 0.1 * 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_construction_matches_sequential_bitwise() {
-        let p = two_result_problem();
-        let seq = EvalState::new(&p);
-        let par = EvalState::new_par(
-            &p,
-            &pcqe_par::Parallelism {
-                worker_threads: Some(8),
-                parallel_threshold: 1,
-            },
-        );
-        for ri in 0..p.results.len() {
-            assert_eq!(seq.confidence(ri).to_bits(), par.confidence(ri).to_bits());
-        }
-        assert_eq!(seq.satisfied_count(), par.satisfied_count());
-        assert_eq!(seq.evals, par.evals);
     }
 
     #[test]

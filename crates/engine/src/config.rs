@@ -14,16 +14,15 @@ pub struct EngineConfig {
     pub default_cost: CostFn,
     /// Shannon budget when compiling lineage into the strategy problem.
     pub lineage_budget: usize,
-    /// Worker threads for the three parallel sites: plan execution, a
-    /// strategy solver's initial scoring of its results
-    /// (`EvalState::new_par`) and divide-and-conquer's groups. Scoring a
-    /// query's result rows is sequential. `None` uses every available
-    /// core; `Some(1)` reproduces the sequential engine bit-for-bit (any
-    /// setting produces identical answers — threads only change speed).
+    /// Worker threads for the engine's one parallel site: the strategy
+    /// finder's divide-and-conquer, which solves its groups side by side.
+    /// Plan execution, result scoring and every solver's initial scoring
+    /// run on the calling thread. `None` uses every available core;
+    /// `Some(1)` reproduces the sequential engine bit-for-bit (any setting
+    /// produces identical answers — threads only change speed).
     pub worker_threads: Option<usize>,
-    /// Minimum batch size before threads are spawned, per site: rows to
-    /// execute, results a solver scores initially, grid points D&C's
-    /// groups search.
+    /// Minimum work before D&C's groups are spawned: the grid points the
+    /// groups' searches range over.
     pub parallel_threshold: usize,
 }
 

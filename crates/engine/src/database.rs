@@ -12,7 +12,7 @@ use pcqe_algebra::{
 };
 use pcqe_core::clock::{Clock, SystemClock};
 use pcqe_cost::CostFn;
-use pcqe_par::{ConfidencePath, Decision, Observer, Span};
+use pcqe_par::{ConfidencePath, Decision, Observer, Parallelism, Span};
 use pcqe_policy::{evaluate_results, ConfidencePolicy, PolicyStore, Purpose, Role};
 use pcqe_provenance::{Assigner, ProvenanceRecord};
 use pcqe_storage::{Catalog, Schema, TupleId, Value};
@@ -419,15 +419,16 @@ impl Database {
         Ok(fresh)
     }
 
-    /// Run a lowered query on the vectorized executor. The per-operator
-    /// profile is collected (and the listener fed) only when a listener is
-    /// attached; otherwise the profile comes back empty.
+    /// Run a lowered query on the vectorized executor, on the calling
+    /// thread. The per-operator profile is collected (and the listener fed)
+    /// only when a listener is attached; otherwise the profile comes back
+    /// empty.
     fn run_plan(
         &self,
         phys: &PhysicalPlan,
         listener: Option<&dyn Observer>,
     ) -> Result<(ResultSet, ExecProfile)> {
-        let par = self.config.parallelism();
+        let par = Parallelism::sequential();
         Ok(match listener {
             Some(_) => execute_vectorized_profiled(phys, &self.catalog, &par, listener)?,
             None => (
@@ -629,7 +630,8 @@ impl Database {
         };
         let outcome = {
             let _phase = Span::open(&listeners, "propose");
-            improve::propose(&ctx, &withheld, Some(recorder.as_ref()), &mut self.cache)?
+            let metrics = listeners.metrics.map(|r| r as &dyn Observer);
+            improve::propose(&ctx, &withheld, metrics, &mut self.cache)?
         };
         drop(lifecycle);
         match outcome {
@@ -688,9 +690,8 @@ impl Database {
         use pcqe_core::greedy::GreedyOptions;
         use pcqe_core::multi::{solve_greedy, MultiQueryProblem};
 
-        let recording = self.recording();
         let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
-        let listeners = listeners(&recorder, &tracer, recording);
+        let listeners = listeners(&recorder, &tracer, self.recording());
         // Evaluate without per-query proposals (done jointly below).
         let stage = Stage {
             listeners: &listeners,
@@ -738,18 +739,13 @@ impl Database {
             return Ok(batch);
         }
         let multi = MultiQueryProblem::merge(&instances)?;
-        let greedy_opts = GreedyOptions {
-            parallelism: self.config.parallelism(),
-            ..GreedyOptions::default()
-        };
         let solved = {
             let _span = Span::open(&listeners, "batch/multi");
-            solve_greedy(&multi, &greedy_opts)
+            solve_greedy(&multi, &GreedyOptions::default())
         };
         let solved = solved.map(|out| {
-            if recording {
-                out.stats.emit_as("solver.multi", Some(recorder.as_ref()));
-            }
+            let metrics = listeners.metrics.map(|r| r as &dyn Observer);
+            out.stats.emit_as(pcqe_core::sink::SOLVER_MULTI, metrics);
             out.solution
         });
         let released = batch.responses.iter().map(|r| r.released.len()).sum();

@@ -30,7 +30,7 @@ pub(crate) struct ProposeContext<'a> {
     pub catalog: &'a Catalog,
     /// Per-tuple cost functions.
     pub costs: &'a BTreeMap<TupleId, CostFn>,
-    /// Engine configuration (δ, default cost, Shannon budget, threads).
+    /// Engine configuration (δ, default cost, Shannon budget, D&C's threads).
     pub config: &'a EngineConfig,
     /// The governing threshold β.
     pub beta: f64,
@@ -73,7 +73,7 @@ pub(crate) fn propose(
     let sink = observer.unwrap_or(&());
     sink.count("solver.problem_bases", problem.bases.len() as u64);
     sink.count("solver.quota.required", needed as u64);
-    let solved = dispatch(&problem, &config.parallelism(), observer);
+    let solved = dispatch(&problem, config.parallelism(), observer);
     outcome(solved, &problem, already_released, requested, version)
 }
 
@@ -183,20 +183,18 @@ pub(crate) fn build_instance(
 
 /// Pick the solver by problem size, mirroring the crossovers measured in
 /// Figure 11(c): exact branch-and-bound (seeded by greedy) up to 12 base
-/// tuples, divide-and-conquer past 64 results, greedy in between. Every
-/// solver runs under the engine's parallelism policy, in a span of its own
-/// on `observer` (`greedy`, `heuristic`, `dnc`), and its statistics are
-/// reported there as `solver.*` metrics.
+/// tuples, divide-and-conquer past 64 results, greedy in between. Each
+/// solver runs in a span of its own on `observer` (`greedy`, `heuristic`,
+/// `dnc`), and its statistics are reported there as `solver.*` metrics.
+/// Only D&C's groups run under the engine's parallelism policy `par`;
+/// everything else runs on the calling thread.
 fn dispatch(
     problem: &ProblemInstance,
-    par: &pcqe_par::Parallelism,
+    par: pcqe_par::Parallelism,
     observer: Option<&dyn Observer>,
 ) -> std::result::Result<Solution, CoreError> {
     let sink = observer.unwrap_or(&());
-    let greedy_opts = GreedyOptions {
-        parallelism: par.clone(),
-        ..GreedyOptions::default()
-    };
+    let greedy_opts = GreedyOptions::default();
     // One solver's answer, timed in the span `$name` on `sink`, its
     // statistics poured into `sink`.
     macro_rules! solved {
@@ -218,7 +216,10 @@ fn dispatch(
         solved!("heuristic", heuristic::solve(problem, &opts))
     } else if problem.results.len() > 64 {
         let opts = DncOptions {
-            greedy: greedy_opts,
+            greedy: GreedyOptions {
+                parallelism: par,
+                ..greedy_opts
+            },
             ..DncOptions::default()
         };
         solved!("dnc", dnc::solve(problem, &opts))

@@ -1,35 +1,32 @@
 //! # pcqe-par — deterministic data parallelism on `std` alone
 //!
 //! One scheduler on [`std::thread::scope`] — no external dependencies, no
-//! global thread pool, no lock, no unsafe code — with one protocol and two
-//! faces. The protocol is [`morsel::map_morsels`]: scoped workers claim
-//! *unit* indexes from an atomic cursor and the caller reassembles their
-//! results **in unit order** (a batch too light for threads runs the same
-//! units on the calling thread). The faces differ in who cuts the units:
-//! [`morsel::map_morsels`] / [`morsel::try_map_morsels`] take the caller's
-//! variable-weight units (a run of stored rows, a hash-join partition);
-//! [`map`] / [`try_map_observed`] take a homogeneous item slice, cut it
-//! into a few equal chunks per worker and concatenate the parts.
+//! global thread pool, no lock, no unsafe code — behind one protocol,
+//! [`morsel::map_morsels`] (and its fallible twin
+//! [`morsel::try_map_morsels`]): scoped workers claim *unit* indexes from
+//! an atomic cursor and the caller reassembles their results **in unit
+//! order** (a batch too light for threads runs the same units on the
+//! calling thread). Its one caller is the strategy finder's
+//! divide-and-conquer, whose units are the independent groups of
+//! `pcqe-core`'s partition; plan execution, result scoring and a solver's
+//! initial scoring run on the calling thread, where threads were measured
+//! not to pay.
 //!
 //! ## Determinism contract
 //!
-//! For a pure (or per-item-seeded) function `f`, `map(par, items, f)`
-//! returns exactly `items.iter().map(f).collect()` — the same values in
-//! the same order — regardless of how many worker threads ran or how
-//! units interleaved. This is what lets the engine keep byte-identical
-//! query answers while scaling across cores: thread count changes *when*
-//! an item is evaluated, never *what* is evaluated or where its output
-//! lands.
+//! For a pure (or per-unit-seeded) function `f`,
+//! `map_morsels(par, units, weight, f, observer)` returns exactly
+//! `units.iter().enumerate().map(|(i, u)| f(i, u)).collect()` — the same
+//! values in the same order — regardless of how many worker threads ran or
+//! how units interleaved. Thread count changes *when* a unit is evaluated,
+//! never *what* is evaluated or where its output lands.
 //!
-//! The contract extends to shared read-only state captured by `f`. The
-//! engine's lineage layer hands workers `Arc`-shared compiled circuits
-//! drawn from one query's circuit pool (`pcqe-lineage`'s `CircuitCache`);
-//! because `f` only *reads* that state and every item's output slot is
-//! fixed by input order, scoring a batch over pooled circuits is
-//! bit-identical at any thread count. (Mutable cache state — probability
-//! memos, invalidation — never crosses into a parallel batch; the engine
-//! drives memoized scoring sequentially and uses `map`/`try_map_observed`
-//! only with immutable circuit views.)
+//! The contract extends to shared read-only state captured by `f`. D&C's
+//! groups read one problem instance and its `Arc`-shared compiled
+//! circuits; because `f` only *reads* that state and every unit's output
+//! slot is fixed by input order, the groups' answers are bit-identical at
+//! any thread count. (Mutable cache state — probability memos,
+//! invalidation — never crosses into a parallel batch.)
 //!
 //! ## Panic propagation
 //!
@@ -242,175 +239,9 @@ impl Parallelism {
     }
 }
 
-/// Chunks per worker a slice is cut into: a few, so a slow chunk does not
-/// straggle the whole batch.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Items per chunk for a slice of `len` items run by `workers` workers;
-/// a single worker takes the whole slice as one chunk.
-fn chunk_size(len: usize, workers: usize) -> usize {
-    match workers {
-        0 | 1 => len.max(1),
-        _ => len.div_ceil(workers * CHUNKS_PER_WORKER).max(1),
-    }
-}
-
-/// Apply `f` to every item, in parallel, preserving input order.
-///
-/// Equivalent to `items.iter().map(f).collect()` for any thread count.
-/// Runs on the calling thread when the batch is below the policy's
-/// threshold or only one worker is available.
-pub fn map<T, R, F>(par: &Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_chunks(par, items, f, None)
-}
-
-/// Fallible [`map`] with an optional [`Observer`]: apply `f` to every
-/// item in parallel and return either all results in input order or the
-/// **first error in input order** — matching what a sequential
-/// `collect::<Result<Vec<_>, _>>()` would report (later items may still
-/// have been evaluated). The observer only reads its own clock and
-/// receives counts after the fact; results are identical with or
-/// without one.
-pub fn try_map_observed<T, R, E, F>(
-    par: &Parallelism,
-    items: &[T],
-    f: F,
-    observer: Option<&dyn Observer>,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    map_chunks(par, items, f, observer).into_iter().collect()
-}
-
-/// The slice face of the dispatcher: cut `items` into chunks, run them as
-/// morsels weighing `items.len()`, and concatenate the per-chunk outputs
-/// (the first chunk's buffer is the output, so a one-chunk batch is a
-/// single direct `collect`).
-fn map_chunks<T, R, F>(
-    par: &Parallelism,
-    items: &[T],
-    f: F,
-    observer: Option<&dyn Observer>,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let len = items.len();
-    let chunks: Vec<&[T]> = items
-        .chunks(chunk_size(len, par.workers_for(len)))
-        .collect();
-    let run = |_: usize, chunk: &&[T]| chunk.iter().map(&f).collect::<Vec<R>>();
-    let mut parts = morsel::map_morsels(par, &chunks, len, run, observer).into_iter();
-    let mut out = parts.next().unwrap_or_default();
-    out.reserve(len.saturating_sub(out.len()));
-    for mut part in parts {
-        out.append(&mut part);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    fn eight() -> Parallelism {
-        Parallelism {
-            worker_threads: Some(8),
-            parallel_threshold: 1,
-        }
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = map(&eight(), &[], |x: &u32| x + 1);
-        assert!(out.is_empty());
-        let out: Vec<u32> = map(&Parallelism::sequential(), &[], |x: &u32| x + 1);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_item_runs_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let out = map(&eight(), &[41u32], |x| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            x + 1
-        });
-        assert_eq!(out, vec![42]);
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn preserves_input_order_at_every_thread_count() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for workers in [1usize, 2, 3, 8, 17] {
-            let par = Parallelism {
-                worker_threads: Some(workers),
-                parallel_threshold: 1,
-            };
-            let got = map(&par, &items, |x| x * 3 + 1);
-            assert_eq!(got, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn the_dispatcher_gives_each_unit_its_slice_index() {
-        let items = vec!["a", "b", "c", "d", "e"];
-        let par = Parallelism {
-            worker_threads: Some(4),
-            parallel_threshold: 1,
-        };
-        let got = morsel::map_morsels(&par, &items, 5, |i, s| format!("{i}{s}"), None);
-        assert_eq!(got, vec!["0a", "1b", "2c", "3d", "4e"]);
-    }
-
-    #[test]
-    fn below_threshold_stays_on_calling_thread() {
-        let caller = std::thread::current().id();
-        let par = Parallelism {
-            worker_threads: Some(8),
-            parallel_threshold: 100,
-        };
-        let ids = map(&par, &[1, 2, 3], |_| std::thread::current().id());
-        assert!(ids.iter().all(|&id| id == caller));
-    }
-
-    #[test]
-    fn every_item_visited_exactly_once() {
-        let counts: Vec<AtomicUsize> = (0..5000).map(|_| AtomicUsize::new(0)).collect();
-        let items: Vec<usize> = (0..5000).collect();
-        map(&eight(), &items, |&i| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn worker_panic_propagates_to_caller() {
-        let items: Vec<u32> = (0..1000).collect();
-        let result = std::panic::catch_unwind(|| {
-            map(&eight(), &items, |&x| {
-                if x == 500 {
-                    panic!("boom at 500");
-                }
-                x
-            })
-        });
-        assert!(result.is_err(), "worker panic must reach the caller");
-    }
 
     #[test]
     fn workers_for_respects_threshold_and_caps() {
@@ -426,98 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn observed_map_matches_unobserved_map_exactly() {
-        struct CountingObserver {
-            ticks: AtomicUsize,
-            batches: Mutex<Vec<BatchReport>>,
-        }
-        impl Observer for CountingObserver {
-            fn now_nanos(&self) -> u64 {
-                // A fake monotonic clock: one tick per read.
-                self.ticks.fetch_add(1, Ordering::Relaxed) as u64
-            }
-            fn batch(&self, report: &BatchReport) {
-                self.batches.lock().expect("batches").push(report.clone());
-            }
-        }
-        let items: Vec<u64> = (0..10_000).collect();
-        let plain = map(&eight(), &items, |x| x * 7 + 3);
-        let obs = CountingObserver {
-            ticks: AtomicUsize::new(0),
-            batches: Mutex::new(Vec::new()),
-        };
-        let observed =
-            try_map_observed(&eight(), &items, |x| Ok::<_, ()>(x * 7 + 3), Some(&obs)).unwrap();
-        assert_eq!(plain, observed, "observation must not change results");
-        let batches = obs.batches.lock().expect("batches");
-        assert_eq!(batches.len(), 1, "one report per batch");
-        let r = &batches[0];
-        assert_eq!(r.items, 10_000);
-        assert_eq!(r.workers, 8);
-        assert_eq!(r.chunks, 32, "four 313-item chunks per worker");
-        assert_eq!(r.chunks_claimed.len(), r.workers);
-        assert_eq!(r.busy_nanos.len(), r.workers);
-        assert_eq!(
-            r.chunks_claimed.iter().sum::<u64>(),
-            r.chunks as u64,
-            "every chunk claimed exactly once"
-        );
-    }
-
-    #[test]
-    fn sequential_path_still_reports_one_chunk() {
-        struct OneBatch(Mutex<Option<BatchReport>>);
-        impl Observer for OneBatch {
-            fn batch(&self, report: &BatchReport) {
-                *self.0.lock().expect("slot") = Some(report.clone());
-            }
-        }
-        let obs = OneBatch(Mutex::new(None));
-        let out = try_map_observed(
-            &Parallelism::sequential(),
-            &[1u8, 2, 3],
-            |x| Ok::<_, ()>(x + 1),
-            Some(&obs),
-        );
-        assert_eq!(out, Ok(vec![2, 3, 4]));
-        let report = obs.0.lock().expect("slot").clone().expect("reported");
-        assert_eq!(report, BatchReport::sequential(3, 1, 0));
-        // An empty slice has no chunk to cut, and still reports one.
-        let out = try_map_observed(&eight(), &[0u8; 0], |x| Ok::<_, ()>(x + 1), Some(&obs));
-        assert_eq!(out, Ok(vec![]));
-        let report = obs.0.lock().expect("slot").clone().expect("reported");
-        assert_eq!(report, BatchReport::sequential(0, 1, 0));
-    }
-
-    #[test]
-    fn try_map_observed_keeps_first_error_semantics() {
-        let items: Vec<u32> = (0..10_000).collect();
-        let err = try_map_observed(
-            &eight(),
-            &items,
-            |&x| {
-                if x % 3000 == 2999 {
-                    Err(format!("bad {x}"))
-                } else {
-                    Ok(x)
-                }
-            },
-            Some(&()),
-        )
-        .unwrap_err();
-        assert_eq!(err, "bad 2999", "must match sequential collect semantics");
-        let ok: Vec<u32> = try_map_observed(&eight(), &items, |&x| Ok::<_, ()>(x), None).unwrap();
-        assert_eq!(ok, items);
-    }
-
-    #[test]
     fn oversubscription_beyond_item_count_is_clamped() {
         let par = Parallelism {
             worker_threads: Some(64),
             parallel_threshold: 2,
         };
         assert_eq!(par.workers_for(3), 3, "never more workers than items");
-        let got = map(&par, &[10u8, 20, 30], |x| x / 10);
+        let got = morsel::map_morsels(&par, &[10u8, 20, 30], 3, |_, x| x / 10, None);
         assert_eq!(got, vec![1, 2, 3]);
     }
 }

@@ -1,14 +1,13 @@
 //! The dispatcher: every `pcqe-par` batch runs through [`map_morsels`].
 //!
-//! Work arrives already cut into **units** — morsels of variable weight
-//! such as "one run of ~1024 stored rows" or "one hash-join partition",
-//! or the equal chunks [`crate::map`] cuts a slice into — and each unit
-//! gets exactly one `f` application:
+//! Work arrives already cut into **units** — morsels of variable weight,
+//! such as the independent groups of a divide-and-conquer solve — and each
+//! unit gets exactly one `f` application:
 //!
 //! * workers claim unit indexes from an atomic cursor;
 //! * finished units flow back over an [`std::sync::mpsc`] channel and are
 //!   reassembled **in unit order** on the calling thread;
-//! * `weight` (total rows across all units) — not the unit count — decides
+//! * `weight` (the work across all units) — not the unit count — decides
 //!   whether spawning pays off, via [`Parallelism::workers_for`].
 //!
 //! For a pure `f` the output is the sequential one at any thread count
@@ -23,9 +22,9 @@ use std::sync::mpsc;
 
 /// Apply `f` to every unit, in parallel, preserving unit order.
 ///
-/// `weight` is the total row count carried by `units` and gates the
-/// spawn decision: a thousand one-row morsels should stay sequential
-/// just like a thousand-item slice would. Equivalent to
+/// `weight` is the total work carried by `units` — for D&C's groups, the
+/// grid points their searches range over — and gates the spawn decision,
+/// so many light units stay on the calling thread. Equivalent to
 /// `units.iter().enumerate().map(|(i, u)| f(i, u)).collect()` for any
 /// thread count.
 pub fn map_morsels<U, R, F>(
@@ -193,30 +192,72 @@ mod tests {
     #[test]
     fn empty_and_single_unit_batches() {
         let none: Vec<u32> = Vec::new();
-        let out: Vec<u32> = map_morsels(&eight(), &none, 0, |_, u| u + 1, None);
-        assert!(out.is_empty());
-        let out = map_morsels(&eight(), &[41u32], 5000, |_, u| u + 1, None);
+        for par in [eight(), Parallelism::sequential()] {
+            let out: Vec<u32> = map_morsels(&par, &none, 0, |_, u| u + 1, None);
+            assert!(out.is_empty());
+        }
+        let calls = AtomicUsize::new(0);
+        let out = map_morsels(
+            &eight(),
+            &[41u32],
+            5000,
+            |_, u| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                u + 1
+            },
+            None,
+        );
         assert_eq!(out, vec![42]);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one unit, one run");
+    }
+
+    #[test]
+    fn the_dispatcher_gives_each_unit_its_index() {
+        let units = vec!["a", "b", "c", "d", "e"];
+        let par = Parallelism {
+            worker_threads: Some(4),
+            parallel_threshold: 1,
+        };
+        let got = map_morsels(&par, &units, 5, |i, s| format!("{i}{s}"), None);
+        assert_eq!(got, vec!["0a", "1b", "2c", "3d", "4e"]);
+    }
+
+    #[test]
+    fn every_unit_visited_exactly_once() {
+        let counts: Vec<AtomicUsize> = (0..5000).map(|_| AtomicUsize::new(0)).collect();
+        let units: Vec<usize> = (0..5000).collect();
+        map_morsels(
+            &eight(),
+            &units,
+            units.len(),
+            |_, &i| {
+                counts[i].fetch_add(1, Ordering::SeqCst);
+            },
+            None,
+        );
+        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
     fn try_map_morsels_returns_first_error_in_unit_order() {
         let units: Vec<u32> = (0..500).collect();
-        let err = try_map_morsels(
-            &eight(),
-            &units,
-            50_000,
-            |_, &u| {
-                if u % 100 == 99 {
-                    Err(format!("bad {u}"))
-                } else {
-                    Ok(u)
-                }
-            },
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(err, "bad 99", "must match sequential collect semantics");
+        for observer in [None, Some(&() as &dyn Observer)] {
+            let err = try_map_morsels(
+                &eight(),
+                &units,
+                50_000,
+                |_, &u| {
+                    if u % 100 == 99 {
+                        Err(format!("bad {u}"))
+                    } else {
+                        Ok(u)
+                    }
+                },
+                observer,
+            )
+            .unwrap_err();
+            assert_eq!(err, "bad 99", "must match sequential collect semantics");
+        }
         let ok: Vec<u32> =
             try_map_morsels(&eight(), &units, 50_000, |_, &u| Ok::<_, ()>(u), None).unwrap();
         assert_eq!(ok, units);
@@ -308,5 +349,10 @@ mod tests {
         assert_eq!(report.chunks, 3);
         assert_eq!(report.chunks_claimed, vec![3]);
         assert_eq!(report.reassembly_stalls, 0);
+        // An empty batch has no unit to run, and still reports one chunk.
+        let out: Vec<u8> = map_morsels(&eight(), &[], 0, |_, x: &u8| x + 1, Some(&obs));
+        assert!(out.is_empty());
+        let report = obs.0.lock().expect("slot").clone().expect("reported");
+        assert_eq!(report, BatchReport::sequential(0, 1, 0));
     }
 }

@@ -1,8 +1,8 @@
 //! Deterministic work partitioning and key hashing.
 //!
-//! * **Morsels** — contiguous runs of rows handed to `pcqe-par` workers.
-//!   [`morsel_rows`] picks the run length: large enough to amortise
-//!   dispatch, small enough that every worker lane stays busy.
+//! * **Morsels** — contiguous runs of rows: the unit a vectorized scan
+//!   walks at a time (its `batches=N` counts them) and scoring reports a
+//!   batch per. [`morsel_rows`] picks the run length.
 //! * **[`stable_hash`]** — a fixed FNV-1a over each value's canonical
 //!   byte form — never a `RandomState`, never float equality — so a key's
 //!   hash is a pure function of its values, across runs, threads and
@@ -10,18 +10,18 @@
 
 use crate::value::Value;
 
-/// Default rows per morsel: the contiguous unit of work one `pcqe-par`
-/// lane claims at a time during a vectorized scan.
+/// Default rows per morsel: the contiguous unit of work a vectorized scan
+/// walks at a time.
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 /// Morsel length for a table of `row_count` rows: the default, shrunk so
-/// that even small-but-parallel tables split into a handful of morsels.
+/// that even small tables split into a handful of morsels.
 pub fn morsel_rows(row_count: usize) -> usize {
     if row_count == 0 {
         return DEFAULT_MORSEL_ROWS;
     }
     // At least 8 morsels for any table that can fill them, without ever
-    // dropping below 64 rows (dispatch overhead would dominate).
+    // dropping below 64 rows.
     DEFAULT_MORSEL_ROWS.min(row_count.div_ceil(8)).max(64)
 }
 

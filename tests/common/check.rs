@@ -115,7 +115,9 @@ pub fn assert_matches_reference(
 }
 
 /// The worker counts the executor suites run every plan at — one, four
-/// and the host's — each forcing the parallel paths on any input size.
+/// and the host's, each with the spawn threshold at its lowest. The
+/// executor runs on the calling thread and reads none of them; the grid
+/// holds that its answer cannot come to depend on one.
 fn parallelism_grid() -> [(Parallelism, &'static str); 3] {
     let threads = |worker_threads| Parallelism {
         worker_threads,

@@ -178,80 +178,67 @@ fn vectorized_engine_matches_the_tuple_at_a_time_reference() {
 }
 
 /// The scheduler's *structural* telemetry is part of the determinism
-/// contract: how many batches a query dispatches, how many items they
-/// carry and how many chunks they are cut into depend on the data and the
-/// worker count alone, and every chunk is claimed exactly once. The
-/// un-indexed numbers were recorded on the commit before `pcqe-par`
-/// became one dispatcher, so the chunked map's move onto the morsel loop
-/// is pinned to the old scheduler's chunking batch for batch.
+/// contract: how many batches a query reports, how many items they carry
+/// and how many chunks they are cut into depend on the data alone — not on
+/// the worker count — and every chunk is claimed exactly once. Plan
+/// execution runs on the calling thread and reports no batch; what reaches
+/// `par.*` is scoring's pass over the result rows, one batch per morsel.
 ///
-/// The hash join builds its table in one pass on the calling thread: the
-/// tag pass and the partition build it once dispatched are gone, two
-/// batches and the 128 items they carried (parent → now, un-indexed, at
-/// 1/2/4 workers: `distinct` 7 batches, 26 258 items, 23/37/53 chunks →
-/// 5, 26 130, 21/28/36; `hash_join` 14, 13 312, 30/44/60 → 12, 13 184,
-/// 28/35/43).
+/// Until the executor stopped dispatching through `pcqe-par`, every scan,
+/// filter, projection and join reported a batch, and its chunks grew with
+/// the workers (parent, un-indexed, at 1/2/4 workers: `distinct` 5
+/// batches, 26 130 items, 21/28/36 chunks; `hash_join` 12, 13 184,
+/// 28/35/43; indexed 11, 13 120, 27/34/42).
 ///
-/// With an index on `sensors.id` the hash join becomes an index join, and
-/// the pinned counts say what that saves without a clock: the right scan
-/// no longer dispatches (one batch and the 64 items it carried), and the
-/// plan has one operator fewer.
+/// With an index on `sensors.id` the hash join becomes an index join: the
+/// plan has one operator fewer and scores the same rows.
 #[test]
 fn scheduler_structure_is_pinned_per_worker_count() {
     let distinct = "SELECT DISTINCT r.sensor FROM readings r JOIN sensors s \
                     ON r.sensor = s.id WHERE r.value < 800";
     let hash_join = "SELECT r.sensor, r.value FROM readings r JOIN sensors s \
                      ON r.sensor = s.id WHERE r.value < 100";
-    // (query, sensors.id indexed, workers, par.batches, par.items, par.chunks,
+    // (query, sensors.id indexed, par.batches, par.items, par.chunks,
     // exec.operators)
-    let pinned: [(&str, bool, usize, u64, u64, u64, u64); 9] = [
-        (distinct, false, 1, 5, 26_130, 21, 4),
-        (distinct, false, 2, 5, 26_130, 28, 4),
-        (distinct, false, 4, 5, 26_130, 36, 4),
-        (hash_join, false, 1, 12, 13_184, 28, 4),
-        (hash_join, false, 2, 12, 13_184, 35, 4),
-        (hash_join, false, 4, 12, 13_184, 43, 4),
-        (hash_join, true, 1, 11, 13_120, 27, 3),
-        (hash_join, true, 2, 11, 13_120, 34, 3),
-        (hash_join, true, 4, 11, 13_120, 42, 3),
+    let pinned: [(&str, bool, u64, u64, u64, u64); 3] = [
+        (distinct, false, 1, 64, 1, 4),
+        (hash_join, false, 8, 1_040, 8, 4),
+        (hash_join, true, 8, 1_040, 8, 3),
     ];
     let user = User::new("ana", "analyst");
-    for (sql, indexed, workers, batches, items, chunks, operators) in pinned {
-        let mut db = populated(config(workers), 10_000);
-        if indexed {
-            db.create_index("sensors", "id").unwrap();
+    for (sql, indexed, batches, items, chunks, operators) in pinned {
+        for workers in [1, 2, 4] {
+            let mut db = populated(config(workers), 10_000);
+            if indexed {
+                db.create_index("sensors", "id").unwrap();
+            }
+            assert_eq!(
+                db.metrics_snapshot().counter("par.batches"),
+                0,
+                "loading dispatches nothing"
+            );
+            db.query(&user, &QueryRequest::new(sql, "report").expecting(0.2))
+                .unwrap();
+            let snap = db.metrics_snapshot();
+            let got = ["par.batches", "par.items", "par.chunks", "exec.operators"]
+                .map(|name| snap.counter(name));
+            assert_eq!(
+                got,
+                [batches, items, chunks, operators],
+                "{workers} workers, indexed={indexed}: {sql}"
+            );
+            assert_eq!(
+                snap.counter("par.chunks_claimed"),
+                chunks,
+                "every chunk claimed exactly once at {workers} workers: {sql}"
+            );
         }
-        assert_eq!(
-            db.metrics_snapshot().counter("par.batches"),
-            0,
-            "loading dispatches nothing"
-        );
-        db.query(&user, &QueryRequest::new(sql, "report").expecting(0.2))
-            .unwrap();
-        let snap = db.metrics_snapshot();
-        let got = ["par.batches", "par.items", "par.chunks", "exec.operators"]
-            .map(|name| snap.counter(name));
-        assert_eq!(
-            got,
-            [batches, items, chunks, operators],
-            "{workers} workers, indexed={indexed}: {sql}"
-        );
-        assert_eq!(
-            snap.counter("par.chunks_claimed"),
-            chunks,
-            "every chunk claimed exactly once at {workers} workers: {sql}"
-        );
     }
-    // Strictly less of everything with the index, at every worker count.
-    for (without, with) in pinned[3..6].iter().zip(&pinned[6..]) {
-        assert_eq!((without.0, without.2), (with.0, with.2));
-        let counts = |row: &(&str, bool, usize, u64, u64, u64, u64)| [row.3, row.4, row.5, row.6];
-        let (with, without) = (counts(with), counts(without));
-        assert!(
-            with.iter().zip(&without).all(|(w, wo)| w < wo),
-            "{with:?} vs {without:?}"
-        );
-    }
+    // The index join: one operator fewer, the same rows scored.
+    let (without, with) = (pinned[1], pinned[2]);
+    assert_eq!(without.0, with.0);
+    assert_eq!(with.5 + 1, without.5);
+    assert_eq!((with.2, with.3, with.4), (without.2, without.3, without.4));
 }
 
 /// Worker counts every D&C comparison runs at; `None` is the host's.

@@ -5,9 +5,10 @@
 //! running beside these on other threads of the binary cannot leak in.
 //! The database is `lookup`-shaped — an `orders` table with a wide TEXT
 //! column and equality indexes, and `customers` — with the recorder on,
-//! as it is by default; at two workers the queries below stay under the
-//! parallel threshold, so every allocation of a query is made on the
-//! thread that calls it. Most queries are counted after two warm-ups of
+//! as it is by default. Plan execution and scoring run on the calling
+//! thread, and the one parallel site, divide-and-conquer's groups, stays
+//! under the parallel threshold at two workers here, so every allocation
+//! of a query is made on the thread that calls it. Most queries are counted after two warm-ups of
 //! their shape — the first plans it, the second learns it — so that the
 //! count is of a statement-cache hit; one of them follows an insert,
 //! which keeps the cached plan. Two budgets keep the planning path
@@ -198,7 +199,7 @@ fn point(id: i64) -> String {
 fn a_point_select_stays_within_its_allocation_budget() {
     let point = point(123);
     let (made, _) = allocations_of(&[&point, &point], &point, 0.0, 1);
-    assert!(made <= 58, "a 1-row point SELECT made {made} allocations");
+    assert!(made <= 44, "a 1-row point SELECT made {made} allocations");
 }
 
 /// The point SELECT as a fresh database's first query: a statement-cache
@@ -210,7 +211,7 @@ fn a_point_select_stays_within_its_allocation_budget() {
 fn a_cold_point_select_stays_within_its_allocation_budget() {
     let (made, _) = allocations_of(&[], &point(123), 0.0, 1);
     assert!(
-        made <= 169,
+        made <= 157,
         "a cold 1-row point SELECT made {made} allocations"
     );
 }
@@ -222,7 +223,7 @@ fn a_cold_point_select_stays_within_its_allocation_budget() {
 fn a_point_select_that_learns_its_shape_stays_within_its_allocation_budget() {
     let (made, _) = allocations_of(&[&point(123)], &point(124), 0.0, 1);
     assert!(
-        made <= 135,
+        made <= 122,
         "a learning 1-row point SELECT made {made} allocations"
     );
 }
@@ -234,7 +235,7 @@ fn a_point_select_that_learns_its_shape_stays_within_its_allocation_budget() {
 fn a_rebound_point_select_stays_within_its_allocation_budget() {
     let (made, _) = allocations_of(&[&point(123), &point(122)], &point(124), 0.0, 1);
     assert!(
-        made <= 60,
+        made <= 47,
         "a rebound 1-row point SELECT made {made} allocations"
     );
 }
@@ -258,7 +259,7 @@ fn a_point_select_after_an_insert_stays_within_its_allocation_budget() {
     let warm_ups = [&point(123)[..], &point(122)];
     let (made, _) = allocations_after(&warm_ups, &insert, &point(ORDERS), 0.0, 1);
     assert!(
-        made <= 60,
+        made <= 48,
         "a 1-row point SELECT after an insert made {made} allocations"
     );
 }
@@ -268,7 +269,7 @@ fn a_selective_select_stays_within_its_allocation_budget() {
     let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
     let (made, _) = allocations_of(&[selective, selective], selective, 0.0, 20);
     assert!(
-        made <= 123,
+        made <= 112,
         "a 20-row selective SELECT made {made} allocations"
     );
 }
@@ -300,7 +301,7 @@ fn range_scan(lo: u32) -> String {
 #[test]
 fn a_range_scan_stays_within_its_allocation_budget() {
     let made = analytics_allocations(&range_scan, 22);
-    assert!(made <= 170, "a 22-row range scan made {made} allocations");
+    assert!(made <= 156, "a 22-row range scan made {made} allocations");
 }
 
 /// `analytics`' DISTINCT class: the regions of the orders in range, an
@@ -320,7 +321,7 @@ fn distinct_regions(lo: u32) -> String {
 fn a_distinct_over_a_join_stays_within_its_allocation_budget() {
     let made = analytics_allocations(&distinct_regions, 11);
     assert!(
-        made <= 816,
+        made <= 793,
         "an 11-row DISTINCT over a join made {made} allocations"
     );
 }
@@ -340,7 +341,7 @@ fn status_totals(lo: u32) -> String {
 #[test]
 fn a_group_by_stays_within_its_allocation_budget() {
     let made = analytics_allocations(&status_totals, 3);
-    assert!(made <= 202, "a 3-row GROUP BY made {made} allocations");
+    assert!(made <= 186, "a 3-row GROUP BY made {made} allocations");
 }
 
 #[test]
@@ -348,7 +349,7 @@ fn an_equi_join_stays_within_its_allocation_budget() {
     let join = "SELECT o.id, o.amount, c.region FROM orders o JOIN customers c \
                 ON o.customer_id = c.id WHERE o.customer_id = 17";
     let (made, _) = allocations_of(&[join, join], join, 0.0, 20);
-    assert!(made <= 307, "a 20-row equi-join made {made} allocations");
+    assert!(made <= 288, "a 20-row equi-join made {made} allocations");
 }
 
 /// The equi-join with a filter on its build side, which keeps it a hash
@@ -366,7 +367,7 @@ fn a_hash_join_stays_within_its_allocation_budget() {
         other => panic!("{other:?}"),
     };
     assert!(plan.contains("HashJoin"), "{plan}");
-    assert!(made <= 316, "a 20-row hash join made {made} allocations");
+    assert!(made <= 292, "a 20-row hash join made {made} allocations");
 }
 
 /// A θ-miss in the exact-search regime: at θ = 1 every withheld row of the
@@ -377,7 +378,11 @@ fn a_hash_join_stays_within_its_allocation_budget() {
 /// one) have a budget too: 102 before H3 cut runs of siblings. The three
 /// budgets fell when the solvers stopped reporting wall-clock durations,
 /// whose metric names were formatted on every run: 266 → 260 here, 469 →
-/// 465 for greedy and 8 273 → 8 261 for D&C.
+/// 465 for greedy and 8 273 → 8 261 for D&C. Every budget in this file
+/// fell again when plan execution and the solvers' initial scoring stopped
+/// going through the scheduler's wrapper and strategy finding stopped
+/// formatting greedy's names or hearing the recorder with recording off:
+/// 260 → 221 here, 465 → 404 and 8 261 → 7 201.
 #[test]
 fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() {
     let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
@@ -386,7 +391,7 @@ fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() 
     let nodes = counters.get("solver.heuristic.nodes");
     assert!(nodes.is_some_and(|&n| n > 0), "{counters:?}");
     assert!(nodes.is_some_and(|&n| n <= 99), "{counters:?}");
-    assert!(made <= 260, "a θ = 1 miss made {made} allocations");
+    assert!(made <= 221, "a θ = 1 miss made {made} allocations");
 }
 
 /// The θ = 1 miss over the orders of the first `customers` customers
@@ -412,7 +417,7 @@ fn a_theta_miss_in_the_greedy_regime_stays_within_its_allocation_budget() {
         "{counters:?}"
     );
     assert!(!counters.contains_key("solver.dnc.groups"), "{counters:?}");
-    assert!(made <= 465, "a θ = 1 greedy miss made {made} allocations");
+    assert!(made <= 404, "a θ = 1 greedy miss made {made} allocations");
 }
 
 /// A θ-miss in the divide-and-conquer regime: 160 rows, 79 of them
@@ -426,5 +431,5 @@ fn a_theta_miss_in_the_divide_and_conquer_regime_stays_within_its_allocation_bud
     assert!(groups.is_some_and(|&n| n > 0), "{counters:?}");
     let nodes = counters.get("solver.dnc.bb_nodes");
     assert!(nodes.is_some_and(|&n| n <= 237), "{counters:?}");
-    assert!(made <= 8_261, "a θ = 1 D&C miss made {made} allocations");
+    assert!(made <= 7_201, "a θ = 1 D&C miss made {made} allocations");
 }
