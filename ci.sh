@@ -242,7 +242,6 @@ EOF
   done <<'LAYERS'
 policy gate|"name": "decision"
 executor|"name": "op:
-scheduler|"name": "par\.batch"
 circuit cache|"name": "cache\.
 scorer|"name": "\(score\.exact\|beta\.skip\)"
 LAYERS

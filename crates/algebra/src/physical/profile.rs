@@ -20,9 +20,6 @@ pub struct OperatorProfile {
     /// Total lineage-expression nodes across the produced rows — the
     /// quantity that drives downstream confidence-evaluation cost.
     pub lineage_nodes: u64,
-    /// Morsels of stored rows a scan emitted (those with a survivor);
-    /// 0 for every other operator.
-    pub batches: u64,
 }
 
 /// The profile of one executed plan: operators in pre-order.
@@ -41,15 +38,11 @@ impl ExecProfile {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (line, op) in plan.to_string().lines().zip(&self.operators) {
-            let _ = write!(
+            let _ = writeln!(
                 out,
-                "{line} (rows_in={} rows_out={} lineage_nodes={}",
+                "{line} (rows_in={} rows_out={} lineage_nodes={})",
                 op.rows_in, op.rows_out, op.lineage_nodes
             );
-            if op.batches > 0 {
-                let _ = write!(out, " batches={}", op.batches);
-            }
-            let _ = writeln!(out, ")");
         }
         out
     }
@@ -84,7 +77,6 @@ impl Profiler {
                     rows_in: 0,
                     rows_out: 0,
                     lineage_nodes: 0,
-                    batches: 0,
                 });
                 v.len() - 1
             }
@@ -101,14 +93,12 @@ impl Profiler {
         rows_in: usize,
         rows_out: usize,
         lineage_nodes: impl FnOnce() -> u64,
-        batches: u64,
     ) {
         if let Some(v) = &mut self.slots {
             if let Some(p) = v.get_mut(slot) {
                 p.rows_in = rows_in as u64;
                 p.rows_out = rows_out as u64;
                 p.lineage_nodes = lineage_nodes();
-                p.batches = batches;
             }
         }
     }

@@ -1,12 +1,9 @@
-//! Vectorized, morsel-driven physical plan execution — the engine's one
-//! executor.
+//! Vectorized physical plan execution — the engine's one executor.
 //!
-//! Every operator runs on the calling thread, in row order; a scan walks
-//! its rows a morsel at a time ([`pcqe_storage::morsel_rows`]), and its
-//! profile counts the morsels that kept a row. Rows are **borrowed until
-//! an operator must own them**: a scan emits references to the stored rows
-//! that survive its residual (a selection over storage); operators that
-//! only read their input — filter, projection, join build and probe,
+//! Every operator runs on the calling thread, in row order. Rows are
+//! **borrowed until an operator must own them**: a scan emits references
+//! to the stored rows that survive its residual (a selection over
+//! storage); operators that only read their input — filter, projection, join build and probe,
 //! aggregate grouping and folding — read either those or derived tuples in
 //! place through one row trait (a values slice and a lineage); and a value
 //! is cloned once, when it enters an operator's output. A scan takes its
@@ -31,10 +28,9 @@
 //!
 //! 1. **Expressions evaluate row-wise, in row order — on every row that
 //!    is not skipped, and a row is skipped only if the whole predicate
-//!    returns `Ok(false)` on it without raising.** Morsels cut a scan's
-//!    walk, never its order: the first error surfaced is the first
-//!    failing row's. Every expression runs the one tree walk,
-//!    [`ScalarExpr::eval`], which borrows a column or
+//!    returns `Ok(false)` on it without raising.** The first error
+//!    surfaced is the first failing row's. Every expression runs the one
+//!    tree walk, [`ScalarExpr::eval`], which borrows a column or
 //!    literal operand instead of cloning it: a predicate through
 //!    [`ScalarExpr::test`] (that walk with a NULL read as false),
 //!    projections, group keys and aggregate arguments through the walk
@@ -80,10 +76,9 @@ use crate::result::{DerivedTuple, ResultSet, Row};
 use crate::Result;
 use pcqe_lineage::Lineage;
 use pcqe_par::{Observer, Parallelism, Span};
-use pcqe_storage::{morsel_rows, Catalog, EqualityIndex, StoredTuple, Table, Tuple, Value};
+use pcqe_storage::{Catalog, EqualityIndex, StoredTuple, Table, Tuple, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Execute a physical plan on the calling thread.
 ///
@@ -199,97 +194,58 @@ fn run_v<'c>(
     let span = ctx
         .timeline
         .map(|t| Span::open(t, &format!("op:{}", plan.node_label())));
-    let (rows_in, batches, out) = run_v_node(plan, ctx, depth, prof)?;
+    let (rows_in, out) = run_v_node(plan, ctx, depth, prof)?;
     drop(span);
-    prof.exit_counts(
-        slot,
-        rows_in,
-        out.row_count(),
-        || out.lineage_nodes(),
-        batches,
-    );
+    prof.exit_counts(slot, rows_in, out.row_count(), || out.lineage_nodes());
     Ok(out)
 }
 
-/// The morsels of `n` rows, as row ranges.
-fn morsels(n: usize) -> impl Iterator<Item = Range<usize>> {
-    let step = morsel_rows(n);
-    (0..n)
-        .step_by(step)
-        .map(move |start| start..n.min(start + step))
-}
-
-/// The half of a scan both skip sources share: `units` are its morsels,
-/// each naming (through `candidates`) the stored rows of it that the
-/// residual has yet to decide. The whole residual tests each candidate in
-/// place, row-wise in row order. Yields the number of morsels that kept a
-/// row, and references to the survivors in storage order.
-fn scan<'c, I: Iterator<Item = &'c StoredTuple>>(
-    units: impl Iterator<Item = Range<usize>>,
-    candidates: impl Fn(Range<usize>) -> I,
+/// The half of a scan both skip sources share: the whole residual tests
+/// each of the `candidates` — the stored rows it has yet to decide, in
+/// row order — in place. Yields references to the survivors in storage
+/// order.
+fn scan<'c>(
+    candidates: impl Iterator<Item = &'c StoredTuple>,
     residual: &Option<ScalarExpr>,
-) -> Result<(u64, Vec<&'c StoredTuple>)> {
-    let mut batches = 0;
+) -> Result<Vec<&'c StoredTuple>> {
+    let Some(residual) = residual else {
+        return Ok(candidates.collect());
+    };
     let mut survivors = Vec::new();
-    for unit in units {
-        let before = survivors.len();
-        match residual {
-            None => survivors.extend(candidates(unit)),
-            Some(residual) => {
-                for r in candidates(unit) {
-                    if residual.test(r.tuple.values())? {
-                        survivors.push(r);
-                    }
-                }
-            }
+    for r in candidates {
+        if residual.test(r.tuple.values())? {
+            survivors.push(r);
         }
-        batches += u64::from(survivors.len() > before);
     }
-    Ok((batches, survivors))
+    Ok(survivors)
 }
 
 /// [`scan`] over what a skip source left of `stored`: the rows at
-/// `positions` (ascending) are the candidates, cut into morsels by `units`
-/// (ranges of `positions`). The one call both scans end in — they differ
-/// in where the candidates come from, never in what is done with one.
+/// `positions` (ascending) are the candidates. The one call both scans end
+/// in — they differ in where the candidates come from, never in what is
+/// done with one.
 fn scan_candidates<'c>(
     stored: &'c [StoredTuple],
     positions: &[usize],
-    units: impl Iterator<Item = Range<usize>>,
     residual: &Option<ScalarExpr>,
-) -> Result<(u64, Vec<&'c StoredTuple>)> {
-    let candidates = |unit: Range<usize>| {
-        let unit = positions.get(unit).unwrap_or_default();
-        unit.iter().filter_map(|&p| stored.get(p))
-    };
-    scan(units, candidates, residual)
+) -> Result<Vec<&'c StoredTuple>> {
+    scan(positions.iter().filter_map(|&p| stored.get(p)), residual)
 }
 
 /// Scan a table, its column images the skip source: first a pass over
 /// them drops the rows the residual's [`LeadingRun`] proves it rejects (it
 /// costs under a nanosecond a row); then [`scan`] decides the candidates
-/// left in each morsel. A residual whose leading run reads no imaged
-/// column, or none, leaves every row.
+/// left. A residual whose leading run reads no imaged column, or none,
+/// leaves every row.
 ///
 /// [`LeadingRun`]: crate::expr::LeadingRun
-fn scan_table<'c>(
-    table: &'c Table,
-    residual: &Option<ScalarExpr>,
-) -> Result<(u64, Vec<&'c StoredTuple>)> {
+fn scan_table<'c>(table: &'c Table, residual: &Option<ScalarExpr>) -> Result<Vec<&'c StoredTuple>> {
     let stored = table.rows();
     let run = residual.as_ref().map(|r| r.leading_run(table));
-    let Some(positions) = run.and_then(|run| run.candidates()) else {
-        let every_row = |unit: Range<usize>| stored.get(unit).unwrap_or_default().iter();
-        return scan(morsels(stored.len()), every_row, residual);
-    };
-    // Morsel boundaries are the row store's, whatever the pass left.
-    let mut from = 0;
-    let units = morsels(stored.len()).map(|rows| {
-        let unit = from..positions.partition_point(|&p| p < rows.end);
-        from = unit.end;
-        unit
-    });
-    scan_candidates(stored, &positions, units, residual)
+    match run.and_then(|run| run.candidates()) {
+        Some(positions) => scan_candidates(stored, &positions, residual),
+        None => scan(stored.iter(), residual),
+    }
 }
 
 /// Scan a table, the equality index on `column` the skip source: the
@@ -305,7 +261,7 @@ fn scan_index<'c>(
     column: usize,
     key: &Value,
     residual: &Option<ScalarExpr>,
-) -> Result<(usize, u64, Vec<&'c StoredTuple>)> {
+) -> Result<(usize, Vec<&'c StoredTuple>)> {
     let index = required_index(table, column)?;
     let mut positions = Cow::Borrowed(index.lookup(key));
     if residual.is_some() && !index.null_rows().is_empty() {
@@ -315,9 +271,8 @@ fn scan_index<'c>(
     for &pos in positions.iter() {
         indexed_row(table, pos)?;
     }
-    let units = morsels(positions.len());
-    let (batches, rows) = scan_candidates(table.rows(), &positions, units, residual)?;
-    Ok((positions.len(), batches, rows))
+    let rows = scan_candidates(table.rows(), &positions, residual)?;
+    Ok((positions.len(), rows))
 }
 
 /// The index a plan names on `column` of `table`; a plan lowered against
@@ -745,23 +700,21 @@ fn sort_rows(rows: Vec<DerivedTuple>, keys: &[SortKey]) -> Result<Vec<DerivedTup
     Ok(keyed.into_iter().map(|(_, row)| row).collect())
 }
 
-/// Execute one node; returns `(rows consumed from direct inputs, morsels
-/// of stored rows emitted, output)` where `rows_in` for a scan is the rows
-/// read from storage.
+/// Execute one node; returns `(rows consumed from direct inputs, output)`
+/// where `rows_in` for a scan is the rows read from storage.
 fn run_v_node<'c>(
     plan: &PhysicalPlan,
     ctx: &Ctx<'c>,
     depth: usize,
     prof: &mut Profiler,
-) -> Result<(usize, u64, VOut<'c>)> {
+) -> Result<(usize, VOut<'c>)> {
     let catalog = ctx.catalog;
     let (rows_in, out) = match plan {
         PhysicalPlan::TableScan {
             table, residual, ..
         } => {
             let table = catalog.table(table)?;
-            let (batches, rows) = scan_table(table, residual)?;
-            return Ok((table.len(), batches, VOut::Stored(rows)));
+            (table.len(), VOut::Stored(scan_table(table, residual)?))
         }
         PhysicalPlan::IndexScan {
             table,
@@ -771,8 +724,8 @@ fn run_v_node<'c>(
             ..
         } => {
             let table = catalog.table(table)?;
-            let (fetched, batches, rows) = scan_index(table, *column, key, residual)?;
-            return Ok((fetched, batches, VOut::Stored(rows)));
+            let (fetched, rows) = scan_index(table, *column, key, residual)?;
+            (fetched, VOut::Stored(rows))
         }
         PhysicalPlan::Filter { input, predicate } => {
             // A filtered selection over storage is still one.
@@ -888,5 +841,5 @@ fn run_v_node<'c>(
             (input.row_count(), VOut::Rows(rows))
         }
     };
-    Ok((rows_in, 0, out))
+    Ok((rows_in, out))
 }

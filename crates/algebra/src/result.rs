@@ -137,13 +137,12 @@ impl ResultSet {
     /// The per-row [`ConfidencePath`] report says how each gate-facing
     /// confidence was obtained: `BetaSkipped` for skipped rows, `Bounded`
     /// for rows past the budget, `CacheHit` when the whole circuit came
-    /// from the root memo, `Exact` when compilation ran. The pass is chunked
-    /// by morsel so each chunk surfaces one single-worker
-    /// [`pcqe_par::BatchReport`] to the listener, and gate instants
-    /// (`beta.skip` / `score.bounded` / `score.exact`) **after** the pass,
-    /// in row order, to its timeline if it has one. Chunking and the listener change
-    /// *reporting*, never evaluation: scores, flags, paths and cache
-    /// transitions are identical for any options that agree on `gate`.
+    /// from the root memo, `Exact` when compilation ran. Gate instants
+    /// (`beta.skip` / `score.bounded` / `score.exact`) go **after** the
+    /// pass, in row order, to the listener's timeline if it has one. The
+    /// listener changes *reporting*, never evaluation: scores, flags, paths
+    /// and cache transitions are identical for any options that agree on
+    /// `gate`.
     pub fn score_with(
         self,
         cache: &mut CircuitCache,
@@ -151,48 +150,34 @@ impl ResultSet {
         options: &ScoreOptions<'_>,
     ) -> Result<(GatedScore, Vec<ConfidencePath>)> {
         let n = self.rows.len();
-        let chunk_rows = pcqe_storage::morsel_rows(n).max(1);
         let mut scored = Vec::with_capacity(n);
         let mut skipped = Vec::with_capacity(n);
         let mut paths = Vec::with_capacity(n);
         let mut exact_skipped = 0usize;
-        let mut rows = self.rows.into_iter().peekable();
-        while rows.peek().is_some() {
-            let started = options.listener.map(|o| o.now_nanos());
-            let mut chunk = 0;
-            for row in rows.by_ref().take(chunk_rows) {
-                let walked = options.gate.map(|_| bounds(&row.lineage, cache.probs()));
-                let walked = walked.transpose().map_err(lineage_err)?;
-                let (confidence, path) = match (walked, options.gate) {
-                    (Some(b), Some(beta)) if b.upper <= beta => {
-                        (b.upper, ConfidencePath::BetaSkipped)
+        for row in self.rows {
+            let walked = options.gate.map(|_| bounds(&row.lineage, cache.probs()));
+            let walked = walked.transpose().map_err(lineage_err)?;
+            let (confidence, path) = match (walked, options.gate) {
+                (Some(b), Some(beta)) if b.upper <= beta => (b.upper, ConfidencePath::BetaSkipped),
+                _ => {
+                    let before = cache.stats();
+                    let exact = cache.score_lineage(&row.lineage, evaluator);
+                    let walk = || walked.map_or_else(|| bounds(&row.lineage, cache.probs()), Ok);
+                    match exact_or_lower(exact, walk)? {
+                        (p, false) => (p, classify_cached(before, cache.stats())),
+                        (p, true) => (p, ConfidencePath::Bounded),
                     }
-                    _ => {
-                        let before = cache.stats();
-                        let exact = cache.score_lineage(&row.lineage, evaluator);
-                        let walk =
-                            || walked.map_or_else(|| bounds(&row.lineage, cache.probs()), Ok);
-                        match exact_or_lower(exact, walk)? {
-                            (p, false) => (p, classify_cached(before, cache.stats())),
-                            (p, true) => (p, ConfidencePath::Bounded),
-                        }
-                    }
-                };
-                let skip = path == ConfidencePath::BetaSkipped;
-                scored.push(ScoredTuple {
-                    tuple: row.tuple,
-                    lineage: row.lineage,
-                    confidence,
-                });
-                skipped.push(skip);
-                paths.push(path);
-                exact_skipped += usize::from(skip);
-                chunk += 1;
-            }
-            if let (Some(obs), Some(t0)) = (options.listener, started) {
-                let busy = obs.now_nanos().saturating_sub(t0);
-                obs.batch(&pcqe_par::BatchReport::sequential(chunk, 1, busy));
-            }
+                }
+            };
+            let skip = path == ConfidencePath::BetaSkipped;
+            scored.push(ScoredTuple {
+                tuple: row.tuple,
+                lineage: row.lineage,
+                confidence,
+            });
+            skipped.push(skip);
+            paths.push(path);
+            exact_skipped += usize::from(skip);
         }
         let gated = GatedScore {
             schema: self.schema,
@@ -268,8 +253,8 @@ pub struct ScoreOptions<'a> {
     /// The policy threshold β to gate at; `None` scores every row exactly
     /// and never computes the Fréchet bound.
     pub gate: Option<f64>,
-    /// The listener: one batch report per scored morsel and, on its
-    /// [`Observer::timeline`], one gate instant per row.
+    /// The listener: on its [`Observer::timeline`], one gate instant per
+    /// row.
     pub listener: Option<&'a dyn Observer>,
 }
 

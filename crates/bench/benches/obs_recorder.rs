@@ -1,6 +1,6 @@
 //! Per-call costs of the bookkeeping on every `Database::query`: the
-//! recorder's hot path — a counter update on a key that exists, one
-//! scheduler batch report, the five-span `query` lifecycle tree — and an
+//! recorder's hot path — a counter update on a key that exists and the
+//! five-span `query` lifecycle tree — and an
 //! indexed point lookup run through the profiled executor the engine uses
 //! against the unprofiled one.
 //!
@@ -10,7 +10,7 @@
 use pcqe_algebra::{execute_vectorized_profiled, execute_vectorized_with, lower, optimize};
 use pcqe_bench::timing::{bench, group};
 use pcqe_obs::Recorder;
-use pcqe_par::{BatchReport, Observer, Parallelism, Span};
+use pcqe_par::{Parallelism, Span};
 use pcqe_storage::{Catalog, Column, DataType, Schema, Value};
 use std::hint::black_box;
 
@@ -58,17 +58,6 @@ fn main() {
     per_call("recorder/counter_add_existing_key", || {
         recorder.counter_add("query.total", 1)
     });
-
-    // A two-worker report, as the scheduler sends after each batch.
-    let report = BatchReport {
-        items: 20,
-        workers: 2,
-        chunks: 2,
-        chunks_claimed: vec![1, 1],
-        busy_nanos: vec![1_200, 900],
-        reassembly_stalls: 0,
-    };
-    per_call("recorder/batch_report", || recorder.batch(&report));
 
     // `Database::query`'s recorder spans on a θ = 0 query.
     per_call("recorder/query_span_tree", || {

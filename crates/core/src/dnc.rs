@@ -89,7 +89,7 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     // --- Solve each group --------------------------------------------
     // One morsel per group. Whether spawning pays is decided by the grid
     // points the groups' searches range over (one grid per result–base
-    // reference), against the same threshold as every other batch. The
+    // reference), against the policy's threshold. The
     // fold below runs after the join, in group order, so statistics and
     // the per-base maximum come out as the sequential loop's would at any
     // worker count; so does the error, which is the first in group order.
@@ -104,7 +104,6 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
         &groups,
         weight,
         |_, group| solve_group(problem, group, options),
-        None,
     )?;
     // Final step counts per global base index (max across groups).
     let mut combined_steps: Vec<u32> = vec![0; problem.bases.len()];

@@ -1393,14 +1393,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_surfaces_batch_counts() {
-        // Batch-producing operators are annotated; scans materialise one
-        // morsel batch here.
-        let text = explained(&mut paper_db(), &format!("EXPLAIN ANALYZE {QUERY}"));
-        assert!(text.contains("batches=1"), "got:\n{text}");
-    }
-
-    #[test]
     fn explain_shows_both_plans() {
         let text = explained(&mut paper_db(), &format!("EXPLAIN {QUERY}"));
         assert!(text.contains("LOGICAL"), "got:\n{text}");

@@ -174,13 +174,9 @@ fn pooled_circuits_score_bit_identically_at_any_thread_count() {
             worker_threads: Some(workers),
             parallel_threshold: 1,
         };
-        let batch = pcqe_par::morsel::map_morsels(
-            &par,
-            &circuits,
-            circuits.len(),
-            |_, c| eval_by(c, lookup),
-            None,
-        );
+        let batch = pcqe_par::morsel::map_morsels(&par, &circuits, circuits.len(), |_, c| {
+            eval_by(c, lookup)
+        });
         for (i, (a, b)) in sequential.iter().zip(&batch).enumerate() {
             assert_eq!(
                 a.to_bits(),

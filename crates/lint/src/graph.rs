@@ -20,9 +20,9 @@
 //!
 //! The method-call over-approximation is what makes **trait objects**
 //! sound here: a call through `&dyn Observer` (or any trait) cannot be
-//! devirtualized without types, so `observer.batch(…)` gets an edge to
-//! *every* workspace method named `batch` — each `impl Observer for _`
-//! included.
+//! devirtualized without types, so `observer.span_begin(…)` gets an edge
+//! to *every* workspace method named `span_begin` — each
+//! `impl Observer for _` included.
 //! Whatever the dynamic dispatch would actually reach is a subset of the
 //! edges drawn, so P002/G001 (and the layer-3 taint propagation) never
 //! miss a path through dynamic dispatch; the cost is spurious edges

@@ -196,9 +196,9 @@ pub struct FileClass {
 /// golden-tested, so what they compare must be exact too. The storage
 /// index module is listed individually: equality-index postings order is
 /// the row order of every index scan and index join, so a float compare
-/// there reorders results. The partitioning module joins them: it cuts
-/// scans into morsels, and its `stable_hash` is what replayed answers
-/// are digested with — float drift there changes both. So does the column image: a table scan drops rows on
+/// there reorders results. The partitioning module joins them: its
+/// `stable_hash` is what replayed answers are digested with — float drift
+/// there changes the digests. So does the column image: a table scan drops rows on
 /// what its slots say, so float drift in how they are laid out or read
 /// changes which rows a query returns. (The image compares no floats
 /// itself: the comparison that decides a slot is `algebra/src/expr.rs`'s,

@@ -193,7 +193,7 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("query.total".into(), 3);
         s.counters.insert("policy.released".into(), 2);
-        s.gauges.insert("par.workers".into(), 4.0);
+        s.gauges.insert("queue.depth".into(), 4.0);
         let mut h = Histogram::default();
         h.record(0.002);
         h.record(0.5);
@@ -239,8 +239,8 @@ mod tests {
         let text = to_prometheus(&sample());
         assert!(text.contains("# TYPE pcqe_query_total counter"));
         assert!(text.contains("pcqe_query_total 3"));
-        assert!(text.contains("# TYPE pcqe_par_workers gauge"));
-        assert!(text.contains("pcqe_par_workers 4.0"));
+        assert!(text.contains("# TYPE pcqe_queue_depth gauge"));
+        assert!(text.contains("pcqe_queue_depth 4.0"));
         assert!(text.contains("pcqe_solver_greedy_elapsed_bucket{le=\"0.001\"} 0"));
         assert!(text.contains("pcqe_solver_greedy_elapsed_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("pcqe_solver_greedy_elapsed_count 2"));

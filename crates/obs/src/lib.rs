@@ -15,8 +15,8 @@
 //!   by tests to round-trip them;
 //! * [`sink`] — the recorder's half of [`pcqe_par::Observer`], the one
 //!   instrumentation trait every layer reports through (so solver
-//!   statistics and scheduler telemetry flow in without `pcqe-core` or
-//!   `pcqe-par` depending on this crate), and [`Listeners`], the router
+//!   statistics and spans flow in without `pcqe-core` or the other layers
+//!   depending on this crate), and [`Listeners`], the router
 //!   the engine builds once per call to say who hears it;
 //! * [`trace`] — the causal side of the story: a bounded [`Tracer`] ring
 //!   of typed [`trace::TraceEvent`]s (spans with parent ids, instants,

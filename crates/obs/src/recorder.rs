@@ -21,9 +21,8 @@
 //!
 //! Updating a metric that exists allocates nothing: keys are looked up by
 //! `&str`, and a name is copied into the store once, when its key is
-//! first inserted. A run of updates that belongs together — a scheduler
-//! batch report, a query's own counters ([`Recorder::counters_add`]) —
-//! takes the lock once. Nor does a span, once its path is known: the path
+//! first inserted. A run of updates that belongs together — a query's
+//! own counters ([`Recorder::counters_add`]) — takes the lock once. Nor does a span, once its path is known: the path
 //! is built in a buffer the recorder reuses.
 
 use crate::snapshot::{Histogram, MetricsSnapshot, SpanStat};
@@ -50,15 +49,15 @@ pub(crate) struct Inner {
 /// that exists is found by `&str` and nothing is allocated; a new key is
 /// allocated once, on insert.
 impl Inner {
-    pub(crate) fn counter_add(&mut self, name: &str, value: u64) {
+    fn counter_add(&mut self, name: &str, value: u64) {
         update(&mut self.counters, name, |c| *c = c.saturating_add(value));
     }
 
-    pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
+    fn gauge_set(&mut self, name: &str, value: f64) {
         update(&mut self.gauges, name, |g| *g = value);
     }
 
-    pub(crate) fn histogram_record(&mut self, name: &str, value: f64) {
+    fn histogram_record(&mut self, name: &str, value: f64) {
         update(&mut self.histograms, name, |h| h.record(value));
     }
 
@@ -170,7 +169,7 @@ impl Recorder {
 
     /// The store, locked for a run of updates — `None` while recording is
     /// off, so a caller skips its updates without taking the lock.
-    pub(crate) fn live(&self) -> Option<MutexGuard<'_, Inner>> {
+    fn live(&self) -> Option<MutexGuard<'_, Inner>> {
         self.is_enabled().then(|| self.lock())
     }
 

@@ -8,41 +8,12 @@
 use crate::recorder::Recorder;
 use crate::trace::Tracer;
 use pcqe_core::clock::duration_to_nanos;
-use pcqe_par::{BatchReport, Observer};
+use pcqe_par::Observer;
 
-/// The recorder keeps counters, scheduler batches and span totals; it
-/// keeps no timeline, so its [`Observer::timeline`] is `None`. A batch
-/// report is folded in under one lock, and so is each span event.
+/// The recorder keeps counters and span totals, timed on its own clock;
+/// it keeps no timeline, so its [`Observer::timeline`] is `None`. Each
+/// span event is folded in under one lock.
 impl Observer for Recorder {
-    fn now_nanos(&self) -> u64 {
-        duration_to_nanos(self.clock().monotonic())
-    }
-
-    fn batch(&self, report: &BatchReport) {
-        let Some(mut inner) = self.live() else {
-            return;
-        };
-        inner.counter_add("par.batches", 1);
-        inner.counter_add("par.items", report.items as u64);
-        inner.counter_add("par.chunks", report.chunks as u64);
-        inner.counter_add("par.reassembly_stalls", report.reassembly_stalls);
-        inner.counter_add(
-            "par.chunks_claimed",
-            report.chunks_claimed.iter().copied().sum(),
-        );
-        let busy_total: u64 = report
-            .busy_nanos
-            .iter()
-            .fold(0u64, |acc, &b| acc.saturating_add(b));
-        inner.counter_add("par.busy_nanos", busy_total);
-        inner.gauge_set("par.workers", report.workers as f64);
-        // Per-worker busy-time distribution: skew across workers shows up
-        // as spread across buckets.
-        for &busy in &report.busy_nanos {
-            inner.histogram_record("par.worker_busy_seconds", busy as f64 / 1e9);
-        }
-    }
-
     /// Spans nest on one stack per recorder, so they are opened and
     /// closed by one thread at a time, as a query's phases are. The id is
     /// 1 for a span opened while recording is on; `span_end` closes the
@@ -53,7 +24,7 @@ impl Observer for Recorder {
         if !self.is_enabled() {
             return 0;
         }
-        let now = self.now_nanos();
+        let now = duration_to_nanos(self.clock().monotonic());
         self.lock().span_open(name, now);
         1
     }
@@ -62,7 +33,9 @@ impl Observer for Recorder {
         if id == 0 {
             return;
         }
-        let now = self.is_enabled().then(|| self.now_nanos());
+        let now = self
+            .is_enabled()
+            .then(|| duration_to_nanos(self.clock().monotonic()));
         self.lock().span_close(now);
     }
 
@@ -72,10 +45,9 @@ impl Observer for Recorder {
 }
 
 /// Who listens to one engine call: the recorder, the tracer, both or
-/// neither. Batches and spans go to both (recorder first), counts to the
-/// recorder; instants, decisions and timeline-only spans go to
-/// [`Observer::timeline`], the tracer. Time is the recorder's clock when
-/// it listens, so busy times stay single-sourced.
+/// neither. Spans go to both (recorder first), each timed on its own
+/// listener's clock, counts to the recorder; instants, decisions and
+/// timeline-only spans go to [`Observer::timeline`], the tracer.
 #[derive(Debug)]
 pub struct Listeners<'a> {
     /// The metric listener.
@@ -107,16 +79,6 @@ impl Listeners<'_> {
 impl Observer for Listeners<'_> {
     fn timeline(&self) -> Option<&dyn Observer> {
         self.tracer().timeline()
-    }
-
-    fn now_nanos(&self) -> u64 {
-        self.metrics
-            .map_or_else(|| self.tracer().now_nanos(), Observer::now_nanos)
-    }
-
-    fn batch(&self, report: &BatchReport) {
-        self.recorder().batch(report);
-        self.tracer().batch(report);
     }
 
     fn span_begin(&self, name: &str) -> u64 {
@@ -174,37 +136,13 @@ mod tests {
         assert_eq!(s.counter("solver.greedy.evals"), 14);
     }
 
-    #[test]
-    fn par_batches_fold_into_counters() {
-        let r = Recorder::new();
-        let report = BatchReport {
-            items: 100,
-            workers: 2,
-            chunks: 8,
-            chunks_claimed: vec![5, 3],
-            busy_nanos: vec![1_000, 3_000],
-            reassembly_stalls: 2,
-        };
-        r.batch(&report);
-        r.batch(&report);
-        let s = r.snapshot();
-        assert_eq!(s.counter("par.batches"), 2);
-        assert_eq!(s.counter("par.items"), 200);
-        assert_eq!(s.counter("par.chunks_claimed"), 16);
-        assert_eq!(s.counter("par.busy_nanos"), 8_000);
-        assert_eq!(s.counter("par.reassembly_stalls"), 4);
-        assert_eq!(s.gauge("par.workers"), Some(2.0));
-        assert_eq!(s.histograms["par.worker_busy_seconds"].count(), 4);
-    }
-
     /// The router's routing law, for each of the three shapes a call's
-    /// listener can take: batches and spans reach both listeners, counts
+    /// listener can take: spans reach both listeners, counts
     /// only the recorder, and the timeline — instants, decisions, the
     /// executor's `op:` spans — only the tracer, which is the timeline
     /// exactly when a tracer is attached and on.
     #[test]
     fn listeners_route_each_report_to_its_listener() {
-        let report = BatchReport::sequential(1, 1, 0);
         let decision = Decision {
             tuple: 0,
             released: true,
@@ -223,7 +161,6 @@ mod tests {
             };
             let l = listeners.attached().expect("someone listens");
             assert_eq!(l.timeline().is_some(), trace, "metrics={metrics}");
-            l.batch(&report);
             l.count("solver.quota.required", 2);
             {
                 let _query = Span::open(l, "query");
@@ -237,7 +174,6 @@ mod tests {
                 clock.advance(Duration::from_nanos(2));
             }
             let s = recorder.snapshot();
-            assert_eq!(s.counter("par.batches"), u64::from(metrics));
             assert_eq!(s.counter("solver.quota.required"), 2 * u64::from(metrics));
             let spans: Vec<(&str, u64)> = (s.spans.iter())
                 .map(|(path, stat)| (path.as_str(), stat.total_nanos))
@@ -248,10 +184,9 @@ mod tests {
                 &[]
             };
             assert_eq!(spans, expected, "metrics={metrics} trace={trace}");
-            // One batch instant plus one lane, then three span pairs, the
-            // instant and the decision.
+            // Three span pairs, the instant and the decision.
             let events = tracer.drain().events.len();
-            assert_eq!(events, if trace { 10 } else { 0 }, "metrics={metrics}");
+            assert_eq!(events, if trace { 8 } else { 0 }, "metrics={metrics}");
         }
         let tracer = Tracer::new();
         tracer.set_enabled(false);
@@ -274,8 +209,10 @@ mod tests {
     fn observer_clock_is_the_recorder_clock() {
         let clock = Arc::new(ManualClock::new());
         let r = Recorder::with_clock(clock.clone());
-        assert_eq!(r.now_nanos(), 0);
-        clock.advance(Duration::from_nanos(123));
-        assert_eq!(r.now_nanos(), 123);
+        {
+            let _span = Span::open(&r, "query");
+            clock.advance(Duration::from_nanos(123));
+        }
+        assert_eq!(r.snapshot().spans["query"].total_nanos, 123);
     }
 }

@@ -7,7 +7,7 @@
 //! timeline half of the dependency-free [`pcqe_par::Observer`] trait so
 //! every layer of the stack — engine lifecycle spans, per-operator
 //! execution spans, circuit cache compile/hit/invalidate events, β-skip
-//! decisions, scheduler batches — can emit into one ordered timeline.
+//! decisions — can emit into one ordered timeline.
 //!
 //! ## Determinism contract
 //!
@@ -30,7 +30,7 @@
 //! old events and leaving dangling span ends.
 
 use pcqe_core::clock::{duration_to_nanos, Clock, SystemClock};
-use pcqe_par::{BatchReport, Decision, Observer};
+use pcqe_par::{Decision, Observer};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -191,6 +191,11 @@ impl Tracer {
         &self.clock
     }
 
+    /// A monotonic nanosecond reading from the tracer's clock.
+    fn now_nanos(&self) -> u64 {
+        duration_to_nanos(self.clock.monotonic())
+    }
+
     fn lock(&self) -> MutexGuard<'_, Buf> {
         // Poison recovery, same as the recorder: trace events are plain
         // data, always valid, so recover rather than propagate.
@@ -228,41 +233,11 @@ impl Tracer {
     }
 }
 
-/// The tracer keeps the timeline: spans, instants, decisions, and one
-/// `"par.batch"` instant per scheduler batch plus one `"par.lane"` instant
-/// per worker slot, so batches appear on the same timeline as the spans
-/// that spawned them (ROADMAP item 5's worker timelines hang off these).
+/// The tracer keeps the timeline: spans, instants and decisions, each
+/// stamped on its own clock.
 impl Observer for Tracer {
     fn timeline(&self) -> Option<&dyn Observer> {
         self.is_enabled().then_some(self as &dyn Observer)
-    }
-
-    fn now_nanos(&self) -> u64 {
-        duration_to_nanos(self.clock.monotonic())
-    }
-
-    fn batch(&self, report: &BatchReport) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.instant(
-            "par.batch",
-            &format!(
-                "items={} workers={} chunks={} stalls={}",
-                report.items, report.workers, report.chunks, report.reassembly_stalls
-            ),
-        );
-        for (w, (claimed, busy)) in report
-            .chunks_claimed
-            .iter()
-            .zip(report.busy_nanos.iter())
-            .enumerate()
-        {
-            self.instant(
-                "par.lane",
-                &format!("worker={w} claimed={claimed} busy_nanos={busy}"),
-            );
-        }
     }
 
     fn span_begin(&self, name: &str) -> u64 {
@@ -445,35 +420,6 @@ mod tests {
         let (_, t) = manual(8);
         t.span_end(77);
         assert!(t.drain().events.is_empty());
-    }
-
-    #[test]
-    fn par_batches_become_lane_instants() {
-        let (_, t) = manual(16);
-        t.batch(&BatchReport {
-            items: 10,
-            workers: 2,
-            chunks: 4,
-            chunks_claimed: vec![3, 1],
-            busy_nanos: vec![120, 40],
-            reassembly_stalls: 1,
-        });
-        let trace = t.drain();
-        assert_eq!(trace.events.len(), 3, "one batch + two lanes");
-        match &trace.events[0].kind {
-            TraceEventKind::Instant { name, detail } => {
-                assert_eq!(name, "par.batch");
-                assert_eq!(detail, "items=10 workers=2 chunks=4 stalls=1");
-            }
-            other => panic!("expected batch instant, got {other:?}"),
-        }
-        match &trace.events[2].kind {
-            TraceEventKind::Instant { name, detail } => {
-                assert_eq!(name, "par.lane");
-                assert_eq!(detail, "worker=1 claimed=1 busy_nanos=40");
-            }
-            other => panic!("expected lane instant, got {other:?}"),
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ## Determinism contract
 //!
 //! For a pure (or per-unit-seeded) function `f`,
-//! `map_morsels(par, units, weight, f, observer)` returns exactly
+//! `map_morsels(par, units, weight, f)` returns exactly
 //! `units.iter().enumerate().map(|(i, u)| f(i, u)).collect()` — the same
 //! values in the same order — regardless of how many worker threads ran or
 //! how units interleaved. Thread count changes *when* a unit is evaluated,
@@ -36,49 +36,13 @@
 //!
 //! ## One instrumentation trait
 //!
-//! [`Observer`] — scheduler batches, spans, instants, gate [`Decision`]s,
-//! solver counters — lives here because every other crate can name this
-//! one; the engine decides once per call which listener every layer gets.
-//! [`Span`] is the one way a layer opens a span on it.
+//! [`Observer`] — spans, instants, gate [`Decision`]s, solver counters —
+//! lives here because every other crate can name this one; the engine
+//! decides once per call which listener every layer gets. [`Span`] is the
+//! one way a layer opens a span on it. The dispatcher reports nothing to
+//! it.
 
 pub mod morsel;
-
-/// Per-batch scheduler telemetry handed to [`Observer::batch`].
-///
-/// Vectors are indexed by worker slot (`0..workers`), so per-worker skew
-/// is visible: a healthy batch has near-equal `busy_nanos` entries, a
-/// straggling one does not.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchReport {
-    /// Items in the batch.
-    pub items: usize,
-    /// Worker threads that ran (1 = sequential fast path).
-    pub workers: usize,
-    /// Chunks the batch was cut into.
-    pub chunks: usize,
-    /// Chunks claimed, per worker slot.
-    pub chunks_claimed: Vec<u64>,
-    /// Nanoseconds spent computing (claim-to-push), per worker slot.
-    pub busy_nanos: Vec<u64>,
-    /// Chunks that completed after a higher-indexed chunk — each one
-    /// forces the in-order reassembly to hold buffered output.
-    pub reassembly_stalls: u64,
-}
-
-impl BatchReport {
-    /// The report of a batch that ran on the calling thread: one worker
-    /// claimed all `chunks` and was busy for `busy_nanos`.
-    pub fn sequential(items: usize, chunks: usize, busy_nanos: u64) -> Self {
-        BatchReport {
-            items,
-            workers: 1,
-            chunks,
-            chunks_claimed: vec![chunks as u64],
-            busy_nanos: vec![busy_nanos],
-            reassembly_stalls: 0,
-        }
-    }
-}
 
 /// How a tuple's confidence was established on the policy-gate path.
 ///
@@ -139,12 +103,6 @@ pub trait Observer: Sync {
     fn timeline(&self) -> Option<&dyn Observer> {
         None
     }
-    /// A monotonic nanosecond reading from the listener's own clock.
-    fn now_nanos(&self) -> u64 {
-        0
-    }
-    /// One finished scheduler batch's telemetry.
-    fn batch(&self, _report: &BatchReport) {}
     /// Open a span nested in the innermost one still open; returns an id
     /// to close it with. A listener that keeps no span returns 0, and
     /// `span_end(0)` is a no-op. [`Span`] pairs the two calls.
@@ -263,7 +221,7 @@ mod tests {
             parallel_threshold: 2,
         };
         assert_eq!(par.workers_for(3), 3, "never more workers than items");
-        let got = morsel::map_morsels(&par, &[10u8, 20, 30], 3, |_, x| x / 10, None);
+        let got = morsel::map_morsels(&par, &[10u8, 20, 30], 3, |_, x| x / 10);
         assert_eq!(got, vec![1, 2, 3]);
     }
 }

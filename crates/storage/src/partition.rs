@@ -1,29 +1,9 @@
-//! Deterministic work partitioning and key hashing.
-//!
-//! * **Morsels** — contiguous runs of rows: the unit a vectorized scan
-//!   walks at a time (its `batches=N` counts them) and scoring reports a
-//!   batch per. [`morsel_rows`] picks the run length.
-//! * **[`stable_hash`]** — a fixed FNV-1a over each value's canonical
-//!   byte form — never a `RandomState`, never float equality — so a key's
-//!   hash is a pure function of its values, across runs, threads and
-//!   platforms.
+//! Deterministic key hashing: [`stable_hash`], a fixed FNV-1a over each
+//! value's canonical byte form — never a `RandomState`, never float
+//! equality — so a key's hash is a pure function of its values, across
+//! runs, threads and platforms.
 
 use crate::value::Value;
-
-/// Default rows per morsel: the contiguous unit of work a vectorized scan
-/// walks at a time.
-pub const DEFAULT_MORSEL_ROWS: usize = 1024;
-
-/// Morsel length for a table of `row_count` rows: the default, shrunk so
-/// that even small tables split into a handful of morsels.
-pub fn morsel_rows(row_count: usize) -> usize {
-    if row_count == 0 {
-        return DEFAULT_MORSEL_ROWS;
-    }
-    // At least 8 morsels for any table that can fill them, without ever
-    // dropping below 64 rows.
-    DEFAULT_MORSEL_ROWS.min(row_count.div_ceil(8)).max(64)
-}
 
 /// A deterministic 64-bit FNV-1a hasher (no per-process seed).
 #[derive(Debug, Clone)]
@@ -89,14 +69,6 @@ pub fn stable_hash(values: &[Value]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn morsel_rows_scales_down_for_small_tables() {
-        assert_eq!(morsel_rows(0), DEFAULT_MORSEL_ROWS);
-        assert_eq!(morsel_rows(100_000), DEFAULT_MORSEL_ROWS);
-        assert_eq!(morsel_rows(2048), 256);
-        assert_eq!(morsel_rows(10), 64, "floor keeps morsels worthwhile");
-    }
 
     #[test]
     fn stable_hash_is_a_pure_function_of_the_values() {

@@ -554,7 +554,7 @@ fn an_index_changes_no_error_a_user_sees() {
         assert_eq!(plain.audit_log().len(), indexed.audit_log().len(), "{sql}");
         let counters = |db: &Database| {
             let mut counters = db.metrics_snapshot().counters;
-            counters.retain(|name, _| !name.starts_with("exec.") && !name.starts_with("par."));
+            counters.retain(|name, _| !name.starts_with("exec."));
             counters
         };
         assert_eq!(counters(&plain), counters(&indexed), "{sql}");

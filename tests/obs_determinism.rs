@@ -21,7 +21,7 @@ use common::{explained, PAPER_QUERY as QUERY};
 use pcqe::core::clock::{Clock, ManualClock};
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::obs::trace::TraceEventKind;
-use pcqe::obs::{export, MetricsSnapshot, Recorder};
+use pcqe::obs::{export, Recorder};
 use pcqe::par::Span;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Column, DataType, Schema, Value};
@@ -321,28 +321,6 @@ fn explain_analyze_and_the_trace_show_the_index_join() {
     assert!(!folded.contains("TableScan customers"), "{folded}");
 }
 
-/// What of a metrics snapshot the tracer may not move, one line per
-/// metric: every counter, gauge value, histogram count and span count.
-/// Left out is `par.reassembly_stalls` (how often a unit finished after a
-/// later one is up to the OS scheduler). Every time is read from the
-/// injected clock, so the `*_nanos` counters stay in.
-fn comparable(snap: &MetricsSnapshot) -> Vec<String> {
-    let counters = snap
-        .counters
-        .iter()
-        .filter(|(name, _)| *name != "par.reassembly_stalls")
-        .map(|(name, v)| format!("counter {name} = {v}"));
-    let gauges = snap.gauges.iter().map(|(n, v)| format!("gauge {n} = {v}"));
-    let histograms =
-        (snap.histograms.iter()).map(|(n, h)| format!("histogram {n} count = {}", h.count()));
-    let spans = (snap.spans.iter()).map(|(n, s)| format!("span {n} count = {}", s.count));
-    counters
-        .chain(gauges)
-        .chain(histograms)
-        .chain(spans)
-        .collect()
-}
-
 /// One twin's run of the Figure 1 loop, under a manual clock at
 /// `workers` workers: after every step, the step's name, the rendered
 /// answer and the comparable metrics. `traced` switches the tracer on by
@@ -368,7 +346,11 @@ fn figure_one_script(workers: usize, traced: bool) -> Vec<(&'static str, String,
     let mut record = |db: &Database, step: &'static str, answer: String| {
         let trace = db.tracer().drain();
         assert_eq!(trace.dropped, 0, "{step}");
-        steps.push((step, answer, comparable(&db.metrics_snapshot())));
+        steps.push((
+            step,
+            answer,
+            common::comparable_metrics(&db.metrics_snapshot()),
+        ));
     };
 
     let met = db.query(&sue, &analysis);
@@ -460,7 +442,11 @@ fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
     assert!(batch.proposal.is_some(), "{:?}", batch.no_proposal);
     let paper = explained(&mut db, &format!("EXPLAIN ANALYZE {QUERY}")).unwrap();
     let join = explained(&mut db, &format!("EXPLAIN ANALYZE {SHOP_JOIN}")).unwrap();
-    (comparable(&db.metrics_snapshot()), paper, join)
+    (
+        common::comparable_metrics(&db.metrics_snapshot()),
+        paper,
+        join,
+    )
 }
 
 /// What the recorder records and what EXPLAIN ANALYZE prints, pinned:
@@ -493,6 +479,9 @@ fn pinned_script(workers: usize) -> (Vec<String>, String, String) {
 /// `par.chunks_claimed` and `par.worker_busy_seconds`' count 21 → 4,
 /// `par.items` 564 → 82), no name came or went, and the two-worker
 /// overrides went: a second worker no longer moves any line.
+/// When scoring stopped cutting its pass into morsels and reporting a
+/// batch per morsel, the seven `par.*` lines went, nothing came, and no
+/// other line moved; EXPLAIN ANALYZE's scans lost their ` batches=1`.
 #[test]
 fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
     let one = pinned_script(1);
@@ -506,7 +495,7 @@ fn what_the_recorder_records_and_explain_analyze_prints_is_pinned() {
     assert_eq!((two.1, two.2), (one.1, one.2), "2 workers against 1");
 }
 
-const PINNED_METRICS: [&str; 49] = [
+const PINNED_METRICS: [&str; 42] = [
     "counter exec.lineage_nodes = 1220",
     "counter exec.operators = 17",
     "counter exec.rows_out = 480",
@@ -516,11 +505,6 @@ const PINNED_METRICS: [&str; 49] = [
     "counter lineage.cache_invalidated = 3",
     "counter lineage.circuit_compiled = 81",
     "counter lineage.exact_skipped = 40",
-    "counter par.batches = 4",
-    "counter par.busy_nanos = 0",
-    "counter par.chunks = 4",
-    "counter par.chunks_claimed = 4",
-    "counter par.items = 82",
     "counter plan.cache_hit = 3",
     "counter plan.cache_miss = 2",
     "counter policy.released = 91",
@@ -544,9 +528,7 @@ const PINNED_METRICS: [&str; 49] = [
     "counter solver.problem_bases = 3",
     "counter solver.quota.required = 1",
     "counter solver.quota.satisfied = 1",
-    "gauge par.workers = 1",
     "histogram improvement.cost count = 1",
-    "histogram par.worker_busy_seconds count = 4",
     "span batch/multi count = 1",
     "span query count = 3",
     "span query/execute count = 3",
@@ -561,14 +543,14 @@ const PINNED_METRICS: [&str; 49] = [
 const PINNED_EXPLAIN_PAPER: &str = "\
 Project DISTINCT [company, income] (rows_in=2 rows_out=1 lineage_nodes=7)
   HashJoin [#0 = #3] (rows_in=3 rows_out=2 lineage_nodes=6)
-    TableScan Proposal [filter: (#2 < 1000000)] (rows_in=2 rows_out=2 lineage_nodes=2 batches=1)
-    TableScan CompanyInfo (rows_in=1 rows_out=1 lineage_nodes=1 batches=1)
+    TableScan Proposal [filter: (#2 < 1000000)] (rows_in=2 rows_out=2 lineage_nodes=2)
+    TableScan CompanyInfo (rows_in=1 rows_out=1 lineage_nodes=1)
 ";
 
 const PINNED_EXPLAIN_JOIN: &str = "\
 Project [id, region] (rows_in=80 rows_out=80 lineage_nodes=240)
   IndexJoin customers AS c (id) [#1 = #2] (rows_in=128 rows_out=80 lineage_nodes=240)
-    TableScan orders AS o [filter: (#0 < 48)] (rows_in=60 rows_out=48 lineage_nodes=48 batches=1)
+    TableScan orders AS o [filter: (#0 < 48)] (rows_in=60 rows_out=48 lineage_nodes=48)
 ";
 
 /// A clock that moves on by one microsecond at every read, so every span

@@ -9,8 +9,8 @@
 //! scored confidence bits, or the same error — as the reference pipeline
 //! (the plan as the SQL planner built it, on the reference executor), at any
 //! worker-thread count, with or without equality indexes; `check_sql` holds
-//! `Database::query` to it too. The hand-built laws below pin morsel
-//! layouts and offender rows the generator would rarely reach.
+//! `Database::query` to it too. The hand-built laws below pin offender
+//! rows the generator would rarely reach.
 //!
 //! A golden snapshot of what `EXPLAIN` renders (logical and physical plan
 //! side by side) for the paper's Section 3.1 running example pins the
@@ -309,7 +309,7 @@ fn optimizing_and_planning_keep_the_reference_s_outcome() {
 // ---------------------------------------------------------------------------
 // Error order and three-valued logic through the whole executor.
 
-/// Rows of the grid table: 8 morsels of 75.
+/// Rows of the grid table.
 const GRID_ROWS: usize = 600;
 
 /// `t(id INT, grp INT, a INT, n INT, x REAL, s TEXT)` and `u(k INT, w INT)`.
@@ -752,7 +752,7 @@ fn image_prefilter_only_skips_rows_the_predicate_rejects() {
     let (mut dropped, mut errors, mut whole_runs, mut partial_runs, mut mixed_runs) =
         (0, 0, 0, 0, 0);
     for_each_case(16, 0x0097_0018, |rng| {
-        // The offender in the first, a middle and the last morsel.
+        // The offender in the first, a middle and the last row.
         let offender = [0, GRID_ROWS / 2, GRID_ROWS - 1][rng.below_usize(3)];
         let catalog = image_catalog(rng, offender);
         let table = catalog.table("m").unwrap();
@@ -827,7 +827,7 @@ fn image_prefilter_only_skips_rows_the_predicate_rejects() {
 // an index changes no outcome — not the rows, and not which error is
 // raised or how it is worded.
 
-/// Rows of the law's table: three morsels.
+/// Rows of the law's table.
 const LAW_ROWS: usize = 160;
 
 /// `t(grp INT, n INT, s TEXT, a INT)` — four columns, the ones

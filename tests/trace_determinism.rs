@@ -26,7 +26,7 @@ use pcqe::lineage::{CircuitCache, Evaluator};
 use pcqe::obs::trace::TraceEventKind;
 use pcqe::obs::trace_export::{to_chrome_json, to_folded};
 use pcqe::obs::{QueryTrace, Tracer};
-use pcqe::par::{BatchReport, ConfidencePath, Decision, Observer, Parallelism};
+use pcqe::par::{ConfidencePath, Decision, Observer, Parallelism};
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Catalog, Column, DataType, Schema, TupleId, Value};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -363,8 +363,6 @@ fn trace_query_restores_the_tracer_state_it_found() {
 #[derive(Default)]
 struct Counting {
     enabled: bool,
-    now_nanos: AtomicU64,
-    batches: AtomicU64,
     span_begins: AtomicU64,
     span_ends: AtomicU64,
     instants: AtomicU64,
@@ -379,11 +377,9 @@ impl Counting {
         }
     }
 
-    /// `(now_nanos, batch, span_begin, span_end, instant, decision)` calls.
-    fn calls(&self) -> [u64; 6] {
+    /// `(span_begin, span_end, instant, decision)` calls.
+    fn calls(&self) -> [u64; 4] {
         [
-            &self.now_nanos,
-            &self.batches,
             &self.span_begins,
             &self.span_ends,
             &self.instants,
@@ -396,12 +392,6 @@ impl Counting {
 impl Observer for Counting {
     fn timeline(&self) -> Option<&dyn Observer> {
         self.enabled.then_some(self as &dyn Observer)
-    }
-    fn now_nanos(&self) -> u64 {
-        self.now_nanos.fetch_add(1, Relaxed)
-    }
-    fn batch(&self, _report: &BatchReport) {
-        self.batches.fetch_add(1, Relaxed);
     }
     fn span_begin(&self, _name: &str) -> u64 {
         self.span_begins.fetch_add(1, Relaxed) + 1
@@ -422,12 +412,11 @@ impl Observer for Counting {
 /// hash join over a few thousand rows on `execute_vectorized_profiled`
 /// (handed a four-worker policy, which it does not read), β-gated
 /// `ResultSet::score_with`, and a circuit cache listening through
-/// `CircuitCache::set_trace`. A listener that is not enabled gets every
-/// scoring batch report and clock read and not one timeline call — so
-/// nobody formatted an `op:` label, a `row=` detail or a `cache.*` detail
-/// for it; the executor, which reports no batch, sends it nothing at all.
-/// An enabled one gets one balanced `op:` span pair per operator and one
-/// gate instant per scored row.
+/// `CircuitCache::set_trace`. A listener that is not enabled gets no call
+/// at all from any of them — so nobody formatted an `op:` label, a `row=`
+/// detail or a `cache.*` detail for it, and nobody read a clock for it. An
+/// enabled one gets one balanced `op:` span pair per operator and one gate
+/// instant per scored row, and nothing else.
 #[test]
 fn only_an_enabled_listener_is_sent_timeline_events() {
     let mut catalog = Catalog::new();
@@ -494,29 +483,22 @@ fn only_an_enabled_listener_is_sent_timeline_events() {
         .any(|line| line.trim_start().starts_with("HashJoin")));
     assert_eq!(rows, 2800, "the 3 500 orders of customers 0–399");
 
-    // Not enabled: every batch and clock read, no timeline call at all.
-    assert_eq!(quiet_exec, [0; 6], "the executor reports no batch");
-    let [now, batches, begins, ends, instants, decisions] = quiet_score;
-    assert!(now > 0 && batches > 0, "{quiet_score:?}");
-    assert_eq!(
-        [begins, ends, instants, decisions],
-        [0; 4],
-        "{quiet_score:?}"
-    );
+    // Not enabled: no call at all.
+    assert_eq!(quiet_exec, [0; 4], "the executor sends nothing");
+    assert_eq!(quiet_score, [0; 4], "scoring sends nothing");
     assert_eq!(quiet_cache, 0, "the cache formats no detail for nobody");
 
-    // Enabled: the same batches and clock reads, plus the timeline.
-    assert_eq!(loud_score[..2], quiet_score[..2], "batches and clock reads");
+    // Enabled: the timeline, and nothing else.
     let operators = profile.operators.len() as u64;
     assert_eq!(
         loud_exec,
-        [0, 0, operators, operators, 0, 0],
+        [operators, operators, 0, 0],
         "one op: span pair per operator, and nothing else"
     );
     assert_eq!(
-        loud_score[2..],
+        loud_score,
         [0, 0, rows as u64, 0],
-        "one gate instant per scored row"
+        "one gate instant per scored row, and nothing else"
     );
     assert!(loud_cache > 0, "the cache reports its compiles");
 }
