@@ -243,7 +243,6 @@ EOF
 policy gate|"name": "decision"
 executor|"name": "op:
 circuit cache|"name": "cache\.
-scorer|"name": "\(score\.exact\|beta\.skip\)"
 LAYERS
   # A truncated timeline would make the check above meaningless: the
   # exporter reports how many events the buffer had to drop.

@@ -60,7 +60,7 @@ pub use physical::{
     OperatorProfile, PhysicalPlan,
 };
 pub use plan::{Plan, ProjItem};
-pub use result::{DerivedTuple, GatedScore, ResultSet, ScoreOptions, ScoredTuple};
+pub use result::{DerivedTuple, GatedScore, ResultSet, ScoredTuple};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AlgebraError>;

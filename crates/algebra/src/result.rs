@@ -3,7 +3,7 @@
 use crate::error::AlgebraError;
 use crate::Result;
 use pcqe_lineage::{bounds, Bounds, CircuitCache, Evaluator, Lineage, LineageError};
-use pcqe_par::{ConfidencePath, Observer};
+use pcqe_par::ConfidencePath;
 use pcqe_storage::{Schema, StoredTuple, Tuple, Value};
 use std::fmt;
 
@@ -107,10 +107,10 @@ impl ResultSet {
     }
 
     /// Score every row through a shared [`CircuitCache`] — the engine's
-    /// one scoring implementation; what varies between callers is data in
-    /// [`ScoreOptions`]. The result set is consumed: each row's tuple and
-    /// lineage move into its [`ScoredTuple`], and the schema into the
-    /// [`GatedScore`], so nothing is copied.
+    /// one scoring implementation; what varies between callers is the
+    /// policy threshold `gate`. The result set is consumed: each row's
+    /// tuple and lineage move into its [`ScoredTuple`], and the schema into
+    /// the [`GatedScore`], so nothing is copied.
     ///
     /// Rows with equal or overlapping lineage share compiled subcircuits
     /// and memoized probabilities. Exact confidences are bit-identical to
@@ -137,17 +137,13 @@ impl ResultSet {
     /// The per-row [`ConfidencePath`] report says how each gate-facing
     /// confidence was obtained: `BetaSkipped` for skipped rows, `Bounded`
     /// for rows past the budget, `CacheHit` when the whole circuit came
-    /// from the root memo, `Exact` when compilation ran. Gate instants
-    /// (`beta.skip` / `score.bounded` / `score.exact`) go **after** the
-    /// pass, in row order, to the listener's timeline if it has one. The
-    /// listener changes *reporting*, never evaluation: scores, flags, paths
-    /// and cache transitions are identical for any options that agree on
-    /// `gate`.
+    /// from the root memo, `Exact` when compilation ran. Scoring observes
+    /// nothing: the caller reports each row's path in its gate `Decision`.
     pub fn score_with(
         self,
         cache: &mut CircuitCache,
         evaluator: &Evaluator,
-        options: &ScoreOptions<'_>,
+        gate: Option<f64>,
     ) -> Result<(GatedScore, Vec<ConfidencePath>)> {
         let n = self.rows.len();
         let mut scored = Vec::with_capacity(n);
@@ -155,9 +151,9 @@ impl ResultSet {
         let mut paths = Vec::with_capacity(n);
         let mut exact_skipped = 0usize;
         for row in self.rows {
-            let walked = options.gate.map(|_| bounds(&row.lineage, cache.probs()));
+            let walked = gate.map(|_| bounds(&row.lineage, cache.probs()));
             let walked = walked.transpose().map_err(lineage_err)?;
-            let (confidence, path) = match (walked, options.gate) {
+            let (confidence, path) = match (walked, gate) {
                 (Some(b), Some(beta)) if b.upper <= beta => (b.upper, ConfidencePath::BetaSkipped),
                 _ => {
                     let before = cache.stats();
@@ -185,38 +181,30 @@ impl ResultSet {
             skipped,
             exact_skipped,
         };
-        if let Some(timeline) = options.listener.and_then(|l| l.timeline()) {
-            emit_gate_instants(timeline, &paths);
-        }
         Ok((gated, paths))
     }
 
-    /// [`Self::score_with`] on a copy of the result set, exact and
-    /// unobserved: every row's confidence through the cache.
+    /// [`Self::score_with`] on a copy of the result set, exact: every
+    /// row's confidence through the cache.
     pub fn score_cached(
         &self,
         cache: &mut CircuitCache,
         evaluator: &Evaluator,
     ) -> Result<Vec<ScoredTuple>> {
         self.clone()
-            .score_with(cache, evaluator, &ScoreOptions::default())
+            .score_with(cache, evaluator, None)
             .map(|(gated, _)| gated.scored)
     }
 
-    /// [`Self::score_with`] on a copy of the result set, gated at `beta`
-    /// and unobserved.
+    /// [`Self::score_with`] on a copy of the result set, gated at `beta`.
     pub fn score_gated_cached(
         &self,
         cache: &mut CircuitCache,
         evaluator: &Evaluator,
         beta: f64,
     ) -> Result<GatedScore> {
-        let options = ScoreOptions {
-            gate: Some(beta),
-            ..ScoreOptions::default()
-        };
         self.clone()
-            .score_with(cache, evaluator, &options)
+            .score_with(cache, evaluator, Some(beta))
             .map(|(gated, _)| gated)
     }
 
@@ -244,18 +232,6 @@ impl ResultSet {
         }
         Ok(n)
     }
-}
-
-/// What varies between callers of [`ResultSet::score_with`]. The default
-/// is exact, unobserved scoring.
-#[derive(Clone, Copy, Default)]
-pub struct ScoreOptions<'a> {
-    /// The policy threshold β to gate at; `None` scores every row exactly
-    /// and never computes the Fréchet bound.
-    pub gate: Option<f64>,
-    /// The listener: on its [`Observer::timeline`], one gate instant per
-    /// row.
-    pub listener: Option<&'a dyn Observer>,
 }
 
 /// The outcome of [`ResultSet::score_with`]: the result set, scored.
@@ -307,22 +283,6 @@ fn exact_or_lower(
 
 fn lineage_err(e: LineageError) -> AlgebraError {
     AlgebraError::Lineage(e.to_string())
-}
-
-/// One `beta.skip` / `score.bounded` / `score.exact` instant per row, in
-/// row order. The payload carries the row index only: a row's bound and
-/// the β it lost to are deliberately not rendered — trace files travel
-/// further than the audit log, and the Decision record is the designed
-/// outlet for those values (PCQE-F002, PCQE-F003).
-fn emit_gate_instants(tracer: &dyn Observer, paths: &[ConfidencePath]) {
-    for (i, path) in paths.iter().enumerate() {
-        let name = match path {
-            ConfidencePath::BetaSkipped => "beta.skip",
-            ConfidencePath::Bounded => "score.bounded",
-            ConfidencePath::Exact | ConfidencePath::CacheHit => "score.exact",
-        };
-        tracer.instant(name, &format!("row={i}"));
-    }
 }
 
 impl fmt::Display for ResultSet {

@@ -233,15 +233,6 @@ impl Search<'_, '_> {
             return;
         };
         let required = self.problem.required;
-        if self.options.h3_optimistic_prune
-            && state.affordable_satisfied(rest, cost, cost, self.best_cost) < required
-        {
-            // A cheaper solution below raises no open tuple past what the
-            // budget buys, and by monotonicity satisfies no more results
-            // than those raised levels do.
-            self.stats.pruned_h3 += 1;
-            return;
-        }
         let min_step = self.suffix_min_step.get(depth).copied().unwrap_or(0.0);
         if self.options.h4_cost_bound && cost + min_step >= self.best_cost {
             // The quota is unmet, so any solution below must raise at
@@ -256,13 +247,16 @@ impl Search<'_, '_> {
                 self.stats.pruned_bound += 1;
                 break;
             }
-            if steps > 0
-                && self.options.h3_optimistic_prune
+            if self.options.h3_optimistic_prune
                 && state.affordable_satisfied(rest, cost, child, self.best_cost) < required
             {
-                // H3 for this value and every higher one at once: each of
-                // their own checks raises `base` no higher and the open
-                // tuples after it from a cost no lower.
+                // H3 for this value and every higher one at once: a cheaper
+                // solution below raises no open tuple past what the budget
+                // buys, and by monotonicity satisfies no more results than
+                // those raised levels do; each higher value's own check
+                // raises `base` no higher and the open tuples after it from
+                // a cost no lower. At `steps = 0` (`child == cost`) this is
+                // the node's own H3.
                 self.stats.pruned_h3 += 1;
                 break;
             }

@@ -8,7 +8,7 @@ use crate::response::{NoProposal, QueryResponse, ReleasedTuple};
 use crate::Result;
 use pcqe_algebra::{
     execute_vectorized_profiled, execute_vectorized_with, ExecProfile, GatedScore, PhysicalPlan,
-    ResultSet, ScoreOptions, ScoredTuple,
+    ResultSet, ScoredTuple,
 };
 use pcqe_core::clock::{Clock, SystemClock};
 use pcqe_cost::CostFn;
@@ -503,18 +503,10 @@ impl Database {
             };
             sync_cache_probs(&mut self.cache, result_set.rows(), &probs);
             // Only `query` gates at β (rows whose confidence upper bound is
-            // already ≤ β are withheld without exact evaluation) and reports
-            // the scoring pass to the listener. Batch and what-if evaluation
-            // stay exact and unobserved.
-            let options = if stage.lifecycle {
-                ScoreOptions {
-                    gate: Some(policy.threshold),
-                    listener,
-                }
-            } else {
-                ScoreOptions::default()
-            };
-            result_set.score_with(&mut self.cache, &self.config.evaluator, &options)?
+            // already ≤ β are withheld without exact evaluation). Batch and
+            // what-if evaluation stay exact.
+            let gate = stage.lifecycle.then_some(policy.threshold);
+            result_set.score_with(&mut self.cache, &self.config.evaluator, gate)?
         };
         if record {
             let bounded = paths.iter().filter(|p| **p == ConfidencePath::Bounded);
@@ -647,9 +639,9 @@ impl Database {
     /// [`QueryTrace`](pcqe_obs::QueryTrace) —
     /// lifecycle spans (`query` > `plan`/`execute`/`score`/`gate`, plus
     /// `propose` when strategy finding runs), per-operator `op:*` spans,
-    /// circuit-cache `cache.*` events, β-gate `beta.skip` /
-    /// `score.bounded` / `score.exact` instants, and one
-    /// [`pcqe_par::Decision`] per result row.
+    /// circuit-cache `cache.*` events, and one [`pcqe_par::Decision`] per
+    /// result row — the row's gate verdict, with how its confidence was
+    /// obtained.
     ///
     /// Tracing is write-only: the response (and any audit entry) is
     /// bit-identical to an untraced [`Database::query`] of the same
@@ -865,9 +857,9 @@ struct Stage<'a> {
     /// the call records (`query`, `query_batch`), the tracer iff it is on.
     listeners: &'a pcqe_obs::Listeners<'a>,
     /// [`Database::query`]'s lifecycle: the pipeline's phases open spans
-    /// under the caller's `query` span, scoring is β-gated and observed,
-    /// and every row's decision is traced. Batch and what-if evaluation
-    /// score exactly, outside any span.
+    /// under the caller's `query` span, scoring is β-gated, and every
+    /// row's decision is traced. Batch and what-if evaluation score
+    /// exactly, outside any span.
     lifecycle: bool,
     /// Confidences that stand in for the catalog's (what-if previews).
     overrides: &'a BTreeMap<TupleId, f64>,

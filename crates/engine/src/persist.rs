@@ -25,7 +25,7 @@ use crate::Result;
 use pcqe_cost::CostFn;
 use pcqe_policy::{ConfidencePolicy, PurposeSpec, Role, SubjectSpec};
 use pcqe_storage::csv::{load_into, write_table_with_ids};
-use pcqe_storage::{Column, DataType, Schema, StorageError, TupleId};
+use pcqe_storage::{fnv1a, Column, DataType, Schema, StorageError, TupleId};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
@@ -37,10 +37,7 @@ const HEADER: &str = "pcqe-manifest\tv2";
 /// The 64-bit FNV-1a checksum of a saved file, as the manifest spells it
 /// (16 lowercase hex digits).
 fn checksum(bytes: &[u8]) -> String {
-    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    format!("{hash:016x}")
+    format!("{:016x}", fnv1a(bytes))
 }
 
 fn persist_err(message: impl Into<String>) -> EngineError {

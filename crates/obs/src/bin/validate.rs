@@ -5,7 +5,7 @@
 //! Schemas:
 //!
 //! * `metrics` (default) — the document has the metrics-snapshot shape
-//!   (`counters`/`gauges`/`histograms`/`spans` object members);
+//!   (`counters`/`histograms`/`spans` object members);
 //! * `trace` — the document has the Chrome trace-event shape emitted by
 //!   `pcqe_obs::trace_export::to_chrome_json` (`traceEvents` array of
 //!   name/ph/ts/pid/tid records plus `dropped`/`capacity` accounting).
@@ -88,7 +88,7 @@ fn validate_metrics(text: &str) -> Result<String, Vec<String>> {
     };
     let mut sizes = Vec::new();
     let mut errors = Vec::new();
-    for key in ["counters", "gauges", "histograms", "spans"] {
+    for key in ["counters", "histograms", "spans"] {
         match obj.get(key) {
             None => errors.push(format!("missing `{key}` member")),
             Some(section) => match section.as_object() {
@@ -165,10 +165,10 @@ mod tests {
 
     #[test]
     fn accepts_a_minimal_metrics_document() {
-        let doc = "{\"counters\": {\"a\": 1}, \"gauges\": {}, \"histograms\": {}, \"spans\": {}}";
+        let doc = "{\"counters\": {\"a\": 1}, \"histograms\": {}, \"spans\": {}}";
         assert_eq!(
             validate_metrics(doc),
-            Ok("counters=1 gauges=0 histograms=0 spans=0".to_owned())
+            Ok("counters=1 histograms=0 spans=0".to_owned())
         );
     }
 
@@ -176,22 +176,18 @@ mod tests {
     fn rejects_missing_sections_and_non_objects() {
         assert!(validate_metrics("[]").is_err());
         assert!(validate_metrics("{\"counters\": {}}").is_err());
-        assert!(validate_metrics(
-            "{\"counters\": 1, \"gauges\": {}, \"histograms\": {}, \"spans\": {}}"
-        )
-        .is_err());
+        assert!(validate_metrics("{\"counters\": 1, \"histograms\": {}, \"spans\": {}}").is_err());
         assert!(validate_metrics("not json").is_err());
     }
 
     #[test]
     fn metrics_violations_are_all_reported_in_key_order() {
-        // Three sections missing, one malformed: four errors, fixed order.
-        let errors = validate_metrics("{\"gauges\": 3}").unwrap_err();
-        assert_eq!(errors.len(), 4, "{errors:?}");
+        // Two sections missing, one malformed: three errors, fixed order.
+        let errors = validate_metrics("{\"histograms\": 3}").unwrap_err();
+        assert_eq!(errors.len(), 3, "{errors:?}");
         assert!(errors[0].contains("`counters`"), "{errors:?}");
-        assert!(errors[1].contains("`gauges` must be an object"));
-        assert!(errors[2].contains("`histograms`"), "{errors:?}");
-        assert!(errors[3].contains("`spans`"), "{errors:?}");
+        assert!(errors[1].contains("`histograms` must be an object"));
+        assert!(errors[2].contains("`spans`"), "{errors:?}");
     }
 
     /// A tiny two-event trace document.

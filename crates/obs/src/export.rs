@@ -6,9 +6,9 @@
 //! `tests/golden/metrics.{json,prom}` pin the formats.
 //!
 //! Floats are written with Rust's `{:?}` formatting, which round-trips
-//! through the parser in [`crate::json`] exactly. Non-finite values (only
-//! possible via a gauge) degrade to JSON `null` / are skipped in the
-//! Prometheus text rather than emitting invalid documents.
+//! through the parser in [`crate::json`] exactly. A non-finite JSON
+//! number (a histogram sum fed an infinity) degrades to `null` rather
+//! than making the document invalid.
 
 use crate::snapshot::{Histogram, MetricsSnapshot, BUCKET_BOUNDS};
 use std::fmt::Write as _;
@@ -19,7 +19,6 @@ pub fn to_json(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"counters\": {},", counters_json(snapshot));
-    let _ = writeln!(out, "  \"gauges\": {},", gauges_json(snapshot));
     let _ = writeln!(out, "  \"histograms\": {},", histograms_json(snapshot));
     let _ = writeln!(out, "  \"spans\": {}", spans_json(snapshot));
     out.push_str("}\n");
@@ -31,10 +30,6 @@ fn counters_json(s: &MetricsSnapshot) -> String {
         s.counters.iter().map(|(k, v)| (k.as_str(), v.to_string())),
         4,
     )
-}
-
-fn gauges_json(s: &MetricsSnapshot) -> String {
-    object(s.gauges.iter().map(|(k, v)| (k.as_str(), json_f64(*v))), 4)
 }
 
 fn histograms_json(s: &MetricsSnapshot) -> String {
@@ -136,14 +131,6 @@ pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {m} counter");
         let _ = writeln!(out, "{m} {value}");
     }
-    for (name, value) in &snapshot.gauges {
-        if !value.is_finite() {
-            continue;
-        }
-        let m = metric_name(name, "");
-        let _ = writeln!(out, "# TYPE {m} gauge");
-        let _ = writeln!(out, "{m} {value:?}");
-    }
     for (name, h) in &snapshot.histograms {
         let m = metric_name(name, "");
         let _ = writeln!(out, "# TYPE {m} histogram");
@@ -193,7 +180,6 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("query.total".into(), 3);
         s.counters.insert("policy.released".into(), 2);
-        s.gauges.insert("queue.depth".into(), 4.0);
         let mut h = Histogram::default();
         h.record(0.002);
         h.record(0.5);
@@ -213,7 +199,7 @@ mod tests {
         let doc = to_json(&sample());
         let parsed = crate::json::parse(&doc).expect("export must parse");
         let obj = parsed.as_object().expect("top-level object");
-        for key in ["counters", "gauges", "histograms", "spans"] {
+        for key in ["counters", "histograms", "spans"] {
             assert!(obj.contains_key(key), "missing {key} in:\n{doc}");
         }
         assert!(doc.contains("\"query.total\": 3"));
@@ -239,8 +225,6 @@ mod tests {
         let text = to_prometheus(&sample());
         assert!(text.contains("# TYPE pcqe_query_total counter"));
         assert!(text.contains("pcqe_query_total 3"));
-        assert!(text.contains("# TYPE pcqe_queue_depth gauge"));
-        assert!(text.contains("pcqe_queue_depth 4.0"));
         assert!(text.contains("pcqe_solver_greedy_elapsed_bucket{le=\"0.001\"} 0"));
         assert!(text.contains("pcqe_solver_greedy_elapsed_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("pcqe_solver_greedy_elapsed_count 2"));
@@ -331,7 +315,7 @@ mod tests {
         let empty = MetricsSnapshot::default();
         assert_eq!(
             to_json(&empty),
-            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {},\n  \"spans\": {}\n}\n"
+            "{\n  \"counters\": {},\n  \"histograms\": {},\n  \"spans\": {}\n}\n"
         );
         assert_eq!(to_prometheus(&empty), "");
     }

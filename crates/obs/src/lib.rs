@@ -2,7 +2,7 @@
 //!
 //! A std-only, registry-free observability layer for the PCQE stack:
 //!
-//! * [`Recorder`] — thread-safe counters, gauges, fixed-bucket histograms
+//! * [`Recorder`] — thread-safe counters, fixed-bucket histograms
 //!   and hierarchical span totals, folded from the
 //!   [`pcqe_par::Observer`] spans it hears and timed exclusively through
 //!   [`pcqe_core::clock`] (so [`ManualClock`](pcqe_core::clock::ManualClock)

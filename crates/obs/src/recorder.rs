@@ -35,7 +35,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 #[derive(Default)]
 pub(crate) struct Inner {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, SpanStat>,
     /// The open spans, innermost last: each one's start reading and the
@@ -51,10 +50,6 @@ pub(crate) struct Inner {
 impl Inner {
     fn counter_add(&mut self, name: &str, value: u64) {
         update(&mut self.counters, name, |c| *c = c.saturating_add(value));
-    }
-
-    fn gauge_set(&mut self, name: &str, value: f64) {
-        update(&mut self.gauges, name, |g| *g = value);
     }
 
     fn histogram_record(&mut self, name: &str, value: f64) {
@@ -101,7 +96,7 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(
 /// a solver, and one more.
 const SPAN_DEPTH: usize = 4;
 
-/// Thread-safe counters, gauges, histograms and hierarchical spans.
+/// Thread-safe counters, histograms and hierarchical spans.
 pub struct Recorder {
     enabled: AtomicBool,
     clock: Arc<dyn Clock + Send + Sync>,
@@ -191,13 +186,6 @@ impl Recorder {
         }
     }
 
-    /// Set the gauge `name` to `value` (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(mut inner) = self.live() {
-            inner.gauge_set(name, value);
-        }
-    }
-
     /// Record one observation into the fixed-bucket histogram `name`.
     pub fn histogram_record(&self, name: &str, value: f64) {
         if let Some(mut inner) = self.live() {
@@ -210,7 +198,6 @@ impl Recorder {
         let inner = self.lock();
         MetricsSnapshot {
             counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
             histograms: inner.histograms.clone(),
             spans: inner.spans.clone(),
         }
@@ -269,19 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn gauges_last_write_wins() {
-        let r = Recorder::new();
-        r.gauge_set("g", 1.0);
-        r.gauge_set("g", 2.5);
-        assert_eq!(r.snapshot().gauge("g"), Some(2.5));
-    }
-
-    #[test]
     fn disabled_recorder_records_nothing() {
         let r = Recorder::new();
         r.set_enabled(false);
         r.counter_add("c", 1);
-        r.gauge_set("g", 1.0);
         r.histogram_record("h", 0.5);
         drop(Span::open(&r, "s"));
         assert!(r.snapshot().is_empty());

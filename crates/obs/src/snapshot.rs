@@ -2,8 +2,8 @@
 //!
 //! Every collection is a `BTreeMap` keyed by metric name, so iteration —
 //! and therefore every export — is deterministically ordered. A snapshot
-//! is taken under one lock acquisition: counters, gauges, histograms and
-//! spans are mutually consistent.
+//! is taken under one lock acquisition: counters, histograms and spans
+//! are mutually consistent.
 
 use std::collections::BTreeMap;
 
@@ -104,8 +104,6 @@ pub struct SpanStat {
 pub struct MetricsSnapshot {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<String, f64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, Histogram>,
     /// Hierarchical spans, keyed by `/`-separated path.
@@ -115,20 +113,12 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
     }
 
     /// Convenience: a counter's value, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Convenience: a gauge's value, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 }
 
@@ -167,11 +157,8 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         assert!(s.is_empty());
         s.counters.insert("a".into(), 3);
-        s.gauges.insert("g".into(), 1.5);
         assert!(!s.is_empty());
         assert_eq!(s.counter("a"), 3);
         assert_eq!(s.counter("missing"), 0);
-        assert_eq!(s.gauge("g"), Some(1.5));
-        assert_eq!(s.gauge("missing"), None);
     }
 }

@@ -6,8 +6,10 @@
 //! and why was this tuple released or suppressed?* It implements the
 //! timeline half of the dependency-free [`pcqe_par::Observer`] trait so
 //! every layer of the stack — engine lifecycle spans, per-operator
-//! execution spans, circuit cache compile/hit/invalidate events, β-skip
-//! decisions — can emit into one ordered timeline.
+//! execution spans, circuit cache compile/hit/invalidate events, and one
+//! policy decision per result row, which says how the row's confidence
+//! was obtained (β-skipped, bounded, exact or a cache hit) — can emit
+//! into one ordered timeline.
 //!
 //! ## Determinism contract
 //!
@@ -60,7 +62,7 @@ pub enum TraceEventKind {
         /// Name copied from the matching begin, so exports need no join.
         name: String,
     },
-    /// A point-in-time event, e.g. `"cache.hit"` or `"beta.skip"`.
+    /// A point-in-time event, e.g. `"cache.hit"` or `"parse"`.
     Instant {
         /// Event name.
         name: String,
@@ -334,7 +336,7 @@ mod tests {
         let root = t.span_begin("query");
         clock.advance(Duration::from_micros(5));
         let child = t.span_begin("score");
-        t.instant("beta.skip", "tuple=t01");
+        t.instant("cache.hit", "node=1");
         t.span_end(child);
         t.span_end(root);
         let trace = t.drain();

@@ -212,7 +212,7 @@ mod tests {
         let q = t.span_begin("query");
         clock.advance(Duration::from_nanos(1_500));
         let s = t.span_begin("score");
-        t.instant("beta.skip", "tuple=t13 upper=0.04");
+        t.instant("cache.hit", "node=7");
         t.decision(&Decision {
             tuple: 13,
             released: false,
@@ -269,7 +269,7 @@ mod tests {
             vec![
                 "query 2",
                 "query;score 2",
-                "query;score;beta.skip 1",
+                "query;score;cache.hit 1",
                 "query;score;decision 1",
             ]
         );

@@ -33,8 +33,7 @@ fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("validator terminated by signal")
 }
 
-const METRICS_OK: &str =
-    "{\"counters\": {\"a\": 1}, \"gauges\": {}, \"histograms\": {}, \"spans\": {}}";
+const METRICS_OK: &str = "{\"counters\": {\"a\": 1}, \"histograms\": {}, \"spans\": {}}";
 
 const TRACE_OK: &str = "{\"displayTimeUnit\": \"ms\", \"dropped\": 0, \"capacity\": 4096, \
      \"traceEvents\": [{\"name\": \"query\", \"ph\": \"B\", \"ts\": 0.000, \

@@ -50,7 +50,7 @@ pub use catalog::Catalog;
 pub use error::StorageError;
 pub use image::Image;
 pub use index::EqualityIndex;
-pub use partition::stable_hash;
+pub use partition::{fnv1a, stable_hash};
 pub use schema::{Column, Schema};
 pub use table::{StoredTuple, Table};
 pub use tuple::{Tuple, TupleId};

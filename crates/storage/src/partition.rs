@@ -1,7 +1,8 @@
-//! Deterministic key hashing: [`stable_hash`], a fixed FNV-1a over each
+//! Deterministic hashing: [`stable_hash`], a fixed FNV-1a over each
 //! value's canonical byte form — never a `RandomState`, never float
 //! equality — so a key's hash is a pure function of its values, across
-//! runs, threads and platforms.
+//! runs, threads and platforms; and [`fnv1a`], the same hash over raw
+//! bytes (the persisted manifest's checksums).
 
 use crate::value::Value;
 
@@ -56,6 +57,13 @@ fn hash_value(h: &mut Fnv1a, v: &Value) {
     }
 }
 
+/// The 64-bit FNV-1a hash of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.0
+}
+
 /// Deterministic hash of a composite key: the same value sequence always
 /// hashes the same, across runs, threads and platforms.
 pub fn stable_hash(values: &[Value]) -> u64 {
@@ -84,5 +92,12 @@ mod tests {
             stable_hash(&[Value::Int(1)]),
             stable_hash(&[Value::Bool(true)])
         );
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

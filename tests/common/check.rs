@@ -114,22 +114,6 @@ pub fn assert_matches_reference(
     }
 }
 
-/// The worker counts the executor suites run every plan at — one, four
-/// and the host's, each with the spawn threshold at its lowest. The
-/// executor runs on the calling thread and reads none of them; the grid
-/// holds that its answer cannot come to depend on one.
-fn parallelism_grid() -> [(Parallelism, &'static str); 3] {
-    let threads = |worker_threads| Parallelism {
-        worker_threads,
-        parallel_threshold: 1,
-    };
-    [
-        (Parallelism::sequential(), "1 thread"),
-        (threads(Some(4)), "4 threads"),
-        (threads(None), "host threads"),
-    ]
-}
-
 /// The `(released, withheld)` counts of every query entry in the audit
 /// log, in order.
 pub fn audited_counts(db: &Database) -> Vec<(usize, usize)> {
@@ -150,43 +134,34 @@ fn describe(outcome: &Result<ResultSet, String>) -> String {
     }
 }
 
-/// Run `physical` at 1, 4 and host threads and hold each run to the
-/// reference's outcome: the schema, rows, order and lineage, and cached
-/// scoring's confidence bits against the interpreter's — or the same
-/// error.
+/// Run `physical` once and hold it to the reference's outcome: the
+/// schema, rows, order and lineage, and cached scoring's confidence bits
+/// against the interpreter's — or the same error. The executor runs on
+/// the calling thread and reads no worker count, so one run is every run
+/// (`tests/parallel_determinism.rs` holds answers to any count).
 pub fn vexec_matches(
     expected: &Result<ResultSet, String>,
     physical: &PhysicalPlan,
     catalog: &Catalog,
 ) -> Result<(), String> {
-    for (par, threads) in parallelism_grid() {
-        let got = execute_vectorized_with(physical, catalog, &par).map_err(|e| e.to_string());
-        let in_context = |e: String| format!("{e} ({threads})\n{physical}");
-        match (expected, &got) {
-            (Ok(e), Ok(g)) => rows_identical(e, g, catalog, par == Parallelism::sequential())
-                .map_err(in_context)?,
-            (Err(e), Err(g)) if e == g => {}
-            (e, g) => {
-                return Err(in_context(format!(
-                    "vectorized {}, reference {}",
-                    describe(g),
-                    describe(e)
-                )))
-            }
-        }
+    let got = execute_vectorized_with(physical, catalog, &Parallelism::sequential())
+        .map_err(|e| e.to_string());
+    let in_context = |e: String| format!("{e}\n{physical}");
+    match (expected, &got) {
+        (Ok(e), Ok(g)) => rows_identical(e, g, catalog).map_err(in_context),
+        (Err(e), Err(g)) if e == g => Ok(()),
+        (e, g) => Err(in_context(format!(
+            "vectorized {}, reference {}",
+            describe(g),
+            describe(e)
+        ))),
     }
-    Ok(())
 }
 
-/// Whether `got` is the reference's `expected` bit for bit — and, when
-/// `scored`, whether cached scoring of it reproduces the interpreter's
-/// confidence bits on the reference's rows.
-fn rows_identical(
-    expected: &ResultSet,
-    got: &ResultSet,
-    catalog: &Catalog,
-    scored: bool,
-) -> Result<(), String> {
+/// Whether `got` is the reference's `expected` bit for bit, and whether
+/// cached scoring of it reproduces the interpreter's confidence bits on
+/// the reference's rows.
+fn rows_identical(expected: &ResultSet, got: &ResultSet, catalog: &Catalog) -> Result<(), String> {
     ensure!(
         expected.schema() == got.schema(),
         "schema {:?}, reference {:?}",
@@ -202,29 +177,26 @@ fn rows_identical(
     for (i, (x, y)) in expected.rows().iter().zip(got.rows()).enumerate() {
         ensure!(x == y, "row {i}: {y:?}, reference {x:?}");
     }
-    if scored {
-        let (probs, ev) = (
-            |v: VarId| catalog.confidence(TupleId(v.0)),
-            Evaluator::default(),
-        );
-        let mut cache = CircuitCache::new();
-        got.rows()
-            .iter()
-            .flat_map(|r| r.lineage.vars())
-            .for_each(|v| cache.set_prob(v, probs(v).unwrap()));
-        let bits =
-            |s: Vec<ScoredTuple>| s.iter().map(|s| s.confidence.to_bits()).collect::<Vec<_>>();
-        let interpreted = interpreter::score(expected, &probs, ev.budget);
-        let reference = bits(interpreted.map_err(|e| e.to_string())?);
-        let cached = bits(
-            got.score_cached(&mut cache, &ev)
-                .map_err(|e| e.to_string())?,
-        );
-        ensure!(
-            reference == cached,
-            "confidence bits {cached:x?}, interpreted {reference:x?}"
-        );
-    }
+    let (probs, ev) = (
+        |v: VarId| catalog.confidence(TupleId(v.0)),
+        Evaluator::default(),
+    );
+    let mut cache = CircuitCache::new();
+    got.rows()
+        .iter()
+        .flat_map(|r| r.lineage.vars())
+        .for_each(|v| cache.set_prob(v, probs(v).unwrap()));
+    let bits = |s: Vec<ScoredTuple>| s.iter().map(|s| s.confidence.to_bits()).collect::<Vec<_>>();
+    let interpreted = interpreter::score(expected, &probs, ev.budget);
+    let reference = bits(interpreted.map_err(|e| e.to_string())?);
+    let cached = bits(
+        got.score_cached(&mut cache, &ev)
+            .map_err(|e| e.to_string())?,
+    );
+    ensure!(
+        reference == cached,
+        "confidence bits {cached:x?}, interpreted {reference:x?}"
+    );
     Ok(())
 }
 

@@ -34,19 +34,14 @@ use std::panic::AssertUnwindSafe;
 use std::path::Path;
 
 /// What of a metrics snapshot no listener, worker count or clock may
-/// move, one line per metric: every counter, gauge value, histogram count
-/// and span count (a span's total is a time, so it is left out).
+/// move, one line per metric: every counter, histogram count and span
+/// count (a span's total is a time, so it is left out).
 pub fn comparable_metrics(snap: &MetricsSnapshot) -> Vec<String> {
     let counters = (snap.counters.iter()).map(|(n, v)| format!("counter {n} = {v}"));
-    let gauges = snap.gauges.iter().map(|(n, v)| format!("gauge {n} = {v}"));
     let histograms =
         (snap.histograms.iter()).map(|(n, h)| format!("histogram {n} count = {}", h.count()));
     let spans = (snap.spans.iter()).map(|(n, s)| format!("span {n} count = {}", s.count));
-    counters
-        .chain(gauges)
-        .chain(histograms)
-        .chain(spans)
-        .collect()
+    counters.chain(histograms).chain(spans).collect()
 }
 
 /// Run `f` once per case with an independently seeded generator.

@@ -8,7 +8,7 @@ mod common;
 
 use common::interpreter::{probability, score};
 use common::{for_each_case, random_lineage, random_positive_lineage, random_probs};
-use pcqe::algebra::{DerivedTuple, ResultSet, ScoreOptions};
+use pcqe::algebra::{DerivedTuple, ResultSet};
 use pcqe::lineage::{
     bounds, CircuitCache, CompiledLineage, Evaluator, Lineage, LineageError, Rng64, SplitMix64,
     VarId,
@@ -524,11 +524,7 @@ fn a_formula_past_its_budget_scores_its_lower_bound_on_every_path() {
         let ev = Evaluator { budget };
         let reference = score(&rows, &scoring_prob, budget).unwrap();
         for gate in [None, Some(BETA)] {
-            let options = ScoreOptions {
-                gate,
-                ..ScoreOptions::default()
-            };
-            let (gated, paths) = rows.clone().score_with(&mut pool, &ev, &options).unwrap();
+            let (gated, paths) = rows.clone().score_with(&mut pool, &ev, gate).unwrap();
             for (case, ((_, fits), b)) in cases.iter().zip(&walked).enumerate() {
                 let (got, path) = (gated.scored[case].confidence, paths[case]);
                 let at = format!("case {case} at budget {budget}, gate {gate:?}: {path:?}");

@@ -146,8 +146,6 @@ fn scripted_recorder() -> Recorder {
     recorder.counter_add("policy.released", 3);
     recorder.counter_add("policy.withheld", 1);
     recorder.counter_add("solver.greedy.iterations", 17);
-    recorder.gauge_set("par.workers", 4.0);
-    recorder.gauge_set("estimator.slope", 0.25);
     recorder.histogram_record("solver.greedy.elapsed", 0.002);
     recorder.histogram_record("solver.greedy.elapsed", 0.3);
     recorder.histogram_record("improvement.cost", 10.0);
@@ -186,9 +184,34 @@ fn json_export_is_byte_stable_under_a_manual_clock() {
     // The exporter round-trips through the crate's own parser.
     let doc = pcqe::obs::json::parse(golden).unwrap();
     let obj = doc.as_object().unwrap();
-    for key in ["counters", "gauges", "histograms", "spans"] {
+    for key in ["counters", "histograms", "spans"] {
         assert!(obj.get(key).is_some(), "missing {key}");
     }
+}
+
+/// The exports name only the metric kinds the engine writes: a session
+/// that queries, applies a proposal and re-queries exports no `gauges`
+/// member and no Prometheus `gauge` line.
+#[test]
+fn the_exports_name_no_gauge_kind() {
+    let mut db = paper_db(Some(1), true);
+    let user = User::new("mark", "Manager");
+    let request = QueryRequest::new(QUERY, "investment");
+    let proposal = db.query(&user, &request).unwrap().proposal.unwrap();
+    db.apply(&proposal).unwrap();
+    db.query(&user, &request).unwrap();
+    let snapshot = db.metrics_snapshot();
+    assert!(
+        !snapshot.counters.is_empty(),
+        "the session recorded nothing"
+    );
+    let doc = export::to_json(&snapshot);
+    let parsed = pcqe::obs::json::parse(&doc).unwrap();
+    let keys: Vec<&String> = parsed.as_object().unwrap().keys().collect();
+    assert_eq!(keys, ["counters", "histograms", "spans"], "{doc}");
+    let text = export::to_prometheus(&snapshot);
+    let gauge_lines: Vec<&str> = text.lines().filter(|l| l.ends_with(" gauge")).collect();
+    assert!(gauge_lines.is_empty(), "{gauge_lines:?}");
 }
 
 #[test]

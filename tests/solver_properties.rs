@@ -791,7 +791,8 @@ fn assert_same_bits(a: &Solution, b: &Solution) {
 /// usually clamps the last step, or at the initial level) and δ values.
 /// The bound's early `break`,
 /// H3's highest affordable step and its cut of a run of siblings all read
-/// the grid this way; step 0 is free, so the run cut can skip it.
+/// the grid this way; step 0 is free, so the run cut at step 0 is the
+/// node's own H3.
 #[test]
 fn grid_costs_never_fall_along_a_base_s_grid() {
     for_each_case(CASES, 0x501E_000A, |rng| {

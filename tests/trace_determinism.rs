@@ -19,7 +19,7 @@
 mod common;
 
 use common::{DbSpec, PAPER_QUERY as QUERY};
-use pcqe::algebra::{execute_vectorized_profiled, ScoreOptions};
+use pcqe::algebra::execute_vectorized_profiled;
 use pcqe::core::clock::ManualClock;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::lineage::{CircuitCache, Evaluator};
@@ -265,12 +265,14 @@ fn single_column_db(rows: usize, capacity: usize) -> Database {
 
 /// Decisions are emitted in one walk alongside the rows: one per row
 /// however large the released set, each agreeing with the gate's verdict
-/// and the audit entry — all released, and interleaved with withheld rows.
+/// and the audit entry — all released, and interleaved with withheld rows
+/// (the β-skipped 0.6 rows of `half`). The `decision` is the only event
+/// that speaks for a row: scoring adds no per-row instant of its own.
 #[test]
 fn large_results_have_one_decision_per_row_matching_the_audit_log() {
     const ROWS: usize = 2_400;
-    // Three events per row (cache, gate instant, decision) outgrow the
-    // default buffer; a dropped event would hide exactly what is checked.
+    // Two events per row (cache, decision) outgrow the default buffer; a
+    // dropped event would hide exactly what is checked.
     let mut db = single_column_db(ROWS, 4 * ROWS);
     let user = User::new("rae", "reader");
 
@@ -293,6 +295,18 @@ fn large_results_have_one_decision_per_row_matching_the_audit_log() {
             }
         }
         assert!(released.next().is_none());
+        let skipped = decisions
+            .iter()
+            .filter(|d| d.path == ConfidencePath::BetaSkipped);
+        assert_eq!(skipped.count(), ROWS - expect_released, "{purpose}");
+        let row_instants: Vec<&str> = (trace.events.iter())
+            .filter_map(|e| match &e.kind {
+                TraceEventKind::Instant { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .filter(|name| ["beta.skip", "score.exact", "score.bounded"].contains(name))
+            .collect();
+        assert!(row_instants.is_empty(), "{purpose}: {row_instants:?}");
         let Some(pcqe::engine::AuditEntry::Query {
             released, withheld, ..
         }) = db.audit_log().last()
@@ -303,6 +317,23 @@ fn large_results_have_one_decision_per_row_matching_the_audit_log() {
         assert_eq!(*withheld, decisions.iter().filter(|d| !d.released).count());
     }
     // Nothing was dropped, so the recorder has no loss to report.
+    assert_eq!(db.metrics_snapshot().counter("trace.dropped"), 0);
+}
+
+/// A gated row costs the timeline two events, its circuit-cache event and
+/// its `decision`, over fifteen for the query's spans and its `parse`
+/// instant: a 64-event buffer holds a 24-row result whole.
+#[test]
+fn a_small_buffer_holds_a_result_at_two_events_per_row() {
+    const ROWS: usize = 24;
+    let mut db = single_column_db(ROWS, 64);
+    let user = User::new("rae", "reader");
+    let request = QueryRequest::new("SELECT x FROM t", "all").expecting(0.0);
+    let (resp, trace) = db.trace_query(&user, &request).unwrap();
+    assert_eq!(resp.released.len(), ROWS);
+    assert_eq!(trace.dropped, 0, "{} events kept", trace.events.len());
+    assert_eq!(trace.events.len(), 15 + 2 * ROWS);
+    assert_eq!(trace.decisions().len(), ROWS);
     assert_eq!(db.metrics_snapshot().counter("trace.dropped"), 0);
 }
 
@@ -408,15 +439,15 @@ impl Observer for Counting {
     }
 }
 
-/// The "ask first" rule, through the public seams every layer exposes: a
+/// The "ask first" rule, through the public seams that take a listener: a
 /// hash join over a few thousand rows on `execute_vectorized_profiled`
-/// (handed a four-worker policy, which it does not read), β-gated
-/// `ResultSet::score_with`, and a circuit cache listening through
-/// `CircuitCache::set_trace`. A listener that is not enabled gets no call
-/// at all from any of them — so nobody formatted an `op:` label, a `row=`
-/// detail or a `cache.*` detail for it, and nobody read a clock for it. An
-/// enabled one gets one balanced `op:` span pair per operator and one gate
-/// instant per scored row, and nothing else.
+/// (handed a four-worker policy, which it does not read), and a circuit
+/// cache listening through `CircuitCache::set_trace` while β-gated
+/// `ResultSet::score_with` scores the join's rows. A listener that is not
+/// enabled gets no call at all from either — so nobody formatted an `op:`
+/// label or a `cache.*` detail for it, and nobody read a clock for it. An
+/// enabled executor listener gets one balanced `op:` span pair per
+/// operator, and nothing else; scoring itself takes no listener.
 #[test]
 fn only_an_enabled_listener_is_sent_timeline_events() {
     let mut catalog = Catalog::new();
@@ -445,7 +476,7 @@ fn only_an_enabled_listener_is_sent_timeline_events() {
     };
 
     let run = |enabled: bool| {
-        let (exec, score) = (Counting::new(enabled), Counting::new(enabled));
+        let exec = Counting::new(enabled);
         let cache_listener = Arc::new(Counting::new(enabled));
         let (rows, profile) =
             execute_vectorized_profiled(&physical, &catalog, &four, Some(&exec)).unwrap();
@@ -456,26 +487,16 @@ fn only_an_enabled_listener_is_sent_timeline_events() {
                 cache.set_prob(v, catalog.confidence(TupleId(v.0)).unwrap());
             }
         }
-        let options = ScoreOptions {
-            gate: Some(0.5),
-            listener: Some(&score),
-        };
         let (gated, _) = rows
-            .score_with(&mut cache, &Evaluator::default(), &options)
+            .score_with(&mut cache, &Evaluator::default(), Some(0.5))
             .unwrap();
         assert!(gated.exact_skipped > 0 && gated.exact_skipped < gated.scored.len());
         let [.., cache_instants, _] = cache_listener.calls();
-        (
-            exec.calls(),
-            score.calls(),
-            cache_instants,
-            profile,
-            gated.scored.len(),
-        )
+        (exec.calls(), cache_instants, profile, gated.scored.len())
     };
 
-    let (quiet_exec, quiet_score, quiet_cache, profile, rows) = run(false);
-    let (loud_exec, loud_score, loud_cache, _, _) = run(true);
+    let (quiet_exec, quiet_cache, profile, rows) = run(false);
+    let (loud_exec, loud_cache, _, _) = run(true);
     let plan_lines = physical.to_string();
     assert_eq!(profile.operators.len(), plan_lines.lines().count());
     assert!(plan_lines
@@ -485,7 +506,6 @@ fn only_an_enabled_listener_is_sent_timeline_events() {
 
     // Not enabled: no call at all.
     assert_eq!(quiet_exec, [0; 4], "the executor sends nothing");
-    assert_eq!(quiet_score, [0; 4], "scoring sends nothing");
     assert_eq!(quiet_cache, 0, "the cache formats no detail for nobody");
 
     // Enabled: the timeline, and nothing else.
@@ -494,11 +514,6 @@ fn only_an_enabled_listener_is_sent_timeline_events() {
         loud_exec,
         [operators, operators, 0, 0],
         "one op: span pair per operator, and nothing else"
-    );
-    assert_eq!(
-        loud_score,
-        [0, 0, rows as u64, 0],
-        "one gate instant per scored row, and nothing else"
     );
     assert!(loud_cache > 0, "the cache reports its compiles");
 }
