@@ -41,7 +41,6 @@
 //! assert_eq!(out.solution.levels[t0], 0.1, "expensive tuple untouched");
 //! ```
 
-pub mod clock;
 pub mod dnc;
 pub mod error;
 pub mod greedy;

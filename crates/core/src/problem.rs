@@ -5,6 +5,7 @@ use crate::error::CoreError;
 use crate::Result;
 use pcqe_cost::CostFn;
 use pcqe_lineage::{CircuitCache, CompiledLineage, Lineage};
+use pcqe_storage::Confidence;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -96,6 +97,13 @@ impl ProblemInstance {
         }
         best
     }
+}
+
+/// `value` as a [`Confidence`], or the problem error `message` words.
+fn confidence(value: f64, message: impl FnOnce() -> String) -> Result<f64> {
+    Confidence::new(value)
+        .map(Confidence::get)
+        .ok_or_else(|| CoreError::InvalidProblem(message()))
 }
 
 /// Builder for [`ProblemInstance`].
@@ -212,15 +220,14 @@ impl ProblemBuilder {
         self
     }
 
-    /// Finish, validating the problem.
-    pub fn build(self) -> Result<ProblemInstance> {
-        if !self.beta.is_finite() || !(0.0..=1.0).contains(&self.beta) {
-            // The offending β is deliberately not interpolated: typed
-            // errors surface to clients (PCQE-F002).
-            return Err(CoreError::InvalidProblem(
-                "threshold β outside [0, 1] or not finite".to_owned(),
-            ));
-        }
+    /// Finish, validating the problem: β and the bases' confidences are
+    /// [`Confidence`]s, so a `-0.0` is kept as `0.0`.
+    pub fn build(mut self) -> Result<ProblemInstance> {
+        // The offending β is deliberately not interpolated: typed errors
+        // surface to clients (PCQE-F002).
+        self.beta = confidence(self.beta, || {
+            "threshold β outside [0, 1] or not finite".into()
+        })?;
         if !(self.delta > 0.0 && self.delta <= 1.0) {
             return Err(CoreError::InvalidProblem(format!(
                 "granularity δ = {} outside (0, 1]",
@@ -234,18 +241,17 @@ impl ProblemBuilder {
                 self.results.len()
             )));
         }
-        for (i, b) in self.bases.iter().enumerate() {
-            if !b.initial.is_finite() || !(0.0..=1.0).contains(&b.initial) {
-                // Indexes identify the bad base; the confidence value
-                // itself stays out of the message (PCQE-F003).
-                return Err(CoreError::InvalidProblem(format!(
-                    "base {i} initial confidence outside [0, 1]"
-                )));
-            }
-            if !b.max.is_finite() || b.max < b.initial || b.max > 1.0 {
-                return Err(CoreError::InvalidProblem(format!(
-                    "base {i} max confidence below initial, above 1, or not finite"
-                )));
+        for (i, b) in self.bases.iter_mut().enumerate() {
+            // Indexes identify the bad base; the confidence value itself
+            // stays out of the message (PCQE-F003).
+            b.initial = confidence(b.initial, || {
+                format!("base {i} initial confidence outside [0, 1]")
+            })?;
+            let bad_max =
+                || format!("base {i} max confidence below initial, above 1, or not finite");
+            b.max = confidence(b.max, bad_max)?;
+            if b.max < b.initial {
+                return Err(CoreError::InvalidProblem(bad_max()));
             }
         }
         for (i, r) in self.results.iter().enumerate() {

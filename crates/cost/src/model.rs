@@ -2,6 +2,7 @@
 
 use crate::error::CostError;
 use crate::Result;
+use pcqe_storage::Confidence;
 use std::fmt;
 
 /// A per-tuple confidence-increment cost model.
@@ -69,13 +70,6 @@ fn require_positive(name: &'static str, value: f64) -> Result<()> {
     Ok(())
 }
 
-fn check_conf(c: f64) -> Result<f64> {
-    if !c.is_finite() || !(0.0..=1.0).contains(&c) {
-        return Err(CostError::InvalidConfidence(c));
-    }
-    Ok(c)
-}
-
 impl CostFn {
     /// Linear model with the given per-unit rate (> 0).
     pub fn linear(rate: f64) -> Result<CostFn> {
@@ -115,8 +109,21 @@ impl CostFn {
         Ok(CostFn::Logarithmic { coeff, scale })
     }
 
-    /// Piecewise-linear model through the given breakpoints.
-    pub fn piecewise(points: Vec<(f64, f64)>) -> Result<CostFn> {
+    /// Piecewise-linear model through the given breakpoints, each `p` a
+    /// [`Confidence`] (so a `-0.0` is kept as `0.0`).
+    pub fn piecewise(mut points: Vec<(f64, f64)>) -> Result<CostFn> {
+        for (p, g) in &mut points {
+            *p = Confidence::new(*p)
+                .ok_or(CostError::InvalidConfidence(*p))?
+                .get();
+            require_finite("g", *g)?;
+            if *g < 0.0 {
+                return Err(CostError::InvalidParameter {
+                    name: "g",
+                    value: *g,
+                });
+            }
+        }
         let Some(&(first_p, _)) = points.first() else {
             return Err(CostError::NonMonotonic);
         };
@@ -126,16 +133,6 @@ impl CostFn {
         for ((p0, g0), (p1, g1)) in points.iter().zip(points.iter().skip(1)) {
             if !(p1 > p0 && g1 >= g0) {
                 return Err(CostError::NonMonotonic);
-            }
-        }
-        for &(p, g) in &points {
-            check_conf(p)?;
-            require_finite("g", g)?;
-            if g < 0.0 {
-                return Err(CostError::InvalidParameter {
-                    name: "g",
-                    value: g,
-                });
             }
         }
         Ok(CostFn::Piecewise { points })

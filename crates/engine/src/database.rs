@@ -10,8 +10,8 @@ use pcqe_algebra::{
     execute_vectorized_profiled, execute_vectorized_with, ExecProfile, GatedScore, PhysicalPlan,
     ResultSet, ScoredTuple,
 };
-use pcqe_core::clock::{Clock, SystemClock};
 use pcqe_cost::CostFn;
+use pcqe_obs::clock::{Clock, SystemClock};
 use pcqe_par::{ConfidencePath, Decision, Observer, Parallelism, Span};
 use pcqe_policy::{evaluate_results, ConfidencePolicy, PolicyStore, Purpose, Role};
 use pcqe_provenance::{Assigner, ProvenanceRecord};
@@ -127,7 +127,7 @@ impl Database {
     }
 
     /// Create an empty database whose recorder *and* tracer read the given
-    /// clock. Tests pass a [`pcqe_core::clock::ManualClock`] here so both
+    /// clock. Tests pass a [`pcqe_obs::clock::ManualClock`] here so both
     /// metric timings and trace timestamps are fully scripted — the
     /// byte-stable trace goldens in `tests/golden/` depend on it.
     pub fn with_clock(config: EngineConfig, clock: Arc<dyn Clock + Send + Sync>) -> Database {

@@ -11,9 +11,8 @@
 //! # Time sources
 //!
 //! The [`Clock`] trait abstracts the monotonic time source so
-//! instrumentation (the `pcqe-obs` recorder's spans, the tracer's
-//! timeline, the scheduler's busy times) can be driven deterministically
-//! in tests. Two implementations ship here:
+//! instrumentation (the recorder's spans, the tracer's timeline) can be
+//! driven deterministically in tests. Two implementations ship here:
 //!
 //! * [`SystemClock`] — the real monotonic clock, reported as a [`Duration`]
 //!   since a lazily-pinned process epoch. This module owns the only raw

@@ -5,8 +5,8 @@
 //! * [`Recorder`] — thread-safe counters, fixed-bucket histograms
 //!   and hierarchical span totals, folded from the
 //!   [`pcqe_par::Observer`] spans it hears and timed exclusively through
-//!   [`pcqe_core::clock`] (so [`ManualClock`](pcqe_core::clock::ManualClock)
-//!   makes every export deterministic in tests);
+//!   [`clock`] (so [`ManualClock`](clock::ManualClock) makes every export
+//!   deterministic in tests);
 //! * [`MetricsSnapshot`] — an immutable, ordered copy of the recorder
 //!   state, taken atomically;
 //! * [`export`] — hand-rolled byte-stable JSON and Prometheus text
@@ -48,6 +48,7 @@
     clippy::unimplemented
 )]
 
+pub mod clock;
 pub mod export;
 pub mod json;
 pub mod recorder;

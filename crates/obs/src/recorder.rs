@@ -1,10 +1,10 @@
 //! The [`Recorder`]: thread-safe metric collection behind one mutex.
 //!
-//! All time is read through [`pcqe_core::clock::Clock`] — this crate never
+//! All time is read through [`crate::clock::Clock`] — this crate never
 //! touches `Instant`/`SystemTime` directly (the root `clippy.toml`
 //! disallows both `now` methods, so the `clippy` CI stage would fail if
 //! it did). Constructed with
-//! [`Recorder::with_clock`] over a [`ManualClock`](pcqe_core::clock::ManualClock),
+//! [`Recorder::with_clock`] over a [`ManualClock`](crate::clock::ManualClock),
 //! every span duration — and therefore every export — is deterministic.
 //!
 //! Spans arrive through [`pcqe_par::Observer`]'s `span_begin`/`span_end`
@@ -25,8 +25,8 @@
 //! own counters ([`Recorder::counters_add`]) — takes the lock once. Nor does a span, once its path is known: the path
 //! is built in a buffer the recorder reuses.
 
+use crate::clock::{Clock, SystemClock};
 use crate::snapshot::{Histogram, MetricsSnapshot, SpanStat};
-use pcqe_core::clock::{Clock, SystemClock};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,7 +124,7 @@ impl Recorder {
     }
 
     /// An enabled recorder on an explicit clock (tests pass
-    /// [`ManualClock`](pcqe_core::clock::ManualClock) for byte-stable
+    /// [`ManualClock`](crate::clock::ManualClock) for byte-stable
     /// exports).
     pub fn with_clock(clock: Arc<dyn Clock + Send + Sync>) -> Recorder {
         // Room for the span stack and path a query's spans reach, so that
@@ -207,7 +207,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcqe_core::clock::ManualClock;
+    use crate::clock::ManualClock;
     use pcqe_par::Span;
     use std::time::Duration;
 

@@ -5,9 +5,9 @@
 //! layer reports without depending on this crate; the engine builds one
 //! `Listeners` per call and hands every layer that one `&dyn Observer`.
 
+use crate::clock::duration_to_nanos;
 use crate::recorder::Recorder;
 use crate::trace::Tracer;
-use pcqe_core::clock::duration_to_nanos;
 use pcqe_par::Observer;
 
 /// The recorder keeps counters and span totals, timed on its own clock;
@@ -99,7 +99,7 @@ impl Observer for Listeners<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcqe_core::clock::ManualClock;
+    use crate::clock::ManualClock;
     use pcqe_core::greedy::GreedyStats;
     use pcqe_core::heuristic::HeuristicStats;
     use pcqe_par::{Decision, Span};

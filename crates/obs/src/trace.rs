@@ -16,8 +16,8 @@
 //! Every event carries two orderings: a monotonic `seq` counter (the
 //! authoritative order, assigned under the buffer mutex) and a
 //! `ts_nanos` timestamp read exclusively through the injected
-//! [`pcqe_core::clock::Clock`]. Under a
-//! [`ManualClock`](pcqe_core::clock::ManualClock) the timestamps are
+//! [`crate::clock::Clock`]. Under a
+//! [`ManualClock`](crate::clock::ManualClock) the timestamps are
 //! scripted, so exports ([`crate::trace_export`]) are byte-stable and
 //! golden-testable. Tracing is strictly passive: a disabled tracer costs
 //! one relaxed atomic load and never touches the clock, and enabled
@@ -31,7 +31,7 @@
 //! keeping the consistent prefix of the timeline rather than evicting
 //! old events and leaving dangling span ends.
 
-use pcqe_core::clock::{duration_to_nanos, Clock, SystemClock};
+use crate::clock::{duration_to_nanos, Clock, SystemClock};
 use pcqe_par::{Decision, Observer};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -167,7 +167,7 @@ impl Tracer {
     }
 
     /// An enabled tracer on an explicit clock (tests pass
-    /// [`ManualClock`](pcqe_core::clock::ManualClock) for byte-stable
+    /// [`ManualClock`](crate::clock::ManualClock) for byte-stable
     /// exports) with an explicit event capacity.
     pub fn with_clock(clock: Arc<dyn Clock + Send + Sync>, capacity: usize) -> Tracer {
         Tracer {
@@ -320,7 +320,7 @@ impl Observer for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcqe_core::clock::ManualClock;
+    use crate::clock::ManualClock;
     use pcqe_par::ConfidencePath;
     use std::time::Duration;
 

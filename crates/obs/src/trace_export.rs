@@ -3,7 +3,7 @@
 //!
 //! Both renderers walk the timeline in `seq` order and emit nothing that
 //! depends on host state, so a trace collected under a
-//! [`ManualClock`](pcqe_core::clock::ManualClock) exports byte-identically
+//! [`ManualClock`](crate::clock::ManualClock) exports byte-identically
 //! on every run — `tests/trace_determinism.rs` pins both formats against
 //! goldens in `tests/golden/`.
 //!
@@ -200,8 +200,8 @@ pub fn to_folded(trace: &QueryTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ManualClock;
     use crate::trace::Tracer;
-    use pcqe_core::clock::ManualClock;
     use pcqe_par::Observer;
     use std::sync::Arc;
     use std::time::Duration;

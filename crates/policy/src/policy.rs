@@ -3,6 +3,7 @@
 use crate::error::PolicyError;
 use crate::role::{Purpose, Role};
 use crate::Result;
+use pcqe_storage::Confidence;
 use std::fmt;
 
 /// The subject a policy applies to: a specific role, or any role.
@@ -32,7 +33,8 @@ pub struct ConfidencePolicy {
     pub subject: SubjectSpec,
     /// Which data-use purpose it covers.
     pub purpose: PurposeSpec,
-    /// Minimum confidence (exclusive bound) in `[0, 1]`.
+    /// Minimum confidence (exclusive bound), a checked [`Confidence`]
+    /// (so a `-0.0` is kept as `0.0`).
     pub threshold: f64,
 }
 
@@ -44,41 +46,34 @@ impl ConfidencePolicy {
         purpose: impl Into<Purpose>,
         threshold: f64,
     ) -> Result<ConfidencePolicy> {
-        check_threshold(threshold)?;
-        Ok(ConfidencePolicy {
-            subject: SubjectSpec::Role(role.into()),
-            purpose: PurposeSpec::Purpose(purpose.into()),
-            threshold,
-        })
+        let purpose = PurposeSpec::Purpose(purpose.into());
+        ConfidencePolicy::with(SubjectSpec::Role(role.into()), purpose, threshold)
     }
 
     /// Policy for a role, all purposes.
     pub fn for_role(role: impl Into<Role>, threshold: f64) -> Result<ConfidencePolicy> {
-        check_threshold(threshold)?;
-        Ok(ConfidencePolicy {
-            subject: SubjectSpec::Role(role.into()),
-            purpose: PurposeSpec::Any,
-            threshold,
-        })
+        ConfidencePolicy::with(SubjectSpec::Role(role.into()), PurposeSpec::Any, threshold)
     }
 
     /// Policy for a purpose, all roles.
     pub fn for_purpose(purpose: impl Into<Purpose>, threshold: f64) -> Result<ConfidencePolicy> {
-        check_threshold(threshold)?;
-        Ok(ConfidencePolicy {
-            subject: SubjectSpec::Any,
-            purpose: PurposeSpec::Purpose(purpose.into()),
-            threshold,
-        })
+        let purpose = PurposeSpec::Purpose(purpose.into());
+        ConfidencePolicy::with(SubjectSpec::Any, purpose, threshold)
     }
 
     /// Catch-all policy (all roles, all purposes).
     pub fn default_floor(threshold: f64) -> Result<ConfidencePolicy> {
-        check_threshold(threshold)?;
+        ConfidencePolicy::with(SubjectSpec::Any, PurposeSpec::Any, threshold)
+    }
+
+    /// The policy ⟨subject, purpose, β⟩, β refused unless it is a
+    /// [`Confidence`].
+    fn with(subject: SubjectSpec, purpose: PurposeSpec, beta: f64) -> Result<ConfidencePolicy> {
+        let threshold = Confidence::new(beta).ok_or(PolicyError::InvalidThreshold)?;
         Ok(ConfidencePolicy {
-            subject: SubjectSpec::Any,
-            purpose: PurposeSpec::Any,
-            threshold,
+            subject,
+            purpose,
+            threshold: threshold.get(),
         })
     }
 
@@ -87,13 +82,6 @@ impl ConfidencePolicy {
     pub fn admits(&self, confidence: f64) -> bool {
         confidence > self.threshold
     }
-}
-
-fn check_threshold(beta: f64) -> Result<()> {
-    if !beta.is_finite() || !(0.0..=1.0).contains(&beta) {
-        return Err(PolicyError::InvalidThreshold);
-    }
-    Ok(())
 }
 
 impl fmt::Display for ConfidencePolicy {

@@ -3,6 +3,7 @@
 use crate::error::ProvenanceError;
 use crate::model::ProvenanceRecord;
 use crate::Result;
+use pcqe_storage::Confidence;
 use std::collections::BTreeMap;
 
 /// Combines provenance records into one base-tuple confidence.
@@ -40,24 +41,22 @@ impl Assigner {
                 value: freshness_half_life_days,
             });
         }
-        if !corroboration.is_finite() || !(0.0..=1.0).contains(&corroboration) {
-            return Err(ProvenanceError::InvalidConfig {
-                name: "corroboration",
-                value: corroboration,
-            });
-        }
+        let checked = Confidence::new(corroboration).ok_or(ProvenanceError::InvalidConfig {
+            name: "corroboration",
+            value: corroboration,
+        })?;
         Ok(Assigner {
             freshness_half_life_days,
-            corroboration,
+            corroboration: checked.get(),
         })
     }
 
     /// Confidence contributed by a single record:
     /// `source.trust · Π agent.fidelity · method.reliability · 2^(−age/half-life)`.
     pub fn record_confidence(&self, record: &ProvenanceRecord) -> f64 {
-        let mut c = record.source.trust;
+        let mut c = record.source.trust.get();
         for agent in &record.path {
-            c *= agent.fidelity;
+            c *= agent.fidelity.get();
         }
         c *= record.method.reliability();
         if self.freshness_half_life_days.is_finite() {

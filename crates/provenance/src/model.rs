@@ -2,6 +2,7 @@
 
 use crate::error::ProvenanceError;
 use crate::Result;
+use pcqe_storage::Confidence;
 
 /// A data provider with a trust score in `[0, 1]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -9,14 +10,14 @@ pub struct Source {
     /// Stable identifier (used to detect same-source duplication).
     pub id: String,
     /// Trustworthiness of the provider.
-    pub trust: f64,
+    pub trust: Confidence,
 }
 
 impl Source {
     /// Create a source, validating its trust score.
     pub fn new(id: impl Into<String>, trust: f64) -> Result<Source> {
         let id = id.into();
-        check_trust(&id, trust)?;
+        let trust = check_trust(&id, trust)?;
         Ok(Source { id, trust })
     }
 }
@@ -28,14 +29,14 @@ pub struct Agent {
     /// Agent name (for error messages).
     pub name: String,
     /// Probability the agent preserved the datum faithfully.
-    pub fidelity: f64,
+    pub fidelity: Confidence,
 }
 
 impl Agent {
     /// Create an agent, validating its fidelity.
     pub fn new(name: impl Into<String>, fidelity: f64) -> Result<Agent> {
         let name = name.into();
-        check_trust(&name, fidelity)?;
+        let fidelity = check_trust(&name, fidelity)?;
         Ok(Agent { name, fidelity })
     }
 }
@@ -107,14 +108,11 @@ impl ProvenanceRecord {
     }
 }
 
-pub(crate) fn check_trust(who: &str, value: f64) -> Result<()> {
-    if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-        return Err(ProvenanceError::InvalidTrust {
-            who: who.to_owned(),
-            value,
-        });
-    }
-    Ok(())
+fn check_trust(who: &str, value: f64) -> Result<Confidence> {
+    Confidence::new(value).ok_or_else(|| ProvenanceError::InvalidTrust {
+        who: who.to_owned(),
+        value,
+    })
 }
 
 #[cfg(test)]

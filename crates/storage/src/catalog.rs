@@ -1,8 +1,9 @@
 //! The catalog: a named collection of tables with a global tuple-id space.
 
+use crate::confidence::{checked, Confidence};
 use crate::error::StorageError;
 use crate::schema::Schema;
-use crate::table::{check_confidence, StoredTuple, Table};
+use crate::table::{StoredTuple, Table};
 use crate::tuple::TupleId;
 use crate::value::Value;
 use crate::Result;
@@ -60,7 +61,7 @@ impl Catalog {
 
     /// Insert a row into `table`, allocating a globally unique tuple id.
     pub fn insert(&mut self, table: &str, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
-        check_confidence(confidence)?;
+        let confidence = checked(confidence)?;
         let (id, next) = next_ids(self.next_id)?;
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
@@ -80,9 +81,9 @@ impl Catalog {
         confidence: f64,
         nth: u64,
     ) -> Result<()> {
-        check_confidence(confidence)?;
+        checked(confidence)?;
         next_ids(self.next_id.saturating_add(nth))?;
-        self.table(table)?.check_insert(values, confidence)
+        self.table(table)?.schema().check_row(values)
     }
 
     /// Insert a row with an explicit tuple id (used when restoring a
@@ -99,7 +100,7 @@ impl Catalog {
         if self.find_tuple(id).is_some() {
             return Err(StorageError::DuplicateTupleId(id.0));
         }
-        check_confidence(confidence)?;
+        let confidence = checked(confidence)?;
         let t = self.table_mut(table)?;
         t.insert_with_id(id, values, confidence)?;
         self.next_id = self.next_id.max(id.0.saturating_add(1));
@@ -131,7 +132,7 @@ impl Catalog {
 
     /// Current confidence of a base tuple, searching all tables.
     pub fn confidence(&self, id: TupleId) -> Option<f64> {
-        self.find_tuple(id).map(|(_, r)| r.confidence)
+        self.find_tuple(id).map(|(_, r)| r.confidence.get())
     }
 
     /// What [`Catalog::raise_confidence`] would answer to this raise: the
@@ -142,8 +143,7 @@ impl Catalog {
         let (_, row) = self
             .find_tuple(id)
             .ok_or(StorageError::UnknownTuple(id.0))?;
-        check_confidence(confidence)?;
-        Ok(row.raised(confidence))
+        Ok(row.raised(checked(confidence)?).get())
     }
 
     /// Raise the confidence of a base tuple wherever it lives.
@@ -153,8 +153,7 @@ impl Catalog {
             .values_mut()
             .find_map(|t| t.row_mut(id))
             .ok_or(StorageError::UnknownTuple(id.0))?;
-        check_confidence(confidence)?;
-        Ok(row.raise_to(confidence))
+        Ok(row.raise_to(checked(confidence)?).get())
     }
 
     /// Total number of base tuples across all tables.
@@ -179,9 +178,9 @@ impl Table {
         &mut self,
         id: TupleId,
         values: Vec<Value>,
-        confidence: f64,
+        confidence: Confidence,
     ) -> Result<TupleId> {
-        self.check_insert(&values, confidence)?;
+        self.schema().check_row(&values)?;
         self.push_row(StoredTuple {
             id,
             tuple: values.into(),
@@ -256,7 +255,7 @@ mod tests {
             .unwrap();
         let (tname, row) = c.find_tuple(id).unwrap();
         assert_eq!(tname, "CompanyInfo");
-        assert_eq!(row.confidence, 0.9);
+        assert_eq!(row.confidence.get(), 0.9);
         assert!(c.find_tuple(TupleId(999)).is_none());
     }
 

@@ -9,6 +9,7 @@
 //! get fresh ids. Empty unquoted fields load as NULL.
 
 use crate::catalog::Catalog;
+use crate::confidence::checked;
 use crate::error::StorageError;
 use crate::table::Table;
 use crate::tuple::TupleId;
@@ -43,7 +44,7 @@ fn write_rows<W: Write>(table: &Table, with_ids: bool, out: &mut W) -> std::io::
             Value::Text(s) => quote(s),
             other => other.to_string(),
         }));
-        cells.push(row.confidence.to_string());
+        cells.push(row.confidence.get().to_string());
         writeln!(out, "{}", cells.join(","))?;
     }
     Ok(())
@@ -134,7 +135,8 @@ pub fn load_into<R: BufRead>(
                 if !given_ids.insert(id) || catalog.find_tuple(id).is_some() {
                     return Err(StorageError::DuplicateTupleId(id.0));
                 }
-                t.check_insert(&values, confidence)?;
+                t.schema().check_row(&values)?;
+                checked(confidence)?;
             }
             None => catalog.check_insert(table, &values, confidence, rows.len() as u64)?,
         }
@@ -325,7 +327,7 @@ mod tests {
         let ids2 = load_into(&mut c2, "people", Cursor::new(out)).unwrap();
         let row2 = c2.table("people").unwrap().row(ids2[0]).unwrap();
         assert_eq!(row2.tuple, row.tuple);
-        assert_eq!(row2.confidence, 0.5);
+        assert_eq!(row2.confidence.get(), 0.5);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 )]
 
 pub mod catalog;
+pub mod confidence;
 pub mod csv;
 pub mod error;
 pub mod image;
@@ -47,6 +48,7 @@ pub mod tuple;
 pub mod value;
 
 pub use catalog::Catalog;
+pub use confidence::Confidence;
 pub use error::StorageError;
 pub use image::Image;
 pub use index::EqualityIndex;

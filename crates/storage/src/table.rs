@@ -4,12 +4,13 @@
 //! scans. Both are maintained by `Table::push_row`, the single funnel of
 //! every insert path, so neither can fall out of step with the rows.
 
+use crate::confidence::Confidence;
 use crate::error::StorageError;
 use crate::image::Image;
 use crate::index::{check_indexable, EqualityIndex};
 use crate::schema::Schema;
 use crate::tuple::{Tuple, TupleId};
-use crate::value::{DataType, Value};
+use crate::value::DataType;
 use crate::Result;
 
 /// The row position of each tuple id. Lookup only: the map is never
@@ -24,8 +25,8 @@ pub struct StoredTuple {
     pub id: TupleId,
     /// The tuple's values.
     pub tuple: Tuple,
-    /// Confidence in `[0, 1]` (the paper's `p` value for a base tuple).
-    pub confidence: f64,
+    /// The paper's `p` value for a base tuple.
+    pub confidence: Confidence,
 }
 
 /// An in-memory table whose rows each carry a confidence value.
@@ -46,14 +47,6 @@ pub struct Table {
     /// The image of every `REAL` column, with the column's position: one
     /// slot per row, appended by [`Table::push_row`].
     images: Vec<(usize, Image)>,
-}
-
-/// Validate a confidence value: finite and within `[0, 1]`.
-pub(crate) fn check_confidence(c: f64) -> Result<()> {
-    if !c.is_finite() || !(0.0..=1.0).contains(&c) {
-        return Err(StorageError::InvalidConfidence(c));
-    }
-    Ok(())
 }
 
 impl Table {
@@ -165,13 +158,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Whether a row with these values and this confidence may be stored
-    /// here — the one statement of what every insert path checks.
-    pub(crate) fn check_insert(&self, values: &[Value], confidence: f64) -> Result<()> {
-        self.schema.check_row(values)?;
-        check_confidence(confidence)
-    }
-
     /// All rows in insertion order.
     pub fn rows(&self) -> &[StoredTuple] {
         &self.rows
@@ -197,25 +183,12 @@ impl Table {
         let at = self.position(id)?;
         self.rows.get_mut(at)
     }
-
-    /// Current confidence of a tuple, if it exists.
-    pub fn confidence(&self, id: TupleId) -> Option<f64> {
-        self.row(id).map(|r| r.confidence)
-    }
-
-    /// Raise a tuple's confidence to `confidence` if that is higher than the
-    /// current value; never lowers it. Returns the resulting confidence.
-    pub fn raise_confidence(&mut self, id: TupleId, confidence: f64) -> Result<f64> {
-        check_confidence(confidence)?;
-        let row = self.row_mut(id).ok_or(StorageError::UnknownTuple(id.0))?;
-        Ok(row.raise_to(confidence))
-    }
 }
 
 impl StoredTuple {
-    /// The confidence a raise to a checked `confidence` leaves: the
-    /// higher of the two — a raise never lowers.
-    pub(crate) fn raised(&self, confidence: f64) -> f64 {
+    /// The confidence a raise to `confidence` leaves: the higher of the
+    /// two — a raise never lowers.
+    pub(crate) fn raised(&self, confidence: Confidence) -> Confidence {
         if confidence > self.confidence {
             confidence
         } else {
@@ -223,9 +196,9 @@ impl StoredTuple {
         }
     }
 
-    /// Raise the confidence to a checked `confidence` if that is higher;
-    /// returns the resulting confidence.
-    pub(crate) fn raise_to(&mut self, confidence: f64) -> f64 {
+    /// Raise the confidence to `confidence` if that is higher; returns
+    /// the resulting confidence.
+    pub(crate) fn raise_to(&mut self, confidence: Confidence) -> Confidence {
         self.confidence = self.raised(confidence);
         self.confidence
     }
@@ -235,7 +208,9 @@ impl StoredTuple {
 #[allow(clippy::float_cmp)] // tests assert bit-exact results: that IS the determinism contract
 mod tests {
     use super::*;
+    use crate::confidence::checked;
     use crate::schema::Column;
+    use crate::value::Value;
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -248,14 +223,8 @@ mod tests {
 
     /// Check and store a row under the next id, as the catalog does.
     fn insert(t: &mut Table, values: Vec<Value>, confidence: f64) -> Result<TupleId> {
-        t.check_insert(&values, confidence)?;
         let id = TupleId(t.len() as u64);
-        t.push_row(StoredTuple {
-            id,
-            tuple: Tuple::new(values),
-            confidence,
-        });
-        Ok(id)
+        t.insert_with_id(id, values, checked(confidence)?)
     }
 
     #[test]
@@ -277,14 +246,13 @@ mod tests {
     fn confidence_updates() {
         let mut t = table();
         let id = insert(&mut t, vec![Value::text("A"), Value::Real(1.0)], 0.4).unwrap();
-        assert_eq!(t.confidence(id), Some(0.4));
-        // raise_confidence never lowers
-        assert_eq!(t.raise_confidence(id, 0.2).unwrap(), 0.4);
-        assert_eq!(t.raise_confidence(id, 0.9).unwrap(), 0.9);
-        assert!(matches!(
-            t.raise_confidence(TupleId(99), 0.5),
-            Err(StorageError::UnknownTuple(99))
-        ));
+        // a raise never lowers
+        let c = |v| checked(v).unwrap();
+        let row = t.row_mut(id).unwrap();
+        assert_eq!(row.confidence, c(0.4));
+        assert_eq!(row.raise_to(c(0.2)), c(0.4));
+        assert_eq!(row.raise_to(c(0.9)), c(0.9));
+        assert!(t.row_mut(TupleId(99)).is_none());
     }
 
     #[test]

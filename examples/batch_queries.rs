@@ -5,12 +5,12 @@
 //!
 //! Run with `cargo run --example batch_queries`.
 
-use pcqe::core::clock::{Clock, SystemClock};
 use pcqe::core::greedy::GreedyOptions;
 use pcqe::core::multi::{solve_greedy, MultiQueryProblem};
 use pcqe::core::problem::ProblemBuilder;
 use pcqe::cost::CostFn;
 use pcqe::lineage::Lineage;
+use pcqe::obs::clock::{Clock, SystemClock};
 use pcqe::workload::{generate, WorkloadParams};
 use std::time::Duration;
 

@@ -22,6 +22,40 @@
 //! * [`par`] — the deterministic chunked scheduler.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
+//!
+//! # One confidence, one check
+//!
+//! A base tuple's confidence is a [`storage::Confidence`]. Its one
+//! constructor refuses NaN, ±∞ and values outside [0, 1], and keeps −0.0
+//! as +0.0, so one confidence has one encoding:
+//!
+//! ```
+//! use pcqe::storage::{Confidence, StoredTuple};
+//!
+//! let half = Confidence::new(0.5);
+//! assert_eq!(half.map(Confidence::get), Some(0.5));
+//! assert!(Confidence::new(f64::NAN).is_none());
+//! assert_eq!(Confidence::new(-0.0).map(|c| c.get().to_bits()), Some(0));
+//!
+//! fn set(row: &mut StoredTuple, to: Confidence) {
+//!     row.confidence = to;
+//! }
+//! ```
+//!
+//! Its field is private, so no code outside `pcqe-storage` can wrap a raw
+//! `f64` around the check:
+//!
+//! ```compile_fail,E0423
+//! let unchecked = pcqe::storage::Confidence(0.5);
+//! ```
+//!
+//! and a stored tuple's confidence cannot be set from one:
+//!
+//! ```compile_fail,E0308
+//! fn set(row: &mut pcqe::storage::StoredTuple) {
+//!     row.confidence = 0.5;
+//! }
+//! ```
 
 pub use pcqe_algebra as algebra;
 pub use pcqe_core as core;

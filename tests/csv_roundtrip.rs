@@ -84,7 +84,7 @@ fn csv_round_trips_values_and_confidences() {
         for (a, b) in t1.rows().iter().zip(t2.rows()) {
             assert_eq!(&a.tuple, &b.tuple);
             // Confidence survives via its shortest round-trippable form.
-            assert!((a.confidence - b.confidence).abs() < 1e-15);
+            assert!((a.confidence.get() - b.confidence.get()).abs() < 1e-15);
         }
 
         // The id-preserving variant restores identical tuple ids too.

@@ -86,7 +86,7 @@ fn a_refused_apply_changes_nothing() {
         orders
             .rows()
             .iter()
-            .map(|r| r.confidence.to_bits())
+            .map(|r| r.confidence.get().to_bits())
             .collect()
     };
     let (before, audited) = (confidences(&db), db.audit_log().len());

@@ -18,8 +18,8 @@
 mod common;
 
 use common::{explained, PAPER_QUERY as QUERY};
-use pcqe::core::clock::{Clock, ManualClock};
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
+use pcqe::obs::clock::{Clock, ManualClock};
 use pcqe::obs::trace::TraceEventKind;
 use pcqe::obs::{export, Recorder};
 use pcqe::par::Span;

@@ -23,9 +23,9 @@ mod common;
 use common::{
     random_db, random_query, rust_test, shrink, DbSpec, Expr, Query, Select, BETAS, WORLDS,
 };
-use pcqe::core::clock::{Clock, SystemClock};
 use pcqe::engine::{EngineConfig, NoProposal, QueryRequest, QueryResponse, User};
 use pcqe::lineage::{CompiledLineage, Evaluator, Rng64};
+use pcqe::obs::clock::{Clock, SystemClock};
 use pcqe::par::ConfidencePath;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{DataType, Value};

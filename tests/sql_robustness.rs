@@ -6,9 +6,9 @@ mod common;
 
 use common::{explained, for_each_case, random_char, random_string};
 use pcqe::algebra::{BinaryOp, ScalarExpr};
-use pcqe::core::clock::{Clock, SystemClock};
 use pcqe::engine::{Database, EngineConfig, EngineError, QueryRequest, StatementOutcome, User};
 use pcqe::lineage::Rng64;
+use pcqe::obs::clock::{Clock, SystemClock};
 use pcqe::policy::ConfidencePolicy;
 use pcqe::sql::{parse, parse_statement, SqlError};
 use pcqe::storage::Value;

@@ -20,9 +20,9 @@ mod common;
 
 use common::{DbSpec, PAPER_QUERY as QUERY};
 use pcqe::algebra::execute_vectorized_profiled;
-use pcqe::core::clock::ManualClock;
 use pcqe::engine::{Database, EngineConfig, QueryRequest, User};
 use pcqe::lineage::{CircuitCache, Evaluator};
+use pcqe::obs::clock::ManualClock;
 use pcqe::obs::trace::TraceEventKind;
 use pcqe::obs::trace_export::{to_chrome_json, to_folded};
 use pcqe::obs::{QueryTrace, Tracer};
