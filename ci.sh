@@ -39,16 +39,19 @@ stage_fmt() { # formatting (cargo fmt --check)
 }
 
 stage_clippy() { # lints (cargo clippy -D warnings)
-  # Holds the invariants clippy can express (clippy.toml says which):
-  # the wall clock, ambient randomness, HashMap/HashSet, and panicking
-  # constructs in the panic-guarded crates.
+  # Holds every invariant clippy can state (clippy.toml says which): the
+  # wall clock, ambient randomness, HashMap/HashSet, concurrency
+  # containment, the one float order, and panicking constructs (every
+  # crate root denies them). Each exception is an item-level #[expect],
+  # so an unneeded one fails here; tests/lint_guard.rs lists them all.
   cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 
 stage_lint() { # static invariants (cargo run -p pcqe-lint)
-  # One analyzer, three layers; `cargo run -p pcqe-lint -- --list-rules`
-  # prints the rule registry, DESIGN.md § "Static invariants" says what
-  # each rule protects. Exceptions, capability grants and flow
+  # What the compiler cannot see: one analyzer, three layers (float
+  # literals, call paths, dataflow); `cargo run -p pcqe-lint --
+  # --list-rules` prints the rule registry, DESIGN.md § "Static
+  # invariants" says what each rule protects. Exceptions and flow
   # declarations all live in lint.toml, every entry with a reason. How
   # many findings each rule may have suppressed is a table in
   # tests/lint_guard.rs, held by the `test` stage (and plain `cargo test`).

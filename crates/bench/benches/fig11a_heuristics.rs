@@ -3,7 +3,7 @@
 
 use pcqe_bench::timing::{bench, group};
 use pcqe_core::greedy::{self, GreedyOptions};
-use pcqe_core::heuristic::{self, HeuristicOptions};
+use pcqe_core::heuristic::{self, Heuristic, HeuristicOptions};
 use pcqe_workload::{generate, WorkloadParams};
 
 fn main() {
@@ -14,10 +14,10 @@ fn main() {
 
     let configs: Vec<(&str, HeuristicOptions)> = vec![
         ("naive", HeuristicOptions::naive()),
-        ("h1", HeuristicOptions::only(1)),
-        ("h2", HeuristicOptions::only(2)),
-        ("h3", HeuristicOptions::only(3)),
-        ("h4", HeuristicOptions::only(4)),
+        ("h1", HeuristicOptions::only(Heuristic::H1Ordering)),
+        ("h2", HeuristicOptions::only(Heuristic::H2SiblingPrune)),
+        ("h3", HeuristicOptions::only(Heuristic::H3OptimisticPrune)),
+        ("h4", HeuristicOptions::only(Heuristic::H4CostBound)),
         ("all", HeuristicOptions::all()),
     ];
 

@@ -2,7 +2,7 @@
 
 use pcqe_core::dnc::{self, DncOptions};
 use pcqe_core::greedy::{self, GreedyOptions};
-use pcqe_core::heuristic::{self, HeuristicOptions};
+use pcqe_core::heuristic::{self, Heuristic, HeuristicOptions};
 use pcqe_core::problem::ProblemInstance;
 use pcqe_workload::{generate, WorkloadParams};
 use std::time::Instant;
@@ -42,10 +42,10 @@ pub fn run_fig11a_on(problem: &ProblemInstance, greedy_bound: bool) -> Vec<Fig11
     });
     let configs: Vec<(String, HeuristicOptions)> = vec![
         ("Naive".into(), HeuristicOptions::naive()),
-        ("H1".into(), HeuristicOptions::only(1)),
-        ("H2".into(), HeuristicOptions::only(2)),
-        ("H3".into(), HeuristicOptions::only(3)),
-        ("H4".into(), HeuristicOptions::only(4)),
+        ("H1".into(), HeuristicOptions::only(Heuristic::H1Ordering)),
+        ("H2".into(), HeuristicOptions::only(Heuristic::H2SiblingPrune)),
+        ("H3".into(), HeuristicOptions::only(Heuristic::H3OptimisticPrune)),
+        ("H4".into(), HeuristicOptions::only(Heuristic::H4CostBound)),
         ("All".into(), HeuristicOptions::all()),
     ];
     configs

@@ -63,6 +63,20 @@ pub struct HeuristicOptions {
     pub node_limit: Option<u64>,
 }
 
+/// One of the four pruning heuristics, as [`HeuristicOptions::only`]
+/// switches it on alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Heuristic {
+    /// H1: costβ-descending base ordering.
+    H1Ordering,
+    /// H2: prune right siblings when all touched results pass.
+    H2SiblingPrune,
+    /// H3: prune when the affordable optimistic completion misses the quota.
+    H3OptimisticPrune,
+    /// H4: prune on the cheapest-remaining-step lower bound.
+    H4CostBound,
+}
+
 impl Default for HeuristicOptions {
     fn default() -> Self {
         HeuristicOptions::all()
@@ -94,15 +108,14 @@ impl HeuristicOptions {
         }
     }
 
-    /// Naive plus exactly one heuristic, by number 1–4 (for Figure 11(a)).
-    pub fn only(heuristic: u8) -> HeuristicOptions {
+    /// Naive plus exactly one heuristic (for Figure 11(a)).
+    pub fn only(heuristic: Heuristic) -> HeuristicOptions {
         let mut o = HeuristicOptions::naive();
         match heuristic {
-            1 => o.h1_ordering = true,
-            2 => o.h2_sibling_prune = true,
-            3 => o.h3_optimistic_prune = true,
-            4 => o.h4_cost_bound = true,
-            _ => panic!("heuristic number must be 1..=4"),
+            Heuristic::H1Ordering => o.h1_ordering = true,
+            Heuristic::H2SiblingPrune => o.h2_sibling_prune = true,
+            Heuristic::H3OptimisticPrune => o.h3_optimistic_prune = true,
+            Heuristic::H4CostBound => o.h4_cost_bound = true,
         }
         o
     }
@@ -370,10 +383,10 @@ mod tests {
         let p = paper_instance();
         let reference = solve(&p, &HeuristicOptions::naive()).unwrap();
         for config in [
-            HeuristicOptions::only(1),
-            HeuristicOptions::only(2),
-            HeuristicOptions::only(3),
-            HeuristicOptions::only(4),
+            HeuristicOptions::only(Heuristic::H1Ordering),
+            HeuristicOptions::only(Heuristic::H2SiblingPrune),
+            HeuristicOptions::only(Heuristic::H3OptimisticPrune),
+            HeuristicOptions::only(Heuristic::H4CostBound),
             HeuristicOptions::all(),
         ] {
             let out = solve(&p, &config).unwrap();

@@ -41,6 +41,15 @@
 //! assert_eq!(out.solution.levels[t0], 0.1, "expensive tuple untouched");
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod dnc;
 pub mod error;
 pub mod greedy;

@@ -5,13 +5,14 @@
 //! (`NaN` breaks totality), which historically pushed each call site to
 //! hand-roll its own `total_cmp`-based `Ord` impl — and every hand-rolled
 //! comparator is one more place a future edit can silently introduce a
-//! platform- or ordering-dependent result. Rule `PCQE-D004` therefore
-//! bans raw `partial_cmp`/`total_cmp`/float `==` in the result-affecting
-//! crates, and this module is the single exemption: wrap the value in
-//! [`OrdF64`] and derive/compose orderings structurally.
+//! platform- or ordering-dependent result. `clippy.toml` therefore bans
+//! `f64::total_cmp` and rule `PCQE-D004` bans `.partial_cmp()` and
+//! float-literal `==`: wrap the value in [`OrdF64`] and derive/compose
+//! orderings structurally.
 //!
-//! The wrapper uses [`f64::total_cmp`], i.e. the IEEE 754 `totalOrder`
-//! predicate: `-NaN < -∞ < … < -0.0 < +0.0 < … < +∞ < NaN`, which is
+//! The wrapper compares through [`pcqe_storage::real_cmp`], the
+//! workspace's one home of the IEEE 754 `totalOrder` predicate:
+//! `-NaN < -∞ < … < -0.0 < +0.0 < … < +∞ < NaN`, which is
 //! bit-deterministic on every platform.
 //!
 //! ```
@@ -22,6 +23,7 @@
 //! assert!(xs[4].is_nan()); // NaN sorts last, deterministically
 //! ```
 
+use pcqe_storage::real_cmp;
 use std::cmp::Ordering;
 
 /// An `f64` carrying the IEEE 754 total order — `Eq`/`Ord`, so it can be
@@ -39,7 +41,7 @@ impl OrdF64 {
 
 impl PartialEq for OrdF64 {
     fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
+        real_cmp(self.0, other.0) == Ordering::Equal
     }
 }
 
@@ -53,7 +55,7 @@ impl PartialOrd for OrdF64 {
 
 impl Ord for OrdF64 {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
+        real_cmp(self.0, other.0)
     }
 }
 

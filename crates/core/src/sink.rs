@@ -102,10 +102,18 @@ impl DncStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test listener that captures what it hears across the observer's Sync bound"
+    )]
     use std::sync::Mutex;
 
     /// A test listener capturing every count in order.
     #[derive(Default)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test listener that captures what it hears across the observer's Sync bound"
+    )]
     struct Capture {
         counts: Mutex<Vec<(String, u64)>>,
     }

@@ -20,6 +20,15 @@
 //! assert_eq!(c.cost(0.5, 0.4), 0.0);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod error;
 pub mod model;
 

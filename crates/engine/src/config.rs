@@ -27,13 +27,13 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
+    #[expect(clippy::expect_used, reason = "a literal constant is provably valid")]
     fn default() -> Self {
         EngineConfig {
             delta: 0.1,
             evaluator: Evaluator::default(),
             // The constructor rejects only non-finite or negative rates,
             // and `Default::default()` cannot return a `Result`.
-            #[allow(clippy::expect_used)] // a literal constant is provably valid
             default_cost: CostFn::linear(100.0).expect("constant is valid"),
             lineage_budget: 4096,
             worker_threads: None,

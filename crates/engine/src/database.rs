@@ -363,21 +363,16 @@ impl Database {
                 confidence,
             } => {
                 let confidence = confidence.unwrap_or(1.0);
-                // All or nothing: every row is checked, against the id it
-                // would take, before the first is written, so a refused
-                // statement (the error is that of its first offending row)
-                // leaves no row, id or index posting behind.
-                let mut checked = Vec::with_capacity(rows.len());
-                for (nth, row) in (0..).zip(&rows) {
+                // All or nothing: every row is checked once, against the
+                // id it will take, before the first is written, so a
+                // refused statement (the error is that of its first
+                // offending row) leaves no row, id or index posting behind.
+                let rows = rows.iter().map(|row| {
                     let values = pcqe_sql::literal_row(row)?;
-                    self.catalog
-                        .check_insert(&table, &values, confidence, nth)?;
-                    checked.push(values);
-                }
-                let ids = checked
-                    .into_iter()
-                    .map(|values| self.insert(&table, values, confidence))
-                    .collect::<Result<_>>()?;
+                    Ok::<_, EngineError>((None, values, confidence))
+                });
+                let ids = self.catalog.insert_all(&table, rows)?;
+                self.version += ids.len() as u64;
                 Ok(StatementOutcome::Inserted(ids))
             }
             pcqe_sql::Statement::Query(_) => Err(EngineError::Sql(pcqe_sql::SqlError::Parse {

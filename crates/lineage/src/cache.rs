@@ -934,6 +934,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test listener that captures what it hears across the observer's Sync bound"
+    )]
     fn attached_listener_sees_compile_hit_and_invalidate() {
         use std::sync::Mutex;
         #[derive(Default)]

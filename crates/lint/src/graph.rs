@@ -34,12 +34,13 @@
 //! Two rules run over the graph:
 //!
 //! * **PCQE-P002** — multi-source BFS from every `pub` function of the
-//!   panic-guarded crates; each panic site in a reached function is a
-//!   finding, reported *at the site* with the (shortest, deterministic)
-//!   witness call path from a public root. In the panic-guarded crates
-//!   only *slice-index* panics are reported — their roots deny clippy's
-//!   `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented`, which
-//!   covers the direct constructs there.
+//!   query-facing crates; each index expression in a reached function is
+//!   a finding, reported *at the site* with the (shortest, deterministic)
+//!   witness call path from a public root. The other panics are clippy's:
+//!   every crate root denies `unwrap_used`/`expect_used`/`panic`/`todo`/
+//!   `unimplemented`/`unreachable`. Clippy's `indexing_slicing` would
+//!   miss an `Index` impl such as `BTreeMap`'s `m[&k]`; this rule sees
+//!   every `x[…]`.
 //! * **PCQE-G001** — BFS from the `Database` query entry points that
 //!   stops at any function calling the policy gate
 //!   (`evaluate_results`): a function that constructs `ReleasedTuple`s
@@ -47,8 +48,8 @@
 //!   below it, so rows built under it are policy-filtered by
 //!   construction.
 
-use crate::item::{CallKind, FileItems, FnItem, PanicKind};
-use crate::rules::{FileClass, Finding, Rule};
+use crate::item::{CallKind, FileItems, FnItem};
+use crate::rules::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Crates whose `pub` functions seed the P002 reachability scan — the
@@ -296,8 +297,8 @@ pub(crate) fn witness(graph: &CallGraph, pred: &[Option<usize>], mut i: usize) -
     chain.join(" → ")
 }
 
-/// Rule P002: panic constructs reachable from guarded public API, with a
-/// deterministic shortest witness path per panic site.
+/// Rule P002: index expressions reachable from guarded public API, with a
+/// deterministic shortest witness path per site.
 pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
     let roots = graph.fns.iter().enumerate().filter(|(_, node)| {
         node.is_public && PANIC_ROOT_CRATES.contains(&node.crate_name.as_str())
@@ -306,28 +307,22 @@ pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
 
     let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
     for (i, node) in graph.fns.iter().enumerate() {
-        if !reached[i] || node.panics.is_empty() {
+        if !reached[i] || node.indexes.is_empty() {
             continue;
         }
-        // In panic-guarded crates clippy already rejects the direct
-        // constructs; P002 adds only the index panics there.
-        let guarded = FileClass::classify(&node.path).p001;
         let witness = witness(graph, &pred, i);
-        for site in &node.panics {
-            if guarded && site.kind != PanicKind::Index {
-                continue;
-            }
-            if !seen.insert((node.path.clone(), site.line)) {
+        for &line in &node.indexes {
+            if !seen.insert((node.path.clone(), line)) {
                 continue; // one finding per site line
             }
             out.push(Finding {
                 rule: Rule::P002,
                 path: node.path.clone(),
-                line: site.line,
+                line,
                 message: format!(
-                    "{} reachable from guarded public API via {witness}: return a \
-                     typed error on this path (or allowlist a provably in-bounds site)",
-                    site.kind.describe()
+                    "slice/array index reachable from guarded public API via {witness}: \
+                     return a typed error on this path (or allowlist a provably \
+                     in-bounds site)"
                 ),
             });
         }
@@ -421,13 +416,13 @@ mod tests {
         let files = vec![
             file(
                 "crates/engine/src/api.rs",
-                "pub fn run(x: Option<u32>) -> u32 { step(x) }\n\
-                 fn step(x: Option<u32>) -> u32 { pcqe_core::pick(x) }\n",
+                "pub fn run(v: &[u32]) -> u32 { step(v) }\n\
+                 fn step(v: &[u32]) -> u32 { pcqe_core::pick(v) }\n",
             ),
             file(
                 "crates/core/src/solve.rs",
-                "pub fn pick(x: Option<u32>) -> u32 { x.unwrap() }\n\
-                 pub fn unreachable_panic() { panic!(\"not called\"); }\n",
+                "pub fn pick(v: &[u32]) -> u32 { v[0] }\n\
+                 pub fn not_called(v: &[u32]) -> u32 { v[1] }\n",
             ),
         ];
         let g = CallGraph::build(files);
@@ -447,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn p002_reports_only_index_panics_in_panic_guarded_files() {
+    fn p002_reports_only_index_panics() {
         let files = vec![file(
             "crates/engine/src/api.rs",
             "pub fn run(v: &[u32], x: Option<u32>) -> u32 { x.unwrap() + v[0] }\n",
@@ -455,7 +450,7 @@ mod tests {
         let g = CallGraph::build(files);
         let mut out = Vec::new();
         panic_reachability(&g, &mut out);
-        // The unwrap is clippy's job there; the index is P002's.
+        // The unwrap is clippy's job; the index is P002's.
         assert_eq!(out.len(), 1, "{out:#?}");
         assert!(out[0].message.contains("slice/array index"));
     }

@@ -12,10 +12,10 @@
 //! * `fn` items, free or inside `impl`/`trait` blocks, with visibility,
 //!   owner type, and the line they start on;
 //! * per-function **call sites** (bare calls, `path::to::calls`, and
-//!   `.method(` calls), **panic sites** (`.unwrap()`, `.expect("…")`,
-//!   `panic!`-family macros, and slice/array indexing), and the set of
-//!   identifiers the body **mentions** (anchors for the policy-gating
-//!   rule);
+//!   `.method(` calls), **index sites** (`x[i]`, `x[a..b]`: the panics
+//!   clippy does not see, since every crate root already denies
+//!   `unwrap`/`expect`/`panic!`), and the set of identifiers the body
+//!   **mentions** (anchors for the policy-gating rule);
 //! * per-function **def-use chains** (`let` bindings, format-macro
 //!   sites, per-argument identifier sets, return-value identifiers) —
 //!   the inputs to the dataflow rules ([`crate::flow`]).
@@ -30,40 +30,6 @@
 
 use crate::lexer::{Tok, Token};
 use std::collections::BTreeSet;
-
-/// A panicking construct inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()`
-    Unwrap,
-    /// `.expect("…")` with a string-literal argument.
-    Expect,
-    /// `panic!` / `todo!` / `unimplemented!` / `unreachable!`.
-    Macro(String),
-    /// Slice/array indexing `x[i]` or `x[a..b]` (panics out of bounds).
-    Index,
-}
-
-impl PanicKind {
-    /// Human name of the construct, used in findings.
-    pub fn describe(&self) -> String {
-        match self {
-            PanicKind::Unwrap => "`.unwrap()`".to_owned(),
-            PanicKind::Expect => "`.expect(\"…\")`".to_owned(),
-            PanicKind::Macro(m) => format!("`{m}!`"),
-            PanicKind::Index => "slice/array index".to_owned(),
-        }
-    }
-}
-
-/// One panic site: what and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PanicSite {
-    /// The construct.
-    pub kind: PanicKind,
-    /// 1-based line in the containing file.
-    pub line: u32,
-}
 
 /// How a call is written at the call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,8 +117,8 @@ pub struct FnItem {
     pub line: u32,
     /// Every call site in the body.
     pub calls: Vec<CallSite>,
-    /// Every panic site in the body.
-    pub panics: Vec<PanicSite>,
+    /// The line of every index expression in the body.
+    pub indexes: Vec<u32>,
     /// Every identifier mentioned in the body (types included) — the
     /// anchor set for content rules like policy gating.
     pub mentions: BTreeSet<String>,
@@ -615,7 +581,7 @@ impl<'a> ItemParser<'a> {
             is_public,
             line,
             calls: Vec::new(),
-            panics: Vec::new(),
+            indexes: Vec::new(),
             mentions: BTreeSet::new(),
             params,
             binds: Vec::new(),
@@ -787,7 +753,7 @@ impl<'a> ItemParser<'a> {
         });
     }
 
-    /// Scan a fn body `[start, end)` for calls, panic sites and mentions.
+    /// Scan a fn body `[start, end)` for calls, index sites and mentions.
     fn body(&self, start: usize, end: usize, item: &mut FnItem) {
         let mut i = start;
         while i < end {
@@ -820,41 +786,23 @@ impl<'a> ItemParser<'a> {
                             calls: self.window_calls(i + 3, close.saturating_sub(1)),
                         });
                     }
-                    if banged && PANIC_MACROS.contains(&w.as_str()) {
-                        item.panics.push(PanicSite {
-                            kind: PanicKind::Macro(w.clone()),
+                    // `.unwrap()` and `.expect("…")` are std's, not a
+                    // workspace method: no edge.
+                    let std_unwrap = w == "unwrap"
+                        || (w == "expect"
+                            && (self.toks.get(i + 2))
+                                .is_some_and(|n| matches!(n.tok, Tok::LitStr(_))));
+                    if called && dotted && !std_unwrap {
+                        let (args, arg_calls) = self.call_args(i + 1);
+                        item.calls.push(CallSite {
+                            segs: vec![w.clone()],
+                            kind: CallKind::Method,
                             line: t.line,
+                            args,
+                            arg_calls,
+                            targets: Vec::new(),
                         });
-                    } else if called && dotted {
-                        match w.as_str() {
-                            "unwrap" => item.panics.push(PanicSite {
-                                kind: PanicKind::Unwrap,
-                                line: t.line,
-                            }),
-                            "expect"
-                                if self
-                                    .toks
-                                    .get(i + 2)
-                                    .is_some_and(|n| matches!(n.tok, Tok::LitStr(_))) =>
-                            {
-                                item.panics.push(PanicSite {
-                                    kind: PanicKind::Expect,
-                                    line: t.line,
-                                })
-                            }
-                            _ => {
-                                let (args, arg_calls) = self.call_args(i + 1);
-                                item.calls.push(CallSite {
-                                    segs: vec![w.clone()],
-                                    kind: CallKind::Method,
-                                    line: t.line,
-                                    args,
-                                    arg_calls,
-                                    targets: Vec::new(),
-                                });
-                            }
-                        }
-                    } else if called {
+                    } else if called && !dotted {
                         // Walk back through `::`-joined segments.
                         let mut segs = vec![w.clone()];
                         let mut j = i;
@@ -893,10 +841,7 @@ impl<'a> ItemParser<'a> {
                             Tok::Ident(_) | Tok::Punct(')') | Tok::Punct(']')
                         );
                     if indexes_value {
-                        item.panics.push(PanicSite {
-                            kind: PanicKind::Index,
-                            line: t.line,
-                        });
+                        item.indexes.push(t.line);
                     }
                     i += 1;
                 }
@@ -992,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn records_panic_sites() {
+    fn records_index_sites_only() {
         let f = items(
             "fn risky(v: Vec<u32>, o: Option<u32>) -> u32 {\n\
                let a = o.unwrap();\n\
@@ -1001,21 +946,9 @@ mod tests {
                v[0] + v[a as usize]\n\
              }\n",
         );
-        let kinds: Vec<(PanicKind, u32)> = f.fns[0]
-            .panics
-            .iter()
-            .map(|p| (p.kind.clone(), p.line))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (PanicKind::Unwrap, 2),
-                (PanicKind::Expect, 3),
-                (PanicKind::Macro("panic".into()), 4),
-                (PanicKind::Index, 5),
-                (PanicKind::Index, 5),
-            ]
-        );
+        // `unwrap`/`expect`/`panic!` are clippy's: no site, and no edge.
+        assert_eq!(f.fns[0].indexes, vec![5, 5]);
+        assert!(f.fns[0].calls.is_empty(), "{:?}", f.fns[0].calls);
     }
 
     #[test]
@@ -1028,7 +961,7 @@ mod tests {
                v\n\
              }\n",
         );
-        assert!(f.fns[0].panics.is_empty(), "{:?}", f.fns[0].panics);
+        assert!(f.fns[0].indexes.is_empty(), "{:?}", f.fns[0].indexes);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The analyzer needs to see identifiers and punctuation while *not*
 //! seeing the insides of comments, strings and char literals — a comment
-//! saying "never lock a `Mutex` here" must not trip rule C002. The token
+//! saying "never write `x == 0.5` here" must not trip rule D004. The token
 //! model is deliberately flat (no token trees, no spans beyond line
 //! numbers): rules are expressed as small window patterns over the
 //! stream, in the same spirit as `crates/sql/src/lexer.rs`.

@@ -1,29 +1,26 @@
 //! `pcqe-lint` — the in-repo static invariant analyzer.
 //!
-//! It checks what only it can check: properties of call paths, of
-//! dataflow and of declared capabilities, which no compiler lint can
-//! express. What the compiler can check it does, in the `clippy` CI
-//! stage: panicking constructs in the panic-guarded crates (each root
-//! denies clippy's `unwrap_used`, `expect_used`, `panic`, `todo` and
-//! `unimplemented`), `HashMap`/`HashSet`, ambient randomness and the wall
-//! clock (`clippy.toml`'s disallowed types and methods). That every
-//! dependency is a path dependency is the tier-1 test
-//! `tests/hermetic_guard.rs`.
+//! It checks only what the compiler cannot see: properties of call paths
+//! and of dataflow, and the float-literal comparisons clippy exempts.
+//! Everything clippy can state it states, in the `clippy` CI stage, each
+//! exception an item-level `#[expect(<lint>, reason = "…")]`: panicking
+//! constructs (every crate root denies clippy's `unwrap_used`,
+//! `expect_used`, `panic`, `todo`, `unimplemented` and `unreachable`),
+//! and `clippy.toml`'s disallowed types and methods — `HashMap`/`HashSet`,
+//! ambient randomness, the wall clock, every lock, atomic, channel and
+//! thread of std, `f32` and `f64::total_cmp`. That every dependency is a
+//! path dependency is the tier-1 test `tests/hermetic_guard.rs`.
 //!
 //! The analyzer is std-only — no `syn`, no registry crates — and works
 //! in three layers:
 //!
 //! 1. **Token layer.** Every Rust source is tokenized by a hand-rolled
-//!    lexer ([`lexer`]) and matched against small token-window patterns
-//!    ([`rules`]): float compares and `f32` in result-affecting code, and
-//!    concurrency tokens, checked against per-crate capability
-//!    `[[grant]]`s (`threads`/`locks`/`atomics`/`channels`, each with a
-//!    reason) — containment is the whole concurrency argument: who may
-//!    lock or spawn is decided, and argued, at the grant (DESIGN.md
-//!    § "Static invariants").
+//!    lexer ([`lexer`]) and matched against one token-window rule
+//!    ([`rules`]): a float literal compared with `==`/`!=`, or a
+//!    `.partial_cmp(` call.
 //! 2. **Graph layer.** The same token streams feed a lightweight item
 //!    parser ([`item`]: fns, impls, `use` trees, visibility, per-fn call
-//!    and panic sites), whose output links into a workspace-wide
+//!    and index sites), whose output links into a workspace-wide
 //!    resolved call graph ([`graph`]) powering *reachability* rules —
 //!    properties that hold along every path, not just at the call sites
 //!    a token window happens to see.
@@ -35,16 +32,25 @@
 //!    to reach error-message, trace/metrics or shell sinks outside the
 //!    declared channels.
 //!
-//! Everything declared rather than coded — exceptions, capability
-//! grants, flow sources/sinks/sanctions — lives in one `lint.toml` at
-//! the scan root ([`spec`]), every entry with a required reason; entries
-//! that no longer do anything are themselves errors. `pcqe-lint
-//! --list-rules` prints the rule registry ([`rules::RULES`]); DESIGN.md
-//! § "Static invariants" says what each rule protects. Reports come in
-//! human and JSON form ([`report`]). Run it as `cargo run -p pcqe-lint`,
-//! via `ci.sh`, or through the tier-1 tests `tests/lint_guard.rs` (which
-//! also holds the per-rule suppression counts to a reviewed table),
-//! `tests/concurrency_lint_guard.rs` and `tests/flow_lint_guard.rs`.
+//! Everything declared rather than coded — exceptions and flow
+//! sources/sinks/sanctions — lives in one `lint.toml` at the scan root
+//! ([`spec`]), every entry with a required reason; entries that no
+//! longer do anything are themselves errors. `pcqe-lint --list-rules`
+//! prints the rule registry ([`rules::RULES`]); DESIGN.md § "Static
+//! invariants" says what each rule protects. Reports come in human and
+//! JSON form ([`report`]). Run it as `cargo run -p pcqe-lint`, via
+//! `ci.sh`, or through the tier-1 tests `tests/lint_guard.rs` (which
+//! also holds the per-rule suppression counts and the clippy
+//! expectations to reviewed tables) and `tests/flow_lint_guard.rs`.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 pub mod flow;
 pub mod graph;
@@ -114,8 +120,8 @@ impl std::fmt::Display for LintError {
 impl std::error::Error for LintError {}
 
 /// Analyze the tree at `root`, under `<root>/lint.toml` when present
-/// (absence means the empty manifest: nothing excused, granted or
-/// declared secret).
+/// (absence means the empty manifest: nothing excused or declared
+/// secret).
 pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
     let io = |e: std::io::Error, what: &str| LintError::Io(format!("{what}: {e}"));
 
@@ -130,28 +136,26 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
 
     // --- Scan ----------------------------------------------------------
     // Each file is lexed once; the token stream feeds both the token
-    // rules and the item parser, whose output links into the workspace
-    // call graph for the reachability rules (P002, G001) and the
-    // dataflow layer (F001–F003).
+    // rule (D004) and the item parser, whose output links into the
+    // workspace call graph for the reachability rules (P002, G001) and
+    // the dataflow layer (F001–F003). The analyzer itself and the
+    // detached bench workspace stay out: no guarded product crate can
+    // depend on the dev tooling (`tests/hermetic_guard.rs` holds every
+    // dependency to a workspace path), so a name-collision edge into them
+    // is spurious by construction.
     let mut raw: Vec<Finding> = Vec::new();
     let mut items: Vec<item::FileItems> = Vec::new();
     let sources = walk::rust_sources(root).map_err(|e| io(e, "walking sources"))?;
     for rel in &sources {
-        if rules::FileClass::classify(rel).is_test_code {
+        let tooling = rel.starts_with("crates/lint/") || rel.starts_with("crates/bench/");
+        if tooling || rules::is_test_code(rel) {
             continue;
         }
         let text = fs::read_to_string(root.join(rel)).map_err(|e| io(e, rel))?;
         let toks = lexer::lex(&text);
         let mask = rules::test_region_mask(&toks);
-        rules::check_tokens(rel, &toks, &mask, &spec, &mut usage.caps_used, &mut raw);
-        // The analyzer itself and the detached bench workspace stay out
-        // of the call graph: no guarded product crate can depend on the
-        // dev tooling (`tests/hermetic_guard.rs` holds every dependency to
-        // a workspace path), so a name-collision edge into them is
-        // spurious by construction.
-        if !rel.starts_with("crates/lint/") && !rel.starts_with("crates/bench/") {
-            items.push(item::collect(rel, &toks, &mask));
-        }
+        rules::check_tokens(rel, &toks, &mask, &mut raw);
+        items.push(item::collect(rel, &toks, &mask));
     }
     let call_graph = graph::CallGraph::build(items);
     graph::panic_reachability(&call_graph, &mut raw);
@@ -183,7 +187,7 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
         }
     }
 
-    // --- Manifest hygiene (A001–A003, F004, F005) ----------------------
+    // --- Manifest hygiene (A001, A002, F004, F005) ---------------------
     // After suppression, so it sees what every entry did — and so no
     // `[[allow]]` can waive a finding about the manifest itself.
     spec.hygiene(&usage, &mut findings);

@@ -12,6 +12,15 @@
 //! rule id; the exit status still reflects the full analysis, so a
 //! filtered view can never hide a failure.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -56,7 +65,7 @@ fn main() -> ExitCode {
             }
             "-h" | "--help" => {
                 println!(
-                    "pcqe-lint: static invariant analyzer (determinism, concurrency, panic-reachability, policy gating, confidentiality)\n\n\
+                    "pcqe-lint: static invariant analyzer (float comparisons, panic-reachability, policy gating, confidentiality)\n\n\
                      usage: pcqe-lint [--root DIR] [--format human|json] [--rule ID] [--list-rules]\n\n\
                      --rule ID narrows the displayed report to one rule; the exit status\n\
                      still reflects the full analysis\n\n\

@@ -1,7 +1,7 @@
 //! `lint.toml`: the one checked-in manifest the analyzer reads.
 //!
 //! Everything that is a *declaration* rather than analyzer code lives in
-//! one file at the scan root, as five kinds of `[[table]]`:
+//! one file at the scan root, as four kinds of `[[table]]`:
 //!
 //! ```toml
 //! [[allow]]                   # a reasoned exception to one rule
@@ -9,12 +9,6 @@
 //! path = "crates/algebra/src/expr.rs"
 //! line = 770                  # optional: pin to one line
 //! reason = "exact-zero divisor guard"
-//!
-//! [[grant]]                   # a concurrency capability for one crate
-//! crate = "pcqe-par"
-//! scope = "crates/par/src/morsel.rs"   # optional: one file/prefix
-//! capabilities = ["threads", "locks", "atomics", "channels"]
-//! reason = "the deterministic scheduler owns all workspace threading"
 //!
 //! [[source]]                  # what the dataflow layer treats as secret
 //! kind = "policy"             # suppressed | policy | confidence
@@ -36,20 +30,18 @@
 //!
 //! The reader is a hand-rolled TOML subset (the workspace is
 //! registry-free) and strict: an unknown table or key, a key outside a
-//! table, a missing required key, a bad rule id, capability or taint
-//! kind and a repeated array item are all hard [`parse`] errors. A
-//! missing or blank `reason` is *not* — it parses as the empty string so
-//! the rest of the analysis still runs, and [`Spec::hygiene`] reports
-//! it. A tree without a `lint.toml` has the empty [`Spec`]: nothing is
-//! excused, nothing is granted (every concurrency token is PCQE-C002)
-//! and nothing is declared secret (the dataflow layer is inert).
+//! table, a missing required key, a bad rule id or taint kind and a
+//! repeated array item are all hard [`parse`] errors. A missing or blank
+//! `reason` is *not* — it parses as the empty string so the rest of the
+//! analysis still runs, and [`Spec::hygiene`] reports it. A tree without
+//! a `lint.toml` has the empty [`Spec`]: nothing is excused and nothing
+//! is declared secret (the dataflow layer is inert).
 //!
 //! Hygiene is one pass over the parsed tables once the analysis knows
-//! what each entry did ([`Usage`]): an entry that excuses, grants or
-//! sanctions nothing is stale (PCQE-A001 / A003 / F004) — the manifest
-//! must never outlive the code it describes — and reasons must be
-//! present and cite only live rule ids (PCQE-A002 for `allow`/`grant`,
-//! PCQE-F005 for the flow tables).
+//! what each entry did ([`Usage`]): an entry that excuses or sanctions
+//! nothing is stale (PCQE-A001 / F004) — the manifest must never outlive
+//! the code it describes — and reasons must be present and cite only
+//! live rule ids (PCQE-A002 for `allow`, PCQE-F005 for the flow tables).
 
 use crate::rules::{Finding, Rule};
 use std::collections::BTreeSet;
@@ -70,85 +62,6 @@ pub struct AllowEntry {
     pub reason: String,
     /// Line of the table header in the manifest itself.
     pub declared_at: u32,
-}
-
-/// The capability classes a grant can confer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Cap {
-    /// `std::thread` paths.
-    Threads,
-    /// `Mutex` / `RwLock` / `Condvar`.
-    Locks,
-    /// `Atomic*` types.
-    Atomics,
-    /// `mpsc` channels.
-    Channels,
-}
-
-impl Cap {
-    /// The manifest spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Cap::Threads => "threads",
-            Cap::Locks => "locks",
-            Cap::Atomics => "atomics",
-            Cap::Channels => "channels",
-        }
-    }
-
-    /// Which capability class a concurrency token needs, if any. The
-    /// caller counts `thread` only as a path segment (`std::thread`,
-    /// `thread::spawn`), so a local of that name stays out. The
-    /// `Atomic*` arm requires an uppercase continuation — `AtomicU64`,
-    /// `AtomicBool` — so prose-ish idents like `Atomics` stay out.
-    pub fn of_token(name: &str) -> Option<Cap> {
-        match name {
-            "thread" => Some(Cap::Threads),
-            "Mutex" | "RwLock" | "Condvar" => Some(Cap::Locks),
-            "mpsc" => Some(Cap::Channels),
-            _ if name.strip_prefix("Atomic").is_some_and(|rest| {
-                rest.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-            }) =>
-            {
-                Some(Cap::Atomics)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// One `[[grant]]` entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Grant {
-    /// Crate the grant covers, as the manifest names it (`pcqe-par`).
-    pub crate_name: String,
-    /// Optional path prefix narrowing the grant to one file or module
-    /// subtree (e.g. `crates/core/src/clock.rs`).
-    pub scope: Option<String>,
-    /// The capability classes conferred.
-    pub caps: BTreeSet<Cap>,
-    /// Why the crate needs them. Blank → PCQE-A002.
-    pub reason: String,
-    /// Line of the table header in the manifest itself.
-    pub declared_at: u32,
-}
-
-impl Grant {
-    /// Does this grant cover capability `cap` for the file at `path`
-    /// (workspace-relative, `/`-separated)?
-    fn covers(&self, path: &str, cap: Cap) -> bool {
-        if !self.caps.contains(&cap) {
-            return false;
-        }
-        let dir = format!("crates/{}/", self.crate_name.trim_start_matches("pcqe-"));
-        if !path.starts_with(&dir) {
-            return false;
-        }
-        match &self.scope {
-            Some(s) => path == s || path.starts_with(&format!("{s}/")),
-            None => true,
-        }
-    }
 }
 
 /// What kind of secret a source introduces.
@@ -243,8 +156,6 @@ impl Sanction {
 pub struct Spec {
     /// Reasoned exceptions.
     pub allow: Vec<AllowEntry>,
-    /// Capability grants. Order matters: the first covering grant wins.
-    pub grants: Vec<Grant>,
     /// Declared taint sources.
     pub sources: Vec<SourceSpec>,
     /// Declared extra sinks.
@@ -259,8 +170,6 @@ pub struct Spec {
 pub struct Usage {
     /// Findings each `[[allow]]` entry suppressed.
     pub allow_hits: Vec<usize>,
-    /// Capabilities of each `[[grant]]` that some token exercised.
-    pub caps_used: Vec<BTreeSet<Cap>>,
     /// Whether each `[[sanction]]` covered at least one flow.
     pub sanctions_hit: Vec<bool>,
 }
@@ -270,14 +179,8 @@ impl Spec {
     pub fn usage(&self) -> Usage {
         Usage {
             allow_hits: vec![0; self.allow.len()],
-            caps_used: vec![BTreeSet::new(); self.grants.len()],
             sanctions_hit: vec![false; self.sanctions.len()],
         }
-    }
-
-    /// Index of the first grant covering `cap` at `path`, if any.
-    pub fn grant_for(&self, path: &str, cap: Cap) -> Option<usize> {
-        self.grants.iter().position(|g| g.covers(path, cap))
     }
 
     /// Declared source names for one taint kind.
@@ -320,11 +223,10 @@ impl Spec {
             });
         };
 
-        // --- Reasons (A002 for allow/grant, F005 for the flow tables) ---
+        // --- Reasons (A002 for allow, F005 for the flow tables) ---------
         let (a002, f005) = (Rule::A002, Rule::F005);
         let mut reasons: Vec<(Rule, &str, u32, &str)> = Vec::new();
         reasons.extend((self.allow.iter()).map(|e| (a002, "allow", e.declared_at, &*e.reason)));
-        reasons.extend((self.grants.iter()).map(|g| (a002, "grant", g.declared_at, &*g.reason)));
         reasons.extend((self.sources.iter()).map(|s| (f005, "source", s.declared_at, &*s.reason)));
         reasons.extend((self.sinks.iter()).map(|s| (f005, "sink", s.declared_at, &*s.reason)));
         let sanctions = self.sanctions.iter();
@@ -335,8 +237,8 @@ impl Spec {
                     rule,
                     at,
                     format!(
-                        "`[[{table}]]` entry has no `reason`; every exception, grant and \
-                         flow declaration must say why it is sound"
+                        "`[[{table}]]` entry has no `reason`; every exception and flow \
+                         declaration must say why it is sound"
                     ),
                 );
                 continue;
@@ -393,27 +295,7 @@ impl Spec {
             }
         }
 
-        // --- Grants and sanctions: every one exercised ------------------
-        for (grant, used) in self.grants.iter().zip(&usage.caps_used) {
-            for cap in grant.caps.difference(used) {
-                emit(
-                    Rule::A003,
-                    grant.declared_at,
-                    format!(
-                        "stale capability: `{}` grants `{}`{} but no such token is used \
-                         there — drop it from the grant (reason was: {})",
-                        grant.crate_name,
-                        cap.label(),
-                        grant
-                            .scope
-                            .as_deref()
-                            .map(|s| format!(" (scope `{s}`)"))
-                            .unwrap_or_default(),
-                        grant.reason
-                    ),
-                );
-            }
-        }
+        // --- Sanctions: every one exercised -----------------------------
         for (s, &hit) in self.sanctions.iter().zip(&usage.sanctions_hit) {
             if !hit {
                 emit(
@@ -443,13 +325,6 @@ pub fn parse(text: &str, source: &str) -> Result<Spec, String> {
                 rule: t.need("rule", rule)?,
                 path: t.need("path", path)?,
                 line: t.get("line", integer)?,
-                reason: t.reason()?,
-                declared_at,
-            }),
-            "grant" => spec.grants.push(Grant {
-                crate_name: t.need("crate", workspace_crate)?,
-                scope: t.get("scope", path)?,
-                caps: t.need("capabilities", caps)?,
                 reason: t.reason()?,
                 declared_at,
             }),
@@ -485,7 +360,7 @@ pub fn parse(text: &str, source: &str) -> Result<Spec, String> {
             other => {
                 return Err(format!(
                     "{source}:{declared_at}: unknown table `[[{other}]]` (expected \
-                     allow/grant/source/sink/sanction)"
+                     allow/source/sink/sanction)"
                 ));
             }
         }
@@ -663,30 +538,6 @@ fn rule(raw: &str) -> Result<Rule, String> {
     Rule::parse(&code).ok_or_else(|| format!("unknown rule `{code}`"))
 }
 
-/// A `pcqe-…` workspace crate name.
-fn workspace_crate(raw: &str) -> Result<String, String> {
-    let name = string(raw)?;
-    if !name.starts_with("pcqe-") {
-        return Err(format!(
-            "must be a workspace crate (`pcqe-…`), got `{name}`"
-        ));
-    }
-    Ok(name)
-}
-
-/// A set of capability classes, each by its [`Cap::label`].
-fn caps(raw: &str) -> Result<BTreeSet<Cap>, String> {
-    let all = [Cap::Threads, Cap::Locks, Cap::Atomics, Cap::Channels];
-    strings(raw)?
-        .iter()
-        .map(|item| {
-            all.into_iter().find(|c| c.label() == item).ok_or_else(|| {
-                format!("unknown capability `{item}` (expected threads/locks/atomics/channels)")
-            })
-        })
-        .collect()
-}
-
 /// A taint kind.
 fn taint_kind(raw: &str) -> Result<TaintKind, String> {
     match string(raw)?.as_str() {
@@ -722,13 +573,7 @@ mod tests {
         [[allow]]\nrule = \"P002\" # short form\npath = \"crates/core/src/state.rs\"\n\
         reason = \"P002: bounded indexing #1\"\n\
         \n\
-        [[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"threads\", \"locks\", ]\n\
-        reason = \"scheduler owns threading\"\n\
-        \n\
-        [[grant]]\ncrate = \"pcqe-core\"\nscope = \"crates/core/src/clock.rs\"\n\
-        capabilities = [\"atomics\"]\nreason = \"ManualClock advances an AtomicU64\"\n\
-        \n\
-        [[source]]\nkind = \"policy\"\nnames = [\"beta\", \"threshold\"]\n\
+        [[source]]\nkind = \"policy\"\nnames = [\"beta\", \"threshold\", ]\n\
         reason = \"policy internals\"\n\
         \n\
         [[source]]\nkind = \"suppressed\"\nfunctions = [\"withheld_tuples\"]\n\
@@ -756,19 +601,10 @@ mod tests {
         // A `#` inside a quoted string is text, not a comment.
         assert_eq!(spec.allow[1].reason, "P002: bounded indexing #1");
 
-        assert_eq!(spec.grants.len(), 2);
-        assert_eq!(spec.grants[0].crate_name, "pcqe-par");
-        assert_eq!(
-            spec.grants[0].caps,
-            [Cap::Threads, Cap::Locks].into_iter().collect()
-        );
-        assert_eq!(
-            spec.grants[1].scope.as_deref(),
-            Some("crates/core/src/clock.rs")
-        );
-
         assert_eq!(spec.sources.len(), 2);
         assert_eq!(spec.sources[0].kind, TaintKind::Policy);
+        // A trailing comma in an array is tolerated.
+        assert_eq!(spec.sources[0].names.len(), 2);
         assert!(spec.names_of(TaintKind::Policy).contains("beta"));
         assert!(spec
             .functions_of(TaintKind::Suppressed)
@@ -786,44 +622,6 @@ mod tests {
         assert!(!audit.covers(Rule::F001, "crates/engine/src/audit.rs", "fmt"));
         assert!(decisions.covers(Rule::F003, "crates/engine/src/database.rs", "decision"));
         assert!(!decisions.covers(Rule::F003, "crates/engine/src/audit.rs", "decision"));
-    }
-
-    #[test]
-    fn grant_coverage_respects_crate_scope_and_class() {
-        let spec = parse(EVERY_TABLE, MANIFEST).unwrap();
-        assert_eq!(spec.grant_for("crates/par/src/lib.rs", Cap::Locks), Some(0));
-        // Grants are per class, not per-crate blanket exemptions.
-        assert_eq!(spec.grant_for("crates/par/src/lib.rs", Cap::Atomics), None);
-        assert_eq!(spec.grant_for("crates/engine/src/db.rs", Cap::Locks), None);
-        assert_eq!(
-            spec.grant_for("crates/core/src/clock.rs", Cap::Atomics),
-            Some(1)
-        );
-        assert_eq!(
-            spec.grant_for("crates/core/src/greedy.rs", Cap::Atomics),
-            None
-        );
-        // No manifest, no grants: not even the scheduler crate is exempt.
-        assert_eq!(
-            Spec::default().grant_for("crates/par/src/lib.rs", Cap::Threads),
-            None
-        );
-    }
-
-    #[test]
-    fn token_to_capability_mapping() {
-        assert_eq!(Cap::of_token("thread"), Some(Cap::Threads));
-        assert_eq!(Cap::of_token("Mutex"), Some(Cap::Locks));
-        assert_eq!(Cap::of_token("RwLock"), Some(Cap::Locks));
-        assert_eq!(Cap::of_token("Condvar"), Some(Cap::Locks));
-        assert_eq!(Cap::of_token("mpsc"), Some(Cap::Channels));
-        assert_eq!(Cap::of_token("AtomicU64"), Some(Cap::Atomics));
-        // `Atomic` alone (e.g. a local type named exactly that) is not a
-        // std primitive; `Ordering` is a mode selector, not shared state;
-        // a lowercase continuation (`Atomics`) is prose, not a type.
-        assert_eq!(Cap::of_token("Atomic"), None);
-        assert_eq!(Cap::of_token("Atomics"), None);
-        assert_eq!(Cap::of_token("Ordering"), None);
     }
 
     #[test]
@@ -858,10 +656,6 @@ mod tests {
             "\n[[allow]]\nrule = \"D004\"\n",
             "f:2: `[[allow]]` entry is missing `path`",
         );
-        rejected(
-            "[[grant]]\ncrate = \"pcqe-par\"\n",
-            "missing `capabilities`",
-        );
         rejected("[[source]]\nnames = [\"x\"]\n", "missing `kind`");
         rejected("[[source]]\nkind = \"policy\"\n", "taints nothing");
         rejected("[[sink]]\nkind = \"shell\"\n", "missing `functions`");
@@ -888,23 +682,11 @@ mod tests {
             "expected a double-quoted string",
         );
         rejected(
-            "[[grant]]\ncrate = \"serde\"\ncapabilities = [\"locks\"]\n",
-            "must be a workspace crate",
-        );
-        rejected(
-            "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"fibers\"]\n",
-            "unknown capability `fibers`",
-        );
-        rejected(
-            "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = []\n",
+            "[[sink]]\nkind = \"shell\"\nfunctions = []\n",
             "must name at least one item",
         );
         rejected(
-            "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"locks\", \"locks\"]\n",
-            "`locks` listed twice",
-        );
-        rejected(
-            "[[grant]]\ncrate = \"pcqe-par\"\ncapabilities = \"locks\"\n",
+            "[[sink]]\nkind = \"shell\"\nfunctions = \"f\"\n",
             "expected a `[\"…\", …]` array",
         );
         rejected(
@@ -927,7 +709,7 @@ mod tests {
         // dead citation in each; every entry is otherwise in use.
         let spec = parse(
             "[[allow]]\nrule = \"D004\"\npath = \"x\"\nline = 1\n\
-             [[grant]]\ncrate = \"pcqe-par\"\ncapabilities = [\"locks\"]\nreason = \"  \"\n\
+             [[allow]]\nrule = \"D004\"\npath = \"z\"\nline = 3\nreason = \"  \"\n\
              [[source]]\nkind = \"policy\"\nnames = [\"beta\"]\n\
              [[sink]]\nkind = \"shell\"\nfunctions = [\"f\"]\nreason = \"covers PCQE-F998\"\n\
              [[allow]]\nrule = \"D004\"\npath = \"y\"\nline = 2\nreason = \"see PCQE-C001\"\n",
@@ -936,8 +718,7 @@ mod tests {
         .unwrap();
         assert_eq!(spec.allow[0].reason, "");
         let mut usage = spec.usage();
-        usage.allow_hits = vec![1, 1];
-        usage.caps_used[0].insert(Cap::Locks);
+        usage.allow_hits = vec![1, 1, 1];
         let mut out = Vec::new();
         spec.hygiene(&usage, &mut out);
         let got: Vec<(Rule, u32, &str)> = out
@@ -948,11 +729,11 @@ mod tests {
         assert!(out.iter().all(|f| f.path == MANIFEST));
         assert!(got[0].0 == Rule::A002 && got[0].1 == 1 && got[0].2.contains("no `reason`"));
         // The retired C001 id is dead like any other unknown id.
-        assert!(got[1].0 == Rule::A002 && got[1].1 == 16);
-        assert!(got[1].2.contains("unknown rule id `PCQE-C001`"));
-        assert!(got[2].0 == Rule::A002 && got[2].1 == 5 && got[2].2.contains("`[[grant]]`"));
-        assert!(got[3].0 == Rule::F005 && got[3].1 == 9 && got[3].2.contains("no `reason`"));
-        assert!(got[4].0 == Rule::F005 && got[4].1 == 12);
+        assert!(got[1].0 == Rule::A002 && got[1].1 == 5 && got[1].2.contains("no `reason`"));
+        assert!(got[2].0 == Rule::A002 && got[2].1 == 17);
+        assert!(got[2].2.contains("unknown rule id `PCQE-C001`"));
+        assert!(got[3].0 == Rule::F005 && got[3].1 == 10 && got[3].2.contains("no `reason`"));
+        assert!(got[4].0 == Rule::F005 && got[4].1 == 13);
         assert!(got[4].2.contains("unknown rule id `PCQE-F998`"));
     }
 
@@ -960,15 +741,12 @@ mod tests {
     fn unused_entries_are_stale_and_file_wide_waivers_name_their_rule() {
         let spec = parse(
             "[[allow]]\nrule = \"P002\"\npath = \"x.rs\"\nreason = \"bounded indexing\"\n\
-             [[grant]]\ncrate = \"pcqe-obs\"\ncapabilities = [\"locks\", \"channels\"]\n\
-             reason = \"recorder\"\n\
              [[sanction]]\nrule = \"PCQE-F002\"\npath = \"crates/policy/src/x.rs\"\n\
              sink = \"write\"\nreason = \"nothing flows here anymore\"\n",
             MANIFEST,
         )
         .unwrap();
         let mut usage = spec.usage();
-        usage.caps_used[0].insert(Cap::Locks);
         let mut out = Vec::new();
         spec.hygiene(&usage, &mut out);
         let got: Vec<(Rule, u32)> = out.iter().map(|f| (f.rule, f.line)).collect();
@@ -977,18 +755,15 @@ mod tests {
             vec![
                 (Rule::A002, 1), // file-wide, reason never says P002
                 (Rule::A001, 1), // suppressed nothing
-                (Rule::A003, 5), // `channels` never exercised (`locks` was)
-                (Rule::F004, 9), // sanction covered no flow
+                (Rule::F004, 5), // sanction covered no flow
             ],
             "{out:#?}"
         );
         assert!(out[1].message.contains("stale allowlist entry"));
-        assert!(out[2].message.contains("grants `channels`"));
-        assert!(out[3].message.contains("stale sanction"));
+        assert!(out[2].message.contains("stale sanction"));
 
         // Fully used, nothing is reported.
         usage.allow_hits[0] = 1;
-        usage.caps_used[0].insert(Cap::Channels);
         usage.sanctions_hit[0] = true;
         let mut out = Vec::new();
         spec.hygiene(&usage, &mut out);

@@ -1,14 +1,11 @@
 //! End-to-end analyzer tests over the fixture trees in `tests/fixtures/`.
 //!
 //! Each fixture is a miniature workspace with (at most) one `lint.toml`:
-//! `tree/` has no manifest at all, so nothing is granted and every
-//! concurrency token in it — even `crates/par`'s threads — is C002;
-//! `graph/` seeds the graph-layer rules (P002 panic-reachability, G001
-//! policy-gating), the float rule D004 and a granted-vs-ungranted C002
-//! pair, `conc/` seeds capability
-//! containment (an uncovered `Mutex` → C002, a stale `channels` grant →
-//! A003), `gated/` is the G001 negative (the gate dominates the row
-//! constructor),
+//! `tree/` has no manifest at all, so nothing is excused and every float
+//! comparison in it — in any crate — is D004; `graph/` seeds the
+//! graph-layer rules (P002 panic-reachability, G001 policy-gating) and
+//! the float rule D004, `gated/` is the G001 negative (the gate
+//! dominates the row constructor),
 //! `noreason/` trips the A002 hygiene rule, `allow/` pairs a violation
 //! with a reasoned suppression, `stale/` carries an `[[allow]]` entry
 //! that excuses nothing, `flows/` seeds the confidentiality-dataflow
@@ -36,7 +33,7 @@ fn run(name: &str) -> Analysis {
 }
 
 #[test]
-fn tree_fixture_reports_every_ungranted_concurrency_token() {
+fn tree_fixture_reports_every_float_comparison_in_every_crate() {
     let analysis = run("tree");
     let got: Vec<(Rule, &str, u32)> = analysis
         .findings
@@ -44,24 +41,20 @@ fn tree_fixture_reports_every_ungranted_concurrency_token() {
         .map(|f| (f.rule, f.path.as_str(), f.line))
         .collect();
     let want = vec![
-        (Rule::C002, "crates/algebra/src/mutexy.rs", 5),
-        (Rule::C002, "crates/algebra/src/mutexy.rs", 7),
-        (Rule::C002, "crates/algebra/src/mutexy.rs", 8),
-        // No `lint.toml`, no grants: not even the scheduler may thread.
-        (Rule::C002, "crates/par/src/lib.rs", 3),
-        (Rule::C002, "crates/par/src/lib.rs", 6),
-        (Rule::C002, "crates/storage/src/spawny.rs", 4),
+        // No `lint.toml`, nothing excused, and no crate is out of scope.
+        (Rule::D004, "crates/par/src/lib.rs", 4),
+        (Rule::D004, "crates/storage/src/sorty.rs", 4),
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
     assert!(!analysis.is_clean());
-    assert_eq!(analysis.error_count(), 6);
+    assert_eq!(analysis.error_count(), 2);
     // The exempt case stayed silent: the `#[cfg(test)]` module in
-    // covered.rs may lock a `Mutex` and compare floats exactly.
+    // covered.rs may compare floats exactly.
     assert!(!got.iter().any(|(_, p, _)| p.contains("covered.rs")));
 }
 
 #[test]
-fn graph_fixture_seeds_the_graph_layer_and_new_token_rules() {
+fn graph_fixture_seeds_the_graph_layer_and_the_token_rule() {
     let analysis = run("graph");
     let got: Vec<(Rule, &str, u32)> = analysis
         .findings
@@ -69,24 +62,15 @@ fn graph_fixture_seeds_the_graph_layer_and_new_token_rules() {
         .map(|f| (f.rule, f.path.as_str(), f.line))
         .collect();
     let want = vec![
-        (Rule::C002, "crates/algebra/src/locky.rs", 3),
-        (Rule::C002, "crates/algebra/src/locky.rs", 5),
-        (Rule::C002, "crates/algebra/src/locky.rs", 6),
         (Rule::D004, "crates/core/src/floaty.rs", 4), // x == 0.0
         (Rule::D004, "crates/core/src/floaty.rs", 4), // x != 1.0
-        (Rule::D004, "crates/core/src/floaty.rs", 8), // as f32
-        (Rule::D004, "crates/core/src/floaty.rs", 12), // .partial_cmp(
-        (Rule::P002, "crates/core/src/pick.rs", 5),   // .unwrap()
+        (Rule::D004, "crates/core/src/floaty.rs", 8), // .partial_cmp(
+        (Rule::P002, "crates/core/src/pick.rs", 5),   // v[0]
         (Rule::P002, "crates/core/src/pick.rs", 15),  // v[i]
         (Rule::G001, "crates/engine/src/database.rs", 24), // release_all
         (Rule::G001, "crates/engine/src/database.rs", 35), // release_physical
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
-    // The exempt cases stayed silent: `core/src/ord.rs` is the sanctioned
-    // home for raw float ordering, and `crates/par` holds its atomics
-    // under the tree's `[[grant]]`.
-    assert!(!got.iter().any(|(_, p, _)| p.ends_with("ord.rs")));
-    assert!(!got.iter().any(|(_, p, _)| p.contains("par/")));
 }
 
 #[test]
@@ -106,8 +90,8 @@ fn p002_witness_names_the_full_call_path() {
         "witness missing in: {}",
         p002.message
     );
-    // The never-called `panic!` in the same file stays unreported: P002
-    // is reachability, not presence.
+    // The never-called index in the same file stays unreported: P002 is
+    // reachability, not presence.
     assert!(
         !analysis
             .findings
@@ -178,7 +162,6 @@ fn unreasoned_allowlist_entry_is_an_error_but_still_suppresses() {
 fn every_rule_id_fires_somewhere_in_the_fixture_suite() {
     let mut seen: Vec<Rule> = run("tree").findings.iter().map(|f| f.rule).collect();
     seen.extend(run("graph").findings.iter().map(|f| f.rule));
-    seen.extend(run("conc").findings.iter().map(|f| f.rule));
     seen.extend(run("stale").findings.iter().map(|f| f.rule));
     seen.extend(run("noreason").findings.iter().map(|f| f.rule));
     let flows = run("flows");
@@ -236,10 +219,10 @@ fn every_recorded_workspace_find_is_still_reproduced_by_a_fixture() {
         (
             "PR 9: the lexer swallowed the token after a `'\\''` literal",
             "lexhard",
-            Rule::C002,
+            Rule::D004,
             "crates/engine/src/real.rs",
-            23,
-            "`Mutex` needs the `locks` capability",
+            21,
+            "`.partial_cmp()`",
         ),
     ];
     for (find, tree, rule, path, line, names) in finds {
@@ -262,25 +245,6 @@ fn every_recorded_workspace_find_is_still_reproduced_by_a_fixture() {
             hit.message
         );
     }
-}
-
-#[test]
-fn conc_fixture_seeds_capability_containment() {
-    let analysis = run("conc");
-    let got: Vec<(Rule, &str, u32)> = analysis
-        .findings
-        .iter()
-        .map(|f| (f.rule, f.path.as_str(), f.line))
-        .collect();
-    let want = vec![
-        (Rule::C002, "crates/engine/src/nocap.rs", 4),
-        (Rule::C002, "crates/engine/src/nocap.rs", 6),
-        (Rule::C002, "crates/engine/src/nocap.rs", 7),
-        (Rule::A003, "lint.toml", 7), // stale channels grant
-    ];
-    assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
-    // The granted `Mutex` in `crates/obs` stayed silent.
-    assert!(!got.iter().any(|(_, p, _)| p.contains("obs/")));
 }
 
 #[test]
@@ -433,11 +397,11 @@ fn cli_exits_one_on_findings_and_names_them() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     // Every finding surfaces with its rule code and a file:line span.
     assert!(
-        stdout.contains("crates/algebra/src/mutexy.rs:5: PCQE-C002 [error]"),
+        stdout.contains("crates/par/src/lib.rs:4: PCQE-D004 [error]"),
         "{stdout}"
     );
-    assert!(stdout.contains("crates/storage/src/spawny.rs:4: PCQE-C002 [error]"));
-    assert!(stdout.contains("6 error(s)"));
+    assert!(stdout.contains("crates/storage/src/sorty.rs:4: PCQE-D004 [error]"));
+    assert!(stdout.contains("2 error(s)"));
 }
 
 #[test]
@@ -498,7 +462,7 @@ fn cli_rule_flag_filters_display_but_not_exit_code() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("PCQE-G001"), "{stdout}");
-    for absent in ["PCQE-C002", "PCQE-D004", "PCQE-P002"] {
+    for absent in ["PCQE-D004", "PCQE-P002"] {
         assert!(
             !stdout.contains(&format!("{absent} [")),
             "{absent} leaked into the filtered report:\n{stdout}"
@@ -554,7 +518,9 @@ fn cli_exits_two_on_usage_errors_and_unreadable_manifests() {
     // The retired ids are unknown like any other, the ones clippy and
     // `tests/hermetic_guard.rs` took over included.
     for retired in [
+        "PCQE-A003",
         "PCQE-C001",
+        "PCQE-C002",
         "PCQE-D001",
         "PCQE-D002",
         "PCQE-D003",

@@ -1,11 +1,7 @@
-//! Fixture: D004 — raw float comparison, narrowing, and ordering.
+//! Fixture: D004 — raw float-literal comparison and ordering.
 
 pub fn exact(x: f64) -> bool {
     x == 0.0 || x != 1.0
-}
-
-pub fn narrowed(x: f64) -> f64 {
-    f64::from(x as f32)
 }
 
 pub fn ordered(a: f64, b: f64) -> bool {

@@ -1,12 +1,12 @@
-//! Fixture: the reachable panic site — P002 reports it here, with the
+//! Fixture: the reachable panic sites — P002 reports each here, with the
 //! witness call path from the guarded public API.
 
-pub fn pick(x: Option<u32>) -> u32 {
-    x.unwrap()
+pub fn pick(v: &[u32]) -> u32 {
+    v[0]
 }
 
-pub fn unreached() -> u32 {
-    panic!("never called from a guarded root")
+pub fn unreached(v: &[u32]) -> u32 {
+    v[1]
 }
 
 /// The shape of the real workspace finds: slice indexing below the

@@ -1,15 +1,15 @@
 //! Fixture: every forbidden token in this file hides inside a literal
 //! or a comment — the lexer must keep all of them invisible, so the
-//! whole file lints clean. A `Mutex` in a doc string is advice, not a
-//! lock: HashMap, unwrap(), thread::spawn.
+//! whole file lints clean. A comparison in a doc string is advice, not
+//! code: x == 0.5, a.partial_cmp(&b), v[0].
 
-/* outer /* nested Mutex HashMap thread::spawn */ still commented unwrap() */
+/* outer /* nested x == 0.5 a.partial_cmp(&b) */ still commented v[0] */
 
 /// Returns the strings the scanner must treat as opaque.
 pub fn opaque() -> Vec<String> {
-    let plain = "Mutex::new(0) and HashMap::new()";
+    let plain = "x == 0.5 and a.partial_cmp(&b)";
     let escaped = "a \" quote then Mutex and RwLock";
-    let raw = r#"let m = Mutex::new(HashMap::new());"#;
+    let raw = r#"if 0.5 != x { v[0] }"#;
     let rawhash = r##"outer r#"Mutex"# body with RwLock"##;
     let bytes = b"Mutex in a byte string";
     let rawbytes = br#"RwLock::new and thread::spawn"#;

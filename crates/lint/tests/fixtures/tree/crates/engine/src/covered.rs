@@ -6,11 +6,9 @@ pub fn live() -> u32 {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
-
     #[test]
-    fn test_only_code_may_lock_and_compare_floats() {
-        let m = Mutex::new(super::live());
-        assert!(f64::from(*m.lock().unwrap()) == 41.0);
+    fn test_only_code_may_compare_floats_exactly() {
+        assert!(f64::from(super::live()) == 41.0);
+        assert!(f64::from(super::live()).partial_cmp(&41.0).is_some());
     }
 }

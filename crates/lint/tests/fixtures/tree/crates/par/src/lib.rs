@@ -1,8 +1,5 @@
-//! Fixture: C002 — no `lint.toml` here, so not even `crates/par` may thread.
+//! Fixture: D004 applies in every crate, and no `lint.toml` excuses it.
 
-use std::thread;
-
-pub fn fan_out() -> u32 {
-    let h = thread::spawn(|| 7);
-    h.join().unwrap_or(0)
+pub fn idle(load: f64) -> bool {
+    load == 0.0
 }

@@ -4,11 +4,11 @@
 //! `fixtures/lexhard/`: a gauntlet of raw strings with varying hash
 //! depths, byte strings, nested block comments, escaped chars and
 //! lifetime-vs-char ambiguities, every forbidden token hidden inside a
-//! literal or comment — plus one file planting four *real* `Mutex`
-//! sites after the decoys. Exactly those four may fire (PCQE-C002,
-//! with exact line numbers), which pins both directions at once: no
-//! false positive from literal bodies, no lost finding after a gnarly
-//! construct.
+//! literal or comment — plus one file planting three *real* float
+//! comparisons after the decoys. Exactly those three may fire
+//! (PCQE-D004, with exact line numbers), which pins both directions at
+//! once: no false positive from literal bodies, no lost finding after a
+//! gnarly construct.
 //!
 //! The property half drives the lexer directly with generated token
 //! soup from a seeded linear-congruential generator: for any
@@ -36,16 +36,15 @@ fn hidden_tokens_stay_hidden_and_real_ones_survive_the_gauntlet() {
         .iter()
         .map(|f| (f.rule, f.path.as_str(), f.line))
         .collect();
-    // traps.rs is silent despite spelling Mutex/HashMap/RwLock/unwrap in
-    // raw strings, byte strings, escaped strings, chars and nested
-    // comments; real.rs fires at exactly its four genuine Mutex sites,
-    // lines intact after the decoy constructs above them — the last one
-    // on the same line as a `'\''` literal.
+    // traps.rs is silent despite spelling float comparisons and indexes
+    // in raw strings, byte strings, escaped strings, chars and nested
+    // comments; real.rs fires at exactly its three genuine sites, lines
+    // intact after the decoy constructs above them — the last one on the
+    // same line as a `'\''` literal.
     let want = vec![
-        (Rule::C002, "crates/engine/src/real.rs", 13),
-        (Rule::C002, "crates/engine/src/real.rs", 16),
-        (Rule::C002, "crates/engine/src/real.rs", 17),
-        (Rule::C002, "crates/engine/src/real.rs", 23),
+        (Rule::D004, "crates/engine/src/real.rs", 15),
+        (Rule::D004, "crates/engine/src/real.rs", 15),
+        (Rule::D004, "crates/engine/src/real.rs", 21),
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
 }

@@ -25,7 +25,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 
 use pcqe_obs::json::{self, Value};

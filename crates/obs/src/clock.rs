@@ -20,6 +20,10 @@
 //! * [`ManualClock`] — an atomic counter advanced explicitly by tests, so
 //!   golden exports and span trees are byte-stable.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "atomics: the manual clock's one tick counter, advanced only by the test that owns it"
+)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -36,9 +40,12 @@ pub trait Clock {
 
 /// The process epoch for [`SystemClock`]: pinned on first read so all
 /// readings are small, comparable `Duration`s.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one clock read outside the bench harness"
+)]
 fn process_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    #[allow(clippy::disallowed_methods)] // the sanctioned clock read
     *EPOCH.get_or_init(Instant::now)
 }
 
@@ -52,9 +59,12 @@ fn process_epoch() -> Instant {
 pub struct SystemClock;
 
 impl Clock for SystemClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one clock read outside the bench harness"
+    )]
     fn monotonic(&self) -> Duration {
         let epoch = process_epoch();
-        #[allow(clippy::disallowed_methods)] // the sanctioned clock read
         let now = Instant::now();
         now.saturating_duration_since(epoch)
     }
@@ -64,6 +74,10 @@ impl Clock for SystemClock {
 ///
 /// Shared freely across threads; all methods take `&self`.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "atomics: the manual clock's one tick counter, advanced only by the test that owns it"
+)]
 pub struct ManualClock {
     nanos: AtomicU64,
 }

@@ -29,8 +29,14 @@ use crate::clock::{Clock, SystemClock};
 use crate::snapshot::{Histogram, MetricsSnapshot, SpanStat};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+#[expect(
+    clippy::disallowed_types,
+    reason = "locks: the recorder's one coarse Mutex and its relaxed enabled flag; a write-only sink that never holds the lock across a call out of the crate"
+)]
+use std::sync::{
+    atomic::{AtomicBool, Ordering},
+    Arc, Mutex, MutexGuard,
+};
 
 #[derive(Default)]
 pub(crate) struct Inner {
@@ -97,6 +103,10 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(
 const SPAN_DEPTH: usize = 4;
 
 /// Thread-safe counters, histograms and hierarchical spans.
+#[expect(
+    clippy::disallowed_types,
+    reason = "locks: the recorder's one coarse Mutex and its relaxed enabled flag; a write-only sink that never holds the lock across a call out of the crate"
+)]
 pub struct Recorder {
     enabled: AtomicBool,
     clock: Arc<dyn Clock + Send + Sync>,
@@ -126,6 +136,10 @@ impl Recorder {
     /// An enabled recorder on an explicit clock (tests pass
     /// [`ManualClock`](crate::clock::ManualClock) for byte-stable
     /// exports).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locks: the recorder's one coarse Mutex and its relaxed enabled flag; a write-only sink that never holds the lock across a call out of the crate"
+    )]
     pub fn with_clock(clock: Arc<dyn Clock + Send + Sync>) -> Recorder {
         // Room for the span stack and path a query's spans reach, so that
         // no query pays for them.
@@ -156,6 +170,10 @@ impl Recorder {
         &self.clock
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locks: the recorder's one coarse Mutex and its relaxed enabled flag; a write-only sink that never holds the lock across a call out of the crate"
+    )]
     pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
         // A panic while holding this mutex poisons it; the data is plain
         // counters, always valid, so recover rather than propagate.
@@ -164,6 +182,10 @@ impl Recorder {
 
     /// The store, locked for a run of updates — `None` while recording is
     /// off, so a caller skips its updates without taking the lock.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locks: the recorder's one coarse Mutex and its relaxed enabled flag; a write-only sink that never holds the lock across a call out of the crate"
+    )]
     fn live(&self) -> Option<MutexGuard<'_, Inner>> {
         self.is_enabled().then(|| self.lock())
     }
@@ -316,6 +338,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test that the recorder counts exactly under contention"
+    )]
     fn concurrent_counting_is_exact() {
         let r = Recorder::new();
         std::thread::scope(|scope| {

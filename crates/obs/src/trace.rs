@@ -34,8 +34,14 @@
 use crate::clock::{duration_to_nanos, Clock, SystemClock};
 use pcqe_par::{Decision, Observer};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+#[expect(
+    clippy::disallowed_types,
+    reason = "locks: the tracer's Mutex-guarded ring buffer and its relaxed enabled flag; write-only, nothing it records feeds back into results"
+)]
+use std::sync::{
+    atomic::{AtomicBool, Ordering},
+    Arc, Mutex, MutexGuard,
+};
 
 /// Default event-buffer capacity: generous for a single query's
 /// lifecycle + operator + cache + decision events.
@@ -137,6 +143,10 @@ impl Buf {
 /// enabled flag (relaxed — the flag only gates observation, never
 /// results), an injected clock, and poison-recovering lock access so a
 /// panicking caller can never wedge tracing for the rest of the process.
+#[expect(
+    clippy::disallowed_types,
+    reason = "locks: the tracer's Mutex-guarded ring buffer and its relaxed enabled flag; write-only, nothing it records feeds back into results"
+)]
 pub struct Tracer {
     enabled: AtomicBool,
     clock: Arc<dyn Clock + Send + Sync>,
@@ -169,6 +179,10 @@ impl Tracer {
     /// An enabled tracer on an explicit clock (tests pass
     /// [`ManualClock`](crate::clock::ManualClock) for byte-stable
     /// exports) with an explicit event capacity.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locks: the tracer's Mutex-guarded ring buffer and its relaxed enabled flag; write-only, nothing it records feeds back into results"
+    )]
     pub fn with_clock(clock: Arc<dyn Clock + Send + Sync>, capacity: usize) -> Tracer {
         Tracer {
             enabled: AtomicBool::new(true),
@@ -198,6 +212,10 @@ impl Tracer {
         duration_to_nanos(self.clock.monotonic())
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locks: the tracer's Mutex-guarded ring buffer and its relaxed enabled flag; write-only, nothing it records feeds back into results"
+    )]
     fn lock(&self) -> MutexGuard<'_, Buf> {
         // Poison recovery, same as the recorder: trace events are plain
         // data, always valid, so recover rather than propagate.

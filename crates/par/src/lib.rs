@@ -42,6 +42,15 @@
 //! one way a layer opens a span on it. The dispatcher reports nothing to
 //! it.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod morsel;
 
 /// How a tuple's confidence was established on the policy-gate path.
@@ -184,6 +193,10 @@ impl Parallelism {
     }
 
     /// Workers that would actually run for a batch of `len` items.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "threads: the dispatcher sizes its worker pool to the machine when no count is set"
+    )]
     pub fn workers_for(&self, len: usize) -> usize {
         if len < self.parallel_threshold.max(2) {
             return 1;

@@ -14,6 +14,10 @@
 //! (see [`map_morsels`], [`try_map_morsels`]).
 
 use crate::Parallelism;
+#[expect(
+    clippy::disallowed_types,
+    reason = "threads: the one dispatcher: scoped workers claim unit indexes from an atomic cursor and stream (index, result) pairs over mpsc; the caller reassembles them in unit order after the scope joins, so channel order never reaches results"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -24,6 +28,11 @@ use std::sync::mpsc;
 /// so many light units stay on the calling thread. Equivalent to
 /// `units.iter().enumerate().map(|(i, u)| f(i, u)).collect()` for any
 /// thread count.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "threads: the one dispatcher: scoped workers claim unit indexes from an atomic cursor and stream (index, result) pairs over mpsc; the caller reassembles them in unit order after the scope joins, so channel order never reaches results"
+)]
 pub fn map_morsels<U, R, F>(par: &Parallelism, units: &[U], weight: usize, f: F) -> Vec<R>
 where
     U: Sync,
@@ -86,6 +95,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test that counts what the dispatcher's workers run"
+    )]
     use std::sync::atomic::AtomicUsize;
 
     fn eight() -> Parallelism {
@@ -117,6 +130,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test that light work stays on the calling thread"
+    )]
     fn weight_below_threshold_stays_on_calling_thread() {
         let caller = std::thread::current().id();
         let par = Parallelism {
@@ -130,6 +147,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test that counts what the dispatcher's workers run"
+    )]
     fn empty_and_single_unit_batches() {
         let none: Vec<u32> = Vec::new();
         for par in [eight(), Parallelism::sequential()] {
@@ -157,6 +178,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test that counts what the dispatcher's workers run"
+    )]
     fn every_unit_visited_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..5000).map(|_| AtomicUsize::new(0)).collect();
         let units: Vec<usize> = (0..5000).collect();

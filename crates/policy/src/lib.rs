@@ -30,7 +30,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 
 pub mod decision;

@@ -3,7 +3,7 @@
 use crate::error::ProvenanceError;
 use crate::model::ProvenanceRecord;
 use crate::Result;
-use pcqe_storage::Confidence;
+use pcqe_storage::{real_cmp, Confidence};
 use std::collections::BTreeMap;
 
 /// Combines provenance records into one base-tuple confidence.
@@ -85,7 +85,7 @@ impl Assigner {
             }
         }
         let mut contributions: Vec<f64> = per_source.into_values().collect();
-        contributions.sort_by(|a, b| b.total_cmp(a));
+        contributions.sort_by(|&a, &b| real_cmp(b, a));
         // `records` was checked non-empty, so there is at least one
         // contribution — but the assessor stays panic-free (PCQE-P002) by
         // treating the impossible empty case as the typed error above.

@@ -35,6 +35,15 @@
 //! assert!(corroborated > lone);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod assign;
 pub mod error;
 pub mod model;

@@ -7,7 +7,11 @@ use crate::table::{StoredTuple, Table};
 use crate::tuple::TupleId;
 use crate::value::Value;
 use crate::Result;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// One row for [`Catalog::insert_all`]: its tuple id (`None` takes the
+/// next one from the catalog's counter), its values and its confidence.
+pub type NewRow = (Option<TupleId>, Vec<Value>, f64);
 
 /// A database catalog. Tables created through the catalog draw tuple ids
 /// from a single global counter, so a [`TupleId`] unambiguously identifies
@@ -69,42 +73,57 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Whether [`Catalog::insert`] would accept this row as the `nth`
-    /// (from 0) of a run of inserts: the same checks in the same order,
-    /// the id checked being the one that insert would take, nothing
-    /// written and no id taken — what lets a caller validate every row of
-    /// a statement before the first one lands.
-    pub fn check_insert(
-        &self,
-        table: &str,
-        values: &[Value],
-        confidence: f64,
-        nth: u64,
-    ) -> Result<()> {
-        checked(confidence)?;
-        next_ids(self.next_id.saturating_add(nth))?;
-        self.table(table)?.schema().check_row(values)
-    }
-
-    /// Insert a row with an explicit tuple id (used when restoring a
-    /// persisted database, where lineage and cost functions reference the
-    /// original ids). Fails if the id is already taken anywhere in the
-    /// catalog; advances the id counter past `id`.
-    pub fn insert_with_id(
+    /// Insert a run of rows into `table`, all or nothing. Each row is
+    /// checked once, as the iterator yields it: a row without an id as
+    /// [`Catalog::insert`] checks it (its confidence, the id the counter
+    /// will hand it, its schema), a row with one for its id being new to
+    /// the catalog and to the run, then its schema and its confidence.
+    /// Rows are written only once every one has passed, so the first error
+    /// — an offending row's, or an `Err` the iterator yields — leaves no
+    /// row, id or index posting behind.
+    pub fn insert_all<E: From<StorageError>>(
         &mut self,
         table: &str,
-        id: TupleId,
-        values: Vec<Value>,
-        confidence: f64,
-    ) -> Result<TupleId> {
-        if self.find_tuple(id).is_some() {
-            return Err(StorageError::DuplicateTupleId(id.0));
+        rows: impl IntoIterator<Item = std::result::Result<NewRow, E>>,
+    ) -> std::result::Result<Vec<TupleId>, E> {
+        let rows = rows.into_iter();
+        let mut accepted: Vec<StoredTuple> = Vec::with_capacity(rows.size_hint().0);
+        let mut given = BTreeSet::new();
+        for row in rows {
+            let (id, values, confidence) = row?;
+            let (id, confidence) = match id {
+                Some(id) => {
+                    if !given.insert(id) || self.find_tuple(id).is_some() {
+                        return Err(StorageError::DuplicateTupleId(id.0).into());
+                    }
+                    self.table(table)?.schema().check_row(&values)?;
+                    (id, checked(confidence)?)
+                }
+                None => {
+                    let confidence = checked(confidence)?;
+                    let nth = accepted.len() as u64;
+                    let (id, _) = next_ids(self.next_id.saturating_add(nth))?;
+                    self.table(table)?.schema().check_row(&values)?;
+                    (id, confidence)
+                }
+            };
+            accepted.push(StoredTuple {
+                id,
+                tuple: values.into(),
+                confidence,
+            });
         }
-        let confidence = checked(confidence)?;
+        let Some(next_id) = accepted.iter().map(|row| row.id.0.saturating_add(1)).max() else {
+            return Ok(Vec::new());
+        };
+        let next_id = self.next_id.max(next_id);
         let t = self.table_mut(table)?;
-        t.insert_with_id(id, values, confidence)?;
-        self.next_id = self.next_id.max(id.0.saturating_add(1));
-        Ok(id)
+        let ids = accepted.iter().map(|row| row.id).collect();
+        for row in accepted {
+            t.push_row(row);
+        }
+        self.next_id = next_id;
+        Ok(ids)
     }
 
     /// Names of all tables, sorted.
@@ -164,7 +183,7 @@ impl Catalog {
 
 /// The id an insert takes with the counter at `counter`, and the counter
 /// after it. The counter never hands out `u64::MAX`: a restored tuple may
-/// hold it (see [`Catalog::insert_with_id`]), and nothing would come after.
+/// hold it (see [`Catalog::insert_all`]), and nothing would come after.
 fn next_ids(counter: u64) -> Result<(TupleId, u64)> {
     let next = counter
         .checked_add(1)

@@ -9,13 +9,11 @@
 //! get fresh ids. Empty unquoted fields load as NULL.
 
 use crate::catalog::Catalog;
-use crate::confidence::checked;
 use crate::error::StorageError;
 use crate::table::Table;
 use crate::tuple::TupleId;
 use crate::value::{DataType, Value};
 use crate::Result;
-use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 
 /// Header of the optional leading tuple-id column.
@@ -56,10 +54,11 @@ fn write_rows<W: Write>(table: &Table, with_ids: bool, out: &mut W) -> std::io::
 /// the ids the file gives them, as [`write_table_with_ids`] wrote them,
 /// instead of taking fresh ones — and optionally followed by `confidence`.
 ///
-/// All or nothing: every record is parsed and checked — as the insert
-/// would check it, a given id also against the file's earlier rows —
-/// before the first is written, so a refused load (the error is that of
-/// its first offending line) leaves no row, id or index posting behind.
+/// All or nothing: every record is parsed and checked once, by
+/// [`Catalog::insert_all`] — a given id also against the file's earlier
+/// rows — before the first is written, so a refused load (the error is
+/// that of its first offending line) leaves no row, id or index posting
+/// behind.
 pub fn load_into<R: BufRead>(
     catalog: &mut Catalog,
     table: &str,
@@ -69,8 +68,7 @@ pub fn load_into<R: BufRead>(
     let header = records
         .next()
         .ok_or_else(|| csv_err(0, "missing header row"))?;
-    let t = catalog.table(table)?;
-    let schema = t.schema();
+    let schema = catalog.table(table)?.schema().clone();
     let with_confidence = header
         .last()
         .is_some_and(|h| h.eq_ignore_ascii_case("confidence"));
@@ -100,9 +98,7 @@ pub fn load_into<R: BufRead>(
             ));
         }
     }
-    let mut rows = Vec::with_capacity(records.len());
-    let mut given_ids = BTreeSet::new();
-    for (i, record) in records.enumerate() {
+    let rows = records.enumerate().map(|(i, record)| {
         let line = i + 2;
         if record.len() != expected {
             return Err(csv_err(
@@ -130,24 +126,9 @@ pub fn load_into<R: BufRead>(
         for (raw, col) in fields.iter().zip(schema.columns()) {
             values.push(parse_value(raw, col.data_type, line)?);
         }
-        match id {
-            Some(id) => {
-                if !given_ids.insert(id) || catalog.find_tuple(id).is_some() {
-                    return Err(StorageError::DuplicateTupleId(id.0));
-                }
-                t.schema().check_row(&values)?;
-                checked(confidence)?;
-            }
-            None => catalog.check_insert(table, &values, confidence, rows.len() as u64)?,
-        }
-        rows.push((id, values, confidence));
-    }
-    rows.into_iter()
-        .map(|(id, values, confidence)| match id {
-            Some(id) => catalog.insert_with_id(table, id, values, confidence),
-            None => catalog.insert(table, values, confidence),
-        })
-        .collect()
+        Ok((id, values, confidence))
+    });
+    catalog.insert_all(table, rows)
 }
 
 fn parse_value(raw: &str, ty: DataType, line: usize) -> Result<Value> {

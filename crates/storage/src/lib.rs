@@ -32,7 +32,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 
 pub mod catalog;
@@ -47,7 +48,7 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
-pub use catalog::Catalog;
+pub use catalog::{Catalog, NewRow};
 pub use confidence::Confidence;
 pub use error::StorageError;
 pub use image::Image;

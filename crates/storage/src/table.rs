@@ -15,7 +15,10 @@ use crate::Result;
 
 /// The row position of each tuple id. Lookup only: the map is never
 /// iterated, so its order cannot reach a result.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup only: the map is never iterated, so its order cannot reach a result"
+)]
 type PositionById = std::collections::HashMap<TupleId, usize>;
 
 /// A stored base tuple: id, values and its current confidence value.

@@ -114,7 +114,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_types)] // the `Hash` impl is what is under test
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the `Hash` impl is what is under test"
+    )]
     fn tuples_hash_and_compare() {
         use std::collections::HashSet;
         let a = Tuple::new(vec![Value::text("same")]);

@@ -143,6 +143,10 @@ impl Value {
 /// typed kernel that compares unboxed reals calls this, and so agrees
 /// with `sql_cmp` by construction.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one home of the IEEE 754 total order over f64"
+)]
 pub fn real_cmp(x: f64, y: f64) -> Ordering {
     x.total_cmp(&y)
 }
@@ -167,7 +171,7 @@ impl Ord for Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Real(a), Value::Real(b)) => a.total_cmp(b),
+            (Value::Real(a), Value::Real(b)) => real_cmp(*a, *b),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
         }

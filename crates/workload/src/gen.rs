@@ -16,6 +16,10 @@ use pcqe_lineage::Lineage;
 /// of small AND-groups — the random AND/OR DAGs of Section 5.1 — sized so
 /// initial confidences land well below β but the threshold stays reachable
 /// with a handful of δ increments.
+#[expect(
+    clippy::expect_used,
+    reason = "a deck is refilled from its cluster, which the dealing loop made non-empty"
+)]
 pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
     let mut rng = Rng64::seed_from_u64(params.seed);
     let k = params.data_size;
@@ -143,6 +147,10 @@ pub fn generate_batch(
 }
 
 /// One of the paper's three cost-function families, with random scale.
+#[expect(
+    clippy::expect_used,
+    reason = "every scale drawn lies inside its family's valid range"
+)]
 fn random_cost(rng: &mut Rng64) -> CostFn {
     match rng.below_usize(3) {
         0 => CostFn::binomial(rng.range_f64(20.0, 200.0)).expect("valid range"),
@@ -154,6 +162,10 @@ fn random_cost(rng: &mut Rng64) -> CostFn {
 /// An OR of AND-groups over the given bases. At most one singleton group
 /// (and only for small fan-in) keeps the initial confidence below β; the
 /// remaining bases pair into AND-groups of 2–3.
+#[expect(
+    clippy::expect_used,
+    reason = "the singleton is popped only after the length is checked"
+)]
 fn random_dag(rng: &mut Rng64, bases: &[u64], fan_in: usize) -> Lineage {
     let mut rest: Vec<u64> = bases.to_vec();
     rng.shuffle(&mut rest);

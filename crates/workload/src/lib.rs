@@ -21,6 +21,15 @@
 //! divide-and-conquer algorithm exploits, plus a configurable fraction of
 //! cross-cluster references.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod gen;
 pub mod params;
 

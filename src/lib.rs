@@ -57,6 +57,15 @@
 //! }
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub use pcqe_algebra as algebra;
 pub use pcqe_core as core;
 pub use pcqe_cost as cost;

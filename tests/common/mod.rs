@@ -28,7 +28,7 @@ use pcqe::engine::{Database, StatementOutcome};
 use pcqe::lineage::{Lineage, Rng64};
 use pcqe::obs::MetricsSnapshot;
 use pcqe::policy::ConfidencePolicy;
-use pcqe::storage::{Catalog, DataType, TupleId, Value};
+use pcqe::storage::{real_cmp, Catalog, DataType, TupleId, Value};
 pub use reference::*;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
@@ -251,7 +251,7 @@ pub fn rescan_greedy(problem: &ProblemInstance) -> (Solution, u64, u64) {
         last_gain[pick] = gain;
         iterations += 1;
     }
-    raised.sort_by(|&a, &b| last_gain[a].total_cmp(&last_gain[b]).then(a.cmp(&b)));
+    raised.sort_by(|&a, &b| real_cmp(last_gain[a], last_gain[b]).then(a.cmp(&b)));
     let mut reductions = 0;
     for &i in &raised {
         while state.step_down(i) {

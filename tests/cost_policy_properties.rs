@@ -8,6 +8,7 @@ use common::for_each_case;
 use pcqe::cost::CostFn;
 use pcqe::lineage::Rng64;
 use pcqe::policy::{ConfidencePolicy, PolicyStore, Purpose, Role};
+use pcqe::storage::real_cmp;
 
 const CASES: u64 = 256;
 
@@ -57,7 +58,7 @@ fn costs_are_additive_along_paths() {
     for_each_case(CASES, 0xC057_0002, |rng| {
         let cost = random_cost_fn(rng);
         let mut points = [rng.next_f64(), rng.next_f64(), rng.next_f64()];
-        points.sort_by(f64::total_cmp);
+        points.sort_by(|&a, &b| real_cmp(a, b));
         let [x, y, z] = points;
         let direct = cost.cost(x, z);
         let stepped = cost.cost(x, y) + cost.cost(y, z);

@@ -570,3 +570,23 @@ fn an_index_changes_no_error_a_user_sees() {
     );
     assert!(!plain.contains("IndexScan"), "{plain}");
 }
+
+/// `LIMIT` cuts before the policy gate (DESIGN.md § 13): of the five rows
+/// ordered by `k`, the limit keeps the first two, both at or below β, and
+/// the gate withholds them, although three rows of the table clear β.
+/// The counts were read on the parent commit.
+#[test]
+fn limit_cuts_before_the_gate() {
+    let mut db = Database::new(EngineConfig::default());
+    db.execute("CREATE TABLE T (k INT)").unwrap();
+    for (k, c) in [(1, 0.1), (2, 0.2), (3, 0.9), (4, 0.95), (5, 0.3)] {
+        db.execute(&format!("INSERT INTO T VALUES ({k}) WITH CONFIDENCE {c}"))
+            .unwrap();
+    }
+    db.add_policy(ConfidencePolicy::new("clerk", "reporting", 0.5).unwrap());
+    let clerk = User::new("carl", "clerk");
+    let request = QueryRequest::new("SELECT k FROM T ORDER BY k LIMIT 2", "reporting");
+    let resp = db.query(&clerk, &request).unwrap();
+    assert_eq!(resp.released.len(), 0, "{resp:?}");
+    assert_eq!(resp.withheld, 2, "{resp:?}");
+}

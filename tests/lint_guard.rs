@@ -7,8 +7,12 @@
 //! analysis `ci.sh` runs as a dedicated step; the test form makes it part
 //! of the plain `cargo test` contract, and so is the suppression ratchet:
 //! how many findings each rule may have suppressed is the table below.
+//! The invariants clippy states (`clippy.toml`, the crate roots' deny
+//! line) take their exceptions as `#[expect(…)]` attributes, and those
+//! are a reviewed table here too.
 
-use pcqe_lint::rules::{FileClass, Rule};
+use pcqe_lint::rules::{is_test_code, Rule};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
@@ -20,7 +24,7 @@ use std::path::Path;
 /// count is raised beside the entry's reason, and a suppression that went
 /// away fails until its count is lowered with the change that removed it.
 const SUPPRESSED: [(&str, usize); 5] = [
-    ("PCQE-D004", 2),
+    ("PCQE-D004", 3),
     ("PCQE-P002", 82),
     ("PCQE-F001", 3),
     ("PCQE-F002", 5),
@@ -75,18 +79,153 @@ fn workspace_passes_its_own_static_analysis() {
     );
 }
 
-/// The panic-guarded crates deny clippy's panic lints at their roots
-/// (`./ci.sh --stage clippy` checks them), while pcqe-lint's
-/// `PANIC_GUARDED` list decides where P002 reports only index panics,
-/// leaving `unwrap`/`expect`/`panic!` to clippy. The two must name the
-/// same crates, in both directions: a crate added to the list without the
-/// deny line would get index-only reporting and no unwrap check at all.
-/// Every crate root and every `src/bin` program carries the line if and
-/// only if the analyzer classifies it as panic-guarded.
+/// Every `#[expect(…)]` in the workspace, per file and lint, in path
+/// order: each is an exception to an invariant clippy holds
+/// (`clippy.toml`'s disallowed types and methods, the crate roots' panic
+/// lints). The counts are held for *equality*, like [`SUPPRESSED`]: a new
+/// exception fails here until its row is added beside the reason, and one
+/// that went away fails until its row is lowered. (An expectation that
+/// is no longer met fails `./ci.sh --stage clippy` on its own, as
+/// rustc's `unfulfilled_lint_expectations`.)
+///
+/// The table is also where the concurrency containment premise of
+/// DESIGN.md § 7 is read: only pcqe-obs locks, only pcqe-par starts
+/// threads, and no file does both. A production expectation for a lock
+/// starts its reason with `locks:`, one for a thread with `threads:`;
+/// the test holds where those may stand.
+const EXPECTED: [(&str, &str, usize); 17] = [
+    ("crates/core/src/sink.rs", "clippy::disallowed_types", 2),
+    ("crates/engine/src/config.rs", "clippy::expect_used", 1),
+    ("crates/lineage/src/cache.rs", "clippy::disallowed_types", 1),
+    ("crates/obs/src/clock.rs", "clippy::disallowed_methods", 2),
+    ("crates/obs/src/clock.rs", "clippy::disallowed_types", 2),
+    (
+        "crates/obs/src/recorder.rs",
+        "clippy::disallowed_methods",
+        1,
+    ),
+    ("crates/obs/src/recorder.rs", "clippy::disallowed_types", 5),
+    ("crates/obs/src/trace.rs", "clippy::disallowed_types", 4),
+    ("crates/par/src/lib.rs", "clippy::disallowed_methods", 1),
+    ("crates/par/src/morsel.rs", "clippy::disallowed_methods", 2),
+    ("crates/par/src/morsel.rs", "clippy::disallowed_types", 5),
+    ("crates/storage/src/table.rs", "clippy::disallowed_types", 1),
+    ("crates/storage/src/tuple.rs", "clippy::disallowed_types", 1),
+    (
+        "crates/storage/src/value.rs",
+        "clippy::disallowed_methods",
+        1,
+    ),
+    ("crates/workload/src/gen.rs", "clippy::expect_used", 3),
+    ("tests/obs_determinism.rs", "clippy::disallowed_types", 2),
+    ("tests/trace_determinism.rs", "clippy::disallowed_types", 2),
+];
+
+#[test]
+fn clippy_expectations_match_the_reviewed_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = pcqe_lint::walk::rust_sources(root).expect("workspace walks");
+    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
+    // Files whose production code holds a lock / starts a thread.
+    let (mut locks, mut threads) = (BTreeSet::new(), BTreeSet::new());
+    // Production `#[allow]`s and module-level attributes for the lints
+    // whose exceptions the table holds.
+    let mut unlisted = Vec::new();
+    // The detached bench workspace has its own clippy.toml, and the
+    // analyzer's fixtures are never compiled.
+    let compiled = sources
+        .iter()
+        .filter(|p| !p.starts_with("crates/bench/") && !p.contains("/fixtures/"));
+    for path in compiled {
+        let text = fs::read_to_string(root.join(path)).expect("source is readable");
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        let tests_from = (lines.iter())
+            .position(|l| *l == "#[cfg(test)]")
+            .unwrap_or(lines.len());
+        for (at, line) in lines.iter().enumerate() {
+            let production = !is_test_code(path) && at < tests_from;
+            let held = [
+                "disallowed_types",
+                "disallowed_methods",
+                "expect_used",
+                "float_cmp",
+            ];
+            let bypass = line.starts_with("#![expect(")
+                || ((line.starts_with("#[allow(") || line.starts_with("#![allow("))
+                    && held.iter().any(|lint| line.contains(lint)));
+            if production && bypass {
+                unlisted.push(format!("{path}:{}: {line}", at + 1));
+            }
+            if !line.starts_with("#[expect(") {
+                continue;
+            }
+            // The attribute, joined across the lines rustfmt wraps it onto.
+            let mut attr = String::new();
+            for l in &lines[at..] {
+                attr.push_str(l);
+                if attr.contains(")]") {
+                    break;
+                }
+            }
+            let body = &attr["#[expect(".len()..];
+            let (lints, rest) = body
+                .split_once("reason")
+                .unwrap_or_else(|| panic!("{path}:{}: an expectation without a reason", at + 1));
+            for lint in lints.split(',').map(str::trim).filter(|l| !l.is_empty()) {
+                *counts.entry((path.clone(), lint.to_owned())).or_default() += 1;
+            }
+            let reason = rest.split('"').nth(1).unwrap_or_default();
+            if production {
+                if reason.starts_with("locks:") {
+                    locks.insert(path.clone());
+                }
+                if reason.starts_with("threads:") {
+                    threads.insert(path.clone());
+                }
+            }
+        }
+    }
+    let got: Vec<(&str, &str, usize)> = counts
+        .iter()
+        .map(|((path, lint), &n)| (path.as_str(), lint.as_str(), n))
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "an exception must be an item-level `#[expect(…, reason)]`:\n{}",
+        unlisted.join("\n")
+    );
+    assert_eq!(
+        got, EXPECTED,
+        "`#[expect(…)]`s per file and lint (left) differ from the reviewed table \
+         (right): change a row only with the exception's reason under review"
+    );
+
+    let see = "lock order is no longer settled by containment: argue it and update \
+               DESIGN.md § 7 (\"Containment instead of a lock-order analysis\") before \
+               widening this pin";
+    assert!(
+        locks.iter().all(|p| p.starts_with("crates/obs/src/")),
+        "a lock outside pcqe-obs: {locks:?}; {see}"
+    );
+    assert!(
+        threads.iter().all(|p| p.starts_with("crates/par/src/")),
+        "a thread outside pcqe-par: {threads:?}; {see}"
+    );
+    assert!(
+        !locks.is_empty() && !threads.is_empty(),
+        "{locks:?} {threads:?}"
+    );
+    assert!(locks.is_disjoint(&threads), "{see}");
+}
+
+/// Every crate root and every `src/bin` program of the workspace denies
+/// clippy's panic lints (`./ci.sh --stage clippy` checks them), so
+/// `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`unreachable!` are
+/// clippy's everywhere, and pcqe-lint's P002 reports only index panics.
 #[test]
 fn panic_guarded_crate_roots_deny_clippys_panic_lints() {
     const DENY: &str = "#![deny(clippy::unwrap_used,clippy::expect_used,clippy::panic,\
-                        clippy::todo,clippy::unimplemented)]";
+                        clippy::todo,clippy::unimplemented,clippy::unreachable)]";
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let sorted = |dir: &Path| -> Vec<String> {
         let mut names: Vec<String> = fs::read_dir(dir)
@@ -102,6 +241,10 @@ fn panic_guarded_crate_roots_deny_clippys_panic_lints() {
     };
     let mut programs = vec!["src/lib.rs".to_owned()];
     for krate in sorted(&root.join("crates")) {
+        // The detached bench workspace is not a member.
+        if krate == "bench" {
+            continue;
+        }
         let src = format!("crates/{krate}/src");
         programs.push(format!("{src}/lib.rs"));
         programs.push(format!("{src}/main.rs"));
@@ -110,54 +253,39 @@ fn panic_guarded_crate_roots_deny_clippys_panic_lints() {
         }
     }
     programs.retain(|p| p.ends_with(".rs") && root.join(p).is_file());
+    assert!(programs.len() >= 14, "too few programs: {programs:?}");
 
-    let mut guarded = 0;
-    let mut mismatched = Vec::new();
-    for path in &programs {
-        let text = fs::read_to_string(root.join(path)).expect("source is readable");
-        // Comments do not count; rustfmt may wrap the attribute.
-        let code: String = text
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("//"))
-            .flat_map(|l| l.chars().filter(|c| !c.is_whitespace()))
-            .collect();
-        let denies = code.contains(DENY);
-        let expected = FileClass::classify(path).p001;
-        guarded += usize::from(expected);
-        if denies != expected {
-            mismatched.push(format!(
-                "{path}: {} the deny line, but pcqe-lint classifies it as {}",
-                if denies { "carries" } else { "lacks" },
-                if expected {
-                    "panic-guarded"
-                } else {
-                    "not panic-guarded"
-                }
-            ));
-        }
-    }
-    assert!(guarded > 0, "no panic-guarded program among {programs:?}");
+    let lacking: Vec<&String> = programs
+        .iter()
+        .filter(|path| {
+            let text = fs::read_to_string(root.join(path)).expect("source is readable");
+            // Comments do not count; rustfmt may wrap the attribute.
+            let code: String = text
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .flat_map(|l| l.chars().filter(|c| !c.is_whitespace()))
+                .collect();
+            !code.contains(DENY)
+        })
+        .collect();
     assert!(
-        mismatched.is_empty(),
-        "crate roots and PANIC_GUARDED disagree:\n{}",
-        mismatched.join("\n")
+        lacking.is_empty(),
+        "these programs lack the deny line {DENY}: {lacking:?}"
     );
 }
 
 /// The graph-layer rules (P002 panic-reachability, G001 policy-gating),
-/// the token rules D004 (float determinism) and C002 (capability
-/// coverage), and the hygiene rule A002 must all be live — i.e. they
-/// fire on the fixture trees that plant exactly one violation each. A
-/// rule that silently stopped firing would turn the clean workspace
-/// gate above into a vacuous check. (The hygiene rule A003 is covered
-/// by `tests/concurrency_lint_guard.rs`, the dataflow rules by
-/// `tests/flow_lint_guard.rs`.)
+/// the token rule D004 (float determinism) and the hygiene rule A002
+/// must all be live — i.e. they fire on the fixture trees that plant
+/// exactly one violation each. A rule that silently stopped firing would
+/// turn the clean workspace gate above into a vacuous check. (The
+/// dataflow rules are covered by `tests/flow_lint_guard.rs`.)
 #[test]
 fn reachability_and_hygiene_rules_are_live() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let graph = pcqe_lint::analyze(&root.join("crates/lint/tests/fixtures/graph"))
         .expect("graph fixture analysis runs");
-    for rule in [Rule::P002, Rule::D004, Rule::C002, Rule::G001] {
+    for rule in [Rule::P002, Rule::D004, Rule::G001] {
         assert!(
             graph.findings.iter().any(|f| f.rule == rule),
             "{} must fire on the graph fixture:\n{}",

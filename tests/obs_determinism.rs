@@ -26,6 +26,10 @@ use pcqe::par::Span;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Column, DataType, Schema, Value};
 use std::collections::BTreeMap;
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test clock that moves on at every read"
+)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -579,6 +583,10 @@ Project [id, region] (rows_in=80 rows_out=80 lineage_nodes=240)
 /// A clock that moves on by one microsecond at every read, so every span
 /// that reads it twice lasts a while.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test clock that moves on at every read"
+)]
 struct Ticking(AtomicU64);
 
 impl Clock for Ticking {

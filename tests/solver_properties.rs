@@ -13,7 +13,7 @@ mod common;
 use common::{exhaustive, for_each_case, rescan_greedy};
 use pcqe::core::dnc::{self, DncOptions};
 use pcqe::core::greedy::{self, GreedyOptions};
-use pcqe::core::heuristic::{self, HeuristicOptions};
+use pcqe::core::heuristic::{self, Heuristic, HeuristicOptions};
 use pcqe::core::multi::{self, MultiQueryProblem};
 use pcqe::core::problem::{ProblemBuilder, ProblemInstance};
 use pcqe::core::state::EvalState;
@@ -229,11 +229,14 @@ fn check_pruning(problem: &ProblemInstance) {
     for family in [
         vec![
             HeuristicOptions::naive(),
-            HeuristicOptions::only(2),
-            HeuristicOptions::only(3),
-            HeuristicOptions::only(4),
+            HeuristicOptions::only(Heuristic::H2SiblingPrune),
+            HeuristicOptions::only(Heuristic::H3OptimisticPrune),
+            HeuristicOptions::only(Heuristic::H4CostBound),
         ],
-        vec![HeuristicOptions::only(1), HeuristicOptions::all()],
+        vec![
+            HeuristicOptions::only(Heuristic::H1Ordering),
+            HeuristicOptions::all(),
+        ],
     ] {
         for seed in [None, Some(&seed)] {
             let mut first: Option<Solution> = None;
@@ -267,9 +270,9 @@ fn check_pruning(problem: &ProblemInstance) {
     // can go either way on any one instance (it helps on average, as
     // Figure 11(a) shows).
     for config in [
-        HeuristicOptions::only(2),
-        HeuristicOptions::only(3),
-        HeuristicOptions::only(4),
+        HeuristicOptions::only(Heuristic::H2SiblingPrune),
+        HeuristicOptions::only(Heuristic::H3OptimisticPrune),
+        HeuristicOptions::only(Heuristic::H4CostBound),
     ] {
         let out = heuristic::solve(problem, &config).unwrap();
         assert!(
@@ -633,11 +636,14 @@ fn search_trees(problem: &ProblemInstance) -> [[u64; 9]; 2] {
     for (row, configs) in rows.iter_mut().zip([
         vec![
             HeuristicOptions::naive(),
-            HeuristicOptions::only(1),
-            HeuristicOptions::only(2),
-            HeuristicOptions::only(4),
+            HeuristicOptions::only(Heuristic::H1Ordering),
+            HeuristicOptions::only(Heuristic::H2SiblingPrune),
+            HeuristicOptions::only(Heuristic::H4CostBound),
         ],
-        vec![HeuristicOptions::only(3), HeuristicOptions::all()],
+        vec![
+            HeuristicOptions::only(Heuristic::H3OptimisticPrune),
+            HeuristicOptions::all(),
+        ],
     ]) {
         let mut counters = Vec::new();
         let mut solutions = Vec::new();

@@ -29,6 +29,10 @@ use pcqe::obs::{QueryTrace, Tracer};
 use pcqe::par::{ConfidencePath, Decision, Observer, Parallelism};
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{Catalog, Column, DataType, Schema, TupleId, Value};
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test listener that counts the calls it gets"
+)]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -392,6 +396,10 @@ fn trace_query_restores_the_tracer_state_it_found() {
 /// `enabled` says whether it claims to keep a timeline (it is then its
 /// own `Observer::timeline`).
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test listener that counts the calls it gets"
+)]
 struct Counting {
     enabled: bool,
     span_begins: AtomicU64,
