@@ -73,8 +73,9 @@ stage_test() { # tests (offline, whole workspace)
 
 stage_smoke_metrics() { # observability smoke export (quickstart -> results/metrics.json)
   # The quickstart example ends by exporting its metrics snapshot; the
-  # in-repo JSON parser then validates the document, proving the
-  # exporter and parser agree end to end without any external tooling.
+  # in-repo JSON parser then validates the document (its `counters` and
+  # `spans` members), proving the exporter and parser agree end to end
+  # without any external tooling.
   cargo run -q --offline --example quickstart > /dev/null
   cargo run -q --offline -p pcqe-obs --bin pcqe-obs-validate -- results/metrics.json
 }

@@ -134,11 +134,12 @@ impl ResultSet {
     /// clears β only if the exact value does. With `gate: None` the walk
     /// runs only for a row past the budget, and no row is flagged.
     ///
-    /// The per-row [`ConfidencePath`] report says how each gate-facing
-    /// confidence was obtained: `BetaSkipped` for skipped rows, `Bounded`
-    /// for rows past the budget, `CacheHit` when the whole circuit came
-    /// from the root memo, `Exact` when compilation ran. Scoring observes
-    /// nothing: the caller reports each row's path in its gate `Decision`.
+    /// The per-row [`ConfidencePath`] report says what each gate-facing
+    /// confidence is: `BetaSkipped` for skipped rows (an upper bound),
+    /// `Bounded` for rows past the budget (a lower bound), `Exact`
+    /// otherwise, whether compiled afresh or served by the memo. Scoring
+    /// observes nothing: the caller reports each row's path in its gate
+    /// `Decision`.
     pub fn score_with(
         self,
         cache: &mut CircuitCache,
@@ -156,13 +157,9 @@ impl ResultSet {
             let (confidence, path) = match (walked, gate) {
                 (Some(b), Some(beta)) if b.upper <= beta => (b.upper, ConfidencePath::BetaSkipped),
                 _ => {
-                    let before = cache.stats();
                     let exact = cache.score_lineage(&row.lineage, evaluator);
                     let walk = || walked.map_or_else(|| bounds(&row.lineage, cache.probs()), Ok);
-                    match exact_or_lower(exact, walk)? {
-                        (p, false) => (p, classify_cached(before, cache.stats())),
-                        (p, true) => (p, ConfidencePath::Bounded),
-                    }
+                    exact_or_lower(exact, walk)?
                 }
             };
             let skip = path == ConfidencePath::BetaSkipped;
@@ -250,33 +247,20 @@ pub struct GatedScore {
     pub exact_skipped: usize,
 }
 
-/// Classify one cached scoring step from the stats delta it left: no
-/// fresh root compile plus at least one compile-memo hit means the pool
-/// answered ([`ConfidencePath::CacheHit`]); anything else ran fresh
-/// arithmetic ([`ConfidencePath::Exact`]).
-fn classify_cached(
-    before: pcqe_lineage::CacheStats,
-    after: pcqe_lineage::CacheStats,
-) -> ConfidencePath {
-    if after.compiled == before.compiled && after.compile_hits > before.compile_hits {
-        ConfidencePath::CacheHit
-    } else {
-        ConfidencePath::Exact
-    }
-}
-
 /// The confidence of a row whose exact evaluation gave `exact`: that
 /// value, or — when it ran past the evaluator's Shannon budget — the
-/// lower end of the row's Fréchet bounds, which `walk` supplies (`true`
-/// marks that case). Sound for release: `lower > β` implies `exact > β`.
-/// The one place a budget-exhausted row gets its confidence.
+/// lower end of the row's Fréchet bounds, which `walk` supplies — with
+/// the path that names which. Sound for release: `lower > β` implies
+/// `exact > β`. The one place a budget-exhausted row gets its confidence.
 fn exact_or_lower(
     exact: pcqe_lineage::Result<f64>,
     walk: impl FnOnce() -> pcqe_lineage::Result<Bounds>,
-) -> Result<(f64, bool)> {
+) -> Result<(f64, ConfidencePath)> {
     match exact {
-        Ok(p) => Ok((p, false)),
-        Err(LineageError::BudgetExceeded { .. }) => Ok((walk().map_err(lineage_err)?.lower, true)),
+        Ok(p) => Ok((p, ConfidencePath::Exact)),
+        Err(LineageError::BudgetExceeded { .. }) => {
+            Ok((walk().map_err(lineage_err)?.lower, ConfidencePath::Bounded))
+        }
         Err(e) => Err(lineage_err(e)),
     }
 }

@@ -292,6 +292,7 @@ mod tests {
     use super::*;
     use crate::heuristic;
     use crate::problem::ProblemBuilder;
+    use crate::solution::check::check_solution;
     use pcqe_cost::CostFn;
     use pcqe_lineage::Lineage;
 
@@ -330,7 +331,7 @@ mod tests {
     fn solves_and_validates() {
         let p = clustered_instance(3);
         let out = solve(&p, &DncOptions::default()).unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
         assert!(out.stats.groups >= 2, "clusters must not collapse");
     }
 
@@ -340,7 +341,7 @@ mod tests {
             let p = clustered_instance(required);
             let exact = heuristic::solve(&p, &HeuristicOptions::all()).unwrap();
             let dnc = solve(&p, &DncOptions::default()).unwrap();
-            dnc.solution.validate(&p).unwrap();
+            check_solution(&dnc.solution, &p).unwrap();
             assert!(
                 dnc.solution.cost <= exact.solution.cost * 1.5 + 1e-9,
                 "required={required}: dnc {} vs optimal {}",
@@ -381,14 +382,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.stats.bb_groups, 0);
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
     }
 
     #[test]
     fn full_quota_across_all_groups() {
         let p = clustered_instance(5);
         let out = solve(&p, &DncOptions::default()).unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
         assert_eq!(out.solution.satisfied.len(), 5);
     }
 
@@ -425,7 +426,7 @@ mod tests {
             },
         )
         .unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
         assert_eq!(out.stats.groups, 2);
     }
 }

@@ -283,6 +283,7 @@ pub(crate) fn roll_back(state: &mut EvalState<'_>, candidates: &[usize]) -> u64 
 mod tests {
     use super::*;
     use crate::problem::ProblemBuilder;
+    use crate::solution::check::check_solution;
     use pcqe_cost::CostFn;
     use pcqe_lineage::Lineage;
 
@@ -309,7 +310,7 @@ mod tests {
         .unwrap();
         let p = b.require(1).build().unwrap();
         let out = solve(&p, &GreedyOptions::default()).unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
         assert!(
             (out.solution.levels[2] - 0.2).abs() < 1e-12,
             "t13 raised one step"
@@ -331,7 +332,7 @@ mod tests {
             .unwrap();
         let p = b.require(1).build().unwrap();
         let out = solve(&p, &GreedyOptions::default()).unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
         assert!((out.solution.levels[0] - 0.1).abs() < 1e-12);
         assert!(out.solution.levels[1] > 0.4);
     }
@@ -379,8 +380,8 @@ mod tests {
         let p = b.require(3).build().unwrap();
         let two = solve(&p, &GreedyOptions::default()).unwrap();
         let one = solve(&p, &GreedyOptions::one_phase()).unwrap();
-        two.solution.validate(&p).unwrap();
-        one.solution.validate(&p).unwrap();
+        check_solution(&two.solution, &p).unwrap();
+        check_solution(&one.solution, &p).unwrap();
         assert!(two.solution.cost <= one.solution.cost + 1e-9);
     }
 
@@ -414,7 +415,7 @@ mod tests {
             .unwrap();
         let p = b.require(1).build().unwrap();
         let out = solve(&p, &GreedyOptions::default()).unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
         assert!(out.solution.levels[0] * out.solution.levels[1] > 0.5);
     }
 
@@ -431,7 +432,7 @@ mod tests {
             ..GreedyOptions::default()
         };
         let out = solve(&p, &opts).unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
     }
 
     #[test]

@@ -345,6 +345,7 @@ mod tests {
     use super::*;
     use crate::greedy::{self, GreedyOptions};
     use crate::problem::ProblemBuilder;
+    use crate::solution::check::check_solution;
     use pcqe_cost::CostFn;
     use pcqe_lineage::Lineage;
 
@@ -370,7 +371,7 @@ mod tests {
     fn finds_the_paper_optimum() {
         let p = paper_instance();
         let out = solve(&p, &HeuristicOptions::all()).unwrap();
-        out.solution.validate(&p).unwrap();
+        check_solution(&out.solution, &p).unwrap();
         // Optimal: raise tuple 03 by one step (0.4 → 0.5), cost 10,
         // giving p38 = 0.065 > 0.06.
         assert!((out.solution.cost - 10.0).abs() < 1e-9);
@@ -441,7 +442,7 @@ mod tests {
         let seeded = solve(&p, &HeuristicOptions::all().with_seed(seed)).unwrap();
         assert!((seeded.solution.cost - unseeded.solution.cost).abs() < 1e-9);
         assert!(seeded.stats.nodes <= unseeded.stats.nodes);
-        seeded.solution.validate(&p).unwrap();
+        check_solution(&seeded.solution, &p).unwrap();
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! Solutions and their validation.
+//! Solutions: final confidence levels and the increments they imply.
 
-use crate::error::CoreError;
 use crate::problem::ProblemInstance;
-use crate::Result;
 
 /// One suggested confidence increment for a base tuple — what the strategy
 /// finder reports to the user ("the increment cost and the data whose
@@ -51,64 +49,6 @@ impl Solution {
         }
         out
     }
-
-    /// Validate the solution against its problem: levels in range and on
-    /// the grid, the satisfied set correct, the quota met, and the cost
-    /// consistent with the levels.
-    pub fn validate(&self, problem: &ProblemInstance) -> Result<()> {
-        if self.levels.len() != problem.bases.len() {
-            return Err(CoreError::InvalidProblem(format!(
-                "solution has {} levels for {} bases",
-                self.levels.len(),
-                problem.bases.len()
-            )));
-        }
-        let mut cost = 0.0;
-        for (i, (&l, base)) in self.levels.iter().zip(&problem.bases).enumerate() {
-            if l < base.initial - 1e-9 || l > base.max + 1e-9 {
-                return Err(CoreError::InvalidProblem(format!(
-                    "level {l} of base {i} outside [{}, {}]",
-                    base.initial, base.max
-                )));
-            }
-            let steps = (l - base.initial) / problem.delta;
-            let on_grid = (steps - steps.round()).abs() < 1e-6 || (l - base.max).abs() < 1e-9;
-            if !on_grid {
-                return Err(CoreError::InvalidProblem(format!(
-                    "level {l} of base {i} is off the δ grid"
-                )));
-            }
-            cost += base.cost.cost(base.initial, l);
-        }
-        if (cost - self.cost).abs() > 1e-6 * (1.0 + cost.abs()) {
-            return Err(CoreError::InvalidProblem(format!(
-                "declared cost {} but levels cost {cost}",
-                self.cost
-            )));
-        }
-        let mut satisfied = Vec::new();
-        let mut probs = Vec::new();
-        for (ri, r) in problem.results.iter().enumerate() {
-            probs.clear();
-            probs.extend(r.bases.iter().map(|&b| self.levels[b]));
-            if r.conf.eval(&probs) > problem.beta {
-                satisfied.push(ri);
-            }
-        }
-        if satisfied != self.satisfied {
-            return Err(CoreError::InvalidProblem(format!(
-                "declared satisfied set {:?} but recomputed {:?}",
-                self.satisfied, satisfied
-            )));
-        }
-        if satisfied.len() < problem.required {
-            return Err(CoreError::Infeasible {
-                achievable: satisfied.len(),
-                required: problem.required,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// A solution together with solver-specific statistics.
@@ -121,7 +61,14 @@ pub struct SolveOutcome<S> {
 }
 
 #[cfg(test)]
+/// The reference check of a solver's answer, shared with the workspace
+/// tests; every solver's unit tests hold its answers to it.
+#[path = "../../../tests/common/solution_check.rs"]
+pub(crate) mod check;
+
+#[cfg(test)]
 mod tests {
+    use super::check::check_solution;
     use super::*;
     use crate::problem::ProblemBuilder;
     use pcqe_cost::CostFn;
@@ -142,54 +89,10 @@ mod tests {
             cost: 5.0,
             satisfied: vec![0],
         };
-        s.validate(&p).unwrap();
+        check_solution(&s, &p).unwrap();
         let incs = s.increments(&p);
         assert_eq!(incs.len(), 1);
         assert_eq!(incs[0].id, 7);
         assert!((incs[0].cost - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn validation_rejects_wrong_cost_and_sets() {
-        let p = problem();
-        let bad_cost = Solution {
-            levels: vec![0.6],
-            cost: 1.0,
-            satisfied: vec![0],
-        };
-        assert!(bad_cost.validate(&p).is_err());
-        let bad_set = Solution {
-            levels: vec![0.6],
-            cost: 5.0,
-            satisfied: vec![],
-        };
-        assert!(bad_set.validate(&p).is_err());
-        let off_grid = Solution {
-            levels: vec![0.55],
-            cost: 4.5,
-            satisfied: vec![0],
-        };
-        assert!(off_grid.validate(&p).is_err());
-        let below_quota = Solution {
-            levels: vec![0.1],
-            cost: 0.0,
-            satisfied: vec![],
-        };
-        assert!(matches!(
-            below_quota.validate(&p),
-            Err(CoreError::Infeasible { .. })
-        ));
-    }
-
-    #[test]
-    fn strictly_above_beta_counts() {
-        let p = problem();
-        // Level exactly 0.5 does NOT satisfy (strict inequality).
-        let s = Solution {
-            levels: vec![0.5],
-            cost: 4.0,
-            satisfied: vec![],
-        };
-        assert!(matches!(s.validate(&p), Err(CoreError::Infeasible { .. })));
     }
 }

@@ -182,11 +182,6 @@ impl<'p> EvalState<'p> {
         self.problem
     }
 
-    /// Current confidence level of base `i`.
-    pub fn level(&self, i: usize) -> f64 {
-        self.levels[i]
-    }
-
     /// Current grid steps of base `i`.
     pub fn steps_of(&self, i: usize) -> u32 {
         self.steps[i]
@@ -233,19 +228,9 @@ impl<'p> EvalState<'p> {
         !self.is_satisfied(ri) && !self.quotas[self.query_of[ri]].met()
     }
 
-    /// Number of satisfied results.
-    pub fn satisfied_count(&self) -> usize {
-        self.quotas.iter().map(|q| q.satisfied).sum()
-    }
-
     /// Does the current state meet every query's quota?
     pub fn meets_quota(&self) -> bool {
         self.unmet == 0
-    }
-
-    /// Total increment cost of the current state.
-    pub fn total_cost(&self) -> f64 {
-        self.total_cost
     }
 
     fn result(&self, ri: usize) -> &'p ResultSpec {
@@ -518,8 +503,15 @@ fn evaluate(r: &ResultSpec, levels: &[f64], changed: Option<usize>, values: &mut
 mod tests {
     use super::*;
     use crate::problem::ProblemBuilder;
+    use crate::solution::check::check_solution;
     use pcqe_cost::CostFn;
     use pcqe_lineage::Lineage;
+
+    /// The per-query counters summed: what `meets_quota`, `is_wanted` and
+    /// the unmet count are kept from.
+    fn counted(s: &EvalState) -> usize {
+        s.quotas.iter().map(|q| q.satisfied).sum()
+    }
 
     fn two_result_problem() -> ProblemInstance {
         // r0 = t0 ∨ t1, r1 = t1 ∧ t2; β = 0.5, δ = 0.1.
@@ -540,8 +532,8 @@ mod tests {
         let s = EvalState::new(&p);
         assert!((s.confidence(0) - (0.1 + 0.1 - 0.01)).abs() < 1e-12);
         assert!((s.confidence(1) - 0.01).abs() < 1e-12);
-        assert_eq!(s.satisfied_count(), 0);
-        assert_eq!(s.total_cost(), 0.0);
+        assert_eq!(counted(&s), 0);
+        assert_eq!(s.total_cost, 0.0);
     }
 
     #[test]
@@ -549,17 +541,17 @@ mod tests {
         let p = two_result_problem();
         let mut s = EvalState::new(&p);
         s.set_steps(1, 5); // t1: 0.1 → 0.6
-        assert!((s.level(1) - 0.6).abs() < 1e-12);
-        assert!((s.total_cost() - 20.0 * 0.5).abs() < 1e-9);
+        assert!((s.levels[1] - 0.6).abs() < 1e-12);
+        assert!((s.total_cost - 20.0 * 0.5).abs() < 1e-9);
         // r0 = 0.1 + 0.6 - 0.06 = 0.64 > 0.5 → satisfied.
         assert!(s.is_satisfied(0));
         assert!(!s.is_satisfied(1));
-        assert_eq!(s.satisfied_count(), 1);
+        assert_eq!(counted(&s), 1);
         assert!(s.meets_quota());
         // Lower back down and everything reverts.
         s.set_steps(1, 0);
-        assert_eq!(s.satisfied_count(), 0);
-        assert!(s.total_cost().abs() < 1e-12);
+        assert_eq!(counted(&s), 0);
+        assert!(s.total_cost.abs() < 1e-12);
     }
 
     #[test]
@@ -583,7 +575,7 @@ mod tests {
         assert!(s.meets_quota());
         assert_eq!(s.to_solution().satisfied, vec![0, 1]);
         s.set_steps(1, 0);
-        assert_eq!(s.satisfied_count(), 0);
+        assert_eq!(counted(&s), 0);
         assert!(!s.meets_quota());
     }
 
@@ -595,7 +587,7 @@ mod tests {
         for _ in 0..20 {
             s.step_up(0);
         }
-        assert!((s.level(0) - 1.0).abs() < 1e-12);
+        assert!((s.levels[0] - 1.0).abs() < 1e-12);
         assert!(!s.step_up(0));
         assert_eq!(s.next_step_cost(0), f64::INFINITY);
     }
@@ -625,8 +617,8 @@ mod tests {
         // With only t0 at max, r1 stays at 0.01.
         assert_eq!(s.optimistic_satisfied(&[0]), 1);
         // Probe must not leave residue.
-        assert_eq!(s.satisfied_count(), 0);
-        assert!((s.level(0) - 0.1).abs() < 1e-12);
+        assert_eq!(counted(&s), 0);
+        assert!((s.levels[0] - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -635,6 +627,61 @@ mod tests {
         let mut s = EvalState::new(&p);
         s.set_steps(0, 5);
         let sol = s.to_solution();
-        sol.validate(&p).unwrap();
+        check_solution(&sol, &p).unwrap();
+    }
+
+    /// After every `set_steps` of a random walk, each query's counter is
+    /// the number of its results `is_satisfied` reports, and the unmet
+    /// count is the number of queries whose counter falls short.
+    #[test]
+    fn quota_counters_follow_random_steps() {
+        let mut rng = pcqe_lineage::Rng64::seed_from_u64(0x57A7_E001);
+        for _ in 0..40 {
+            let k = rng.range_usize(2, 6);
+            let mut b = ProblemBuilder::new(0.5, 0.1);
+            for id in 0..k as u64 {
+                let initial = rng.below_u64(5) as f64 / 10.0;
+                b.base(id, initial, CostFn::linear(1.0 + id as f64).unwrap());
+            }
+            let n = rng.range_usize(2, 7);
+            for _ in 0..n {
+                let vars = (0..rng.range_usize(1, 4))
+                    .map(|_| Lineage::var(rng.below_u64(k as u64)))
+                    .collect();
+                let lineage = if rng.chance(0.5) {
+                    Lineage::or(vars)
+                } else {
+                    Lineage::and(vars)
+                };
+                b.result_from_lineage(&lineage).unwrap();
+            }
+            let p = b.build().unwrap();
+            // Tile the results into queries of random length, β and quota.
+            let (mut queries, mut start) = (Vec::new(), 0);
+            while start < n {
+                let len = rng.range_usize(1, n - start + 1);
+                queries.push(QuerySlice {
+                    start,
+                    len,
+                    beta: 0.2 + 0.6 * rng.next_f64(),
+                    required: rng.below_usize(len + 1),
+                });
+                start += len;
+            }
+            let mut s = EvalState::for_queries(&p, &queries);
+            for _ in 0..30 {
+                s.set_steps(rng.below_usize(k), rng.below_u64(12) as u32);
+                let mut unmet = 0;
+                for (q, quota) in queries.iter().zip(&s.quotas) {
+                    let satisfied = (q.start..q.start + q.len)
+                        .filter(|&ri| s.is_satisfied(ri))
+                        .count();
+                    assert_eq!(quota.satisfied, satisfied, "{q:?}");
+                    unmet += usize::from(satisfied < q.required);
+                }
+                assert_eq!(s.unmet, unmet);
+                assert_eq!(s.meets_quota(), unmet == 0);
+            }
+        }
     }
 }

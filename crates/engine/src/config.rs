@@ -15,15 +15,13 @@ pub struct EngineConfig {
     /// Shannon budget when compiling lineage into the strategy problem.
     pub lineage_budget: usize,
     /// Worker threads for the engine's one parallel site: the strategy
-    /// finder's divide-and-conquer, which solves its groups side by side.
-    /// Plan execution, result scoring and every solver's initial scoring
-    /// run on the calling thread. `None` uses every available core;
-    /// `Some(1)` reproduces the sequential engine bit-for-bit (any setting
-    /// produces identical answers — threads only change speed).
+    /// finder's divide-and-conquer, which solves its groups side by side
+    /// once they range over [`pcqe_par::DEFAULT_PARALLEL_THRESHOLD`] grid
+    /// points. Plan execution, result scoring and every solver's initial
+    /// scoring run on the calling thread. `None` uses every available
+    /// core; `Some(1)` reproduces the sequential engine bit-for-bit (any
+    /// setting produces identical answers — threads only change speed).
     pub worker_threads: Option<usize>,
-    /// Minimum work before D&C's groups are spawned: the grid points the
-    /// groups' searches range over.
-    pub parallel_threshold: usize,
 }
 
 impl Default for EngineConfig {
@@ -37,7 +35,6 @@ impl Default for EngineConfig {
             default_cost: CostFn::linear(100.0).expect("constant is valid"),
             lineage_budget: 4096,
             worker_threads: None,
-            parallel_threshold: pcqe_par::DEFAULT_PARALLEL_THRESHOLD,
         }
     }
 }
@@ -47,7 +44,7 @@ impl EngineConfig {
     pub fn parallelism(&self) -> pcqe_par::Parallelism {
         pcqe_par::Parallelism {
             worker_threads: self.worker_threads,
-            parallel_threshold: self.parallel_threshold,
+            ..pcqe_par::Parallelism::default()
         }
     }
 

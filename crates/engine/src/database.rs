@@ -314,7 +314,6 @@ impl Database {
             self.recorder.counter_add("improvement.applied", 1);
             self.recorder
                 .counter_add("improvement.tuples", tuples as u64);
-            self.recorder.histogram_record("improvement.cost", cost);
         }
         self.audit
             .push(crate::audit::AuditEntry::Improvement { tuples, cost });
@@ -1541,7 +1540,12 @@ mod tests {
         assert_eq!(traced.audit_log(), plain.audit_log());
         // Exactly one Decision per scored row, matching the audit entry's
         // released/withheld accounting.
-        let decisions = trace.decisions();
+        let decisions: Vec<&Decision> = (trace.events.iter())
+            .filter_map(|e| match &e.kind {
+                TraceEventKind::Decision(d) => Some(d),
+                _ => None,
+            })
+            .collect();
         assert_eq!(decisions.len(), resp.released.len() + resp.withheld);
         assert!(decisions.iter().all(|d| !d.released));
         assert!((decisions[0].beta - 0.06).abs() < 1e-12);

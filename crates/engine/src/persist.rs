@@ -353,7 +353,8 @@ mod tests {
 
         // Same confidences and ids.
         assert_eq!(restored.confidence(weak), Some(0.3));
-        assert_eq!(restored.catalog().total_rows(), 2);
+        assert_eq!(restored.catalog().table_names(), ["Deals"]);
+        assert_eq!(restored.catalog().table("Deals").unwrap().len(), 2);
 
         // Same policy behaviour, including the inherited role and the
         // specialised purpose.

@@ -95,39 +95,3 @@ pub struct BatchResponse {
     /// Why there is no combined proposal (when `proposal` is `None`).
     pub no_proposal: Option<NoProposal>,
 }
-
-impl QueryResponse {
-    /// Fraction of results released (θ′ in the paper).
-    pub fn released_fraction(&self) -> f64 {
-        let n = self.released.len() + self.withheld;
-        if n == 0 {
-            0.0
-        } else {
-            self.released.len() as f64 / n as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pcqe_storage::{Column, DataType, Value};
-
-    #[test]
-    fn released_fraction_counts_both_sets() {
-        let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        let r = QueryResponse {
-            schema,
-            released: vec![ReleasedTuple {
-                tuple: Tuple::new(vec![Value::Int(1)]),
-                lineage: Lineage::var(0),
-                confidence: 0.8,
-            }],
-            withheld: 3,
-            threshold: 0.5,
-            proposal: None,
-            no_proposal: Some(NoProposal::NotNeeded),
-        };
-        assert!((r.released_fraction() - 0.25).abs() < 1e-12);
-    }
-}

@@ -5,7 +5,7 @@
 //! Schemas:
 //!
 //! * `metrics` (default) — the document has the metrics-snapshot shape
-//!   (`counters`/`histograms`/`spans` object members);
+//!   (`counters`/`spans` object members);
 //! * `trace` — the document has the Chrome trace-event shape emitted by
 //!   `pcqe_obs::trace_export::to_chrome_json` (`traceEvents` array of
 //!   name/ph/ts/pid/tid records plus `dropped`/`capacity` accounting).
@@ -89,7 +89,7 @@ fn validate_metrics(text: &str) -> Result<String, Vec<String>> {
     };
     let mut sizes = Vec::new();
     let mut errors = Vec::new();
-    for key in ["counters", "histograms", "spans"] {
+    for key in ["counters", "spans"] {
         match obj.get(key) {
             None => errors.push(format!("missing `{key}` member")),
             Some(section) => match section.as_object() {
@@ -166,29 +166,28 @@ mod tests {
 
     #[test]
     fn accepts_a_minimal_metrics_document() {
-        let doc = "{\"counters\": {\"a\": 1}, \"histograms\": {}, \"spans\": {}}";
-        assert_eq!(
-            validate_metrics(doc),
-            Ok("counters=1 histograms=0 spans=0".to_owned())
-        );
+        let doc = "{\"counters\": {\"a\": 1}, \"spans\": {}}";
+        assert_eq!(validate_metrics(doc), Ok("counters=1 spans=0".to_owned()));
     }
 
     #[test]
     fn rejects_missing_sections_and_non_objects() {
         assert!(validate_metrics("[]").is_err());
         assert!(validate_metrics("{\"counters\": {}}").is_err());
-        assert!(validate_metrics("{\"counters\": 1, \"histograms\": {}, \"spans\": {}}").is_err());
+        assert!(validate_metrics("{\"counters\": 1, \"spans\": {}}").is_err());
         assert!(validate_metrics("not json").is_err());
     }
 
     #[test]
     fn metrics_violations_are_all_reported_in_key_order() {
-        // Two sections missing, one malformed: three errors, fixed order.
-        let errors = validate_metrics("{\"histograms\": 3}").unwrap_err();
-        assert_eq!(errors.len(), 3, "{errors:?}");
-        assert!(errors[0].contains("`counters`"), "{errors:?}");
-        assert!(errors[1].contains("`histograms` must be an object"));
-        assert!(errors[2].contains("`spans`"), "{errors:?}");
+        // One section missing, one malformed: two errors, fixed order.
+        let errors = validate_metrics("{\"spans\": 3}").unwrap_err();
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors[0].contains("missing `counters`"), "{errors:?}");
+        assert!(
+            errors[1].contains("`spans` must be an object"),
+            "{errors:?}"
+        );
     }
 
     /// A tiny two-event trace document.

@@ -4,13 +4,8 @@
 //! snapshot's `BTreeMap`s, so equal snapshots always serialize to
 //! byte-identical documents; the golden files in
 //! `tests/golden/metrics.{json,prom}` pin the formats.
-//!
-//! Floats are written with Rust's `{:?}` formatting, which round-trips
-//! through the parser in [`crate::json`] exactly. A non-finite JSON
-//! number (a histogram sum fed an infinity) degrades to `null` rather
-//! than making the document invalid.
 
-use crate::snapshot::{Histogram, MetricsSnapshot, BUCKET_BOUNDS};
+use crate::snapshot::MetricsSnapshot;
 use std::fmt::Write as _;
 
 /// Serialize the snapshot as a pretty-printed JSON document (trailing
@@ -19,7 +14,6 @@ pub fn to_json(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"counters\": {},", counters_json(snapshot));
-    let _ = writeln!(out, "  \"histograms\": {},", histograms_json(snapshot));
     let _ = writeln!(out, "  \"spans\": {}", spans_json(snapshot));
     out.push_str("}\n");
     out
@@ -29,34 +23,6 @@ fn counters_json(s: &MetricsSnapshot) -> String {
     object(
         s.counters.iter().map(|(k, v)| (k.as_str(), v.to_string())),
         4,
-    )
-}
-
-fn histograms_json(s: &MetricsSnapshot) -> String {
-    object(
-        s.histograms
-            .iter()
-            .map(|(k, h)| (k.as_str(), histogram_json(h))),
-        4,
-    )
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    let bounds = BUCKET_BOUNDS
-        .iter()
-        .map(|&b| json_f64(b))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let counts = h
-        .bucket_counts()
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"bounds\": [{bounds}], \"counts\": [{counts}], \"sum\": {}, \"count\": {}}}",
-        json_f64(h.sum()),
-        h.count()
     )
 }
 
@@ -121,30 +87,13 @@ pub fn json_f64(v: f64) -> String {
 
 /// Serialize the snapshot in the Prometheus text exposition format
 /// (version 0.0.4). Metric names are sanitized (`[a-zA-Z0-9_]`) and
-/// prefixed `pcqe_`; histograms expose cumulative `_bucket{le="…"}`
-/// series plus `_sum`/`_count`; spans export `_count` and
-/// `_nanos_total` counters.
+/// prefixed `pcqe_`; spans export `_count` and `_nanos_total` counters.
 pub fn to_prometheus(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
         let m = metric_name(name, "");
         let _ = writeln!(out, "# TYPE {m} counter");
         let _ = writeln!(out, "{m} {value}");
-    }
-    for (name, h) in &snapshot.histograms {
-        let m = metric_name(name, "");
-        let _ = writeln!(out, "# TYPE {m} histogram");
-        let cumulative = h.cumulative_counts();
-        for (i, bound) in BUCKET_BOUNDS.iter().enumerate() {
-            let _ = writeln!(out, "{m}_bucket{{le=\"{bound:?}\"}} {}", cumulative[i]);
-        }
-        let _ = writeln!(
-            out,
-            "{m}_bucket{{le=\"+Inf\"}} {}",
-            cumulative.last().copied().unwrap_or(0)
-        );
-        let _ = writeln!(out, "{m}_sum {:?}", h.sum());
-        let _ = writeln!(out, "{m}_count {}", h.count());
     }
     for (name, stat) in &snapshot.spans {
         let m = metric_name(name, "span_");
@@ -180,10 +129,6 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("query.total".into(), 3);
         s.counters.insert("policy.released".into(), 2);
-        let mut h = Histogram::default();
-        h.record(0.002);
-        h.record(0.5);
-        s.histograms.insert("solver.greedy.elapsed".into(), h);
         s.spans.insert(
             "query/execute".into(),
             SpanStat {
@@ -199,7 +144,7 @@ mod tests {
         let doc = to_json(&sample());
         let parsed = crate::json::parse(&doc).expect("export must parse");
         let obj = parsed.as_object().expect("top-level object");
-        for key in ["counters", "histograms", "spans"] {
+        for key in ["counters", "spans"] {
             assert!(obj.contains_key(key), "missing {key} in:\n{doc}");
         }
         assert!(doc.contains("\"query.total\": 3"));
@@ -225,9 +170,6 @@ mod tests {
         let text = to_prometheus(&sample());
         assert!(text.contains("# TYPE pcqe_query_total counter"));
         assert!(text.contains("pcqe_query_total 3"));
-        assert!(text.contains("pcqe_solver_greedy_elapsed_bucket{le=\"0.001\"} 0"));
-        assert!(text.contains("pcqe_solver_greedy_elapsed_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("pcqe_solver_greedy_elapsed_count 2"));
         assert!(text.contains("pcqe_span_query_execute_nanos_total 42000"));
     }
 
@@ -280,42 +222,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_inclusive_at_their_boundaries() {
-        // A value exactly on a bound lands in that bucket (`value <= b`),
-        // and the first value past the last bound lands in +Inf.
-        let mut h = Histogram::default();
-        h.record(1e-6); // exactly the first bound
-        h.record(1e-3); // exactly a middle bound
-        h.record(600.0); // exactly the last bound
-        h.record(600.0000001); // just past it: overflow slot
-        let counts = h.bucket_counts();
-        assert_eq!(counts[0], 1, "1e-6 belongs to the le=1e-6 bucket");
-        assert_eq!(counts[3], 1, "1e-3 belongs to the le=1e-3 bucket");
-        assert_eq!(
-            counts[BUCKET_BOUNDS.len() - 1],
-            1,
-            "600.0 belongs to the last finite bucket"
-        );
-        assert_eq!(counts[BUCKET_BOUNDS.len()], 1, "past-the-end goes to +Inf");
-
-        let mut s = MetricsSnapshot::default();
-        s.histograms.insert("edge".into(), h);
-        let text = to_prometheus(&s);
-        // Cumulative counts at the exact boundaries.
-        assert!(text.contains("pcqe_edge_bucket{le=\"1e-6\"} 1"), "{text}");
-        assert!(text.contains("pcqe_edge_bucket{le=\"0.001\"} 2"), "{text}");
-        assert!(text.contains("pcqe_edge_bucket{le=\"600.0\"} 3"), "{text}");
-        assert!(text.contains("pcqe_edge_bucket{le=\"+Inf\"} 4"), "{text}");
-    }
-
-    #[test]
     fn empty_snapshot_exports_are_byte_stable() {
         // Inline goldens: the empty documents are part of the format
         // contract — consumers (ci.sh, the validator) see exactly this.
         let empty = MetricsSnapshot::default();
         assert_eq!(
             to_json(&empty),
-            "{\n  \"counters\": {},\n  \"histograms\": {},\n  \"spans\": {}\n}\n"
+            "{\n  \"counters\": {},\n  \"spans\": {}\n}\n"
         );
         assert_eq!(to_prometheus(&empty), "");
     }

@@ -70,7 +70,7 @@ impl Value {
         }
     }
 
-    /// Walk object keys: `value.get("histograms")`.
+    /// Walk object keys: `value.get("counters")`.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_object()?.get(key)
     }

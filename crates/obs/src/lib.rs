@@ -2,11 +2,11 @@
 //!
 //! A std-only, registry-free observability layer for the PCQE stack:
 //!
-//! * [`Recorder`] — thread-safe counters, fixed-bucket histograms
-//!   and hierarchical span totals, folded from the
-//!   [`pcqe_par::Observer`] spans it hears and timed exclusively through
-//!   [`clock`] (so [`ManualClock`](clock::ManualClock) makes every export
-//!   deterministic in tests);
+//! * [`Recorder`] — thread-safe counters and hierarchical span totals,
+//!   folded from the [`pcqe_par::Observer`] spans it hears and timed
+//!   exclusively through [`clock`] (so
+//!   [`ManualClock`](clock::ManualClock) makes every export deterministic
+//!   in tests);
 //! * [`MetricsSnapshot`] — an immutable, ordered copy of the recorder
 //!   state, taken atomically;
 //! * [`export`] — hand-rolled byte-stable JSON and Prometheus text
@@ -60,5 +60,5 @@ pub mod trace_export;
 
 pub use recorder::Recorder;
 pub use sink::Listeners;
-pub use snapshot::{Histogram, MetricsSnapshot, SpanStat};
+pub use snapshot::{MetricsSnapshot, SpanStat};
 pub use trace::{QueryTrace, Tracer};

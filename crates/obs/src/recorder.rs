@@ -26,7 +26,7 @@
 //! is built in a buffer the recorder reuses.
 
 use crate::clock::{Clock, SystemClock};
-use crate::snapshot::{Histogram, MetricsSnapshot, SpanStat};
+use crate::snapshot::{MetricsSnapshot, SpanStat};
 use std::collections::BTreeMap;
 use std::fmt;
 #[expect(
@@ -41,7 +41,6 @@ use std::sync::{
 #[derive(Default)]
 pub(crate) struct Inner {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, SpanStat>,
     /// The open spans, innermost last: each one's start reading and the
     /// length of its parent's path in `path`.
@@ -56,10 +55,6 @@ pub(crate) struct Inner {
 impl Inner {
     fn counter_add(&mut self, name: &str, value: u64) {
         update(&mut self.counters, name, |c| *c = c.saturating_add(value));
-    }
-
-    fn histogram_record(&mut self, name: &str, value: f64) {
-        update(&mut self.histograms, name, |h| h.record(value));
     }
 
     /// Open the span `name` inside the innermost open one, at `now`.
@@ -102,7 +97,7 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(
 /// a solver, and one more.
 const SPAN_DEPTH: usize = 4;
 
-/// Thread-safe counters, histograms and hierarchical spans.
+/// Thread-safe counters and hierarchical spans.
 #[expect(
     clippy::disallowed_types,
     reason = "locks: the recorder's one coarse Mutex and its relaxed enabled flag; a write-only sink that never holds the lock across a call out of the crate"
@@ -208,19 +203,11 @@ impl Recorder {
         }
     }
 
-    /// Record one observation into the fixed-bucket histogram `name`.
-    pub fn histogram_record(&self, name: &str, value: f64) {
-        if let Some(mut inner) = self.live() {
-            inner.histogram_record(name, value);
-        }
-    }
-
     /// An ordered, mutually-consistent copy of all collected metrics.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
         MetricsSnapshot {
             counters: inner.counters.clone(),
-            histograms: inner.histograms.clone(),
             spans: inner.spans.clone(),
         }
     }
@@ -282,7 +269,6 @@ mod tests {
         let r = Recorder::new();
         r.set_enabled(false);
         r.counter_add("c", 1);
-        r.histogram_record("h", 0.5);
         drop(Span::open(&r, "s"));
         assert!(r.snapshot().is_empty());
         r.set_enabled(true);

@@ -1,15 +1,15 @@
 //! Causal query tracing: a bounded, preallocated buffer of typed events.
 //!
-//! Where [`crate::Recorder`] *aggregates* (counters, histograms, merged
-//! span totals), the [`Tracer`] answers the per-query question the
+//! Where [`crate::Recorder`] *aggregates* (counters and merged span
+//! totals), the [`Tracer`] answers the per-query question the
 //! aggregates erase: *what happened during this query, in what order,
 //! and why was this tuple released or suppressed?* It implements the
 //! timeline half of the dependency-free [`pcqe_par::Observer`] trait so
 //! every layer of the stack — engine lifecycle spans, per-operator
 //! execution spans, circuit cache compile/hit/invalidate events, and one
 //! policy decision per result row, which says how the row's confidence
-//! was obtained (β-skipped, bounded, exact or a cache hit) — can emit
-//! into one ordered timeline.
+//! was obtained (β-skipped, bounded or exact) — can emit into one
+//! ordered timeline.
 //!
 //! ## Determinism contract
 //!
@@ -100,20 +100,6 @@ pub struct QueryTrace {
     pub dropped: u64,
     /// The buffer capacity the trace was collected under.
     pub capacity: usize,
-}
-
-impl QueryTrace {
-    /// Decisions in timeline order (a convenience view for tests and
-    /// the shell's `json` rendering).
-    pub fn decisions(&self) -> Vec<&Decision> {
-        self.events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                TraceEventKind::Decision(d) => Some(d),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 struct Buf {
@@ -443,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn decisions_surface_through_the_view() {
+    fn a_decision_lands_on_the_timeline_as_sent() {
         let (_, t) = manual(8);
         t.decision(&Decision {
             tuple: 13,
@@ -454,9 +440,13 @@ mod tests {
             lineage_size: 3,
         });
         let trace = t.drain();
-        let ds = trace.decisions();
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].tuple, 13);
-        assert_eq!(ds[0].path, ConfidencePath::BetaSkipped);
+        let [event] = &trace.events[..] else {
+            panic!("one event expected: {:?}", trace.events);
+        };
+        let TraceEventKind::Decision(d) = &event.kind else {
+            panic!("a decision expected: {event:?}");
+        };
+        assert_eq!(d.tuple, 13);
+        assert_eq!(d.path, ConfidencePath::BetaSkipped);
     }
 }

@@ -26,7 +26,7 @@
 //! flamegraph of a traced query therefore shows where the causal
 //! activity happened, not where wall time went.
 
-use crate::export::json_string;
+use crate::export::{json_f64, json_string};
 use crate::trace::{QueryTrace, TraceEvent, TraceEventKind};
 use pcqe_par::{ConfidencePath, Decision};
 use std::collections::BTreeMap;
@@ -37,7 +37,6 @@ pub(crate) fn path_label(path: ConfidencePath) -> &'static str {
     match path {
         ConfidencePath::Exact => "exact",
         ConfidencePath::BetaSkipped => "beta-skipped",
-        ConfidencePath::CacheHit => "cache-hit",
         ConfidencePath::Bounded => "bounded",
     }
 }
@@ -54,20 +53,10 @@ fn decision_args(seq: u64, d: &Decision) -> String {
         d.tuple,
         d.released,
         json_string(path_label(d.path)),
-        fmt_f64(d.beta),
-        fmt_f64(d.confidence),
+        json_f64(d.beta),
+        json_f64(d.confidence),
         d.lineage_size
     )
-}
-
-/// Shortest-round-trip float, `null` for non-finite (matches the
-/// metrics exporter's convention).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 fn chrome_event(event: &TraceEvent) -> String {

@@ -57,18 +57,17 @@ pub mod morsel;
 ///
 /// Lives here, next to [`Observer`], for the same reason that trait
 /// does: `pcqe-par` is the one dependency-free crate every layer can
-/// name, so the scorer (`pcqe-algebra`), the circuit cache
-/// (`pcqe-lineage`) and the engine can all tag decisions without a
-/// dependency on the observability crate that records them.
+/// name, so the scorer (`pcqe-algebra`) and the engine can tag
+/// decisions without a dependency on the observability crate that
+/// records them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfidencePath {
-    /// Exact Shannon expansion (or a fresh circuit compile) ran.
+    /// The exact confidence: compiled and evaluated, or served by the
+    /// circuit cache's memo (which records that as its `cache.hit`).
     Exact,
     /// The Fréchet-style upper bound already failed β, so exact
     /// expansion was skipped; the recorded confidence is that bound.
     BetaSkipped,
-    /// A memoized circuit answered without recompiling lineage.
-    CacheHit,
     /// Exact expansion ran past its Shannon budget; the recorded
     /// confidence is the Fréchet lower bound, so a release on it is sound.
     Bounded,

@@ -174,11 +174,6 @@ impl Catalog {
             .ok_or(StorageError::UnknownTuple(id.0))?;
         Ok(row.raise_to(checked(confidence)?).get())
     }
-
-    /// Total number of base tuples across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(Table::len).sum()
-    }
 }
 
 /// The id an insert takes with the counter at `counter`, and the counter
@@ -251,7 +246,8 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(c.confidence(a), Some(0.3));
         assert_eq!(c.confidence(b), Some(0.4));
-        assert_eq!(c.total_rows(), 2);
+        assert_eq!(c.table("Proposal").unwrap().len(), 1);
+        assert_eq!(c.table("CompanyInfo").unwrap().len(), 1);
     }
 
     #[test]

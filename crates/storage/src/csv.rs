@@ -19,24 +19,16 @@ use std::io::{BufRead, Write};
 /// Header of the optional leading tuple-id column.
 const ID_COLUMN: &str = "__id";
 
-/// Export a table (with a trailing `confidence` column) as CSV.
-pub fn write_table<W: Write>(table: &Table, out: &mut W) -> std::io::Result<()> {
-    write_rows(table, false, out)
-}
-
-/// Export a table as CSV with a leading `__id` column (for persistence,
-/// where tuple ids must survive a round trip).
+/// Export a table as CSV with a leading `__id` column and a trailing
+/// `confidence` column (for persistence, where tuple ids must survive a
+/// round trip).
 pub fn write_table_with_ids<W: Write>(table: &Table, out: &mut W) -> std::io::Result<()> {
-    write_rows(table, true, out)
-}
-
-fn write_rows<W: Write>(table: &Table, with_ids: bool, out: &mut W) -> std::io::Result<()> {
-    let mut header: Vec<String> = with_ids.then(|| ID_COLUMN.to_owned()).into_iter().collect();
+    let mut header = vec![ID_COLUMN.to_owned()];
     header.extend(table.schema().columns().iter().map(|c| quote(&c.name)));
     header.push("confidence".to_owned());
     writeln!(out, "{}", header.join(","))?;
     for row in table.rows() {
-        let mut cells: Vec<String> = with_ids.then(|| row.id.0.to_string()).into_iter().collect();
+        let mut cells = vec![row.id.0.to_string()];
         cells.extend(row.tuple.values().iter().map(|v| match v {
             Value::Null => String::new(),
             Value::Text(s) => quote(s),
@@ -303,7 +295,7 @@ mod tests {
         assert_eq!(row.tuple.get(1), Some(&Value::Null));
         // Write back out and re-load into a fresh catalog.
         let mut out = Vec::new();
-        write_table(t, &mut out).unwrap();
+        write_table_with_ids(t, &mut out).unwrap();
         let mut c2 = catalog();
         let ids2 = load_into(&mut c2, "people", Cursor::new(out)).unwrap();
         let row2 = c2.table("people").unwrap().row(ids2[0]).unwrap();

@@ -66,19 +66,6 @@ impl Image {
         }
     }
 
-    /// Every slot in row order, one per row: the value of a native slot,
-    /// `None` for one that is not.
-    pub fn slots(&self) -> impl Iterator<Item = Option<f64>> + '_ {
-        let words = self.chunks.iter().flat_map(|chunk| {
-            let words = chunk.values.iter().zip(chunk.native);
-            words.flat_map(|(slots, native)| {
-                let slots = slots.iter().enumerate();
-                slots.map(move |(bit, v)| (native >> bit & 1 == 1).then_some(*v))
-            })
-        });
-        words.take(self.len)
-    }
-
     /// Of the 64 slots `64 * word ..`, the native ones that fail `keep`,
     /// as a bitmask (bit `i` is slot `64 * word + i`). A slot that is not
     /// native, or past the end, never fails.
@@ -104,6 +91,19 @@ impl Image {
 mod tests {
     use super::*;
 
+    /// Every slot of `image` in row order, one per row: the value of a
+    /// native slot, `None` for one that is not.
+    fn slots(image: &Image) -> Vec<Option<f64>> {
+        let words = image.chunks.iter().flat_map(|chunk| {
+            let words = chunk.values.iter().zip(chunk.native);
+            words.flat_map(|(slots, native)| {
+                let slots = slots.iter().enumerate();
+                slots.map(move |(bit, v)| (native >> bit & 1 == 1).then_some(*v))
+            })
+        });
+        words.take(image.len).collect()
+    }
+
     #[test]
     fn slots_hold_native_values_and_nothing_else() {
         let mut image = Image::default();
@@ -116,7 +116,9 @@ mod tests {
         for v in &stored {
             image.push(v);
         }
-        let bits: Vec<Option<u64>> = image.slots().map(|s| s.map(f64::to_bits)).collect();
+        let bits: Vec<Option<u64>> = (slots(&image).into_iter())
+            .map(|s| s.map(f64::to_bits))
+            .collect();
         let expected = [
             Some((-0.0f64).to_bits()),
             None,
@@ -139,7 +141,7 @@ mod tests {
             });
         }
         assert_eq!(image.chunks.len(), 3);
-        let slots: Vec<Option<f64>> = image.slots().collect();
+        let slots = slots(&image);
         assert_eq!(slots.len(), n);
         assert_eq!(slots[CHUNK_ROWS + 2], Some(CHUNK_ROWS as f64 + 2.0));
         assert_eq!(slots[CHUNK_ROWS * 2 + 2], None, "not native");

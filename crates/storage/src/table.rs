@@ -272,7 +272,7 @@ mod tests {
         assert_eq!(ix.lookup(&Value::text("A")), &[0, 2]);
         assert_eq!(ix.lookup(&Value::text("B")), &[1]);
         assert_eq!(ix.lookup(&Value::Null), &[] as &[usize]);
-        assert_eq!(ix.distinct_keys(), 2);
+        assert_eq!(ix.null_rows(), &[3]);
         // Re-creating is a no-op, not an error.
         t.create_index(0).unwrap();
         assert_eq!(t.indexes().len(), 1);

@@ -16,10 +16,6 @@ use pcqe_lineage::Lineage;
 /// of small AND-groups — the random AND/OR DAGs of Section 5.1 — sized so
 /// initial confidences land well below β but the threshold stays reachable
 /// with a handful of δ increments.
-#[expect(
-    clippy::expect_used,
-    reason = "a deck is refilled from its cluster, which the dealing loop made non-empty"
-)]
 pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
     let mut rng = Rng64::seed_from_u64(params.seed);
     let k = params.data_size;
@@ -90,11 +86,7 @@ pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
             let deck = &mut decks[ci];
             let id = match deck.pop() {
                 Some(id) => id,
-                None => {
-                    *deck = clusters[ci].clone();
-                    rng.shuffle(deck);
-                    deck.pop().expect("clusters are non-empty")
-                }
+                None => redeal(deck, &clusters[ci], &mut rng),
             };
             if bases.contains(&id) {
                 leftovers.push(id);
@@ -111,6 +103,18 @@ pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
     }
 
     builder.require(params.required().min(n_results)).build()
+}
+
+/// Refill an emptied deck with its cluster, reshuffled, and deal its top
+/// card.
+#[expect(
+    clippy::expect_used,
+    reason = "a deck is refilled from its cluster, which the dealing loop made non-empty"
+)]
+fn redeal(deck: &mut Vec<u64>, cluster: &[u64], rng: &mut Rng64) -> u64 {
+    *deck = cluster.to_vec();
+    rng.shuffle(deck);
+    deck.pop().expect("clusters are non-empty")
 }
 
 /// Generate a batch of queries over one shared base-tuple pool (for the
@@ -162,17 +166,12 @@ fn random_cost(rng: &mut Rng64) -> CostFn {
 /// An OR of AND-groups over the given bases. At most one singleton group
 /// (and only for small fan-in) keeps the initial confidence below β; the
 /// remaining bases pair into AND-groups of 2–3.
-#[expect(
-    clippy::expect_used,
-    reason = "the singleton is popped only after the length is checked"
-)]
 fn random_dag(rng: &mut Rng64, bases: &[u64], fan_in: usize) -> Lineage {
     let mut rest: Vec<u64> = bases.to_vec();
     rng.shuffle(&mut rest);
     let mut groups: Vec<Lineage> = Vec::new();
     if fan_in <= 10 && rest.len() >= 3 && rng.next_f64() < 0.5 {
-        let v = rest.pop().expect("len checked");
-        groups.push(Lineage::var(v));
+        groups.extend(rest.pop().map(Lineage::var));
     }
     while !rest.is_empty() {
         let take = match rest.len() {
@@ -272,7 +271,7 @@ mod tests {
             .with_seed(seed);
             let inst = generate(&p).unwrap();
             let mut st = EvalState::new(&inst);
-            let frac = st.satisfied_count() as f64 / inst.results.len() as f64;
+            let frac = st.to_solution().satisfied.len() as f64 / inst.results.len() as f64;
             assert!(frac < 0.2, "size {size}: {frac} of results already pass β");
             let all: Vec<usize> = (0..inst.bases.len()).collect();
             assert!(
@@ -291,7 +290,7 @@ mod tests {
         };
         let inst = generate(&p).unwrap();
         let st = EvalState::new(&inst);
-        let frac = st.satisfied_count() as f64 / inst.results.len() as f64;
+        let frac = st.to_solution().satisfied.len() as f64 / inst.results.len() as f64;
         assert!(frac < 0.2, "fan-in 50: {frac} already satisfied");
     }
 
@@ -302,8 +301,10 @@ mod tests {
         assert_eq!(inst.bases.len(), 10);
         assert_eq!(inst.results.len(), 6);
         assert_eq!(inst.required, 3);
+        // `tests/workload_solvers.rs` holds greedy's and D&C's answers
+        // here to the full solution check.
         let out = pcqe_core::greedy::solve(&inst, &Default::default()).unwrap();
-        out.solution.validate(&inst).unwrap();
+        assert!(out.solution.satisfied.len() >= inst.required);
     }
 
     #[test]

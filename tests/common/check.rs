@@ -295,7 +295,6 @@ fn paths(spec: &DbSpec, sql: &str) -> Result<Agreed, String> {
         let mut db = spec.database(
             EngineConfig {
                 worker_threads,
-                parallel_threshold: 1,
                 ..EngineConfig::default()
             },
             indexed,

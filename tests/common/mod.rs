@@ -9,7 +9,8 @@
 //! (`check.rs`) around one reference executor (`reference.rs`) and one
 //! reference confidence interpreter (`interpreter.rs`). The solver suite
 //! holds the branch-and-bound search to one exhaustive enumeration of the
-//! grid (`exhaustive.rs`).
+//! grid (`exhaustive.rs`), and every solver's answer to one check
+//! (`solution_check.rs`).
 
 #![allow(dead_code)]
 
@@ -18,6 +19,7 @@ pub mod exhaustive;
 mod generate;
 pub mod interpreter;
 mod reference;
+pub mod solution_check;
 
 pub use check::*;
 pub use generate::*;
@@ -26,7 +28,9 @@ use pcqe::core::{ProblemInstance, Solution};
 use pcqe::cost::CostFn;
 use pcqe::engine::{Database, StatementOutcome};
 use pcqe::lineage::{Lineage, Rng64};
-use pcqe::obs::MetricsSnapshot;
+use pcqe::obs::trace::TraceEventKind;
+use pcqe::obs::{MetricsSnapshot, QueryTrace};
+use pcqe::par::Decision;
 use pcqe::policy::ConfidencePolicy;
 use pcqe::storage::{real_cmp, Catalog, DataType, TupleId, Value};
 pub use reference::*;
@@ -34,14 +38,30 @@ use std::panic::AssertUnwindSafe;
 use std::path::Path;
 
 /// What of a metrics snapshot no listener, worker count or clock may
-/// move, one line per metric: every counter, histogram count and span
-/// count (a span's total is a time, so it is left out).
+/// move, one line per metric: every counter and span count (a span's
+/// total is a time, so it is left out).
 pub fn comparable_metrics(snap: &MetricsSnapshot) -> Vec<String> {
     let counters = (snap.counters.iter()).map(|(n, v)| format!("counter {n} = {v}"));
-    let histograms =
-        (snap.histograms.iter()).map(|(n, h)| format!("histogram {n} count = {}", h.count()));
     let spans = (snap.spans.iter()).map(|(n, s)| format!("span {n} count = {}", s.count));
-    counters.chain(histograms).chain(spans).collect()
+    counters.chain(spans).collect()
+}
+
+/// The gate's decisions on `trace`'s timeline, in timeline order.
+pub fn decisions(trace: &QueryTrace) -> Vec<&Decision> {
+    (trace.events.iter())
+        .filter_map(|e| match &e.kind {
+            TraceEventKind::Decision(d) => Some(d),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Base tuples across every table of `catalog`.
+pub fn total_rows(catalog: &Catalog) -> usize {
+    (catalog.table_names().into_iter())
+        .filter_map(|name| catalog.table(name).ok())
+        .map(|table| table.len())
+        .sum()
 }
 
 /// Run `f` once per case with an independently seeded generator.
@@ -129,27 +149,41 @@ pub fn random_char(rng: &mut Rng64) -> char {
     }
 }
 
-/// Assert every table's column images are in step with its rows: a `REAL`
-/// column has an image of one slot per row, native with the row's very
-/// bits exactly where the row holds a `Real`; a column of another type has
-/// none.
+/// Assert every table's column images are in step with its rows, read
+/// through `Image::failing` as a scan reads them: a `REAL` column has an
+/// image whose slot is native, with the row's very bits, exactly where the
+/// row holds a `Real`, and no native slot past its last row; a column of
+/// another type has none.
 pub fn assert_images_aligned(catalog: &Catalog, context: &str) {
     for name in catalog.table_names() {
         let table = catalog.table(name).expect("listed table");
         for (c, column) in table.schema().columns().iter().enumerate() {
-            let stored = table.rows().iter().map(|r| match r.tuple.get(c) {
-                Some(Value::Real(r)) => Some(r.to_bits()),
-                _ => None,
-            });
-            let expected: Option<Vec<Option<u64>>> =
-                (column.data_type == DataType::Real).then(|| stored.collect());
-            let slots: Option<Vec<Option<u64>>> = table
-                .image(c)
-                .map(|image| image.slots().map(|s| s.map(f64::to_bits)).collect());
-            assert_eq!(
-                slots, expected,
-                "image of {name}.{} out of step with its rows: {context}",
-                column.name
+            let at = format!("{name}.{}: {context}", column.name);
+            let Some(image) = table.image(c) else {
+                assert_ne!(column.data_type, DataType::Real, "no image of {at}");
+                continue;
+            };
+            assert_eq!(column.data_type, DataType::Real, "an image of {at}");
+            // Bit `pos % 64` of the slots in word `pos / 64` that fail `keep`.
+            let fails = |pos: usize, keep: &dyn Fn(f64) -> bool| {
+                image.failing(pos / 64, keep) >> (pos % 64) & 1 == 1
+            };
+            // A slot is native iff it fails a test that keeps nothing.
+            let native = |pos: usize| fails(pos, &|_| false);
+            let rows = table.rows();
+            for (pos, row) in rows.iter().enumerate() {
+                match row.tuple.get(c) {
+                    Some(Value::Real(r)) => {
+                        let holds = !fails(pos, &|v| v.to_bits() == r.to_bits());
+                        assert!(native(pos) && holds, "row {pos} of {at}: not {r:?}");
+                    }
+                    _ => assert!(!native(pos), "row {pos} of {at}: native, not a Real"),
+                }
+            }
+            let past = rows.len()..rows.len().next_multiple_of(64) + 64;
+            assert!(
+                !past.into_iter().any(native),
+                "a slot past the rows of {at}"
             );
         }
     }

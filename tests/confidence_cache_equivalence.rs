@@ -166,7 +166,6 @@ fn confidence_bits(db: &Database) -> Vec<u64> {
 fn four_threads() -> EngineConfig {
     EngineConfig {
         worker_threads: Some(4),
-        parallel_threshold: 1,
         ..EngineConfig::default()
     }
 }
@@ -261,7 +260,6 @@ fn batch_proposal_meets_every_request_at_any_thread_count() {
             for threads in [1, 2, 8] {
                 let config = EngineConfig {
                     worker_threads: Some(threads),
-                    parallel_threshold: 1,
                     ..EngineConfig::default()
                 };
                 let mut db = shop_db(&spec, config, beta);
@@ -404,7 +402,6 @@ fn wide_lineage_matches_the_reference() {
     for threads in [Some(1), Some(4), None] {
         let config = EngineConfig {
             worker_threads: threads,
-            parallel_threshold: 1,
             ..EngineConfig::default()
         };
         let mut db = wide_db(config.clone());

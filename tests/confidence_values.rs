@@ -250,8 +250,8 @@ struct Trace {
 
 fn trace(f: &Fixture) -> Trace {
     Trace {
-        rows: f.db.catalog().total_rows(),
-        catalog_rows: f.catalog.total_rows(),
+        rows: common::total_rows(f.db.catalog()),
+        catalog_rows: common::total_rows(&f.catalog),
         audited: f.db.audit_log().len(),
         zero: f.db.confidence(TupleId(0)).map(f64::to_bits),
     }

@@ -13,7 +13,7 @@ use common::{
 use pcqe::engine::{persist, Database, EngineConfig, EngineError, QueryRequest, User};
 use pcqe::lineage::Rng64;
 use pcqe::policy::ConfidencePolicy;
-use pcqe::storage::csv::{load_into, write_table, write_table_with_ids};
+use pcqe::storage::csv::{load_into, write_table_with_ids};
 use pcqe::storage::{Catalog, Column, DataType, Schema, Value};
 use std::io::Cursor;
 
@@ -74,7 +74,7 @@ fn csv_round_trips_values_and_confidences() {
             c.insert("t", vec![i, r, b, s], conf).unwrap();
         }
         let mut buf = Vec::new();
-        write_table(c.table("t").unwrap(), &mut buf).unwrap();
+        write_table_with_ids(c.table("t").unwrap(), &mut buf).unwrap();
         let mut c2 = catalog();
         load_into(&mut c2, "t", Cursor::new(&buf)).unwrap();
         assert_images_aligned(&c, "Catalog::insert");
@@ -82,20 +82,10 @@ fn csv_round_trips_values_and_confidences() {
         let (t1, t2) = (c.table("t").unwrap(), c2.table("t").unwrap());
         assert_eq!(t1.len(), t2.len());
         for (a, b) in t1.rows().iter().zip(t2.rows()) {
+            assert_eq!(a.id, b.id);
             assert_eq!(&a.tuple, &b.tuple);
             // Confidence survives via its shortest round-trippable form.
             assert!((a.confidence.get() - b.confidence.get()).abs() < 1e-15);
-        }
-
-        // The id-preserving variant restores identical tuple ids too.
-        let mut buf = Vec::new();
-        write_table_with_ids(t1, &mut buf).unwrap();
-        let mut c3 = catalog();
-        load_into(&mut c3, "t", Cursor::new(&buf)).unwrap();
-        assert_images_aligned(&c3, "csv::load_into of a file with ids");
-        for (a, b) in t1.rows().iter().zip(c3.table("t").unwrap().rows()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(&a.tuple, &b.tuple);
         }
     });
 }
@@ -204,7 +194,7 @@ fn persisted_databases_reload_with_aligned_images() {
     let _ = std::fs::remove_dir_all(&dir);
     persist::save(&db, &dir).unwrap();
     let mut restored = persist::load(&dir, EngineConfig::default()).unwrap();
-    assert_eq!(restored.catalog().total_rows(), 1_500);
+    assert_eq!(common::total_rows(restored.catalog()), 1_500);
     assert_images_aligned(restored.catalog(), "persist::load");
 
     // A range query on the reloaded database — the image scan — gives the
@@ -229,7 +219,7 @@ fn persisted_databases_reload_with_aligned_images() {
             Err(other) => panic!("cut at byte {cut}: untyped {other:?}"),
             Ok(partial) => panic!(
                 "cut at byte {cut}: loaded {} rows",
-                partial.catalog().total_rows()
+                common::total_rows(partial.catalog())
             ),
         }
     }
@@ -271,7 +261,7 @@ fn a_hand_written_directory_with_hostile_tuple_ids_loads_and_answers() {
     write_sealed_manifest(&dir, manifest);
 
     let mut db = persist::load(&dir, EngineConfig::default()).unwrap();
-    assert_eq!(db.catalog().total_rows(), ids.len() + 3);
+    assert_eq!(common::total_rows(db.catalog()), ids.len() + 3);
     assert_images_aligned(db.catalog(), "persist::load of hostile ids");
     let policy = ConfidencePolicy::new("analyst", "audit", 0.4).unwrap();
     let analyst = User::new("ana", "analyst");
@@ -378,7 +368,7 @@ fn persisted_databases_reload_with_their_indexes() {
     let old = other_lines.join("\n") + "\n";
     write_sealed_manifest(&dir, &old);
     let unindexed = persist::load(&dir, EngineConfig::default()).unwrap();
-    assert_eq!(unindexed.catalog().total_rows(), 240);
+    assert_eq!(common::total_rows(unindexed.catalog()), 240);
     assert!(indexed(&unindexed, "customers").is_empty());
 
     // Index lines `create_index` refuses — no such table, no such column,

@@ -116,7 +116,7 @@ const EXPECTED: [(&str, &str, usize); 17] = [
         "clippy::disallowed_methods",
         1,
     ),
-    ("crates/workload/src/gen.rs", "clippy::expect_used", 3),
+    ("crates/workload/src/gen.rs", "clippy::expect_used", 2),
     ("tests/obs_determinism.rs", "clippy::disallowed_types", 2),
     ("tests/trace_determinism.rs", "clippy::disallowed_types", 2),
 ];

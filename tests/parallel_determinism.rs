@@ -7,6 +7,7 @@
 
 mod common;
 
+use common::solution_check::check_solution;
 use common::DbSpec;
 use pcqe::core::dnc::{self, DncOptions};
 use pcqe::core::greedy::GreedyOptions;
@@ -45,12 +46,10 @@ fn populated(config: EngineConfig, rows: usize) -> Database {
     db
 }
 
-/// A config that *forces* the parallel code paths even for small
-/// batches, with the given worker count.
+/// The default engine at the given worker count.
 fn config(workers: usize) -> EngineConfig {
     EngineConfig {
         worker_threads: Some(workers),
-        parallel_threshold: 1,
         ..EngineConfig::default()
     }
 }
@@ -283,7 +282,7 @@ fn overlapping_instance() -> ProblemInstance {
 fn dnc_groups_solved_side_by_side_match_the_sequential_solve() {
     let problem = overlapping_instance();
     let reference = dnc::solve(&problem, &dnc_options(Some(1), GreedyOptions::default())).unwrap();
-    reference.solution.validate(&problem).unwrap();
+    check_solution(&reference.solution, &problem).unwrap();
     assert_eq!(reference.stats.groups, 36, "one group per cluster");
     assert_eq!(reference.stats.bb_groups, 36, "every group is below τ");
     for workers in WORKERS {
@@ -348,7 +347,10 @@ fn a_group_that_gives_up_fails_the_same_way_at_any_worker_count() {
 
 /// 72 withheld `DISTINCT` results, each an OR of three claim ∧ evidence
 /// pairs; neighbouring groups share one evidence tuple. More than 64
-/// results, so the engine's size rule picks divide-and-conquer.
+/// results, so the engine's size rule picks divide-and-conquer, and its
+/// groups range over 4 227 grid points, past the
+/// [`pcqe::par::DEFAULT_PARALLEL_THRESHOLD`] of 1 024 at which D&C spawns
+/// them.
 fn claims_database(config: EngineConfig) -> Database {
     let mut rng = Rng64::seed_from_u64(20_260_930);
     let groups = 72i64;
@@ -375,12 +377,12 @@ fn dnc_proposals_identical_across_thread_counts() {
     let sql = "SELECT DISTINCT c.grp FROM claims c JOIN evidence e ON c.k = e.k";
     let user = User::new("ana", "analyst");
     let request = QueryRequest::new(sql, "report").expecting(0.5);
-    let forced = |worker_threads| EngineConfig {
+    let at = |worker_threads| EngineConfig {
         worker_threads,
         ..config(1)
     };
 
-    let mut sequential = claims_database(forced(Some(1)));
+    let mut sequential = claims_database(at(Some(1)));
     let reference = sequential.query(&user, &request).unwrap();
     assert_eq!(reference.withheld, 72);
     assert!(reference.proposal.is_some(), "a strategy must be found");
@@ -393,7 +395,7 @@ fn dnc_proposals_identical_across_thread_counts() {
     );
 
     for workers in WORKERS {
-        let mut parallel = claims_database(forced(workers));
+        let mut parallel = claims_database(at(workers));
         let got = parallel.query(&user, &request).unwrap();
         assert_eq!(
             transcript(&reference),

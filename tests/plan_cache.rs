@@ -25,7 +25,6 @@ const WORKERS: [usize; 3] = [1, 2, 8];
 fn config(workers: usize) -> EngineConfig {
     EngineConfig {
         worker_threads: Some(workers),
-        parallel_threshold: 1,
         ..EngineConfig::default()
     }
 }

@@ -471,7 +471,7 @@ fn a_row_past_the_budget_at_exactly_its_confidence_is_withheld() {
     let (response, trace) = db.trace_query(&user, &request).unwrap();
     assert_eq!((response.released.len(), response.withheld), (0, 1));
     assert_eq!(db.metrics_snapshot().counter("lineage.bounded"), 1);
-    let decisions = trace.decisions();
+    let decisions = common::decisions(&trace);
     assert_eq!(decisions.len(), 1);
     assert_eq!(decisions[0].path, ConfidencePath::Bounded);
     assert!(!decisions[0].released && decisions[0].confidence <= beta);

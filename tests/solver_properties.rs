@@ -1,5 +1,6 @@
 //! Seeded property tests over the strategy-finding algorithms: on random
-//! feasible instances, every solver's answer validates, the exact search
+//! feasible instances, every solver's answer passes the one solution
+//! check (which rejects each kind of bad answer), the exact search
 //! is never beaten, phase 2 never hurts, pruning never changes the
 //! answer's bits, the greedy's lazy heap picks what Figure 6's rescan
 //! picks, a batch of one query is that query, incremental evaluation is
@@ -10,6 +11,7 @@
 
 mod common;
 
+use common::solution_check::check_solution;
 use common::{exhaustive, for_each_case, rescan_greedy};
 use pcqe::core::dnc::{self, DncOptions};
 use pcqe::core::greedy::{self, GreedyOptions};
@@ -88,11 +90,11 @@ fn all_solvers_produce_valid_solutions() {
     for_each_case(CASES, 0x501E_0001, |rng| {
         let problem = random_problem(rng);
         let g = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
-        g.solution.validate(&problem).unwrap();
+        check_solution(&g.solution, &problem).unwrap();
         let d = dnc::solve(&problem, &DncOptions::default()).unwrap();
-        d.solution.validate(&problem).unwrap();
+        check_solution(&d.solution, &problem).unwrap();
         let h = heuristic::solve(&problem, &HeuristicOptions::all()).unwrap();
-        h.solution.validate(&problem).unwrap();
+        check_solution(&h.solution, &problem).unwrap();
     });
 }
 
@@ -151,10 +153,10 @@ fn search_finds_the_enumerated_optimum(problem: &ProblemInstance) -> bool {
         Err(CoreError::GaveUp(_)) => return false,
         Err(e) => panic!("a feasible instance failed to enumerate: {e}"),
     };
-    truth.validate(problem).unwrap();
+    check_solution(&truth, problem).unwrap();
     for config in [HeuristicOptions::naive(), HeuristicOptions::all()] {
         let found = heuristic::solve(problem, &config).unwrap().solution;
-        found.validate(problem).unwrap();
+        check_solution(&found, problem).unwrap();
         assert!(
             (found.cost - truth.cost).abs() < 1e-6,
             "config {:?}: search {} vs enumeration {}",
@@ -180,12 +182,47 @@ fn tiny_problem() -> ProblemInstance {
     b.require(1).build().unwrap()
 }
 
+/// The check every test here holds the solvers to rejects each kind of
+/// bad answer, each for the reason it names, and passes a good one.
+#[test]
+fn the_solution_check_rejects_each_kind_of_bad_answer() {
+    let p = tiny_problem();
+    let answer = |levels: &[f64], cost, satisfied: &[usize]| Solution {
+        levels: levels.to_vec(),
+        cost,
+        satisfied: satisfied.to_vec(),
+    };
+    // Raising t1 to 0.75 satisfies t0 ∨ t1 at cost 3 · 0.75.
+    check_solution(&answer(&[0.0, 0.75, 0.0], 2.25, &[0]), &p).unwrap();
+    let cases = [
+        (answer(&[0.0, 0.75], 2.25, &[0]), "2 levels for 3 bases"),
+        (answer(&[0.0, 1.25, 0.0], 3.75, &[0]), "outside"),
+        (answer(&[0.0, 0.7, 0.0], 2.1, &[0]), "off the δ grid"),
+        (answer(&[0.0, 0.75, 0.0], 1.0, &[0]), "declared cost"),
+        (answer(&[0.0, 0.75, 0.0], 2.25, &[]), "declared satisfied"),
+        (
+            answer(&[0.0, 0.0, 0.0], 0.0, &[]),
+            "0 satisfied, 1 required",
+        ),
+        // Confidence exactly β does not satisfy (strict inequality).
+        (answer(&[0.0, 0.5, 0.0], 1.5, &[0]), "declared satisfied"),
+        (
+            answer(&[0.0, 0.5, 0.0], 1.5, &[]),
+            "0 satisfied, 1 required",
+        ),
+    ];
+    for (bad, reason) in cases {
+        let err = check_solution(&bad, &p).unwrap_err();
+        assert!(err.contains(reason), "{bad:?}: `{err}` lacks `{reason}`");
+    }
+}
+
 /// The oracle itself: it walks the whole grid and agrees with the search.
 #[test]
 fn enumeration_agrees_with_branch_and_bound() {
     let p = tiny_problem();
     let (truth, assignments) = exhaustive::solve(&p, 50_000_000).unwrap();
-    truth.validate(&p).unwrap();
+    check_solution(&truth, &p).unwrap();
     let h = heuristic::solve(&p, &HeuristicOptions::all()).unwrap();
     assert!((truth.cost - h.solution.cost).abs() < 1e-9);
     // Cheapest fix: raise t1 to 0.75 (> β via the OR), cost 3·0.75.
@@ -304,7 +341,7 @@ fn dnc_keeps_a_group_s_clamped_top_step() {
     let problem = singletons(2);
     let options = DncOptions::default();
     let out = dnc::solve(&problem, &options).unwrap();
-    out.solution.validate(&problem).unwrap();
+    check_solution(&out.solution, &problem).unwrap();
     assert_eq!(out.stats.groups, 2);
     assert_eq!(out.solution.levels, [1.0, 1.0]);
     let alone = greedy::solve(&singletons(1), &options.greedy).unwrap();
@@ -381,11 +418,11 @@ fn regression_shrunk_instance_all_groupings() {
             let problem = b.require(2).build().expect("valid");
             // The full battery the shrunk case was minimised against.
             let g = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
-            g.solution.validate(&problem).unwrap();
+            check_solution(&g.solution, &problem).unwrap();
             let d = dnc::solve(&problem, &DncOptions::default()).unwrap();
-            d.solution.validate(&problem).unwrap();
+            check_solution(&d.solution, &problem).unwrap();
             let h = heuristic::solve(&problem, &HeuristicOptions::all()).unwrap();
-            h.solution.validate(&problem).unwrap();
+            check_solution(&h.solution, &problem).unwrap();
             assert!(h.solution.cost <= g.solution.cost + 1e-6);
             assert!(h.solution.cost <= d.solution.cost + 1e-6);
             check_pruning(&problem);
@@ -411,7 +448,7 @@ fn lazy_heap_and_rescan_are_bit_identical() {
         }
         let (rescan, iterations, reductions) = rescan_greedy(&problem);
         let heap = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
-        heap.solution.validate(&problem).unwrap();
+        check_solution(&heap.solution, &problem).unwrap();
         assert_same_bits(&rescan, &heap.solution);
         assert_eq!(iterations, heap.stats.iterations);
         assert_eq!(reductions, heap.stats.reductions);
@@ -497,7 +534,7 @@ fn incremental_evaluation_is_full_evaluation() {
                     state.probe_step_gain(i, rng.chance(0.5));
                 }
             }
-            let levels: Vec<f64> = (0..k).map(|b| state.level(b)).collect();
+            let levels = state.to_solution().levels;
             let fresh = |levels: &[f64], ri: usize| {
                 let r = &problem.results[ri];
                 let args: Vec<f64> = r.bases.iter().map(|&b| levels[b]).collect();
@@ -513,7 +550,7 @@ fn incremental_evaluation_is_full_evaluation() {
                 );
                 satisfied += usize::from(expected > problem.beta);
             }
-            assert_eq!(state.satisfied_count(), satisfied);
+            assert_eq!(state.to_solution().satisfied.len(), satisfied);
             assert_eq!(state.meets_quota(), satisfied >= problem.required);
             let rest: Vec<usize> = (0..k).filter(|_| rng.chance(0.5)).collect();
             let mut raised = levels.clone();
@@ -877,19 +914,19 @@ fn grid_tables_hold_the_problem_s_own_arithmetic() {
         for s in 0..=problem.max_steps(i) {
             state.set_steps(i, s);
             assert_eq!(
-                state.level(i).to_bits(),
+                state.to_solution().levels[i].to_bits(),
                 problem.level_at(i, s).to_bits(),
                 "base {i} step {s}"
             );
             assert_eq!(
-                state.total_cost().to_bits(),
+                state.to_solution().cost.to_bits(),
                 problem.cost_at(i, s).to_bits(),
                 "base {i} step {s}"
             );
             // Back to zero: `c + (0 − c)` is exactly 0, so the next step
             // starts from a clean total again.
             state.set_steps(i, 0);
-            assert_eq!(state.total_cost().to_bits(), 0.0f64.to_bits());
+            assert_eq!(state.to_solution().cost.to_bits(), 0.0f64.to_bits());
         }
         // Asking beyond the grid clamps to its last point.
         state.set_steps(i, u32::MAX);

@@ -49,7 +49,6 @@ fn paper_db(worker_threads: Option<usize>) -> Database {
 fn config(worker_threads: Option<usize>) -> EngineConfig {
     EngineConfig {
         worker_threads,
-        parallel_threshold: 1,
         ..EngineConfig::default()
     }
 }
@@ -183,7 +182,7 @@ fn every_gated_tuple_has_exactly_one_decision_matching_the_audit_log() {
     // Round 1: the paper's example suppresses its single result row
     // (confidence 0.058 < β = 0.06).
     let (resp, trace) = db.trace_query(&user, &request).unwrap();
-    let decisions = trace.decisions();
+    let decisions = common::decisions(&trace);
     assert_eq!(decisions.len(), resp.released.len() + resp.withheld);
     assert_eq!(decisions.len(), 1);
     let d = decisions[0];
@@ -196,17 +195,14 @@ fn every_gated_tuple_has_exactly_one_decision_matching_the_audit_log() {
     // verdict and confidence must agree with the response bit for bit.
     db.apply(&resp.proposal.unwrap()).unwrap();
     let (resp, trace) = db.trace_query(&user, &request).unwrap();
-    let decisions = trace.decisions();
+    let decisions = common::decisions(&trace);
     assert_eq!(decisions.len(), resp.released.len() + resp.withheld);
     assert_eq!(resp.withheld, 0);
     assert_eq!(decisions.len(), resp.released.len());
     for (d, r) in decisions.iter().zip(&resp.released) {
         assert!(d.released);
         assert_eq!(d.confidence.to_bits(), r.confidence.to_bits());
-        assert!(matches!(
-            d.path,
-            ConfidencePath::Exact | ConfidencePath::CacheHit
-        ));
+        assert_eq!(d.path, ConfidencePath::Exact);
     }
 
     // The audit log's released/withheld totals equal the decision
@@ -267,6 +263,40 @@ fn single_column_db(rows: usize, capacity: usize) -> Database {
     db
 }
 
+/// A decision's path names what the gate compared, not where the number
+/// came from: a repeated query's rows are served by the circuit cache's
+/// root memo and still decide as `exact`. The memo hits stay on the
+/// timeline as the cache's own `cache.hit` instants, one per row, where
+/// the first run compiled each row once.
+#[test]
+fn memo_served_rows_decide_as_exact_and_show_as_cache_hits() {
+    const ROWS: usize = 8;
+    let mut db = single_column_db(ROWS, 16 * ROWS);
+    let user = User::new("rae", "reader");
+    let request = QueryRequest::new("SELECT x FROM t", "all").expecting(0.0);
+    let instants = |trace: &QueryTrace, wanted: &str| {
+        (trace.events.iter())
+            .filter(|e| matches!(&e.kind, TraceEventKind::Instant { name, .. } if name == wanted))
+            .count()
+    };
+    let mut confidences = Vec::new();
+    for (run, (compiles, hits)) in [(ROWS, 0), (0, ROWS)].into_iter().enumerate() {
+        let (resp, trace) = db.trace_query(&user, &request).unwrap();
+        assert_eq!(trace.dropped, 0);
+        assert_eq!(resp.released.len(), ROWS, "run {run}");
+        let decisions = common::decisions(&trace);
+        assert_eq!(decisions.len(), ROWS, "run {run}");
+        for d in &decisions {
+            assert_eq!(d.path, ConfidencePath::Exact, "run {run}: {d:?}");
+        }
+        assert_eq!(instants(&trace, "cache.compile"), compiles, "run {run}");
+        assert_eq!(instants(&trace, "cache.hit"), hits, "run {run}");
+        let bits: Vec<u64> = decisions.iter().map(|d| d.confidence.to_bits()).collect();
+        confidences.push(bits);
+    }
+    assert_eq!(confidences[0], confidences[1], "a memo hit moves no bit");
+}
+
 /// Decisions are emitted in one walk alongside the rows: one per row
 /// however large the released set, each agreeing with the gate's verdict
 /// and the audit entry — all released, and interleaved with withheld rows
@@ -287,7 +317,7 @@ fn large_results_have_one_decision_per_row_matching_the_audit_log() {
         assert_eq!(resp.released.len(), expect_released);
         assert_eq!(resp.released.len() + resp.withheld, ROWS);
 
-        let decisions = trace.decisions();
+        let decisions = common::decisions(&trace);
         assert_eq!(decisions.len(), ROWS, "one decision per row ({purpose})");
         let mut released = resp.released.iter();
         for (i, d) in decisions.iter().enumerate() {
@@ -337,7 +367,7 @@ fn a_small_buffer_holds_a_result_at_two_events_per_row() {
     assert_eq!(resp.released.len(), ROWS);
     assert_eq!(trace.dropped, 0, "{} events kept", trace.events.len());
     assert_eq!(trace.events.len(), 15 + 2 * ROWS);
-    assert_eq!(trace.decisions().len(), ROWS);
+    assert_eq!(common::decisions(&trace).len(), ROWS);
     assert_eq!(db.metrics_snapshot().counter("trace.dropped"), 0);
 }
 

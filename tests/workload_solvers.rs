@@ -4,6 +4,7 @@
 mod common;
 
 use common::for_each_case;
+use common::solution_check::check_solution;
 use pcqe::core::dnc::{self, DncOptions};
 use pcqe::core::greedy::{self, GreedyOptions};
 use pcqe::core::heuristic::{self, HeuristicOptions};
@@ -104,17 +105,20 @@ fn branch_and_bound_matches_brute_force() {
 
 #[test]
 fn all_solvers_handle_generated_workloads() {
-    for seed in [1u64, 7, 42] {
-        let params = WorkloadParams {
+    let sized = |seed| {
+        WorkloadParams {
             data_size: 300,
             ..WorkloadParams::default()
         }
-        .with_seed(seed);
+        .with_seed(seed)
+    };
+    // The Figure 11(a) preset too: the tiny instance the figure solves.
+    for params in [sized(1), sized(7), sized(42), WorkloadParams::fig11a()] {
         let problem = generate(&params).unwrap();
         let g = greedy::solve(&problem, &GreedyOptions::default()).unwrap();
-        g.solution.validate(&problem).unwrap();
+        check_solution(&g.solution, &problem).unwrap();
         let d = dnc::solve(&problem, &DncOptions::default()).unwrap();
-        d.solution.validate(&problem).unwrap();
+        check_solution(&d.solution, &problem).unwrap();
         // Quotas met exactly or above, never below.
         assert!(g.solution.satisfied.len() >= problem.required);
         assert!(d.solution.satisfied.len() >= problem.required);
