@@ -271,11 +271,14 @@ stage_examples() { # walkthrough examples run to completion (release)
   echo "examples OK (batch_queries, clinical_registry, sales_dashboard, venture_capital)"
 }
 
-stage_bench_build() { # bench workspace builds, bench targets included (offline, detached)
+stage_bench_build() { # bench workspace builds, lints clean and tests pass, bench targets included (offline, detached)
   # --all-targets: the six `harness = false` [[bench]] targets name
   # engine types (CompiledLineage, the solver modules) that neither
-  # `cargo build` nor `cargo test` compiles.
-  ( cd crates/bench && cargo build --offline --all-targets && cargo test -q --offline )
+  # `cargo build` nor `cargo test` compiles. The root clippy stage does
+  # not reach this detached workspace, so it is linted here.
+  ( cd crates/bench && cargo build --offline --all-targets \
+      && cargo clippy --offline --all-targets -- -D warnings \
+      && cargo test -q --offline )
 }
 
 stage_bench_e2e_check() { # end-to-end benchmark builds, its checks hold and its checksums are the recorded ones (run.sh --check)

@@ -32,8 +32,8 @@ pub fn run_fig11a(greedy_bound: bool, seed: u64) -> Vec<Fig11aRow> {
     run_fig11a_on(&problem, greedy_bound)
 }
 
-/// [`run_fig11a`] on a caller-supplied problem (used by tests and
-/// ablations with smaller instances).
+/// [`run_fig11a`] on a caller-supplied problem (the unit tests' smaller
+/// instance).
 pub fn run_fig11a_on(problem: &ProblemInstance, greedy_bound: bool) -> Vec<Fig11aRow> {
     let seed_solution = greedy_bound.then(|| {
         greedy::solve(problem, &GreedyOptions::default())
@@ -175,12 +175,6 @@ pub fn run_fig11cf(sizes: &[usize], heuristic_max: usize, seed: u64) -> Vec<Fig1
         });
     }
     rows
-}
-
-/// Generate the default workload for a given size (shared by benches).
-pub fn workload(data_size: usize, seed: u64) -> ProblemInstance {
-    generate(&WorkloadParams::scalability_point(data_size).with_seed(seed))
-        .expect("workload is valid")
 }
 
 fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {

@@ -18,39 +18,25 @@ use crate::error::CoreError;
 use crate::greedy::{self, GreedyOptions, GreedyStats};
 use crate::heuristic::{self, HeuristicOptions};
 use crate::ord::OrdF64;
-use crate::partition::{partition, PartitionOptions};
+use crate::partition::partition;
 use crate::problem::ProblemInstance;
 use crate::solution::SolveOutcome;
 use crate::state::EvalState;
 use crate::Result;
 use std::collections::BTreeMap;
 
+/// The branch-and-bound cutoff τ: a group with fewer base tuples also
+/// runs branch-and-bound after its greedy.
+const TAU: usize = 10;
+
+/// Node limit of each group's branch-and-bound run.
+const GROUP_NODE_LIMIT: u64 = 100_000;
+
 /// Options for the divide-and-conquer solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DncOptions {
-    /// Graph-partitioning weight threshold γ (merge while `w_max > γ`).
-    pub gamma: f64,
-    /// Run branch-and-bound refinement in groups with fewer than τ base
-    /// tuples.
-    pub tau: usize,
-    /// Node budget for each per-group branch-and-bound run.
-    pub bb_node_budget: u64,
     /// Greedy configuration used inside each group.
     pub greedy: GreedyOptions,
-    /// Cap on base tuples per group (forwarded to the partitioner).
-    pub max_group_bases: Option<usize>,
-}
-
-impl Default for DncOptions {
-    fn default() -> Self {
-        DncOptions {
-            gamma: 1.0,
-            tau: 10,
-            bb_node_budget: 100_000,
-            greedy: GreedyOptions::default(),
-            max_group_bases: Some(4096),
-        }
-    }
 }
 
 /// Statistics from a divide-and-conquer run.
@@ -77,13 +63,7 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     let mut stats = DncStats::default();
 
     // --- Partition ---------------------------------------------------
-    let groups = partition(
-        problem,
-        &PartitionOptions {
-            gamma: options.gamma,
-            max_group_bases: options.max_group_bases,
-        },
-    );
+    let groups = partition(problem);
     stats.groups = groups.len();
 
     // --- Solve each group --------------------------------------------
@@ -96,7 +76,8 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     let weight: usize = groups
         .iter()
         .flatten()
-        .flat_map(|&ri| &problem.results[ri].bases)
+        .filter_map(|&ri| problem.results.get(ri))
+        .flat_map(|r| &r.bases)
         .map(|&b| state.max_steps(b) as usize + 1)
         .sum();
     let outcomes = pcqe_par::morsel::try_map_morsels(
@@ -117,7 +98,9 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
             stats.bb_nodes += nodes;
         }
         for (global_idx, steps) in outcome.steps {
-            combined_steps[global_idx] = combined_steps[global_idx].max(steps);
+            if let Some(combined) = combined_steps.get_mut(global_idx) {
+                *combined = (*combined).max(steps);
+            }
         }
     }
 
@@ -215,9 +198,9 @@ fn solve_group(
     }
     let g = greedy::solve(&sub, &options.greedy)?;
     outcome.greedy = g.stats;
-    let solution = if sub.bases.len() < options.tau {
+    let solution = if sub.bases.len() < TAU {
         let opts = HeuristicOptions {
-            node_limit: Some(options.bb_node_budget),
+            node_limit: Some(GROUP_NODE_LIMIT),
             ..HeuristicOptions::all().with_seed(g.solution)
         };
         let h = heuristic::solve(&sub, &opts)?;
@@ -252,27 +235,27 @@ fn sub_problem(
     problem: &ProblemInstance,
     group: &[usize],
 ) -> Result<(ProblemInstance, Vec<usize>)> {
+    let mut builder = crate::problem::ProblemBuilder::new(problem.beta, problem.delta);
     let mut base_map: Vec<usize> = Vec::new();
     let mut global_to_sub: BTreeMap<usize, usize> = BTreeMap::new();
-    for &ri in group {
-        for &b in &problem.results[ri].bases {
-            global_to_sub.entry(b).or_insert_with(|| {
-                base_map.push(b);
-                base_map.len() - 1
-            });
+    for r in group.iter().filter_map(|&ri| problem.results.get(ri)) {
+        let mut bases = Vec::with_capacity(r.bases.len());
+        for &g in &r.bases {
+            let sub = match global_to_sub.get(&g) {
+                Some(&sub) => sub,
+                None => {
+                    let b = problem.bases.get(g).ok_or_else(|| {
+                        CoreError::InvalidProblem("result references an unknown base".into())
+                    })?;
+                    let sub = builder.base_capped(b.id, b.initial, b.max, b.cost.clone());
+                    global_to_sub.insert(g, sub);
+                    base_map.push(g);
+                    sub
+                }
+            };
+            bases.push(sub);
         }
-    }
-    let mut builder = crate::problem::ProblemBuilder::new(problem.beta, problem.delta);
-    for &g in &base_map {
-        let b = &problem.bases[g];
-        builder.base_capped(b.id, b.initial, b.max, b.cost.clone());
-    }
-    for &ri in group {
-        let r = &problem.results[ri];
-        builder.result_with(
-            r.bases.iter().map(|&b| global_to_sub[&b]).collect(),
-            r.conf.clone(),
-        );
+        builder.result_with(bases, r.conf.clone());
     }
     let mut sub = builder.build()?;
     // Paper: a group with x results targets min(x, y) where y is the whole
@@ -357,32 +340,11 @@ mod tests {
 
     #[test]
     fn group_bb_refinement_kicks_in_for_small_groups() {
+        // Every group has at most four bases, under τ.
         let p = clustered_instance(3);
-        let out = solve(
-            &p,
-            &DncOptions {
-                tau: 100,
-                ..DncOptions::default()
-            },
-        )
-        .unwrap();
+        let out = solve(&p, &DncOptions::default()).unwrap();
         assert!(out.stats.bb_groups > 0);
         assert!(out.stats.bb_nodes > 0);
-    }
-
-    #[test]
-    fn tau_zero_disables_group_bb() {
-        let p = clustered_instance(3);
-        let out = solve(
-            &p,
-            &DncOptions {
-                tau: 0,
-                ..DncOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.stats.bb_groups, 0);
-        check_solution(&out.solution, &p).unwrap();
     }
 
     #[test]
@@ -407,8 +369,8 @@ mod tests {
 
     #[test]
     fn overlapping_groups_take_max_confidence() {
-        // One base shared between two results that land in different
-        // groups when γ is high enough to keep them apart.
+        // One base shared between two results: weight 1 does not exceed
+        // γ, so they land in different groups.
         let mut b = ProblemBuilder::new(0.5, 0.1);
         b.base(0, 0.1, linear(10.0));
         b.base(1, 0.1, linear(10.0));
@@ -418,14 +380,7 @@ mod tests {
         b.result_from_lineage(&Lineage::or(vec![Lineage::var(1), Lineage::var(2)]))
             .unwrap();
         let p = b.require(2).build().unwrap();
-        let out = solve(
-            &p,
-            &DncOptions {
-                gamma: 5.0, // keep the two results in separate groups
-                ..DncOptions::default()
-            },
-        )
-        .unwrap();
+        let out = solve(&p, &DncOptions::default()).unwrap();
         check_solution(&out.solution, &p).unwrap();
         assert_eq!(out.stats.groups, 2);
     }

@@ -24,25 +24,12 @@ use crate::Result;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How `gain*` sums confidence increments over affected results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GainMode {
-    /// Sum ΔF only over results still at or below the threshold — the
-    /// increment that actually moves the quota. Default.
-    #[default]
-    Useful,
-    /// Sum ΔF over every affected result (the literal Equation 2).
-    Raw,
-}
-
 /// Options for the greedy solver.
 #[derive(Debug, Clone)]
 pub struct GreedyOptions {
     /// Run the roll-back refinement (phase 2). On by default; Figure 11(e)
     /// is the ablation.
     pub two_phase: bool,
-    /// Gain definition.
-    pub gain: GainMode,
     /// Safety cap on phase-1 iterations.
     pub max_iterations: u64,
     /// Worker threads for [`crate::dnc`]'s groups, its one reader (greedy
@@ -55,7 +42,6 @@ impl Default for GreedyOptions {
     fn default() -> Self {
         GreedyOptions {
             two_phase: true,
-            gain: GainMode::Useful,
             max_iterations: 50_000_000,
             parallelism: pcqe_par::Parallelism::sequential(),
         }
@@ -125,19 +111,20 @@ pub(crate) fn run(
     Ok(())
 }
 
-/// `gain*` of one more δ step on base `i`; 0 where there is no step left
-/// or (in `Useful` mode, without evaluating F) no unsatisfied result to
-/// move.
-fn gain_of(state: &mut EvalState<'_>, i: usize, useful: bool) -> f64 {
+/// `gain*` of one more δ step on base `i`: ΔF summed over its
+/// still-unsatisfied results (the increment that moves a quota), per unit
+/// of cost. 0 where there is no step left or (without evaluating F) no
+/// unsatisfied result to move.
+fn gain_of(state: &mut EvalState<'_>, i: usize) -> f64 {
     let step_cost = state.next_step_cost(i);
     if !step_cost.is_finite() {
         return 0.0;
     }
     let results = state.problem().results_of_base(i);
-    if useful && results.iter().all(|&ri| state.is_satisfied(ri)) {
+    if results.iter().all(|&ri| state.is_satisfied(ri)) {
         return 0.0;
     }
-    let num = state.probe_step_gain(i, useful);
+    let num = state.probe_step_gain(i);
     if step_cost > 0.0 {
         num / step_cost
     } else if num > 0.0 {
@@ -172,7 +159,6 @@ fn phase1(
     stats: &mut GreedyStats,
 ) -> Result<Vec<usize>> {
     let problem = state.problem();
-    let useful = options.gain == GainMode::Useful;
     let k = problem.bases.len();
     // `last_gain[i]` is the gain* of the most recent step on base i.
     let mut last_gain: Vec<f64> = vec![f64::NAN; k];
@@ -181,7 +167,7 @@ fn phase1(
     let mut versions: Vec<u64> = vec![0; k];
     let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(k);
     for i in 0..k {
-        let g = gain_of(state, i, useful);
+        let g = gain_of(state, i);
         if g > 0.0 {
             heap.push(Entry(OrdF64(g), Reverse(i), 0));
         }
@@ -198,7 +184,9 @@ fn phase1(
         // Pop until a live entry emerges.
         let live = loop {
             match heap.pop() {
-                Some(Entry(g, Reverse(i), v)) if v == versions[i] => break Some((g.get(), i)),
+                Some(Entry(g, Reverse(i), v)) if versions.get(i) == Some(&v) => {
+                    break Some((g.get(), i))
+                }
                 Some(_) => {}
                 None => break None,
             }
@@ -233,31 +221,37 @@ fn phase1(
             }
         };
         state.step_up(pick);
-        if last_gain[pick].is_nan() {
-            raised.push(pick);
+        if let Some(last) = last_gain.get_mut(pick) {
+            if last.is_nan() {
+                raised.push(pick);
+            }
+            *last = gain;
         }
-        last_gain[pick] = gain;
         stats.iterations += 1;
 
         // Recompute the affected neighbourhood: every base sharing a
         // result with `pick` (which includes `pick` itself).
         affected.clear();
-        for &ri in problem.results_of_base(pick) {
-            for &b in &problem.results[ri].bases {
+        let results = problem.results_of_base(pick).iter();
+        for r in results.filter_map(|&ri| problem.results.get(ri)) {
+            for &b in &r.bases {
                 if !affected.contains(&b) {
                     affected.push(b);
                 }
             }
         }
         for &b in &affected {
-            versions[b] += 1;
-            let g = gain_of(state, b, useful);
+            let Some(version) = versions.get_mut(b) else {
+                continue;
+            };
+            *version += 1;
+            let g = gain_of(state, b);
             if g > 0.0 {
-                heap.push(Entry(OrdF64(g), Reverse(b), versions[b]));
+                heap.push(Entry(OrdF64(g), Reverse(b), *version));
             }
         }
     }
-    raised.sort_by_key(|&a| (OrdF64(last_gain[a]), a));
+    raised.sort_by_key(|&a| (last_gain.get(a).copied().map(OrdF64), a));
     Ok(raised)
 }
 
@@ -417,22 +411,6 @@ mod tests {
         let out = solve(&p, &GreedyOptions::default()).unwrap();
         check_solution(&out.solution, &p).unwrap();
         assert!(out.solution.levels[0] * out.solution.levels[1] > 0.5);
-    }
-
-    #[test]
-    fn raw_gain_mode_also_solves() {
-        let mut b = ProblemBuilder::new(0.5, 0.1);
-        b.base(0, 0.1, linear(10.0));
-        b.base(1, 0.1, linear(10.0));
-        b.result_from_lineage(&Lineage::or(vec![Lineage::var(0), Lineage::var(1)]))
-            .unwrap();
-        let p = b.require(1).build().unwrap();
-        let opts = GreedyOptions {
-            gain: GainMode::Raw,
-            ..GreedyOptions::default()
-        };
-        let out = solve(&p, &opts).unwrap();
-        check_solution(&out.solution, &p).unwrap();
     }
 
     #[test]

@@ -166,8 +166,10 @@ pub fn solve(
 
     // Precompute suffix minima of the cheapest-possible δ step, for H4.
     let mut suffix_min_step = vec![f64::INFINITY; order.len() + 1];
-    for d in (0..order.len()).rev() {
-        suffix_min_step[d] = suffix_min_step[d + 1].min(problem.min_step_cost(order[d]));
+    let mut min = f64::INFINITY;
+    for (slot, &b) in suffix_min_step.iter_mut().zip(&order).rev() {
+        min = min.min(problem.min_step_cost(b));
+        *slot = min;
     }
 
     let mut search = Search {

@@ -9,50 +9,47 @@
 //! weights of the edges it absorbed, exactly as in the paper's Figure 9
 //! walk-through.
 
-use crate::ord::OrdF64;
 use crate::problem::ProblemInstance;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-/// Options for the partitioning phase.
-#[derive(Debug, Clone)]
-pub struct PartitionOptions {
-    /// Stop merging once the maximum inter-cluster weight is ≤ γ
-    /// (the paper merges while `w_max > γ`).
-    pub gamma: f64,
-    /// Refuse merges that would put more than this many base tuples in one
-    /// group (the paper's first requirement: keep each sub-problem
-    /// solvable in reasonable time). `None` disables the cap.
-    pub max_group_bases: Option<usize>,
-}
+/// The merge threshold γ: clusters merge while the maximum inter-cluster
+/// weight exceeds it, so results sharing one base tuple stay apart and
+/// results sharing two merge.
+const GAMMA: usize = 1;
 
-impl Default for PartitionOptions {
-    fn default() -> Self {
-        PartitionOptions {
-            gamma: 1.0,
-            max_group_bases: Some(4096),
-        }
-    }
-}
+/// No merge may put more than this many base tuples in one group (the
+/// paper's first requirement: keep each sub-problem solvable in
+/// reasonable time).
+const MAX_GROUP_BASES: usize = 4096;
 
 /// Partition the problem's results into groups of result indexes.
 ///
 /// Results sharing no base tuple with anything else come out as singleton
 /// groups. The output is deterministic: groups are sorted by their
 /// smallest result index, members ascending.
-pub fn partition(problem: &ProblemInstance, options: &PartitionOptions) -> Vec<Vec<usize>> {
+pub fn partition(problem: &ProblemInstance) -> Vec<Vec<usize>> {
+    merge_clusters(problem, GAMMA, MAX_GROUP_BASES)
+}
+
+/// [`partition`] at threshold `gamma` and group cap `max_group_bases`.
+fn merge_clusters(
+    problem: &ProblemInstance,
+    gamma: usize,
+    max_group_bases: usize,
+) -> Vec<Vec<usize>> {
     let n = problem.results.len();
     let mut uf = UnionFind::new(n);
 
     // Edge weights: number of shared base tuples per result pair, found by
     // walking each base's result list.
-    let mut weights: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+    let mut weights: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     for b in 0..problem.bases.len() {
         let rs = problem.results_of_base(b);
         for (x, &i) in rs.iter().enumerate() {
             for &j in &rs[x + 1..] {
                 let key = if i < j { (i, j) } else { (j, i) };
-                *weights.entry(key).or_insert(0.0) += 1.0;
+                *weights.entry(key).or_insert(0) += 1;
             }
         }
     }
@@ -61,7 +58,7 @@ pub fn partition(problem: &ProblemInstance, options: &PartitionOptions) -> Vec<V
     // throughout: the absorbed-neighbour loop below iterates `gone_adj`,
     // and with a hash map that order — hence the heap's insertion order and
     // any weight-tied merge sequence — would vary run to run.
-    let mut adj: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
+    let mut adj: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); n];
     for (&(i, j), &w) in &weights {
         adj[i].insert(j, w);
         adj[j].insert(i, w);
@@ -70,25 +67,17 @@ pub fn partition(problem: &ProblemInstance, options: &PartitionOptions) -> Vec<V
         .map(|ri| problem.results[ri].bases.iter().copied().collect())
         .collect();
 
-    // Max-weight merge loop with a lazy heap. Heap entries carry the two
-    // cluster roots and the weight at push time; stale entries are skipped.
-    let mut heap: BinaryHeap<HeapEdge> = weights
+    // Max-weight merge loop with a lazy heap. Heap entries carry the weight
+    // at push time and the two cluster roots; stale entries are skipped.
+    // The highest weight pops first, and weight ties break towards the
+    // *lower* index pair (hence the `Reverse`d roots) for determinism.
+    let mut heap: BinaryHeap<(usize, Reverse<usize>, Reverse<usize>)> = weights
         .iter()
-        .map(|(&(i, j), &w)| HeapEdge {
-            w: OrdF64(w),
-            a: Reverse(i),
-            b: Reverse(j),
-        })
+        .map(|(&(i, j), &w)| (w, Reverse(i), Reverse(j)))
         .collect();
 
-    while let Some(HeapEdge {
-        w,
-        a: Reverse(a),
-        b: Reverse(b),
-    }) = heap.pop()
-    {
-        let w = w.get();
-        if w <= options.gamma {
+    while let Some((w, Reverse(a), Reverse(b))) = heap.pop() {
+        if w <= gamma {
             break;
         }
         let (ra, rb) = (uf.find(a), uf.find(b));
@@ -97,19 +86,15 @@ pub fn partition(problem: &ProblemInstance, options: &PartitionOptions) -> Vec<V
         }
         // Stale check: the entry must match the current weight between the
         // two live clusters.
-        match adj[ra].get(&rb) {
-            Some(&cur) if (cur - w).abs() < 1e-9 => {}
-            _ => continue,
+        if adj[ra].get(&rb) != Some(&w) {
+            continue;
         }
-        if let Some(cap) = options.max_group_bases {
-            let combined = bases[ra].len() + bases[rb].len();
-            // (Upper bound: shared bases counted twice, still fine as cap.)
-            if combined > cap {
-                // Drop the edge so it is not retried forever.
-                adj[ra].remove(&rb);
-                adj[rb].remove(&ra);
-                continue;
-            }
+        // (Upper bound: shared bases counted twice, still fine as cap.)
+        if bases[ra].len() + bases[rb].len() > max_group_bases {
+            // Drop the edge so it is not retried forever.
+            adj[ra].remove(&rb);
+            adj[rb].remove(&ra);
+            continue;
         }
         // Merge rb into ra (union-find decides the surviving root).
         let root = uf.union(ra, rb);
@@ -123,17 +108,13 @@ pub fn partition(problem: &ProblemInstance, options: &PartitionOptions) -> Vec<V
             if nb == keep {
                 continue;
             }
-            let entry = adj[keep].entry(nb).or_insert(0.0);
+            let entry = adj[keep].entry(nb).or_insert(0);
             *entry += w2;
             let merged_w = *entry;
             // Mirror on the neighbour side: remove the old key, add the new.
             adj[nb].remove(&gone);
             adj[nb].insert(keep, merged_w);
-            heap.push(HeapEdge {
-                w: OrdF64(merged_w),
-                a: Reverse(keep),
-                b: Reverse(nb),
-            });
+            heap.push((merged_w, Reverse(keep), Reverse(nb)));
         }
     }
 
@@ -148,17 +129,6 @@ pub fn partition(problem: &ProblemInstance, options: &PartitionOptions) -> Vec<V
     }
     out.sort_by_key(|g| g[0]);
     out
-}
-
-/// Max-heap entry: highest weight pops first; weight ties break towards
-/// the *lower* index pair (hence the `Reverse`d fields) for determinism.
-/// Deriving `Ord` on top of [`OrdF64`] keeps the ordering structural —
-/// no hand-written comparator to drift (PCQE-D004).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct HeapEdge {
-    w: OrdF64,
-    a: Reverse<usize>,
-    b: Reverse<usize>,
 }
 
 struct UnionFind {
@@ -232,8 +202,7 @@ mod tests {
     #[test]
     fn independent_results_stay_separate() {
         let p = problem_with(&[&[0, 1], &[2, 3], &[4]]);
-        let groups = partition(&p, &PartitionOptions::default());
-        assert_eq!(groups, vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(partition(&p), vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
@@ -241,62 +210,36 @@ mod tests {
         // r0 and r1 share bases {0,1,2} (weight 3); r2 is linked to r1 by
         // one shared base (weight 1 ≤ γ).
         let p = problem_with(&[&[0, 1, 2, 3], &[0, 1, 2, 4], &[4, 5, 6]]);
-        let groups = partition(
-            &p,
-            &PartitionOptions {
-                gamma: 1.0,
-                max_group_bases: None,
-            },
-        );
-        assert_eq!(groups, vec![vec![0, 1], vec![2]]);
+        assert_eq!(partition(&p), vec![vec![0, 1], vec![2]]);
     }
 
     #[test]
     fn gamma_zero_merges_any_sharing() {
         let p = problem_with(&[&[0, 1, 2, 3], &[0, 1, 2, 4], &[4, 5, 6]]);
-        let groups = partition(
-            &p,
-            &PartitionOptions {
-                gamma: 0.0,
-                max_group_bases: None,
-            },
-        );
+        let groups = merge_clusters(&p, 0, MAX_GROUP_BASES);
         assert_eq!(groups, vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn merged_edge_weights_accumulate() {
-        // Figure 9 flavour: a chain where merging two nodes sums their
-        // edges to a common neighbour. r0-r1 weight 2; r0-r2 weight 1,
-        // r1-r2 weight 1 → after merging {r0,r1}, the cluster-r2 weight is
-        // 2 > γ=1.5, so everything merges.
+        // Figure 9 flavour: r0-r1 weight 2; r0-r2 weight 1, r1-r2 weight 1.
+        // Alone, neither weight-1 edge exceeds γ = 1, but after merging
+        // {r0,r1} the cluster-r2 weight is their sum, 2 > γ, so everything
+        // merges.
         let p = problem_with(&[&[0, 1, 2], &[0, 1, 3], &[2, 3]]);
-        let groups = partition(
-            &p,
-            &PartitionOptions {
-                gamma: 1.5,
-                max_group_bases: None,
-            },
-        );
-        assert_eq!(groups, vec![vec![0, 1, 2]]);
+        assert_eq!(partition(&p), vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn size_cap_blocks_merges() {
         let p = problem_with(&[&[0, 1, 2, 3], &[0, 1, 2, 4]]);
-        let groups = partition(
-            &p,
-            &PartitionOptions {
-                gamma: 1.0,
-                max_group_bases: Some(4),
-            },
-        );
+        let groups = merge_clusters(&p, GAMMA, 4);
         assert_eq!(groups.len(), 2, "cap of 4 bases forbids the merge");
     }
 
     #[test]
     fn empty_problem_yields_no_groups() {
         let p = ProblemBuilder::new(0.5, 0.1).build().unwrap();
-        assert!(partition(&p, &PartitionOptions::default()).is_empty());
+        assert!(partition(&p).is_empty());
     }
 }

@@ -331,13 +331,12 @@ impl<'p> EvalState<'p> {
         self.cost_at(i, s + 1) - self.cost_at(i, s)
     }
 
-    /// Sum of confidence gains over `i`'s results if it took one δ step —
+    /// Sum of confidence gains over `i`'s currently-unsatisfied results
+    /// (the gain that actually moves a quota) if it took one δ step —
     /// without committing the step: only the level is substituted, and
     /// then put back, so confidences, node values, counts and the running
-    /// cost keep their bits. `useful_only` restricts the sum to
-    /// currently-unsatisfied results (the gain that actually moves a
-    /// quota).
-    pub fn probe_step_gain(&mut self, i: usize, useful_only: bool) -> f64 {
+    /// cost keep their bits.
+    pub fn probe_step_gain(&mut self, i: usize) -> f64 {
         let s = self.steps[i];
         if s >= self.max_steps(i) {
             return 0.0;
@@ -346,9 +345,8 @@ impl<'p> EvalState<'p> {
         self.levels[i] = self.level_at(i, s + 1);
         let mut gain = 0.0;
         let problem = self.problem;
-        let probed = |state: &Self, ri: usize| !(useful_only && state.is_satisfied(ri));
         for &ri in problem.results_of_base(i) {
-            if probed(self, ri) {
+            if !self.is_satisfied(ri) {
                 self.evals += 1;
                 let c = self.refresh(ri, i);
                 gain += (c - self.confidences[ri]).max(0.0);
@@ -357,7 +355,7 @@ impl<'p> EvalState<'p> {
         self.levels[i] = old_level;
         // The same cones at the old level restore the old node values.
         for &ri in problem.results_of_base(i) {
-            if probed(self, ri) {
+            if !self.is_satisfied(ri) {
                 self.refresh(ri, i);
             }
         }
@@ -597,15 +595,15 @@ mod tests {
         let p = two_result_problem();
         let mut s = EvalState::new(&p);
         let before = s.to_solution();
-        let gain = s.probe_step_gain(1, false);
+        let gain = s.probe_step_gain(1);
         // t1 appears in both results; one step raises r0 by (1-0.1)·0.1 and
         // r1 by 0.1·0.1.
         assert!((gain - (0.9 * 0.1 + 0.1 * 0.1)).abs() < 1e-9);
         assert_eq!(s.to_solution(), before);
-        // Useful-only gain skips satisfied results.
+        // The gain skips satisfied results.
         s.set_steps(0, 9); // r0 satisfied via t0
-        let useful = s.probe_step_gain(1, true);
-        assert!((useful - 0.1 * 0.1).abs() < 1e-9);
+        let gain = s.probe_step_gain(1);
+        assert!((gain - 0.1 * 0.1).abs() < 1e-9);
     }
 
     #[test]

@@ -220,7 +220,6 @@ fn dispatch(
                 parallelism: par,
                 ..greedy_opts
             },
-            ..DncOptions::default()
         };
         solved!("dnc", dnc::solve(problem, &opts))
     } else {

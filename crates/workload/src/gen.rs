@@ -348,10 +348,7 @@ mod tests {
             ..WorkloadParams::default()
         };
         let inst = generate(&p).unwrap();
-        let groups = pcqe_core::partition::partition(
-            &inst,
-            &pcqe_core::partition::PartitionOptions::default(),
-        );
+        let groups = pcqe_core::partition::partition(&inst);
         assert!(
             groups.len() > 1,
             "without cross links the clusters must separate"

@@ -241,9 +241,9 @@ pub fn explained(db: &mut Database, statement: &str) -> pcqe::engine::Result<Str
 
 /// The two-phase greedy as Figure 6 prints it — every base probed again on
 /// every iteration, `O(k · l₁)` — kept as the reference the production
-/// solver's lazy heap is held against. Sequential, `Useful` gain, both
-/// phases; written against [`EvalState`]'s public methods only. Returns the
-/// solution with the phase-1 step and phase-2 roll-back counts.
+/// solver's lazy heap is held against. Sequential, both phases; written
+/// against [`EvalState`]'s public methods only. Returns the solution with
+/// the phase-1 step and phase-2 roll-back counts.
 pub fn rescan_greedy(problem: &ProblemInstance) -> (Solution, u64, u64) {
     let mut state = EvalState::new(problem);
     let k = problem.bases.len();
@@ -260,7 +260,7 @@ pub fn rescan_greedy(problem: &ProblemInstance) -> (Solution, u64, u64) {
             if !cost.is_finite() || results.iter().all(|&ri| state.is_satisfied(ri)) {
                 continue; // at its maximum, or nothing left for it to move
             }
-            let num = state.probe_step_gain(i, true);
+            let num = state.probe_step_gain(i);
             let gain = match (cost > 0.0, num > 0.0) {
                 (true, _) => num / cost,
                 (false, true) => f64::INFINITY,

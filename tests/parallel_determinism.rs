@@ -244,7 +244,6 @@ fn dnc_options(worker_threads: Option<usize>, greedy: GreedyOptions) -> DncOptio
             },
             ..greedy
         },
-        ..DncOptions::default()
     }
 }
 
