@@ -49,7 +49,8 @@ stage_clippy() { # lints (cargo clippy -D warnings)
 
 stage_lint() { # static invariants (cargo run -p pcqe-lint)
   # What the compiler cannot see: one analyzer, three layers (float
-  # literals, call paths, dataflow); `cargo run -p pcqe-lint --
+  # literals; index sites and the policy gate's call paths; dataflow);
+  # `cargo run -p pcqe-lint --
   # --list-rules` prints the rule registry, DESIGN.md § "Static
   # invariants" says what each rule protects. Exceptions and flow
   # declarations all live in lint.toml, every entry with a reason. How

@@ -19,7 +19,7 @@ use crate::greedy::{self, GreedyOptions, GreedyStats};
 use crate::heuristic::{self, HeuristicOptions};
 use crate::ord::OrdF64;
 use crate::partition::partition;
-use crate::problem::ProblemInstance;
+use crate::problem::{BaseVar, ProblemInstance};
 use crate::solution::SolveOutcome;
 use crate::state::EvalState;
 use crate::Result;
@@ -78,7 +78,8 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
         .flatten()
         .filter_map(|&ri| problem.results.get(ri))
         .flat_map(|r| &r.bases)
-        .map(|&b| state.max_steps(b) as usize + 1)
+        .filter_map(|&b| state.grid(b))
+        .map(<[_]>::len)
         .sum();
     let outcomes = pcqe_par::morsel::try_map_morsels(
         &options.greedy.parallelism,
@@ -128,33 +129,28 @@ pub fn solve(problem: &ProblemInstance, options: &DncOptions) -> Result<SolveOut
     // the confidence its results would lose were it reset, per unit of
     // cost refunded — bases delivering the least confidence per cost are
     // rolled back first.
-    let mut candidates: Vec<(f64, usize)> = Vec::new();
-    let mut now: Vec<f64> = Vec::new();
-    for i in 0..problem.bases.len() {
-        let steps = state.steps_of(i);
-        if steps == 0 {
-            continue;
-        }
-        let refund = state.cost_at(i, steps);
+    // Each candidate enters as `(refund, base, steps)` and leaves as
+    // `(gain, base, steps)`.
+    let mut candidates: Vec<(f64, usize, u32)> = state.raised().collect();
+    let mut now: Vec<Option<f64>> = Vec::new();
+    for (gain, i, steps) in &mut candidates {
+        let (refund, i, steps) = (*gain, *i, *steps);
         let results = problem.results_of_base(i);
         now.clear();
         now.extend(results.iter().map(|&ri| state.confidence(ri)));
         state.set_steps(i, 0);
-        let loss: f64 = now
-            .iter()
-            .zip(results)
-            .map(|(a, &ri)| (a - state.confidence(ri)).max(0.0))
+        let loss: f64 = (now.iter().zip(results))
+            .filter_map(|(&was, &ri)| Some((was? - state.confidence(ri)?).max(0.0)))
             .sum();
         state.set_steps(i, steps);
-        let gain = if refund > 0.0 {
+        *gain = if refund > 0.0 {
             loss / refund
         } else {
             f64::INFINITY
         };
-        candidates.push((gain, i));
     }
-    candidates.sort_by_key(|&(g, i)| (OrdF64(g), i));
-    let order: Vec<usize> = candidates.into_iter().map(|(_, i)| i).collect();
+    candidates.sort_by_key(|&(g, i, _)| (OrdF64(g), i));
+    let order: Vec<usize> = candidates.into_iter().map(|(_, i, _)| i).collect();
     stats.refinement_reductions = greedy::roll_back(&mut state, &order);
 
     debug_assert!(state.meets_quota());
@@ -211,21 +207,21 @@ fn solve_group(
     };
     outcome.steps = base_map
         .iter()
+        .zip(&sub.bases)
         .zip(&solution.levels)
-        .enumerate()
-        .map(|(i, (&global_idx, &level))| (global_idx, grid_step(&sub, i, level)))
+        .map(|((&global_idx, base), &level)| (global_idx, grid_step(base, sub.delta, level)))
         .collect();
     Ok(outcome)
 }
 
-/// The grid step of base `i` that a solver's `level` sits on. Solvers
+/// The grid step of `base` that a solver's `level` sits on. Solvers
 /// only set grid points, so this is exact where rounding
 /// `(level − initial) / δ` is not: a base clamped at a maximum that lies
 /// less than half a step above the grid point below it would lose its top
 /// step.
-fn grid_step(problem: &ProblemInstance, i: usize, level: f64) -> u32 {
-    (1..=problem.max_steps(i))
-        .take_while(|&s| problem.level_at(i, s) <= level)
+fn grid_step(base: &BaseVar, delta: f64, level: f64) -> u32 {
+    (1..=base.max_steps(delta))
+        .take_while(|&s| base.level_at(delta, s) <= level)
         .count() as u32
 }
 

@@ -168,7 +168,9 @@ pub fn solve(
     let mut suffix_min_step = vec![f64::INFINITY; order.len() + 1];
     let mut min = f64::INFINITY;
     for (slot, &b) in suffix_min_step.iter_mut().zip(&order).rev() {
-        min = min.min(problem.min_step_cost(b));
+        if let Some(base) = problem.bases.get(b) {
+            min = min.min(base.min_step_cost(problem.delta));
+        }
         *slot = min;
     }
 
@@ -255,8 +257,9 @@ impl Search<'_, '_> {
             self.stats.pruned_h4 += 1;
             return;
         }
-        for steps in 0..=state.max_steps(base) {
-            let child = cost + state.cost_at(base, steps);
+        let mut steps = 0;
+        while let Some(point) = state.point(base, steps) {
+            let child = cost + point.cost;
             if child >= self.best_cost {
                 // Higher values of this base only cost more.
                 self.stats.pruned_bound += 1;
@@ -289,6 +292,7 @@ impl Search<'_, '_> {
                 self.stats.pruned_h2 += 1;
                 break;
             }
+            steps += 1;
         }
         state.set_steps(base, 0);
     }
@@ -306,32 +310,30 @@ fn cost_beta_order(problem: &ProblemInstance, state: &mut EvalState<'_>) -> Vec<
 }
 
 fn cost_beta(problem: &ProblemInstance, state: &mut EvalState<'_>, i: usize) -> f64 {
-    let max_steps = state.max_steps(i);
     let mut best = f64::INFINITY;
     let mut best_unreachable = f64::INFINITY;
     for &ri in problem.results_of_base(i) {
-        let mut reached = None;
-        let mut f_max = 0.0;
-        for s in 1..=max_steps {
+        // The cost and the result's confidence at the highest step tried:
+        // the first that lifts it over β, else the top of the grid.
+        let mut top = None;
+        let mut s = 1;
+        while let Some(point) = state.point(i, s) {
             state.set_steps(i, s);
-            let f = state.confidence(ri);
-            f_max = f;
-            if f > problem.beta {
-                reached = Some(state.cost_at(i, s));
+            top = state.confidence(ri).map(|f| (point.cost, f));
+            if top.is_some_and(|(_, f)| f > problem.beta) {
                 break;
             }
+            s += 1;
         }
         state.set_steps(i, 0);
-        match reached {
-            Some(c) => best = best.min(c),
-            None => {
-                // Paper: adjust to cost / (F_max / β) when even the maximum
-                // cannot reach β.
-                if f_max > 0.0 {
-                    let adjusted = state.cost_at(i, max_steps) / (f_max / problem.beta);
-                    best_unreachable = best_unreachable.min(adjusted);
-                }
+        match top {
+            Some((c, f)) if f > problem.beta => best = best.min(c),
+            // Paper: adjust to cost / (F_max / β) when even the maximum
+            // cannot reach β.
+            Some((c, f_max)) if f_max > 0.0 => {
+                best_unreachable = best_unreachable.min(c / (f_max / problem.beta));
             }
+            _ => {}
         }
     }
     if best.is_finite() {

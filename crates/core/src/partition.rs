@@ -32,6 +32,18 @@ pub fn partition(problem: &ProblemInstance) -> Vec<Vec<usize>> {
     merge_clusters(problem, GAMMA, MAX_GROUP_BASES)
 }
 
+/// One cluster while clusters merge: what it shares with each live
+/// neighbour, and its base set (for the size cap).
+#[derive(Debug, Default, Clone)]
+struct Cluster {
+    /// Neighbouring cluster root → summed edge weight. Ordered maps
+    /// throughout: the absorbed-neighbour loop below iterates one, and
+    /// with a hash map that order — hence the heap's insertion order and
+    /// any weight-tied merge sequence — would vary run to run.
+    adj: BTreeMap<usize, usize>,
+    bases: BTreeSet<usize>,
+}
+
 /// [`partition`] at threshold `gamma` and group cap `max_group_bases`.
 fn merge_clusters(
     problem: &ProblemInstance,
@@ -45,27 +57,28 @@ fn merge_clusters(
     // walking each base's result list.
     let mut weights: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     for b in 0..problem.bases.len() {
-        let rs = problem.results_of_base(b);
-        for (x, &i) in rs.iter().enumerate() {
-            for &j in &rs[x + 1..] {
+        let mut rs = problem.results_of_base(b);
+        while let Some((&i, rest)) = rs.split_first() {
+            for &j in rest {
                 let key = if i < j { (i, j) } else { (j, i) };
                 *weights.entry(key).or_insert(0) += 1;
             }
+            rs = rest;
         }
     }
 
-    // Per-cluster adjacency and base sets (for the size cap). Ordered maps
-    // throughout: the absorbed-neighbour loop below iterates `gone_adj`,
-    // and with a hash map that order — hence the heap's insertion order and
-    // any weight-tied merge sequence — would vary run to run.
-    let mut adj: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); n];
-    for (&(i, j), &w) in &weights {
-        adj[i].insert(j, w);
-        adj[j].insert(i, w);
-    }
-    let mut bases: Vec<BTreeSet<usize>> = (0..n)
-        .map(|ri| problem.results[ri].bases.iter().copied().collect())
+    let mut clusters: Vec<Cluster> = (problem.results.iter())
+        .map(|r| Cluster {
+            adj: BTreeMap::new(),
+            bases: r.bases.iter().copied().collect(),
+        })
         .collect();
+    for (&(i, j), &w) in &weights {
+        if let Ok([ci, cj]) = clusters.get_disjoint_mut([i, j]) {
+            ci.adj.insert(j, w);
+            cj.adj.insert(i, w);
+        }
+    }
 
     // Max-weight merge loop with a lazy heap. Heap entries carry the weight
     // at push time and the two cluster roots; stale entries are skipped.
@@ -80,40 +93,45 @@ fn merge_clusters(
         if w <= gamma {
             break;
         }
+        // Two distinct roots, or the pair is one cluster already.
         let (ra, rb) = (uf.find(a), uf.find(b));
-        if ra == rb {
+        let Ok([ca, cb]) = clusters.get_disjoint_mut([ra, rb]) else {
             continue;
-        }
+        };
         // Stale check: the entry must match the current weight between the
         // two live clusters.
-        if adj[ra].get(&rb) != Some(&w) {
+        if ca.adj.get(&rb) != Some(&w) {
             continue;
         }
         // (Upper bound: shared bases counted twice, still fine as cap.)
-        if bases[ra].len() + bases[rb].len() > max_group_bases {
+        if ca.bases.len() + cb.bases.len() > max_group_bases {
             // Drop the edge so it is not retried forever.
-            adj[ra].remove(&rb);
-            adj[rb].remove(&ra);
+            ca.adj.remove(&rb);
+            cb.adj.remove(&ra);
             continue;
         }
         // Merge rb into ra (union-find decides the surviving root).
         let root = uf.union(ra, rb);
-        let (keep, gone) = if root == ra { (ra, rb) } else { (rb, ra) };
-        let gone_adj = std::mem::take(&mut adj[gone]);
-        let gone_bases = std::mem::take(&mut bases[gone]);
-        bases[keep].extend(gone_bases);
-        adj[keep].remove(&gone);
-        for (nb, w2) in gone_adj {
+        let (keep, gone, kept, absorbed) = if root == ra {
+            (ra, rb, ca, cb)
+        } else {
+            (rb, ra, cb, ca)
+        };
+        let absorbed = std::mem::take(absorbed);
+        kept.bases.extend(absorbed.bases);
+        kept.adj.remove(&gone);
+        for (nb, w2) in absorbed.adj {
+            // A neighbour that is `keep` itself is the edge just merged.
             let nb = uf.find(nb);
-            if nb == keep {
+            let Ok([kept, neighbour]) = clusters.get_disjoint_mut([keep, nb]) else {
                 continue;
-            }
-            let entry = adj[keep].entry(nb).or_insert(0);
+            };
+            let entry = kept.adj.entry(nb).or_insert(0);
             *entry += w2;
             let merged_w = *entry;
             // Mirror on the neighbour side: remove the old key, add the new.
-            adj[nb].remove(&gone);
-            adj[nb].insert(keep, merged_w);
+            neighbour.adj.remove(&gone);
+            neighbour.adj.insert(keep, merged_w);
             heap.push((merged_w, Reverse(keep), Reverse(nb)));
         }
     }
@@ -127,27 +145,38 @@ fn merge_clusters(
     for g in &mut out {
         g.sort_unstable();
     }
-    out.sort_by_key(|g| g[0]);
+    out.sort_by_key(|g| g.first().copied());
     out
 }
 
+/// Disjoint sets over `0..n`, united by size, so a root is at most
+/// `log2 n` parents up.
 struct UnionFind {
-    parent: Vec<usize>,
-    size: Vec<usize>,
+    nodes: Vec<Node>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// `None` at a root.
+    parent: Option<usize>,
+    size: usize,
 }
 
 impl UnionFind {
     fn new(n: usize) -> Self {
+        let root = Node {
+            parent: None,
+            size: 1,
+        };
         UnionFind {
-            parent: (0..n).collect(),
-            size: vec![1; n],
+            nodes: vec![root; n],
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+    /// The root of `x`'s set.
+    fn find(&self, mut x: usize) -> usize {
+        while let Some(parent) = self.nodes.get(x).and_then(|node| node.parent) {
+            x = parent;
         }
         x
     }
@@ -155,16 +184,17 @@ impl UnionFind {
     /// Union by size; returns the surviving root.
     fn union(&mut self, a: usize, b: usize) -> usize {
         let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
+        // Distinct roots, or `a` and `b` share a set already.
+        let Ok([na, nb]) = self.nodes.get_disjoint_mut([ra, rb]) else {
             return ra;
-        }
-        let (big, small) = if self.size[ra] >= self.size[rb] {
-            (ra, rb)
-        } else {
-            (rb, ra)
         };
-        self.parent[small] = big;
-        self.size[big] += self.size[small];
+        let (big, root, child) = if na.size >= nb.size {
+            (ra, na, nb)
+        } else {
+            (rb, nb, na)
+        };
+        child.parent = Some(big);
+        root.size += child.size;
         big
     }
 }

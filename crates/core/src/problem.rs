@@ -56,46 +56,44 @@ pub struct ProblemInstance {
     base_to_results: Vec<Vec<usize>>,
 }
 
-impl ProblemInstance {
-    /// Results affected by a change to base `i`.
-    pub fn results_of_base(&self, i: usize) -> &[usize] {
-        &self.base_to_results[i]
-    }
-
-    /// Number of grid steps available to base `i` (from initial to max).
-    pub fn max_steps(&self, i: usize) -> u32 {
-        let b = &self.bases[i];
-        if b.max <= b.initial {
+impl BaseVar {
+    /// Number of grid steps of `delta` available (from initial to max).
+    pub fn max_steps(&self, delta: f64) -> u32 {
+        if self.max <= self.initial {
             return 0;
         }
-        ((b.max - b.initial) / self.delta).ceil() as u32
+        ((self.max - self.initial) / delta).ceil() as u32
     }
 
-    /// Confidence level of base `i` after `steps` grid steps.
-    pub fn level_at(&self, i: usize, steps: u32) -> f64 {
-        let b = &self.bases[i];
-        (b.initial + steps as f64 * self.delta).min(b.max)
+    /// Confidence level after `steps` grid steps of `delta`.
+    pub fn level_at(&self, delta: f64, steps: u32) -> f64 {
+        (self.initial + steps as f64 * delta).min(self.max)
     }
 
-    /// Cost of holding base `i` at `steps` grid steps.
-    pub fn cost_at(&self, i: usize, steps: u32) -> f64 {
-        let b = &self.bases[i];
-        b.cost.cost(b.initial, self.level_at(i, steps))
+    /// Cost of holding the tuple at `steps` grid steps of `delta`.
+    pub fn cost_at(&self, delta: f64, steps: u32) -> f64 {
+        self.cost.cost(self.initial, self.level_at(delta, steps))
     }
 
-    /// The cheapest possible single-δ step anywhere on base `i`'s grid —
-    /// a safe lower bound for heuristic H4 regardless of the cost
-    /// function's convexity.
-    pub fn min_step_cost(&self, i: usize) -> f64 {
-        let steps = self.max_steps(i);
+    /// The cheapest possible single-δ step anywhere on the grid — a safe
+    /// lower bound for heuristic H4 regardless of the cost function's
+    /// convexity.
+    pub fn min_step_cost(&self, delta: f64) -> f64 {
         let mut best = f64::INFINITY;
-        for s in 0..steps {
-            let c = self.cost_at(i, s + 1) - self.cost_at(i, s);
+        for s in 0..self.max_steps(delta) {
+            let c = self.cost_at(delta, s + 1) - self.cost_at(delta, s);
             if c < best {
                 best = c;
             }
         }
         best
+    }
+}
+
+impl ProblemInstance {
+    /// Results affected by a change to base `i`.
+    pub fn results_of_base(&self, i: usize) -> &[usize] {
+        self.base_to_results.get(i).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -263,11 +261,11 @@ impl ProblemBuilder {
                 }
             }
         }
-        let mut base_to_results = vec![Vec::new(); self.bases.len()];
+        let mut base_to_results: Vec<Vec<usize>> = vec![Vec::new(); self.bases.len()];
         for (ri, r) in self.results.iter().enumerate() {
             for &b in &r.bases {
-                if !base_to_results[b].contains(&ri) {
-                    base_to_results[b].push(ri);
+                if let Some(list) = base_to_results.get_mut(b).filter(|l| !l.contains(&ri)) {
+                    list.push(ri);
                 }
             }
         }
@@ -309,11 +307,15 @@ mod tests {
         let mut b = ProblemBuilder::new(0.5, 0.1);
         let i = b.base(0, 0.1, linear());
         let p = b.require(0).build().unwrap();
-        assert_eq!(p.max_steps(i), 9);
-        assert!((p.level_at(i, 0) - 0.1).abs() < 1e-12);
-        assert!((p.level_at(i, 4) - 0.5).abs() < 1e-12);
-        assert!((p.level_at(i, 99) - 1.0).abs() < 1e-12, "clamped at max");
-        assert!((p.cost_at(i, 2) - 2.0).abs() < 1e-9);
+        let (base, delta) = (&p.bases[i], p.delta);
+        assert_eq!(base.max_steps(delta), 9);
+        assert!((base.level_at(delta, 0) - 0.1).abs() < 1e-12);
+        assert!((base.level_at(delta, 4) - 0.5).abs() < 1e-12);
+        assert!(
+            (base.level_at(delta, 99) - 1.0).abs() < 1e-12,
+            "clamped at max"
+        );
+        assert!((base.cost_at(delta, 2) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -323,8 +325,10 @@ mod tests {
         let mut b = ProblemBuilder::new(0.5, 0.1);
         let i = b.base(0, 0.1, CostFn::logarithmic(10.0, 20.0).unwrap());
         let p = b.require(0).build().unwrap();
-        let last_step = p.cost_at(i, p.max_steps(i)) - p.cost_at(i, p.max_steps(i) - 1);
-        assert!((p.min_step_cost(i) - last_step).abs() < 1e-9);
+        let (base, delta) = (&p.bases[i], p.delta);
+        let top = base.max_steps(delta);
+        let last_step = base.cost_at(delta, top) - base.cost_at(delta, top - 1);
+        assert!((base.min_step_cost(delta) - last_step).abs() < 1e-9);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::error::CoreError;
 use crate::problem::{ProblemInstance, ResultSpec};
 use crate::solution::Solution;
 use crate::Result;
+use std::ops::Range;
 
 /// One query's slice of a problem's result list, with its own threshold
 /// and quota.
@@ -51,30 +52,72 @@ impl Quota {
     }
 }
 
+/// One point of a base's grid: [`crate::problem::BaseVar::level_at`] and
+/// [`crate::problem::BaseVar::cost_at`] at that step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GridPoint {
+    /// Confidence level at the step.
+    pub(crate) level: f64,
+    /// Cost of holding the base at the step.
+    pub(crate) cost: f64,
+}
+
+/// One base's position on its grid.
+#[derive(Debug, Clone, Copy)]
+struct Base {
+    /// Grid steps above the initial confidence.
+    steps: u32,
+    /// The base's grid is `grid[start..=start + max_steps]`.
+    start: usize,
+    max_steps: u32,
+    /// Cached confidence level.
+    level: f64,
+    /// Cached cost contribution.
+    cost: f64,
+}
+
+/// One result's cached confidence and the query it answers to.
+#[derive(Debug, Clone)]
+struct Tracked<'p> {
+    spec: &'p ResultSpec,
+    confidence: f64,
+    /// The threshold of the result's query.
+    threshold: f64,
+    /// The index of the result's query in `quotas`.
+    query: usize,
+    /// Where the result's circuit node values sit in `values`.
+    span: Range<usize>,
+}
+
+impl Tracked<'_> {
+    /// Confidence strictly above the query's β.
+    fn satisfied(&self) -> bool {
+        self.confidence > self.threshold
+    }
+
+    /// The confidence after base `i`'s level changed to the one in
+    /// `bases`: the kept node values follow the change through `i`'s
+    /// slot's cone.
+    fn refresh(&self, bases: &[Base], values: &mut [f64], i: usize) -> f64 {
+        let nodes = values.get_mut(self.span.clone()).unwrap_or_default();
+        evaluate(self.spec, bases, slot_of(self.spec, i), nodes)
+    }
+}
+
 /// Mutable solver state: per-base grid positions, per-result confidences,
 /// per-query satisfied counts and the running cost — all maintained
 /// incrementally, so one base-level change only re-evaluates the results
 /// it touches, and in each of those only the nodes that read the base
 /// (its slot's cone, see [`pcqe_lineage::CompiledLineage::update`]).
+/// Bases and results are named by their index in the problem.
 #[derive(Debug, Clone)]
 pub struct EvalState<'p> {
     problem: &'p ProblemInstance,
-    /// Grid steps above the initial confidence, per base.
-    steps: Vec<u32>,
-    /// Cached confidence level per base.
-    levels: Vec<f64>,
-    /// Cached cost contribution per base.
-    costs: Vec<f64>,
-    /// Cached confidence per result.
-    confidences: Vec<f64>,
+    bases: Vec<Base>,
+    results: Vec<Tracked<'p>>,
     /// The node values of every result's circuit at the current levels,
-    /// back to back (see [`Spans`]).
+    /// back to back (see [`Tracked::span`]).
     values: Vec<f64>,
-    spans: Spans,
-    /// Per result: the threshold of the query it belongs to.
-    thresholds: Vec<f64>,
-    /// Per result: the index of its query in `quotas`.
-    query_of: Vec<usize>,
     /// Per query: its quota and its currently satisfied results.
     quotas: Vec<Quota>,
     /// Queries whose quota the current levels do not meet.
@@ -82,15 +125,12 @@ pub struct EvalState<'p> {
     total_cost: f64,
     /// Scratch buffer for the node values of a one-off evaluation.
     scratch_values: Vec<f64>,
-    /// Scratch buffer for the levels [`Self::optimistic_satisfied`] saves.
-    saved_levels: Vec<f64>,
-    /// Base `i`'s grid occupies `grid_start[i]..grid_start[i + 1]` of the
-    /// two tables below, one entry per step `0..=max_steps(i)`.
-    grid_start: Vec<usize>,
-    /// [`ProblemInstance::level_at`] for every grid point.
-    grid_levels: Vec<f64>,
-    /// [`ProblemInstance::cost_at`] for every grid point.
-    grid_costs: Vec<f64>,
+    /// Scratch buffer for the `(base, level)`s
+    /// [`Self::optimistic_satisfied`] saves.
+    saved_levels: Vec<(usize, f64)>,
+    /// Every base's grid, one point per step `0..=max_steps`, back to
+    /// back.
+    grid: Vec<GridPoint>,
     /// Count of result (re-)evaluations, a cone update counting as one
     /// (for statistics).
     pub evals: u64,
@@ -106,74 +146,73 @@ impl<'p> EvalState<'p> {
     /// `problem.results` in order, each with its own threshold and quota
     /// (`problem.beta` and `problem.required` are not read).
     ///
-    /// Each base's grid is tabulated here once, with the expressions of
-    /// [`ProblemInstance::level_at`] and [`ProblemInstance::cost_at`]
-    /// themselves, so a search node reads the very bits those calls would
-    /// return without redoing the division, `ceil` and cost potentials.
+    /// Each base's grid is tabulated here once, with
+    /// [`crate::problem::BaseVar::level_at`] and
+    /// [`crate::problem::BaseVar::cost_at`] themselves, so a search node
+    /// reads the very bits those calls would return without redoing the
+    /// division, `ceil` and cost potentials.
     pub(crate) fn for_queries(
         problem: &'p ProblemInstance,
         queries: &[QuerySlice],
     ) -> EvalState<'p> {
-        let mut grid_start = Vec::with_capacity(problem.bases.len() + 1);
-        let mut grid_levels = Vec::new();
-        let mut grid_costs = Vec::new();
-        for i in 0..problem.bases.len() {
-            grid_start.push(grid_levels.len());
-            for s in 0..=problem.max_steps(i) {
-                grid_levels.push(problem.level_at(i, s));
-                grid_costs.push(problem.cost_at(i, s));
-            }
-        }
-        grid_start.push(grid_levels.len());
-        let levels: Vec<f64> = problem.bases.iter().map(|b| b.initial).collect();
-        let results = &problem.results;
-        let mut confidences = Vec::with_capacity(results.len());
-        let mut values = Vec::with_capacity(results.iter().map(|r| r.conf.node_count()).sum());
-        let mut starts = Vec::with_capacity(results.len() + 1);
-        starts.push(0);
-        for r in results {
-            let start = values.len();
-            values.resize(start + r.conf.node_count(), 0.0);
-            let nodes = values.get_mut(start..).unwrap_or_default();
-            confidences.push(evaluate(r, &levels, None, nodes));
-            starts.push(values.len());
-        }
-        let mut thresholds = Vec::with_capacity(confidences.len());
-        let mut query_of = Vec::with_capacity(confidences.len());
+        let delta = problem.delta;
+        let mut grid = Vec::new();
+        let bases: Vec<Base> = (problem.bases.iter())
+            .map(|b| {
+                let (start, max_steps) = (grid.len(), b.max_steps(delta));
+                grid.extend((0..=max_steps).map(|s| GridPoint {
+                    level: b.level_at(delta, s),
+                    cost: b.cost_at(delta, s),
+                }));
+                Base {
+                    steps: 0,
+                    start,
+                    max_steps,
+                    level: b.initial,
+                    cost: 0.0,
+                }
+            })
+            .collect();
+        let specs = &problem.results;
+        let mut values = Vec::with_capacity(specs.iter().map(|r| r.conf.node_count()).sum());
+        let mut results = Vec::with_capacity(specs.len());
         let mut quotas = Vec::with_capacity(queries.len());
-        for (qi, q) in queries.iter().enumerate() {
-            debug_assert_eq!(q.start, thresholds.len(), "query slices tile the results");
-            thresholds.resize(q.start + q.len, q.beta);
-            query_of.resize(q.start + q.len, qi);
-            let satisfied = confidences[q.start..q.start + q.len]
-                .iter()
-                .filter(|&&c| c > q.beta)
-                .count();
+        let mut specs = specs.iter();
+        for (query, q) in queries.iter().enumerate() {
+            debug_assert_eq!(q.start, results.len(), "query slices tile the results");
+            let mut satisfied = 0;
+            for spec in specs.by_ref().take(q.len) {
+                let start = values.len();
+                values.resize(start + spec.conf.node_count(), 0.0);
+                let nodes = values.get_mut(start..).unwrap_or_default();
+                let confidence = evaluate(spec, &bases, None, nodes);
+                satisfied += usize::from(confidence > q.beta);
+                results.push(Tracked {
+                    spec,
+                    confidence,
+                    threshold: q.beta,
+                    query,
+                    span: start..values.len(),
+                });
+            }
             quotas.push(Quota {
                 required: q.required,
                 satisfied,
             });
         }
-        debug_assert_eq!(thresholds.len(), confidences.len());
+        debug_assert_eq!(results.len(), problem.results.len());
         EvalState {
             problem,
-            steps: vec![0; problem.bases.len()],
-            levels,
-            costs: vec![0.0; problem.bases.len()],
+            bases,
             evals: problem.results.len() as u64,
-            confidences,
+            results,
             values,
-            spans: Spans(starts),
-            thresholds,
-            query_of,
             unmet: quotas.iter().filter(|q| !q.met()).count(),
             quotas,
             total_cost: 0.0,
             scratch_values: Vec::new(),
             saved_levels: Vec::new(),
-            grid_start,
-            grid_levels,
-            grid_costs,
+            grid,
         }
     }
 
@@ -182,50 +221,48 @@ impl<'p> EvalState<'p> {
         self.problem
     }
 
-    /// Current grid steps of base `i`.
-    pub fn steps_of(&self, i: usize) -> u32 {
-        self.steps[i]
+    /// Current grid steps of base `i`; `None` if the problem has no base
+    /// `i`.
+    pub fn steps_of(&self, i: usize) -> Option<u32> {
+        self.bases.get(i).map(|b| b.steps)
     }
 
-    /// Grid steps available to base `i` — [`ProblemInstance::max_steps`]
-    /// read off the table.
-    pub(crate) fn max_steps(&self, i: usize) -> u32 {
-        (self.grid_start[i + 1] - self.grid_start[i] - 1) as u32
+    /// Base `i`'s grid point `steps` steps up; `None` past its top.
+    pub(crate) fn point(&self, i: usize, steps: u32) -> Option<GridPoint> {
+        self.grid(i)?.get(steps as usize).copied()
     }
 
-    /// [`ProblemInstance::level_at`] on the grid (`steps <= max_steps(i)`).
-    pub(crate) fn level_at(&self, i: usize, steps: u32) -> f64 {
-        debug_assert!(
-            steps <= self.max_steps(i),
-            "step {steps} off base {i}'s grid"
-        );
-        self.grid_levels[self.grid_start[i] + steps as usize]
+    /// Base `i`'s grid, one point per step `0..=max_steps`.
+    pub(crate) fn grid(&self, i: usize) -> Option<&[GridPoint]> {
+        let b = self.bases.get(i)?;
+        self.grid.get(b.start..=b.start + b.max_steps as usize)
     }
 
-    /// [`ProblemInstance::cost_at`] on the grid (`steps <= max_steps(i)`).
-    pub(crate) fn cost_at(&self, i: usize, steps: u32) -> f64 {
-        debug_assert!(
-            steps <= self.max_steps(i),
-            "step {steps} off base {i}'s grid"
-        );
-        self.grid_costs[self.grid_start[i] + steps as usize]
+    /// The bases above their initial level, as `(cost, base, steps)`.
+    pub(crate) fn raised(&self) -> impl Iterator<Item = (f64, usize, u32)> + '_ {
+        (self.bases.iter().enumerate())
+            .filter(|(_, b)| b.steps > 0)
+            .map(|(i, b)| (b.cost, i, b.steps))
     }
 
-    /// Current confidence of result `ri`.
-    pub fn confidence(&self, ri: usize) -> f64 {
-        self.confidences[ri]
+    /// Current confidence of result `ri`; `None` if the problem has no
+    /// result `ri`.
+    pub fn confidence(&self, ri: usize) -> Option<f64> {
+        self.results.get(ri).map(|r| r.confidence)
     }
 
     /// Is result `ri` currently satisfied (confidence strictly above its
     /// query's β)?
     pub fn is_satisfied(&self, ri: usize) -> bool {
-        self.confidences[ri] > self.thresholds[ri]
+        self.results.get(ri).is_some_and(Tracked::satisfied)
     }
 
     /// Would satisfying result `ri` still move a quota: it is unsatisfied
     /// and its query is unmet.
     pub(crate) fn is_wanted(&self, ri: usize) -> bool {
-        !self.is_satisfied(ri) && !self.quotas[self.query_of[ri]].met()
+        self.results
+            .get(ri)
+            .is_some_and(|r| !r.satisfied() && self.quotas.get(r.query).is_some_and(|q| !q.met()))
     }
 
     /// Does the current state meet every query's quota?
@@ -233,60 +270,44 @@ impl<'p> EvalState<'p> {
         self.unmet == 0
     }
 
-    fn result(&self, ri: usize) -> &'p ResultSpec {
-        &self.problem.results[ri]
-    }
-
-    /// Result `ri` evaluated afresh at the current levels, in a scratch
-    /// buffer: its kept node values are not touched.
-    fn eval_result(&mut self, ri: usize) -> f64 {
-        let r = self.result(ri);
-        self.evals += 1;
-        let values = &mut self.scratch_values;
-        values.clear();
-        values.resize(r.conf.node_count(), 0.0);
-        evaluate(r, &self.levels, None, values)
-    }
-
-    /// Result `ri` brought up to date after base `i`'s level changed: its
-    /// kept node values follow the change through `i`'s slot's cone.
-    fn refresh(&mut self, ri: usize, i: usize) -> f64 {
-        let r = self.result(ri);
-        let values = self.spans.of(ri, &mut self.values);
-        evaluate(r, &self.levels, slot_of(r, i), values)
-    }
-
     /// Set base `i` to `steps` grid steps, updating affected results,
     /// satisfied counts, and cost.
     pub fn set_steps(&mut self, i: usize, steps: u32) {
-        let steps = steps.min(self.max_steps(i));
-        if steps == self.steps[i] {
+        let Some(base) = self.bases.get_mut(i) else {
             return;
-        }
-        self.steps[i] = steps;
-        self.levels[i] = self.level_at(i, steps);
-        let new_cost = self.cost_at(i, steps);
-        self.total_cost += new_cost - self.costs[i];
-        self.costs[i] = new_cost;
+        };
+        let steps = steps.min(base.max_steps);
+        let point = self.grid.get(base.start + steps as usize);
+        let Some(&point) = point.filter(|_| steps != base.steps) else {
+            return;
+        };
+        base.steps = steps;
+        base.level = point.level;
+        self.total_cost += point.cost - base.cost;
+        base.cost = point.cost;
         let problem = self.problem;
         for &ri in problem.results_of_base(i) {
-            let threshold = self.thresholds[ri];
-            let was = self.confidences[ri] > threshold;
+            let Some(r) = self.results.get_mut(ri) else {
+                continue;
+            };
+            let was = r.satisfied();
             self.evals += 1;
-            let c = self.refresh(ri, i);
-            self.confidences[ri] = c;
-            let now = c > threshold;
+            r.confidence = r.refresh(&self.bases, &mut self.values, i);
+            let now = r.satisfied();
             if was != now {
-                self.flip(ri, now);
+                let query = r.query;
+                self.flip(query, now);
             }
         }
     }
 
-    /// Result `ri` has just become satisfied (`now`) or stopped being so:
-    /// move its query's count, and the unmet count with it when the quota
-    /// is crossed.
-    fn flip(&mut self, ri: usize, now: bool) {
-        let quota = &mut self.quotas[self.query_of[ri]];
+    /// A result of `query` has just become satisfied (`now`) or stopped
+    /// being so: move the query's count, and the unmet count with it when
+    /// the quota is crossed.
+    fn flip(&mut self, query: usize, now: bool) {
+        let Some(quota) = self.quotas.get_mut(query) else {
+            return;
+        };
         let was_met = quota.met();
         if now {
             quota.satisfied += 1;
@@ -303,32 +324,41 @@ impl<'p> EvalState<'p> {
     /// Raise base `i` by one δ step (no-op at max). Returns whether a step
     /// was taken.
     pub fn step_up(&mut self, i: usize) -> bool {
-        let s = self.steps[i];
-        if s >= self.max_steps(i) {
+        let below_top = self.bases.get(i).filter(|b| b.steps < b.max_steps);
+        let Some(&Base { steps, .. }) = below_top else {
             return false;
-        }
-        self.set_steps(i, s + 1);
+        };
+        self.set_steps(i, steps + 1);
         true
     }
 
     /// Lower base `i` by one δ step (no-op at initial). Returns whether a
     /// step was taken.
     pub fn step_down(&mut self, i: usize) -> bool {
-        let s = self.steps[i];
-        if s == 0 {
+        let raised = self.bases.get(i).filter(|b| b.steps > 0);
+        let Some(&Base { steps, .. }) = raised else {
             return false;
-        }
-        self.set_steps(i, s - 1);
+        };
+        self.set_steps(i, steps - 1);
         true
+    }
+
+    /// The grid points base `i` stands on and one step above it, `None`
+    /// at its top.
+    fn next_step(&self, i: usize) -> Option<(GridPoint, GridPoint)> {
+        let s = self.steps_of(i)?;
+        match self.grid(i)?.get(s as usize..) {
+            Some(&[here, next, ..]) => Some((here, next)),
+            _ => None,
+        }
     }
 
     /// Marginal cost of the next δ step on base `i` (∞ at max).
     pub fn next_step_cost(&self, i: usize) -> f64 {
-        let s = self.steps[i];
-        if s >= self.max_steps(i) {
-            return f64::INFINITY;
+        match self.next_step(i) {
+            Some((here, next)) => next.cost - here.cost,
+            None => f64::INFINITY,
         }
-        self.cost_at(i, s + 1) - self.cost_at(i, s)
     }
 
     /// Sum of confidence gains over `i`'s currently-unsatisfied results
@@ -337,38 +367,50 @@ impl<'p> EvalState<'p> {
     /// then put back, so confidences, node values, counts and the running
     /// cost keep their bits.
     pub fn probe_step_gain(&mut self, i: usize) -> f64 {
-        let s = self.steps[i];
-        if s >= self.max_steps(i) {
+        let Some((_, next)) = self.next_step(i) else {
             return 0.0;
-        }
-        let old_level = self.levels[i];
-        self.levels[i] = self.level_at(i, s + 1);
+        };
+        let Some(old_level) = self.set_level(i, next.level) else {
+            return 0.0;
+        };
         let mut gain = 0.0;
-        let problem = self.problem;
-        for &ri in problem.results_of_base(i) {
-            if !self.is_satisfied(ri) {
-                self.evals += 1;
-                let c = self.refresh(ri, i);
-                gain += (c - self.confidences[ri]).max(0.0);
-            }
+        let (problem, results) = (self.problem, &self.results);
+        let open = || {
+            let tracked = problem.results_of_base(i).iter();
+            tracked
+                .filter_map(|&ri| results.get(ri))
+                .filter(|r| !r.satisfied())
+        };
+        for r in open() {
+            self.evals += 1;
+            let c = r.refresh(&self.bases, &mut self.values, i);
+            gain += (c - r.confidence).max(0.0);
         }
-        self.levels[i] = old_level;
+        if let Some(base) = self.bases.get_mut(i) {
+            base.level = old_level;
+        }
         // The same cones at the old level restore the old node values.
-        for &ri in problem.results_of_base(i) {
-            if !self.is_satisfied(ri) {
-                self.refresh(ri, i);
-            }
+        for r in open() {
+            r.refresh(&self.bases, &mut self.values, i);
         }
         gain
+    }
+
+    /// Put base `i` at `level` without touching anything computed from
+    /// it; the level it had, or `None` if there is no such base.
+    fn set_level(&mut self, i: usize, level: f64) -> Option<f64> {
+        let base = self.bases.get_mut(i)?;
+        Some(std::mem::replace(&mut base.level, level))
     }
 
     /// Snapshot the current state as a [`Solution`].
     pub fn to_solution(&self) -> Solution {
         Solution {
-            levels: self.levels.clone(),
+            levels: self.bases.iter().map(|b| b.level).collect(),
             cost: self.total_cost,
-            satisfied: (0..self.confidences.len())
-                .filter(|&ri| self.is_satisfied(ri))
+            satisfied: (self.results.iter().enumerate())
+                .filter(|(_, r)| r.satisfied())
+                .map(|(ri, _)| ri)
                 .collect(),
         }
     }
@@ -379,22 +421,31 @@ impl<'p> EvalState<'p> {
     fn optimistic_each(
         &mut self,
         rest: &[usize],
-        raised: impl Fn(&Self, usize) -> f64,
+        raised: impl Fn(&Self, usize) -> Option<f64>,
         mut hit: impl FnMut(usize),
     ) {
         let mut saved = std::mem::take(&mut self.saved_levels);
         saved.clear();
-        saved.extend(rest.iter().map(|&i| self.levels[i]));
         for &i in rest {
-            self.levels[i] = raised(self, i);
-        }
-        for ri in 0..self.confidences.len() {
-            if self.is_satisfied(ri) || self.eval_result(ri) > self.thresholds[ri] {
-                hit(self.query_of[ri]);
+            if let Some(old) = raised(self, i).and_then(|level| self.set_level(i, level)) {
+                saved.push((i, old));
             }
         }
-        for (&i, &l) in rest.iter().zip(&saved) {
-            self.levels[i] = l;
+        let (bases, values) = (&self.bases, &mut self.scratch_values);
+        for r in &self.results {
+            let pass = r.satisfied() || {
+                self.evals += 1;
+                values.clear();
+                values.resize(r.spec.conf.node_count(), 0.0);
+                evaluate(r.spec, bases, None, values) > r.threshold
+            };
+            if pass {
+                hit(r.query);
+            }
+        }
+        // Backwards, so a base listed twice ends at the level it started at.
+        for &(i, level) in saved.iter().rev() {
+            self.set_level(i, level);
         }
         self.saved_levels = saved;
     }
@@ -404,8 +455,13 @@ impl<'p> EvalState<'p> {
     /// paper's optimistic bound for heuristic H3.
     pub fn optimistic_satisfied(&mut self, rest: &[usize]) -> usize {
         let mut count = 0;
-        self.optimistic_each(rest, |s, i| s.problem.bases[i].max, |_| count += 1);
+        self.optimistic_each(rest, Self::max_level, |_| count += 1);
         count
+    }
+
+    /// Base `i`'s maximum confidence.
+    fn max_level(&self, i: usize) -> Option<f64> {
+        self.problem.bases.get(i).map(|b| b.max)
     }
 
     /// Heuristic H3 below a search node that costs `cost` with the bases
@@ -434,9 +490,9 @@ impl<'p> EvalState<'p> {
         let first = rest.first().copied();
         let affordable = |s: &Self, i: usize| {
             let from = if first == Some(i) { cost } else { child };
-            let mut steps = (0..=s.max_steps(i)).rev();
-            let top = steps.find(|&step| from + s.cost_at(i, step) < budget);
-            s.level_at(i, top.unwrap_or(0))
+            let grid = s.grid(i)?;
+            let top = grid.iter().rev().find(|p| from + p.cost < budget);
+            top.or(grid.first()).map(|p| p.level)
         };
         let mut count = 0;
         self.optimistic_each(rest, affordable, |_| count += 1);
@@ -447,9 +503,13 @@ impl<'p> EvalState<'p> {
     /// with every base at its maximum confidence; the error names the
     /// first such query's numbers.
     pub(crate) fn check_feasible(&mut self) -> Result<()> {
-        let all: Vec<usize> = (0..self.levels.len()).collect();
+        let all: Vec<usize> = (0..self.bases.len()).collect();
         let mut reachable = vec![0usize; self.quotas.len()];
-        self.optimistic_each(&all, |s, i| s.problem.bases[i].max, |q| reachable[q] += 1);
+        self.optimistic_each(&all, Self::max_level, |q| {
+            if let Some(n) = reachable.get_mut(q) {
+                *n += 1;
+            }
+        });
         for (quota, &achievable) in self.quotas.iter().zip(&reachable) {
             if achievable < quota.required {
                 return Err(CoreError::Infeasible {
@@ -462,33 +522,21 @@ impl<'p> EvalState<'p> {
     }
 }
 
-/// Where each result's node values sit in a flat buffer: result `ri`'s
-/// are `values[self.0[ri]..self.0[ri + 1]]`.
-#[derive(Debug, Clone)]
-struct Spans(Vec<usize>);
-
-impl Spans {
-    fn of<'v>(&self, ri: usize, values: &'v mut [f64]) -> &'v mut [f64] {
-        let start = |at: usize| self.0.get(at).copied().unwrap_or(0);
-        values.get_mut(start(ri)..start(ri + 1)).unwrap_or_default()
-    }
-}
-
 /// Base `i`'s slot in `r`: its position in `r.bases`.
 fn slot_of(r: &ResultSpec, i: usize) -> Option<usize> {
     r.bases.iter().position(|&b| b == i)
 }
 
-/// Result `r`'s confidence at `levels`, with `values` — its circuit's node
-/// values — brought to those levels: by a full forward pass (`changed`
-/// `None`), or, when `values` hold a pass at levels that differ from
-/// `levels` only in the base in slot `s` (`Some(s)`), by recomputing that
-/// slot's cone. Either way the result has the bits of a fresh
-/// [`pcqe_lineage::CompiledLineage::eval`].
-fn evaluate(r: &ResultSpec, levels: &[f64], changed: Option<usize>, values: &mut [f64]) -> f64 {
+/// Result `r`'s confidence at the levels of `bases`, with `values` — its
+/// circuit's node values — brought to those levels: by a full forward
+/// pass (`changed` `None`), or, when `values` hold a pass at levels that
+/// differ from these only in the base in slot `s` (`Some(s)`), by
+/// recomputing that slot's cone. Either way the result has the bits of a
+/// fresh [`pcqe_lineage::CompiledLineage::eval`].
+fn evaluate(r: &ResultSpec, bases: &[Base], changed: Option<usize>, values: &mut [f64]) -> f64 {
     let prob = |slot: usize| {
-        let level = r.bases.get(slot).and_then(|&b| levels.get(b));
-        level.copied().unwrap_or(0.0)
+        let base = r.bases.get(slot).and_then(|&b| bases.get(b));
+        base.map_or(0.0, |b| b.level)
     };
     match changed {
         Some(slot) => r.conf.update(slot, prob, values),
@@ -528,8 +576,8 @@ mod tests {
     fn initial_state_matches_direct_evaluation() {
         let p = two_result_problem();
         let s = EvalState::new(&p);
-        assert!((s.confidence(0) - (0.1 + 0.1 - 0.01)).abs() < 1e-12);
-        assert!((s.confidence(1) - 0.01).abs() < 1e-12);
+        assert!((s.confidence(0).unwrap() - (0.1 + 0.1 - 0.01)).abs() < 1e-12);
+        assert!((s.confidence(1).unwrap() - 0.01).abs() < 1e-12);
         assert_eq!(counted(&s), 0);
         assert_eq!(s.total_cost, 0.0);
     }
@@ -539,7 +587,7 @@ mod tests {
         let p = two_result_problem();
         let mut s = EvalState::new(&p);
         s.set_steps(1, 5); // t1: 0.1 → 0.6
-        assert!((s.levels[1] - 0.6).abs() < 1e-12);
+        assert!((s.bases[1].level - 0.6).abs() < 1e-12);
         assert!((s.total_cost - 20.0 * 0.5).abs() < 1e-9);
         // r0 = 0.1 + 0.6 - 0.06 = 0.64 > 0.5 → satisfied.
         assert!(s.is_satisfied(0));
@@ -585,7 +633,7 @@ mod tests {
         for _ in 0..20 {
             s.step_up(0);
         }
-        assert!((s.levels[0] - 1.0).abs() < 1e-12);
+        assert!((s.bases[0].level - 1.0).abs() < 1e-12);
         assert!(!s.step_up(0));
         assert_eq!(s.next_step_cost(0), f64::INFINITY);
     }
@@ -616,7 +664,7 @@ mod tests {
         assert_eq!(s.optimistic_satisfied(&[0]), 1);
         // Probe must not leave residue.
         assert_eq!(counted(&s), 0);
-        assert!((s.levels[0] - 0.1).abs() < 1e-12);
+        assert!((s.bases[0].level - 0.1).abs() < 1e-12);
     }
 
     #[test]

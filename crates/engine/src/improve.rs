@@ -181,9 +181,12 @@ pub(crate) fn build_instance(
     Ok(Ok(builder.require(needed).build()?))
 }
 
-/// Pick the solver by problem size, mirroring the crossovers measured in
-/// Figure 11(c): exact branch-and-bound (seeded by greedy) up to 12 base
-/// tuples, divide-and-conquer past 64 results, greedy in between. Each
+/// Pick the solver by problem size: exact branch-and-bound (seeded by
+/// greedy) up to 12 base tuples, divide-and-conquer past 64 results,
+/// greedy in between. The D&C cut-off is not a measured crossover: since
+/// greedy's lazy heap, greedy answers cheaper than D&C on Figure 11(c)'s
+/// instances and on paths like the engine's own D&C-regime misses
+/// (`tests/solver_properties.rs`, `greedy_is_no_dearer_than_dnc`). Each
 /// solver runs in a span of its own on `observer` (`greedy`, `heuristic`,
 /// `dnc`), and its statistics are reported there as `solver.*` metrics.
 /// Only D&C's groups run under the engine's parallelism policy `par`;

@@ -1,5 +1,5 @@
-//! Layer 2 of the analyzer: the workspace call graph and the rules that
-//! are *reachability* properties rather than token windows. (Layer 3 —
+//! Layer 2 of the analyzer: the workspace call graph and the rule that
+//! is a *reachability* property rather than a token window. (Layer 3 —
 //! the confidentiality dataflow in [`crate::flow`] — runs over the same
 //! graph, consuming the per-call argument sets and def-use chains the
 //! item parser recorded on each node.)
@@ -24,37 +24,24 @@
 //! to *every* workspace method named `span_begin` — each
 //! `impl Observer for _` included.
 //! Whatever the dynamic dispatch would actually reach is a subset of the
-//! edges drawn, so P002/G001 (and the layer-3 taint propagation) never
-//! miss a path through dynamic dispatch; the cost is spurious edges
-//! between same-named methods of unrelated types, which only ever *add*
-//! findings for a human to allowlist, never hide one. This behavior is
-//! load-bearing and pinned by the
-//! `trait_object_calls_over_approximate_to_every_impl` test below.
+//! edges drawn, so G001 (and the layer-3 taint propagation) never miss a
+//! path through dynamic dispatch; the cost is spurious edges between
+//! same-named methods of unrelated types, which only ever *add* findings
+//! for a human to review, never hide one. This behavior is load-bearing
+//! and pinned by the `trait_object_calls_over_approximate_to_every_impl`
+//! test below.
 //!
-//! Two rules run over the graph:
-//!
-//! * **PCQE-P002** — multi-source BFS from every `pub` function of the
-//!   query-facing crates; each index expression in a reached function is
-//!   a finding, reported *at the site* with the (shortest, deterministic)
-//!   witness call path from a public root. The other panics are clippy's:
-//!   every crate root denies `unwrap_used`/`expect_used`/`panic`/`todo`/
-//!   `unimplemented`/`unreachable`. Clippy's `indexing_slicing` would
-//!   miss an `Index` impl such as `BTreeMap`'s `m[&k]`; this rule sees
-//!   every `x[…]`.
-//! * **PCQE-G001** — BFS from the `Database` query entry points that
-//!   stops at any function calling the policy gate
-//!   (`evaluate_results`): a function that constructs `ReleasedTuple`s
-//!   on a still-ungated path is a finding. The gate dominates everything
-//!   below it, so rows built under it are policy-filtered by
-//!   construction.
+//! One rule runs over the graph: **PCQE-G001** — BFS from the `Database`
+//! query entry points that stops at any function calling the policy gate
+//! (`evaluate_results`): a function that constructs `ReleasedTuple`s on a
+//! still-ungated path is a finding. The gate dominates everything below
+//! it, so rows built under it are policy-filtered by construction. (Index
+//! panics, PCQE-P002, need no graph: every index site in production code
+//! is a finding, see [`crate::rules::check_indexes`].)
 
 use crate::item::{CallKind, FileItems, FnItem};
 use crate::rules::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Crates whose `pub` functions seed the P002 reachability scan — the
-/// query-facing API surface of the engine stack.
-const PANIC_ROOT_CRATES: [&str; 4] = ["pcqe_engine", "pcqe_policy", "pcqe_sql", "pcqe_storage"];
 
 /// The policy-filter helper: a function that calls it is a *gate* for
 /// rule G001 (the audit/metrics helpers from the observability layer are
@@ -285,7 +272,7 @@ fn reach(
 
 /// Render the witness chain `origin → … → node` by following `pred` back
 /// from node `i` (stopping, defensively, at a node already on the chain).
-/// Shared by the reachability rules and the dataflow layer.
+/// Shared by G001 and the dataflow layer.
 pub(crate) fn witness(graph: &CallGraph, pred: &[Option<usize>], mut i: usize) -> String {
     let mut chain = vec![graph.fns[i].qualified()];
     let mut visited = BTreeSet::from([i]);
@@ -295,38 +282,6 @@ pub(crate) fn witness(graph: &CallGraph, pred: &[Option<usize>], mut i: usize) -
     }
     chain.reverse();
     chain.join(" → ")
-}
-
-/// Rule P002: index expressions reachable from guarded public API, with a
-/// deterministic shortest witness path per site.
-pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
-    let roots = graph.fns.iter().enumerate().filter(|(_, node)| {
-        node.is_public && PANIC_ROOT_CRATES.contains(&node.crate_name.as_str())
-    });
-    let (reached, pred) = reach(graph, roots.map(|(i, _)| i), |_| false);
-
-    let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
-    for (i, node) in graph.fns.iter().enumerate() {
-        if !reached[i] || node.indexes.is_empty() {
-            continue;
-        }
-        let witness = witness(graph, &pred, i);
-        for &line in &node.indexes {
-            if !seen.insert((node.path.clone(), line)) {
-                continue; // one finding per site line
-            }
-            out.push(Finding {
-                rule: Rule::P002,
-                path: node.path.clone(),
-                line,
-                message: format!(
-                    "slice/array index reachable from guarded public API via {witness}: \
-                     return a typed error on this path (or allowlist a provably \
-                     in-bounds site)"
-                ),
-            });
-        }
-    }
 }
 
 /// Rule G001: every call path from a query entry point to a function
@@ -409,50 +364,6 @@ mod tests {
             .map(|&i| g.fns[i].name.as_str())
             .collect();
         assert_eq!(callees, vec!["go"]);
-    }
-
-    #[test]
-    fn p002_reports_two_hop_panic_with_witness() {
-        let files = vec![
-            file(
-                "crates/engine/src/api.rs",
-                "pub fn run(v: &[u32]) -> u32 { step(v) }\n\
-                 fn step(v: &[u32]) -> u32 { pcqe_core::pick(v) }\n",
-            ),
-            file(
-                "crates/core/src/solve.rs",
-                "pub fn pick(v: &[u32]) -> u32 { v[0] }\n\
-                 pub fn not_called(v: &[u32]) -> u32 { v[1] }\n",
-            ),
-        ];
-        let g = CallGraph::build(files);
-        let mut out = Vec::new();
-        panic_reachability(&g, &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        let f = &out[0];
-        assert_eq!(f.rule, Rule::P002);
-        assert_eq!(f.path, "crates/core/src/solve.rs");
-        assert_eq!(f.line, 1);
-        assert!(
-            f.message
-                .contains("pcqe_engine::run → pcqe_engine::step → pcqe_core::pick"),
-            "witness missing in: {}",
-            f.message
-        );
-    }
-
-    #[test]
-    fn p002_reports_only_index_panics() {
-        let files = vec![file(
-            "crates/engine/src/api.rs",
-            "pub fn run(v: &[u32], x: Option<u32>) -> u32 { x.unwrap() + v[0] }\n",
-        )];
-        let g = CallGraph::build(files);
-        let mut out = Vec::new();
-        panic_reachability(&g, &mut out);
-        // The unwrap is clippy's job; the index is P002's.
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert!(out[0].message.contains("slice/array index"));
     }
 
     #[test]
@@ -550,8 +461,8 @@ mod tests {
         assert_eq!(g1.edges, g2.edges);
         let mut o1 = Vec::new();
         let mut o2 = Vec::new();
-        panic_reachability(&g1, &mut o1);
-        panic_reachability(&g2, &mut o2);
+        policy_gating(&g1, &mut o1);
+        policy_gating(&g2, &mut o2);
         assert_eq!(o1, o2);
     }
 }

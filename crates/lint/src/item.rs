@@ -2,9 +2,9 @@
 //! dataflow layers read.
 //!
 //! Token-window rules are good enough for "this construct may not appear
-//! in this file", useless for *reachability* properties ("no path from
-//! the public API may hit a panic"). This module sits between the lexer
-//! and the call graph: it walks the token stream of one file and recovers
+//! in this file", useless for *reachability* properties ("no path from a
+//! query entry point may release an ungated row"). This module sits
+//! between the lexer and the call graph: it walks the token stream of one file and recovers
 //! just enough item structure to build a workspace call graph, whose
 //! nodes are the [`FnItem`]s recorded here —
 //!
@@ -12,9 +12,9 @@
 //! * `fn` items, free or inside `impl`/`trait` blocks, with visibility,
 //!   owner type, and the line they start on;
 //! * per-function **call sites** (bare calls, `path::to::calls`, and
-//!   `.method(` calls), **index sites** (`x[i]`, `x[a..b]`: the panics
-//!   clippy does not see, since every crate root already denies
-//!   `unwrap`/`expect`/`panic!`), and the set of identifiers the body
+//!   `.method(` calls), **index sites** (`x[i]`, `x[a..b]`, `m[&k]`:
+//!   the panics rule P002 reports, since every crate root already denies
+//!   `unwrap`/`expect`/`panic!` to clippy), and the set of identifiers the body
 //!   **mentions** (anchors for the policy-gating rule);
 //! * per-function **def-use chains** (`let` bindings, format-macro
 //!   sites, per-argument identifier sets, return-value identifiers) —
@@ -183,6 +183,18 @@ pub(crate) const PRINT_MACROS: [&str; 4] = ["print", "println", "eprint", "eprin
 
 /// The macros that write into a formatter (an error sink inside `fmt`).
 pub(crate) const WRITE_MACROS: [&str; 2] = ["write", "writeln"];
+
+/// Rust's strict and reserved keywords, less the two that can end a value
+/// (`self[i]` and `fut.await[i]` index). A `[` after any of these opens an
+/// array or a slice type (`for k in ["a", "b"]`, `&mut [f64]`), not an
+/// index.
+const KEYWORDS: [&str; 49] = [
+    "Self", "abstract", "as", "async", "become", "box", "break", "const", "continue", "crate",
+    "do", "dyn", "else", "enum", "extern", "false", "final", "fn", "for", "if", "impl", "in",
+    "let", "loop", "macro", "match", "mod", "move", "mut", "override", "priv", "pub", "ref",
+    "return", "static", "struct", "super", "trait", "true", "try", "type", "typeof", "unsafe",
+    "unsized", "use", "virtual", "where", "while", "yield",
+];
 
 /// Implicit format captures in a literal body: `"β={threshold}"` →
 /// `threshold`. `{{` escapes are skipped; positional (`{0}`) and bare
@@ -528,7 +540,8 @@ impl<'a> ItemParser<'a> {
         let line = self.toks[start].line;
         // Signature: find the parameter list, skip it, then scan to the
         // body `{` (or `;`). Return types and where-clauses contain no
-        // braces, so the first `{` at paren-depth 0 opens the body.
+        // braces, so the first `{` at paren-depth 0 opens the body; an
+        // array type's `;` (`-> [u8; 2]`) is skipped with its brackets.
         let mut i = start + 1;
         while i < self.toks.len() && !self.punct_at(i, '(') && !self.punct_at(i, ';') {
             i += 1;
@@ -567,7 +580,11 @@ impl<'a> ItemParser<'a> {
             }
         }
         while i < self.toks.len() && !self.punct_at(i, '{') && !self.punct_at(i, ';') {
-            i += 1;
+            i = if self.punct_at(i, '[') {
+                self.skip_group(i, '[', ']')
+            } else {
+                i + 1
+            };
         }
         if !self.punct_at(i, '{') {
             return i + 1; // declaration only (trait method without body)
@@ -834,12 +851,13 @@ impl<'a> ItemParser<'a> {
                     // Index expression: `x[i]`, `f()[i]`, `a[0][1]` — the
                     // opener follows a value. Attribute openers follow `#`
                     // (handled above); array types/literals follow
-                    // punctuation.
+                    // punctuation or a keyword.
                     let indexes_value = i > 0
-                        && matches!(
-                            &self.toks[i - 1].tok,
-                            Tok::Ident(_) | Tok::Punct(')') | Tok::Punct(']')
-                        );
+                        && match &self.toks[i - 1].tok {
+                            Tok::Ident(w) => !KEYWORDS.contains(&w.as_str()),
+                            Tok::Punct(c) => matches!(c, ')' | ']'),
+                            _ => false,
+                        };
                     if indexes_value {
                         item.indexes.push(t.line);
                     }
@@ -962,6 +980,26 @@ mod tests {
              }\n",
         );
         assert!(f.fns[0].indexes.is_empty(), "{:?}", f.fns[0].indexes);
+    }
+
+    #[test]
+    fn a_keyword_before_a_bracket_opens_an_array_not_an_index() {
+        let f = items(
+            "fn ok(out: &mut [f64]) -> [usize; 1] {\n\
+               for key in [\"counters\", \"spans\"] { drop(key); }\n\
+               let grid: &mut [f64] = out;\n\
+               if true { return [1]; }\n\
+               match [grid.len()] { _ => [3] }\n\
+             }\n\
+             fn risky(&self, m: &BTreeMap<u8, u8>, k: u8) -> u8 {\n\
+               self[0] + m[&k]\n\
+             }\n",
+        );
+        // An array return type is not a bodyless declaration.
+        assert_eq!(f.fns.len(), 2);
+        assert!(f.fns[0].indexes.is_empty(), "{:?}", f.fns[0].indexes);
+        // `self` is a value, and a map index is an index like any other.
+        assert_eq!(f.fns[1].indexes, vec![8, 8]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `pcqe-lint` — the in-repo static invariant analyzer.
 //!
 //! It checks only what the compiler cannot see: properties of call paths
-//! and of dataflow, and the float-literal comparisons clippy exempts.
+//! and of dataflow, and the two constructs clippy exempts — float-literal
+//! comparisons and index expressions on maps and `str`s.
 //! Everything clippy can state it states, in the `clippy` CI stage, each
 //! exception an item-level `#[expect(<lint>, reason = "…")]`: panicking
 //! constructs (every crate root denies clippy's `unwrap_used`,
@@ -20,10 +21,11 @@
 //!    `.partial_cmp(` call.
 //! 2. **Graph layer.** The same token streams feed a lightweight item
 //!    parser ([`item`]: fns, impls, `use` trees, visibility, per-fn call
-//!    and index sites), whose output links into a workspace-wide
-//!    resolved call graph ([`graph`]) powering *reachability* rules —
-//!    properties that hold along every path, not just at the call sites
-//!    a token window happens to see.
+//!    and index sites). Every index site in a production function is a
+//!    finding as it stands (PCQE-P002); the items then link into a
+//!    workspace-wide resolved call graph ([`graph`]) powering the
+//!    *reachability* rule — a property that holds along every path, not
+//!    just at the call sites a token window happens to see.
 //! 3. **Dataflow layer.** Per-function def-use chains (`let` bindings,
 //!    format captures, return-value identifiers) plus per-argument call
 //!    windows feed a name-based taint analysis ([`flow`]): sources and
@@ -135,12 +137,13 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
     let mut usage = spec.usage();
 
     // --- Scan ----------------------------------------------------------
-    // Each file is lexed once; the token stream feeds both the token
-    // rule (D004) and the item parser, whose output links into the
-    // workspace call graph for the reachability rules (P002, G001) and
-    // the dataflow layer (F001–F003). The analyzer itself and the
-    // detached bench workspace stay out: no guarded product crate can
-    // depend on the dev tooling (`tests/hermetic_guard.rs` holds every
+    // Each file is lexed once; the token stream feeds the token rule
+    // (D004) and the item parser, whose per-function index sites are
+    // P002's findings and whose output links into the workspace call
+    // graph for the reachability rule (G001) and the dataflow layer
+    // (F001–F003). The analyzer itself and the detached bench workspace
+    // are dev tools, not production crates, and stay out: no product
+    // crate can depend on them (`tests/hermetic_guard.rs` holds every
     // dependency to a workspace path), so a name-collision edge into them
     // is spurious by construction.
     let mut raw: Vec<Finding> = Vec::new();
@@ -155,10 +158,11 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
         let toks = lexer::lex(&text);
         let mask = rules::test_region_mask(&toks);
         rules::check_tokens(rel, &toks, &mask, &mut raw);
-        items.push(item::collect(rel, &toks, &mask));
+        let file = item::collect(rel, &toks, &mask);
+        rules::check_indexes(rel, &file, &mut raw);
+        items.push(file);
     }
     let call_graph = graph::CallGraph::build(items);
-    graph::panic_reachability(&call_graph, &mut raw);
     graph::policy_gating(&call_graph, &mut raw);
     // Layer 3: sanctioned flows land directly in the suppressed list
     // with the sanction's reason; unsanctioned ones are findings like
@@ -175,9 +179,8 @@ pub fn analyze(root: &Path) -> Result<Analysis, LintError> {
     // --- Suppress ------------------------------------------------------
     let mut findings: Vec<Finding> = Vec::new();
     for f in raw {
-        let hit = spec.allow.iter().position(|e| {
-            e.rule == f.rule && e.path == f.path && e.line.is_none_or(|l| l == f.line)
-        });
+        let hit = (spec.allow.iter())
+            .position(|e| e.rule == f.rule && e.path == f.path && e.line == f.line);
         match hit {
             Some(idx) => {
                 usage.allow_hits[idx] += 1;

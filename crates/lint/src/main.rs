@@ -65,7 +65,7 @@ fn main() -> ExitCode {
             }
             "-h" | "--help" => {
                 println!(
-                    "pcqe-lint: static invariant analyzer (float comparisons, panic-reachability, policy gating, confidentiality)\n\n\
+                    "pcqe-lint: static invariant analyzer (float comparisons, index panics, policy gating, confidentiality)\n\n\
                      usage: pcqe-lint [--root DIR] [--format human|json] [--rule ID] [--list-rules]\n\n\
                      --rule ID narrows the displayed report to one rule; the exit status\n\
                      still reflects the full analysis\n\n\

@@ -6,7 +6,9 @@
 //! under-approximate (miss violations). Justified exceptions go in
 //! `lint.toml` with a reason; see `DESIGN.md` § "Static invariants".
 
+use crate::item::FileItems;
 use crate::lexer::{Tok, Token};
+use std::collections::BTreeSet;
 
 /// Stable rule identifiers. Codes are part of the tool's contract: CI
 /// logs, `lint.toml` entries and docs all refer to them. The code and
@@ -18,8 +20,7 @@ pub enum Rule {
     /// Row release reachable from a query entry point without passing the
     /// policy gate (call-graph rule, see [`crate::graph`]).
     G001,
-    /// Index expression *reachable* from guarded public API (call-graph
-    /// rule with witness paths, see [`crate::graph`]).
+    /// Index expression in a production function ([`check_indexes`]).
     P002,
     /// Suppressed-tuple data reaching an error-message or panic-payload
     /// sink (dataflow rule with witness paths, see [`crate::flow`]).
@@ -64,8 +65,8 @@ pub const RULES: [(Rule, &str, &str); 10] = [
     (
         Rule::P002,
         "PCQE-P002",
-        "panic-safety: no slice/array index reachable from guarded public API \
-         (witness call path reported)",
+        "panic-safety: no slice, array or map index (`x[i]`, `x[a..b]`, `m[&k]`) \
+         in any production function",
     ),
     (
         Rule::F001,
@@ -105,7 +106,7 @@ pub const RULES: [(Rule, &str, &str); 10] = [
         Rule::A002,
         "PCQE-A002",
         "hygiene: [[allow]] entries must carry a non-empty reason citing only live \
-         rule ids; file-wide entries must state the rule id they suppress",
+         rule ids",
     ),
 ];
 
@@ -210,6 +211,25 @@ pub fn check_tokens(path: &str, toks: &[Token], skip: &[bool], out: &mut Vec<Fin
             path: path.to_owned(),
             line: t.line,
             message: message.to_owned(),
+        });
+    }
+}
+
+/// Rule P002 over one file's items: every index expression in a non-test
+/// function is a finding, one per line. Clippy's `indexing_slicing` is
+/// not the checker: it lets `m[&k]` on a map and a `str` range through.
+pub fn check_indexes(path: &str, file: &FileItems, out: &mut Vec<Finding>) {
+    let lines: BTreeSet<u32> = (file.fns.iter())
+        .flat_map(|f| f.indexes.iter().copied())
+        .collect();
+    for line in lines {
+        out.push(Finding {
+            rule: Rule::P002,
+            path: path.to_owned(),
+            line,
+            message: "index expression can panic: read through `get`/iterators, or return a \
+                      typed error where the lookup can miss"
+                .to_owned(),
         });
     }
 }

@@ -7,7 +7,7 @@
 //! [[allow]]                   # a reasoned exception to one rule
 //! rule = "PCQE-D004"          # or the short form "D004"
 //! path = "crates/algebra/src/expr.rs"
-//! line = 770                  # optional: pin to one line
+//! line = 770                  # required: the one line it excuses
 //! reason = "exact-zero divisor guard"
 //!
 //! [[source]]                  # what the dataflow layer treats as secret
@@ -56,8 +56,8 @@ pub struct AllowEntry {
     pub rule: Rule,
     /// Relative `/`-separated path the suppression applies to.
     pub path: String,
-    /// Restrict to one line; `None` covers the whole file.
-    pub line: Option<u32>,
+    /// The one line excused: there is no file-wide entry.
+    pub line: u32,
     /// Why the exception is sound. Blank → PCQE-A002.
     pub reason: String,
     /// Line of the table header in the manifest itself.
@@ -259,37 +259,19 @@ impl Spec {
             }
         }
 
-        // --- Allow entries: self-describing waivers, none stale --------
+        // --- Allow entries: none stale ---------------------------------
         for (entry, &hits) in self.allow.iter().zip(&usage.allow_hits) {
-            let code = entry.rule.code();
-            let at_line = entry.line.map(|l| format!(" line {l}")).unwrap_or_default();
-            // File-wide suppressions are the blunt instrument: their
-            // reason must name the rule they blanket (`P002: …`), so a
-            // reader — and this check — can tell a deliberate waiver
-            // from a typo.
-            let short = code.trim_start_matches("PCQE-");
-            if entry.line.is_none()
-                && !entry.reason.trim().is_empty()
-                && !entry.reason.contains(short)
-            {
-                emit(
-                    Rule::A002,
-                    entry.declared_at,
-                    format!(
-                        "file-wide allowlist entry at `{}` suppresses {code} but its reason \
-                         never states that rule id; prefix the reason with `{short}: `",
-                        entry.path,
-                    ),
-                );
-            }
             if hits == 0 {
                 emit(
                     Rule::A001,
                     entry.declared_at,
                     format!(
-                        "stale allowlist entry: no {code} finding at `{}`{at_line} — delete \
-                         the entry (reason was: {})",
-                        entry.path, entry.reason
+                        "stale allowlist entry: no {} finding at `{}` line {} — delete the \
+                         entry (reason was: {})",
+                        entry.rule.code(),
+                        entry.path,
+                        entry.line,
+                        entry.reason
                     ),
                 );
             }
@@ -324,7 +306,7 @@ pub fn parse(text: &str, source: &str) -> Result<Spec, String> {
             "allow" => spec.allow.push(AllowEntry {
                 rule: t.need("rule", rule)?,
                 path: t.need("path", path)?,
-                line: t.get("line", integer)?,
+                line: t.need("line", integer)?,
                 reason: t.reason()?,
                 declared_at,
             }),
@@ -570,8 +552,8 @@ mod tests {
         [[allow]]\nrule = \"PCQE-D004\"\npath = \"crates\\algebra\\src\\expr.rs\"\n\
         line = 56\nreason = \"exact-zero divisor guard\"\n\
         \n\
-        [[allow]]\nrule = \"P002\" # short form\npath = \"crates/core/src/state.rs\"\n\
-        reason = \"P002: bounded indexing #1\"\n\
+        [[allow]]\nrule = \"G001\" # short form\npath = \"crates/engine/src/db.rs\"\n\
+        line = 7\nreason = \"gated by caller #1\"\n\
         \n\
         [[source]]\nkind = \"policy\"\nnames = [\"beta\", \"threshold\", ]\n\
         reason = \"policy internals\"\n\
@@ -594,12 +576,12 @@ mod tests {
         assert_eq!(spec.allow.len(), 2);
         assert_eq!(spec.allow[0].rule, Rule::D004);
         assert_eq!(spec.allow[0].path, "crates/algebra/src/expr.rs");
-        assert_eq!(spec.allow[0].line, Some(56));
+        assert_eq!(spec.allow[0].line, 56);
         assert_eq!(spec.allow[0].declared_at, 3);
-        assert_eq!(spec.allow[1].rule, Rule::P002);
-        assert_eq!(spec.allow[1].line, None);
+        assert_eq!(spec.allow[1].rule, Rule::G001);
+        assert_eq!(spec.allow[1].line, 7);
         // A `#` inside a quoted string is text, not a comment.
-        assert_eq!(spec.allow[1].reason, "P002: bounded indexing #1");
+        assert_eq!(spec.allow[1].reason, "gated by caller #1");
 
         assert_eq!(spec.sources.len(), 2);
         assert_eq!(spec.sources[0].kind, TaintKind::Policy);
@@ -640,8 +622,8 @@ mod tests {
         rejected("rule = \"D004\"\n", "f:1: `rule` outside a table");
         rejected("[[allow]]\njust words\n", "f:2: expected `key = value`");
         rejected(
-            "[[allow]]\nrule = \"D004\"\npath = \"x\"\nbogus = \"x\"\n",
-            "f:4: unknown key `bogus` in `[[allow]]`",
+            "[[allow]]\nrule = \"D004\"\npath = \"x\"\nline = 1\nbogus = \"x\"\n",
+            "f:5: unknown key `bogus` in `[[allow]]`",
         );
         rejected(
             "[[sanction]]\nrule = \"F001\"\npath = \"x\"\nsink = \"s\"\nnames = [\"x\"]\n",
@@ -655,6 +637,11 @@ mod tests {
         rejected(
             "\n[[allow]]\nrule = \"D004\"\n",
             "f:2: `[[allow]]` entry is missing `path`",
+        );
+        // There is no file-wide waiver: an entry names its one line.
+        rejected(
+            "[[allow]]\nrule = \"D004\"\npath = \"x\"\nreason = \"r\"\n",
+            "f:1: `[[allow]]` entry is missing `line`",
         );
         rejected("[[source]]\nnames = [\"x\"]\n", "missing `kind`");
         rejected("[[source]]\nkind = \"policy\"\n", "taints nothing");
@@ -738,9 +725,9 @@ mod tests {
     }
 
     #[test]
-    fn unused_entries_are_stale_and_file_wide_waivers_name_their_rule() {
+    fn unused_entries_are_stale() {
         let spec = parse(
-            "[[allow]]\nrule = \"P002\"\npath = \"x.rs\"\nreason = \"bounded indexing\"\n\
+            "[[allow]]\nrule = \"P002\"\npath = \"x.rs\"\nline = 3\nreason = \"bounded\"\n\
              [[sanction]]\nrule = \"PCQE-F002\"\npath = \"crates/policy/src/x.rs\"\n\
              sink = \"write\"\nreason = \"nothing flows here anymore\"\n",
             MANIFEST,
@@ -753,20 +740,20 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                (Rule::A002, 1), // file-wide, reason never says P002
                 (Rule::A001, 1), // suppressed nothing
-                (Rule::F004, 5), // sanction covered no flow
+                (Rule::F004, 6), // sanction covered no flow
             ],
             "{out:#?}"
         );
-        assert!(out[1].message.contains("stale allowlist entry"));
-        assert!(out[2].message.contains("stale sanction"));
+        assert!(out[0].message.contains("stale allowlist entry"));
+        assert!(out[0].message.contains("`x.rs` line 3"));
+        assert!(out[1].message.contains("stale sanction"));
 
         // Fully used, nothing is reported.
         usage.allow_hits[0] = 1;
         usage.sanctions_hit[0] = true;
         let mut out = Vec::new();
         spec.hygiene(&usage, &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}"); // only the A002 remains
+        assert!(out.is_empty(), "{out:#?}");
     }
 }

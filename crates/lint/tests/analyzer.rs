@@ -3,8 +3,8 @@
 //! Each fixture is a miniature workspace with (at most) one `lint.toml`:
 //! `tree/` has no manifest at all, so nothing is excused and every float
 //! comparison in it — in any crate — is D004; `graph/` seeds the
-//! graph-layer rules (P002 panic-reachability, G001 policy-gating) and
-//! the float rule D004, `gated/` is the G001 negative (the gate
+//! graph-layer rule G001 (policy gating), the index rule P002 and the
+//! float rule D004, `gated/` is the G001 negative (the gate
 //! dominates the row constructor),
 //! `noreason/` trips the A002 hygiene rule, `allow/` pairs a violation
 //! with a reasoned suppression, `stale/` carries an `[[allow]]` entry
@@ -65,41 +65,13 @@ fn graph_fixture_seeds_the_graph_layer_and_the_token_rule() {
         (Rule::D004, "crates/core/src/floaty.rs", 4), // x == 0.0
         (Rule::D004, "crates/core/src/floaty.rs", 4), // x != 1.0
         (Rule::D004, "crates/core/src/floaty.rs", 8), // .partial_cmp(
-        (Rule::P002, "crates/core/src/pick.rs", 5),   // v[0]
-        (Rule::P002, "crates/core/src/pick.rs", 15),  // v[i]
+        (Rule::P002, "crates/core/src/pick.rs", 7),   // v[i]
+        (Rule::P002, "crates/core/src/pick.rs", 11),  // never-called v[0]
+        (Rule::P002, "crates/core/src/pick.rs", 17),  // m[&k]
         (Rule::G001, "crates/engine/src/database.rs", 24), // release_all
         (Rule::G001, "crates/engine/src/database.rs", 35), // release_physical
     ];
     assert_eq!(got, want, "full findings: {:#?}", analysis.findings);
-}
-
-#[test]
-fn p002_witness_names_the_full_call_path() {
-    let analysis = run("graph");
-    let p002 = analysis
-        .findings
-        .iter()
-        .find(|f| f.rule == Rule::P002)
-        .expect("P002 fires in the graph fixture");
-    // The panic is reported at the site (in pcqe-core, which is not
-    // panic-guarded) with the two-hop chain from the engine's public API.
-    assert_eq!(p002.path, "crates/core/src/pick.rs");
-    assert!(
-        p002.message
-            .contains("pcqe_engine::run → pcqe_engine::step → pcqe_core::pick"),
-        "witness missing in: {}",
-        p002.message
-    );
-    // The never-called index in the same file stays unreported: P002 is
-    // reachability, not presence.
-    assert!(
-        !analysis
-            .findings
-            .iter()
-            .any(|f| f.rule == Rule::P002 && f.line == 9),
-        "{:#?}",
-        analysis.findings
-    );
 }
 
 #[test]
@@ -188,9 +160,8 @@ fn every_recorded_workspace_find_is_still_reproduced_by_a_fixture() {
             "graph",
             Rule::P002,
             "crates/core/src/pick.rs",
-            15,
-            "slice/array index reachable from guarded public API via \
-             pcqe_engine::lookup → pcqe_core::nth",
+            7,
+            "index expression can panic",
         ),
         (
             "PR 4: a release path that bypasses the policy gate",

@@ -1,16 +1,18 @@
-//! Fixture: the reachable panic sites — P002 reports each here, with the
-//! witness call path from the guarded public API.
+//! Fixture: P002 — every index expression in production code is a
+//! finding, whether or not anything calls the function it sits in.
 
-pub fn pick(v: &[u32]) -> u32 {
+use std::collections::BTreeMap;
+
+pub fn pick(v: &[u32], i: usize) -> u32 {
+    v[i]
+}
+
+fn never_called(v: &[u32]) -> u32 {
     v[0]
 }
 
-pub fn unreached(v: &[u32]) -> u32 {
-    v[1]
-}
-
-/// The shape of the real workspace finds: slice indexing below the
-/// guarded API, reported with the call path that reaches it.
-pub fn nth(v: &[u32], i: usize) -> u32 {
-    v[i]
+/// A map index panics on a missing key as a slice index does past its
+/// end; clippy's `indexing_slicing` lets this one through.
+pub fn price(m: &BTreeMap<String, u32>, k: String) -> u32 {
+    m[&k]
 }

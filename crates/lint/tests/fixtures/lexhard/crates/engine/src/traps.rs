@@ -1,7 +1,8 @@
 //! Fixture: every forbidden token in this file hides inside a literal
 //! or a comment — the lexer must keep all of them invisible, so the
 //! whole file lints clean. A comparison in a doc string is advice, not
-//! code: x == 0.5, a.partial_cmp(&b), v[0].
+//! code: x == 0.5, a.partial_cmp(&b), v[0]. Brackets after a keyword are
+//! arrays and slice types, not indexes.
 
 /* outer /* nested x == 0.5 a.partial_cmp(&b) */ still commented v[0] */
 
@@ -26,4 +27,14 @@ pub fn opaque() -> Vec<String> {
         String::from_utf8_lossy(rawbytes).into_owned(),
         format!("{ch}{quote}{emoji}{tick}"),
     ]
+}
+
+/// A `[` after a keyword opens an array or a slice type, never an index.
+pub fn arrays(grid: &mut [f64]) -> usize {
+    let view: &mut [f64] = grid;
+    let mut n = view.len();
+    for key in ["ts", "pid", "tid"] {
+        n += key.len();
+    }
+    n
 }

@@ -78,12 +78,11 @@ impl Value {
 
 /// Parse one JSON document (surrounding whitespace allowed).
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing content after document"));
     }
     Ok(v)
@@ -93,7 +92,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -103,7 +102,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -139,7 +138,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes().get(self.pos..self.pos + word.len()) == Some(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -221,7 +220,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -238,16 +238,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str: valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    match s.chars().next() {
+                    // Consume one UTF-8 scalar: `pos` only ever lands on
+                    // a character boundary of the (valid) input.
+                    let rest = self.text.get(self.pos..);
+                    match rest.and_then(|rest| rest.chars().next()) {
                         Some(c) => {
                             out.push(c);
                             self.pos += c.len_utf8();
                         }
-                        None => return Err(self.err("unterminated string")),
+                        None => return Err(self.err("invalid utf-8 in string")),
                     }
                 }
             }
@@ -277,8 +276,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
+        let text =
+            (self.text.get(start..self.pos)).ok_or_else(|| self.err("invalid number bytes"))?;
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.err(&format!("invalid number `{text}`")))

@@ -83,7 +83,7 @@ impl<'a> Lexer<'a> {
         let (input, bytes) = (self.input, self.input.as_bytes());
         loop {
             let i = self.i;
-            let Some(&b) = bytes.get(i) else {
+            let Some((&b, after)) = bytes.get(i..).and_then(<[u8]>::split_first) else {
                 return Ok(None);
             };
             let (token, len) = match b as char {
@@ -93,9 +93,7 @@ impl<'a> Lexer<'a> {
                 }
                 '-' if bytes.get(i + 1) == Some(&b'-') => {
                     // Line comment.
-                    while self.i < bytes.len() && bytes[self.i] != b'\n' {
-                        self.i += 1;
-                    }
+                    self.i += 1 + after.iter().take_while(|&&c| c != b'\n').count();
                     continue;
                 }
                 ',' => (Token::Comma, 1),
@@ -125,11 +123,11 @@ impl<'a> Lexer<'a> {
                 '\'' => string(input, i)?,
                 c if c.is_ascii_digit() => number(input, i)?,
                 c if c.is_ascii_alphabetic() || c == '_' => {
-                    let len = bytes[i..]
+                    let len = 1 + after
                         .iter()
                         .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
                         .count();
-                    (Token::Ident(&input[i..i + len]), len)
+                    (Token::Ident(cut(input, i..i + len, i)?), len)
                 }
                 other => {
                     return Err(SqlError::Lex {
@@ -159,39 +157,30 @@ impl<'a> Iterator for Lexer<'a> {
 /// The string literal whose opening quote is at `start`, and its length
 /// in bytes, quotes included: borrowed unless it holds an escaped quote.
 fn string(input: &str, start: usize) -> Result<(Token<'_>, usize)> {
-    let bytes = input.as_bytes();
+    let unterminated = || SqlError::Lex {
+        pos: start,
+        message: "unterminated string literal".into(),
+    };
+    let mut rest = input.get(start + 1..).ok_or_else(unterminated)?;
     let mut owned: Option<String> = None;
-    let mut i = start + 1;
     loop {
-        match bytes.get(i) {
-            None => {
-                return Err(SqlError::Lex {
-                    pos: start,
-                    message: "unterminated string literal".into(),
-                })
-            }
-            Some(&b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                // `''`: the text so far, one quote, and on.
-                let text = owned.get_or_insert_with(|| input[start + 1..i].to_owned());
-                text.push('\'');
-                i += 2;
-            }
-            Some(&b'\'') => {
-                let text = match owned {
-                    Some(text) => Cow::Owned(text),
-                    None => Cow::Borrowed(&input[start + 1..i]),
-                };
-                return Ok((Token::Str(text), i + 1 - start));
-            }
-            Some(&b) => {
-                // Multi-byte UTF-8 is copied verbatim.
-                let ch_len = utf8_len(b);
-                if let Some(text) = &mut owned {
-                    text.push_str(&input[i..i + ch_len]);
-                }
-                i += ch_len;
-            }
+        let (text, after) = rest.split_once('\'').ok_or_else(unterminated)?;
+        if let Some(tail) = after.strip_prefix('\'') {
+            // `''`: the text so far, one quote, and on.
+            let so_far = owned.get_or_insert_with(String::new);
+            so_far.push_str(text);
+            so_far.push('\'');
+            rest = tail;
+            continue;
         }
+        let text = match owned {
+            Some(mut so_far) => {
+                so_far.push_str(text);
+                Cow::Owned(so_far)
+            }
+            None => Cow::Borrowed(text),
+        };
+        return Ok((Token::Str(text), input.len() - after.len() - start));
     }
 }
 
@@ -219,7 +208,7 @@ fn number(input: &str, start: usize) -> Result<(Token<'_>, usize)> {
             end = j + digits(j);
         }
     }
-    let text = &input[start..end];
+    let text = cut(input, start..end, start)?;
     let token = if is_real {
         Token::Real(text.parse().map_err(|_| SqlError::Lex {
             pos: start,
@@ -234,13 +223,14 @@ fn number(input: &str, start: usize) -> Result<(Token<'_>, usize)> {
     Ok((token, end - start))
 }
 
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
-    }
+/// `input[range]`, or a lex error at `pos`. Every range the lexer cuts
+/// ends before an ASCII byte or the end, so it lies on character
+/// boundaries.
+fn cut(input: &str, range: std::ops::Range<usize>, pos: usize) -> Result<&str> {
+    input.get(range).ok_or_else(|| SqlError::Lex {
+        pos,
+        message: "token ends inside a character".into(),
+    })
 }
 
 #[cfg(test)]

@@ -34,17 +34,16 @@ pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
 
     // Deal cluster-local "decks" so every base tuple is used before any is
     // reused (coverage), reshuffling per pass.
-    let clusters: Vec<Vec<u64>> = (0..k as u64)
+    let mut piles: Vec<Pile> = (0..k as u64)
         .collect::<Vec<_>>()
         .chunks(cluster_size.max(1))
-        .map(<[u64]>::to_vec)
-        .collect();
-    let mut decks: Vec<Vec<u64>> = clusters
-        .iter()
-        .map(|c| {
-            let mut d = c.clone();
-            rng.shuffle(&mut d);
-            d
+        .map(|cluster| {
+            let mut deck = cluster.to_vec();
+            rng.shuffle(&mut deck);
+            Pile {
+                cluster: cluster.to_vec(),
+                deck,
+            }
         })
         .collect();
 
@@ -54,13 +53,16 @@ pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
     // result slots.
     let mut assignment: Vec<usize> = Vec::with_capacity(n_results);
     while assignment.len() < n_results {
-        let mut cycle: Vec<usize> = (0..clusters.len().max(1)).collect();
+        let mut cycle: Vec<usize> = (0..piles.len().max(1)).collect();
         rng.shuffle(&mut cycle);
         assignment.extend(cycle);
     }
     assignment.truncate(n_results);
 
-    for &ci in assignment.iter().take(n_results) {
+    for &ci in &assignment {
+        // No pile at all only when there are no base tuples, and then a
+        // result wants none.
+        let mut pile = piles.get_mut(ci);
         let want = params.bases_per_result.min(k);
         let mut bases: Vec<u64> = Vec::with_capacity(want);
         // Ids popped from the deck that this result already holds go back
@@ -74,7 +76,9 @@ pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
                 }
                 continue;
             }
-            if leftovers.len() >= clusters[ci].len() {
+            let open = pile.as_deref_mut();
+            let Some(Pile { cluster, deck }) = open.filter(|p| leftovers.len() < p.cluster.len())
+            else {
                 // The cluster cannot supply any more distinct bases for
                 // this result; fill the remainder from anywhere.
                 let id = rng.below_u64(k as u64);
@@ -82,11 +86,10 @@ pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
                     bases.push(id);
                 }
                 continue;
-            }
-            let deck = &mut decks[ci];
+            };
             let id = match deck.pop() {
                 Some(id) => id,
-                None => redeal(deck, &clusters[ci], &mut rng),
+                None => redeal(deck, cluster, &mut rng),
             };
             if bases.contains(&id) {
                 leftovers.push(id);
@@ -94,15 +97,21 @@ pub fn generate(params: &WorkloadParams) -> Result<ProblemInstance, CoreError> {
                 bases.push(id);
             }
         }
-        if !leftovers.is_empty() {
-            leftovers.extend(std::mem::take(&mut decks[ci]));
-            decks[ci] = leftovers;
+        if let Some(Pile { deck, .. }) = pile.filter(|_| !leftovers.is_empty()) {
+            leftovers.extend(std::mem::take(deck));
+            *deck = leftovers;
         }
         let lineage = random_dag(&mut rng, &bases, params.bases_per_result);
         builder.result_from_lineage(&lineage)?;
     }
 
     builder.require(params.required().min(n_results)).build()
+}
+
+/// One latent cluster of base-tuple ids and the deck dealt from it.
+struct Pile {
+    cluster: Vec<u64>,
+    deck: Vec<u64>,
 }
 
 /// Refill an emptied deck with its cluster, reshuffled, and deal its top

@@ -19,7 +19,11 @@ pub fn solve(
     max_assignments: u64,
 ) -> Result<(Solution, u64), CoreError> {
     let k = problem.bases.len();
-    let steps: Vec<u32> = (0..k).map(|i| problem.max_steps(i)).collect();
+    let steps: Vec<u32> = problem
+        .bases
+        .iter()
+        .map(|b| b.max_steps(problem.delta))
+        .collect();
     let mut total: f64 = 1.0;
     for &s in &steps {
         total *= f64::from(s + 1);
@@ -46,9 +50,13 @@ pub fn solve(
     let mut best: Option<(f64, Vec<f64>)> = None;
     loop {
         assignments += 1;
-        let levels: Vec<f64> = (0..k).map(|i| problem.level_at(i, assignment[i])).collect();
+        let levels: Vec<f64> = (problem.bases.iter().zip(&assignment))
+            .map(|(b, &s)| b.level_at(problem.delta, s))
+            .collect();
         if satisfied_at(&levels).len() >= problem.required {
-            let cost: f64 = (0..k).map(|i| problem.cost_at(i, assignment[i])).sum();
+            let cost: f64 = (problem.bases.iter().zip(&assignment))
+                .map(|(b, &s)| b.cost_at(problem.delta, s))
+                .sum();
             if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                 best = Some((cost, levels));
             }

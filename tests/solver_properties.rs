@@ -5,7 +5,8 @@
 //! answer's bits, the greedy's lazy heap picks what Figure 6's rescan
 //! picks, a batch of one query is that query, incremental evaluation is
 //! full evaluation, the builder refuses negated lineage, D&C keeps its
-//! groups' grid steps, and the
+//! groups' grid steps, greedy is no dearer than D&C past the
+//! branch-and-bound's reach, and the
 //! branch-and-bound walks a pinned tree and finds the optimum an
 //! exhaustive enumeration of the grid finds.
 
@@ -22,6 +23,7 @@ use pcqe::core::state::EvalState;
 use pcqe::core::{CoreError, Solution};
 use pcqe::cost::CostFn;
 use pcqe::lineage::{CircuitCache, Lineage, Rng64};
+use pcqe::workload::{generate, WorkloadParams};
 
 const CASES: u64 = 48;
 
@@ -483,7 +485,7 @@ fn lazy_heap_and_rescan_are_bit_identical() {
     for_each_case(4 * CASES, 0x501E_0007, |rng| {
         let problem = random_problem_with(rng, 0.4);
         let st = EvalState::new(&problem);
-        if (0..problem.results.len()).any(|ri| st.confidence(ri) == 0.0) {
+        if (0..problem.results.len()).any(|ri| st.confidence(ri) == Some(0.0)) {
             plateaus += 1;
         }
         let (rescan, iterations, reductions) = rescan_greedy(&problem);
@@ -586,8 +588,8 @@ fn incremental_evaluation_is_full_evaluation() {
             for ri in 0..problem.results.len() {
                 let expected = fresh(&levels, ri);
                 assert_eq!(
-                    state.confidence(ri).to_bits(),
-                    expected.to_bits(),
+                    state.confidence(ri).map(f64::to_bits),
+                    Some(expected.to_bits()),
                     "result {ri}"
                 );
                 satisfied += usize::from(expected > problem.beta);
@@ -677,6 +679,19 @@ fn strategy_group(rng: &mut Rng64) -> ProblemInstance {
     b.require(1).build().expect("valid")
 }
 
+/// A path of `n` results like a `miss_large` θ-miss: result `k` joins
+/// claim `k` and claim `k + 1` to evidence tuple `k`, so neighbours share
+/// one claim and, at D&C's γ = 1, every result is a group of its own.
+/// Half the results are required.
+fn strategy_path(rng: &mut Rng64, n: u64) -> ProblemInstance {
+    let mut b = strategy_builder(rng, n + 1, n);
+    for k in 0..n {
+        b.result_from_lineage(&joined(&[(k, k), (k + 1, k)]))
+            .expect("registered");
+    }
+    b.require(n as usize / 2).build().expect("valid")
+}
+
 /// A `miss_small` θ-miss: two results over four claims and three evidence
 /// tuples, sharing the middle one, quota 1.
 fn strategy_small(rng: &mut Rng64) -> ProblemInstance {
@@ -686,6 +701,36 @@ fn strategy_small(rng: &mut Rng64) -> ProblemInstance {
     b.result_from_lineage(&joined(&[(2, 1), (3, 2)]))
         .expect("registered");
     b.require(1).build().expect("valid")
+}
+
+/// Past the branch-and-bound's reach the engine sends large problems to
+/// D&C, yet greedy's answer costs no more than D&C's: on Figure 11(c)'s
+/// 1 000-tuple point at three seeds, and on a path like the engine's own
+/// D&C-regime θ-misses.
+#[test]
+fn greedy_is_no_dearer_than_dnc() {
+    let mut problems: Vec<(String, ProblemInstance)> = [42, 43, 44]
+        .into_iter()
+        .map(|seed| {
+            let params = WorkloadParams::scalability_point(1000).with_seed(seed);
+            let problem = generate(&params).expect("workload is valid");
+            (format!("scalability_point(1000), seed {seed}"), problem)
+        })
+        .collect();
+    let mut rng = Rng64::seed_from_u64(0x9A7B);
+    problems.push(("a 66-result path".into(), strategy_path(&mut rng, 66)));
+    for (name, problem) in &problems {
+        let greedy = greedy::solve(problem, &GreedyOptions::default()).expect("feasible");
+        let dnc = dnc::solve(problem, &DncOptions::default()).expect("feasible");
+        check_solution(&greedy.solution, problem).expect("greedy's answer is valid");
+        check_solution(&dnc.solution, problem).expect("D&C's answer is valid");
+        assert!(
+            greedy.solution.cost <= dnc.solution.cost,
+            "{name}: greedy {} > D&C {}",
+            greedy.solution.cost,
+            dnc.solution.cost
+        );
+    }
 }
 
 /// FNV-1a over 64-bit words, a byte at a time.
@@ -911,18 +956,19 @@ fn grid_costs_never_fall_along_a_base_s_grid() {
         b.result_from_lineage(&Lineage::or(all))
             .expect("registered");
         let problem = b.require(1).build().expect("valid");
-        for i in 0..problem.bases.len() {
+        let delta = problem.delta;
+        for (i, base) in problem.bases.iter().enumerate() {
             assert_eq!(
-                problem.cost_at(i, 0).to_bits(),
+                base.cost_at(delta, 0).to_bits(),
                 0.0f64.to_bits(),
                 "base {i}"
             );
-            for s in 0..problem.max_steps(i) {
-                let (here, next) = (problem.cost_at(i, s), problem.cost_at(i, s + 1));
+            for s in 0..base.max_steps(delta) {
+                let (here, next) = (base.cost_at(delta, s), base.cost_at(delta, s + 1));
                 assert!(
                     next >= here,
                     "base {i} ({}): step {s} costs {here}, step {} costs {next}",
-                    problem.bases[i].cost,
+                    base.cost,
                     s + 1
                 );
             }
@@ -930,7 +976,8 @@ fn grid_costs_never_fall_along_a_base_s_grid() {
     });
 }
 
-/// The grid tables of [`EvalState`] hold what `level_at` / `cost_at`
+/// The grid tables of [`EvalState`] hold what `BaseVar::level_at` /
+/// `cost_at`
 /// compute, bit for bit, for every cost family — including a base whose
 /// cap falls between two grid points, where the last step is clamped.
 #[test]
@@ -952,17 +999,18 @@ fn grid_tables_hold_the_problem_s_own_arithmetic() {
     b.result_from_lineage(&Lineage::or(all)).unwrap();
     let problem = b.require(1).build().unwrap();
     let mut state = EvalState::new(&problem);
-    for i in 0..problem.bases.len() {
-        for s in 0..=problem.max_steps(i) {
+    let delta = problem.delta;
+    for (i, base) in problem.bases.iter().enumerate() {
+        for s in 0..=base.max_steps(delta) {
             state.set_steps(i, s);
             assert_eq!(
                 state.to_solution().levels[i].to_bits(),
-                problem.level_at(i, s).to_bits(),
+                base.level_at(delta, s).to_bits(),
                 "base {i} step {s}"
             );
             assert_eq!(
                 state.to_solution().cost.to_bits(),
-                problem.cost_at(i, s).to_bits(),
+                base.cost_at(delta, s).to_bits(),
                 "base {i} step {s}"
             );
             // Back to zero: `c + (0 − c)` is exactly 0, so the next step
@@ -972,7 +1020,7 @@ fn grid_tables_hold_the_problem_s_own_arithmetic() {
         }
         // Asking beyond the grid clamps to its last point.
         state.set_steps(i, u32::MAX);
-        assert_eq!(state.steps_of(i), problem.max_steps(i));
+        assert_eq!(state.steps_of(i), Some(base.max_steps(delta)));
         state.set_steps(i, 0);
     }
 }

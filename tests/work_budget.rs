@@ -386,7 +386,11 @@ fn a_hash_join_stays_within_its_allocation_budget() {
 /// when scoring stopped reporting a batch per morsel to the recorder (two
 /// one-element vectors each): 221 → 219, 404 → 402 and 7 201 → 7 195; the
 /// other budgets by two a query, the cold point SELECT, which first
-/// inserts the `par.*` names, 157 → 143.
+/// inserts the `par.*` names, 157 → 143. The three fell again when
+/// `EvalState` kept one record per base and per result instead of a
+/// vector per field, and tabulated each base's grid as one vector of
+/// points: 219 → 195, 402 → 389 and 7 195 → 4 755 (D&C builds a state
+/// per group).
 #[test]
 fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() {
     let selective = "SELECT id, amount, note FROM orders WHERE customer_id = 17";
@@ -395,7 +399,7 @@ fn a_theta_miss_in_the_exact_search_regime_stays_within_its_allocation_budget() 
     let nodes = counters.get("solver.heuristic.nodes");
     assert!(nodes.is_some_and(|&n| n > 0), "{counters:?}");
     assert!(nodes.is_some_and(|&n| n <= 99), "{counters:?}");
-    assert!(made <= 219, "a θ = 1 miss made {made} allocations");
+    assert!(made <= 195, "a θ = 1 miss made {made} allocations");
 }
 
 /// The θ = 1 miss over the orders of the first `customers` customers
@@ -421,7 +425,7 @@ fn a_theta_miss_in_the_greedy_regime_stays_within_its_allocation_budget() {
         "{counters:?}"
     );
     assert!(!counters.contains_key("solver.dnc.groups"), "{counters:?}");
-    assert!(made <= 402, "a θ = 1 greedy miss made {made} allocations");
+    assert!(made <= 389, "a θ = 1 greedy miss made {made} allocations");
 }
 
 /// A θ-miss in the divide-and-conquer regime: 160 rows, 79 of them
@@ -435,5 +439,5 @@ fn a_theta_miss_in_the_divide_and_conquer_regime_stays_within_its_allocation_bud
     assert!(groups.is_some_and(|&n| n > 0), "{counters:?}");
     let nodes = counters.get("solver.dnc.bb_nodes");
     assert!(nodes.is_some_and(|&n| n <= 237), "{counters:?}");
-    assert!(made <= 7_195, "a θ = 1 D&C miss made {made} allocations");
+    assert!(made <= 4_755, "a θ = 1 D&C miss made {made} allocations");
 }

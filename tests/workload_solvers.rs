@@ -17,12 +17,18 @@ use pcqe::workload::{generate, WorkloadParams};
 /// cost meeting the quota. Exponential — tiny instances only.
 fn brute_force_optimum(problem: &ProblemInstance) -> Option<f64> {
     let k = problem.bases.len();
-    let steps: Vec<u32> = (0..k).map(|i| problem.max_steps(i)).collect();
+    let steps: Vec<u32> = problem
+        .bases
+        .iter()
+        .map(|b| b.max_steps(problem.delta))
+        .collect();
     let mut assignment = vec![0u32; k];
     let mut best: Option<f64> = None;
     loop {
         // Evaluate this assignment.
-        let levels: Vec<f64> = (0..k).map(|i| problem.level_at(i, assignment[i])).collect();
+        let levels: Vec<f64> = (problem.bases.iter().zip(&assignment))
+            .map(|(b, &s)| b.level_at(problem.delta, s))
+            .collect();
         let mut satisfied = 0;
         for r in &problem.results {
             let probs: Vec<f64> = r.bases.iter().map(|&b| levels[b]).collect();
@@ -31,7 +37,9 @@ fn brute_force_optimum(problem: &ProblemInstance) -> Option<f64> {
             }
         }
         if satisfied >= problem.required {
-            let cost: f64 = (0..k).map(|i| problem.cost_at(i, assignment[i])).sum();
+            let cost: f64 = (problem.bases.iter().zip(&assignment))
+                .map(|(b, &s)| b.cost_at(problem.delta, s))
+                .sum();
             if best.is_none_or(|b| cost < b) {
                 best = Some(cost);
             }
