@@ -188,12 +188,11 @@ impl ProblemBuilder {
                 "result lineage has a negation, so raising a base could lower it".to_owned(),
             ));
         }
+        let lineage_error = |e: pcqe_lineage::LineageError| CoreError::Lineage(e.to_string());
         let id = cache
             .compile(lineage, self.lineage_budget)
-            .map_err(|e| CoreError::Lineage(e.to_string()))?;
-        let compiled = cache.compiled(id).cloned().ok_or_else(|| {
-            CoreError::InvalidProblem("circuit cache returned a dangling handle".to_owned())
-        })?;
+            .map_err(lineage_error)?;
+        let compiled = Arc::clone(cache.compiled(id).map_err(lineage_error)?);
         let mut bases = Vec::with_capacity(compiled.vars().len());
         for v in compiled.vars() {
             let idx = self.id_to_index.get(&v.0).copied().ok_or_else(|| {

@@ -8,18 +8,19 @@
 //! [`crate::Database::audit_log`].
 
 use std::fmt;
+use std::sync::Arc;
 
 /// One entry in the audit trail.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditEntry {
     /// A query was evaluated and policy-checked.
     Query {
-        /// Requesting user name.
-        user: String,
-        /// Role under which the policy was selected.
-        role: String,
-        /// Stated purpose.
-        purpose: String,
+        /// Requesting user name, shared with the [`crate::User`].
+        user: Arc<str>,
+        /// Role under which the policy was selected, shared with it.
+        role: Arc<str>,
+        /// Stated purpose, shared with the request's.
+        purpose: Arc<str>,
         /// The governing threshold β.
         threshold: f64,
         /// Results released.

@@ -22,8 +22,8 @@ use std::sync::Arc;
 /// A user: a name and the role under which policies are selected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct User {
-    /// Display name.
-    pub name: String,
+    /// Display name, shared with every audit entry of the user's queries.
+    pub name: Arc<str>,
     /// RBAC role.
     pub role: Role,
 }
@@ -32,7 +32,7 @@ impl User {
     /// Create a user with a role.
     pub fn new(name: impl Into<String>, role: impl Into<Role>) -> User {
         User {
-            name: name.into(),
+            name: Arc::from(name.into()),
             role: role.into(),
         }
     }
@@ -112,9 +112,14 @@ pub struct Database {
     tracer: Arc<pcqe_obs::Tracer>,
     version: u64,
     /// The shared circuit pool every scoring pass and strategy-problem
-    /// build goes through (DESIGN.md §10). Probabilities are re-synced from
-    /// the catalog (or what-if overrides) before every scoring pass, so the
-    /// pool survives across queries and `apply` calls without going stale.
+    /// build goes through (DESIGN.md §10). Each public call that scores
+    /// (`query`, `what_if`, `query_batch`) opens with
+    /// [`pcqe_lineage::CircuitCache::begin_call`], which starts a pool
+    /// past its fixed node floor over, so the pool stays bounded; no
+    /// circuit handle outlives the call that took it. Probabilities are
+    /// re-synced from the catalog (or what-if overrides) before every
+    /// scoring pass, so neither a start-over nor an `apply` leaves a stale
+    /// value behind.
     cache: pcqe_lineage::CircuitCache,
     /// Lowered plans by query shape, emptied by DDL (DESIGN.md §9).
     plans: PlanCache,
@@ -298,9 +303,9 @@ impl Database {
         let proposed = response.proposal.is_some();
         tally.decision = Some((released as u64, withheld as u64, proposed));
         self.audit.push(crate::audit::AuditEntry::Query {
-            user: user.name.clone(),
-            role: user.role.name().to_owned(),
-            purpose: request.purpose.name().to_owned(),
+            user: Arc::clone(&user.name),
+            role: user.role.shared_name(),
+            purpose: request.purpose.shared_name(),
             threshold: response.threshold,
             released,
             withheld,
@@ -576,6 +581,7 @@ impl Database {
     /// fewer than `perc` of the results survive — find the cheapest
     /// confidence-increment strategy and attach it as a proposal.
     pub fn query(&mut self, user: &User, request: &QueryRequest) -> Result<QueryResponse> {
+        self.cache.begin_call();
         let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
         let listeners = listeners(&recorder, &tracer, self.recording());
         let mut tally = Tally::new(&self.recorder);
@@ -676,6 +682,7 @@ impl Database {
         use pcqe_core::greedy::GreedyOptions;
         use pcqe_core::multi::{solve_greedy, MultiQueryProblem};
 
+        self.cache.begin_call();
         let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
         let listeners = listeners(&recorder, &tracer, self.recording());
         // Evaluate without per-query proposals (done jointly below).
@@ -776,6 +783,7 @@ impl Database {
             let to = overrides.entry(inc.tuple_id).or_insert(raised);
             *to = to.max(raised);
         }
+        self.cache.begin_call();
         // A preview leaves no execution metrics and no audit entry.
         let (recorder, tracer) = (Arc::clone(&self.recorder), Arc::clone(&self.tracer));
         let listeners = listeners(&recorder, &tracer, false);
@@ -944,6 +952,7 @@ impl Drop for Tally {
                 activity("lineage.circuit_compiled", cache.compiled),
                 activity("lineage.cache_hit", cache.hits()),
                 activity("lineage.cache_invalidated", cache.invalidated),
+                activity("lineage.pool_resets", cache.resets),
                 decision.map(|_| ("query.total", 1)),
                 decision.map(|(released, ..)| ("policy.released", released)),
                 decision.map(|(_, withheld, _)| ("policy.withheld", withheld)),
@@ -1223,7 +1232,7 @@ mod tests {
         assert!(matches!(
             &log[0],
             AuditEntry::Query { user, released: 0, withheld: 1, proposed: true, .. }
-                if user == "mark"
+                if &**user == "mark"
         ));
         assert!(matches!(
             &log[1],

@@ -1,5 +1,5 @@
-//! Query-scoped confidence cache: a hash-consed circuit pool with
-//! memoized, incrementally-invalidated subcircuit probabilities.
+//! Confidence cache: a bounded, hash-consed circuit pool with memoized,
+//! incrementally-invalidated subcircuit probabilities.
 //!
 //! The strategy-finding workloads of the paper (Fig. 11) evaluate the same
 //! result confidences over and over with *one* base-tuple probability
@@ -23,7 +23,26 @@
 //!    patterns and, only on a real change, walks reverse edges from the
 //!    variable's reader nodes, dropping exactly the memos whose value
 //!    depends on it — circuits whose var-set does not intersect the change
-//!    keep their memoized probabilities untouched.
+//!    keep their memoized probabilities untouched. The assignment lives in
+//!    the variable table, so a start-over (below) forgets it too: a caller
+//!    sets every probability a call reads within that call, as the
+//!    engine's per-pass sync does.
+//!
+//! # Lifetime
+//!
+//! A caller that runs many calls through one pool — the engine runs every
+//! query, what-if and batch through one — announces each call with
+//! [`CircuitCache::begin_call`]. Between calls the pool survives as long as
+//! it holds fewer than a fixed floor of nodes; past the floor it *starts
+//! over*: nodes, dedup map, both formula memos, flat circuits and the
+//! variable table go, while the activity counters and the listener stay.
+//! Memory is then bounded by the floor plus one call's worth of nodes,
+//! and the cost is at most one recompile per formula a later call reuses,
+//! amortised O(1) per node since each start-over drops at least the
+//! floor's worth. A start-over advances the pool's epoch, which every
+//! [`CircuitId`] carries, so a handle from before it is refused rather
+//! than resolved to whatever root now sits at its index. Answers cannot
+//! move: see § Determinism.
 //!
 //! The pool is also the crate's only compiler: the Shannon/independence
 //! recursion exists once in the production crates, in
@@ -89,11 +108,25 @@ impl Default for Evaluator {
     }
 }
 
-/// Handle to one root circuit in a [`CircuitCache`]. Ids are dense and
-/// assigned in first-compile order, so they are deterministic for a
-/// deterministic workload.
+/// Handle to one root circuit in a [`CircuitCache`]: the pool's epoch and
+/// the root's index in it. Indexes are dense and assigned in
+/// first-compile order, so they are deterministic for a deterministic
+/// workload; a start-over advances the epoch, which makes every earlier
+/// handle unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CircuitId(pub(crate) usize);
+pub struct CircuitId {
+    epoch: u64,
+    at: usize,
+}
+
+/// Pooled nodes at which [`CircuitCache::begin_call`] starts the pool
+/// over. A strategy search's round of the e2e benchmark stays under it
+/// (≈ 15.6 K nodes) and point lookups reach it about once a round
+/// (≈ 16.6 K, single-leaf roots), so neither pays more than a handful of
+/// recompiles; a scan mix or a write loop that keeps minting formulas
+/// (62 K and 153 K nodes a round) passes it 12 and 9 times a round and
+/// holds at most this many nodes plus one call's — about 7–9 MB.
+const POOL_FLOOR: usize = 1 << 14;
 
 /// Cache activity counters, drained with [`CircuitCache::take_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,6 +141,8 @@ pub struct CacheStats {
     pub eval_hits: u64,
     /// Node memos dropped by [`CircuitCache::set_prob`] invalidation.
     pub invalidated: u64,
+    /// Start-overs by [`CircuitCache::begin_call`].
+    pub resets: u64,
 }
 
 impl CacheStats {
@@ -271,8 +306,9 @@ pub struct CircuitCache {
     /// cost a fresh compile would charge. A bare variable is not a key
     /// here either: it costs nothing, and its slot already answers.
     subformulas: BTreeMap<Lineage, (NodeId, usize)>,
-    /// Root memo over *original* (pre-simplify) formulas.
-    circuits: BTreeMap<Lineage, CircuitId>,
+    /// Root memo over *original* (pre-simplify) formulas: the root's
+    /// index in `roots` (a handle adds the epoch).
+    circuits: BTreeMap<Lineage, usize>,
     roots: Vec<RootEntry>,
     /// Everything the pool keeps per variable — probability, `Var` leaf,
     /// reader nodes — one id-indexed slot each.
@@ -281,6 +317,12 @@ pub struct CircuitCache {
     /// Passive listener: compile/hit/invalidate instants flow to the
     /// engine's tracer when attached. Never consulted for results.
     trace: TraceSlot,
+    /// Start-overs so far: the epoch every issued [`CircuitId`] carries.
+    epoch: u64,
+    /// Invalidation's work list, kept between calls so a probability
+    /// change allocates nothing once the list has grown to the pool's
+    /// widest fan-out.
+    frontier: Vec<NodeId>,
 }
 
 impl CircuitCache {
@@ -292,6 +334,29 @@ impl CircuitCache {
     /// Number of pooled arithmetic nodes.
     pub fn pool_size(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Mark the start of one caller-level call (a query, a what-if, a
+    /// batch) — never to be called within one. A pool holding at least a
+    /// fixed floor of nodes (16 384) starts over: every node, memo, flat
+    /// circuit and probability goes, the counters since
+    /// [`CircuitCache::take_stats`] and the listener stay, `resets` counts
+    /// one, and every handle issued so far becomes unknown. The caller
+    /// sets each probability the call reads afresh, so no score and no
+    /// budget outcome can tell (see the module docs, § Lifetime).
+    pub fn begin_call(&mut self) {
+        if self.nodes.len() < POOL_FLOOR {
+            return;
+        }
+        *self = CircuitCache {
+            stats: CacheStats {
+                resets: self.stats.resets.saturating_add(1),
+                ..self.stats
+            },
+            trace: std::mem::take(&mut self.trace),
+            epoch: self.epoch.wrapping_add(1),
+            ..CircuitCache::default()
+        };
     }
 
     /// Counters accumulated since the last [`CircuitCache::take_stats`].
@@ -338,8 +403,8 @@ impl CircuitCache {
             return;
         }
         slot.prob = Some(p);
-        let readers = slot.readers.clone();
-        let dropped = self.invalidate(readers);
+        self.frontier.extend_from_slice(&slot.readers);
+        let dropped = self.invalidate();
         if dropped > 0 {
             self.emit("cache.invalidate", || {
                 format!("var={} dropped={dropped}", var.0)
@@ -348,16 +413,17 @@ impl CircuitCache {
     }
 
     /// Drop the memos of every node transitively reading a variable,
-    /// given the nodes that read it directly; returns how many memos were
+    /// starting from the nodes in `frontier` (those that read it
+    /// directly), which it leaves empty; returns how many memos were
     /// dropped (also added to `stats.invalidated`).
-    fn invalidate(&mut self, mut frontier: Vec<NodeId>) -> u64 {
+    fn invalidate(&mut self) -> u64 {
         let mut dropped: u64 = 0;
-        while let Some(id) = frontier.pop() {
+        while let Some(id) = self.frontier.pop() {
             if let Some(node) = self.nodes.get_mut(id) {
                 if node.memo.take().is_some() {
                     self.stats.invalidated = self.stats.invalidated.saturating_add(1);
                     dropped = dropped.saturating_add(1);
-                    frontier.extend(node.parents.iter().copied());
+                    self.frontier.extend(node.parents.iter().copied());
                 }
             }
         }
@@ -369,46 +435,73 @@ impl CircuitCache {
     /// charge the recorded cost against `budget` — succeeding and failing
     /// exactly when a compile into an empty pool would.
     pub fn compile(&mut self, lineage: &Lineage, budget: usize) -> Result<CircuitId> {
-        if let Some(&id) = self.circuits.get(lineage) {
-            let cost = self.roots.get(id.0).map(|r| r.cost).unwrap_or(0);
+        if let Some(&at) = self.circuits.get(lineage) {
+            let id = CircuitId {
+                epoch: self.epoch,
+                at,
+            };
+            let cost = self.roots.get(at).map(|r| r.cost).unwrap_or(0);
             if budget < cost {
                 // Match a fresh compile's error payload: `compile_mix`
                 // reports exhaustion at a zero remainder.
                 return Err(LineageError::BudgetExceeded { budget: 0 });
             }
             self.stats.compile_hits = self.stats.compile_hits.saturating_add(1);
-            self.emit("cache.hit", || format!("circuit={} cost={cost}", id.0));
+            self.emit("cache.hit", || format!("circuit={at} cost={cost}"));
             return Ok(id);
         }
         let normal = normalize(lineage);
         let mut remaining = budget;
         let root = self.compile_sub(&normal, &mut remaining)?;
         let cost = budget - remaining;
-        let id = CircuitId(self.roots.len());
+        let id = CircuitId {
+            epoch: self.epoch,
+            at: self.roots.len(),
+        };
         self.roots.push(RootEntry {
             root,
             cost,
             vars: normal.vars(),
             compiled: None,
         });
-        self.circuits.insert(lineage.clone(), id);
+        self.circuits.insert(lineage.clone(), id.at);
         self.stats.compiled = self.stats.compiled.saturating_add(1);
         let pool = self.nodes.len();
         self.emit("cache.compile", || {
-            format!("circuit={} cost={cost} pool={pool}", id.0)
+            format!("circuit={} cost={cost} pool={pool}", id.at)
         });
         Ok(id)
     }
 
+    /// The root entry behind a handle of the current epoch.
+    fn root(&self, id: CircuitId) -> Result<&RootEntry> {
+        self.roots
+            .get(id.at)
+            .filter(|_| id.epoch == self.epoch)
+            .ok_or(LineageError::UnknownCircuit(id.at))
+    }
+
+    /// [`Self::root`], mutably.
+    fn root_mut(&mut self, id: CircuitId) -> Result<&mut RootEntry> {
+        self.roots
+            .get_mut(id.at)
+            .filter(|_| id.epoch == self.epoch)
+            .ok_or(LineageError::UnknownCircuit(id.at))
+    }
+
     /// The flat [`CompiledLineage`] of a circuit, shareable across solvers
     /// via its `Arc`: extracted from the pool on the first request for
-    /// `id`, memoized afterwards. `None` for a handle of another cache.
-    pub fn compiled(&mut self, id: CircuitId) -> Option<&Arc<CompiledLineage>> {
-        if self.roots.get(id.0)?.compiled.is_none() {
-            let flat = Arc::new(self.extract(id).ok()?);
-            self.roots.get_mut(id.0)?.compiled = Some(flat);
+    /// `id`, memoized afterwards. [`LineageError::UnknownCircuit`] for a
+    /// handle from before a start-over or of another cache.
+    pub fn compiled(&mut self, id: CircuitId) -> Result<&Arc<CompiledLineage>> {
+        if self.root(id)?.compiled.is_none() {
+            let flat = Arc::new(self.extract(id)?);
+            self.root_mut(id)?.compiled = Some(flat);
         }
-        self.roots.get(id.0)?.compiled.as_ref()
+        self.root(id)?
+            .compiled
+            .as_ref()
+            .ok_or(LineageError::UnknownCircuit(id.at))
     }
 
     /// Flatten the nodes under `id`'s root into a [`CompiledLineage`]:
@@ -418,10 +511,7 @@ impl CircuitCache {
     /// the circuit, so a root is extracted once (as [`Self::compiled`]
     /// memoizes).
     pub(crate) fn extract(&mut self, id: CircuitId) -> Result<CompiledLineage> {
-        let entry = self
-            .roots
-            .get_mut(id.0)
-            .ok_or(LineageError::UnknownCircuit(id.0))?;
+        let entry = self.root_mut(id)?;
         let root = entry.root;
         let mut flat = CompiledLineage {
             vars: std::mem::take(&mut entry.vars),
@@ -487,11 +577,7 @@ impl CircuitCache {
     /// Memoized probability of a compiled circuit under the current
     /// assignment.
     pub fn score(&mut self, id: CircuitId) -> Result<f64> {
-        let root = self
-            .roots
-            .get(id.0)
-            .map(|r| r.root)
-            .ok_or(LineageError::UnknownCircuit(id.0))?;
+        let root = self.root(id)?.root;
         self.eval_node(root)
     }
 
@@ -874,7 +960,7 @@ mod tests {
         let l = Lineage::Or(children);
         let mut warmed = CircuitCache::new();
         let id = warmed.compile(&l, 1 << 16).unwrap(); // warm the memo
-        let cost = warmed.roots[id.0].cost;
+        let cost = warmed.roots[id.at].cost;
         assert!(cost > 0, "the chain needs an expansion");
         for budget in 0..64usize {
             let mut cold = CircuitCache::new();

@@ -5,21 +5,28 @@ use crate::Result;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// A role: "a job function or job title within the organization"
-/// (Section 3.2). Matched case-insensitively.
+/// (Section 3.2). Matched case-insensitively. The name is shared, so a
+/// clone or an audit record of it copies no text.
 #[derive(Debug, Clone, Eq)]
-pub struct Role(String);
+pub struct Role(Arc<str>);
 
 impl Role {
     /// Create a role from its name.
     pub fn new(name: impl Into<String>) -> Role {
-        Role(name.into())
+        Role(Arc::from(name.into()))
     }
 
     /// The role's name as written.
     pub fn name(&self) -> &str {
         &self.0
+    }
+
+    /// The role's name as written, shared rather than copied.
+    pub fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.0)
     }
 }
 
@@ -54,19 +61,24 @@ impl From<&str> for Role {
 }
 
 /// A data-usage purpose (`pu` in the paper): why the data is accessed.
-/// Matched case-insensitively.
+/// Matched case-insensitively. The name is shared, as a [`Role`]'s is.
 #[derive(Debug, Clone, Eq)]
-pub struct Purpose(String);
+pub struct Purpose(Arc<str>);
 
 impl Purpose {
     /// Create a purpose from its name.
     pub fn new(name: impl Into<String>) -> Purpose {
-        Purpose(name.into())
+        Purpose(Arc::from(name.into()))
     }
 
     /// The purpose's name as written.
     pub fn name(&self) -> &str {
         &self.0
+    }
+
+    /// The purpose's name as written, shared rather than copied.
+    pub fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.0)
     }
 }
 
