@@ -289,9 +289,16 @@ stage_bench_e2e_check() { # end-to-end benchmark builds, its checks hold and its
   # it and runs tiny op counts with every reply check on — the staged
   # replay's digests must equal `Database`'s on all four workloads. Each
   # workload's round checksum must then be the one
-  # results/e2e_check_checksums.txt records.
+  # results/e2e_check_checksums.txt records. Building the package
+  # rewrites its Cargo.lock; the stage puts the file back as it found it,
+  # so a run leaves the work tree as it was.
   local out expected actual status=0
+  local lock=crates/bench/benches/e2e/Cargo.lock saved
+  saved="$(mktemp)"
+  cp "$lock" "$saved"
   out="$(crates/bench/benches/e2e/run.sh --check)" || status=$?
+  cp "$saved" "$lock"
+  rm -f "$saved"
   echo "$out"
   expected="$(awk '!/^#/ && NF { print $1, $2 }' results/e2e_check_checksums.txt)"
   actual="$(echo "$out" | awk '

@@ -82,8 +82,14 @@ fn main() {
     bench("compiled/shared_9vars", 30, || compiled_sh.eval(&slots_sh));
 
     let chain = chain_formula();
-    let compiled_chain = CompiledLineage::compile(&chain, 1 << 20).expect("compiles");
     let chain_probs = probs_for(&chain);
+    // Shannon-heavy: the expansion reaches many of its cofactors more than
+    // once, and the read-once ones among them cost no expansion, so they
+    // compile again to the same nodes rather than being memoized.
+    bench("recompiled/shared_chain_24vars", 30, || {
+        recompiled(&chain, &chain_probs, &ev_sh)
+    });
+    let compiled_chain = CompiledLineage::compile(&chain, 1 << 20).expect("compiles");
     let slots_chain: Vec<f64> = compiled_chain.vars().iter().map(|v| chain_probs[v]).collect();
     bench("compiled/shared_chain_24vars", 30, || {
         compiled_chain.eval(&slots_chain)

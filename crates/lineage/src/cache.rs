@@ -15,9 +15,15 @@
 //!    second representation beside it. A `Var` leaf is found through its
 //!    variable's slot in the [`VarTable`] instead: one indexed read per
 //!    leaf of every row, not a map search.
-//! 2. **Memoizes compilation** per (sub)formula, so the second result that
-//!    contains an already-compiled subformula pays a map lookup instead of
-//!    a fresh expansion.
+//! 2. **Memoizes compilation** where an expansion paid for it: a whole
+//!    formula by its original spelling, and a subformula whose compile
+//!    took at least one Shannon expansion, so the second result that
+//!    contains it pays a map lookup instead of a fresh expansion. A
+//!    read-once formula — most lineage, once factored — needs no
+//!    expansion: it is interned bottom-up in one pass, with no pivot
+//!    search and no memo entry, and a second result containing it finds
+//!    every node through the hash-consing index. So does a subformula an
+//!    expansion reaches that cost none.
 //! 3. **Memoizes evaluation** per node under the cache's current
 //!    probability assignment. [`CircuitCache::set_prob`] compares bit
 //!    patterns and, only on a real change, walks reverse edges from the
@@ -70,7 +76,9 @@
 //!   with remaining budget `r` succeeds iff `r ≥ cost`, consuming exactly
 //!   `cost` — so a compile-memo hit charges the recorded cost up front and
 //!   fails with the identical [`LineageError::BudgetExceeded`] iff a
-//!   compile into an empty pool would.
+//!   compile into an empty pool would. A subformula of cost 0 is never
+//!   memoized: compiling it again spends no budget and cannot fail, and it
+//!   finds the same nodes, so the memo would change no outcome.
 //!
 //! Every container in this module is a `BTreeMap`, a `Vec` indexed by
 //! insertion order, or the id-paged [`VarTable`] (`clippy.toml` bans
@@ -133,8 +141,10 @@ const POOL_FLOOR: usize = 1 << 14;
 pub struct CacheStats {
     /// Root circuits compiled fresh (one per distinct input formula).
     pub compiled: u64,
-    /// Compile-memo hits: a whole circuit or subformula served from the
-    /// pool instead of being re-expanded.
+    /// Compile-memo hits: a whole circuit, a subformula an expansion paid
+    /// for, or a variable's leaf, served from the pool instead of being
+    /// compiled again. A read-once subformula found through the
+    /// hash-consing index is no hit; its leaves are.
     pub compile_hits: u64,
     /// Evaluation-memo hits: a subcircuit probability reused under the
     /// current probability assignment.
@@ -302,9 +312,11 @@ pub struct CircuitCache {
     /// Hash-consing index: structural key → pooled node, `Var` leaves
     /// excepted (the variable's slot in `vars` names its leaf).
     dedup: BTreeMap<NodeKey, NodeId>,
-    /// Compile memo over simplified/factored (sub)formulas, with the budget
-    /// cost a fresh compile would charge. A bare variable is not a key
-    /// here either: it costs nothing, and its slot already answers.
+    /// Compile memo over simplified/factored (sub)formulas whose compile
+    /// took a Shannon expansion, with the budget cost a fresh compile
+    /// would charge. A formula of cost 0 — a bare variable, any read-once
+    /// formula — is not a key: it charges nothing, and compiling it again
+    /// finds its nodes in `dedup` and its leaves in their slots.
     subformulas: BTreeMap<Lineage, (NodeId, usize)>,
     /// Root memo over *original* (pre-simplify) formulas: the root's
     /// index in `roots` (a handle adds the epoch).
@@ -452,7 +464,7 @@ impl CircuitCache {
         }
         let normal = normalize(lineage);
         let mut remaining = budget;
-        let root = self.compile_sub(&normal, &mut remaining)?;
+        let root = self.compile_sub(&normal.formula, normal.read_once, &mut remaining)?;
         let cost = budget - remaining;
         let id = CircuitId {
             epoch: self.epoch,
@@ -461,7 +473,7 @@ impl CircuitCache {
         self.roots.push(RootEntry {
             root,
             cost,
-            vars: normal.vars(),
+            vars: normal.vars,
             compiled: None,
         });
         self.circuits.insert(lineage.clone(), id.at);
@@ -588,15 +600,26 @@ impl CircuitCache {
         self.score(id)
     }
 
-    /// Compile memo + hash-consing recursion: independent children become
-    /// a `Product`/`DisjProduct`, children that share a variable a Shannon
-    /// expansion on [`most_shared_var`]. On a memo hit the recorded cost
-    /// is charged up front (see the module docs for the parity argument).
-    fn compile_sub(&mut self, l: &Lineage, budget: &mut usize) -> Result<NodeId> {
+    /// The compile recursion: independent children become a
+    /// `Product`/`DisjProduct`, children that share a variable a Shannon
+    /// expansion on [`most_shared_var`]. A `read_once` formula shares no
+    /// variable between any children, and neither does any subformula of
+    /// it, so it is interned bottom-up with neither a pivot search nor a
+    /// memo probe. Otherwise a subformula whose compile expanded is
+    /// memoized with its cost, and a memo hit charges that cost up front;
+    /// one that did not expand compiles again to the same node through
+    /// `dedup`, at its cost, 0 (see the module docs for the parity
+    /// argument).
+    fn compile_sub(&mut self, l: &Lineage, read_once: bool, budget: &mut usize) -> Result<NodeId> {
         if let Lineage::Var(v) = l {
             return Ok(self.var_leaf(*v));
         }
-        if let Some(&(id, cost)) = self.subformulas.get(l) {
+        let memo = if read_once {
+            None
+        } else {
+            self.subformulas.get(l)
+        };
+        if let Some(&(id, cost)) = memo {
             if *budget < cost {
                 return Err(LineageError::BudgetExceeded { budget: 0 });
             }
@@ -612,16 +635,17 @@ impl CircuitCache {
             }
             Lineage::Var(v) => self.var_leaf(*v),
             Lineage::Not(e) => {
-                let child = self.compile_sub(e, budget)?;
+                let child = self.compile_sub(e, read_once, budget)?;
                 self.intern(NodeKey::Complement(child))
             }
             Lineage::And(es) | Lineage::Or(es) => {
-                if let Some(pivot) = most_shared_var(es) {
+                let pivot = if read_once { None } else { most_shared_var(es) };
+                if let Some(pivot) = pivot {
                     self.compile_mix(l, pivot, budget)?
                 } else {
                     let mut children = Vec::with_capacity(es.len());
                     for e in es {
-                        children.push(self.compile_sub(e, budget)?);
+                        children.push(self.compile_sub(e, read_once, budget)?);
                     }
                     self.intern(match l {
                         Lineage::And(_) => NodeKey::Product(children),
@@ -631,7 +655,9 @@ impl CircuitCache {
             }
         };
         let cost = before.saturating_sub(*budget);
-        self.subformulas.insert(l.clone(), (id, cost));
+        if cost > 0 {
+            self.subformulas.insert(l.clone(), (id, cost));
+        }
         Ok(id)
     }
 
@@ -642,8 +668,8 @@ impl CircuitCache {
             return Err(LineageError::BudgetExceeded { budget: 0 });
         }
         *budget -= 1;
-        let hi = self.compile_sub(&l.condition(pivot, true), budget)?;
-        let lo = self.compile_sub(&l.condition(pivot, false), budget)?;
+        let hi = self.compile_sub(&l.condition(pivot, true), false, budget)?;
+        let lo = self.compile_sub(&l.condition(pivot, false), false, budget)?;
         Ok(self.intern(NodeKey::Mix { var: pivot, hi, lo }))
     }
 
@@ -929,15 +955,11 @@ mod tests {
     }
 
     #[test]
-    fn var_leaves_stay_out_of_the_formula_memo_and_still_count_as_hits() {
+    fn var_leaves_stay_out_of_dedup_and_still_count_as_hits() {
         let mut cache = CircuitCache::new();
         seed_probs(&mut cache, &[(2, 0.3), (3, 0.4), (13, 0.1)]);
         cache.compile(&example(), 16).unwrap();
         assert_eq!(cache.pool_size(), 5, "three leaves, the OR, the AND");
-        assert!(cache
-            .subformulas
-            .keys()
-            .all(|l| !matches!(l, Lineage::Var(_))));
         assert!(cache.dedup.keys().all(|k| !matches!(k, NodeKey::Var(_))));
         assert_eq!(cache.stats().compile_hits, 0);
         // A second formula over the same tuples finds all three leaves.
@@ -945,6 +967,34 @@ mod tests {
         cache.compile(&again, 16).unwrap();
         assert_eq!(cache.stats().compile_hits, 3);
         assert_eq!(cache.pool_size(), 6, "only the new OR");
+    }
+
+    #[test]
+    fn only_subformulas_an_expansion_paid_for_are_memoized() {
+        let mut cache = CircuitCache::new();
+        cache.compile(&example(), 16).unwrap();
+        assert!(cache.subformulas.is_empty(), "read-once: one pass, no memo");
+        // (v0 ∧ v1) ∨ (v1 ∧ v2) ∨ (v2 ∧ v3) factors to
+        // (v2 ∧ v3) ∨ (v1 ∧ (v0 ∨ v2)), one expansion on v2 whose
+        // cofactors, v3 ∨ v1 and v1 ∧ v0, are read-once.
+        let pair = |a: u64, b: u64| Lineage::And(vec![Lineage::var(a), Lineage::var(b)]);
+        let chain = Lineage::Or(vec![pair(0, 1), pair(1, 2), pair(2, 3)]);
+        let id = cache.compile(&chain, 16).unwrap();
+        assert_eq!(cache.roots[id.at].cost, 1);
+        let normal = normalize(&chain);
+        assert!(!normal.read_once);
+        assert_eq!(normal.vars, chain.vars());
+        let memo: Vec<_> = cache.subformulas.iter().collect();
+        assert_eq!(memo, [(&normal.formula, &(cache.roots[id.at].root, 1))]);
+        // Compiled again under another spelling, the formula is a memo hit
+        // that charges its cost and adds no node.
+        let (size, hits) = (cache.pool_size(), cache.stats().compile_hits);
+        let respelled = Lineage::And(vec![chain.clone(), Lineage::Const(true)]);
+        let refused = Err(LineageError::BudgetExceeded { budget: 0 });
+        assert_eq!(cache.compile(&respelled, 0).map(|_| ()), refused);
+        assert!(cache.compile(&respelled, 1).is_ok());
+        assert_eq!(cache.pool_size(), size);
+        assert_eq!(cache.stats().compile_hits, hits + 1);
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl Lineage {
 
     /// Every variable leaf, sorted by id, repeats kept: one `Vec` and one
     /// sort, which is all `vars` and `is_read_once` need of a formula.
-    fn sorted_leaves(&self) -> Vec<VarId> {
+    pub(crate) fn sorted_leaves(&self) -> Vec<VarId> {
         let mut leaves = Vec::new();
         self.for_each_var(&mut |v| leaves.push(v));
         leaves.sort_unstable();

@@ -22,28 +22,66 @@ use std::collections::BTreeMap;
 /// common conjunct, that conjunct is pulled out front.
 pub fn factor(lineage: &Lineage) -> Lineage {
     let simplified = lineage.simplify();
-    let out = factor_rec(&simplified, 0);
-    // Only keep the rewrite when it actually shrank the occurrence count.
-    let before: usize = simplified.var_counts().values().sum();
-    let after: usize = out.var_counts().values().sum();
-    if after < before {
-        out
-    } else {
-        simplified
+    let leaves = simplified.var_counts().values().sum();
+    match shrink(&simplified, leaves) {
+        Some((out, _)) => out,
+        None => simplified,
     }
 }
 
-/// The form the pool compiler starts every exact confidence computation
-/// from: simplified, then factored unless already read-once. Factoring shared conjuncts out
-/// of OR branches removes repeated variables, saving Shannon expansions
-/// (and often reaching a read-once form, which needs none at all).
-pub(crate) fn normalize(lineage: &Lineage) -> Lineage {
-    let simplified = lineage.simplify();
-    if simplified.is_read_once() {
-        simplified
-    } else {
-        factor(&simplified)
+/// A formula in the form the pool compiler starts every exact confidence
+/// computation from, with what the read-once test learned about it.
+pub(crate) struct Normal {
+    /// Simplified, then factored unless already read-once. Factoring
+    /// shared conjuncts out of OR branches removes repeated variables,
+    /// saving Shannon expansions (and often reaching a read-once form,
+    /// which needs none at all).
+    pub(crate) formula: Lineage,
+    /// The formula's distinct variables, in id order.
+    pub(crate) vars: Vec<VarId>,
+    /// No variable occurs twice in the formula, so its compile needs no
+    /// Shannon expansion, and neither does any subformula's.
+    pub(crate) read_once: bool,
+}
+
+/// Bring `lineage` into [`Normal`] form. The read-once test is the one
+/// sort of the simplified formula's leaves: strictly ascending, they are
+/// the variable list as they stand, so a read-once formula (a bare
+/// variable included) pays one list for both. Otherwise the factored
+/// form is kept when it has fewer occurrences, and its occurrence counts
+/// give its verdict and its variables without another sort.
+pub(crate) fn normalize(lineage: &Lineage) -> Normal {
+    let formula = lineage.simplify();
+    let mut vars = formula.sorted_leaves();
+    if vars.is_sorted_by(|a, b| a < b) {
+        return Normal {
+            formula,
+            vars,
+            read_once: true,
+        };
     }
+    if let Some((factored, counts)) = shrink(&formula, vars.len()) {
+        return Normal {
+            formula: factored,
+            read_once: counts.values().all(|&n| n == 1),
+            vars: counts.into_keys().collect(),
+        };
+    }
+    vars.dedup();
+    Normal {
+        formula,
+        vars,
+        read_once: false,
+    }
+}
+
+/// `factor_rec`'s rewrite of a simplified formula with `leaves` variable
+/// occurrences, and the rewrite's count per variable — if it has fewer
+/// occurrences: the rewrite is only kept when it shrinks the formula.
+fn shrink(simplified: &Lineage, leaves: usize) -> Option<(Lineage, BTreeMap<VarId, usize>)> {
+    let out = factor_rec(simplified, 0);
+    let counts = out.var_counts();
+    (counts.values().sum::<usize>() < leaves).then_some((out, counts))
 }
 
 const MAX_DEPTH: usize = 32;
@@ -148,6 +186,7 @@ fn strip_conjunct(l: &Lineage, pivot: VarId) -> Option<Lineage> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
 
     /// `P(l)` over independent variables, summed over every assignment.
     fn enumerated(l: &Lineage, probs: &BTreeMap<VarId, f64>) -> f64 {
@@ -244,6 +283,52 @@ mod tests {
             Lineage::var(2),
         ]);
         assert_eq!(factor(&l), l);
+    }
+
+    /// A raw seeded formula over a few variables: repeats, constants and
+    /// negation, nothing simplified.
+    fn seeded(rng: &mut Rng64, depth: u32) -> Lineage {
+        if depth == 0 || rng.below_u64(4) == 0 {
+            return if rng.chance(0.9) {
+                Lineage::var(rng.below_u64(8))
+            } else {
+                Lineage::Const(rng.chance(0.5))
+            };
+        }
+        let kids = (0..rng.range_usize(1, 5))
+            .map(|_| seeded(rng, depth - 1))
+            .collect();
+        match rng.below_u64(5) {
+            0 => Lineage::Not(Box::new(seeded(rng, depth - 1))),
+            1 | 2 => Lineage::And(kids),
+            _ => Lineage::Or(kids),
+        }
+    }
+
+    #[test]
+    fn normalize_hands_over_what_its_read_once_test_found() {
+        let mut rng = Rng64::seed_from_u64(0x0F0C_7A11);
+        let (mut read_once, mut factored_to_it) = (0, 0);
+        for case in 0..2_000 {
+            let l = seeded(&mut rng, 4);
+            let normal = normalize(&l);
+            // The form as it was defined before it carried its verdict.
+            let simplified = l.simplify();
+            let want = if simplified.is_read_once() {
+                simplified.clone()
+            } else {
+                factor(&simplified)
+            };
+            assert_eq!(normal.formula, want, "case {case}: {l}");
+            assert_eq!(normal.vars, want.vars(), "case {case}: {l}");
+            assert_eq!(normal.read_once, want.is_read_once(), "case {case}: {l}");
+            read_once += usize::from(normal.read_once);
+            factored_to_it += usize::from(normal.read_once && !simplified.is_read_once());
+        }
+        assert!(
+            read_once > 400 && factored_to_it > 20,
+            "{read_once} / {factored_to_it}"
+        );
     }
 
     #[test]

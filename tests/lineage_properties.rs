@@ -160,6 +160,153 @@ fn tight_budgets_fail_and_succeed_where_the_interpreter_does() {
     assert!(exhausted > 0, "no budget was ever exhausted");
 }
 
+/// A read-once formula over `vars` (distinct ids): their order cut into
+/// groups, each a read-once subformula, under an AND or an OR, sometimes
+/// negated. Built with the simplifying constructors, so it is its own
+/// simplified form — what a cofactor that reduces to it compares equal to.
+fn read_once_formula(rng: &mut Rng64, vars: &[u64]) -> Lineage {
+    let formula = match vars {
+        [] => Lineage::Const(rng.chance(0.5)),
+        [v] => Lineage::var(*v),
+        _ => {
+            let mut rest = vars;
+            let mut children = Vec::new();
+            while !rest.is_empty() {
+                let (group, tail) = rest.split_at(rng.range_usize(1, rest.len().min(3) + 1));
+                children.push(read_once_formula(rng, group));
+                rest = tail;
+            }
+            if rng.chance(0.5) {
+                Lineage::and(children)
+            } else {
+                Lineage::or(children)
+            }
+        }
+    };
+    if rng.chance(0.15) {
+        Lineage::not(formula)
+    } else {
+        formula
+    }
+}
+
+/// Pivots of the `bank`'s Shannon formulas: smaller than every other
+/// variable, so each wins the pivot tie of the two children it is in.
+const PIVOTS: u64 = 4;
+/// The variables every other formula of the `bank` draws from.
+const SHARED: std::ops::Range<u64> = 10..22;
+
+/// The fast path's bank, in the order one pool compiles it: read-once
+/// formulas over a few shared variables, and formulas that need Shannon
+/// expansion over the same ones. Half of the latter are
+/// `(x ∨ A) ∧ (¬x ∨ B)` with `x` a pivot and `A`, `B` earlier read-once
+/// formulas, whose two cofactors are `B` and `A` themselves (flagged
+/// `true`); the rest are rings and DNFs, which expand all the way down.
+fn bank(rng: &mut Rng64) -> Vec<(Lineage, bool)> {
+    let mut read_once: Vec<Lineage> = Vec::new();
+    let mut out = Vec::new();
+    for _ in 0..48 {
+        let pick = rng.below_u64(4);
+        if pick < 2 || read_once.is_empty() {
+            let mut vars: Vec<u64> = SHARED.collect();
+            rng.shuffle(&mut vars);
+            let width = rng.range_usize(1, 7);
+            let l = read_once_formula(rng, &vars[..width]);
+            read_once.push(l.clone());
+            out.push((l, false));
+        } else if pick == 2 {
+            let x = Lineage::var(rng.below_u64(PIVOTS));
+            let a = read_once[rng.below_usize(read_once.len())].clone();
+            let b = read_once[rng.below_usize(read_once.len())].clone();
+            let l = Lineage::And(vec![
+                Lineage::Or(vec![x.clone(), a]),
+                Lineage::Or(vec![Lineage::Not(Box::new(x)), b]),
+            ]);
+            out.push((l, true));
+        } else {
+            // A ring v₀v₁ ∨ v₁v₂ ∨ … ∨ vₙv₀, or a DNF of pairs that may
+            // repeat: both expand cofactors that expand again, so an
+            // attempt the budget stops part-way memoizes some of them.
+            let mut vars: Vec<u64> = SHARED.collect();
+            rng.shuffle(&mut vars);
+            let n = rng.range_usize(4, 10);
+            let pair = |a: u64, b: u64| Lineage::And(vec![Lineage::var(a), Lineage::var(b)]);
+            let branches = if rng.chance(0.5) {
+                (0..n).map(|i| pair(vars[i], vars[(i + 1) % n])).collect()
+            } else {
+                let mut picked = || vars[rng.below_usize(7)];
+                (0..n).map(|_| pair(picked(), picked())).collect()
+            };
+            out.push((Lineage::Or(branches), false));
+        }
+    }
+    out
+}
+
+/// The least budget the interpreter scores `l` within: its Shannon cost.
+fn interpreter_cost(l: &Lineage, probs: &BTreeMap<VarId, f64>) -> usize {
+    (0..)
+        .find(|&b| probability(l, probs, b).is_ok())
+        .unwrap_or(0)
+}
+
+/// Read-once formulas compile in one pass, with neither a pivot search nor
+/// a memo entry, and a Shannon expansion memoizes only subformulas that
+/// cost it something. Neither may change a bit, an error or a node: one
+/// pool compiles a seeded bank in order — so cofactors meet read-once
+/// formulas it compiled earlier, and memo entries of earlier expansions —
+/// at every budget from 0 to one past each formula's cost, and each
+/// answer must be a cold pool's and the interpreter's. A cofactor equal to
+/// an earlier read-once formula compiles to that formula's nodes, and a
+/// read-once formula compiled again under another spelling adds none.
+#[test]
+fn read_once_fast_path_matches_cold_pools_and_the_interpreter() {
+    let (mut tied, mut expanded) = (0u32, 0u32);
+    for_each_case(24, 0x11AE_000B, |rng| {
+        let probs: BTreeMap<VarId, f64> = (0..SHARED.end)
+            .map(|v| (VarId(v), rng.range_f64(0.05, 0.95)))
+            .collect();
+        let mut pool = CircuitCache::new();
+        probs.iter().for_each(|(&v, &p)| pool.set_prob(v, p));
+        let scored = |pool: &mut CircuitCache, l: &Lineage, budget: usize| {
+            let id = pool.compile(l, budget)?;
+            pool.score(id).map(f64::to_bits)
+        };
+        for (l, cofactors_seen) in bank(rng) {
+            let cost = interpreter_cost(&l, &probs);
+            let before = pool.pool_size();
+            for budget in 0..=cost + 1 {
+                let oracle = probability(&l, &probs, budget).map(f64::to_bits);
+                let mut cold = CircuitCache::new();
+                probs.iter().for_each(|(&v, &p)| cold.set_prob(v, p));
+                let shared = scored(&mut pool, &l, budget);
+                assert_eq!(shared, oracle, "pool at budget {budget} for {l}");
+                assert_eq!(
+                    scored(&mut cold, &l, budget),
+                    oracle,
+                    "cold at {budget}: {l}"
+                );
+            }
+            if cofactors_seen {
+                // The Mix node, and the pivot's leaf the first time.
+                assert!(pool.pool_size() - before <= 2, "{l} re-interned a cofactor");
+                tied += 1;
+            }
+            expanded += u32::from(cost > 0);
+            if l.is_read_once() {
+                let size = pool.pool_size();
+                let respelled = Lineage::And(vec![l.clone(), Lineage::Const(true)]);
+                assert!(pool.compile(&respelled, 0).is_ok(), "{l}");
+                assert_eq!(pool.pool_size(), size, "{l} compiled again grew the pool");
+            }
+        }
+    });
+    assert!(
+        tied > 100 && expanded > 200,
+        "{tied} tied, {expanded} expanded"
+    );
+}
+
 #[test]
 fn factoring_preserves_semantics_and_never_grows() {
     for_each_case(CASES, 0x11AE_0005, |rng| {
